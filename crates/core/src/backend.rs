@@ -13,7 +13,7 @@
 //! Two backends exist in the workspace:
 //!
 //! * [`SimBackend`] (here) — the deterministic discrete-event
-//!   [`Driver`];
+//!   [`Driver`](crate::Driver);
 //! * `ProtoBackend` (in `hawk-proto`) — the real-time prototype: node
 //!   daemons exchanging messages, either as OS threads on the wall clock
 //!   or single-threaded on a deterministic virtual clock.
@@ -54,9 +54,10 @@ use std::sync::Arc;
 use hawk_workload::Trace;
 
 use crate::config::SimConfig;
-use crate::driver::Driver;
+use crate::experiment::run_cell;
 use crate::metrics::MetricsReport;
 use crate::scheduler::Scheduler;
+use crate::shard::worker_budget;
 
 /// An execution model for experiment cells: runs `scheduler` over `trace`
 /// under the policy-independent parameters `sim` and reports metrics in
@@ -81,7 +82,9 @@ pub trait Backend {
 }
 
 /// The discrete-event simulation backend: a thin [`Backend`] wrapper over
-/// [`Driver::with_scheduler`]. Deterministic and bit-identical to
+/// the simulation harnesses ([`Driver`](crate::Driver), or
+/// [`ShardedDriver`](crate::ShardedDriver) when `sim.shards > 1`).
+/// Deterministic and bit-identical to
 /// [`Experiment::run`](crate::Experiment::run).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimBackend;
@@ -97,7 +100,7 @@ impl Backend for SimBackend {
         scheduler: Arc<dyn Scheduler>,
         sim: &SimConfig,
     ) -> MetricsReport {
-        Driver::with_scheduler(trace, scheduler, sim).run()
+        run_cell(trace, scheduler, sim, worker_budget()).0
     }
 }
 

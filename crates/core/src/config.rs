@@ -81,94 +81,6 @@ impl SchedulerConfig {
         }
     }
 
-    /// Hawk with an alternative steal granularity (the §3.6 design-choice
-    /// ablation; see [`StealGranularity`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `scheduler::Hawk::new(f).steal_granularity(g)`"
-    )]
-    pub fn hawk_with_granularity(
-        short_partition_fraction: f64,
-        granularity: StealGranularity,
-    ) -> Self {
-        let name = match granularity {
-            StealGranularity::FirstBlockedGroup => "hawk",
-            StealGranularity::RandomBlockedEntry => "hawk-steal-random-entry",
-            StealGranularity::AllBlockedShorts => "hawk-steal-all-shorts",
-        };
-        SchedulerConfig {
-            name,
-            steal_granularity: granularity,
-            ..Self::hawk(short_partition_fraction)
-        }
-    }
-
-    /// Hawk with a custom steal cap (Figure 15).
-    #[deprecated(since = "0.2.0", note = "use `scheduler::Hawk::new(f).steal_cap(cap)`")]
-    pub fn hawk_with_steal_cap(short_partition_fraction: f64, cap: usize) -> Self {
-        SchedulerConfig {
-            steal_cap: Some(cap.max(1)),
-            ..Self::hawk(short_partition_fraction)
-        }
-    }
-
-    /// Extension: Hawk with long-aware probe bouncing. Short probes that
-    /// land on a general-partition server holding long work bounce to a
-    /// fresh random server (up to `limit` hops) instead of queueing behind
-    /// it — the avoidance idea of Hawk's successor, Eagle, discovered by
-    /// bouncing instead of gossiped state. See `ext_probe_avoidance`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `scheduler::Hawk::new(f).probe_avoidance(limit)`"
-    )]
-    pub fn hawk_with_probe_avoidance(short_partition_fraction: f64, limit: u8) -> Self {
-        SchedulerConfig {
-            name: "hawk-probe-avoidance",
-            probe_bounce_limit: limit,
-            ..Self::hawk(short_partition_fraction)
-        }
-    }
-
-    /// Ablation: Hawk without the centralized component (Figure 7) — long
-    /// jobs are probed like short ones, but still only within the general
-    /// partition.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `scheduler::Hawk::new(f).without_centralized()`"
-    )]
-    pub fn hawk_without_centralized(short_partition_fraction: f64) -> Self {
-        SchedulerConfig {
-            name: "hawk-wout-centralized",
-            long_route: Route::Distributed(Scope::General),
-            ..Self::hawk(short_partition_fraction)
-        }
-    }
-
-    /// Ablation: Hawk without the reserved short partition (Figure 7).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `scheduler::Hawk::new(0.0)` or `Hawk::new(f).without_partition()`"
-    )]
-    pub fn hawk_without_partition() -> Self {
-        SchedulerConfig {
-            name: "hawk-wout-partition",
-            ..Self::hawk(0.0)
-        }
-    }
-
-    /// Ablation: Hawk without work stealing (Figure 7).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `scheduler::Hawk::new(f).without_stealing()`"
-    )]
-    pub fn hawk_without_stealing(short_partition_fraction: f64) -> Self {
-        SchedulerConfig {
-            name: "hawk-wout-stealing",
-            steal_cap: None,
-            ..Self::hawk(short_partition_fraction)
-        }
-    }
-
     /// The Sparrow baseline \[14\]: everything distributed over the whole
     /// cluster, probe ratio 2, no partition, no stealing.
     pub fn sparrow() -> Self {
@@ -344,10 +256,10 @@ impl SimConfig {
     }
 }
 
-/// One legacy experiment cell: a [`SchedulerConfig`] plus the simulation
-/// parameters. Kept for [`run_experiment`](crate::run_experiment)-era
-/// code; new code describes cells with
-/// [`Experiment::builder`](crate::Experiment::builder).
+/// One experiment cell as a plain record: a [`SchedulerConfig`] (which
+/// implements [`Scheduler`](crate::Scheduler)) plus the simulation
+/// parameters, convertible with [`ExperimentConfig::sim`]. New code
+/// describes cells with [`Experiment::builder`](crate::Experiment::builder).
 #[derive(Debug, Clone, Serialize)]
 pub struct ExperimentConfig {
     /// Cluster size in servers.
@@ -413,8 +325,6 @@ pub const DEFAULT_SEED: u64 = 0x4a77_2015;
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy shims are exactly what these tests cover
-
     use super::*;
 
     #[test]
@@ -425,24 +335,6 @@ mod tests {
         assert_eq!(h.long_route, Route::Central(Scope::General));
         assert_eq!(h.short_route, Route::Distributed(Scope::Whole));
         assert!(h.uses_central());
-    }
-
-    #[test]
-    fn ablations_flip_one_component() {
-        let base = SchedulerConfig::hawk(0.17);
-        let no_central = SchedulerConfig::hawk_without_centralized(0.17);
-        assert_eq!(no_central.long_route, Route::Distributed(Scope::General));
-        assert_eq!(no_central.short_route, base.short_route);
-        assert_eq!(no_central.steal_cap, base.steal_cap);
-        assert!(!no_central.uses_central());
-
-        let no_part = SchedulerConfig::hawk_without_partition();
-        assert_eq!(no_part.short_partition_fraction, 0.0);
-        assert_eq!(no_part.long_route, base.long_route);
-
-        let no_steal = SchedulerConfig::hawk_without_stealing(0.17);
-        assert_eq!(no_steal.steal_cap, None);
-        assert_eq!(no_steal.long_route, base.long_route);
     }
 
     #[test]
@@ -472,12 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_cap_floor_is_one() {
-        let h = SchedulerConfig::hawk_with_steal_cap(0.17, 0);
-        assert_eq!(h.steal_cap, Some(1));
-    }
-
-    #[test]
     fn central_overhead_cost_model() {
         let free = CentralOverhead::FREE;
         assert!(free.is_free());
@@ -492,16 +378,5 @@ mod tests {
             o.cost(100),
             SimDuration::from_millis(2) + SimDuration::from_micros(5_000)
         );
-    }
-
-    #[test]
-    fn granularity_variants_named_distinctly() {
-        use hawk_cluster::StealGranularity;
-        let a = SchedulerConfig::hawk_with_granularity(0.17, StealGranularity::FirstBlockedGroup);
-        let b = SchedulerConfig::hawk_with_granularity(0.17, StealGranularity::RandomBlockedEntry);
-        let c = SchedulerConfig::hawk_with_granularity(0.17, StealGranularity::AllBlockedShorts);
-        assert_eq!(a.name, "hawk");
-        assert_ne!(b.name, c.name);
-        assert_eq!(a.steal_cap, Some(10));
     }
 }

@@ -4,8 +4,7 @@
 //! [`Experiment::builder`] is the primary entry point for running a
 //! single cell; [`Sweep`](crate::Sweep) multiplies a builder over axes of
 //! schedulers, cluster sizes, seeds and more, and runs the grid in
-//! parallel. The pre-0.2 free functions [`run_experiment`] and
-//! [`run_experiment_with_estimates`] remain as thin deprecated shims.
+//! parallel.
 //!
 //! # Examples
 //!
@@ -39,7 +38,7 @@ use hawk_workload::classify::{Cutoff, JobEstimates, MisestimateRange};
 use hawk_workload::scenario::{DynamicsScript, ScenarioSpec, SpeedSpec};
 use hawk_workload::{Trace, TraceSource};
 
-use crate::config::{CentralOverhead, ExperimentConfig, SimConfig};
+use crate::config::{CentralOverhead, SimConfig};
 use crate::driver::Driver;
 use crate::metrics::MetricsReport;
 use crate::scheduler::Scheduler;
@@ -134,20 +133,18 @@ impl Experiment {
     /// worker count never changes results). [`crate::Sweep`] uses this
     /// to divide the machine between concurrent cells.
     pub fn run_with_workers(&self, workers: usize) -> MetricsReport {
-        if self.sim.shards > 1 {
-            ShardedDriver::new(&self.trace, Arc::clone(&self.scheduler), &self.sim)
-                .with_workers(workers)
-                .run()
-        } else {
-            Driver::with_scheduler(&self.trace, Arc::clone(&self.scheduler), &self.sim).run()
-        }
+        run_cell(&self.trace, Arc::clone(&self.scheduler), &self.sim, workers).0
     }
 
     /// Like [`Experiment::run`], but also returns the (possibly
-    /// misestimated) per-job estimates the driver actually used (§4.8).
+    /// misestimated) per-job estimates the run actually used (§4.8).
     pub fn run_with_estimates(&self) -> (MetricsReport, JobEstimates) {
-        Driver::with_scheduler(&self.trace, Arc::clone(&self.scheduler), &self.sim)
-            .run_with_estimates()
+        run_cell(
+            &self.trace,
+            Arc::clone(&self.scheduler),
+            &self.sim,
+            worker_budget(),
+        )
     }
 
     /// Runs the cell on an explicit execution [`Backend`]. `run_on(&SimBackend)`
@@ -349,23 +346,25 @@ impl ExperimentBuilder {
     }
 }
 
-/// Runs one experiment cell under the legacy configuration record.
-#[deprecated(since = "0.2.0", note = "use `Experiment::builder()`")]
-pub fn run_experiment(trace: &Trace, cfg: &ExperimentConfig) -> MetricsReport {
-    Driver::new(trace, cfg).run()
-}
-
-/// Like `run_experiment`, but also returns the per-job estimates the
-/// driver used (§4.8).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Experiment::builder()` and `Experiment::run_with_estimates`"
-)]
-pub fn run_experiment_with_estimates(
+/// The one place a harness is chosen for a simulated cell: `shards <= 1`
+/// runs the single-stream [`Driver`] (byte-identical to every pinned
+/// golden digest), `shards > 1` the [`ShardedDriver`] on up to `workers`
+/// threads. Every simulation entry point — [`Experiment::run`],
+/// [`Experiment::run_with_estimates`], [`crate::SimBackend`] — routes
+/// through here, so they cannot disagree.
+pub(crate) fn run_cell(
     trace: &Trace,
-    cfg: &ExperimentConfig,
+    scheduler: Arc<dyn Scheduler>,
+    sim: &SimConfig,
+    workers: usize,
 ) -> (MetricsReport, JobEstimates) {
-    Driver::new(trace, cfg).run_with_estimates()
+    if sim.shards > 1 {
+        ShardedDriver::new(trace, scheduler, sim)
+            .with_workers(workers)
+            .run_with_estimates()
+    } else {
+        Driver::with_scheduler(trace, scheduler, sim).run_with_estimates()
+    }
 }
 
 #[cfg(test)]
@@ -425,32 +424,6 @@ mod tests {
         for r in &report.results {
             assert_eq!(r.scheduled_class, estimates.class(r.job, cell.sim().cutoff));
         }
-    }
-
-    #[test]
-    fn legacy_shim_matches_builder() {
-        #![allow(deprecated)]
-        use crate::config::SchedulerConfig;
-        let trace = small_motivation();
-        let cfg = ExperimentConfig {
-            nodes: 128,
-            scheduler: SchedulerConfig::hawk(0.17),
-            ..ExperimentConfig::default()
-        };
-        let legacy = run_experiment(&trace, &cfg);
-        let (with_est, estimates) = run_experiment_with_estimates(&trace, &cfg);
-        assert_eq!(legacy.results, with_est.results);
-        // Exact estimates: every job estimate equals its mean duration.
-        for job in trace.jobs() {
-            assert_eq!(estimates.estimate(job.id), job.mean_task_duration());
-        }
-
-        let builder = Experiment::builder()
-            .nodes(128)
-            .scheduler(Hawk::new(0.17))
-            .trace(&trace)
-            .run();
-        assert_eq!(legacy.results, builder.results);
     }
 
     #[test]

@@ -76,6 +76,7 @@ mod driver;
 mod experiment;
 pub mod live;
 pub mod metrics;
+mod protocol;
 pub mod scheduler;
 mod shard;
 mod steal_policy;
@@ -88,13 +89,14 @@ pub use config::{
     CentralOverhead, ExperimentConfig, Route, SchedulerConfig, Scope, SimConfig, DEFAULT_SEED,
 };
 pub use distributed::ProbePlanner;
-pub use driver::{Driver, Event};
+pub use driver::Driver;
 pub use experiment::{Experiment, ExperimentBuilder, IntoTrace};
 pub use live::{LiveMetrics, LiveWindow, WindowClassStats, LIVE_RING};
 pub use metrics::{
     compare, AdmissionStats, ClassSummary, Comparison, JobResult, MetricsReport, ShardedStats,
     StreamingStats, StreamingSummary,
 };
+pub use protocol::Event;
 // Convenience re-exports of the network-topology layer (the canonical home
 // is `hawk_net`): the selector every `SimConfig` carries plus the types a
 // topology-aware experiment touches.
@@ -103,6 +105,3 @@ pub use scheduler::{PlacementView, Scheduler, StealSpec};
 pub use shard::{worker_budget, ShardedDriver};
 pub use steal_policy::StealPolicy;
 pub use sweep::{CellResult, Sweep, SweepResults};
-
-#[allow(deprecated)]
-pub use experiment::{run_experiment, run_experiment_with_estimates};

@@ -1,0 +1,1494 @@
+//! The protocol core: Hawk's handlers, written once.
+//!
+//! Hawk (§3.4–§3.7) is one protocol — probe → late bind → launch → steal
+//! → finish, plus §3.7 central placement and churn relocation. [`Core`]
+//! holds the node-local and scheduler-local state (cluster, per-job late
+//! binding, the centralized waiting-time scheduler, the three RNG
+//! streams, the topology, streaming sinks, recycled buffers) and every
+//! handler, written against the [`Transport`] seam: a handler's only
+//! outward effect is "emit event *e* to endpoint *p* after delay *d*".
+//! The harnesses know nothing about scheduling:
+//!
+//! * [`crate::Driver`] is a core plus a loopback transport (every send is
+//!   `engine.schedule`) and an eager sampling loop;
+//! * each shard of [`crate::ShardedDriver`] is a core plus an outbox
+//!   transport that maps the destination endpoint to its owning shard.
+//!
+//! Everything *policy* — routing, probe placement, steal capability and
+//! victim choice, probe bouncing — is delegated to the [`Scheduler`]
+//! trait; adding a scheduling policy touches neither the core nor a
+//! harness.
+//!
+//! Every message asks the [`Topology`] for its delay exactly once, in
+//! event order, so contended topologies (per-link FIFO queueing) stay
+//! deterministic. Where shared memory and message passing inherently
+//! differ, the transport decides at compile time
+//! ([`Transport::REMOTE_SCHEDULERS`], [`Transport::owns`]); there is no
+//! runtime flag.
+
+use std::sync::Arc;
+
+use hawk_cluster::{Cluster, QueueEntry, ServerAction, ServerId, TaskSpec, UtilizationTracker};
+use hawk_net::{Endpoint, NetworkStats, RackGeometry, Topology};
+use hawk_simcore::stats::StreamingQuantiles;
+use hawk_simcore::{BatchHandle, BatchPool, Engine, SimDuration, SimRng, SimTime};
+use hawk_workload::classify::{Cutoff, JobEstimates};
+use hawk_workload::scenario::NodeChange;
+use hawk_workload::{JobClass, JobId, Trace};
+
+use crate::admission::{AdmissionDecision, AdmissionPlan};
+use crate::centralized::CentralScheduler;
+use crate::config::{CentralOverhead, Route, Scope, SimConfig};
+use crate::live::LiveRecorder;
+use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats, StreamingSummary};
+use crate::scheduler::{PlacementView, Scheduler, StealSpec};
+
+/// A simulation event: a message or timer of the protocol.
+///
+/// `Copy`: stolen groups wait in the core's batch pool while in flight,
+/// so every variant is a few plain words — which also lets the timing
+/// wheel store events in its recycled slab arena (the size is pinned by
+/// a unit test). The single-stream [`crate::Driver`] never emits the
+/// last four variants; they carry what it does by direct state access.
+#[derive(Debug, Clone, Copy)]
+pub enum Event {
+    /// A job was submitted (at its trace submission time, or at its
+    /// admitted window when admission control deferred it).
+    JobArrival(JobId),
+    /// A probe message reached a server.
+    ProbeArrive {
+        /// Destination server.
+        server: ServerId,
+        /// Job the probe reserves for.
+        job: JobId,
+        /// The job's scheduled class.
+        class: JobClass,
+        /// How many times this probe has bounced off servers holding long
+        /// work (always 0 under the paper's configuration).
+        bounces: u8,
+    },
+    /// A centrally-placed (or relocated) task reached a server.
+    TaskArrive {
+        /// Destination server.
+        server: ServerId,
+        /// The task.
+        spec: TaskSpec,
+    },
+    /// A server's task request reached the job's scheduler.
+    BindRequest {
+        /// Requesting server.
+        server: ServerId,
+        /// Job whose scheduler is asked.
+        job: JobId,
+    },
+    /// The scheduler's response reached the server: a task or a cancel.
+    BindResponse {
+        /// Destination server.
+        server: ServerId,
+        /// `Some` launches the task, `None` cancels the reservation.
+        task: Option<TaskSpec>,
+    },
+    /// The running task on a server completed.
+    TaskFinish {
+        /// The server whose slot finished.
+        server: ServerId,
+    },
+    /// Stolen queue entries reached the thief (only with a non-zero steal
+    /// transfer delay, or from a victim another shard owns).
+    ///
+    /// The event carries a 4-byte handle into the core's [`BatchPool`],
+    /// not an owned `Vec`: the stolen group waits in a recycled pool slot
+    /// while in flight, so the steal pipeline allocates nothing in steady
+    /// state.
+    StolenArrive {
+        /// The thief.
+        server: ServerId,
+        /// The in-flight stolen group (original queue order), redeemed
+        /// against the receiving core's batch pool on delivery.
+        batch: BatchHandle,
+    },
+    /// The centralized scheduler finished processing a job and emits its
+    /// placements (only with a non-zero [`CentralOverhead`]; decisions are
+    /// free by default, as in the paper).
+    CentralPlace(JobId),
+    /// A scripted scenario event: the server leaves service. Its queue is
+    /// drained and migrated (or abandoned, for reservations whose job has
+    /// no unlaunched tasks left); a running task finishes on its own.
+    NodeDown(ServerId),
+    /// A scripted scenario event: the server rejoins, idle and empty.
+    NodeUp(ServerId),
+    /// Periodic utilization snapshot (single-stream harness only; shards
+    /// sample lazily).
+    UtilSample,
+    /// Periodic live-metrics window close (single-stream harness only,
+    /// and only under [`SimConfig::live_window`]).
+    LiveSample,
+    /// A thief asks the owner of a remote `victim` for one steal scan.
+    /// When the scan fails, the victim's owner forwards the request to
+    /// `rest[0]`, so one idle transition can try several remote victims
+    /// without a round-trip through the thief.
+    StealRequest {
+        /// The idle server.
+        thief: ServerId,
+        /// The server to scan.
+        victim: ServerId,
+        /// The thief's remaining remote candidates from the same victim
+        /// pick (`u32::MAX`-padded).
+        rest: [u32; 3],
+    },
+    /// A distributed job's task finished; counts down at the job's
+    /// scheduler.
+    TaskDone {
+        /// The job.
+        job: JobId,
+    },
+    /// A central job's task finished; the central scheduler updates the
+    /// waiting-time bookkeeping and the job's completion state in one
+    /// message.
+    CentralTaskDone {
+        /// The job.
+        job: JobId,
+        /// The server the task ran on.
+        server: ServerId,
+    },
+    /// A queue entry drained off a failed server asks its deciding
+    /// scheduler (central for tasks, the job's scheduler for probes) for
+    /// a new home.
+    Relocate {
+        /// The failed server.
+        from: ServerId,
+        /// The stranded entry.
+        entry: QueueEntry,
+    },
+}
+
+/// Sentinel padding for [`Event::StealRequest::rest`].
+const NO_VICTIM: u32 = u32::MAX;
+
+/// What a handler may do to the outside world. Statically dispatched:
+/// the only implementors are the single-stream loopback, the sharded
+/// outbox and the unit tests' recording fake.
+pub(crate) trait Transport {
+    /// Whether a job's scheduler may sit across the wire from the servers
+    /// running its tasks. Decides the two things shared memory and
+    /// message passing inherently do differently: completion bookkeeping
+    /// (direct state access vs. a `TaskDone`/`CentralTaskDone` message
+    /// to the home scheduler) and relocation off a failed server
+    /// (point-to-point vs. a detour through the deciding scheduler).
+    const REMOTE_SCHEDULERS: bool;
+
+    /// The current simulated time.
+    fn now(&self) -> SimTime;
+
+    /// Delivers `event` to whoever hosts endpoint `to`, `delay` from now.
+    /// Timers are messages to the endpoint that set them.
+    fn send(&mut self, delay: SimDuration, to: Endpoint, event: Event);
+
+    /// Whether this core holds the authoritative queue of `server`.
+    fn owns(&self, server: ServerId) -> bool;
+
+    /// Ships a stolen group to a thief this transport does not own (the
+    /// one message with a payload), draining `entries`.
+    fn send_stolen(&mut self, delay: SimDuration, thief: ServerId, entries: &mut Vec<QueueEntry>);
+}
+
+/// Per-job dynamic state (the job's "distributed scheduler" plus
+/// completion bookkeeping); authoritative only in the job's home core.
+#[derive(Debug, Clone, Copy)]
+struct JobRun {
+    /// Class the policy scheduled this job as.
+    class: JobClass,
+    /// Next unlaunched task index (late binding hands tasks out in order).
+    next_task: u32,
+    /// Tasks not yet finished.
+    remaining: u32,
+    /// Completion time, once all tasks finished.
+    completion: Option<SimTime>,
+}
+
+/// What every core of one run shares, computed once: the estimates and
+/// admission plan are pure functions of the experiment inputs, so cores
+/// agree on every decision without exchanging a message.
+///
+/// RNG split order (frozen, see ARCHITECTURE.md): root → estimate stream
+/// → per core, in construction order: probe, steal, scenario.
+pub(crate) struct RunInputs {
+    pub(crate) estimates: Arc<JobEstimates>,
+    admission: Option<Arc<AdmissionPlan>>,
+    speeds: Option<Vec<f64>>,
+    max_tasks: usize,
+    rng_root: SimRng,
+}
+
+impl RunInputs {
+    /// # Panics
+    ///
+    /// Panics when the dynamics script names a server outside the cluster.
+    pub(crate) fn new(trace: &Trace, sim: &SimConfig) -> Self {
+        let mut rng_root = SimRng::seed_from_u64(sim.seed);
+        let mut estimate_rng = rng_root.split();
+        let estimates = match sim.misestimate {
+            Some(range) => JobEstimates::misestimated(trace, range, &mut estimate_rng),
+            None => JobEstimates::exact(trace),
+        };
+        if let Some(max) = sim.dynamics.max_server() {
+            assert!(
+                (max as usize) < sim.nodes,
+                "dynamics script touches server {max} but the cluster has {} servers",
+                sim.nodes
+            );
+        }
+        let admission = sim.admission.map(|policy| {
+            Arc::new(AdmissionPlan::compute(
+                trace,
+                sim.nodes,
+                sim.cutoff,
+                &sim.dynamics,
+                policy,
+            ))
+        });
+        let max_tasks = trace
+            .jobs()
+            .iter()
+            .map(|j| j.num_tasks())
+            .max()
+            .unwrap_or(0);
+        RunInputs {
+            estimates: Arc::new(estimates),
+            admission,
+            speeds: sim.speeds.resolve(sim.nodes),
+            max_tasks,
+            rng_root,
+        }
+    }
+}
+
+/// The protocol state machine; see the module docs.
+pub(crate) struct Core<'t> {
+    trace: &'t Trace,
+    scheduler: Arc<dyn Scheduler>,
+    estimates: Arc<JobEstimates>,
+    /// Full-size cluster with global server ids. A sharded core only ever
+    /// enqueues on the servers its transport owns; the rest is a shadow
+    /// that tracks membership.
+    pub(crate) cluster: Cluster,
+    jobs: Vec<JobRun>,
+    /// The §3.7 scheduler, on the one core that hosts [`Endpoint::Central`].
+    central: Option<CentralScheduler>,
+    steal_spec: Option<StealSpec>,
+    probe_rng: SimRng,
+    steal_rng: SimRng,
+    /// Stream for scenario bookkeeping (migration re-probing); separate
+    /// so dynamics-off runs draw exactly as before the scenario layer
+    /// existed — the golden digests pin this.
+    scenario_rng: SimRng,
+    cutoff: Cutoff,
+    central_overhead: CentralOverhead,
+    /// Time at which the centralized scheduler's serial processing queue
+    /// drains (only advances under a non-free [`CentralOverhead`]).
+    central_ready: SimTime,
+    /// Prices every message and steal transfer this core sends; contended
+    /// models keep their link state here.
+    topology: Box<dyn Topology>,
+    /// Rack geometry for fabric-aware victim picking; `None` under
+    /// placement-blind topologies.
+    rack_geometry: Option<RackGeometry>,
+    /// Precomputed admission decisions; `None` admits everything (the
+    /// classic, digest-pinned behavior).
+    admission: Option<Arc<AdmissionPlan>>,
+    /// Cumulative streaming runtime sinks by true class, always on: the
+    /// record path is allocation-free and draws no RNG, and the derived
+    /// report fields are digest-excluded.
+    short_sink: StreamingQuantiles,
+    long_sink: StreamingQuantiles,
+    /// Windowed live-metrics recorder, under [`SimConfig::live_window`].
+    live: Option<LiveRecorder>,
+    /// Jobs homed here that have not completed.
+    pub(crate) unfinished: usize,
+    steals: u64,
+    steal_attempts: u64,
+    /// Queue entries relocated off failed servers (tasks re-placed, live
+    /// probes re-probed).
+    migrations: u64,
+    /// Reservations dropped at node failure because their job had no
+    /// unlaunched tasks left (a bind would have been cancelled anyway).
+    abandons: u64,
+    /// Owned servers currently out of service.
+    pub(crate) owned_down: usize,
+    // Recycled hot-path buffers: the steady-state loop allocates nothing.
+    drain_buf: Vec<QueueEntry>,
+    victim_scratch: Vec<usize>,
+    victim_buf: Vec<ServerId>,
+    steal_buf: Vec<QueueEntry>,
+    probe_buf: Vec<ServerId>,
+    place_buf: Vec<ServerId>,
+    /// In-flight stolen groups; [`Event::StolenArrive`] carries handles
+    /// into this pool.
+    pub(crate) stolen_pool: BatchPool<QueueEntry>,
+}
+
+impl<'t> Core<'t> {
+    /// Builds one core, splitting its three RNG streams off `inputs`.
+    /// `hosts_central` is true for the one core that hosts
+    /// [`Endpoint::Central`] and so owns every centralized decision.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inconsistent configuration: a centralized route over an
+    /// empty scope, or a short-reserved route with no reserved servers.
+    pub(crate) fn new(
+        trace: &'t Trace,
+        scheduler: Arc<dyn Scheduler>,
+        sim: &SimConfig,
+        inputs: &mut RunInputs,
+        hosts_central: bool,
+    ) -> Self {
+        let probe_rng = inputs.rng_root.split();
+        let steal_rng = inputs.rng_root.split();
+        let scenario_rng = inputs.rng_root.split();
+
+        let fraction = scheduler.short_partition_fraction();
+        let cluster = match &inputs.speeds {
+            Some(speeds) => Cluster::with_speeds(sim.nodes, fraction, speeds),
+            None => Cluster::new(sim.nodes, fraction),
+        };
+        let partition = cluster.partition();
+        let long_route = scheduler.route(JobClass::Long);
+        let short_route = scheduler.route(JobClass::Short);
+        for route in [long_route, short_route] {
+            if let Route::Distributed(Scope::ShortReserved) | Route::Central(Scope::ShortReserved) =
+                route
+            {
+                assert!(
+                    partition.short_count() > 0,
+                    "route targets the short partition but none is reserved"
+                );
+            }
+        }
+        let central = central_scope(&long_route, &short_route)
+            .filter(|_| hosts_central)
+            .map(|scope| {
+                let len = match scope {
+                    Scope::Whole => partition.total(),
+                    Scope::General => partition.general_count(),
+                    Scope::ShortReserved => {
+                        unreachable!("central routes never target the short partition")
+                    }
+                };
+                assert!(len > 0, "centralized route over an empty scope");
+                CentralScheduler::new(len)
+            });
+
+        let jobs = trace
+            .jobs()
+            .iter()
+            .map(|j| JobRun {
+                class: JobClass::Short, // finalized at arrival
+                next_task: 0,
+                remaining: j.num_tasks() as u32,
+                completion: None,
+            })
+            .collect();
+
+        // Buffers are pre-sized from the trace so the steady-state loop
+        // starts warm: a failing server's queue holds at most a few
+        // batches of probes/tasks, and churn windows must stay off the
+        // allocator.
+        let max_tasks = inputs.max_tasks;
+        Core {
+            trace,
+            steal_spec: scheduler.steal(),
+            scheduler,
+            estimates: Arc::clone(&inputs.estimates),
+            cluster,
+            jobs,
+            central,
+            probe_rng,
+            steal_rng,
+            scenario_rng,
+            cutoff: sim.cutoff,
+            central_overhead: sim.central_overhead,
+            central_ready: SimTime::ZERO,
+            topology: sim.topology_spec().build(sim.nodes),
+            rack_geometry: sim.topology_spec().rack_geometry(),
+            admission: inputs.admission.clone(),
+            short_sink: StreamingQuantiles::new(),
+            long_sink: StreamingQuantiles::new(),
+            live: sim.live_window.map(LiveRecorder::new),
+            unfinished: 0,
+            steals: 0,
+            steal_attempts: 0,
+            migrations: 0,
+            abandons: 0,
+            owned_down: 0,
+            drain_buf: Vec::with_capacity(4 * max_tasks + 64),
+            victim_scratch: Vec::new(),
+            victim_buf: Vec::new(),
+            steal_buf: Vec::with_capacity(64),
+            probe_buf: Vec::with_capacity(4 * max_tasks + 8),
+            place_buf: Vec::with_capacity(max_tasks),
+            stolen_pool: BatchPool::new(),
+        }
+    }
+
+    /// Seeds `engine` with the arrivals of the jobs this core is home to,
+    /// then the full dynamics script (every core replays it, so shadow
+    /// membership stays globally correct).
+    pub(crate) fn seed(
+        &mut self,
+        engine: &mut Engine<Event>,
+        sim: &SimConfig,
+        is_home: impl Fn(JobId) -> bool,
+    ) {
+        for job in self.trace.jobs().iter().filter(|job| is_home(job.id)) {
+            engine.schedule_at(job.submission, Event::JobArrival(job.id));
+            self.unfinished += 1;
+        }
+        for scripted in sim.dynamics.events() {
+            let event = match scripted.change {
+                NodeChange::Down(server) => Event::NodeDown(ServerId(server)),
+                NodeChange::Up(server) => Event::NodeUp(ServerId(server)),
+            };
+            engine.schedule_at(scripted.at, event);
+        }
+    }
+
+    /// Hands the run's estimates back to the caller; a clone only if
+    /// another core of the run is still alive.
+    pub(crate) fn into_estimates(self) -> JobEstimates {
+        Arc::try_unwrap(self.estimates).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// Closes every live-metrics window ending at or before `limit` with
+    /// the current cluster state (a no-op without a live window).
+    pub(crate) fn close_live_windows(&mut self, limit: SimTime) {
+        if let Some(live) = &mut self.live {
+            live.close_up_to(
+                limit,
+                self.cluster.utilization(),
+                self.steals,
+                self.steal_attempts,
+            );
+        }
+    }
+
+    /// Handles one event.
+    pub(crate) fn dispatch<T: Transport>(&mut self, net: &mut T, event: Event) {
+        match event {
+            Event::JobArrival(job) => self.on_job_arrival(net, job),
+            Event::ProbeArrive {
+                server,
+                job,
+                class,
+                bounces,
+            } => self.on_probe(net, server, job, class, bounces),
+            Event::TaskArrive { server, spec } => {
+                self.on_entry_arrive(net, server, QueueEntry::Task(spec))
+            }
+            Event::BindRequest { server, job } => self.on_bind_request(net, server, job),
+            Event::BindResponse { server, task } => {
+                let action = self.cluster.on_bind_response(server, task);
+                self.on_action(net, server, action);
+            }
+            Event::TaskFinish { server } => self.on_task_finish(net, server),
+            Event::StolenArrive { server, batch } => self.on_stolen(net, server, batch),
+            Event::StealRequest {
+                thief,
+                victim,
+                rest,
+            } => self.on_steal_request(net, thief, victim, rest),
+            Event::TaskDone { job } => self.on_task_done(net, job),
+            Event::CentralTaskDone { job, server } => {
+                let estimate = self.estimates.estimate(job);
+                self.central
+                    .as_mut()
+                    .expect("central bookkeeping for a centrally-routed job")
+                    .on_task_complete(server, estimate);
+                self.on_task_done(net, job);
+            }
+            Event::Relocate { from, entry } => {
+                self.replace(net, from, deciding_scheduler(&entry), entry)
+            }
+            Event::CentralPlace(job) => self.place_centrally(net, job),
+            Event::NodeDown(server) => self.on_node_down(net, server),
+            Event::NodeUp(server) => {
+                if self.cluster.revive_server(server) {
+                    if net.owns(server) {
+                        self.owned_down -= 1;
+                    }
+                    if let Some(central) = &mut self.central {
+                        if server.index() < central.scope() {
+                            central.revive(server);
+                        }
+                    }
+                }
+            }
+            Event::UtilSample | Event::LiveSample => {
+                unreachable!("sampling belongs to the harness")
+            }
+        }
+    }
+
+    fn on_job_arrival<T: Transport>(&mut self, net: &mut T, job: JobId) {
+        let now = net.now();
+        let class = self.estimates.class(job, self.cutoff);
+        // Admission control, applied at the job's home. The plan is a
+        // pure function of the experiment inputs, so no RNG stream
+        // advances on any path and admission-off runs are byte-identical
+        // to the classic digests.
+        if let Some(plan) = &self.admission {
+            match plan.decision(job) {
+                AdmissionDecision::Admit => {
+                    if let Some(live) = &mut self.live {
+                        live.on_arrival();
+                    }
+                }
+                AdmissionDecision::Defer { until } if now < until => {
+                    // First firing: count the offer once, replay the
+                    // arrival at its admitted window. The job's estimates
+                    // were drawn at construction, so postponing perturbs
+                    // no RNG stream.
+                    if let Some(live) = &mut self.live {
+                        live.on_arrival();
+                        live.on_deferral();
+                    }
+                    let home = match self.scheduler.route(class) {
+                        Route::Central(_) => Endpoint::Central,
+                        Route::Distributed(_) => Endpoint::Scheduler(job.0),
+                    };
+                    net.send(until - now, home, Event::JobArrival(job));
+                    return;
+                }
+                AdmissionDecision::Defer { .. } => {} // re-fired: admit now
+                AdmissionDecision::Shed => {
+                    if let Some(live) = &mut self.live {
+                        live.on_arrival();
+                        live.on_shed();
+                    }
+                    // The job completes instantly at submission with zero
+                    // runtime and never schedules. Shed jobs are excluded
+                    // from the streaming sinks (the exact summary still
+                    // carries their zero runtime).
+                    let run = &mut self.jobs[job.index()];
+                    run.class = class;
+                    run.completion = Some(now);
+                    self.unfinished -= 1;
+                    return;
+                }
+            }
+        } else if let Some(live) = &mut self.live {
+            live.on_arrival();
+        }
+        let spec = self.trace.job(job);
+        self.jobs[job.index()].class = class;
+        match self.scheduler.route(class) {
+            Route::Central(_) => {
+                if self.central_overhead.is_free() {
+                    self.place_centrally(net, job);
+                } else {
+                    // The central scheduler processes jobs serially: this
+                    // job waits for the backlog, then pays its own cost.
+                    let ready =
+                        self.central_ready.max(now) + self.central_overhead.cost(spec.num_tasks());
+                    self.central_ready = ready;
+                    net.send(ready - now, Endpoint::Central, Event::CentralPlace(job));
+                }
+            }
+            Route::Distributed(scope) => {
+                let (start, len) = scope_range(&self.cluster, scope);
+                let view = PlacementView::new(&self.cluster, start, len);
+                self.scheduler.probe_targets_into(
+                    &view,
+                    spec.num_tasks(),
+                    &mut self.probe_rng,
+                    &mut self.probe_buf,
+                );
+                // The job's distributed scheduler is the probes' source
+                // endpoint; each probe is committed to the fabric
+                // individually, in target order.
+                let targets = std::mem::take(&mut self.probe_buf);
+                for &server in &targets {
+                    self.send_probe(net, Endpoint::Scheduler(job.0), server, job, class, 0);
+                }
+                self.probe_buf = targets;
+            }
+        }
+    }
+
+    fn on_probe<T: Transport>(
+        &mut self,
+        net: &mut T,
+        server: ServerId,
+        job: JobId,
+        class: JobClass,
+        bounces: u8,
+    ) {
+        if !self.cluster.is_down(server)
+            && self
+                .scheduler
+                .bounce_probe(self.cluster.server(server), class, bounces)
+        {
+            // Long-aware probe avoidance (extension): retry on a fresh
+            // random server at the cost of one network hop.
+            let retry =
+                random_probe_target(&*self.scheduler, &self.cluster, class, &mut self.probe_rng);
+            self.send_probe(
+                net,
+                Endpoint::Server(server),
+                retry,
+                job,
+                class,
+                bounces + 1,
+            );
+            return;
+        }
+        self.on_entry_arrive(net, server, QueueEntry::Probe { job, class });
+    }
+
+    /// A probe or directly-placed task reached `server`'s queue — or, if
+    /// the server failed while the message was in flight, is treated like
+    /// a drained queue entry.
+    fn on_entry_arrive<T: Transport>(&mut self, net: &mut T, server: ServerId, entry: QueueEntry) {
+        debug_assert!(net.owns(server));
+        if self.cluster.is_down(server) {
+            self.relocate(net, server, entry);
+        } else if let Some(action) = self.cluster.enqueue(server, entry) {
+            self.on_action(net, server, action);
+        }
+    }
+
+    fn send_probe<T: Transport>(
+        &mut self,
+        net: &mut T,
+        src: Endpoint,
+        server: ServerId,
+        job: JobId,
+        class: JobClass,
+        bounces: u8,
+    ) {
+        let dst = Endpoint::Server(server);
+        let delay = self.topology.delay(net.now(), src, dst);
+        net.send(
+            delay,
+            dst,
+            Event::ProbeArrive {
+                server,
+                job,
+                class,
+                bounces,
+            },
+        );
+    }
+
+    /// Runs the §3.7 placement for `job` and sends its tasks out.
+    fn place_centrally<T: Transport>(&mut self, net: &mut T, job: JobId) {
+        let spec = self.trace.job(job);
+        let class = self.jobs[job.index()].class;
+        let estimate = self.estimates.estimate(job);
+        let central = self
+            .central
+            .as_mut()
+            .expect("central route requires a central scheduler");
+        central.assign_job_into(spec.num_tasks(), estimate, &mut self.place_buf);
+        let now = net.now();
+        for (i, &server) in self.place_buf.iter().enumerate() {
+            let task = TaskSpec {
+                job,
+                duration: spec.tasks[i],
+                estimate,
+                class,
+                task: i as u32,
+                attempt: 0,
+            };
+            let dst = Endpoint::Server(server);
+            let delay = self.topology.delay(now, Endpoint::Central, dst);
+            net.send(delay, dst, Event::TaskArrive { server, spec: task });
+        }
+    }
+
+    /// Takes `server` out of service (§ scenario dynamics): the cluster
+    /// drains its queue, the central scheduler stops placing there, and
+    /// every drained entry is migrated to a live server or abandoned.
+    fn on_node_down<T: Transport>(&mut self, net: &mut T, server: ServerId) {
+        debug_assert!(self.drain_buf.is_empty(), "stale drain buffer");
+        let mut drained = std::mem::take(&mut self.drain_buf);
+        if !self.cluster.fail_server(server, &mut drained) {
+            self.drain_buf = drained;
+            return; // already down: duplicate script entry
+        }
+        if net.owns(server) {
+            self.owned_down += 1;
+        } else {
+            debug_assert!(drained.is_empty(), "shadow server held queue entries");
+        }
+        if let Some(central) = &mut self.central {
+            if server.index() < central.scope() {
+                central.fail(server);
+            }
+        }
+        for entry in drained.drain(..) {
+            self.relocate(net, server, entry);
+        }
+        self.drain_buf = drained;
+    }
+
+    /// Moves one queue entry off the failed server `from`. With every
+    /// scheduler in reach the entry is re-placed point-to-point, one hop;
+    /// across a wire the decision belongs to the entry's scheduler, so it
+    /// detours there first (one hop in, one hop out).
+    fn relocate<T: Transport>(&mut self, net: &mut T, from: ServerId, entry: QueueEntry) {
+        if !T::REMOTE_SCHEDULERS {
+            return self.replace(net, from, Endpoint::Server(from), entry);
+        }
+        let decider = deciding_scheduler(&entry);
+        let delay = self
+            .topology
+            .delay(net.now(), Endpoint::Server(from), decider);
+        net.send(delay, decider, Event::Relocate { from, entry });
+    }
+
+    /// The deciding scheduler's half of a relocation: migrates the entry
+    /// to a live server with a message from `src`, or abandons it.
+    ///
+    /// * **Tasks** carry real committed work: they move to the live server
+    ///   the centralized scheduler would pick next, with the waiting-time
+    ///   bookkeeping following the task.
+    /// * **Probes** are late-binding reservations. If the job still has
+    ///   unlaunched tasks the probe re-probes a random live server of its
+    ///   route's scope (it may be needed for liveness); otherwise it is
+    ///   abandoned — binding it would only have produced a cancel.
+    fn replace<T: Transport>(
+        &mut self,
+        net: &mut T,
+        from: ServerId,
+        src: Endpoint,
+        entry: QueueEntry,
+    ) {
+        match entry {
+            QueueEntry::Task(spec) => {
+                let central = self
+                    .central
+                    .as_mut()
+                    .expect("directly-placed tasks imply a central scheduler");
+                let target = central.least_loaded();
+                // The fail() penalty dwarfs any real work sum, so the
+                // minimum key is a down server only when the whole scope
+                // is down — in which case relocation would ping-pong
+                // forever. Fail loudly, like the probe path's
+                // "no live servers" guard.
+                assert!(
+                    !self.cluster.is_down(target),
+                    "central scope has no live servers to migrate a task to \
+                     (the dynamics script took down the entire scope)"
+                );
+                central.reassign(from, target, spec.estimate);
+                self.migrations += 1;
+                let dst = Endpoint::Server(target);
+                let delay = self.topology.delay(net.now(), src, dst);
+                net.send(
+                    delay,
+                    dst,
+                    Event::TaskArrive {
+                        server: target,
+                        spec,
+                    },
+                );
+            }
+            QueueEntry::Probe { job, class } => {
+                let launched = self.jobs[job.index()].next_task as usize;
+                if launched >= self.trace.job(job).num_tasks() {
+                    self.abandons += 1;
+                    return;
+                }
+                self.migrations += 1;
+                let target = random_probe_target(
+                    &*self.scheduler,
+                    &self.cluster,
+                    class,
+                    &mut self.scenario_rng,
+                );
+                self.send_probe(net, src, target, job, class, 0);
+            }
+        }
+    }
+
+    fn on_bind_request<T: Transport>(&mut self, net: &mut T, server: ServerId, job: JobId) {
+        // The response travels scheduler → server, the reverse of the
+        // request hop that produced this event.
+        let dst = Endpoint::Server(server);
+        let delay = self
+            .topology
+            .delay(net.now(), Endpoint::Scheduler(job.0), dst);
+        let estimate = self.estimates.estimate(job);
+        let spec = self.trace.job(job);
+        let run = &mut self.jobs[job.index()];
+        let task = if (run.next_task as usize) < spec.num_tasks() {
+            let idx = run.next_task as usize;
+            run.next_task += 1;
+            Some(TaskSpec {
+                job,
+                duration: spec.tasks[idx],
+                estimate,
+                class: run.class,
+                task: idx as u32,
+                attempt: 0,
+            })
+        } else {
+            None // all tasks given out: cancel (§3.5)
+        };
+        net.send(delay, dst, Event::BindResponse { server, task });
+    }
+
+    fn on_task_finish<T: Transport>(&mut self, net: &mut T, server: ServerId) {
+        debug_assert!(net.owns(server));
+        let (spec, action) = self.cluster.on_task_finish(server);
+        let job = spec.job;
+        let central = matches!(self.scheduler.route(spec.class), Route::Central(_));
+        if T::REMOTE_SCHEDULERS {
+            // Completion is measured where the job's scheduler lives: one
+            // network delay after the slot freed. A central job's message
+            // covers the waiting-time bookkeeping too.
+            let (home, done) = if central {
+                (Endpoint::Central, Event::CentralTaskDone { job, server })
+            } else {
+                (Endpoint::Scheduler(job.0), Event::TaskDone { job })
+            };
+            let delay = self
+                .topology
+                .delay(net.now(), Endpoint::Server(server), home);
+            net.send(delay, home, done);
+        } else {
+            if central {
+                self.central
+                    .as_mut()
+                    .expect("central bookkeeping for a centrally-routed job")
+                    .on_task_complete(server, spec.estimate);
+            }
+            self.on_task_done(net, job);
+        }
+        self.on_action(net, server, action);
+    }
+
+    /// Counts one finished task down at the job's scheduler.
+    fn on_task_done<T: Transport>(&mut self, net: &mut T, job: JobId) {
+        let run = &mut self.jobs[job.index()];
+        run.remaining -= 1;
+        if run.remaining == 0 {
+            let now = net.now();
+            run.completion = Some(now);
+            self.unfinished -= 1;
+            // Streaming runtime sinks, keyed by *true* class like the
+            // exact per-class summaries (digest-excluded, RNG-free).
+            let spec = self.trace.job(job);
+            let true_class = self.cutoff.classify(spec.mean_task_duration());
+            let micros = (now - spec.submission).as_micros();
+            match true_class {
+                JobClass::Short => self.short_sink.record(micros),
+                JobClass::Long => self.long_sink.record(micros),
+            }
+            if let Some(live) = &mut self.live {
+                live.on_completion(true_class, micros);
+            }
+        }
+    }
+
+    fn on_action<T: Transport>(&mut self, net: &mut T, server: ServerId, action: ServerAction) {
+        match action {
+            ServerAction::StartTask(spec) => {
+                // Heterogeneous scenarios: slot occupancy is the nominal
+                // duration scaled by the server's speed factor (identity
+                // at speed 1.0).
+                let occupancy = self.cluster.server(server).scale_duration(spec.duration);
+                net.send(
+                    occupancy,
+                    Endpoint::Server(server),
+                    Event::TaskFinish { server },
+                );
+            }
+            ServerAction::RequestBind { job } => {
+                let scheduler = Endpoint::Scheduler(job.0);
+                let delay = self
+                    .topology
+                    .delay(net.now(), Endpoint::Server(server), scheduler);
+                net.send(delay, scheduler, Event::BindRequest { server, job });
+            }
+            ServerAction::BecameIdle => self.try_steal(net, server),
+        }
+    }
+
+    /// One steal attempt for an idle thief (§3.6): contact the victims the
+    /// policy picks and steal from the first with an eligible group.
+    ///
+    /// Victim selection draws from `steal_rng` first; the long-work index
+    /// is consulted only *after* those draws, to skip scans that provably
+    /// cannot yield an eligible group (no long work ⇒ nothing is blocked
+    /// behind a long task). Skipped scans perform no RNG draws of their
+    /// own, so the filter is behavior-preserving — the golden-digest suite
+    /// pins this.
+    ///
+    /// Owned victims are scanned synchronously in pick order. If none
+    /// yields a group, the victims this core does not own (up to four, in
+    /// pick order) are chained into one asynchronous
+    /// [`Event::StealRequest`] that each failed hop forwards onward.
+    fn try_steal<T: Transport>(&mut self, net: &mut T, thief: ServerId) {
+        let Some(spec) = self.steal_spec else { return };
+        if self.cluster.is_down(thief) {
+            // A draining server's slot emptied: it goes dark instead of
+            // stealing new work.
+            return;
+        }
+        self.steal_attempts += 1;
+        let partition = self.cluster.partition();
+        let mut victims = std::mem::take(&mut self.victim_buf);
+        self.scheduler.pick_victims_in_fabric_into(
+            &partition,
+            thief,
+            self.rack_geometry,
+            &mut self.steal_rng,
+            &mut self.victim_scratch,
+            &mut victims,
+        );
+        // O(1) via the index: with no long work on any owned server every
+        // local scan would come back empty. The index says nothing about
+        // servers another core owns (shadows never enqueue).
+        let local_scan = self.cluster.long_holder_count() > 0;
+        debug_assert!(self.steal_buf.is_empty(), "stale steal batch");
+        let mut robbed = None;
+        let mut remotes = [NO_VICTIM; 4];
+        let mut remote_count = 0;
+        for &victim in &victims {
+            if !net.owns(victim) {
+                if remote_count < remotes.len() {
+                    remotes[remote_count] = victim.0;
+                    remote_count += 1;
+                }
+                continue;
+            }
+            if !local_scan || !self.cluster.holds_long_work(victim) {
+                // One bitmap load instead of a cold walk of the victim's
+                // queue state.
+                continue;
+            }
+            self.cluster.steal_from_with_into(
+                victim,
+                spec.granularity,
+                &mut self.steal_rng,
+                &mut self.steal_buf,
+            );
+            if !self.steal_buf.is_empty() {
+                robbed = Some(victim);
+                break;
+            }
+        }
+        self.victim_buf = victims;
+        if let Some(victim) = robbed {
+            self.steals += 1;
+            // The topology prices the transfer (free under the paper's
+            // model, §4.1) and records steal-locality counters for
+            // placement-aware fabrics.
+            let transfer = self.topology.steal_transfer(
+                net.now(),
+                Endpoint::Server(victim),
+                Endpoint::Server(thief),
+            );
+            if transfer.is_zero() {
+                if let Some(action) = self.cluster.give_stolen_drain(thief, &mut self.steal_buf) {
+                    self.on_action(net, thief, action);
+                }
+            } else {
+                // Park the group in a recycled pool slot while it is in
+                // flight; the event carries only the 4-byte handle.
+                let batch = self.stolen_pool.put(&mut self.steal_buf);
+                net.send(
+                    transfer,
+                    Endpoint::Server(thief),
+                    Event::StolenArrive {
+                        server: thief,
+                        batch,
+                    },
+                );
+            }
+        } else if remote_count > 0 {
+            self.send_steal_request(
+                net,
+                thief,
+                Endpoint::Server(thief),
+                ServerId(remotes[0]),
+                [remotes[1], remotes[2], remotes[3]],
+            );
+        }
+    }
+
+    fn send_steal_request<T: Transport>(
+        &mut self,
+        net: &mut T,
+        thief: ServerId,
+        src: Endpoint,
+        victim: ServerId,
+        rest: [u32; 3],
+    ) {
+        let dst = Endpoint::Server(victim);
+        let delay = self.topology.delay(net.now(), src, dst);
+        net.send(
+            delay,
+            dst,
+            Event::StealRequest {
+                thief,
+                victim,
+                rest,
+            },
+        );
+    }
+
+    /// A remote thief's steal request against an owned victim. A failed
+    /// scan forwards the request to the next candidate in `rest` (sent
+    /// from the owned victim); when the chain is exhausted no reply is
+    /// sent, like an unsuccessful local scan.
+    fn on_steal_request<T: Transport>(
+        &mut self,
+        net: &mut T,
+        thief: ServerId,
+        victim: ServerId,
+        rest: [u32; 3],
+    ) {
+        debug_assert!(net.owns(victim));
+        let Some(spec) = self.steal_spec else { return };
+        debug_assert!(self.steal_buf.is_empty(), "stale steal batch");
+        if !self.cluster.is_down(victim) && self.cluster.holds_long_work(victim) {
+            self.cluster.steal_from_with_into(
+                victim,
+                spec.granularity,
+                &mut self.steal_rng,
+                &mut self.steal_buf,
+            );
+        }
+        if self.steal_buf.is_empty() {
+            if rest[0] != NO_VICTIM {
+                self.send_steal_request(
+                    net,
+                    thief,
+                    Endpoint::Server(victim),
+                    ServerId(rest[0]),
+                    [rest[1], rest[2], NO_VICTIM],
+                );
+            }
+            return;
+        }
+        self.steals += 1;
+        let now = net.now();
+        let (from, to) = (Endpoint::Server(victim), Endpoint::Server(thief));
+        let transfer = self.topology.steal_transfer(now, from, to);
+        let delay = self.topology.delay(now, from, to) + transfer;
+        net.send_stolen(delay, thief, &mut self.steal_buf);
+    }
+
+    fn on_stolen<T: Transport>(&mut self, net: &mut T, server: ServerId, batch: BatchHandle) {
+        debug_assert!(net.owns(server));
+        self.stolen_pool.take_into(batch, &mut self.steal_buf);
+        if self.cluster.is_down(server) {
+            // The thief failed mid-transfer: relocate the group in queue
+            // order, like a drained queue.
+            let mut group = std::mem::take(&mut self.steal_buf);
+            for entry in group.drain(..) {
+                self.relocate(net, server, entry);
+            }
+            self.steal_buf = group;
+            return;
+        }
+        if let Some(action) = self.cluster.give_stolen_drain(server, &mut self.steal_buf) {
+            self.on_action(net, server, action);
+        }
+    }
+}
+
+/// The scheduler that decides where a stranded queue entry goes next:
+/// central for directly-placed tasks, the job's own for probes.
+fn deciding_scheduler(entry: &QueueEntry) -> Endpoint {
+    match entry {
+        QueueEntry::Task(_) => Endpoint::Central,
+        QueueEntry::Probe { job, .. } => Endpoint::Scheduler(job.0),
+    }
+}
+
+/// The server-id range `[start, start + len)` a placement scope covers.
+fn scope_range(cluster: &Cluster, scope: Scope) -> (u32, usize) {
+    let p = cluster.partition();
+    match scope {
+        Scope::Whole => (0, p.total()),
+        Scope::General => (0, p.general_count()),
+        Scope::ShortReserved => (p.general_count() as u32, p.short_count()),
+    }
+}
+
+/// A uniformly random live server of the scope `class` probes. A free
+/// function so callers can lend one of the core's RNG streams alongside
+/// its cluster.
+fn random_probe_target(
+    scheduler: &dyn Scheduler,
+    cluster: &Cluster,
+    class: JobClass,
+    rng: &mut SimRng,
+) -> ServerId {
+    let scope = match scheduler.route(class) {
+        Route::Distributed(scope) => scope,
+        Route::Central(_) => unreachable!("probes imply a distributed route"),
+    };
+    let (start, len) = scope_range(cluster, scope);
+    PlacementView::new(cluster, start, len).random_server(rng)
+}
+
+/// The single scope used by centralized routes, if any. Both routes
+/// being central implies an identical scope (the centralized baseline).
+fn central_scope(long: &Route, short: &Route) -> Option<Scope> {
+    match (long, short) {
+        (Route::Central(a), Route::Central(b)) => {
+            assert_eq!(a, b, "central routes must share a scope");
+            Some(*a)
+        }
+        (Route::Central(a), _) => Some(*a),
+        (_, Route::Central(b)) => Some(*b),
+        _ => None,
+    }
+}
+
+/// Assembles the report of a finished run from its cores: per-job results
+/// from each job's home core (`home_of`), counters summed, live windows
+/// merged, and the other cores' streaming sinks folded into the first
+/// (exact — the merged histogram is bit-identical to one global sink fed
+/// the same runtimes — and allocation-free). Utilization and the event
+/// count come from the harness, which owns sampling and the engines.
+pub(crate) fn report(
+    cores: &mut [&mut Core<'_>],
+    home_of: impl Fn(JobId) -> usize,
+    util: &UtilizationTracker,
+    events: u64,
+    sharded: Option<ShardedStats>,
+) -> MetricsReport {
+    let (first, rest) = cores
+        .split_first_mut()
+        .expect("a run has at least one core");
+    for core in rest.iter() {
+        first.short_sink.merge(&core.short_sink);
+        first.long_sink.merge(&core.long_sink);
+    }
+    let cores = &*cores;
+    let first = &*cores[0];
+
+    let mut makespan = SimTime::ZERO;
+    // Sized once from the trace; the per-job completion check compiles
+    // to a branch to a cold panic path instead of an `expect` in the
+    // hot map.
+    let mut results: Vec<JobResult> = Vec::with_capacity(first.trace.len());
+    for job in first.trace.jobs() {
+        let run = &cores[home_of(job.id)].jobs[job.id.index()];
+        let Some(completion) = run.completion else {
+            unreachable!("job {} unfinished at report time", job.id);
+        };
+        makespan = makespan.max(completion);
+        results.push(JobResult {
+            job: job.id,
+            true_class: first.cutoff.classify(job.mean_task_duration()),
+            scheduled_class: run.class,
+            submission: job.submission,
+            completion,
+            num_tasks: job.num_tasks(),
+        });
+    }
+
+    let mut network = NetworkStats::default();
+    for core in cores {
+        let stats = core.topology.stats();
+        network.rack_local_msgs += stats.rack_local_msgs;
+        network.cross_rack_msgs += stats.cross_rack_msgs;
+        network.cross_pod_msgs += stats.cross_pod_msgs;
+        network.rack_local_steals += stats.rack_local_steals;
+        network.steal_transfers += stats.steal_transfers;
+    }
+    let recorders: Vec<&LiveRecorder> = cores.iter().filter_map(|c| c.live.as_ref()).collect();
+    let sum = |counter: fn(&Core<'_>) -> u64| cores.iter().map(|c| counter(c)).sum();
+
+    MetricsReport {
+        scheduler: first.scheduler.name(),
+        nodes: first.cluster.len(),
+        results,
+        median_utilization: util.median().unwrap_or(0.0),
+        max_utilization: util.max().unwrap_or(0.0),
+        utilization_samples: util.samples().to_vec(),
+        makespan,
+        events,
+        steals: sum(|c| c.steals),
+        steal_attempts: sum(|c| c.steal_attempts),
+        migrations: sum(|c| c.migrations),
+        abandons: sum(|c| c.abandons),
+        network,
+        sharded,
+        streaming: StreamingStats {
+            short: StreamingSummary::from_sink(&first.short_sink),
+            long: StreamingSummary::from_sink(&first.long_sink),
+        },
+        live: match recorders.as_slice() {
+            [] => None,
+            [solo] => Some(solo.report()),
+            shards => Some(LiveRecorder::merge(shards)),
+        },
+        admission: first
+            .admission
+            .as_deref()
+            .map(AdmissionPlan::stats)
+            .unwrap_or_default(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduler::{Hawk, Sparrow};
+    use hawk_workload::Job;
+
+    /// The core-side analogue of hawk-proto's `RecordingNet`: records
+    /// every emission instead of delivering it, so handlers can be
+    /// exercised one event at a time with no engine. `REMOTE` picks the
+    /// shared-memory or message-passing flavour at compile time, like the
+    /// two real transports.
+    struct RecordingTransport<const REMOTE: bool> {
+        now: SimTime,
+        owned: std::ops::Range<u32>,
+        sent: Vec<(SimDuration, Endpoint, Event)>,
+        stolen: Vec<(ServerId, Vec<QueueEntry>)>,
+    }
+
+    impl<const REMOTE: bool> RecordingTransport<REMOTE> {
+        fn owning(owned: std::ops::Range<u32>) -> Self {
+            RecordingTransport {
+                now: SimTime::from_secs(1),
+                owned,
+                sent: Vec::new(),
+                stolen: Vec::new(),
+            }
+        }
+    }
+
+    impl<const REMOTE: bool> Transport for RecordingTransport<REMOTE> {
+        const REMOTE_SCHEDULERS: bool = REMOTE;
+
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        fn send(&mut self, delay: SimDuration, to: Endpoint, event: Event) {
+            self.sent.push((delay, to, event));
+        }
+
+        fn owns(&self, server: ServerId) -> bool {
+            self.owned.contains(&server.0)
+        }
+
+        fn send_stolen(&mut self, _: SimDuration, thief: ServerId, entries: &mut Vec<QueueEntry>) {
+            self.stolen.push((thief, std::mem::take(entries)));
+        }
+    }
+
+    fn one_job_trace(tasks: Vec<u64>) -> Trace {
+        Trace::new(vec![Job {
+            id: JobId(0),
+            submission: SimTime::ZERO,
+            tasks: tasks.into_iter().map(SimDuration::from_secs).collect(),
+            generated_class: None,
+        }])
+        .unwrap()
+    }
+
+    fn core_for(trace: &Trace, scheduler: impl Scheduler + 'static, nodes: usize) -> Core<'_> {
+        let sim = SimConfig {
+            nodes,
+            ..SimConfig::default()
+        };
+        let mut inputs = RunInputs::new(trace, &sim);
+        Core::new(trace, Arc::new(scheduler), &sim, &mut inputs, true)
+    }
+
+    const ONE_WAY: SimDuration = SimDuration::from_micros(500);
+
+    /// The merged enum must not grow the timing-wheel arena: 40 bytes was
+    /// `max(size_of::<Event>(), size_of::<SEvent>())` before the merge.
+    #[test]
+    fn event_stays_within_the_pre_merge_size() {
+        assert!(std::mem::size_of::<Event>() <= 40);
+    }
+
+    #[test]
+    fn bind_request_after_the_last_task_emits_a_cancel() {
+        let trace = one_job_trace(vec![10]);
+        let mut core = core_for(&trace, Sparrow::new(), 4);
+        let mut net = RecordingTransport::<false>::owning(0..4);
+        for server in [ServerId(2), ServerId(3)] {
+            core.dispatch(
+                &mut net,
+                Event::BindRequest {
+                    server,
+                    job: JobId(0),
+                },
+            );
+        }
+        assert!(matches!(
+            net.sent[..],
+            [
+                (
+                    ONE_WAY,
+                    Endpoint::Server(ServerId(2)),
+                    Event::BindResponse {
+                        server: ServerId(2),
+                        task: Some(TaskSpec { task: 0, .. }),
+                    },
+                ),
+                (
+                    ONE_WAY,
+                    Endpoint::Server(ServerId(3)),
+                    Event::BindResponse {
+                        server: ServerId(3),
+                        task: None,
+                    },
+                ),
+            ]
+        ));
+    }
+
+    /// A probe landing on a server that failed while it was in flight is
+    /// relocated exactly once — as a detour to the job's scheduler across
+    /// a wire, point-to-point in shared memory.
+    #[test]
+    fn probe_on_a_down_server_emits_exactly_one_relocation() {
+        let trace = one_job_trace(vec![10, 10]);
+        let probe = Event::ProbeArrive {
+            server: ServerId(1),
+            job: JobId(0),
+            class: JobClass::Short,
+            bounces: 0,
+        };
+
+        let mut core = core_for(&trace, Sparrow::new(), 4);
+        let mut wire = RecordingTransport::<true>::owning(0..4);
+        core.dispatch(&mut wire, Event::NodeDown(ServerId(1)));
+        assert!(wire.sent.is_empty(), "an empty queue drains nothing");
+        core.dispatch(&mut wire, probe);
+        assert!(matches!(
+            wire.sent[..],
+            [(
+                ONE_WAY,
+                Endpoint::Scheduler(0),
+                Event::Relocate {
+                    from: ServerId(1),
+                    entry: QueueEntry::Probe { job: JobId(0), .. },
+                },
+            )]
+        ));
+        assert_eq!(core.migrations, 0, "the scheduler decides, not the server");
+
+        let mut core = core_for(&trace, Sparrow::new(), 4);
+        let mut local = RecordingTransport::<false>::owning(0..4);
+        core.dispatch(&mut local, Event::NodeDown(ServerId(1)));
+        core.dispatch(&mut local, probe);
+        let [(
+            ONE_WAY,
+            Endpoint::Server(to),
+            Event::ProbeArrive {
+                server, bounces: 0, ..
+            },
+        )] = local.sent[..]
+        else {
+            panic!("expected one re-probe, got {:?}", local.sent);
+        };
+        assert_eq!(to, server);
+        assert_ne!(server, ServerId(1), "re-probes target live servers");
+        assert_eq!(core.migrations, 1);
+    }
+
+    /// Remote stealing is the `!owns(victim)` arm of `try_steal`: an idle
+    /// thief whose picked victims all live elsewhere sends one request to
+    /// the first, carrying the next three for the owner to forward to.
+    #[test]
+    fn idle_thief_with_only_remote_victims_emits_one_chained_steal_request() {
+        let trace = one_job_trace(vec![10]);
+        let scheduler = Hawk::new(0.2);
+        let thief = ServerId(19);
+        let mut core = core_for(&trace, scheduler, 20);
+        let mut expected = Vec::new();
+        scheduler.pick_victims_in_fabric_into(
+            &core.cluster.partition(),
+            thief,
+            None,
+            &mut core.steal_rng.clone(),
+            &mut Vec::new(),
+            &mut expected,
+        );
+        assert!(expected.len() >= 4 && !expected.contains(&thief));
+
+        let mut net = RecordingTransport::<true>::owning(19..20);
+        core.on_action(&mut net, thief, ServerAction::BecameIdle);
+        let [(
+            ONE_WAY,
+            Endpoint::Server(to),
+            Event::StealRequest {
+                thief: asker,
+                victim,
+                rest,
+            },
+        )] = net.sent[..]
+        else {
+            panic!("expected one steal request, got {:?}", net.sent);
+        };
+        assert_eq!((asker, to, victim), (thief, victim, expected[0]));
+        assert_eq!(rest, [expected[1].0, expected[2].0, expected[3].0]);
+        assert_eq!((core.steal_attempts, core.steals), (1, 0));
+        assert!(net.stolen.is_empty());
+    }
+
+    /// The victim's side: a scan that finds a blocked group ships it to
+    /// the remote thief as the one payload-carrying message; an empty
+    /// scan forwards the request down the chain instead.
+    #[test]
+    fn steal_request_ships_the_blocked_group_or_forwards_the_chain() {
+        let trace = one_job_trace(vec![10]);
+        let mut core = core_for(&trace, Hawk::new(0.2), 20);
+        let mut net = RecordingTransport::<true>::owning(0..10);
+        let long = TaskSpec {
+            job: JobId(0),
+            duration: SimDuration::from_secs(5_000),
+            estimate: SimDuration::from_secs(5_000),
+            class: JobClass::Long,
+            task: 0,
+            attempt: 0,
+        };
+        let blocked = QueueEntry::Probe {
+            job: JobId(0),
+            class: JobClass::Short,
+        };
+        core.on_entry_arrive(&mut net, ServerId(0), QueueEntry::Task(long));
+        core.on_entry_arrive(&mut net, ServerId(0), blocked);
+        net.sent.clear();
+
+        let request = |victim| Event::StealRequest {
+            thief: ServerId(19),
+            victim: ServerId(victim),
+            rest: [0, NO_VICTIM, NO_VICTIM],
+        };
+        core.dispatch(&mut net, request(5));
+        assert!(matches!(
+            net.sent[..],
+            [(
+                ONE_WAY,
+                Endpoint::Server(ServerId(0)),
+                Event::StealRequest {
+                    thief: ServerId(19),
+                    victim: ServerId(0),
+                    rest: [NO_VICTIM, NO_VICTIM, NO_VICTIM],
+                },
+            )]
+        ));
+        assert!(net.stolen.is_empty());
+
+        core.dispatch(&mut net, request(0));
+        assert_eq!(net.stolen, [(ServerId(19), vec![blocked])]);
+        assert_eq!(core.steals, 1);
+    }
+}

@@ -74,7 +74,7 @@
 //!
 //! # Shadow clusters
 //!
-//! Every shard holds a *full-size* [`Cluster`] and replays the complete
+//! Every shard holds a *full-size* [`hawk_cluster::Cluster`] and replays the complete
 //! dynamics script, but only ever enqueues work on the servers it owns.
 //! Global server ids therefore need no translation, liveness-aware
 //! placement (`PlacementView`, victim filters) sees correct membership
@@ -102,28 +102,32 @@
 //!
 //! # Divergences from the single-threaded [`Driver`]
 //!
-//! `shards = 1` run through [`ShardedDriver`] is event-for-event
-//! identical to [`Driver`] *except* for the bookkeeping-message timing
-//! below, which is why [`crate::Experiment::run`] routes `shards <= 1`
-//! to [`Driver`] (byte-identical to every pinned golden digest) and
-//! `K > 1` here. For `K > 1` the simulated system is the same, but:
+//! Every shard runs the same protocol [`Core`] as [`Driver`]; this file
+//! is only the parallel-simulation harness (shard map, lookahead
+//! closure, work-claiming pool, k-way merge, lazy sampling, report
+//! merge). What differs is what message passing makes unavoidable, each
+//! decided at one line — which is also why `shards <= 1` runs [`Driver`]
+//! (byte-identical to every pinned golden digest) and only `K > 1` runs
+//! here:
 //!
-//! * task-completion bookkeeping travels server → scheduler as a
-//!   message, so a job's recorded completion time is one network delay
-//!   after its last task finished;
-//! * relocation off a failed server detours through the deciding
-//!   scheduler (central for tasks, the job's scheduler for probes)
-//!   instead of moving point-to-point — probe re-probes are sent from
-//!   the job's scheduler endpoint, not the failed server;
-//! * an idle thief scans only shard-local victims synchronously; the
-//!   remote victims from the same scan (up to four) are tried
-//!   asynchronously one at a time, each failed request forwarding to
-//!   the next candidate;
-//! * each shard's topology instance tracks contention for the messages
-//!   it sends, so contended fat-trees approximate global link state;
-//! * per-shard RNG streams replace the global ones (split order below);
-//! * utilization samples are taken lazily (identical values, different
-//!   tail truncation at run end) and not counted as engine events.
+//! * completion is measured at the home scheduler: bookkeeping travels
+//!   server → scheduler as a message, so a job completes one network
+//!   delay after its last task finished
+//!   ([`Transport::REMOTE_SCHEDULERS`] in `Core::on_task_finish`);
+//! * relocation off a failed server is two-hop: it detours through the
+//!   deciding scheduler (central for tasks, the job's scheduler for
+//!   probes), which re-places the entry from its own endpoint
+//!   ([`Transport::REMOTE_SCHEDULERS`] in `Core::relocate`);
+//! * remote steals are asynchronous: an idle thief scans owned victims
+//!   synchronously, and the others from the same pick (up to four) are
+//!   tried one at a time, each failed request forwarding to the next
+//!   (the `!net.owns(victim)` arm of `Core::try_steal`);
+//! * contention state and RNG streams are per shard: each core builds
+//!   its own topology instance, so contended fat-trees approximate
+//!   global link state, and splits its own probe/steal/scenario streams
+//!   (`Core::new`, called once per shard);
+//! * sampling is lazy (identical values, different tail truncation at
+//!   run end, not counted as engine events): `Shard::sample_up_to`.
 //!
 //! Headline metrics stay within a few percent of the single-threaded
 //! driver (the conformance suite pins a bound); digests are comparable
@@ -134,20 +138,16 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use hawk_cluster::{Cluster, QueueEntry, ServerAction, ServerId, TaskSpec, UtilizationTracker};
-use hawk_net::{Endpoint, NetworkStats, RackGeometry, Topology, TopologySpec};
-use hawk_simcore::stats::StreamingQuantiles;
-use hawk_simcore::{BatchHandle, BatchPool, Engine, SimDuration, SimRng, SimTime};
-use hawk_workload::classify::{Cutoff, JobEstimates};
-use hawk_workload::scenario::NodeChange;
-use hawk_workload::{JobClass, JobId, Trace};
+use hawk_cluster::{QueueEntry, ServerId, UtilizationTracker};
+use hawk_net::{Endpoint, RackGeometry, TopologySpec};
+use hawk_simcore::{Engine, SimDuration, SimTime};
+use hawk_workload::classify::JobEstimates;
+use hawk_workload::{JobId, Trace};
 
-use crate::admission::{AdmissionDecision, AdmissionPlan};
-use crate::centralized::CentralScheduler;
-use crate::config::{Route, Scope, SimConfig};
-use crate::live::LiveRecorder;
-use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats, StreamingSummary};
-use crate::scheduler::{PlacementView, Scheduler, StealSpec};
+use crate::config::{Route, SimConfig};
+use crate::metrics::{MetricsReport, ShardedStats};
+use crate::protocol::{self, Core, Event, RunInputs, Transport};
+use crate::scheduler::Scheduler;
 
 /// The number of simulation worker threads the process should use, the
 /// budget the sharded driver and [`crate::Sweep`] divide between cells
@@ -254,78 +254,11 @@ impl ShardMap {
     }
 }
 
-/// A shard-local simulation event. Mirrors [`crate::driver::Event`] with
-/// the cross-shard bookkeeping messages the single-threaded driver
-/// performs as direct state access.
-#[derive(Debug, Clone, Copy)]
-enum SEvent {
-    /// A job was submitted (scheduled only in its home shard).
-    Arrival(JobId),
-    /// A probe reached an owned server.
-    Probe {
-        server: ServerId,
-        job: JobId,
-        class: JobClass,
-        bounces: u8,
-    },
-    /// A centrally-placed (or relocated) task reached an owned server.
-    Task { server: ServerId, spec: TaskSpec },
-    /// A server's task request reached the job's home shard.
-    BindRequest { server: ServerId, job: JobId },
-    /// The home shard's response reached the owned server.
-    BindResponse {
-        server: ServerId,
-        task: Option<TaskSpec>,
-    },
-    /// The running task on an owned server completed.
-    Finish { server: ServerId },
-    /// Stolen entries reached an owned thief (handle into the shard's
-    /// local batch pool; never crosses the wire as-is).
-    Stolen {
-        server: ServerId,
-        batch: BatchHandle,
-    },
-    /// A remote thief asks the victim's owner for one steal scan.
-    /// `rest` holds the thief's remaining remote candidates from the
-    /// same victim scan (`u32::MAX`-padded): when the scan fails, the
-    /// victim's owner forwards the request to `rest[0]` so one idle
-    /// transition can try several remote victims without a round-trip
-    /// through the thief.
-    StealRequest {
-        thief: ServerId,
-        victim: ServerId,
-        rest: [u32; 3],
-    },
-    /// A distributed job's task finished; counts down at the home shard.
-    TaskDone { job: JobId },
-    /// A central job's task finished; shard 0 updates the waiting-time
-    /// bookkeeping and the job's completion state in one message.
-    CentralTaskDone { job: JobId, server: ServerId },
-    /// A task drained off a failed server asks shard 0 for a new home.
-    TaskRelocate { from: ServerId, spec: TaskSpec },
-    /// A probe drained off a failed server asks the job's home shard to
-    /// re-probe or abandon it.
-    ProbeRelocate {
-        from: ServerId,
-        job: JobId,
-        class: JobClass,
-    },
-    /// The centralized scheduler's serial queue reaches this job.
-    CentralPlace(JobId),
-    /// Scripted dynamics, replayed in every shard's shadow cluster.
-    NodeDown(ServerId),
-    /// Scripted dynamics, replayed in every shard's shadow cluster.
-    NodeUp(ServerId),
-}
-
-/// Sentinel padding for [`SEvent::StealRequest::rest`].
-const NO_VICTIM: u32 = u32::MAX;
-
 /// A cross-shard message payload.
 #[derive(Debug)]
 enum WireMsg {
     /// An ordinary event for the destination shard's engine.
-    Ev(SEvent),
+    Ev(Event),
     /// A remote steal's stolen group. The only steady-state allocation
     /// of the sharded driver: remote steals carry their entries in an
     /// owned `Vec` (local steals stay in the recycled batch pool).
@@ -345,16 +278,6 @@ struct Envelope {
     /// envelopes of a run independently of thread interleaving.
     seq: u64,
     msg: WireMsg,
-}
-
-/// Per-job dynamic state; only the entry in the job's *home* shard is
-/// authoritative.
-#[derive(Debug, Clone, Copy)]
-struct JobRun {
-    class: JobClass,
-    next_task: u32,
-    remaining: u32,
-    completion: Option<SimTime>,
 }
 
 /// One raw utilization sample of a shard's owned slice.
@@ -431,134 +354,101 @@ struct WorkQueue {
     last_base: u64,
 }
 
-/// One shard: a slice of owned servers with its own engine, shadow
-/// cluster, RNG streams and recycled buffers.
-struct Shard<'t> {
+/// The outbox transport: maps a destination endpoint to the shard that
+/// hosts it — servers by ownership, job schedulers by the homing rule,
+/// the central scheduler on shard 0 — and schedules locally or buffers
+/// an [`Envelope`] for the epoch merge.
+struct Outbox {
     id: usize,
     map: ShardMap,
     own_start: u32,
     own_end: u32,
-    trace: &'t Trace,
-    scheduler: Arc<dyn Scheduler>,
-    estimates: Arc<JobEstimates>,
-    engine: Engine<SEvent>,
-    cluster: Cluster,
-    jobs: Vec<JobRun>,
-    /// Present only on shard 0, which owns all centralized decisions.
-    central: Option<CentralScheduler>,
-    steal_spec: Option<StealSpec>,
-    probe_rng: SimRng,
-    steal_rng: SimRng,
-    scenario_rng: SimRng,
-    cutoff: Cutoff,
-    central_overhead: crate::config::CentralOverhead,
+    engine: Engine<Event>,
+    pending: Vec<Envelope>,
+    seq: u64,
+}
+
+impl Outbox {
+    fn post(&mut self, delay: SimDuration, dest: usize, msg: WireMsg) {
+        debug_assert_ne!(dest, self.id, "local messages bypass the outbox");
+        self.seq += 1;
+        self.pending.push(Envelope {
+            at: self.engine.now() + delay,
+            dest: dest as u32,
+            src: self.id as u32,
+            seq: self.seq,
+            msg,
+        });
+    }
+}
+
+impl Transport for Outbox {
+    const REMOTE_SCHEDULERS: bool = true;
+
+    fn now(&self) -> SimTime {
+        self.engine.now()
+    }
+
+    fn send(&mut self, delay: SimDuration, to: Endpoint, event: Event) {
+        let dest = match to {
+            Endpoint::Server(server) if self.owns(server) => self.id,
+            Endpoint::Server(server) => self.map.owner(server),
+            Endpoint::Scheduler(job) => distributed_home(&self.map, JobId(job)),
+            Endpoint::Central => 0,
+        };
+        if dest == self.id {
+            self.engine.schedule(delay, event);
+        } else {
+            self.post(delay, dest, WireMsg::Ev(event));
+        }
+    }
+
+    fn owns(&self, server: ServerId) -> bool {
+        (self.own_start..self.own_end).contains(&server.0)
+    }
+
+    fn send_stolen(&mut self, delay: SimDuration, thief: ServerId, entries: &mut Vec<QueueEntry>) {
+        // An exact-size copy: the core's recycled batch buffer keeps its
+        // capacity.
+        let msg = WireMsg::Stolen {
+            thief,
+            entries: entries.to_vec(),
+        };
+        entries.clear();
+        self.post(delay, self.map.owner(thief), msg);
+    }
+}
+
+/// One shard: a protocol [`Core`] over a slice of owned servers, with its
+/// own engine, outbox and lazy sampling state.
+struct Shard<'t> {
+    core: Core<'t>,
+    net: Outbox,
     util_interval: SimDuration,
     /// Next lazy utilization sample point (see the module docs).
     next_sample: SimTime,
-    /// Topology geometry for rack-first victim picking; `None` under
-    /// placement-blind topologies.
-    rack_geometry: Option<RackGeometry>,
-    /// Shared admission plan (computed once, applied at home-shard
-    /// arrivals); `None` runs byte-identically to the pre-admission
-    /// driver.
-    admission: Option<Arc<AdmissionPlan>>,
-    /// Streaming runtime sink for home jobs whose true class is short.
-    short_sink: StreamingQuantiles,
-    /// Streaming runtime sink for home jobs whose true class is long.
-    long_sink: StreamingQuantiles,
-    /// Per-shard live-metrics recorder, closed lazily alongside
-    /// utilization sampling (never an engine event — a self-rescheduling
-    /// sample would break the quiescence free-run).
-    live: Option<LiveRecorder>,
-    unfinished_home: usize,
-    steals: u64,
-    steal_attempts: u64,
-    migrations: u64,
-    abandons: u64,
-    /// Owned servers currently out of service (shadow failures of other
-    /// shards' servers are not counted here).
-    owned_down: usize,
     samples: Vec<UtilSampleRaw>,
-    drain_buf: Vec<QueueEntry>,
-    victim_scratch: Vec<usize>,
-    victim_buf: Vec<ServerId>,
-    steal_buf: Vec<QueueEntry>,
-    stolen_pool: BatchPool<QueueEntry>,
-    probe_buf: Vec<ServerId>,
-    place_buf: Vec<ServerId>,
-    central_ready: SimTime,
-    topology: Box<dyn Topology>,
-    outbox: Vec<Envelope>,
-    out_seq: u64,
 }
 
-impl<'t> Shard<'t> {
-    fn owns(&self, server: ServerId) -> bool {
-        (self.own_start..self.own_end).contains(&(server.0))
-    }
-
-    /// Home shard of a *distributed* job. Under a rack-aligned map the
-    /// home is the shard owning the host of the job's scheduler
-    /// endpoint (`job id mod nodes`, see [`Endpoint::host`]), so every
-    /// scheduler-source message originates in its home shard and the
-    /// per-pair lookahead floors hold; otherwise jobs are dealt
-    /// round-robin so scheduler-side work spreads evenly. Central jobs
-    /// live on shard 0 (which owns host 0, the central endpoint).
-    fn distributed_home(&self, job: JobId) -> usize {
-        distributed_home(&self.map, job)
-    }
-
-    fn scope_range(&self, scope: Scope) -> (u32, usize) {
-        let p = self.cluster.partition();
-        match scope {
-            Scope::Whole => (0, p.total()),
-            Scope::General => (0, p.general_count()),
-            Scope::ShortReserved => (p.general_count() as u32, p.short_count()),
-        }
-    }
-
-    /// Routes an event: scheduled directly when `dest` is this shard,
-    /// buffered in the outbox for the epoch merge otherwise.
-    fn send_ev(&mut self, delay: SimDuration, dest: usize, ev: SEvent) {
-        let at = self.engine.now() + delay;
-        if dest == self.id {
-            self.engine.schedule_at(at, ev);
-        } else {
-            self.out_seq += 1;
-            self.outbox.push(Envelope {
-                at,
-                dest: dest as u32,
-                src: self.id as u32,
-                seq: self.out_seq,
-                msg: WireMsg::Ev(ev),
-            });
-        }
-    }
-
+impl Shard<'_> {
     /// Commits one epoch's merged inbox into the engine. Every envelope
     /// must fire at or after the local clock — the epoch horizon
     /// guarantees it, and `try_schedule_at` makes any violation a hard
     /// error in both build profiles.
     fn inject(&mut self, inbox: &mut Vec<Envelope>) {
         for env in inbox.drain(..) {
-            let result = match env.msg {
-                WireMsg::Ev(ev) => self.engine.try_schedule_at(env.at, ev),
-                WireMsg::Stolen { thief, mut entries } => {
-                    let batch = self.stolen_pool.put(&mut entries);
-                    self.engine.try_schedule_at(
-                        env.at,
-                        SEvent::Stolen {
-                            server: thief,
-                            batch,
-                        },
-                    )
-                }
+            let event = match env.msg {
+                WireMsg::Ev(event) => event,
+                WireMsg::Stolen { thief, mut entries } => Event::StolenArrive {
+                    server: thief,
+                    batch: self.core.stolen_pool.put(&mut entries),
+                },
             };
-            if let Err(err) = result {
+            if let Err(err) = self.net.engine.try_schedule_at(env.at, event) {
                 panic!(
                     "cross-shard event delivered in shard {}'s past \
                      (epoch-horizon violation): {err}",
-                    self.id
+                    self.net.id
                 );
             }
         }
@@ -573,37 +463,36 @@ impl<'t> Shard<'t> {
     fn sample_up_to(&mut self, limit: SimTime) {
         while self.next_sample <= limit {
             self.samples.push(UtilSampleRaw {
-                running: self.cluster.running_count() as u32,
-                down_running: self.cluster.down_running_count() as u32,
-                owned_down: self.owned_down as u32,
+                running: self.core.cluster.running_count() as u32,
+                down_running: self.core.cluster.down_running_count() as u32,
+                owned_down: self.core.owned_down as u32,
             });
             self.next_sample += self.util_interval;
         }
         // Live-metrics windows close on the same lazy schedule. The
         // shadow cluster only ever runs owned tasks, so its utilization
         // is this shard's *share* of the whole-cluster occupancy —
-        // [`LiveRecorder::merge`] sums the shares at report time.
-        if let Some(live) = &mut self.live {
-            live.close_up_to(
-                limit,
-                self.cluster.utilization(),
-                self.steals,
-                self.steal_attempts,
-            );
-        }
+        // `LiveRecorder::merge` sums the shares at report time.
+        self.core.close_live_windows(limit);
+    }
+
+    /// Pops and handles the next event, first catching lazy sampling up
+    /// to its firing time `t`.
+    fn step(&mut self, t: SimTime) {
+        self.sample_up_to(t);
+        let (_, event) = self.net.engine.pop().expect("peeked event vanished");
+        self.core.dispatch(&mut self.net, event);
     }
 
     /// Processes every local event strictly below `horizon`, then
     /// catches utilization sampling up to the horizon (no cross-shard
     /// arrival can land below it, so the state there is final).
     fn run_until(&mut self, horizon: SimTime) {
-        while let Some(t) = self.engine.peek_time() {
+        while let Some(t) = self.net.engine.peek_time() {
             if t >= horizon {
                 break;
             }
-            self.sample_up_to(t);
-            let (_, ev) = self.engine.pop().expect("peeked event vanished");
-            self.dispatch(ev);
+            self.step(t);
         }
         self.sample_up_to(horizon);
     }
@@ -616,620 +505,18 @@ impl<'t> Shard<'t> {
     /// budget runs out (a backstop bounding epoch length).
     fn run_free(&mut self) {
         const FREE_RUN_EVENT_BUDGET: u32 = 1 << 22;
-        let entered_unfinished = self.unfinished_home > 0;
+        let entered_unfinished = self.core.unfinished > 0;
         let mut budget = FREE_RUN_EVENT_BUDGET;
-        while let Some(t) = self.engine.peek_time() {
+        while let Some(t) = self.net.engine.peek_time() {
             if budget == 0 {
                 break;
             }
             budget -= 1;
-            self.sample_up_to(t);
-            let (_, ev) = self.engine.pop().expect("peeked event vanished");
-            self.dispatch(ev);
-            if !self.outbox.is_empty() || (entered_unfinished && self.unfinished_home == 0) {
+            self.step(t);
+            if !self.net.pending.is_empty() || (entered_unfinished && self.core.unfinished == 0) {
                 break;
             }
         }
-    }
-
-    fn dispatch(&mut self, event: SEvent) {
-        match event {
-            SEvent::Arrival(job) => self.on_job_arrival(job),
-            SEvent::Probe {
-                server,
-                job,
-                class,
-                bounces,
-            } => self.on_probe(server, job, class, bounces),
-            SEvent::Task { server, spec } => {
-                debug_assert!(self.owns(server));
-                if self.cluster.is_down(server) {
-                    self.relocate_task(server, spec);
-                    return;
-                }
-                if let Some(action) = self.cluster.enqueue(server, QueueEntry::Task(spec)) {
-                    self.on_action(server, action);
-                }
-            }
-            SEvent::BindRequest { server, job } => self.on_bind_request(server, job),
-            SEvent::BindResponse { server, task } => {
-                debug_assert!(self.owns(server));
-                let action = self.cluster.on_bind_response(server, task);
-                self.on_action(server, action);
-            }
-            SEvent::Finish { server } => self.on_task_finish(server),
-            SEvent::Stolen { server, batch } => self.on_stolen(server, batch),
-            SEvent::StealRequest {
-                thief,
-                victim,
-                rest,
-            } => self.on_steal_request(thief, victim, rest),
-            SEvent::TaskDone { job } => self.on_task_done(job),
-            SEvent::CentralTaskDone { job, server } => {
-                let estimate = self.estimates.estimate(job);
-                self.central
-                    .as_mut()
-                    .expect("central bookkeeping lives on shard 0")
-                    .on_task_complete(server, estimate);
-                self.on_task_done(job);
-            }
-            SEvent::TaskRelocate { from, spec } => self.on_task_relocate(from, spec),
-            SEvent::ProbeRelocate { from, job, class } => self.on_probe_relocate(from, job, class),
-            SEvent::CentralPlace(job) => self.place_centrally(job),
-            SEvent::NodeDown(server) => self.on_node_down(server),
-            SEvent::NodeUp(server) => {
-                if self.cluster.revive_server(server) {
-                    if self.owns(server) {
-                        self.owned_down -= 1;
-                    }
-                    if let Some(central) = &mut self.central {
-                        if server.index() < central.scope() {
-                            central.revive(server);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn on_job_arrival(&mut self, job: JobId) {
-        // Admission control, applied at the home shard (`Arrival` only
-        // ever fires there). The plan is a pure function of the
-        // experiment inputs, so no RNG stream advances on any path and
-        // admission-off runs are byte-identical to the classic digests.
-        if let Some(plan) = &self.admission {
-            match plan.decision(job) {
-                AdmissionDecision::Admit => {
-                    if let Some(live) = &mut self.live {
-                        live.on_arrival();
-                    }
-                }
-                AdmissionDecision::Defer { until } => {
-                    let now = self.engine.now();
-                    if now < until {
-                        // First firing: postpone locally. The re-fire at
-                        // `until` falls through without double-counting.
-                        if let Some(live) = &mut self.live {
-                            live.on_arrival();
-                            live.on_deferral();
-                        }
-                        self.engine.schedule_at(until, SEvent::Arrival(job));
-                        return;
-                    }
-                }
-                AdmissionDecision::Shed => {
-                    if let Some(live) = &mut self.live {
-                        live.on_arrival();
-                        live.on_shed();
-                    }
-                    let class = self.estimates.class(job, self.cutoff);
-                    let run = &mut self.jobs[job.index()];
-                    run.class = class;
-                    run.completion = Some(self.engine.now());
-                    self.unfinished_home -= 1;
-                    return;
-                }
-            }
-        } else if let Some(live) = &mut self.live {
-            live.on_arrival();
-        }
-        let spec = self.trace.job(job);
-        let class = self.estimates.class(job, self.cutoff);
-        self.jobs[job.index()].class = class;
-        match self.scheduler.route(class) {
-            Route::Central(_) => {
-                debug_assert_eq!(self.id, 0, "central jobs are homed on shard 0");
-                if self.central_overhead.is_free() {
-                    self.place_centrally(job);
-                } else {
-                    let now = self.engine.now();
-                    let ready =
-                        self.central_ready.max(now) + self.central_overhead.cost(spec.num_tasks());
-                    self.central_ready = ready;
-                    self.engine.schedule_at(ready, SEvent::CentralPlace(job));
-                }
-            }
-            Route::Distributed(scope) => {
-                let (start, len) = self.scope_range(scope);
-                let view = PlacementView::new(&self.cluster, start, len);
-                self.scheduler.probe_targets_into(
-                    &view,
-                    spec.num_tasks(),
-                    &mut self.probe_rng,
-                    &mut self.probe_buf,
-                );
-                let now = self.engine.now();
-                let src = Endpoint::Scheduler(job.0);
-                let targets = std::mem::take(&mut self.probe_buf);
-                for &server in &targets {
-                    let delay = self.topology.delay(now, src, Endpoint::Server(server));
-                    let dest = self.map.owner(server);
-                    self.send_ev(
-                        delay,
-                        dest,
-                        SEvent::Probe {
-                            server,
-                            job,
-                            class,
-                            bounces: 0,
-                        },
-                    );
-                }
-                self.probe_buf = targets;
-            }
-        }
-    }
-
-    fn on_probe(&mut self, server: ServerId, job: JobId, class: JobClass, bounces: u8) {
-        debug_assert!(self.owns(server));
-        if self.cluster.is_down(server) {
-            self.relocate_probe(server, job, class);
-            return;
-        }
-        if self
-            .scheduler
-            .bounce_probe(self.cluster.server(server), class, bounces)
-        {
-            let scope = match self.scheduler.route(class) {
-                Route::Distributed(scope) => scope,
-                Route::Central(_) => unreachable!("probes imply a distributed route"),
-            };
-            let (start, len) = self.scope_range(scope);
-            let retry =
-                PlacementView::new(&self.cluster, start, len).random_server(&mut self.probe_rng);
-            let delay = self.topology.delay(
-                self.engine.now(),
-                Endpoint::Server(server),
-                Endpoint::Server(retry),
-            );
-            let dest = self.map.owner(retry);
-            self.send_ev(
-                delay,
-                dest,
-                SEvent::Probe {
-                    server: retry,
-                    job,
-                    class,
-                    bounces: bounces + 1,
-                },
-            );
-            return;
-        }
-        if let Some(action) = self
-            .cluster
-            .enqueue(server, QueueEntry::Probe { job, class })
-        {
-            self.on_action(server, action);
-        }
-    }
-
-    /// Runs the §3.7 placement for `job` on shard 0 and sends the tasks
-    /// to their owners.
-    fn place_centrally(&mut self, job: JobId) {
-        let spec = self.trace.job(job);
-        let class = self.jobs[job.index()].class;
-        let estimate = self.estimates.estimate(job);
-        let central = self
-            .central
-            .as_mut()
-            .expect("central route requires a central scheduler");
-        central.assign_job_into(spec.num_tasks(), estimate, &mut self.place_buf);
-        let now = self.engine.now();
-        let placements = std::mem::take(&mut self.place_buf);
-        for (i, &server) in placements.iter().enumerate() {
-            let task = TaskSpec {
-                job,
-                duration: spec.tasks[i],
-                estimate,
-                class,
-                task: i as u32,
-                attempt: 0,
-            };
-            let delay = self
-                .topology
-                .delay(now, Endpoint::Central, Endpoint::Server(server));
-            let dest = self.map.owner(server);
-            self.send_ev(delay, dest, SEvent::Task { server, spec: task });
-        }
-        self.place_buf = placements;
-    }
-
-    /// A task stranded on a down server: ask shard 0's central scheduler
-    /// for a new placement (one hop to the scheduler, one hop out — the
-    /// single-threaded driver moves it point-to-point in one hop).
-    fn relocate_task(&mut self, from: ServerId, spec: TaskSpec) {
-        let delay =
-            self.topology
-                .delay(self.engine.now(), Endpoint::Server(from), Endpoint::Central);
-        self.send_ev(delay, 0, SEvent::TaskRelocate { from, spec });
-    }
-
-    /// A probe stranded on a down server: its re-probe (or abandon)
-    /// decision belongs to the job's home shard.
-    fn relocate_probe(&mut self, from: ServerId, job: JobId, class: JobClass) {
-        let home = self.distributed_home(job);
-        let delay = self.topology.delay(
-            self.engine.now(),
-            Endpoint::Server(from),
-            Endpoint::Scheduler(job.0),
-        );
-        self.send_ev(delay, home, SEvent::ProbeRelocate { from, job, class });
-    }
-
-    fn on_task_relocate(&mut self, from: ServerId, spec: TaskSpec) {
-        let central = self
-            .central
-            .as_mut()
-            .expect("directly-placed tasks imply a central scheduler");
-        let target = central.least_loaded();
-        assert!(
-            !self.cluster.is_down(target),
-            "central scope has no live servers to migrate a task to \
-             (the dynamics script took down the entire scope)"
-        );
-        central.reassign(from, target, spec.estimate);
-        self.migrations += 1;
-        let delay = self.topology.delay(
-            self.engine.now(),
-            Endpoint::Central,
-            Endpoint::Server(target),
-        );
-        let dest = self.map.owner(target);
-        self.send_ev(
-            delay,
-            dest,
-            SEvent::Task {
-                server: target,
-                spec,
-            },
-        );
-    }
-
-    fn on_probe_relocate(&mut self, _from: ServerId, job: JobId, class: JobClass) {
-        let launched = self.jobs[job.index()].next_task as usize;
-        if launched >= self.trace.job(job).num_tasks() {
-            self.abandons += 1;
-            return;
-        }
-        self.migrations += 1;
-        let scope = match self.scheduler.route(class) {
-            Route::Distributed(scope) => scope,
-            Route::Central(_) => unreachable!("probes imply a distributed route"),
-        };
-        let (start, len) = self.scope_range(scope);
-        let target =
-            PlacementView::new(&self.cluster, start, len).random_server(&mut self.scenario_rng);
-        // The re-probe is sent from the job's scheduler endpoint — this
-        // shard hosts it (the relocation already detoured here, see the
-        // module docs) — not from the failed server, which may live in
-        // a shard whose delay floors don't cover this send.
-        let delay = self.topology.delay(
-            self.engine.now(),
-            Endpoint::Scheduler(job.0),
-            Endpoint::Server(target),
-        );
-        let dest = self.map.owner(target);
-        self.send_ev(
-            delay,
-            dest,
-            SEvent::Probe {
-                server: target,
-                job,
-                class,
-                bounces: 0,
-            },
-        );
-    }
-
-    fn on_bind_request(&mut self, server: ServerId, job: JobId) {
-        let delay = self.topology.delay(
-            self.engine.now(),
-            Endpoint::Scheduler(job.0),
-            Endpoint::Server(server),
-        );
-        let estimate = self.estimates.estimate(job);
-        let spec = self.trace.job(job);
-        let run = &mut self.jobs[job.index()];
-        let task = if (run.next_task as usize) < spec.num_tasks() {
-            let idx = run.next_task as usize;
-            run.next_task += 1;
-            Some(TaskSpec {
-                job,
-                duration: spec.tasks[idx],
-                estimate,
-                class: run.class,
-                task: idx as u32,
-                attempt: 0,
-            })
-        } else {
-            None // all tasks given out: cancel (§3.5)
-        };
-        let dest = self.map.owner(server);
-        self.send_ev(delay, dest, SEvent::BindResponse { server, task });
-    }
-
-    fn on_task_finish(&mut self, server: ServerId) {
-        debug_assert!(self.owns(server));
-        let now = self.engine.now();
-        let (spec, action) = self.cluster.on_task_finish(server);
-        let job = spec.job;
-        if matches!(self.scheduler.route(spec.class), Route::Central(_)) {
-            // Central jobs are homed on shard 0, which also owns the
-            // waiting-time bookkeeping: one message covers both.
-            let delay = self
-                .topology
-                .delay(now, Endpoint::Server(server), Endpoint::Central);
-            self.send_ev(delay, 0, SEvent::CentralTaskDone { job, server });
-        } else {
-            let delay =
-                self.topology
-                    .delay(now, Endpoint::Server(server), Endpoint::Scheduler(job.0));
-            let home = self.distributed_home(job);
-            self.send_ev(delay, home, SEvent::TaskDone { job });
-        }
-        self.on_action(server, action);
-    }
-
-    fn on_task_done(&mut self, job: JobId) {
-        let run = &mut self.jobs[job.index()];
-        run.remaining -= 1;
-        if run.remaining == 0 {
-            let now = self.engine.now();
-            run.completion = Some(now);
-            self.unfinished_home -= 1;
-            // Streaming runtime sinks, keyed by *true* class like the
-            // exact per-class summaries (digest-excluded, RNG-free).
-            let spec = self.trace.job(job);
-            let true_class = self.cutoff.classify(spec.mean_task_duration());
-            let micros = (now - spec.submission).as_micros();
-            match true_class {
-                JobClass::Short => self.short_sink.record(micros),
-                JobClass::Long => self.long_sink.record(micros),
-            }
-            if let Some(live) = &mut self.live {
-                live.on_completion(true_class, micros);
-            }
-        }
-    }
-
-    fn on_action(&mut self, server: ServerId, action: ServerAction) {
-        match action {
-            ServerAction::StartTask(spec) => {
-                let occupancy = self.cluster.server(server).scale_duration(spec.duration);
-                self.engine.schedule(occupancy, SEvent::Finish { server });
-            }
-            ServerAction::RequestBind { job } => {
-                let delay = self.topology.delay(
-                    self.engine.now(),
-                    Endpoint::Server(server),
-                    Endpoint::Scheduler(job.0),
-                );
-                let home = self.distributed_home(job);
-                self.send_ev(delay, home, SEvent::BindRequest { server, job });
-            }
-            ServerAction::BecameIdle => self.try_steal(server),
-        }
-    }
-
-    /// One steal attempt for an idle owned thief (§3.6). Victim draws
-    /// use this shard's steal stream exactly like the single-threaded
-    /// driver uses its global one (rack-first when the scheduler says
-    /// so and the topology has geometry); shard-local victims are
-    /// scanned synchronously in pick order, and if none yields a group,
-    /// the remote victims from the same scan (up to four, in pick
-    /// order) are chained into one asynchronous
-    /// [`SEvent::StealRequest`] that each failed hop forwards onward.
-    fn try_steal(&mut self, thief: ServerId) {
-        let Some(spec) = self.steal_spec else { return };
-        if self.cluster.is_down(thief) {
-            return;
-        }
-        self.steal_attempts += 1;
-        let partition = self.cluster.partition();
-        let granularity = spec.granularity;
-        let mut victims = std::mem::take(&mut self.victim_buf);
-        self.scheduler.pick_victims_in_fabric_into(
-            &partition,
-            thief,
-            self.rack_geometry,
-            &mut self.steal_rng,
-            &mut self.victim_scratch,
-            &mut victims,
-        );
-        // The long-work index only covers owned servers faithfully (the
-        // shadow slices never enqueue), so it can short-circuit local
-        // scans but not the remote attempt.
-        let local_scan = self.cluster.long_holder_count() > 0;
-        debug_assert!(self.steal_buf.is_empty(), "stale steal batch");
-        let mut robbed = None;
-        let mut remotes = [NO_VICTIM; 4];
-        let mut remote_count = 0;
-        for &victim in &victims {
-            if !self.owns(victim) {
-                if remote_count < remotes.len() {
-                    remotes[remote_count] = victim.0;
-                    remote_count += 1;
-                }
-                continue;
-            }
-            if !local_scan || !self.cluster.holds_long_work(victim) {
-                continue;
-            }
-            self.cluster.steal_from_with_into(
-                victim,
-                granularity,
-                &mut self.steal_rng,
-                &mut self.steal_buf,
-            );
-            if !self.steal_buf.is_empty() {
-                robbed = Some(victim);
-                break;
-            }
-        }
-        self.victim_buf = victims;
-        if let Some(victim) = robbed {
-            self.steals += 1;
-            let transfer = self.topology.steal_transfer(
-                self.engine.now(),
-                Endpoint::Server(victim),
-                Endpoint::Server(thief),
-            );
-            if transfer.is_zero() {
-                if let Some(action) = self.cluster.give_stolen_drain(thief, &mut self.steal_buf) {
-                    self.on_action(thief, action);
-                }
-            } else {
-                let batch = self.stolen_pool.put(&mut self.steal_buf);
-                self.engine.schedule(
-                    transfer,
-                    SEvent::Stolen {
-                        server: thief,
-                        batch,
-                    },
-                );
-            }
-        } else if remote_count > 0 {
-            let victim = ServerId(remotes[0]);
-            let delay = self.topology.delay(
-                self.engine.now(),
-                Endpoint::Server(thief),
-                Endpoint::Server(victim),
-            );
-            let dest = self.map.owner(victim);
-            self.send_ev(
-                delay,
-                dest,
-                SEvent::StealRequest {
-                    thief,
-                    victim,
-                    rest: [remotes[1], remotes[2], remotes[3]],
-                },
-            );
-        }
-    }
-
-    /// A remote thief's steal request against an owned victim. A failed
-    /// scan forwards the request to the next candidate in `rest` (sent
-    /// from the owned victim, so the per-pair delay floors hold); when
-    /// the chain is exhausted no reply is sent, like an unsuccessful
-    /// local scan.
-    fn on_steal_request(&mut self, thief: ServerId, victim: ServerId, rest: [u32; 3]) {
-        debug_assert!(self.owns(victim));
-        let Some(spec) = self.steal_spec else { return };
-        let useless = self.cluster.is_down(victim) || !self.cluster.holds_long_work(victim);
-        if !useless {
-            debug_assert!(self.steal_buf.is_empty(), "stale steal batch");
-            self.cluster.steal_from_with_into(
-                victim,
-                spec.granularity,
-                &mut self.steal_rng,
-                &mut self.steal_buf,
-            );
-        }
-        if useless || self.steal_buf.is_empty() {
-            if rest[0] != NO_VICTIM {
-                let next = ServerId(rest[0]);
-                let delay = self.topology.delay(
-                    self.engine.now(),
-                    Endpoint::Server(victim),
-                    Endpoint::Server(next),
-                );
-                let dest = self.map.owner(next);
-                self.send_ev(
-                    delay,
-                    dest,
-                    SEvent::StealRequest {
-                        thief,
-                        victim: next,
-                        rest: [rest[1], rest[2], NO_VICTIM],
-                    },
-                );
-            }
-            return;
-        }
-        self.steals += 1;
-        let now = self.engine.now();
-        let transfer =
-            self.topology
-                .steal_transfer(now, Endpoint::Server(victim), Endpoint::Server(thief));
-        let delay = self
-            .topology
-            .delay(now, Endpoint::Server(victim), Endpoint::Server(thief))
-            + transfer;
-        let entries: Vec<QueueEntry> = self.steal_buf.drain(..).collect();
-        self.out_seq += 1;
-        self.outbox.push(Envelope {
-            at: now + delay,
-            dest: self.map.owner(thief) as u32,
-            src: self.id as u32,
-            seq: self.out_seq,
-            msg: WireMsg::Stolen { thief, entries },
-        });
-    }
-
-    fn on_stolen(&mut self, server: ServerId, batch: BatchHandle) {
-        debug_assert!(self.owns(server));
-        self.stolen_pool.take_into(batch, &mut self.steal_buf);
-        if self.cluster.is_down(server) {
-            let mut group = std::mem::take(&mut self.steal_buf);
-            for entry in group.drain(..) {
-                match entry {
-                    QueueEntry::Task(spec) => self.relocate_task(server, spec),
-                    QueueEntry::Probe { job, class } => self.relocate_probe(server, job, class),
-                }
-            }
-            self.steal_buf = group;
-            return;
-        }
-        if let Some(action) = self.cluster.give_stolen_drain(server, &mut self.steal_buf) {
-            self.on_action(server, action);
-        }
-    }
-
-    fn on_node_down(&mut self, server: ServerId) {
-        debug_assert!(self.drain_buf.is_empty(), "stale drain buffer");
-        let mut drained = std::mem::take(&mut self.drain_buf);
-        if !self.cluster.fail_server(server, &mut drained) {
-            self.drain_buf = drained;
-            return; // already down: duplicate script entry
-        }
-        if self.owns(server) {
-            self.owned_down += 1;
-        } else {
-            debug_assert!(drained.is_empty(), "shadow server held queue entries");
-        }
-        if let Some(central) = &mut self.central {
-            if server.index() < central.scope() {
-                central.fail(server);
-            }
-        }
-        for entry in drained.drain(..) {
-            match entry {
-                QueueEntry::Task(spec) => self.relocate_task(server, spec),
-                QueueEntry::Probe { job, class } => self.relocate_probe(server, job, class),
-            }
-        }
-        self.drain_buf = drained;
     }
 }
 
@@ -1238,20 +525,12 @@ impl<'t> Shard<'t> {
 /// synchronization contract and the divergences from [`crate::Driver`].
 pub struct ShardedDriver<'t> {
     shards: Vec<Shard<'t>>,
-    trace: &'t Trace,
-    scheduler: Arc<dyn Scheduler>,
     /// Home shard of every job, by job index.
     homes: Vec<u32>,
     /// Closure of the per-pair lookahead floors (see [`SharedState`]).
     delta: Vec<u64>,
     workers: usize,
-    nodes: usize,
-    cutoff: Cutoff,
-    util_interval: SimDuration,
     stats: ShardedStats,
-    /// Shared admission plan (also cloned into every shard); kept here
-    /// for the report-time outcome counters.
-    admission: Option<Arc<AdmissionPlan>>,
 }
 
 impl<'t> ShardedDriver<'t> {
@@ -1268,202 +547,60 @@ impl<'t> ShardedDriver<'t> {
     /// conservative parallel execution requires positive lookahead.
     pub fn new(trace: &'t Trace, scheduler: Arc<dyn Scheduler>, sim: &SimConfig) -> Self {
         let spec = sim.topology_spec();
-        let rack_geometry = spec.rack_geometry();
-        let align = ShardMap::pick_align(sim.nodes, sim.shards.max(1), rack_geometry);
+        let align = ShardMap::pick_align(sim.nodes, sim.shards.max(1), spec.rack_geometry());
         let map = ShardMap::aligned(sim.nodes, sim.shards, align);
-        let shards = map.shards;
         let delta = lookahead_closure(&spec, &map);
-
-        // RNG split order (frozen, see ARCHITECTURE.md): root →
-        // estimate stream → per shard s in 0..K: (probe_s, steal_s,
-        // scenario_s). The estimate stream splits first so estimates
-        // match the single-threaded driver bit-for-bit.
-        let mut root = SimRng::seed_from_u64(sim.seed);
-        let mut estimate_rng = root.split();
-        let mut shard_rngs: Vec<(SimRng, SimRng, SimRng)> = (0..shards)
-            .map(|_| (root.split(), root.split(), root.split()))
-            .collect();
-
-        let estimates = Arc::new(match sim.misestimate {
-            Some(range) => JobEstimates::misestimated(trace, range, &mut estimate_rng),
-            None => JobEstimates::exact(trace),
-        });
-
-        // One admission plan for the whole cell, shared by every shard:
-        // a pure function of the experiment inputs, so the shards agree
-        // on every decision without exchanging a single message.
-        let admission = sim.admission.map(|policy| {
-            Arc::new(AdmissionPlan::compute(
-                trace,
-                sim.nodes,
-                sim.cutoff,
-                &sim.dynamics,
-                policy,
-            ))
-        });
-
-        let speeds = sim.speeds.resolve(sim.nodes);
-        let long_route = scheduler.route(JobClass::Long);
-        let short_route = scheduler.route(JobClass::Short);
+        let mut inputs = RunInputs::new(trace, sim);
 
         // Home assignment is computable up front: class (and therefore
-        // route) depends only on the precomputed estimates.
-        let mut homes = Vec::with_capacity(trace.len());
-        for job in trace.jobs() {
-            let class = estimates.class(job.id, sim.cutoff);
-            let home = match scheduler.route(class) {
-                Route::Central(_) => 0,
-                Route::Distributed(_) => distributed_home(&map, job.id),
-            };
-            homes.push(home as u32);
-        }
-
-        if let Some(max) = sim.dynamics.max_server() {
-            assert!(
-                (max as usize) < sim.nodes,
-                "dynamics script touches server {max} but the cluster has {} servers",
-                sim.nodes
-            );
-        }
-
-        let max_tasks = trace
+        // route) depends only on the precomputed estimates. Central jobs
+        // live on shard 0, which hosts the central endpoint.
+        let homes: Vec<u32> = trace
             .jobs()
             .iter()
-            .map(|j| j.num_tasks())
-            .max()
-            .unwrap_or(0);
-
-        let mut built = Vec::with_capacity(shards);
-        for (s, rng_slot) in shard_rngs.iter_mut().enumerate() {
-            let cluster = match &speeds {
-                Some(speeds) => {
-                    Cluster::with_speeds(sim.nodes, scheduler.short_partition_fraction(), speeds)
+            .map(|job| {
+                let class = inputs.estimates.class(job.id, sim.cutoff);
+                match scheduler.route(class) {
+                    Route::Central(_) => 0,
+                    Route::Distributed(_) => distributed_home(&map, job.id) as u32,
                 }
-                None => Cluster::new(sim.nodes, scheduler.short_partition_fraction()),
-            };
-            let partition = cluster.partition();
-            for route in [long_route, short_route] {
-                if let Route::Distributed(Scope::ShortReserved)
-                | Route::Central(Scope::ShortReserved) = route
-                {
-                    assert!(
-                        partition.short_count() > 0,
-                        "route targets the short partition but none is reserved"
-                    );
+            })
+            .collect();
+
+        // Cores are built in shard order, each splitting its RNG streams
+        // off the shared root (frozen order, see [`RunInputs`]).
+        let shards = (0..map.shards)
+            .map(|s| {
+                let mut core = Core::new(trace, Arc::clone(&scheduler), sim, &mut inputs, s == 0);
+                // Utilization sampling is lazy, not an engine event
+                // (module docs).
+                let mut engine = Engine::with_capacity(trace.len() * 2 / map.shards + 64);
+                core.seed(&mut engine, sim, |job| homes[job.index()] as usize == s);
+                let (own_start, own_end) = map.range(s);
+                Shard {
+                    core,
+                    net: Outbox {
+                        id: s,
+                        map,
+                        own_start,
+                        own_end,
+                        engine,
+                        pending: Vec::new(),
+                        seq: 0,
+                    },
+                    util_interval: sim.util_interval,
+                    next_sample: SimTime::ZERO + sim.util_interval,
+                    samples: Vec::with_capacity(256),
                 }
-            }
-            // Centralized decisions (placement, waiting-time queue,
-            // migration targets) all live on shard 0.
-            let central = if s == 0 {
-                central_scope(&long_route, &short_route).map(|scope| {
-                    let len = match scope {
-                        Scope::Whole => partition.total(),
-                        Scope::General => partition.general_count(),
-                        Scope::ShortReserved => {
-                            unreachable!("central routes never target the short partition")
-                        }
-                    };
-                    assert!(len > 0, "centralized route over an empty scope");
-                    CentralScheduler::new(len)
-                })
-            } else {
-                None
-            };
-
-            let mut engine = Engine::with_capacity(trace.len() * 2 / shards + 64);
-            let mut unfinished_home = 0;
-            for job in trace.jobs() {
-                if homes[job.id.index()] as usize == s {
-                    engine.schedule_at(job.submission, SEvent::Arrival(job.id));
-                    unfinished_home += 1;
-                }
-            }
-            // Every shard replays the full dynamics script so shadow
-            // membership stays globally correct. Utilization sampling
-            // is lazy, not an engine event (module docs).
-            for scripted in sim.dynamics.events() {
-                let event = match scripted.change {
-                    NodeChange::Down(server) => SEvent::NodeDown(ServerId(server)),
-                    NodeChange::Up(server) => SEvent::NodeUp(ServerId(server)),
-                };
-                engine.schedule_at(scripted.at, event);
-            }
-
-            let jobs = trace
-                .jobs()
-                .iter()
-                .map(|j| JobRun {
-                    class: JobClass::Short, // finalized at arrival
-                    next_task: 0,
-                    remaining: j.num_tasks() as u32,
-                    completion: None,
-                })
-                .collect();
-
-            let (probe_rng, steal_rng, scenario_rng) = (
-                std::mem::replace(&mut rng_slot.0, SimRng::seed_from_u64(0)),
-                std::mem::replace(&mut rng_slot.1, SimRng::seed_from_u64(0)),
-                std::mem::replace(&mut rng_slot.2, SimRng::seed_from_u64(0)),
-            );
-            let (own_start, own_end) = map.range(s);
-            built.push(Shard {
-                id: s,
-                map,
-                own_start,
-                own_end,
-                trace,
-                scheduler: Arc::clone(&scheduler),
-                estimates: Arc::clone(&estimates),
-                engine,
-                cluster,
-                jobs,
-                central,
-                steal_spec: scheduler.steal(),
-                probe_rng,
-                steal_rng,
-                scenario_rng,
-                cutoff: sim.cutoff,
-                central_overhead: sim.central_overhead,
-                util_interval: sim.util_interval,
-                next_sample: SimTime::ZERO + sim.util_interval,
-                rack_geometry,
-                admission: admission.clone(),
-                short_sink: StreamingQuantiles::new(),
-                long_sink: StreamingQuantiles::new(),
-                live: sim.live_window.map(LiveRecorder::new),
-                unfinished_home,
-                steals: 0,
-                steal_attempts: 0,
-                migrations: 0,
-                abandons: 0,
-                owned_down: 0,
-                samples: Vec::with_capacity(256),
-                drain_buf: Vec::with_capacity(4 * max_tasks + 64),
-                victim_scratch: Vec::new(),
-                victim_buf: Vec::new(),
-                steal_buf: Vec::with_capacity(64),
-                stolen_pool: BatchPool::new(),
-                probe_buf: Vec::with_capacity(4 * max_tasks + 8),
-                place_buf: Vec::with_capacity(max_tasks),
-                central_ready: SimTime::ZERO,
-                topology: sim.topology_spec().build(sim.nodes),
-                outbox: Vec::new(),
-                out_seq: 0,
-            });
-        }
+            })
+            .collect();
 
         ShardedDriver {
-            shards: built,
-            trace,
-            scheduler,
+            shards,
             homes,
             delta,
-            workers: worker_budget().clamp(1, shards),
-            nodes: sim.nodes,
-            cutoff: sim.cutoff,
-            util_interval: sim.util_interval,
+            workers: worker_budget().clamp(1, map.shards),
             stats: ShardedStats::default(),
-            admission,
         }
     }
 
@@ -1486,14 +623,29 @@ impl<'t> ShardedDriver<'t> {
     ///
     /// Panics if every event queue drains before all jobs complete, or
     /// if a cross-shard message violates the epoch-horizon contract.
-    pub fn run(mut self) -> MetricsReport {
+    pub fn run(self) -> MetricsReport {
+        self.run_with_estimates().0
+    }
+
+    /// Like [`ShardedDriver::run`], but also returns the (possibly
+    /// misestimated) per-job estimates every shard scheduled by.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`ShardedDriver::run`].
+    pub fn run_with_estimates(mut self) -> (MetricsReport, JobEstimates) {
         let shard_count = self.shards.len();
-        let total_unfinished: usize = self.shards.iter().map(|s| s.unfinished_home).sum();
+        let total_unfinished: usize = self.shards.iter().map(|s| s.core.unfinished).sum();
         if total_unfinished > 0 {
             let t: Vec<u64> = self
                 .shards
                 .iter()
-                .map(|s| s.engine.peek_time().map_or(u64::MAX, SimTime::as_micros))
+                .map(|s| {
+                    s.net
+                        .engine
+                        .peek_time()
+                        .map_or(u64::MAX, SimTime::as_micros)
+                })
                 .collect();
             let base = t.iter().copied().min().expect("at least one shard");
             assert!(base != u64::MAX, "unfinished jobs but no pending events");
@@ -1502,7 +654,7 @@ impl<'t> ShardedDriver<'t> {
                 next: 0,
                 inflight: 0,
                 horizons: vec![0; shard_count],
-                unfinished: self.shards.iter().map(|s| s.unfinished_home).collect(),
+                unfinished: self.shards.iter().map(|s| s.core.unfinished).collect(),
                 total_unfinished,
                 outbox_full: vec![false; shard_count],
                 streams: (0..shard_count).map(|_| Vec::new()).collect(),
@@ -1555,32 +707,12 @@ impl<'t> ShardedDriver<'t> {
         self.report()
     }
 
-    fn report(self) -> MetricsReport {
-        let cutoff = self.cutoff;
-        let mut makespan = SimTime::ZERO;
-        let mut results: Vec<JobResult> = Vec::with_capacity(self.trace.len());
-        for job in self.trace.jobs() {
-            let home = self.homes[job.id.index()] as usize;
-            let run = &self.shards[home].jobs[job.id.index()];
-            let Some(completion) = run.completion else {
-                unreachable!("job {} unfinished at report time", job.id);
-            };
-            makespan = makespan.max(completion);
-            results.push(JobResult {
-                job: job.id,
-                true_class: cutoff.classify(job.mean_task_duration()),
-                scheduled_class: run.class,
-                submission: job.submission,
-                completion,
-                num_tasks: job.num_tasks(),
-            });
-        }
-
+    fn report(mut self) -> (MetricsReport, JobEstimates) {
         // Merge utilization: every shard samples on the same schedule,
         // so sample i exists in all shards (truncate defensively) and
         // the cluster-wide ratio is the summed numerator over the
         // summed usable capacity of the owned slices.
-        let mut util = UtilizationTracker::new(self.util_interval);
+        let mut util = UtilizationTracker::new(self.shards[0].util_interval);
         let sample_count = self
             .shards
             .iter()
@@ -1592,67 +724,37 @@ impl<'t> ShardedDriver<'t> {
             let mut usable = 0u64;
             for shard in &self.shards {
                 let sample = shard.samples[i];
-                let own_len = (shard.own_end - shard.own_start) as u64;
+                let own_len = (shard.net.own_end - shard.net.own_start) as u64;
                 running += sample.running as u64;
                 usable += own_len - sample.owned_down as u64 + sample.down_running as u64;
             }
             util.record(running as f64 / usable.max(1) as f64);
         }
-
-        let mut network = NetworkStats::default();
-        for shard in &self.shards {
-            let stats = shard.topology.stats();
-            network.rack_local_msgs += stats.rack_local_msgs;
-            network.cross_rack_msgs += stats.cross_rack_msgs;
-            network.cross_pod_msgs += stats.cross_pod_msgs;
-            network.rack_local_steals += stats.rack_local_steals;
-            network.steal_transfers += stats.steal_transfers;
-        }
-
-        // Merging the per-shard streaming sinks is exact: the merged
-        // histogram is bit-identical to one global sink fed the same
-        // runtimes, so the summary carries the same `1/128` guarantee.
-        let mut short_sink = StreamingQuantiles::new();
-        let mut long_sink = StreamingQuantiles::new();
-        for shard in &self.shards {
-            short_sink.merge(&shard.short_sink);
-            long_sink.merge(&shard.long_sink);
-        }
-        let recorders: Vec<&LiveRecorder> =
-            self.shards.iter().filter_map(|s| s.live.as_ref()).collect();
-        let live = (!recorders.is_empty()).then(|| LiveRecorder::merge(&recorders));
-
-        MetricsReport {
-            scheduler: self.scheduler.name(),
-            nodes: self.nodes,
-            results,
-            median_utilization: util.median().unwrap_or(0.0),
-            max_utilization: util.max().unwrap_or(0.0),
-            utilization_samples: util.samples().to_vec(),
-            makespan,
-            events: self.shards.iter().map(|s| s.engine.processed()).sum(),
-            steals: self.shards.iter().map(|s| s.steals).sum(),
-            steal_attempts: self.shards.iter().map(|s| s.steal_attempts).sum(),
-            migrations: self.shards.iter().map(|s| s.migrations).sum(),
-            abandons: self.shards.iter().map(|s| s.abandons).sum(),
-            network,
-            sharded: Some(self.stats),
-            streaming: StreamingStats {
-                short: StreamingSummary::from_sink(&short_sink),
-                long: StreamingSummary::from_sink(&long_sink),
-            },
-            live,
-            admission: self
-                .admission
-                .as_ref()
-                .map(|plan| plan.stats())
-                .unwrap_or_default(),
-        }
+        let events = self.shards.iter().map(|s| s.net.engine.processed()).sum();
+        let mut cores: Vec<&mut Core<'t>> = self.shards.iter_mut().map(|s| &mut s.core).collect();
+        let report = protocol::report(
+            &mut cores,
+            |job| self.homes[job.index()] as usize,
+            &util,
+            events,
+            Some(self.stats),
+        );
+        // Every core shares the estimates; the last one standing owns them.
+        let last = self.shards.into_iter().last();
+        (
+            report,
+            last.expect("at least one shard").core.into_estimates(),
+        )
     }
 }
 
-/// Home shard of a distributed job under `map`
-/// (see [`Shard::distributed_home`]).
+/// Home shard of a *distributed* job. Under a rack-aligned map the home
+/// is the shard owning the host of the job's scheduler endpoint
+/// (`job id mod nodes`, see [`Endpoint::host`]), so every
+/// scheduler-source message originates in its home shard and the
+/// per-pair lookahead floors hold; otherwise jobs are dealt round-robin
+/// so scheduler-side work spreads evenly. Central jobs live on shard 0
+/// (which owns host 0, the central endpoint).
 fn distributed_home(map: &ShardMap, job: JobId) -> usize {
     if map.rack_aligned() {
         map.owner(ServerId((job.index() % map.nodes.max(1)) as u32))
@@ -1751,20 +853,6 @@ fn publish_schedule(wq: &mut WorkQueue, delta: &[u64]) {
     }
 }
 
-/// The single scope used by centralized routes, if any (mirrors the
-/// single-threaded driver's rule).
-fn central_scope(long: &Route, short: &Route) -> Option<Scope> {
-    match (long, short) {
-        (Route::Central(a), Route::Central(b)) => {
-            assert_eq!(a, b, "central routes must share a scope");
-            Some(*a)
-        }
-        (Route::Central(a), _) => Some(*a),
-        (_, Route::Central(b)) => Some(*b),
-        _ => None,
-    }
-}
-
 /// One worker's claim loop. All workers run the same loop: claim the
 /// next runnable shard under the work lock, run it to its horizon
 /// under its own shard lock, report back under the work lock. The
@@ -1801,15 +889,17 @@ fn worker_loop(shared: &SharedState<'_>) {
                 // Under constant delays it already is (pdqsort detects
                 // the run in O(n)); topology delays can reorder.
                 shard
-                    .outbox
+                    .net
+                    .pending
                     .sort_unstable_by_key(|env| (env.at.as_micros(), env.seq));
                 (
                     shard
+                        .net
                         .engine
                         .peek_time()
                         .map_or(u64::MAX, SimTime::as_micros),
-                    shard.unfinished_home,
-                    !shard.outbox.is_empty(),
+                    shard.core.unfinished,
+                    !shard.net.pending.is_empty(),
                 )
             };
             guard = shared.work.lock().expect("work queue poisoned");
@@ -1881,7 +971,7 @@ fn kway_merge_streams(
                 dest: 0,
                 src: 0,
                 seq: 0,
-                msg: WireMsg::Ev(SEvent::TaskDone { job: JobId(0) }),
+                msg: WireMsg::Ev(Event::TaskDone { job: JobId(0) }),
             },
         );
         cursors[src] += 1;
@@ -1914,7 +1004,7 @@ fn merge_epoch(shared: &SharedState<'_>, wq: &mut WorkQueue) {
             wq.outbox_full[id] = false;
             let mut shard = shared.shards[id].lock().expect("shard poisoned");
             debug_assert!(wq.streams[id].is_empty(), "stale merge stream");
-            std::mem::swap(&mut wq.streams[id], &mut shard.outbox);
+            std::mem::swap(&mut wq.streams[id], &mut shard.net.pending);
             wq.cursors[id] = 0;
         }
         wq.merge_envelopes += kway_merge_streams(&mut wq.streams, &mut wq.cursors, &mut wq.inboxes);
@@ -1930,6 +1020,7 @@ fn merge_epoch(shared: &SharedState<'_>, wq: &mut WorkQueue) {
             // the engine's previous head.
             wq.inboxes[dest] = inbox;
             wq.t[dest] = shard
+                .net
                 .engine
                 .peek_time()
                 .map_or(u64::MAX, SimTime::as_micros);
@@ -2055,7 +1146,7 @@ mod tests {
             dest,
             src,
             seq,
-            msg: WireMsg::Ev(SEvent::TaskDone { job: JobId(0) }),
+            msg: WireMsg::Ev(Event::TaskDone { job: JobId(0) }),
         }
     }
 

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hawk_cluster::{NetworkModel, Partition};
+use hawk_cluster::Partition;
 use hawk_core::{
     AdmissionDecision, AdmissionPlan, AdmissionPolicy, Route, Scheduler, Scope, StreamingStats,
     StreamingSummary,
@@ -76,24 +76,6 @@ pub enum ExecutionMode {
         /// constant 0.5 ms delay (§4.1).
         topology: TopologySpec,
     },
-}
-
-impl ExecutionMode {
-    /// The virtual-clock mode with a flat constant one-way `message_delay`
-    /// — the pre-topology spelling, kept so existing callers keep
-    /// compiling (pinned by `tests/legacy_shims.rs`).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `ExecutionMode::Virtual { topology: TopologySpec::Constant(..) }`"
-    )]
-    pub fn virtual_with_delay(message_delay: SimDuration) -> Self {
-        ExecutionMode::Virtual {
-            topology: TopologySpec::Constant(NetworkModel {
-                delay: message_delay,
-                steal_transfer_delay: SimDuration::ZERO,
-            }),
-        }
-    }
 }
 
 /// Prototype cluster configuration (paper defaults: 100 nodes, 10

@@ -1,9 +1,8 @@
 //! Tests for the `Experiment` builder / `Sweep` API.
 //!
 //! The load-bearing property: a parallel [`Sweep::run_all`] is
-//! bit-identical to sequential execution of the same cells — including to
-//! the legacy `run_experiment` shim where a legacy configuration exists —
-//! for every scheduler, cluster size and seed. Plus an extensibility
+//! bit-identical to sequential execution of the same cells for every
+//! scheduler, cluster size and seed. Plus an extensibility
 //! check: a scheduler defined *in this test file*, against the public
 //! trait only, runs on the unmodified driver.
 
@@ -19,14 +18,12 @@ fn arc<S: Scheduler + 'static>(s: S) -> Arc<dyn Scheduler> {
     Arc::new(s)
 }
 
-/// Strategy: a policy paired with the legacy config that describes the
-/// same behaviour (so the new path can be checked against the old one).
-fn arb_scheduler_pair() -> impl Strategy<Value = (Arc<dyn Scheduler>, SchedulerConfig)> {
+fn arb_scheduler() -> impl Strategy<Value = Arc<dyn Scheduler>> {
     prop_oneof![
-        (0.05f64..0.4).prop_map(|f| (arc(Hawk::new(f)), SchedulerConfig::hawk(f))),
-        Just((arc(Sparrow::new()), SchedulerConfig::sparrow())),
-        Just((arc(Centralized::new()), SchedulerConfig::centralized())),
-        (0.1f64..0.4).prop_map(|f| (arc(SplitCluster::new(f)), SchedulerConfig::split_cluster(f))),
+        (0.05f64..0.4).prop_map(|f| arc(Hawk::new(f))),
+        Just(arc(Sparrow::new())),
+        Just(arc(Centralized::new())),
+        (0.1f64..0.4).prop_map(|f| arc(SplitCluster::new(f))),
     ]
 }
 
@@ -47,16 +44,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `Sweep::run_all` (parallel) produces bit-identical reports to
-    /// sequential single-cell execution and to the legacy
-    /// `run_experiment` shim, for the same seeds.
+    /// sequential single-cell execution, for the same seeds.
     #[test]
-    fn parallel_sweep_matches_sequential_run_experiment(
+    fn parallel_sweep_matches_sequential(
         trace in arb_trace(),
-        pair in arb_scheduler_pair(),
+        scheduler in arb_scheduler(),
         nodes in 4usize..40,
         seed_lo in 0u64..1_000,
     ) {
-        let (scheduler, legacy) = pair;
         let seeds = [seed_lo, seed_lo + 1, seed_lo + 2];
         let sweep = Experiment::builder()
             .nodes(nodes)
@@ -76,18 +71,6 @@ proptest! {
             prop_assert_eq!(p.report.events, s.report.events);
             prop_assert_eq!(p.report.steals, s.report.steals);
             prop_assert_eq!(&p.report.utilization_samples, &s.report.utilization_samples);
-
-            // And both match the pre-0.2 entry point.
-            #[allow(deprecated)]
-            let old = hawk::core::run_experiment(&trace, &ExperimentConfig {
-                nodes,
-                scheduler: legacy,
-                seed,
-                ..ExperimentConfig::default()
-            });
-            prop_assert_eq!(&p.report.results, &old.results);
-            prop_assert_eq!(p.report.events, old.events);
-            prop_assert_eq!(p.report.steals, old.steals);
         }
     }
 }

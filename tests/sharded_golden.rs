@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use hawk_core::scheduler::{Centralized, Hawk, Scheduler, Sparrow, SplitCluster};
-use hawk_core::{compare, Experiment, FatTreeParams, MetricsReport, TopologySpec};
+use hawk_core::{compare, Experiment, FatTreeParams, MetricsReport, SimBackend, TopologySpec};
 use hawk_workload::google::GOOGLE_SHORT_PARTITION;
 use hawk_workload::scenario::ScenarioSpec;
 use hawk_workload::JobClass;
@@ -170,6 +170,30 @@ fn worker_count_is_invariant_at_golden_scale() {
     let parallel = exp.run_with_workers(4);
     assert_eq!(digest_report(&serial), digest_report(&parallel));
     assert_eq!(serial.utilization_samples, parallel.utilization_samples);
+}
+
+/// Every simulation entry point honours `shards`: `run_with_workers`,
+/// `run_with_estimates` and `SimBackend::run_cell` pick their harness in
+/// one place, so at 4 shards all three are the same sharded run (the
+/// latter two used to build the single-stream driver unconditionally).
+#[test]
+fn every_entry_point_runs_the_sharded_harness() {
+    let cell = Experiment::builder()
+        .scenario(&golden_scenario(), TRACE_SEED)
+        .scheduler_shared(hawk())
+        .nodes(GOLDEN_NODES)
+        .seed(SIM_SEED)
+        .shards(4)
+        .build();
+    let direct = cell.run_with_workers(2);
+    let (with_estimates, estimates) = cell.run_with_estimates();
+    let via_backend = cell.run_on(&SimBackend);
+    assert!(direct.sharded.is_some());
+    assert_eq!(digest_report(&with_estimates), digest_report(&direct));
+    assert_eq!(digest_report(&via_backend), digest_report(&direct));
+    for r in &direct.results {
+        assert_eq!(r.scheduled_class, estimates.class(r.job, cell.sim().cutoff));
+    }
 }
 
 /// The rack-aligned + locality-stealing fat-tree cell, pinned at a
