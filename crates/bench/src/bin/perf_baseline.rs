@@ -14,12 +14,6 @@
 //! by scaling the arrival rate with the node count, so the cells differ in
 //! *state size* (servers, pending events), not in load regime.
 //!
-//! The `PRE_REWORK_WALL_S` constants record the wall-clock time of the
-//! 30,000-job cells measured on the binary-heap engine and linear-scan
-//! cluster immediately before the indexed-engine rework (same machine,
-//! same seed); `speedup_vs_pre_rework` in the JSON is current-run speedup
-//! against that frozen baseline.
-//!
 //! Beyond tracking, the binary *enforces* a floor: every cell has a frozen
 //! per-cell `floor_events_per_sec` (the throughput measured when the cell
 //! was introduced, same machine class that produces `BENCH_perf.json`),
@@ -31,14 +25,17 @@
 //! The `hawk-sharded` cells run the same workload through the sharded
 //! driver (`shards = 4`) at 15k / 50k / 100k nodes — the 100k cell is the
 //! headline: twice the paper's largest cluster, beyond what the
-//! single-stream driver is tracked at. Sharded cells are timed at both
-//! `workers = 1` and `workers = 4` (the reports are byte-identical; only
-//! the wall clock may differ), and the `hawk-sharded-rack` cell runs the
-//! 15k workload rack-aligned on the default fat tree with rack-first
-//! stealing — the configuration the per-pair lookahead matrix exists
-//! for. Sharded rows also carry the epoch/merge observability counters
-//! (`epochs`, `merge_envelopes`, `avg_epoch_span_micros`, rack-local
-//! steal rate); these are excluded from golden digests.
+//! single-stream driver is tracked at. Sharded cells are timed at
+//! `workers = 1` and, when the machine has a second core, `workers = 2`
+//! (the reports are byte-identical; only the wall clock may differ) — a
+//! row is never labelled with more workers than the recorded `nproc`,
+//! and `wall_vs_workers1` is each row's wall clock over its one-worker
+//! twin's. The `hawk-sharded-rack` cell runs the 15k workload
+//! rack-aligned on the default fat tree with rack-first stealing — the
+//! configuration the per-pair lookahead matrix exists for. Sharded rows
+//! also carry the epoch counters (`epochs`, `solo_epochs`,
+//! `overlappable_events`, `merge_envelopes`, `avg_epoch_span_micros`,
+//! rack-local steal rate); these are excluded from golden digests.
 //!
 //! Every row carries a `streaming_max_rel_err` column: the bounded-memory
 //! streaming percentiles cross-checked against the exact sorted reads on
@@ -79,10 +76,18 @@ const SHARDED_NODE_CELLS: [usize; 3] = [15_000, 50_000, 100_000];
 /// the machine's parallelism; the results are worker-count-invariant).
 const SHARDED_SHARDS: usize = 4;
 
-/// Worker-thread counts each sharded cell is timed at. The reports are
-/// byte-identical across the axis (worker-count invariance is a pinned
-/// contract); only the wall clock may move.
-const SHARDED_WORKER_CELLS: [usize; 2] = [1, 4];
+/// Worker-thread counts each sharded cell is timed at: one, and two
+/// where the machine has the cores for it — more workers than cores is
+/// oversubscription, not a measurement. The reports are byte-identical
+/// across the axis (worker-count invariance is a pinned contract); only
+/// the wall clock may move.
+fn sharded_worker_cells(nproc: usize) -> &'static [usize] {
+    if nproc >= 2 {
+        &[1, 2]
+    } else {
+        &[1]
+    }
+}
 
 /// Cluster size of the rack-aligned sharded fat-tree cell.
 const SHARDED_RACK_NODES: usize = 15_000;
@@ -139,27 +144,6 @@ fn trace_for(nodes: usize, jobs: usize, seed: u64) -> Trace {
     .generate(seed)
 }
 
-/// Pre-rework wall-clock seconds per `(scheduler, nodes)` cell at the
-/// default 30,000 jobs and default seed, measured on the binary-heap
-/// engine (commit d65d7bf) on the machine that produced `BENCH_perf.json`.
-///
-/// Methodology: a binary built from the pre-rework commit and the current
-/// binary were run alternately (three interleaved rounds, best-of-2 per
-/// cell per round) so both sides saw the same machine state; the value
-/// recorded is the minimum across rounds, the same statistic the current
-/// cells report. `None` where no pre-rework measurement was taken.
-fn pre_rework_wall_s(scheduler: &str, nodes: usize) -> Option<f64> {
-    match (scheduler, nodes) {
-        ("hawk", 1_000) => Some(0.864),
-        ("hawk", 5_000) => Some(0.958),
-        ("hawk", 15_000) => Some(1.090),
-        ("sparrow", 1_000) => Some(0.713),
-        ("sparrow", 5_000) => Some(0.777),
-        ("sparrow", 15_000) => Some(0.889),
-        _ => None,
-    }
-}
-
 /// A comparable run fails if any cell's throughput drops below this
 /// fraction of its frozen floor. 0.75 absorbs machine noise (the floors
 /// were single measurements, not distributions) while still catching any
@@ -177,32 +161,32 @@ const FLOOR_FRACTION: f64 = 0.75;
 /// above `FLOOR_FRACTION x` these (see [`check_floors`]); re-freeze
 /// deliberately — with a sentence in the PR about what changed — never to
 /// make a red run green.
-/// Sharded floors are keyed by worker count too (the cells are timed at
-/// `workers ∈ {1, 4}`); the sharded values were re-frozen by the
-/// work-claiming epoch-scheduler PR, which replaced the per-epoch
-/// barrier round and roughly doubled sharded throughput.
-fn floor_events_per_sec(scheduler: &str, nodes: usize, workers: usize) -> Option<f64> {
-    match (scheduler, nodes, workers) {
-        ("hawk", 1_000, _) => Some(4_100_000.0),
-        ("hawk", 5_000, _) => Some(4_400_000.0),
-        ("hawk", 15_000, _) => Some(3_500_000.0),
+/// Sharded floors were re-frozen (from 1.5–2.2e6) on the 2-core container
+/// by the rent-then-buy pool PR, which stopped the pool waking a peer
+/// for every multi-shard epoch: one- and two-worker rows now run within
+/// a few percent of each other (`wall_vs_workers1`) and share a floor.
+fn floor_events_per_sec(scheduler: &str, nodes: usize) -> Option<f64> {
+    match (scheduler, nodes) {
+        ("hawk", 1_000) => Some(4_100_000.0),
+        ("hawk", 5_000) => Some(4_400_000.0),
+        ("hawk", 15_000) => Some(3_500_000.0),
         // Re-frozen (was 3.9e6) by the work-claiming scheduler PR: the
         // 50k single-stream cell is the most memory-bound in the file
         // and showed a 2.06–3.67e6 swing across four interleaved full
         // runs on the BENCH container that day — the high end sits at
         // the old floor, so the fast path is intact and the old value
         // flakes on machine state, which a floor must never do.
-        ("hawk", 50_000, _) => Some(2_000_000.0),
-        ("sparrow", 1_000, _) => Some(7_700_000.0),
-        ("sparrow", 5_000, _) => Some(5_300_000.0),
-        ("sparrow", 15_000, _) => Some(5_000_000.0),
-        ("sparrow", 50_000, _) => Some(4_200_000.0),
-        ("hawk-churn", 5_000, _) => Some(3_800_000.0),
-        ("hawk-fat-tree", 5_000, _) => Some(3_700_000.0),
-        ("hawk-sharded", 15_000, _) => Some(1_700_000.0),
-        ("hawk-sharded", 50_000, _) => Some(1_500_000.0),
-        ("hawk-sharded", 100_000, _) => Some(1_600_000.0),
-        ("hawk-sharded-rack", 15_000, _) => Some(2_200_000.0),
+        ("hawk", 50_000) => Some(2_000_000.0),
+        ("sparrow", 1_000) => Some(7_700_000.0),
+        ("sparrow", 5_000) => Some(5_300_000.0),
+        ("sparrow", 15_000) => Some(5_000_000.0),
+        ("sparrow", 50_000) => Some(4_200_000.0),
+        ("hawk-churn", 5_000) => Some(3_800_000.0),
+        ("hawk-fat-tree", 5_000) => Some(3_700_000.0),
+        ("hawk-sharded", 15_000) => Some(3_400_000.0),
+        ("hawk-sharded", 50_000) => Some(3_500_000.0),
+        ("hawk-sharded", 100_000) => Some(3_100_000.0),
+        ("hawk-sharded-rack", 15_000) => Some(3_700_000.0),
         _ => None,
     }
 }
@@ -298,7 +282,8 @@ struct CellTiming {
     events: u64,
     events_per_sec: f64,
     steals: u64,
-    speedup_vs_pre_rework: Option<f64>,
+    /// This row's wall clock over its `workers = 1` twin's (sharded rows).
+    wall_vs_workers1: Option<f64>,
     floor: Option<f64>,
     vs_floor: Option<f64>,
     /// Epoch/merge observability for sharded cells (`None` single-stream).
@@ -310,6 +295,43 @@ struct CellTiming {
     /// sorted reads (see [`streaming_max_rel_err`]); asserted under the
     /// sink's documented budget before the row is recorded.
     streaming_max_rel_err: f64,
+}
+
+impl CellTiming {
+    /// The row of one timed cell on `workers` threads: throughput, the
+    /// streaming cross-check, and whatever epoch and rack-locality
+    /// counters the report carries. Floors and the worker ratio are
+    /// filled in once every cell has run.
+    fn new(
+        name: &str,
+        nodes: usize,
+        jobs: usize,
+        workers: usize,
+        wall_s: f64,
+        report: &MetricsReport,
+    ) -> CellTiming {
+        CellTiming {
+            scheduler: name.to_string(),
+            nodes,
+            jobs,
+            shards: if report.sharded.is_some() {
+                SHARDED_SHARDS
+            } else {
+                1
+            },
+            workers,
+            wall_s,
+            events: report.events,
+            events_per_sec: report.events as f64 / wall_s.max(1e-9),
+            steals: report.steals,
+            wall_vs_workers1: None,
+            floor: None,
+            vs_floor: None,
+            sharded: report.sharded,
+            rack_local_steal_rate: report.network.rack_local_steal_rate(),
+            streaming_max_rel_err: streaming_max_rel_err(name, report),
+        }
+    }
 }
 
 /// Times one cell `repeats` times and keeps the fastest run (standard
@@ -370,50 +392,33 @@ fn time_cell_with(
 }
 
 /// Builds (and reports on stderr) one sharded cell row, including the
-/// epoch/merge observability counters the sharded driver exposes.
+/// epoch counters the sharded driver exposes.
 fn sharded_cell(
     name: &str,
     nodes: usize,
     jobs: usize,
     workers: usize,
     wall_s: f64,
-    report: MetricsReport,
+    report: &MetricsReport,
 ) -> CellTiming {
-    let events_per_sec = report.events as f64 / wall_s.max(1e-9);
-    let streaming_drift = streaming_max_rel_err(name, &report);
-    let stats = report
-        .sharded
-        .expect("sharded cell must report epoch stats");
-    let rack_rate = report.network.rack_local_steal_rate();
+    let cell = CellTiming::new(name, nodes, jobs, workers, wall_s, report);
+    let stats = cell.sharded.expect("sharded cell must report epoch stats");
     eprintln!(
         "  {name} x {nodes:>6} nodes ({SHARDED_SHARDS} shards, {workers} workers): \
-         {wall_s:8.3} s  ({events_per_sec:.2e} events/s, {} steals, {} epochs, \
-         {} merge envelopes, {} us avg epoch span{})",
+         {wall_s:8.3} s  ({:.2e} events/s, {} steals, {} epochs ({:.1}% solo), \
+         {:.1}% of events overlappable, {} merge envelopes, {} us avg epoch span{})",
+        cell.events_per_sec,
         report.steals,
         stats.epochs,
+        100.0 * stats.solo_epochs as f64 / stats.epochs.max(1) as f64,
+        100.0 * stats.overlappable_events as f64 / report.events.max(1) as f64,
         stats.merge_envelopes,
         stats.avg_epoch_span_micros,
-        rack_rate
+        cell.rack_local_steal_rate
             .map(|r| format!(", {:.1}% rack-local steals", r * 100.0))
             .unwrap_or_default()
     );
-    CellTiming {
-        scheduler: name.to_string(),
-        nodes,
-        jobs,
-        shards: SHARDED_SHARDS,
-        workers,
-        wall_s,
-        events: report.events,
-        events_per_sec,
-        steals: report.steals,
-        speedup_vs_pre_rework: None,
-        floor: None,
-        vs_floor: None,
-        sharded: Some(stats),
-        rack_local_steal_rate: rack_rate,
-        streaming_max_rel_err: streaming_drift,
-    }
+    cell
 }
 
 fn main() {
@@ -422,12 +427,14 @@ fn main() {
         .jobs
         .unwrap_or(if opts.smoke { SMOKE_JOBS } else { DEFAULT_JOBS });
     let comparable = !opts.smoke && opts.jobs.is_none() && opts.seed == hawk_core::DEFAULT_SEED;
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let worker_cells = sharded_worker_cells(nproc);
 
     eprintln!(
-        "perf_baseline: {jobs} jobs, seed {:#x}, best of {} per cell, \
+        "perf_baseline: {jobs} jobs, seed {:#x}, best of {} per cell, {nproc} cores, \
          cells {NODE_CELLS:?} x {{hawk, sparrow}} + hawk-churn x {CHURN_NODES} \
          + hawk-fat-tree x {FAT_TREE_NODES} \
-         + hawk-sharded ({SHARDED_SHARDS} shards, workers {SHARDED_WORKER_CELLS:?}) \
+         + hawk-sharded ({SHARDED_SHARDS} shards, workers {worker_cells:?}) \
          x {SHARDED_NODE_CELLS:?} + hawk-sharded-rack x {SHARDED_RACK_NODES} \
          + hawk-live x {CHURN_NODES}",
         opts.seed, opts.repeats
@@ -444,38 +451,13 @@ fn main() {
         for scheduler in schedulers {
             let name = scheduler.name();
             let (wall_s, report) = time_cell(&trace, scheduler, nodes, opts.repeats);
-            let events_per_sec = report.events as f64 / wall_s.max(1e-9);
-            let streaming_drift = streaming_max_rel_err(&name, &report);
-            let speedup = if comparable {
-                pre_rework_wall_s(&name, nodes).map(|before| before / wall_s.max(1e-9))
-            } else {
-                None
-            };
+            let cell = CellTiming::new(&name, nodes, jobs, 1, wall_s, &report);
             eprintln!(
                 "  {name:>8} x {nodes:>6} nodes: {wall_s:8.3} s  ({:.2e} events/s, \
-                 streaming drift {streaming_drift:.1e}{})",
-                events_per_sec,
-                speedup
-                    .map(|s| format!(", {s:.2}x vs pre-rework"))
-                    .unwrap_or_default()
+                 streaming drift {:.1e})",
+                cell.events_per_sec, cell.streaming_max_rel_err
             );
-            cells.push(CellTiming {
-                scheduler: name,
-                nodes,
-                jobs,
-                shards: 1,
-                workers: 1,
-                wall_s,
-                events: report.events,
-                events_per_sec,
-                steals: report.steals,
-                speedup_vs_pre_rework: speedup,
-                floor: None,
-                vs_floor: None,
-                sharded: None,
-                rack_local_steal_rate: None,
-                streaming_max_rel_err: streaming_drift,
-            });
+            cells.push(cell);
         }
     }
 
@@ -496,30 +478,13 @@ fn main() {
             churn_speeds(),
             None,
         );
-        let events_per_sec = report.events as f64 / wall_s.max(1e-9);
-        let streaming_drift = streaming_max_rel_err("hawk-churn", &report);
+        let cell = CellTiming::new("hawk-churn", CHURN_NODES, jobs, 1, wall_s, &report);
         eprintln!(
             "  hawk-churn x {CHURN_NODES:>6} nodes: {wall_s:8.3} s  \
-             ({events_per_sec:.2e} events/s, {} migrations, {} abandons)",
-            report.migrations, report.abandons
+             ({:.2e} events/s, {} migrations, {} abandons)",
+            cell.events_per_sec, report.migrations, report.abandons
         );
-        cells.push(CellTiming {
-            scheduler: "hawk-churn".to_string(),
-            nodes: CHURN_NODES,
-            jobs,
-            shards: 1,
-            workers: 1,
-            wall_s,
-            events: report.events,
-            events_per_sec,
-            steals: report.steals,
-            speedup_vs_pre_rework: None,
-            floor: None,
-            vs_floor: None,
-            sharded: None,
-            rack_local_steal_rate: None,
-            streaming_max_rel_err: streaming_drift,
-        });
+        cells.push(cell);
     }
 
     // The topology-engine cell: the same workload at 5k nodes on a
@@ -540,40 +505,24 @@ fn main() {
             SpeedSpec::Uniform,
             Some(TopologySpec::FatTreeContended(FatTreeParams::default())),
         );
-        let events_per_sec = report.events as f64 / wall_s.max(1e-9);
-        let streaming_drift = streaming_max_rel_err("hawk-fat-tree", &report);
+        let cell = CellTiming::new("hawk-fat-tree", FAT_TREE_NODES, jobs, 1, wall_s, &report);
         eprintln!(
             "  hawk-fat-tree x {FAT_TREE_NODES:>6} nodes: {wall_s:8.3} s  \
-             ({events_per_sec:.2e} events/s, {} msgs classified)",
+             ({:.2e} events/s, {} msgs classified)",
+            cell.events_per_sec,
             report.network.total_msgs()
         );
-        cells.push(CellTiming {
-            scheduler: "hawk-fat-tree".to_string(),
-            nodes: FAT_TREE_NODES,
-            jobs,
-            shards: 1,
-            workers: 1,
-            wall_s,
-            events: report.events,
-            events_per_sec,
-            steals: report.steals,
-            speedup_vs_pre_rework: None,
-            floor: None,
-            vs_floor: None,
-            sharded: None,
-            rack_local_steal_rate: None,
-            streaming_max_rel_err: streaming_drift,
-        });
+        cells.push(cell);
     }
 
     // The sharded-driver cells: the same ~90 %-load Hawk workload pushed
     // through `ShardedDriver` with a fixed shard count, up to 100k nodes —
-    // twice the paper's largest cluster, at both ends of the worker axis.
+    // twice the paper's largest cluster, on one worker and on two.
     // Tracks epoch-merge + wire-routing overhead and the scale the
     // single-stream driver is never timed at.
     for nodes in SHARDED_NODE_CELLS {
         let trace = Arc::new(trace_for(nodes, jobs, opts.seed));
-        for workers in SHARDED_WORKER_CELLS {
+        for &workers in worker_cells {
             let scheduler: Arc<dyn Scheduler> = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION));
             let (wall_s, report) = time_cell_with(
                 &trace,
@@ -592,7 +541,7 @@ fn main() {
                 jobs,
                 workers,
                 wall_s,
-                report,
+                &report,
             ));
         }
     }
@@ -602,7 +551,7 @@ fn main() {
     // shard, per-pair lookahead floors, locality-ordered victim lists.
     {
         let trace = Arc::new(trace_for(SHARDED_RACK_NODES, jobs, opts.seed));
-        for workers in SHARDED_WORKER_CELLS {
+        for &workers in worker_cells {
             let scheduler: Arc<dyn Scheduler> =
                 Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION).rack_first_stealing());
             let (wall_s, report) = time_cell_with(
@@ -622,7 +571,7 @@ fn main() {
                 jobs,
                 workers,
                 wall_s,
-                report,
+                &report,
             ));
         }
     }
@@ -651,14 +600,14 @@ fn main() {
             }
         }
         let (wall_s, report) = best.expect("repeats >= 1");
-        let events_per_sec = report.events as f64 / wall_s.max(1e-9);
-        let streaming_drift = streaming_max_rel_err("hawk-live", &report);
+        let cell = CellTiming::new("hawk-live", CHURN_NODES, jobs, 1, wall_s, &report);
         let live = report.live.as_ref().expect("live_window was set");
         let last = live.windows.last().expect("the run closed no windows");
         eprintln!(
             "  hawk-live x {CHURN_NODES:>6} nodes: {wall_s:8.3} s  \
-             ({events_per_sec:.2e} events/s; last 60 s window: \
+             ({:.2e} events/s; last 60 s window: \
              {:.1} arrivals/s, backlog {}, occupancy {:.2}, short p90 {})",
+            cell.events_per_sec,
             live.arrival_rate(last),
             last.backlog,
             last.occupancy,
@@ -667,31 +616,26 @@ fn main() {
                 .map(|p| format!("{p:.2}s"))
                 .unwrap_or_else(|| "-".to_string()),
         );
-        cells.push(CellTiming {
-            scheduler: "hawk-live".to_string(),
-            nodes: CHURN_NODES,
-            jobs,
-            shards: 1,
-            workers: 1,
-            wall_s,
-            events: report.events,
-            events_per_sec,
-            steals: report.steals,
-            speedup_vs_pre_rework: None,
-            floor: None,
-            vs_floor: None,
-            sharded: None,
-            rack_local_steal_rate: None,
-            streaming_max_rel_err: streaming_drift,
-        });
+        cells.push(cell);
     }
 
-    for c in &mut cells {
-        c.floor = floor_events_per_sec(&c.scheduler, c.nodes, c.workers);
+    // Each sharded row's wall clock against its one-worker twin's.
+    let workers1_wall_s: Vec<Option<f64>> = cells
+        .iter()
+        .map(|c| {
+            let twin = |w1: &&CellTiming| {
+                w1.workers == 1 && w1.scheduler == c.scheduler && w1.nodes == c.nodes
+            };
+            c.sharded.and(cells.iter().find(twin)).map(|w1| w1.wall_s)
+        })
+        .collect();
+    for (c, workers1_wall_s) in cells.iter_mut().zip(workers1_wall_s) {
+        c.floor = floor_events_per_sec(&c.scheduler, c.nodes);
         c.vs_floor = c.floor.map(|f| c.events_per_sec / f);
+        c.wall_vs_workers1 = workers1_wall_s.map(|w1| c.wall_s / w1);
     }
 
-    let json = render_json(&opts, jobs, comparable, &cells);
+    let json = render_json(&opts, jobs, nproc, comparable, &cells);
     std::fs::write(&opts.out, &json).unwrap_or_else(|e| {
         eprintln!("perf_baseline: cannot write {}: {e}", opts.out);
         std::process::exit(1);
@@ -733,34 +677,25 @@ fn check_floors(comparable: bool, cells: &[CellTiming]) -> bool {
     ok
 }
 
-fn render_json(opts: &Opts, jobs: usize, comparable: bool, cells: &[CellTiming]) -> String {
+fn render_json(
+    opts: &Opts,
+    jobs: usize,
+    nproc: usize,
+    comparable: bool,
+    cells: &[CellTiming],
+) -> String {
+    let opt = |value: Option<f64>, digits: usize| {
+        value.map_or_else(|| "null".to_string(), |v| format!("{v:.digits$}"))
+    };
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"perf_baseline\",\n");
-    out.push_str("  \"schema_version\": 3,\n");
+    out.push_str("  \"schema_version\": 4,\n");
     let _ = writeln!(out, "  \"smoke\": {},", opts.smoke);
     let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(out, "  \"seed\": {},", opts.seed);
     let _ = writeln!(out, "  \"best_of\": {},", opts.repeats);
-    let _ = writeln!(out, "  \"comparable_to_pre_rework\": {comparable},");
-    out.push_str("  \"pre_rework\": {\n");
-    out.push_str(
-        "    \"engine\": \"BinaryHeap event queue, linear cluster scans (commit d65d7bf)\",\n",
-    );
-    out.push_str("    \"jobs\": 30000,\n    \"wall_s\": {\n");
-    let mut first = true;
-    for nodes in NODE_CELLS {
-        for scheduler in ["hawk", "sparrow"] {
-            if let Some(before) = pre_rework_wall_s(scheduler, nodes) {
-                if !first {
-                    out.push_str(",\n");
-                }
-                first = false;
-                let _ = write!(out, "      \"{scheduler}/{nodes}\": {before}");
-            }
-        }
-    }
-    out.push_str("\n    }\n  },\n");
+    let _ = writeln!(out, "  \"nproc\": {nproc},");
     let _ = writeln!(out, "  \"floor_fraction\": {FLOOR_FRACTION},");
     let _ = writeln!(
         out,
@@ -773,8 +708,8 @@ fn render_json(opts: &Opts, jobs: usize, comparable: bool, cells: &[CellTiming])
             out,
             "    {{\"scheduler\": \"{}\", \"nodes\": {}, \"jobs\": {}, \"shards\": {}, \
              \"workers\": {}, \"wall_s\": {:.4}, \"events\": {}, \"events_per_sec\": {:.1}, \
-             \"steals\": {}, \"speedup_vs_pre_rework\": {}, \"floor_events_per_sec\": {}, \
-             \"vs_floor\": {}",
+             \"steals\": {}, \"wall_vs_workers1\": {}, \"floor_events_per_sec\": {}, \
+             \"vs_floor\": {}, \"streaming_max_rel_err\": {:.3e}",
             c.scheduler,
             c.nodes,
             c.jobs,
@@ -784,26 +719,21 @@ fn render_json(opts: &Opts, jobs: usize, comparable: bool, cells: &[CellTiming])
             c.events,
             c.events_per_sec,
             c.steals,
-            c.speedup_vs_pre_rework
-                .map(|s| format!("{s:.3}"))
-                .unwrap_or_else(|| "null".to_string()),
-            c.floor
-                .map(|f| format!("{f:.1}"))
-                .unwrap_or_else(|| "null".to_string()),
-            c.vs_floor
-                .map(|r| format!("{r:.3}"))
-                .unwrap_or_else(|| "null".to_string()),
-        );
-        let _ = write!(
-            out,
-            ", \"streaming_max_rel_err\": {:.3e}",
+            opt(c.wall_vs_workers1, 3),
+            opt(c.floor, 1),
+            opt(c.vs_floor, 3),
             c.streaming_max_rel_err
         );
         if let Some(stats) = &c.sharded {
             let _ = write!(
                 out,
-                ", \"epochs\": {}, \"merge_envelopes\": {}, \"avg_epoch_span_micros\": {}",
-                stats.epochs, stats.merge_envelopes, stats.avg_epoch_span_micros
+                ", \"epochs\": {}, \"solo_epochs\": {}, \"overlappable_events\": {}, \
+                 \"merge_envelopes\": {}, \"avg_epoch_span_micros\": {}",
+                stats.epochs,
+                stats.solo_epochs,
+                stats.overlappable_events,
+                stats.merge_envelopes,
+                stats.avg_epoch_span_micros
             );
         }
         if let Some(rate) = c.rack_local_steal_rate {

@@ -57,6 +57,14 @@ pub struct ShardedStats {
     pub merge_envelopes: u64,
     /// Mean simulated microseconds the epoch base advanced per epoch.
     pub avg_epoch_span_micros: u64,
+    /// Epochs with exactly one runnable shard: nothing in them could
+    /// have run on a second thread.
+    pub solo_epochs: u64,
+    /// Events processed by all but the largest shard run of each epoch,
+    /// summed over the epochs — the most a second thread could ever have
+    /// taken over; against `events`, the parallel fraction of Amdahl's
+    /// law. Like `solo_epochs`, a function of the schedule alone.
+    pub overlappable_events: u64,
 }
 
 /// Tail percentiles of one job class as estimated by the bounded-memory

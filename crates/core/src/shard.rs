@@ -5,15 +5,43 @@
 //! Each shard owns a slice of servers and runs its own [`Engine`], RNG
 //! streams, recycled buffers and topology instance; shards advance in
 //! *epochs* bounded by a conservative lookahead horizon and exchange
-//! messages only between epochs, through a deterministic merge. Epochs
-//! are executed by a work-claiming pool: each epoch publishes the set
-//! of *runnable* shards (those with an event below their horizon),
-//! workers claim them one at a time from a shared queue, and whichever
-//! worker reports the last result merges inline and publishes the next
-//! epoch — no barrier, so an epoch that runs one shard costs one lock
-//! round-trip, not a K-thread rendezvous. The result is deterministic
-//! for a fixed shard count `K` regardless of how many OS threads
-//! execute the shards — worker count is a pure throughput knob.
+//! messages only between epochs, through a deterministic merge. The
+//! result is deterministic for a fixed shard count `K` regardless of how
+//! many OS threads execute the shards.
+//!
+//! # The epoch pool (rent, then buy)
+//!
+//! Each epoch publishes the set of *runnable* shards (those with an
+//! event below their horizon). The worker that merged the previous epoch
+//! — the *publisher* — starts on them itself, holding the pool's one
+//! mutex throughout, and invites parked peers only once it has processed
+//! `HANDOFF_EVENTS` events of the epoch **and** runnable shards are
+//! still unclaimed: the spin-then-park / ski-rental rule, with a peer
+//! wake-up as the purchase. After that the epoch is *open*: workers
+//! claim shards one at a time, run them unlocked and report back, and
+//! whoever reports last merges inline and publishes the next epoch — no
+//! barrier anywhere. The loss on a genuinely parallel epoch is bounded by
+//! one threshold of serialised events; a sparse epoch costs no wake-up,
+//! no work-lock traffic and one uncontended shard lock per shard run.
+//!
+//! The rule is shaped by what Google-trace cells look like (tasks of
+//! hundreds of seconds under a sub-millisecond fat-tree lookahead): on
+//! the 50k-node bench cell, 1,064,640 of 1,216,429 epochs (87.5 %) have
+//! exactly one runnable shard, and the other 151,789 hold 428,935
+//! events (17 % of the run's 2.53 M) outside their largest shard run —
+//! under three events, ≈ 1 µs of work, per epoch, against ≈ 8 µs for a
+//! wake-up. [`ShardedStats::solo_epochs`] and
+//! [`ShardedStats::overlappable_events`] report this shape for any
+//! cell. On such cells sharding is a node-count and memory-scaling
+//! device: extra workers cannot speed them up, and with this pool no
+//! longer slow them down (waking a peer for every multi-shard epoch, as
+//! the pool did before, made two workers 2.4x slower than one). Worker
+//! count starts to matter on cells whose epochs are dense — a lookahead
+//! that is long against task durations, e.g. a one-second constant
+//! network delay over sub-second tasks, where every epoch carries
+//! hundreds of events per shard, most events are overlappable and the
+//! publisher hands over in every epoch
+//! (`dense_cell_engages_peers_under_the_production_threshold`).
 //!
 //! # Synchronization contract
 //!
@@ -259,9 +287,9 @@ impl ShardMap {
 enum WireMsg {
     /// An ordinary event for the destination shard's engine.
     Ev(Event),
-    /// A remote steal's stolen group. The only steady-state allocation
-    /// of the sharded driver: remote steals carry their entries in an
-    /// owned `Vec` (local steals stay in the recycled batch pool).
+    /// A remote steal's stolen group, carried in an owned `Vec` that
+    /// returns to the sending shard once emptied (local steals stay in
+    /// the recycled batch pool).
     Stolen {
         thief: ServerId,
         entries: Vec<QueueEntry>,
@@ -288,39 +316,72 @@ struct UtilSampleRaw {
     owned_down: u32,
 }
 
+/// Events the worker that published an epoch processes on its own before
+/// it invites parked peers to the epoch's still-unclaimed shards — the
+/// rent of a rent-then-buy (ski-rental) rule whose purchase is a peer
+/// wake-up. Renting first bounds the loss on a genuinely parallel epoch
+/// to this many serialised events, and the loss on a sparse epoch to
+/// zero wake-ups.
+///
+/// Derivation (the `hawk_sharded_50k` bench cell — 50k nodes, 4 shards,
+/// 2 workers, 2.53 M events in 1.22 M epochs — on a 2-vCPU box): an event
+/// costs ≈ 0.28 µs (0.70 s on one worker) and a wake-up ≈ 8 µs end to
+/// end (waking for each of the 151,789 multi-shard epochs, as the pool
+/// used to, costs 2.0 s per cell against 0.8 s never waking), so a
+/// purchase pays only when it hands over more than ≈ 28 events. Sweeping
+/// the threshold, a handoff hands a peer on average 2.5 events at 0
+/// (151,789 handoffs), 19 at 8 (11,947), 27 at 16 (6,310), 42 at 32
+/// (2,443), 65 at 64 (696), 87 at 128 (158) and 160 at 256 (13): 64 is
+/// the smallest power of two at which the average purchase is worth
+/// twice its price. Wall-clock cannot tell thresholds ≥ 8 apart on this
+/// cell (0.76–0.80 s, all within run-to-run noise); the dense cell of
+/// `dense_cell_engages_peers_under_the_production_threshold` hands over
+/// in every epoch at any of them.
+const HANDOFF_EVENTS: u64 = 64;
+
 /// Shared state of one sharded run: the shards themselves (locked by
 /// whichever worker claims them each epoch), the work queue driving the
 /// epoch protocol, and the read-only lookahead matrix.
 struct SharedState<'t> {
     shards: Vec<Mutex<Shard<'t>>>,
     work: Mutex<WorkQueue>,
-    /// Parked workers wait here; signalled when an epoch with work for
-    /// more than one thread is published, and at stop.
+    /// Parked workers wait here; signalled when an epoch's publisher
+    /// hands unclaimed shards over to its peers, and at stop.
     available: Condvar,
     /// Shortest-walk closure of the per-shard-pair one-hop delay
     /// floors, row-major `[src * K + dst]`, raw microseconds. The
     /// diagonal is the cheapest cycle back to the shard itself (never
     /// zero), so a shard's own emissions bound its horizon too.
     delta: Vec<u64>,
-    /// How many *peers* of the finishing worker are worth waking per
-    /// epoch: the machine's available parallelism minus the one thread
-    /// already running. Waking is purely a throughput heuristic (the
-    /// finishing worker claims from the fresh schedule itself), so on
-    /// a single-core host this is zero and surplus workers park for
-    /// the whole run instead of forcing a context switch per epoch.
-    wake_cap: usize,
 }
 
-/// The epoch scheduler. One mutex guards the whole epoch protocol:
-/// workers claim runnable shards from it, report back when a shard has
-/// run to its horizon, and the worker whose report completes the epoch
-/// merges and publishes the next one *while still holding the lock* —
-/// so in sparse phases (almost every epoch has exactly one runnable
-/// shard) a single thread runs claim → shard → report → merge → claim
-/// with two uncontended lock acquisitions per epoch and no barrier or
-/// cross-thread handoff at all. Workers that find nothing to claim
-/// park on the condvar and are only woken for epochs that actually
-/// have work for a second thread.
+/// Timing-dependent counters of the worker pool: which thread ran what
+/// depends on the machine, so none of this may reach [`MetricsReport`]
+/// (whose bytes are worker-count-invariant). Crate-internal, for tests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PoolStats {
+    /// Epochs whose publisher exhausted its rent with shards still
+    /// unclaimed and opened the epoch to its peers. Depends on the
+    /// schedule, the threshold and `workers > 1` only.
+    pub(crate) handoffs: u64,
+    /// Condvar wake-ups issued (at most `workers - 1` per handoff).
+    pub(crate) wakes: u64,
+    /// Shard runs, and the events in them, executed by a worker other
+    /// than the epoch's publisher.
+    pub(crate) peer_runs: u64,
+    pub(crate) peer_events: u64,
+}
+
+/// The epoch scheduler. One mutex guards the whole epoch protocol, and
+/// the worker that merged an epoch and published the next one — the
+/// epoch's *publisher* — keeps holding it while it works through the
+/// runnable shards itself: run, report, merge, publish, with one
+/// uncontended shard lock per shard run and nothing else. Only when it
+/// has processed [`HANDOFF_EVENTS`] events of the epoch and unclaimed
+/// runnable shards still remain does it open the epoch: it wakes parked
+/// peers, releases the mutex, and from then on every worker claims,
+/// runs unlocked and reports back under the mutex; whoever reports last
+/// merges and is the next publisher.
 struct WorkQueue {
     /// Shard ids with work this epoch (`t[j] < H[j]`), ascending.
     runnable: Vec<u32>,
@@ -328,6 +389,20 @@ struct WorkQueue {
     next: usize,
     /// Shards claimed but not yet reported back.
     inflight: usize,
+    /// Whether this epoch's publisher has handed the unclaimed shards
+    /// over to its peers (it then no longer holds the mutex while
+    /// running a shard).
+    open: bool,
+    /// Events of an epoch its publisher processes before opening it:
+    /// the handoff threshold, or `u64::MAX` when the driver was given
+    /// one worker — the worker count is the only bound on peer
+    /// engagement.
+    rent: u64,
+    /// The worker that published (and first claimed from) this epoch.
+    publisher: usize,
+    /// Events processed this epoch, and the largest single shard run.
+    epoch_events: u64,
+    epoch_max_run: u64,
     /// Per-shard horizons, raw microseconds; `u64::MAX` is the
     /// free-run sentinel (quiescence fast-path).
     horizons: Vec<u64>,
@@ -337,21 +412,26 @@ struct WorkQueue {
     /// (maintained incrementally from epoch reports).
     unfinished: Vec<usize>,
     total_unfinished: usize,
-    /// Shards whose outbox holds envelopes awaiting the merge.
-    outbox_full: Vec<bool>,
-    /// Per-source outbox streams, swapped in from the shards at merge.
+    /// Per-source outbox streams, swapped in from the shards as they
+    /// report; empty between epochs.
     streams: Vec<Vec<Envelope>>,
     /// Read cursor per stream.
     cursors: Vec<usize>,
     /// Recycled per-destination delivery buffers.
     inboxes: Vec<Vec<Envelope>>,
+    /// Emptied remote-steal payload buffers on their way back to the
+    /// shard that sent them, which collects them with its next report.
+    steal_returns: Vec<Vec<Vec<QueueEntry>>>,
     stopped: bool,
     /// Workers currently waiting on [`SharedState::available`].
     parked: usize,
     epochs: u64,
+    solo_epochs: u64,
+    overlappable_events: u64,
     merge_envelopes: u64,
     span_accum: u64,
     last_base: u64,
+    pool: PoolStats,
 }
 
 /// The outbox transport: maps a destination endpoint to the shard that
@@ -366,6 +446,13 @@ struct Outbox {
     engine: Engine<Event>,
     pending: Vec<Envelope>,
     seq: u64,
+    /// Payload buffers of this shard's earlier remote steals, emptied by
+    /// the receiver and handed back through
+    /// [`WorkQueue::steal_returns`]. Remote steals mostly flow one way
+    /// (into the shard that holds the short partition), so a buffer has
+    /// to return to its sender to be reused; the population is the
+    /// sender's peak of steals in flight.
+    steal_bufs: Vec<Vec<QueueEntry>>,
 }
 
 impl Outbox {
@@ -408,13 +495,13 @@ impl Transport for Outbox {
     }
 
     fn send_stolen(&mut self, delay: SimDuration, thief: ServerId, entries: &mut Vec<QueueEntry>) {
-        // An exact-size copy: the core's recycled batch buffer keeps its
-        // capacity.
+        // A copy: the core's recycled batch buffer keeps its capacity.
+        let mut buf = self.steal_bufs.pop().unwrap_or_default();
+        buf.append(entries);
         let msg = WireMsg::Stolen {
             thief,
-            entries: entries.to_vec(),
+            entries: buf,
         };
-        entries.clear();
         self.post(delay, self.map.owner(thief), msg);
     }
 }
@@ -435,14 +522,18 @@ impl Shard<'_> {
     /// must fire at or after the local clock — the epoch horizon
     /// guarantees it, and `try_schedule_at` makes any violation a hard
     /// error in both build profiles.
-    fn inject(&mut self, inbox: &mut Vec<Envelope>) {
+    fn inject(&mut self, inbox: &mut Vec<Envelope>, steal_returns: &mut [Vec<Vec<QueueEntry>>]) {
         for env in inbox.drain(..) {
             let event = match env.msg {
                 WireMsg::Ev(event) => event,
-                WireMsg::Stolen { thief, mut entries } => Event::StolenArrive {
-                    server: thief,
-                    batch: self.core.stolen_pool.put(&mut entries),
-                },
+                WireMsg::Stolen { thief, mut entries } => {
+                    let batch = self.core.stolen_pool.put(&mut entries);
+                    steal_returns[env.src as usize].push(entries);
+                    Event::StolenArrive {
+                        server: thief,
+                        batch,
+                    }
+                }
             };
             if let Err(err) = self.net.engine.try_schedule_at(env.at, event) {
                 panic!(
@@ -484,17 +575,38 @@ impl Shard<'_> {
         self.core.dispatch(&mut self.net, event);
     }
 
-    /// Processes every local event strictly below `horizon`, then
-    /// catches utilization sampling up to the horizon (no cross-shard
-    /// arrival can land below it, so the state there is final).
-    fn run_until(&mut self, horizon: SimTime) {
+    /// One claimed epoch run of at most `budget` events: to `horizon`
+    /// (raw microseconds), or free-running under the `u64::MAX` sentinel
+    /// (a free-run is always its epoch's only shard, so it ignores the
+    /// budget). Returns whether the run is complete; an incomplete run
+    /// is resumed by calling again.
+    fn run(&mut self, horizon: u64, budget: u64) -> bool {
+        if horizon == u64::MAX {
+            self.run_free();
+            true
+        } else {
+            self.run_until(SimTime::from_micros(horizon), budget)
+        }
+    }
+
+    /// Processes local events strictly below `horizon`, at most `budget`
+    /// of them. On reaching the horizon, catches utilization sampling up
+    /// to it (no cross-shard arrival can land below it, so the state
+    /// there is final) and returns `true`.
+    fn run_until(&mut self, horizon: SimTime, budget: u64) -> bool {
+        let mut left = budget;
         while let Some(t) = self.net.engine.peek_time() {
             if t >= horizon {
                 break;
             }
+            if left == 0 {
+                return false;
+            }
+            left -= 1;
             self.step(t);
         }
         self.sample_up_to(horizon);
+        true
     }
 
     /// The quiescence fast-path: this shard is the only one with a
@@ -530,7 +642,8 @@ pub struct ShardedDriver<'t> {
     /// Closure of the per-pair lookahead floors (see [`SharedState`]).
     delta: Vec<u64>,
     workers: usize,
-    stats: ShardedStats,
+    /// [`HANDOFF_EVENTS`]; tests lower it to force peer engagement.
+    handoff_events: u64,
 }
 
 impl<'t> ShardedDriver<'t> {
@@ -587,6 +700,7 @@ impl<'t> ShardedDriver<'t> {
                         engine,
                         pending: Vec::new(),
                         seq: 0,
+                        steal_bufs: Vec::new(),
                     },
                     util_interval: sim.util_interval,
                     next_sample: SimTime::ZERO + sim.util_interval,
@@ -600,7 +714,7 @@ impl<'t> ShardedDriver<'t> {
             homes,
             delta,
             workers: worker_budget().clamp(1, map.shards),
-            stats: ShardedStats::default(),
+            handoff_events: HANDOFF_EVENTS,
         }
     }
 
@@ -609,6 +723,16 @@ impl<'t> ShardedDriver<'t> {
     /// determinism suite pins it.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.clamp(1, self.shards.len());
+        self
+    }
+
+    /// Overrides the handoff threshold; `0` opens every multi-shard
+    /// epoch to the peers at once, so tests of worker-count invariance
+    /// exercise real cross-thread execution on cells far too sparse to
+    /// engage a peer under [`HANDOFF_EVENTS`].
+    #[cfg(test)]
+    pub(crate) fn with_handoff_events(mut self, events: u64) -> Self {
+        self.handoff_events = events;
         self
     }
 
@@ -633,9 +757,18 @@ impl<'t> ShardedDriver<'t> {
     /// # Panics
     ///
     /// Panics like [`ShardedDriver::run`].
-    pub fn run_with_estimates(mut self) -> (MetricsReport, JobEstimates) {
+    pub fn run_with_estimates(self) -> (MetricsReport, JobEstimates) {
+        let (report, estimates, _) = self.run_with_pool_stats();
+        (report, estimates)
+    }
+
+    /// [`ShardedDriver::run_with_estimates`] plus the timing-dependent
+    /// pool counters that must stay out of the report.
+    pub(crate) fn run_with_pool_stats(mut self) -> (MetricsReport, JobEstimates, PoolStats) {
         let shard_count = self.shards.len();
         let total_unfinished: usize = self.shards.iter().map(|s| s.core.unfinished).sum();
+        let mut stats = ShardedStats::default();
+        let mut pool = PoolStats::default();
         if total_unfinished > 0 {
             let t: Vec<u64> = self
                 .shards
@@ -653,20 +786,34 @@ impl<'t> ShardedDriver<'t> {
                 runnable: Vec::with_capacity(shard_count),
                 next: 0,
                 inflight: 0,
+                open: false,
+                // The one place peer engagement is bounded: by the worker
+                // count this driver was given.
+                rent: if self.workers == 1 {
+                    u64::MAX
+                } else {
+                    self.handoff_events
+                },
+                publisher: 0,
+                epoch_events: 0,
+                epoch_max_run: 0,
                 horizons: vec![0; shard_count],
                 unfinished: self.shards.iter().map(|s| s.core.unfinished).collect(),
                 total_unfinished,
-                outbox_full: vec![false; shard_count],
                 streams: (0..shard_count).map(|_| Vec::new()).collect(),
                 cursors: vec![0; shard_count],
                 inboxes: (0..shard_count).map(|_| Vec::new()).collect(),
+                steal_returns: (0..shard_count).map(|_| Vec::new()).collect(),
                 t,
                 stopped: false,
                 parked: 0,
                 epochs: 0,
+                solo_epochs: 0,
+                overlappable_events: 0,
                 merge_envelopes: 0,
                 span_accum: 0,
                 last_base: base,
+                pool: PoolStats::default(),
             };
             let delta = std::mem::take(&mut self.delta);
             publish_schedule(&mut wq, &delta);
@@ -679,14 +826,11 @@ impl<'t> ShardedDriver<'t> {
                 work: Mutex::new(wq),
                 available: Condvar::new(),
                 delta,
-                wake_cap: std::thread::available_parallelism()
-                    .map_or(1, std::num::NonZeroUsize::get)
-                    .saturating_sub(1),
             };
             let shared_ref = &shared;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..self.workers)
-                    .map(|_| scope.spawn(move || worker_loop(shared_ref)))
+                    .map(|me| scope.spawn(move || worker_loop(shared_ref, me)))
                     .collect();
                 for handle in handles {
                     handle.join().expect("shard worker panicked");
@@ -698,16 +842,20 @@ impl<'t> ShardedDriver<'t> {
                 .map(|m| m.into_inner().expect("shard poisoned"))
                 .collect();
             let wq = shared.work.into_inner().expect("work queue poisoned");
-            self.stats = ShardedStats {
+            stats = ShardedStats {
                 epochs: wq.epochs,
                 merge_envelopes: wq.merge_envelopes,
                 avg_epoch_span_micros: wq.span_accum / wq.epochs.max(1),
+                solo_epochs: wq.solo_epochs,
+                overlappable_events: wq.overlappable_events,
             };
+            pool = wq.pool;
         }
-        self.report()
+        let (report, estimates) = self.report(stats);
+        (report, estimates, pool)
     }
 
-    fn report(mut self) -> (MetricsReport, JobEstimates) {
+    fn report(mut self, stats: ShardedStats) -> (MetricsReport, JobEstimates) {
         // Merge utilization: every shard samples on the same schedule,
         // so sample i exists in all shards (truncate defensively) and
         // the cluster-wide ratio is the summed numerator over the
@@ -737,7 +885,7 @@ impl<'t> ShardedDriver<'t> {
             |job| self.homes[job.index()] as usize,
             &util,
             events,
-            Some(self.stats),
+            Some(stats),
         );
         // Every core shares the estimates; the last one standing owns them.
         let last = self.shards.into_iter().last();
@@ -837,6 +985,9 @@ fn publish_schedule(wq: &mut WorkQueue, delta: &[u64]) {
     let active = wq.t.iter().filter(|&&ti| ti != u64::MAX).count();
     wq.runnable.clear();
     wq.next = 0;
+    wq.open = false;
+    wq.epoch_events = 0;
+    wq.epoch_max_run = 0;
     for j in 0..k {
         let horizon = if active > 1 {
             (0..k)
@@ -853,95 +1004,128 @@ fn publish_schedule(wq: &mut WorkQueue, delta: &[u64]) {
     }
 }
 
-/// One worker's claim loop. All workers run the same loop: claim the
-/// next runnable shard under the work lock, run it to its horizon
-/// under its own shard lock, report back under the work lock. The
-/// worker whose report completes the epoch merges inline (still
-/// holding the work lock) and publishes the next schedule, then loops
-/// straight into claiming — so a sparse epoch (one runnable shard)
-/// costs one work-lock round and one shard-lock round, with every
-/// other worker parked on the condvar.
+/// One worker's loop; all workers run the same one. Whoever holds the
+/// work lock and finds an unclaimed runnable shard claims it.
 ///
-/// Lock order is always work → shard: the claim path drops the work
-/// lock before locking its shard, and the done-report drops the shard
-/// lock before re-taking the work lock; only the merge holds both,
-/// and it is the sole holder of the work lock at that moment.
-fn worker_loop(shared: &SharedState<'_>) {
+/// In an epoch nobody has opened yet the claimer is its publisher (it
+/// has held the lock since it merged the previous epoch): it runs the
+/// shard *without releasing the work lock*, reports, and loops — so an
+/// epoch it finishes alone costs one uncontended shard lock per shard
+/// run and no work-lock traffic at all. The run is budgeted by what is
+/// left of the epoch's rent ([`HANDOFF_EVENTS`]) for as long as other
+/// shards are still unclaimed; when the budget runs out first, the
+/// publisher opens the epoch — wakes as many parked peers as there are
+/// unclaimed shards, releases the work lock — and resumes its shard.
+/// In an open epoch every claimer releases the work lock for the run
+/// and re-takes it to report. The worker whose report completes the
+/// epoch merges inline and publishes the next one.
+///
+/// Locking: a worker waiting for the work lock holds at most the shard
+/// it claimed; the holder of the work lock only ever locks a shard it
+/// has just claimed (held by nobody: its previous runner let go of it
+/// before releasing the work lock it reported under) or, in the merge,
+/// any shard while none is in flight. Neither can block.
+fn worker_loop(shared: &SharedState<'_>, me: usize) {
     let mut guard = shared.work.lock().expect("work queue poisoned");
     loop {
         if guard.stopped {
             return;
         }
-        if guard.next < guard.runnable.len() {
-            let id = guard.runnable[guard.next] as usize;
-            guard.next += 1;
-            guard.inflight += 1;
-            let horizon = guard.horizons[id];
-            drop(guard);
-            let (next_micros, unfinished, outbox_full) = {
-                let mut shard = shared.shards[id].lock().expect("shard poisoned");
-                if horizon == u64::MAX {
-                    shard.run_free();
-                } else {
-                    shard.run_until(SimTime::from_micros(horizon));
-                }
-                // Keep the outbox a sorted stream for the k-way merge.
-                // Under constant delays it already is (pdqsort detects
-                // the run in O(n)); topology delays can reorder.
-                shard
-                    .net
-                    .pending
-                    .sort_unstable_by_key(|env| (env.at.as_micros(), env.seq));
-                (
-                    shard
-                        .net
-                        .engine
-                        .peek_time()
-                        .map_or(u64::MAX, SimTime::as_micros),
-                    shard.core.unfinished,
-                    !shard.net.pending.is_empty(),
-                )
-            };
-            guard = shared.work.lock().expect("work queue poisoned");
-            let wq = &mut *guard;
-            wq.t[id] = next_micros;
-            wq.total_unfinished += unfinished;
-            wq.total_unfinished -= wq.unfinished[id];
-            wq.unfinished[id] = unfinished;
-            wq.outbox_full[id] = outbox_full;
-            wq.inflight -= 1;
-            if wq.inflight == 0 && wq.next == wq.runnable.len() {
-                merge_epoch(shared, wq);
-                if wq.stopped {
-                    shared.available.notify_all();
-                    return;
-                }
-                // Waking peers is a throughput heuristic, never a
-                // correctness requirement: this worker claims from the
-                // fresh schedule itself on the next loop iteration.
-                let wake = shared
-                    .wake_cap
-                    .min(wq.parked)
-                    .min(wq.runnable.len().saturating_sub(1));
-                for _ in 0..wake {
-                    shared.available.notify_one();
-                }
-            }
-        } else {
-            guard.parked += 1;
+        let wq = &mut *guard;
+        if wq.next == wq.runnable.len() {
+            wq.parked += 1;
             guard = shared.available.wait(guard).expect("work queue poisoned");
             guard.parked -= 1;
+            continue;
+        }
+        let id = wq.runnable[wq.next] as usize;
+        wq.next += 1;
+        wq.inflight += 1;
+        let horizon = wq.horizons[id];
+        let unclaimed = wq.runnable.len() - wq.next;
+        let mut shard = shared.shards[id].lock().expect("shard poisoned");
+        let processed_before = shard.net.engine.processed();
+        let mut complete = false;
+        if !wq.open {
+            wq.publisher = me;
+            // What is left of the rent (every earlier shard of an unopened
+            // epoch has been run, and reported, by this worker); with
+            // nothing left to hand over there is nothing to rent.
+            let budget = if unclaimed == 0 {
+                u64::MAX
+            } else {
+                wq.rent.saturating_sub(wq.epoch_events)
+            };
+            complete = shard.run(horizon, budget);
+        }
+        if !complete {
+            let mut wake = 0;
+            if !wq.open {
+                wq.open = true;
+                wake = wq.parked.min(unclaimed);
+                wq.pool.handoffs += 1;
+                wq.pool.wakes += wake as u64;
+            }
+            drop(guard);
+            for _ in 0..wake {
+                shared.available.notify_one();
+            }
+            shard.run(horizon, u64::MAX);
+            guard = shared.work.lock().expect("work queue poisoned");
+        }
+        let wq = &mut *guard;
+        let ran = shard.net.engine.processed() - processed_before;
+        report_run(wq, id, &mut shard, ran);
+        drop(shard);
+        if me != wq.publisher {
+            wq.pool.peer_runs += 1;
+            wq.pool.peer_events += ran;
+        }
+        if wq.inflight == 0 && wq.next == wq.runnable.len() {
+            merge_epoch(shared, wq);
+            if wq.stopped {
+                drop(guard);
+                shared.available.notify_all();
+                return;
+            }
         }
     }
+}
+
+/// Reports shard `id`'s finished epoch run of `ran` events: its next
+/// event time and unfinished-job count, and its outbox, handed to the
+/// merge as a stream sorted by `(firing time, send sequence)`.
+fn report_run(wq: &mut WorkQueue, id: usize, shard: &mut Shard<'_>, ran: u64) {
+    wq.t[id] = shard
+        .net
+        .engine
+        .peek_time()
+        .map_or(u64::MAX, SimTime::as_micros);
+    wq.total_unfinished += shard.core.unfinished;
+    wq.total_unfinished -= wq.unfinished[id];
+    wq.unfinished[id] = shard.core.unfinished;
+    shard.net.steal_bufs.append(&mut wq.steal_returns[id]);
+    let pending = &mut shard.net.pending;
+    if !pending.is_empty() {
+        // Under constant delays the outbox already is sorted (pdqsort
+        // detects the run in O(n)); topology delays can reorder.
+        if pending.len() > 1 {
+            pending.sort_unstable_by_key(|env| (env.at.as_micros(), env.seq));
+        }
+        debug_assert!(wq.streams[id].is_empty(), "stale merge stream");
+        std::mem::swap(&mut wq.streams[id], pending);
+    }
+    wq.epoch_events += ran;
+    wq.epoch_max_run = wq.epoch_max_run.max(ran);
+    wq.inflight -= 1;
 }
 
 /// The zero-sort merge core: drains the per-source outbox `streams`
 /// (each already sorted by `(firing time, send sequence)`) into the
 /// per-destination `inboxes` in global `(firing time, source shard,
 /// send sequence)` order — exactly what concatenating every stream and
-/// sorting by that key would produce, without sorting or allocating.
-/// `cursors[src]` must be zeroed for every non-empty stream. Returns
-/// the number of envelopes moved.
+/// sorting by that key would produce, without sorting or allocating —
+/// and leaves every stream empty. Returns the number of envelopes moved.
 ///
 /// Linear argmin over the stream heads: k is small (≤ tens), so this
 /// beats a binary heap and keeps the order trivially equal to the sort
@@ -952,6 +1136,7 @@ fn kway_merge_streams(
     cursors: &mut [usize],
     inboxes: &mut [Vec<Envelope>],
 ) -> u64 {
+    cursors.fill(0);
     let mut moved = 0u64;
     loop {
         let mut best: Option<(usize, (u64, u32, u64))> = None;
@@ -978,55 +1163,57 @@ fn kway_merge_streams(
         moved += 1;
         inboxes[env.dest as usize].push(env);
     }
+    for stream in streams {
+        stream.clear();
+    }
+    moved
+}
+
+/// The merge of an epoch in which one shard emitted, which is most of
+/// them: with a single source the `(firing time, source shard, send
+/// sequence)` order is the stream's own order, so the envelopes go
+/// straight to their inboxes.
+fn route_single_stream(stream: &mut Vec<Envelope>, inboxes: &mut [Vec<Envelope>]) -> u64 {
+    let moved = stream.len() as u64;
+    for env in stream.drain(..) {
+        inboxes[env.dest as usize].push(env);
+    }
     moved
 }
 
 /// The epoch merge, run inline by whichever worker finished the epoch
-/// (the work lock is held throughout). K-way-merges the sorted outbox
-/// streams in `(firing time, source shard, send sequence)` order —
-/// exactly the order the old concat-and-sort produced, so per-inbox
-/// envelope order is unchanged — injects them directly into the
-/// destination engines, then publishes the next schedule (or stops).
-/// Epochs that moved no envelopes skip the merge machinery entirely,
-/// which is the common case for sparse workloads.
+/// (the work lock is held throughout, and no shard is in flight).
+/// Routes the outbox streams the shards reported into per-destination
+/// inboxes in `(firing time, source shard, send sequence)` order,
+/// injects them into the destination engines, then publishes the next
+/// schedule (or stops). Epochs that moved no envelopes skip the merge
+/// machinery entirely, which is the common case for sparse workloads.
 fn merge_epoch(shared: &SharedState<'_>, wq: &mut WorkQueue) {
     if wq.total_unfinished == 0 {
         wq.stopped = true;
         return;
     }
-    let k = wq.t.len();
-    if wq.runnable.iter().any(|&id| wq.outbox_full[id as usize]) {
-        for r in 0..wq.runnable.len() {
-            let id = wq.runnable[r] as usize;
-            if !wq.outbox_full[id] {
-                continue;
-            }
-            wq.outbox_full[id] = false;
-            let mut shard = shared.shards[id].lock().expect("shard poisoned");
-            debug_assert!(wq.streams[id].is_empty(), "stale merge stream");
-            std::mem::swap(&mut wq.streams[id], &mut shard.net.pending);
-            wq.cursors[id] = 0;
-        }
-        wq.merge_envelopes += kway_merge_streams(&mut wq.streams, &mut wq.cursors, &mut wq.inboxes);
-        for dest in 0..k {
+    let mut sources = wq.streams.iter_mut().filter(|s| !s.is_empty());
+    let moved = match (sources.next(), sources.next()) {
+        (None, _) => 0,
+        (Some(only), None) => route_single_stream(only, &mut wq.inboxes),
+        _ => kway_merge_streams(&mut wq.streams, &mut wq.cursors, &mut wq.inboxes),
+    };
+    if moved > 0 {
+        wq.merge_envelopes += moved;
+        for dest in 0..wq.t.len() {
             if wq.inboxes[dest].is_empty() {
                 continue;
             }
             let mut shard = shared.shards[dest].lock().expect("shard poisoned");
-            let mut inbox = std::mem::take(&mut wq.inboxes[dest]);
-            shard.inject(&mut inbox);
-            // Hand the drained Vec back so the next epoch reuses its
-            // capacity, and re-peek: injected envelopes may precede
-            // the engine's previous head.
-            wq.inboxes[dest] = inbox;
+            shard.inject(&mut wq.inboxes[dest], &mut wq.steal_returns);
+            // Re-peek: injected envelopes may precede the engine's
+            // previous head.
             wq.t[dest] = shard
                 .net
                 .engine
                 .peek_time()
                 .map_or(u64::MAX, SimTime::as_micros);
-        }
-        for s in &mut wq.streams {
-            s.clear();
         }
     }
     let base = wq.t.iter().copied().min().expect("at least one shard");
@@ -1036,6 +1223,8 @@ fn merge_epoch(shared: &SharedState<'_>, wq: &mut WorkQueue) {
         wq.total_unfinished
     );
     wq.epochs += 1;
+    wq.solo_epochs += u64::from(wq.runnable.len() == 1);
+    wq.overlappable_events += wq.epoch_events - wq.epoch_max_run;
     wq.span_accum += base.saturating_sub(wq.last_base);
     wq.last_base = base;
     publish_schedule(wq, &shared.delta);
@@ -1204,6 +1393,45 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// The single-source shortcut against the merge it bypasses: one
+        /// sorted outbox stream must reach every inbox in exactly the
+        /// `(firing time, source shard, send sequence)` order
+        /// [`kway_merge_streams`] delivers.
+        #[test]
+        fn single_source_epoch_matches_kway_merge(
+            sends in proptest::collection::vec((0u64..200, 0u32..4), 0..40),
+            src in 0u32..4,
+        ) {
+            let stream = || {
+                let mut stream: Vec<Envelope> = sends
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(at, dest))| env(at, src, i as u64, dest))
+                    .collect();
+                stream.sort_unstable_by_key(|e| (e.at.as_micros(), e.seq));
+                stream
+            };
+            let keys = |inboxes: &[Vec<Envelope>]| -> Vec<Vec<(u64, u32, u64)>> {
+                inboxes
+                    .iter()
+                    .map(|inbox| inbox.iter().map(|e| (e.at.as_micros(), e.src, e.seq)).collect())
+                    .collect()
+            };
+
+            let mut streams: Vec<Vec<Envelope>> = (0..4).map(|_| Vec::new()).collect();
+            streams[src as usize] = stream();
+            let mut merged: Vec<Vec<Envelope>> = (0..4).map(|_| Vec::new()).collect();
+            let moved = kway_merge_streams(&mut streams, &mut [0; 4], &mut merged);
+
+            let mut only = stream();
+            let mut routed: Vec<Vec<Envelope>> = (0..4).map(|_| Vec::new()).collect();
+            proptest::prop_assert_eq!(route_single_stream(&mut only, &mut routed), moved);
+            proptest::prop_assert!(only.is_empty());
+            proptest::prop_assert_eq!(keys(&routed), keys(&merged));
+        }
+    }
+
     fn tiny_trace(jobs: Vec<(u64, Vec<u64>)>) -> Trace {
         let jobs = jobs
             .into_iter()
@@ -1262,22 +1490,208 @@ mod tests {
         }
     }
 
+    /// Whether this host can run two workers at once (the "a peer ran"
+    /// assertions are skipped when it cannot).
+    fn multicore() -> bool {
+        std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
+    }
+
+    /// Runs the cell on 1..=4 workers, under the production handoff
+    /// threshold and with every multi-shard epoch opened to the peers at
+    /// once (threshold 0), and asserts the whole report — `ShardedStats`
+    /// included — is byte-equal across all of them. The rent-then-buy
+    /// rule never engages a peer on cells this sparse, so it is the
+    /// threshold-0 legs that make the invariance a statement about real
+    /// cross-thread execution: `PoolStats` must show a worker other than
+    /// the publisher executing a shard.
+    fn assert_worker_count_invariance(trace: &Trace, sim: &SimConfig) {
+        let run = |workers: usize, handoff: Option<u64>| {
+            let mut driver =
+                ShardedDriver::new(trace, Arc::new(Hawk::new(0.25)), sim).with_workers(workers);
+            if let Some(events) = handoff {
+                driver = driver.with_handoff_events(events);
+            }
+            let (report, _, pool) = driver.run_with_pool_stats();
+            (format!("{report:?}"), pool)
+        };
+        let (reference, solo) = run(1, None);
+        assert_eq!(solo, PoolStats::default(), "one worker has no peers");
+        // Which thread wins a claim is the OS scheduler's call, and a
+        // run this short can be over before a peer is even spawned:
+        // repeat the legs until a peer has won one.
+        let mut peer_runs = 0;
+        for _attempt in 0..50 {
+            for workers in 1..=4 {
+                for handoff in [None, Some(0)] {
+                    let (report, pool) = run(workers, handoff);
+                    assert_eq!(report, reference, "workers={workers} handoff={handoff:?}");
+                    if handoff.is_some() {
+                        peer_runs += pool.peer_runs;
+                    }
+                }
+            }
+            if peer_runs > 0 {
+                break;
+            }
+        }
+        if multicore() {
+            assert!(peer_runs > 0, "no peer ever executed a shard");
+        }
+    }
+
+    /// A few hundred overlapping small jobs, for thousands of multi-shard
+    /// epochs an eagerly woken peer can win a claim in.
+    fn busy_trace() -> Trace {
+        let mut jobs: Vec<(u64, Vec<u64>)> = (0..300u64)
+            .map(|i| {
+                let tasks = (0..6).map(|task| 1 + (i * 7 + task * 3) % 30).collect();
+                (i / 2, tasks)
+            })
+            .collect();
+        jobs.insert(0, (0, vec![2_000; 4]));
+        jobs.insert(8, (3, vec![1_800, 1_900]));
+        tiny_trace(jobs)
+    }
+
     #[test]
     fn worker_count_does_not_change_results() {
-        let trace = tiny_trace(vec![
-            (0, vec![5; 12]),
-            (0, vec![2_000; 4]),
-            (1, vec![10, 20, 30]),
-            (3, vec![1_800, 1_900]),
-            (5, vec![2; 16]),
-        ]);
-        let hawk: Arc<dyn Scheduler> = Arc::new(Hawk::new(0.25));
-        let one = run_sharded(&trace, Arc::clone(&hawk), 12, 4, 1);
-        let four = run_sharded(&trace, hawk, 12, 4, 4);
-        assert_eq!(one.results, four.results);
-        assert_eq!(one.events, four.events);
-        assert_eq!(one.steals, four.steals);
-        assert_eq!(one.utilization_samples, four.utilization_samples);
+        let sim = SimConfig {
+            nodes: 12,
+            shards: 4,
+            ..SimConfig::default()
+        };
+        assert_worker_count_invariance(&busy_trace(), &sim);
+    }
+
+    #[test]
+    fn worker_count_does_not_change_results_under_churn() {
+        use hawk_workload::scenario::DynamicsScript;
+        let sim = SimConfig {
+            nodes: 12,
+            shards: 4,
+            dynamics: DynamicsScript::rolling(
+                &[0, 1, 2],
+                SimTime::from_secs(5),
+                SimDuration::from_secs(40),
+                SimDuration::from_secs(20),
+                8,
+            ),
+            ..SimConfig::default()
+        };
+        assert_worker_count_invariance(&busy_trace(), &sim);
+    }
+
+    /// The pathology this pool was rebuilt around, as a count: on a
+    /// sparse Google-like cell — tasks of hundreds of seconds under a
+    /// sub-millisecond lookahead — well over 5 % of the epochs have a
+    /// second runnable shard (the old pool issued a wake-up for each of
+    /// them), but in almost none of them does the publisher get through
+    /// a handoff's worth of events before the other shards are claimed.
+    #[test]
+    fn sparse_cell_wakes_on_under_one_percent_of_epochs() {
+        use hawk_workload::google::{GoogleTraceConfig, GOOGLE_SHORT_PARTITION};
+        let trace = GoogleTraceConfig::with_scale(10, 1_500).generate(crate::DEFAULT_SEED);
+        let sim = SimConfig {
+            nodes: 1_500,
+            shards: 4,
+            topology: Some(TopologySpec::FatTree(hawk_net::FatTreeParams::default())),
+            ..SimConfig::default()
+        };
+        let scheduler = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION).rack_first_stealing());
+        let (report, _, pool) = ShardedDriver::new(&trace, scheduler, &sim)
+            .with_workers(2)
+            .run_with_pool_stats();
+        let stats = report.sharded.expect("sharded run");
+        let multi_shard = stats.epochs - stats.solo_epochs;
+        assert!(
+            multi_shard * 20 > stats.epochs,
+            "cell is not the sparse shape under test: {stats:?}"
+        );
+        assert!(
+            pool.wakes * 100 <= stats.epochs && pool.handoffs * 100 <= stats.epochs,
+            "{pool:?} over {stats:?}"
+        );
+    }
+
+    /// The other side of the rule: large constant network delay (a one
+    /// second lookahead) over many sub-second tasks makes every epoch
+    /// carry hundreds of events per shard, and there the production
+    /// threshold must engage the peers — in every such epoch, bounded
+    /// only by the worker count the driver was given.
+    #[test]
+    fn dense_cell_engages_peers_under_the_production_threshold() {
+        let jobs = (0..300u32)
+            .map(|i| Job {
+                id: JobId(i),
+                submission: SimTime::from_micros(u64::from(i) * 100_000),
+                tasks: (0..16u64)
+                    .map(|task| {
+                        SimDuration::from_micros(
+                            100_000 + (u64::from(i) * 37 + task * 53) % 800_000,
+                        )
+                    })
+                    .collect(),
+                generated_class: None,
+            })
+            .collect();
+        let trace = Trace::new(jobs).unwrap();
+        let sim = SimConfig {
+            nodes: 64,
+            shards: 4,
+            network: hawk_cluster::NetworkModel {
+                delay: SimDuration::from_secs(1),
+                steal_transfer_delay: SimDuration::ZERO,
+            },
+            ..SimConfig::default()
+        };
+        let run = |workers| {
+            let (report, _, pool) = ShardedDriver::new(&trace, Arc::new(Hawk::new(0.25)), &sim)
+                .with_workers(workers)
+                .run_with_pool_stats();
+            (report, pool)
+        };
+
+        let (report, pool) = run(2);
+        let stats = report.sharded.expect("sharded run");
+        assert!(
+            stats.overlappable_events * 2 > report.events,
+            "cell is not the dense shape under test: {stats:?} of {} events",
+            report.events
+        );
+        assert!(pool.handoffs * 2 > stats.epochs, "{pool:?} over {stats:?}");
+        if multicore() {
+            assert!(pool.peer_events > 0, "{pool:?}");
+        }
+
+        let (alone, pool) = run(1);
+        assert_eq!(pool, PoolStats::default(), "one worker has no peers");
+        assert_eq!(format!("{alone:?}"), format!("{report:?}"));
+    }
+
+    /// Peer engagement is bounded by the worker count the driver was
+    /// given and by nothing else — in particular not by the machine's
+    /// core count behind `HAWK_WORKER_BUDGET`'s back.
+    #[test]
+    fn worker_budget_alone_bounds_peer_engagement() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        let sim = SimConfig {
+            nodes: 12,
+            shards: 4,
+            ..SimConfig::default()
+        };
+        let trace = busy_trace();
+        let handoffs = |budget: &str| {
+            std::env::set_var("HAWK_WORKER_BUDGET", budget);
+            let driver = ShardedDriver::new(&trace, Arc::new(Hawk::new(0.25)), &sim);
+            std::env::remove_var("HAWK_WORKER_BUDGET");
+            driver
+                .with_handoff_events(0)
+                .run_with_pool_stats()
+                .2
+                .handoffs
+        };
+        assert_eq!(handoffs("1"), 0);
+        assert!(handoffs("3") > 0);
     }
 
     #[test]
