@@ -10,8 +10,9 @@
 //! is a seeded virtual-clock run, so each row replays byte-identically.
 //!
 //! `--smoke` runs one moderate cell (1 % drops + one partition window)
-//! twice and asserts 100 % completion and a deterministic digest across
-//! the two runs — the CI leg.
+//! twice and asserts 100 % completion, a deterministic digest across the
+//! two runs and that the per-kind delivery counts add up to `messages` —
+//! the CI leg. It prints the per-kind table on stderr.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,7 +20,7 @@ use std::time::Instant;
 use hawk_bench::{fmt4, parse_args_with, tsv_header, tsv_row, RunMode};
 use hawk_core::scheduler::Hawk;
 use hawk_core::{Scheduler, SimConfig};
-use hawk_proto::{run_prototype, FaultSpec, ProtoBackend, ProtoConfig, ProtoReport};
+use hawk_proto::{run_prototype, FaultSpec, MsgKind, ProtoBackend, ProtoConfig, ProtoReport};
 use hawk_simcore::SimTime;
 use hawk_workload::scenario::{ScenarioSpec, TraceFamily};
 use hawk_workload::{JobClass, Trace};
@@ -59,6 +60,25 @@ fn digest(report: &ProtoReport) -> u64 {
         h = eat(h, x);
     }
     h
+}
+
+/// What every daemon was handed, by kind, on stderr: the prototype's
+/// answer to "where did the messages go".
+fn print_deliveries(report: &ProtoReport) {
+    eprintln!(
+        "deliveries by kind ({} messages + {} task finishes; {} stale timers = {:.1}% of messages):",
+        report.messages,
+        report.deliveries[MsgKind::TaskFinish],
+        report.stale_timers,
+        100.0 * report.stale_timers as f64 / report.messages.max(1) as f64
+    );
+    for (kind, count) in report.deliveries.iter().filter(|&(_, count)| count > 0) {
+        eprintln!(
+            "  {:<24} {count:>10}  {:5.1}%",
+            kind.name(),
+            100.0 * count as f64 / report.messages.max(1) as f64
+        );
+    }
 }
 
 fn run(trace: &Trace, cfg: &ProtoConfig) -> (ProtoReport, f64) {
@@ -116,6 +136,16 @@ fn main() {
             "hardened prototype lost jobs under the smoke fault cell"
         );
         assert!(a.drops > 0, "the smoke cell dropped nothing");
+        let by_kind: u64 = a
+            .deliveries
+            .iter()
+            .filter(|&(kind, _)| kind != MsgKind::TaskFinish)
+            .map(|(_, count)| count)
+            .sum();
+        assert_eq!(
+            by_kind, a.messages,
+            "per-kind delivery counts do not add up to `messages`"
+        );
         assert_eq!(
             digest(&a),
             digest(&b),
@@ -141,6 +171,7 @@ fn main() {
             format!("{:016x}", digest(&a)),
             format!("{:.1}+{:.1}", wall_a, wall_b),
         ]);
+        print_deliveries(&a);
         eprintln!("chaos_sweep --smoke: all jobs completed, digest deterministic");
         return;
     }

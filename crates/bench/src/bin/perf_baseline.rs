@@ -44,6 +44,16 @@
 //! 5k cell with 60 s live windows and surfaces the windowed serving
 //! metrics; live sampling adds events, so that row has no frozen floor.
 //!
+//! The third harness has its own rows (`proto_cells`): `proto-chaos` runs
+//! the prototype's daemons on the virtual router — 1,000 workers, 10
+//! distributed schedulers, `FaultSpec::chaos()` plus one 1,000 s partition
+//! window — and `proto-clean` is the same cell on a clean network. Their
+//! unit of work is the delivered message, so they carry `messages`,
+//! `messages_per_sec`, `ns_per_message`, `stale_timer_share` (hardened
+//! timers that fired with nothing left to do, over messages) and, on the
+//! chaos row, `fault_overhead` (its wall clock over the clean twin's),
+//! with floors in messages per second.
+//!
 //! Usage: `perf_baseline [--smoke] [--jobs N] [--seed S] [--out PATH]`
 
 use std::fmt::Write as _;
@@ -51,7 +61,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hawk_core::scheduler::{Hawk, Scheduler, Sparrow};
-use hawk_core::{Experiment, FatTreeParams, MetricsReport, TopologySpec};
+use hawk_core::{Experiment, FatTreeParams, MetricsReport, SimConfig, TopologySpec};
+use hawk_proto::{run_prototype, FaultSpec, ProtoBackend, ProtoReport};
 use hawk_simcore::stats::StreamingQuantiles;
 use hawk_simcore::{SimDuration, SimTime};
 use hawk_workload::google::{GoogleTraceConfig, GOOGLE_SHORT_PARTITION};
@@ -121,6 +132,21 @@ fn churn_speeds() -> SpeedSpec {
     }
 }
 
+/// Worker count of the prototype cells (10 distributed schedulers, the
+/// paper's count, come from `ProtoBackend::deterministic`).
+const PROTO_NODES: usize = 1_000;
+
+/// The chaos row's network: 1 % drops, duplicates, reorder jitter and the
+/// hardened protocol, plus a 1,000 s partition islanding ten workers that
+/// host no scheduler daemon.
+fn proto_chaos_faults() -> FaultSpec {
+    FaultSpec::chaos().partition(
+        SimTime::from_secs(100),
+        SimTime::from_secs(1_100),
+        (40..50).collect(),
+    )
+}
+
 /// The arrival-rate anchor: `with_scale(1)` calibrates ~90 % load at
 /// 15,000 nodes, so `scale = ANCHOR_NODES / nodes` holds load constant.
 const ANCHOR_NODES: u64 = 15_000;
@@ -187,6 +213,19 @@ fn floor_events_per_sec(scheduler: &str, nodes: usize) -> Option<f64> {
         ("hawk-sharded", 50_000) => Some(3_500_000.0),
         ("hawk-sharded", 100_000) => Some(3_100_000.0),
         ("hawk-sharded-rack", 15_000) => Some(3_700_000.0),
+        _ => None,
+    }
+}
+
+/// Frozen messages-per-second floors of the prototype rows, by the same
+/// min-of-observed rule as [`floor_events_per_sec`]: the slowest of five
+/// full runs on the 2-core container (4.73e6 and 5.90e6), rounded down
+/// to two significant digits. Frozen by the PR that put the virtual
+/// router on the simulator's event list.
+fn floor_messages_per_sec(name: &str) -> Option<f64> {
+    match name {
+        "proto-chaos" => Some(4_700_000.0),
+        "proto-clean" => Some(5_900_000.0),
         _ => None,
     }
 }
@@ -334,9 +373,87 @@ impl CellTiming {
     }
 }
 
-/// Times one cell `repeats` times and keeps the fastest run (standard
-/// minimum-of-N benchmarking: the min is the least noise-contaminated
-/// estimate of the engine's cost; the runs are bit-identical anyway).
+/// One timed prototype row.
+struct ProtoTiming {
+    name: &'static str,
+    jobs: usize,
+    wall_s: f64,
+    messages: u64,
+    messages_per_sec: f64,
+    stale_timer_share: f64,
+    /// This row's wall clock over the clean twin's (the chaos row).
+    fault_overhead: Option<f64>,
+    floor: Option<f64>,
+}
+
+impl ProtoTiming {
+    fn vs_floor(&self) -> Option<f64> {
+        self.floor.map(|f| self.messages_per_sec / f)
+    }
+}
+
+/// Times one prototype cell — daemon construction, the run and the report
+/// — `repeats` times and keeps the fastest run.
+fn time_proto(
+    name: &'static str,
+    trace: &Trace,
+    faults: FaultSpec,
+    seed: u64,
+    repeats: usize,
+) -> ProtoTiming {
+    let cfg = ProtoBackend::deterministic()
+        .faults(faults)
+        .config_for(&SimConfig {
+            nodes: PROTO_NODES,
+            seed,
+            ..SimConfig::default()
+        });
+    let scheduler: Arc<dyn Scheduler> = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION));
+    let (wall_s, report): (f64, ProtoReport) = best_of(repeats, || {
+        run_prototype(trace, Arc::clone(&scheduler), &cfg)
+    });
+    assert_eq!(report.jobs.len(), trace.len(), "{name} lost jobs");
+    let timing = ProtoTiming {
+        name,
+        jobs: trace.len(),
+        wall_s,
+        messages: report.messages,
+        messages_per_sec: report.messages as f64 / wall_s.max(1e-9),
+        stale_timer_share: report.stale_timers as f64 / report.messages.max(1) as f64,
+        fault_overhead: None,
+        floor: None,
+    };
+    eprintln!(
+        "  {name} x {PROTO_NODES:>6} workers: {wall_s:8.3} s  ({:.2e} messages/s, {:.0} ns/message, \
+         {} drops, {} retries, {} relaunched, {:.1}% stale timers)",
+        timing.messages_per_sec,
+        1e9 / timing.messages_per_sec,
+        report.drops,
+        report.retries,
+        report.relaunched,
+        100.0 * timing.stale_timer_share
+    );
+    timing
+}
+
+/// Runs `run` `repeats` times and keeps the fastest with its wall clock
+/// (standard minimum-of-N benchmarking: the min is the least
+/// noise-contaminated estimate of the cost; the runs are bit-identical
+/// anyway).
+fn best_of<R>(repeats: usize, mut run: impl FnMut() -> R) -> (f64, R) {
+    let mut best: Option<(f64, R)> = None;
+    for _ in 0..repeats {
+        let start = Instant::now();
+        let result = run();
+        let wall = start.elapsed().as_secs_f64();
+        if best.as_ref().is_none_or(|(b, _)| wall < *b) {
+            best = Some((wall, result));
+        }
+    }
+    best.expect("repeats >= 1")
+}
+
+/// Times one cell `repeats` times and keeps the fastest run.
 fn time_cell(
     trace: &Arc<Trace>,
     scheduler: Arc<dyn Scheduler>,
@@ -379,16 +496,7 @@ fn time_cell_with(
         builder = builder.topology(spec);
     }
     let cell = builder.build();
-    let mut best: Option<(f64, MetricsReport)> = None;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let report = cell.run_with_workers(workers);
-        let wall = start.elapsed().as_secs_f64();
-        if best.as_ref().is_none_or(|(b, _)| wall < *b) {
-            best = Some((wall, report));
-        }
-    }
-    best.expect("repeats >= 1")
+    best_of(repeats, || cell.run_with_workers(workers))
 }
 
 /// Builds (and reports on stderr) one sharded cell row, including the
@@ -436,7 +544,7 @@ fn main() {
          + hawk-fat-tree x {FAT_TREE_NODES} \
          + hawk-sharded ({SHARDED_SHARDS} shards, workers {worker_cells:?}) \
          x {SHARDED_NODE_CELLS:?} + hawk-sharded-rack x {SHARDED_RACK_NODES} \
-         + hawk-live x {CHURN_NODES}",
+         + hawk-live x {CHURN_NODES} + proto-{{chaos, clean}} x {PROTO_NODES}",
         opts.seed, opts.repeats
     );
 
@@ -590,16 +698,7 @@ fn main() {
             .nodes(CHURN_NODES)
             .live_window(SimDuration::from_secs(60))
             .build();
-        let mut best: Option<(f64, MetricsReport)> = None;
-        for _ in 0..opts.repeats {
-            let start = Instant::now();
-            let report = cell.run_with_workers(1);
-            let wall = start.elapsed().as_secs_f64();
-            if best.as_ref().is_none_or(|(b, _)| wall < *b) {
-                best = Some((wall, report));
-            }
-        }
-        let (wall_s, report) = best.expect("repeats >= 1");
+        let (wall_s, report) = best_of(opts.repeats, || cell.run_with_workers(1));
         let cell = CellTiming::new("hawk-live", CHURN_NODES, jobs, 1, wall_s, &report);
         let live = report.live.as_ref().expect("live_window was set");
         let last = live.windows.last().expect("the run closed no windows");
@@ -635,14 +734,39 @@ fn main() {
         c.wall_vs_workers1 = workers1_wall_s.map(|w1| c.wall_s / w1);
     }
 
-    let json = render_json(&opts, jobs, nproc, comparable, &cells);
+    // The prototype rows: the same workload shape at 1k workers through
+    // the daemons on the virtual router, on a hostile and a clean network.
+    let proto_cells = {
+        let trace = trace_for(PROTO_NODES, jobs, opts.seed);
+        let mut chaos = time_proto(
+            "proto-chaos",
+            &trace,
+            proto_chaos_faults(),
+            opts.seed,
+            opts.repeats,
+        );
+        let mut clean = time_proto(
+            "proto-clean",
+            &trace,
+            FaultSpec::none(),
+            opts.seed,
+            opts.repeats,
+        );
+        chaos.fault_overhead = Some(chaos.wall_s / clean.wall_s);
+        for row in [&mut chaos, &mut clean] {
+            row.floor = floor_messages_per_sec(row.name);
+        }
+        [chaos, clean]
+    };
+
+    let json = render_json(&opts, jobs, nproc, comparable, &cells, &proto_cells);
     std::fs::write(&opts.out, &json).unwrap_or_else(|e| {
         eprintln!("perf_baseline: cannot write {}: {e}", opts.out);
         std::process::exit(1);
     });
     eprintln!("wrote {}", opts.out);
 
-    if !check_floors(comparable, &cells) {
+    if !check_floors(comparable, &cells, &proto_cells) {
         std::process::exit(1);
     }
 }
@@ -650,11 +774,23 @@ fn main() {
 /// Enforce the per-cell floors on comparable runs. Returns `false` (and
 /// reports every offender) if any cell ran below `FLOOR_FRACTION` of its
 /// frozen floor; smoke and custom-parameter runs always pass.
-fn check_floors(comparable: bool, cells: &[CellTiming]) -> bool {
+fn check_floors(comparable: bool, cells: &[CellTiming], proto_cells: &[ProtoTiming]) -> bool {
     if !comparable {
         return true;
     }
     let mut ok = true;
+    for c in proto_cells {
+        if let (Some(floor), Some(ratio)) = (c.floor, c.vs_floor()) {
+            if ratio < FLOOR_FRACTION {
+                ok = false;
+                eprintln!(
+                    "perf_baseline: FLOOR VIOLATION: {} ran at {:.2e} messages/s, below \
+                     {FLOOR_FRACTION} x the frozen floor {floor:.2e} (ratio {ratio:.3})",
+                    c.name, c.messages_per_sec
+                );
+            }
+        }
+    }
     for c in cells {
         if let (Some(floor), Some(ratio)) = (c.floor, c.vs_floor) {
             if ratio < FLOOR_FRACTION {
@@ -683,6 +819,7 @@ fn render_json(
     nproc: usize,
     comparable: bool,
     cells: &[CellTiming],
+    proto_cells: &[ProtoTiming],
 ) -> String {
     let opt = |value: Option<f64>, digits: usize| {
         value.map_or_else(|| "null".to_string(), |v| format!("{v:.digits$}"))
@@ -690,7 +827,7 @@ fn render_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"perf_baseline\",\n");
-    out.push_str("  \"schema_version\": 4,\n");
+    out.push_str("  \"schema_version\": 5,\n");
     let _ = writeln!(out, "  \"smoke\": {},", opts.smoke);
     let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(out, "  \"seed\": {},", opts.seed);
@@ -741,6 +878,32 @@ fn render_json(
         }
         out.push('}');
         out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"proto_cells\": [\n");
+    for (i, c) in proto_cells.iter().enumerate() {
+        let _ = write!(
+            out,
+            "    {{\"scheduler\": \"{}\", \"nodes\": {PROTO_NODES}, \"jobs\": {}, \
+             \"wall_s\": {:.4}, \"messages\": {}, \"messages_per_sec\": {:.1}, \
+             \"ns_per_message\": {:.1}, \"fault_overhead\": {}, \
+             \"stale_timer_share\": {:.4}, \"floor_messages_per_sec\": {}, \"vs_floor\": {}}}",
+            c.name,
+            c.jobs,
+            c.wall_s,
+            c.messages,
+            c.messages_per_sec,
+            1e9 / c.messages_per_sec,
+            opt(c.fault_overhead, 3),
+            c.stale_timer_share,
+            opt(c.floor, 1),
+            opt(c.vs_floor(), 3)
+        );
+        out.push_str(if i + 1 < proto_cells.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     out.push_str("  ]\n}\n");
     out

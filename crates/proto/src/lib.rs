@@ -77,5 +77,5 @@ mod worker;
 pub use backend::ProtoBackend;
 pub use fault::{DelaySpike, FaultSpec, PartitionWindow, TimeoutSpec};
 pub use msg::{CentralMsg, DistMsg, WorkerMsg};
-pub use report::{ProtoJobResult, ProtoReport};
+pub use report::{Deliveries, MsgKind, ProtoJobResult, ProtoReport};
 pub use runtime::{run_prototype, ExecutionMode, ProtoConfig};

@@ -16,10 +16,14 @@
 //! single-threaded router and a virtual clock. Daemon code is identical
 //! under both.
 
+use std::sync::Arc;
+
 use hawk_cluster::{QueueEntry, TaskSpec};
 use hawk_simcore::{SimDuration, SimTime};
 use hawk_workload::scenario::NodeChange;
 use hawk_workload::{JobClass, JobId};
+
+use crate::report::MsgKind;
 
 /// Messages delivered to a worker (node monitor).
 #[derive(Debug, Clone, PartialEq)]
@@ -60,8 +64,10 @@ pub enum WorkerMsg {
         /// enqueued twice.
         nonce: u64,
         /// The stolen group (possibly empty = steal failed), in the
-        /// victim's queue order.
-        entries: Vec<QueueEntry>,
+        /// victim's queue order. Shared, not owned: a hardened victim
+        /// keeps the same allocation for its retransmits, and the
+        /// duplicate fault copies a pointer.
+        entries: Arc<[QueueEntry]>,
     },
     /// Hardened protocol: the thief acknowledges receipt of a non-empty
     /// steal grant, releasing the victim's pending-transfer buffer.
@@ -94,6 +100,25 @@ pub enum WorkerMsg {
     Node(NodeChange),
     /// Terminate the worker thread (threaded runtime only).
     Shutdown,
+}
+
+impl WorkerMsg {
+    /// This message's slot in the [`Deliveries`](crate::Deliveries) table.
+    pub fn kind(&self) -> MsgKind {
+        match self {
+            WorkerMsg::Probe { .. } => MsgKind::Probe,
+            WorkerMsg::Assign(_) => MsgKind::Assign,
+            WorkerMsg::BindReply { .. } => MsgKind::BindReply,
+            WorkerMsg::StealRequest { .. } => MsgKind::StealRequest,
+            WorkerMsg::StealReply { .. } => MsgKind::StealReply,
+            WorkerMsg::StealAck { .. } => MsgKind::StealAck,
+            WorkerMsg::BindTimeout { .. } => MsgKind::BindTimeout,
+            WorkerMsg::StealTimeout { .. } => MsgKind::StealTimeout,
+            WorkerMsg::StealRetransmit { .. } => MsgKind::StealRetransmit,
+            WorkerMsg::Node(_) => MsgKind::WorkerNode,
+            WorkerMsg::Shutdown => MsgKind::WorkerShutdown,
+        }
+    }
 }
 
 /// Messages delivered to a distributed scheduler.
@@ -161,6 +186,22 @@ pub enum DistMsg {
     Shutdown,
 }
 
+impl DistMsg {
+    /// This message's slot in the [`Deliveries`](crate::Deliveries) table.
+    pub fn kind(&self) -> MsgKind {
+        match self {
+            DistMsg::Submit { .. } => MsgKind::DistSubmit,
+            DistMsg::TaskRequest { .. } => MsgKind::TaskRequest,
+            DistMsg::TaskDone { .. } => MsgKind::DistTaskDone,
+            DistMsg::ReProbe { .. } => MsgKind::ReProbe,
+            DistMsg::Bounce { .. } => MsgKind::Bounce,
+            DistMsg::JobTimeout { .. } => MsgKind::DistJobTimeout,
+            DistMsg::Node(_) => MsgKind::DistNode,
+            DistMsg::Shutdown => MsgKind::DistShutdown,
+        }
+    }
+}
+
 /// Messages delivered to the centralized scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CentralMsg {
@@ -208,6 +249,20 @@ pub enum CentralMsg {
     Node(NodeChange),
     /// Terminate the scheduler thread (threaded runtime only).
     Shutdown,
+}
+
+impl CentralMsg {
+    /// This message's slot in the [`Deliveries`](crate::Deliveries) table.
+    pub fn kind(&self) -> MsgKind {
+        match self {
+            CentralMsg::Submit { .. } => MsgKind::CentralSubmit,
+            CentralMsg::TaskDone { .. } => MsgKind::CentralTaskDone,
+            CentralMsg::Relocate { .. } => MsgKind::Relocate,
+            CentralMsg::JobTimeout { .. } => MsgKind::CentralJobTimeout,
+            CentralMsg::Node(_) => MsgKind::CentralNode,
+            CentralMsg::Shutdown => MsgKind::CentralShutdown,
+        }
+    }
 }
 
 /// The transport + clock surface a daemon state machine runs against.
@@ -286,10 +341,10 @@ mod tests {
         let steal = WorkerMsg::StealReply {
             from: 3,
             nonce: 0,
-            entries: vec![QueueEntry::Probe {
+            entries: Arc::new([QueueEntry::Probe {
                 job: JobId(1),
                 class: JobClass::Short,
-            }],
+            }]),
         };
         match steal {
             WorkerMsg::StealReply { entries, .. } => assert!(entries[0].is_short()),

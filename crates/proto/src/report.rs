@@ -33,6 +33,100 @@ pub struct ProtoJobResult {
     pub runtime: Duration,
 }
 
+/// Declares [`MsgKind`], its table order and its labels from one list.
+macro_rules! msg_kinds {
+    ($($variant:ident => $name:literal,)*) => {
+        /// What a daemon was handed: one kind per
+        /// [`WorkerMsg`](crate::WorkerMsg), [`DistMsg`](crate::DistMsg) and
+        /// [`CentralMsg`](crate::CentralMsg) variant (a job submission is the
+        /// `Submit` of the daemon it is routed to), plus a worker's
+        /// task-finish alarm — which is a local timer, not a message, and the
+        /// only kind [`ProtoReport::messages`] does not count. Each variant is
+        /// documented by its `daemon.message` label.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum MsgKind {
+            $(#[doc = $name] $variant,)*
+        }
+
+        impl MsgKind {
+            /// Every kind, in table order.
+            pub const ALL: &'static [MsgKind] = &[$(MsgKind::$variant,)*];
+
+            /// A stable `daemon.message` label.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(MsgKind::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+msg_kinds! {
+    Probe => "worker.probe",
+    Assign => "worker.assign",
+    BindReply => "worker.bind_reply",
+    StealRequest => "worker.steal_request",
+    StealReply => "worker.steal_reply",
+    StealAck => "worker.steal_ack",
+    BindTimeout => "worker.bind_timeout",
+    StealTimeout => "worker.steal_timeout",
+    StealRetransmit => "worker.steal_retransmit",
+    WorkerNode => "worker.node",
+    WorkerShutdown => "worker.shutdown",
+    DistSubmit => "dist.submit",
+    TaskRequest => "dist.task_request",
+    DistTaskDone => "dist.task_done",
+    ReProbe => "dist.reprobe",
+    Bounce => "dist.bounce",
+    DistJobTimeout => "dist.job_timeout",
+    DistNode => "dist.node",
+    DistShutdown => "dist.shutdown",
+    CentralSubmit => "central.submit",
+    CentralTaskDone => "central.task_done",
+    Relocate => "central.relocate",
+    CentralJobTimeout => "central.job_timeout",
+    CentralNode => "central.node",
+    CentralShutdown => "central.shutdown",
+    TaskFinish => "worker.task_finish",
+}
+
+/// Deliveries by [`MsgKind`]: a fixed-size table each daemon bumps once
+/// per delivery (no allocation), summed into the report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Deliveries([u64; MsgKind::ALL.len()]);
+
+impl std::ops::Index<MsgKind> for Deliveries {
+    type Output = u64;
+
+    fn index(&self, kind: MsgKind) -> &u64 {
+        &self.0[kind as usize]
+    }
+}
+
+impl Deliveries {
+    pub(crate) fn record(&mut self, kind: MsgKind) {
+        self.0[kind as usize] += 1;
+    }
+
+    pub(crate) fn absorb(&mut self, other: &Deliveries) {
+        for (sum, x) in self.0.iter_mut().zip(other.0) {
+            *sum += x;
+        }
+    }
+
+    /// Every kind with its count, in table order.
+    pub fn iter(&self) -> impl Iterator<Item = (MsgKind, u64)> + '_ {
+        MsgKind::ALL.iter().map(|&kind| (kind, self[kind]))
+    }
+
+    /// Daemon messages delivered: every kind but the task-finish alarm —
+    /// by construction [`ProtoReport::messages`].
+    pub fn messages(&self) -> u64 {
+        self.0.iter().sum::<u64>() - self[MsgKind::TaskFinish]
+    }
+}
+
 /// Everything measured in one prototype run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtoReport {
@@ -75,6 +169,14 @@ pub struct ProtoReport {
     /// Tasks relaunched under a new attempt by the hardened job chains.
     /// Excluded from digests.
     pub relaunched: u64,
+    /// What each daemon was handed, by kind. Observability only, like the
+    /// fault counters: excluded from [`Self::into_metrics`] and every
+    /// digest.
+    pub deliveries: Deliveries,
+    /// Hardened timer deliveries that found nothing to do: the bind or
+    /// steal epoch had moved on, the grant was acked, or the job was
+    /// complete. Excluded from digests.
+    pub stale_timers: u64,
     /// Streaming per-class runtime quantiles folded from the bounded
     /// sinks both runtimes feed at job completion — the prototype's half
     /// of the serving-mode conformance check. Shed jobs are excluded,
@@ -229,6 +331,8 @@ mod tests {
             retries: 0,
             timeouts_fired: 0,
             relaunched: 0,
+            deliveries: Deliveries::default(),
+            stale_timers: 0,
             streaming: StreamingStats::default(),
             admission: AdmissionStats::default(),
         }
@@ -267,6 +371,8 @@ mod tests {
             retries: 0,
             timeouts_fired: 0,
             relaunched: 0,
+            deliveries: Deliveries::default(),
+            stale_timers: 0,
             streaming: StreamingStats::default(),
             admission: AdmissionStats::default(),
         };

@@ -51,7 +51,7 @@ use hawk_workload::{JobClass, JobId, Trace};
 
 use crate::fault::FaultSpec;
 use crate::msg::{CentralMsg, DistMsg, Net, WorkerMsg};
-use crate::report::{ProtoJobResult, ProtoReport};
+use crate::report::{Deliveries, ProtoJobResult, ProtoReport};
 use crate::scheduler::{CentralDaemon, DistScheduler, SchedStats};
 use crate::virt::run_virtual;
 use crate::worker::{Worker, WorkerStats};
@@ -156,7 +156,8 @@ pub(crate) struct FoldedStats {
     pub steal_attempts: u64,
     pub migrations: u64,
     pub abandons: u64,
-    pub messages: u64,
+    pub deliveries: Deliveries,
+    pub stale_timers: u64,
     pub retries: u64,
     pub timeouts_fired: u64,
     pub relaunched: u64,
@@ -170,14 +171,16 @@ pub(crate) fn fold_stats(
     for stats in workers {
         folded.steals += stats.steals;
         folded.steal_attempts += stats.steal_attempts;
-        folded.messages += stats.handled;
+        folded.deliveries.absorb(&stats.deliveries);
+        folded.stale_timers += stats.stale_timers;
         folded.retries += stats.retries;
         folded.timeouts_fired += stats.timeouts_fired;
     }
     for stats in scheds {
         folded.migrations += stats.migrations;
         folded.abandons += stats.abandons;
-        folded.messages += stats.handled;
+        folded.deliveries.absorb(&stats.deliveries);
+        folded.stale_timers += stats.stale_timers;
         folded.retries += stats.retries;
         folded.timeouts_fired += stats.timeouts_fired;
         folded.relaunched += stats.relaunched;
@@ -324,6 +327,7 @@ pub(crate) fn build_cluster(
         .map(|i| {
             DistScheduler::new(
                 i,
+                cfg.dist_schedulers,
                 Arc::clone(scheduler),
                 cfg.workers,
                 root.split(),
@@ -828,7 +832,7 @@ fn run_threaded(
         steal_attempts: totals.steal_attempts,
         migrations: totals.migrations,
         abandons: totals.abandons,
-        messages: totals.messages,
+        messages: totals.deliveries.messages(),
         // The threaded runtime rides the machine's real network (in-process
         // channels): there is no modelled topology to classify links.
         network: NetworkStats::default(),
@@ -839,6 +843,8 @@ fn run_threaded(
         retries: totals.retries,
         timeouts_fired: totals.timeouts_fired,
         relaunched: totals.relaunched,
+        deliveries: totals.deliveries,
+        stale_timers: totals.stale_timers,
         streaming,
         admission: plan.as_ref().map(|p| p.stats()).unwrap_or_default(),
     }

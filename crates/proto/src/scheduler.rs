@@ -33,8 +33,18 @@
 //! doubly-executed relaunches are harmless. Without a `TimeoutSpec` the
 //! daemons run the exact historical code path: no timers, no clock reads,
 //! no extra state.
+//!
+//! The chains fire far more often than they find work (a long job lives
+//! for hours of virtual time against a 240 s capped interval), so their
+//! bookkeeping is O(1) per message: the centralized daemon keeps, per
+//! job, a lower bound on the earliest instant any outstanding task can be
+//! overdue and does not scan before it (see `CentralJob::next_overdue`);
+//! a distributed scheduler keeps a first-unlaunched cursor and an
+//! unlaunched count per job. Both are pure accelerations — the full scans
+//! they replace survive as the `#[cfg(test)]` reference the differential
+//! tests run them against. Job state lives in dense tables indexed by the
+//! trace's dense [`JobId`]s.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use hawk_cluster::{Cluster, QueueEntry, ServerId, TaskSpec};
@@ -45,6 +55,7 @@ use hawk_workload::{JobClass, JobId};
 
 use crate::fault::TimeoutSpec;
 use crate::msg::{CentralMsg, DistMsg, Net, WorkerMsg};
+use crate::report::Deliveries;
 
 impl TimeoutSpec {
     /// How long a handed-out task may stay unconfirmed before the per-job
@@ -87,6 +98,40 @@ struct HardJob {
     state: Vec<TaskState>,
     attempts: Vec<u32>,
     interval: SimDuration,
+    /// No task below this index is [`TaskState::Unlaunched`]: where
+    /// `bind` starts looking. A relaunch lowers it; nothing else does.
+    first_unlaunched: usize,
+    /// How many tasks are [`TaskState::Unlaunched`].
+    unlaunched: usize,
+}
+
+impl HardJob {
+    /// The lowest-indexed task no worker holds. `full_scan` is the
+    /// test-only reference: search from the start instead of trusting the
+    /// cursor and the count.
+    fn lowest_unlaunched(&self, full_scan: bool) -> Option<usize> {
+        let from = if full_scan {
+            0
+        } else if self.unlaunched == 0 {
+            return None;
+        } else {
+            self.first_unlaunched
+        };
+        self.state[from..]
+            .iter()
+            .position(|s| *s == TaskState::Unlaunched)
+            .map(|i| from + i)
+    }
+
+    /// True while some task is held by no worker (see
+    /// [`Self::lowest_unlaunched`] for `full_scan`).
+    fn has_unlaunched(&self, full_scan: bool) -> bool {
+        if full_scan {
+            self.state.contains(&TaskState::Unlaunched)
+        } else {
+            self.unlaunched > 0
+        }
+    }
 }
 
 /// Per-job late-binding state held by a distributed scheduler.
@@ -103,9 +148,9 @@ struct DistJob {
 impl DistJob {
     /// True while the job still has a task no worker holds — the
     /// condition under which a displaced probe is worth replacing.
-    fn has_unlaunched(&self) -> bool {
+    fn has_unlaunched(&self, full_scan: bool) -> bool {
         match &self.hard {
-            Some(hard) => hard.state.contains(&TaskState::Unlaunched),
+            Some(hard) => hard.has_unlaunched(full_scan),
             None => self.next_task < self.tasks.len(),
         }
     }
@@ -117,7 +162,10 @@ impl DistJob {
 pub(crate) struct SchedStats {
     pub migrations: u64,
     pub abandons: u64,
-    pub handled: u64,
+    /// Messages handled, by kind.
+    pub deliveries: Deliveries,
+    /// Hardened protocol: chain fires for a job already complete.
+    pub stale_timers: u64,
     /// Hardened protocol: timer-driven fresh probes sent.
     pub retries: u64,
     /// Hardened protocol: chain fires that found overdue handed-out work.
@@ -134,17 +182,27 @@ pub(crate) struct DistScheduler {
     scheduler: Arc<dyn Scheduler>,
     /// Membership-only mirror of the cluster (see module docs).
     shadow: Cluster,
-    jobs: HashMap<JobId, DistJob>,
+    /// Job `j`'s state, at `j / stride`: jobs are dealt to the
+    /// distributed schedulers round-robin by id, so this scheduler's jobs
+    /// are `stride` apart and the table is dense.
+    jobs: Vec<Option<DistJob>>,
+    /// The number of distributed schedulers.
+    stride: usize,
     rng: SimRng,
     timeouts: Option<TimeoutSpec>,
     probe_buf: Vec<ServerId>,
     drain_scratch: Vec<QueueEntry>,
     pub(crate) stats: SchedStats,
+    /// Answer every bookkeeping question by the full scan the cursor and
+    /// the count replaced — the differential tests' reference.
+    #[cfg(test)]
+    full_scan: bool,
 }
 
 impl DistScheduler {
     pub(crate) fn new(
         index: usize,
+        stride: usize,
         scheduler: Arc<dyn Scheduler>,
         workers: usize,
         rng: SimRng,
@@ -155,13 +213,27 @@ impl DistScheduler {
             index,
             scheduler,
             shadow,
-            jobs: HashMap::new(),
+            jobs: Vec::new(),
+            stride,
             rng,
             timeouts,
             probe_buf: Vec::new(),
             drain_scratch: Vec::new(),
             stats: SchedStats::default(),
+            #[cfg(test)]
+            full_scan: false,
         }
+    }
+
+    fn full_scan(&self) -> bool {
+        #[cfg(test)]
+        return self.full_scan;
+        #[cfg(not(test))]
+        false
+    }
+
+    fn job_mut(&mut self, job: JobId) -> Option<&mut DistJob> {
+        self.jobs.get_mut(job.index() / self.stride)?.as_mut()
     }
 
     /// The contiguous id range of `scope` on the shadow partition.
@@ -205,7 +277,7 @@ impl DistScheduler {
 
     /// Handles one message; returns `true` on shutdown.
     pub(crate) fn handle(&mut self, msg: DistMsg, net: &mut impl Net) -> bool {
-        self.stats.handled += 1;
+        self.stats.deliveries.record(msg.kind());
         match msg {
             DistMsg::Submit {
                 job,
@@ -255,18 +327,21 @@ impl DistScheduler {
             state: vec![TaskState::Unlaunched; t],
             attempts: vec![0; t],
             interval: to.probe,
+            first_unlaunched: 0,
+            unlaunched: t,
         });
-        self.jobs.insert(
-            job,
-            DistJob {
-                tasks,
-                estimate,
-                class,
-                next_task: 0,
-                remaining: t,
-                hard,
-            },
-        );
+        let slot = job.index() / self.stride;
+        if slot >= self.jobs.len() {
+            self.jobs.resize_with(slot + 1, || None);
+        }
+        self.jobs[slot] = Some(DistJob {
+            tasks,
+            estimate,
+            class,
+            next_task: 0,
+            remaining: t,
+            hard,
+        });
         // Probe placement is the policy's own hook — the same call the
         // simulation driver makes on a job arrival.
         let (start, len) = self.probe_scope(class);
@@ -291,7 +366,8 @@ impl DistScheduler {
     }
 
     fn bind(&mut self, job: JobId, worker: usize, net: &mut impl Net) {
-        let reply = match self.jobs.get_mut(&job) {
+        let full_scan = self.full_scan();
+        let reply = match self.job_mut(job) {
             Some(state) if state.remaining > 0 => {
                 let (estimate, class) = (state.estimate, state.class);
                 match &mut state.hard {
@@ -310,22 +386,19 @@ impl DistScheduler {
                     // Hardened: hand out the first task no worker holds —
                     // relaunched tasks re-enter here under a bumped
                     // attempt.
-                    Some(hard) => {
-                        match hard.state.iter().position(|s| *s == TaskState::Unlaunched) {
-                            Some(idx) => {
-                                hard.state[idx] = TaskState::Outstanding { since: net.now() };
-                                Some(TaskSpec {
-                                    job,
-                                    duration: state.tasks[idx],
-                                    estimate,
-                                    class,
-                                    task: idx as u32,
-                                    attempt: hard.attempts[idx],
-                                })
-                            }
-                            None => None,
+                    Some(hard) => hard.lowest_unlaunched(full_scan).map(|idx| {
+                        hard.state[idx] = TaskState::Outstanding { since: net.now() };
+                        hard.first_unlaunched = idx + 1;
+                        hard.unlaunched -= 1;
+                        TaskSpec {
+                            job,
+                            duration: state.tasks[idx],
+                            estimate,
+                            class,
+                            task: idx as u32,
+                            attempt: hard.attempts[idx],
                         }
-                    }
+                    }),
                     // All tasks given out: cancel (§3.5).
                     None => None,
                 }
@@ -337,13 +410,18 @@ impl DistScheduler {
     }
 
     fn complete(&mut self, job: JobId, task: u32, net: &mut impl Net) {
-        let state = self.jobs.get_mut(&job).expect("completion for known job");
+        let state = self.job_mut(job).expect("completion for known job");
         if let Some(hard) = &mut state.hard {
             // Idempotent completion: dedup by task index, first report
             // wins — network dups and doubly-executed relaunches fall
             // through silently.
             if state.remaining == 0 || hard.state[task as usize] == TaskState::Done {
                 return;
+            }
+            // A relaunch-pending task can still be finished by the attempt
+            // that was presumed lost.
+            if hard.state[task as usize] == TaskState::Unlaunched {
+                hard.unlaunched -= 1;
             }
             hard.state[task as usize] = TaskState::Done;
             state.remaining -= 1;
@@ -366,7 +444,10 @@ impl DistScheduler {
     /// otherwise — a bind would only have produced a cancel. Mirrors the
     /// driver's `relocate`.
     fn reprobe(&mut self, job: JobId, class: JobClass, net: &mut impl Net) {
-        let alive = self.jobs.get(&job).is_some_and(DistJob::has_unlaunched);
+        let full_scan = self.full_scan();
+        let alive = self
+            .job_mut(job)
+            .is_some_and(|state| state.has_unlaunched(full_scan));
         if !alive {
             self.stats.abandons += 1;
             return;
@@ -381,12 +462,11 @@ impl DistScheduler {
     fn on_job_timeout(&mut self, job: JobId, net: &mut impl Net) {
         let Some(to) = self.timeouts else { return };
         let now = net.now();
-        let Some(state) = self.jobs.get_mut(&job) else {
+        let full_scan = self.full_scan();
+        let Some(state) = self.job_mut(job).filter(|state| state.remaining > 0) else {
+            self.stats.stale_timers += 1;
             return;
         };
-        if state.remaining == 0 {
-            return;
-        }
         let hard = state.hard.as_mut().expect("hardened job state");
         let mut relaunched = 0u64;
         for (i, s) in hard.state.iter_mut().enumerate() {
@@ -396,13 +476,15 @@ impl DistScheduler {
                     // completion report): back in play, next attempt.
                     *s = TaskState::Unlaunched;
                     hard.attempts[i] += 1;
+                    hard.first_unlaunched = hard.first_unlaunched.min(i);
+                    hard.unlaunched += 1;
                     relaunched += 1;
                 }
             }
         }
         let interval = hard.interval;
         hard.interval = to.next_interval(interval);
-        let unlaunched = hard.state.contains(&TaskState::Unlaunched);
+        let unlaunched = hard.has_unlaunched(full_scan);
         let class = state.class;
         self.stats.relaunched += relaunched;
         if relaunched > 0 {
@@ -452,6 +534,28 @@ enum CentralTask {
     Done,
 }
 
+impl CentralTask {
+    /// The instant the chain presumes this task lost: it legitimately
+    /// queues for `expected` before it can start, so the loss deadline
+    /// counts from there. `None` once done.
+    fn overdue_at(&self, duration: SimDuration, to: &TimeoutSpec) -> Option<SimTime> {
+        match *self {
+            CentralTask::Outstanding {
+                since,
+                attempt,
+                expected,
+                ..
+            } => Some(SimTime::from_micros(
+                since
+                    .as_micros()
+                    .saturating_add(expected.as_micros())
+                    .saturating_add(to.launch_deadline(duration, attempt).as_micros()),
+            )),
+            CentralTask::Done => None,
+        }
+    }
+}
+
 /// Per-job state at the centralized daemon. Fault-free runs use only
 /// `remaining`; the rest powers the hardened relaunch chain.
 struct CentralJob {
@@ -462,32 +566,66 @@ struct CentralJob {
     /// Empty unless hardened.
     state: Vec<CentralTask>,
     interval: SimDuration,
+    /// The chain bound: no outstanding task's [`CentralTask::overdue_at`]
+    /// is earlier than this, so a chain fire before it has nothing to
+    /// relaunch and does not scan. Every scan recomputes it; a relocation
+    /// or relaunch lowers it to the deadline it installs when that is
+    /// younger; a completion never raises it (a bound left too low costs
+    /// one scan, a bound too high would lose a task).
+    next_overdue: SimTime,
+}
+
+impl CentralJob {
+    /// The outstanding task the chain would presume lost first — the most
+    /// overdue once its deadline has passed — with that deadline; the
+    /// lowest index on ties.
+    fn earliest_deadline(&self, to: &TimeoutSpec) -> Option<(SimTime, usize)> {
+        let deadline = |(i, task): (usize, &CentralTask)| {
+            task.overdue_at(self.durations[i], to).map(|at| (at, i))
+        };
+        self.state.iter().enumerate().filter_map(deadline).min()
+    }
 }
 
 /// The centralized scheduler daemon: the shared §3.7 waiting-time
 /// algorithm ([`hawk_core::CentralScheduler`]) behind a mailbox.
 pub(crate) struct CentralDaemon {
     inner: CentralScheduler,
-    jobs: HashMap<JobId, CentralJob>,
+    /// Job state by [`JobId`]. Only centrally-routed jobs have an entry,
+    /// so the table holds a pointer per trace job and a box per entry.
+    jobs: Vec<Option<Box<CentralJob>>>,
     timeouts: Option<TimeoutSpec>,
     place_buf: Vec<ServerId>,
     pub(crate) stats: SchedStats,
+    /// Scan on every chain fire, whatever the bound says — the
+    /// differential tests' reference.
+    #[cfg(test)]
+    full_scan: bool,
 }
 
 impl CentralDaemon {
     pub(crate) fn new(scope: usize, timeouts: Option<TimeoutSpec>) -> Self {
         CentralDaemon {
             inner: CentralScheduler::new(scope),
-            jobs: HashMap::new(),
+            jobs: Vec::new(),
             timeouts,
             place_buf: Vec::new(),
             stats: SchedStats::default(),
+            #[cfg(test)]
+            full_scan: false,
         }
+    }
+
+    fn full_scan(&self) -> bool {
+        #[cfg(test)]
+        return self.full_scan;
+        #[cfg(not(test))]
+        false
     }
 
     /// Handles one message; returns `true` on shutdown.
     pub(crate) fn handle(&mut self, msg: CentralMsg, net: &mut impl Net) -> bool {
-        self.stats.handled += 1;
+        self.stats.deliveries.record(msg.kind());
         match msg {
             CentralMsg::Submit {
                 job,
@@ -563,17 +701,19 @@ impl CentralDaemon {
             .timeouts
             .map(|to| to.probe)
             .unwrap_or(SimDuration::ZERO);
-        self.jobs.insert(
-            job,
-            CentralJob {
-                remaining: t,
-                estimate,
-                class,
-                durations: tasks,
-                state,
-                interval,
-            },
-        );
+        if job.index() >= self.jobs.len() {
+            self.jobs.resize_with(job.index() + 1, || None);
+        }
+        self.jobs[job.index()] = Some(Box::new(CentralJob {
+            remaining: t,
+            estimate,
+            class,
+            durations: tasks,
+            state,
+            interval,
+            // Deliberately low: the first chain fire scans and sets it.
+            next_overdue: SimTime::ZERO,
+        }));
         if let Some(to) = self.timeouts {
             net.self_timer_central(to.probe, CentralMsg::JobTimeout { job });
         }
@@ -592,7 +732,9 @@ impl CentralDaemon {
             // released from the *currently charged* worker (a relaunch
             // may have moved it off the reporting one), so the §3.7
             // bookkeeping never leaks.
-            let state = self.jobs.get_mut(&job).expect("completion for known job");
+            let state = self.jobs[job.index()]
+                .as_mut()
+                .expect("completion for known job");
             let charged = match state.state[task as usize] {
                 CentralTask::Done => return,
                 CentralTask::Outstanding { worker, .. } => worker,
@@ -610,19 +752,20 @@ impl CentralDaemon {
         }
         self.inner
             .on_task_complete(ServerId(worker as u32), estimate);
-        let state = self.jobs.get_mut(&job).expect("completion for known job");
+        let slot = &mut self.jobs[job.index()];
+        let state = slot.as_mut().expect("completion for known job");
         state.remaining -= 1;
         if state.remaining == 0 {
-            self.jobs.remove(&job);
+            *slot = None;
             net.job_done(job);
         }
     }
 
     fn relocate(&mut self, from: usize, spec: TaskSpec, net: &mut impl Net) {
-        if self.timeouts.is_some() {
+        if let Some(to) = self.timeouts {
             // A stale relocation (the chain already relaunched this task,
             // or it completed) must not double-place it.
-            let Some(state) = self.jobs.get_mut(&spec.job) else {
+            let Some(state) = self.jobs.get_mut(spec.job.index()).and_then(Option::as_mut) else {
                 return;
             };
             match state.state[spec.task as usize] {
@@ -633,12 +776,20 @@ impl CentralDaemon {
                     self.inner
                         .reassign(ServerId(from as u32), target, spec.estimate);
                     self.stats.migrations += 1;
-                    state.state[spec.task as usize] = CentralTask::Outstanding {
+                    let moved = CentralTask::Outstanding {
                         worker: target.index(),
                         since: net.now(),
                         attempt: spec.attempt,
                         expected: self.inner.estimated_wait(target),
                     };
+                    // The move restarts the task's clock on a server with
+                    // a different backlog: its deadline can now fall
+                    // before everything the bound was computed from.
+                    let at = moved
+                        .overdue_at(state.durations[spec.task as usize], &to)
+                        .expect("outstanding tasks have a deadline");
+                    state.next_overdue = state.next_overdue.min(at);
+                    state.state[spec.task as usize] = moved;
                     net.send_worker(target.index(), WorkerMsg::Assign(spec));
                 }
                 _ => {}
@@ -657,61 +808,59 @@ impl CentralDaemon {
     /// The per-job chain fires: relaunch at most one overdue task — the
     /// most overdue, rate-limiting duplication since a relaunch of a
     /// merely-slow task wastes a slot — and re-arm with backoff until the
-    /// job completes.
+    /// job completes. Before the job's chain bound no task can be overdue
+    /// and the fire only re-arms.
     fn on_job_timeout(&mut self, job: JobId, net: &mut impl Net) {
         let Some(to) = self.timeouts else { return };
         let now = net.now();
-        let Some(state) = self.jobs.get_mut(&job) else {
+        let full_scan = self.full_scan();
+        let Some(state) = self
+            .jobs
+            .get_mut(job.index())
+            .and_then(Option::as_mut)
+            .filter(|state| state.remaining > 0)
+        else {
+            self.stats.stale_timers += 1;
             return;
         };
-        if state.remaining == 0 {
-            return;
-        }
-        let mut pick: Option<(usize, usize, u32, SimDuration)> = None;
-        for (i, s) in state.state.iter().enumerate() {
-            if let CentralTask::Outstanding {
-                worker,
-                since,
-                attempt,
-                expected,
-            } = *s
-            {
-                // The task legitimately queues for `expected` before it
-                // can start: the loss deadline counts from there.
-                let deadline = expected + to.launch_deadline(state.durations[i], attempt);
-                let age = now - since;
-                if age >= deadline {
-                    let overdue = age - deadline;
-                    if pick.is_none_or(|(.., worst)| overdue > worst) {
-                        pick = Some((i, worker, attempt, overdue));
-                    }
-                }
-            }
-        }
-        if let Some((i, old_worker, attempt, _)) = pick {
-            let target = self.inner.least_loaded();
-            self.inner
-                .reassign(ServerId(old_worker as u32), target, state.estimate);
-            let attempt = attempt + 1;
-            state.state[i] = CentralTask::Outstanding {
-                worker: target.index(),
-                since: now,
-                attempt,
-                expected: self.inner.estimated_wait(target),
-            };
-            self.stats.relaunched += 1;
-            self.stats.timeouts_fired += 1;
-            net.send_worker(
-                target.index(),
-                WorkerMsg::Assign(TaskSpec {
-                    job,
-                    duration: state.durations[i],
-                    estimate: state.estimate,
-                    class: state.class,
-                    task: i as u32,
+        if full_scan || now >= state.next_overdue {
+            let mut earliest = state.earliest_deadline(&to);
+            if let Some((_, i)) = earliest.filter(|&(at, _)| at <= now) {
+                let CentralTask::Outstanding {
+                    worker: old_worker,
                     attempt,
-                }),
-            );
+                    ..
+                } = state.state[i]
+                else {
+                    unreachable!("only outstanding tasks have a deadline");
+                };
+                let target = self.inner.least_loaded();
+                self.inner
+                    .reassign(ServerId(old_worker as u32), target, state.estimate);
+                let attempt = attempt + 1;
+                state.state[i] = CentralTask::Outstanding {
+                    worker: target.index(),
+                    since: now,
+                    attempt,
+                    expected: self.inner.estimated_wait(target),
+                };
+                self.stats.relaunched += 1;
+                self.stats.timeouts_fired += 1;
+                net.send_worker(
+                    target.index(),
+                    WorkerMsg::Assign(TaskSpec {
+                        job,
+                        duration: state.durations[i],
+                        estimate: state.estimate,
+                        class: state.class,
+                        task: i as u32,
+                        attempt,
+                    }),
+                );
+                // The relaunch installed a deadline of its own.
+                earliest = state.earliest_deadline(&to);
+            }
+            state.next_overdue = earliest.map_or(SimTime::MAX, |(at, _)| at);
         }
         let interval = state.interval;
         state.interval = to.next_interval(interval);
@@ -757,7 +906,7 @@ mod tests {
     }
 
     fn dist(scheduler: Arc<dyn Scheduler>, workers: usize, seed: u64) -> DistScheduler {
-        DistScheduler::new(0, scheduler, workers, SimRng::seed_from_u64(seed), None)
+        DistScheduler::new(0, 1, scheduler, workers, SimRng::seed_from_u64(seed), None)
     }
 
     fn submit(job: u32, tasks: usize, secs: u64, class: JobClass) -> DistMsg {
@@ -991,6 +1140,7 @@ mod tests {
     fn hardened_submit_arms_the_job_chain_and_dedups_completions() {
         let mut sched = DistScheduler::new(
             3,
+            1,
             Arc::new(Sparrow::new()),
             8,
             SimRng::seed_from_u64(7),
@@ -1050,6 +1200,7 @@ mod tests {
     fn hardened_chain_relaunches_overdue_tasks_under_a_new_attempt() {
         let mut sched = DistScheduler::new(
             0,
+            1,
             Arc::new(Sparrow::new()),
             8,
             SimRng::seed_from_u64(11),
@@ -1179,5 +1330,349 @@ mod tests {
             net.worker_msgs.is_empty(),
             "stale relocate re-placed a task"
         );
+    }
+
+    // --- O(1) bookkeeping: chain bound, cursor, count ---
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    fn central_submit(job: u32, task_secs: &[u64], estimate_secs: u64) -> CentralMsg {
+        CentralMsg::Submit {
+            job: JobId(job),
+            tasks: task_secs
+                .iter()
+                .map(|&s| SimDuration::from_secs(s))
+                .collect(),
+            estimate: SimDuration::from_secs(estimate_secs),
+            class: JobClass::Long,
+        }
+    }
+
+    /// The last `Assign` of `(job, task)`: where the daemon believes the
+    /// task is, and the spec a relocation would carry back.
+    fn last_assign(net: &RecordingNet, job: u32, task: u32) -> (usize, TaskSpec) {
+        net.worker_msgs
+            .iter()
+            .rev()
+            .find_map(|(to, msg)| match msg {
+                WorkerMsg::Assign(spec) if spec.job == JobId(job) && spec.task == task => {
+                    Some((*to, *spec))
+                }
+                _ => None,
+            })
+            .expect("task was assigned")
+    }
+
+    fn bound(daemon: &CentralDaemon, job: u32) -> SimTime {
+        daemon.jobs[job as usize]
+            .as_ref()
+            .expect("known job")
+            .next_overdue
+    }
+
+    #[test]
+    fn chain_bound_follows_a_task_to_a_younger_deadline() {
+        // Two workers, each hours deep in long work; a 5 s task queues
+        // behind one of them, so its loss deadline — and with it the
+        // job's chain bound — sits hours ahead.
+        let mut daemon = CentralDaemon::new(2, Some(hardened_spec()));
+        let mut net = RecordingNet::default();
+        daemon.handle(central_submit(1, &[10_000], 10_000), &mut net);
+        daemon.handle(central_submit(2, &[10_000], 10_000), &mut net);
+        daemon.handle(central_submit(3, &[5], 5), &mut net);
+        let (queued_on, spec) = last_assign(&net, 3, 0);
+        net.now = secs(10);
+        daemon.handle(CentralMsg::JobTimeout { job: JobId(3) }, &mut net);
+        // Expected wait 10,005 s, then 4 x 5 s + the 10 s chain base.
+        assert_eq!(bound(&daemon, 3), secs(10_035));
+
+        // The other worker drains and the task is relocated onto it: the
+        // task can now be overdue within the minute, hours before the
+        // bound. The relocation must pull the bound down with it.
+        net.now = secs(20);
+        let (other, _) = last_assign(&net, if queued_on == 0 { 2 } else { 1 }, 0);
+        assert_ne!(other, queued_on);
+        let drained = if queued_on == 0 { 2 } else { 1 };
+        daemon.handle(
+            CentralMsg::TaskDone {
+                job: JobId(drained),
+                worker: other,
+                estimate: SimDuration::from_secs(10_000),
+                task: 0,
+            },
+            &mut net,
+        );
+        daemon.handle(
+            CentralMsg::Relocate {
+                from: queued_on,
+                spec,
+            },
+            &mut net,
+        );
+        assert_eq!(last_assign(&net, 3, 0).0, other);
+        // Moved at 20 s onto a 5 s backlog (its own charge): 20 + 5 + 30.
+        assert_eq!(bound(&daemon, 3), secs(55));
+
+        // One second early the chain has nothing to do; at the deadline
+        // it relaunches the task — the fire a bound left hours ahead
+        // would have skipped.
+        net.now = secs(54);
+        daemon.handle(CentralMsg::JobTimeout { job: JobId(3) }, &mut net);
+        assert_eq!(daemon.stats.relaunched, 0);
+        net.now = secs(55);
+        daemon.handle(CentralMsg::JobTimeout { job: JobId(3) }, &mut net);
+        assert_eq!(daemon.stats.relaunched, 1);
+        assert_eq!(last_assign(&net, 3, 0).1.attempt, 1);
+
+        // The relaunch installs a deadline of its own (doubled under
+        // attempt 1) and the bound is that deadline, not the rest of the
+        // job's — there is no rest here, which would mean "never".
+        let again = bound(&daemon, 3);
+        assert!(again > secs(55) && again < secs(200), "bound {again}");
+        net.now = again;
+        daemon.handle(CentralMsg::JobTimeout { job: JobId(3) }, &mut net);
+        assert_eq!(daemon.stats.relaunched, 2);
+        assert_eq!(last_assign(&net, 3, 0).1.attempt, 2);
+    }
+
+    #[test]
+    fn completions_only_ever_leave_the_chain_bound_too_low() {
+        // A 5 s and a 10,000 s task, each on an idle worker, charged the
+        // job-level 5,000 s estimate.
+        let mut daemon = CentralDaemon::new(2, Some(hardened_spec()));
+        let mut net = RecordingNet::default();
+        daemon.handle(central_submit(1, &[5, 10_000], 5_000), &mut net);
+        net.now = secs(10);
+        daemon.handle(CentralMsg::JobTimeout { job: JobId(1) }, &mut net);
+        // The short task's deadline: 5,000 s expected wait + 30 s.
+        assert_eq!(bound(&daemon, 1), secs(5_030));
+
+        // The short task completes. The bound now undershoots — the long
+        // task cannot be overdue before 45,010 s — and is left alone.
+        net.now = secs(100);
+        daemon.handle(
+            CentralMsg::TaskDone {
+                job: JobId(1),
+                worker: last_assign(&net, 1, 0).0,
+                estimate: SimDuration::from_secs(5_000),
+                task: 0,
+            },
+            &mut net,
+        );
+        assert_eq!(bound(&daemon, 1), secs(5_030));
+
+        // The fire that reaches the stale bound pays one scan, finds
+        // nothing, and moves the bound up to what is still outstanding.
+        net.now = secs(5_030);
+        daemon.handle(CentralMsg::JobTimeout { job: JobId(1) }, &mut net);
+        assert_eq!(daemon.stats.relaunched, 0);
+        assert_eq!(bound(&daemon, 1), secs(5_000 + 4 * 10_000 + 10));
+    }
+
+    #[test]
+    fn bind_hands_out_the_lowest_unlaunched_task_after_a_relaunch() {
+        let mut sched = DistScheduler::new(
+            0,
+            1,
+            Arc::new(Sparrow::new()),
+            8,
+            SimRng::seed_from_u64(5),
+            Some(hardened_spec()),
+        );
+        let mut net = RecordingNet::default();
+        sched.handle(
+            DistMsg::Submit {
+                job: JobId(1),
+                tasks: [1, 100, 1].map(SimDuration::from_secs).to_vec(),
+                estimate: SimDuration::from_secs(34),
+                class: JobClass::Short,
+            },
+            &mut net,
+        );
+        let bind = |sched: &mut DistScheduler, net: &mut RecordingNet| {
+            net.worker_msgs.clear();
+            sched.handle(
+                DistMsg::TaskRequest {
+                    job: JobId(1),
+                    worker: 3,
+                },
+                net,
+            );
+            match &net.worker_msgs[0].1 {
+                WorkerMsg::BindReply { task, .. } => task.map(|spec| (spec.task, spec.attempt)),
+                other => panic!("expected a bind reply, got {other:?}"),
+            }
+        };
+        // Tasks 0 and 1 go out; the cursor stands at task 2.
+        assert_eq!(bind(&mut sched, &mut net), Some((0, 0)));
+        assert_eq!(bind(&mut sched, &mut net), Some((1, 0)));
+        // 15 s on, task 0 (4 x 1 s + 10 s) is overdue and task 1 is not:
+        // the chain puts task 0 back in play, behind the cursor.
+        net.now = secs(15);
+        sched.handle(DistMsg::JobTimeout { job: JobId(1) }, &mut net);
+        assert_eq!(sched.stats.relaunched, 1);
+        // The next bind must go back for it, then carry on to task 2,
+        // then find nothing.
+        assert_eq!(bind(&mut sched, &mut net), Some((0, 1)));
+        assert_eq!(bind(&mut sched, &mut net), Some((2, 0)));
+        assert_eq!(bind(&mut sched, &mut net), None);
+    }
+
+    /// Durations an op can pick a task from: seconds to hours, so that
+    /// deadlines of one job's tasks are orders of magnitude apart.
+    const TASK_SECS: [u64; 4] = [1, 5, 100, 10_000];
+
+    /// Clock steps an op can take: none, under and over every timeout
+    /// base, and hours.
+    const STEP_SECS: [u64; 6] = [0, 1, 9, 40, 700, 45_000];
+
+    proptest::proptest! {
+        /// The chain bound against the scan it skips: a hardened
+        /// centralized daemon and its full-scan twin, fed one random
+        /// sequence of submissions, completions (duplicates and all),
+        /// relocations (current and stale) and chain fires on a clock
+        /// that only moves forward, must emit the same messages and
+        /// timers and count the same relaunches.
+        #[test]
+        fn central_chain_bound_matches_the_full_scan(
+            script in proptest::collection::vec((0u8..9, 0usize..64, 0usize..6), 1..120),
+        ) {
+            let mut fast = CentralDaemon::new(3, Some(hardened_spec()));
+            let mut reference = CentralDaemon::new(3, Some(hardened_spec()));
+            reference.full_scan = true;
+            let mut fast_net = RecordingNet::default();
+            let mut reference_net = RecordingNet::default();
+            // Tasks per submitted job, by job id.
+            let mut jobs: Vec<usize> = Vec::new();
+            for (op, pick, step) in script {
+                let now = fast_net.now + SimDuration::from_secs(STEP_SECS[step]);
+                fast_net.now = now;
+                reference_net.now = now;
+                let msg = match op {
+                    0 | 1 => {
+                        let tasks: Vec<u64> = (0..1 + pick % 4)
+                            .map(|i| TASK_SECS[(pick / 4 + i) % 4])
+                            .collect();
+                        jobs.push(tasks.len());
+                        central_submit(jobs.len() as u32 - 1, &tasks, tasks[0])
+                    }
+                    _ if jobs.is_empty() => continue,
+                    2 | 3 => {
+                        let job = pick % jobs.len();
+                        let task = (pick / jobs.len()) % jobs[job];
+                        let (worker, spec) = last_assign(&fast_net, job as u32, task as u32);
+                        CentralMsg::TaskDone {
+                            job: JobId(job as u32),
+                            worker,
+                            estimate: spec.estimate,
+                            task: task as u32,
+                        }
+                    }
+                    4 => {
+                        let job = pick % jobs.len();
+                        let task = (pick / jobs.len()) % jobs[job];
+                        let (from, mut spec) = last_assign(&fast_net, job as u32, task as u32);
+                        // Every other relocation is for a superseded attempt.
+                        spec.attempt = spec.attempt.saturating_sub((pick % 2) as u32);
+                        CentralMsg::Relocate { from, spec }
+                    }
+                    _ => {
+                        // A chain fire: wherever the clock stands, or —
+                        // where a wrong bound shows — on the job's bound
+                        // and one tick short of it.
+                        let job = pick % jobs.len();
+                        let at = fast.jobs[job].as_ref().expect("submitted").next_overdue;
+                        let at = match op {
+                            5 | 6 => now,
+                            7 => at,
+                            _ => SimTime::from_micros(at.as_micros().saturating_sub(1)),
+                        };
+                        if at != SimTime::MAX {
+                            fast_net.now = now.max(at);
+                            reference_net.now = now.max(at);
+                        }
+                        CentralMsg::JobTimeout {
+                            job: JobId(job as u32),
+                        }
+                    }
+                };
+                fast.handle(msg.clone(), &mut fast_net);
+                reference.handle(msg, &mut reference_net);
+                proptest::prop_assert_eq!(&fast_net.worker_msgs, &reference_net.worker_msgs);
+            }
+            proptest::prop_assert_eq!(fast_net.central_timers, reference_net.central_timers);
+            proptest::prop_assert_eq!(fast_net.done, reference_net.done);
+            let (a, b) = (fast.stats, reference.stats);
+            proptest::prop_assert_eq!(
+                (a.relaunched, a.timeouts_fired, a.migrations, a.stale_timers),
+                (b.relaunched, b.timeouts_fired, b.migrations, b.stale_timers)
+            );
+        }
+
+        /// The first-unlaunched cursor and the unlaunched count against
+        /// the `position` / `contains` scans they replaced, the same way:
+        /// one random sequence of submissions, binds, completions (of
+        /// launched, relaunch-pending and never-launched tasks alike),
+        /// displaced probes and chain fires through a hardened
+        /// distributed scheduler and its full-scan twin.
+        #[test]
+        fn dist_cursor_and_count_match_the_full_scan(
+            script in proptest::collection::vec((0u8..10, 0usize..64, 0usize..6), 1..160),
+        ) {
+            let build = || DistScheduler::new(
+                0,
+                1,
+                Arc::new(Sparrow::new()),
+                16,
+                SimRng::seed_from_u64(23),
+                Some(hardened_spec()),
+            );
+            let mut fast = build();
+            let mut reference = build();
+            reference.full_scan = true;
+            let mut fast_net = RecordingNet::default();
+            let mut reference_net = RecordingNet::default();
+            let mut jobs: Vec<usize> = Vec::new();
+            for (op, pick, step) in script {
+                let now = fast_net.now + SimDuration::from_secs(STEP_SECS[step]);
+                fast_net.now = now;
+                reference_net.now = now;
+                let job = JobId((pick % jobs.len().max(1)) as u32);
+                let msg = match op {
+                    0 | 1 => {
+                        let tasks: Vec<SimDuration> = (0..1 + pick % 5)
+                            .map(|i| SimDuration::from_secs(TASK_SECS[(pick / 5 + i) % 3]))
+                            .collect();
+                        jobs.push(tasks.len());
+                        DistMsg::Submit {
+                            job: JobId(jobs.len() as u32 - 1),
+                            estimate: tasks[0],
+                            tasks,
+                            class: JobClass::Short,
+                        }
+                    }
+                    _ if jobs.is_empty() => continue,
+                    2..=4 => DistMsg::TaskRequest { job, worker: pick % 16 },
+                    5 | 6 => DistMsg::TaskDone {
+                        job,
+                        task: ((pick / jobs.len()) % jobs[job.index()]) as u32,
+                    },
+                    7 => DistMsg::ReProbe { job, class: JobClass::Short },
+                    _ => DistMsg::JobTimeout { job },
+                };
+                fast.handle(msg.clone(), &mut fast_net);
+                reference.handle(msg, &mut reference_net);
+                proptest::prop_assert_eq!(&fast_net.worker_msgs, &reference_net.worker_msgs);
+            }
+            proptest::prop_assert_eq!(fast_net.dist_timers, reference_net.dist_timers);
+            proptest::prop_assert_eq!(fast_net.done, reference_net.done);
+            let (a, b) = (fast.stats, reference.stats);
+            proptest::prop_assert_eq!(
+                (a.relaunched, a.timeouts_fired, a.retries, a.migrations, a.abandons, a.stale_timers),
+                (b.relaunched, b.timeouts_fired, b.retries, b.migrations, b.abandons, b.stale_timers)
+            );
+        }
     }
 }

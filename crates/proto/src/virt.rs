@@ -10,13 +10,22 @@
 //! prototype usable as a reproducible [`Backend`](hawk_core::Backend)
 //! next to the simulator.
 //!
-//! The router is intentionally *not* the simulator's engine: it delivers
-//! opaque daemon messages (which own heap data like stolen groups), not
-//! `Copy` simulation events, and it models the prototype's real hop
-//! structure — submissions land at a scheduler daemon which then probes,
-//! binds round-trip through the owning scheduler, and steals cost a
-//! request/reply exchange. The conformance harness checks the two
-//! executions agree *qualitatively*, not that they are the same program.
+//! The router's future event list *is* the simulator's: a
+//! [`hawk_simcore::Engine`] (the timing wheel of `hawk_simcore::queue`)
+//! with the same `(time, seq)` contract — deliveries pop in firing-time
+//! order, FIFO among equal timestamps — so the prototype and the
+//! simulator share one event-list implementation and one clock. What
+//! stays different is everything around it. The engine carries `Copy`
+//! events, and a daemon message is opaque and may own heap data (a stolen
+//! group), so each delivery is parked in a recycled slot table and the
+//! engine carries its 4-byte handle. The router models the prototype's
+//! real hop structure — submissions land at a scheduler daemon which then
+//! probes, binds round-trip through the owning scheduler, and steals cost
+//! a request/reply exchange. And faults are decided when a message is
+//! committed to the wire (`VirtualNet::commit`), never at delivery: a
+//! dropped message is not enqueued at all. The conformance harness checks
+//! the two executions agree *qualitatively*, not that they are the same
+//! program.
 //!
 //! Every hop is charged by the configured [`Topology`]: the router tracks
 //! which daemon is currently executing (the `src` endpoint) and asks the
@@ -25,12 +34,9 @@
 //! a contended fat tree observes an identical query protocol under both
 //! backends.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use hawk_cluster::ServerId;
 use hawk_net::{Endpoint, Topology};
-use hawk_simcore::{SimDuration, SimTime};
+use hawk_simcore::{Engine, SimDuration, SimTime};
 use hawk_workload::scenario::NodeChange;
 use hawk_workload::{JobId, Trace};
 
@@ -59,39 +65,18 @@ enum Dest {
     UtilSample,
 }
 
-/// Heap entry: strict `(time, seq)` order — FIFO among equal timestamps.
-struct Timed {
-    at: SimTime,
-    seq: u64,
-    dest: Dest,
-}
-
-impl PartialEq for Timed {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Timed {}
-impl PartialOrd for Timed {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Timed {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// [`Net`] over the router: sends enqueue deliveries at `now + delay`,
 /// timers at `now + occupancy`, completions are recorded on the virtual
 /// clock. The delay of each send is charged by the topology from the
 /// daemon currently executing (`src`) to the recipient.
 struct VirtualNet {
-    queue: BinaryHeap<Timed>,
-    now: SimTime,
-    seq: u64,
+    /// Clock and future event list. An event is the handle of its
+    /// delivery's slot in `parked`; the engine's insertion sequence is
+    /// the FIFO tie-break.
+    engine: Engine<u32>,
+    /// In-flight deliveries by handle; `None` slots are listed in `free`.
+    parked: Vec<Option<Dest>>,
+    free: Vec<u32>,
     topology: Box<dyn Topology>,
     /// Endpoint of the daemon whose handler is currently running — set by
     /// the delivery loop before every dispatch, so sends made inside the
@@ -112,13 +97,54 @@ struct VirtualNet {
 }
 
 impl VirtualNet {
+    fn new(topology: Box<dyn Topology>, faults: FaultLanes, jobs: usize, workers: usize) -> Self {
+        VirtualNet {
+            // Every submission is queued before the first pop; in-flight
+            // protocol traffic comes on top of that.
+            engine: Engine::with_capacity(jobs * 2),
+            parked: Vec::with_capacity(jobs * 2),
+            free: Vec::new(),
+            topology,
+            // Overwritten before every handler dispatch; Central is a safe
+            // placeholder for the pre-loop seeding (which sends nothing).
+            src: Endpoint::Central,
+            running: 0,
+            completions: vec![None; jobs],
+            completed: 0,
+            pending_work: 0,
+            capacity: workers as i64,
+            faults,
+        }
+    }
+
     fn push_at(&mut self, at: SimTime, dest: Dest) {
         if !matches!(dest, Dest::UtilSample) {
             self.pending_work += 1;
         }
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Timed { at, seq, dest });
+        let handle = match self.free.pop() {
+            Some(handle) => {
+                self.parked[handle as usize] = Some(dest);
+                handle
+            }
+            None => {
+                self.parked.push(Some(dest));
+                (self.parked.len() - 1) as u32
+            }
+        };
+        self.engine.schedule_at(at, handle);
+    }
+
+    /// Removes the earliest delivery and advances the clock to it.
+    fn pop(&mut self) -> Option<Dest> {
+        let (_, handle) = self.engine.pop()?;
+        let dest = self.parked[handle as usize]
+            .take()
+            .expect("a handle is delivered exactly once");
+        self.free.push(handle);
+        if !matches!(dest, Dest::UtilSample) {
+            self.pending_work -= 1;
+        }
+        Some(dest)
     }
 
     /// Charges one wire message from the current `src` to `dst`: the
@@ -128,10 +154,10 @@ impl VirtualNet {
     /// victim→thief transfer is charged on top (free under the paper's
     /// §4.1 model, where only locality is recorded).
     fn charge(&mut self, dst: Endpoint, dest: &Dest) -> SimDuration {
-        let mut delay = self.topology.delay(self.now, self.src, dst);
+        let mut delay = self.topology.delay(self.now(), self.src, dst);
         if let Dest::Worker(_, WorkerMsg::StealReply { entries, .. }) = dest {
             if !entries.is_empty() {
-                delay += self.topology.steal_transfer(self.now, self.src, dst);
+                delay += self.topology.steal_transfer(self.now(), self.src, dst);
             }
         }
         delay
@@ -154,11 +180,11 @@ impl VirtualNet {
     /// jitter/spike draws but can neither drop nor duplicate itself.
     fn commit(&mut self, dst: Endpoint, dest: Dest) {
         if !self.faults.active() {
-            let at = self.now + self.charge(dst, &dest);
+            let at = self.now() + self.charge(dst, &dest);
             self.push_at(at, dest);
             return;
         }
-        if self.faults.partitioned(self.now, self.src, dst) {
+        if self.faults.partitioned(self.now(), self.src, dst) {
             self.faults.drops += 1;
             return;
         }
@@ -167,13 +193,13 @@ impl VirtualNet {
             // Lost in transit: the fabric was charged, nothing arrives.
             return;
         };
-        let at = self.now + delay + extra;
+        let at = self.now() + delay + extra;
         if self.faults.duplicate() {
             let copy = dest.clone();
             self.push_at(at, dest);
             let extra2 = self.faults.perturb();
             let delay2 = self.charge(dst, &copy);
-            let at2 = self.now + delay2 + extra2;
+            let at2 = self.now() + delay2 + extra2;
             self.push_at(at2, copy);
         } else {
             self.push_at(at, dest);
@@ -192,12 +218,12 @@ impl Net for VirtualNet {
         self.commit(Endpoint::Central, Dest::Central(msg));
     }
     fn schedule_finish(&mut self, worker: usize, occupancy: SimDuration) {
-        let at = self.now + occupancy;
+        let at = self.now() + occupancy;
         self.push_at(at, Dest::Finish(worker));
     }
     fn job_done(&mut self, job: JobId) {
         debug_assert!(self.completions[job.index()].is_none(), "double completion");
-        self.completions[job.index()] = Some(self.now);
+        self.completions[job.index()] = Some(self.now());
         self.completed += 1;
     }
     fn add_running(&mut self, delta: i64) {
@@ -209,19 +235,19 @@ impl Net for VirtualNet {
         debug_assert!(self.capacity >= 0, "capacity gauge went negative");
     }
     fn now(&self) -> SimTime {
-        self.now
+        self.engine.now()
     }
     fn self_timer_worker(&mut self, to: usize, after: SimDuration, msg: WorkerMsg) {
         // Local alarm, not a wire message: no topology charge, no faults.
-        let at = self.now + after;
+        let at = self.now() + after;
         self.push_at(at, Dest::Worker(to, msg));
     }
     fn self_timer_dist(&mut self, to: usize, after: SimDuration, msg: DistMsg) {
-        let at = self.now + after;
+        let at = self.now() + after;
         self.push_at(at, Dest::Dist(to, msg));
     }
     fn self_timer_central(&mut self, after: SimDuration, msg: CentralMsg) {
-        let at = self.now + after;
+        let at = self.now() + after;
         self.push_at(at, Dest::Central(msg));
     }
 }
@@ -233,21 +259,12 @@ pub(crate) fn run_virtual(
     topology: Box<dyn Topology>,
     plan: Option<AdmissionPlan>,
 ) -> ProtoReport {
-    let mut net = VirtualNet {
-        queue: BinaryHeap::with_capacity(trace.len() * 4),
-        now: SimTime::ZERO,
-        seq: 0,
+    let mut net = VirtualNet::new(
         topology,
-        // Overwritten before every handler dispatch; Central is a safe
-        // placeholder for the pre-loop seeding (which sends nothing).
-        src: Endpoint::Central,
-        running: 0,
-        completions: vec![None; trace.len()],
-        completed: 0,
-        pending_work: 0,
-        capacity: cfg.workers as i64,
-        faults: FaultLanes::new(cfg.faults.clone(), cfg.seed, cfg.workers),
-    };
+        FaultLanes::new(cfg.faults.clone(), cfg.seed, cfg.workers),
+        trace.len(),
+        cfg.workers,
+    );
 
     // Seed the timeline: submissions, scripted dynamics, sampling. The
     // admission plan applies here, before any message exists: shed jobs
@@ -275,16 +292,12 @@ pub(crate) fn run_virtual(
 
     let mut samples = Vec::new();
     while net.completed < trace.len() {
-        let Some(Timed { at, dest, .. }) = net.queue.pop() else {
+        let Some(dest) = net.pop() else {
             panic!(
                 "virtual prototype drained its event queue with {} unfinished jobs",
                 trace.len() - net.completed
             );
         };
-        net.now = at;
-        if !matches!(dest, Dest::UtilSample) {
-            net.pending_work -= 1;
-        }
         match dest {
             Dest::UtilSample => {
                 // The sampler perpetuates itself, so it must not mask a
@@ -298,7 +311,7 @@ pub(crate) fn run_virtual(
                     trace.len() - net.completed
                 );
                 samples.push(net.running.max(0) as f64 / net.capacity.max(1) as f64);
-                let next = net.now + cfg.util_interval;
+                let next = net.now() + cfg.util_interval;
                 net.push_at(next, Dest::UtilSample);
                 continue;
             }
@@ -402,14 +415,129 @@ pub(crate) fn run_virtual(
         steal_attempts: totals.steal_attempts,
         migrations: totals.migrations,
         abandons: totals.abandons,
-        messages: totals.messages,
+        messages: totals.deliveries.messages(),
         network: net.topology.stats(),
         drops: net.faults.drops,
         dups: net.faults.dups,
         retries: totals.retries,
         timeouts_fired: totals.timeouts_fired,
         relaunched: totals.relaunched,
+        deliveries: totals.deliveries,
+        stale_timers: totals.stale_timers,
         streaming,
         admission: plan.as_ref().map(|p| p.stats()).unwrap_or_default(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::FaultSpec;
+    use hawk_net::TopologySpec;
+
+    const WORKERS: usize = 4;
+
+    /// A router over the paper's constant network, mid-handler at worker 0.
+    fn net_with(faults: FaultSpec) -> VirtualNet {
+        let mut net = VirtualNet::new(
+            TopologySpec::paper_default().build(WORKERS),
+            FaultLanes::new(faults, 1, WORKERS),
+            0,
+            WORKERS,
+        );
+        net.src = Endpoint::Server(ServerId(0));
+        net
+    }
+
+    /// The serial number each scripted delivery was sent under.
+    fn serial(dest: &Dest) -> u64 {
+        match dest {
+            Dest::Worker(_, WorkerMsg::StealAck { nonce }) => *nonce,
+            Dest::Dist(_, DistMsg::JobTimeout { job }) => u64::from(job.0),
+            Dest::Finish(worker) => *worker as u64,
+            other => panic!("unscripted delivery {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        /// The router against its model: whatever mix of wire sends,
+        /// self-timers (zero-delay ones included), finish alarms and pops,
+        /// with as many same-microsecond ties as the delay table can
+        /// produce, deliveries come out in `(firing time, send order)`
+        /// order and the clock reads each delivery's firing time.
+        #[test]
+        fn router_delivers_in_time_then_send_order(
+            script in proptest::collection::vec((0u8..6, 0usize..8), 1..300),
+        ) {
+            // Ties, the wire delay's neighbours, and one delay per wheel
+            // level an alarm can realistically land on.
+            const AFTER: [u64; 8] = [0, 0, 1, 499, 500, 501, 70_000, 9_000_000_000];
+            let mut net = net_with(FaultSpec::none());
+            let wire = TopologySpec::paper_default().build(WORKERS).delay(
+                SimTime::ZERO,
+                Endpoint::Server(ServerId(0)),
+                Endpoint::Server(ServerId(1)),
+            );
+            // (firing time, serial) of everything sent and not yet popped;
+            // the serial is the send order.
+            let mut model: Vec<(SimTime, u64)> = Vec::new();
+            let mut next_serial = 0u64;
+            let pop_and_check = |net: &mut VirtualNet, model: &mut Vec<(SimTime, u64)>| {
+                model.sort_by_key(|&(at, serial)| (at, serial));
+                let popped = net.pop().map(|dest| (net.now(), serial(&dest)));
+                let expected = (!model.is_empty()).then(|| model.remove(0));
+                proptest::prop_assert_eq!(popped, expected);
+            };
+            for (op, pick) in script {
+                let after = SimDuration::from_micros(AFTER[pick]);
+                let sent_at = match op {
+                    0 => {
+                        net.send_worker(1, WorkerMsg::StealAck { nonce: next_serial });
+                        net.now() + wire
+                    }
+                    1 => {
+                        net.self_timer_worker(2, after, WorkerMsg::StealAck { nonce: next_serial });
+                        net.now() + after
+                    }
+                    2 => {
+                        let job = JobId(next_serial as u32);
+                        net.self_timer_dist(0, after, DistMsg::JobTimeout { job });
+                        net.now() + after
+                    }
+                    3 => {
+                        net.schedule_finish(next_serial as usize, after);
+                        net.now() + after
+                    }
+                    _ => {
+                        pop_and_check(&mut net, &mut model);
+                        continue;
+                    }
+                };
+                model.push((sent_at, next_serial));
+                next_serial += 1;
+            }
+            while !model.is_empty() {
+                pop_and_check(&mut net, &mut model);
+            }
+            proptest::prop_assert!(net.pop().is_none());
+            proptest::prop_assert_eq!(net.pending_work, 0);
+        }
+    }
+
+    /// The duplicate fault delivers a second copy; a parked delivery's slot
+    /// is recycled, so the table stays as small as the in-flight peak.
+    #[test]
+    fn slots_recycle_and_duplicates_are_separate_deliveries() {
+        let mut net = net_with(FaultSpec::none().duplicate_probability(0.999_999));
+        for round in 0..50u64 {
+            net.send_worker(1, WorkerMsg::StealAck { nonce: round });
+            for _ in 0..2 {
+                let dest = net.pop().expect("the message and its duplicate");
+                assert_eq!(serial(&dest), round);
+            }
+            assert!(net.pop().is_none());
+        }
+        assert_eq!(net.parked.len(), 2, "slots were not recycled");
+        assert_eq!(net.faults.dups, 50);
     }
 }

@@ -65,17 +65,24 @@ use hawk_workload::{JobClass, JobId};
 
 use crate::fault::TimeoutSpec;
 use crate::msg::{CentralMsg, DistMsg, Net, WorkerMsg};
+use crate::report::{Deliveries, MsgKind};
 
-/// In-flight steal attempt: remaining victims to contact, in order.
+/// The steal attempt state machine: the victims of the attempt in flight,
+/// in contact order, and how many have been contacted. The buffer outlives
+/// the attempt, so picking victims allocates only while it grows.
+#[derive(Default)]
 struct StealAttempt {
     victims: Vec<ServerId>,
     next: usize,
+    /// False between attempts.
+    in_flight: bool,
 }
 
 /// A non-empty steal grant awaiting the thief's ack (hardened protocol).
+/// `entries` is the allocation the grant itself carries.
 struct PendingGrant {
     thief: usize,
-    entries: Vec<QueueEntry>,
+    entries: Arc<[QueueEntry]>,
     retries: u32,
 }
 
@@ -84,7 +91,11 @@ struct PendingGrant {
 pub(crate) struct WorkerStats {
     pub steals: u64,
     pub steal_attempts: u64,
-    pub handled: u64,
+    /// Messages handled and task-finish alarms, by kind.
+    pub deliveries: Deliveries,
+    /// Hardened protocol: bind, steal and retransmit timers that fired
+    /// after the wait they covered had resolved.
+    pub stale_timers: u64,
     /// Hardened protocol: retransmissions sent (bind requests, grants).
     pub retries: u64,
     /// Hardened protocol: retry budgets exhausted (bind resolved locally,
@@ -106,7 +117,7 @@ pub(crate) struct Worker {
     /// their steal-victim picks exactly as the simulation driver does.
     rack_geometry: Option<RackGeometry>,
     steal_spec: Option<StealSpec>,
-    steal: Option<StealAttempt>,
+    steal: StealAttempt,
     dist_count: usize,
     rng: SimRng,
     /// True while out of service (scenario node-down).
@@ -134,7 +145,10 @@ pub(crate) struct Worker {
     launched: HashSet<(JobId, u32, u32)>,
     victim_scratch: Vec<usize>,
     steal_scratch: StealScratch,
+    /// The steal scan's output buffer; a reply copies out of it.
     steal_out: Vec<QueueEntry>,
+    /// The payload of every refused steal.
+    no_loot: Arc<[QueueEntry]>,
     drain_buf: Vec<QueueEntry>,
     pub(crate) stats: WorkerStats,
 }
@@ -166,7 +180,7 @@ impl Worker {
             scheduler,
             partition,
             rack_geometry,
-            steal: None,
+            steal: StealAttempt::default(),
             dist_count,
             rng,
             down: false,
@@ -182,6 +196,7 @@ impl Worker {
             victim_scratch: Vec::new(),
             steal_scratch: StealScratch::new(),
             steal_out: Vec::new(),
+            no_loot: Arc::new([]),
             drain_buf: Vec::new(),
             stats: WorkerStats::default(),
         }
@@ -207,7 +222,7 @@ impl Worker {
 
     /// Handles one message; returns `true` on shutdown.
     pub(crate) fn handle(&mut self, msg: WorkerMsg, net: &mut impl Net) -> bool {
-        self.stats.handled += 1;
+        self.stats.deliveries.record(msg.kind());
         match msg {
             WorkerMsg::Probe {
                 job,
@@ -252,8 +267,10 @@ impl Worker {
                 // the attempt resolved); live fires advance to the next
                 // victim — the silent one keeps its entries, nothing to
                 // recover.
-                if self.hardened.is_some() && epoch == self.steal_epoch && self.steal.is_some() {
+                if self.hardened.is_some() && epoch == self.steal_epoch && self.steal.in_flight {
                     self.continue_steal(net);
+                } else {
+                    self.stats.stale_timers += 1;
                 }
             }
             WorkerMsg::StealRetransmit { nonce } => self.on_steal_retransmit(nonce, net),
@@ -340,7 +357,9 @@ impl Worker {
     fn on_bind_timeout(&mut self, epoch: u64, net: &mut impl Net) {
         let Some(to) = self.hardened else { return };
         if epoch != self.bind_epoch || !self.server.is_awaiting_bind() {
-            return; // the wait this timer covered already resolved
+            // The wait this timer covered already resolved.
+            self.stats.stale_timers += 1;
+            return;
         }
         let Slot::AwaitingBind { job, .. } = self.server.slot() else {
             unreachable!("guarded by is_awaiting_bind");
@@ -379,16 +398,21 @@ impl Worker {
             &mut self.steal_scratch,
             &mut self.steal_out,
         );
-        let entries = std::mem::take(&mut self.steal_out);
         // Entries must never be dropped: the reply carries them even when
         // the thief may have failed (the thief's handler relocates them
         // in that case).
+        let entries: Arc<[QueueEntry]> = if self.steal_out.is_empty() {
+            Arc::clone(&self.no_loot)
+        } else {
+            Arc::from(self.steal_out.as_slice())
+        };
+        self.steal_out.clear();
         match self.hardened {
             Some(to) if !entries.is_empty() => {
                 // The loot leaves this queue for good — release its
                 // launch-dedup keys so a relocation round trip can bring
                 // a task back here.
-                for entry in &entries {
+                for entry in entries.iter() {
                     if let QueueEntry::Task(spec) = entry {
                         self.launched.remove(&(spec.job, spec.task, spec.attempt));
                     }
@@ -400,7 +424,7 @@ impl Worker {
                     WorkerMsg::StealReply {
                         from: self.index,
                         nonce,
-                        entries: entries.clone(),
+                        entries: Arc::clone(&entries),
                     },
                 );
                 self.pending_grants.insert(
@@ -430,7 +454,7 @@ impl Worker {
         &mut self,
         from: usize,
         nonce: u64,
-        entries: Vec<QueueEntry>,
+        entries: Arc<[QueueEntry]>,
         net: &mut impl Net,
     ) {
         if entries.is_empty() {
@@ -445,23 +469,25 @@ impl Worker {
                 return;
             }
         }
-        self.steal = None;
+        self.steal.in_flight = false;
         self.stats.steals += 1;
         if self.down {
             // Thief failed mid-steal: relocate the loot.
-            for entry in entries {
+            for &entry in entries.iter() {
                 self.relocate(entry, net);
             }
             return;
         }
         if self.hardened.is_some() {
-            for entry in &entries {
+            for entry in entries.iter() {
                 if let QueueEntry::Task(spec) = entry {
                     self.launched.insert((spec.job, spec.task, spec.attempt));
                 }
             }
         }
-        let action = self.server.enqueue_all(&mut self.queues, entries);
+        let action = self
+            .server
+            .enqueue_all(&mut self.queues, entries.iter().copied());
         if let Some(action) = action {
             self.on_action(action, net);
         }
@@ -470,12 +496,14 @@ impl Worker {
     fn on_steal_retransmit(&mut self, nonce: u64, net: &mut impl Net) {
         let Some(to) = self.hardened else { return };
         let Some(grant) = self.pending_grants.get_mut(&nonce) else {
-            return; // acked in the meantime
+            // Acked in the meantime.
+            self.stats.stale_timers += 1;
+            return;
         };
         if grant.retries < to.retries {
             grant.retries += 1;
             self.stats.retries += 1;
-            let (thief, entries) = (grant.thief, grant.entries.clone());
+            let (thief, entries) = (grant.thief, Arc::clone(&grant.entries));
             net.send_worker(
                 thief,
                 WorkerMsg::StealReply {
@@ -493,7 +521,7 @@ impl Worker {
                 .pending_grants
                 .remove(&nonce)
                 .expect("pending grant present");
-            for entry in grant.entries {
+            for &entry in grant.entries.iter() {
                 self.relocate(entry, net);
             }
         }
@@ -534,6 +562,7 @@ impl Worker {
 
     /// The running task's deadline fired: complete it and advance.
     pub(crate) fn on_task_finish(&mut self, net: &mut impl Net) {
+        self.stats.deliveries.record(MsgKind::TaskFinish);
         net.add_running(-1);
         let (spec, action) = self.server.on_task_finish(&mut self.queues);
         // Completion reporting follows the policy's routing: the class
@@ -563,33 +592,34 @@ impl Worker {
     /// [`Scheduler::pick_victims_into`] over the real partition — the same
     /// draw the simulation driver performs.
     fn begin_steal(&mut self, net: &mut impl Net) {
-        if self.steal_spec.is_none() || self.down || self.steal.is_some() {
+        if self.steal_spec.is_none() || self.down || self.steal.in_flight {
             return;
         }
         self.stats.steal_attempts += 1;
-        let mut victims = Vec::new();
         self.scheduler.pick_victims_in_fabric_into(
             &self.partition,
             ServerId(self.index as u32),
             self.rack_geometry,
             &mut self.rng,
             &mut self.victim_scratch,
-            &mut victims,
+            &mut self.steal.victims,
         );
-        if victims.is_empty() {
+        if self.steal.victims.is_empty() {
             return;
         }
-        self.steal = Some(StealAttempt { victims, next: 0 });
+        self.steal.next = 0;
+        self.steal.in_flight = true;
         self.continue_steal(net);
     }
 
     /// Contacts the next victim of the in-flight attempt, if any.
     fn continue_steal(&mut self, net: &mut impl Net) {
-        let Some(attempt) = &mut self.steal else {
+        let attempt = &mut self.steal;
+        if !attempt.in_flight {
             return;
-        };
+        }
         if attempt.next >= attempt.victims.len() {
-            self.steal = None;
+            attempt.in_flight = false;
             return;
         }
         let victim = attempt.victims[attempt.next].index();
@@ -618,7 +648,7 @@ impl Worker {
             return; // duplicate script entry
         }
         self.down = true;
-        self.steal = None;
+        self.steal.in_flight = false;
         debug_assert!(self.drain_buf.is_empty(), "stale drain buffer");
         let mut drained = std::mem::take(&mut self.drain_buf);
         self.server.drain_queue_into(&mut self.queues, &mut drained);
@@ -832,7 +862,7 @@ mod tests {
             WorkerMsg::StealReply {
                 from: 1,
                 nonce: 0,
-                entries: vec![],
+                entries: Arc::new([]),
             },
             &mut net,
         );
@@ -1172,10 +1202,10 @@ mod tests {
         let mut thief = hardened_worker(9);
         let mut net = RecordingNet::default();
         // Make the thief idle so the loot starts immediately.
-        let entries = vec![QueueEntry::Probe {
+        let entries: Arc<[QueueEntry]> = Arc::new([QueueEntry::Probe {
             job: JobId(2),
             class: JobClass::Short,
-        }];
+        }]);
         for _ in 0..2 {
             thief.handle(
                 WorkerMsg::StealReply {

@@ -16,6 +16,11 @@
 //! The test is fully deterministic (fixed seeds, single thread), so the
 //! asserted zero is stable, not flaky-by-luck. Runs in debug and release;
 //! CI exercises the release half next to the golden-digest suite.
+//!
+//! The prototype's daemons own their messages, so its guard is a budget
+//! rather than a zero: a whole hardened chaos run — construction and
+//! report included — may allocate at most [`PROTO_ALLOCS_PER_DELIVERY`]
+//! times per delivery.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -221,5 +226,52 @@ fn hawk_contended_fat_tree_steady_state_allocates_nothing() {
         DynamicsScript::none(),
         SpeedSpec::Uniform,
         Some(TopologySpec::FatTreeContended(FatTreeParams::default())),
+    );
+}
+
+/// Allocations per delivery a hardened chaos run may spend: the measured
+/// ratio of the cell below (29,699 over 889,314 deliveries = 0.0334) plus
+/// 15 % slack. What is left is one shared payload per non-empty steal
+/// grant and the per-job vectors of a submission; the commit before this
+/// budget existed spent 78,023 on the same cell, 0.0877 per delivery (a
+/// victims vector per steal attempt, a scan buffer and a clone per grant).
+const PROTO_ALLOCS_PER_DELIVERY: f64 = 0.0384;
+
+/// The third harness: every daemon of a 300-worker prototype cluster on
+/// the virtual router, under 1 % drops, duplicates, reorder jitter and a
+/// 1,000 s partition, from construction to report.
+#[test]
+fn hardened_chaos_prototype_stays_within_its_allocation_budget() {
+    use hawk::proto::{run_prototype, FaultSpec, ProtoBackend};
+
+    let trace: Trace = GoogleTraceConfig::with_scale(50, 1_500).generate(0xA110C);
+    let faults = FaultSpec::chaos().partition(
+        SimTime::from_secs(100),
+        SimTime::from_secs(1_100),
+        (40..50).collect(),
+    );
+    let cfg = ProtoBackend::deterministic()
+        .faults(faults)
+        .config_for(&SimConfig {
+            nodes: 300,
+            ..SimConfig::default()
+        });
+    let scheduler: Arc<dyn Scheduler> = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION));
+
+    let before = allocations();
+    let report = run_prototype(&trace, scheduler, &cfg);
+    let allocated = allocations() - before;
+
+    assert_eq!(report.jobs.len(), trace.len());
+    assert!(
+        report.drops > 0 && report.relaunched > 0,
+        "the cell was not hostile"
+    );
+    let deliveries: u64 = report.deliveries.iter().map(|(_, count)| count).sum();
+    let per_delivery = allocated as f64 / deliveries as f64;
+    assert!(
+        per_delivery <= PROTO_ALLOCS_PER_DELIVERY,
+        "{allocated} allocations over {deliveries} deliveries = {per_delivery:.4} per delivery, \
+         over the {PROTO_ALLOCS_PER_DELIVERY} budget"
     );
 }

@@ -363,6 +363,58 @@ fn fault_axis_preserves_the_papers_claims() {
     }
 }
 
+/// The hardened protocol's delivery sequence, pinned: the conformance cell
+/// under chaos, a 100 s partition and rolling churn over three general-
+/// partition servers (so central relocations, relaunch chains, bind and
+/// steal timers all fire), and its clean-network twin on the unhardened
+/// path. The pins were captured before the router's event list and the
+/// chains' bookkeeping were rebuilt; both are pure speed-ups, so every
+/// counter and every job runtime must replay exactly.
+#[test]
+fn hardened_chaos_cell_replays_the_pinned_delivery_sequence() {
+    use hawk_core::SimConfig;
+    use hawk_proto::{run_prototype, FaultSpec};
+    use hawk_simcore::{SimDuration, SimTime};
+    use hawk_workload::scenario::DynamicsScript;
+    use support::{proto_pin, CLEAN_PROTO_PINS, HARDENED_CHAOS_PINS};
+
+    let trace = Arc::new(conformance_scenario().trace(TRACE_SEED));
+    let chaos = FaultSpec::chaos().partition(
+        SimTime::from_secs(100),
+        SimTime::from_secs(200),
+        (40..50).collect(),
+    );
+    for (faults, pins) in [
+        (chaos, HARDENED_CHAOS_PINS),
+        (FaultSpec::none(), CLEAN_PROTO_PINS),
+    ] {
+        for (k, pin) in pins.iter().enumerate() {
+            let cfg = ProtoBackend::deterministic()
+                .faults(faults.clone())
+                .config_for(&SimConfig {
+                    nodes: NODES,
+                    seed: SIM_SEED + k as u64,
+                    dynamics: DynamicsScript::rolling(
+                        &[0, 1, 2],
+                        SimTime::from_secs(500),
+                        SimDuration::from_secs(2_000),
+                        SimDuration::from_secs(1_000),
+                        6,
+                    ),
+                    ..SimConfig::default()
+                });
+            let report = run_prototype(&trace, Arc::new(Hawk::new(0.17)), &cfg);
+            assert_eq!(report.jobs.len(), JOBS);
+            assert_eq!(
+                proto_pin(&report),
+                *pin,
+                "seed SIM_SEED+{k}, timeouts {:?}",
+                faults.timeouts.is_some()
+            );
+        }
+    }
+}
+
 /// The serving axis of the §4.4 cross-check: the pinned saturation
 /// scenario (bursty overload plateau) under admission control, run
 /// through both backends.

@@ -11,6 +11,7 @@
 #![allow(dead_code)]
 
 use hawk_core::{AdmissionPolicy, MetricsReport};
+use hawk_proto::ProtoReport;
 use hawk_simcore::{SimDuration, SimTime};
 use hawk_workload::scenario::{ArrivalSpec, DynamicsScript, ScenarioSpec, SpeedSpec, TraceFamily};
 
@@ -63,6 +64,107 @@ pub const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = 0x3dd368431bb88ffd;
 /// plan's window accounting or the shed/deferral semantics fails against
 /// it).
 pub const SATURATION_ADMISSION_HAWK_DIGEST: u64 = 0x3b19acf4efb8442e;
+
+/// What a prototype run is pinned by: a hash of every job's runtime plus
+/// the protocol counters — `messages` and the hardened-protocol counters
+/// included, which [`digest_report`] (outcomes only) never sees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProtoPin {
+    /// FNV-1a over each job's runtime in microseconds, in job-id order.
+    pub runtimes: u64,
+    pub messages: u64,
+    pub steals: u64,
+    pub steal_attempts: u64,
+    pub drops: u64,
+    pub dups: u64,
+    pub retries: u64,
+    pub timeouts_fired: u64,
+    pub relaunched: u64,
+    pub migrations: u64,
+}
+
+/// Reduces a prototype report to its [`ProtoPin`].
+pub fn proto_pin(report: &ProtoReport) -> ProtoPin {
+    let mut h = Fnv::new();
+    for j in &report.jobs {
+        h.u64(j.runtime.as_micros() as u64);
+    }
+    ProtoPin {
+        runtimes: h.finish(),
+        messages: report.messages,
+        steals: report.steals,
+        steal_attempts: report.steal_attempts,
+        drops: report.drops,
+        dups: report.dups,
+        retries: report.retries,
+        timeouts_fired: report.timeouts_fired,
+        relaunched: report.relaunched,
+        migrations: report.migrations,
+    }
+}
+
+/// Pinned [`ProtoPin`]s of the hardened-chaos conformance cell
+/// (`backend_conformance::hardened_chaos_cell_replays_the_pinned_delivery_sequence`)
+/// at seeds `SIM_SEED` and `SIM_SEED + 1`, captured on the commit before
+/// the virtual router moved onto `hawk_simcore::EventQueue` and the job
+/// chains stopped rescanning (084a675). The router decides how fast a
+/// delivery is found, never which one is next — any drift in delivery
+/// order, chain firing or a fault-lane draw fails against these.
+pub const HARDENED_CHAOS_PINS: [ProtoPin; 2] = [
+    ProtoPin {
+        runtimes: 0xb53fe1fb9120b3e6,
+        messages: 154_660,
+        steals: 1_463,
+        steal_attempts: 2_033,
+        drops: 965,
+        dups: 506,
+        retries: 9_627,
+        timeouts_fired: 389,
+        relaunched: 397,
+        migrations: 45,
+    },
+    ProtoPin {
+        runtimes: 0xa526527f6bed13c8,
+        messages: 154_879,
+        steals: 1_454,
+        steal_attempts: 2_010,
+        drops: 1_022,
+        dups: 466,
+        retries: 9_896,
+        timeouts_fired: 391,
+        relaunched: 392,
+        migrations: 44,
+    },
+];
+
+/// The same cell on a clean network ([`hawk_proto::FaultSpec::none`]): the
+/// unhardened code path, same capture commit.
+pub const CLEAN_PROTO_PINS: [ProtoPin; 2] = [
+    ProtoPin {
+        runtimes: 0x16643fccfb47b5b3,
+        messages: 66_530,
+        steals: 1_417,
+        steal_attempts: 1_934,
+        drops: 0,
+        dups: 0,
+        retries: 0,
+        timeouts_fired: 0,
+        relaunched: 0,
+        migrations: 47,
+    },
+    ProtoPin {
+        runtimes: 0x9077ed63b0d32d10,
+        messages: 66_456,
+        steals: 1_392,
+        steal_attempts: 1_909,
+        drops: 0,
+        dups: 0,
+        retries: 0,
+        timeouts_fired: 0,
+        relaunched: 0,
+        migrations: 42,
+    },
+];
 
 /// The golden cell, described through the scenario layer.
 pub fn golden_scenario() -> ScenarioSpec {
