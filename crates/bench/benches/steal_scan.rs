@@ -2,79 +2,16 @@
 //!
 //! Every idle transition in Hawk triggers up to `cap` victim scans, so the
 //! scan must be cheap both when it succeeds and (especially) when the
-//! fast-path rejects an ineligible victim.
+//! fast-path rejects an ineligible victim. The cases live in
+//! `hawk_bench::micro`, which `perf_baseline` also times into
+//! `BENCH_perf.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hawk_cluster::steal::eligible_group;
-use hawk_cluster::{QueueEntry, QueueSlab, Server, ServerId, TaskSpec};
-use hawk_simcore::{SimDuration, SimRng};
-use hawk_workload::{JobClass, JobId};
-
-fn entry(long: bool, id: u32) -> QueueEntry {
-    if long {
-        QueueEntry::Task(TaskSpec {
-            job: JobId(id),
-            duration: SimDuration::from_secs(20_000),
-            estimate: SimDuration::from_secs(20_000),
-            class: JobClass::Long,
-            task: 0,
-            attempt: 0,
-        })
-    } else {
-        QueueEntry::Probe {
-            job: JobId(id),
-            class: JobClass::Short,
-        }
-    }
-}
-
-/// Builds a busy server with `len` queued entries, `long_frac` of them
-/// long, in random order.
-fn victim(len: usize, long_frac: f64, seed: u64) -> (QueueSlab, Server) {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut q = QueueSlab::new(1);
-    let mut s = Server::new(ServerId(0));
-    s.enqueue(&mut q, entry(true, 0)); // occupies the slot (a long task)
-    for i in 0..len {
-        s.enqueue(&mut q, entry(rng.chance(long_frac), i as u32 + 1));
-    }
-    (q, s)
-}
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("steal_scan");
-    for &len in &[8usize, 64, 512] {
-        group.bench_with_input(BenchmarkId::new("mixed_queue", len), &len, |b, &len| {
-            let (q, s) = victim(len, 0.3, 7);
-            b.iter(|| eligible_group(&s, &q));
-        });
-        group.bench_with_input(
-            BenchmarkId::new("all_short_fast_path", len),
-            &len,
-            |b, &len| {
-                // Short slot + all-short queue: the queued-long counter
-                // rejects in O(1).
-                let mut q = QueueSlab::new(1);
-                let mut s = Server::new(ServerId(0));
-                s.enqueue(&mut q, entry(false, 0));
-                // Bind the probe so the slot is Running(short).
-                s.on_bind_response(
-                    &mut q,
-                    Some(TaskSpec {
-                        job: JobId(0),
-                        duration: SimDuration::from_secs(1),
-                        estimate: SimDuration::from_secs(1),
-                        class: JobClass::Short,
-                        task: 0,
-                        attempt: 0,
-                    }),
-                );
-                for i in 0..len {
-                    s.enqueue(&mut q, entry(false, i as u32 + 1));
-                }
-                b.iter(|| eligible_group(&s, &q));
-            },
-        );
+    for mut case in hawk_bench::micro::steal_scan_cases() {
+        group.bench_function(case.name.clone(), |b| b.iter(|| black_box((case.run)())));
     }
     group.finish();
 }

@@ -34,6 +34,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod micro;
+
 use std::fmt::Display;
 use std::sync::Arc;
 

@@ -4,7 +4,7 @@
 //! Beyond the per-server state machines, [`Cluster`] maintains incremental
 //! indexes (see [`crate::index`]) updated on every enqueue/dequeue/steal:
 //! a free-server list, per-partition queue-depth histograms, and a bitmap
-//! of servers holding long work. They give the scheduling hot paths O(1)
+//! of steal candidates. They give the scheduling hot paths O(1)
 //! answers — idle-server lookup, queue-depth reads for power-of-d
 //! placement, steal-victim eligibility — where the same questions used to
 //! require touching per-server state.
@@ -22,12 +22,13 @@ use crate::steal::StealScratch;
 /// Index-relevant summary of one server's state, packed into one word and
 /// diffed around every mutation to keep the cluster indexes current.
 ///
-/// Layout: bit 0 = holds-long, bit 1 = down, bits 2.. = queue depth (queue
-/// length plus one if the slot is occupied). A live server is completely
-/// idle exactly when its depth is zero (a free server's queue is empty by
-/// invariant), so no separate "free" bit is needed and the whole diff is
-/// one XOR. Down servers are members of *no* index — the down bit gates
-/// all index maintenance.
+/// Layout: bit 0 = holds-long, bit 1 = down, bit 2 = steal candidate
+/// (holds long work and has a short entry queued), bits 3.. = queue depth
+/// (queue length plus one if the slot is occupied). A live server is
+/// completely idle exactly when its depth is zero (a free server's queue
+/// is empty by invariant), so no separate "free" bit is needed and the
+/// whole diff is one XOR. Down servers are members of *no* index — the
+/// down bit gates all index maintenance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ServerStat(u32);
 
@@ -41,12 +42,17 @@ impl ServerStat {
 
     #[inline]
     fn depth(self) -> u32 {
-        self.0 >> 2
+        self.0 >> 3
     }
 
     #[inline]
     fn holds_long(self) -> bool {
         self.0 & 1 != 0
+    }
+
+    #[inline]
+    fn is_candidate(self) -> bool {
+        self.0 & 4 != 0
     }
 
     #[inline]
@@ -100,9 +106,11 @@ pub struct Cluster {
     free: BitSet,
     /// Idle servers inside the general partition.
     free_general: usize,
-    /// Servers holding long work (slot or queue) — §3.6 steal-victim
-    /// eligibility, packed so a check is one L1 load.
-    long_holders: BitSet,
+    /// Servers a steal scan can find something on: holding long work (slot
+    /// or queue) *and* a queued short entry — §3.6 steal-victim
+    /// eligibility, packed so a check is one L1 load. A clear bit is
+    /// exact; a set bit still needs the scan.
+    steal_candidates: BitSet,
     /// Queue-depth buckets for the general partition.
     depth_general: DepthHistogram,
     /// Queue-depth buckets for the reserved short partition.
@@ -142,7 +150,7 @@ impl Cluster {
             running: 0,
             free,
             free_general: partition.general_count(),
-            long_holders: BitSet::new(total),
+            steal_candidates: BitSet::new(total),
             depth_general: DepthHistogram::new(partition.general_count()),
             depth_short: if partition.short_count() > 0 {
                 DepthHistogram::new(partition.short_count())
@@ -183,8 +191,8 @@ impl Cluster {
     /// Applies `mutate` to one server (handing it the shared queue arena),
     /// diffing its indexed state before and after so every index stays
     /// current. All mutation paths funnel through here. The fast path —
-    /// the mutation left depth and long-work state unchanged — is a single
-    /// XOR.
+    /// the mutation left depth, long-work and candidate state unchanged —
+    /// is a single XOR.
     fn update<R>(
         &mut self,
         id: ServerId,
@@ -207,9 +215,9 @@ impl Cluster {
     }
 
     /// Index maintenance for one observed state change. Branchless where
-    /// the condition is data-dependent (idle and long-work transitions
-    /// follow the workload, so branches here would mispredict constantly on
-    /// the per-event hot path).
+    /// the condition is data-dependent (idle and steal-candidate
+    /// transitions follow the workload, so branches here would mispredict
+    /// constantly on the per-event hot path).
     fn apply_delta(&mut self, id: ServerId, before: ServerStat, after: ServerStat) {
         let idx = id.index();
         let in_general = self.partition.in_general(id);
@@ -226,7 +234,7 @@ impl Cluster {
         let free_delta = now_free as isize - (from == 0) as isize;
         self.free_general =
             (self.free_general as isize + free_delta * in_general as isize) as usize;
-        self.long_holders.set(idx, after.holds_long());
+        self.steal_candidates.set(idx, after.is_candidate());
     }
 
     /// Number of servers.
@@ -390,9 +398,10 @@ impl Cluster {
     /// Takes `id` out of service: its queue is drained into `drained` (in
     /// queue order; `drained` is not cleared) for the caller to migrate or
     /// abandon, and the server leaves every index — placement views,
-    /// free/long bitmaps and depth histograms see only live servers from
-    /// here on. A task already executing (or a probe mid-bind) finishes on
-    /// its own; the server goes fully dark when its slot empties.
+    /// free/candidate bitmaps and depth histograms see only live servers
+    /// from here on. A task already executing (or a probe mid-bind)
+    /// finishes on its own; the server goes fully dark when its slot
+    /// empties.
     ///
     /// Returns `false` (and drains nothing) if the server was already
     /// down. Allocation-free once `drained` has warmed up.
@@ -418,7 +427,7 @@ impl Cluster {
             self.free.set(idx, false);
             self.free_general -= usize::from(in_general);
         }
-        self.long_holders.set(idx, false);
+        self.steal_candidates.set(idx, false);
         if self.servers[idx].is_running() {
             self.down_running += 1;
         }
@@ -429,8 +438,8 @@ impl Cluster {
     }
 
     /// Returns `id` to service, idle (or still finishing its draining
-    /// slot) and empty-queued: it rejoins the free/long bitmaps and the
-    /// depth histograms and becomes visible to placement again.
+    /// slot) and empty-queued: it rejoins the free/candidate bitmaps and
+    /// the depth histograms and becomes visible to placement again.
     ///
     /// Returns `false` if the server was not down.
     pub fn revive_server(&mut self, id: ServerId) -> bool {
@@ -451,7 +460,7 @@ impl Cluster {
             self.free.set(idx, true);
             self.free_general += usize::from(in_general);
         }
-        self.long_holders.set(idx, stat.holds_long());
+        self.steal_candidates.set(idx, stat.is_candidate());
         if self.servers[idx].is_running() {
             self.down_running -= 1;
         }
@@ -551,17 +560,27 @@ impl Cluster {
         self.free.iter_ones().map(|id| ServerId(id as u32))
     }
 
-    /// True if `server` holds long work — a long task in the slot (running
-    /// or awaiting bind) or a long entry anywhere in its queue: the §3.6
-    /// steal-victim eligibility signal. One bitmap load.
+    /// True if the in-service `server` holds long work — a long task in
+    /// the slot (running or awaiting bind) or a long entry anywhere in its
+    /// queue. Read from the server's stat word; down servers hold nothing.
     pub fn holds_long_work(&self, server: ServerId) -> bool {
-        self.long_holders.contains(server.index())
+        let stat = ServerStat::of(&self.servers[server.index()]);
+        stat.holds_long() && !stat.is_down()
     }
 
-    /// Number of servers currently holding long work. Zero means no steal
-    /// attempt anywhere in the cluster can succeed.
-    pub fn long_holder_count(&self) -> usize {
-        self.long_holders.count()
+    /// True if a steal scan of the in-service `server` can find anything:
+    /// it holds long work and has a short entry queued — the §3.6
+    /// steal-victim eligibility signal. `false` is exact for every
+    /// granularity (see [`Server::is_steal_candidate`]); `true` still needs
+    /// the scan. One bitmap load.
+    pub fn is_steal_candidate(&self, server: ServerId) -> bool {
+        self.steal_candidates.contains(server.index())
+    }
+
+    /// Number of steal candidates. Zero means no steal attempt anywhere in
+    /// the cluster can succeed.
+    pub fn steal_candidate_count(&self) -> usize {
+        self.steal_candidates.count()
     }
 
     /// Queue-depth histogram of the general partition.
@@ -601,7 +620,7 @@ impl Cluster {
         let mut expect_short_down = 0;
         let mut running = 0;
         let mut free_general = 0;
-        let mut long_holders = 0;
+        let mut candidates = 0;
         let mut down_count = 0;
         let mut down_running = 0;
         let mut live_ids = Vec::with_capacity(self.servers.len());
@@ -617,7 +636,7 @@ impl Cluster {
                 // A down server was drained and sits in no index.
                 if server.queue_len() != 0
                     || self.free.contains(id.index())
-                    || self.long_holders.contains(id.index())
+                    || self.steal_candidates.contains(id.index())
                 {
                     return false;
                 }
@@ -640,10 +659,15 @@ impl Cluster {
             if stat.depth() as usize != self.queue_depth(id) {
                 return false;
             }
-            if stat.holds_long() != self.long_holders.contains(id.index()) {
+            // The candidate index, recomputed from the queue itself rather
+            // than from the mirrors the stat word is built from.
+            let holds_long =
+                server.slot().holds_long() || server.queue(&self.queues).any(QueueEntry::is_long);
+            let candidate = holds_long && server.queue(&self.queues).any(QueueEntry::is_short);
+            if candidate != self.steal_candidates.contains(id.index()) {
                 return false;
             }
-            long_holders += usize::from(stat.holds_long());
+            candidates += usize::from(candidate);
             if self.partition.in_general(id) {
                 expect_general.shift(0, stat.depth() as usize);
             } else {
@@ -658,7 +682,7 @@ impl Cluster {
         }
         running == self.running
             && free_general == self.free_general
-            && long_holders == self.long_holders.count()
+            && candidates == self.steal_candidates.count()
             && down_count == self.down_count
             && down_running == self.down_running
             && live_ids == self.live_ids

@@ -7,8 +7,9 @@
 //! per-server state:
 //!
 //! * [`BitSet`] — one bit per server, used for the free-server list (which
-//!   servers are completely idle) and the long-work bitmap (which servers
-//!   hold long work — the steal-victim eligibility signal of §3.6). At
+//!   servers are completely idle) and the steal-candidate bitmap (which
+//!   servers hold long work and a queued short entry — the steal-victim
+//!   eligibility signal of §3.6). At
 //!   50,000 servers a whole bitmap is ~6 KB, so membership checks and
 //!   updates stay in cache where a per-server table walk would miss.
 //! * [`DepthHistogram`] — per-partition queue-depth buckets: how many

@@ -71,7 +71,7 @@ pub enum Slot {
 impl Slot {
     /// True when the slot holds long work: a long task executing or a long
     /// probe mid-bind. The single definition of the §3.6 slot-eligibility
-    /// signal — the steal scan, the long-work index and probe avoidance
+    /// signal — the steal scan, the steal-candidate index and probe avoidance
     /// all key on this.
     pub fn holds_long(&self) -> bool {
         match self {
@@ -128,11 +128,12 @@ pub struct Server {
     /// ineligible victims in O(1).
     queued_long: usize,
     /// Packed index summary, maintained incrementally by every transition:
-    /// bit 0 = holds-long-work, bit 1 = down (out of service), bits 2.. =
-    /// queue depth (queue length plus one if the slot is occupied). The
-    /// cluster diffs this single word around each mutation to keep its
-    /// indexes current, so the per-event bookkeeping is two loads and an
-    /// XOR instead of a state recompute.
+    /// bit 0 = holds-long-work, bit 1 = down (out of service), bit 2 =
+    /// steal candidate (holds long work *and* has a short entry queued),
+    /// bits 3.. = queue depth (queue length plus one if the slot is
+    /// occupied). The cluster diffs this single word around each mutation
+    /// to keep its indexes current, so the per-event bookkeeping is two
+    /// loads and an XOR instead of a state recompute.
     stat: u32,
     /// Relative execution speed (1.0 = nominal): a task of duration `d`
     /// occupies this server's slot for `d / speed`. Heterogeneous-cluster
@@ -166,9 +167,25 @@ impl Server {
     }
 
     /// The packed index summary: bit 0 = holds-long-work, bit 1 = down,
-    /// bits 2.. = queue depth. Kept current by every transition.
+    /// bit 2 = steal candidate, bits 3.. = queue depth. Kept current by
+    /// every transition.
     pub fn stat_word(&self) -> u32 {
         self.stat
+    }
+
+    /// True when a steal scan of this server can find anything: it holds
+    /// long work and has a short entry queued. A `false` is exact (nothing
+    /// is blocked behind a long task, at any granularity); a `true` still
+    /// needs the scan, since the short entries may all sit ahead of the
+    /// first long one. One load of the stat word.
+    pub fn is_steal_candidate(&self) -> bool {
+        self.stat & 4 != 0
+    }
+
+    /// True when the queue holds a short entry (queue length exceeds the
+    /// queued-long count).
+    fn has_queued_short(&self) -> bool {
+        self.queue_len as usize > self.queued_long
     }
 
     /// The stat word recomputed from scratch (the invariant checker
@@ -176,9 +193,11 @@ impl Server {
     fn computed_stat(&self) -> u32 {
         let occupied = u32::from(!matches!(self.slot, Slot::Free));
         let depth = self.queue_len + occupied;
-        depth << 2
+        let holds_long = self.slot.holds_long() || self.queued_long > 0;
+        depth << 3
+            | u32::from(holds_long && self.has_queued_short()) << 2
             | u32::from(self.down) << 1
-            | u32::from(self.slot.holds_long() || self.queued_long > 0)
+            | u32::from(holds_long)
     }
 
     fn recompute_stat(&mut self) {
@@ -300,7 +319,12 @@ impl Server {
         }
         queues.push_back(self.list(), entry);
         self.queue_len += 1;
-        self.stat += 4; // depth grew by one (depth lives in bits 2..)
+        // Depth lives in bits 3..: it grew by one.
+        self.stat += 8;
+        // An enqueue can only turn the candidate bit on: a long entry
+        // raises both sides of `queue_len > queued_long`, a short one only
+        // the left.
+        self.stat |= u32::from(self.stat & 1 != 0 && self.has_queued_short()) << 2;
         if self.is_free() {
             Some(self.advance(queues))
         } else {

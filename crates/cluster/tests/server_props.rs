@@ -1,6 +1,6 @@
 //! Property-based tests for the server (node monitor) state machine:
 //! random operation sequences must preserve FIFO order, the long-entry
-//! counter, and the slot-state invariants.
+//! counter, the steal-candidate bit, and the slot-state invariants.
 
 use proptest::prelude::*;
 
@@ -129,6 +129,17 @@ proptest! {
                 }
             }
             prop_assert!(server.check_invariants(&queues));
+            // The steal-candidate bit is kept incrementally (an enqueue
+            // ORs it in, everything else recomputes): hold it to the queue
+            // itself, and to the scan it stands in for — a clear bit must
+            // mean the scan finds nothing.
+            let holds_long =
+                server.slot().holds_long() || server.queue(&queues).any(|e| e.is_long());
+            let candidate = holds_long && server.queue(&queues).any(|e| e.is_short());
+            prop_assert_eq!(server.is_steal_candidate(), candidate);
+            prop_assert!(
+                candidate || hawk_cluster::steal::eligible_group(&server, &queues).is_none()
+            );
         }
 
         // Conservation: everything enqueued is either still queued, in the

@@ -1,8 +1,9 @@
 //! Property tests for the slab-backed queues: [`QueueSlab`]'s per-server
 //! intrusive lists must behave exactly like independent `VecDeque`s under
-//! arbitrary interleavings of pushes, pops, steal-style mid-queue drains
-//! and single-entry unlinks — and the arena must recycle nodes (no growth
-//! once the live population has peaked).
+//! arbitrary interleavings of pushes, pops, steal-style mid-queue drains,
+//! single-entry unlinks and the two list-to-list relinks the timing wheel
+//! cascades with — and the arena must recycle nodes (no growth once the
+//! live population has peaked).
 //!
 //! The model is the literal pre-slab representation (one `VecDeque` per
 //! server), so these tests pin the storage swap's behavioral equivalence
@@ -58,6 +59,16 @@ enum Op {
         list: u8,
         pos: u8,
     },
+    /// Relink the head of `src` (if any) onto the tail of `dst`.
+    MoveHead {
+        src: u8,
+        dst: u8,
+    },
+    /// Append all of `src` to `dst`.
+    Splice {
+        src: u8,
+        dst: u8,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -70,6 +81,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
             count
         }),
         (0u8..4, 0u8..12).prop_map(|(list, pos)| Op::UnlinkOne { list, pos }),
+        (0u8..4, 0u8..4).prop_map(|(src, dst)| Op::MoveHead { src, dst }),
+        (0u8..4, 0u8..4).prop_map(|(src, dst)| Op::Splice { src, dst }),
     ]
 }
 
@@ -142,6 +155,22 @@ proptest! {
                     let (prev, node) = node_at(&slab, list, pos);
                     let got = slab.unlink_after(list, prev, node);
                     prop_assert_eq!(got, expect);
+                }
+                Op::MoveHead { src, dst } => {
+                    let (src, dst) = (src as usize % LISTS, dst as usize % LISTS);
+                    // Same list: a rotation, in the model as in the slab.
+                    if let Some(e) = model[src].pop_front() {
+                        model[dst].push_back(e);
+                        slab.move_head_to_tail(src, dst);
+                    }
+                }
+                Op::Splice { src, dst } => {
+                    let (src, dst) = (src as usize % LISTS, dst as usize % LISTS);
+                    if src != dst {
+                        let moved = std::mem::take(&mut model[src]);
+                        model[dst].extend(moved);
+                    }
+                    slab.splice(src, dst);
                 }
             }
             let live: usize = model.iter().map(VecDeque::len).sum();

@@ -96,7 +96,7 @@ pub use metrics::{
     compare, AdmissionStats, ClassSummary, Comparison, JobResult, MetricsReport, ShardedStats,
     StreamingStats, StreamingSummary,
 };
-pub use protocol::Event;
+pub use protocol::{Event, EventCounts};
 // Convenience re-exports of the network-topology layer (the canonical home
 // is `hawk_net`): the selector every `SimConfig` carries plus the types a
 // topology-aware experiment touches.

@@ -8,6 +8,7 @@
 //! job runtime ratio.
 
 use crate::live::LiveMetrics;
+use crate::protocol::EventCounts;
 use hawk_net::NetworkStats;
 use hawk_simcore::stats::{mean, percentile, percentile_of_sorted, StreamingQuantiles};
 use hawk_simcore::{SimDuration, SimTime};
@@ -177,6 +178,14 @@ pub struct MetricsReport {
     pub steals: u64,
     /// Number of steal attempts (idle transitions that contacted victims).
     pub steal_attempts: u64,
+    /// Victim queues actually walked: contacted victims that passed the
+    /// steal-candidate index (the rest were ruled out by one bitmap load).
+    /// Not part of the golden digests.
+    pub steal_scans: u64,
+    /// Events the protocol core dispatched, by kind
+    /// ([`Event::KINDS`](crate::Event::KINDS) labels the slots). Not part
+    /// of the golden digests.
+    pub events_by_kind: EventCounts,
     /// Queue entries migrated off failed servers under scenario dynamics
     /// (tasks re-placed, live probes re-probed). Zero on static clusters.
     pub migrations: u64,
@@ -369,6 +378,8 @@ mod tests {
             events: 0,
             steals: 0,
             steal_attempts: 0,
+            steal_scans: 0,
+            events_by_kind: Default::default(),
             migrations: 0,
             abandons: 0,
             network: NetworkStats::default(),

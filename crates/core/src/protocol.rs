@@ -162,6 +162,56 @@ pub enum Event {
     },
 }
 
+/// Events the protocol core dispatched, one slot per [`Event::KINDS`]
+/// label.
+pub type EventCounts = [u64; Event::KINDS.len()];
+
+impl Event {
+    /// Labels of the protocol event kinds, in [`EventCounts`] order (the
+    /// enum's). The single-stream harness's two sampling timers never
+    /// reach the core and have no slot, so on that harness the counts sum
+    /// to [`MetricsReport::events`] less the samples taken.
+    pub const KINDS: [&'static str; 14] = [
+        "job_arrival",
+        "probe_arrive",
+        "task_arrive",
+        "bind_request",
+        "bind_response",
+        "task_finish",
+        "stolen_arrive",
+        "central_place",
+        "node_down",
+        "node_up",
+        "steal_request",
+        "task_done",
+        "central_task_done",
+        "relocate",
+    ];
+
+    /// This event's slot in [`EventCounts`].
+    fn kind(&self) -> usize {
+        match self {
+            Event::JobArrival(_) => 0,
+            Event::ProbeArrive { .. } => 1,
+            Event::TaskArrive { .. } => 2,
+            Event::BindRequest { .. } => 3,
+            Event::BindResponse { .. } => 4,
+            Event::TaskFinish { .. } => 5,
+            Event::StolenArrive { .. } => 6,
+            Event::CentralPlace(_) => 7,
+            Event::NodeDown(_) => 8,
+            Event::NodeUp(_) => 9,
+            Event::StealRequest { .. } => 10,
+            Event::TaskDone { .. } => 11,
+            Event::CentralTaskDone { .. } => 12,
+            Event::Relocate { .. } => 13,
+            Event::UtilSample | Event::LiveSample => {
+                unreachable!("sampling belongs to the harness")
+            }
+        }
+    }
+}
+
 /// Sentinel padding for [`Event::StealRequest::rest`].
 const NO_VICTIM: u32 = u32::MAX;
 
@@ -307,6 +357,10 @@ pub(crate) struct Core<'t> {
     pub(crate) unfinished: usize,
     steals: u64,
     steal_attempts: u64,
+    /// Victim queues actually walked (candidates that passed the index).
+    steal_scans: u64,
+    /// Events dispatched, by [`Event::kind`].
+    events_by_kind: EventCounts,
     /// Queue entries relocated off failed servers (tasks re-placed, live
     /// probes re-probed).
     migrations: u64,
@@ -418,6 +472,8 @@ impl<'t> Core<'t> {
             unfinished: 0,
             steals: 0,
             steal_attempts: 0,
+            steal_scans: 0,
+            events_by_kind: [0; Event::KINDS.len()],
             migrations: 0,
             abandons: 0,
             owned_down: 0,
@@ -474,6 +530,7 @@ impl<'t> Core<'t> {
 
     /// Handles one event.
     pub(crate) fn dispatch<T: Transport>(&mut self, net: &mut T, event: Event) {
+        self.events_by_kind[event.kind()] += 1;
         match event {
             Event::JobArrival(job) => self.on_job_arrival(net, job),
             Event::ProbeArrive {
@@ -919,12 +976,12 @@ impl<'t> Core<'t> {
     /// One steal attempt for an idle thief (§3.6): contact the victims the
     /// policy picks and steal from the first with an eligible group.
     ///
-    /// Victim selection draws from `steal_rng` first; the long-work index
-    /// is consulted only *after* those draws, to skip scans that provably
-    /// cannot yield an eligible group (no long work ⇒ nothing is blocked
-    /// behind a long task). Skipped scans perform no RNG draws of their
-    /// own, so the filter is behavior-preserving — the golden-digest suite
-    /// pins this.
+    /// Victim selection draws from `steal_rng` first; the steal-candidate
+    /// index is consulted only *after* those draws, to skip scans that
+    /// provably cannot yield an eligible group (no long work, or no short
+    /// entry queued ⇒ nothing is blocked behind a long task). Skipped
+    /// scans perform no RNG draws of their own at any granularity, so the
+    /// filter is behavior-preserving — the golden-digest suite pins this.
     ///
     /// Owned victims are scanned synchronously in pick order. If none
     /// yields a group, the victims this core does not own (up to four, in
@@ -948,10 +1005,10 @@ impl<'t> Core<'t> {
             &mut self.victim_scratch,
             &mut victims,
         );
-        // O(1) via the index: with no long work on any owned server every
-        // local scan would come back empty. The index says nothing about
-        // servers another core owns (shadows never enqueue).
-        let local_scan = self.cluster.long_holder_count() > 0;
+        // O(1) via the index: with no candidate among the owned servers
+        // every local scan would come back empty. The index says nothing
+        // about servers another core owns (shadows never enqueue).
+        let local_scan = self.cluster.steal_candidate_count() > 0;
         debug_assert!(self.steal_buf.is_empty(), "stale steal batch");
         let mut robbed = None;
         let mut remotes = [NO_VICTIM; 4];
@@ -964,11 +1021,12 @@ impl<'t> Core<'t> {
                 }
                 continue;
             }
-            if !local_scan || !self.cluster.holds_long_work(victim) {
+            if !local_scan || !self.cluster.is_steal_candidate(victim) {
                 // One bitmap load instead of a cold walk of the victim's
-                // queue state.
+                // queue.
                 continue;
             }
+            self.steal_scans += 1;
             self.cluster.steal_from_with_into(
                 victim,
                 spec.granularity,
@@ -1054,7 +1112,9 @@ impl<'t> Core<'t> {
         debug_assert!(net.owns(victim));
         let Some(spec) = self.steal_spec else { return };
         debug_assert!(self.steal_buf.is_empty(), "stale steal batch");
-        if !self.cluster.is_down(victim) && self.cluster.holds_long_work(victim) {
+        // Down servers sit in no index, so one bit answers both questions.
+        if self.cluster.is_steal_candidate(victim) {
+            self.steal_scans += 1;
             self.cluster.steal_from_with_into(
                 victim,
                 spec.granularity,
@@ -1204,6 +1264,12 @@ pub(crate) fn report(
         network.rack_local_steals += stats.rack_local_steals;
         network.steal_transfers += stats.steal_transfers;
     }
+    let mut events_by_kind = [0; Event::KINDS.len()];
+    for core in cores {
+        for (total, count) in events_by_kind.iter_mut().zip(core.events_by_kind) {
+            *total += count;
+        }
+    }
     let recorders: Vec<&LiveRecorder> = cores.iter().filter_map(|c| c.live.as_ref()).collect();
     let sum = |counter: fn(&Core<'_>) -> u64| cores.iter().map(|c| counter(c)).sum();
 
@@ -1218,6 +1284,8 @@ pub(crate) fn report(
         events,
         steals: sum(|c| c.steals),
         steal_attempts: sum(|c| c.steal_attempts),
+        steal_scans: sum(|c| c.steal_scans),
+        events_by_kind,
         migrations: sum(|c| c.migrations),
         abandons: sum(|c| c.abandons),
         network,
@@ -1314,6 +1382,64 @@ mod tests {
     #[test]
     fn event_stays_within_the_pre_merge_size() {
         assert!(std::mem::size_of::<Event>() <= 40);
+    }
+
+    /// `Event::kind` and `Event::KINDS` are two hand-kept lists: every
+    /// protocol variant's slot must carry its own name, and every slot
+    /// must be used.
+    #[test]
+    fn event_kinds_label_their_own_variants() {
+        let server = ServerId(0);
+        let job = JobId(0);
+        let spec = TaskSpec {
+            job,
+            duration: SimDuration::from_secs(1),
+            estimate: SimDuration::from_secs(1),
+            class: JobClass::Short,
+            task: 0,
+            attempt: 0,
+        };
+        let class = JobClass::Short;
+        let entry = QueueEntry::Probe { job, class };
+        let mut pool = BatchPool::new();
+        let batch = pool.put(&mut vec![entry]);
+        let events = [
+            Event::JobArrival(job),
+            Event::ProbeArrive {
+                server,
+                job,
+                class,
+                bounces: 0,
+            },
+            Event::TaskArrive { server, spec },
+            Event::BindRequest { server, job },
+            Event::BindResponse { server, task: None },
+            Event::TaskFinish { server },
+            Event::StolenArrive { server, batch },
+            Event::CentralPlace(job),
+            Event::NodeDown(server),
+            Event::NodeUp(server),
+            Event::StealRequest {
+                thief: server,
+                victim: server,
+                rest: [NO_VICTIM; 3],
+            },
+            Event::TaskDone { job },
+            Event::CentralTaskDone { job, server },
+            Event::Relocate {
+                from: server,
+                entry,
+            },
+        ];
+        for (slot, event) in events.iter().enumerate() {
+            assert_eq!(event.kind(), slot, "{event:?}");
+            let camel: String = Event::KINDS[slot]
+                .split('_')
+                .map(|word| word[..1].to_uppercase() + &word[1..])
+                .collect();
+            assert!(format!("{event:?}").starts_with(&camel), "{event:?}");
+        }
+        assert_eq!(events.len(), Event::KINDS.len());
     }
 
     #[test]
@@ -1441,6 +1567,85 @@ mod tests {
         assert_eq!(rest, [expected[1].0, expected[2].0, expected[3].0]);
         assert_eq!((core.steal_attempts, core.steals), (1, 0));
         assert!(net.stolen.is_empty());
+    }
+
+    /// The steal-candidate index in `try_steal`: a picked victim that holds
+    /// long work but has only long entries queued cannot yield a group at
+    /// any granularity, so it is ruled out by its bit — no queue walk
+    /// (`steal_scans` stays 0) and no draw from `steal_rng` beyond the ones
+    /// that picked the victims. A bystander keeps the cluster-wide
+    /// candidate count above zero, so it is the per-victim bit that skips.
+    #[test]
+    fn long_only_victims_are_skipped_without_a_scan_or_an_rng_draw() {
+        use hawk_cluster::StealGranularity;
+
+        let trace = one_job_trace(vec![10]);
+        // The one granularity whose scan draws from the RNG when it finds
+        // something: a skipped draw would show.
+        let scheduler = Hawk::new(0.2).steal_granularity(StealGranularity::RandomBlockedEntry);
+        let thief = ServerId(19);
+        let mut core = core_for(&trace, scheduler, 20);
+        let mut net = RecordingTransport::<false>::owning(0..20);
+        let mut after_picks = core.steal_rng.clone();
+        let mut picked = Vec::new();
+        scheduler.pick_victims_in_fabric_into(
+            &core.cluster.partition(),
+            thief,
+            None,
+            &mut after_picks,
+            &mut Vec::new(),
+            &mut picked,
+        );
+        let general = core.cluster.partition().general_count() as u32;
+        let bystander = (0..general)
+            .map(ServerId)
+            .find(|server| !picked.contains(server))
+            .expect("the steal cap leaves general servers unpicked");
+
+        let long = QueueEntry::Task(TaskSpec {
+            job: JobId(0),
+            duration: SimDuration::from_secs(5_000),
+            estimate: SimDuration::from_secs(5_000),
+            class: JobClass::Long,
+            task: 0,
+            attempt: 0,
+        });
+        let short = QueueEntry::Probe {
+            job: JobId(0),
+            class: JobClass::Short,
+        };
+        for &victim in &picked {
+            core.on_entry_arrive(&mut net, victim, long);
+            core.on_entry_arrive(&mut net, victim, long);
+        }
+        core.on_entry_arrive(&mut net, bystander, long);
+        core.on_entry_arrive(&mut net, bystander, short);
+        assert!(picked
+            .iter()
+            .all(|&v| core.cluster.holds_long_work(v) && !core.cluster.is_steal_candidate(v)));
+        assert!(core.cluster.is_steal_candidate(bystander));
+        net.sent.clear();
+
+        core.on_action(&mut net, thief, ServerAction::BecameIdle);
+        assert_eq!(
+            (core.steal_attempts, core.steal_scans, core.steals),
+            (1, 0, 0)
+        );
+        assert_eq!(core.steal_rng.next_u64(), after_picks.next_u64());
+        assert!(net.sent.is_empty(), "a failed local attempt sends nothing");
+
+        // A short entry behind the long work flips the bit, and the next
+        // thief to pick that victim walks its queue.
+        core.on_entry_arrive(&mut net, picked[0], short);
+        assert!(core.cluster.is_steal_candidate(picked[0]));
+        while core.steals == 0 {
+            core.on_action(&mut net, thief, ServerAction::BecameIdle);
+            assert!(
+                core.steal_attempts < 1_000,
+                "no attempt ever picked a candidate"
+            );
+        }
+        assert_eq!(core.steal_scans, 1, "one walk, and it found the group");
     }
 
     /// The victim's side: a scan that finds a blocked group ships it to

@@ -291,6 +291,10 @@ impl ProtoReport {
             events: self.messages,
             steals: self.steals,
             steal_attempts: self.steal_attempts,
+            // The daemons run their own protocol copy and keep neither
+            // counter; their per-kind view is `deliveries`.
+            steal_scans: 0,
+            events_by_kind: Default::default(),
             migrations: self.migrations,
             abandons: self.abandons,
             network: self.network,
@@ -419,6 +423,8 @@ mod tests {
             events: 0,
             steals: 0,
             steal_attempts: 0,
+            steal_scans: 0,
+            events_by_kind: Default::default(),
             migrations: 0,
             abandons: 0,
             network: NetworkStats::default(),

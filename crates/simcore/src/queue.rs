@@ -23,10 +23,45 @@
 //! microseconds; an event lands at the lowest level whose bucket span still
 //! separates it from the `cursor` (the firing time of the last event popped
 //! from the wheel). Level-0 buckets therefore hold events of one exact
-//! microsecond each, in insertion order; higher-level buckets are cascaded
-//! down — preserving insertion order — when the cursor reaches their span.
-//! Each event cascades at most six times, so the amortized cost per event
-//! is constant.
+//! microsecond each, in insertion order, and every bucket is kept in `seq`
+//! order. A pop takes the head of the earliest level-0 bucket; when level 0
+//! is empty the cursor moves up to the earliest bucket of the lowest
+//! occupied level, and what happens there depends on the bucket's shape:
+//!
+//! * **Single-time hand-off** (the common path). Simulated events are
+//!   sparse against 1 µs buckets — a cell's events lie milliseconds
+//!   apart — so the bucket the cursor reaches usually holds one firing
+//!   time: a lone message or timer, or one job's probe burst. Its entries
+//!   are then the wheel minimum, already in `seq` order: the head is
+//!   popped where it lies, the cursor jumps to its time, and the rest of
+//!   the list (if any) is spliced into that microsecond's level-0 bucket
+//!   in O(1) — no other entry is visited, none is copied, and the levels
+//!   in between are skipped. To know the shape without a walk the wheel
+//!   tracks, per bucket, the first firing time placed since it was last
+//!   empty and, per level, a bitmap of buckets that have since taken a
+//!   different one.
+//! * **Mixed-bucket cascade.** A bucket holding two or more distinct times
+//!   is redistributed over the levels below by *relinking* its nodes in
+//!   order ([`EntrySlab::move_head_to_tail`]): no value moves and the free
+//!   list is not touched. A far timer can be relinked through several
+//!   levels (at most six) before its bucket is single-time.
+//!
+//! # The cursor invariant
+//!
+//! *Every wheel entry at level `L` agrees with the cursor on every digit
+//! above `L` and, for `L ≥ 1`, differs from it at digit `L`* (digits are
+//! the 7-bit groups of the firing time), so an entry's bucket never has
+//! to be recomputed while it waits. A level-0 pop moves the cursor inside
+//! its level-0 window and changes no higher digit. Emptying a higher
+//! bucket moves it further — a cascade to the start of the bucket's
+//! window, a hand-off to the bucket's one firing time — but either way
+//! the new cursor lies between the old one and every remaining entry,
+//! inside the window of the bucket just emptied. That bucket was the
+//! earliest of the lowest occupied level `L`, so the cursor's digits above
+//! `L` are unchanged and its digit `L` becomes that bucket's slot, which
+//! every other level-`L` entry exceeds: the remaining entries of level `L`
+//! and above still first differ from the cursor exactly where they did,
+//! and the levels below `L` hold only what the move just put there.
 //!
 //! Two small binary heaps catch the edges the wheel does not cover:
 //!
@@ -127,6 +162,15 @@ pub struct EventQueue<E> {
     wheel: EntrySlab<Entry<E>>,
     /// Per-level bitmap of non-empty buckets.
     occupied: [u128; LEVELS],
+    /// Per-level bitmap of buckets holding at least two distinct firing
+    /// times (never set at level 0, whose buckets are one microsecond
+    /// wide). A bucket above level 0 only ever empties wholesale, so the
+    /// bit is exact, not conservative.
+    mixed: [u128; LEVELS],
+    /// Per bucket, the firing time (µs) of the first entry placed since
+    /// the bucket was last empty: the time of *every* entry while the
+    /// bucket's `mixed` bit is clear. Meaningless for an empty bucket.
+    first: [u64; LEVELS * SLOTS],
     /// The wheel floor: the firing time (µs) of the last event popped from
     /// the wheel. Every wheel entry fires at or after this time.
     cursor: u64,
@@ -156,6 +200,8 @@ impl<E: Copy> EventQueue<E> {
         EventQueue {
             wheel: EntrySlab::new(LEVELS * SLOTS),
             occupied: [0; LEVELS],
+            mixed: [0; LEVELS],
+            first: [0; LEVELS * SLOTS],
             cursor: 0,
             past: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
@@ -181,65 +227,78 @@ impl<E: Copy> EventQueue<E> {
         let t = time.as_micros();
         if t < self.cursor {
             self.past.push(Scheduled { time, seq, event });
+        } else if let Some((level, slot)) = self.bucket_of(t) {
+            // A new event carries the largest seq so far: appending keeps
+            // the bucket seq-sorted.
+            self.wheel.push_back(level * SLOTS + slot, (t, seq, event));
+            self.note_placed(level, slot, t);
         } else {
-            self.place(t, seq, event);
+            self.overflow.push(Scheduled { time, seq, event });
         }
     }
 
-    /// Buckets an entry with `t >= cursor` into the wheel, or the overflow
-    /// heap when it is beyond the wheel span.
-    fn place(&mut self, t: u64, seq: u64, event: E) {
+    /// The `(level, slot)` of the bucket for an entry at `t >= cursor`, or
+    /// `None` when it is beyond the wheel span.
+    #[inline]
+    fn bucket_of(&self, t: u64) -> Option<(usize, usize)> {
         debug_assert!(t >= self.cursor);
         let level = level_for(t, self.cursor);
-        if level >= LEVELS {
-            self.overflow.push(Scheduled {
-                time: SimTime::from_micros(t),
-                seq,
-                event,
-            });
-            return;
-        }
         let slot = ((t >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        let bucket = level * SLOTS + slot;
-        // Pushes and cascades arrive in increasing seq order, so appending
-        // keeps the bucket sorted; only overflow re-bucketing can arrive
-        // out of order (when an event pushed long ago re-enters the wheel)
-        // and pays for a list walk + sorted insert.
-        // The tail holds the bucket's largest seq (buckets are seq-sorted),
-        // so the in-order common case is one O(1) tail read.
-        let append = match self.wheel.tail(bucket) {
-            None => true,
-            Some(tail) => self.wheel.value(tail).1 <= seq,
-        };
-        if append {
-            self.wheel.push_back(bucket, (t, seq, event));
-        } else {
-            // Walk to the last node with a smaller seq and insert after it.
-            let mut prev: Option<u32> = None;
-            let mut cur = self.wheel.head(bucket);
-            while let Some(node) = cur {
-                if self.wheel.value(node).1 >= seq {
-                    break;
-                }
-                prev = Some(node);
-                cur = self.wheel.next(node);
-            }
-            self.wheel.insert_after(bucket, prev, (t, seq, event));
+        (level < LEVELS).then_some((level, slot))
+    }
+
+    /// Records that an entry firing at `t` was linked into bucket
+    /// `(level, slot)`: occupancy, the bucket's first time, its mixed bit.
+    #[inline]
+    fn note_placed(&mut self, level: usize, slot: usize, t: u64) {
+        let bit = 1u128 << slot;
+        let first = &mut self.first[level * SLOTS + slot];
+        if self.occupied[level] & bit == 0 {
+            self.occupied[level] |= bit;
+            *first = t;
+        } else if *first != t {
+            self.mixed[level] |= bit;
         }
-        self.occupied[level] |= 1 << slot;
     }
 
     /// Moves every overflow event now within the wheel span back into the
     /// wheel. Called only after the cursor jumps (the overflow minimum is
     /// strictly later than every wheel entry, so overflow events can never
     /// become due while the wheel still holds anything).
+    ///
+    /// This is the one path that can meet a bucket out of `seq` order —
+    /// the heap yields `(time, seq)` order, and an event pushed long ago
+    /// may follow a younger, earlier-firing one into the same bucket — so
+    /// it alone reads the tail's seq and, when that is larger, pays for a
+    /// list walk and a sorted insert.
     fn rebucket_overflow(&mut self) {
         while let Some(s) = self.overflow.peek() {
-            if level_for(s.time.as_micros(), self.cursor) >= LEVELS {
+            let t = s.time.as_micros();
+            let Some((level, slot)) = self.bucket_of(t) else {
                 break;
-            }
+            };
             let s = self.overflow.pop().expect("peeked entry exists");
-            self.place(s.time.as_micros(), s.seq, s.event);
+            let bucket = level * SLOTS + slot;
+            let in_order = self
+                .wheel
+                .tail(bucket)
+                .is_none_or(|tail| self.wheel.value(tail).1 <= s.seq);
+            if in_order {
+                self.wheel.push_back(bucket, (t, s.seq, s.event));
+            } else {
+                // Walk to the last node with a smaller seq, insert after.
+                let mut prev: Option<u32> = None;
+                let mut cur = self.wheel.head(bucket);
+                while let Some(node) = cur {
+                    if self.wheel.value(node).1 >= s.seq {
+                        break;
+                    }
+                    prev = Some(node);
+                    cur = self.wheel.next(node);
+                }
+                self.wheel.insert_after(bucket, prev, (t, s.seq, s.event));
+            }
+            self.note_placed(level, slot, t);
         }
     }
 
@@ -269,27 +328,46 @@ impl<E: Copy> EventQueue<E> {
                 self.cursor = t;
                 return Some((SimTime::from_micros(t), event));
             }
-            // Cascade the earliest bucket of the lowest occupied level down
-            // to finer levels (in order, so FIFO ties are preserved): pop
-            // each node and re-place it — nodes recycle through the slab's
-            // free list, so cascading allocates nothing.
+            // The cursor reaches the earliest bucket of the lowest
+            // occupied level; every level below it is empty.
             if let Some(level) = (1..LEVELS).find(|&l| self.occupied[l] != 0) {
                 let slot = self.occupied[level].trailing_zeros() as usize;
-                self.occupied[level] &= !(1 << slot);
+                let bit = 1u128 << slot;
                 let bucket = level * SLOTS + slot;
-                // Advance the cursor to the bucket's window start so the
-                // redistribution lands below `level`.
+                self.occupied[level] &= !bit;
+                if self.mixed[level] & bit == 0 {
+                    // One firing time: these entries are the wheel minimum,
+                    // in seq order. Pop the head where it lies and hand
+                    // the rest of the list, if any, to that microsecond's
+                    // (empty) level-0 bucket.
+                    let (t, _, event) = self
+                        .wheel
+                        .pop_front(bucket)
+                        .expect("occupied bucket is non-empty");
+                    if !self.wheel.is_empty(bucket) {
+                        let slot0 = (t & (SLOTS as u64 - 1)) as usize;
+                        self.wheel.splice(bucket, slot0);
+                        self.occupied[0] |= 1 << slot0;
+                        self.first[slot0] = t;
+                    }
+                    self.cursor = t;
+                    return Some((SimTime::from_micros(t), event));
+                }
+                // Several times: advance the cursor to the bucket's window
+                // start and relink each node, in order (so FIFO ties are
+                // preserved), into its bucket below `level`.
+                self.mixed[level] &= !bit;
                 let span = 1u64 << (LEVEL_BITS * level as u32);
-                let (first_t, _, _) = self
-                    .wheel
-                    .iter(bucket)
-                    .next()
-                    .expect("occupied bucket is non-empty");
-                let window_start = first_t & !(span - 1);
+                let window_start = self.first[bucket] & !(span - 1);
                 debug_assert!(window_start >= self.cursor);
                 self.cursor = window_start;
-                while let Some((t, seq, event)) = self.wheel.pop_front(bucket) {
-                    self.place(t, seq, event);
+                while let Some(node) = self.wheel.head(bucket) {
+                    let t = self.wheel.value(node).0;
+                    let (l, s) = self
+                        .bucket_of(t)
+                        .expect("a cascading entry lands below its level");
+                    self.wheel.move_head_to_tail(bucket, l * SLOTS + s);
+                    self.note_placed(l, s, t);
                 }
                 continue;
             }
@@ -347,25 +425,20 @@ impl<E: Copy> EventQueue<E> {
         if let Some(s) = self.past.peek() {
             return Some(s.time);
         }
-        if self.occupied[0] != 0 {
-            let slot = self.occupied[0].trailing_zeros() as usize;
-            return self
-                .wheel
-                .iter(slot)
-                .next()
-                .map(|&(t, _, _)| SimTime::from_micros(t));
-        }
-        for level in 1..LEVELS {
+        for level in 0..LEVELS {
             if self.occupied[level] == 0 {
                 continue;
             }
             let slot = self.occupied[level].trailing_zeros() as usize;
-            // Higher-level buckets are seq-ordered, not time-ordered; the
-            // earliest firing time needs a scan. Peeking is off the hot
-            // path (the engine's pop never calls it).
+            let bucket = level * SLOTS + slot;
+            if self.mixed[level] & (1 << slot) == 0 {
+                return Some(SimTime::from_micros(self.first[bucket]));
+            }
+            // Mixed buckets are seq-ordered, not time-ordered: the
+            // earliest firing time needs a scan.
             return self
                 .wheel
-                .iter(level * SLOTS + slot)
+                .iter(bucket)
                 .map(|&(t, _, _)| SimTime::from_micros(t))
                 .min();
         }
@@ -392,6 +465,44 @@ impl<E: Copy> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The module-level cursor invariant plus the bookkeeping around it,
+    /// recomputed from the lists: occupancy, seq order, `first`, `mixed`.
+    fn assert_invariants<E: Copy>(q: &EventQueue<E>) {
+        let mut in_wheel = 0;
+        for level in 0..LEVELS {
+            for slot in 0..SLOTS {
+                let bucket = level * SLOTS + slot;
+                let entries: Vec<(u64, u64)> =
+                    q.wheel.iter(bucket).map(|&(t, seq, _)| (t, seq)).collect();
+                in_wheel += entries.len();
+                let bit = 1u128 << slot;
+                assert_eq!(q.occupied[level] & bit != 0, !entries.is_empty());
+                if entries.is_empty() {
+                    assert_eq!(q.mixed[level] & bit, 0, "stale mixed bit");
+                    continue;
+                }
+                for &(t, _) in &entries {
+                    assert!(t >= q.cursor);
+                    assert_eq!(
+                        q.bucket_of(t),
+                        Some((level, slot)),
+                        "entry in the wrong bucket"
+                    );
+                }
+                assert!(entries.windows(2).all(|w| w[0].1 < w[1].1), "seq order");
+                assert!(entries.iter().any(|&(t, _)| t == q.first[bucket]));
+                let distinct = entries.iter().any(|&(t, _)| t != q.first[bucket]);
+                assert_eq!(q.mixed[level] & bit != 0, distinct, "mixed bit is exact");
+            }
+        }
+        assert_eq!(q.mixed[0], 0);
+        assert!(q
+            .overflow
+            .iter()
+            .all(|s| q.bucket_of(s.time.as_micros()).is_none()));
+        assert_eq!(q.len, in_wheel + q.past.len() + q.overflow.len());
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -495,6 +606,83 @@ mod tests {
     }
 
     #[test]
+    fn single_time_bucket_is_handed_to_level_zero_whole() {
+        // A burst at one far time sits in one high-level bucket. The first
+        // pop hands the whole list to level 0 without cascading; zero-delay
+        // pushes at the popped time then queue behind the rest of it.
+        let t = SimTime::from_micros(3 << 30);
+        let mut q = EventQueue::new();
+        for i in 0..5 {
+            q.push(t, i);
+        }
+        q.push(SimTime::from_micros(5 << 30), 100);
+        assert_eq!(q.mixed, [0; LEVELS], "each bucket holds one time");
+        assert_eq!(q.peek_time(), Some(t));
+        assert_eq!(q.pop(), Some((t, 0)));
+        assert_eq!(
+            q.cursor,
+            t.as_micros(),
+            "the cursor jumped to the exact time"
+        );
+        assert_eq!(q.wheel.len((t.as_micros() & 127) as usize), 4);
+        assert_invariants(&q);
+        q.push(t, 5);
+        q.push(t, 6);
+        assert_invariants(&q);
+        for i in 1..=6 {
+            assert_eq!(q.pop(), Some((t, i)));
+        }
+        // The survivor was never touched: it still sits where the cursor
+        // invariant says, and pops by a hand-off of its own.
+        assert_invariants(&q);
+        assert_eq!(q.pop().unwrap().1, 100);
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn mixed_bucket_cascades_by_relinking_in_order() {
+        // Three times in one level-2 bucket, interleaved in push order;
+        // the cascade must keep FIFO inside each time and allocate no node.
+        let base = 5u64 << 14;
+        let mut q = EventQueue::new();
+        let times = [base + 300, base + 7, base + 300, base + 7, base + 9_000];
+        for (i, &t) in times.iter().enumerate() {
+            q.push(SimTime::from_micros(t), i);
+        }
+        assert_invariants(&q);
+        assert_ne!(q.mixed[2], 0);
+        let nodes = q.wheel.allocated_nodes();
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(base + 7)));
+        let popped: Vec<usize> = std::iter::from_fn(|| {
+            let e = q.pop().map(|(_, e)| e);
+            assert_invariants(&q);
+            e
+        })
+        .collect();
+        assert_eq!(popped, vec![1, 3, 0, 2, 4]);
+        assert_eq!(q.wheel.allocated_nodes(), nodes);
+    }
+
+    #[test]
+    fn overflow_reentry_restores_seq_order_inside_a_bucket() {
+        // The overflow heap returns events time-first, so seq 0 (fires at
+        // +5) follows seq 1 (fires at +2) into the same wheel bucket and
+        // has to be inserted ahead of it: buckets stay seq-sorted, which is
+        // what lets every other path append blindly.
+        let far = 1u64 << 55;
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(far + (1 << 20) + 5), 0);
+        q.push(SimTime::from_micros(far + (1 << 20) + 2), 1);
+        q.push(SimTime::from_micros(far + (1 << 20) + 5), 2);
+        q.push(SimTime::from_micros(far), 3);
+        assert_eq!(q.pop().unwrap().1, 3);
+        assert_invariants(&q);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 0);
+        assert_eq!(q.pop().unwrap().1, 2);
+    }
+
+    #[test]
     fn drain_until_matches_repeated_pop() {
         let times = [9u64, 2, 2, 7, 4, 4, 4, 30, 1];
         let build = || {
@@ -551,6 +739,9 @@ mod tests {
             pending += 1;
             if round % 3 == 0 {
                 let (pt, seq) = q.pop().unwrap();
+                if round % 4 == 0 {
+                    assert_invariants(&q);
+                }
                 pending -= 1;
                 if let Some((lt, lseq)) = last {
                     assert!(pt > lt || (pt == lt && seq > lseq), "order violated");

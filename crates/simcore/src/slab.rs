@@ -11,10 +11,14 @@
 //!
 //! * **One list per owner** — list ids are dense (`0..num_lists`), fixed at
 //!   construction; in `hawk-cluster` list `i` is server `i`'s queue.
-//! * **O(1) push/pop/unlink** — [`EntrySlab::push_back`],
+//! * **O(1) push/pop/unlink/relink** — [`EntrySlab::push_back`],
 //!   [`EntrySlab::pop_front`] and [`EntrySlab::unlink_after`] touch a
-//!   constant number of nodes; [`EntrySlab::unlink_run_into`] is O(run
-//!   length). No operation walks a list except the iterators.
+//!   constant number of nodes, and so do the two operations that move
+//!   nodes *between* lists without copying a value or visiting the free
+//!   list, [`EntrySlab::move_head_to_tail`] and [`EntrySlab::splice`]
+//!   (the timing wheel cascades with them);
+//!   [`EntrySlab::unlink_run_into`] is O(run length). No operation walks
+//!   a list except the iterators.
 //! * **No allocation after warm-up** — nodes are recycled LIFO through the
 //!   free list; the arena grows only when the total live population
 //!   exceeds every previous peak ([`EntrySlab::allocated_nodes`] is
@@ -154,17 +158,24 @@ impl<T: Copy> EntrySlab<T> {
         self.free_len += 1;
     }
 
+    /// Links the NIL-terminated chain `head ..= tail` of `len` nodes onto
+    /// the tail of `list`.
+    #[inline]
+    fn append_chain(&mut self, list: usize, head: u32, tail: u32, len: u32) {
+        let ends = &mut self.lists[list];
+        if ends.tail == NIL {
+            ends.head = head;
+        } else {
+            self.nodes[ends.tail as usize].next = head;
+        }
+        ends.tail = tail;
+        ends.len += len;
+    }
+
     /// Appends `value` to the tail of `list`. O(1).
     pub fn push_back(&mut self, list: usize, value: T) {
         let idx = self.alloc_node(value);
-        let ends = &mut self.lists[list];
-        if ends.tail == NIL {
-            ends.head = idx;
-        } else {
-            self.nodes[ends.tail as usize].next = idx;
-        }
-        ends.tail = idx;
-        ends.len += 1;
+        self.append_chain(list, idx, idx, 1);
     }
 
     /// Inserts `value` after `prev` in `list` (`None` prepends at the
@@ -210,6 +221,36 @@ impl<T: Copy> EntrySlab<T> {
         ends.len -= 1;
         self.free_node(idx);
         Some(value)
+    }
+
+    /// Moves the head node of `src` to the tail of `dst` by relinking it:
+    /// the value is not copied and the free list is not touched. O(1).
+    /// With `src == dst` the list rotates by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is empty.
+    pub fn move_head_to_tail(&mut self, src: usize, dst: usize) {
+        let idx = self.lists[src].head;
+        assert!(idx != NIL, "move_head_to_tail: empty source list");
+        let next = std::mem::replace(&mut self.nodes[idx as usize].next, NIL);
+        let from = &mut self.lists[src];
+        from.head = next;
+        if next == NIL {
+            from.tail = NIL;
+        }
+        from.len -= 1;
+        self.append_chain(dst, idx, idx, 1);
+    }
+
+    /// Appends the whole of `src` to the tail of `dst`, in order, leaving
+    /// `src` empty. O(1) whatever the length; a no-op when `src` is empty
+    /// or `src == dst`.
+    pub fn splice(&mut self, src: usize, dst: usize) {
+        let moved = std::mem::replace(&mut self.lists[src], ListEnds::EMPTY);
+        if moved.head != NIL {
+            self.append_chain(dst, moved.head, moved.tail, moved.len);
+        }
     }
 
     /// The head node index of `list`, or `None` if empty.
@@ -325,39 +366,42 @@ impl<T: Copy> EntrySlab<T> {
         self.lists[list].len -= count as u32;
     }
 
-    /// Checks arena-wide invariants: every list's length matches a walk,
-    /// the free-list length matches, and live + free node counts cover the
-    /// arena exactly.
+    /// Checks arena-wide invariants: every list's length and tail match a
+    /// walk, the free-list length matches, and every node sits on exactly
+    /// one list or the free list — the relinking operations
+    /// ([`EntrySlab::move_head_to_tail`], [`EntrySlab::splice`]) could
+    /// otherwise share a node between two lists while the totals still
+    /// add up.
     pub fn check_invariants(&self) -> bool {
-        let mut live = 0usize;
-        for (i, ends) in self.lists.iter().enumerate() {
+        let mut seen = vec![false; self.nodes.len()];
+        // A revisit is a cycle or a node shared between lists.
+        let mut first_visit = |idx: u32| !std::mem::replace(&mut seen[idx as usize], true);
+        for ends in &self.lists {
             let mut n = 0usize;
             let mut cur = ends.head;
             let mut last = NIL;
             while cur != NIL {
+                if !first_visit(cur) {
+                    return false;
+                }
                 last = cur;
                 cur = self.nodes[cur as usize].next;
                 n += 1;
-                if n > self.nodes.len() {
-                    return false; // cycle
-                }
             }
             if n != ends.len as usize || last != ends.tail {
                 return false;
             }
-            let _ = i;
-            live += n;
         }
         let mut free = 0usize;
         let mut cur = self.free_head;
         while cur != NIL {
-            cur = self.nodes[cur as usize].next;
-            free += 1;
-            if free > self.nodes.len() {
+            if !first_visit(cur) {
                 return false;
             }
+            cur = self.nodes[cur as usize].next;
+            free += 1;
         }
-        free == self.free_len && live + free == self.nodes.len()
+        free == self.free_len && seen.iter().all(|&s| s)
     }
 }
 
@@ -504,6 +548,51 @@ mod tests {
             vec![3, 4, 5, 7, 9, 11]
         );
         assert!(s.check_invariants());
+    }
+
+    #[test]
+    fn relinking_moves_nodes_without_allocating_or_freeing() {
+        let mut s: EntrySlab<u32> = EntrySlab::new(3);
+        for v in 0..4 {
+            s.push_back(0, v);
+        }
+        s.push_back(1, 10);
+        let (allocated, free) = (s.allocated_nodes(), s.free_nodes());
+        // Head of 0 onto a non-empty and onto an empty list.
+        s.move_head_to_tail(0, 1);
+        s.move_head_to_tail(0, 2);
+        assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(s.iter(1).copied().collect::<Vec<_>>(), vec![10, 0]);
+        assert_eq!(s.iter(2).copied().collect::<Vec<_>>(), vec![1]);
+        // Same list: a rotation; a singleton stays put.
+        s.move_head_to_tail(0, 0);
+        s.move_head_to_tail(2, 2);
+        assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![3, 2]);
+        assert_eq!(s.iter(2).copied().collect::<Vec<_>>(), vec![1]);
+        // Splice onto a non-empty list, then the lot onto an empty one.
+        s.splice(0, 1);
+        assert!(s.is_empty(0));
+        assert_eq!(s.iter(1).copied().collect::<Vec<_>>(), vec![10, 0, 3, 2]);
+        s.splice(1, 0);
+        s.splice(1, 0); // empty source: no-op
+        s.splice(0, 0); // onto itself: no-op
+        assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![10, 0, 3, 2]);
+        assert_eq!((s.len(0), s.len(1), s.len(2)), (4, 0, 1));
+        assert_eq!((s.allocated_nodes(), s.free_nodes()), (allocated, free));
+        assert!(s.check_invariants());
+        // Both ends stay usable after relinking.
+        s.push_back(0, 7);
+        s.push_back(1, 8);
+        assert_eq!(s.pop_front(0), Some(10));
+        assert_eq!(s.pop_front(1), Some(8));
+        assert!(s.check_invariants());
+    }
+
+    #[test]
+    #[should_panic(expected = "empty source list")]
+    fn move_head_of_an_empty_list_panics() {
+        let mut s: EntrySlab<u32> = EntrySlab::new(2);
+        s.move_head_to_tail(0, 1);
     }
 
     #[test]

@@ -13,69 +13,109 @@ enum QueueOp {
     /// beyond-span overflow).
     Push(u64),
     Pop,
+    /// `k` events at one far time (a job's probe burst), then `pops` pops,
+    /// each followed by a zero-delay push at the popped time. Alone in its
+    /// bucket the burst takes the single-time hand-off (and the zero-delay
+    /// pushes must queue behind what is left of it); sharing a bucket with
+    /// `Push`es of the same era it cascades by relinking; in the overflow
+    /// era it re-enters the wheel from the heap.
+    Burst {
+        at: u64,
+        k: u8,
+        pops: u8,
+    },
 }
 
+/// Eras: exact-tie region, one-bucket region, cascade region, overflow
+/// region (beyond the wheel span of 2^49 µs).
+const ERAS: [u64; 4] = [0, 1 << 10, 1 << 30, 1 << 55];
+
 fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
-    let op = (0u8..4, 0u64..4, 0u64..200).prop_map(|(kind, era, fine)| {
-        if kind == 0 {
-            QueueOp::Pop
-        } else {
-            // Eras: exact-tie region, one-bucket region, cascade region,
-            // overflow region (beyond the wheel span of 2^49 µs).
-            let base = [0u64, 1 << 10, 1 << 30, 1 << 55][era as usize];
-            QueueOp::Push(base + fine)
-        }
+    let op = (0u8..5, 0u64..4, 0u64..200, 1u8..6).prop_map(|(kind, era, fine, k)| match kind {
+        0 => QueueOp::Pop,
+        // Bursts land in the cascade and overflow eras only.
+        4 => QueueOp::Burst {
+            at: ERAS[2 + era as usize % 2] + fine,
+            k,
+            pops: (fine % 8) as u8,
+        },
+        _ => QueueOp::Push(ERAS[era as usize] + fine),
     });
     proptest::collection::vec(op, 1..300)
+}
+
+/// The wheel next to its model: a bag of pending `(time, seq)` pairs whose
+/// minimum is what the next pop must return.
+struct Modelled {
+    queue: EventQueue<u64>,
+    pending: Vec<(u64, u64)>,
+    seq: u64,
+    /// Last popped `(time, seq)`; its time is the monotone push clamp.
+    last: Option<(u64, u64)>,
+}
+
+impl Modelled {
+    /// Pushes at `t`, clamped to the engine's monotone regime (never
+    /// before the last pop), like `Engine::schedule_at` guarantees.
+    fn push(&mut self, t: u64) {
+        let t = t.max(self.last.map_or(0, |(floor, _)| floor));
+        self.queue.push(SimTime::from_micros(t), self.seq);
+        self.pending.push((t, self.seq));
+        self.seq += 1;
+    }
+
+    /// Pops, checking the result against the model's minimum and the
+    /// global `(time, seq)` order of the pop sequence.
+    fn pop(&mut self) -> Option<u64> {
+        let expect = self.pending.iter().copied().min();
+        self.pending.retain(|&p| Some(p) != expect);
+        let got = self.queue.pop().map(|(t, s)| (t.as_micros(), s));
+        prop_assert_eq!(got, expect);
+        if let (Some(now), Some(before)) = (got, self.last) {
+            prop_assert!(now > before, "the clock regressed or FIFO broke");
+        }
+        self.last = got.or(self.last);
+        got.map(|(t, _)| t)
+    }
 }
 
 proptest! {
     /// The timing-wheel queue pops every pending event in (time, seq)
     /// order under arbitrary interleaved schedule/pop sequences, matching
-    /// a naive sort-based model exactly. Push times are clamped to the
-    /// engine's monotone regime (never before the last pop), like
-    /// `Engine::schedule_at` guarantees.
+    /// a naive sort-based model exactly.
     #[test]
     fn wheel_queue_matches_sorted_model(ops in queue_ops()) {
-        let mut q = EventQueue::new();
-        let mut model: Vec<(u64, u64)> = Vec::new(); // (time, seq) pending
-        let mut seq = 0u64;
-        let mut floor = 0u64; // last popped time: the monotone clamp
-        let mut last: Option<(u64, u64)> = None;
+        let mut m = Modelled {
+            queue: EventQueue::new(),
+            pending: Vec::new(),
+            seq: 0,
+            last: None,
+        };
         for op in ops {
             match op {
-                QueueOp::Push(t) => {
-                    let t = t.max(floor);
-                    q.push(SimTime::from_micros(t), seq);
-                    model.push((t, seq));
-                    seq += 1;
-                }
+                QueueOp::Push(t) => m.push(t),
                 QueueOp::Pop => {
-                    let expect = model.iter().copied().min();
-                    if let Some(pair) = expect {
-                        model.retain(|&p| p != pair);
+                    m.pop();
+                }
+                QueueOp::Burst { at, k, pops } => {
+                    for _ in 0..k {
+                        m.push(at);
                     }
-                    let got = q.pop().map(|(t, s)| (t.as_micros(), s));
-                    prop_assert_eq!(got, expect);
-                    if let Some((t, s)) = got {
-                        // The pop sequence is globally (time, seq) sorted:
-                        // the clock never regresses.
-                        if let Some((lt, ls)) = last {
-                            prop_assert!(t > lt || (t == lt && s > ls));
+                    for _ in 0..pops {
+                        if let Some(now) = m.pop() {
+                            m.push(now);
                         }
-                        last = Some((t, s));
-                        floor = t;
                     }
                 }
             }
+            prop_assert_eq!(m.queue.len(), m.pending.len());
         }
         // Drain the remainder: still perfectly sorted and complete.
-        model.sort_unstable();
-        for pair in model {
-            prop_assert_eq!(q.pop().map(|(t, s)| (t.as_micros(), s)), Some(pair));
+        while !m.pending.is_empty() {
+            m.pop();
         }
-        prop_assert!(q.pop().is_none());
-        prop_assert_eq!(q.len(), 0);
+        prop_assert!(m.queue.pop().is_none());
+        prop_assert_eq!(m.queue.len(), 0);
     }
 
     /// `drain_until(t)` returns exactly what repeated `pop` calls bounded

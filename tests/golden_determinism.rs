@@ -113,6 +113,8 @@ fn digest_function_is_stable() {
         events: 11,
         steals: 1,
         steal_attempts: 4,
+        steal_scans: 2,
+        events_by_kind: [3; hawk_core::Event::KINDS.len()],
         migrations: 0,
         abandons: 0,
         network: hawk_core::NetworkStats::default(),
