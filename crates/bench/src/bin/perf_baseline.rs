@@ -61,6 +61,17 @@
 //! micro-benches, `event_queue` and `steal_scan`, as ns per element: the
 //! same closures `cargo bench` times (`hawk_bench::micro`).
 //!
+//! Every simulator row also says what it held in memory: `peak_heap_mib`
+//! (a counting global allocator's peak of live bytes over one run of the
+//! cell, construction to report — hawkbench's allocator and convention: a
+//! `realloc` counts as its new size) next to the two arena high-water
+//! marks and growth counts of [`MetricsReport`] (`queue_nodes_high_water`,
+//! `pending_events_high_water`, `queue_arena_growths`,
+//! `event_arena_growths`). `memory_cells` runs the same workload once at
+//! 100k and 1M nodes on one stream and on 8 shards: what is O(nodes) and
+//! what is O(nodes x shards) shows there (docs/ARCHITECTURE.md, "Memory
+//! model").
+//!
 //! Usage: `perf_baseline [--smoke] [--jobs N] [--seed S] [--out PATH]`
 
 use std::fmt::Write as _;
@@ -76,6 +87,12 @@ use hawk_workload::google::{GoogleTraceConfig, GOOGLE_SHORT_PARTITION};
 use hawk_workload::scenario::{DynamicsScript, SpeedSpec};
 use hawk_workload::{JobClass, Trace};
 
+#[path = "hawkbench/alloc.rs"]
+mod alloc;
+
+#[global_allocator]
+static GLOBAL: alloc::Counting = alloc::Counting;
+
 /// Default job count for the timed cells.
 const DEFAULT_JOBS: usize = 30_000;
 
@@ -89,6 +106,11 @@ const NODE_CELLS: [usize; 4] = [1_000, 5_000, 15_000, 50_000];
 /// The cluster sizes timed through the sharded driver. 100,000 is twice
 /// the paper's largest cluster — the scale the sharded driver exists for.
 const SHARDED_NODE_CELLS: [usize; 3] = [15_000, 50_000, 100_000];
+
+/// The memory rows: cluster sizes beyond every timed cell, each on the
+/// single-stream driver and on this many shards.
+const MEMORY_NODE_CELLS: [usize; 2] = [100_000, 1_000_000];
+const MEMORY_SHARD_CELLS: [usize; 2] = [1, 8];
 
 /// Shard count of the `hawk-sharded` cells (worker threads are capped by
 /// the machine's parallelism; the results are worker-count-invariant).
@@ -351,6 +373,13 @@ struct CellTiming {
     /// sorted reads (see [`streaming_max_rel_err`]); asserted under the
     /// sink's documented budget before the row is recorded.
     streaming_max_rel_err: f64,
+    /// Peak live heap, and allocator calls, of one run, construction to
+    /// report.
+    peak_heap_mib: f64,
+    allocs: u64,
+    /// `[queue_nodes_high_water, queue_arena_growths,
+    /// pending_events_high_water, event_arena_growths]` of the report.
+    arenas: [u64; 4],
 }
 
 impl CellTiming {
@@ -364,23 +393,13 @@ impl CellTiming {
     /// streaming cross-check, and whatever epoch and rack-locality
     /// counters the report carries. Floors and the worker ratio are
     /// filled in once every cell has run.
-    fn new(
-        name: &str,
-        nodes: usize,
-        jobs: usize,
-        workers: usize,
-        wall_s: f64,
-        report: &MetricsReport,
-    ) -> CellTiming {
+    fn new(name: &str, nodes: usize, jobs: usize, workers: usize, timed: &Timed) -> CellTiming {
+        let (wall_s, report) = (timed.wall_s, &timed.report);
         CellTiming {
             scheduler: name.to_string(),
             nodes,
             jobs,
-            shards: if report.sharded.is_some() {
-                SHARDED_SHARDS
-            } else {
-                1
-            },
+            shards: timed.shards,
             workers,
             wall_s,
             events: report.events,
@@ -394,8 +413,37 @@ impl CellTiming {
             sharded: report.sharded,
             rack_local_steal_rate: report.network.rack_local_steal_rate(),
             streaming_max_rel_err: streaming_max_rel_err(name, report),
+            peak_heap_mib: timed.peak_bytes as f64 / (1024.0 * 1024.0),
+            allocs: timed.allocs,
+            arenas: [
+                report.queue_nodes_high_water,
+                report.queue_arena_growths,
+                report.pending_events_high_water,
+                report.event_arena_growths,
+            ],
         }
     }
+
+    /// The memory columns, as every row prints them.
+    fn memory(&self) -> String {
+        let [queue_hw, queue_growths, pending_hw, event_growths] = self.arenas;
+        format!(
+            "peak heap {:.2} MiB in {} allocations, high water {queue_hw} queue nodes \
+             ({queue_growths} arena growths) / {pending_hw} pending events ({event_growths})",
+            self.peak_heap_mib, self.allocs
+        )
+    }
+}
+
+/// One cell's fastest run: its wall clock and report, and the peak live
+/// heap and allocator calls of a run (every run of a single-stream cell
+/// allocates identically).
+struct Timed {
+    shards: usize,
+    wall_s: f64,
+    peak_bytes: usize,
+    allocs: u64,
+    report: MetricsReport,
 }
 
 /// One timed prototype row.
@@ -518,7 +566,7 @@ fn time_cell(
     scheduler: Arc<dyn Scheduler>,
     nodes: usize,
     repeats: usize,
-) -> (f64, MetricsReport) {
+) -> Timed {
     time_cell_with(
         trace,
         scheduler,
@@ -543,7 +591,7 @@ fn time_cell_with(
     dynamics: DynamicsScript,
     speeds: SpeedSpec,
     topology: Option<TopologySpec>,
-) -> (f64, MetricsReport) {
+) -> Timed {
     let mut builder = Experiment::builder()
         .trace(trace)
         .scheduler_shared(scheduler)
@@ -554,8 +602,24 @@ fn time_cell_with(
     if let Some(spec) = topology {
         builder = builder.topology(spec);
     }
-    let cell = builder.build();
-    best_of(repeats, || cell.run_with_workers(workers))
+    time_experiment(&builder.build(), repeats, workers)
+}
+
+/// Times a built cell `repeats` times and keeps the fastest run, each
+/// inside an allocator window of its own.
+fn time_experiment(cell: &Experiment, repeats: usize, workers: usize) -> Timed {
+    let (wall_s, (report, peak_bytes, allocs)) = best_of(repeats, || {
+        let window = alloc::Window::open();
+        let report = cell.run_with_workers(workers);
+        (report, window.peak_bytes(), window.calls())
+    });
+    Timed {
+        shards: cell.sim().shards.max(1),
+        wall_s,
+        peak_bytes,
+        allocs,
+        report,
+    }
 }
 
 /// Builds (and reports on stderr) one sharded cell row, including the
@@ -565,15 +629,15 @@ fn sharded_cell(
     nodes: usize,
     jobs: usize,
     workers: usize,
-    wall_s: f64,
-    report: &MetricsReport,
+    timed: &Timed,
 ) -> CellTiming {
-    let cell = CellTiming::new(name, nodes, jobs, workers, wall_s, report);
+    let cell = CellTiming::new(name, nodes, jobs, workers, timed);
+    let (shards, wall_s, report) = (timed.shards, timed.wall_s, &timed.report);
     let stats = cell.sharded.expect("sharded cell must report epoch stats");
     eprintln!(
-        "  {name} x {nodes:>6} nodes ({SHARDED_SHARDS} shards, {workers} workers): \
+        "  {name} x {nodes:>6} nodes ({shards} shards, {workers} workers): \
          {wall_s:8.3} s  ({:.2e} events/s, {} steals, {} epochs ({:.1}% solo), \
-         {:.1}% of events overlappable, {} merge envelopes, {} us avg epoch span{})",
+         {:.1}% of events overlappable, {} merge envelopes, {} us avg epoch span{}; {})",
         cell.events_per_sec,
         report.steals,
         stats.epochs,
@@ -583,7 +647,8 @@ fn sharded_cell(
         stats.avg_epoch_span_micros,
         cell.rack_local_steal_rate
             .map(|r| format!(", {:.1}% rack-local steals", r * 100.0))
-            .unwrap_or_default()
+            .unwrap_or_default(),
+        cell.memory()
     );
     cell
 }
@@ -617,11 +682,12 @@ fn main() {
         ];
         for scheduler in schedulers {
             let name = scheduler.name();
-            let (wall_s, report) = time_cell(&trace, scheduler, nodes, opts.repeats);
-            let cell = CellTiming::new(&name, nodes, jobs, 1, wall_s, &report);
+            let timed = time_cell(&trace, scheduler, nodes, opts.repeats);
+            let (wall_s, report) = (timed.wall_s, &timed.report);
+            let cell = CellTiming::new(&name, nodes, jobs, 1, &timed);
             eprintln!(
                 "  {name:>8} x {nodes:>6} nodes: {wall_s:8.3} s  ({:.2e} events/s, \
-                 streaming drift {:.1e}{})",
+                 streaming drift {:.1e}{})\n           {}",
                 cell.events_per_sec,
                 cell.streaming_max_rel_err,
                 cell.scans_per_attempt()
@@ -629,7 +695,8 @@ fn main() {
                         ", {} attempts, {} scans, {r:.3} scans_per_attempt",
                         cell.steal_attempts, cell.steal_scans
                     ))
-                    .unwrap_or_default()
+                    .unwrap_or_default(),
+                cell.memory()
             );
             let by_kind: Vec<String> = hawk_core::Event::KINDS
                 .iter()
@@ -648,7 +715,7 @@ fn main() {
     {
         let trace = Arc::new(trace_for(CHURN_NODES, jobs, opts.seed));
         let scheduler: Arc<dyn Scheduler> = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION));
-        let (wall_s, report) = time_cell_with(
+        let timed = time_cell_with(
             &trace,
             scheduler,
             CHURN_NODES,
@@ -659,11 +726,15 @@ fn main() {
             churn_speeds(),
             None,
         );
-        let cell = CellTiming::new("hawk-churn", CHURN_NODES, jobs, 1, wall_s, &report);
+        let cell = CellTiming::new("hawk-churn", CHURN_NODES, jobs, 1, &timed);
         eprintln!(
-            "  hawk-churn x {CHURN_NODES:>6} nodes: {wall_s:8.3} s  \
-             ({:.2e} events/s, {} migrations, {} abandons)",
-            cell.events_per_sec, report.migrations, report.abandons
+            "  hawk-churn x {CHURN_NODES:>6} nodes: {:8.3} s  \
+             ({:.2e} events/s, {} migrations, {} abandons; {})",
+            timed.wall_s,
+            cell.events_per_sec,
+            timed.report.migrations,
+            timed.report.abandons,
+            cell.memory()
         );
         cells.push(cell);
     }
@@ -675,7 +746,7 @@ fn main() {
     {
         let trace = Arc::new(trace_for(FAT_TREE_NODES, jobs, opts.seed));
         let scheduler: Arc<dyn Scheduler> = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION));
-        let (wall_s, report) = time_cell_with(
+        let timed = time_cell_with(
             &trace,
             scheduler,
             FAT_TREE_NODES,
@@ -686,12 +757,14 @@ fn main() {
             SpeedSpec::Uniform,
             Some(TopologySpec::FatTreeContended(FatTreeParams::default())),
         );
-        let cell = CellTiming::new("hawk-fat-tree", FAT_TREE_NODES, jobs, 1, wall_s, &report);
+        let cell = CellTiming::new("hawk-fat-tree", FAT_TREE_NODES, jobs, 1, &timed);
         eprintln!(
-            "  hawk-fat-tree x {FAT_TREE_NODES:>6} nodes: {wall_s:8.3} s  \
-             ({:.2e} events/s, {} msgs classified)",
+            "  hawk-fat-tree x {FAT_TREE_NODES:>6} nodes: {:8.3} s  \
+             ({:.2e} events/s, {} msgs classified; {})",
+            timed.wall_s,
             cell.events_per_sec,
-            report.network.total_msgs()
+            timed.report.network.total_msgs(),
+            cell.memory()
         );
         cells.push(cell);
     }
@@ -705,7 +778,7 @@ fn main() {
         let trace = Arc::new(trace_for(nodes, jobs, opts.seed));
         for &workers in worker_cells {
             let scheduler: Arc<dyn Scheduler> = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION));
-            let (wall_s, report) = time_cell_with(
+            let timed = time_cell_with(
                 &trace,
                 scheduler,
                 nodes,
@@ -716,14 +789,7 @@ fn main() {
                 SpeedSpec::Uniform,
                 None,
             );
-            cells.push(sharded_cell(
-                "hawk-sharded",
-                nodes,
-                jobs,
-                workers,
-                wall_s,
-                &report,
-            ));
+            cells.push(sharded_cell("hawk-sharded", nodes, jobs, workers, &timed));
         }
     }
 
@@ -735,7 +801,7 @@ fn main() {
         for &workers in worker_cells {
             let scheduler: Arc<dyn Scheduler> =
                 Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION).rack_first_stealing());
-            let (wall_s, report) = time_cell_with(
+            let timed = time_cell_with(
                 &trace,
                 scheduler,
                 SHARDED_RACK_NODES,
@@ -751,8 +817,7 @@ fn main() {
                 SHARDED_RACK_NODES,
                 jobs,
                 workers,
-                wall_s,
-                &report,
+                &timed,
             ));
         }
     }
@@ -771,14 +836,15 @@ fn main() {
             .nodes(CHURN_NODES)
             .live_window(SimDuration::from_secs(60))
             .build();
-        let (wall_s, report) = best_of(opts.repeats, || cell.run_with_workers(1));
-        let cell = CellTiming::new("hawk-live", CHURN_NODES, jobs, 1, wall_s, &report);
+        let timed = time_experiment(&cell, opts.repeats, 1);
+        let (wall_s, report) = (timed.wall_s, &timed.report);
+        let cell = CellTiming::new("hawk-live", CHURN_NODES, jobs, 1, &timed);
         let live = report.live.as_ref().expect("live_window was set");
         let last = live.windows.last().expect("the run closed no windows");
         eprintln!(
             "  hawk-live x {CHURN_NODES:>6} nodes: {wall_s:8.3} s  \
              ({:.2e} events/s; last 60 s window: \
-             {:.1} arrivals/s, backlog {}, occupancy {:.2}, short p90 {})",
+             {:.1} arrivals/s, backlog {}, occupancy {:.2}, short p90 {}; {})",
             cell.events_per_sec,
             live.arrival_rate(last),
             last.backlog,
@@ -787,8 +853,37 @@ fn main() {
                 .p90
                 .map(|p| format!("{p:.2}s"))
                 .unwrap_or_else(|| "-".to_string()),
+            cell.memory()
         );
         cells.push(cell);
+    }
+
+    // The memory rows: one run each (memory does not vary run to run) of
+    // the same ~90 %-load Hawk workload at 100k and 1M nodes, on the
+    // single-stream driver and on 8 shards of the flat network, one worker.
+    let mut memory_cells: Vec<CellTiming> = Vec::new();
+    for nodes in MEMORY_NODE_CELLS {
+        let trace = Arc::new(trace_for(nodes, jobs, opts.seed));
+        for shards in MEMORY_SHARD_CELLS {
+            let timed = time_cell_with(
+                &trace,
+                Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION)),
+                nodes,
+                1,
+                shards,
+                1,
+                DynamicsScript::none(),
+                SpeedSpec::Uniform,
+                None,
+            );
+            let cell = CellTiming::new("hawk-memory", nodes, jobs, 1, &timed);
+            eprintln!(
+                "  hawk-memory x {nodes:>7} nodes, {shards} shard(s): {:8.3} s  ({})",
+                timed.wall_s,
+                cell.memory()
+            );
+            memory_cells.push(cell);
+        }
     }
 
     // Each sharded row's wall clock against its one-worker twin's.
@@ -844,7 +939,7 @@ fn main() {
         jobs,
         nproc,
         comparable,
-        &cells,
+        [("cells", &cells), ("memory_cells", &memory_cells)],
         &proto_cells,
         &micro_cells,
     );
@@ -906,17 +1001,14 @@ fn render_json(
     jobs: usize,
     nproc: usize,
     comparable: bool,
-    cells: &[CellTiming],
+    sim_cells: [(&str, &[CellTiming]); 2],
     proto_cells: &[ProtoTiming],
     micro_cells: &[MicroTiming],
 ) -> String {
-    let opt = |value: Option<f64>, digits: usize| {
-        value.map_or_else(|| "null".to_string(), |v| format!("{v:.digits$}"))
-    };
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"perf_baseline\",\n");
-    out.push_str("  \"schema_version\": 6,\n");
+    out.push_str("  \"schema_version\": 7,\n");
     let _ = writeln!(out, "  \"smoke\": {},", opts.smoke);
     let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(out, "  \"seed\": {},", opts.seed);
@@ -926,54 +1018,15 @@ fn render_json(
     let _ = writeln!(
         out,
         "  \"floors_enforced\": {},",
-        comparable && cells.iter().any(|c| c.floor.is_some())
+        comparable && sim_cells[0].1.iter().any(|c| c.floor.is_some())
     );
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"scheduler\": \"{}\", \"nodes\": {}, \"jobs\": {}, \"shards\": {}, \
-             \"workers\": {}, \"wall_s\": {:.4}, \"events\": {}, \"events_per_sec\": {:.1}, \
-             \"steals\": {}, \"steal_attempts\": {}, \"steal_scans\": {}, \
-             \"scans_per_attempt\": {}, \"wall_vs_workers1\": {}, \
-             \"floor_events_per_sec\": {}, \"vs_floor\": {}, \
-             \"streaming_max_rel_err\": {:.3e}",
-            c.scheduler,
-            c.nodes,
-            c.jobs,
-            c.shards,
-            c.workers,
-            c.wall_s,
-            c.events,
-            c.events_per_sec,
-            c.steals,
-            c.steal_attempts,
-            c.steal_scans,
-            opt(c.scans_per_attempt(), 3),
-            opt(c.wall_vs_workers1, 3),
-            opt(c.floor, 1),
-            opt(c.vs_floor, 3),
-            c.streaming_max_rel_err
-        );
-        if let Some(stats) = &c.sharded {
-            let _ = write!(
-                out,
-                ", \"epochs\": {}, \"solo_epochs\": {}, \"overlappable_events\": {}, \
-                 \"merge_envelopes\": {}, \"avg_epoch_span_micros\": {}",
-                stats.epochs,
-                stats.solo_epochs,
-                stats.overlappable_events,
-                stats.merge_envelopes,
-                stats.avg_epoch_span_micros
-            );
-        }
-        if let Some(rate) = c.rack_local_steal_rate {
-            let _ = write!(out, ", \"rack_local_steal_rate\": {rate:.4}");
-        }
-        out.push('}');
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
+    // The memory rows are rows like any other, in an array of their own.
+    for (key, cells) in sim_cells {
+        let _ = writeln!(out, "  \"{key}\": [");
+        render_cells(&mut out, cells);
+        out.push_str("  ],\n");
     }
-    out.push_str("  ],\n");
+
     out.push_str("  \"proto_cells\": [\n");
     for (i, c) in proto_cells.iter().enumerate() {
         let _ = write!(
@@ -1016,4 +1069,66 @@ fn render_json(
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// An optional number as JSON: `digits` decimals, or `null`.
+fn opt(value: Option<f64>, digits: usize) -> String {
+    value.map_or_else(|| "null".to_string(), |v| format!("{v:.digits$}"))
+}
+
+/// Renders simulator rows (`cells`, `memory_cells`) as JSON objects, one
+/// per line.
+fn render_cells(out: &mut String, cells: &[CellTiming]) {
+    for (i, c) in cells.iter().enumerate() {
+        let _ = write!(
+            out,
+            "    {{\"scheduler\": \"{}\", \"nodes\": {}, \"jobs\": {}, \"shards\": {}, \
+             \"workers\": {}, \"wall_s\": {:.4}, \"events\": {}, \"events_per_sec\": {:.1}, \
+             \"steals\": {}, \"steal_attempts\": {}, \"steal_scans\": {}, \
+             \"scans_per_attempt\": {}, \"wall_vs_workers1\": {}, \
+             \"floor_events_per_sec\": {}, \"vs_floor\": {}, \
+             \"streaming_max_rel_err\": {:.3e}, \"peak_heap_mib\": {:.2}, \"allocs\": {}, \
+             \"queue_nodes_high_water\": {}, \"queue_arena_growths\": {}, \
+             \"pending_events_high_water\": {}, \"event_arena_growths\": {}",
+            c.scheduler,
+            c.nodes,
+            c.jobs,
+            c.shards,
+            c.workers,
+            c.wall_s,
+            c.events,
+            c.events_per_sec,
+            c.steals,
+            c.steal_attempts,
+            c.steal_scans,
+            opt(c.scans_per_attempt(), 3),
+            opt(c.wall_vs_workers1, 3),
+            opt(c.floor, 1),
+            opt(c.vs_floor, 3),
+            c.streaming_max_rel_err,
+            c.peak_heap_mib,
+            c.allocs,
+            c.arenas[0],
+            c.arenas[1],
+            c.arenas[2],
+            c.arenas[3]
+        );
+        if let Some(stats) = &c.sharded {
+            let _ = write!(
+                out,
+                ", \"epochs\": {}, \"solo_epochs\": {}, \"overlappable_events\": {}, \
+                 \"merge_envelopes\": {}, \"avg_epoch_span_micros\": {}",
+                stats.epochs,
+                stats.solo_epochs,
+                stats.overlappable_events,
+                stats.merge_envelopes,
+                stats.avg_epoch_span_micros
+            );
+        }
+        if let Some(rate) = c.rack_local_steal_rate {
+            let _ = write!(out, ", \"rack_local_steal_rate\": {rate:.4}");
+        }
+        out.push('}');
+        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
+    }
 }

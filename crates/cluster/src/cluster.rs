@@ -9,6 +9,8 @@
 //! placement, steal-victim eligibility — where the same questions used to
 //! require touching per-server state.
 
+use std::ops::Range;
+
 use hawk_simcore::stats::{median, percentile};
 use hawk_simcore::SimDuration;
 
@@ -33,6 +35,10 @@ use crate::steal::StealScratch;
 struct ServerStat(u32);
 
 impl ServerStat {
+    /// The sentinel every in-service server outside the owned range reads
+    /// as: idle, depth 0, no long work (see [`Cluster`], "Owned range").
+    const IDLE: ServerStat = ServerStat(0);
+
     #[inline]
     fn of(server: &Server) -> Self {
         // The server maintains the packed word incrementally inside its own
@@ -91,17 +97,39 @@ impl ServerStat {
 /// assert_eq!(cluster.queue_depth(ServerId(0)), 1);
 /// assert!(cluster.holds_long_work(ServerId(0)));
 /// ```
+///
+/// # Owned range
+///
+/// A cluster stores [`Server`] state machines and queue lists for one
+/// contiguous *owned* id range — the whole id space for [`Cluster::new`],
+/// a shard's slice for [`Cluster::ranged`] — and accepts work only there.
+/// Every other id is known by membership alone: **an in-service server
+/// outside the owned range reads as idle at depth 0**. That one sentinel
+/// answers [`Cluster::is_free`], [`Cluster::queue_depth`],
+/// [`Cluster::holds_long_work`], [`Cluster::is_steal_candidate`], the
+/// free counts and the depth histograms, while the down bitmap,
+/// [`Cluster::live_ids`] and the live counts cover every id exactly
+/// ([`Cluster::fail_server`] / [`Cluster::revive_server`] take any id), so
+/// placement views and victim filters see correct membership everywhere.
+/// The cost per non-owned server is three bitmap bits and a live-id word
+/// instead of a `Server` and a list.
 #[derive(Debug, Clone)]
 pub struct Cluster {
+    /// First owned id: `servers[i]` is server `own_start + i`.
+    own_start: u32,
+    /// The owned range's state machines.
     servers: Vec<Server>,
-    /// The shared queue arena: one intrusive FIFO list per server. All
-    /// queue storage lives here (see [`QueueSlab`]); servers keep only
-    /// O(1) mirrors.
+    /// The shared queue arena: one intrusive FIFO list per owned server
+    /// (list `i` backs `servers[i]`). All queue storage lives here (see
+    /// [`QueueSlab`]); servers keep only O(1) mirrors.
     queues: QueueSlab,
     /// Reused working space for the granularity-driven steal scans.
     steal_scratch: StealScratch,
     partition: Partition,
     running: usize,
+    /// Servers out of service, over the whole id space. Empty in every
+    /// static scenario.
+    down: BitSet,
     /// Completely idle servers (one bit per server: cache-resident).
     free: BitSet,
     /// Idle servers inside the general partition.
@@ -115,9 +143,6 @@ pub struct Cluster {
     depth_general: DepthHistogram,
     /// Queue-depth buckets for the reserved short partition.
     depth_short: DepthHistogram,
-    /// Number of servers currently out of service. Zero in every static
-    /// scenario — the fast-path guard for all liveness bookkeeping.
-    down_count: usize,
     /// Down servers still executing their draining task. Utilization
     /// counts them as usable capacity until the slot empties.
     down_running: usize,
@@ -135,42 +160,7 @@ impl Cluster {
     /// Creates `total` idle servers with a `short_fraction` reservation
     /// (§3.4). Use `0.0` for unpartitioned baselines.
     pub fn new(total: usize, short_fraction: f64) -> Self {
-        let partition = Partition::new(total, short_fraction);
-        let mut free = BitSet::new(total);
-        for id in 0..total {
-            free.set(id, true);
-        }
-        Cluster {
-            servers: (0..total)
-                .map(|i| Server::new(ServerId(i as u32)))
-                .collect(),
-            queues: QueueSlab::new(total),
-            steal_scratch: StealScratch::new(),
-            partition,
-            running: 0,
-            free,
-            free_general: partition.general_count(),
-            steal_candidates: BitSet::new(total),
-            depth_general: DepthHistogram::new(partition.general_count()),
-            depth_short: if partition.short_count() > 0 {
-                DepthHistogram::new(partition.short_count())
-            } else {
-                DepthHistogram::empty()
-            },
-            down_count: 0,
-            down_running: 0,
-            live_ids: (0..total as u32).collect(),
-            live_general: partition.general_count(),
-        }
-    }
-
-    /// Pre-warms the shared queue arena to hold `nodes` entries, so runs
-    /// whose queue population only grows (sustained overload) never
-    /// double the slab mid-loop. Steady-state zero-allocation guarantees
-    /// rely on this: warm-up can bound recycled state but not a
-    /// monotonically growing arena.
-    pub fn reserve_queue_nodes(&mut self, nodes: usize) {
-        self.queues.reserve_nodes(nodes);
+        Self::ranged(total, short_fraction, 0..total as u32, None)
     }
 
     /// Creates a cluster with per-server execution-speed factors
@@ -180,12 +170,91 @@ impl Cluster {
     ///
     /// Panics if `speeds.len() != total` or any factor is non-positive.
     pub fn with_speeds(total: usize, short_fraction: f64, speeds: &[f64]) -> Self {
-        assert_eq!(speeds.len(), total, "one speed factor per server");
-        let mut cluster = Self::new(total, short_fraction);
-        for (server, &speed) in cluster.servers.iter_mut().zip(speeds) {
-            server.set_speed(speed);
+        Self::ranged(total, short_fraction, 0..total as u32, Some(speeds))
+    }
+
+    /// Creates a `total`-server cluster that stores only the servers of
+    /// `owned` (see the type docs, "Owned range"); `speeds`, when given,
+    /// still has one factor per server of the whole cluster.
+    /// [`Cluster::new`] and [`Cluster::with_speeds`] are the full range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owned` reaches past `total`, `speeds.len() != total` or
+    /// any owned factor is non-positive.
+    pub fn ranged(
+        total: usize,
+        short_fraction: f64,
+        owned: Range<u32>,
+        speeds: Option<&[f64]>,
+    ) -> Self {
+        let partition = Partition::new(total, short_fraction);
+        assert!(
+            owned.start <= owned.end && owned.end as usize <= total,
+            "owned range {owned:?} outside 0..{total}"
+        );
+        let mut servers: Vec<Server> = owned
+            .clone()
+            .map(|id| Server::in_list(ServerId(id), id - owned.start))
+            .collect();
+        if let Some(speeds) = speeds {
+            assert_eq!(speeds.len(), total, "one speed factor per server");
+            for (server, &speed) in servers.iter_mut().zip(&speeds[owned.start as usize..]) {
+                server.set_speed(speed);
+            }
         }
-        cluster
+        let mut free = BitSet::new(total);
+        for id in 0..total {
+            free.set(id, true);
+        }
+        Cluster {
+            own_start: owned.start,
+            queues: QueueSlab::new(servers.len()),
+            servers,
+            steal_scratch: StealScratch::new(),
+            partition,
+            running: 0,
+            down: BitSet::new(total),
+            free,
+            free_general: partition.general_count(),
+            steal_candidates: BitSet::new(total),
+            depth_general: DepthHistogram::new(partition.general_count()),
+            depth_short: if partition.short_count() > 0 {
+                DepthHistogram::new(partition.short_count())
+            } else {
+                DepthHistogram::empty()
+            },
+            down_running: 0,
+            live_ids: (0..total as u32).collect(),
+            live_general: partition.general_count(),
+        }
+    }
+
+    /// Raises the floor of the shared queue arena to `nodes` entries. No
+    /// driver needs to: the arena grows on demand (by doubling, at new
+    /// peaks of the queued population only — [`hawk_simcore::EntrySlab`]'s
+    /// growth contract), and a floor per server is 40 bytes per server a
+    /// sparse cell never uses. For embedders that know their peak.
+    pub fn reserve_queue_nodes(&mut self, nodes: usize) {
+        self.queues.reserve_nodes(nodes);
+    }
+
+    /// `servers` index of `id`: in bounds exactly for the owned range, so
+    /// indexing with it panics for any other id — work is only ever handed
+    /// to owned servers.
+    #[inline]
+    fn slot_of(&self, id: ServerId) -> usize {
+        id.0.wrapping_sub(self.own_start) as usize
+    }
+
+    /// The indexed state of `id`: its stat word if owned, else the idle
+    /// sentinel (which a *down* non-owned server also reads as; liveness
+    /// is the down bitmap's to answer).
+    #[inline]
+    fn stat(&self, id: ServerId) -> ServerStat {
+        self.servers
+            .get(self.slot_of(id))
+            .map_or(ServerStat::IDLE, ServerStat::of)
     }
 
     /// Applies `mutate` to one server (handing it the shared queue arena),
@@ -198,7 +267,8 @@ impl Cluster {
         id: ServerId,
         mutate: impl FnOnce(&mut Server, &mut QueueSlab) -> R,
     ) -> R {
-        let server = &mut self.servers[id.index()];
+        let slot = self.slot_of(id);
+        let server = &mut self.servers[slot];
         let before = ServerStat::of(server);
         let result = mutate(server, &mut self.queues);
         let after = ServerStat::of(server);
@@ -237,14 +307,14 @@ impl Cluster {
         self.steal_candidates.set(idx, after.is_candidate());
     }
 
-    /// Number of servers.
+    /// Number of servers (the whole id space, owned or not).
     pub fn len(&self) -> usize {
-        self.servers.len()
+        self.partition.total()
     }
 
     /// True if the cluster has no servers (never constructible).
     pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
+        self.len() == 0
     }
 
     /// The partition map.
@@ -252,13 +322,17 @@ impl Cluster {
         self.partition
     }
 
-    /// Read access to one server.
+    /// Read access to one owned server.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is outside the owned range (no such state exists).
     pub fn server(&self, id: ServerId) -> &Server {
-        &self.servers[id.index()]
+        &self.servers[self.slot_of(id)]
     }
 
-    /// Read access to the shared queue arena (server `i`'s queue is list
-    /// `i`; pair with [`Server::queue`] to walk one queue).
+    /// Read access to the shared queue arena (a server's queue is list
+    /// [`Server::list`]; pair with [`Server::queue`] to walk one queue).
     pub fn queues(&self) -> &QueueSlab {
         &self.queues
     }
@@ -293,7 +367,7 @@ impl Cluster {
         let action = self.update(id, |s, q| s.on_bind_response(q, task));
         if let ServerAction::StartTask(_) = action {
             self.running += 1;
-            if self.servers[id.index()].is_down() {
+            if self.down.contains(id.index()) {
                 // A bind committed before the failure launches anyway:
                 // the draining slot still counts as usable capacity.
                 self.down_running += 1;
@@ -306,7 +380,7 @@ impl Cluster {
     pub fn on_task_finish(&mut self, id: ServerId) -> (TaskSpec, ServerAction) {
         let (spec, action) = self.update(id, |s, q| s.on_task_finish(q));
         self.running -= 1;
-        if self.servers[id.index()].is_down() {
+        if self.down.contains(id.index()) {
             // A draining server's slot emptied: its capacity is gone.
             self.down_running -= 1;
         }
@@ -363,7 +437,7 @@ impl Cluster {
 
     /// True if `victim` currently has a non-empty eligible steal group.
     pub fn has_stealable(&self, victim: ServerId) -> bool {
-        steal::eligible_group(&self.servers[victim.index()], &self.queues).is_some()
+        steal::eligible_group(self.server(victim), &self.queues).is_some()
     }
 
     /// Hands stolen entries to `thief` by draining `entries` (left empty,
@@ -401,39 +475,26 @@ impl Cluster {
     /// free/candidate bitmaps and depth histograms see only live servers
     /// from here on. A task already executing (or a probe mid-bind)
     /// finishes on its own; the server goes fully dark when its slot
-    /// empties.
+    /// empties. A server outside the owned range has nothing to drain and
+    /// leaves the indexes as the idle sentinel it was counted as.
     ///
     /// Returns `false` (and drains nothing) if the server was already
     /// down. Allocation-free once `drained` has warmed up.
     pub fn fail_server(&mut self, id: ServerId, drained: &mut Vec<QueueEntry>) -> bool {
-        if self.servers[id.index()].is_down() {
+        if self.down.contains(id.index()) {
             return false;
         }
-        // Drain through `update` so the depth/long indexes watch the queue
-        // empty while the server is still a live index member.
-        self.update(id, |s, q| s.drain_queue_into(q, drained));
-        let idx = id.index();
-        let in_general = self.partition.in_general(id);
-        let stat = ServerStat::of(&self.servers[idx]);
+        let slot = self.slot_of(id);
+        if slot < self.servers.len() {
+            // Drain through `update` so the depth/long indexes watch the
+            // queue empty while the server is still a live index member.
+            self.update(id, |s, q| s.drain_queue_into(q, drained));
+            self.down_running += usize::from(self.servers[slot].is_running());
+            self.servers[slot].set_down(true);
+        }
         // Remove the server's remaining contributions (an occupied slot
         // still counts one depth) from every index.
-        let histogram = if in_general {
-            &mut self.depth_general
-        } else {
-            &mut self.depth_short
-        };
-        histogram.remove(stat.depth() as usize);
-        if stat.depth() == 0 {
-            self.free.set(idx, false);
-            self.free_general -= usize::from(in_general);
-        }
-        self.steal_candidates.set(idx, false);
-        if self.servers[idx].is_running() {
-            self.down_running += 1;
-        }
-        self.servers[idx].set_down(true);
-        self.down_count += 1;
-        self.rebuild_live();
+        self.set_membership(id, false);
         true
     }
 
@@ -443,30 +504,47 @@ impl Cluster {
     ///
     /// Returns `false` if the server was not down.
     pub fn revive_server(&mut self, id: ServerId) -> bool {
-        let idx = id.index();
-        if !self.servers[idx].is_down() {
+        if !self.down.contains(id.index()) {
             return false;
         }
-        self.servers[idx].set_down(false);
-        let stat = ServerStat::of(&self.servers[idx]);
+        let slot = self.slot_of(id);
+        if let Some(server) = self.servers.get_mut(slot) {
+            server.set_down(false);
+            self.down_running -= usize::from(server.is_running());
+        }
+        self.set_membership(id, true);
+        true
+    }
+
+    /// Adds (`live`) or removes server `id`, at its current depth, to or
+    /// from every index, the down bitmap and the live-id map — the one
+    /// place liveness changes.
+    fn set_membership(&mut self, id: ServerId, live: bool) {
+        let idx = id.index();
+        let stat = self.stat(id);
         let in_general = self.partition.in_general(id);
         let histogram = if in_general {
             &mut self.depth_general
         } else {
             &mut self.depth_short
         };
-        histogram.add(stat.depth() as usize);
-        if stat.depth() == 0 {
-            self.free.set(idx, true);
-            self.free_general += usize::from(in_general);
+        let depth = stat.depth() as usize;
+        if live {
+            histogram.add(depth);
+        } else {
+            histogram.remove(depth);
         }
-        self.steal_candidates.set(idx, stat.is_candidate());
-        if self.servers[idx].is_running() {
-            self.down_running -= 1;
+        if depth == 0 {
+            self.free.set(idx, live);
+            if in_general && live {
+                self.free_general += 1;
+            } else if in_general {
+                self.free_general -= 1;
+            }
         }
-        self.down_count -= 1;
+        self.steal_candidates.set(idx, live && stat.is_candidate());
+        self.down.set(idx, !live);
         self.rebuild_live();
-        true
     }
 
     /// Rebuilds the sorted live-id map after a lifecycle event. O(n), but
@@ -476,22 +554,20 @@ impl Cluster {
     fn rebuild_live(&mut self) {
         self.live_ids.clear();
         self.live_general = 0;
-        for server in &self.servers {
-            if !server.is_down() {
-                self.live_ids.push(server.id().0);
-                self.live_general += usize::from(self.partition.in_general(server.id()));
-            }
+        for id in (0..self.len() as u32).filter(|&id| !self.down.contains(id as usize)) {
+            self.live_ids.push(id);
+            self.live_general += usize::from(self.partition.in_general(ServerId(id)));
         }
     }
 
     /// True if `server` is out of service.
     pub fn is_down(&self, server: ServerId) -> bool {
-        self.servers[server.index()].is_down()
+        self.down.contains(server.index())
     }
 
     /// Number of servers currently out of service.
     pub fn down_count(&self) -> usize {
-        self.down_count
+        self.down.count()
     }
 
     /// Number of down servers still executing their draining task. These
@@ -504,7 +580,7 @@ impl Cluster {
 
     /// Number of in-service servers.
     pub fn live_count(&self) -> usize {
-        self.servers.len() - self.down_count
+        self.len() - self.down.count()
     }
 
     /// Number of in-service servers in the general partition.
@@ -529,10 +605,10 @@ impl Cluster {
 
     /// Pending work at `server`: queued entries plus one if the execution
     /// slot is occupied. Load-aware placement (power-of-d choices) ranks
-    /// candidates by this. O(1): a length read plus a slot-tag check.
+    /// candidates by this. O(1): one load of the stat word (zero, by the
+    /// sentinel, outside the owned range).
     pub fn queue_depth(&self, server: ServerId) -> usize {
-        let s = &self.servers[server.index()];
-        s.queue_len() + usize::from(!s.is_free())
+        self.stat(server).depth() as usize
     }
 
     /// Number of completely idle servers.
@@ -564,7 +640,7 @@ impl Cluster {
     /// the slot (running or awaiting bind) or a long entry anywhere in its
     /// queue. Read from the server's stat word; down servers hold nothing.
     pub fn holds_long_work(&self, server: ServerId) -> bool {
-        let stat = ServerStat::of(&self.servers[server.index()]);
+        let stat = self.stat(server);
         stat.holds_long() && !stat.is_down()
     }
 
@@ -594,96 +670,88 @@ impl Cluster {
         &self.depth_short
     }
 
-    /// Checks every server's invariants plus the running count, the queue
-    /// arena, and every incremental index against a from-scratch
-    /// recomputation.
+    /// Checks every owned server's invariants plus the running count, the
+    /// queue arena, and every incremental index against a from-scratch
+    /// recomputation over the whole id space — owned servers from their
+    /// state machines, the rest as the idle sentinel.
     pub fn check_invariants(&self) -> bool {
-        if !self
-            .servers
-            .iter()
-            .all(|s| s.check_invariants(&self.queues))
+        let well_placed =
+            |(i, s): (usize, &Server)| s.id().0 == self.own_start + i as u32 && s.list() == i;
+        if !self.servers.iter().enumerate().all(well_placed)
+            || !self
+                .servers
+                .iter()
+                .all(|s| s.check_invariants(&self.queues))
+            || !self.queues.check_invariants()
         {
             return false;
         }
-        if !self.queues.check_invariants() {
-            return false;
-        }
-        let mut expect_general = DepthHistogram::new(self.partition.general_count());
-        let mut expect_short = if self.partition.short_count() > 0 {
-            DepthHistogram::new(self.partition.short_count())
-        } else {
-            DepthHistogram::empty()
-        };
-        // The from-scratch histograms start empty and only count live
-        // servers; down servers must be absent from every index.
-        let mut expect_general_down = 0;
-        let mut expect_short_down = 0;
+        // The from-scratch histograms count live servers only; down
+        // servers must be absent from every index.
+        let mut expect_general = DepthHistogram::empty();
+        let mut expect_short = DepthHistogram::empty();
         let mut running = 0;
         let mut free_general = 0;
         let mut candidates = 0;
         let mut down_count = 0;
         let mut down_running = 0;
-        let mut live_ids = Vec::with_capacity(self.servers.len());
+        let mut live_ids = Vec::with_capacity(self.len());
         let mut live_general = 0;
-        for server in &self.servers {
-            let stat = ServerStat::of(server);
-            let id = server.id();
-            running += usize::from(server.is_running());
-            if stat.is_down() != server.is_down() {
+        for id in (0..self.len() as u32).map(ServerId) {
+            let server = self.servers.get(self.slot_of(id));
+            let stat = self.stat(id);
+            let in_general = self.partition.in_general(id);
+            let is_running = server.is_some_and(Server::is_running);
+            running += usize::from(is_running);
+            let down = self.down.contains(id.index());
+            if server.is_some_and(|s| s.is_down() != down || stat.is_down() != down) {
                 return false;
             }
-            if server.is_down() {
+            if down {
                 // A down server was drained and sits in no index.
-                if server.queue_len() != 0
+                if server.is_some_and(|s| s.queue_len() != 0)
                     || self.free.contains(id.index())
                     || self.steal_candidates.contains(id.index())
                 {
                     return false;
                 }
                 down_count += 1;
-                down_running += usize::from(server.is_running());
-                if self.partition.in_general(id) {
-                    expect_general_down += 1;
-                } else {
-                    expect_short_down += 1;
-                }
+                down_running += usize::from(is_running);
                 continue;
             }
             live_ids.push(id.0);
-            live_general += usize::from(self.partition.in_general(id));
+            live_general += usize::from(in_general);
             let is_free = stat.depth() == 0;
             if is_free != self.free.contains(id.index()) {
                 return false;
             }
-            free_general += usize::from(is_free && self.partition.in_general(id));
-            if stat.depth() as usize != self.queue_depth(id) {
+            free_general += usize::from(is_free && in_general);
+            if server
+                .is_some_and(|s| stat.depth() as usize != s.queue_len() + usize::from(!s.is_free()))
+            {
                 return false;
             }
             // The candidate index, recomputed from the queue itself rather
             // than from the mirrors the stat word is built from.
-            let holds_long =
-                server.slot().holds_long() || server.queue(&self.queues).any(QueueEntry::is_long);
-            let candidate = holds_long && server.queue(&self.queues).any(QueueEntry::is_short);
+            let candidate = server.is_some_and(|s| {
+                let holds_long =
+                    s.slot().holds_long() || s.queue(&self.queues).any(QueueEntry::is_long);
+                holds_long && s.queue(&self.queues).any(QueueEntry::is_short)
+            });
             if candidate != self.steal_candidates.contains(id.index()) {
                 return false;
             }
             candidates += usize::from(candidate);
-            if self.partition.in_general(id) {
-                expect_general.shift(0, stat.depth() as usize);
+            if in_general {
+                expect_general.add(stat.depth() as usize);
             } else {
-                expect_short.shift(0, stat.depth() as usize);
+                expect_short.add(stat.depth() as usize);
             }
-        }
-        for _ in 0..expect_general_down {
-            expect_general.remove(0);
-        }
-        for _ in 0..expect_short_down {
-            expect_short.remove(0);
         }
         running == self.running
             && free_general == self.free_general
             && candidates == self.steal_candidates.count()
-            && down_count == self.down_count
+            && down_count == self.down.count()
             && down_running == self.down_running
             && live_ids == self.live_ids
             && live_general == self.live_general

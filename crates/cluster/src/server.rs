@@ -100,7 +100,7 @@ pub enum ServerAction {
 }
 
 /// A single-slot, FIFO-queued worker whose queue lives in a shared
-/// [`QueueSlab`] (list `id.index()`).
+/// [`QueueSlab`] (list [`Server::list`]).
 ///
 /// # Examples
 ///
@@ -120,13 +120,15 @@ pub enum ServerAction {
 #[derive(Debug, Clone)]
 pub struct Server {
     id: ServerId,
+    /// The slab list backing this server's queue (see [`Server::in_list`]).
+    list: u32,
     slot: Slot,
     /// Queue length mirror (the slab is the storage; this keeps
     /// depth reads a single load with no slab reference).
     queue_len: u32,
     /// Number of long entries currently queued; lets the steal scan skip
     /// ineligible victims in O(1).
-    queued_long: usize,
+    queued_long: u32,
     /// Packed index summary, maintained incrementally by every transition:
     /// bit 0 = holds-long-work, bit 1 = down (out of service), bit 2 =
     /// steal candidate (holds long work *and* has a short entry queued),
@@ -149,8 +151,16 @@ impl Server {
     /// Creates an idle server at nominal speed. Its queue is list
     /// `id.index()` of the cluster's [`QueueSlab`].
     pub fn new(id: ServerId) -> Self {
+        Self::in_list(id, id.0)
+    }
+
+    /// Like [`Server::new`], with the queue in list `list` of the slab: a
+    /// cluster that stores a sub-range of the id space numbers its lists
+    /// from zero.
+    pub fn in_list(id: ServerId, list: u32) -> Self {
         Server {
             id,
+            list,
             slot: Slot::Free,
             queue_len: 0,
             queued_long: 0,
@@ -163,7 +173,7 @@ impl Server {
     /// The slab list backing this server's queue.
     #[inline]
     pub fn list(&self) -> usize {
-        self.id.index()
+        self.list as usize
     }
 
     /// The packed index summary: bit 0 = holds-long-work, bit 1 = down,
@@ -185,7 +195,7 @@ impl Server {
     /// True when the queue holds a short entry (queue length exceeds the
     /// queued-long count).
     fn has_queued_short(&self) -> bool {
-        self.queue_len as usize > self.queued_long
+        self.queue_len > self.queued_long
     }
 
     /// The stat word recomputed from scratch (the invariant checker
@@ -298,7 +308,7 @@ impl Server {
 
     /// Number of long entries in the queue.
     pub fn queued_long(&self) -> usize {
-        self.queued_long
+        self.queued_long as usize
     }
 
     /// Read-only view of the queue, head first.
@@ -458,7 +468,7 @@ impl Server {
     /// queue.
     fn note_removed(&mut self, removed: &[QueueEntry]) {
         self.queue_len -= removed.len() as u32;
-        self.queued_long -= removed.iter().filter(|e| e.is_long()).count();
+        self.queued_long -= removed.iter().filter(|e| e.is_long()).count() as u32;
         self.recompute_stat();
     }
 
@@ -469,7 +479,7 @@ impl Server {
             return false;
         }
         let long_count = self.queue(queues).filter(|e| e.is_long()).count();
-        if long_count != self.queued_long {
+        if long_count != self.queued_long() {
             return false;
         }
         // The incrementally maintained stat word matches a recompute.

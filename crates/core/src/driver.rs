@@ -70,24 +70,15 @@ impl<'t> Driver<'t> {
         sim: &SimConfig,
     ) -> Self {
         let mut inputs = RunInputs::new(trace, sim);
-        let mut core = Core::new(trace, scheduler, sim, &mut inputs, true);
-        // Worst-case concurrent queue population: every task can occupy
-        // one entry (central placements, steal hand-offs, bound shorts)
-        // plus up to ceil(probe_ratio × tasks) outstanding probes per
-        // distributed job (ratio ≤ 2 for every built-in policy). Under
-        // sustained overload queues grow monotonically, so no warm-up
-        // bounds the arena's peak — reserve it up front to keep the
-        // steady-state loop allocation-free.
-        core.cluster
-            .reserve_queue_nodes(trace.total_tasks() as usize * 3 + trace.len());
-
-        // The +64 covers the driver's own periodic events (utilization
-        // snapshot, live-metrics close, deferred re-arrivals in flight):
-        // without the slack, enabling the live window pushes the pending
-        // population exactly one past the arena reserve and the wheel
-        // grows mid-run — breaking the zero-alloc steady-state guarantee.
-        let mut engine = Engine::with_capacity(trace.len() * 2 + 64);
-        core.seed(&mut engine, sim, |_| true);
+        let mut core = Core::new(trace, scheduler, sim, &mut inputs, 0..sim.nodes as u32);
+        // No capacity here is sized by the trace: the queue arena starts
+        // empty and the event arena with room for what is seeded — the
+        // arrivals, the script and this harness's own one or two periodic
+        // timers — and both grow on demand, by doubling, at new peaks of
+        // their live population only (`EntrySlab`'s growth contract;
+        // `tests/alloc_regression.rs` is the judge).
+        let timers = 1 + usize::from(sim.live_window.is_some());
+        let mut engine = core.seed(sim, timers, |_| true);
         engine.schedule(sim.util_interval, Event::UtilSample);
         if let Some(window) = sim.live_window {
             engine.schedule(window, Event::LiveSample);
@@ -134,7 +125,7 @@ impl<'t> Driver<'t> {
             &mut [&mut self.core],
             |_| 0,
             &self.util,
-            self.net.engine.processed(),
+            &[&self.net.engine],
             None,
         );
         (report, self.core.into_estimates())

@@ -26,6 +26,7 @@
 //! ([`Transport::REMOTE_SCHEDULERS`], [`Transport::owns`]); there is no
 //! runtime flag.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use hawk_cluster::{Cluster, QueueEntry, ServerAction, ServerId, TaskSpec, UtilizationTracker};
@@ -318,9 +319,10 @@ pub(crate) struct Core<'t> {
     trace: &'t Trace,
     scheduler: Arc<dyn Scheduler>,
     estimates: Arc<JobEstimates>,
-    /// Full-size cluster with global server ids. A sharded core only ever
-    /// enqueues on the servers its transport owns; the rest is a shadow
-    /// that tracks membership.
+    /// The cluster, under global server ids. It stores the servers this
+    /// core's transport owns — all of them single-stream, a shard's range
+    /// otherwise — and knows every other server by membership alone, as
+    /// idle (`Cluster`'s "Owned range" docs).
     pub(crate) cluster: Cluster,
     jobs: Vec<JobRun>,
     /// The §3.7 scheduler, on the one core that hosts [`Endpoint::Central`].
@@ -382,8 +384,9 @@ pub(crate) struct Core<'t> {
 }
 
 impl<'t> Core<'t> {
-    /// Builds one core, splitting its three RNG streams off `inputs`.
-    /// `hosts_central` is true for the one core that hosts
+    /// Builds one core over the servers of `owned` (the range its
+    /// transport will answer [`Transport::owns`] for), splitting its three
+    /// RNG streams off `inputs`. The core owning server 0 hosts
     /// [`Endpoint::Central`] and so owns every centralized decision.
     ///
     /// # Panics
@@ -395,17 +398,15 @@ impl<'t> Core<'t> {
         scheduler: Arc<dyn Scheduler>,
         sim: &SimConfig,
         inputs: &mut RunInputs,
-        hosts_central: bool,
+        owned: Range<u32>,
     ) -> Self {
         let probe_rng = inputs.rng_root.split();
         let steal_rng = inputs.rng_root.split();
         let scenario_rng = inputs.rng_root.split();
 
         let fraction = scheduler.short_partition_fraction();
-        let cluster = match &inputs.speeds {
-            Some(speeds) => Cluster::with_speeds(sim.nodes, fraction, speeds),
-            None => Cluster::new(sim.nodes, fraction),
-        };
+        let hosts_central = owned.start == 0;
+        let cluster = Cluster::ranged(sim.nodes, fraction, owned, inputs.speeds.as_deref());
         let partition = cluster.partition();
         let long_route = scheduler.route(JobClass::Long);
         let short_route = scheduler.route(JobClass::Short);
@@ -487,26 +488,32 @@ impl<'t> Core<'t> {
         }
     }
 
-    /// Seeds `engine` with the arrivals of the jobs this core is home to,
-    /// then the full dynamics script (every core replays it, so shadow
-    /// membership stays globally correct).
+    /// Builds this core's engine, seeded with the arrivals of the jobs it
+    /// is home to, then the full dynamics script (every core replays it,
+    /// so membership stays globally correct). The event arena starts with
+    /// room for exactly what is seeded plus `timers` events the harness is
+    /// about to add, and grows on demand from there.
     pub(crate) fn seed(
         &mut self,
-        engine: &mut Engine<Event>,
         sim: &SimConfig,
+        timers: usize,
         is_home: impl Fn(JobId) -> bool,
-    ) {
-        for job in self.trace.jobs().iter().filter(|job| is_home(job.id)) {
+    ) -> Engine<Event> {
+        let homed = || self.trace.jobs().iter().filter(|job| is_home(job.id));
+        self.unfinished = homed().count();
+        let script = sim.dynamics.events();
+        let mut engine = Engine::with_capacity(self.unfinished + script.len() + timers);
+        for job in homed() {
             engine.schedule_at(job.submission, Event::JobArrival(job.id));
-            self.unfinished += 1;
         }
-        for scripted in sim.dynamics.events() {
+        for scripted in script {
             let event = match scripted.change {
                 NodeChange::Down(server) => Event::NodeDown(ServerId(server)),
                 NodeChange::Up(server) => Event::NodeUp(ServerId(server)),
             };
             engine.schedule_at(scripted.at, event);
         }
+        engine
     }
 
     /// Hands the run's estimates back to the caller; a clone only if
@@ -776,7 +783,7 @@ impl<'t> Core<'t> {
         if net.owns(server) {
             self.owned_down += 1;
         } else {
-            debug_assert!(drained.is_empty(), "shadow server held queue entries");
+            debug_assert!(drained.is_empty(), "a non-owned server held queue entries");
         }
         if let Some(central) = &mut self.central {
             if server.index() < central.scope() {
@@ -1007,7 +1014,7 @@ impl<'t> Core<'t> {
         );
         // O(1) via the index: with no candidate among the owned servers
         // every local scan would come back empty. The index says nothing
-        // about servers another core owns (shadows never enqueue).
+        // about servers another core owns (they read as idle).
         let local_scan = self.cluster.steal_candidate_count() > 0;
         debug_assert!(self.steal_buf.is_empty(), "stale steal batch");
         let mut robbed = None;
@@ -1215,13 +1222,13 @@ fn central_scope(long: &Route, short: &Route) -> Option<Scope> {
 /// from each job's home core (`home_of`), counters summed, live windows
 /// merged, and the other cores' streaming sinks folded into the first
 /// (exact — the merged histogram is bit-identical to one global sink fed
-/// the same runtimes — and allocation-free). Utilization and the event
-/// count come from the harness, which owns sampling and the engines.
+/// the same runtimes — and allocation-free). Utilization and the engines
+/// come from the harness, which owns sampling and the event lists.
 pub(crate) fn report(
     cores: &mut [&mut Core<'_>],
     home_of: impl Fn(JobId) -> usize,
     util: &UtilizationTracker,
-    events: u64,
+    engines: &[&Engine<Event>],
     sharded: Option<ShardedStats>,
 ) -> MetricsReport {
     let (first, rest) = cores
@@ -1272,6 +1279,7 @@ pub(crate) fn report(
     }
     let recorders: Vec<&LiveRecorder> = cores.iter().filter_map(|c| c.live.as_ref()).collect();
     let sum = |counter: fn(&Core<'_>) -> u64| cores.iter().map(|c| counter(c)).sum();
+    let sum_engines = |counter: fn(&Engine<Event>) -> u64| engines.iter().map(|e| counter(e)).sum();
 
     MetricsReport {
         scheduler: first.scheduler.name(),
@@ -1281,11 +1289,15 @@ pub(crate) fn report(
         max_utilization: util.max().unwrap_or(0.0),
         utilization_samples: util.samples().to_vec(),
         makespan,
-        events,
+        events: sum_engines(Engine::processed),
         steals: sum(|c| c.steals),
         steal_attempts: sum(|c| c.steal_attempts),
         steal_scans: sum(|c| c.steal_scans),
         events_by_kind,
+        queue_nodes_high_water: sum(|c| c.cluster.queues().allocated_nodes() as u64),
+        queue_arena_growths: sum(|c| u64::from(c.cluster.queues().growths())),
+        pending_events_high_water: sum_engines(|e| e.pending_high_water() as u64),
+        event_arena_growths: sum_engines(|e| u64::from(e.arena_growths())),
         migrations: sum(|c| c.migrations),
         abandons: sum(|c| c.abandons),
         network,
@@ -1372,7 +1384,13 @@ mod tests {
             ..SimConfig::default()
         };
         let mut inputs = RunInputs::new(trace, &sim);
-        Core::new(trace, Arc::new(scheduler), &sim, &mut inputs, true)
+        Core::new(
+            trace,
+            Arc::new(scheduler),
+            &sim,
+            &mut inputs,
+            0..nodes as u32,
+        )
     }
 
     const ONE_WAY: SimDuration = SimDuration::from_micros(500);

@@ -100,16 +100,19 @@
 //! the eager scheme (cluster state only changes at events); sampled
 //! events are no longer counted in `events`.
 //!
-//! # Shadow clusters
+//! # Owned-range clusters
 //!
-//! Every shard holds a *full-size* [`hawk_cluster::Cluster`] and replays the complete
-//! dynamics script, but only ever enqueues work on the servers it owns.
-//! Global server ids therefore need no translation, liveness-aware
-//! placement (`PlacementView`, victim filters) sees correct membership
-//! everywhere, and non-owned servers simply look idle. The built-in
-//! policies sample placement targets randomly, so an idle-looking
-//! remote server is indistinguishable from a real one; a future
-//! depth-aware policy would need shard-aware load views.
+//! Every shard's [`hawk_cluster::Cluster`] stores the servers of its own
+//! range only ([`hawk_cluster::Cluster::ranged`] over [`ShardMap::range`])
+//! and replays the complete dynamics script. Global server ids therefore
+//! need no translation and liveness-aware placement (`PlacementView`,
+//! victim filters) sees correct membership everywhere, at a few bytes per
+//! non-owned server instead of a dead `Server` struct each: the cluster
+//! answers for them with one documented sentinel — an in-service server
+//! outside the owned range reads as idle at depth 0. The built-in
+//! policies sample placement targets randomly, so an idle-looking remote
+//! server is indistinguishable from a real one; a future depth-aware
+//! policy would replace that sentinel with a shard-aware load view.
 //!
 //! # Rack-aligned partitioning
 //!
@@ -209,6 +212,13 @@ struct ShardMap {
     nodes: usize,
     shards: usize,
     align: usize,
+    /// Alignment units in the cluster, `ceil(nodes / align)`.
+    units: usize,
+    /// Units per shard (`units / shards`); the first `r = units % shards`
+    /// shards hold one more, which is the first `wide = r * (q + 1)` units.
+    q: usize,
+    r: usize,
+    wide: usize,
 }
 
 impl ShardMap {
@@ -221,10 +231,15 @@ impl ShardMap {
         let align = align.max(1);
         let units = nodes.max(1).div_ceil(align);
         let shards = shards.clamp(1, units);
+        let (q, r) = (units / shards, units % shards);
         ShardMap {
             nodes,
             shards,
             align,
+            units,
+            q,
+            r,
+            wide: r * (q + 1),
         }
     }
 
@@ -251,17 +266,10 @@ impl ShardMap {
         self.align > 1
     }
 
-    fn units(&self) -> usize {
-        self.nodes.max(1).div_ceil(self.align)
-    }
-
     /// Owned id range of shard `s` as `[start, end)`.
     fn range(&self, s: usize) -> (u32, u32) {
-        let units = self.units();
-        let q = units / self.shards;
-        let r = units % self.shards;
-        let start_u = s * q + s.min(r);
-        let len_u = q + usize::from(s < r);
+        let start_u = s * self.q + s.min(self.r);
+        let len_u = self.q + usize::from(s < self.r);
         let start = (start_u * self.align).min(self.nodes);
         let end = ((start_u + len_u) * self.align).min(self.nodes);
         (start as u32, end as u32)
@@ -269,15 +277,11 @@ impl ShardMap {
 
     /// The shard owning server `id`.
     fn owner(&self, id: ServerId) -> usize {
-        let units = self.units();
-        let q = units / self.shards;
-        let r = units % self.shards;
-        let unit = (id.index() / self.align).min(units - 1);
-        let wide = r * (q + 1);
-        if unit < wide {
-            unit / (q + 1)
+        let unit = (id.index() / self.align).min(self.units - 1);
+        if unit < self.wide {
+            unit / (self.q + 1)
         } else {
-            r + (unit - wide) / q
+            self.r + (unit - self.wide) / self.q
         }
     }
 }
@@ -561,17 +565,17 @@ impl Shard<'_> {
             self.next_sample += self.util_interval;
         }
         // Live-metrics windows close on the same lazy schedule. The
-        // shadow cluster only ever runs owned tasks, so its utilization
-        // is this shard's *share* of the whole-cluster occupancy —
+        // cluster only ever runs owned tasks, so its utilization is
+        // this shard's *share* of the whole-cluster occupancy —
         // `LiveRecorder::merge` sums the shares at report time.
         self.core.close_live_windows(limit);
     }
 
-    /// Pops and handles the next event, first catching lazy sampling up
-    /// to its firing time `t`.
-    fn step(&mut self, t: SimTime) {
+    /// Handles the event just popped at `t`, first catching lazy sampling
+    /// up to its firing time (sampling reads no engine state, so it may
+    /// follow the pop).
+    fn step(&mut self, t: SimTime, event: Event) {
         self.sample_up_to(t);
-        let (_, event) = self.net.engine.pop().expect("peeked event vanished");
         self.core.dispatch(&mut self.net, event);
     }
 
@@ -594,16 +598,16 @@ impl Shard<'_> {
     /// to it (no cross-shard arrival can land below it, so the state
     /// there is final) and returns `true`.
     fn run_until(&mut self, horizon: SimTime, budget: u64) -> bool {
-        let mut left = budget;
-        while let Some(t) = self.net.engine.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            if left == 0 {
-                return false;
-            }
-            left -= 1;
-            self.step(t);
+        for _ in 0..budget {
+            let Some((t, event)) = self.net.engine.pop_before(horizon) else {
+                self.sample_up_to(horizon);
+                return true;
+            };
+            self.step(t, event);
+        }
+        // Budget spent: complete only if nothing is left below the horizon.
+        if self.net.engine.peek_time().is_some_and(|t| t < horizon) {
+            return false;
         }
         self.sample_up_to(horizon);
         true
@@ -618,13 +622,11 @@ impl Shard<'_> {
     fn run_free(&mut self) {
         const FREE_RUN_EVENT_BUDGET: u32 = 1 << 22;
         let entered_unfinished = self.core.unfinished > 0;
-        let mut budget = FREE_RUN_EVENT_BUDGET;
-        while let Some(t) = self.net.engine.peek_time() {
-            if budget == 0 {
+        for _ in 0..FREE_RUN_EVENT_BUDGET {
+            let Some((t, event)) = self.net.engine.pop() else {
                 break;
-            }
-            budget -= 1;
-            self.step(t);
+            };
+            self.step(t, event);
             if !self.net.pending.is_empty() || (entered_unfinished && self.core.unfinished == 0) {
                 break;
             }
@@ -684,12 +686,12 @@ impl<'t> ShardedDriver<'t> {
         // off the shared root (frozen order, see [`RunInputs`]).
         let shards = (0..map.shards)
             .map(|s| {
-                let mut core = Core::new(trace, Arc::clone(&scheduler), sim, &mut inputs, s == 0);
-                // Utilization sampling is lazy, not an engine event
-                // (module docs).
-                let mut engine = Engine::with_capacity(trace.len() * 2 / map.shards + 64);
-                core.seed(&mut engine, sim, |job| homes[job.index()] as usize == s);
                 let (own_start, own_end) = map.range(s);
+                let owned = own_start..own_end;
+                let mut core = Core::new(trace, Arc::clone(&scheduler), sim, &mut inputs, owned);
+                // Utilization sampling is lazy, not an engine event
+                // (module docs): the shard adds no timer of its own.
+                let engine = core.seed(sim, 0, |job| homes[job.index()] as usize == s);
                 Shard {
                     core,
                     net: Outbox {
@@ -878,13 +880,16 @@ impl<'t> ShardedDriver<'t> {
             }
             util.record(running as f64 / usable.max(1) as f64);
         }
-        let events = self.shards.iter().map(|s| s.net.engine.processed()).sum();
-        let mut cores: Vec<&mut Core<'t>> = self.shards.iter_mut().map(|s| &mut s.core).collect();
+        let (mut cores, engines): (Vec<&mut Core<'t>>, Vec<&Engine<Event>>) = self
+            .shards
+            .iter_mut()
+            .map(|s| (&mut s.core, &s.net.engine))
+            .unzip();
         let report = protocol::report(
             &mut cores,
             |job| self.homes[job.index()] as usize,
             &util,
-            events,
+            &engines,
             Some(stats),
         );
         // Every core shares the estimates; the last one standing owns them.

@@ -291,10 +291,15 @@ impl ProtoReport {
             events: self.messages,
             steals: self.steals,
             steal_attempts: self.steal_attempts,
-            // The daemons run their own protocol copy and keep neither
-            // counter; their per-kind view is `deliveries`.
+            // The daemons run their own protocol copy and keep none of
+            // these counters (their per-kind view is `deliveries`, and
+            // each owns its queue: there is no shared arena to report).
             steal_scans: 0,
             events_by_kind: Default::default(),
+            queue_nodes_high_water: 0,
+            queue_arena_growths: 0,
+            pending_events_high_water: 0,
+            event_arena_growths: 0,
             migrations: self.migrations,
             abandons: self.abandons,
             network: self.network,
@@ -425,6 +430,10 @@ mod tests {
             steal_attempts: 0,
             steal_scans: 0,
             events_by_kind: Default::default(),
+            queue_nodes_high_water: 0,
+            queue_arena_growths: 0,
+            pending_events_high_water: 0,
+            event_arena_growths: 0,
             migrations: 0,
             abandons: 0,
             network: NetworkStats::default(),

@@ -47,7 +47,8 @@ impl<E: Copy> Engine<E> {
         }
     }
 
-    /// Creates an engine with an event queue pre-sized for `capacity` events.
+    /// Creates an engine whose event queue starts with room for `capacity`
+    /// pending events (see [`EventQueue::with_capacity`]).
     pub fn with_capacity(capacity: usize) -> Self {
         Engine {
             queue: EventQueue::with_capacity(capacity),
@@ -119,6 +120,17 @@ impl<E: Copy> Engine<E> {
         Some((t, ev))
     }
 
+    /// [`Engine::pop`] if the earliest event fires strictly before `limit`,
+    /// `None` (clock and queue untouched) otherwise: one settling of the
+    /// wheel where [`Engine::peek_time`] then `pop` would take two (see
+    /// [`EventQueue::pop_before`]).
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let (t, ev) = self.queue.pop_before(limit)?;
+        self.now = t;
+        self.processed += 1;
+        Some((t, ev))
+    }
+
     /// Removes every event firing at or before `until`, in order, advancing
     /// the clock exactly as repeated [`Engine::pop`] calls would: to the
     /// firing time of the last drained event (unchanged when nothing is
@@ -154,6 +166,17 @@ impl<E: Copy> Engine<E> {
     /// Total number of events processed so far.
     pub fn processed(&self) -> u64 {
         self.processed
+    }
+
+    /// The most events ever pending at once ([`EventQueue::high_water`]).
+    pub fn pending_high_water(&self) -> usize {
+        self.queue.high_water()
+    }
+
+    /// On-demand growths of the event arena
+    /// ([`EventQueue::arena_growths`]).
+    pub fn arena_growths(&self) -> u32 {
+        self.queue.arena_growths()
     }
 }
 

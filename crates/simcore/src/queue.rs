@@ -154,11 +154,11 @@ type Entry<E> = (u64, u64, E);
 pub struct EventQueue<E> {
     /// Bucket storage: one slab arena whose list `level * SLOTS + slot`
     /// holds that bucket's pending entries in `seq` order. Nodes recycle
-    /// through the slab's free list, so the wheel allocates only while the
-    /// pending-event population is still reaching new peaks — the
-    /// steady-state schedule/pop/cascade cycle performs zero heap
-    /// allocations (enforced by `tests/alloc_regression.rs` at the
-    /// workspace root).
+    /// through the slab's free list, so the wheel allocates only when the
+    /// pending-event population reaches a new peak, and then by doubling
+    /// (the slab's growth contract) — the steady-state schedule/pop/cascade
+    /// cycle performs zero heap allocations (enforced by
+    /// `tests/alloc_regression.rs` at the workspace root).
     wheel: EntrySlab<Entry<E>>,
     /// Per-level bitmap of non-empty buckets.
     occupied: [u128; LEVELS],
@@ -210,9 +210,9 @@ impl<E: Copy> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with the bucket arena pre-warmed for
-    /// `capacity` simultaneously pending events, so a simulation whose
-    /// pending population stays under it never grows the wheel.
+    /// Creates an empty queue whose bucket arena starts with room for
+    /// `capacity` simultaneously pending events — the floor of the slab's
+    /// growth contract (what is about to be seeded, not a worst case).
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = Self::new();
         q.wheel.reserve_nodes(capacity);
@@ -304,20 +304,44 @@ impl<E: Copy> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_bounded::<false>(0)
+    }
+
+    /// Removes and returns the earliest event if it fires strictly before
+    /// `limit` — what [`EventQueue::peek_time`] followed by a conditional
+    /// [`EventQueue::pop`] would, in one settling of the wheel: the level
+    /// scan runs once, and a mixed earliest bucket is cascaded (once, by
+    /// the pop) instead of first walked for its minimum. A bucket whose
+    /// whole window lies at or beyond `limit` is left alone, so the cursor
+    /// never passes `limit` without a pop.
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        self.pop_bounded::<true>(limit.as_micros())
+    }
+
+    /// [`EventQueue::pop`], or with `BOUNDED` its `limit`-guarded twin: one
+    /// body, monomorphized, so the unbounded pop pays nothing for the guard.
+    fn pop_bounded<const BOUNDED: bool>(&mut self, limit: u64) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;
         }
-        self.len -= 1;
+        let due = |t: u64| !BOUNDED || t < limit;
         // Past events fire strictly before the cursor, and so before every
         // wheel or overflow entry.
-        if let Some(s) = self.past.pop() {
-            return Some((s.time, s.event));
+        if let Some(s) = self.past.peek() {
+            if !due(s.time.as_micros()) {
+                return None;
+            }
+            self.len -= 1;
+            return self.past.pop().map(|s| (s.time, s.event));
         }
         loop {
             // Fast path: a level-0 bucket holds events of one exact
             // microsecond, already in seq order.
             if self.occupied[0] != 0 {
                 let slot = self.occupied[0].trailing_zeros() as usize;
+                if !due(self.first[slot]) {
+                    return None;
+                }
                 let (t, _, event) = self
                     .wheel
                     .pop_front(slot)
@@ -326,6 +350,7 @@ impl<E: Copy> EventQueue<E> {
                     self.occupied[0] &= !(1 << slot);
                 }
                 self.cursor = t;
+                self.len -= 1;
                 return Some((SimTime::from_micros(t), event));
             }
             // The cursor reaches the earliest bucket of the lowest
@@ -334,12 +359,15 @@ impl<E: Copy> EventQueue<E> {
                 let slot = self.occupied[level].trailing_zeros() as usize;
                 let bit = 1u128 << slot;
                 let bucket = level * SLOTS + slot;
-                self.occupied[level] &= !bit;
                 if self.mixed[level] & bit == 0 {
                     // One firing time: these entries are the wheel minimum,
                     // in seq order. Pop the head where it lies and hand
                     // the rest of the list, if any, to that microsecond's
                     // (empty) level-0 bucket.
+                    if !due(self.first[bucket]) {
+                        return None;
+                    }
+                    self.occupied[level] &= !bit;
                     let (t, _, event) = self
                         .wheel
                         .pop_front(bucket)
@@ -351,15 +379,20 @@ impl<E: Copy> EventQueue<E> {
                         self.first[slot0] = t;
                     }
                     self.cursor = t;
+                    self.len -= 1;
                     return Some((SimTime::from_micros(t), event));
                 }
                 // Several times: advance the cursor to the bucket's window
                 // start and relink each node, in order (so FIFO ties are
                 // preserved), into its bucket below `level`.
-                self.mixed[level] &= !bit;
                 let span = 1u64 << (LEVEL_BITS * level as u32);
                 let window_start = self.first[bucket] & !(span - 1);
                 debug_assert!(window_start >= self.cursor);
+                if !due(window_start) {
+                    return None;
+                }
+                self.occupied[level] &= !bit;
+                self.mixed[level] &= !bit;
                 self.cursor = window_start;
                 while let Some(node) = self.wheel.head(bucket) {
                     let t = self.wheel.value(node).0;
@@ -378,6 +411,9 @@ impl<E: Copy> EventQueue<E> {
                 .expect("len > 0 with empty past and wheel implies overflow events")
                 .time
                 .as_micros();
+            if !due(next) {
+                return None;
+            }
             self.cursor = next;
             self.rebucket_overflow();
         }
@@ -448,6 +484,17 @@ impl<E: Copy> EventQueue<E> {
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// The most events ever pending in the wheel at once (its arena's
+    /// [`EntrySlab::allocated_nodes`]).
+    pub fn high_water(&self) -> usize {
+        self.wheel.allocated_nodes()
+    }
+
+    /// On-demand growths of the bucket arena ([`EntrySlab::growths`]).
+    pub fn arena_growths(&self) -> u32 {
+        self.wheel.growths()
     }
 
     /// Returns true if no events are pending.
@@ -661,6 +708,35 @@ mod tests {
         .collect();
         assert_eq!(popped, vec![1, 3, 0, 2, 4]);
         assert_eq!(q.wheel.allocated_nodes(), nodes);
+    }
+
+    #[test]
+    fn pop_before_never_moves_the_cursor_past_its_limit() {
+        // Two times in one level-2 bucket whose window starts at 5 << 14.
+        let base = 5u64 << 14;
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_micros(base + 300), 0);
+        q.push(SimTime::from_micros(base + 7), 1);
+        assert_ne!(q.mixed[2], 0);
+        // A limit at or below the window start refuses without cascading,
+        // so an earlier push still lands in the wheel, not the past heap.
+        assert_eq!(q.pop_before(SimTime::from_micros(base)), None);
+        assert_eq!((q.cursor, q.len()), (0, 2));
+        q.push(SimTime::from_micros(base - 1), 2);
+        assert!(q.past.is_empty());
+        assert_invariants(&q);
+        // A limit inside the window settles the bucket (one cascade) and
+        // still refuses an event at or beyond it.
+        assert_eq!(
+            q.pop_before(SimTime::from_micros(base)),
+            Some((SimTime::from_micros(base - 1), 2))
+        );
+        assert_eq!(q.pop_before(SimTime::from_micros(base + 7)), None);
+        assert_eq!((q.cursor, q.mixed[2]), (base, 0));
+        assert_invariants(&q);
+        assert_eq!(q.pop_before(SimTime::from_micros(base + 8)).unwrap().1, 1);
+        assert_eq!(q.pop_before(SimTime::MAX).unwrap().1, 0);
+        assert_eq!(q.pop_before(SimTime::MAX), None);
     }
 
     #[test]

@@ -7,6 +7,23 @@
 //! free list, so a cluster that has reached its high-water mark of queued
 //! entries never allocates again.
 //!
+//! # The growth contract
+//!
+//! *An arena allocates only when its live population exceeds every earlier
+//! peak, and then geometrically: a run performs O(log high-water) arena
+//! allocations and none per event.* Nodes are recycled LIFO through the
+//! free list, so a push finds no free node only at a new global peak; the
+//! node vector then grows by doubling. [`EntrySlab::allocated_nodes`] is
+//! that high-water mark and [`EntrySlab::growths`] counts the doublings,
+//! so both halves are measurable. Both users — the per-server queues of
+//! `hawk-cluster` and the buckets of the timing wheel
+//! ([`crate::EventQueue`]) — start from what exists at construction (no
+//! queued entry; the events a driver is about to seed, via
+//! [`EntrySlab::reserve_nodes`]), never from the length of the trace they
+//! are about to replay, and are held to the contract by
+//! `tests/slab_alloc.rs` here and `tests/alloc_regression.rs` at the
+//! workspace root.
+//!
 //! # Invariants
 //!
 //! * **One list per owner** — list ids are dense (`0..num_lists`), fixed at
@@ -19,10 +36,7 @@
 //!   (the timing wheel cascades with them);
 //!   [`EntrySlab::unlink_run_into`] is O(run length). No operation walks
 //!   a list except the iterators.
-//! * **No allocation after warm-up** — nodes are recycled LIFO through the
-//!   free list; the arena grows only when the total live population
-//!   exceeds every previous peak ([`EntrySlab::allocated_nodes`] is
-//!   monotone). [`EntrySlab::reserve_nodes`] pre-warms the arena.
+//! * **No allocation below the peak** — the growth contract above.
 //! * **FIFO order** — per list, values come out of `pop_front`/iteration
 //!   in `push_back` order, with unlinked nodes excised in place.
 //!
@@ -81,6 +95,8 @@ pub struct EntrySlab<T> {
     /// Head of the LIFO free list, chained through `Node::next`.
     free_head: u32,
     free_len: usize,
+    /// Times a push found the node vector full and doubled it.
+    growths: u32,
 }
 
 impl<T: Copy> EntrySlab<T> {
@@ -90,13 +106,14 @@ impl<T: Copy> EntrySlab<T> {
     }
 
     /// Creates a slab with `lists` empty lists and arena capacity for
-    /// `nodes` entries (warm-up ahead of time).
+    /// `nodes` entries (the floor growth starts from).
     pub fn with_node_capacity(lists: usize, nodes: usize) -> Self {
         EntrySlab {
             nodes: Vec::with_capacity(nodes),
             lists: vec![ListEnds::EMPTY; lists],
             free_head: NIL,
             free_len: 0,
+            growths: 0,
         }
     }
 
@@ -115,11 +132,16 @@ impl<T: Copy> EntrySlab<T> {
         self.lists[list].len == 0
     }
 
-    /// Total nodes ever created (live + free). Monotone: this grows only
-    /// when the live population exceeds every previous peak, which is the
-    /// no-allocation-after-warm-up invariant in measurable form.
+    /// Total nodes ever created (live + free): the high-water mark of the
+    /// live population, since a node is created only when none is free.
     pub fn allocated_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Arena allocations made on demand: pushes that met a new peak with
+    /// the node vector full (see the growth contract in the module docs).
+    pub fn growths(&self) -> u32 {
+        self.growths
     }
 
     /// Nodes currently on the free list.
@@ -127,8 +149,8 @@ impl<T: Copy> EntrySlab<T> {
         self.free_len
     }
 
-    /// Grows the arena so at least `total` nodes exist without further
-    /// allocation (no-op if already that large).
+    /// Raises the arena's floor: at least `total` nodes fit before the
+    /// first on-demand growth (no-op if already that large).
     pub fn reserve_nodes(&mut self, total: usize) {
         self.nodes.reserve(total.saturating_sub(self.nodes.len()));
     }
@@ -146,6 +168,7 @@ impl<T: Copy> EntrySlab<T> {
         } else {
             let idx = self.nodes.len() as u32;
             assert!(idx != NIL, "EntrySlab overflow: 2^32-1 nodes");
+            self.growths += u32::from(self.nodes.len() == self.nodes.capacity());
             self.nodes.push(Node { value, next: NIL });
             idx
         }

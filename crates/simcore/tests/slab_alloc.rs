@@ -1,6 +1,7 @@
-//! Allocation-counting harness for the slab arena: proves the
-//! no-allocation-after-warm-up invariant with a counting global allocator
-//! rather than by inspecting `allocated_nodes()` alone.
+//! Allocation-counting harness for the slab arena: proves both halves of
+//! its growth contract — geometric growth at new peaks, nothing below
+//! them — with a counting global allocator rather than by inspecting
+//! `allocated_nodes()` and `growths()` alone.
 //!
 //! The library crate forbids `unsafe`; this integration test is its own
 //! crate, so the `GlobalAlloc` shim lives here. The same pattern backs the
@@ -97,6 +98,60 @@ fn slab_churn_is_allocation_free_after_warm_up() {
         "slab churn allocated on the steady-state path"
     );
     assert!(slab.check_invariants());
+}
+
+/// The growth half of the contract: `n` pushes from empty cost at most
+/// `⌈log2 n⌉ + 1` allocations — every one of them counted by `growths()`
+/// — and once the peak is reached, none, however the population moves
+/// below it. A reserved floor takes its share off the front.
+#[test]
+fn slab_grows_geometrically_to_its_peak_and_never_below_it() {
+    for n in [1usize, 2, 3, 1_000, 4_097, 100_000] {
+        let log2_ceil = n.next_power_of_two().trailing_zeros() as u64;
+        let mut slab: EntrySlab<u64> = EntrySlab::new(4);
+
+        let before = allocations();
+        for v in 0..n {
+            slab.push_back(v % 4, v as u64);
+        }
+        let grown = allocations() - before;
+        assert!(
+            grown <= log2_ceil + 1,
+            "{n} pushes from empty allocated {grown} times"
+        );
+        assert_eq!(u64::from(slab.growths()), grown);
+        assert_eq!(slab.allocated_nodes(), n);
+
+        // Drain and refill to the same peak, twice: recycled nodes only.
+        let before = allocations();
+        for _ in 0..2 {
+            for list in 0..4 {
+                while slab.pop_front(list).is_some() {}
+            }
+            for v in 0..n {
+                slab.push_back(v % 4, v as u64);
+            }
+        }
+        assert_eq!(allocations() - before, 0, "allocated below the peak");
+        assert_eq!(
+            (u64::from(slab.growths()), slab.allocated_nodes()),
+            (grown, n)
+        );
+
+        // The same pushes over a floor of n / 2: only the doublings past it.
+        let mut floored: EntrySlab<u64> = EntrySlab::with_node_capacity(4, n / 2);
+        let before = allocations();
+        for v in 0..n {
+            floored.push_back(v % 4, v as u64);
+        }
+        let grown = allocations() - before;
+        assert!(
+            grown <= 2,
+            "{n} pushes over a floor of {} allocated {grown} times",
+            n / 2
+        );
+        assert_eq!(u64::from(floored.growths()), grown);
+    }
 }
 
 /// The batch pool's put/take cycle allocates nothing once its slots have
