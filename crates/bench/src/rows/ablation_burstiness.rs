@@ -14,20 +14,18 @@
 
 use std::sync::Arc;
 
-use hawk_bench::{
-    base, fmt, fmt4, google_sensitivity_nodes, google_setup, parse_args, tsv_header, tsv_row,
+use crate::{
+    base, fmt, fmt4, google_hawk, google_sensitivity_nodes, google_setup, ratio_quad, HarnessOpts,
+    Table,
 };
-use hawk_core::compare;
-use hawk_core::scheduler::{Hawk, Sparrow, SplitCluster};
+use hawk_core::scheduler::{Sparrow, SplitCluster};
 use hawk_simcore::SimRng;
 use hawk_workload::arrivals::with_bursty_arrivals;
 use hawk_workload::google::GOOGLE_SHORT_PARTITION;
-use hawk_workload::JobClass;
 
-fn main() {
-    let opts = parse_args("ablation_burstiness", "arrival-burstiness ablation");
-    let (poisson_trace, _) = google_setup(&opts);
-    let nodes = google_sensitivity_nodes(&opts);
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
+    let (poisson_trace, _) = google_setup(opts);
+    let nodes = google_sensitivity_nodes(opts);
     let mut rng = SimRng::seed_from_u64(opts.seed ^ 0xB00B5);
     // Bursts submit jobs 10× faster, ~1 job in 5 arrives inside a burst.
     let bursty_trace = Arc::new(with_bursty_arrivals(
@@ -38,38 +36,31 @@ fn main() {
         &mut rng,
     ));
 
-    tsv_header(&[
-        "arrivals",
-        "scheduler",
-        "p50_short_vs_hawk",
-        "p90_short_vs_hawk",
-        "p90_long_vs_hawk",
-        "median_util",
-    ]);
+    let mut table = Table::default();
     for (label, trace) in [("poisson", &poisson_trace), ("bursty", &bursty_trace)] {
         eprintln!("ablation_burstiness: {label} arrivals, 3 schedulers at {nodes} nodes...");
-        let results = base(&opts)
+        let results = base(opts)
             .nodes(nodes)
             .trace(trace)
             .sweep()
-            .scheduler(Hawk::new(GOOGLE_SHORT_PARTITION))
+            .scheduler(google_hawk())
             .scheduler(Sparrow::new())
             .scheduler(SplitCluster::new(GOOGLE_SHORT_PARTITION))
             .run_all();
         let hawk = results.get("hawk", nodes).expect("hawk cell ran");
         for name in ["sparrow", "split-cluster"] {
             let other = results.get(name, nodes).expect("baseline cell ran");
-            let short = compare(other, hawk, JobClass::Short);
-            let long = compare(other, hawk, JobClass::Long);
-            tsv_row(&[
-                fmt(label),
-                fmt(name),
-                fmt4(short.p50_ratio),
-                fmt4(short.p90_ratio),
-                fmt4(long.p90_ratio),
-                fmt4(other.median_utilization),
+            let (_, p90l, p50s, p90s) = ratio_quad(other, hawk);
+            table.push([
+                ("arrivals", fmt(label)),
+                ("scheduler", fmt(name)),
+                ("p50_short_vs_hawk", fmt4(p50s)),
+                ("p90_short_vs_hawk", fmt4(p90s)),
+                ("p90_long_vs_hawk", fmt4(p90l)),
+                ("median_util", fmt4(other.median_utilization)),
             ]);
         }
     }
     eprintln!("ablation_burstiness: done (>1 means worse than Hawk on the same arrivals)");
+    table
 }

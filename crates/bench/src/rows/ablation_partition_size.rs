@@ -6,23 +6,14 @@
 //! and short jobs lose their refuge (and stealing thieves); too large and
 //! long jobs are squeezed into a cramped general partition.
 
-use hawk_bench::{
-    base, fmt, fmt4, google_sensitivity_nodes, google_setup, parse_args, tsv_header, tsv_row,
-};
-use hawk_core::compare;
+use crate::{fmt, fmt4, google_cell, ratio_quad, HarnessOpts, Table};
 use hawk_core::scheduler::{Hawk, Sparrow};
-use hawk_workload::JobClass;
 
 /// Short-partition fractions to sweep (the paper's rule picks 0.17).
 const FRACTIONS: [f64; 7] = [0.0, 0.05, 0.10, 0.17, 0.25, 0.35, 0.50];
 
-fn main() {
-    let opts = parse_args(
-        "ablation_partition_size",
-        "short-partition sizing sweep (§3.4)",
-    );
-    let (trace, _) = google_setup(&opts);
-    let nodes = google_sensitivity_nodes(&opts);
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
+    let (cell, nodes) = google_cell(opts);
 
     eprintln!(
         "ablation_partition_size: Sparrow + {} Hawk fractions at {nodes} nodes in parallel...",
@@ -30,11 +21,7 @@ fn main() {
     );
     // Scheduler axis order: Sparrow first, then one Hawk per fraction —
     // rows pair with FRACTIONS by grid order.
-    let mut sweep = base(&opts)
-        .nodes(nodes)
-        .trace(&trace)
-        .sweep()
-        .scheduler(Sparrow::new());
+    let mut sweep = cell.sweep().scheduler(Sparrow::new());
     for fraction in FRACTIONS {
         sweep = sweep.scheduler(Hawk::new(fraction));
     }
@@ -48,26 +35,19 @@ fn main() {
         assert!(cell.scheduler.starts_with("hawk"), "{}", cell.scheduler);
     }
 
-    tsv_header(&[
-        "short_partition_fraction",
-        "p50_short_vs_sparrow",
-        "p90_short_vs_sparrow",
-        "p50_long_vs_sparrow",
-        "p90_long_vs_sparrow",
-        "steals",
-    ]);
+    let mut table = Table::default();
     for (fraction, cell) in FRACTIONS.iter().zip(results.iter().skip(1)) {
         let hawk = &cell.report;
-        let short = compare(hawk, sparrow, JobClass::Short);
-        let long = compare(hawk, sparrow, JobClass::Long);
-        tsv_row(&[
-            fmt4(*fraction),
-            fmt4(short.p50_ratio),
-            fmt4(short.p90_ratio),
-            fmt4(long.p50_ratio),
-            fmt4(long.p90_ratio),
-            fmt(hawk.steals),
+        let (p50l, p90l, p50s, p90s) = ratio_quad(hawk, sparrow);
+        table.push([
+            ("short_partition_fraction", fmt4(*fraction)),
+            ("p50_short_vs_sparrow", fmt4(p50s)),
+            ("p90_short_vs_sparrow", fmt4(p90s)),
+            ("p50_long_vs_sparrow", fmt4(p50l)),
+            ("p90_long_vs_sparrow", fmt4(p90l)),
+            ("steals", fmt(hawk.steals)),
         ]);
     }
     eprintln!("ablation_partition_size: done (the paper's task-seconds rule gives 0.17)");
+    table
 }

@@ -17,23 +17,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hawk_bench::{fmt4, parse_args_with, tsv_header, tsv_row, RunMode};
+use super::{conformance_trace, islanded, CONFORMANCE_NODES};
+use crate::{fmt4, has_flag, ratio, HarnessOpts, Table};
 use hawk_core::scheduler::Hawk;
 use hawk_core::{Scheduler, SimConfig};
 use hawk_proto::{run_prototype, FaultSpec, MsgKind, ProtoBackend, ProtoConfig, ProtoReport};
-use hawk_simcore::SimTime;
-use hawk_workload::scenario::{ScenarioSpec, TraceFamily};
-use hawk_workload::{JobClass, Trace};
-
-/// The conformance cell: ~90 % offered load on 100 nodes.
-const NODES: usize = 100;
-const SCALE: u64 = 150;
-
-/// Ten workers with no co-hosted scheduler daemons (the central daemon
-/// lives on host 0, distributed scheduler `s` on host `s % workers`).
-fn island() -> Vec<u32> {
-    (40..50).collect()
-}
+use hawk_workload::JobClass::{self, Long, Short};
+use hawk_workload::Trace;
 
 /// FNV-1a over the per-job runtimes and every counter — fault counters
 /// included, so two "identical" runs that drop different messages are
@@ -81,55 +71,30 @@ fn print_deliveries(report: &ProtoReport) {
     }
 }
 
-fn run(trace: &Trace, cfg: &ProtoConfig) -> (ProtoReport, f64) {
+fn timed(trace: &Trace, cfg: &ProtoConfig) -> (ProtoReport, f64) {
     let start = Instant::now();
     let report = run_prototype(trace, Arc::new(Hawk::new(0.17)) as Arc<dyn Scheduler>, cfg);
     (report, start.elapsed().as_secs_f64() * 1e3)
 }
 
-fn main() {
-    let (opts, flags) = parse_args_with(
-        "chaos_sweep",
-        "drop-rate x partition-length sweep of the hardened virtual prototype",
-        &[(
-            "--smoke",
-            "one moderate fault cell run twice: assert 100% completion and \
-             a deterministic digest",
-        )],
-    );
-    let smoke = flags.iter().any(|f| f == "--smoke");
-    let jobs = opts.jobs.unwrap_or(match opts.mode {
-        RunMode::Quick => 200,
-        RunMode::Paper => 1_000,
-        RunMode::FullTrace => 5_000,
-    });
-    let scenario = ScenarioSpec::new(TraceFamily::Google { scale: SCALE }, jobs);
-    eprintln!(
-        "chaos_sweep: {jobs} jobs on {NODES} nodes ({})",
-        scenario.label()
-    );
-    let trace = Arc::new(scenario.trace(opts.seed));
+pub(crate) fn run(opts: &HarnessOpts, flags: &[String]) -> Table {
+    let trace = conformance_trace("chaos_sweep", opts);
     let cfg_for = |faults: FaultSpec| {
         ProtoBackend::deterministic()
             .faults(faults)
             .config_for(&SimConfig {
-                nodes: NODES,
+                nodes: CONFORMANCE_NODES,
                 seed: opts.seed,
                 ..SimConfig::default()
             })
     };
 
-    if smoke {
+    if has_flag(flags, "--smoke") {
         // The CI cell: 1 % drops, duplicates, reorder jitter, plus one
         // 1000 s partition window islanding ten workers.
-        let faults = FaultSpec::chaos().partition(
-            SimTime::from_secs(100),
-            SimTime::from_secs(1_100),
-            island(),
-        );
-        let cfg = cfg_for(faults);
-        let (a, wall_a) = run(&trace, &cfg);
-        let (b, wall_b) = run(&trace, &cfg);
+        let cfg = cfg_for(islanded(FaultSpec::chaos(), 1_000));
+        let (a, wall_a) = timed(&trace, &cfg);
+        let (b, wall_b) = timed(&trace, &cfg);
         assert_eq!(
             a.jobs.len(),
             trace.len(),
@@ -151,90 +116,62 @@ fn main() {
             digest(&b),
             "two seeded faulty runs diverged (smoke digest mismatch)"
         );
-        tsv_header(&[
-            "completed",
-            "drops",
-            "dups",
-            "retries",
-            "timeouts",
-            "relaunched",
-            "digest",
-            "wall_ms",
-        ]);
-        tsv_row(&[
-            format!("{}/{}", a.jobs.len(), trace.len()),
-            a.drops.to_string(),
-            a.dups.to_string(),
-            a.retries.to_string(),
-            a.timeouts_fired.to_string(),
-            a.relaunched.to_string(),
-            format!("{:016x}", digest(&a)),
-            format!("{:.1}+{:.1}", wall_a, wall_b),
+        let mut table = Table::default();
+        table.push([
+            ("completed", format!("{}/{}", a.jobs.len(), trace.len())),
+            ("drops", a.drops.to_string()),
+            ("dups", a.dups.to_string()),
+            ("retries", a.retries.to_string()),
+            ("timeouts", a.timeouts_fired.to_string()),
+            ("relaunched", a.relaunched.to_string()),
+            ("digest", format!("{:016x}", digest(&a))),
+            ("wall_ms", format!("{:.1}+{:.1}", wall_a, wall_b)),
         ]);
         print_deliveries(&a);
         eprintln!("chaos_sweep --smoke: all jobs completed, digest deterministic");
-        return;
+        return table;
     }
 
     // The fault-free baseline: FaultSpec::none(), the exact historical
     // router path (not even hardened timers).
-    let (baseline, _) = run(&trace, &cfg_for(FaultSpec::none()));
+    let (baseline, _) = timed(&trace, &cfg_for(FaultSpec::none()));
     let base_p90 = |class: JobClass| baseline.runtime_percentile(class, 90.0);
 
-    tsv_header(&[
-        "drop",
-        "partition_s",
-        "completed",
-        "p90_short",
-        "p90_long",
-        "p90_short_x",
-        "p90_long_x",
-        "drops",
-        "dups",
-        "retries",
-        "timeouts",
-        "relaunched",
-        "wall_ms",
-    ]);
+    let mut table = Table::default();
     let partitions: [(&str, Option<u64>); 3] =
         [("0", None), ("300", Some(300)), ("3000", Some(3000))];
     for &drop in &[0.0, 0.01, 0.02, 0.05] {
         for &(label, window) in &partitions {
             let mut faults = FaultSpec::chaos().drop_probability(drop);
             if let Some(secs) = window {
-                faults = faults.partition(
-                    SimTime::from_secs(100),
-                    SimTime::from_secs(100 + secs),
-                    island(),
-                );
+                faults = islanded(faults, secs);
             }
-            let (report, wall) = run(&trace, &cfg_for(faults));
+            let (report, wall) = timed(&trace, &cfg_for(faults));
             assert_eq!(
                 report.jobs.len(),
                 trace.len(),
                 "hardened prototype lost jobs at drop {drop}, partition {label}s"
             );
             let p90 = |class: JobClass| report.runtime_percentile(class, 90.0);
-            let ratio = |class: JobClass| match (p90(class), base_p90(class)) {
-                (Some(f), Some(b)) if b > 0.0 => Some(f / b),
-                _ => None,
-            };
-            tsv_row(&[
-                format!("{drop}"),
-                label.to_string(),
-                format!("{}/{}", report.jobs.len(), trace.len()),
-                fmt4(p90(JobClass::Short)),
-                fmt4(p90(JobClass::Long)),
-                fmt4(ratio(JobClass::Short)),
-                fmt4(ratio(JobClass::Long)),
-                report.drops.to_string(),
-                report.dups.to_string(),
-                report.retries.to_string(),
-                report.timeouts_fired.to_string(),
-                report.relaunched.to_string(),
-                format!("{wall:.1}"),
+            let p90_x = |class: JobClass| fmt4(ratio(p90(class), base_p90(class)));
+            let completed = format!("{}/{}", report.jobs.len(), trace.len());
+            table.push([
+                ("drop", format!("{drop}")),
+                ("partition_s", label.to_string()),
+                ("completed", completed),
+                ("p90_short", fmt4(p90(Short))),
+                ("p90_long", fmt4(p90(Long))),
+                ("p90_short_x", p90_x(Short)),
+                ("p90_long_x", p90_x(Long)),
+                ("drops", report.drops.to_string()),
+                ("dups", report.dups.to_string()),
+                ("retries", report.retries.to_string()),
+                ("timeouts", report.timeouts_fired.to_string()),
+                ("relaunched", report.relaunched.to_string()),
+                ("wall_ms", format!("{wall:.1}")),
             ]);
         }
     }
     eprintln!("chaos_sweep: done (p90_*_x = degradation over the fault-free baseline)");
+    table
 }

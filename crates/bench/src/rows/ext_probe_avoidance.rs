@@ -8,23 +8,13 @@
 //! retries elsewhere, up to a hop limit — and reports it against plain
 //! Hawk and Sparrow.
 
-use hawk_bench::{
-    base, fmt, fmt4, google_sensitivity_nodes, google_setup, parse_args, tsv_header, tsv_row,
-};
-use hawk_core::compare;
-use hawk_core::scheduler::{Hawk, Sparrow};
-use hawk_workload::google::GOOGLE_SHORT_PARTITION;
-use hawk_workload::JobClass;
+use crate::{fmt, fmt4, google_cell, google_hawk, ratio_quad, HarnessOpts, RatioQuad, Table};
+use hawk_core::scheduler::Sparrow;
 
 const BOUNCE_LIMITS: [u8; 4] = [1, 2, 4, 8];
 
-fn main() {
-    let opts = parse_args(
-        "ext_probe_avoidance",
-        "Eagle-style probe-avoidance extension on top of Hawk",
-    );
-    let (trace, _) = google_setup(&opts);
-    let nodes = google_sensitivity_nodes(&opts);
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
+    let (cell, nodes) = google_cell(opts);
 
     eprintln!(
         "ext_probe_avoidance: baselines + {} bounce variants at {nodes} nodes in parallel...",
@@ -32,14 +22,12 @@ fn main() {
     );
     // Scheduler axis order: hawk, sparrow, then one variant per bounce
     // limit — rows pair with BOUNCE_LIMITS by grid order.
-    let mut sweep = base(&opts)
-        .nodes(nodes)
-        .trace(&trace)
+    let mut sweep = cell
         .sweep()
-        .scheduler(Hawk::new(GOOGLE_SHORT_PARTITION))
+        .scheduler(google_hawk())
         .scheduler(Sparrow::new());
     for limit in BOUNCE_LIMITS {
-        sweep = sweep.scheduler(Hawk::new(GOOGLE_SHORT_PARTITION).probe_avoidance(limit));
+        sweep = sweep.scheduler(google_hawk().probe_avoidance(limit));
     }
     let results = sweep.run_all();
     assert_eq!(results.cells.len(), 2 + BOUNCE_LIMITS.len());
@@ -51,42 +39,37 @@ fn main() {
     for cell in results.iter().skip(2) {
         assert_eq!(cell.scheduler, "hawk-probe-avoidance");
     }
-    let sparrow_short = compare(hawk, sparrow, JobClass::Short);
 
-    tsv_header(&[
-        "variant",
-        "p50_short_vs_hawk",
-        "p90_short_vs_hawk",
-        "p90_long_vs_hawk",
-        "steals",
-    ]);
-    tsv_row(&[
-        fmt("hawk(plain)"),
-        fmt4(1.0),
-        fmt4(1.0),
-        fmt4(1.0),
-        fmt(hawk.steals),
-    ]);
+    let line = |variant: String, (_, p90l, p50s, p90s): RatioQuad, steals: u64| {
+        [
+            ("variant", variant),
+            ("p50_short_vs_hawk", fmt4(p50s)),
+            ("p90_short_vs_hawk", fmt4(p90s)),
+            ("p90_long_vs_hawk", fmt4(p90l)),
+            ("steals", fmt(steals)),
+        ]
+    };
+    let mut table = Table::default();
+    let one = Some(1.0);
+    table.push(line(
+        "hawk(plain)".into(),
+        (one, one, one, one),
+        hawk.steals,
+    ));
     for (limit, cell) in BOUNCE_LIMITS.iter().zip(results.iter().skip(2)) {
-        let variant = &cell.report;
-        let short = compare(variant, hawk, JobClass::Short);
-        let long = compare(variant, hawk, JobClass::Long);
-        tsv_row(&[
+        let quad = ratio_quad(&cell.report, hawk);
+        table.push(line(
             format!("hawk+bounce({limit})"),
-            fmt4(short.p50_ratio),
-            fmt4(short.p90_ratio),
-            fmt4(long.p90_ratio),
-            fmt(variant.steals),
-        ]);
+            quad,
+            cell.report.steals,
+        ));
     }
+    let (_, _, p50s, p90s) = ratio_quad(hawk, sparrow);
     eprintln!(
         "ext_probe_avoidance: reference — Hawk/Sparrow short ratios p50 {} p90 {}",
-        sparrow_short
-            .p50_ratio
-            .map_or("-".into(), |r| format!("{r:.4}")),
-        sparrow_short
-            .p90_ratio
-            .map_or("-".into(), |r| format!("{r:.4}")),
+        fmt4(p50s),
+        fmt4(p90s),
     );
     eprintln!("ext_probe_avoidance: done (<1 means the extension beats plain Hawk)");
+    table
 }

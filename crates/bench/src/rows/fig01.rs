@@ -11,18 +11,14 @@
 //! Output: the short-job runtime CDF (one row per 2 % of jobs), then the
 //! utilization summary.
 
-use hawk_bench::{base, fmt, fmt4, parse_args, tsv_header, tsv_row};
+use crate::{base, fmt, fmt4, HarnessOpts, Table};
 use hawk_core::scheduler::Sparrow;
 use hawk_simcore::stats::percentile_of_sorted;
 use hawk_workload::classify::Cutoff;
 use hawk_workload::motivation::MotivationConfig;
 use hawk_workload::JobClass;
 
-fn main() {
-    let opts = parse_args(
-        "fig01",
-        "short-job runtime CDF under Sparrow (Figure 1 / §2.3)",
-    );
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
     let mut scenario = MotivationConfig::default();
     if let Some(jobs) = opts.jobs {
         scenario.jobs = jobs;
@@ -38,7 +34,7 @@ fn main() {
         scenario.jobs, nodes
     );
     let trace = scenario.generate(opts.seed);
-    let report = base(&opts)
+    let report = base(opts)
         .nodes(nodes)
         .scheduler(Sparrow::new())
         // Any cutoff between 100 s and 20,000 s classifies this synthetic
@@ -50,10 +46,10 @@ fn main() {
     let mut runtimes = report.runtimes(JobClass::Short);
     runtimes.sort_by(|a, b| a.partial_cmp(b).expect("runtimes are finite"));
 
-    tsv_header(&["cdf_pct", "short_job_runtime_s"]);
+    let mut table = Table::default();
     for pct in (2..=100).step_by(2) {
         let value = percentile_of_sorted(&runtimes, pct as f64);
-        tsv_row(&[fmt(pct), fmt4(value)]);
+        table.push([("cdf_pct", fmt(pct)), ("short_job_runtime_s", fmt4(value))]);
     }
 
     eprintln!(
@@ -66,4 +62,5 @@ fn main() {
         "fig01: {:.1}% of short jobs exceed 15,000 s (paper: \"a large fraction\"); ideal runtime is ~100 s",
         100.0 * blocked as f64 / runtimes.len().max(1) as f64
     );
+    table
 }

@@ -4,7 +4,7 @@
 //!
 //! Output: one row per decile per (trace, class, metric) series.
 
-use hawk_bench::{fmt, fmt4, parse_args, tsv_header, tsv_row};
+use crate::{fmt, fmt4, HarnessOpts, Table};
 use hawk_simcore::stats::percentile_of_sorted;
 use hawk_workload::classify::Cutoff;
 use hawk_workload::google::GoogleTraceConfig;
@@ -28,34 +28,25 @@ fn series(trace: &Trace, class: JobClass, cutoff: Cutoff) -> (Vec<f64>, Vec<f64>
     (durations, counts)
 }
 
-fn main() {
-    let opts = parse_args("fig04", "workload property CDFs (Figure 4)");
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
     let jobs = opts.jobs.unwrap_or(40_000);
 
-    let traces: Vec<(&str, Trace, Cutoff)> = vec![
-        (
-            "cloudera",
-            KmeansTraceConfig::cloudera_c(jobs).generate(opts.seed),
-            Cutoff::from_secs(KmeansTraceConfig::cloudera_c(jobs).default_cutoff_secs),
-        ),
-        (
-            "facebook",
-            KmeansTraceConfig::facebook(jobs).generate(opts.seed),
-            Cutoff::from_secs(KmeansTraceConfig::facebook(jobs).default_cutoff_secs),
-        ),
-        (
-            "yahoo",
-            KmeansTraceConfig::yahoo(jobs).generate(opts.seed),
-            Cutoff::from_secs(KmeansTraceConfig::yahoo(jobs).default_cutoff_secs),
-        ),
-        (
-            "google",
-            GoogleTraceConfig::with_scale(1, jobs).generate(opts.seed),
-            Cutoff::GOOGLE_DEFAULT,
-        ),
+    let derived = [
+        ("cloudera", KmeansTraceConfig::cloudera_c(jobs)),
+        ("facebook", KmeansTraceConfig::facebook(jobs)),
+        ("yahoo", KmeansTraceConfig::yahoo(jobs)),
     ];
+    let mut traces: Vec<(&str, Trace, Cutoff)> = derived
+        .iter()
+        .map(|(name, cfg)| {
+            let cutoff = Cutoff::from_secs(cfg.default_cutoff_secs);
+            (*name, cfg.generate(opts.seed), cutoff)
+        })
+        .collect();
+    let google = GoogleTraceConfig::with_scale(1, jobs).generate(opts.seed);
+    traces.push(("google", google, Cutoff::GOOGLE_DEFAULT));
 
-    tsv_header(&["panel", "trace", "class", "cdf_pct", "value"]);
+    let mut table = Table::default();
     for (name, trace, cutoff) in &traces {
         for class in [JobClass::Long, JobClass::Short] {
             let (durations, counts) = series(trace, class, *cutoff);
@@ -66,25 +57,19 @@ fn main() {
                 JobClass::Long => ("4a_task_duration", "4c_tasks_per_job"),
                 JobClass::Short => ("4b_task_duration", "4d_tasks_per_job"),
             };
-            for pct in (10..=100).step_by(10) {
-                tsv_row(&[
-                    fmt(dur_panel),
-                    fmt(*name),
-                    fmt(class),
-                    fmt(pct),
-                    fmt4(percentile_of_sorted(&durations, pct as f64)),
-                ]);
-            }
-            for pct in (10..=100).step_by(10) {
-                tsv_row(&[
-                    fmt(cnt_panel),
-                    fmt(*name),
-                    fmt(class),
-                    fmt(pct),
-                    fmt4(percentile_of_sorted(&counts, pct as f64)),
-                ]);
+            for (panel, values) in [(dur_panel, &durations), (cnt_panel, &counts)] {
+                for pct in (10..=100).step_by(10) {
+                    table.push([
+                        ("panel", fmt(panel)),
+                        ("trace", fmt(*name)),
+                        ("class", fmt(class)),
+                        ("cdf_pct", fmt(pct)),
+                        ("value", fmt4(percentile_of_sorted(values, pct as f64))),
+                    ]);
+                }
             }
         }
     }
     eprintln!("fig04: done ({jobs} jobs per trace)");
+    table
 }

@@ -8,20 +8,17 @@
 //! than on Google because the short partitions are less utilized, leaving
 //! more stealing opportunities.
 
-use hawk_bench::{base, fmt, fmt4, parse_args, sweep_pair, tsv_header, tsv_row, RunMode};
-use hawk_core::compare;
+use crate::{base, fmt, fmt4, ratio_quad, sweep_pair, HarnessOpts, RunMode, Table};
 use hawk_core::scheduler::{Hawk, Sparrow};
 use hawk_workload::classify::Cutoff;
 use hawk_workload::kmeans::KmeansTraceConfig;
-use hawk_workload::JobClass;
 use std::sync::Arc;
 
 fn sweep(base: &[usize], scale: u64) -> Vec<usize> {
     base.iter().map(|&n| n / scale as usize).collect()
 }
 
-fn main() {
-    let opts = parse_args("fig06", "Hawk vs Sparrow on derived traces (Figure 6)");
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
     let scale = opts.cluster_scale();
 
     // (config, paper cluster sweep, default job count)
@@ -45,16 +42,7 @@ fn main() {
         ),
     ];
 
-    tsv_header(&[
-        "trace",
-        "nodes",
-        "p90_long",
-        "p90_short",
-        "p50_long",
-        "p50_short",
-        "sparrow_median_util",
-    ]);
-
+    let mut table = Table::default();
     for (mut cfg, paper_sweep, default_jobs) in cases {
         cfg.jobs = opts.jobs.unwrap_or(match opts.mode {
             RunMode::Quick => default_jobs.min(6_000),
@@ -67,7 +55,7 @@ fn main() {
         }
         eprintln!("fig06: generating {} ({} jobs)...", cfg.name, cfg.jobs);
         let trace = Arc::new(cfg.generate(opts.seed));
-        let env = base(&opts).cutoff(Cutoff::from_secs(cfg.default_cutoff_secs));
+        let env = base(opts).cutoff(Cutoff::from_secs(cfg.default_cutoff_secs));
         let nodes_sweep = sweep(&paper_sweep, scale);
         eprintln!(
             "fig06: {}: running {} cells in parallel...",
@@ -82,18 +70,18 @@ fn main() {
             &env,
         );
         for (nodes, hawk, sparrow) in rows {
-            let long = compare(&hawk, &sparrow, JobClass::Long);
-            let short = compare(&hawk, &sparrow, JobClass::Short);
-            tsv_row(&[
-                fmt(cfg.name),
-                fmt(nodes),
-                fmt4(long.p90_ratio),
-                fmt4(short.p90_ratio),
-                fmt4(long.p50_ratio),
-                fmt4(short.p50_ratio),
-                fmt4(sparrow.median_utilization),
+            let (p50l, p90l, p50s, p90s) = ratio_quad(&hawk, &sparrow);
+            table.push([
+                ("trace", fmt(cfg.name)),
+                ("nodes", fmt(nodes)),
+                ("p90_long", fmt4(p90l)),
+                ("p90_short", fmt4(p90s)),
+                ("p50_long", fmt4(p50l)),
+                ("p50_short", fmt4(p50s)),
+                ("sparrow_median_util", fmt4(sparrow.median_utilization)),
             ]);
         }
     }
     eprintln!("fig06: done");
+    table
 }

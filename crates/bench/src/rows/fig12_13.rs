@@ -7,43 +7,28 @@
 //! partition is underloaded, stealing is easier) but hurt the long-job
 //! 90th percentile (Sparrow can spread long jobs over the whole cluster).
 
-use hawk_bench::{
-    base, fmt, fmt4, google_sensitivity_nodes, google_setup, parse_args, ratio_quad, tsv_header,
-    tsv_row,
-};
-use hawk_core::scheduler::{Hawk, Sparrow};
+use crate::{fmt, fmt4, google_cell, google_hawk, ratio_quad, HarnessOpts, Table};
+use hawk_core::scheduler::Sparrow;
 use hawk_workload::classify::Cutoff;
-use hawk_workload::google::GOOGLE_SHORT_PARTITION;
 
 /// The paper's cutoff sweep, seconds (1129 s is the default cutoff).
 const CUTOFFS: [u64; 6] = [750, 1_000, 1_129, 1_300, 1_500, 2_000];
 
-fn main() {
-    let opts = parse_args("fig12_13", "cutoff sensitivity (Figures 12 and 13)");
-    let (trace, _) = google_setup(&opts);
-    let nodes = google_sensitivity_nodes(&opts);
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
+    let (cell, nodes) = google_cell(opts);
 
     eprintln!(
         "fig12_13: running {} cells at {nodes} nodes in parallel...",
         2 * CUTOFFS.len()
     );
-    let results = base(&opts)
-        .nodes(nodes)
-        .trace(&trace)
+    let results = cell
         .sweep()
-        .scheduler(Hawk::new(GOOGLE_SHORT_PARTITION))
+        .scheduler(google_hawk())
         .scheduler(Sparrow::new())
         .cutoffs(CUTOFFS.iter().map(|&s| Cutoff::from_secs(s)))
         .run_all();
 
-    tsv_header(&[
-        "cutoff_s",
-        "p50_long",
-        "p90_long",
-        "p50_short",
-        "p90_short",
-        "long_jobs_pct",
-    ]);
+    let mut table = Table::default();
     for cutoff_secs in CUTOFFS {
         let cutoff = Cutoff::from_secs(cutoff_secs);
         let cell = |name: &str| {
@@ -61,14 +46,15 @@ fn main() {
                 .filter(|r| r.true_class.is_long())
                 .count() as f64
             / hawk.results.len() as f64;
-        tsv_row(&[
-            fmt(cutoff_secs),
-            fmt4(p50l),
-            fmt4(p90l),
-            fmt4(p50s),
-            fmt4(p90s),
-            fmt4(long_pct),
+        table.push([
+            ("cutoff_s", fmt(cutoff_secs)),
+            ("p50_long", fmt4(p50l)),
+            ("p90_long", fmt4(p90l)),
+            ("p50_short", fmt4(p50s)),
+            ("p90_short", fmt4(p90s)),
+            ("long_jobs_pct", fmt4(long_pct)),
         ]);
     }
     eprintln!("fig12_13: done (Fig 12 = long columns, Fig 13 = short columns) at {nodes} nodes");
+    table
 }

@@ -10,25 +10,17 @@
 //! the less-loaded short partition, so the p90 improves slightly as the
 //! range widens.
 
-use hawk_bench::{
-    base, fmt4, google_sensitivity_nodes, google_setup, parse_args, tsv_header, tsv_row, RunMode,
-};
-use hawk_core::compare;
-use hawk_core::scheduler::{Hawk, Sparrow};
+use crate::{fmt4, google_cell, google_hawk, ratio_quad, HarnessOpts, RunMode, Table};
+use hawk_core::scheduler::Sparrow;
 use hawk_workload::classify::MisestimateRange;
-use hawk_workload::google::GOOGLE_SHORT_PARTITION;
-use hawk_workload::JobClass;
 
 /// The paper's misestimation ranges: symmetric deltas 0.9 down to 0.3.
 const DELTAS: [f64; 7] = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3];
 
-fn main() {
-    let opts = parse_args("fig14", "misestimation sensitivity (Figure 14)");
-    let (trace, _) = google_setup(&opts);
-    let nodes = google_sensitivity_nodes(&opts);
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
+    let (env, nodes) = google_cell(opts);
     let runs = if opts.mode == RunMode::Quick { 3 } else { 10 };
     let seeds: Vec<u64> = (0..runs).map(|i| opts.seed + i).collect();
-    let env = base(&opts).nodes(nodes).trace(&trace);
 
     // Sparrow ignores estimates; one run per seed is shared by all ranges.
     eprintln!("fig14: {runs} Sparrow baseline runs at {nodes} nodes in parallel...");
@@ -45,12 +37,12 @@ fn main() {
     );
     let hawks = env
         .sweep()
-        .scheduler(Hawk::new(GOOGLE_SHORT_PARTITION))
+        .scheduler(google_hawk())
         .misestimates(DELTAS.iter().map(|&d| MisestimateRange::symmetric(d)))
         .seeds(seeds.iter().copied())
         .run_all();
 
-    tsv_header(&["range", "p50_long", "p90_long", "p50_short", "p90_short"]);
+    let mut table = Table::default();
     for delta in DELTAS {
         let range = MisestimateRange::symmetric(delta);
         let mut sums = [0.0f64; 4];
@@ -63,22 +55,21 @@ fn main() {
                 .find(|c| c.seed == seed && c.misestimate == Some(range))
                 .expect("hawk cell ran")
                 .report;
-            let long = compare(hawk, sparrow, JobClass::Long);
-            let short = compare(hawk, sparrow, JobClass::Short);
-            sums[0] += long.p50_ratio.unwrap_or(f64::NAN);
-            sums[1] += long.p90_ratio.unwrap_or(f64::NAN);
-            sums[2] += short.p50_ratio.unwrap_or(f64::NAN);
-            sums[3] += short.p90_ratio.unwrap_or(f64::NAN);
+            let (p50l, p90l, p50s, p90s) = ratio_quad(hawk, sparrow);
+            for (sum, ratio) in sums.iter_mut().zip([p50l, p90l, p50s, p90s]) {
+                *sum += ratio.unwrap_or(f64::NAN);
+            }
         }
         let n = runs as f64;
-        tsv_row(&[
-            format!("{:.1}-{:.1}", range.lo, range.hi),
-            fmt4(sums[0] / n),
-            fmt4(sums[1] / n),
-            fmt4(sums[2] / n),
-            fmt4(sums[3] / n),
+        table.push([
+            ("range", format!("{:.1}-{:.1}", range.lo, range.hi)),
+            ("p50_long", fmt4(sums[0] / n)),
+            ("p90_long", fmt4(sums[1] / n)),
+            ("p50_short", fmt4(sums[2] / n)),
+            ("p90_short", fmt4(sums[3] / n)),
         ]);
         eprintln!("fig14: range {:.1}-{:.1} done", range.lo, range.hi);
     }
     eprintln!("fig14: done (long columns are Figure 14; short columns show the paper's \"minute variations\")");
+    table
 }

@@ -5,29 +5,23 @@
 //! Paper finding: performance improves with the cap, but even a low value
 //! (10, the default) captures most of the benefit.
 
-use hawk_bench::{
-    base, fmt, fmt4, google_sensitivity_nodes, google_setup, parse_args, tsv_header, tsv_row,
-};
+use crate::{fmt, fmt4, google_cell, google_hawk, HarnessOpts, Table};
 use hawk_core::compare;
-use hawk_core::scheduler::Hawk;
-use hawk_workload::google::GOOGLE_SHORT_PARTITION;
 use hawk_workload::JobClass;
 
 /// The paper's cap sweep.
 const CAPS: [usize; 13] = [1, 2, 3, 4, 5, 10, 15, 20, 25, 50, 75, 100, 250];
 
-fn main() {
-    let opts = parse_args("fig15", "steal-attempt cap sensitivity (Figure 15)");
-    let (trace, _) = google_setup(&opts);
-    let nodes = google_sensitivity_nodes(&opts);
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
+    let (cell, nodes) = google_cell(opts);
 
     eprintln!(
         "fig15: running {} Hawk cap variants at {nodes} nodes in parallel...",
         CAPS.len()
     );
-    let mut sweep = base(&opts).nodes(nodes).trace(&trace).sweep();
+    let mut sweep = cell.sweep();
     for cap in CAPS {
-        sweep = sweep.scheduler(Hawk::new(GOOGLE_SHORT_PARTITION).steal_cap(cap));
+        sweep = sweep.scheduler(google_hawk().steal_cap(cap));
     }
     // Every variant is named "hawk": rows pair with CAPS by grid order
     // (insertion order of the scheduler axis, the only populated axis).
@@ -35,17 +29,18 @@ fn main() {
     assert_eq!(results.cells.len(), CAPS.len());
     let cap1 = &results.cells[0].report;
 
-    tsv_header(&["cap", "p50_short", "p90_short", "steals", "steal_attempts"]);
+    let mut table = Table::default();
     for (cap, cell) in CAPS.iter().zip(results.iter()) {
         let hawk = &cell.report;
         let short = compare(hawk, cap1, JobClass::Short);
-        tsv_row(&[
-            fmt(cap),
-            fmt4(short.p50_ratio),
-            fmt4(short.p90_ratio),
-            fmt(hawk.steals),
-            fmt(hawk.steal_attempts),
+        table.push([
+            ("cap", fmt(cap)),
+            ("p50_short", fmt4(short.p50_ratio)),
+            ("p90_short", fmt4(short.p90_ratio)),
+            ("steals", fmt(hawk.steals)),
+            ("steal_attempts", fmt(hawk.steal_attempts)),
         ]);
     }
     eprintln!("fig15: done");
+    table
 }

@@ -16,13 +16,13 @@
 
 use std::sync::Arc;
 
-use hawk_bench::{base, fmt, fmt4, parse_args, tsv_header, tsv_row, RunMode};
-use hawk_core::compare;
+use crate::{base, fmt, fmt4, ratio, ratio_quad, HarnessOpts, RunMode, Table};
 use hawk_core::scheduler::{Hawk, Sparrow};
 use hawk_proto::{run_prototype, ProtoConfig};
 use hawk_simcore::SimRng;
 use hawk_workload::sample::{arrivals_for_load_multiplier, PrototypeSampleConfig};
-use hawk_workload::{JobClass, Trace};
+use hawk_workload::JobClass::{Long, Short};
+use hawk_workload::Trace;
 
 /// The paper's load sweep: multiplier 1 is the most loaded point (our
 /// anchor: offered load 1.0 on the 100-node cluster; see
@@ -32,38 +32,18 @@ const MULTIPLIERS: [f64; 7] = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.25];
 /// Workers in the prototype cluster (paper: 100 nodes).
 const WORKERS: usize = 100;
 
-fn ratio(a: Option<f64>, b: Option<f64>) -> Option<f64> {
-    match (a, b) {
-        (Some(a), Some(b)) if b > 0.0 => Some(a / b),
-        _ => None,
-    }
-}
-
-fn main() {
-    let opts = parse_args(
-        "fig16_17",
-        "prototype vs simulation, Hawk vs Sparrow (Figures 16 and 17)",
-    );
-    let (sample_cfg, multipliers): (PrototypeSampleConfig, &[f64]) = match opts.mode {
-        RunMode::FullTrace => (PrototypeSampleConfig::default(), &MULTIPLIERS),
-        RunMode::Paper => (
-            PrototypeSampleConfig {
-                short_jobs: opts.jobs.map(|j| j * 10 / 11).unwrap_or(600),
-                long_jobs: opts.jobs.map(|j| j / 11).unwrap_or(60),
-                cluster_size: 100,
-                duration_divisor: 20_000,
-            },
-            &MULTIPLIERS,
-        ),
-        RunMode::Quick => (
-            PrototypeSampleConfig {
-                short_jobs: 100,
-                long_jobs: 10,
-                cluster_size: 100,
-                duration_divisor: 20_000,
-            },
-            &MULTIPLIERS[..3],
-        ),
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
+    let shrunk = |short_jobs, long_jobs| PrototypeSampleConfig {
+        short_jobs,
+        long_jobs,
+        cluster_size: WORKERS,
+        duration_divisor: 20_000,
+    };
+    let (sample_cfg, multipliers): (PrototypeSampleConfig, &[f64]) = match (opts.mode, opts.jobs) {
+        (RunMode::FullTrace, _) => (PrototypeSampleConfig::default(), &MULTIPLIERS),
+        (RunMode::Paper, Some(jobs)) => (shrunk(jobs * 10 / 11, jobs / 11), &MULTIPLIERS),
+        (RunMode::Paper, None) => (shrunk(600, 60), &MULTIPLIERS),
+        (RunMode::Quick, _) => (shrunk(100, 10), &MULTIPLIERS[..3]),
     };
 
     eprintln!(
@@ -74,19 +54,7 @@ fn main() {
     let cutoff = sample_cfg.cutoff();
     let mut arrival_rng = SimRng::seed_from_u64(opts.seed ^ 0xA55A);
 
-    tsv_header(&[
-        "interarrival_multiple",
-        "impl_p50_short",
-        "impl_p90_short",
-        "impl_p50_long",
-        "impl_p90_long",
-        "sim_p50_short",
-        "sim_p90_short",
-        "sim_p50_long",
-        "sim_p90_long",
-        "impl_sparrow_median_util",
-    ]);
-
+    let mut table = Table::default();
     for &m in multipliers {
         let trace: Trace = arrivals_for_load_multiplier(&sample, m, WORKERS, &mut arrival_rng);
         eprintln!(
@@ -105,8 +73,8 @@ fn main() {
         let proto_sparrow = run_prototype(&trace, Arc::new(Sparrow::new()), &proto_cfg);
 
         // --- Simulator runs on the identical trace ---
-        let sim_base = base(&opts)
-            .nodes(100)
+        let sim_base = base(opts)
+            .nodes(WORKERS)
             .cutoff(cutoff)
             // Sample utilization on the scaled clock.
             .util_interval(hawk_simcore::SimDuration::from_millis(50))
@@ -114,37 +82,27 @@ fn main() {
         let sim_hawk = sim_base.clone().scheduler(Hawk::new(0.17)).run();
         let sim_sparrow = sim_base.scheduler(Sparrow::new()).run();
 
-        let ip50s = ratio(
-            proto_hawk.runtime_percentile(JobClass::Short, 50.0),
-            proto_sparrow.runtime_percentile(JobClass::Short, 50.0),
-        );
-        let ip90s = ratio(
-            proto_hawk.runtime_percentile(JobClass::Short, 90.0),
-            proto_sparrow.runtime_percentile(JobClass::Short, 90.0),
-        );
-        let ip50l = ratio(
-            proto_hawk.runtime_percentile(JobClass::Long, 50.0),
-            proto_sparrow.runtime_percentile(JobClass::Long, 50.0),
-        );
-        let ip90l = ratio(
-            proto_hawk.runtime_percentile(JobClass::Long, 90.0),
-            proto_sparrow.runtime_percentile(JobClass::Long, 90.0),
-        );
-        let sim_short = compare(&sim_hawk, &sim_sparrow, JobClass::Short);
-        let sim_long = compare(&sim_hawk, &sim_sparrow, JobClass::Long);
-
-        tsv_row(&[
-            fmt(m),
-            fmt4(ip50s),
-            fmt4(ip90s),
-            fmt4(ip50l),
-            fmt4(ip90l),
-            fmt4(sim_short.p50_ratio),
-            fmt4(sim_short.p90_ratio),
-            fmt4(sim_long.p50_ratio),
-            fmt4(sim_long.p90_ratio),
-            fmt4(proto_sparrow.median_utilization()),
+        let impl_ratio = |class, pct| {
+            ratio(
+                proto_hawk.runtime_percentile(class, pct),
+                proto_sparrow.runtime_percentile(class, pct),
+            )
+        };
+        let (sim_p50l, sim_p90l, sim_p50s, sim_p90s) = ratio_quad(&sim_hawk, &sim_sparrow);
+        let impl_util = proto_sparrow.median_utilization();
+        table.push([
+            ("interarrival_multiple", fmt(m)),
+            ("impl_p50_short", fmt4(impl_ratio(Short, 50.0))),
+            ("impl_p90_short", fmt4(impl_ratio(Short, 90.0))),
+            ("impl_p50_long", fmt4(impl_ratio(Long, 50.0))),
+            ("impl_p90_long", fmt4(impl_ratio(Long, 90.0))),
+            ("sim_p50_short", fmt4(sim_p50s)),
+            ("sim_p90_short", fmt4(sim_p90s)),
+            ("sim_p50_long", fmt4(sim_p50l)),
+            ("sim_p90_long", fmt4(sim_p90l)),
+            ("impl_sparrow_median_util", fmt4(impl_util)),
         ]);
     }
     eprintln!("fig16_17: done (Fig 16 = short columns, Fig 17 = long columns)");
+    table
 }

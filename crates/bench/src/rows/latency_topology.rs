@@ -17,18 +17,16 @@
 //! `MetricsReport::network` (how much of the traffic actually crossed
 //! pods).
 //!
-//! Usage: `latency_topology [--smoke | --quick | --full-trace] [--jobs N]
-//! [--seed S]` — `--smoke` is the CI spelling of `--quick`.
+//! `--smoke` is the CI spelling of `--quick`.
 
-use hawk_bench::{
-    base, fmt, fmt4, google_sensitivity_nodes, google_setup, run_cells, tsv_header, tsv_row,
-    HarnessOpts, RunMode,
+use crate::{
+    fmt, fmt4, google_cell, google_hawk, has_flag, ratio, run_pairs, runtime4, HarnessOpts,
+    RunMode, Table,
 };
-use hawk_core::scheduler::{Hawk, Sparrow};
+use hawk_core::scheduler::Sparrow;
 use hawk_core::{FatTreeParams, TopologySpec};
 use hawk_simcore::SimDuration;
-use hawk_workload::google::GOOGLE_SHORT_PARTITION;
-use hawk_workload::JobClass;
+use hawk_workload::JobClass::Short;
 
 /// Cross-pod propagation costs to sweep, in microseconds. The first point
 /// matches the paper's flat 0.5 ms delay. The synthetic Google-like trace
@@ -39,96 +37,51 @@ use hawk_workload::JobClass;
 /// the paper considers.
 const CROSS_POD_US: [u64; 5] = [500, 100_000, 1_000_000, 2_500_000, 5_000_000];
 
-fn parse() -> HarnessOpts {
-    let mut opts = HarnessOpts::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            // `--smoke` is what CI passes; keep the shared `--quick` too.
-            "--smoke" | "--quick" => opts.mode = RunMode::Quick,
-            "--full-trace" | "--paper-scale" => opts.mode = RunMode::FullTrace,
-            "--jobs" => opts.jobs = args.next().and_then(|v| v.parse().ok()).or_else(|| usage()),
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(s) => opts.seed = s,
-                None => usage(),
-            },
-            _ => usage(),
-        }
+pub(crate) fn run(opts: &HarnessOpts, flags: &[String]) -> Table {
+    let mut opts = *opts;
+    if has_flag(flags, "--smoke") {
+        opts.mode = RunMode::Quick;
     }
-    opts
-}
-
-fn usage() -> ! {
-    eprintln!("latency_topology: §4.8 network-latency ablation on a contended fat tree");
-    eprintln!("usage: latency_topology [--smoke | --quick | --full-trace] [--jobs N] [--seed S]");
-    std::process::exit(2);
-}
-
-fn main() {
-    let opts = parse();
-    let (trace, _) = google_setup(&opts);
-    let nodes = google_sensitivity_nodes(&opts);
+    let (cell, nodes) = google_cell(&opts);
 
     let mut cells = Vec::new();
     for us in CROSS_POD_US {
         let params = FatTreeParams::default().cross_pod(SimDuration::from_micros(us));
-        let env = base(&opts)
-            .nodes(nodes)
-            .trace(&trace)
+        let env = cell
+            .clone()
             .topology(TopologySpec::FatTreeContended(params));
-        cells.push(
-            env.clone()
-                .scheduler(Hawk::new(GOOGLE_SHORT_PARTITION))
-                .build(),
-        );
+        cells.push(env.clone().scheduler(google_hawk()).build());
         cells.push(env.scheduler(Sparrow::new()).build());
     }
     eprintln!(
         "latency_topology: running {} contended-fat-tree cells at {nodes} nodes in parallel...",
         cells.len()
     );
-    let results = run_cells(cells);
+    let pairs = run_pairs(cells, "hawk", "sparrow");
 
-    tsv_header(&[
-        "cross_pod_ms",
-        "hawk_p50_short_s",
-        "hawk_p90_short_s",
-        "sparrow_p50_short_s",
-        "sparrow_p90_short_s",
-        "hawk_over_sparrow_p90_short",
-        "hawk_rack_local_steal_rate",
-        "hawk_rack_local_msgs",
-        "hawk_cross_rack_msgs",
-        "hawk_cross_pod_msgs",
-    ]);
-    assert_eq!(results.cells.len(), 2 * CROSS_POD_US.len());
+    let mut table = Table::default();
     let mut hawk_p90s = Vec::new();
-    for (i, us) in CROSS_POD_US.iter().enumerate() {
-        let hawk = &results.cells[2 * i].report;
-        let sparrow = &results.cells[2 * i + 1].report;
-        // Guard the index pairing against any future cell-order change.
-        assert_eq!(hawk.scheduler, "hawk");
-        assert_eq!(sparrow.scheduler, "sparrow");
-        let hawk_p90 = hawk.runtime_percentile(JobClass::Short, 90.0);
-        let sparrow_p90 = sparrow.runtime_percentile(JobClass::Short, 90.0);
+    for (us, (hawk, sparrow)) in CROSS_POD_US.iter().zip(&pairs) {
+        let hawk_p90 = hawk.runtime_percentile(Short, 90.0);
+        let sparrow_p90 = sparrow.runtime_percentile(Short, 90.0);
+        let steal_rate = hawk.network.rack_local_steal_rate();
         if let Some(p) = hawk_p90 {
             hawk_p90s.push(p);
         }
-        let ratio = match (hawk_p90, sparrow_p90) {
-            (Some(h), Some(s)) if s > 0.0 => Some(h / s),
-            _ => None,
-        };
-        tsv_row(&[
-            fmt(*us as f64 / 1_000.0),
-            fmt4(hawk.runtime_percentile(JobClass::Short, 50.0)),
-            fmt4(hawk_p90),
-            fmt4(sparrow.runtime_percentile(JobClass::Short, 50.0)),
-            fmt4(sparrow_p90),
-            fmt4(ratio),
-            fmt4(hawk.network.rack_local_steal_rate()),
-            fmt(hawk.network.rack_local_msgs),
-            fmt(hawk.network.cross_rack_msgs),
-            fmt(hawk.network.cross_pod_msgs),
+        table.push([
+            ("cross_pod_ms", fmt(*us as f64 / 1_000.0)),
+            ("hawk_p50_short_s", runtime4(hawk, Short, 50.0)),
+            ("hawk_p90_short_s", fmt4(hawk_p90)),
+            ("sparrow_p50_short_s", runtime4(sparrow, Short, 50.0)),
+            ("sparrow_p90_short_s", fmt4(sparrow_p90)),
+            (
+                "hawk_over_sparrow_p90_short",
+                fmt4(ratio(hawk_p90, sparrow_p90)),
+            ),
+            ("hawk_rack_local_steal_rate", fmt4(steal_rate)),
+            ("hawk_rack_local_msgs", fmt(hawk.network.rack_local_msgs)),
+            ("hawk_cross_rack_msgs", fmt(hawk.network.cross_rack_msgs)),
+            ("hawk_cross_pod_msgs", fmt(hawk.network.cross_pod_msgs)),
         ]);
     }
 
@@ -147,14 +100,12 @@ fn main() {
     // through the rack-aligned sharded driver with rack-first stealing —
     // the configuration whose lookahead matrix is derived from this very
     // topology. The counters are reporting-only (never digested).
-    let sharded = base(&opts)
-        .nodes(nodes)
-        .trace(&trace)
+    let sharded = cell
         .topology(TopologySpec::FatTreeContended(
             FatTreeParams::default().cross_pod(SimDuration::from_micros(CROSS_POD_US[0])),
         ))
         .shards(4)
-        .scheduler(Hawk::new(GOOGLE_SHORT_PARTITION).rack_first_stealing())
+        .scheduler(google_hawk().rack_first_stealing())
         .build()
         .run();
     let stats = sharded
@@ -173,4 +124,5 @@ fn main() {
             .unwrap_or_else(|| "n/a".to_string()),
     );
     eprintln!("latency_topology: done (absolute runtimes in seconds)");
+    table
 }

@@ -20,42 +20,15 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hawk_bench::{fmt4, parse_args_with, tsv_header, tsv_row, RunMode};
+use super::{conformance_trace, islanded, CONFORMANCE_NODES};
+use crate::{fmt4, has_flag, ratio, HarnessOpts, Table};
 use hawk_core::scheduler::{Hawk, Sparrow};
 use hawk_core::{Backend, Experiment, MetricsReport, Scheduler, SimBackend};
 use hawk_proto::{FaultSpec, ProtoBackend};
-use hawk_simcore::SimTime;
-use hawk_workload::scenario::{ScenarioSpec, TraceFamily};
 use hawk_workload::JobClass;
 
-/// ~90 % offered load on a 100-node cluster (the 15,000-node ρ=0.9
-/// anchor divided by 150).
-const NODES: usize = 100;
-const SCALE: u64 = 150;
-
-fn main() {
-    let (opts, flags) = parse_args_with(
-        "proto_vs_sim",
-        "one policy grid through the simulator and the prototype backend",
-        &[(
-            "--faults",
-            "add a faulty virtual-prototype row per scheduler \
-             (FaultSpec::chaos + a 1000 s ten-worker partition)",
-        )],
-    );
-    let with_faults = flags.iter().any(|f| f == "--faults");
-    let jobs = opts.jobs.unwrap_or(match opts.mode {
-        RunMode::Quick => 200,
-        RunMode::Paper => 1_000,
-        RunMode::FullTrace => 5_000,
-    });
-    let scenario = ScenarioSpec::new(TraceFamily::Google { scale: SCALE }, jobs);
-    eprintln!(
-        "proto_vs_sim: {} jobs on {NODES} nodes ({})",
-        jobs,
-        scenario.label()
-    );
-    let trace = Arc::new(scenario.trace(opts.seed));
+pub(crate) fn run(opts: &HarnessOpts, flags: &[String]) -> Table {
+    let trace = conformance_trace("proto_vs_sim", opts);
 
     let schedulers: Vec<Arc<dyn Scheduler>> = vec![
         Arc::new(Hawk::new(0.17)),
@@ -64,35 +37,20 @@ fn main() {
     ];
     let sim = SimBackend;
     let proto = ProtoBackend::deterministic();
-    // The faulty axis: the chaos cell plus a partition islanding ten
-    // workers (hosts 40–49 host no scheduler daemons) for 1000 s.
-    let faulty = ProtoBackend::deterministic().faults(FaultSpec::chaos().partition(
-        SimTime::from_secs(100),
-        SimTime::from_secs(1_100),
-        (40..50).collect(),
-    ));
+    // The faulty axis: the chaos cell plus a 1000 s partition.
+    let faulty = ProtoBackend::deterministic().faults(islanded(FaultSpec::chaos(), 1_000));
 
-    tsv_header(&[
-        "scheduler",
-        "backend",
-        "p50_short",
-        "p90_short",
-        "p50_long",
-        "p90_long",
-        "steals",
-        "wall_ms",
-        "p90_short_vs_sim",
-    ]);
+    let mut table = Table::default();
     for scheduler in schedulers {
         let mut sim_p90_short = None;
         let mut rows: Vec<(&dyn Backend, &str)> = vec![(&sim, "sim"), (&proto, "proto")];
-        if with_faults {
+        if has_flag(flags, "--faults") {
             rows.push((&faulty, "proto-faulty"));
         }
         for (backend, name) in rows {
             let start = Instant::now();
             let report: MetricsReport = Experiment::builder()
-                .nodes(NODES)
+                .nodes(CONFORMANCE_NODES)
                 .trace(&trace)
                 .seed(opts.seed)
                 .scheduler_shared(Arc::clone(&scheduler))
@@ -106,23 +64,21 @@ fn main() {
                     sim_p90_short = short.p90;
                     None
                 }
-                _ => match (short.p90, sim_p90_short) {
-                    (Some(p), Some(s)) if s > 0.0 => Some(p / s),
-                    _ => None,
-                },
+                _ => ratio(short.p90, sim_p90_short),
             };
-            tsv_row(&[
-                report.scheduler.clone(),
-                name.to_string(),
-                fmt4(short.p50),
-                fmt4(short.p90),
-                fmt4(long.p50),
-                fmt4(long.p90),
-                report.steals.to_string(),
-                format!("{:.1}", wall.as_secs_f64() * 1e3),
-                fmt4(conformance),
+            table.push([
+                ("scheduler", report.scheduler.clone()),
+                ("backend", name.to_string()),
+                ("p50_short", fmt4(short.p50)),
+                ("p90_short", fmt4(short.p90)),
+                ("p50_long", fmt4(long.p50)),
+                ("p90_long", fmt4(long.p90)),
+                ("steals", report.steals.to_string()),
+                ("wall_ms", format!("{:.1}", wall.as_secs_f64() * 1e3)),
+                ("p90_short_vs_sim", fmt4(conformance)),
             ]);
         }
     }
     eprintln!("proto_vs_sim: done (p90_short_vs_sim ≈ 1.0 = backends agree)");
+    table
 }

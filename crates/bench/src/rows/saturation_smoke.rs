@@ -14,16 +14,14 @@
 //!    reports, fingerprint and all.
 //!
 //! Any violated claim aborts the smoke with a nonzero exit, so the CI
-//! leg fails the way a broken digest fails the golden tests.
-//!
-//! Usage: `saturation_smoke` (no arguments; the cell is pinned).
+//! leg fails the way a broken digest fails the golden tests. The cell is
+//! pinned: the row takes no `--jobs` / `--seed` and prints no TSV.
 
 use std::sync::Arc;
 
-use hawk_core::scheduler::{Hawk, Scheduler};
+use crate::{google_hawk, HarnessOpts, Table};
 use hawk_core::{AdmissionPolicy, Experiment, MetricsReport};
 use hawk_simcore::SimDuration;
-use hawk_workload::google::GOOGLE_SHORT_PARTITION;
 use hawk_workload::scenario::{ArrivalSpec, ScenarioSpec, TraceFamily};
 use hawk_workload::Trace;
 
@@ -74,7 +72,7 @@ fn scenario() -> ScenarioSpec {
 fn run_cell(trace: &Arc<Trace>, admission: Option<AdmissionPolicy>) -> MetricsReport {
     let mut builder = Experiment::builder()
         .trace(trace)
-        .scheduler_shared(Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION)) as Arc<dyn Scheduler>)
+        .scheduler(google_hawk())
         .nodes(NODES)
         .seed(SIM_SEED)
         .live_window(SimDuration::from_secs(LIVE_WINDOW_SECS));
@@ -121,7 +119,7 @@ fn fingerprint(report: &MetricsReport) -> u64 {
     h
 }
 
-fn main() {
+pub(crate) fn run(_: &HarnessOpts, _: &[String]) -> Table {
     let trace = Arc::new(scenario().trace(TRACE_SEED));
     let span = trace
         .jobs()
@@ -190,4 +188,5 @@ fn main() {
     );
     eprintln!("  deterministic fingerprint {digest:#018x}");
     eprintln!("saturation_smoke: OK");
+    Table::default()
 }

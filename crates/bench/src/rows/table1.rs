@@ -6,37 +6,28 @@
 //! reports the §2.1 statistics: long jobs' share of tasks (paper: 28 %)
 //! and the per-job mean-task-duration ratio (paper: 7.34×).
 
-use hawk_bench::{fmt, fmt4, parse_args, tsv_header, tsv_row};
+use crate::{fmt, fmt4, HarnessOpts, Table};
 use hawk_workload::classify::Cutoff;
 use hawk_workload::google::GoogleTraceConfig;
 use hawk_workload::kmeans::KmeansTraceConfig;
 use hawk_workload::stats::WorkloadStats;
 
-fn main() {
-    let opts = parse_args("table1", "workload heterogeneity statistics (Table 1)");
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
     let jobs = opts.jobs.unwrap_or(60_000);
 
-    tsv_header(&[
-        "workload",
-        "long_jobs_pct",
-        "paper_long_jobs_pct",
-        "task_seconds_pct",
-        "paper_task_seconds_pct",
-        "long_task_share_pct",
-        "mean_duration_ratio",
-    ]);
+    let mut table = Table::default();
 
     // Google: classified by the 1129 s cutoff on mean task duration (§2.1).
     let google = GoogleTraceConfig::with_scale(1, jobs).generate(opts.seed);
     let gs = WorkloadStats::by_cutoff(&google, Cutoff::GOOGLE_DEFAULT);
-    tsv_row(&[
-        fmt("google-2011"),
-        fmt4(gs.long_job_fraction * 100.0),
-        fmt("10.00"),
-        fmt4(gs.long_task_seconds_share * 100.0),
-        fmt("83.65"),
-        fmt4(gs.long_task_share * 100.0),
-        fmt4(gs.mean_duration_ratio),
+    table.push([
+        ("workload", fmt("google-2011")),
+        ("long_jobs_pct", fmt4(gs.long_job_fraction * 100.0)),
+        ("paper_long_jobs_pct", fmt("10.00")),
+        ("task_seconds_pct", fmt4(gs.long_task_seconds_share * 100.0)),
+        ("paper_task_seconds_pct", fmt("83.65")),
+        ("long_task_share_pct", fmt4(gs.long_task_share * 100.0)),
+        ("mean_duration_ratio", fmt4(gs.mean_duration_ratio)),
     ]);
 
     // Derived workloads: classified by source cluster (§4.1).
@@ -50,15 +41,16 @@ fn main() {
     for (cfg, paper_long, paper_ts) in derived {
         let trace = cfg.generate(opts.seed);
         let s = WorkloadStats::by_provenance(&trace, Cutoff::from_secs(cfg.default_cutoff_secs));
-        tsv_row(&[
-            fmt(cfg.name),
-            fmt4(s.long_job_fraction * 100.0),
-            fmt4(paper_long),
-            fmt4(s.long_task_seconds_share * 100.0),
-            fmt4(paper_ts),
-            fmt4(s.long_task_share * 100.0),
-            fmt4(s.mean_duration_ratio),
+        table.push([
+            ("workload", fmt(cfg.name)),
+            ("long_jobs_pct", fmt4(s.long_job_fraction * 100.0)),
+            ("paper_long_jobs_pct", fmt4(paper_long)),
+            ("task_seconds_pct", fmt4(s.long_task_seconds_share * 100.0)),
+            ("paper_task_seconds_pct", fmt4(paper_ts)),
+            ("long_task_share_pct", fmt4(s.long_task_share * 100.0)),
+            ("mean_duration_ratio", fmt4(s.mean_duration_ratio)),
         ]);
     }
     eprintln!("table1: done ({jobs} jobs per workload)");
+    table
 }

@@ -6,22 +6,14 @@
 //! published count for each workload unless `--jobs` overrides it (the
 //! Facebook count is large; `--quick` truncates it).
 
-use hawk_bench::{fmt, fmt4, parse_args, tsv_header, tsv_row, RunMode};
+use crate::{fmt, fmt4, HarnessOpts, RunMode, Table};
 use hawk_workload::classify::Cutoff;
 use hawk_workload::google::GoogleTraceConfig;
 use hawk_workload::kmeans::KmeansTraceConfig;
 use hawk_workload::stats::WorkloadStats;
 
-fn main() {
-    let opts = parse_args("table2", "per-trace job counts (Table 2)");
-
-    tsv_header(&[
-        "workload",
-        "long_jobs_pct",
-        "paper_long_jobs_pct",
-        "total_jobs",
-        "paper_total_jobs",
-    ]);
+pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
+    let mut table = Table::default();
 
     let cap = |published: usize| match (opts.jobs, opts.mode) {
         (Some(j), _) => j.min(published),
@@ -33,12 +25,12 @@ fn main() {
     let google_jobs = cap(506_460);
     let google = GoogleTraceConfig::with_scale(1, google_jobs).generate(opts.seed);
     let gs = WorkloadStats::by_cutoff(&google, Cutoff::GOOGLE_DEFAULT);
-    tsv_row(&[
-        fmt("google-2011"),
-        fmt4(gs.long_job_fraction * 100.0),
-        fmt("10.00"),
-        fmt(google.len()),
-        fmt(506_460),
+    table.push([
+        ("workload", fmt("google-2011")),
+        ("long_jobs_pct", fmt4(gs.long_job_fraction * 100.0)),
+        ("paper_long_jobs_pct", fmt("10.00")),
+        ("total_jobs", fmt(google.len())),
+        ("paper_total_jobs", fmt(506_460)),
     ]);
 
     let derived: [(KmeansTraceConfig, f64, usize); 3] = [
@@ -49,13 +41,14 @@ fn main() {
     for (cfg, paper_long, paper_total) in derived {
         let trace = cfg.generate(opts.seed);
         let s = WorkloadStats::by_provenance(&trace, Cutoff::from_secs(cfg.default_cutoff_secs));
-        tsv_row(&[
-            fmt(cfg.name),
-            fmt4(s.long_job_fraction * 100.0),
-            fmt4(paper_long),
-            fmt(trace.len()),
-            fmt(paper_total),
+        table.push([
+            ("workload", fmt(cfg.name)),
+            ("long_jobs_pct", fmt4(s.long_job_fraction * 100.0)),
+            ("paper_long_jobs_pct", fmt4(paper_long)),
+            ("total_jobs", fmt(trace.len())),
+            ("paper_total_jobs", fmt(paper_total)),
         ]);
     }
     eprintln!("table2: done");
+    table
 }
