@@ -25,15 +25,11 @@
 //! The `hawk-sharded` cells run the same workload through the sharded
 //! driver (`shards = 4`) at 15k / 50k / 100k nodes — the 100k cell is the
 //! headline: twice the paper's largest cluster, beyond what the
-//! single-stream driver is tracked at. Sharded cells are timed at
-//! `workers = 1` and, when the machine has a second core, `workers = 2`
-//! (the reports are byte-identical; only the wall clock may differ) — a
-//! row is never labelled with more workers than the recorded `nproc`,
-//! and `wall_vs_workers1` is each row's wall clock over its one-worker
-//! twin's. The `hawk-sharded-rack` cell runs the 15k workload
-//! rack-aligned on the default fat tree with rack-first stealing — the
-//! configuration the per-pair lookahead matrix exists for. Sharded rows
-//! also carry the epoch counters (`epochs`, `solo_epochs`,
+//! single-stream driver is tracked at (one row per size: the sharded
+//! driver runs on the calling thread). The `hawk-sharded-rack` cell runs
+//! the 15k workload rack-aligned on the default fat tree with rack-first
+//! stealing — the configuration the per-pair lookahead matrix exists for.
+//! Sharded rows also carry the epoch counters (`epochs`, `solo_epochs`,
 //! `overlappable_events`, `merge_envelopes`, `avg_epoch_span_micros`,
 //! rack-local steal rate); these are excluded from golden digests.
 //!
@@ -56,8 +52,8 @@
 //!
 //! Hawk rows carry the steal funnel — `steal_attempts`, `steal_scans`
 //! (victim queues actually walked, after the steal-candidate index) and
-//! `scans_per_attempt` — and the single-stream rows print their per-kind
-//! event counts on stderr. `micro_cells` folds in two of the criterion
+//! `scans_per_attempt` — and the single-stream and sharded rows print
+//! their per-kind event counts on stderr. `micro_cells` folds in two of the criterion
 //! micro-benches, `event_queue` and `steal_scan`, as ns per element: the
 //! same closures `cargo bench` times (`hawk_bench::micro`).
 //!
@@ -112,22 +108,8 @@ const SHARDED_NODE_CELLS: [usize; 3] = [15_000, 50_000, 100_000];
 const MEMORY_NODE_CELLS: [usize; 2] = [100_000, 1_000_000];
 const MEMORY_SHARD_CELLS: [usize; 2] = [1, 8];
 
-/// Shard count of the `hawk-sharded` cells (worker threads are capped by
-/// the machine's parallelism; the results are worker-count-invariant).
+/// Shard count of the `hawk-sharded` cells.
 const SHARDED_SHARDS: usize = 4;
-
-/// Worker-thread counts each sharded cell is timed at: one, and two
-/// where the machine has the cores for it — more workers than cores is
-/// oversubscription, not a measurement. The reports are byte-identical
-/// across the axis (worker-count invariance is a pinned contract); only
-/// the wall clock may move.
-fn sharded_worker_cells(nproc: usize) -> &'static [usize] {
-    if nproc >= 2 {
-        &[1, 2]
-    } else {
-        &[1]
-    }
-}
 
 /// Cluster size of the rack-aligned sharded fat-tree cell.
 const SHARDED_RACK_NODES: usize = 15_000;
@@ -217,9 +199,9 @@ const FLOOR_FRACTION: f64 = 0.75;
 /// deliberately — with a sentence in the PR about what changed — never to
 /// make a red run green.
 /// Sharded floors were re-frozen (from 1.5–2.2e6) on the 2-core container
-/// by the rent-then-buy pool PR, which stopped the pool waking a peer
-/// for every multi-shard epoch: one- and two-worker rows now run within
-/// a few percent of each other (`wall_vs_workers1`) and share a floor.
+/// by the PR that stopped the then worker pool waking a peer for every
+/// multi-shard epoch; the sequential epoch loop that replaced the pool
+/// runs at the one-worker rows' speed and keeps them.
 /// The single-stream floors were re-frozen (from 4.1 / 4.4 / 3.5 / 2.0e6
 /// Hawk, 7.7 / 5.3 / 5.0 / 4.2e6 Sparrow, 3.8e6 churn, 3.7e6 fat tree) by
 /// the PR that gave the stat word a steal-candidate bit and the timing
@@ -352,7 +334,6 @@ struct CellTiming {
     nodes: usize,
     jobs: usize,
     shards: usize,
-    workers: usize,
     wall_s: f64,
     events: u64,
     events_per_sec: f64,
@@ -360,8 +341,6 @@ struct CellTiming {
     steal_attempts: u64,
     /// Victim queues walked; over `steal_attempts`, `scans_per_attempt`.
     steal_scans: u64,
-    /// This row's wall clock over its `workers = 1` twin's (sharded rows).
-    wall_vs_workers1: Option<f64>,
     floor: Option<f64>,
     vs_floor: Option<f64>,
     /// Epoch/merge observability for sharded cells (`None` single-stream).
@@ -389,25 +368,22 @@ impl CellTiming {
         (self.steal_attempts > 0).then(|| self.steal_scans as f64 / self.steal_attempts as f64)
     }
 
-    /// The row of one timed cell on `workers` threads: throughput, the
-    /// streaming cross-check, and whatever epoch and rack-locality
-    /// counters the report carries. Floors and the worker ratio are
-    /// filled in once every cell has run.
-    fn new(name: &str, nodes: usize, jobs: usize, workers: usize, timed: &Timed) -> CellTiming {
+    /// The row of one timed cell: throughput, the streaming cross-check,
+    /// and whatever epoch and rack-locality counters the report carries.
+    /// Floors are filled in once every cell has run.
+    fn new(name: &str, nodes: usize, jobs: usize, timed: &Timed) -> CellTiming {
         let (wall_s, report) = (timed.wall_s, &timed.report);
         CellTiming {
             scheduler: name.to_string(),
             nodes,
             jobs,
             shards: timed.shards,
-            workers,
             wall_s,
             events: report.events,
             events_per_sec: report.events as f64 / wall_s.max(1e-9),
             steals: report.steals,
             steal_attempts: report.steal_attempts,
             steal_scans: report.steal_scans,
-            wall_vs_workers1: None,
             floor: None,
             vs_floor: None,
             sharded: report.sharded,
@@ -573,7 +549,6 @@ fn time_cell(
         nodes,
         repeats,
         1,
-        1,
         DynamicsScript::none(),
         SpeedSpec::Uniform,
         None,
@@ -587,7 +562,6 @@ fn time_cell_with(
     nodes: usize,
     repeats: usize,
     shards: usize,
-    workers: usize,
     dynamics: DynamicsScript,
     speeds: SpeedSpec,
     topology: Option<TopologySpec>,
@@ -602,15 +576,15 @@ fn time_cell_with(
     if let Some(spec) = topology {
         builder = builder.topology(spec);
     }
-    time_experiment(&builder.build(), repeats, workers)
+    time_experiment(&builder.build(), repeats)
 }
 
 /// Times a built cell `repeats` times and keeps the fastest run, each
 /// inside an allocator window of its own.
-fn time_experiment(cell: &Experiment, repeats: usize, workers: usize) -> Timed {
+fn time_experiment(cell: &Experiment, repeats: usize) -> Timed {
     let (wall_s, (report, peak_bytes, allocs)) = best_of(repeats, || {
         let window = alloc::Window::open();
-        let report = cell.run_with_workers(workers);
+        let report = cell.run();
         (report, window.peak_bytes(), window.calls())
     });
     Timed {
@@ -622,20 +596,26 @@ fn time_experiment(cell: &Experiment, repeats: usize, workers: usize) -> Timed {
     }
 }
 
+/// The per-kind event counts of a run, on stderr: a sharded row's minus
+/// its single-stream twin's is the event-inflation attribution.
+fn print_events_by_kind(report: &MetricsReport) {
+    let by_kind: Vec<String> = hawk_core::Event::KINDS
+        .iter()
+        .zip(report.events_by_kind)
+        .filter(|&(_, count)| count > 0)
+        .map(|(kind, count)| format!("{kind} {count}"))
+        .collect();
+    eprintln!("           events by kind: {}", by_kind.join(", "));
+}
+
 /// Builds (and reports on stderr) one sharded cell row, including the
 /// epoch counters the sharded driver exposes.
-fn sharded_cell(
-    name: &str,
-    nodes: usize,
-    jobs: usize,
-    workers: usize,
-    timed: &Timed,
-) -> CellTiming {
-    let cell = CellTiming::new(name, nodes, jobs, workers, timed);
+fn sharded_cell(name: &str, nodes: usize, jobs: usize, timed: &Timed) -> CellTiming {
+    let cell = CellTiming::new(name, nodes, jobs, timed);
     let (shards, wall_s, report) = (timed.shards, timed.wall_s, &timed.report);
     let stats = cell.sharded.expect("sharded cell must report epoch stats");
     eprintln!(
-        "  {name} x {nodes:>6} nodes ({shards} shards, {workers} workers): \
+        "  {name} x {nodes:>6} nodes ({shards} shards): \
          {wall_s:8.3} s  ({:.2e} events/s, {} steals, {} epochs ({:.1}% solo), \
          {:.1}% of events overlappable, {} merge envelopes, {} us avg epoch span{}; {})",
         cell.events_per_sec,
@@ -650,6 +630,7 @@ fn sharded_cell(
             .unwrap_or_default(),
         cell.memory()
     );
+    print_events_by_kind(report);
     cell
 }
 
@@ -660,13 +641,12 @@ fn main() {
         .unwrap_or(if opts.smoke { SMOKE_JOBS } else { DEFAULT_JOBS });
     let comparable = !opts.smoke && opts.jobs.is_none() && opts.seed == hawk_core::DEFAULT_SEED;
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let worker_cells = sharded_worker_cells(nproc);
 
     eprintln!(
         "perf_baseline: {jobs} jobs, seed {:#x}, best of {} per cell, {nproc} cores, \
          cells {NODE_CELLS:?} x {{hawk, sparrow}} + hawk-churn x {CHURN_NODES} \
          + hawk-fat-tree x {FAT_TREE_NODES} \
-         + hawk-sharded ({SHARDED_SHARDS} shards, workers {worker_cells:?}) \
+         + hawk-sharded ({SHARDED_SHARDS} shards) \
          x {SHARDED_NODE_CELLS:?} + hawk-sharded-rack x {SHARDED_RACK_NODES} \
          + hawk-live x {CHURN_NODES} + proto-{{chaos, clean}} x {PROTO_NODES}",
         opts.seed, opts.repeats
@@ -684,7 +664,7 @@ fn main() {
             let name = scheduler.name();
             let timed = time_cell(&trace, scheduler, nodes, opts.repeats);
             let (wall_s, report) = (timed.wall_s, &timed.report);
-            let cell = CellTiming::new(&name, nodes, jobs, 1, &timed);
+            let cell = CellTiming::new(&name, nodes, jobs, &timed);
             eprintln!(
                 "  {name:>8} x {nodes:>6} nodes: {wall_s:8.3} s  ({:.2e} events/s, \
                  streaming drift {:.1e}{})\n           {}",
@@ -698,13 +678,7 @@ fn main() {
                     .unwrap_or_default(),
                 cell.memory()
             );
-            let by_kind: Vec<String> = hawk_core::Event::KINDS
-                .iter()
-                .zip(report.events_by_kind)
-                .filter(|&(_, count)| count > 0)
-                .map(|(kind, count)| format!("{kind} {count}"))
-                .collect();
-            eprintln!("           events by kind: {}", by_kind.join(", "));
+            print_events_by_kind(report);
             cells.push(cell);
         }
     }
@@ -721,12 +695,11 @@ fn main() {
             CHURN_NODES,
             opts.repeats,
             1,
-            1,
             churn_dynamics(),
             churn_speeds(),
             None,
         );
-        let cell = CellTiming::new("hawk-churn", CHURN_NODES, jobs, 1, &timed);
+        let cell = CellTiming::new("hawk-churn", CHURN_NODES, jobs, &timed);
         eprintln!(
             "  hawk-churn x {CHURN_NODES:>6} nodes: {:8.3} s  \
              ({:.2e} events/s, {} migrations, {} abandons; {})",
@@ -752,12 +725,11 @@ fn main() {
             FAT_TREE_NODES,
             opts.repeats,
             1,
-            1,
             DynamicsScript::none(),
             SpeedSpec::Uniform,
             Some(TopologySpec::FatTreeContended(FatTreeParams::default())),
         );
-        let cell = CellTiming::new("hawk-fat-tree", FAT_TREE_NODES, jobs, 1, &timed);
+        let cell = CellTiming::new("hawk-fat-tree", FAT_TREE_NODES, jobs, &timed);
         eprintln!(
             "  hawk-fat-tree x {FAT_TREE_NODES:>6} nodes: {:8.3} s  \
              ({:.2e} events/s, {} msgs classified; {})",
@@ -771,26 +743,22 @@ fn main() {
 
     // The sharded-driver cells: the same ~90 %-load Hawk workload pushed
     // through `ShardedDriver` with a fixed shard count, up to 100k nodes —
-    // twice the paper's largest cluster, on one worker and on two.
+    // twice the paper's largest cluster.
     // Tracks epoch-merge + wire-routing overhead and the scale the
     // single-stream driver is never timed at.
     for nodes in SHARDED_NODE_CELLS {
         let trace = Arc::new(trace_for(nodes, jobs, opts.seed));
-        for &workers in worker_cells {
-            let scheduler: Arc<dyn Scheduler> = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION));
-            let timed = time_cell_with(
-                &trace,
-                scheduler,
-                nodes,
-                opts.repeats,
-                SHARDED_SHARDS,
-                workers,
-                DynamicsScript::none(),
-                SpeedSpec::Uniform,
-                None,
-            );
-            cells.push(sharded_cell("hawk-sharded", nodes, jobs, workers, &timed));
-        }
+        let timed = time_cell_with(
+            &trace,
+            Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION)),
+            nodes,
+            opts.repeats,
+            SHARDED_SHARDS,
+            DynamicsScript::none(),
+            SpeedSpec::Uniform,
+            None,
+        );
+        cells.push(sharded_cell("hawk-sharded", nodes, jobs, &timed));
     }
 
     // The rack-aligned sharded cell: the 15k workload on the default
@@ -798,28 +766,18 @@ fn main() {
     // shard, per-pair lookahead floors, locality-ordered victim lists.
     {
         let trace = Arc::new(trace_for(SHARDED_RACK_NODES, jobs, opts.seed));
-        for &workers in worker_cells {
-            let scheduler: Arc<dyn Scheduler> =
-                Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION).rack_first_stealing());
-            let timed = time_cell_with(
-                &trace,
-                scheduler,
-                SHARDED_RACK_NODES,
-                opts.repeats,
-                SHARDED_SHARDS,
-                workers,
-                DynamicsScript::none(),
-                SpeedSpec::Uniform,
-                Some(TopologySpec::FatTree(FatTreeParams::default())),
-            );
-            cells.push(sharded_cell(
-                "hawk-sharded-rack",
-                SHARDED_RACK_NODES,
-                jobs,
-                workers,
-                &timed,
-            ));
-        }
+        let timed = time_cell_with(
+            &trace,
+            Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION).rack_first_stealing()),
+            SHARDED_RACK_NODES,
+            opts.repeats,
+            SHARDED_SHARDS,
+            DynamicsScript::none(),
+            SpeedSpec::Uniform,
+            Some(TopologySpec::FatTree(FatTreeParams::default())),
+        );
+        let cell = sharded_cell("hawk-sharded-rack", SHARDED_RACK_NODES, jobs, &timed);
+        cells.push(cell);
     }
 
     // The serving-mode cell: the 5k Hawk workload with 60 s live windows,
@@ -836,9 +794,9 @@ fn main() {
             .nodes(CHURN_NODES)
             .live_window(SimDuration::from_secs(60))
             .build();
-        let timed = time_experiment(&cell, opts.repeats, 1);
+        let timed = time_experiment(&cell, opts.repeats);
         let (wall_s, report) = (timed.wall_s, &timed.report);
-        let cell = CellTiming::new("hawk-live", CHURN_NODES, jobs, 1, &timed);
+        let cell = CellTiming::new("hawk-live", CHURN_NODES, jobs, &timed);
         let live = report.live.as_ref().expect("live_window was set");
         let last = live.windows.last().expect("the run closed no windows");
         eprintln!(
@@ -860,7 +818,7 @@ fn main() {
 
     // The memory rows: one run each (memory does not vary run to run) of
     // the same ~90 %-load Hawk workload at 100k and 1M nodes, on the
-    // single-stream driver and on 8 shards of the flat network, one worker.
+    // single-stream driver and on 8 shards of the flat network.
     let mut memory_cells: Vec<CellTiming> = Vec::new();
     for nodes in MEMORY_NODE_CELLS {
         let trace = Arc::new(trace_for(nodes, jobs, opts.seed));
@@ -871,12 +829,11 @@ fn main() {
                 nodes,
                 1,
                 shards,
-                1,
                 DynamicsScript::none(),
                 SpeedSpec::Uniform,
                 None,
             );
-            let cell = CellTiming::new("hawk-memory", nodes, jobs, 1, &timed);
+            let cell = CellTiming::new("hawk-memory", nodes, jobs, &timed);
             eprintln!(
                 "  hawk-memory x {nodes:>7} nodes, {shards} shard(s): {:8.3} s  ({})",
                 timed.wall_s,
@@ -886,20 +843,9 @@ fn main() {
         }
     }
 
-    // Each sharded row's wall clock against its one-worker twin's.
-    let workers1_wall_s: Vec<Option<f64>> = cells
-        .iter()
-        .map(|c| {
-            let twin = |w1: &&CellTiming| {
-                w1.workers == 1 && w1.scheduler == c.scheduler && w1.nodes == c.nodes
-            };
-            c.sharded.and(cells.iter().find(twin)).map(|w1| w1.wall_s)
-        })
-        .collect();
-    for (c, workers1_wall_s) in cells.iter_mut().zip(workers1_wall_s) {
+    for c in &mut cells {
         c.floor = floor_events_per_sec(&c.scheduler, c.nodes);
         c.vs_floor = c.floor.map(|f| c.events_per_sec / f);
-        c.wall_vs_workers1 = workers1_wall_s.map(|w1| c.wall_s / w1);
     }
 
     // The prototype rows: the same workload shape at 1k workers through
@@ -979,10 +925,9 @@ fn check_floors(comparable: bool, cells: &[CellTiming], proto_cells: &[ProtoTimi
             if ratio < FLOOR_FRACTION {
                 ok = false;
                 eprintln!(
-                    "perf_baseline: FLOOR VIOLATION: {}/{} (workers {}) ran at {:.2e} \
-                     events/s, below {FLOOR_FRACTION} x the frozen floor {floor:.2e} \
-                     (ratio {ratio:.3})",
-                    c.scheduler, c.nodes, c.workers, c.events_per_sec
+                    "perf_baseline: FLOOR VIOLATION: {}/{} ran at {:.2e} events/s, below \
+                     {FLOOR_FRACTION} x the frozen floor {floor:.2e} (ratio {ratio:.3})",
+                    c.scheduler, c.nodes, c.events_per_sec
                 );
             }
         }
@@ -1008,7 +953,7 @@ fn render_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"perf_baseline\",\n");
-    out.push_str("  \"schema_version\": 7,\n");
+    out.push_str("  \"schema_version\": 8,\n");
     let _ = writeln!(out, "  \"smoke\": {},", opts.smoke);
     let _ = writeln!(out, "  \"jobs\": {jobs},");
     let _ = writeln!(out, "  \"seed\": {},", opts.seed);
@@ -1083,9 +1028,9 @@ fn render_cells(out: &mut String, cells: &[CellTiming]) {
         let _ = write!(
             out,
             "    {{\"scheduler\": \"{}\", \"nodes\": {}, \"jobs\": {}, \"shards\": {}, \
-             \"workers\": {}, \"wall_s\": {:.4}, \"events\": {}, \"events_per_sec\": {:.1}, \
+             \"wall_s\": {:.4}, \"events\": {}, \"events_per_sec\": {:.1}, \
              \"steals\": {}, \"steal_attempts\": {}, \"steal_scans\": {}, \
-             \"scans_per_attempt\": {}, \"wall_vs_workers1\": {}, \
+             \"scans_per_attempt\": {}, \
              \"floor_events_per_sec\": {}, \"vs_floor\": {}, \
              \"streaming_max_rel_err\": {:.3e}, \"peak_heap_mib\": {:.2}, \"allocs\": {}, \
              \"queue_nodes_high_water\": {}, \"queue_arena_growths\": {}, \
@@ -1094,7 +1039,6 @@ fn render_cells(out: &mut String, cells: &[CellTiming]) {
             c.nodes,
             c.jobs,
             c.shards,
-            c.workers,
             c.wall_s,
             c.events,
             c.events_per_sec,
@@ -1102,7 +1046,6 @@ fn render_cells(out: &mut String, cells: &[CellTiming]) {
             c.steal_attempts,
             c.steal_scans,
             opt(c.scans_per_attempt(), 3),
-            opt(c.wall_vs_workers1, 3),
             opt(c.floor, 1),
             opt(c.vs_floor, 3),
             c.streaming_max_rel_err,

@@ -57,7 +57,6 @@ use crate::config::SimConfig;
 use crate::experiment::run_cell;
 use crate::metrics::MetricsReport;
 use crate::scheduler::Scheduler;
-use crate::shard::worker_budget;
 
 /// An execution model for experiment cells: runs `scheduler` over `trace`
 /// under the policy-independent parameters `sim` and reports metrics in
@@ -100,7 +99,7 @@ impl Backend for SimBackend {
         scheduler: Arc<dyn Scheduler>,
         sim: &SimConfig,
     ) -> MetricsReport {
-        run_cell(trace, scheduler, sim, worker_budget()).0
+        run_cell(trace, scheduler, sim).0
     }
 }
 

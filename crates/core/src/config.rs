@@ -203,9 +203,9 @@ pub struct SimConfig {
     /// RNG seed for probe placement, stealing and misestimation.
     pub seed: u64,
     /// Number of cluster shards the driver partitions the cell into.
-    /// `1` (the default) runs the classic single-threaded [`Driver`] and
+    /// `1` (the default) runs the classic single-stream [`Driver`] and
     /// is byte-identical to every pinned golden digest; `K > 1` runs the
-    /// sharded parallel driver, whose results are deterministic for a
+    /// sharded multi-engine driver, whose results are deterministic for a
     /// fixed `K` but digest-*incompatible* across shard counts (each
     /// shard owns an independent RNG stream).
     ///

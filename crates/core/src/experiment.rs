@@ -42,7 +42,7 @@ use crate::config::{CentralOverhead, SimConfig};
 use crate::driver::Driver;
 use crate::metrics::MetricsReport;
 use crate::scheduler::Scheduler;
-use crate::shard::{worker_budget, ShardedDriver};
+use crate::shard::ShardedDriver;
 
 /// Anything an [`ExperimentBuilder`] accepts as a trace: an owned or
 /// shared [`Trace`] (borrowed traces are cloned once).
@@ -115,36 +115,30 @@ impl Experiment {
         cell
     }
 
-    /// Runs the cell to completion. Deterministic: the same cell produces
-    /// bit-identical reports.
+    /// Runs the cell to completion on the calling thread. Deterministic:
+    /// the same cell produces bit-identical reports.
     ///
-    /// `shards <= 1` (the default) runs the single-threaded [`Driver`];
-    /// `shards > 1` runs the sharded parallel driver
-    /// ([`crate::ShardedDriver`]) with up to
-    /// [`worker_budget()`](crate::worker_budget) threads. Sharded results
-    /// are deterministic per shard count but not digest-comparable
-    /// across shard counts.
+    /// `shards <= 1` (the default) runs the single-stream [`Driver`];
+    /// `shards > 1` runs the sharded multi-engine harness
+    /// ([`crate::ShardedDriver`]). Sharded results are deterministic per
+    /// shard count but not digest-comparable across shard counts.
     pub fn run(&self) -> MetricsReport {
-        self.run_with_workers(worker_budget())
+        self.run_with_estimates().0
     }
 
-    /// Like [`Experiment::run`], with an explicit cap on the OS worker
-    /// threads a sharded cell may use (ignored for `shards <= 1`; the
-    /// worker count never changes results). [`crate::Sweep`] uses this
-    /// to divide the machine between concurrent cells.
-    pub fn run_with_workers(&self, workers: usize) -> MetricsReport {
-        run_cell(&self.trace, Arc::clone(&self.scheduler), &self.sim, workers).0
+    /// [`Experiment::run`], ignoring its argument. Kept only because the
+    /// frozen benchmark (`hawkbench/workloads.rs`) calls it; owed to the
+    /// benchmark-only PR, whose `hawk_sharded_50k` "2 workers" wording is
+    /// stale with it.
+    #[doc(hidden)]
+    pub fn run_with_workers(&self, _workers: usize) -> MetricsReport {
+        self.run()
     }
 
     /// Like [`Experiment::run`], but also returns the (possibly
     /// misestimated) per-job estimates the run actually used (§4.8).
     pub fn run_with_estimates(&self) -> (MetricsReport, JobEstimates) {
-        run_cell(
-            &self.trace,
-            Arc::clone(&self.scheduler),
-            &self.sim,
-            worker_budget(),
-        )
+        run_cell(&self.trace, Arc::clone(&self.scheduler), &self.sim)
     }
 
     /// Runs the cell on an explicit execution [`Backend`]. `run_on(&SimBackend)`
@@ -281,7 +275,7 @@ impl ExperimentBuilder {
     }
 
     /// Sets the shard count: `1` (the default) runs the classic
-    /// single-threaded driver, `K > 1` the sharded parallel driver.
+    /// single-stream driver, `K > 1` the sharded multi-engine driver.
     /// See [`SimConfig::shards`] for the determinism contract.
     pub fn shards(mut self, shards: usize) -> Self {
         self.sim.shards = shards;
@@ -348,20 +342,16 @@ impl ExperimentBuilder {
 
 /// The one place a harness is chosen for a simulated cell: `shards <= 1`
 /// runs the single-stream [`Driver`] (byte-identical to every pinned
-/// golden digest), `shards > 1` the [`ShardedDriver`] on up to `workers`
-/// threads. Every simulation entry point — [`Experiment::run`],
-/// [`Experiment::run_with_estimates`], [`crate::SimBackend`] — routes
-/// through here, so they cannot disagree.
+/// golden digest), `shards > 1` the [`ShardedDriver`]. Every simulation
+/// entry point — [`Experiment::run`], [`Experiment::run_with_estimates`],
+/// [`crate::SimBackend`] — routes through here, so they cannot disagree.
 pub(crate) fn run_cell(
     trace: &Trace,
     scheduler: Arc<dyn Scheduler>,
     sim: &SimConfig,
-    workers: usize,
 ) -> (MetricsReport, JobEstimates) {
     if sim.shards > 1 {
-        ShardedDriver::new(trace, scheduler, sim)
-            .with_workers(workers)
-            .run_with_estimates()
+        ShardedDriver::new(trace, scheduler, sim).run_with_estimates()
     } else {
         Driver::with_scheduler(trace, scheduler, sim).run_with_estimates()
     }

@@ -102,6 +102,6 @@ pub use protocol::{Event, EventCounts};
 // topology-aware experiment touches.
 pub use hawk_net::{Endpoint, FatTreeParams, NetworkStats, RackGeometry, Topology, TopologySpec};
 pub use scheduler::{PlacementView, Scheduler, StealSpec};
-pub use shard::{worker_budget, ShardedDriver};
+pub use shard::ShardedDriver;
 pub use steal_policy::StealPolicy;
-pub use sweep::{CellResult, Sweep, SweepResults};
+pub use sweep::{worker_budget, CellResult, Sweep, SweepResults};

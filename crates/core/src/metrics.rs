@@ -54,7 +54,7 @@ pub struct ShardedStats {
     /// Synchronization epochs executed (merge rounds that advanced the
     /// epoch base; the final stop round is not counted).
     pub epochs: u64,
-    /// Cross-shard envelopes routed through the leader's k-way merge.
+    /// Cross-shard envelopes routed through the epoch merge.
     pub merge_envelopes: u64,
     /// Mean simulated microseconds the epoch base advanced per epoch.
     pub avg_epoch_span_micros: u64,

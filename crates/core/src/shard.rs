@@ -1,47 +1,31 @@
-//! Sharded parallel driver: conservative discrete-event simulation for
-//! 100k+-node cells.
+//! Sharded driver: conservative multi-engine discrete-event simulation
+//! for 100k+-node cells.
 //!
 //! [`ShardedDriver`] partitions the cluster into `K` contiguous shards.
 //! Each shard owns a slice of servers and runs its own [`Engine`], RNG
 //! streams, recycled buffers and topology instance; shards advance in
 //! *epochs* bounded by a conservative lookahead horizon and exchange
 //! messages only between epochs, through a deterministic merge. The
-//! result is deterministic for a fixed shard count `K` regardless of how
-//! many OS threads execute the shards.
+//! result is deterministic for a fixed shard count `K`.
 //!
-//! # The epoch pool (rent, then buy)
+//! # The epoch loop (sequential, on the calling thread)
 //!
-//! Each epoch publishes the set of *runnable* shards (those with an
-//! event below their horizon). The worker that merged the previous epoch
-//! — the *publisher* — starts on them itself, holding the pool's one
-//! mutex throughout, and invites parked peers only once it has processed
-//! `HANDOFF_EVENTS` events of the epoch **and** runnable shards are
-//! still unclaimed: the spin-then-park / ski-rental rule, with a peer
-//! wake-up as the purchase. After that the epoch is *open*: workers
-//! claim shards one at a time, run them unlocked and report back, and
-//! whoever reports last merges inline and publishes the next epoch — no
-//! barrier anywhere. The loss on a genuinely parallel epoch is bounded by
-//! one threshold of serialised events; a sparse epoch costs no wake-up,
-//! no work-lock traffic and one uncontended shard lock per shard run.
-//!
-//! The rule is shaped by what Google-trace cells look like (tasks of
-//! hundreds of seconds under a sub-millisecond fat-tree lookahead): on
-//! the 50k-node bench cell, 1,064,640 of 1,216,429 epochs (87.5 %) have
-//! exactly one runnable shard, and the other 151,789 hold 428,935
-//! events (17 % of the run's 2.53 M) outside their largest shard run —
-//! under three events, ≈ 1 µs of work, per epoch, against ≈ 8 µs for a
-//! wake-up. [`ShardedStats::solo_epochs`] and
-//! [`ShardedStats::overlappable_events`] report this shape for any
-//! cell. On such cells sharding is a node-count and memory-scaling
-//! device: extra workers cannot speed them up, and with this pool no
-//! longer slow them down (waking a peer for every multi-shard epoch, as
-//! the pool did before, made two workers 2.4x slower than one). Worker
-//! count starts to matter on cells whose epochs are dense — a lookahead
-//! that is long against task durations, e.g. a one-second constant
-//! network delay over sub-second tasks, where every epoch carries
-//! hundreds of events per shard, most events are overlappable and the
-//! publisher hands over in every epoch
-//! (`dense_cell_engages_peers_under_the_production_threshold`).
+//! Each epoch runs its *runnable* shards (those with an event below
+//! their horizon) one after another in ascending id on the calling
+//! thread, merges what they emitted and computes the next horizons;
+//! nothing in this file spawns, locks or wakes anything. An earlier
+//! version ran an epoch's shards on a worker pool, and the ledger retired
+//! it: a second worker bought 0.99–1.04x at every measured size
+//! (`BENCH_perf.json` schema v7, `wall_vs_workers1` 1.013 / 0.993 / 1.042
+//! / 1.021 at 15k / 50k / 100k / 15k-rack nodes); 83–93 % of epochs have
+//! exactly one runnable shard — Google-trace tasks last hundreds of
+//! seconds under a sub-millisecond fat-tree lookahead, and
+//! [`ShardedStats::solo_epochs`] / [`ShardedStats::overlappable_events`]
+//! report that shape for any cell; and the only cell that ever engaged a
+//! second worker was a unit test built to engage it. The parallelism
+//! Hawk's evaluation needs is across cells ([`crate::Sweep`]). This
+//! harness exists for node-count scaling and to keep the [`Transport`]
+//! seam honest for a wire transport, not as a speedup.
 //!
 //! # Synchronization contract
 //!
@@ -62,12 +46,12 @@
 //!    buffering cross-shard messages in an outbox kept sorted by
 //!    `(firing time, send sequence)`; shards with nothing below their
 //!    horizon are skipped entirely;
-//! 2. once every runnable shard has reported, the finishing worker
-//!    k-way-merges the outbox streams in `(firing time, source shard,
-//!    send sequence)` order — a total order independent of thread
-//!    interleaving, and the exact order a concat-and-sort would
-//!    produce — injecting each envelope directly into its destination
-//!    engine without sorting or allocating;
+//! 2. once every runnable shard has reported, the outbox streams are
+//!    k-way-merged in `(firing time, source shard, send sequence)`
+//!    order — a total order independent of which shard ran first, and
+//!    the exact order a concat-and-sort would produce — injecting each
+//!    envelope directly into its destination engine without sorting or
+//!    allocating;
 //! 3. the next horizons are `H'[j] = min over i of t[i] + D[i][j]`,
 //!    where `t[i]` is the firing time of shard `i`'s next pending event
 //!    (re-peeked after injection, so delivered envelopes are counted).
@@ -134,12 +118,11 @@
 //! # Divergences from the single-threaded [`Driver`]
 //!
 //! Every shard runs the same protocol [`Core`] as [`Driver`]; this file
-//! is only the parallel-simulation harness (shard map, lookahead
-//! closure, work-claiming pool, k-way merge, lazy sampling, report
-//! merge). What differs is what message passing makes unavoidable, each
-//! decided at one line — which is also why `shards <= 1` runs [`Driver`]
-//! (byte-identical to every pinned golden digest) and only `K > 1` runs
-//! here:
+//! is only the multi-engine harness (shard map, lookahead closure, epoch
+//! loop, k-way merge, lazy sampling, report merge). What differs is what
+//! message passing makes unavoidable, each decided at one line — which is
+//! also why `shards <= 1` runs [`Driver`] (byte-identical to every pinned
+//! golden digest) and only `K > 1` runs here:
 //!
 //! * completion is measured at the home scheduler: bookkeeping travels
 //!   server → scheduler as a message, so a job completes one network
@@ -167,7 +150,7 @@
 //! [`Driver`]: crate::Driver
 //! [`TopologySpec::min_message_delay`]: hawk_net::TopologySpec::min_message_delay
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use hawk_cluster::{QueueEntry, ServerId, UtilizationTracker};
 use hawk_net::{Endpoint, RackGeometry, TopologySpec};
@@ -179,26 +162,6 @@ use crate::config::{Route, SimConfig};
 use crate::metrics::{MetricsReport, ShardedStats};
 use crate::protocol::{self, Core, Event, RunInputs, Transport};
 use crate::scheduler::Scheduler;
-
-/// The number of simulation worker threads the process should use, the
-/// budget the sharded driver and [`crate::Sweep`] divide between cells
-/// and shards.
-///
-/// Defaults to [`std::thread::available_parallelism`]; the
-/// `HAWK_WORKER_BUDGET` environment variable overrides it explicitly
-/// (clamped to at least 1). The override exists both to pin CI runners
-/// to a known width and to stop oversubscription when several
-/// simulations share a machine.
-pub fn worker_budget() -> usize {
-    if let Ok(raw) = std::env::var("HAWK_WORKER_BUDGET") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// Contiguous-range shard map: shard `s` owns a run of server ids, with
 /// boundaries aligned to multiples of `align` servers. With `align = 1`
@@ -320,90 +283,12 @@ struct UtilSampleRaw {
     owned_down: u32,
 }
 
-/// Events the worker that published an epoch processes on its own before
-/// it invites parked peers to the epoch's still-unclaimed shards — the
-/// rent of a rent-then-buy (ski-rental) rule whose purchase is a peer
-/// wake-up. Renting first bounds the loss on a genuinely parallel epoch
-/// to this many serialised events, and the loss on a sparse epoch to
-/// zero wake-ups.
-///
-/// Derivation (the `hawk_sharded_50k` bench cell — 50k nodes, 4 shards,
-/// 2 workers, 2.53 M events in 1.22 M epochs — on a 2-vCPU box): an event
-/// costs ≈ 0.28 µs (0.70 s on one worker) and a wake-up ≈ 8 µs end to
-/// end (waking for each of the 151,789 multi-shard epochs, as the pool
-/// used to, costs 2.0 s per cell against 0.8 s never waking), so a
-/// purchase pays only when it hands over more than ≈ 28 events. Sweeping
-/// the threshold, a handoff hands a peer on average 2.5 events at 0
-/// (151,789 handoffs), 19 at 8 (11,947), 27 at 16 (6,310), 42 at 32
-/// (2,443), 65 at 64 (696), 87 at 128 (158) and 160 at 256 (13): 64 is
-/// the smallest power of two at which the average purchase is worth
-/// twice its price. Wall-clock cannot tell thresholds ≥ 8 apart on this
-/// cell (0.76–0.80 s, all within run-to-run noise); the dense cell of
-/// `dense_cell_engages_peers_under_the_production_threshold` hands over
-/// in every epoch at any of them.
-const HANDOFF_EVENTS: u64 = 64;
-
-/// Shared state of one sharded run: the shards themselves (locked by
-/// whichever worker claims them each epoch), the work queue driving the
-/// epoch protocol, and the read-only lookahead matrix.
-struct SharedState<'t> {
-    shards: Vec<Mutex<Shard<'t>>>,
-    work: Mutex<WorkQueue>,
-    /// Parked workers wait here; signalled when an epoch's publisher
-    /// hands unclaimed shards over to its peers, and at stop.
-    available: Condvar,
-    /// Shortest-walk closure of the per-shard-pair one-hop delay
-    /// floors, row-major `[src * K + dst]`, raw microseconds. The
-    /// diagonal is the cheapest cycle back to the shard itself (never
-    /// zero), so a shard's own emissions bound its horizon too.
-    delta: Vec<u64>,
-}
-
-/// Timing-dependent counters of the worker pool: which thread ran what
-/// depends on the machine, so none of this may reach [`MetricsReport`]
-/// (whose bytes are worker-count-invariant). Crate-internal, for tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PoolStats {
-    /// Epochs whose publisher exhausted its rent with shards still
-    /// unclaimed and opened the epoch to its peers. Depends on the
-    /// schedule, the threshold and `workers > 1` only.
-    pub(crate) handoffs: u64,
-    /// Condvar wake-ups issued (at most `workers - 1` per handoff).
-    pub(crate) wakes: u64,
-    /// Shard runs, and the events in them, executed by a worker other
-    /// than the epoch's publisher.
-    pub(crate) peer_runs: u64,
-    pub(crate) peer_events: u64,
-}
-
-/// The epoch scheduler. One mutex guards the whole epoch protocol, and
-/// the worker that merged an epoch and published the next one — the
-/// epoch's *publisher* — keeps holding it while it works through the
-/// runnable shards itself: run, report, merge, publish, with one
-/// uncontended shard lock per shard run and nothing else. Only when it
-/// has processed [`HANDOFF_EVENTS`] events of the epoch and unclaimed
-/// runnable shards still remain does it open the epoch: it wakes parked
-/// peers, releases the mutex, and from then on every worker claims,
-/// runs unlocked and reports back under the mutex; whoever reports last
-/// merges and is the next publisher.
-struct WorkQueue {
+/// The state the epoch loop carries from one epoch to the next: the
+/// current schedule, every shard's next event time, the merge buffers and
+/// the counters that become [`ShardedStats`].
+struct EpochState {
     /// Shard ids with work this epoch (`t[j] < H[j]`), ascending.
     runnable: Vec<u32>,
-    /// Claim cursor into `runnable`.
-    next: usize,
-    /// Shards claimed but not yet reported back.
-    inflight: usize,
-    /// Whether this epoch's publisher has handed the unclaimed shards
-    /// over to its peers (it then no longer holds the mutex while
-    /// running a shard).
-    open: bool,
-    /// Events of an epoch its publisher processes before opening it:
-    /// the handoff threshold, or `u64::MAX` when the driver was given
-    /// one worker — the worker count is the only bound on peer
-    /// engagement.
-    rent: u64,
-    /// The worker that published (and first claimed from) this epoch.
-    publisher: usize,
     /// Events processed this epoch, and the largest single shard run.
     epoch_events: u64,
     epoch_max_run: u64,
@@ -426,16 +311,12 @@ struct WorkQueue {
     /// Emptied remote-steal payload buffers on their way back to the
     /// shard that sent them, which collects them with its next report.
     steal_returns: Vec<Vec<Vec<QueueEntry>>>,
-    stopped: bool,
-    /// Workers currently waiting on [`SharedState::available`].
-    parked: usize,
     epochs: u64,
     solo_epochs: u64,
     overlappable_events: u64,
     merge_envelopes: u64,
     span_accum: u64,
     last_base: u64,
-    pool: PoolStats,
 }
 
 /// The outbox transport: maps a destination endpoint to the shard that
@@ -452,7 +333,7 @@ struct Outbox {
     seq: u64,
     /// Payload buffers of this shard's earlier remote steals, emptied by
     /// the receiver and handed back through
-    /// [`WorkQueue::steal_returns`]. Remote steals mostly flow one way
+    /// [`EpochState::steal_returns`]. Remote steals mostly flow one way
     /// (into the shard that holds the short partition), so a buffer has
     /// to return to its sender to be reused; the population is the
     /// sender's peak of steals in flight.
@@ -522,6 +403,15 @@ struct Shard<'t> {
 }
 
 impl Shard<'_> {
+    /// Firing time of the next pending event, raw microseconds
+    /// (`u64::MAX` = drained).
+    fn next_time(&self) -> u64 {
+        self.net
+            .engine
+            .peek_time()
+            .map_or(u64::MAX, SimTime::as_micros)
+    }
+
     /// Commits one epoch's merged inbox into the engine. Every envelope
     /// must fire at or after the local clock — the epoch horizon
     /// guarantees it, and `try_schedule_at` makes any violation a hard
@@ -579,38 +469,24 @@ impl Shard<'_> {
         self.core.dispatch(&mut self.net, event);
     }
 
-    /// One claimed epoch run of at most `budget` events: to `horizon`
-    /// (raw microseconds), or free-running under the `u64::MAX` sentinel
-    /// (a free-run is always its epoch's only shard, so it ignores the
-    /// budget). Returns whether the run is complete; an incomplete run
-    /// is resumed by calling again.
-    fn run(&mut self, horizon: u64, budget: u64) -> bool {
+    /// One epoch run: to `horizon` (raw microseconds), or free-running
+    /// under the `u64::MAX` sentinel.
+    fn run(&mut self, horizon: u64) {
         if horizon == u64::MAX {
             self.run_free();
-            true
         } else {
-            self.run_until(SimTime::from_micros(horizon), budget)
+            self.run_until(SimTime::from_micros(horizon));
         }
     }
 
-    /// Processes local events strictly below `horizon`, at most `budget`
-    /// of them. On reaching the horizon, catches utilization sampling up
-    /// to it (no cross-shard arrival can land below it, so the state
-    /// there is final) and returns `true`.
-    fn run_until(&mut self, horizon: SimTime, budget: u64) -> bool {
-        for _ in 0..budget {
-            let Some((t, event)) = self.net.engine.pop_before(horizon) else {
-                self.sample_up_to(horizon);
-                return true;
-            };
+    /// Processes local events strictly below `horizon`, then catches
+    /// utilization sampling up to it (no cross-shard arrival can land
+    /// below it, so the state there is final).
+    fn run_until(&mut self, horizon: SimTime) {
+        while let Some((t, event)) = self.net.engine.pop_before(horizon) {
             self.step(t, event);
         }
-        // Budget spent: complete only if nothing is left below the horizon.
-        if self.net.engine.peek_time().is_some_and(|t| t < horizon) {
-            return false;
-        }
         self.sample_up_to(horizon);
-        true
     }
 
     /// The quiescence fast-path: this shard is the only one with a
@@ -634,26 +510,25 @@ impl Shard<'_> {
     }
 }
 
-/// The sharded parallel driver. Construct with [`ShardedDriver::new`],
+/// The sharded driver. Construct with [`ShardedDriver::new`],
 /// consume with [`ShardedDriver::run`]; see the module docs for the
 /// synchronization contract and the divergences from [`crate::Driver`].
 pub struct ShardedDriver<'t> {
     shards: Vec<Shard<'t>>,
     /// Home shard of every job, by job index.
     homes: Vec<u32>,
-    /// Closure of the per-pair lookahead floors (see [`SharedState`]).
+    /// Shortest-walk closure of the per-shard-pair one-hop delay
+    /// floors, row-major `[src * K + dst]`, raw microseconds. The
+    /// diagonal is the cheapest cycle back to the shard itself (never
+    /// zero), so a shard's own emissions bound its horizon too.
     delta: Vec<u64>,
-    workers: usize,
-    /// [`HANDOFF_EVENTS`]; tests lower it to force peer engagement.
-    handoff_events: u64,
 }
 
 impl<'t> ShardedDriver<'t> {
     /// Builds a sharded driver for `sim.shards` shards (clamped to the
-    /// node or alignment-unit count), defaulting the worker-thread
-    /// count to `min(shards, worker_budget())`. When the topology
-    /// exposes rack geometry the shard map aligns to it and the
-    /// lookahead matrix uses per-pair range floors (module docs).
+    /// node or alignment-unit count). When the topology exposes rack
+    /// geometry the shard map aligns to it and the lookahead matrix uses
+    /// per-pair range floors (module docs).
     ///
     /// # Panics
     ///
@@ -715,26 +590,16 @@ impl<'t> ShardedDriver<'t> {
             shards,
             homes,
             delta,
-            workers: worker_budget().clamp(1, map.shards),
-            handoff_events: HANDOFF_EVENTS,
         }
     }
 
-    /// Overrides the number of OS worker threads (clamped to
-    /// `1..=shards`). Results are identical for every worker count; the
-    /// determinism suite pins it.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.clamp(1, self.shards.len());
-        self
-    }
-
-    /// Overrides the handoff threshold; `0` opens every multi-shard
-    /// epoch to the peers at once, so tests of worker-count invariance
-    /// exercise real cross-thread execution on cells far too sparse to
-    /// engage a peer under [`HANDOFF_EVENTS`].
-    #[cfg(test)]
-    pub(crate) fn with_handoff_events(mut self, events: u64) -> Self {
-        self.handoff_events = events;
+    /// Ignores its argument: the epochs run on the calling thread. Kept
+    /// only because the frozen benchmark (`hawkbench/layers.rs`) calls it;
+    /// owed to the benchmark-only PR, like `Cluster::reserve_queue_nodes`.
+    /// hawkbench's `core.shard_speedup_w2_over_w1` and
+    /// `core.shard_cpu_over_wall` therefore read ≈ 1.0 by construction.
+    #[doc(hidden)]
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -759,44 +624,16 @@ impl<'t> ShardedDriver<'t> {
     /// # Panics
     ///
     /// Panics like [`ShardedDriver::run`].
-    pub fn run_with_estimates(self) -> (MetricsReport, JobEstimates) {
-        let (report, estimates, _) = self.run_with_pool_stats();
-        (report, estimates)
-    }
-
-    /// [`ShardedDriver::run_with_estimates`] plus the timing-dependent
-    /// pool counters that must stay out of the report.
-    pub(crate) fn run_with_pool_stats(mut self) -> (MetricsReport, JobEstimates, PoolStats) {
+    pub fn run_with_estimates(mut self) -> (MetricsReport, JobEstimates) {
         let shard_count = self.shards.len();
         let total_unfinished: usize = self.shards.iter().map(|s| s.core.unfinished).sum();
         let mut stats = ShardedStats::default();
-        let mut pool = PoolStats::default();
         if total_unfinished > 0 {
-            let t: Vec<u64> = self
-                .shards
-                .iter()
-                .map(|s| {
-                    s.net
-                        .engine
-                        .peek_time()
-                        .map_or(u64::MAX, SimTime::as_micros)
-                })
-                .collect();
+            let t: Vec<u64> = self.shards.iter().map(Shard::next_time).collect();
             let base = t.iter().copied().min().expect("at least one shard");
             assert!(base != u64::MAX, "unfinished jobs but no pending events");
-            let mut wq = WorkQueue {
+            let mut ep = EpochState {
                 runnable: Vec::with_capacity(shard_count),
-                next: 0,
-                inflight: 0,
-                open: false,
-                // The one place peer engagement is bounded: by the worker
-                // count this driver was given.
-                rent: if self.workers == 1 {
-                    u64::MAX
-                } else {
-                    self.handoff_events
-                },
-                publisher: 0,
                 epoch_events: 0,
                 epoch_max_run: 0,
                 horizons: vec![0; shard_count],
@@ -807,54 +644,41 @@ impl<'t> ShardedDriver<'t> {
                 inboxes: (0..shard_count).map(|_| Vec::new()).collect(),
                 steal_returns: (0..shard_count).map(|_| Vec::new()).collect(),
                 t,
-                stopped: false,
-                parked: 0,
                 epochs: 0,
                 solo_epochs: 0,
                 overlappable_events: 0,
                 merge_envelopes: 0,
                 span_accum: 0,
                 last_base: base,
-                pool: PoolStats::default(),
             };
+            // Taken, so it is freed before the report merge (the heap's peak).
             let delta = std::mem::take(&mut self.delta);
-            publish_schedule(&mut wq, &delta);
-            // Shards are claimed per epoch, not statically assigned:
-            // any worker may run any shard, and the merge order depends
-            // only on epoch content, so every worker count yields
-            // identical results.
-            let shared = SharedState {
-                shards: self.shards.drain(..).map(Mutex::new).collect(),
-                work: Mutex::new(wq),
-                available: Condvar::new(),
-                delta,
-            };
-            let shared_ref = &shared;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.workers)
-                    .map(|me| scope.spawn(move || worker_loop(shared_ref, me)))
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("shard worker panicked");
+            publish_schedule(&mut ep, &delta);
+            // The merge order depends only on what an epoch's shards
+            // emitted, never on the order they ran in; ascending id is
+            // simply the order `runnable` is built in.
+            loop {
+                for i in 0..ep.runnable.len() {
+                    let id = ep.runnable[i] as usize;
+                    let shard = &mut self.shards[id];
+                    let processed_before = shard.net.engine.processed();
+                    shard.run(ep.horizons[id]);
+                    let ran = shard.net.engine.processed() - processed_before;
+                    report_run(&mut ep, id, shard, ran);
                 }
-            });
-            self.shards = shared
-                .shards
-                .into_iter()
-                .map(|m| m.into_inner().expect("shard poisoned"))
-                .collect();
-            let wq = shared.work.into_inner().expect("work queue poisoned");
+                if !merge_epoch(&mut self.shards, &mut ep, &delta) {
+                    break;
+                }
+            }
             stats = ShardedStats {
-                epochs: wq.epochs,
-                merge_envelopes: wq.merge_envelopes,
-                avg_epoch_span_micros: wq.span_accum / wq.epochs.max(1),
-                solo_epochs: wq.solo_epochs,
-                overlappable_events: wq.overlappable_events,
+                epochs: ep.epochs,
+                merge_envelopes: ep.merge_envelopes,
+                avg_epoch_span_micros: ep.span_accum / ep.epochs.max(1),
+                solo_epochs: ep.solo_epochs,
+                overlappable_events: ep.overlappable_events,
             };
-            pool = wq.pool;
         }
-        let (report, estimates) = self.report(stats);
-        (report, estimates, pool)
+        self.report(stats)
     }
 
     fn report(mut self, stats: ShardedStats) -> (MetricsReport, JobEstimates) {
@@ -985,114 +809,24 @@ fn lookahead_closure(spec: &TopologySpec, map: &ShardMap) -> Vec<u64> {
 /// strictly below their horizon enter the runnable list; the rest are
 /// skipped outright — their lazy utilization samples catch up with
 /// identical values once they do run, so skipping is invisible.
-fn publish_schedule(wq: &mut WorkQueue, delta: &[u64]) {
-    let k = wq.t.len();
-    let active = wq.t.iter().filter(|&&ti| ti != u64::MAX).count();
-    wq.runnable.clear();
-    wq.next = 0;
-    wq.open = false;
-    wq.epoch_events = 0;
-    wq.epoch_max_run = 0;
+fn publish_schedule(ep: &mut EpochState, delta: &[u64]) {
+    let k = ep.t.len();
+    let active = ep.t.iter().filter(|&&ti| ti != u64::MAX).count();
+    ep.runnable.clear();
+    ep.epoch_events = 0;
+    ep.epoch_max_run = 0;
     for j in 0..k {
         let horizon = if active > 1 {
             (0..k)
-                .map(|i| wq.t[i].saturating_add(delta[i * k + j]))
+                .map(|i| ep.t[i].saturating_add(delta[i * k + j]))
                 .min()
                 .expect("at least one shard")
         } else {
             u64::MAX
         };
-        wq.horizons[j] = horizon;
-        if wq.t[j] < horizon {
-            wq.runnable.push(j as u32);
-        }
-    }
-}
-
-/// One worker's loop; all workers run the same one. Whoever holds the
-/// work lock and finds an unclaimed runnable shard claims it.
-///
-/// In an epoch nobody has opened yet the claimer is its publisher (it
-/// has held the lock since it merged the previous epoch): it runs the
-/// shard *without releasing the work lock*, reports, and loops — so an
-/// epoch it finishes alone costs one uncontended shard lock per shard
-/// run and no work-lock traffic at all. The run is budgeted by what is
-/// left of the epoch's rent ([`HANDOFF_EVENTS`]) for as long as other
-/// shards are still unclaimed; when the budget runs out first, the
-/// publisher opens the epoch — wakes as many parked peers as there are
-/// unclaimed shards, releases the work lock — and resumes its shard.
-/// In an open epoch every claimer releases the work lock for the run
-/// and re-takes it to report. The worker whose report completes the
-/// epoch merges inline and publishes the next one.
-///
-/// Locking: a worker waiting for the work lock holds at most the shard
-/// it claimed; the holder of the work lock only ever locks a shard it
-/// has just claimed (held by nobody: its previous runner let go of it
-/// before releasing the work lock it reported under) or, in the merge,
-/// any shard while none is in flight. Neither can block.
-fn worker_loop(shared: &SharedState<'_>, me: usize) {
-    let mut guard = shared.work.lock().expect("work queue poisoned");
-    loop {
-        if guard.stopped {
-            return;
-        }
-        let wq = &mut *guard;
-        if wq.next == wq.runnable.len() {
-            wq.parked += 1;
-            guard = shared.available.wait(guard).expect("work queue poisoned");
-            guard.parked -= 1;
-            continue;
-        }
-        let id = wq.runnable[wq.next] as usize;
-        wq.next += 1;
-        wq.inflight += 1;
-        let horizon = wq.horizons[id];
-        let unclaimed = wq.runnable.len() - wq.next;
-        let mut shard = shared.shards[id].lock().expect("shard poisoned");
-        let processed_before = shard.net.engine.processed();
-        let mut complete = false;
-        if !wq.open {
-            wq.publisher = me;
-            // What is left of the rent (every earlier shard of an unopened
-            // epoch has been run, and reported, by this worker); with
-            // nothing left to hand over there is nothing to rent.
-            let budget = if unclaimed == 0 {
-                u64::MAX
-            } else {
-                wq.rent.saturating_sub(wq.epoch_events)
-            };
-            complete = shard.run(horizon, budget);
-        }
-        if !complete {
-            let mut wake = 0;
-            if !wq.open {
-                wq.open = true;
-                wake = wq.parked.min(unclaimed);
-                wq.pool.handoffs += 1;
-                wq.pool.wakes += wake as u64;
-            }
-            drop(guard);
-            for _ in 0..wake {
-                shared.available.notify_one();
-            }
-            shard.run(horizon, u64::MAX);
-            guard = shared.work.lock().expect("work queue poisoned");
-        }
-        let wq = &mut *guard;
-        let ran = shard.net.engine.processed() - processed_before;
-        report_run(wq, id, &mut shard, ran);
-        drop(shard);
-        if me != wq.publisher {
-            wq.pool.peer_runs += 1;
-            wq.pool.peer_events += ran;
-        }
-        if wq.inflight == 0 && wq.next == wq.runnable.len() {
-            merge_epoch(shared, wq);
-            if wq.stopped {
-                drop(guard);
-                shared.available.notify_all();
-                return;
-            }
+        ep.horizons[j] = horizon;
+        if ep.t[j] < horizon {
+            ep.runnable.push(j as u32);
         }
     }
 }
@@ -1100,16 +834,12 @@ fn worker_loop(shared: &SharedState<'_>, me: usize) {
 /// Reports shard `id`'s finished epoch run of `ran` events: its next
 /// event time and unfinished-job count, and its outbox, handed to the
 /// merge as a stream sorted by `(firing time, send sequence)`.
-fn report_run(wq: &mut WorkQueue, id: usize, shard: &mut Shard<'_>, ran: u64) {
-    wq.t[id] = shard
-        .net
-        .engine
-        .peek_time()
-        .map_or(u64::MAX, SimTime::as_micros);
-    wq.total_unfinished += shard.core.unfinished;
-    wq.total_unfinished -= wq.unfinished[id];
-    wq.unfinished[id] = shard.core.unfinished;
-    shard.net.steal_bufs.append(&mut wq.steal_returns[id]);
+fn report_run(ep: &mut EpochState, id: usize, shard: &mut Shard<'_>, ran: u64) {
+    ep.t[id] = shard.next_time();
+    ep.total_unfinished += shard.core.unfinished;
+    ep.total_unfinished -= ep.unfinished[id];
+    ep.unfinished[id] = shard.core.unfinished;
+    shard.net.steal_bufs.append(&mut ep.steal_returns[id]);
     let pending = &mut shard.net.pending;
     if !pending.is_empty() {
         // Under constant delays the outbox already is sorted (pdqsort
@@ -1117,12 +847,11 @@ fn report_run(wq: &mut WorkQueue, id: usize, shard: &mut Shard<'_>, ran: u64) {
         if pending.len() > 1 {
             pending.sort_unstable_by_key(|env| (env.at.as_micros(), env.seq));
         }
-        debug_assert!(wq.streams[id].is_empty(), "stale merge stream");
-        std::mem::swap(&mut wq.streams[id], pending);
+        debug_assert!(ep.streams[id].is_empty(), "stale merge stream");
+        std::mem::swap(&mut ep.streams[id], pending);
     }
-    wq.epoch_events += ran;
-    wq.epoch_max_run = wq.epoch_max_run.max(ran);
-    wq.inflight -= 1;
+    ep.epoch_events += ran;
+    ep.epoch_max_run = ep.epoch_max_run.max(ran);
 }
 
 /// The zero-sort merge core: drains the per-source outbox `streams`
@@ -1186,53 +915,48 @@ fn route_single_stream(stream: &mut Vec<Envelope>, inboxes: &mut [Vec<Envelope>]
     moved
 }
 
-/// The epoch merge, run inline by whichever worker finished the epoch
-/// (the work lock is held throughout, and no shard is in flight).
-/// Routes the outbox streams the shards reported into per-destination
-/// inboxes in `(firing time, source shard, send sequence)` order,
-/// injects them into the destination engines, then publishes the next
-/// schedule (or stops). Epochs that moved no envelopes skip the merge
-/// machinery entirely, which is the common case for sparse workloads.
-fn merge_epoch(shared: &SharedState<'_>, wq: &mut WorkQueue) {
-    if wq.total_unfinished == 0 {
-        wq.stopped = true;
-        return;
+/// The epoch merge, run once every runnable shard has reported. Routes
+/// the outbox streams into per-destination inboxes in `(firing time,
+/// source shard, send sequence)` order, injects them into the destination
+/// engines, then publishes the next schedule — or returns `false` when
+/// the last job has finished. Epochs that moved no envelopes skip the
+/// merge machinery entirely, which is the common case for sparse
+/// workloads.
+fn merge_epoch(shards: &mut [Shard<'_>], ep: &mut EpochState, delta: &[u64]) -> bool {
+    if ep.total_unfinished == 0 {
+        return false;
     }
-    let mut sources = wq.streams.iter_mut().filter(|s| !s.is_empty());
+    let mut sources = ep.streams.iter_mut().filter(|s| !s.is_empty());
     let moved = match (sources.next(), sources.next()) {
         (None, _) => 0,
-        (Some(only), None) => route_single_stream(only, &mut wq.inboxes),
-        _ => kway_merge_streams(&mut wq.streams, &mut wq.cursors, &mut wq.inboxes),
+        (Some(only), None) => route_single_stream(only, &mut ep.inboxes),
+        _ => kway_merge_streams(&mut ep.streams, &mut ep.cursors, &mut ep.inboxes),
     };
     if moved > 0 {
-        wq.merge_envelopes += moved;
-        for dest in 0..wq.t.len() {
-            if wq.inboxes[dest].is_empty() {
+        ep.merge_envelopes += moved;
+        for (dest, shard) in shards.iter_mut().enumerate() {
+            if ep.inboxes[dest].is_empty() {
                 continue;
             }
-            let mut shard = shared.shards[dest].lock().expect("shard poisoned");
-            shard.inject(&mut wq.inboxes[dest], &mut wq.steal_returns);
+            shard.inject(&mut ep.inboxes[dest], &mut ep.steal_returns);
             // Re-peek: injected envelopes may precede the engine's
             // previous head.
-            wq.t[dest] = shard
-                .net
-                .engine
-                .peek_time()
-                .map_or(u64::MAX, SimTime::as_micros);
+            ep.t[dest] = shard.next_time();
         }
     }
-    let base = wq.t.iter().copied().min().expect("at least one shard");
+    let base = ep.t.iter().copied().min().expect("at least one shard");
     assert!(
         base != u64::MAX,
         "event queues drained with {} unfinished jobs",
-        wq.total_unfinished
+        ep.total_unfinished
     );
-    wq.epochs += 1;
-    wq.solo_epochs += u64::from(wq.runnable.len() == 1);
-    wq.overlappable_events += wq.epoch_events - wq.epoch_max_run;
-    wq.span_accum += base.saturating_sub(wq.last_base);
-    wq.last_base = base;
-    publish_schedule(wq, &shared.delta);
+    ep.epochs += 1;
+    ep.solo_epochs += u64::from(ep.runnable.len() == 1);
+    ep.overlappable_events += ep.epoch_events - ep.epoch_max_run;
+    ep.span_accum += base.saturating_sub(ep.last_base);
+    ep.last_base = base;
+    publish_schedule(ep, delta);
+    true
 }
 
 #[cfg(test)]
@@ -1456,16 +1180,13 @@ mod tests {
         scheduler: Arc<dyn Scheduler>,
         nodes: usize,
         shards: usize,
-        workers: usize,
     ) -> MetricsReport {
         let sim = SimConfig {
             nodes,
             shards,
             ..SimConfig::default()
         };
-        ShardedDriver::new(trace, scheduler, &sim)
-            .with_workers(workers)
-            .run()
+        ShardedDriver::new(trace, scheduler, &sim).run()
     }
 
     #[test]
@@ -1486,217 +1207,13 @@ mod tests {
         for scheduler in schedulers {
             for shards in [1, 2, 3, 4] {
                 let name = scheduler.name();
-                let report = run_sharded(&trace, Arc::clone(&scheduler), 8, shards, 2);
+                let report = run_sharded(&trace, Arc::clone(&scheduler), 8, shards);
                 assert_eq!(report.results.len(), 5, "{name} shards={shards}");
                 for r in &report.results {
                     assert!(r.completion >= r.submission, "{name} shards={shards}");
                 }
             }
         }
-    }
-
-    /// Whether this host can run two workers at once (the "a peer ran"
-    /// assertions are skipped when it cannot).
-    fn multicore() -> bool {
-        std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
-    }
-
-    /// Runs the cell on 1..=4 workers, under the production handoff
-    /// threshold and with every multi-shard epoch opened to the peers at
-    /// once (threshold 0), and asserts the whole report — `ShardedStats`
-    /// included — is byte-equal across all of them. The rent-then-buy
-    /// rule never engages a peer on cells this sparse, so it is the
-    /// threshold-0 legs that make the invariance a statement about real
-    /// cross-thread execution: `PoolStats` must show a worker other than
-    /// the publisher executing a shard.
-    fn assert_worker_count_invariance(trace: &Trace, sim: &SimConfig) {
-        let run = |workers: usize, handoff: Option<u64>| {
-            let mut driver =
-                ShardedDriver::new(trace, Arc::new(Hawk::new(0.25)), sim).with_workers(workers);
-            if let Some(events) = handoff {
-                driver = driver.with_handoff_events(events);
-            }
-            let (report, _, pool) = driver.run_with_pool_stats();
-            (format!("{report:?}"), pool)
-        };
-        let (reference, solo) = run(1, None);
-        assert_eq!(solo, PoolStats::default(), "one worker has no peers");
-        // Which thread wins a claim is the OS scheduler's call, and a
-        // run this short can be over before a peer is even spawned:
-        // repeat the legs until a peer has won one.
-        let mut peer_runs = 0;
-        for _attempt in 0..50 {
-            for workers in 1..=4 {
-                for handoff in [None, Some(0)] {
-                    let (report, pool) = run(workers, handoff);
-                    assert_eq!(report, reference, "workers={workers} handoff={handoff:?}");
-                    if handoff.is_some() {
-                        peer_runs += pool.peer_runs;
-                    }
-                }
-            }
-            if peer_runs > 0 {
-                break;
-            }
-        }
-        if multicore() {
-            assert!(peer_runs > 0, "no peer ever executed a shard");
-        }
-    }
-
-    /// A few hundred overlapping small jobs, for thousands of multi-shard
-    /// epochs an eagerly woken peer can win a claim in.
-    fn busy_trace() -> Trace {
-        let mut jobs: Vec<(u64, Vec<u64>)> = (0..300u64)
-            .map(|i| {
-                let tasks = (0..6).map(|task| 1 + (i * 7 + task * 3) % 30).collect();
-                (i / 2, tasks)
-            })
-            .collect();
-        jobs.insert(0, (0, vec![2_000; 4]));
-        jobs.insert(8, (3, vec![1_800, 1_900]));
-        tiny_trace(jobs)
-    }
-
-    #[test]
-    fn worker_count_does_not_change_results() {
-        let sim = SimConfig {
-            nodes: 12,
-            shards: 4,
-            ..SimConfig::default()
-        };
-        assert_worker_count_invariance(&busy_trace(), &sim);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_results_under_churn() {
-        use hawk_workload::scenario::DynamicsScript;
-        let sim = SimConfig {
-            nodes: 12,
-            shards: 4,
-            dynamics: DynamicsScript::rolling(
-                &[0, 1, 2],
-                SimTime::from_secs(5),
-                SimDuration::from_secs(40),
-                SimDuration::from_secs(20),
-                8,
-            ),
-            ..SimConfig::default()
-        };
-        assert_worker_count_invariance(&busy_trace(), &sim);
-    }
-
-    /// The pathology this pool was rebuilt around, as a count: on a
-    /// sparse Google-like cell — tasks of hundreds of seconds under a
-    /// sub-millisecond lookahead — well over 5 % of the epochs have a
-    /// second runnable shard (the old pool issued a wake-up for each of
-    /// them), but in almost none of them does the publisher get through
-    /// a handoff's worth of events before the other shards are claimed.
-    #[test]
-    fn sparse_cell_wakes_on_under_one_percent_of_epochs() {
-        use hawk_workload::google::{GoogleTraceConfig, GOOGLE_SHORT_PARTITION};
-        let trace = GoogleTraceConfig::with_scale(10, 1_500).generate(crate::DEFAULT_SEED);
-        let sim = SimConfig {
-            nodes: 1_500,
-            shards: 4,
-            topology: Some(TopologySpec::FatTree(hawk_net::FatTreeParams::default())),
-            ..SimConfig::default()
-        };
-        let scheduler = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION).rack_first_stealing());
-        let (report, _, pool) = ShardedDriver::new(&trace, scheduler, &sim)
-            .with_workers(2)
-            .run_with_pool_stats();
-        let stats = report.sharded.expect("sharded run");
-        let multi_shard = stats.epochs - stats.solo_epochs;
-        assert!(
-            multi_shard * 20 > stats.epochs,
-            "cell is not the sparse shape under test: {stats:?}"
-        );
-        assert!(
-            pool.wakes * 100 <= stats.epochs && pool.handoffs * 100 <= stats.epochs,
-            "{pool:?} over {stats:?}"
-        );
-    }
-
-    /// The other side of the rule: large constant network delay (a one
-    /// second lookahead) over many sub-second tasks makes every epoch
-    /// carry hundreds of events per shard, and there the production
-    /// threshold must engage the peers — in every such epoch, bounded
-    /// only by the worker count the driver was given.
-    #[test]
-    fn dense_cell_engages_peers_under_the_production_threshold() {
-        let jobs = (0..300u32)
-            .map(|i| Job {
-                id: JobId(i),
-                submission: SimTime::from_micros(u64::from(i) * 100_000),
-                tasks: (0..16u64)
-                    .map(|task| {
-                        SimDuration::from_micros(
-                            100_000 + (u64::from(i) * 37 + task * 53) % 800_000,
-                        )
-                    })
-                    .collect(),
-                generated_class: None,
-            })
-            .collect();
-        let trace = Trace::new(jobs).unwrap();
-        let sim = SimConfig {
-            nodes: 64,
-            shards: 4,
-            network: hawk_cluster::NetworkModel {
-                delay: SimDuration::from_secs(1),
-                steal_transfer_delay: SimDuration::ZERO,
-            },
-            ..SimConfig::default()
-        };
-        let run = |workers| {
-            let (report, _, pool) = ShardedDriver::new(&trace, Arc::new(Hawk::new(0.25)), &sim)
-                .with_workers(workers)
-                .run_with_pool_stats();
-            (report, pool)
-        };
-
-        let (report, pool) = run(2);
-        let stats = report.sharded.expect("sharded run");
-        assert!(
-            stats.overlappable_events * 2 > report.events,
-            "cell is not the dense shape under test: {stats:?} of {} events",
-            report.events
-        );
-        assert!(pool.handoffs * 2 > stats.epochs, "{pool:?} over {stats:?}");
-        if multicore() {
-            assert!(pool.peer_events > 0, "{pool:?}");
-        }
-
-        let (alone, pool) = run(1);
-        assert_eq!(pool, PoolStats::default(), "one worker has no peers");
-        assert_eq!(format!("{alone:?}"), format!("{report:?}"));
-    }
-
-    /// Peer engagement is bounded by the worker count the driver was
-    /// given and by nothing else — in particular not by the machine's
-    /// core count behind `HAWK_WORKER_BUDGET`'s back.
-    #[test]
-    fn worker_budget_alone_bounds_peer_engagement() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let sim = SimConfig {
-            nodes: 12,
-            shards: 4,
-            ..SimConfig::default()
-        };
-        let trace = busy_trace();
-        let handoffs = |budget: &str| {
-            std::env::set_var("HAWK_WORKER_BUDGET", budget);
-            let driver = ShardedDriver::new(&trace, Arc::new(Hawk::new(0.25)), &sim);
-            std::env::remove_var("HAWK_WORKER_BUDGET");
-            driver
-                .with_handoff_events(0)
-                .run_with_pool_stats()
-                .2
-                .handoffs
-        };
-        assert_eq!(handoffs("1"), 0);
-        assert!(handoffs("3") > 0);
     }
 
     #[test]
@@ -1708,8 +1225,8 @@ mod tests {
             (3, vec![20; 4]),
         ]);
         let hawk: Arc<dyn Scheduler> = Arc::new(Hawk::new(0.2));
-        let a = run_sharded(&trace, Arc::clone(&hawk), 10, 3, 2);
-        let b = run_sharded(&trace, hawk, 10, 3, 2);
+        let a = run_sharded(&trace, Arc::clone(&hawk), 10, 3);
+        let b = run_sharded(&trace, hawk, 10, 3);
         assert_eq!(a.results, b.results);
         assert_eq!(a.events, b.events);
         assert_eq!(a.steals, b.steals);
@@ -1726,7 +1243,7 @@ mod tests {
             jobs.push((1 + i, vec![20u64; 4]));
         }
         let trace = tiny_trace(jobs);
-        let report = run_sharded(&trace, Arc::new(Hawk::new(0.2)), 10, 4, 2);
+        let report = run_sharded(&trace, Arc::new(Hawk::new(0.2)), 10, 4);
         let worst_short = report.results[1..]
             .iter()
             .map(|r| r.runtime().as_secs_f64())
@@ -1759,30 +1276,12 @@ mod tests {
             dynamics: script,
             ..SimConfig::default()
         };
-        let report = ShardedDriver::new(&trace, Arc::new(Hawk::new(0.2)), &sim)
-            .with_workers(3)
-            .run();
+        let report = ShardedDriver::new(&trace, Arc::new(Hawk::new(0.2)), &sim).run();
         assert_eq!(report.results.len(), trace.len());
         for r in &report.results {
             assert!(r.completion >= r.submission);
         }
     }
-
-    #[test]
-    fn worker_budget_env_override_wins() {
-        // Serialize against other env-reading tests via a named lock.
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("HAWK_WORKER_BUDGET", "3");
-        assert_eq!(worker_budget(), 3);
-        std::env::set_var("HAWK_WORKER_BUDGET", "0");
-        assert_eq!(worker_budget(), 1, "zero clamps to one worker");
-        std::env::set_var("HAWK_WORKER_BUDGET", "nonsense");
-        let fallback = worker_budget();
-        assert!(fallback >= 1);
-        std::env::remove_var("HAWK_WORKER_BUDGET");
-    }
-
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn shards_clamp_to_node_count() {

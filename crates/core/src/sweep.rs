@@ -38,7 +38,33 @@ use hawk_workload::Trace;
 use crate::experiment::{Experiment, ExperimentBuilder, IntoTrace};
 use crate::metrics::MetricsReport;
 use crate::scheduler::Scheduler;
-use crate::shard::worker_budget;
+
+/// The number of cells a [`Sweep`] runs at once unless told otherwise.
+///
+/// Defaults to [`std::thread::available_parallelism`]; the
+/// `HAWK_WORKER_BUDGET` environment variable overrides it explicitly
+/// (`0` clamps to 1). The override exists both to pin CI runners to a
+/// known width and to stop oversubscription when several simulations
+/// share a machine.
+///
+/// # Panics
+///
+/// Panics when `HAWK_WORKER_BUDGET` is set to something that is not a
+/// non-negative integer: a run that mistypes its width must not quietly
+/// measure the machine's instead.
+pub fn worker_budget() -> usize {
+    match std::env::var_os("HAWK_WORKER_BUDGET") {
+        Some(raw) => parse_budget(&raw.to_string_lossy()),
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    }
+}
+
+fn parse_budget(raw: &str) -> usize {
+    match raw.trim().parse::<usize>() {
+        Ok(n) => n.max(1),
+        Err(_) => panic!("HAWK_WORKER_BUDGET must be a non-negative integer, got {raw:?}"),
+    }
+}
 
 /// A grid of experiment cells: one base configuration multiplied by axes
 /// of schedulers, traces, cluster sizes, seeds, cutoffs and misestimation
@@ -122,9 +148,8 @@ impl Sweep {
         self
     }
 
-    /// Caps concurrent *cells* (default: the worker budget divided by the
-    /// widest cell's shard count, so `cells × shards-per-cell` never
-    /// exceeds [`worker_budget()`](crate::worker_budget)).
+    /// Caps concurrent *cells* (default:
+    /// [`worker_budget()`](crate::worker_budget)).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -197,41 +222,26 @@ impl Sweep {
     /// result grid. Cell results are bit-identical to a sequential run:
     /// each cell is an independent, seeded simulation.
     ///
-    /// The machine is divided, not oversubscribed: with sharded cells in
-    /// the grid (`SimConfig::shards > 1`), each cell may spin up its own
-    /// shard workers, so the number of concurrently running cells is
-    /// capped at `worker_budget() / max-shards-per-cell` (at least 1)
-    /// and each cell's shard workers get the remaining share. An
-    /// explicit [`Sweep::threads`] overrides the concurrent-cell count;
-    /// `HAWK_WORKER_BUDGET` overrides the total budget.
+    /// Every cell — sharded or not — runs on one thread, so
+    /// `min(worker_budget(), cells)` cells run at once. An explicit
+    /// [`Sweep::threads`] overrides that count; `HAWK_WORKER_BUDGET`
+    /// overrides the budget.
     pub fn run_all(&self) -> SweepResults {
         let cells = self.grid();
-        let budget = worker_budget();
-        let widest = cells
-            .iter()
-            .map(|c| c.sim().shards.max(1))
-            .max()
-            .unwrap_or(1);
         let threads = self
             .threads
-            .unwrap_or_else(|| (budget / widest).max(1))
+            .unwrap_or_else(worker_budget)
             .min(cells.len())
             .max(1);
-        let workers_per_cell = (budget / threads).max(1);
         SweepResults {
-            cells: run_cells(&cells, threads, workers_per_cell),
+            cells: run_cells(&cells, threads),
         }
     }
 
-    /// Runs every cell of the grid on the calling thread, in grid order
-    /// (sharded cells still use their own worker threads internally).
+    /// Runs every cell of the grid on the calling thread, in grid order.
     pub fn run_all_sequential(&self) -> SweepResults {
         SweepResults {
-            cells: self
-                .grid()
-                .iter()
-                .map(|cell| CellResult::run(cell, worker_budget()))
-                .collect(),
+            cells: self.grid().iter().map(CellResult::run).collect(),
         }
     }
 }
@@ -247,7 +257,7 @@ fn or_default<T: Clone>(axis: &[T], base: T) -> Vec<T> {
 /// Executes `cells` on `threads` scoped workers pulling from a shared
 /// index. Results land at their cell's index, so output order equals grid
 /// order regardless of scheduling.
-fn run_cells(cells: &[Experiment], threads: usize, workers_per_cell: usize) -> Vec<CellResult> {
+fn run_cells(cells: &[Experiment], threads: usize) -> Vec<CellResult> {
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<CellResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -255,7 +265,7 @@ fn run_cells(cells: &[Experiment], threads: usize, workers_per_cell: usize) -> V
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(cell) = cells.get(i) else { break };
-                let result = CellResult::run(cell, workers_per_cell);
+                let result = CellResult::run(cell);
                 *slots[i].lock().expect("result slot") = Some(result);
             });
         }
@@ -288,7 +298,7 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    fn run(cell: &Experiment, workers: usize) -> CellResult {
+    fn run(cell: &Experiment) -> CellResult {
         let sim = cell.sim();
         CellResult {
             scheduler: cell.scheduler().name(),
@@ -296,7 +306,7 @@ impl CellResult {
             seed: sim.seed,
             cutoff: sim.cutoff,
             misestimate: sim.misestimate,
-            report: cell.run_with_workers(workers),
+            report: cell.run(),
         }
     }
 }
@@ -435,8 +445,8 @@ mod tests {
 
     #[test]
     fn sharded_cells_match_across_cell_parallelism() {
-        // Sharded cells divide the worker budget between concurrent
-        // cells; the division must not change any cell's results.
+        // Sharded cells run side by side like any other cell; that must
+        // not change any cell's results.
         let sweep = base()
             .shards(2)
             .sweep()
@@ -450,6 +460,33 @@ mod tests {
             assert_eq!(p.report.results, s.report.results);
             assert_eq!(p.report.events, s.report.events);
             assert_eq!(p.report.steals, s.report.steals);
+        }
+    }
+
+    #[test]
+    fn worker_budget_env_override_wins() {
+        // The only test that sets the variable; the sweeps of the other
+        // tests may read it meanwhile and run the same at any width.
+        std::env::set_var("HAWK_WORKER_BUDGET", "3");
+        assert_eq!(worker_budget(), 3);
+        std::env::set_var("HAWK_WORKER_BUDGET", "0");
+        assert_eq!(worker_budget(), 1, "zero clamps to one worker");
+        std::env::remove_var("HAWK_WORKER_BUDGET");
+        assert!(worker_budget() >= 1);
+    }
+
+    /// A set-but-unparsable budget is refused, quoting the value, instead
+    /// of silently falling back to the machine width. (Through
+    /// `parse_budget`, not the environment: a bad value there would
+    /// panic whichever other test's sweep read it.)
+    #[test]
+    fn unparsable_worker_budget_panics_with_the_value() {
+        assert_eq!(parse_budget(" 2\n"), 2, "surrounding whitespace is trimmed");
+        for bad in ["four", "-1", ""] {
+            let payload = std::panic::catch_unwind(|| parse_budget(bad))
+                .expect_err("an unparsable budget must panic");
+            let message = payload.downcast_ref::<String>().expect("formatted panic");
+            assert!(message.contains(&format!("{bad:?}")), "{message}");
         }
     }
 

@@ -10,9 +10,9 @@
 //!    shard through the builder routes to `Driver` and must stay
 //!    byte-identical to every pinned golden digest: the four-scheduler
 //!    grid, the churn + heterogeneous pin, and the fat-tree pin.
-//! 2. **`shards = N` is self-deterministic** — repeated runs (and runs
-//!    with different worker-thread counts) are byte-identical for a fixed
-//!    shard count, on static and churning cells alike.
+//! 2. **`shards = N` is self-deterministic** — repeated runs are
+//!    byte-identical for a fixed shard count, on static and churning
+//!    cells alike — and runs entirely on the calling thread.
 //! 3. **`shards = N` conforms statistically** — short- and long-job
 //!    p50/p90 land within a documented relative bound of the single-shard
 //!    run, the same way `backend_conformance` validates the prototype
@@ -21,10 +21,18 @@
 //! The shard count under test defaults to 4 and can be overridden with
 //! `HAWK_SHARDS` (the CI matrix runs a `HAWK_SHARDS=4` release leg).
 
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 
-use hawk_core::scheduler::{Centralized, Hawk, Scheduler, Sparrow, SplitCluster};
-use hawk_core::{compare, Experiment, FatTreeParams, MetricsReport, SimBackend, TopologySpec};
+use hawk_cluster::{Partition, ServerId};
+use hawk_core::scheduler::{
+    Centralized, Hawk, PlacementView, Scheduler, Sparrow, SplitCluster, StealSpec,
+};
+use hawk_core::{
+    compare, Experiment, FatTreeParams, MetricsReport, Route, SimBackend, TopologySpec,
+};
+use hawk_simcore::SimRng;
 use hawk_workload::google::GOOGLE_SHORT_PARTITION;
 use hawk_workload::scenario::ScenarioSpec;
 use hawk_workload::JobClass;
@@ -153,26 +161,88 @@ fn every_scheduler_completes_every_job_under_sharding() {
     }
 }
 
-/// The worker-thread count is pure execution detail: the epoch merge
-/// commits cross-shard traffic in a canonical order, so one worker and
-/// many workers produce byte-identical reports at golden scale.
-#[test]
-fn worker_count_is_invariant_at_golden_scale() {
-    let shards = shard_count();
-    let exp = Experiment::builder()
-        .scenario(&golden_scenario(), TRACE_SEED)
-        .scheduler_shared(hawk())
-        .nodes(GOLDEN_NODES)
-        .seed(SIM_SEED)
-        .shards(shards)
-        .build();
-    let serial = exp.run_with_workers(1);
-    let parallel = exp.run_with_workers(4);
-    assert_eq!(digest_report(&serial), digest_report(&parallel));
-    assert_eq!(serial.utilization_samples, parallel.utilization_samples);
+/// Hawk, noting which thread consults it.
+struct ThreadRecorder {
+    inner: Hawk,
+    seen: Mutex<HashSet<ThreadId>>,
 }
 
-/// Every simulation entry point honours `shards`: `run_with_workers`,
+impl ThreadRecorder {
+    fn note(&self) {
+        self.seen.lock().unwrap().insert(thread::current().id());
+    }
+}
+
+impl Scheduler for ThreadRecorder {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn short_partition_fraction(&self) -> f64 {
+        self.inner.short_partition_fraction()
+    }
+    fn route(&self, class: JobClass) -> Route {
+        self.note();
+        self.inner.route(class)
+    }
+    fn probe_targets(
+        &self,
+        view: &PlacementView<'_>,
+        tasks: usize,
+        rng: &mut SimRng,
+    ) -> Vec<ServerId> {
+        self.inner.probe_targets(view, tasks, rng)
+    }
+    fn probe_targets_into(
+        &self,
+        view: &PlacementView<'_>,
+        tasks: usize,
+        rng: &mut SimRng,
+        out: &mut Vec<ServerId>,
+    ) {
+        self.note();
+        self.inner.probe_targets_into(view, tasks, rng, out);
+    }
+    fn steal(&self) -> Option<StealSpec> {
+        self.inner.steal()
+    }
+    fn pick_victims_into(
+        &self,
+        partition: &Partition,
+        thief: ServerId,
+        rng: &mut SimRng,
+        scratch: &mut Vec<usize>,
+        out: &mut Vec<ServerId>,
+    ) {
+        self.note();
+        self.inner
+            .pick_victims_into(partition, thief, rng, scratch, out);
+    }
+}
+
+/// The sharded harness runs every epoch on the thread that called it: a
+/// policy recording `thread::current().id()` in `route`,
+/// `probe_targets_into` and `pick_victims_into` over a whole 4-shard run
+/// sees the caller and nobody else. Fails on any version that hands a
+/// shard to a spawned thread (the worker pool this replaced spawned even
+/// its single worker), and on the mutation `std::thread::scope(|s|
+/// s.spawn(|| shard.run(..)))` around the epoch loop's shard run.
+#[test]
+fn sharded_run_stays_on_the_calling_thread() {
+    let recorder = Arc::new(ThreadRecorder {
+        inner: Hawk::new(GOOGLE_SHORT_PARTITION),
+        seen: Mutex::new(HashSet::new()),
+    });
+    let report = run_sharded(&golden_scenario(), recorder.clone(), 4, None);
+    assert!(report.sharded.is_some() && report.steal_attempts > 0);
+    let seen = recorder.seen.lock().unwrap();
+    assert_eq!(
+        *seen,
+        HashSet::from([thread::current().id()]),
+        "a policy call ran off the calling thread"
+    );
+}
+
+/// Every simulation entry point honours `shards`: `run`,
 /// `run_with_estimates` and `SimBackend::run_cell` pick their harness in
 /// one place, so at 4 shards all three are the same sharded run (the
 /// latter two used to build the single-stream driver unconditionally).
@@ -185,7 +255,7 @@ fn every_entry_point_runs_the_sharded_harness() {
         .seed(SIM_SEED)
         .shards(4)
         .build();
-    let direct = cell.run_with_workers(2);
+    let direct = cell.run();
     let (with_estimates, estimates) = cell.run_with_estimates();
     let via_backend = cell.run_on(&SimBackend);
     assert!(direct.sharded.is_some());
