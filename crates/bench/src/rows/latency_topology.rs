@@ -96,10 +96,9 @@ pub(crate) fn run(opts: &HarnessOpts, flags: &[String]) -> Table {
         );
     }
 
-    // Sharded epoch observability: the baseline sweep point once more
-    // through the rack-aligned sharded driver with rack-first stealing —
-    // the configuration whose lookahead matrix is derived from this very
-    // topology. The counters are reporting-only (never digested).
+    // Sharded observability: the baseline sweep point once more through
+    // the rack-aligned sharded driver with rack-first stealing. The
+    // counters are reporting-only (never digested).
     let sharded = cell
         .topology(TopologySpec::FatTreeContended(
             FatTreeParams::default().cross_pod(SimDuration::from_micros(CROSS_POD_US[0])),
@@ -110,13 +109,12 @@ pub(crate) fn run(opts: &HarnessOpts, flags: &[String]) -> Table {
         .run();
     let stats = sharded
         .sharded
-        .expect("the sharded driver must report epoch stats");
+        .expect("the sharded driver must report its stats");
     eprintln!(
-        "latency_topology: rack-aligned 4-shard cell: {} epochs, {} merge envelopes, \
-         {} us avg epoch span, rack-local steal rate {}",
+        "latency_topology: rack-aligned 4-shard cell: {} core hand-overs, {} cross-core \
+         sends, rack-local steal rate {}",
         stats.epochs,
         stats.merge_envelopes,
-        stats.avg_epoch_span_micros,
         sharded
             .network
             .rack_local_steal_rate()

@@ -205,7 +205,7 @@ pub struct SimConfig {
     /// Number of cluster shards the driver partitions the cell into.
     /// `1` (the default) runs the classic single-stream [`Driver`] and
     /// is byte-identical to every pinned golden digest; `K > 1` runs the
-    /// sharded multi-engine driver, whose results are deterministic for a
+    /// sharded driver, whose results are deterministic for a
     /// fixed `K` but digest-*incompatible* across shard counts (each
     /// shard owns an independent RNG stream).
     ///

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use hawk_cluster::{QueueEntry, ServerId, UtilizationTracker};
 use hawk_net::Endpoint;
-use hawk_simcore::{Engine, SimDuration, SimTime};
+use hawk_simcore::{BatchPool, Engine, SimDuration, SimTime};
 use hawk_workload::classify::JobEstimates;
 use hawk_workload::Trace;
 
@@ -24,6 +24,7 @@ use crate::scheduler::Scheduler;
 /// local `engine.schedule`.
 struct Loopback {
     engine: Engine<Event>,
+    stolen: BatchPool<QueueEntry>,
 }
 
 impl Transport for Loopback {
@@ -41,8 +42,8 @@ impl Transport for Loopback {
         true
     }
 
-    fn send_stolen(&mut self, _: SimDuration, _: ServerId, _: &mut Vec<QueueEntry>) {
-        unreachable!("the loopback owns every server: no steal is remote")
+    fn stolen_pool(&mut self) -> &mut BatchPool<QueueEntry> {
+        &mut self.stolen
     }
 }
 
@@ -78,7 +79,12 @@ impl<'t> Driver<'t> {
         // their live population only (`EntrySlab`'s growth contract;
         // `tests/alloc_regression.rs` is the judge).
         let timers = 1 + usize::from(sim.live_window.is_some());
-        let mut engine = core.seed(sim, timers, |_| true);
+        let seeded = trace.len() + sim.dynamics.events().len();
+        let mut engine = Engine::with_capacity(seeded + timers);
+        for (at, event) in protocol::seed_events(trace, sim) {
+            engine.schedule_at(at, event);
+        }
+        core.unfinished = trace.len();
         engine.schedule(sim.util_interval, Event::UtilSample);
         if let Some(window) = sim.live_window {
             engine.schedule(window, Event::LiveSample);
@@ -86,7 +92,10 @@ impl<'t> Driver<'t> {
 
         Driver {
             core,
-            net: Loopback { engine },
+            net: Loopback {
+                engine,
+                stolen: BatchPool::new(),
+            },
             util: UtilizationTracker::new(sim.util_interval),
             util_interval: sim.util_interval,
             live_window: sim.live_window,
@@ -125,7 +134,7 @@ impl<'t> Driver<'t> {
             &mut [&mut self.core],
             |_| 0,
             &self.util,
-            &[&self.net.engine],
+            &self.net.engine,
             None,
         );
         (report, self.core.into_estimates())

@@ -119,7 +119,7 @@ impl Experiment {
     /// the same cell produces bit-identical reports.
     ///
     /// `shards <= 1` (the default) runs the single-stream [`Driver`];
-    /// `shards > 1` runs the sharded multi-engine harness
+    /// `shards > 1` runs the sharded harness
     /// ([`crate::ShardedDriver`]). Sharded results are deterministic per
     /// shard count but not digest-comparable across shard counts.
     pub fn run(&self) -> MetricsReport {
@@ -275,7 +275,7 @@ impl ExperimentBuilder {
     }
 
     /// Sets the shard count: `1` (the default) runs the classic
-    /// single-stream driver, `K > 1` the sharded multi-engine driver.
+    /// single-stream driver, `K > 1` the sharded driver.
     /// See [`SimConfig::shards`] for the determinism contract.
     pub fn shards(mut self, shards: usize) -> Self {
         self.sim.shards = shards;

@@ -12,14 +12,13 @@
 //! record and close paths are allocation-free, which the zero-alloc
 //! regression test enforces.
 //!
-//! The classic driver closes windows from a dedicated self-rescheduling
-//! sampling event; the sharded driver closes them lazily before applying
-//! each event (adding engine events would defeat its quiescence free-run
-//! fast path), exactly like its lazy utilization sampling. Attribution of
-//! events landing on the boundary microsecond therefore follows event
-//! order and may differ between the two drivers; live metrics are
-//! deterministic per driver but are not part of any cross-driver
-//! bit-equality contract (and not part of the golden digests).
+//! Both simulator harnesses close windows from a dedicated
+//! self-rescheduling sampling event (the sharded one closes every core's
+//! recorder on it and merges them at report time). Attribution of events
+//! landing on the boundary microsecond follows event order and may differ
+//! between the two; live metrics are deterministic per harness but are
+//! not part of any cross-harness bit-equality contract (and not part of
+//! the golden digests).
 
 use hawk_simcore::stats::StreamingQuantiles;
 use hawk_simcore::{SimDuration, SimTime};

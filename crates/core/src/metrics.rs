@@ -43,29 +43,18 @@ impl JobResult {
     }
 }
 
-/// Synchronization counters from the sharded driver's conservative epoch
-/// protocol: how many barrier/merge rounds the run took, how many
-/// envelopes crossed shard boundaries, and how far simulated time moved
-/// per round. `None` on every single-stream path. Excluded from the
-/// golden digests (like [`NetworkStats`]): the contract pins *what* the
-/// simulation computed, not how the work was partitioned.
+/// How the sharded driver's one event list was spread over its cores.
+/// `None` on every single-stream path. Excluded from the golden digests
+/// (like [`NetworkStats`]): the contract pins *what* the simulation
+/// computed, not how the work was partitioned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ShardedStats {
-    /// Synchronization epochs executed (merge rounds that advanced the
-    /// epoch base; the final stop round is not counted).
+    /// Maximal runs of consecutive events dispatched to one core: how
+    /// often the global time order hands over from one core to another.
     pub epochs: u64,
-    /// Cross-shard envelopes routed through the epoch merge.
+    /// Sends whose destination endpoint is hosted by another core than the
+    /// sender's — the messages a wire transport would put on the wire.
     pub merge_envelopes: u64,
-    /// Mean simulated microseconds the epoch base advanced per epoch.
-    pub avg_epoch_span_micros: u64,
-    /// Epochs with exactly one runnable shard: nothing in them could
-    /// have run on a second thread.
-    pub solo_epochs: u64,
-    /// Events processed by all but the largest shard run of each epoch,
-    /// summed over the epochs — the most a second thread could ever have
-    /// taken over; against `events`, the parallel fraction of Amdahl's
-    /// law. Like `solo_epochs`, a function of the schedule alone.
-    pub overlappable_events: u64,
 }
 
 /// Tail percentiles of one job class as estimated by the bounded-memory

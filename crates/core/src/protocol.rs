@@ -11,8 +11,9 @@
 //!
 //! * [`crate::Driver`] is a core plus a loopback transport (every send is
 //!   `engine.schedule`) and an eager sampling loop;
-//! * each shard of [`crate::ShardedDriver`] is a core plus an outbox
-//!   transport that maps the destination endpoint to its owning shard.
+//! * [`crate::ShardedDriver`] is `K` cores, each over its own range of
+//!   servers, on one engine: its transport files every send under the
+//!   core that hosts the destination endpoint.
 //!
 //! Everything *policy* — routing, probe placement, steal capability and
 //! victim choice, probe bouncing — is delegated to the [`Scheduler`]
@@ -46,8 +47,8 @@ use crate::scheduler::{PlacementView, Scheduler, StealSpec};
 
 /// A simulation event: a message or timer of the protocol.
 ///
-/// `Copy`: stolen groups wait in the core's batch pool while in flight,
-/// so every variant is a few plain words — which also lets the timing
+/// `Copy`: stolen groups wait in the transport's batch pool while in
+/// flight, so every variant is a few plain words — which also lets the timing
 /// wheel store events in its recycled slab arena (the size is pinned by
 /// a unit test). The single-stream [`crate::Driver`] never emits the
 /// last four variants; they carry what it does by direct state access.
@@ -95,17 +96,17 @@ pub enum Event {
         server: ServerId,
     },
     /// Stolen queue entries reached the thief (only with a non-zero steal
-    /// transfer delay, or from a victim another shard owns).
+    /// transfer delay, or from a victim another core owns).
     ///
-    /// The event carries a 4-byte handle into the core's [`BatchPool`],
-    /// not an owned `Vec`: the stolen group waits in a recycled pool slot
-    /// while in flight, so the steal pipeline allocates nothing in steady
-    /// state.
+    /// The event carries a 4-byte handle into the transport's
+    /// [`BatchPool`], not an owned `Vec`: the stolen group waits in a
+    /// recycled pool slot while in flight, so the steal pipeline allocates
+    /// nothing in steady state.
     StolenArrive {
         /// The thief.
         server: ServerId,
         /// The in-flight stolen group (original queue order), redeemed
-        /// against the receiving core's batch pool on delivery.
+        /// against the transport's pool on delivery.
         batch: BatchHandle,
     },
     /// The centralized scheduler finished processing a job and emits its
@@ -118,11 +119,11 @@ pub enum Event {
     NodeDown(ServerId),
     /// A scripted scenario event: the server rejoins, idle and empty.
     NodeUp(ServerId),
-    /// Periodic utilization snapshot (single-stream harness only; shards
-    /// sample lazily).
+    /// Periodic utilization snapshot: the harness's own timer, never
+    /// dispatched to a core.
     UtilSample,
-    /// Periodic live-metrics window close (single-stream harness only,
-    /// and only under [`SimConfig::live_window`]).
+    /// Periodic live-metrics window close (the harness's own timer, only
+    /// under [`SimConfig::live_window`]).
     LiveSample,
     /// A thief asks the owner of a remote `victim` for one steal scan.
     /// When the scan fails, the victim's owner forwards the request to
@@ -169,9 +170,9 @@ pub type EventCounts = [u64; Event::KINDS.len()];
 
 impl Event {
     /// Labels of the protocol event kinds, in [`EventCounts`] order (the
-    /// enum's). The single-stream harness's two sampling timers never
-    /// reach the core and have no slot, so on that harness the counts sum
-    /// to [`MetricsReport::events`] less the samples taken.
+    /// enum's). A harness's two sampling timers never reach a core and
+    /// have no slot, so the counts sum to [`MetricsReport::events`] less
+    /// the samples taken.
     pub const KINDS: [&'static str; 14] = [
         "job_arrival",
         "probe_arrive",
@@ -218,7 +219,7 @@ const NO_VICTIM: u32 = u32::MAX;
 
 /// What a handler may do to the outside world. Statically dispatched:
 /// the only implementors are the single-stream loopback, the sharded
-/// outbox and the unit tests' recording fake.
+/// router and the unit tests' recording fake.
 pub(crate) trait Transport {
     /// Whether a job's scheduler may sit across the wire from the servers
     /// running its tasks. Decides the two things shared memory and
@@ -238,9 +239,10 @@ pub(crate) trait Transport {
     /// Whether this core holds the authoritative queue of `server`.
     fn owns(&self, server: ServerId) -> bool;
 
-    /// Ships a stolen group to a thief this transport does not own (the
-    /// one message with a payload), draining `entries`.
-    fn send_stolen(&mut self, delay: SimDuration, thief: ServerId, entries: &mut Vec<QueueEntry>);
+    /// Where a stolen group waits while its [`Event::StolenArrive`] is in
+    /// flight (the one message with a payload). One pool per transport, so
+    /// a handle put by the victim's core is redeemed by the thief's.
+    fn stolen_pool(&mut self) -> &mut BatchPool<QueueEntry>;
 }
 
 /// Per-job dynamic state (the job's "distributed scheduler" plus
@@ -314,6 +316,29 @@ impl RunInputs {
     }
 }
 
+/// What a run's engine is seeded with, in seeding order: every job's
+/// arrival, then the dynamics script. The harness addresses them — an
+/// arrival to the job's home core, a scripted change to every core, so
+/// membership stays globally correct — and sizes the event arena for
+/// exactly these plus its own timers; it grows on demand from there.
+pub(crate) fn seed_events<'a>(
+    trace: &'a Trace,
+    sim: &'a SimConfig,
+) -> impl Iterator<Item = (SimTime, Event)> + 'a {
+    let arrivals = trace
+        .jobs()
+        .iter()
+        .map(|job| (job.submission, Event::JobArrival(job.id)));
+    let script = sim.dynamics.events().iter().map(|scripted| {
+        let event = match scripted.change {
+            NodeChange::Down(server) => Event::NodeDown(ServerId(server)),
+            NodeChange::Up(server) => Event::NodeUp(ServerId(server)),
+        };
+        (scripted.at, event)
+    });
+    arrivals.chain(script)
+}
+
 /// The protocol state machine; see the module docs.
 pub(crate) struct Core<'t> {
     trace: &'t Trace,
@@ -355,7 +380,8 @@ pub(crate) struct Core<'t> {
     long_sink: StreamingQuantiles,
     /// Windowed live-metrics recorder, under [`SimConfig::live_window`].
     live: Option<LiveRecorder>,
-    /// Jobs homed here that have not completed.
+    /// Jobs homed here that have not completed; the harness, which knows
+    /// the homing rule, counts them in when it seeds their arrivals.
     pub(crate) unfinished: usize,
     steals: u64,
     steal_attempts: u64,
@@ -369,8 +395,6 @@ pub(crate) struct Core<'t> {
     /// Reservations dropped at node failure because their job had no
     /// unlaunched tasks left (a bind would have been cancelled anyway).
     abandons: u64,
-    /// Owned servers currently out of service.
-    pub(crate) owned_down: usize,
     // Recycled hot-path buffers: the steady-state loop allocates nothing.
     drain_buf: Vec<QueueEntry>,
     victim_scratch: Vec<usize>,
@@ -378,9 +402,6 @@ pub(crate) struct Core<'t> {
     steal_buf: Vec<QueueEntry>,
     probe_buf: Vec<ServerId>,
     place_buf: Vec<ServerId>,
-    /// In-flight stolen groups; [`Event::StolenArrive`] carries handles
-    /// into this pool.
-    pub(crate) stolen_pool: BatchPool<QueueEntry>,
 }
 
 impl<'t> Core<'t> {
@@ -477,43 +498,13 @@ impl<'t> Core<'t> {
             events_by_kind: [0; Event::KINDS.len()],
             migrations: 0,
             abandons: 0,
-            owned_down: 0,
             drain_buf: Vec::with_capacity(4 * max_tasks + 64),
             victim_scratch: Vec::new(),
             victim_buf: Vec::new(),
             steal_buf: Vec::with_capacity(64),
             probe_buf: Vec::with_capacity(4 * max_tasks + 8),
             place_buf: Vec::with_capacity(max_tasks),
-            stolen_pool: BatchPool::new(),
         }
-    }
-
-    /// Builds this core's engine, seeded with the arrivals of the jobs it
-    /// is home to, then the full dynamics script (every core replays it,
-    /// so membership stays globally correct). The event arena starts with
-    /// room for exactly what is seeded plus `timers` events the harness is
-    /// about to add, and grows on demand from there.
-    pub(crate) fn seed(
-        &mut self,
-        sim: &SimConfig,
-        timers: usize,
-        is_home: impl Fn(JobId) -> bool,
-    ) -> Engine<Event> {
-        let homed = || self.trace.jobs().iter().filter(|job| is_home(job.id));
-        self.unfinished = homed().count();
-        let script = sim.dynamics.events();
-        let mut engine = Engine::with_capacity(self.unfinished + script.len() + timers);
-        for job in homed() {
-            engine.schedule_at(job.submission, Event::JobArrival(job.id));
-        }
-        for scripted in script {
-            let event = match scripted.change {
-                NodeChange::Down(server) => Event::NodeDown(ServerId(server)),
-                NodeChange::Up(server) => Event::NodeUp(ServerId(server)),
-            };
-            engine.schedule_at(scripted.at, event);
-        }
-        engine
     }
 
     /// Hands the run's estimates back to the caller; a clone only if
@@ -577,9 +568,6 @@ impl<'t> Core<'t> {
             Event::NodeDown(server) => self.on_node_down(net, server),
             Event::NodeUp(server) => {
                 if self.cluster.revive_server(server) {
-                    if net.owns(server) {
-                        self.owned_down -= 1;
-                    }
                     if let Some(central) = &mut self.central {
                         if server.index() < central.scope() {
                             central.revive(server);
@@ -780,11 +768,10 @@ impl<'t> Core<'t> {
             self.drain_buf = drained;
             return; // already down: duplicate script entry
         }
-        if net.owns(server) {
-            self.owned_down += 1;
-        } else {
-            debug_assert!(drained.is_empty(), "a non-owned server held queue entries");
-        }
+        debug_assert!(
+            net.owns(server) || drained.is_empty(),
+            "a non-owned server held queue entries"
+        );
         if let Some(central) = &mut self.central {
             if server.index() < central.scope() {
                 central.fail(server);
@@ -1063,7 +1050,7 @@ impl<'t> Core<'t> {
             } else {
                 // Park the group in a recycled pool slot while it is in
                 // flight; the event carries only the 4-byte handle.
-                let batch = self.stolen_pool.put(&mut self.steal_buf);
+                let batch = net.stolen_pool().put(&mut self.steal_buf);
                 net.send(
                     transfer,
                     Endpoint::Server(thief),
@@ -1146,12 +1133,20 @@ impl<'t> Core<'t> {
         let (from, to) = (Endpoint::Server(victim), Endpoint::Server(thief));
         let transfer = self.topology.steal_transfer(now, from, to);
         let delay = self.topology.delay(now, from, to) + transfer;
-        net.send_stolen(delay, thief, &mut self.steal_buf);
+        let batch = net.stolen_pool().put(&mut self.steal_buf);
+        net.send(
+            delay,
+            to,
+            Event::StolenArrive {
+                server: thief,
+                batch,
+            },
+        );
     }
 
     fn on_stolen<T: Transport>(&mut self, net: &mut T, server: ServerId, batch: BatchHandle) {
         debug_assert!(net.owns(server));
-        self.stolen_pool.take_into(batch, &mut self.steal_buf);
+        net.stolen_pool().take_into(batch, &mut self.steal_buf);
         if self.cluster.is_down(server) {
             // The thief failed mid-transfer: relocate the group in queue
             // order, like a drained queue.
@@ -1222,13 +1217,13 @@ fn central_scope(long: &Route, short: &Route) -> Option<Scope> {
 /// from each job's home core (`home_of`), counters summed, live windows
 /// merged, and the other cores' streaming sinks folded into the first
 /// (exact — the merged histogram is bit-identical to one global sink fed
-/// the same runtimes — and allocation-free). Utilization and the engines
-/// come from the harness, which owns sampling and the event lists.
-pub(crate) fn report(
+/// the same runtimes — and allocation-free). Utilization and the engine
+/// come from the harness, which owns sampling and the event list.
+pub(crate) fn report<E: Copy>(
     cores: &mut [&mut Core<'_>],
     home_of: impl Fn(JobId) -> usize,
     util: &UtilizationTracker,
-    engines: &[&Engine<Event>],
+    engine: &Engine<E>,
     sharded: Option<ShardedStats>,
 ) -> MetricsReport {
     let (first, rest) = cores
@@ -1279,7 +1274,6 @@ pub(crate) fn report(
     }
     let recorders: Vec<&LiveRecorder> = cores.iter().filter_map(|c| c.live.as_ref()).collect();
     let sum = |counter: fn(&Core<'_>) -> u64| cores.iter().map(|c| counter(c)).sum();
-    let sum_engines = |counter: fn(&Engine<Event>) -> u64| engines.iter().map(|e| counter(e)).sum();
 
     MetricsReport {
         scheduler: first.scheduler.name(),
@@ -1289,15 +1283,15 @@ pub(crate) fn report(
         max_utilization: util.max().unwrap_or(0.0),
         utilization_samples: util.samples().to_vec(),
         makespan,
-        events: sum_engines(Engine::processed),
+        events: engine.processed(),
         steals: sum(|c| c.steals),
         steal_attempts: sum(|c| c.steal_attempts),
         steal_scans: sum(|c| c.steal_scans),
         events_by_kind,
         queue_nodes_high_water: sum(|c| c.cluster.queues().allocated_nodes() as u64),
         queue_arena_growths: sum(|c| u64::from(c.cluster.queues().growths())),
-        pending_events_high_water: sum_engines(|e| e.pending_high_water() as u64),
-        event_arena_growths: sum_engines(|e| u64::from(e.arena_growths())),
+        pending_events_high_water: engine.pending_high_water() as u64,
+        event_arena_growths: u64::from(engine.arena_growths()),
         migrations: sum(|c| c.migrations),
         abandons: sum(|c| c.abandons),
         network,
@@ -1334,7 +1328,7 @@ mod tests {
         now: SimTime,
         owned: std::ops::Range<u32>,
         sent: Vec<(SimDuration, Endpoint, Event)>,
-        stolen: Vec<(ServerId, Vec<QueueEntry>)>,
+        stolen: BatchPool<QueueEntry>,
     }
 
     impl<const REMOTE: bool> RecordingTransport<REMOTE> {
@@ -1343,7 +1337,7 @@ mod tests {
                 now: SimTime::from_secs(1),
                 owned,
                 sent: Vec::new(),
-                stolen: Vec::new(),
+                stolen: BatchPool::new(),
             }
         }
     }
@@ -1363,8 +1357,8 @@ mod tests {
             self.owned.contains(&server.0)
         }
 
-        fn send_stolen(&mut self, _: SimDuration, thief: ServerId, entries: &mut Vec<QueueEntry>) {
-            self.stolen.push((thief, std::mem::take(entries)));
+        fn stolen_pool(&mut self) -> &mut BatchPool<QueueEntry> {
+            &mut self.stolen
         }
     }
 
@@ -1584,7 +1578,7 @@ mod tests {
         assert_eq!((asker, to, victim), (thief, victim, expected[0]));
         assert_eq!(rest, [expected[1].0, expected[2].0, expected[3].0]);
         assert_eq!((core.steal_attempts, core.steals), (1, 0));
-        assert!(net.stolen.is_empty());
+        assert_eq!(net.stolen.in_flight(), 0);
     }
 
     /// The steal-candidate index in `try_steal`: a picked victim that holds
@@ -1708,10 +1702,23 @@ mod tests {
                 },
             )]
         ));
-        assert!(net.stolen.is_empty());
+        assert_eq!(net.stolen.in_flight(), 0);
 
         core.dispatch(&mut net, request(0));
-        assert_eq!(net.stolen, [(ServerId(19), vec![blocked])]);
+        let Some(&(
+            ONE_WAY,
+            Endpoint::Server(ServerId(19)),
+            Event::StolenArrive {
+                server: ServerId(19),
+                batch,
+            },
+        )) = net.sent.last()
+        else {
+            panic!("expected the stolen group last, got {:?}", net.sent);
+        };
+        let mut shipped = Vec::new();
+        net.stolen.take_into(batch, &mut shipped);
+        assert_eq!(shipped, [blocked]);
         assert_eq!(core.steals, 1);
     }
 }

@@ -1,94 +1,44 @@
-//! Sharded driver: conservative multi-engine discrete-event simulation
-//! for 100k+-node cells.
+//! Sharded driver: `K` protocol cores, each over its own range of
+//! servers, on one event list — the message-passing rendering of Hawk for
+//! 100k+-node cells.
 //!
 //! [`ShardedDriver`] partitions the cluster into `K` contiguous shards.
-//! Each shard owns a slice of servers and runs its own [`Engine`], RNG
-//! streams, recycled buffers and topology instance; shards advance in
-//! *epochs* bounded by a conservative lookahead horizon and exchange
-//! messages only between epochs, through a deterministic merge. The
-//! result is deterministic for a fixed shard count `K`.
+//! Each shard is a protocol [`Core`] that stores only the servers it owns,
+//! with its own RNG streams, recycled buffers and topology instance. The
+//! cores share nothing but the harness's one [`Engine`]: the loop pops the
+//! next event in global `(time, insertion sequence)` order and dispatches
+//! it to the core that hosts its destination endpoint. A core reaches
+//! another only by sending: [`Router::send`] resolves the destination
+//! endpoint to its hosting core — servers by the [`ShardMap`] range that
+//! holds them, job schedulers by [`distributed_home`], the central
+//! scheduler on core 0 — and files the event under it, so every cross-core
+//! interaction is a message priced by the topology, and
+//! [`Transport::owns`] answers for the range of the core being
+//! dispatched. The run is deterministic for a fixed shard count `K`, and
+//! any message delay is legal, zero included.
 //!
-//! # The epoch loop (sequential, on the calling thread)
+//! This is not a parallel simulation and does not try to be one: on
+//! Google-trace cells, where tasks last hundreds of seconds against
+//! sub-millisecond message delays, conservative per-shard engines found
+//! about two events per synchronisation round, and a second worker
+//! thread bought 0.99–1.04x. The parallelism Hawk's evaluation needs is
+//! across cells ([`crate::Sweep`]). This harness exists for node-count
+//! scaling and to keep the [`Transport`] seam honest for a wire transport:
+//! [`ShardedStats::merge_envelopes`] counts the sends that would cross
+//! that wire, [`ShardedStats::epochs`] the maximal runs of consecutive
+//! events on one core.
 //!
-//! Each epoch runs its *runnable* shards (those with an event below
-//! their horizon) one after another in ascending id on the calling
-//! thread, merges what they emitted and computes the next horizons;
-//! nothing in this file spawns, locks or wakes anything. An earlier
-//! version ran an epoch's shards on a worker pool, and the ledger retired
-//! it: a second worker bought 0.99–1.04x at every measured size
-//! (`BENCH_perf.json` schema v7, `wall_vs_workers1` 1.013 / 0.993 / 1.042
-//! / 1.021 at 15k / 50k / 100k / 15k-rack nodes); 83–93 % of epochs have
-//! exactly one runnable shard — Google-trace tasks last hundreds of
-//! seconds under a sub-millisecond fat-tree lookahead, and
-//! [`ShardedStats::solo_epochs`] / [`ShardedStats::overlappable_events`]
-//! report that shape for any cell; and the only cell that ever engaged a
-//! second worker was a unit test built to engage it. The parallelism
-//! Hawk's evaluation needs is across cells ([`crate::Sweep`]). This
-//! harness exists for node-count scaling and to keep the [`Transport`]
-//! seam honest for a wire transport, not as a speedup.
-//!
-//! # Synchronization contract
-//!
-//! Lookahead is a per-shard-pair matrix `D`, not one global constant.
-//! The one-hop floor `Δ[i][j]` is the cheapest message any endpoint
-//! hosted in shard `i` can deliver to shard `j`: under a rack-aligned
-//! map on a fat tree this is [`TopologySpec::min_delay_between`] of the
-//! two owned ranges (cross-pod pairs are far "wider apart" than
-//! neighbours), otherwise the global
-//! [`TopologySpec::min_message_delay`]. `D` is the shortest-*walk*
-//! closure of `Δ` (Floyd–Warshall with an unreachable diagonal), so
-//! `D[i][j]` also lower-bounds multi-epoch relay chains `i → m → j`,
-//! and `D[j][j]` is the cheapest cycle by which shard `j`'s own
-//! emission can come back to haunt it. Each epoch:
-//!
-//! 1. every *runnable* shard `j` (one with an event strictly below its
-//!    horizon `H[j]`) processes its local events up to `H[j]`,
-//!    buffering cross-shard messages in an outbox kept sorted by
-//!    `(firing time, send sequence)`; shards with nothing below their
-//!    horizon are skipped entirely;
-//! 2. once every runnable shard has reported, the outbox streams are
-//!    k-way-merged in `(firing time, source shard, send sequence)`
-//!    order — a total order independent of which shard ran first, and
-//!    the exact order a concat-and-sort would produce — injecting each
-//!    envelope directly into its destination engine without sorting or
-//!    allocating;
-//! 3. the next horizons are `H'[j] = min over i of t[i] + D[i][j]`,
-//!    where `t[i]` is the firing time of shard `i`'s next pending event
-//!    (re-peeked after injection, so delivered envelopes are counted).
-//!
-//! Any event shard `i` processes fires at `≥ t[i]`, so any message it
-//! sends (or causes, transitively) into shard `j` arrives at
-//! `≥ t[i] + D[i][j] ≥ H'[j]` — never inside the receiving shard's
-//! processed past. Inbox injection therefore uses
-//! [`Engine::try_schedule_at`], which turns any violation of this
-//! argument into a hard error in **both** build profiles instead of the
-//! release-mode clamp that would silently reorder causality.
-//!
-//! **Quiescence fast-path:** when exactly one shard has a pending event
-//! (`t[i] = ∞` for every other `i`), no horizon can bind before that
-//! shard emits — the merge publishes `H[j] = ∞` and the sole active
-//! shard *free-runs*: it processes events without a horizon until it
-//! emits a cross-shard envelope, finishes its last home job, or
-//! exhausts a large event budget. Utilization sampling is lazy (see
-//! below) so an idle shard's queue really is empty rather than ticking
-//! a sampling clock, which is what lets the fast path fire.
-//!
-//! **Lazy utilization sampling:** the single-threaded driver schedules
-//! a `UtilSample` event every `util_interval`. Here that would keep
-//! every idle shard's `t[i]` finite forever (and a self-rescheduling
-//! event would livelock a free-run), so samples are not events: each
-//! shard records all sample points `≤ t` immediately before processing
-//! an event at `t`, and catches up to its horizon at epoch end —
-//! sound, because no arrival can land below the horizon, so the
-//! sampled state cannot change there. Sample *values* are identical to
-//! the eager scheme (cluster state only changes at events); sampled
-//! events are no longer counted in `events`.
+//! Sampling is the harness's, exactly as in [`Driver`]: a `UtilSample`
+//! timer every `util_interval` records the cores' summed running count
+//! over the cluster's usable capacity, a `LiveSample` timer closes every
+//! core's live window, and neither reaches a core.
 //!
 //! # Owned-range clusters
 //!
 //! Every shard's [`hawk_cluster::Cluster`] stores the servers of its own
 //! range only ([`hawk_cluster::Cluster::ranged`] over [`ShardMap::range`])
-//! and replays the complete dynamics script. Global server ids therefore
+//! and replays the complete dynamics script (each `NodeDown` / `NodeUp`
+//! is seeded once per core). Global server ids therefore
 //! need no translation and liveness-aware placement (`PlacementView`,
 //! victim filters) sees correct membership everywhere, at a few bytes per
 //! non-owned server instead of a dead `Server` struct each: the cluster
@@ -105,24 +55,20 @@
 //! boundaries to the largest geometry unit that still leaves at least
 //! one unit per shard — pods when the cluster has enough of them,
 //! racks otherwise, plain servers as the degenerate fallback. Racks are
-//! then never split across shards, every shard pair sits a full
-//! cross-rack (usually cross-pod) hop apart — which is exactly what
-//! makes the lookahead matrix wide — and under rack-first stealing a
+//! then never split across shards, and under rack-first stealing a
 //! thief's rack-local victims are always shard-local. Distributed jobs
 //! are homed on the shard that owns the host of their scheduler
-//! endpoint (`job id mod nodes`) so every scheduler-source message
-//! originates in its home shard and the per-pair floors apply to
-//! scheduler traffic too; without geometry the home stays
-//! `job id mod K`.
+//! endpoint (`job id mod nodes`), so a scheduler sits on the core of the
+//! host the topology prices its messages from; without geometry the home
+//! stays `job id mod K`.
 //!
-//! # Divergences from the single-threaded [`Driver`]
+//! # Divergences from the single-stream [`Driver`]
 //!
 //! Every shard runs the same protocol [`Core`] as [`Driver`]; this file
-//! is only the multi-engine harness (shard map, lookahead closure, epoch
-//! loop, k-way merge, lazy sampling, report merge). What differs is what
-//! message passing makes unavoidable, each decided at one line — which is
-//! also why `shards <= 1` runs [`Driver`] (byte-identical to every pinned
-//! golden digest) and only `K > 1` runs here:
+//! is only the `K`-core harness (shard map, router, loop, report). What
+//! differs is what message passing makes unavoidable, each decided at one
+//! line — which is also why `shards <= 1` runs [`Driver`] (byte-identical
+//! to every pinned golden digest) and only `K > 1` runs here:
 //!
 //! * completion is measured at the home scheduler: bookkeeping travels
 //!   server → scheduler as a message, so a job completes one network
@@ -139,22 +85,20 @@
 //! * contention state and RNG streams are per shard: each core builds
 //!   its own topology instance, so contended fat-trees approximate
 //!   global link state, and splits its own probe/steal/scenario streams
-//!   (`Core::new`, called once per shard);
-//! * sampling is lazy (identical values, different tail truncation at
-//!   run end, not counted as engine events): `Shard::sample_up_to`.
+//!   (`Core::new`, called once per shard).
 //!
-//! Headline metrics stay within a few percent of the single-threaded
+//! Headline metrics stay within a few percent of the single-stream
 //! driver (the conformance suite pins a bound); digests are comparable
 //! only between runs with the same `K`.
 //!
 //! [`Driver`]: crate::Driver
-//! [`TopologySpec::min_message_delay`]: hawk_net::TopologySpec::min_message_delay
+//! [`TopologySpec::rack_geometry`]: hawk_net::TopologySpec::rack_geometry
 
 use std::sync::Arc;
 
 use hawk_cluster::{QueueEntry, ServerId, UtilizationTracker};
-use hawk_net::{Endpoint, RackGeometry, TopologySpec};
-use hawk_simcore::{Engine, SimDuration, SimTime};
+use hawk_net::{Endpoint, RackGeometry};
+use hawk_simcore::{BatchPool, Engine, SimDuration, SimTime};
 use hawk_workload::classify::JobEstimates;
 use hawk_workload::{JobId, Trace};
 
@@ -223,8 +167,7 @@ impl ShardMap {
     }
 
     /// Whether shard boundaries are aligned to topology geometry (and
-    /// therefore scheduler endpoints are homed by owner, and the
-    /// lookahead matrix may use per-pair range floors).
+    /// therefore scheduler endpoints are homed by owner).
     fn rack_aligned(&self) -> bool {
         self.align > 1
     }
@@ -249,112 +192,35 @@ impl ShardMap {
     }
 }
 
-/// A cross-shard message payload.
-#[derive(Debug)]
-enum WireMsg {
-    /// An ordinary event for the destination shard's engine.
-    Ev(Event),
-    /// A remote steal's stolen group, carried in an owned `Vec` that
-    /// returns to the sending shard once emptied (local steals stay in
-    /// the recycled batch pool).
-    Stolen {
-        thief: ServerId,
-        entries: Vec<QueueEntry>,
-    },
-}
-
-/// A cross-shard message in flight between epochs.
-#[derive(Debug)]
-struct Envelope {
-    at: SimTime,
-    dest: u32,
-    src: u32,
-    /// Per-source send sequence; `(at, src, seq)` totally orders all
-    /// envelopes of a run independently of thread interleaving.
-    seq: u64,
-    msg: WireMsg,
-}
-
-/// One raw utilization sample of a shard's owned slice.
+/// An event in the run's one engine, filed under the core that hosts its
+/// destination endpoint.
 #[derive(Debug, Clone, Copy)]
-struct UtilSampleRaw {
-    running: u32,
-    down_running: u32,
-    owned_down: u32,
+struct Routed {
+    core: u32,
+    event: Event,
 }
 
-/// The state the epoch loop carries from one epoch to the next: the
-/// current schedule, every shard's next event time, the merge buffers and
-/// the counters that become [`ShardedStats`].
-struct EpochState {
-    /// Shard ids with work this epoch (`t[j] < H[j]`), ascending.
-    runnable: Vec<u32>,
-    /// Events processed this epoch, and the largest single shard run.
-    epoch_events: u64,
-    epoch_max_run: u64,
-    /// Per-shard horizons, raw microseconds; `u64::MAX` is the
-    /// free-run sentinel (quiescence fast-path).
-    horizons: Vec<u64>,
-    /// `t[i]`: shard `i`'s next pending event (`u64::MAX` = drained).
-    t: Vec<u64>,
-    /// Cached per-shard unfinished-home-job counts, plus their sum
-    /// (maintained incrementally from epoch reports).
-    unfinished: Vec<usize>,
-    total_unfinished: usize,
-    /// Per-source outbox streams, swapped in from the shards as they
-    /// report; empty between epochs.
-    streams: Vec<Vec<Envelope>>,
-    /// Read cursor per stream.
-    cursors: Vec<usize>,
-    /// Recycled per-destination delivery buffers.
-    inboxes: Vec<Vec<Envelope>>,
-    /// Emptied remote-steal payload buffers on their way back to the
-    /// shard that sent them, which collects them with its next report.
-    steal_returns: Vec<Vec<Vec<QueueEntry>>>,
-    epochs: u64,
-    solo_epochs: u64,
-    overlappable_events: u64,
-    merge_envelopes: u64,
-    span_accum: u64,
-    last_base: u64,
+/// The sharded transport: one engine and one stolen-group pool for the
+/// whole run. A send resolves the destination endpoint to the core that
+/// hosts it — servers by ownership, job schedulers by the homing rule, the
+/// central scheduler on core 0 — and files the event under that core.
+struct Router {
+    engine: Engine<Routed>,
+    stolen: BatchPool<QueueEntry>,
+    /// The id range each core owns, `[start, end)`, ascending.
+    ranges: Vec<(u32, u32)>,
+    /// Home core of every job, by job index: where its scheduler endpoint
+    /// (central jobs: the central scheduler) is hosted.
+    homes: Vec<u32>,
+    /// The core being dispatched (none before the first event) and the id
+    /// range it owns.
+    at: u32,
+    own: (u32, u32),
+    /// Sends addressed to another core than the one that sent them.
+    cross_core_sends: u64,
 }
 
-/// The outbox transport: maps a destination endpoint to the shard that
-/// hosts it — servers by ownership, job schedulers by the homing rule,
-/// the central scheduler on shard 0 — and schedules locally or buffers
-/// an [`Envelope`] for the epoch merge.
-struct Outbox {
-    id: usize,
-    map: ShardMap,
-    own_start: u32,
-    own_end: u32,
-    engine: Engine<Event>,
-    pending: Vec<Envelope>,
-    seq: u64,
-    /// Payload buffers of this shard's earlier remote steals, emptied by
-    /// the receiver and handed back through
-    /// [`EpochState::steal_returns`]. Remote steals mostly flow one way
-    /// (into the shard that holds the short partition), so a buffer has
-    /// to return to its sender to be reused; the population is the
-    /// sender's peak of steals in flight.
-    steal_bufs: Vec<Vec<QueueEntry>>,
-}
-
-impl Outbox {
-    fn post(&mut self, delay: SimDuration, dest: usize, msg: WireMsg) {
-        debug_assert_ne!(dest, self.id, "local messages bypass the outbox");
-        self.seq += 1;
-        self.pending.push(Envelope {
-            at: self.engine.now() + delay,
-            dest: dest as u32,
-            src: self.id as u32,
-            seq: self.seq,
-            msg,
-        });
-    }
-}
-
-impl Transport for Outbox {
+impl Transport for Router {
     const REMOTE_SCHEDULERS: bool = true;
 
     fn now(&self) -> SimTime {
@@ -362,189 +228,58 @@ impl Transport for Outbox {
     }
 
     fn send(&mut self, delay: SimDuration, to: Endpoint, event: Event) {
-        let dest = match to {
-            Endpoint::Server(server) if self.owns(server) => self.id,
-            Endpoint::Server(server) => self.map.owner(server),
-            Endpoint::Scheduler(job) => distributed_home(&self.map, JobId(job)),
+        let core = match to {
+            Endpoint::Server(server) if self.owns(server) => self.at,
+            // A scan: there are a handful of cores.
+            Endpoint::Server(server) => self
+                .ranges
+                .iter()
+                .take_while(|own| own.1 <= server.0)
+                .count() as u32,
+            Endpoint::Scheduler(job) => self.homes[job as usize],
             Endpoint::Central => 0,
         };
-        if dest == self.id {
-            self.engine.schedule(delay, event);
-        } else {
-            self.post(delay, dest, WireMsg::Ev(event));
-        }
+        self.cross_core_sends += u64::from(core != self.at);
+        self.engine.schedule(delay, Routed { core, event });
     }
 
     fn owns(&self, server: ServerId) -> bool {
-        (self.own_start..self.own_end).contains(&server.0)
+        (self.own.0..self.own.1).contains(&server.0)
     }
 
-    fn send_stolen(&mut self, delay: SimDuration, thief: ServerId, entries: &mut Vec<QueueEntry>) {
-        // A copy: the core's recycled batch buffer keeps its capacity.
-        let mut buf = self.steal_bufs.pop().unwrap_or_default();
-        buf.append(entries);
-        let msg = WireMsg::Stolen {
-            thief,
-            entries: buf,
-        };
-        self.post(delay, self.map.owner(thief), msg);
-    }
-}
-
-/// One shard: a protocol [`Core`] over a slice of owned servers, with its
-/// own engine, outbox and lazy sampling state.
-struct Shard<'t> {
-    core: Core<'t>,
-    net: Outbox,
-    util_interval: SimDuration,
-    /// Next lazy utilization sample point (see the module docs).
-    next_sample: SimTime,
-    samples: Vec<UtilSampleRaw>,
-}
-
-impl Shard<'_> {
-    /// Firing time of the next pending event, raw microseconds
-    /// (`u64::MAX` = drained).
-    fn next_time(&self) -> u64 {
-        self.net
-            .engine
-            .peek_time()
-            .map_or(u64::MAX, SimTime::as_micros)
-    }
-
-    /// Commits one epoch's merged inbox into the engine. Every envelope
-    /// must fire at or after the local clock — the epoch horizon
-    /// guarantees it, and `try_schedule_at` makes any violation a hard
-    /// error in both build profiles.
-    fn inject(&mut self, inbox: &mut Vec<Envelope>, steal_returns: &mut [Vec<Vec<QueueEntry>>]) {
-        for env in inbox.drain(..) {
-            let event = match env.msg {
-                WireMsg::Ev(event) => event,
-                WireMsg::Stolen { thief, mut entries } => {
-                    let batch = self.core.stolen_pool.put(&mut entries);
-                    steal_returns[env.src as usize].push(entries);
-                    Event::StolenArrive {
-                        server: thief,
-                        batch,
-                    }
-                }
-            };
-            if let Err(err) = self.net.engine.try_schedule_at(env.at, event) {
-                panic!(
-                    "cross-shard event delivered in shard {}'s past \
-                     (epoch-horizon violation): {err}",
-                    self.net.id
-                );
-            }
-        }
-    }
-
-    /// Records every lazy utilization sample point at or before `limit`
-    /// with the *current* cluster state. Callers guarantee no event
-    /// below `limit` remains unprocessed, and state between events is
-    /// constant, so the values match the single-threaded driver's eager
-    /// `UtilSample` events (a sample coinciding with an event reads the
-    /// pre-event state).
-    fn sample_up_to(&mut self, limit: SimTime) {
-        while self.next_sample <= limit {
-            self.samples.push(UtilSampleRaw {
-                running: self.core.cluster.running_count() as u32,
-                down_running: self.core.cluster.down_running_count() as u32,
-                owned_down: self.core.owned_down as u32,
-            });
-            self.next_sample += self.util_interval;
-        }
-        // Live-metrics windows close on the same lazy schedule. The
-        // cluster only ever runs owned tasks, so its utilization is
-        // this shard's *share* of the whole-cluster occupancy —
-        // `LiveRecorder::merge` sums the shares at report time.
-        self.core.close_live_windows(limit);
-    }
-
-    /// Handles the event just popped at `t`, first catching lazy sampling
-    /// up to its firing time (sampling reads no engine state, so it may
-    /// follow the pop).
-    fn step(&mut self, t: SimTime, event: Event) {
-        self.sample_up_to(t);
-        self.core.dispatch(&mut self.net, event);
-    }
-
-    /// One epoch run: to `horizon` (raw microseconds), or free-running
-    /// under the `u64::MAX` sentinel.
-    fn run(&mut self, horizon: u64) {
-        if horizon == u64::MAX {
-            self.run_free();
-        } else {
-            self.run_until(SimTime::from_micros(horizon));
-        }
-    }
-
-    /// Processes local events strictly below `horizon`, then catches
-    /// utilization sampling up to it (no cross-shard arrival can land
-    /// below it, so the state there is final).
-    fn run_until(&mut self, horizon: SimTime) {
-        while let Some((t, event)) = self.net.engine.pop_before(horizon) {
-            self.step(t, event);
-        }
-        self.sample_up_to(horizon);
-    }
-
-    /// The quiescence fast-path: this shard is the only one with a
-    /// pending event, so nothing can interfere before it emits. Process
-    /// events without a horizon until the first cross-shard envelope is
-    /// buffered, the last home job completes (its queue may still be
-    /// draining bookkeeping that another shard waits on), or a large
-    /// budget runs out (a backstop bounding epoch length).
-    fn run_free(&mut self) {
-        const FREE_RUN_EVENT_BUDGET: u32 = 1 << 22;
-        let entered_unfinished = self.core.unfinished > 0;
-        for _ in 0..FREE_RUN_EVENT_BUDGET {
-            let Some((t, event)) = self.net.engine.pop() else {
-                break;
-            };
-            self.step(t, event);
-            if !self.net.pending.is_empty() || (entered_unfinished && self.core.unfinished == 0) {
-                break;
-            }
-        }
+    fn stolen_pool(&mut self) -> &mut BatchPool<QueueEntry> {
+        &mut self.stolen
     }
 }
 
 /// The sharded driver. Construct with [`ShardedDriver::new`],
 /// consume with [`ShardedDriver::run`]; see the module docs for the
-/// synchronization contract and the divergences from [`crate::Driver`].
+/// design and the divergences from [`crate::Driver`].
 pub struct ShardedDriver<'t> {
-    shards: Vec<Shard<'t>>,
-    /// Home shard of every job, by job index.
-    homes: Vec<u32>,
-    /// Shortest-walk closure of the per-shard-pair one-hop delay
-    /// floors, row-major `[src * K + dst]`, raw microseconds. The
-    /// diagonal is the cheapest cycle back to the shard itself (never
-    /// zero), so a shard's own emissions bound its horizon too.
-    delta: Vec<u64>,
+    cores: Vec<Core<'t>>,
+    net: Router,
+    util: UtilizationTracker,
+    util_interval: SimDuration,
+    live_window: Option<SimDuration>,
 }
 
 impl<'t> ShardedDriver<'t> {
     /// Builds a sharded driver for `sim.shards` shards (clamped to the
     /// node or alignment-unit count). When the topology exposes rack
-    /// geometry the shard map aligns to it and the lookahead matrix uses
-    /// per-pair range floors (module docs).
+    /// geometry the shard map aligns to it (module docs).
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration (like [`crate::Driver`]) and
-    /// when any shard pair's minimum message delay is zero —
-    /// conservative parallel execution requires positive lookahead.
+    /// Panics on inconsistent configuration, like [`crate::Driver`].
     pub fn new(trace: &'t Trace, scheduler: Arc<dyn Scheduler>, sim: &SimConfig) -> Self {
-        let spec = sim.topology_spec();
-        let align = ShardMap::pick_align(sim.nodes, sim.shards.max(1), spec.rack_geometry());
+        let geometry = sim.topology_spec().rack_geometry();
+        let align = ShardMap::pick_align(sim.nodes, sim.shards.max(1), geometry);
         let map = ShardMap::aligned(sim.nodes, sim.shards, align);
-        let delta = lookahead_closure(&spec, &map);
         let mut inputs = RunInputs::new(trace, sim);
 
         // Home assignment is computable up front: class (and therefore
         // route) depends only on the precomputed estimates. Central jobs
-        // live on shard 0, which hosts the central endpoint.
+        // live on core 0, which hosts the central endpoint.
         let homes: Vec<u32> = trace
             .jobs()
             .iter()
@@ -559,45 +294,60 @@ impl<'t> ShardedDriver<'t> {
 
         // Cores are built in shard order, each splitting its RNG streams
         // off the shared root (frozen order, see [`RunInputs`]).
-        let shards = (0..map.shards)
-            .map(|s| {
-                let (own_start, own_end) = map.range(s);
-                let owned = own_start..own_end;
-                let mut core = Core::new(trace, Arc::clone(&scheduler), sim, &mut inputs, owned);
-                // Utilization sampling is lazy, not an engine event
-                // (module docs): the shard adds no timer of its own.
-                let engine = core.seed(sim, 0, |job| homes[job.index()] as usize == s);
-                Shard {
-                    core,
-                    net: Outbox {
-                        id: s,
-                        map,
-                        own_start,
-                        own_end,
-                        engine,
-                        pending: Vec::new(),
-                        seq: 0,
-                        steal_bufs: Vec::new(),
-                    },
-                    util_interval: sim.util_interval,
-                    next_sample: SimTime::ZERO + sim.util_interval,
-                    samples: Vec::with_capacity(256),
-                }
+        let mut cores: Vec<Core<'t>> = (0..map.shards)
+            .map(|core| {
+                let (start, end) = map.range(core);
+                Core::new(trace, Arc::clone(&scheduler), sim, &mut inputs, start..end)
             })
             .collect();
 
+        // The event arena starts with room for what is seeded — every
+        // arrival, the script once per core, this harness's one or two
+        // timers — and grows on demand, like `Driver`'s.
+        let timers = 1 + usize::from(sim.live_window.is_some());
+        let seeded = trace.len() + cores.len() * sim.dynamics.events().len();
+        let mut engine = Engine::with_capacity(seeded + timers);
+        for (at, event) in protocol::seed_events(trace, sim) {
+            if let Event::JobArrival(job) = event {
+                let core = homes[job.index()];
+                cores[core as usize].unfinished += 1;
+                engine.schedule_at(at, Routed { core, event });
+            } else {
+                // Every core keeps the whole cluster's membership.
+                for core in 0..cores.len() as u32 {
+                    engine.schedule_at(at, Routed { core, event });
+                }
+            }
+        }
+        let timer = |event| Routed { core: 0, event };
+        engine.schedule(sim.util_interval, timer(Event::UtilSample));
+        if let Some(window) = sim.live_window {
+            engine.schedule(window, timer(Event::LiveSample));
+        }
+
         ShardedDriver {
-            shards,
-            homes,
-            delta,
+            cores,
+            net: Router {
+                engine,
+                stolen: BatchPool::new(),
+                ranges: (0..map.shards).map(|core| map.range(core)).collect(),
+                homes,
+                at: u32::MAX,
+                own: (0, 0),
+                cross_core_sends: 0,
+            },
+            util: UtilizationTracker::new(sim.util_interval),
+            util_interval: sim.util_interval,
+            live_window: sim.live_window,
         }
     }
 
-    /// Ignores its argument: the epochs run on the calling thread. Kept
-    /// only because the frozen benchmark (`hawkbench/layers.rs`) calls it;
-    /// owed to the benchmark-only PR, like `Cluster::reserve_queue_nodes`.
-    /// hawkbench's `core.shard_speedup_w2_over_w1` and
-    /// `core.shard_cpu_over_wall` therefore read ≈ 1.0 by construction.
+    /// Ignores its argument: the run is one loop on the calling thread.
+    /// Kept only because the frozen benchmark (`hawkbench/layers.rs`) calls
+    /// it; owed to the benchmark-only PR, like
+    /// `Cluster::reserve_queue_nodes`. hawkbench's
+    /// `core.shard_speedup_w2_over_w1` and `core.shard_cpu_over_wall`
+    /// therefore read ≈ 1.0 by construction.
     #[doc(hidden)]
     pub fn with_workers(self, _workers: usize) -> Self {
         self
@@ -605,358 +355,100 @@ impl<'t> ShardedDriver<'t> {
 
     /// The number of shards this driver was built with.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.cores.len()
     }
 
     /// Runs the simulation to completion and reports merged metrics.
     ///
     /// # Panics
     ///
-    /// Panics if every event queue drains before all jobs complete, or
-    /// if a cross-shard message violates the epoch-horizon contract.
+    /// Panics if the event queue drains before every job completes, which
+    /// indicates a scheduling-liveness bug.
     pub fn run(self) -> MetricsReport {
         self.run_with_estimates().0
     }
 
     /// Like [`ShardedDriver::run`], but also returns the (possibly
-    /// misestimated) per-job estimates every shard scheduled by.
+    /// misestimated) per-job estimates every core scheduled by.
     ///
     /// # Panics
     ///
     /// Panics like [`ShardedDriver::run`].
     pub fn run_with_estimates(mut self) -> (MetricsReport, JobEstimates) {
-        let shard_count = self.shards.len();
-        let total_unfinished: usize = self.shards.iter().map(|s| s.core.unfinished).sum();
-        let mut stats = ShardedStats::default();
-        if total_unfinished > 0 {
-            let t: Vec<u64> = self.shards.iter().map(Shard::next_time).collect();
-            let base = t.iter().copied().min().expect("at least one shard");
-            assert!(base != u64::MAX, "unfinished jobs but no pending events");
-            let mut ep = EpochState {
-                runnable: Vec::with_capacity(shard_count),
-                epoch_events: 0,
-                epoch_max_run: 0,
-                horizons: vec![0; shard_count],
-                unfinished: self.shards.iter().map(|s| s.core.unfinished).collect(),
-                total_unfinished,
-                streams: (0..shard_count).map(|_| Vec::new()).collect(),
-                cursors: vec![0; shard_count],
-                inboxes: (0..shard_count).map(|_| Vec::new()).collect(),
-                steal_returns: (0..shard_count).map(|_| Vec::new()).collect(),
-                t,
-                epochs: 0,
-                solo_epochs: 0,
-                overlappable_events: 0,
-                merge_envelopes: 0,
-                span_accum: 0,
-                last_base: base,
+        let mut unfinished: usize = self.cores.iter().map(|core| core.unfinished).sum();
+        let mut epochs = 0;
+        while unfinished > 0 {
+            let Some((now, Routed { core, event })) = self.net.engine.pop() else {
+                panic!("event queue drained with {unfinished} unfinished jobs");
             };
-            // Taken, so it is freed before the report merge (the heap's peak).
-            let delta = std::mem::take(&mut self.delta);
-            publish_schedule(&mut ep, &delta);
-            // The merge order depends only on what an epoch's shards
-            // emitted, never on the order they ran in; ascending id is
-            // simply the order `runnable` is built in.
-            loop {
-                for i in 0..ep.runnable.len() {
-                    let id = ep.runnable[i] as usize;
-                    let shard = &mut self.shards[id];
-                    let processed_before = shard.net.engine.processed();
-                    shard.run(ep.horizons[id]);
-                    let ran = shard.net.engine.processed() - processed_before;
-                    report_run(&mut ep, id, shard, ran);
+            match event {
+                Event::UtilSample => {
+                    // Every core replays the whole script, so any one of
+                    // them knows the cluster's in-service count; running
+                    // and draining servers are counted where they are owned.
+                    let clusters = || self.cores.iter().map(|core| &core.cluster);
+                    let running: usize = clusters().map(|c| c.running_count()).sum();
+                    let draining: usize = clusters().map(|c| c.down_running_count()).sum();
+                    let usable = self.cores[0].cluster.live_count() + draining;
+                    self.util.record(running as f64 / usable.max(1) as f64);
+                    self.net
+                        .engine
+                        .schedule(self.util_interval, Routed { core, event });
                 }
-                if !merge_epoch(&mut self.shards, &mut ep, &delta) {
-                    break;
+                Event::LiveSample => {
+                    // A core's cluster only ever runs owned tasks, so its
+                    // utilization is its *share* of the whole-cluster
+                    // occupancy; `LiveRecorder::merge` sums the shares.
+                    let window = self.live_window.expect("LiveSample implies a live window");
+                    for core in &mut self.cores {
+                        core.close_live_windows(now);
+                    }
+                    self.net.engine.schedule(window, Routed { core, event });
+                }
+                event => {
+                    if core != self.net.at {
+                        epochs += 1;
+                        self.net.at = core;
+                        self.net.own = self.net.ranges[core as usize];
+                    }
+                    let core = &mut self.cores[core as usize];
+                    let before = core.unfinished;
+                    core.dispatch(&mut self.net, event);
+                    unfinished -= before - core.unfinished;
                 }
             }
-            stats = ShardedStats {
-                epochs: ep.epochs,
-                merge_envelopes: ep.merge_envelopes,
-                avg_epoch_span_micros: ep.span_accum / ep.epochs.max(1),
-                solo_epochs: ep.solo_epochs,
-                overlappable_events: ep.overlappable_events,
-            };
         }
-        self.report(stats)
-    }
 
-    fn report(mut self, stats: ShardedStats) -> (MetricsReport, JobEstimates) {
-        // Merge utilization: every shard samples on the same schedule,
-        // so sample i exists in all shards (truncate defensively) and
-        // the cluster-wide ratio is the summed numerator over the
-        // summed usable capacity of the owned slices.
-        let mut util = UtilizationTracker::new(self.shards[0].util_interval);
-        let sample_count = self
-            .shards
-            .iter()
-            .map(|s| s.samples.len())
-            .min()
-            .unwrap_or(0);
-        for i in 0..sample_count {
-            let mut running = 0u64;
-            let mut usable = 0u64;
-            for shard in &self.shards {
-                let sample = shard.samples[i];
-                let own_len = (shard.net.own_end - shard.net.own_start) as u64;
-                running += sample.running as u64;
-                usable += own_len - sample.owned_down as u64 + sample.down_running as u64;
-            }
-            util.record(running as f64 / usable.max(1) as f64);
-        }
-        let (mut cores, engines): (Vec<&mut Core<'t>>, Vec<&Engine<Event>>) = self
-            .shards
-            .iter_mut()
-            .map(|s| (&mut s.core, &s.net.engine))
-            .unzip();
+        let stats = ShardedStats {
+            epochs,
+            merge_envelopes: self.net.cross_core_sends,
+        };
+        let mut cores: Vec<&mut Core<'t>> = self.cores.iter_mut().collect();
         let report = protocol::report(
             &mut cores,
-            |job| self.homes[job.index()] as usize,
-            &util,
-            &engines,
+            |job| self.net.homes[job.index()] as usize,
+            &self.util,
+            &self.net.engine,
             Some(stats),
         );
         // Every core shares the estimates; the last one standing owns them.
-        let last = self.shards.into_iter().last();
-        (
-            report,
-            last.expect("at least one shard").core.into_estimates(),
-        )
+        let last = self.cores.into_iter().last().expect("at least one shard");
+        (report, last.into_estimates())
     }
 }
 
 /// Home shard of a *distributed* job. Under a rack-aligned map the home
 /// is the shard owning the host of the job's scheduler endpoint
-/// (`job id mod nodes`, see [`Endpoint::host`]), so every
-/// scheduler-source message originates in its home shard and the
-/// per-pair lookahead floors hold; otherwise jobs are dealt round-robin
-/// so scheduler-side work spreads evenly. Central jobs live on shard 0
-/// (which owns host 0, the central endpoint).
+/// (`job id mod nodes`, see [`Endpoint::host`]), so a scheduler runs on the
+/// core of the host its messages are priced from; otherwise jobs are dealt
+/// round-robin so scheduler-side work spreads evenly. Central jobs live on
+/// shard 0 (which owns host 0, the central endpoint).
 fn distributed_home(map: &ShardMap, job: JobId) -> usize {
     if map.rack_aligned() {
         map.owner(ServerId((job.index() % map.nodes.max(1)) as u32))
     } else {
         job.index() % map.shards
     }
-}
-
-/// Builds the lookahead matrix: per-pair one-hop delay floors closed
-/// under shortest walks (Floyd–Warshall), row-major `[src * K + dst]`,
-/// raw microseconds. Under a rack-aligned map the one-hop floor of a
-/// pair is the minimum delay between the two owned host ranges (every
-/// endpoint hosted in shard `i` — servers by ownership, schedulers by
-/// the homing rule — maps to a host in `i`'s range); otherwise
-/// scheduler endpoints are scattered and only the global minimum is a
-/// valid floor. The closed diagonal is the cheapest cycle through each
-/// shard, bounding the feedback of a shard's own emissions.
-///
-/// # Panics
-///
-/// Panics when any one-hop floor is zero: conservative parallel
-/// execution requires positive lookahead.
-fn lookahead_closure(spec: &TopologySpec, map: &ShardMap) -> Vec<u64> {
-    let k = map.shards;
-    let global = spec.min_message_delay().as_micros();
-    let mut delta = vec![u64::MAX; k * k];
-    for i in 0..k {
-        for j in 0..k {
-            if i == j {
-                continue;
-            }
-            let floor = if map.rack_aligned() {
-                let (a0, a1) = map.range(i);
-                let (b0, b1) = map.range(j);
-                spec.min_delay_between((a0 as usize, a1 as usize), (b0 as usize, b1 as usize))
-                    .as_micros()
-            } else {
-                global
-            };
-            assert!(
-                floor > 0,
-                "sharded execution requires a positive minimum network delay \
-                 between shards {i} and {j} (the lookahead of conservative \
-                 parallel simulation)"
-            );
-            delta[i * k + j] = floor;
-        }
-    }
-    for m in 0..k {
-        for i in 0..k {
-            let im = delta[i * k + m];
-            if im == u64::MAX {
-                continue;
-            }
-            for j in 0..k {
-                let mj = delta[m * k + j];
-                if mj == u64::MAX {
-                    continue;
-                }
-                let via = im.saturating_add(mj);
-                if via < delta[i * k + j] {
-                    delta[i * k + j] = via;
-                }
-            }
-        }
-    }
-    delta
-}
-
-/// Publishes the next epoch's schedule from the merged `t` vector:
-/// horizon `H[j] = min over i of t[i] + D[i][j]`, or the `u64::MAX`
-/// free-run sentinel for everyone when at most one shard has anything
-/// pending (the quiescence fast-path — with no second actor, no bound
-/// binds before the sole active shard emits). Only shards with work
-/// strictly below their horizon enter the runnable list; the rest are
-/// skipped outright — their lazy utilization samples catch up with
-/// identical values once they do run, so skipping is invisible.
-fn publish_schedule(ep: &mut EpochState, delta: &[u64]) {
-    let k = ep.t.len();
-    let active = ep.t.iter().filter(|&&ti| ti != u64::MAX).count();
-    ep.runnable.clear();
-    ep.epoch_events = 0;
-    ep.epoch_max_run = 0;
-    for j in 0..k {
-        let horizon = if active > 1 {
-            (0..k)
-                .map(|i| ep.t[i].saturating_add(delta[i * k + j]))
-                .min()
-                .expect("at least one shard")
-        } else {
-            u64::MAX
-        };
-        ep.horizons[j] = horizon;
-        if ep.t[j] < horizon {
-            ep.runnable.push(j as u32);
-        }
-    }
-}
-
-/// Reports shard `id`'s finished epoch run of `ran` events: its next
-/// event time and unfinished-job count, and its outbox, handed to the
-/// merge as a stream sorted by `(firing time, send sequence)`.
-fn report_run(ep: &mut EpochState, id: usize, shard: &mut Shard<'_>, ran: u64) {
-    ep.t[id] = shard.next_time();
-    ep.total_unfinished += shard.core.unfinished;
-    ep.total_unfinished -= ep.unfinished[id];
-    ep.unfinished[id] = shard.core.unfinished;
-    shard.net.steal_bufs.append(&mut ep.steal_returns[id]);
-    let pending = &mut shard.net.pending;
-    if !pending.is_empty() {
-        // Under constant delays the outbox already is sorted (pdqsort
-        // detects the run in O(n)); topology delays can reorder.
-        if pending.len() > 1 {
-            pending.sort_unstable_by_key(|env| (env.at.as_micros(), env.seq));
-        }
-        debug_assert!(ep.streams[id].is_empty(), "stale merge stream");
-        std::mem::swap(&mut ep.streams[id], pending);
-    }
-    ep.epoch_events += ran;
-    ep.epoch_max_run = ep.epoch_max_run.max(ran);
-}
-
-/// The zero-sort merge core: drains the per-source outbox `streams`
-/// (each already sorted by `(firing time, send sequence)`) into the
-/// per-destination `inboxes` in global `(firing time, source shard,
-/// send sequence)` order — exactly what concatenating every stream and
-/// sorting by that key would produce, without sorting or allocating —
-/// and leaves every stream empty. Returns the number of envelopes moved.
-///
-/// Linear argmin over the stream heads: k is small (≤ tens), so this
-/// beats a binary heap and keeps the order trivially equal to the sort
-/// key. Consumed slots are back-filled with an inert placeholder
-/// instead of shifting the stream.
-fn kway_merge_streams(
-    streams: &mut [Vec<Envelope>],
-    cursors: &mut [usize],
-    inboxes: &mut [Vec<Envelope>],
-) -> u64 {
-    cursors.fill(0);
-    let mut moved = 0u64;
-    loop {
-        let mut best: Option<(usize, (u64, u32, u64))> = None;
-        for (src, stream) in streams.iter().enumerate() {
-            if let Some(env) = stream.get(cursors[src]) {
-                let key = (env.at.as_micros(), env.src, env.seq);
-                if best.is_none_or(|(_, bk)| key < bk) {
-                    best = Some((src, key));
-                }
-            }
-        }
-        let Some((src, _)) = best else { break };
-        let env = std::mem::replace(
-            &mut streams[src][cursors[src]],
-            Envelope {
-                at: SimTime::ZERO,
-                dest: 0,
-                src: 0,
-                seq: 0,
-                msg: WireMsg::Ev(Event::TaskDone { job: JobId(0) }),
-            },
-        );
-        cursors[src] += 1;
-        moved += 1;
-        inboxes[env.dest as usize].push(env);
-    }
-    for stream in streams {
-        stream.clear();
-    }
-    moved
-}
-
-/// The merge of an epoch in which one shard emitted, which is most of
-/// them: with a single source the `(firing time, source shard, send
-/// sequence)` order is the stream's own order, so the envelopes go
-/// straight to their inboxes.
-fn route_single_stream(stream: &mut Vec<Envelope>, inboxes: &mut [Vec<Envelope>]) -> u64 {
-    let moved = stream.len() as u64;
-    for env in stream.drain(..) {
-        inboxes[env.dest as usize].push(env);
-    }
-    moved
-}
-
-/// The epoch merge, run once every runnable shard has reported. Routes
-/// the outbox streams into per-destination inboxes in `(firing time,
-/// source shard, send sequence)` order, injects them into the destination
-/// engines, then publishes the next schedule — or returns `false` when
-/// the last job has finished. Epochs that moved no envelopes skip the
-/// merge machinery entirely, which is the common case for sparse
-/// workloads.
-fn merge_epoch(shards: &mut [Shard<'_>], ep: &mut EpochState, delta: &[u64]) -> bool {
-    if ep.total_unfinished == 0 {
-        return false;
-    }
-    let mut sources = ep.streams.iter_mut().filter(|s| !s.is_empty());
-    let moved = match (sources.next(), sources.next()) {
-        (None, _) => 0,
-        (Some(only), None) => route_single_stream(only, &mut ep.inboxes),
-        _ => kway_merge_streams(&mut ep.streams, &mut ep.cursors, &mut ep.inboxes),
-    };
-    if moved > 0 {
-        ep.merge_envelopes += moved;
-        for (dest, shard) in shards.iter_mut().enumerate() {
-            if ep.inboxes[dest].is_empty() {
-                continue;
-            }
-            shard.inject(&mut ep.inboxes[dest], &mut ep.steal_returns);
-            // Re-peek: injected envelopes may precede the engine's
-            // previous head.
-            ep.t[dest] = shard.next_time();
-        }
-    }
-    let base = ep.t.iter().copied().min().expect("at least one shard");
-    assert!(
-        base != u64::MAX,
-        "event queues drained with {} unfinished jobs",
-        ep.total_unfinished
-    );
-    ep.epochs += 1;
-    ep.solo_epochs += u64::from(ep.runnable.len() == 1);
-    ep.overlappable_events += ep.epoch_events - ep.epoch_max_run;
-    ep.span_accum += base.saturating_sub(ep.last_base);
-    ep.last_base = base;
-    publish_schedule(ep, delta);
-    true
 }
 
 #[cfg(test)]
@@ -1056,109 +548,6 @@ mod tests {
         assert_eq!(ShardMap::pick_align(48, 4, Some(geo)), 1);
         // No geometry: always single servers.
         assert_eq!(ShardMap::pick_align(1024, 4, None), 1);
-    }
-
-    fn env(at: u64, src: u32, seq: u64, dest: u32) -> Envelope {
-        Envelope {
-            at: SimTime::from_micros(at),
-            dest,
-            src,
-            seq,
-            msg: WireMsg::Ev(Event::TaskDone { job: JobId(0) }),
-        }
-    }
-
-    proptest::proptest! {
-        /// The zero-sort k-way merge against its model: concatenating
-        /// every outbox stream and sorting by `(firing time, source
-        /// shard, send sequence)` must route exactly the same envelopes
-        /// to each destination inbox, in exactly the same order.
-        #[test]
-        fn kway_merge_matches_sort_model(
-            raw in proptest::collection::vec(
-                proptest::collection::vec((0u64..200, 0u32..5), 0..40),
-                1..6,
-            ),
-        ) {
-            let k = raw.len() as u32;
-            let mut streams: Vec<Vec<Envelope>> = raw
-                .iter()
-                .enumerate()
-                .map(|(src, sends)| {
-                    // seq is assigned in send order, then the outbox is
-                    // sorted by (at, seq) — exactly what a shard does.
-                    let mut stream: Vec<Envelope> = sends
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(at, dest))| env(at, src as u32, i as u64, dest % k))
-                        .collect();
-                    stream.sort_unstable_by_key(|e| (e.at.as_micros(), e.seq));
-                    stream
-                })
-                .collect();
-            let mut model: Vec<(u64, u32, u64, u32)> = streams
-                .iter()
-                .flatten()
-                .map(|e| (e.at.as_micros(), e.src, e.seq, e.dest))
-                .collect();
-            model.sort_unstable();
-            let mut model_inboxes: Vec<Vec<(u64, u32, u64)>> = vec![Vec::new(); k as usize];
-            for (at, src, seq, dest) in &model {
-                model_inboxes[*dest as usize].push((*at, *src, *seq));
-            }
-
-            let mut cursors = vec![0usize; k as usize];
-            let mut inboxes: Vec<Vec<Envelope>> = (0..k).map(|_| Vec::new()).collect();
-            let moved = kway_merge_streams(&mut streams, &mut cursors, &mut inboxes);
-
-            proptest::prop_assert_eq!(moved as usize, model.len());
-            for dest in 0..k as usize {
-                let got: Vec<(u64, u32, u64)> = inboxes[dest]
-                    .iter()
-                    .map(|e| (e.at.as_micros(), e.src, e.seq))
-                    .collect();
-                proptest::prop_assert_eq!(&got, &model_inboxes[dest], "dest {}", dest);
-            }
-        }
-    }
-
-    proptest::proptest! {
-        /// The single-source shortcut against the merge it bypasses: one
-        /// sorted outbox stream must reach every inbox in exactly the
-        /// `(firing time, source shard, send sequence)` order
-        /// [`kway_merge_streams`] delivers.
-        #[test]
-        fn single_source_epoch_matches_kway_merge(
-            sends in proptest::collection::vec((0u64..200, 0u32..4), 0..40),
-            src in 0u32..4,
-        ) {
-            let stream = || {
-                let mut stream: Vec<Envelope> = sends
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(at, dest))| env(at, src, i as u64, dest))
-                    .collect();
-                stream.sort_unstable_by_key(|e| (e.at.as_micros(), e.seq));
-                stream
-            };
-            let keys = |inboxes: &[Vec<Envelope>]| -> Vec<Vec<(u64, u32, u64)>> {
-                inboxes
-                    .iter()
-                    .map(|inbox| inbox.iter().map(|e| (e.at.as_micros(), e.src, e.seq)).collect())
-                    .collect()
-            };
-
-            let mut streams: Vec<Vec<Envelope>> = (0..4).map(|_| Vec::new()).collect();
-            streams[src as usize] = stream();
-            let mut merged: Vec<Vec<Envelope>> = (0..4).map(|_| Vec::new()).collect();
-            let moved = kway_merge_streams(&mut streams, &mut [0; 4], &mut merged);
-
-            let mut only = stream();
-            let mut routed: Vec<Vec<Envelope>> = (0..4).map(|_| Vec::new()).collect();
-            proptest::prop_assert_eq!(route_single_stream(&mut only, &mut routed), moved);
-            proptest::prop_assert!(only.is_empty());
-            proptest::prop_assert_eq!(keys(&routed), keys(&merged));
-        }
     }
 
     fn tiny_trace(jobs: Vec<(u64, Vec<u64>)>) -> Trace {
@@ -1281,6 +670,64 @@ mod tests {
         for r in &report.results {
             assert!(r.completion >= r.submission);
         }
+    }
+
+    /// Every core replays the whole dynamics script: a server that is down
+    /// before any work arrives runs nothing, whichever core owns it and
+    /// whichever core's scheduler is probing. One server per core, one
+    /// job homed on each, nine 100 s tasks: on the two live servers one
+    /// of them runs at least five. A core that missed the `NodeDown` of
+    /// its own server runs tasks there and finishes early.
+    #[test]
+    fn a_down_server_runs_nothing_whichever_core_owns_it() {
+        use hawk_workload::scenario::DynamicsScript;
+        let trace = tiny_trace(vec![(5, vec![100; 3]); 3]);
+        for victim in 0..3 {
+            let sim = SimConfig {
+                nodes: 3,
+                shards: 3,
+                dynamics: DynamicsScript::none().down_at(SimTime::from_secs(1), victim),
+                util_interval: SimDuration::from_secs(10),
+                ..SimConfig::default()
+            };
+            let report = ShardedDriver::new(&trace, Arc::new(Sparrow::new()), &sim).run();
+            assert!(
+                report.makespan >= SimTime::from_secs(5 + 500),
+                "server {victim} worked while down: makespan {}",
+                report.makespan
+            );
+            assert!(report.max_utilization <= 1.0, "server {victim}");
+        }
+    }
+
+    /// Any message delay is a legal sharded cell, zero included (a zero
+    /// one-way delay used to be refused at construction: conservative
+    /// epochs needed a positive minimum delay between shards).
+    #[test]
+    fn zero_delay_network_runs_sharded() {
+        use hawk_cluster::NetworkModel;
+        let mut jobs = vec![(0, vec![5_000u64; 8])];
+        for i in 0..5 {
+            jobs.push((1 + i, vec![20u64; 4]));
+        }
+        jobs.push((6, vec![1_500, 1_600]));
+        let trace = tiny_trace(jobs);
+        let sim = SimConfig {
+            nodes: 10,
+            shards: 3,
+            network: NetworkModel::zero(),
+            ..SimConfig::default()
+        };
+        let run = || ShardedDriver::new(&trace, Arc::new(Hawk::new(0.2)), &sim).run();
+        let (a, b) = (run(), run());
+        assert_eq!(a.results.len(), trace.len());
+        for (job, r) in trace.jobs().iter().zip(&a.results) {
+            assert!(r.runtime() >= job.critical_task(), "{r:?}");
+        }
+        assert!(a.steals > 0, "the blocked shorts are rescued across cores");
+        assert_eq!(a.results, b.results);
+        assert_eq!((a.events, a.steals), (b.events, b.steals));
+        assert_eq!(a.utilization_samples, b.utilization_samples);
     }
 
     #[test]

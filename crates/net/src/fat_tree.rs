@@ -120,96 +120,6 @@ impl FatTreeParams {
         let micros = (self.msg_tx.as_micros() as f64 * self.oversubscription.max(1.0)).round();
         SimDuration::from_micros(micros as u64)
     }
-
-    /// The uncontended delay of one message of link class `class`: class
-    /// propagation plus the per-link transmission sum. This is exactly what
-    /// [`FatTree`] charges and a lower bound on what [`FatTreeContended`]
-    /// charges (queueing only ever adds on top, and store-and-forward
-    /// traversal never undercuts the transmission sum).
-    fn class_floor(&self, class: LinkClass) -> SimDuration {
-        let prop = match class {
-            LinkClass::SameHost | LinkClass::RackLocal => self.rack_local,
-            LinkClass::CrossRack => self.cross_rack,
-            LinkClass::CrossPod => self.cross_pod,
-        };
-        let tx = match class {
-            LinkClass::SameHost => SimDuration::ZERO,
-            LinkClass::RackLocal => self.msg_tx * 2,
-            LinkClass::CrossRack | LinkClass::CrossPod => self.msg_tx * 2 + self.rack_tx() * 2,
-        };
-        prop + tx
-    }
-
-    /// A lower bound on the delay of any message from a source hosted in
-    /// `src_hosts` to a destination hosted in `dst_hosts` (half-open,
-    /// non-empty host ranges): the cheapest link class some host pair in
-    /// the two ranges can realize.
-    ///
-    /// No cost-monotonicity across classes is assumed — the minimum is
-    /// taken over the *achievable* classes explicitly, so pathological
-    /// parameter sets (e.g. cross-pod cheaper than rack-local) still get a
-    /// sound bound.
-    pub fn min_delay_between(
-        &self,
-        src_hosts: (usize, usize),
-        dst_hosts: (usize, usize),
-    ) -> SimDuration {
-        let (a0, a1) = src_hosts;
-        let (b0, b1) = dst_hosts;
-        debug_assert!(a0 < a1 && b0 < b1, "host ranges must be non-empty");
-        let hpr = self.hosts_per_rack.max(1);
-        let rpp = self.racks_per_pod.max(1);
-        // Contiguous host ranges cover contiguous rack and pod intervals
-        // (inclusive).
-        let (ra0, ra1) = (a0 / hpr, (a1 - 1) / hpr);
-        let (rb0, rb1) = (b0 / hpr, (b1 - 1) / hpr);
-        let (pa0, pa1) = (ra0 / rpp, ra1 / rpp);
-        let (pb0, pb1) = (rb0 / rpp, rb1 / rpp);
-
-        let mut floor: Option<SimDuration> = None;
-        let mut consider = |achievable: bool, class: LinkClass, params: &FatTreeParams| {
-            if achievable {
-                let f = params.class_floor(class);
-                floor = Some(floor.map_or(f, |cur| cur.min(f)));
-            }
-        };
-
-        // Same host: the ranges intersect.
-        consider(a0 < b1 && b0 < a1, LinkClass::SameHost, self);
-        // Rack-local: some rack holds hosts of both ranges. (Conservative:
-        // a shared single-host rack also passes, which only lowers the
-        // bound.)
-        consider(ra0 <= rb1 && rb0 <= ra1, LinkClass::RackLocal, self);
-        // Cross-rack: some pod holds a src rack and a *different* dst rack.
-        let pl = pa0.max(pb0);
-        let ph = pa1.min(pb1);
-        let mut cross_rack = false;
-        if pl <= ph {
-            for p in pl..=ph {
-                // Rack intervals of each range restricted to pod p.
-                let sa = ra0.max(p * rpp);
-                let ea = ra1.min((p + 1) * rpp - 1);
-                let sb = rb0.max(p * rpp);
-                let eb = rb1.min((p + 1) * rpp - 1);
-                if sa > ea || sb > eb {
-                    continue;
-                }
-                if !(sa == ea && sb == eb && sa == sb) {
-                    cross_rack = true;
-                    break;
-                }
-            }
-        }
-        consider(cross_rack, LinkClass::CrossRack, self);
-        // Cross-pod: achievable unless both ranges sit in one common pod.
-        consider(
-            !(pa0 == pa1 && pb0 == pb1 && pa0 == pb0),
-            LinkClass::CrossPod,
-            self,
-        );
-
-        floor.expect("non-empty host ranges always realize some link class")
-    }
 }
 
 /// The link class a path crosses, in ascending cost order.
@@ -572,80 +482,6 @@ mod tests {
         assert_eq!(
             t.delay(SimTime::ZERO, Endpoint::Central, server(8)),
             t.delay(SimTime::ZERO, server(0), server(8)),
-        );
-    }
-
-    /// Brute-force oracle: the per-pair floor must lower-bound every
-    /// concrete delay between hosts of the two ranges, in both variants,
-    /// and must be *achieved* by some pair in the uncontended model.
-    #[test]
-    fn range_floor_bounds_and_is_tight() {
-        let params = small(); // 4 hosts/rack, 2 racks/pod
-        let nodes = 32;
-        let ranges = [(0, 4), (0, 8), (4, 8), (8, 16), (0, 32), (12, 20), (5, 6)];
-        for &a in &ranges {
-            for &b in &ranges {
-                let floor = params.min_delay_between(a, b);
-                let mut tightest: Option<SimDuration> = None;
-                for src in a.0..a.1 {
-                    for dst in b.0..b.1 {
-                        let mut flat = FatTree::new(params, nodes);
-                        let d = flat.delay(SimTime::ZERO, server(src as u32), server(dst as u32));
-                        assert!(d >= floor, "{a:?}->{b:?}: {src}->{dst} delay {d} < {floor}");
-                        tightest = Some(tightest.map_or(d, |t| t.min(d)));
-                        let mut cont = FatTreeContended::new(params, nodes);
-                        let dc = cont.delay(SimTime::ZERO, server(src as u32), server(dst as u32));
-                        assert!(dc >= floor, "contended {src}->{dst}: {dc} < {floor}");
-                    }
-                }
-                assert_eq!(tightest, Some(floor), "{a:?}->{b:?} floor not tight");
-            }
-        }
-    }
-
-    /// Inverted costs (cross-pod cheaper than rack-local) must not break
-    /// the bound: the floor takes a min over achievable classes, not the
-    /// "nearest" one.
-    #[test]
-    fn range_floor_survives_inverted_costs() {
-        let params = small()
-            .rack_local(SimDuration::from_micros(900))
-            .cross_rack(SimDuration::from_micros(700))
-            .cross_pod(SimDuration::from_micros(100));
-        let nodes = 32;
-        for &(a, b) in &[((0, 4), (0, 4)), ((0, 8), (0, 8)), ((0, 4), (4, 8))] {
-            let floor = params.min_delay_between(a, b);
-            for src in a.0..a.1 {
-                for dst in b.0..b.1 {
-                    let mut flat = FatTree::new(params, nodes);
-                    let d = flat.delay(SimTime::ZERO, server(src as u32), server(dst as u32));
-                    assert!(d >= floor, "{src}->{dst}: {d} < {floor}");
-                }
-            }
-        }
-        // Two single-rack ranges in one pod can never realize cross-pod.
-        let rack_pair = params.min_delay_between((0, 4), (4, 8));
-        assert_eq!(
-            rack_pair,
-            params.cross_rack + params.msg_tx * 2 + params.rack_tx() * 2
-        );
-    }
-
-    #[test]
-    fn disjoint_rack_aligned_ranges_get_class_floors() {
-        let params = small(); // 4 hosts/rack, 2 racks/pod ⇒ 8 hosts/pod
-        let cross_rack_floor = params.cross_rack + params.msg_tx * 2 + params.rack_tx() * 2;
-        let cross_pod_floor = params.cross_pod + params.msg_tx * 2 + params.rack_tx() * 2;
-        // Same pod, different racks.
-        assert_eq!(params.min_delay_between((0, 4), (4, 8)), cross_rack_floor);
-        // Different pods only.
-        assert_eq!(params.min_delay_between((0, 8), (8, 16)), cross_pod_floor);
-        // Overlapping ranges can stay on one host.
-        assert_eq!(params.min_delay_between((0, 8), (0, 8)), params.rack_local);
-        // Spanning ranges: pod 0 + pod 1 vs pod 1 + pod 2 share pod 1.
-        assert_eq!(
-            params.min_delay_between((0, 16), (8, 24)),
-            params.rack_local
         );
     }
 

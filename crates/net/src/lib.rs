@@ -202,28 +202,6 @@ impl TopologySpec {
         TopologySpec::Constant(NetworkModel::paper_default())
     }
 
-    /// A lower bound on the delay this spec's model charges for any
-    /// one-way message, regardless of endpoints or load.
-    ///
-    /// This is the *lookahead* of conservative parallel simulation: a
-    /// sharded driver may process each shard independently up to
-    /// `horizon = min-next-event + min_message_delay()` because no
-    /// cross-shard message generated before the horizon can fire inside
-    /// it. The bound must hold for every [`Topology::delay`] query:
-    ///
-    /// * `Constant` charges exactly `one_way()` for every pair;
-    /// * both fat-tree variants floor at the rack-local propagation cost
-    ///   (same-host messages pay it with zero transmission time, and
-    ///   contention only ever adds queueing on top).
-    pub fn min_message_delay(&self) -> SimDuration {
-        match *self {
-            TopologySpec::Constant(model) => model.one_way(),
-            TopologySpec::FatTree(params) | TopologySpec::FatTreeContended(params) => {
-                params.rack_local
-            }
-        }
-    }
-
     /// The rack/pod placement divisors of this spec, or `None` for models
     /// without placement ([`Constant`]).
     pub fn rack_geometry(&self) -> Option<RackGeometry> {
@@ -234,31 +212,6 @@ impl TopologySpec {
                     hosts_per_rack: params.hosts_per_rack.max(1),
                     racks_per_pod: params.racks_per_pod.max(1),
                 })
-            }
-        }
-    }
-
-    /// A lower bound on the delay this spec's model charges for any one-way
-    /// message whose source endpoint is hosted in `src_hosts` and whose
-    /// destination endpoint is hosted in `dst_hosts` (both half-open,
-    /// non-empty host ranges).
-    ///
-    /// This refines [`min_message_delay`](Self::min_message_delay) into the
-    /// *per-shard-pair* lookahead of the sharded driver: two shards that
-    /// can only reach each other across pods get the cross-pod floor, not
-    /// the global rack-local one. The bound holds for both fat-tree
-    /// variants because contention only ever adds queueing on top of the
-    /// class propagation, and store-and-forward traversal never undercuts
-    /// the uncontended per-link transmission sum.
-    pub fn min_delay_between(
-        &self,
-        src_hosts: (usize, usize),
-        dst_hosts: (usize, usize),
-    ) -> SimDuration {
-        match *self {
-            TopologySpec::Constant(model) => model.one_way(),
-            TopologySpec::FatTree(params) | TopologySpec::FatTreeContended(params) => {
-                params.min_delay_between(src_hosts, dst_hosts)
             }
         }
     }
@@ -315,43 +268,6 @@ mod tests {
                 Endpoint::Server(ServerId(1)),
             );
             assert!(d > SimDuration::ZERO);
-        }
-    }
-
-    /// The sharded driver's lookahead contract: `min_message_delay` lower-
-    /// bounds every delay query of the built model, including same-host
-    /// pairs and contended repeats.
-    #[test]
-    fn min_message_delay_bounds_every_query() {
-        let nodes = 64;
-        for spec in [
-            TopologySpec::Constant(NetworkModel::paper_default()),
-            TopologySpec::FatTree(FatTreeParams::default()),
-            TopologySpec::FatTreeContended(FatTreeParams::default()),
-        ] {
-            let floor = spec.min_message_delay();
-            assert!(floor > SimDuration::ZERO);
-            let mut t = spec.build(nodes);
-            let endpoints = [
-                Endpoint::Server(ServerId(0)),
-                Endpoint::Server(ServerId(1)),
-                Endpoint::Server(ServerId(17)),
-                Endpoint::Server(ServerId(63)),
-                Endpoint::Scheduler(0), // same host as server 0
-                Endpoint::Scheduler(130),
-                Endpoint::Central,
-            ];
-            for _round in 0..3 {
-                for &a in &endpoints {
-                    for &b in &endpoints {
-                        let d = t.delay(SimTime::ZERO, a, b);
-                        assert!(
-                            d >= floor,
-                            "{spec:?}: delay {d} below floor {floor} for {a:?}->{b:?}"
-                        );
-                    }
-                }
-            }
         }
     }
 

@@ -93,39 +93,10 @@ impl<E: Copy> Engine<E> {
         self.queue.push(at, event);
     }
 
-    /// Schedules `event` at the absolute time `at`, returning an error —
-    /// instead of panicking or clamping — when `at` precedes the clock.
-    ///
-    /// This is the cross-context injection path: when events produced
-    /// elsewhere (another shard's engine, a co-simulation adapter) are
-    /// committed into this engine, a past timestamp is not a local logic
-    /// error but a broken synchronization contract, and it must surface as
-    /// a hard error in **both** build profiles — the release-mode clamp of
-    /// [`Engine::schedule_at`] would silently reorder cross-context
-    /// causality. Nothing is enqueued on `Err`.
-    pub fn try_schedule_at(&mut self, at: SimTime, event: E) -> Result<(), SchedulePastError> {
-        if at < self.now {
-            return Err(SchedulePastError { at, now: self.now });
-        }
-        self.queue.push(at, event);
-        Ok(())
-    }
-
     /// Removes the earliest event, advances the clock to its firing time and
     /// returns it, or returns `None` when the simulation has drained.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (t, ev) = self.queue.pop()?;
-        self.now = t;
-        self.processed += 1;
-        Some((t, ev))
-    }
-
-    /// [`Engine::pop`] if the earliest event fires strictly before `limit`,
-    /// `None` (clock and queue untouched) otherwise: one settling of the
-    /// wheel where [`Engine::peek_time`] then `pop` would take two (see
-    /// [`EventQueue::pop_before`]).
-    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let (t, ev) = self.queue.pop_before(limit)?;
         self.now = t;
         self.processed += 1;
         Some((t, ev))
@@ -186,28 +157,6 @@ impl<E: Copy> Default for Engine<E> {
     }
 }
 
-/// Error returned by [`Engine::try_schedule_at`]: the requested firing time
-/// precedes the engine's clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulePastError {
-    /// The requested firing time.
-    pub at: SimTime,
-    /// The engine clock at the time of the call.
-    pub now: SimTime,
-}
-
-impl std::fmt::Display for SchedulePastError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "event scheduled in the engine's past: {} < clock {}",
-            self.at, self.now
-        )
-    }
-}
-
-impl std::error::Error for SchedulePastError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,39 +214,6 @@ mod tests {
         assert_eq!(e.pop().unwrap(), (SimTime::from_secs(10), "pending-at-now"));
         assert_eq!(e.pop().unwrap(), (SimTime::from_secs(10), "too-late"));
         assert_eq!(e.now(), SimTime::from_secs(10));
-    }
-
-    /// `try_schedule_at` rejects past timestamps identically in debug and
-    /// release builds — unlike `schedule_at`, whose profile divergence
-    /// (panic vs clamp) the two tests above pin. Cross-engine injection
-    /// paths rely on this being a hard error everywhere.
-    #[test]
-    fn try_schedule_in_past_errors_in_every_profile() {
-        let mut e: Engine<&str> = Engine::new();
-        e.schedule(SimDuration::from_secs(10), "a");
-        e.pop();
-        let err = e
-            .try_schedule_at(SimTime::from_secs(1), "too-late")
-            .unwrap_err();
-        assert_eq!(err.at, SimTime::from_secs(1));
-        assert_eq!(err.now, SimTime::from_secs(10));
-        assert!(err.to_string().contains("past"));
-        // Nothing was enqueued and the clock did not move.
-        assert_eq!(e.pending(), 0);
-        assert_eq!(e.now(), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn try_schedule_at_now_or_later_enqueues() {
-        let mut e: Engine<u32> = Engine::new();
-        e.schedule(SimDuration::from_secs(2), 1);
-        e.pop();
-        // Exactly at the clock is allowed (FIFO after pending same-time
-        // events), strictly later is the common case.
-        e.try_schedule_at(SimTime::from_secs(2), 2).unwrap();
-        e.try_schedule_at(SimTime::from_secs(3), 3).unwrap();
-        assert_eq!(e.pop().unwrap(), (SimTime::from_secs(2), 2));
-        assert_eq!(e.pop().unwrap(), (SimTime::from_secs(3), 3));
     }
 
     #[test]

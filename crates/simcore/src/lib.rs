@@ -57,7 +57,7 @@ mod slab;
 pub mod stats;
 mod time;
 
-pub use engine::{Engine, SchedulePastError};
+pub use engine::Engine;
 pub use indexed_heap::IndexedMinHeap;
 pub use pool::{BatchHandle, BatchPool};
 pub use queue::EventQueue;

@@ -67,38 +67,15 @@ impl Modelled {
     /// Pops, checking the result against the model's minimum and the
     /// global `(time, seq)` order of the pop sequence.
     fn pop(&mut self) -> Option<u64> {
-        self.pop_via(None)
-    }
-
-    /// [`Modelled::pop`], through `pop_before(limit)` when a limit is
-    /// given: the model's minimum comes out only if it fires strictly
-    /// before the limit, and a refusal leaves `peek_time` on that minimum.
-    fn pop_via(&mut self, limit: Option<u64>) -> Option<u64> {
-        let min = self.pending.iter().copied().min();
-        let expect = min.filter(|&(t, _)| limit.is_none_or(|limit| t < limit));
+        let expect = self.pending.iter().copied().min();
         self.pending.retain(|&p| Some(p) != expect);
-        let got = match limit {
-            None => self.queue.pop(),
-            Some(limit) => self.queue.pop_before(SimTime::from_micros(limit)),
-        }
-        .map(|(t, s)| (t.as_micros(), s));
+        let got = self.queue.pop().map(|(t, s)| (t.as_micros(), s));
         prop_assert_eq!(got, expect);
-        if got.is_none() {
-            let head = self.queue.peek_time().map(SimTime::as_micros);
-            prop_assert_eq!(head, min.map(|(t, _)| t));
-        }
         if let (Some(now), Some(before)) = (got, self.last) {
             prop_assert!(now > before, "the clock regressed or FIFO broke");
         }
         self.last = got.or(self.last);
         got.map(|(t, _)| t)
-    }
-
-    /// A limit within ±200 µs of the model's minimum (`nudge < 400`), so
-    /// about half of the bounded pops are refused.
-    fn limit_near_min(&self, nudge: u64) -> Option<u64> {
-        let min = self.pending.iter().map(|&(t, _)| t).min().unwrap_or(0);
-        Some((min + nudge).saturating_sub(200))
     }
 }
 
@@ -139,50 +116,6 @@ proptest! {
         }
         prop_assert!(m.queue.pop().is_none());
         prop_assert_eq!(m.queue.len(), 0);
-    }
-
-    /// `pop_before(limit)` is `peek_time` plus a conditional `pop`: on the
-    /// same generated workloads, with limits straddling the minimum, it
-    /// yields the model's minimum exactly when that fires before the limit
-    /// and otherwise leaves the queue as it was — including when the
-    /// refusal cascaded a bucket and later pushes land below the cursor.
-    #[test]
-    fn pop_before_matches_peek_then_pop(
-        ops in queue_ops(),
-        nudges in proptest::collection::vec(0u64..400, 1..40),
-    ) {
-        let mut m = Modelled {
-            queue: EventQueue::new(),
-            pending: Vec::new(),
-            seq: 0,
-            last: None,
-        };
-        let mut nudges = nudges.iter().copied().cycle();
-        let mut nudge = || nudges.next().expect("a cycle never ends");
-        for op in ops {
-            match op {
-                QueueOp::Push(t) => m.push(t),
-                QueueOp::Pop => {
-                    m.pop_via(m.limit_near_min(nudge()));
-                }
-                QueueOp::Burst { at, k, pops } => {
-                    for _ in 0..k {
-                        m.push(at);
-                    }
-                    for _ in 0..pops {
-                        if let Some(now) = m.pop_via(m.limit_near_min(nudge())) {
-                            m.push(now);
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(m.queue.len(), m.pending.len());
-        }
-        // No limit refuses an unbounded one: the remainder drains in order.
-        while !m.pending.is_empty() {
-            m.pop_via(Some(u64::MAX));
-        }
-        prop_assert!(m.queue.pop_before(SimTime::MAX).is_none());
     }
 
     /// `drain_until(t)` returns exactly what repeated `pop` calls bounded

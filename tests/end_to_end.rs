@@ -41,13 +41,10 @@ fn headline_result_hawk_beats_sparrow_for_short_jobs_under_load() {
     assert!(hawk.steals <= hawk.steal_scans);
     assert!(hawk.steal_scans < hawk.steal_attempts * 5);
     assert_eq!(sparrow.steal_scans, 0);
-    // The per-kind table accounts for every event but the single-stream
-    // harness's own utilization samples (shards sample lazily).
+    // The per-kind table accounts for every event but the harness's own
+    // utilization samples.
     for report in [&hawk, &sparrow] {
-        let sampled = match report.sharded {
-            Some(_) => 0,
-            None => report.utilization_samples.len() as u64,
-        };
+        let sampled = report.utilization_samples.len() as u64;
         let by_kind: u64 = report.events_by_kind.iter().sum();
         assert_eq!(by_kind + sampled, report.events);
     }

@@ -1,21 +1,29 @@
 //! Property-based tests over randomly generated workloads and
 //! configurations: the simulator must uphold its invariants for *every*
-//! input, not just the paper's — in both simulator harnesses: the three
+//! input, not just the paper's — in both simulator harnesses: three
 //! whole-cell properties draw `shards` from {1, 2, 3, 5}, so a case runs
 //! `Driver` or `ShardedDriver` (and, with `nodes` starting at 2, shard
-//! counts above the node count, which must clamp).
+//! counts above the node count, which must clamp), and a fourth runs one
+//! static cell on all four shard counts and compares the per-kind event
+//! counts across the harnesses.
 //!
-//! Mutations of `crates/core/src/shard.rs` that fail the whole-cell
-//! properties (each checked by hand): `Shard::inject` dropping the
-//! entries of a `WireMsg::Stolen` ("event queues drained with N
-//! unfinished jobs"); `Shard::run_free` running on past its first
-//! cross-shard emission, and `publish_schedule` leaving the diagonal
-//! `D[j][j]` out of `H[j]` (both "delivered in shard N's past"). Two
-//! that do *not* fail them, because the run stays live and deterministic:
-//! `report_run` not handing `steal_returns` back (buffers are reallocated)
-//! and `kway_merge_streams` keyed without `src` (a different but still
-//! total order; the pinned 4-shard digest in `sharded_golden.rs` and the
-//! `kway_merge_matches_sort_model` unit property catch that one).
+//! Mutations of `crates/core/src/shard.rs` that fail all four whole-cell
+//! properties (each checked by hand): `Router::send` filing a
+//! `StolenArrive` under the sending core — the victim's, not the thief's
+//! (a ranged `Cluster` is asked for a server it does not store); and
+//! `Endpoint::Central` resolved to the sending core instead of core 0
+//! ("central bookkeeping for a centrally-routed job": a `CentralTaskDone`
+//! reached a core without the central scheduler). `Router::owns` one
+//! server short at the upper range boundary fails them under debug
+//! assertions (tier-1's profile: `debug_assert!(net.owns(server))` in
+//! `Core::on_entry_arrive`); in release the run stays live and
+//! deterministic — the misjudged server is stolen from by request, like a
+//! remote one — and only the pinned 4-shard digest in `sharded_golden.rs`
+//! moves. One that does *not* fail them, because these cells are static:
+//! one core left out when `ShardedDriver::new` seeds the dynamics script,
+//! which `shard::tests::a_down_server_runs_nothing_whichever_core_owns_it`
+//! catches (the core that missed its own server's `NodeDown` runs tasks
+//! there).
 
 use std::sync::Arc;
 
@@ -133,6 +141,69 @@ proptest! {
         prop_assert_eq!(a.events, b.events);
         prop_assert_eq!(a.steals, b.steals);
         prop_assert_eq!(a.utilization_samples, b.utilization_samples);
+    }
+
+    /// Cross-harness event accounting on static cells (no churn, no probe
+    /// bounce): a probe binds or is cancelled exactly once and a task
+    /// arrives and finishes exactly once wherever its endpoints are
+    /// hosted, so the six protocol event kinds count the same on
+    /// `Driver` and on 2, 3 and 5 cores; and what `ShardedDriver` adds —
+    /// steal requests and completion messages — never occurs on `Driver`.
+    #[test]
+    fn protocol_event_counts_agree_across_harnesses(
+        trace in arb_trace(),
+        scheduler in arb_scheduler(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+    ) {
+        // A run stops at its last completion, which `ShardedDriver` sees
+        // one message later than `Driver`: whatever is in flight then is
+        // counted by one and not the other. A one-task job submitted after
+        // every queue has drained makes the last completion a quiet one.
+        let last = trace.jobs().last().expect("generated traces are non-empty");
+        let quiet = last.submission + trace.total_task_seconds() + SimDuration::from_secs(1_000);
+        let mut jobs = trace.jobs().to_vec();
+        jobs.push(Job {
+            id: JobId(jobs.len() as u32),
+            submission: quiet,
+            tasks: vec![SimDuration::from_secs(10)],
+            generated_class: None,
+        });
+        let cell = Experiment::builder()
+            .nodes(nodes)
+            .scheduler_shared(scheduler)
+            .seed(seed)
+            .trace(Trace::new(jobs).expect("generated jobs are valid"));
+        let counts = |shards: usize| cell.clone().shards(shards).run().events_by_kind;
+        let kind = |name: &str| {
+            hawk::core::Event::KINDS
+                .iter()
+                .position(|&kind| kind == name)
+                .expect("a protocol event kind")
+        };
+        let single = counts(1);
+        for added in ["steal_request", "task_done", "central_task_done"] {
+            prop_assert_eq!(single[kind(added)], 0, "{} on Driver", added);
+        }
+        for shards in [2, 3, 5] {
+            let sharded = counts(shards);
+            for shared in [
+                "job_arrival",
+                "probe_arrive",
+                "task_arrive",
+                "bind_request",
+                "bind_response",
+                "task_finish",
+            ] {
+                prop_assert_eq!(
+                    sharded[kind(shared)],
+                    single[kind(shared)],
+                    "{} at {} shards",
+                    shared,
+                    shards
+                );
+            }
+        }
     }
 
     /// Misestimation never breaks liveness and never changes true classes.

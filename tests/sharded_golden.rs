@@ -1,10 +1,13 @@
 //! Sharded-execution golden contract.
 //!
-//! The sharded driver (`shards > 1`) is a *different execution model* with
-//! documented timing divergences (completions observed one message delay
-//! late, two-hop relocations, single remote steal attempt per idle
-//! transition), so its digests are only comparable per shard count. This
-//! suite pins the three properties that make it trustworthy anyway:
+//! The sharded driver (`shards > 1`) renders the protocol as message
+//! passing between `K` cores, with documented timing divergences
+//! (completions observed at the home scheduler, one message delay late;
+//! two-hop relocations through the deciding scheduler; asynchronous,
+//! chained remote steals; per-core RNG streams and contention state), so
+//! its digests are only comparable per shard count. Sampling is not one of
+//! them: both harnesses own the same `util_interval` timer. This suite pins
+//! the three properties that make it trustworthy anyway:
 //!
 //! 1. **`shards = 1` is the classic driver** — explicitly setting one
 //!    shard through the builder routes to `Driver` and must stay
@@ -161,6 +164,42 @@ fn every_scheduler_completes_every_job_under_sharding() {
     }
 }
 
+/// The harness owns the sampling timer, as `Driver` does: one utilization
+/// sample per `util_interval` tick up to the run's last event, none
+/// dropped at the tail (per-shard sample vectors used to be truncated to
+/// the shortest at report time), so the sharded count is the single-shard
+/// count scaled by makespan. Each sample is the cores' summed running
+/// count over the summed usable capacity, so it stays in [0, 1] under
+/// churn too.
+#[test]
+fn sharded_utilization_is_sampled_by_the_drivers_rule() {
+    let shards = shard_count();
+    for scenario in [golden_scenario(), churn_scenario()] {
+        let cell = Experiment::builder()
+            .scenario(&scenario, TRACE_SEED)
+            .scheduler_shared(hawk())
+            .nodes(GOLDEN_NODES)
+            .seed(SIM_SEED);
+        let interval = cell.clone().build().sim().util_interval.as_micros();
+        for shards in [1, shards] {
+            let report = cell.clone().shards(shards).run();
+            assert_eq!(report.sharded.is_some(), shards > 1);
+            let ticks = report.makespan.as_micros() / interval;
+            assert_eq!(
+                report.utilization_samples.len() as u64,
+                ticks,
+                "shards={shards}: makespan {} at one sample per {interval} us",
+                report.makespan
+            );
+            assert!(report
+                .utilization_samples
+                .iter()
+                .all(|u| (0.0..=1.0).contains(u)));
+            assert!(report.max_utilization > 0.5 && report.max_utilization <= 1.0);
+        }
+    }
+}
+
 /// Hawk, noting which thread consults it.
 struct ThreadRecorder {
     inner: Hawk,
@@ -219,13 +258,12 @@ impl Scheduler for ThreadRecorder {
     }
 }
 
-/// The sharded harness runs every epoch on the thread that called it: a
+/// The sharded harness runs every core on the thread that called it: a
 /// policy recording `thread::current().id()` in `route`,
 /// `probe_targets_into` and `pick_victims_into` over a whole 4-shard run
 /// sees the caller and nobody else. Fails on any version that hands a
-/// shard to a spawned thread (the worker pool this replaced spawned even
-/// its single worker), and on the mutation `std::thread::scope(|s|
-/// s.spawn(|| shard.run(..)))` around the epoch loop's shard run.
+/// core to a spawned thread (the worker pool of two versions ago spawned
+/// even its single worker).
 #[test]
 fn sharded_run_stays_on_the_calling_thread() {
     let recorder = Arc::new(ThreadRecorder {
@@ -270,10 +308,10 @@ fn every_entry_point_runs_the_sharded_harness() {
 /// fixed 4 shards (sharded digests are only comparable per shard count,
 /// so `HAWK_SHARDS` deliberately does not apply here). On the golden
 /// 300-node cell the default 16-host racks give 19 alignment units, so
-/// the map is genuinely rack-aligned, the lookahead matrix uses
-/// per-pair range floors, and the rack-first policy reorders victim
-/// contact lists — all of which this digest freezes. The epoch/merge
-/// observability counters ride along outside the digest.
+/// the map is genuinely rack-aligned, schedulers are homed by host, and
+/// the rack-first policy reorders victim contact lists — all of which
+/// this digest freezes. The hand-over and cross-core-send counters ride
+/// along outside the digest.
 #[test]
 fn rack_aligned_locality_fat_tree_digest_pinned() {
     let report = run_sharded(
@@ -291,7 +329,7 @@ fn rack_aligned_locality_fat_tree_digest_pinned() {
         "rack-aligned locality cell drifted: got {digest:#018x}, pinned \
          {RACK_ALIGNED_STEAL_HAWK_DIGEST:#018x} (see support/mod.rs to re-pin intentionally)"
     );
-    let stats = report.sharded.expect("sharded run must report epoch stats");
+    let stats = report.sharded.expect("sharded run must report its stats");
     assert!(
         stats.epochs > 0 && stats.merge_envelopes > 0,
         "observability counters dark: {stats:?}"
@@ -313,8 +351,8 @@ fn rack_aligned_locality_fat_tree_digest_pinned() {
 /// and the single-remote-attempt protocol rescues fewer blocked shorts as
 /// the shard count grows (measured on the golden cell: short p90 ratio
 /// ≈1.03 at 2 shards, ≈1.47 at 4, ≈1.62 at 6). Loose enough to be stable
-/// across the `HAWK_SHARDS` matrix, tight enough that a broken merge or a
-/// lost message class fails it.
+/// across the `HAWK_SHARDS` matrix, tight enough that a misrouted or lost
+/// message class fails it.
 #[test]
 fn sharded_percentiles_conform_to_single_shard() {
     const P50_BOUND: f64 = 1.25;

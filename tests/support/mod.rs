@@ -50,13 +50,14 @@ pub const CHURN_HETERO_HAWK_DIGEST: u64 = 0x4f3fa286a0bcca5a;
 pub const FAT_TREE_HAWK_DIGEST: u64 = 0x416829b65ce3bf51;
 
 /// Pinned digest of the golden fat-tree cell run rack-aligned at
-/// exactly 4 shards under Hawk with rack-first stealing (produced by
-/// the sharded-perf PR). Sharded digests are only comparable per shard
+/// exactly 4 shards under Hawk with rack-first stealing (re-pinned, from
+/// `0x3dd368431bb88ffd`, by the PR that put the cores on one event list:
+/// equal-time events of different cores now order by the engine's
+/// insertion sequence). Sharded digests are only comparable per shard
 /// count, so this pin uses a fixed 4 regardless of `HAWK_SHARDS`; any
-/// later drift in rack-aligned partitioning, the per-pair lookahead
-/// matrix, the k-way epoch merge or the rack-first victim order fails
-/// against it.
-pub const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = 0x3dd368431bb88ffd;
+/// later drift in rack-aligned partitioning, job homing, the routing of
+/// a send to its core or the rack-first victim order fails against it.
+pub const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = 0xb47457be00937434;
 
 /// Pinned digest of [`saturation_scenario`] under Hawk with
 /// [`saturation_policy`] admission control (produced by the serving-mode
