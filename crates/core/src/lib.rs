@@ -103,5 +103,5 @@ pub use protocol::{Event, EventCounts};
 pub use hawk_net::{Endpoint, FatTreeParams, NetworkStats, RackGeometry, Topology, TopologySpec};
 pub use scheduler::{PlacementView, Scheduler, StealSpec};
 pub use shard::ShardedDriver;
-pub use steal_policy::StealPolicy;
+pub use steal_policy::{StealPolicy, VictimDraw};
 pub use sweep::{worker_budget, CellResult, Sweep, SweepResults};

@@ -398,7 +398,6 @@ pub(crate) struct Core<'t> {
     // Recycled hot-path buffers: the steady-state loop allocates nothing.
     drain_buf: Vec<QueueEntry>,
     victim_scratch: Vec<usize>,
-    victim_buf: Vec<ServerId>,
     steal_buf: Vec<QueueEntry>,
     probe_buf: Vec<ServerId>,
     place_buf: Vec<ServerId>,
@@ -500,7 +499,6 @@ impl<'t> Core<'t> {
             abandons: 0,
             drain_buf: Vec::with_capacity(4 * max_tasks + 64),
             victim_scratch: Vec::new(),
-            victim_buf: Vec::new(),
             steal_buf: Vec::with_capacity(64),
             probe_buf: Vec::with_capacity(4 * max_tasks + 8),
             place_buf: Vec::with_capacity(max_tasks),
@@ -968,18 +966,19 @@ impl<'t> Core<'t> {
     }
 
     /// One steal attempt for an idle thief (§3.6): contact the victims the
-    /// policy picks and steal from the first with an eligible group.
+    /// policy draws, one at a time, and steal from the first with an
+    /// eligible group.
     ///
-    /// Victim selection draws from `steal_rng` first; the steal-candidate
-    /// index is consulted only *after* those draws, to skip scans that
-    /// provably cannot yield an eligible group (no long work, or no short
-    /// entry queued ⇒ nothing is blocked behind a long task). Skipped
-    /// scans perform no RNG draws of their own at any granularity, so the
-    /// filter is behavior-preserving — the golden-digest suite pins this.
+    /// `steal_rng` advances by what is contacted: one bounded draw per
+    /// victim ([`crate::VictimDraw::next`]), whatever a scan draws at its
+    /// granularity in between, and nothing after the first non-empty
+    /// scan. The steal-candidate index rules a drawn victim out without a
+    /// scan (no long work, or no short entry queued ⇒ nothing is blocked
+    /// behind a long task) and without a draw of its own.
     ///
-    /// Owned victims are scanned synchronously in pick order. If none
+    /// Owned victims are scanned synchronously in draw order. If none
     /// yields a group, the victims this core does not own (up to four, in
-    /// pick order) are chained into one asynchronous
+    /// draw order) are chained into one asynchronous
     /// [`Event::StealRequest`] that each failed hop forwards onward.
     fn try_steal<T: Transport>(&mut self, net: &mut T, thief: ServerId) {
         let Some(spec) = self.steal_spec else { return };
@@ -988,17 +987,14 @@ impl<'t> Core<'t> {
             // stealing new work.
             return;
         }
-        self.steal_attempts += 1;
         let partition = self.cluster.partition();
-        let mut victims = std::mem::take(&mut self.victim_buf);
-        self.scheduler.pick_victims_in_fabric_into(
-            &partition,
-            thief,
-            self.rack_geometry,
-            &mut self.steal_rng,
-            &mut self.victim_scratch,
-            &mut victims,
-        );
+        let Some(mut victims) = self
+            .scheduler
+            .victims(&partition, thief, self.rack_geometry)
+        else {
+            return;
+        };
+        self.steal_attempts += 1;
         // O(1) via the index: with no candidate among the owned servers
         // every local scan would come back empty. The index says nothing
         // about servers another core owns (they read as idle).
@@ -1007,7 +1003,7 @@ impl<'t> Core<'t> {
         let mut robbed = None;
         let mut remotes = [NO_VICTIM; 4];
         let mut remote_count = 0;
-        for &victim in &victims {
+        while let Some(victim) = victims.next(&mut self.steal_rng, &mut self.victim_scratch) {
             if !net.owns(victim) {
                 if remote_count < remotes.len() {
                     remotes[remote_count] = victim.0;
@@ -1032,7 +1028,6 @@ impl<'t> Core<'t> {
                 break;
             }
         }
-        self.victim_buf = victims;
         if let Some(victim) = robbed {
             self.steals += 1;
             // The topology prices the transfer (free under the paper's
@@ -1387,7 +1382,34 @@ mod tests {
         )
     }
 
+    /// Every victim `thief`'s next attempt can contact, in draw order, and
+    /// `core.steal_rng` as those draws alone would leave it.
+    fn full_drain(core: &Core<'_>, scheduler: &Hawk, thief: ServerId) -> (Vec<ServerId>, SimRng) {
+        let mut rng = core.steal_rng.clone();
+        let mut victims = Vec::new();
+        scheduler
+            .victims(&core.cluster.partition(), thief, None)
+            .expect("hawk steals")
+            .drain_into(&mut rng, &mut Vec::new(), &mut victims);
+        (victims, rng)
+    }
+
     const ONE_WAY: SimDuration = SimDuration::from_micros(500);
+
+    /// A long task and a short probe: queued in that order on one server
+    /// they are the smallest stealable group.
+    const LONG_TASK: TaskSpec = TaskSpec {
+        job: JobId(0),
+        duration: SimDuration::from_secs(5_000),
+        estimate: SimDuration::from_secs(5_000),
+        class: JobClass::Long,
+        task: 0,
+        attempt: 0,
+    };
+    const SHORT_PROBE: QueueEntry = QueueEntry::Probe {
+        job: JobId(0),
+        class: JobClass::Short,
+    };
 
     /// The merged enum must not grow the timing-wheel arena: 40 bytes was
     /// `max(size_of::<Event>(), size_of::<SEvent>())` before the merge.
@@ -1550,15 +1572,7 @@ mod tests {
         let scheduler = Hawk::new(0.2);
         let thief = ServerId(19);
         let mut core = core_for(&trace, scheduler, 20);
-        let mut expected = Vec::new();
-        scheduler.pick_victims_in_fabric_into(
-            &core.cluster.partition(),
-            thief,
-            None,
-            &mut core.steal_rng.clone(),
-            &mut Vec::new(),
-            &mut expected,
-        );
+        let (expected, mut after_draws) = full_drain(&core, &scheduler, thief);
         assert!(expected.len() >= 4 && !expected.contains(&thief));
 
         let mut net = RecordingTransport::<true>::owning(19..20);
@@ -1579,13 +1593,16 @@ mod tests {
         assert_eq!(rest, [expected[1].0, expected[2].0, expected[3].0]);
         assert_eq!((core.steal_attempts, core.steals), (1, 0));
         assert_eq!(net.stolen.in_flight(), 0);
+        // Victims past the chain's four are still drawn: an owned one
+        // among them would have been scanned.
+        assert_eq!(core.steal_rng.next_u64(), after_draws.next_u64());
     }
 
     /// The steal-candidate index in `try_steal`: a picked victim that holds
     /// long work but has only long entries queued cannot yield a group at
     /// any granularity, so it is ruled out by its bit — no queue walk
-    /// (`steal_scans` stays 0) and no draw from `steal_rng` beyond the ones
-    /// that picked the victims. A bystander keeps the cluster-wide
+    /// (`steal_scans` stays 0) and no draw from `steal_rng` beyond the one
+    /// that drew it: ten victims, ten draws. A bystander keeps the cluster-wide
     /// candidate count above zero, so it is the per-victim bit that skips.
     #[test]
     fn long_only_victims_are_skipped_without_a_scan_or_an_rng_draw() {
@@ -1598,34 +1615,14 @@ mod tests {
         let thief = ServerId(19);
         let mut core = core_for(&trace, scheduler, 20);
         let mut net = RecordingTransport::<false>::owning(0..20);
-        let mut after_picks = core.steal_rng.clone();
-        let mut picked = Vec::new();
-        scheduler.pick_victims_in_fabric_into(
-            &core.cluster.partition(),
-            thief,
-            None,
-            &mut after_picks,
-            &mut Vec::new(),
-            &mut picked,
-        );
+        let (picked, mut after_picks) = full_drain(&core, &scheduler, thief);
         let general = core.cluster.partition().general_count() as u32;
         let bystander = (0..general)
             .map(ServerId)
             .find(|server| !picked.contains(server))
             .expect("the steal cap leaves general servers unpicked");
 
-        let long = QueueEntry::Task(TaskSpec {
-            job: JobId(0),
-            duration: SimDuration::from_secs(5_000),
-            estimate: SimDuration::from_secs(5_000),
-            class: JobClass::Long,
-            task: 0,
-            attempt: 0,
-        });
-        let short = QueueEntry::Probe {
-            job: JobId(0),
-            class: JobClass::Short,
-        };
+        let (long, short) = (QueueEntry::Task(LONG_TASK), SHORT_PROBE);
         for &victim in &picked {
             core.on_entry_arrive(&mut net, victim, long);
             core.on_entry_arrive(&mut net, victim, long);
@@ -1660,6 +1657,34 @@ mod tests {
         assert_eq!(core.steal_scans, 1, "one walk, and it found the group");
     }
 
+    /// The first non-empty scan ends the attempt *and its drawing*: with
+    /// every general server a candidate, the first victim drawn is robbed
+    /// and `steal_rng` is one bounded draw over the 16 candidates ahead.
+    /// Fails on a `try_steal` that lists its victims before contacting
+    /// them, or keeps drawing after `robbed` is set.
+    #[test]
+    fn a_successful_scan_stops_the_draw() {
+        let trace = one_job_trace(vec![10]);
+        let mut core = core_for(&trace, Hawk::new(0.2), 20);
+        let mut net = RecordingTransport::<false>::owning(0..20);
+        let (long, short) = (QueueEntry::Task(LONG_TASK), SHORT_PROBE);
+        let general = core.cluster.partition().general_count();
+        assert_eq!(general, 16);
+        for victim in (0..general as u32).map(ServerId) {
+            core.on_entry_arrive(&mut net, victim, long);
+            core.on_entry_arrive(&mut net, victim, short);
+        }
+        let mut one_draw = core.steal_rng.clone();
+        one_draw.index(general);
+
+        core.on_action(&mut net, ServerId(19), ServerAction::BecameIdle);
+        assert_eq!(
+            (core.steal_attempts, core.steal_scans, core.steals),
+            (1, 1, 1)
+        );
+        assert_eq!(core.steal_rng.next_u64(), one_draw.next_u64());
+    }
+
     /// The victim's side: a scan that finds a blocked group ships it to
     /// the remote thief as the one payload-carrying message; an empty
     /// scan forwards the request down the chain instead.
@@ -1668,18 +1693,7 @@ mod tests {
         let trace = one_job_trace(vec![10]);
         let mut core = core_for(&trace, Hawk::new(0.2), 20);
         let mut net = RecordingTransport::<true>::owning(0..10);
-        let long = TaskSpec {
-            job: JobId(0),
-            duration: SimDuration::from_secs(5_000),
-            estimate: SimDuration::from_secs(5_000),
-            class: JobClass::Long,
-            task: 0,
-            attempt: 0,
-        };
-        let blocked = QueueEntry::Probe {
-            job: JobId(0),
-            class: JobClass::Short,
-        };
+        let (long, blocked) = (LONG_TASK, SHORT_PROBE);
         core.on_entry_arrive(&mut net, ServerId(0), QueueEntry::Task(long));
         core.on_entry_arrive(&mut net, ServerId(0), blocked);
         net.sent.clear();

@@ -4,7 +4,7 @@
 //! A scheduler is a *policy description*: it decides how each job class is
 //! routed ([`Scheduler::route`]), where distributed probes go
 //! ([`Scheduler::probe_targets`]), whether and how idle servers steal
-//! ([`Scheduler::steal`] / [`Scheduler::pick_victims`]), and whether a
+//! ([`Scheduler::steal`] / [`Scheduler::victims`]), and whether a
 //! probe bounces off a busy server ([`Scheduler::bounce_probe`]). All
 //! mutable simulation state stays in the [`Driver`](crate::Driver), so a
 //! scheduler is a cheap, shareable value (`Send + Sync`) that a
@@ -25,7 +25,7 @@ use hawk_workload::JobClass;
 
 use crate::config::{Route, SchedulerConfig, Scope};
 use crate::distributed::ProbePlanner;
-use crate::steal_policy::StealPolicy;
+use crate::steal_policy::{StealPolicy, VictimDraw};
 
 /// Read-only view of the cluster handed to [`Scheduler::probe_targets`]:
 /// the probe scope (a contiguous server range chosen by the job's
@@ -344,61 +344,23 @@ pub trait Scheduler: Send + Sync {
         None
     }
 
-    /// Victims one idle `thief` contacts, in contact order. The default
-    /// derives the paper's policy from [`Scheduler::steal`]: up to `cap`
-    /// distinct random general-partition servers, never the thief.
-    fn pick_victims(
-        &self,
-        partition: &Partition,
-        thief: ServerId,
-        rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        match self.steal() {
-            Some(spec) => StealPolicy::new(spec.cap).pick_victims(partition, thief, rng),
-            None => Vec::new(),
-        }
-    }
-
-    /// Allocation-free variant of [`Scheduler::pick_victims`]: the driver
-    /// calls this once per idle transition with reused buffers (`scratch`
-    /// is working space, `out` receives the victims; both are cleared).
-    ///
-    /// The default delegates to [`Scheduler::pick_victims`], so custom
-    /// victim policies stay correct without extra work; policies with a
-    /// hot steal path (e.g. [`Hawk`]) override this to skip the per-attempt
-    /// allocation.
-    fn pick_victims_into(
-        &self,
-        partition: &Partition,
-        thief: ServerId,
-        rng: &mut SimRng,
-        scratch: &mut Vec<usize>,
-        out: &mut Vec<ServerId>,
-    ) {
-        let _ = scratch;
-        out.clear();
-        out.append(&mut self.pick_victims(partition, thief, rng));
-    }
-
-    /// Victim picking with knowledge of the network fabric: the drivers
-    /// call this (not [`Scheduler::pick_victims_into`]) on every idle
-    /// transition, passing the topology's rack geometry when it has
-    /// one. The default ignores the geometry and delegates, so every
-    /// existing policy (and every placement-blind topology, where
-    /// `racks` is `None`) behaves exactly as before; locality-aware
-    /// policies like [`Hawk::rack_first_stealing`] override it to draw
-    /// rack-local victims before cross-rack ones.
-    fn pick_victims_in_fabric_into(
+    /// The victims one idle `thief` contacts, as a lazy draw the protocol
+    /// pulls from while it contacts them; `None` when the policy does not
+    /// steal. `racks` is the topology's rack geometry when it has one. The
+    /// default derives the paper's policy from [`Scheduler::steal`] — up
+    /// to `cap` distinct random general-partition servers, never the
+    /// thief — and ignores the geometry; locality-aware policies like
+    /// [`Hawk::rack_first_stealing`] pass it on to draw rack-local victims
+    /// before cross-rack ones.
+    fn victims(
         &self,
         partition: &Partition,
         thief: ServerId,
         racks: Option<RackGeometry>,
-        rng: &mut SimRng,
-        scratch: &mut Vec<usize>,
-        out: &mut Vec<ServerId>,
-    ) {
+    ) -> Option<VictimDraw> {
         let _ = racks;
-        self.pick_victims_into(partition, thief, rng, scratch, out);
+        let spec = self.steal()?;
+        Some(StealPolicy::new(spec.cap).draw(partition, thief, None))
     }
 
     /// Whether a probe for a `class` job should bounce off `server` to a
@@ -579,42 +541,14 @@ impl Scheduler for Hawk {
         self.steal
     }
 
-    fn pick_victims_into(
-        &self,
-        partition: &Partition,
-        thief: ServerId,
-        rng: &mut SimRng,
-        scratch: &mut Vec<usize>,
-        out: &mut Vec<ServerId>,
-    ) {
-        // Hawk's steal path runs on every idle transition; use the
-        // allocation-free paper policy directly.
-        match self.steal {
-            Some(spec) => {
-                StealPolicy::new(spec.cap).pick_victims_into(partition, thief, rng, scratch, out)
-            }
-            None => out.clear(),
-        }
-    }
-
-    fn pick_victims_in_fabric_into(
+    fn victims(
         &self,
         partition: &Partition,
         thief: ServerId,
         racks: Option<RackGeometry>,
-        rng: &mut SimRng,
-        scratch: &mut Vec<usize>,
-        out: &mut Vec<ServerId>,
-    ) {
-        let geometry = if self.rack_first { racks } else { None };
-        match (self.steal, geometry) {
-            (Some(spec), Some(geo)) => StealPolicy::new(spec.cap)
-                .pick_victims_rack_first_into(partition, thief, geo, rng, scratch, out),
-            (Some(spec), None) => {
-                StealPolicy::new(spec.cap).pick_victims_into(partition, thief, rng, scratch, out)
-            }
-            (None, _) => out.clear(),
-        }
+    ) -> Option<VictimDraw> {
+        let racks = racks.filter(|_| self.rack_first);
+        Some(StealPolicy::new(self.steal?.cap).draw(partition, thief, racks))
     }
 
     fn bounce_probe(&self, server: &Server, class: JobClass, bounces: u8) -> bool {
@@ -816,22 +750,6 @@ impl Scheduler for SchedulerConfig {
         })
     }
 
-    fn pick_victims_into(
-        &self,
-        partition: &Partition,
-        thief: ServerId,
-        rng: &mut SimRng,
-        scratch: &mut Vec<usize>,
-        out: &mut Vec<ServerId>,
-    ) {
-        match self.steal_cap {
-            Some(cap) => {
-                StealPolicy::new(cap).pick_victims_into(partition, thief, rng, scratch, out)
-            }
-            None => out.clear(),
-        }
-    }
-
     fn bounce_probe(&self, server: &Server, class: JobClass, bounces: u8) -> bool {
         class.is_short() && bounces < self.probe_bounce_limit && holds_long_work(server)
     }
@@ -941,13 +859,16 @@ mod tests {
         let hawk = Hawk::new(0.2).steal_cap(5);
         let partition = Partition::new(100, 0.2);
         let mut rng = SimRng::seed_from_u64(7);
-        let victims = hawk.pick_victims(&partition, ServerId(90), &mut rng);
+        let mut victims = Vec::new();
+        hawk.victims(&partition, ServerId(90), None)
+            .expect("hawk steals")
+            .drain_into(&mut rng, &mut Vec::new(), &mut victims);
         assert_eq!(victims.len(), 5);
         for v in &victims {
             assert!(partition.in_general(*v));
         }
         assert!(Sparrow::new()
-            .pick_victims(&partition, ServerId(90), &mut rng)
-            .is_empty());
+            .victims(&partition, ServerId(90), None)
+            .is_none());
     }
 }

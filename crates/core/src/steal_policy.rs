@@ -9,7 +9,9 @@
 //! The victim-queue scan itself lives in [`hawk_cluster::steal`]; this
 //! module decides *which* victims an idle thief contacts: up to `cap`
 //! distinct uniformly random general-partition servers (paper default 10,
-//! swept 1–250 in Figure 15), excluding the thief itself.
+//! swept 1–250 in Figure 15), excluding the thief itself. They are drawn
+//! one at a time, as the thief contacts them ([`VictimDraw`]): an attempt
+//! that succeeds at its second victim has moved the RNG by two draws.
 
 use hawk_cluster::{Partition, ServerId};
 use hawk_net::RackGeometry;
@@ -28,27 +30,54 @@ impl StealPolicy {
         StealPolicy { cap: cap.max(1) }
     }
 
-    /// Picks the victims one idle `thief` contacts, in contact order:
-    /// up to `cap` distinct general-partition servers, never the thief.
+    /// Starts one idle `thief`'s attempt: up to `cap` distinct
+    /// general-partition servers, never the thief, none when the general
+    /// partition has no other server.
     ///
-    /// Returns an empty list when the general partition has no other
-    /// servers to contact.
-    pub fn pick_victims(
+    /// With `racks` the sampling is stratified (rack-first stealing): the
+    /// general-partition slice of the thief's *own rack* is drained first,
+    /// and only the remaining budget goes to the rest of the general
+    /// partition. The victim *set* stays the paper's; rack-local steals
+    /// dominate whenever the thief's rack has stealable work. Without
+    /// `racks` the "rack" is the thief alone, which leaves one stratum.
+    pub fn draw(
         &self,
         partition: &Partition,
         thief: ServerId,
-        rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        self.pick_victims_into(partition, thief, rng, &mut scratch, &mut out);
-        out
+        racks: Option<RackGeometry>,
+    ) -> VictimDraw {
+        let general = partition.general_count() as u32;
+        // The thief's rack, clipped to the general partition (racks are
+        // contiguous id blocks; the general partition is the id prefix).
+        let hosts_per_rack = racks.map_or(1, |r| r.hosts_per_rack.max(1) as u32);
+        let rack_start = thief.0 / hosts_per_rack * hosts_per_rack;
+        let block_lo = rack_start.min(general);
+        let block = (rack_start + hosts_per_rack).min(general) - block_lo;
+        let thief_in_block = u32::from(thief.0 - block_lo < block);
+        let local = Stratum {
+            base: block_lo,
+            len: block - thief_in_block,
+            hole: thief.0,
+            hole_len: thief_in_block,
+        };
+        // The whole rack block is the hole: it covers the thief too.
+        let rest = Stratum {
+            base: 0,
+            len: general - block,
+            hole: block_lo,
+            hole_len: block,
+        };
+        VictimDraw {
+            budget: self.cap.min((local.len + rest.len) as usize) as u32,
+            taken: 0,
+            stratum: local,
+            rest,
+        }
     }
 
-    /// Like [`StealPolicy::pick_victims`], writing into caller-provided
-    /// buffers (`scratch` for the raw sample, `out` for the victims; both
-    /// are cleared first). The driver calls this once per idle transition
-    /// with reused buffers, so the steal hot path allocates nothing.
+    /// [`StealPolicy::draw`] without racks, drained into `out` (`scratch`
+    /// is the draw's memory). Kept for the frozen benchmark package.
+    #[doc(hidden)]
     pub fn pick_victims_into(
         &self,
         partition: &Partition,
@@ -57,46 +86,13 @@ impl StealPolicy {
         scratch: &mut Vec<usize>,
         out: &mut Vec<ServerId>,
     ) {
-        out.clear();
-        let general = partition.general_count();
-        if general == 0 {
-            return;
-        }
-        let thief_in_general = partition.in_general(thief);
-        let candidates = if thief_in_general {
-            general - 1
-        } else {
-            general
-        };
-        if candidates == 0 {
-            return;
-        }
-        let count = self.cap.min(candidates);
-        // Sample from a virtual range that skips the thief: indices at or
-        // above the thief's map one position right.
-        rng.sample_distinct_into(candidates, count, scratch);
-        out.extend(scratch.iter().map(|&i| {
-            let i = i as u32;
-            if thief_in_general && i >= thief.0 {
-                ServerId(i + 1)
-            } else {
-                ServerId(i)
-            }
-        }));
+        self.draw(partition, thief, None)
+            .drain_into(rng, scratch, out);
     }
 
-    /// Rack-first variant of [`StealPolicy::pick_victims_into`]: the
-    /// thief's contact list starts with up to `cap` distinct victims
-    /// from the general-partition slice of its *own rack*, and any
-    /// remaining budget is filled with distinct victims from the rest
-    /// of the general partition. The victim *set* stays exactly the
-    /// paper's (distinct general-partition servers, never the thief) —
-    /// only the sampling is stratified by rack, so rack-local steals
-    /// dominate whenever the thief's rack has stealable work.
-    ///
-    /// Draws both strata from the same single RNG stream (one
-    /// [`SimRng::sample_distinct_into`] per non-empty stratum), keeping
-    /// the per-attempt draw discipline deterministic.
+    /// [`StealPolicy::draw`] with `racks`, drained into `out`. Kept for
+    /// the frozen benchmark package.
+    #[doc(hidden)]
     pub fn pick_victims_rack_first_into(
         &self,
         partition: &Partition,
@@ -106,48 +102,8 @@ impl StealPolicy {
         scratch: &mut Vec<usize>,
         out: &mut Vec<ServerId>,
     ) {
-        out.clear();
-        let general = partition.general_count();
-        if general == 0 {
-            return;
-        }
-        // The thief's rack, clipped to the general partition (racks are
-        // contiguous id blocks; the general partition is the id prefix).
-        let hosts_per_rack = racks.hosts_per_rack.max(1);
-        let rack_start = (thief.index() / hosts_per_rack) * hosts_per_rack;
-        let block_lo = rack_start.min(general);
-        let block_hi = (rack_start + hosts_per_rack).min(general);
-        let block = block_hi - block_lo;
-        let thief_in_block = (block_lo..block_hi).contains(&thief.index());
-
-        let local_candidates = block - usize::from(thief_in_block);
-        let n_local = self.cap.min(local_candidates);
-        if n_local > 0 {
-            rng.sample_distinct_into(local_candidates, n_local, scratch);
-            out.extend(scratch.iter().map(|&i| {
-                let id = block_lo + i;
-                if thief_in_block && id >= thief.index() {
-                    ServerId(id as u32 + 1)
-                } else {
-                    ServerId(id as u32)
-                }
-            }));
-        }
-
-        // Fill the remaining budget from the general partition minus
-        // the whole rack block (which already covers the thief).
-        let remote_candidates = general - block;
-        let n_remote = (self.cap - n_local).min(remote_candidates);
-        if n_remote > 0 {
-            rng.sample_distinct_into(remote_candidates, n_remote, scratch);
-            out.extend(scratch.iter().map(|&i| {
-                if i < block_lo {
-                    ServerId(i as u32)
-                } else {
-                    ServerId((i + block) as u32)
-                }
-            }));
-        }
+        self.draw(partition, thief, Some(racks))
+            .drain_into(rng, scratch, out);
     }
 }
 
@@ -158,11 +114,139 @@ impl Default for StealPolicy {
     }
 }
 
+/// `len` candidate ids: position `p` is server `base + p`, shifted past
+/// the `hole_len` ids starting at `hole` (the thief, or its whole rack).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Stratum {
+    base: u32,
+    len: u32,
+    hole: u32,
+    hole_len: u32,
+}
+
+/// One steal attempt's victims, drawn lazily: each [`VictimDraw::next`]
+/// makes one bounded draw — a rank among the candidates not yet handed
+/// out — so the victims are distinct, every order is equally likely, and
+/// a caller that stops early has paid only for what it contacted.
+///
+/// The state is `Copy`; the candidates already handed out (at most `cap`)
+/// live in a caller-owned buffer passed to every `next` of the attempt,
+/// so nothing allocates in steady state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VictimDraw {
+    /// Victims still to hand out; never more than the strata hold.
+    budget: u32,
+    /// Draws made in `stratum`: its positions below `taken` are spent.
+    taken: u32,
+    stratum: Stratum,
+    /// The stratum after `stratum` (empty once entered).
+    rest: Stratum,
+}
+
+impl VictimDraw {
+    /// The next victim in contact order, or `None` when the budget is
+    /// spent. `chosen` must be the same buffer for every call of one
+    /// attempt: it holds the stratum's positions handed out so far and is
+    /// cleared on the first draw of each stratum.
+    pub fn next(&mut self, rng: &mut SimRng, chosen: &mut Vec<usize>) -> Option<ServerId> {
+        if self.budget == 0 {
+            return None;
+        }
+        if self.taken == self.stratum.len {
+            // The thief's rack is drained: on to the rest, which the
+            // budget guarantees is non-empty.
+            self.stratum = std::mem::take(&mut self.rest);
+            self.taken = 0;
+        }
+        if self.taken == 0 {
+            chosen.clear();
+        }
+        // A rank among the positions not yet handed out: the victim is the
+        // rank-th free position `p`, the one with `p = rank + |chosen ≤ p|`.
+        // Iterating that from `rank` climbs to it, and with few chosen
+        // among many the second count already confirms the first.
+        let rank = rng.index((self.stratum.len - self.taken) as usize);
+        let at_or_below = |p: usize| chosen.iter().filter(|&&c| c <= p).count();
+        let mut value = rank + at_or_below(rank);
+        loop {
+            let next = rank + at_or_below(value);
+            if next == value {
+                break;
+            }
+            value = next;
+        }
+        chosen.push(value);
+        self.taken += 1;
+        self.budget -= 1;
+        let Stratum {
+            base,
+            hole,
+            hole_len,
+            ..
+        } = self.stratum;
+        let id = base + value as u32;
+        Some(ServerId(if id >= hole { id + hole_len } else { id }))
+    }
+
+    /// Drains the rest of the attempt into `out` (cleared first).
+    pub fn drain_into(
+        mut self,
+        rng: &mut SimRng,
+        chosen: &mut Vec<usize>,
+        out: &mut Vec<ServerId>,
+    ) {
+        out.clear();
+        while let Some(victim) = self.next(rng, chosen) {
+            out.push(victim);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    const RACKS_OF_4: RackGeometry = RackGeometry {
+        hosts_per_rack: 4,
+        racks_per_pod: 5,
+    };
+
+    fn drain(
+        policy: StealPolicy,
+        partition: &Partition,
+        thief: ServerId,
+        racks: Option<RackGeometry>,
+        rng: &mut SimRng,
+    ) -> Vec<ServerId> {
+        let mut out = Vec::new();
+        policy
+            .draw(partition, thief, racks)
+            .drain_into(rng, &mut Vec::new(), &mut out);
+        out
+    }
+
+    fn flat(
+        policy: StealPolicy,
+        partition: &Partition,
+        thief: u32,
+        rng: &mut SimRng,
+    ) -> Vec<ServerId> {
+        drain(policy, partition, ServerId(thief), None, rng)
+    }
+
+    fn rack_first(
+        partition: &Partition,
+        thief: ServerId,
+        racks: RackGeometry,
+        rng: &mut SimRng,
+    ) -> Vec<ServerId> {
+        drain(StealPolicy::default(), partition, thief, Some(racks), rng)
+    }
+
+    /// Fails when the thief skip is off by one (`id > hole`: thieves 0, 40
+    /// and 79 contact themselves) and when `next` ignores `chosen` (equal
+    /// ranks yield the same server twice).
     #[test]
     fn victims_are_general_distinct_and_not_thief() {
         let partition = Partition::new(100, 0.2); // 80 general
@@ -171,7 +255,7 @@ mod tests {
         for thief_raw in [0u32, 40, 79, 80, 99] {
             let thief = ServerId(thief_raw);
             for _ in 0..200 {
-                let victims = policy.pick_victims(&partition, thief, &mut rng);
+                let victims = flat(policy, &partition, thief_raw, &mut rng);
                 assert_eq!(victims.len(), 10);
                 let set: HashSet<_> = victims.iter().collect();
                 assert_eq!(set.len(), victims.len(), "victims must be distinct");
@@ -188,8 +272,29 @@ mod tests {
         let partition = Partition::new(1_000, 0.1);
         let mut rng = SimRng::seed_from_u64(2);
         for cap in [1usize, 5, 10, 250] {
-            let victims = StealPolicy::new(cap).pick_victims(&partition, ServerId(950), &mut rng);
+            let victims = flat(StealPolicy::new(cap), &partition, 950, &mut rng);
             assert_eq!(victims.len(), cap.min(900));
+        }
+    }
+
+    /// A cap above the candidate count, and above any small fixed size,
+    /// drains to a permutation of every candidate: fails on a draw whose
+    /// memory is a fixed array that truncates (victims past it repeat),
+    /// whose budget is not clipped to the candidates (`index(0)` panics),
+    /// or that inserts out of order (a later rank steps past too few).
+    #[test]
+    fn cap_above_the_candidates_yields_each_exactly_once() {
+        let mut rng = SimRng::seed_from_u64(10);
+        for (nodes, racks) in [(40, None), (40, Some(RACKS_OF_4)), (300, None)] {
+            let partition = Partition::new(nodes, 0.1);
+            let general = partition.general_count() as u32;
+            for thief in [0, 13, general - 1, general] {
+                let policy = StealPolicy::new(1_000);
+                let mut victims = drain(policy, &partition, ServerId(thief), racks, &mut rng);
+                victims.sort_unstable();
+                let expected: Vec<_> = (0..general).filter(|&i| i != thief).map(ServerId).collect();
+                assert_eq!(victims, expected, "{nodes} nodes, thief {thief}");
+            }
         }
     }
 
@@ -197,7 +302,7 @@ mod tests {
     fn small_general_partition_caps_at_available() {
         let partition = Partition::new(5, 0.6); // 2 general
         let mut rng = SimRng::seed_from_u64(3);
-        let victims = StealPolicy::new(10).pick_victims(&partition, ServerId(0), &mut rng);
+        let victims = flat(StealPolicy::new(10), &partition, 0, &mut rng);
         // Thief is general server 0; only server 1 remains.
         assert_eq!(victims, vec![ServerId(1)]);
     }
@@ -206,19 +311,16 @@ mod tests {
     fn empty_general_partition_yields_nothing() {
         let partition = Partition::new(4, 1.0);
         let mut rng = SimRng::seed_from_u64(4);
-        assert!(StealPolicy::default()
-            .pick_victims(&partition, ServerId(2), &mut rng)
-            .is_empty());
+        assert!(flat(StealPolicy::default(), &partition, 2, &mut rng).is_empty());
     }
 
     #[test]
     fn lone_general_server_cannot_steal_from_itself() {
         let partition = Partition::new(3, 0.66); // 1 general
         let mut rng = SimRng::seed_from_u64(5);
-        let victims = StealPolicy::default().pick_victims(&partition, ServerId(0), &mut rng);
-        assert!(victims.is_empty());
+        assert!(flat(StealPolicy::default(), &partition, 0, &mut rng).is_empty());
         // But a short-partition thief can contact the lone general server.
-        let victims = StealPolicy::default().pick_victims(&partition, ServerId(1), &mut rng);
+        let victims = flat(StealPolicy::default(), &partition, 1, &mut rng);
         assert_eq!(victims, vec![ServerId(0)]);
     }
 
@@ -227,41 +329,19 @@ mod tests {
         assert_eq!(StealPolicy::new(0).cap, 1);
     }
 
-    fn rack_first(
-        partition: &Partition,
-        thief: ServerId,
-        racks: RackGeometry,
-        rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        StealPolicy::default().pick_victims_rack_first_into(
-            partition,
-            thief,
-            racks,
-            rng,
-            &mut scratch,
-            &mut out,
-        );
-        out
-    }
-
+    /// Fails when the strata are drawn in the other order or interleaved.
     #[test]
     fn rack_first_front_loads_the_thiefs_rack() {
         // 100 servers, 80 general, 4-host racks: a general thief's
         // contact list starts with its 3 rack mates, then 7 distinct
         // victims from outside the rack.
         let partition = Partition::new(100, 0.2);
-        let racks = RackGeometry {
-            hosts_per_rack: 4,
-            racks_per_pod: 5,
-        };
         let mut rng = SimRng::seed_from_u64(7);
         for thief_raw in [0u32, 41, 43, 79] {
             let thief = ServerId(thief_raw);
             let rack = thief_raw as usize / 4;
             for _ in 0..100 {
-                let victims = rack_first(&partition, thief, racks, &mut rng);
+                let victims = rack_first(&partition, thief, RACKS_OF_4, &mut rng);
                 assert_eq!(victims.len(), 10);
                 let set: HashSet<_> = victims.iter().collect();
                 assert_eq!(set.len(), victims.len(), "victims must be distinct");
@@ -275,6 +355,8 @@ mod tests {
         }
     }
 
+    /// Fails when `chosen` survives the change of stratum: the two
+    /// positions left by the rack block make the rest skip servers 0 and 1.
     #[test]
     fn rack_first_short_partition_thief_clips_to_general() {
         // 4-host racks, 10 general servers: rack 2 is ids 8..12 but only
@@ -326,11 +408,115 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(6);
         let mut seen = HashSet::new();
         for _ in 0..500 {
-            for v in policy.pick_victims(&partition, ServerId(7), &mut rng) {
+            for v in flat(policy, &partition, 7, &mut rng) {
                 seen.insert(v.0);
             }
         }
         let expected: HashSet<u32> = (0..20).filter(|&i| i != 7).collect();
         assert_eq!(seen, expected);
+    }
+
+    /// What the lazy draw buys: a thief that stops after `k` victims has
+    /// moved its RNG by exactly `k` bounded draws, over `n, n - 1, …`
+    /// candidates. Fails on any sampler that draws ahead (the up-front
+    /// list drew 19 times before the first contact).
+    #[test]
+    fn stopping_after_k_victims_costs_k_bounded_draws() {
+        let partition = Partition::new(100, 0.2); // 80 general, 79 candidates
+        for k in 0..=10 {
+            let mut rng = SimRng::seed_from_u64(11);
+            let mut reference = rng.clone();
+            let mut draw = StealPolicy::default().draw(&partition, ServerId(5), None);
+            let mut chosen = Vec::new();
+            for i in 0..k {
+                assert!(draw.next(&mut rng, &mut chosen).is_some());
+                reference.index(79 - i);
+            }
+            assert_eq!(rng.next_u64(), reference.next_u64(), "after {k} victims");
+        }
+        // Two strata: 3 rack mates, then the 76 servers outside the rack.
+        let mut rng = SimRng::seed_from_u64(12);
+        let mut reference = rng.clone();
+        let mut draw = StealPolicy::default().draw(&partition, ServerId(5), Some(RACKS_OF_4));
+        let mut chosen = Vec::new();
+        for n in [3, 2, 1, 76, 75] {
+            assert!(draw.next(&mut rng, &mut chosen).is_some());
+            reference.index(n);
+        }
+        assert_eq!(rng.next_u64(), reference.next_u64());
+    }
+
+    /// The list the draw replaced, kept as the statistical reference: one
+    /// `sample_distinct_into` per stratum (Floyd's set sample, shuffled),
+    /// mapped past the thief or its rack.
+    fn reference_list(
+        cap: usize,
+        general: usize,
+        thief: usize,
+        hosts_per_rack: usize,
+        rng: &mut SimRng,
+    ) -> Vec<ServerId> {
+        let rack_start = thief / hosts_per_rack * hosts_per_rack;
+        let (lo, hi) = (
+            rack_start.min(general),
+            (rack_start + hosts_per_rack).min(general),
+        );
+        let mut scratch = Vec::new();
+        let mut out = Vec::new();
+        let locals = hi - lo - usize::from((lo..hi).contains(&thief));
+        rng.sample_distinct_into(locals, cap.min(locals), &mut scratch);
+        out.extend(
+            scratch
+                .iter()
+                .map(|&i| lo + i + usize::from(lo + i >= thief)),
+        );
+        let rest = general - (hi - lo);
+        rng.sample_distinct_into(rest, (cap - out.len()).min(rest), &mut scratch);
+        out.extend(
+            scratch
+                .iter()
+                .map(|&i| if i < lo { i } else { i + hi - lo }),
+        );
+        out.into_iter().map(|i| ServerId(i as u32)).collect()
+    }
+
+    /// The stream moved, the distribution did not: over 20 k seeds, how
+    /// often each server lands at each contact position agrees with the
+    /// reference list's count within 300. A count is binomial with σ ≤ 67
+    /// (a server's share of a position is at most 1/3, among the three
+    /// rack mates), so the difference of two independent counts has
+    /// σ ≤ 95: the band is 3.2 σ there and over 5 σ on the flat cells.
+    /// Fails on a biased step (the rank drawn over the whole stratum
+    /// instead of what is left of it, or stepped past `chosen[at] < value`
+    /// only).
+    #[test]
+    fn per_position_marginals_match_the_reference_list() {
+        const SEEDS: u64 = 20_000;
+        let partition = Partition::new(15, 0.2); // 12 general, thief 12 is not
+        let general = partition.general_count();
+        for (thief, racks, cap) in [(3, None, 4), (5, Some(RACKS_OF_4), 6), (12, None, 11)] {
+            let hosts_per_rack = racks.map_or(1, |r: RackGeometry| r.hosts_per_rack);
+            let mut counts = vec![[0i64; 2]; cap * general];
+            for seed in 0..SEEDS {
+                let policy = StealPolicy::new(cap);
+                let mut rng = SimRng::seed_from_u64(seed);
+                let drawn = drain(policy, &partition, ServerId(thief as u32), racks, &mut rng);
+                let mut rng = SimRng::seed_from_u64(seed ^ 0x5EED);
+                let listed = reference_list(cap, general, thief, hosts_per_rack, &mut rng);
+                assert_eq!(drawn.len(), listed.len());
+                for (position, (d, l)) in drawn.iter().zip(&listed).enumerate() {
+                    counts[position * general + d.index()][0] += 1;
+                    counts[position * general + l.index()][1] += 1;
+                }
+            }
+            for (cell, [drawn, listed]) in counts.iter().enumerate() {
+                assert!(
+                    (drawn - listed).abs() <= 300,
+                    "thief {thief}: server {} at position {}: {drawn} vs {listed}",
+                    cell % general,
+                    cell / general
+                );
+            }
+        }
     }
 }

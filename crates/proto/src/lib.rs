@@ -17,7 +17,7 @@
 //! * the **centralized scheduler** wraps the simulator's
 //!   [`hawk_core::CentralScheduler`] (§3.7 waiting-time algorithm);
 //! * steal victims come from
-//!   [`Scheduler::pick_victims_into`](hawk_core::Scheduler::pick_victims_into),
+//!   [`Scheduler::victims`](hawk_core::Scheduler::victims),
 //!   probe bouncing from
 //!   [`Scheduler::bounce_probe`](hawk_core::Scheduler::bounce_probe).
 //!

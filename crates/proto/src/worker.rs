@@ -9,7 +9,7 @@
 //! same code both backends run. Policy decisions route through the shared
 //! [`Scheduler`] trait:
 //!
-//! * steal victims come from [`Scheduler::pick_victims_into`] over the
+//! * steal victims come from [`Scheduler::victims`] over the
 //!   real [`Partition`] (§3.6);
 //! * steal granularity comes from [`Scheduler::steal`];
 //! * probe bouncing asks [`Scheduler::bounce_probe`] against the worker's
@@ -589,17 +589,22 @@ impl Worker {
 
     /// Begins a steal attempt if the policy steals, we are live and no
     /// attempt is in flight (§3.6). Victims come from the policy's
-    /// [`Scheduler::pick_victims_into`] over the real partition — the same
-    /// draw the simulation driver performs.
+    /// [`Scheduler::victims`] over the real partition — the draw the
+    /// simulation driver pulls from, drained up front because the
+    /// contacts are spread over messages.
     fn begin_steal(&mut self, net: &mut impl Net) {
         if self.steal_spec.is_none() || self.down || self.steal.in_flight {
             return;
         }
+        let thief = ServerId(self.index as u32);
+        let Some(victims) = self
+            .scheduler
+            .victims(&self.partition, thief, self.rack_geometry)
+        else {
+            return;
+        };
         self.stats.steal_attempts += 1;
-        self.scheduler.pick_victims_in_fabric_into(
-            &self.partition,
-            ServerId(self.index as u32),
-            self.rack_geometry,
+        victims.drain_into(
             &mut self.rng,
             &mut self.victim_scratch,
             &mut self.steal.victims,

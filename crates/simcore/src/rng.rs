@@ -30,8 +30,8 @@ pub struct SimRng {
     gauss_spare: Option<f64>,
     /// Recycled membership bitmap for [`SimRng::sample_distinct`]: grown to
     /// the largest population sampled and cleared after each call, so the
-    /// hot probe-placement and steal-victim paths allocate nothing in
-    /// steady state. Purely a cache — never affects the output stream.
+    /// hot probe-placement path allocates nothing in steady state. Purely
+    /// a cache — never affects the output stream.
     sample_scratch: Vec<u64>,
     /// Recycled pick buffer for [`SimRng::sample_distinct_map_into`].
     /// Purely a cache — never affects the output stream.
@@ -214,9 +214,8 @@ impl SimRng {
     }
 
     /// Like [`SimRng::sample_distinct`], writing into a caller-provided
-    /// buffer (cleared first). The per-attempt steal-victim path calls this
-    /// with a reused buffer, making victim selection allocation-free; the
-    /// draw sequence is identical to [`SimRng::sample_distinct`].
+    /// buffer (cleared first); the draw sequence is identical to
+    /// [`SimRng::sample_distinct`].
     ///
     /// # Panics
     ///

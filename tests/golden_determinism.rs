@@ -13,9 +13,9 @@
 //! loudly rather than silently shifting every figure.
 //!
 //! If a future PR changes scheduler behavior *on purpose*, re-pin the
-//! constants: run with `HAWK_PRINT_DIGESTS=1 cargo test --test
-//! golden_determinism -- --nocapture` and copy the printed values, noting
-//! the behavioral change in the commit message.
+//! constants with `scripts/repin.sh` (it runs the band suites first, then
+//! prints every constant of `support/mod.rs` paste-ready), noting the
+//! behavioral change next to each moved pin.
 
 use std::sync::Arc;
 
@@ -50,7 +50,7 @@ fn check(name: &str, scheduler: impl Scheduler + 'static, pinned: u64) {
     let report = run(scheduler);
     let digest = digest_report(&report);
     if std::env::var_os("HAWK_PRINT_DIGESTS").is_some() {
-        println!("const {name}: u64 = {digest:#018x};");
+        println!("pub const {name}: u64 = {digest:#018x};");
     }
     assert_eq!(
         digest, pinned,

@@ -3,11 +3,22 @@
 //! input, not just the paper's — in both simulator harnesses: three
 //! whole-cell properties draw `shards` from {1, 2, 3, 5}, so a case runs
 //! `Driver` or `ShardedDriver` (and, with `nodes` starting at 2, shard
-//! counts above the node count, which must clamp), and a fourth runs one
+//! counts above the node count, which must clamp), a fourth runs one
 //! static cell on all four shard counts and compares the per-kind event
-//! counts across the harnesses.
+//! counts across the harnesses, and a fifth holds steal accounting on all
+//! four shard counts *and* on a fault-free `hawk-proto` virtual run of the
+//! same cell (the suite's first prototype leg).
 //!
-//! Mutations of `crates/core/src/shard.rs` that fail all four whole-cell
+//! Mutations of `Core::try_steal` against the fifth (each checked by
+//! hand). Fail it: the remote victims of an attempt dropped instead of
+//! chained into a `StealRequest` (a core's attempts that stole nothing
+//! asked nobody); a steal counted at both ends of a remote transfer
+//! (`steals > steal_scans`). Does *not* fail it, or any counter: the draw
+//! going on after a successful scan — the thief takes a second group and
+//! every count stays in range — which
+//! `protocol::tests::a_successful_scan_stops_the_draw` pins instead.
+//!
+//! Mutations of `crates/core/src/shard.rs` that fail the first four
 //! properties (each checked by hand): `Router::send` filing a
 //! `StolenArrive` under the sending core — the victim's, not the thief's
 //! (a ranged `Cluster` is asked for a server it does not store); and
@@ -52,6 +63,31 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
             .collect();
         Trace::new(jobs).expect("generated jobs are valid")
     })
+}
+
+/// A run stops at its last completion, which `ShardedDriver` sees one
+/// message later than `Driver`: whatever is in flight then is counted by
+/// one and not the other. A one-task job submitted after every queue has
+/// drained makes the last completion a quiet one.
+fn with_quiet_last_job(trace: &Trace) -> Trace {
+    let last = trace.jobs().last().expect("generated traces are non-empty");
+    let quiet = last.submission + trace.total_task_seconds() + SimDuration::from_secs(1_000);
+    let mut jobs = trace.jobs().to_vec();
+    jobs.push(Job {
+        id: JobId(jobs.len() as u32),
+        submission: quiet,
+        tasks: vec![SimDuration::from_secs(10)],
+        generated_class: None,
+    });
+    Trace::new(jobs).expect("generated jobs are valid")
+}
+
+/// The slot of a protocol event kind in `MetricsReport::events_by_kind`.
+fn kind(name: &str) -> usize {
+    hawk::core::Event::KINDS
+        .iter()
+        .position(|&kind| kind == name)
+        .expect("a protocol event kind")
 }
 
 /// Strategy: the harness axis — one shard is `Driver`, more are
@@ -156,31 +192,12 @@ proptest! {
         nodes in 2usize..40,
         seed in 0u64..1_000,
     ) {
-        // A run stops at its last completion, which `ShardedDriver` sees
-        // one message later than `Driver`: whatever is in flight then is
-        // counted by one and not the other. A one-task job submitted after
-        // every queue has drained makes the last completion a quiet one.
-        let last = trace.jobs().last().expect("generated traces are non-empty");
-        let quiet = last.submission + trace.total_task_seconds() + SimDuration::from_secs(1_000);
-        let mut jobs = trace.jobs().to_vec();
-        jobs.push(Job {
-            id: JobId(jobs.len() as u32),
-            submission: quiet,
-            tasks: vec![SimDuration::from_secs(10)],
-            generated_class: None,
-        });
         let cell = Experiment::builder()
             .nodes(nodes)
             .scheduler_shared(scheduler)
             .seed(seed)
-            .trace(Trace::new(jobs).expect("generated jobs are valid"));
+            .trace(with_quiet_last_job(&trace));
         let counts = |shards: usize| cell.clone().shards(shards).run().events_by_kind;
-        let kind = |name: &str| {
-            hawk::core::Event::KINDS
-                .iter()
-                .position(|&kind| kind == name)
-                .expect("a protocol event kind")
-        };
         let single = counts(1);
         for added in ["steal_request", "task_done", "central_task_done"] {
             prop_assert_eq!(single[kind(added)], 0, "{} on Driver", added);
@@ -204,6 +221,67 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Steal accounting in every harness — `Driver`, 2, 3 and 5 cores, and
+    /// a fault-free `hawk-proto` virtual run of the same cell: a steal
+    /// takes an attempt (and, on the simulator harnesses, a scan), an
+    /// attempt scans at most `cap` victims, a policy that does not steal
+    /// counts nothing, and every job completes exactly once whatever was
+    /// stolen from whom. On cores, an attempt that drew every candidate
+    /// and stole nothing locally has asked a remote victim.
+    #[test]
+    fn steal_accounting_holds_in_every_harness(
+        trace in arb_trace(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        policy in 0usize..4,
+        short_fraction in 0.05f64..0.5,
+        cap in prop_oneof![Just(1usize), Just(3), Just(10), Just(40)],
+    ) {
+        let (scheduler, cap) = match policy {
+            0 => (arc(Hawk::new(short_fraction).steal_cap(cap)), cap as u64),
+            // No short partition: every server is a candidate victim, so
+            // two cores or more always leave some of them remote.
+            1 => (arc(Hawk::new(0.17).without_partition().steal_cap(cap)), cap as u64),
+            2 => (arc(Hawk::new(short_fraction).without_stealing()), 0),
+            _ => (arc(Sparrow::new()), 0),
+        };
+        // The quiet last job leaves one server to go idle as the run
+        // ends: at most its request is still in flight.
+        let trace = with_quiet_last_job(&trace);
+        let cell = Experiment::builder()
+            .nodes(nodes)
+            .scheduler_shared(scheduler)
+            .seed(seed)
+            .trace(&trace);
+        let completes_once = |report: &MetricsReport| {
+            report.results.len() == trace.len()
+                && report.results.iter().zip(trace.jobs()).all(|(r, job)| r.job == job.id)
+        };
+        for shards in [1usize, 2, 3, 5] {
+            let report = cell.clone().shards(shards).run();
+            prop_assert!(completes_once(&report), "{} shards", shards);
+            let (steals, scans, attempts) =
+                (report.steals, report.steal_scans, report.steal_attempts);
+            prop_assert!(
+                steals <= scans && scans <= cap * attempts && steals <= attempts,
+                "{} shards: {} steals, {} scans, {} attempts at cap {}",
+                shards, steals, scans, attempts, cap
+            );
+            if shards > 1 && policy == 1 && cap as usize >= nodes {
+                let requests = report.events_by_kind[kind("steal_request")];
+                prop_assert!(
+                    requests + 1 >= attempts - steals,
+                    "{} shards: {} attempts, {} steals, {} requests",
+                    shards, attempts, steals, requests
+                );
+            }
+        }
+        let proto = cell.build().run_on(&ProtoBackend::deterministic());
+        prop_assert!(completes_once(&proto), "proto");
+        prop_assert!(proto.steals <= proto.steal_attempts);
+        prop_assert!(cap > 0 || proto.steal_attempts == 0);
     }
 
     /// Misestimation never breaks liveness and never changes true classes.

@@ -13,8 +13,7 @@
 //!    its own digest, so scenario behavior (failure draining, migration,
 //!    revival, speed scaling) can never drift silently either.
 //!
-//! To re-pin after an intentional behavioral change: `HAWK_PRINT_DIGESTS=1
-//! cargo test --test scenario_golden -- --nocapture`.
+//! To re-pin after an intentional behavioral change: `scripts/repin.sh`.
 
 use std::sync::Arc;
 
@@ -238,7 +237,7 @@ fn saturation_admission_digest_pinned() {
     assert_eq!(streamed + shed, support::GOLDEN_JOBS);
     let digest = digest_report(&report);
     if std::env::var_os("HAWK_PRINT_DIGESTS").is_some() {
-        println!("const SATURATION_ADMISSION_HAWK_DIGEST: u64 = {digest:#018x};");
+        println!("pub const SATURATION_ADMISSION_HAWK_DIGEST: u64 = {digest:#018x};");
     }
     assert_eq!(
         digest, SATURATION_ADMISSION_HAWK_DIGEST,
@@ -258,7 +257,7 @@ fn churn_heterogeneous_digest_pinned() {
     );
     let digest = digest_report(&report);
     if std::env::var_os("HAWK_PRINT_DIGESTS").is_some() {
-        println!("const CHURN_HETERO_HAWK_DIGEST: u64 = {digest:#018x};");
+        println!("pub const CHURN_HETERO_HAWK_DIGEST: u64 = {digest:#018x};");
     }
     assert_eq!(
         digest, CHURN_HETERO_HAWK_DIGEST,
@@ -294,7 +293,7 @@ fn fat_tree_hawk_digest_pinned() {
     assert!(report.network.cross_pod_msgs > 0);
     let digest = digest_report(&report);
     if std::env::var_os("HAWK_PRINT_DIGESTS").is_some() {
-        println!("const FAT_TREE_HAWK_DIGEST: u64 = {digest:#018x};");
+        println!("pub const FAT_TREE_HAWK_DIGEST: u64 = {digest:#018x};");
     }
     assert_ne!(
         digest, HAWK_DIGEST,

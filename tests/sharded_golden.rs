@@ -33,7 +33,8 @@ use hawk_core::scheduler::{
     Centralized, Hawk, PlacementView, Scheduler, Sparrow, SplitCluster, StealSpec,
 };
 use hawk_core::{
-    compare, Experiment, FatTreeParams, MetricsReport, Route, SimBackend, TopologySpec,
+    compare, Experiment, FatTreeParams, MetricsReport, RackGeometry, Route, SimBackend,
+    TopologySpec, VictimDraw,
 };
 use hawk_simcore::SimRng;
 use hawk_workload::google::GOOGLE_SHORT_PARTITION;
@@ -244,23 +245,20 @@ impl Scheduler for ThreadRecorder {
     fn steal(&self) -> Option<StealSpec> {
         self.inner.steal()
     }
-    fn pick_victims_into(
+    fn victims(
         &self,
         partition: &Partition,
         thief: ServerId,
-        rng: &mut SimRng,
-        scratch: &mut Vec<usize>,
-        out: &mut Vec<ServerId>,
-    ) {
+        racks: Option<RackGeometry>,
+    ) -> Option<VictimDraw> {
         self.note();
-        self.inner
-            .pick_victims_into(partition, thief, rng, scratch, out);
+        self.inner.victims(partition, thief, racks)
     }
 }
 
 /// The sharded harness runs every core on the thread that called it: a
 /// policy recording `thread::current().id()` in `route`,
-/// `probe_targets_into` and `pick_victims_into` over a whole 4-shard run
+/// `probe_targets_into` and `victims` over a whole 4-shard run
 /// sees the caller and nobody else. Fails on any version that hands a
 /// core to a spawned thread (the worker pool of two versions ago spawned
 /// even its single worker).
@@ -322,7 +320,7 @@ fn rack_aligned_locality_fat_tree_digest_pinned() {
     );
     let digest = digest_report(&report);
     if std::env::var_os("HAWK_PRINT_DIGESTS").is_some() {
-        println!("const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = {digest:#018x};");
+        println!("pub const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = {digest:#018x};");
     }
     assert_eq!(
         digest, RACK_ALIGNED_STEAL_HAWK_DIGEST,

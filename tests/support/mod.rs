@@ -28,9 +28,14 @@ pub const GOLDEN_NODES: usize = 300;
 /// Job count of the golden trace (10×-scaled Google-like generator).
 pub const GOLDEN_JOBS: usize = 400;
 
-/// Pinned digest: Hawk on the golden cell (pre-rework engine, commit
-/// d65d7bf; unchanged through every engine rework since).
-pub const HAWK_DIGEST: u64 = 0xd3c1ed8a6771bcfc;
+/// Pinned digest: Hawk on the golden cell. Re-pinned once, from
+/// `0xd3c1ed8a6771bcfc` (the pre-rework engine's, commit d65d7bf), by the
+/// PR that made a thief draw its victims as it contacts them: `steal_rng`
+/// now advances by what an attempt contacted, not by a ten-victim list
+/// made up front, so every stealing cell's stream moved — this pin and the
+/// four Hawk pins and four [`ProtoPin`]s below with it, under unwidened
+/// bands (`scripts/repin.sh`). The three non-stealing pins did not move.
+pub const HAWK_DIGEST: u64 = 0x25ca3a853ecd5bb2;
 /// Pinned digest: Sparrow on the golden cell.
 pub const SPARROW_DIGEST: u64 = 0x01255b27da1012a9;
 /// Pinned digest: the centralized baseline on the golden cell.
@@ -38,33 +43,37 @@ pub const CENTRALIZED_DIGEST: u64 = 0x9048234f476f81f5;
 /// Pinned digest: the split-cluster baseline on the golden cell.
 pub const SPLIT_CLUSTER_DIGEST: u64 = 0x74d8c6fdcb839842;
 
-/// Pinned digest of [`churn_scenario`] under Hawk (produced by the
-/// scenario-engine PR; any later drift in failure draining, migration
-/// targeting, revival or speed scaling fails against it).
-pub const CHURN_HETERO_HAWK_DIGEST: u64 = 0x4f3fa286a0bcca5a;
+/// Pinned digest of [`churn_scenario`] under Hawk (re-pinned, from
+/// `0x4f3fa286a0bcca5a`, with [`HAWK_DIGEST`] for the lazy victim draw;
+/// any later drift in failure draining, migration targeting, revival or
+/// speed scaling fails against it).
+pub const CHURN_HETERO_HAWK_DIGEST: u64 = 0xd1728be003a40038;
 
 /// Pinned digest of the golden Hawk cell on the default uncontended fat
-/// tree (produced by the PR that introduced `hawk-net`; any later drift
-/// in placement mapping, link classification or hop costs fails against
-/// it).
-pub const FAT_TREE_HAWK_DIGEST: u64 = 0x416829b65ce3bf51;
+/// tree (re-pinned, from `0x416829b65ce3bf51`, with [`HAWK_DIGEST`] for
+/// the lazy victim draw; any later drift in placement mapping, link
+/// classification or hop costs fails against it).
+pub const FAT_TREE_HAWK_DIGEST: u64 = 0x9b1ed31db128dcc2;
 
 /// Pinned digest of the golden fat-tree cell run rack-aligned at
 /// exactly 4 shards under Hawk with rack-first stealing (re-pinned, from
 /// `0x3dd368431bb88ffd`, by the PR that put the cores on one event list:
 /// equal-time events of different cores now order by the engine's
-/// insertion sequence). Sharded digests are only comparable per shard
+/// insertion sequence; and again, from `0xb47457be00937434`, with
+/// [`HAWK_DIGEST`] for the lazy victim draw, which stops after the rack
+/// mate that yields). Sharded digests are only comparable per shard
 /// count, so this pin uses a fixed 4 regardless of `HAWK_SHARDS`; any
 /// later drift in rack-aligned partitioning, job homing, the routing of
 /// a send to its core or the rack-first victim order fails against it.
-pub const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = 0xb47457be00937434;
+pub const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = 0xaf4c8dd98af0e58e;
 
 /// Pinned digest of [`saturation_scenario`] under Hawk with
-/// [`saturation_policy`] admission control (produced by the serving-mode
-/// PR; any later drift in the saturation arrival process, the admission
+/// [`saturation_policy`] admission control (re-pinned, from
+/// `0x3b19acf4efb8442e`, with [`HAWK_DIGEST`] for the lazy victim draw;
+/// any later drift in the saturation arrival process, the admission
 /// plan's window accounting or the shed/deferral semantics fails against
 /// it).
-pub const SATURATION_ADMISSION_HAWK_DIGEST: u64 = 0x3b19acf4efb8442e;
+pub const SATURATION_ADMISSION_HAWK_DIGEST: u64 = 0x42cfc0170548fdbc;
 
 /// What a prototype run is pinned by: a hash of every job's runtime plus
 /// the protocol counters — `messages` and the hardened-protocol counters
@@ -104,60 +113,101 @@ pub fn proto_pin(report: &ProtoReport) -> ProtoPin {
     }
 }
 
+/// Prints `pins` as the source of the constant `name`, for
+/// `scripts/repin.sh` to collect.
+pub fn print_proto_pins(name: &str, pins: &[ProtoPin]) {
+    // 154660 -> 154_660, the way the constants below are written.
+    fn grouped(n: u64) -> String {
+        let digits = n.to_string();
+        let mut out = String::new();
+        for (i, digit) in digits.chars().enumerate() {
+            if i > 0 && (digits.len() - i).is_multiple_of(3) {
+                out.push('_');
+            }
+            out.push(digit);
+        }
+        out
+    }
+    println!("pub const {name}: [ProtoPin; {}] = [", pins.len());
+    for pin in pins {
+        println!("    ProtoPin {{");
+        println!("        runtimes: {:#018x},", pin.runtimes);
+        for (field, count) in [
+            ("messages", pin.messages),
+            ("steals", pin.steals),
+            ("steal_attempts", pin.steal_attempts),
+            ("drops", pin.drops),
+            ("dups", pin.dups),
+            ("retries", pin.retries),
+            ("timeouts_fired", pin.timeouts_fired),
+            ("relaunched", pin.relaunched),
+            ("migrations", pin.migrations),
+        ] {
+            println!("        {field}: {},", grouped(count));
+        }
+        println!("    }},");
+    }
+    println!("];");
+}
+
 /// Pinned [`ProtoPin`]s of the hardened-chaos conformance cell
 /// (`backend_conformance::hardened_chaos_cell_replays_the_pinned_delivery_sequence`)
-/// at seeds `SIM_SEED` and `SIM_SEED + 1`, captured on the commit before
-/// the virtual router moved onto `hawk_simcore::EventQueue` and the job
-/// chains stopped rescanning (084a675). The router decides how fast a
+/// at seeds `SIM_SEED` and `SIM_SEED + 1`. First captured on the commit
+/// before the virtual router moved onto `hawk_simcore::EventQueue` and the
+/// job chains stopped rescanning (084a675); re-pinned with [`HAWK_DIGEST`]
+/// when a worker's contact list became a drain of the lazy victim draw
+/// (ten draws from the worker's stream instead of nineteen; messages were
+/// 154,660 / 154,879, steals 1,463 / 1,454). The router decides how fast a
 /// delivery is found, never which one is next — any drift in delivery
 /// order, chain firing or a fault-lane draw fails against these.
 pub const HARDENED_CHAOS_PINS: [ProtoPin; 2] = [
     ProtoPin {
-        runtimes: 0xb53fe1fb9120b3e6,
-        messages: 154_660,
-        steals: 1_463,
-        steal_attempts: 2_033,
-        drops: 965,
-        dups: 506,
-        retries: 9_627,
-        timeouts_fired: 389,
-        relaunched: 397,
-        migrations: 45,
+        runtimes: 0x7db2325da4e82540,
+        messages: 156_754,
+        steals: 1_455,
+        steal_attempts: 2_028,
+        drops: 982,
+        dups: 509,
+        retries: 9_961,
+        timeouts_fired: 404,
+        relaunched: 409,
+        migrations: 46,
     },
     ProtoPin {
-        runtimes: 0xa526527f6bed13c8,
-        messages: 154_879,
-        steals: 1_454,
-        steal_attempts: 2_010,
-        drops: 1_022,
-        dups: 466,
-        retries: 9_896,
-        timeouts_fired: 391,
-        relaunched: 392,
+        runtimes: 0x9414a43a41c9a5da,
+        messages: 153_876,
+        steals: 1_453,
+        steal_attempts: 1_984,
+        drops: 1_017,
+        dups: 462,
+        retries: 9_890,
+        timeouts_fired: 359,
+        relaunched: 362,
         migrations: 44,
     },
 ];
 
 /// The same cell on a clean network ([`hawk_proto::FaultSpec::none`]): the
-/// unhardened code path, same capture commit.
+/// unhardened code path, same capture and re-pin (messages were 66,530 /
+/// 66,456, steals 1,417 / 1,392).
 pub const CLEAN_PROTO_PINS: [ProtoPin; 2] = [
     ProtoPin {
-        runtimes: 0x16643fccfb47b5b3,
-        messages: 66_530,
-        steals: 1_417,
-        steal_attempts: 1_934,
+        runtimes: 0x666efead1790403d,
+        messages: 66_812,
+        steals: 1_429,
+        steal_attempts: 1_952,
         drops: 0,
         dups: 0,
         retries: 0,
         timeouts_fired: 0,
         relaunched: 0,
-        migrations: 47,
+        migrations: 46,
     },
     ProtoPin {
-        runtimes: 0x9077ed63b0d32d10,
-        messages: 66_456,
-        steals: 1_392,
-        steal_attempts: 1_909,
+        runtimes: 0x994faba6337dae93,
+        messages: 66_690,
+        steals: 1_418,
+        steal_attempts: 1_939,
         drops: 0,
         dups: 0,
         retries: 0,
