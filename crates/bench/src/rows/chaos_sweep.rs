@@ -134,7 +134,11 @@ pub(crate) fn run(opts: &HarnessOpts, flags: &[String]) -> Table {
 
     // The fault-free baseline: FaultSpec::none(), the exact historical
     // router path (not even hardened timers).
-    let (baseline, _) = timed(&trace, &cfg_for(FaultSpec::none()));
+    let metrics = |report: &ProtoReport| {
+        let name = "hawk".to_string();
+        report.clone().into_metrics(name, CONFORMANCE_NODES)
+    };
+    let baseline = metrics(&timed(&trace, &cfg_for(FaultSpec::none())).0);
     let base_p90 = |class: JobClass| baseline.runtime_percentile(class, 90.0);
 
     let mut table = Table::default();
@@ -152,7 +156,8 @@ pub(crate) fn run(opts: &HarnessOpts, flags: &[String]) -> Table {
                 trace.len(),
                 "hardened prototype lost jobs at drop {drop}, partition {label}s"
             );
-            let p90 = |class: JobClass| report.runtime_percentile(class, 90.0);
+            let faulty = metrics(&report);
+            let p90 = |class: JobClass| faulty.runtime_percentile(class, 90.0);
             let p90_x = |class: JobClass| fmt4(ratio(p90(class), base_p90(class)));
             let completed = format!("{}/{}", report.jobs.len(), trace.len());
             table.push([

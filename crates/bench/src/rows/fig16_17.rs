@@ -14,14 +14,11 @@
 //! so the wall-clock run stays in minutes; `--full-trace` runs the paper's
 //! exact 3,300 jobs at 1000× (hours of wall time).
 
-use std::sync::Arc;
-
-use crate::{base, fmt, fmt4, ratio, ratio_quad, HarnessOpts, RunMode, Table};
+use crate::{base, fmt, fmt4, ratio_quad, HarnessOpts, RunMode, Table};
 use hawk_core::scheduler::{Hawk, Sparrow};
-use hawk_proto::{run_prototype, ProtoConfig};
-use hawk_simcore::SimRng;
+use hawk_proto::ProtoBackend;
+use hawk_simcore::{SimDuration, SimRng};
 use hawk_workload::sample::{arrivals_for_load_multiplier, PrototypeSampleConfig};
-use hawk_workload::JobClass::{Long, Short};
 use hawk_workload::Trace;
 
 /// The paper's load sweep: multiplier 1 is the most loaded point (our
@@ -62,45 +59,33 @@ pub(crate) fn run(opts: &HarnessOpts, _: &[String]) -> Table {
             trace.span().as_secs_f64()
         );
 
-        // --- Real-time prototype runs: the same policy values the
-        // simulator cells below run, on live threads ---
-        let proto_cfg = ProtoConfig {
-            cutoff,
-            seed: opts.seed,
-            ..ProtoConfig::default()
-        };
-        let proto_hawk = run_prototype(&trace, Arc::new(Hawk::new(0.17)), &proto_cfg);
-        let proto_sparrow = run_prototype(&trace, Arc::new(Sparrow::new()), &proto_cfg);
-
-        // --- Simulator runs on the identical trace ---
-        let sim_base = base(opts)
+        // One cell per policy, run on the real-time prototype (live
+        // threads) and on the simulator: the same trace, seed and cutoff,
+        // utilization sampled on the scaled clock.
+        let cell = base(opts)
             .nodes(WORKERS)
             .cutoff(cutoff)
-            // Sample utilization on the scaled clock.
-            .util_interval(hawk_simcore::SimDuration::from_millis(50))
+            .util_interval(SimDuration::from_millis(50))
             .trace(&trace);
-        let sim_hawk = sim_base.clone().scheduler(Hawk::new(0.17)).run();
-        let sim_sparrow = sim_base.scheduler(Sparrow::new()).run();
+        let hawk = cell.clone().scheduler(Hawk::new(0.17)).build();
+        let sparrow = cell.scheduler(Sparrow::new()).build();
+        let real_time = ProtoBackend::real_time();
+        let (proto_hawk, proto_sparrow) = (hawk.run_on(&real_time), sparrow.run_on(&real_time));
+        let (sim_hawk, sim_sparrow) = (hawk.run(), sparrow.run());
 
-        let impl_ratio = |class, pct| {
-            ratio(
-                proto_hawk.runtime_percentile(class, pct),
-                proto_sparrow.runtime_percentile(class, pct),
-            )
-        };
+        let (impl_p50l, impl_p90l, impl_p50s, impl_p90s) = ratio_quad(&proto_hawk, &proto_sparrow);
         let (sim_p50l, sim_p90l, sim_p50s, sim_p90s) = ratio_quad(&sim_hawk, &sim_sparrow);
-        let impl_util = proto_sparrow.median_utilization();
         table.push([
             ("interarrival_multiple", fmt(m)),
-            ("impl_p50_short", fmt4(impl_ratio(Short, 50.0))),
-            ("impl_p90_short", fmt4(impl_ratio(Short, 90.0))),
-            ("impl_p50_long", fmt4(impl_ratio(Long, 50.0))),
-            ("impl_p90_long", fmt4(impl_ratio(Long, 90.0))),
+            ("impl_p50_short", fmt4(impl_p50s)),
+            ("impl_p90_short", fmt4(impl_p90s)),
+            ("impl_p50_long", fmt4(impl_p50l)),
+            ("impl_p90_long", fmt4(impl_p90l)),
             ("sim_p50_short", fmt4(sim_p50s)),
             ("sim_p90_short", fmt4(sim_p90s)),
             ("sim_p50_long", fmt4(sim_p50l)),
             ("sim_p90_long", fmt4(sim_p90l)),
-            ("impl_sparrow_median_util", fmt4(impl_util)),
+            ("impl_sparrow_median_util", fmt4(proto_sparrow.median_utilization)),
         ]);
     }
     eprintln!("fig16_17: done (Fig 16 = short columns, Fig 17 = long columns)");

@@ -1,17 +1,22 @@
-//! Experiment and scheduler configuration.
+//! How a cell is described and checked.
 //!
 //! Every evaluation cell in the paper is a `(trace, scheduler, cluster
-//! size)` triple plus the classification cutoff. [`SchedulerConfig`]
-//! resolves each named scheduler — Hawk (with per-component ablation
-//! switches), Sparrow, fully centralized, split cluster — into the routing
-//! policy the driver executes.
+//! size)` triple plus the classification cutoff. The scheduler is an
+//! `Arc<dyn Scheduler>` that routes each job class by a [`Route`] over a
+//! [`Scope`]; everything else is one [`SimConfig`], which every backend
+//! reads. [`check_cell`] is the one legality check of a scheduler on a
+//! cell: the [`Driver`](crate::Driver), the
+//! [`ShardedDriver`](crate::ShardedDriver) and `hawk-proto`'s runtimes all
+//! call it, so they refuse the same cells with the same message.
 
 use crate::admission::AdmissionPolicy;
-use hawk_cluster::{NetworkModel, StealGranularity};
+use crate::scheduler::Scheduler;
+use hawk_cluster::Partition;
 use hawk_net::TopologySpec;
 use hawk_simcore::SimDuration;
 use hawk_workload::classify::{Cutoff, MisestimateRange};
 use hawk_workload::scenario::{DynamicsScript, SpeedSpec};
+use hawk_workload::JobClass;
 use serde::{Deserialize, Serialize};
 
 /// Which servers a placement may target.
@@ -34,104 +39,6 @@ pub enum Route {
     /// Scheduled by per-job distributed schedulers with batch probing and
     /// late binding (§3.5) over the given scope.
     Distributed(Scope),
-}
-
-/// A fully resolved scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct SchedulerConfig {
-    /// Human-readable name for reports.
-    pub name: &'static str,
-    /// Fraction of servers reserved for short tasks (§3.4); zero disables
-    /// partitioning.
-    pub short_partition_fraction: f64,
-    /// Probes sent per task by distributed schedulers (paper: 2, §4.1).
-    pub probe_ratio: f64,
-    /// Maximum random servers an idle node contacts per steal attempt
-    /// (paper default: 10, §4.1); `None` disables stealing.
-    pub steal_cap: Option<usize>,
-    /// What a successful steal takes from the victim (paper: the first
-    /// blocked group, Figure 3; alternatives test that design choice).
-    pub steal_granularity: StealGranularity,
-    /// Maximum times a short probe bounces off a server that holds long
-    /// work before queueing anyway (0 = the paper's Hawk: probes always
-    /// queue where they land). An extension modeled on Hawk's successor
-    /// Eagle, whose node monitors avoid placing short tasks behind long
-    /// ones; here the avoidance is discovered by bouncing rather than by
-    /// gossiped state, so each bounce costs one extra network hop.
-    pub probe_bounce_limit: u8,
-    /// How long jobs are scheduled.
-    pub long_route: Route,
-    /// How short jobs are scheduled.
-    pub short_route: Route,
-}
-
-impl SchedulerConfig {
-    /// Full Hawk (§3): centralized long jobs on the general partition,
-    /// distributed short jobs over the whole cluster, stealing enabled.
-    pub fn hawk(short_partition_fraction: f64) -> Self {
-        SchedulerConfig {
-            name: "hawk",
-            short_partition_fraction,
-            probe_ratio: 2.0,
-            steal_cap: Some(10),
-            steal_granularity: StealGranularity::FirstBlockedGroup,
-            probe_bounce_limit: 0,
-            long_route: Route::Central(Scope::General),
-            short_route: Route::Distributed(Scope::Whole),
-        }
-    }
-
-    /// The Sparrow baseline \[14\]: everything distributed over the whole
-    /// cluster, probe ratio 2, no partition, no stealing.
-    pub fn sparrow() -> Self {
-        SchedulerConfig {
-            name: "sparrow",
-            short_partition_fraction: 0.0,
-            probe_ratio: 2.0,
-            steal_cap: None,
-            steal_granularity: StealGranularity::FirstBlockedGroup,
-            probe_bounce_limit: 0,
-            long_route: Route::Distributed(Scope::Whole),
-            short_route: Route::Distributed(Scope::Whole),
-        }
-    }
-
-    /// The fully centralized baseline (§4.5): the §3.7 algorithm for every
-    /// job over the whole cluster; no partition, no stealing.
-    pub fn centralized() -> Self {
-        SchedulerConfig {
-            name: "centralized",
-            short_partition_fraction: 0.0,
-            probe_ratio: 2.0,
-            steal_cap: None,
-            steal_granularity: StealGranularity::FirstBlockedGroup,
-            probe_bounce_limit: 0,
-            long_route: Route::Central(Scope::Whole),
-            short_route: Route::Central(Scope::Whole),
-        }
-    }
-
-    /// The split-cluster baseline (§4.6): disjoint partitions, centralized
-    /// long scheduling, distributed short scheduling confined to the short
-    /// partition, no stealing.
-    pub fn split_cluster(short_partition_fraction: f64) -> Self {
-        SchedulerConfig {
-            name: "split-cluster",
-            short_partition_fraction,
-            probe_ratio: 2.0,
-            steal_cap: None,
-            steal_granularity: StealGranularity::FirstBlockedGroup,
-            probe_bounce_limit: 0,
-            long_route: Route::Central(Scope::General),
-            short_route: Route::Distributed(Scope::ShortReserved),
-        }
-    }
-
-    /// True if any route uses the centralized scheduler.
-    pub fn uses_central(&self) -> bool {
-        matches!(self.long_route, Route::Central(_))
-            || matches!(self.short_route, Route::Central(_))
-    }
 }
 
 /// Processing cost of the centralized scheduler.
@@ -171,7 +78,7 @@ impl CentralOverhead {
 }
 
 /// The policy-independent parameters of one simulation run: cluster size,
-/// classification/estimation settings, network model and seed — everything
+/// classification/estimation settings, network topology and seed — everything
 /// an experiment cell needs besides the scheduler and the trace.
 #[derive(Debug, Clone, Serialize)]
 pub struct SimConfig {
@@ -181,14 +88,11 @@ pub struct SimConfig {
     pub cutoff: Cutoff,
     /// Estimation error model (§4.8); `None` for exact estimates.
     pub misestimate: Option<MisestimateRange>,
-    /// Network delays.
-    pub network: NetworkModel,
-    /// Placement-aware network topology. `None` (the default) means the
-    /// flat constant-delay network described by `network` — the paper's
-    /// §4.1 model — so every pre-topology configuration keeps its exact
-    /// behavior. `Some` selects a fat-tree (optionally contended) model
-    /// and makes `network` irrelevant except as documentation.
-    pub topology: Option<TopologySpec>,
+    /// The network topology every message is priced on. The default,
+    /// [`TopologySpec::paper_default`], is the paper's flat 0.5 ms network
+    /// (§4.1); a fat tree (optionally contended) makes delays depend on
+    /// where the two endpoints sit.
+    pub topology: TopologySpec,
     /// Centralized-scheduler decision cost (default: free, as in the
     /// paper's simulator).
     pub central_overhead: CentralOverhead,
@@ -231,8 +135,7 @@ impl Default for SimConfig {
             nodes: 1_500,
             cutoff: Cutoff::GOOGLE_DEFAULT,
             misestimate: None,
-            network: NetworkModel::paper_default(),
-            topology: None,
+            topology: TopologySpec::paper_default(),
             central_overhead: CentralOverhead::FREE,
             util_interval: SimDuration::from_secs(100),
             dynamics: DynamicsScript::none(),
@@ -246,78 +149,69 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The effective network topology of this configuration: the explicit
-    /// spec if one was set, otherwise the flat constant-delay network
-    /// built from `network`. Both backends construct their runtime
-    /// topology from this single seam.
+    /// [`SimConfig::topology`]. Kept only because the frozen benchmark
+    /// (`hawkbench/layers.rs`) calls it.
+    #[doc(hidden)]
     pub fn topology_spec(&self) -> TopologySpec {
         self.topology
-            .unwrap_or(TopologySpec::Constant(self.network))
     }
 }
 
-/// One experiment cell as a plain record: a [`SchedulerConfig`] (which
-/// implements [`Scheduler`](crate::Scheduler)) plus the simulation
-/// parameters, convertible with [`ExperimentConfig::sim`]. New code
-/// describes cells with [`Experiment::builder`](crate::Experiment::builder).
-#[derive(Debug, Clone, Serialize)]
-pub struct ExperimentConfig {
-    /// Cluster size in servers.
-    pub nodes: usize,
-    /// The scheduling policy.
-    pub scheduler: SchedulerConfig,
-    /// Short/long cutoff on estimated task runtime (§3.3).
-    pub cutoff: Cutoff,
-    /// Estimation error model (§4.8); `None` for exact estimates.
-    pub misestimate: Option<MisestimateRange>,
-    /// Network delays.
-    pub network: NetworkModel,
-    /// Centralized-scheduler decision cost (default: free, as in the
-    /// paper's simulator).
-    pub central_overhead: CentralOverhead,
-    /// Utilization sampling interval (paper: 100 s).
-    pub util_interval: SimDuration,
-    /// RNG seed for probe placement, stealing and misestimation.
-    pub seed: u64,
-}
-
-impl ExperimentConfig {
-    /// The policy-independent part of this configuration. Legacy cells
-    /// are always static and homogeneous; scenarios use
-    /// [`Experiment::builder`](crate::Experiment::builder).
-    pub fn sim(&self) -> SimConfig {
-        SimConfig {
-            nodes: self.nodes,
-            cutoff: self.cutoff,
-            misestimate: self.misestimate,
-            network: self.network,
-            topology: None,
-            central_overhead: self.central_overhead,
-            util_interval: self.util_interval,
-            dynamics: DynamicsScript::none(),
-            speeds: SpeedSpec::Uniform,
-            seed: self.seed,
-            shards: 1,
-            admission: None,
-            live_window: None,
+/// Checks that `scheduler` can run on a cell of `nodes` servers that
+/// replays `dynamics` and samples utilization every `util_interval`, and
+/// returns the size of the central scheduler's scope (servers `0..len`),
+/// or `None` when no route is central. Every harness calls it once,
+/// before it builds anything.
+///
+/// # Panics
+///
+/// Panics when the dynamics script touches a server outside the cluster,
+/// `util_interval` is zero (a sampler would re-arm at the same instant
+/// forever), a route targets the short partition but none is reserved,
+/// the two central routes name different scopes or the short partition,
+/// or the central scope is empty.
+pub fn check_cell(
+    scheduler: &dyn Scheduler,
+    nodes: usize,
+    dynamics: &DynamicsScript,
+    util_interval: SimDuration,
+) -> Option<usize> {
+    if let Some(max) = dynamics.max_server() {
+        assert!(
+            (max as usize) < nodes,
+            "dynamics script touches server {max} but the cluster has {nodes} servers"
+        );
+    }
+    assert!(!util_interval.is_zero(), "util_interval must be positive");
+    let partition = Partition::new(nodes, scheduler.short_partition_fraction());
+    let routes = [JobClass::Long, JobClass::Short].map(|class| scheduler.route(class));
+    for route in routes {
+        if let Route::Distributed(Scope::ShortReserved) | Route::Central(Scope::ShortReserved) =
+            route
+        {
+            assert!(
+                partition.short_count() > 0,
+                "route targets the short partition but none is reserved"
+            );
         }
     }
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        let sim = SimConfig::default();
-        ExperimentConfig {
-            nodes: sim.nodes,
-            scheduler: SchedulerConfig::hawk(0.17),
-            cutoff: sim.cutoff,
-            misestimate: sim.misestimate,
-            network: sim.network,
-            central_overhead: sim.central_overhead,
-            util_interval: sim.util_interval,
-            seed: sim.seed,
+    let central = match routes {
+        [Route::Central(a), Route::Central(b)] => {
+            assert!(a == b, "central routes must share a scope");
+            Some(a)
         }
-    }
+        [Route::Central(scope), _] | [_, Route::Central(scope)] => Some(scope),
+        _ => None,
+    };
+    central.map(|scope| {
+        let len = match scope {
+            Scope::Whole => partition.total(),
+            Scope::General => partition.general_count(),
+            Scope::ShortReserved => panic!("central routes never target the short partition"),
+        };
+        assert!(len > 0, "centralized route over an empty scope");
+        len
+    })
 }
 
 /// Default experiment seed; an arbitrary constant so runs are reproducible.
@@ -326,41 +220,39 @@ pub const DEFAULT_SEED: u64 = 0x4a77_2015;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::{Centralized, Hawk, Sparrow, SplitCluster};
+
+    /// The central scope [`check_cell`] finds for `scheduler` on a static
+    /// 100-server cell.
+    fn central_scope(scheduler: &dyn Scheduler) -> Option<usize> {
+        let interval = SimDuration::from_secs(100);
+        check_cell(scheduler, 100, &DynamicsScript::none(), interval)
+    }
 
     #[test]
     fn hawk_defaults_match_paper() {
-        let h = SchedulerConfig::hawk(0.17);
-        assert_eq!(h.probe_ratio, 2.0);
-        assert_eq!(h.steal_cap, Some(10));
-        assert_eq!(h.long_route, Route::Central(Scope::General));
-        assert_eq!(h.short_route, Route::Distributed(Scope::Whole));
-        assert!(h.uses_central());
+        // Long jobs are placed centrally on the general partition: the 83
+        // servers a 17 % reservation leaves.
+        assert_eq!(central_scope(&Hawk::new(0.17)), Some(83));
+        assert_eq!(central_scope(&Hawk::new(0.17).without_centralized()), None);
     }
 
     #[test]
     fn sparrow_is_fully_distributed() {
-        let s = SchedulerConfig::sparrow();
-        assert_eq!(s.long_route, Route::Distributed(Scope::Whole));
-        assert_eq!(s.short_route, Route::Distributed(Scope::Whole));
-        assert_eq!(s.steal_cap, None);
-        assert_eq!(s.short_partition_fraction, 0.0);
-        assert!(!s.uses_central());
+        assert_eq!(central_scope(&Sparrow::new()), None);
     }
 
     #[test]
     fn centralized_is_fully_central() {
-        let c = SchedulerConfig::centralized();
-        assert_eq!(c.long_route, Route::Central(Scope::Whole));
-        assert_eq!(c.short_route, Route::Central(Scope::Whole));
-        assert!(c.uses_central());
+        // Both classes share one central scope, the whole cluster.
+        assert_eq!(central_scope(&Centralized::new()), Some(100));
     }
 
     #[test]
     fn split_cluster_confines_shorts() {
-        let s = SchedulerConfig::split_cluster(0.17);
-        assert_eq!(s.short_route, Route::Distributed(Scope::ShortReserved));
-        assert_eq!(s.long_route, Route::Central(Scope::General));
-        assert_eq!(s.steal_cap, None);
+        // Shorts probe only the reserved partition, so the central scope
+        // of the long jobs stops where it starts.
+        assert_eq!(central_scope(&SplitCluster::new(0.17)), Some(83));
     }
 
     #[test]

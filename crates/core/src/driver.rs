@@ -63,14 +63,13 @@ impl<'t> Driver<'t> {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration: a centralized route over an
-    /// empty scope, or a short-reserved route with no reserved servers.
+    /// Panics on a cell [`check_cell`](crate::check_cell) refuses.
     pub fn with_scheduler(
         trace: &'t Trace,
         scheduler: Arc<dyn Scheduler>,
         sim: &SimConfig,
     ) -> Self {
-        let mut inputs = RunInputs::new(trace, sim);
+        let mut inputs = RunInputs::new(trace, &*scheduler, sim);
         let mut core = Core::new(trace, scheduler, sim, &mut inputs, 0..sim.nodes as u32);
         // No capacity here is sized by the trace: the queue arena starts
         // empty and the event arena with room for what is seeded — the
@@ -455,6 +454,7 @@ mod tests {
     #[test]
     fn steal_transfer_delay_still_delivers_entries() {
         use hawk_cluster::NetworkModel;
+        use hawk_net::TopologySpec;
         // Same blocked-shorts scenario as the stealing test, but stolen
         // entries take 1 ms to move between queues.
         let mut jobs = vec![(0, vec![5_000u64; 8])];
@@ -468,7 +468,7 @@ mod tests {
         };
         let sim = SimConfig {
             nodes: 10,
-            network,
+            topology: TopologySpec::Constant(network),
             ..SimConfig::default()
         };
         let report = Driver::with_scheduler(&trace, Arc::new(Hawk::new(0.2)), &sim).run();

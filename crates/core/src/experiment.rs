@@ -31,7 +31,6 @@
 
 use std::sync::Arc;
 
-use hawk_cluster::NetworkModel;
 use hawk_net::TopologySpec;
 use hawk_simcore::SimDuration;
 use hawk_workload::classify::{Cutoff, JobEstimates, MisestimateRange};
@@ -87,7 +86,7 @@ pub struct Experiment {
 impl Experiment {
     /// Starts describing an experiment. The builder begins from the
     /// paper's defaults (1,500 nodes, Google cutoff, exact estimates,
-    /// paper network model, free central decisions).
+    /// the paper's flat network, free central decisions).
     pub fn builder() -> ExperimentBuilder {
         ExperimentBuilder::default()
     }
@@ -240,18 +239,11 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Sets the network delay model.
-    pub fn network(mut self, network: NetworkModel) -> Self {
-        self.sim.network = network;
-        self
-    }
-
-    /// Sets a placement-aware network topology (fat-tree, optionally with
-    /// per-link contention). The default is the flat constant-delay
-    /// network described by [`ExperimentBuilder::network`];
-    /// `TopologySpec::Constant` spells that same default explicitly.
+    /// Sets the network topology: a fat tree (optionally with per-link
+    /// contention) or a `TopologySpec::Constant` delay model. The default
+    /// is [`TopologySpec::paper_default`], the paper's flat 0.5 ms network.
     pub fn topology(mut self, topology: TopologySpec) -> Self {
-        self.sim.topology = Some(topology);
+        self.sim.topology = topology;
         self
     }
 

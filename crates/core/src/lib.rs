@@ -85,9 +85,7 @@ mod sweep;
 pub use admission::{AdmissionDecision, AdmissionPlan, AdmissionPolicy};
 pub use backend::{Backend, SimBackend};
 pub use centralized::CentralScheduler;
-pub use config::{
-    CentralOverhead, ExperimentConfig, Route, SchedulerConfig, Scope, SimConfig, DEFAULT_SEED,
-};
+pub use config::{check_cell, CentralOverhead, Route, Scope, SimConfig, DEFAULT_SEED};
 pub use distributed::ProbePlanner;
 pub use driver::Driver;
 pub use experiment::{Experiment, ExperimentBuilder, IntoTrace};

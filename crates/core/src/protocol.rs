@@ -40,7 +40,7 @@ use hawk_workload::{JobClass, JobId, Trace};
 
 use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::centralized::CentralScheduler;
-use crate::config::{CentralOverhead, Route, Scope, SimConfig};
+use crate::config::{check_cell, CentralOverhead, Route, Scope, SimConfig};
 use crate::live::LiveRecorder;
 use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats, StreamingSummary};
 use crate::scheduler::{PlacementView, Scheduler, StealSpec};
@@ -269,6 +269,8 @@ pub(crate) struct RunInputs {
     pub(crate) estimates: Arc<JobEstimates>,
     admission: Option<Arc<AdmissionPlan>>,
     speeds: Option<Vec<f64>>,
+    /// Size of the central scheduler's scope, from [`check_cell`].
+    central_scope: Option<usize>,
     max_tasks: usize,
     rng_root: SimRng,
 }
@@ -276,21 +278,15 @@ pub(crate) struct RunInputs {
 impl RunInputs {
     /// # Panics
     ///
-    /// Panics when the dynamics script names a server outside the cluster.
-    pub(crate) fn new(trace: &Trace, sim: &SimConfig) -> Self {
+    /// Panics on a cell [`check_cell`] refuses.
+    pub(crate) fn new(trace: &Trace, scheduler: &dyn Scheduler, sim: &SimConfig) -> Self {
+        let central_scope = check_cell(scheduler, sim.nodes, &sim.dynamics, sim.util_interval);
         let mut rng_root = SimRng::seed_from_u64(sim.seed);
         let mut estimate_rng = rng_root.split();
         let estimates = match sim.misestimate {
             Some(range) => JobEstimates::misestimated(trace, range, &mut estimate_rng),
             None => JobEstimates::exact(trace),
         };
-        if let Some(max) = sim.dynamics.max_server() {
-            assert!(
-                (max as usize) < sim.nodes,
-                "dynamics script touches server {max} but the cluster has {} servers",
-                sim.nodes
-            );
-        }
         let admission = sim.admission.map(|policy| {
             Arc::new(AdmissionPlan::compute(
                 trace,
@@ -310,6 +306,7 @@ impl RunInputs {
             estimates: Arc::new(estimates),
             admission,
             speeds: sim.speeds.resolve(sim.nodes),
+            central_scope,
             max_tasks,
             rng_root,
         }
@@ -408,11 +405,6 @@ impl<'t> Core<'t> {
     /// transport will answer [`Transport::owns`] for), splitting its three
     /// RNG streams off `inputs`. The core owning server 0 hosts
     /// [`Endpoint::Central`] and so owns every centralized decision.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent configuration: a centralized route over an
-    /// empty scope, or a short-reserved route with no reserved servers.
     pub(crate) fn new(
         trace: &'t Trace,
         scheduler: Arc<dyn Scheduler>,
@@ -424,35 +416,13 @@ impl<'t> Core<'t> {
         let steal_rng = inputs.rng_root.split();
         let scenario_rng = inputs.rng_root.split();
 
-        let fraction = scheduler.short_partition_fraction();
         let hosts_central = owned.start == 0;
-        let cluster = Cluster::ranged(sim.nodes, fraction, owned, inputs.speeds.as_deref());
-        let partition = cluster.partition();
-        let long_route = scheduler.route(JobClass::Long);
-        let short_route = scheduler.route(JobClass::Short);
-        for route in [long_route, short_route] {
-            if let Route::Distributed(Scope::ShortReserved) | Route::Central(Scope::ShortReserved) =
-                route
-            {
-                assert!(
-                    partition.short_count() > 0,
-                    "route targets the short partition but none is reserved"
-                );
-            }
-        }
-        let central = central_scope(&long_route, &short_route)
+        let central = inputs
+            .central_scope
             .filter(|_| hosts_central)
-            .map(|scope| {
-                let len = match scope {
-                    Scope::Whole => partition.total(),
-                    Scope::General => partition.general_count(),
-                    Scope::ShortReserved => {
-                        unreachable!("central routes never target the short partition")
-                    }
-                };
-                assert!(len > 0, "centralized route over an empty scope");
-                CentralScheduler::new(len)
-            });
+            .map(CentralScheduler::new);
+        let fraction = scheduler.short_partition_fraction();
+        let cluster = Cluster::ranged(sim.nodes, fraction, owned, inputs.speeds.as_deref());
 
         let jobs = trace
             .jobs()
@@ -484,8 +454,8 @@ impl<'t> Core<'t> {
             cutoff: sim.cutoff,
             central_overhead: sim.central_overhead,
             central_ready: SimTime::ZERO,
-            topology: sim.topology_spec().build(sim.nodes),
-            rack_geometry: sim.topology_spec().rack_geometry(),
+            topology: sim.topology.build(sim.nodes),
+            rack_geometry: sim.topology.rack_geometry(),
             admission: inputs.admission.clone(),
             short_sink: StreamingQuantiles::new(),
             long_sink: StreamingQuantiles::new(),
@@ -1194,20 +1164,6 @@ fn random_probe_target(
     PlacementView::new(cluster, start, len).random_server(rng)
 }
 
-/// The single scope used by centralized routes, if any. Both routes
-/// being central implies an identical scope (the centralized baseline).
-fn central_scope(long: &Route, short: &Route) -> Option<Scope> {
-    match (long, short) {
-        (Route::Central(a), Route::Central(b)) => {
-            assert_eq!(a, b, "central routes must share a scope");
-            Some(*a)
-        }
-        (Route::Central(a), _) => Some(*a),
-        (_, Route::Central(b)) => Some(*b),
-        _ => None,
-    }
-}
-
 /// Assembles the report of a finished run from its cores: per-job results
 /// from each job's home core (`home_of`), counters summed, live windows
 /// merged, and the other cores' streaming sinks folded into the first
@@ -1372,7 +1328,7 @@ mod tests {
             nodes,
             ..SimConfig::default()
         };
-        let mut inputs = RunInputs::new(trace, &sim);
+        let mut inputs = RunInputs::new(trace, &scheduler, &sim);
         Core::new(
             trace,
             Arc::new(scheduler),

@@ -23,7 +23,7 @@ use hawk_net::RackGeometry;
 use hawk_simcore::SimRng;
 use hawk_workload::JobClass;
 
-use crate::config::{Route, SchedulerConfig, Scope};
+use crate::config::{Route, Scope};
 use crate::distributed::ProbePlanner;
 use crate::steal_policy::{StealPolicy, VictimDraw};
 
@@ -705,56 +705,6 @@ impl Scheduler for SplitCluster {
     }
 }
 
-/// The legacy data-driven policy record is itself a [`Scheduler`], so
-/// existing [`SchedulerConfig`]-based code keeps running on the trait
-/// driver unchanged.
-impl Scheduler for SchedulerConfig {
-    fn name(&self) -> String {
-        self.name.to_string()
-    }
-
-    fn short_partition_fraction(&self) -> f64 {
-        self.short_partition_fraction
-    }
-
-    fn route(&self, class: JobClass) -> Route {
-        match class {
-            JobClass::Long => self.long_route,
-            JobClass::Short => self.short_route,
-        }
-    }
-
-    fn probe_targets(
-        &self,
-        view: &PlacementView<'_>,
-        tasks: usize,
-        rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        ProbePlanner::new(self.probe_ratio).targets_in_view(view, tasks, rng)
-    }
-
-    fn probe_targets_into(
-        &self,
-        view: &PlacementView<'_>,
-        tasks: usize,
-        rng: &mut SimRng,
-        out: &mut Vec<ServerId>,
-    ) {
-        ProbePlanner::new(self.probe_ratio).targets_in_view_into(view, tasks, rng, out);
-    }
-
-    fn steal(&self) -> Option<StealSpec> {
-        self.steal_cap.map(|cap| StealSpec {
-            cap,
-            granularity: self.steal_granularity,
-        })
-    }
-
-    fn bounce_probe(&self, server: &Server, class: JobClass, bounces: u8) -> bool {
-        class.is_short() && bounces < self.probe_bounce_limit && holds_long_work(server)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -839,19 +789,6 @@ mod tests {
             Route::Distributed(Scope::ShortReserved)
         );
         assert!(split.steal().is_none());
-    }
-
-    #[test]
-    fn legacy_config_bridges_to_the_trait() {
-        let cfg = SchedulerConfig::hawk(0.17);
-        let as_trait: &dyn Scheduler = &cfg;
-        assert_eq!(as_trait.name(), "hawk");
-        assert_eq!(as_trait.short_partition_fraction(), 0.17);
-        assert_eq!(
-            as_trait.route(JobClass::Long),
-            Route::Central(Scope::General)
-        );
-        assert_eq!(as_trait.steal().unwrap().cap, 10);
     }
 
     #[test]

@@ -270,12 +270,12 @@ impl<'t> ShardedDriver<'t> {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration, like [`crate::Driver`].
+    /// Panics on a cell [`check_cell`](crate::check_cell) refuses.
     pub fn new(trace: &'t Trace, scheduler: Arc<dyn Scheduler>, sim: &SimConfig) -> Self {
-        let geometry = sim.topology_spec().rack_geometry();
+        let geometry = sim.topology.rack_geometry();
         let align = ShardMap::pick_align(sim.nodes, sim.shards.max(1), geometry);
         let map = ShardMap::aligned(sim.nodes, sim.shards, align);
-        let mut inputs = RunInputs::new(trace, sim);
+        let mut inputs = RunInputs::new(trace, &*scheduler, sim);
 
         // Home assignment is computable up front: class (and therefore
         // route) depends only on the precomputed estimates. Central jobs
@@ -715,7 +715,7 @@ mod tests {
         let sim = SimConfig {
             nodes: 10,
             shards: 3,
-            network: NetworkModel::zero(),
+            topology: hawk_net::TopologySpec::Constant(NetworkModel::zero()),
             ..SimConfig::default()
         };
         let run = || ShardedDriver::new(&trace, Arc::new(Hawk::new(0.2)), &sim).run();

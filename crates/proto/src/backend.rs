@@ -18,12 +18,13 @@ use crate::runtime::{run_prototype, ExecutionMode, ProtoConfig};
 ///
 /// [`SimConfig`] maps onto the prototype as follows: `nodes` → worker
 /// daemons, `cutoff`/`seed`/`util_interval`/`dynamics`/`speeds`/
-/// `admission` carry over directly, and the config's network topology
-/// ([`SimConfig::topology_spec`] — the flat constant model unless
-/// `.topology(..)` selected a fat tree) becomes the virtual router's
-/// message-delay model (ignored in real-time mode, where messaging
-/// latency is whatever the machine provides). Fields the execution model
-/// cannot honour are rejected or ignored:
+/// `admission` carry over directly, and [`SimConfig::topology`] becomes
+/// the virtual router's message-delay model (ignored in real-time mode,
+/// where messaging latency is whatever the machine provides). The cell is
+/// checked by the simulator's own [`check_cell`](hawk_core::check_cell),
+/// and the run is summarised by the simulator's own [`MetricsReport`]
+/// code. Fields the execution model cannot honour are rejected or
+/// ignored:
 ///
 /// * `misestimate` must be `None` — the prototype runs exact estimates
 ///   (panics otherwise rather than silently diverging);
@@ -125,7 +126,7 @@ impl ProtoBackend {
                 ExecutionMode::RealTime
             } else {
                 ExecutionMode::Virtual {
-                    topology: sim.topology_spec(),
+                    topology: sim.topology,
                 }
             },
             dynamics: sim.dynamics.clone(),

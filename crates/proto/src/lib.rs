@@ -19,7 +19,11 @@
 //! * steal victims come from
 //!   [`Scheduler::victims`](hawk_core::Scheduler::victims),
 //!   probe bouncing from
-//!   [`Scheduler::bounce_probe`](hawk_core::Scheduler::bounce_probe).
+//!   [`Scheduler::bounce_probe`](hawk_core::Scheduler::bounce_probe);
+//! * a cell is checked by [`hawk_core::check_cell`], the call every
+//!   simulator harness makes, and a run is summarised by
+//!   [`MetricsReport`](hawk_core::MetricsReport) through
+//!   [`ProtoReport::into_metrics`].
 //!
 //! Two execution modes share those daemons ([`ExecutionMode`]): real OS
 //! threads exchanging channel messages on the wall clock (the paper's
@@ -29,9 +33,7 @@
 //! hold the prototype and the simulator side by side on the same trace.
 //!
 //! [`ProtoBackend`] packages all of this as a
-//! [`Backend`](hawk_core::Backend), and
-//! [`ProtoReport::into_metrics`] converts results into the simulator's
-//! [`MetricsReport`](hawk_core::MetricsReport) conventions.
+//! [`Backend`](hawk_core::Backend).
 //!
 //! # Examples
 //!

@@ -1,19 +1,16 @@
 //! Prototype run results, in the simulator's metric conventions.
 //!
-//! [`ProtoReport`] mirrors [`MetricsReport`]'s quantile discipline: one
-//! collection pass, one sort, then every percentile read through the
-//! shared [`percentile_of_sorted`] — so a prototype number and a
-//! simulator number at the same percentile are computed by the same code
-//! path and are directly comparable. [`ProtoReport::into_metrics`]
-//! finishes the job, converting a prototype run into a full
-//! [`MetricsReport`] for [`hawk_core::compare`] and the conformance
-//! harness.
+//! [`ProtoReport`] holds what a prototype run measured and analyses none
+//! of it: [`ProtoReport::into_metrics`] converts the run into a
+//! [`MetricsReport`], whose percentiles, summaries and utilization figures
+//! are the simulator's own code, so a prototype number and a simulator
+//! number are computed by one code path and are directly comparable.
 
 use std::time::Duration;
 
-use hawk_core::{AdmissionStats, ClassSummary, JobResult, MetricsReport, StreamingStats};
+use hawk_core::{AdmissionStats, JobResult, MetricsReport, StreamingStats};
 use hawk_net::NetworkStats;
-use hawk_simcore::stats::{mean, median, percentile_of_sorted};
+use hawk_simcore::stats::median;
 use hawk_simcore::SimTime;
 use hawk_workload::{JobClass, JobId};
 
@@ -192,67 +189,6 @@ pub struct ProtoReport {
 }
 
 impl ProtoReport {
-    /// Runtimes in seconds of all jobs of `class`, in job-id order.
-    pub fn runtimes(&self, class: JobClass) -> Vec<f64> {
-        self.jobs
-            .iter()
-            .filter(|j| j.class == class)
-            .map(|j| j.runtime.as_secs_f64())
-            .collect()
-    }
-
-    /// The per-class runtimes collected once and sorted ascending, ready
-    /// for repeated reads through [`percentile_of_sorted`] — the same
-    /// convention as [`MetricsReport::sorted_runtimes`].
-    pub fn sorted_runtimes(&self, class: JobClass) -> Vec<f64> {
-        let mut runtimes = self.runtimes(class);
-        runtimes.sort_by(|a, b| a.partial_cmp(b).expect("runtimes are never NaN"));
-        runtimes
-    }
-
-    /// The `p`-th percentile runtime of `class` jobs, seconds, via the
-    /// shared sorted-percentile convention.
-    pub fn runtime_percentile(&self, class: JobClass, p: f64) -> Option<f64> {
-        let sorted = self.sorted_runtimes(class);
-        (!sorted.is_empty()).then(|| percentile_of_sorted(&sorted, p))
-    }
-
-    /// Mean runtime of `class` jobs, seconds.
-    pub fn mean_runtime(&self, class: JobClass) -> Option<f64> {
-        mean(&self.runtimes(class))
-    }
-
-    /// Per-class summary in the exact shape [`MetricsReport::summary`]
-    /// produces, so prototype and simulator classes summarize through one
-    /// type.
-    pub fn summary(&self, class: JobClass) -> ClassSummary {
-        let mean = self.mean_runtime(class);
-        let sorted = self.sorted_runtimes(class);
-        let pctl = |p: f64| (!sorted.is_empty()).then(|| percentile_of_sorted(&sorted, p));
-        ClassSummary {
-            class,
-            jobs: sorted.len(),
-            p50: pctl(50.0),
-            p90: pctl(90.0),
-            mean,
-        }
-    }
-
-    /// Median utilization sample.
-    pub fn median_utilization(&self) -> Option<f64> {
-        median(&self.utilization_samples)
-    }
-
-    /// Maximum utilization sample.
-    pub fn max_utilization(&self) -> Option<f64> {
-        self.utilization_samples
-            .iter()
-            .copied()
-            .fold(None, |acc: Option<f64>, x| {
-                Some(acc.map_or(x, |a| a.max(x)))
-            })
-    }
-
     /// Converts the run into a [`MetricsReport`]: submissions and
     /// completions become microsecond [`SimTime`]s on the run-relative
     /// clock, counters map one-to-one (`messages` → `events`), and the
@@ -284,8 +220,8 @@ impl ProtoReport {
             scheduler,
             nodes,
             results,
-            median_utilization: self.median_utilization().unwrap_or(0.0),
-            max_utilization: self.max_utilization().unwrap_or(0.0),
+            median_utilization: median(&self.utilization_samples).unwrap_or(0.0),
+            max_utilization: self.utilization_samples.iter().copied().fold(0.0, f64::max),
             utilization_samples: self.utilization_samples,
             makespan,
             events: self.messages,
@@ -347,57 +283,43 @@ mod tests {
         }
     }
 
+    /// The per-class analysis of a prototype run is the simulator's own,
+    /// read through [`ProtoReport::into_metrics`].
     #[test]
     fn percentiles_by_class() {
-        let report = report(vec![
+        let m = report(vec![
             result(0, JobClass::Short, 100),
             result(1, JobClass::Short, 300),
             result(2, JobClass::Long, 5_000),
-        ]);
-        assert_eq!(report.runtime_percentile(JobClass::Short, 50.0), Some(0.2));
-        assert_eq!(report.runtime_percentile(JobClass::Long, 90.0), Some(5.0));
-        assert_eq!(report.mean_runtime(JobClass::Short), Some(0.2));
-        assert_eq!(report.median_utilization(), Some(0.5));
-        assert_eq!(report.max_utilization(), Some(0.8));
-        let s = report.summary(JobClass::Short);
+        ])
+        .into_metrics("hawk".into(), 8);
+        assert_eq!(m.runtime_percentile(JobClass::Short, 50.0), Some(0.2));
+        assert_eq!(m.runtime_percentile(JobClass::Long, 90.0), Some(5.0));
+        assert_eq!(m.mean_runtime(JobClass::Short), Some(0.2));
+        let s = m.summary(JobClass::Short);
         assert_eq!(s.jobs, 2);
         assert_eq!(s.p50, Some(0.2));
     }
 
     #[test]
     fn empty_class_is_none() {
-        let report = ProtoReport {
-            jobs: vec![],
+        let m = ProtoReport {
             utilization_samples: vec![],
-            steals: 0,
-            steal_attempts: 0,
-            migrations: 0,
-            abandons: 0,
-            messages: 0,
-            network: NetworkStats::default(),
-            drops: 0,
-            dups: 0,
-            retries: 0,
-            timeouts_fired: 0,
-            relaunched: 0,
-            deliveries: Deliveries::default(),
-            stale_timers: 0,
-            streaming: StreamingStats::default(),
-            admission: AdmissionStats::default(),
-        };
-        assert_eq!(report.runtime_percentile(JobClass::Short, 50.0), None);
-        assert_eq!(report.median_utilization(), None);
-        assert_eq!(report.max_utilization(), None);
-        assert_eq!(report.summary(JobClass::Long).p50, None);
+            ..report(vec![])
+        }
+        .into_metrics("hawk".into(), 8);
+        assert_eq!(m.runtime_percentile(JobClass::Short, 50.0), None);
+        assert_eq!(m.summary(JobClass::Long).p50, None);
+        // No samples read as an idle cluster.
+        assert_eq!(m.median_utilization, 0.0);
+        assert_eq!(m.max_utilization, 0.0);
     }
 
-    /// The satellite fix pinned: both report types compute the same
-    /// percentile on the same sample, through the same
-    /// `percentile_of_sorted` convention.
+    /// A prototype run read through [`ProtoReport::into_metrics`] gives
+    /// the same percentiles and summary as a simulator report of the same
+    /// runtimes: the millisecond-to-`SimTime` conversion loses nothing.
     #[test]
     fn percentile_convention_matches_metrics_report() {
-        use hawk_simcore::SimTime;
-
         let millis = [130u64, 20, 510, 90, 250, 40, 730, 610, 170, 380];
         let proto = report(
             millis
@@ -405,7 +327,8 @@ mod tests {
                 .enumerate()
                 .map(|(i, &ms)| result(i as u32, JobClass::Short, ms))
                 .collect(),
-        );
+        )
+        .into_metrics("hawk".into(), 1);
         let metrics = MetricsReport {
             scheduler: "pin".into(),
             nodes: 1,
@@ -481,10 +404,8 @@ mod tests {
         assert_eq!(m.admission, proto.admission);
         assert_eq!(m.admission.sheds(), 2);
         assert_eq!(m.admission.deferrals(), 5);
-        // The percentile read through MetricsReport equals the proto one.
-        assert_eq!(
-            m.runtime_percentile(JobClass::Short, 90.0),
-            proto.runtime_percentile(JobClass::Short, 90.0)
-        );
+        assert_eq!(m.runtime_percentile(JobClass::Short, 90.0), Some(0.1));
+        assert_eq!(m.median_utilization, 0.5);
+        assert_eq!(m.max_utilization, 0.8);
     }
 }

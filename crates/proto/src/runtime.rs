@@ -39,8 +39,8 @@ use std::time::{Duration, Instant};
 
 use hawk_cluster::Partition;
 use hawk_core::{
-    AdmissionDecision, AdmissionPlan, AdmissionPolicy, Route, Scheduler, Scope, StreamingStats,
-    StreamingSummary,
+    check_cell, AdmissionDecision, AdmissionPlan, AdmissionPolicy, Route, Scheduler,
+    StreamingStats, StreamingSummary,
 };
 use hawk_net::{NetworkStats, TopologySpec};
 use hawk_simcore::stats::StreamingQuantiles;
@@ -274,24 +274,8 @@ pub(crate) fn build_cluster(
         cfg.workers > 0 && cfg.dist_schedulers > 0,
         "prototype needs at least one worker and one distributed scheduler"
     );
-    if let Some(max) = cfg.dynamics.max_server() {
-        assert!(
-            (max as usize) < cfg.workers,
-            "dynamics script touches worker {max} but the cluster has {} workers",
-            cfg.workers
-        );
-    }
+    let central_scope = check_cell(&**scheduler, cfg.workers, &cfg.dynamics, cfg.util_interval);
     let partition = Partition::new(cfg.workers, scheduler.short_partition_fraction());
-    for class in [JobClass::Long, JobClass::Short] {
-        if let Route::Distributed(Scope::ShortReserved) | Route::Central(Scope::ShortReserved) =
-            scheduler.route(class)
-        {
-            assert!(
-                partition.short_count() > 0,
-                "route targets the short partition but none is reserved"
-            );
-        }
-    }
     let speeds = cfg
         .speeds
         .resolve(cfg.workers)
@@ -336,32 +320,7 @@ pub(crate) fn build_cluster(
         })
         .collect();
 
-    // The same central-scope rules the simulation driver enforces: both
-    // central routes must agree on a scope, and the scope must be
-    // non-empty — fail at construction, not with an opaque heap panic on
-    // the first submission.
-    let long_route = scheduler.route(JobClass::Long);
-    let short_route = scheduler.route(JobClass::Short);
-    let central_scope = match (long_route, short_route) {
-        (Route::Central(a), Route::Central(b)) => {
-            assert_eq!(a, b, "central routes must share a scope");
-            Some(a)
-        }
-        (Route::Central(a), _) => Some(a),
-        (_, Route::Central(b)) => Some(b),
-        _ => None,
-    };
-    let central = central_scope.map(|scope| {
-        let len = match scope {
-            Scope::Whole => partition.total(),
-            Scope::General => partition.general_count(),
-            Scope::ShortReserved => {
-                unreachable!("central routes never target the short partition")
-            }
-        };
-        assert!(len > 0, "centralized route over an empty scope");
-        CentralDaemon::new(len, hardened)
-    });
+    let central = central_scope.map(|len| CentralDaemon::new(len, hardened));
 
     let classes: Vec<JobClass> = trace
         .jobs()
@@ -413,10 +372,10 @@ pub(crate) fn feed_timeline(trace: &Trace, dynamics: &DynamicsScript) -> Vec<(Si
 /// Panics if the cluster stops making progress (no completion for 60
 /// wall-clock seconds in real-time mode; an empty or sample-only event
 /// queue in virtual mode), which indicates a protocol-liveness bug. Also
-/// panics on configuration inconsistencies (empty cluster, a
-/// short-partition route with no reserved servers, a dynamics script
-/// addressing servers beyond the cluster, fault injection outside the
-/// virtual mode, or a lossy [`FaultSpec`] without timeouts).
+/// panics on a cell [`check_cell`] refuses, and on configuration the
+/// prototype cannot run (no worker or no distributed scheduler, fault
+/// injection outside the virtual mode, a lossy [`FaultSpec`] without
+/// timeouts).
 pub fn run_prototype(
     trace: &Trace,
     scheduler: Arc<dyn Scheduler>,
@@ -1012,7 +971,10 @@ mod tests {
         for mode in [virtual_mode(), ExecutionMode::RealTime] {
             let report = run_prototype(&trace, hawk(), &fast_cfg(mode));
             assert!(!report.utilization_samples.is_empty(), "{mode:?}");
-            assert!(report.max_utilization().unwrap() > 0.0, "{mode:?}");
+            assert!(
+                report.utilization_samples.iter().any(|&u| u > 0.0),
+                "{mode:?}"
+            );
         }
     }
 
@@ -1153,8 +1115,8 @@ mod tests {
         };
         let report = run_prototype(&trace, Arc::new(Centralized::new()), &cfg);
         assert_eq!(
-            report.max_utilization(),
-            Some(1.0),
+            report.into_metrics(String::new(), 2).max_utilization,
+            1.0,
             "a down idle worker must leave the usable-capacity denominator"
         );
     }
@@ -1162,6 +1124,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "central routes must share a scope")]
     fn mismatched_central_scopes_rejected_like_the_driver() {
+        use hawk_core::Scope;
         struct MismatchedCentral;
         impl Scheduler for MismatchedCentral {
             fn name(&self) -> String {
@@ -1358,7 +1321,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dynamics script touches worker")]
+    #[should_panic(expected = "dynamics script touches server")]
     fn dynamics_beyond_cluster_rejected() {
         let trace = fast_trace(vec![(0, vec![5])]);
         let cfg = ProtoConfig {

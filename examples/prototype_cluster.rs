@@ -14,8 +14,6 @@
 //! cargo run --release --example prototype_cluster
 //! ```
 
-use std::sync::Arc;
-
 use hawk::prelude::*;
 use hawk::workload::sample::{arrivals_for_load_multiplier, PrototypeSampleConfig};
 
@@ -38,15 +36,23 @@ fn main() {
         trace.span().as_secs_f64()
     );
 
-    let cfg = ProtoConfig {
-        cutoff: sample_cfg.cutoff(),
-        ..ProtoConfig::default()
-    };
+    // The prototype's cell: 100 workers, the sample's cutoff, utilization
+    // sampled every 50 ms of wall time.
+    let cell = Experiment::builder()
+        .nodes(100)
+        .cutoff(sample_cfg.cutoff())
+        .util_interval(SimDuration::from_millis(50))
+        .trace(trace);
+    let real_time = ProtoBackend::real_time();
 
     println!("running Hawk on 100 worker threads...");
-    let hawk = run_prototype(&trace, Arc::new(Hawk::new(0.17)), &cfg);
+    let hawk = cell
+        .clone()
+        .scheduler(Hawk::new(0.17))
+        .build()
+        .run_on(&real_time);
     println!("running Sparrow on 100 worker threads...");
-    let sparrow = run_prototype(&trace, Arc::new(Sparrow::new()), &cfg);
+    let sparrow = cell.scheduler(Sparrow::new()).build().run_on(&real_time);
 
     for class in [JobClass::Short, JobClass::Long] {
         let hp = hawk.runtime_percentile(class, 90.0).unwrap_or(f64::NAN);
@@ -60,8 +66,8 @@ fn main() {
     }
     println!(
         "median utilization: Hawk {:.0}%, Sparrow {:.0}% ({} steals)",
-        hawk.median_utilization().unwrap_or(0.0) * 100.0,
-        sparrow.median_utilization().unwrap_or(0.0) * 100.0,
+        hawk.median_utilization * 100.0,
+        sparrow.median_utilization * 100.0,
         hawk.steals
     );
 }

@@ -81,8 +81,8 @@ pub mod prelude {
     pub use hawk_core::scheduler::{Centralized, Hawk, Sparrow, SplitCluster};
     pub use hawk_core::{
         compare, Backend, CentralOverhead, CentralScheduler, Comparison, Experiment,
-        ExperimentBuilder, ExperimentConfig, JobResult, MetricsReport, PlacementView, Scheduler,
-        SchedulerConfig, SimBackend, SimConfig, StealSpec, Sweep, SweepResults,
+        ExperimentBuilder, JobResult, MetricsReport, PlacementView, Scheduler, SimBackend,
+        SimConfig, StealSpec, Sweep, SweepResults,
     };
     pub use hawk_net::{Endpoint, FatTreeParams, NetworkStats, Topology, TopologySpec};
     pub use hawk_proto::{run_prototype, ExecutionMode, ProtoBackend, ProtoConfig, ProtoReport};

@@ -283,7 +283,7 @@ fn hawk_contended_fat_tree_steady_state_allocates_nothing() {
         Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION)),
         "hawk-fat-tree-contended",
         |sim| SimConfig {
-            topology: Some(TopologySpec::FatTreeContended(FatTreeParams::default())),
+            topology: TopologySpec::FatTreeContended(FatTreeParams::default()),
             ..sim
         },
     );

@@ -19,7 +19,9 @@
 //!    headline percentiles (the Figure 16/17 "simulation matches
 //!    implementation" claim);
 //! 4. the prototype's virtual mode is byte-deterministic: two consecutive
-//!    seeded runs produce identical reports, digest and all.
+//!    seeded runs produce identical reports, digest and all;
+//! 5. an illegal cell is refused alike: the simulator's two harnesses and
+//!    the prototype panic with the same message.
 
 // The shared digest helpers also carry the golden constants used by the
 // determinism suites; this binary only needs the digest function (the
@@ -319,6 +321,10 @@ fn fault_axis_preserves_the_papers_claims() {
         "faulty conformance run diverged across replays"
     );
 
+    // From here on the runs are read as the simulator reads its own.
+    let hawk = hawk.into_metrics("hawk".into(), NODES);
+    let sparrow = sparrow.into_metrics("sparrow".into(), NODES);
+
     // Claim 1 under faults: Hawk still clearly wins short-job tails.
     let hawk_short = hawk
         .runtime_percentile(JobClass::Short, 90.0)
@@ -568,4 +574,97 @@ fn proto_backend_honours_scenario_dynamics_and_speeds() {
     // Deterministic under dynamics too.
     let again = build().run_on(&ProtoBackend::deterministic());
     assert_eq!(digest_report(&proto), digest_report(&again));
+}
+
+/// Illegal cells, refused alike in every harness: one table of the cell
+/// rules `hawk_core::check_cell` enforces, each broken cell run through
+/// the single-stream `Driver`, a 2-shard `ShardedDriver` and the virtual
+/// prototype. All three must panic at construction with the same message.
+#[test]
+fn every_harness_refuses_an_illegal_cell_with_the_same_message() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use hawk_cluster::ServerId;
+    use hawk_core::scheduler::SplitCluster;
+    use hawk_core::{ExperimentBuilder, PlacementView, Route, Scope};
+    use hawk_simcore::{SimDuration, SimRng, SimTime};
+    use hawk_workload::scenario::DynamicsScript;
+    use hawk_workload::{Job, JobId};
+
+    /// Long jobs placed centrally on the general partition, short jobs on
+    /// the whole cluster: two scopes for one central scheduler.
+    struct TwoCentralScopes;
+    impl Scheduler for TwoCentralScopes {
+        fn name(&self) -> String {
+            "two-central-scopes".into()
+        }
+        fn route(&self, class: JobClass) -> Route {
+            match class {
+                JobClass::Long => Route::Central(Scope::General),
+                JobClass::Short => Route::Central(Scope::Whole),
+            }
+        }
+        fn probe_targets(&self, _: &PlacementView<'_>, _: usize, _: &mut SimRng) -> Vec<ServerId> {
+            unreachable!("no class is probed")
+        }
+    }
+
+    let job = |id, at, secs| Job {
+        id: JobId(id),
+        submission: SimTime::from_secs(at),
+        tasks: vec![SimDuration::from_secs(secs); 2],
+        generated_class: None,
+    };
+    let trace = Trace::new(vec![job(0, 0, 1), job(1, 1, 2_000)]).unwrap();
+    let cell = || {
+        Experiment::builder()
+            .nodes(4)
+            .trace(&trace)
+            .scheduler(Sparrow::new())
+    };
+    let rules: [(&str, ExperimentBuilder); 5] = [
+        (
+            "dynamics script touches server 9",
+            cell().dynamics(DynamicsScript::none().down_at(SimTime::from_secs(1), 9)),
+        ),
+        (
+            "route targets the short partition but none is reserved",
+            cell().scheduler(SplitCluster::new(0.0)),
+        ),
+        (
+            "central routes must share a scope",
+            cell().scheduler(TwoCentralScopes),
+        ),
+        (
+            "centralized route over an empty scope",
+            cell().scheduler(Hawk::new(1.0)),
+        ),
+        ("util_interval", cell().util_interval(SimDuration::ZERO)),
+    ];
+    let proto = ProtoBackend::deterministic();
+    let harnesses: [(&str, usize, &dyn Backend); 3] = [
+        ("driver", 1, &SimBackend),
+        ("sharded", 2, &SimBackend),
+        ("proto", 1, &proto),
+    ];
+    for (rule, builder) in rules {
+        let messages = harnesses.map(|(harness, shards, backend)| {
+            let cell = builder.clone().shards(shards).build();
+            let payload = catch_unwind(AssertUnwindSafe(|| cell.run_on(backend)))
+                .expect_err(&format!("{harness} ran a cell breaking `{rule}`"));
+            match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(payload) => payload
+                    .downcast_ref::<&str>()
+                    .map_or_else(String::new, |message| message.to_string()),
+            }
+        });
+        assert!(
+            messages[0].contains(rule),
+            "driver refused `{rule}` with {:?}",
+            messages[0]
+        );
+        assert_eq!(messages[1], messages[0], "sharded vs driver on `{rule}`");
+        assert_eq!(messages[2], messages[0], "proto vs driver on `{rule}`");
+    }
 }

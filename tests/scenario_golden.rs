@@ -17,7 +17,6 @@
 
 use std::sync::Arc;
 
-use hawk_cluster::NetworkModel;
 use hawk_core::scheduler::{Centralized, Hawk, Scheduler, Sparrow, SplitCluster};
 use hawk_core::{AdmissionPolicy, Experiment, FatTreeParams, MetricsReport, TopologySpec};
 use hawk_simcore::{SimDuration, SimTime};
@@ -34,23 +33,21 @@ use support::{
 };
 
 fn run_scenario(scenario: &ScenarioSpec, scheduler: Arc<dyn Scheduler>) -> MetricsReport {
-    run_scenario_with(scenario, scheduler, None)
+    run_scenario_with(scenario, scheduler, TopologySpec::paper_default())
 }
 
 fn run_scenario_with(
     scenario: &ScenarioSpec,
     scheduler: Arc<dyn Scheduler>,
-    topology: Option<TopologySpec>,
+    topology: TopologySpec,
 ) -> MetricsReport {
-    let mut builder = Experiment::builder()
+    Experiment::builder()
         .scenario(scenario, TRACE_SEED)
         .scheduler_shared(scheduler)
         .nodes(GOLDEN_NODES)
-        .seed(SIM_SEED);
-    if let Some(spec) = topology {
-        builder = builder.topology(spec);
-    }
-    builder.run()
+        .seed(SIM_SEED)
+        .topology(topology)
+        .run()
 }
 
 fn scheduler_and_pin(index: usize) -> (Arc<dyn Scheduler>, u64) {
@@ -83,26 +80,14 @@ fn identity_speeds(variant: usize) -> SpeedSpec {
     }
 }
 
-/// The distinct spellings of "the flat paper network": topology left
-/// unset (the driver defaults to `Constant` from `SimConfig::network`)
-/// or selected explicitly. Both must be byte-identical to the pins —
-/// the topology seam is pure plumbing until a fat tree turns it on.
-fn identity_topology(variant: usize) -> Option<TopologySpec> {
-    match variant {
-        0 => None,
-        1 => Some(TopologySpec::Constant(NetworkModel::paper_default())),
-        _ => unreachable!(),
-    }
-}
-
 /// One dynamics-off golden cell: must be byte-identical to the classic
 /// pinned digest and structurally churn-free.
-fn assert_identity_cell(scheduler_index: usize, speed_variant: usize, topology_variant: usize) {
+fn assert_identity_cell(scheduler_index: usize, speed_variant: usize) {
     let (scheduler, pinned) = scheduler_and_pin(scheduler_index);
     let scenario = golden_scenario()
         .speeds(identity_speeds(speed_variant))
         .dynamics(DynamicsScript::none());
-    let report = run_scenario_with(&scenario, scheduler, identity_topology(topology_variant));
+    let report = run_scenario(&scenario, scheduler);
     assert_eq!(report.migrations, 0);
     assert_eq!(report.abandons, 0);
     assert_eq!(
@@ -114,20 +99,17 @@ fn assert_identity_cell(scheduler_index: usize, speed_variant: usize, topology_v
     assert_eq!(
         digest, pinned,
         "scenario plumbing changed behavior: scheduler {scheduler_index} speeds \
-         {speed_variant} topology {topology_variant} got {digest:#018x}, pinned {pinned:#018x}",
+         {speed_variant} got {digest:#018x}, pinned {pinned:#018x}",
     );
 }
 
-/// Every (scheduler × identity-speed spelling × topology spelling) cell,
-/// exhaustively: a regression in any single combination cannot slip
-/// through sampling.
+/// Every (scheduler × identity-speed spelling) cell, exhaustively: a
+/// regression in any single combination cannot slip through sampling.
 #[test]
 fn dynamics_off_grid_matches_pinned_digests_exhaustively() {
     for scheduler_index in 0..4 {
         for speed_variant in 0..4 {
-            for topology_variant in 0..2 {
-                assert_identity_cell(scheduler_index, speed_variant, topology_variant);
-            }
+            assert_identity_cell(scheduler_index, speed_variant);
         }
     }
 }
@@ -139,16 +121,14 @@ proptest! {
     // test plan.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Dynamics off + unit speeds + a flat network ⇒ byte-identical to
-    /// the classic pinned digests, regardless of scheduler or how the
-    /// identity is spelled.
+    /// Dynamics off + unit speeds ⇒ byte-identical to the classic pinned
+    /// digests, regardless of scheduler or how the identity is spelled.
     #[test]
     fn dynamics_off_scenario_matches_pinned_digests(
         scheduler_index in 0usize..4,
         speed_variant in 0usize..4,
-        topology_variant in 0usize..2,
     ) {
-        assert_identity_cell(scheduler_index, speed_variant, topology_variant);
+        assert_identity_cell(scheduler_index, speed_variant);
     }
 }
 
@@ -284,7 +264,7 @@ fn fat_tree_hawk_digest_pinned() {
     let report = run_scenario_with(
         &golden_scenario(),
         Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION)),
-        Some(TopologySpec::FatTree(FatTreeParams::default())),
+        TopologySpec::FatTree(FatTreeParams::default()),
     );
     // The topology actually classified traffic: a 300-node cell spans
     // multiple racks and pods under the default geometry.
