@@ -5,7 +5,8 @@
 //! single-stream: the loopback transport (every send is
 //! `engine.schedule` — all endpoints are local, so bookkeeping is direct
 //! state access and relocation is point-to-point), the eager
-//! `UtilSample` / `LiveSample` events, and the stepping interface.
+//! `UtilSample` / `LiveSample` events, the streamed arrivals
+//! ([`protocol::Arrivals`]) and the stepping interface.
 
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use hawk_workload::Trace;
 
 use crate::config::SimConfig;
 use crate::metrics::MetricsReport;
-use crate::protocol::{self, Core, Event, RunInputs, Transport};
+use crate::protocol::{self, Arrivals, Core, Event, RunInputs, Transport};
 use crate::scheduler::Scheduler;
 
 /// The loopback transport: every endpoint is hosted here, so a send is a
@@ -52,6 +53,7 @@ impl Transport for Loopback {
 pub struct Driver<'t> {
     core: Core<'t>,
     net: Loopback,
+    arrivals: Arrivals<'t>,
     util: UtilizationTracker,
     util_interval: SimDuration,
     live_window: Option<SimDuration>,
@@ -73,16 +75,17 @@ impl<'t> Driver<'t> {
         let mut core = Core::new(trace, scheduler, sim, &mut inputs, 0..sim.nodes as u32);
         // No capacity here is sized by the trace: the queue arena starts
         // empty and the event arena with room for what is seeded — the
-        // arrivals, the script and this harness's own one or two periodic
-        // timers — and both grow on demand, by doubling, at new peaks of
-        // their live population only (`EntrySlab`'s growth contract;
-        // `tests/alloc_regression.rs` is the judge).
+        // script, this harness's own one or two periodic timers and the one
+        // pending arrival — and both grow on demand, by doubling, at new
+        // peaks of their live population only (`EntrySlab`'s growth
+        // contract; `tests/alloc_regression.rs` is the judge).
         let timers = 1 + usize::from(sim.live_window.is_some());
-        let seeded = trace.len() + sim.dynamics.events().len();
-        let mut engine = Engine::with_capacity(seeded + timers);
-        for (at, event) in protocol::seed_events(trace, sim) {
+        let mut engine = Engine::with_capacity(sim.dynamics.events().len() + timers + 1);
+        for (at, event) in protocol::seed_events(sim) {
             engine.schedule_at(at, event);
         }
+        let mut arrivals = Arrivals::new(trace);
+        arrivals.stream(None, &mut engine, Event::JobArrival);
         core.unfinished = trace.len();
         engine.schedule(sim.util_interval, Event::UtilSample);
         if let Some(window) = sim.live_window {
@@ -95,6 +98,7 @@ impl<'t> Driver<'t> {
                 engine,
                 stolen: BatchPool::new(),
             },
+            arrivals,
             util: UtilizationTracker::new(sim.util_interval),
             util_interval: sim.util_interval,
             live_window: sim.live_window,
@@ -174,6 +178,11 @@ impl<'t> Driver<'t> {
                 let window = self.live_window.expect("LiveSample implies a live window");
                 self.core.close_live_windows(self.net.engine.now());
                 self.net.engine.schedule(window, event);
+            }
+            Event::JobArrival(job) => {
+                let engine = &mut self.net.engine;
+                self.arrivals.stream(Some(job), engine, Event::JobArrival);
+                self.core.dispatch(&mut self.net, event);
             }
             event => self.core.dispatch(&mut self.net, event),
         }

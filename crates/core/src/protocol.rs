@@ -313,27 +313,60 @@ impl RunInputs {
     }
 }
 
-/// What a run's engine is seeded with, in seeding order: every job's
-/// arrival, then the dynamics script. The harness addresses them — an
-/// arrival to the job's home core, a scripted change to every core, so
-/// membership stays globally correct — and sizes the event arena for
-/// exactly these plus its own timers; it grows on demand from there.
-pub(crate) fn seed_events<'a>(
-    trace: &'a Trace,
-    sim: &'a SimConfig,
-) -> impl Iterator<Item = (SimTime, Event)> + 'a {
-    let arrivals = trace
-        .jobs()
-        .iter()
-        .map(|job| (job.submission, Event::JobArrival(job.id)));
-    let script = sim.dynamics.events().iter().map(|scripted| {
+/// What a run's engine is seeded with besides the trace's arrivals (which
+/// [`Arrivals`] streams): the dynamics script. The harness addresses each
+/// scripted change to every core, so membership stays globally correct,
+/// and sizes the event arena for the script, its own timers and the one
+/// pending arrival; it grows on demand from there.
+pub(crate) fn seed_events(sim: &SimConfig) -> impl Iterator<Item = (SimTime, Event)> + '_ {
+    sim.dynamics.events().iter().map(|scripted| {
         let event = match scripted.change {
             NodeChange::Down(server) => Event::NodeDown(ServerId(server)),
             NodeChange::Up(server) => Event::NodeUp(ServerId(server)),
         };
         (scripted.at, event)
-    });
-    arrivals.chain(script)
+    })
+}
+
+/// The trace's arrivals, streamed: a harness keeps exactly one pending —
+/// the next job in trace order — and, when it dispatches that job's
+/// [`Event::JobArrival`], schedules the job after it with
+/// [`Engine::schedule_first_at`], ahead of everything already pending at
+/// its time. That is where a run that loaded every arrival before anything
+/// else would have it (at equal times, the lowest insertion numbers pop
+/// first), so streaming moves no event; it only keeps the event arena
+/// sized by the live state instead of the trace.
+pub(crate) struct Arrivals<'t> {
+    trace: &'t Trace,
+    /// The job whose arrival was scheduled last.
+    last: usize,
+}
+
+impl<'t> Arrivals<'t> {
+    pub(crate) fn new(trace: &'t Trace) -> Self {
+        Arrivals { trace, last: 0 }
+    }
+
+    /// Schedules the next arrival into `engine`, filed by `file`: the
+    /// trace's first at the start (`dispatched` is `None`), else the job
+    /// after `dispatched` if its arrival was the streamed one. An
+    /// admission-deferred re-fire is not, and is always of an earlier job
+    /// than the one scheduled last.
+    pub(crate) fn stream<E: Copy>(
+        &mut self,
+        dispatched: Option<JobId>,
+        engine: &mut Engine<E>,
+        file: impl Fn(JobId) -> E,
+    ) {
+        self.last = match dispatched {
+            None => 0,
+            Some(job) if job.index() == self.last => job.index() + 1,
+            Some(_) => return,
+        };
+        if let Some(job) = self.trace.jobs().get(self.last) {
+            engine.schedule_first_at(job.submission, file(job.id));
+        }
+    }
 }
 
 /// The protocol state machine; see the module docs.

@@ -6,9 +6,9 @@
 //! Each shard is a protocol [`Core`] that stores only the servers it owns,
 //! with its own RNG streams, recycled buffers and topology instance. The
 //! cores share nothing but the harness's one [`Engine`]: the loop pops the
-//! next event in global `(time, insertion sequence)` order and dispatches
-//! it to the core that hosts its destination endpoint. A core reaches
-//! another only by sending: [`Router::send`] resolves the destination
+//! next event in global time order and dispatches it to the core that
+//! hosts its destination endpoint. A core reaches another only by
+//! sending: [`Router::send`] resolves the destination
 //! endpoint to its hosting core — servers by the [`ShardMap`] range that
 //! holds them, job schedulers by [`distributed_home`], the central
 //! scheduler on core 0 — and files the event under it, so every cross-core
@@ -104,7 +104,7 @@ use hawk_workload::{JobId, Trace};
 
 use crate::config::{Route, SimConfig};
 use crate::metrics::{MetricsReport, ShardedStats};
-use crate::protocol::{self, Core, Event, RunInputs, Transport};
+use crate::protocol::{self, Arrivals, Core, Event, RunInputs, Transport};
 use crate::scheduler::Scheduler;
 
 /// Contiguous-range shard map: shard `s` owns a run of server ids, with
@@ -200,6 +200,14 @@ struct Routed {
     event: Event,
 }
 
+/// A job's arrival, filed under its home core.
+fn arrival(homes: &[u32]) -> impl Fn(JobId) -> Routed + '_ {
+    |job| Routed {
+        core: homes[job.index()],
+        event: Event::JobArrival(job),
+    }
+}
+
 /// The sharded transport: one engine and one stolen-group pool for the
 /// whole run. A send resolves the destination endpoint to the core that
 /// hosts it — servers by ownership, job schedulers by the homing rule, the
@@ -258,6 +266,7 @@ impl Transport for Router {
 pub struct ShardedDriver<'t> {
     cores: Vec<Core<'t>>,
     net: Router,
+    arrivals: Arrivals<'t>,
     util: UtilizationTracker,
     util_interval: SimDuration,
     live_window: Option<SimDuration>,
@@ -301,24 +310,23 @@ impl<'t> ShardedDriver<'t> {
             })
             .collect();
 
-        // The event arena starts with room for what is seeded — every
-        // arrival, the script once per core, this harness's one or two
-        // timers — and grows on demand, like `Driver`'s.
+        for &home in &homes {
+            cores[home as usize].unfinished += 1;
+        }
+        // The event arena starts with room for what is seeded — the script
+        // once per core, this harness's one or two timers, the one pending
+        // arrival — and grows on demand, like `Driver`'s.
         let timers = 1 + usize::from(sim.live_window.is_some());
-        let seeded = trace.len() + cores.len() * sim.dynamics.events().len();
-        let mut engine = Engine::with_capacity(seeded + timers);
-        for (at, event) in protocol::seed_events(trace, sim) {
-            if let Event::JobArrival(job) = event {
-                let core = homes[job.index()];
-                cores[core as usize].unfinished += 1;
+        let script = cores.len() * sim.dynamics.events().len();
+        let mut engine = Engine::with_capacity(script + timers + 1);
+        for (at, event) in protocol::seed_events(sim) {
+            // Every core keeps the whole cluster's membership.
+            for core in 0..cores.len() as u32 {
                 engine.schedule_at(at, Routed { core, event });
-            } else {
-                // Every core keeps the whole cluster's membership.
-                for core in 0..cores.len() as u32 {
-                    engine.schedule_at(at, Routed { core, event });
-                }
             }
         }
+        let mut arrivals = Arrivals::new(trace);
+        arrivals.stream(None, &mut engine, arrival(&homes));
         let timer = |event| Routed { core: 0, event };
         engine.schedule(sim.util_interval, timer(Event::UtilSample));
         if let Some(window) = sim.live_window {
@@ -336,6 +344,7 @@ impl<'t> ShardedDriver<'t> {
                 own: (0, 0),
                 cross_core_sends: 0,
             },
+            arrivals,
             util: UtilizationTracker::new(sim.util_interval),
             util_interval: sim.util_interval,
             live_window: sim.live_window,
@@ -406,6 +415,10 @@ impl<'t> ShardedDriver<'t> {
                     self.net.engine.schedule(window, Routed { core, event });
                 }
                 event => {
+                    if let Event::JobArrival(job) = event {
+                        let Router { engine, homes, .. } = &mut self.net;
+                        self.arrivals.stream(Some(job), engine, arrival(homes));
+                    }
                     if core != self.net.at {
                         epochs += 1;
                         self.net.at = core;

@@ -114,6 +114,14 @@ impl Default for StealPolicy {
     }
 }
 
+/// How many victims of one stratum [`VictimDraw::next`] finds by walking
+/// its unsorted memory; from there on it keeps the memory sorted and
+/// searches it. The walk costs the victims drawn so far, a few times over,
+/// and a sorted insert is dearer only while they are few: the paper's cap
+/// of 10 never leaves the walk, Figure 15's caps up to 250 would spend
+/// most of their run in it.
+const SORTED_FROM: usize = 32;
+
 /// `len` candidate ids: position `p` is server `base + p`, shifted past
 /// the `hole_len` ids starting at `hole` (the thief, or its whole rack).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -146,8 +154,9 @@ pub struct VictimDraw {
 impl VictimDraw {
     /// The next victim in contact order, or `None` when the budget is
     /// spent. `chosen` must be the same buffer for every call of one
-    /// attempt: it holds the stratum's positions handed out so far and is
-    /// cleared on the first draw of each stratum.
+    /// attempt: it holds the stratum's positions handed out so far (sorted
+    /// once there are more than 32) and is cleared on the first draw of
+    /// each stratum.
     pub fn next(&mut self, rng: &mut SimRng, chosen: &mut Vec<usize>) -> Option<ServerId> {
         if self.budget == 0 {
             return None;
@@ -163,19 +172,43 @@ impl VictimDraw {
         }
         // A rank among the positions not yet handed out: the victim is the
         // rank-th free position `p`, the one with `p = rank + |chosen ≤ p|`.
-        // Iterating that from `rank` climbs to it, and with few chosen
-        // among many the second count already confirms the first.
-        let rank = rng.index((self.stratum.len - self.taken) as usize);
-        let at_or_below = |p: usize| chosen.iter().filter(|&&c| c <= p).count();
-        let mut value = rank + at_or_below(rank);
-        loop {
-            let next = rank + at_or_below(value);
-            if next == value {
-                break;
+        let free = (self.stratum.len - self.taken) as usize;
+        let rank = rng.index(free);
+        let value = if chosen.len() < SORTED_FROM {
+            // Iterating that from `rank` climbs to it, and with few chosen
+            // among many the second count already confirms the first.
+            let at_or_below = |p: usize| chosen.iter().filter(|&&c| c <= p).count();
+            let mut value = rank + at_or_below(rank);
+            loop {
+                let next = rank + at_or_below(value);
+                if next == value {
+                    break;
+                }
+                value = next;
             }
-            value = next;
-        }
-        chosen.push(value);
+            chosen.push(value);
+            value
+        } else {
+            if chosen.len() == SORTED_FROM {
+                chosen.sort_unstable();
+            }
+            // Sorted and distinct, `chosen[i]` has `chosen[i] - i` free
+            // positions below it, a count that never falls as `i` grows:
+            // `p` lies past the first `i` chosen whose count is ≤ `rank`.
+            // The chosen are uniform over the stratum, so `i` is close to
+            // its share of `rank`; searching from there takes a few steps.
+            let len = chosen.len();
+            let below = |i: usize| chosen[i] - i;
+            let mut i = rank * len / free;
+            while i > 0 && below(i - 1) > rank {
+                i -= 1;
+            }
+            while i < len && below(i) <= rank {
+                i += 1;
+            }
+            chosen.insert(i, rank + i);
+            rank + i
+        };
         self.taken += 1;
         self.budget -= 1;
         let Stratum {
@@ -444,6 +477,30 @@ mod tests {
             reference.index(n);
         }
         assert_eq!(rng.next_u64(), reference.next_u64());
+    }
+
+    /// Past [`SORTED_FROM`] victims the draw switches memories, not
+    /// streams: at every cap it hands out exactly the rank-th free
+    /// position, found here by brute force from the same draws. Fails when
+    /// the switch skips the one sort or either search loop stops a step
+    /// short.
+    #[test]
+    fn sorted_memory_hands_out_what_the_walk_would() {
+        let partition = Partition::new(400, 0.0);
+        let thief = 123usize;
+        for (seed, cap) in [(13u64, 250usize), (14, SORTED_FROM + 1), (15, 399)] {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let drawn = flat(StealPolicy::new(cap), &partition, thief as u32, &mut rng);
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut free: Vec<usize> = (0..399).collect();
+            let expected: Vec<ServerId> = (0..cap)
+                .map(|_| {
+                    let p = free.remove(rng.index(free.len()));
+                    ServerId((p + usize::from(p >= thief)) as u32)
+                })
+                .collect();
+            assert_eq!(drawn, expected, "cap {cap}");
+        }
     }
 
     /// The list the draw replaced, kept as the statistical reference: one

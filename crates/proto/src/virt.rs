@@ -12,13 +12,13 @@
 //!
 //! The router's future event list *is* the simulator's: a
 //! [`hawk_simcore::Engine`] (the timing wheel of `hawk_simcore::queue`)
-//! with the same `(time, seq)` contract — deliveries pop in firing-time
-//! order, FIFO among equal timestamps — so the prototype and the
-//! simulator share one event-list implementation and one clock. What
-//! stays different is everything around it. The engine carries `Copy`
-//! events, and a daemon message is opaque and may own heap data (a stolen
-//! group), so each delivery is parked in a recycled slot table and the
-//! engine carries its 4-byte handle. The router models the prototype's
+//! with the same contract — deliveries pop in firing-time order, FIFO
+//! among equal timestamps — so the prototype and the simulator share one
+//! event-list implementation and one clock. What stays different is
+//! everything around it. The engine carries `Copy` events, and a daemon
+//! message is opaque and may own heap data (a stolen group), so each
+//! delivery is parked in a recycled slot table and the engine carries its
+//! 4-byte handle. The router models the prototype's
 //! real hop structure — submissions land at a scheduler daemon which then
 //! probes, binds round-trip through the owning scheduler, and steals cost
 //! a request/reply exchange. And faults are decided when a message is
@@ -71,8 +71,7 @@ enum Dest {
 /// daemon currently executing (`src`) to the recipient.
 struct VirtualNet {
     /// Clock and future event list. An event is the handle of its
-    /// delivery's slot in `parked`; the engine's insertion sequence is
-    /// the FIFO tie-break.
+    /// delivery's slot in `parked`; the engine breaks ties FIFO.
     engine: Engine<u32>,
     /// In-flight deliveries by handle; `None` slots are listed in `free`.
     parked: Vec<Option<Dest>>,

@@ -84,13 +84,30 @@ impl<E: Copy> Engine<E> {
     ///   experiment sweeps degrade by at most one event's timing instead of
     ///   aborting.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        self.queue.push(self.not_before_now(at), event);
+    }
+
+    /// Schedules `event` at the absolute time `at`, ahead of every event
+    /// already pending at that time ([`EventQueue::push_front`]); `at` is
+    /// checked and clamped as in [`Engine::schedule_at`].
+    ///
+    /// For a source that keeps one event of a presorted stream pending and
+    /// schedules the next one as it dispatches it: each lands where it
+    /// would have, had the whole stream been scheduled before anything
+    /// else.
+    pub fn schedule_first_at(&mut self, at: SimTime, event: E) {
+        self.queue.push_front(self.not_before_now(at), event);
+    }
+
+    /// `at`, checked and clamped against the clock as
+    /// [`Engine::schedule_at`] documents.
+    fn not_before_now(&self, at: SimTime) -> SimTime {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {at} < {}",
             self.now
         );
-        let at = at.max(self.now);
-        self.queue.push(at, event);
+        at.max(self.now)
     }
 
     /// Removes the earliest event, advances the clock to its firing time and
@@ -100,33 +117,6 @@ impl<E: Copy> Engine<E> {
         self.now = t;
         self.processed += 1;
         Some((t, ev))
-    }
-
-    /// Removes every event firing at or before `until`, in order, advancing
-    /// the clock exactly as repeated [`Engine::pop`] calls would: to the
-    /// firing time of the last drained event (unchanged when nothing is
-    /// due).
-    ///
-    /// This is the batch-pop path for drivers that process a bounded time
-    /// window at once (e.g. sampling loops, co-simulation adapters): one
-    /// call replaces a `while let` loop of peek/pop pairs.
-    ///
-    /// Only safe when handling the drained events schedules no *new* event
-    /// at or before `until` — otherwise the batch would miss it where
-    /// repeated pops would not. Callers that schedule zero-delay follow-ups
-    /// must use [`Engine::pop`].
-    pub fn drain_until(&mut self, until: SimTime) -> Vec<(SimTime, E)> {
-        let drained = self.queue.drain_until(until);
-        if let Some(&(t, _)) = drained.last() {
-            self.now = t;
-        }
-        self.processed += drained.len() as u64;
-        drained
-    }
-
-    /// The firing time of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
     }
 
     /// Number of events still pending.
@@ -182,9 +172,8 @@ mod tests {
     fn schedule_at_absolute() {
         let mut e: Engine<&str> = Engine::new();
         e.schedule_at(SimTime::from_secs(3), "x");
-        assert_eq!(e.peek_time(), Some(SimTime::from_secs(3)));
         assert_eq!(e.pending(), 1);
-        assert_eq!(e.pop().unwrap().1, "x");
+        assert_eq!(e.pop().unwrap(), (SimTime::from_secs(3), "x"));
     }
 
     #[test]
@@ -217,30 +206,24 @@ mod tests {
     }
 
     #[test]
-    fn drain_until_matches_repeated_pops() {
-        let mut batch: Engine<u32> = Engine::new();
-        let mut single: Engine<u32> = Engine::new();
-        for e in [&mut batch, &mut single] {
-            e.schedule(SimDuration::from_secs(1), 1);
-            e.schedule(SimDuration::from_secs(2), 2);
-            e.schedule(SimDuration::from_secs(2), 3);
-            e.schedule(SimDuration::from_secs(5), 4);
-        }
-        let until = SimTime::from_secs(2);
-        let drained = batch.drain_until(until);
-        let mut reference = Vec::new();
-        while single.peek_time().is_some_and(|t| t <= until) {
-            reference.push(single.pop().unwrap());
-        }
-        assert_eq!(drained, reference);
-        assert_eq!(batch.now(), single.now());
-        assert_eq!(batch.processed(), single.processed());
-        assert_eq!(batch.pending(), 1);
-        // An empty drain leaves the clock untouched.
-        assert!(batch.drain_until(SimTime::from_secs(3)).is_empty());
-        assert_eq!(batch.now(), SimTime::from_secs(2));
-        assert_eq!(batch.drain_until(SimTime::MAX).len(), 1);
-        assert_eq!(batch.now(), SimTime::from_secs(5));
+    fn schedule_first_at_jumps_the_events_pending_at_its_time() {
+        let mut e: Engine<&str> = Engine::new();
+        e.schedule(SimDuration::from_secs(1), "first");
+        e.pop();
+        e.schedule(SimDuration::ZERO, "pending-at-now");
+        e.schedule(SimDuration::from_secs(2), "pending-later");
+        e.schedule_first_at(SimTime::from_secs(3), "streamed-later");
+        e.schedule_first_at(SimTime::from_secs(1), "streamed-now");
+        let order: Vec<&str> = std::iter::from_fn(|| e.pop().map(|(_, ev)| ev)).collect();
+        assert_eq!(
+            order,
+            [
+                "streamed-now",
+                "pending-at-now",
+                "streamed-later",
+                "pending-later"
+            ]
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The queue is a hierarchical timing wheel (the calendar-queue family of
 //! structures used by high-throughput discrete-event simulators and kernel
 //! timer subsystems), replacing the original `BinaryHeap` implementation.
-//! The public contract is unchanged: events pop in `(time, seq)` order,
-//! where `seq` is the insertion sequence number, so simultaneous events are
-//! delivered FIFO and simulations stay bit-for-bit reproducible.
+//! Events pop in time order, and events of one time in *scheduling order*:
+//! [`EventQueue::push`] ranks an event behind every event already pending
+//! at its time (FIFO), [`EventQueue::push_front`] ahead of every one. Runs
+//! stay bit-for-bit reproducible.
 //!
 //! # Why a wheel
 //!
@@ -23,16 +24,20 @@
 //! microseconds; an event lands at the lowest level whose bucket span still
 //! separates it from the `cursor` (the firing time of the last event popped
 //! from the wheel). Level-0 buckets therefore hold events of one exact
-//! microsecond each, in insertion order, and every bucket is kept in `seq`
-//! order. A pop takes the head of the earliest level-0 bucket; when level 0
-//! is empty the cursor moves up to the earliest bucket of the lowest
-//! occupied level, and what happens there depends on the bucket's shape:
+//! microsecond each. A bucket keeps the entries of each firing time in
+//! scheduling order — a push appends at its tail, a `push_front` links at
+//! its head, and every move between buckets keeps relative order — which
+//! is all a pop needs: no node carries an insertion number, and entries of
+//! different times may interleave freely. A pop takes the head of the
+//! earliest level-0 bucket; when level 0 is empty the cursor moves up to
+//! the earliest bucket of the lowest occupied level, and what happens
+//! there depends on the bucket's shape:
 //!
 //! * **Single-time hand-off** (the common path). Simulated events are
 //!   sparse against 1 µs buckets — a cell's events lie milliseconds
 //!   apart — so the bucket the cursor reaches usually holds one firing
 //!   time: a lone message or timer, or one job's probe burst. Its entries
-//!   are then the wheel minimum, already in `seq` order: the head is
+//!   are then the wheel minimum, already in scheduling order: the head is
 //!   popped where it lies, the cursor jumps to its time, and the rest of
 //!   the list (if any) is spliced into that microsecond's level-0 bucket
 //!   in O(1) — no other entry is visited, none is copied, and the levels
@@ -70,7 +75,15 @@
 //!   bare `EventQueue` accepts them, exactly as the heap implementation
 //!   did.
 //! * `overflow` — events more than `128^7` µs (≈ 17 simulated years) beyond
-//!   the cursor. They re-enter the wheel when the cursor approaches.
+//!   the cursor. They re-enter the wheel only once it has drained, in heap
+//!   order, so appending keeps each time's entries in scheduling order.
+//!
+//! The cursor invariant puts every pending entry of one firing time in the
+//! same place — one wheel bucket or one heap — so linking a `push_front`
+//! at the head of that bucket ranks it ahead of all of them. The heaps,
+//! which have no lists, rank by a signed sequence number instead: a push
+//! takes the next one up, a `push_front` the negative of it, below every
+//! number handed out before.
 //!
 //! [`Engine`]: crate::Engine
 
@@ -94,10 +107,10 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const LEVELS: usize = 7;
 
 /// A pending event in the `past`/`overflow` heaps: fires at `time`; `seq`
-/// breaks ties FIFO.
+/// breaks ties in scheduling order (negative for a `push_front`).
 struct Scheduled<E> {
     time: SimTime,
-    seq: u64,
+    seq: i64,
     event: E,
 }
 
@@ -118,7 +131,7 @@ impl<E> PartialOrd for Scheduled<E> {
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. Equal timestamps pop in insertion order, which makes runs
+        // first. Equal timestamps pop in scheduling order, which makes runs
         // bit-for-bit reproducible.
         other
             .time
@@ -127,14 +140,14 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// One wheel entry: `(firing micros, insertion seq, event)`.
-type Entry<E> = (u64, u64, E);
+/// One wheel entry: `(firing micros, event)`.
+type Entry<E> = (u64, E);
 
 /// A min-ordered future event list.
 ///
 /// Events scheduled for the same [`SimTime`] are delivered in the order they
-/// were scheduled (FIFO), which keeps simulations deterministic without
-/// requiring `E: Ord`.
+/// were scheduled (FIFO), except that [`EventQueue::push_front`] jumps the
+/// line; this keeps simulations deterministic without requiring `E: Ord`.
 ///
 /// # Examples
 ///
@@ -153,8 +166,9 @@ type Entry<E> = (u64, u64, E);
 /// ```
 pub struct EventQueue<E> {
     /// Bucket storage: one slab arena whose list `level * SLOTS + slot`
-    /// holds that bucket's pending entries in `seq` order. Nodes recycle
-    /// through the slab's free list, so the wheel allocates only when the
+    /// holds that bucket's pending entries, each time's in scheduling
+    /// order. Nodes recycle through the slab's free list, so the wheel
+    /// allocates only when the
     /// pending-event population reaches a new peak, and then by doubling
     /// (the slab's growth contract) — the steady-state schedule/pop/cascade
     /// cycle performs zero heap allocations (enforced by
@@ -179,7 +193,8 @@ pub struct EventQueue<E> {
     /// Events beyond the wheel span; strictly later than every wheel entry.
     overflow: BinaryHeap<Scheduled<E>>,
     len: usize,
-    next_seq: u64,
+    /// Events ever scheduled: the heaps' next sequence number.
+    scheduled: i64,
 }
 
 /// The wheel level for an event at `t` µs given the cursor: the position of
@@ -206,7 +221,7 @@ impl<E: Copy> EventQueue<E> {
             past: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             len: 0,
-            next_seq: 0,
+            scheduled: 0,
         }
     }
 
@@ -219,18 +234,37 @@ impl<E: Copy> EventQueue<E> {
         q
     }
 
-    /// Schedules `event` to fire at `time`.
+    /// Schedules `event` to fire at `time`, behind every event already
+    /// pending at that time.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        self.schedule(time, event, false);
+    }
+
+    /// Schedules `event` to fire at `time`, ahead of every event already
+    /// pending at that time: it links at the head of the time's bucket
+    /// where [`EventQueue::push`] appends at the tail.
+    pub fn push_front(&mut self, time: SimTime, event: E) {
+        self.schedule(time, event, true);
+    }
+
+    /// Both pushes. Always inlined, so `front` is a constant in each and
+    /// the hot `push` carries no test of it.
+    #[inline(always)]
+    fn schedule(&mut self, time: SimTime, event: E, front: bool) {
+        let n = self.scheduled;
+        self.scheduled += 1;
+        let seq = if front { -n - 1 } else { n };
         self.len += 1;
         let t = time.as_micros();
         if t < self.cursor {
             self.past.push(Scheduled { time, seq, event });
         } else if let Some((level, slot)) = self.bucket_of(t) {
-            // A new event carries the largest seq so far: appending keeps
-            // the bucket seq-sorted.
-            self.wheel.push_back(level * SLOTS + slot, (t, seq, event));
+            let bucket = level * SLOTS + slot;
+            if front {
+                self.wheel.push_front(bucket, (t, event));
+            } else {
+                self.wheel.push_back(bucket, (t, event));
+            }
             self.note_placed(level, slot, t);
         } else {
             self.overflow.push(Scheduled { time, seq, event });
@@ -262,15 +296,11 @@ impl<E: Copy> EventQueue<E> {
     }
 
     /// Moves every overflow event now within the wheel span back into the
-    /// wheel. Called only after the cursor jumps (the overflow minimum is
-    /// strictly later than every wheel entry, so overflow events can never
-    /// become due while the wheel still holds anything).
-    ///
-    /// This is the one path that can meet a bucket out of `seq` order —
-    /// the heap yields `(time, seq)` order, and an event pushed long ago
-    /// may follow a younger, earlier-firing one into the same bucket — so
-    /// it alone reads the tail's seq and, when that is larger, pays for a
-    /// list walk and a sorted insert.
+    /// wheel. Called only after the wheel drained and the cursor jumped to
+    /// the overflow minimum (overflow events are strictly later than every
+    /// wheel entry, so they can never become due while the wheel still
+    /// holds anything). The heap yields each time's events in scheduling
+    /// order, so appending them into the empty wheel keeps that order.
     fn rebucket_overflow(&mut self) {
         while let Some(s) = self.overflow.peek() {
             let t = s.time.as_micros();
@@ -278,26 +308,7 @@ impl<E: Copy> EventQueue<E> {
                 break;
             };
             let s = self.overflow.pop().expect("peeked entry exists");
-            let bucket = level * SLOTS + slot;
-            let in_order = self
-                .wheel
-                .tail(bucket)
-                .is_none_or(|tail| self.wheel.value(tail).1 <= s.seq);
-            if in_order {
-                self.wheel.push_back(bucket, (t, s.seq, s.event));
-            } else {
-                // Walk to the last node with a smaller seq, insert after.
-                let mut prev: Option<u32> = None;
-                let mut cur = self.wheel.head(bucket);
-                while let Some(node) = cur {
-                    if self.wheel.value(node).1 >= s.seq {
-                        break;
-                    }
-                    prev = Some(node);
-                    cur = self.wheel.next(node);
-                }
-                self.wheel.insert_after(bucket, prev, (t, s.seq, s.event));
-            }
+            self.wheel.push_back(level * SLOTS + slot, (t, s.event));
             self.note_placed(level, slot, t);
         }
     }
@@ -320,10 +331,10 @@ impl<E: Copy> EventQueue<E> {
         }
         loop {
             // Fast path: a level-0 bucket holds events of one exact
-            // microsecond, already in seq order.
+            // microsecond, already in scheduling order.
             if self.occupied[0] != 0 {
                 let slot = self.occupied[0].trailing_zeros() as usize;
-                let (t, _, event) = self
+                let (t, event) = self
                     .wheel
                     .pop_front(slot)
                     .expect("occupied bucket is non-empty");
@@ -341,11 +352,11 @@ impl<E: Copy> EventQueue<E> {
                 let bucket = level * SLOTS + slot;
                 if self.mixed[level] & bit == 0 {
                     // One firing time: these entries are the wheel minimum,
-                    // in seq order. Pop the head where it lies and hand
-                    // the rest of the list, if any, to that microsecond's
-                    // (empty) level-0 bucket.
+                    // in scheduling order. Pop the head where it lies and
+                    // hand the rest of the list, if any, to that
+                    // microsecond's (empty) level-0 bucket.
                     self.occupied[level] &= !bit;
-                    let (t, _, event) = self
+                    let (t, event) = self
                         .wheel
                         .pop_front(bucket)
                         .expect("occupied bucket is non-empty");
@@ -359,8 +370,8 @@ impl<E: Copy> EventQueue<E> {
                     return Some((SimTime::from_micros(t), event));
                 }
                 // Several times: advance the cursor to the bucket's window
-                // start and relink each node, in order (so FIFO ties are
-                // preserved), into its bucket below `level`.
+                // start and relink each node, in order (so each time keeps
+                // its scheduling order), into its bucket below `level`.
                 let span = 1u64 << (LEVEL_BITS * level as u32);
                 let window_start = self.first[bucket] & !(span - 1);
                 debug_assert!(window_start >= self.cursor);
@@ -387,68 +398,6 @@ impl<E: Copy> EventQueue<E> {
             self.cursor = next;
             self.rebucket_overflow();
         }
-    }
-
-    /// Removes and returns every event firing at or before `until`, in
-    /// `(time, seq)` order — exactly the events repeated [`EventQueue::pop`]
-    /// calls would yield while their firing time is `<= until`.
-    ///
-    /// Batching: after each pop, the rest of the popped event's level-0
-    /// bucket (every event at the same exact microsecond, already in FIFO
-    /// order) is taken in one sweep, so same-time bursts — the common case
-    /// in this simulator, where one job's probes all land together — skip
-    /// the per-event level scan entirely.
-    pub fn drain_until(&mut self, until: SimTime) -> Vec<(SimTime, E)> {
-        let mut out = Vec::new();
-        while self.peek_time().is_some_and(|t| t <= until) {
-            let (t, event) = self.pop().expect("peeked event exists");
-            out.push((t, event));
-            // Same-microsecond fast path. Applies only when the pop came
-            // from the wheel (`cursor == t`; past-heap pops leave the
-            // cursor ahead of `t`, where the slot index would alias a
-            // different window) and no past events remain to interleave.
-            // Then the level-0 bucket for `t` holds exactly the remaining
-            // events at `t` (the wheel invariant: level-0 buckets within
-            // the current window are single-microsecond), all due.
-            if t.as_micros() != self.cursor || !self.past.is_empty() {
-                continue;
-            }
-            let slot = (t.as_micros() & (SLOTS as u64 - 1)) as usize;
-            if self.occupied[0] & (1 << slot) != 0 {
-                while let Some((bt, _, event)) = self.wheel.pop_front(slot) {
-                    debug_assert_eq!(bt, t.as_micros());
-                    self.len -= 1;
-                    out.push((SimTime::from_micros(bt), event));
-                }
-                self.occupied[0] &= !(1 << slot);
-            }
-        }
-        out
-    }
-
-    /// Returns the firing time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(s) = self.past.peek() {
-            return Some(s.time);
-        }
-        for level in 0..LEVELS {
-            if self.occupied[level] == 0 {
-                continue;
-            }
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            let bucket = level * SLOTS + slot;
-            if self.mixed[level] & (1 << slot) == 0 {
-                return Some(SimTime::from_micros(self.first[bucket]));
-            }
-            // Mixed buckets are seq-ordered, not time-ordered: the
-            // earliest firing time needs a scan.
-            return self
-                .wheel
-                .iter(bucket)
-                .map(|&(t, _, _)| SimTime::from_micros(t))
-                .min();
-        }
-        self.overflow.peek().map(|s| s.time)
     }
 
     /// Returns the number of pending events.
@@ -484,14 +433,16 @@ mod tests {
     use super::*;
 
     /// The module-level cursor invariant plus the bookkeeping around it,
-    /// recomputed from the lists: occupancy, seq order, `first`, `mixed`.
-    fn assert_invariants<E: Copy>(q: &EventQueue<E>) {
+    /// recomputed from the lists: occupancy, same-time entries in
+    /// scheduling order, `first`, `mixed`. Payloads stand for scheduling
+    /// order: every test pushes ascending values, and `push_front`s a value
+    /// below every pending one.
+    fn assert_invariants<E: Copy + Ord + std::fmt::Debug>(q: &EventQueue<E>) {
         let mut in_wheel = 0;
         for level in 0..LEVELS {
             for slot in 0..SLOTS {
                 let bucket = level * SLOTS + slot;
-                let entries: Vec<(u64, u64)> =
-                    q.wheel.iter(bucket).map(|&(t, seq, _)| (t, seq)).collect();
+                let entries: Vec<(u64, E)> = q.wheel.iter(bucket).copied().collect();
                 in_wheel += entries.len();
                 let bit = 1u128 << slot;
                 assert_eq!(q.occupied[level] & bit != 0, !entries.is_empty());
@@ -507,7 +458,12 @@ mod tests {
                         "entry in the wrong bucket"
                     );
                 }
-                assert!(entries.windows(2).all(|w| w[0].1 < w[1].1), "seq order");
+                let mut last_of_time = std::collections::BTreeMap::new();
+                for &(t, e) in &entries {
+                    if let Some(before) = last_of_time.insert(t, e) {
+                        assert!(before < e, "{before:?} before {e:?} at {t} µs");
+                    }
+                }
                 assert!(entries.iter().any(|&(t, _)| t == q.first[bucket]));
                 let distinct = entries.iter().any(|&(t, _)| t != q.first[bucket]);
                 assert_eq!(q.mixed[level] & bit != 0, distinct, "mixed bit is exact");
@@ -547,15 +503,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(7), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.pop();
+        assert_eq!(q.pop(), Some((SimTime::from_secs(7), ())));
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -584,8 +539,7 @@ mod tests {
         q.push(SimTime::from_micros(50), "past-a2");
         assert_eq!(q.pop().unwrap(), (SimTime::from_micros(50), "past-a"));
         assert_eq!(q.pop().unwrap(), (SimTime::from_micros(50), "past-a2"));
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(60)));
-        assert_eq!(q.pop().unwrap().1, "past-b");
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(60), "past-b"));
         assert_eq!(q.pop().unwrap().1, "later");
         assert!(q.pop().is_none());
     }
@@ -599,8 +553,7 @@ mod tests {
         q.push(SimTime::from_micros(far + 7), "far-b");
         q.push(SimTime::from_micros(far), "far-a");
         q.push(SimTime::from_micros(3), "near");
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
-        assert_eq!(q.pop().unwrap().1, "near");
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(3), "near"));
         assert_eq!(q.pop().unwrap(), (SimTime::from_micros(far), "far-a"));
         assert_eq!(q.pop().unwrap(), (SimTime::from_micros(far + 7), "far-b"));
         assert!(q.pop().is_none());
@@ -634,7 +587,6 @@ mod tests {
         }
         q.push(SimTime::from_micros(5 << 30), 100);
         assert_eq!(q.mixed, [0; LEVELS], "each bucket holds one time");
-        assert_eq!(q.peek_time(), Some(t));
         assert_eq!(q.pop(), Some((t, 0)));
         assert_eq!(
             q.cursor,
@@ -669,7 +621,6 @@ mod tests {
         assert_invariants(&q);
         assert_ne!(q.mixed[2], 0);
         let nodes = q.wheel.allocated_nodes();
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(base + 7)));
         let popped: Vec<usize> = std::iter::from_fn(|| {
             let e = q.pop().map(|(_, e)| e);
             assert_invariants(&q);
@@ -682,56 +633,55 @@ mod tests {
 
     #[test]
     fn overflow_reentry_restores_seq_order_inside_a_bucket() {
-        // The overflow heap returns events time-first, so seq 0 (fires at
-        // +5) follows seq 1 (fires at +2) into the same wheel bucket and
-        // has to be inserted ahead of it: buckets stay seq-sorted, which is
-        // what lets every other path append blindly.
+        // The overflow heap returns events time-first, so event 1 (fires at
+        // +2) enters the wheel bucket ahead of event 0 (+5), pushed before
+        // it: a bucket keeps only each time's entries in scheduling order,
+        // and the heap yields them that way — the `push_front` first.
         let far = 1u64 << 55;
+        let at = |d: u64| SimTime::from_micros(far + (1 << 20) + d);
         let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(far + (1 << 20) + 5), 0);
-        q.push(SimTime::from_micros(far + (1 << 20) + 2), 1);
-        q.push(SimTime::from_micros(far + (1 << 20) + 5), 2);
+        q.push(at(5), 0);
+        q.push(at(2), 1);
+        q.push(at(5), 2);
+        q.push_front(at(5), -1);
         q.push(SimTime::from_micros(far), 3);
         assert_eq!(q.pop().unwrap().1, 3);
         assert_invariants(&q);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 0);
-        assert_eq!(q.pop().unwrap().1, 2);
+        let popped: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(popped, vec![1, -1, 0, 2]);
     }
 
+    /// A `push_front` pops first among its time's entries — the latest
+    /// one first — wherever they wait: a mixed higher-level bucket, the
+    /// level-0 bucket a cascade left, the past heap.
     #[test]
-    fn drain_until_matches_repeated_pop() {
-        let times = [9u64, 2, 2, 7, 4, 4, 4, 30, 1];
-        let build = || {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(SimTime::from_micros(t), i);
-            }
-            q
-        };
-        let mut drained = build();
-        let mut popped = build();
-        let until = SimTime::from_micros(7);
-        let batch = drained.drain_until(until);
-        let mut reference = Vec::new();
-        while popped.peek_time().is_some_and(|t| t <= until) {
-            reference.push(popped.pop().unwrap());
+    fn push_front_jumps_every_pending_entry_of_its_time() {
+        let t = SimTime::from_micros(5 << 14);
+        let later = SimTime::from_micros((5 << 14) + 300);
+        let mut q = EventQueue::new();
+        q.push(t, 1);
+        q.push(later, 9);
+        q.push(t, 3);
+        q.push_front(t, 0);
+        q.push_front(t, -1);
+        assert_ne!(q.mixed[2], 0, "t and later share one level-2 bucket");
+        assert_invariants(&q);
+        assert_eq!(q.pop(), Some((t, -1)));
+        assert_invariants(&q);
+        q.push(t, 4);
+        q.push_front(t, -2);
+        assert_invariants(&q);
+        for e in [-2, 0, 1, 3, 4] {
+            assert_eq!(q.pop(), Some((t, e)));
         }
-        assert_eq!(batch, reference);
-        assert_eq!(batch.len(), 7);
-        assert_eq!(drained.len(), 2);
-        // The remainder still pops in order.
-        assert_eq!(drained.pop().unwrap().1, 0);
-        assert_eq!(drained.pop().unwrap().1, 7);
-    }
-
-    #[test]
-    fn drain_until_on_empty_and_past_only() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(q.drain_until(SimTime::from_secs(1)).is_empty());
-        q.push(SimTime::from_secs(5), 1);
-        assert!(q.drain_until(SimTime::from_secs(4)).is_empty());
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((later, 9)));
+        let past = SimTime::from_micros(7);
+        q.push(past, 10);
+        q.push_front(past, 8);
+        q.push(past, 11);
+        q.push_front(past, 7);
+        let popped: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(popped, vec![7, 8, 10, 11]);
     }
 
     #[test]

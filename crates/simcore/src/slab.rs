@@ -18,9 +18,10 @@
 //! so both halves are measurable. Both users — the per-server queues of
 //! `hawk-cluster` and the buckets of the timing wheel
 //! ([`crate::EventQueue`]) — start from what exists at construction (no
-//! queued entry; the events a driver is about to seed, via
-//! [`EntrySlab::reserve_nodes`]), never from the length of the trace they
-//! are about to replay, and are held to the contract by
+//! queued entry; the events a driver seeds, via
+//! [`EntrySlab::reserve_nodes`]: its dynamics script, its timers and the
+//! one trace arrival it keeps pending), never from the length of the trace
+//! they are about to replay, and are held to the contract by
 //! `tests/slab_alloc.rs` here and `tests/alloc_regression.rs` at the
 //! workspace root.
 //!
@@ -29,7 +30,8 @@
 //! * **One list per owner** — list ids are dense (`0..num_lists`), fixed at
 //!   construction; in `hawk-cluster` list `i` is server `i`'s queue.
 //! * **O(1) push/pop/unlink/relink** — [`EntrySlab::push_back`],
-//!   [`EntrySlab::pop_front`] and [`EntrySlab::unlink_after`] touch a
+//!   [`EntrySlab::push_front`], [`EntrySlab::pop_front`] and
+//!   [`EntrySlab::unlink_after`] touch a
 //!   constant number of nodes, and so do the two operations that move
 //!   nodes *between* lists without copying a value or visiting the free
 //!   list, [`EntrySlab::move_head_to_tail`] and [`EntrySlab::splice`]
@@ -38,7 +40,8 @@
 //!   a list except the iterators.
 //! * **No allocation below the peak** — the growth contract above.
 //! * **FIFO order** — per list, values come out of `pop_front`/iteration
-//!   in `push_back` order, with unlinked nodes excised in place.
+//!   in `push_back` order (a `push_front` ahead of all of them), with
+//!   unlinked nodes excised in place.
 //!
 //! Values are `Copy` so a pop moves the value out by copy and the node's
 //! slot can be recycled without per-node `Option` tagging.
@@ -201,31 +204,16 @@ impl<T: Copy> EntrySlab<T> {
         self.append_chain(list, idx, idx, 1);
     }
 
-    /// Inserts `value` after `prev` in `list` (`None` prepends at the
-    /// head). O(1) given the predecessor; callers that need a positional
-    /// insert walk the list to find it.
-    pub fn insert_after(&mut self, list: usize, prev: Option<u32>, value: T) {
+    /// Links `value` at the head of `list`, ahead of every entry. O(1).
+    pub fn push_front(&mut self, list: usize, value: T) {
         let idx = self.alloc_node(value);
-        match prev {
-            None => {
-                let head = self.lists[list].head;
-                self.nodes[idx as usize].next = head;
-                let ends = &mut self.lists[list];
-                ends.head = idx;
-                if ends.tail == NIL {
-                    ends.tail = idx;
-                }
-            }
-            Some(p) => {
-                let next = self.nodes[p as usize].next;
-                self.nodes[p as usize].next = idx;
-                self.nodes[idx as usize].next = next;
-                if self.lists[list].tail == p {
-                    self.lists[list].tail = idx;
-                }
-            }
+        let ends = &mut self.lists[list];
+        self.nodes[idx as usize].next = ends.head;
+        ends.head = idx;
+        if ends.tail == NIL {
+            ends.tail = idx;
         }
-        self.lists[list].len += 1;
+        ends.len += 1;
     }
 
     /// Removes and returns the head of `list`, or `None` if empty. O(1).
@@ -280,12 +268,6 @@ impl<T: Copy> EntrySlab<T> {
     pub fn head(&self, list: usize) -> Option<u32> {
         let h = self.lists[list].head;
         (h != NIL).then_some(h)
-    }
-
-    /// The tail node index of `list`, or `None` if empty. O(1).
-    pub fn tail(&self, list: usize) -> Option<u32> {
-        let t = self.lists[list].tail;
-        (t != NIL).then_some(t)
     }
 
     /// The node following `node` in its list, or `None` at the tail.
@@ -547,29 +529,23 @@ mod tests {
     }
 
     #[test]
-    fn insert_after_head_middle_tail() {
+    fn push_front_links_at_the_head() {
         let mut s: EntrySlab<u32> = EntrySlab::new(1);
-        // Head insert into an empty list sets both ends.
-        s.insert_after(0, None, 5);
+        // Into an empty list: both ends.
+        s.push_front(0, 5);
         assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![5]);
         s.push_back(0, 7);
-        // Head insert with entries present.
-        s.insert_after(0, None, 3);
-        // Middle insert.
-        let head = s.head(0).unwrap();
-        s.insert_after(0, Some(head), 4);
-        // Tail insert moves the tail pointer.
-        let mut tail = s.head(0).unwrap();
-        while let Some(next) = s.next(tail) {
-            tail = next;
-        }
-        s.insert_after(0, Some(tail), 9);
-        assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![3, 4, 5, 7, 9]);
-        s.push_back(0, 11);
-        assert_eq!(
-            s.iter(0).copied().collect::<Vec<_>>(),
-            vec![3, 4, 5, 7, 9, 11]
-        );
+        // Ahead of every entry; the tail stays put.
+        s.push_front(0, 3);
+        s.push_back(0, 9);
+        assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![3, 5, 7, 9]);
+        assert_eq!(s.len(0), 4);
+        assert!(s.check_invariants());
+        // Drained and refilled from the front, the tail is set again.
+        while s.pop_front(0).is_some() {}
+        s.push_front(0, 1);
+        s.push_back(0, 2);
+        assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![1, 2]);
         assert!(s.check_invariants());
     }
 

@@ -17,7 +17,7 @@ pub const MICROS_PER_SEC: u64 = 1_000_000;
 /// start of the simulation.
 ///
 /// `SimTime` is totally ordered and exact; two events scheduled for the same
-/// microsecond are further ordered by their insertion sequence number (see
+/// microsecond are further ordered by when they were scheduled (see
 /// [`crate::EventQueue`]).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,

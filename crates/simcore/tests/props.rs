@@ -12,17 +12,22 @@ enum QueueOp {
     /// every wheel path (same-µs buckets, near future, cascade range,
     /// beyond-span overflow).
     Push(u64),
+    /// The same, ahead of every event pending at that time.
+    PushFront(u64),
     Pop,
     /// `k` events at one far time (a job's probe burst), then `pops` pops,
-    /// each followed by a zero-delay push at the popped time. Alone in its
-    /// bucket the burst takes the single-time hand-off (and the zero-delay
-    /// pushes must queue behind what is left of it); sharing a bucket with
-    /// `Push`es of the same era it cascades by relinking; in the overflow
-    /// era it re-enters the wheel from the heap.
+    /// each followed by a zero-delay push at the popped time — a
+    /// `push_front` when `front`, the way a harness streams the next of
+    /// several same-time arrivals. Alone in its bucket the burst takes the
+    /// single-time hand-off (and the zero-delay pushes must queue behind,
+    /// or ahead of, what is left of it); sharing a bucket with `Push`es of
+    /// the same era it cascades by relinking; in the overflow era it
+    /// re-enters the wheel from the heap.
     Burst {
         at: u64,
         k: u8,
         pops: u8,
+        front: bool,
     },
 }
 
@@ -31,79 +36,92 @@ enum QueueOp {
 const ERAS: [u64; 4] = [0, 1 << 10, 1 << 30, 1 << 55];
 
 fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
-    let op = (0u8..5, 0u64..4, 0u64..200, 1u8..6).prop_map(|(kind, era, fine, k)| match kind {
+    let op = (0u8..6, 0u64..4, 0u64..200, 1u8..6).prop_map(|(kind, era, fine, k)| match kind {
         0 => QueueOp::Pop,
+        1 => QueueOp::PushFront(ERAS[era as usize] + fine),
         // Bursts land in the cascade and overflow eras only.
-        4 => QueueOp::Burst {
+        5 => QueueOp::Burst {
             at: ERAS[2 + era as usize % 2] + fine,
             k,
             pops: (fine % 8) as u8,
+            front: fine / 8 % 2 == 1,
         },
         _ => QueueOp::Push(ERAS[era as usize] + fine),
     });
     proptest::collection::vec(op, 1..300)
 }
 
-/// The wheel next to its model: a bag of pending `(time, seq)` pairs whose
-/// minimum is what the next pop must return.
+/// The wheel next to its model: the pending `(time, id)` pairs as a list
+/// in pop order. A push goes behind every pending entry of its time, a
+/// `push_front` ahead of every one; a pop takes the head.
 struct Modelled {
     queue: EventQueue<u64>,
     pending: Vec<(u64, u64)>,
-    seq: u64,
-    /// Last popped `(time, seq)`; its time is the monotone push clamp.
-    last: Option<(u64, u64)>,
+    next_id: u64,
+    /// Last popped time: the monotone push clamp.
+    last: Option<u64>,
 }
 
 impl Modelled {
-    /// Pushes at `t`, clamped to the engine's monotone regime (never
-    /// before the last pop), like `Engine::schedule_at` guarantees.
-    fn push(&mut self, t: u64) {
-        let t = t.max(self.last.map_or(0, |(floor, _)| floor));
-        self.queue.push(SimTime::from_micros(t), self.seq);
-        self.pending.push((t, self.seq));
-        self.seq += 1;
+    /// Pushes at `t` (to the front of its time when `front`), clamped to
+    /// the engine's monotone regime (never before the last pop), like
+    /// `Engine::schedule_at` guarantees.
+    fn push(&mut self, t: u64, front: bool) {
+        let t = t.max(self.last.unwrap_or(0));
+        let id = self.next_id;
+        self.next_id += 1;
+        let at = if front {
+            self.queue.push_front(SimTime::from_micros(t), id);
+            self.pending.partition_point(|&(p, _)| p < t)
+        } else {
+            self.queue.push(SimTime::from_micros(t), id);
+            self.pending.partition_point(|&(p, _)| p <= t)
+        };
+        self.pending.insert(at, (t, id));
     }
 
-    /// Pops, checking the result against the model's minimum and the
-    /// global `(time, seq)` order of the pop sequence.
+    /// Pops, checking the result against the model's head and the clock's
+    /// monotonicity.
     fn pop(&mut self) -> Option<u64> {
-        let expect = self.pending.iter().copied().min();
-        self.pending.retain(|&p| Some(p) != expect);
-        let got = self.queue.pop().map(|(t, s)| (t.as_micros(), s));
+        let expect = (!self.pending.is_empty()).then(|| self.pending.remove(0));
+        let got = self.queue.pop().map(|(t, id)| (t.as_micros(), id));
         prop_assert_eq!(got, expect);
-        if let (Some(now), Some(before)) = (got, self.last) {
-            prop_assert!(now > before, "the clock regressed or FIFO broke");
+        if let (Some((now, _)), Some(before)) = (got, self.last) {
+            prop_assert!(now >= before, "the clock regressed");
         }
-        self.last = got.or(self.last);
+        self.last = got.map(|(t, _)| t).or(self.last);
         got.map(|(t, _)| t)
     }
 }
 
 proptest! {
-    /// The timing-wheel queue pops every pending event in (time, seq)
-    /// order under arbitrary interleaved schedule/pop sequences, matching
-    /// a naive sort-based model exactly.
+    /// The timing-wheel queue pops every pending event in time order, each
+    /// time's events in scheduling order (`push` FIFO, `push_front` ahead
+    /// of everything pending at its time), under arbitrary interleaved
+    /// push / push_front / pop sequences — in the wheel and in the
+    /// overflow heap alike — matching a sorted-list model exactly.
     #[test]
     fn wheel_queue_matches_sorted_model(ops in queue_ops()) {
         let mut m = Modelled {
             queue: EventQueue::new(),
             pending: Vec::new(),
-            seq: 0,
+            next_id: 0,
             last: None,
         };
         for op in ops {
             match op {
-                QueueOp::Push(t) => m.push(t),
+                QueueOp::Push(t) => m.push(t, false),
+                QueueOp::PushFront(t) => m.push(t, true),
                 QueueOp::Pop => {
                     m.pop();
                 }
-                QueueOp::Burst { at, k, pops } => {
+                QueueOp::Burst { at, k, pops, front } => {
                     for _ in 0..k {
-                        m.push(at);
+                        m.push(at, false);
                     }
                     for _ in 0..pops {
                         if let Some(now) = m.pop() {
-                            m.push(now);
+                            m.push(now, front);
                         }
                     }
                 }
@@ -116,43 +134,6 @@ proptest! {
         }
         prop_assert!(m.queue.pop().is_none());
         prop_assert_eq!(m.queue.len(), 0);
-    }
-
-    /// `drain_until(t)` returns exactly what repeated `pop` calls bounded
-    /// by `t` would, leaves the same remainder behind, and advances the
-    /// engine clock identically.
-    #[test]
-    fn drain_until_equals_repeated_pop(
-        times in proptest::collection::vec(0u64..5_000, 1..120),
-        cut in 0u64..5_000,
-    ) {
-        let build = |times: &[u64]| {
-            let mut e: Engine<usize> = Engine::new();
-            for (i, &t) in times.iter().enumerate() {
-                e.schedule_at(SimTime::from_micros(t), i);
-            }
-            e
-        };
-        let mut batch = build(&times);
-        let mut single = build(&times);
-        let until = SimTime::from_micros(cut);
-        let drained = batch.drain_until(until);
-        let mut expect = Vec::new();
-        while single.peek_time().is_some_and(|t| t <= until) {
-            expect.push(single.pop().expect("peeked event exists"));
-        }
-        prop_assert_eq!(&drained, &expect);
-        prop_assert_eq!(batch.now(), single.now());
-        prop_assert_eq!(batch.pending(), single.pending());
-        prop_assert_eq!(batch.processed(), single.processed());
-        // The remainders continue identically.
-        loop {
-            let (a, b) = (batch.pop(), single.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     /// The engine clock is monotone non-decreasing across any schedule of

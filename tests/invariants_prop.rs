@@ -7,7 +7,17 @@
 //! static cell on all four shard counts and compares the per-kind event
 //! counts across the harnesses, and a fifth holds steal accounting on all
 //! four shard counts *and* on a fault-free `hawk-proto` virtual run of the
-//! same cell (the suite's first prototype leg).
+//! same cell (the suite's first prototype leg). A sixth puts a generated
+//! `AdmissionPolicy` on the cell, so arrivals are deferred and re-fire and
+//! jobs are shed, and holds arrivals = completions + sheds on `Driver`, 2,
+//! 3 and 5 cores and the `hawk-proto` virtual run.
+//!
+//! Mutations against the sixth (each checked by hand). Fail it: the
+//! harnesses' streamed-arrival test (`protocol::Arrivals::stream`) taking
+//! an admission-deferred re-fire for the streamed arrival, so the job after
+//! the re-fired one arrives a second time; a shed counted as a completion
+//! (`Core::on_job_arrival` running a shed job like an admitted one, so no
+//! result has zero runtime).
 //!
 //! Mutations of `Core::try_steal` against the fifth (each checked by
 //! hand). Fail it: the remote victims of an attempt dropped instead of
@@ -40,6 +50,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use hawk::core::AdmissionPolicy;
 use hawk::prelude::*;
 
 /// Strategy: a small random trace (jobs with random arrival gaps and task
@@ -282,6 +293,62 @@ proptest! {
         prop_assert!(completes_once(&proto), "proto");
         prop_assert!(proto.steals <= proto.steal_attempts);
         prop_assert!(cap > 0 || proto.steal_attempts == 0);
+    }
+
+    /// Arrivals = completions + sheds, in every harness — `Driver`, 2, 3
+    /// and 5 cores, and a fault-free `hawk-proto` virtual run — under an
+    /// admission policy that defers and sheds: every job either completes
+    /// once, no sooner than its longest task allows, or is shed with a
+    /// zero runtime, and the shed ones are exactly the plan's. On the
+    /// simulator harnesses every job's arrival fires once, and once more
+    /// if it was deferred.
+    #[test]
+    fn every_arrival_completes_once_or_is_shed(
+        trace in arb_trace(),
+        scheduler in arb_scheduler(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        window_secs in 10u64..2_000,
+        headroom in 0.05f64..1.0,
+        max_defer_windows in 0u32..4,
+        protect_short in any::<bool>(),
+    ) {
+        let admission = AdmissionPolicy {
+            window: SimDuration::from_secs(window_secs),
+            headroom,
+            max_defer_windows,
+            protect_short,
+        };
+        let cell = Experiment::builder()
+            .nodes(nodes)
+            .scheduler_shared(scheduler)
+            .seed(seed)
+            .admission(admission)
+            .trace(&trace);
+        let balances = |report: &MetricsReport| {
+            prop_assert_eq!(report.results.len(), trace.len());
+            let mut sheds = 0;
+            for (job, result) in trace.jobs().iter().zip(&report.results) {
+                prop_assert_eq!(result.job, job.id);
+                if result.runtime() == SimDuration::ZERO {
+                    sheds += 1;
+                } else {
+                    prop_assert!(result.runtime() >= job.critical_task(), "{:?}", result);
+                }
+            }
+            prop_assert_eq!(sheds, report.admission.sheds());
+        };
+        for shards in [1usize, 2, 3, 5] {
+            let report = cell.clone().shards(shards).run();
+            balances(&report);
+            prop_assert_eq!(
+                report.events_by_kind[kind("job_arrival")],
+                trace.len() as u64 + report.admission.deferrals(),
+                "{} shards",
+                shards
+            );
+        }
+        balances(&cell.build().run_on(&ProtoBackend::deterministic()));
     }
 
     /// Misestimation never breaks liveness and never changes true classes.
