@@ -463,7 +463,7 @@ fn time_proto(
     let (wall_s, report): (f64, ProtoReport) = best_of(repeats, || {
         run_prototype(trace, Arc::clone(&scheduler), &cfg)
     });
-    assert_eq!(report.jobs.len(), trace.len(), "{name} lost jobs");
+    assert_eq!(report.results.len(), trace.len(), "{name} lost jobs");
     let timing = ProtoTiming {
         name,
         jobs: trace.len(),

@@ -33,8 +33,8 @@ fn digest(report: &ProtoReport) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
     let eat = |h: u64, x: u64| (h ^ x).wrapping_mul(PRIME);
-    for j in &report.jobs {
-        h = eat(h, j.runtime.as_micros() as u64);
+    for r in &report.results {
+        h = eat(h, r.runtime().as_micros());
     }
     for x in [
         report.steals,
@@ -96,7 +96,7 @@ pub(crate) fn run(opts: &HarnessOpts, flags: &[String]) -> Table {
         let (a, wall_a) = timed(&trace, &cfg);
         let (b, wall_b) = timed(&trace, &cfg);
         assert_eq!(
-            a.jobs.len(),
+            a.results.len(),
             trace.len(),
             "hardened prototype lost jobs under the smoke fault cell"
         );
@@ -118,7 +118,7 @@ pub(crate) fn run(opts: &HarnessOpts, flags: &[String]) -> Table {
         );
         let mut table = Table::default();
         table.push([
-            ("completed", format!("{}/{}", a.jobs.len(), trace.len())),
+            ("completed", format!("{}/{}", a.results.len(), trace.len())),
             ("drops", a.drops.to_string()),
             ("dups", a.dups.to_string()),
             ("retries", a.retries.to_string()),
@@ -152,14 +152,14 @@ pub(crate) fn run(opts: &HarnessOpts, flags: &[String]) -> Table {
             }
             let (report, wall) = timed(&trace, &cfg_for(faults));
             assert_eq!(
-                report.jobs.len(),
+                report.results.len(),
                 trace.len(),
                 "hardened prototype lost jobs at drop {drop}, partition {label}s"
             );
             let faulty = metrics(&report);
             let p90 = |class: JobClass| faulty.runtime_percentile(class, 90.0);
             let p90_x = |class: JobClass| fmt4(ratio(p90(class), base_p90(class)));
-            let completed = format!("{}/{}", report.jobs.len(), trace.len());
+            let completed = format!("{}/{}", report.results.len(), trace.len());
             table.push([
                 ("drop", format!("{drop}")),
                 ("partition_s", label.to_string()),

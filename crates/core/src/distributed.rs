@@ -38,23 +38,14 @@ impl ProbePlanner {
     }
 
     /// Picks probe targets within the contiguous server range
-    /// `[start, start+len)`.
+    /// `[start, start+len)`, into a caller-recycled buffer (cleared first)
+    /// so the per-arrival hot path allocates nothing in steady state.
     ///
     /// Targets are distinct while the range allows it. When a job needs
     /// more probes than the scope has servers (possible only in scaled-down
     /// clusters), every server receives `⌊probes/len⌋` probes and the
     /// remainder is placed on a distinct random subset — guaranteeing at
     /// least `t` probes exist so late binding can launch every task.
-    pub fn targets(&self, tasks: usize, start: u32, len: usize, rng: &mut SimRng) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(self.probes_for(tasks));
-        self.targets_into(tasks, start, len, rng, &mut out);
-        out
-    }
-
-    /// Like [`ProbePlanner::targets`], writing into a caller-recycled
-    /// buffer (cleared first) so the per-arrival hot path allocates
-    /// nothing in steady state. The RNG draw sequence — and therefore the
-    /// targets — is identical to [`ProbePlanner::targets`].
     pub fn targets_into(
         &self,
         tasks: usize,
@@ -108,18 +99,6 @@ impl ProbePlanner {
         rng.sample_distinct_map_into(len, remainder, out, server_at);
         debug_assert_eq!(out.len(), base + remainder);
     }
-
-    /// Allocating wrapper over [`ProbePlanner::targets_in_view_into`].
-    pub fn targets_in_view(
-        &self,
-        view: &PlacementView<'_>,
-        tasks: usize,
-        rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(self.probes_for(tasks));
-        self.targets_in_view_into(view, tasks, rng, &mut out);
-        out
-    }
 }
 
 impl Default for ProbePlanner {
@@ -133,6 +112,18 @@ impl Default for ProbePlanner {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    fn targets(p: &ProbePlanner, tasks: usize, start: u32, len: usize, seed: u64) -> Vec<ServerId> {
+        let mut out = Vec::new();
+        p.targets_into(
+            tasks,
+            start,
+            len,
+            &mut SimRng::seed_from_u64(seed),
+            &mut out,
+        );
+        out
+    }
 
     #[test]
     fn probe_count_is_twice_tasks() {
@@ -149,9 +140,7 @@ mod tests {
 
     #[test]
     fn targets_distinct_when_room() {
-        let p = ProbePlanner::default();
-        let mut rng = SimRng::seed_from_u64(1);
-        let targets = p.targets(10, 0, 1_000, &mut rng);
+        let targets = targets(&ProbePlanner::default(), 10, 0, 1_000, 1);
         assert_eq!(targets.len(), 20);
         let set: HashSet<_> = targets.iter().collect();
         assert_eq!(set.len(), 20, "targets must be distinct");
@@ -160,18 +149,14 @@ mod tests {
 
     #[test]
     fn targets_respect_range_offset() {
-        let p = ProbePlanner::default();
-        let mut rng = SimRng::seed_from_u64(2);
-        let targets = p.targets(5, 500, 100, &mut rng);
+        let targets = targets(&ProbePlanner::default(), 5, 500, 100, 2);
         assert!(targets.iter().all(|s| (500..600).contains(&s.0)));
     }
 
     #[test]
     fn oversubscribed_range_tops_up_with_repeats() {
         // 2t = 50 probes into 20 servers: every server gets 2, 10 get 3.
-        let p = ProbePlanner::default();
-        let mut rng = SimRng::seed_from_u64(3);
-        let targets = p.targets(25, 0, 20, &mut rng);
+        let targets = targets(&ProbePlanner::default(), 25, 0, 20, 3);
         assert_eq!(targets.len(), 50);
         let mut counts = [0usize; 20];
         for t in &targets {
@@ -185,10 +170,8 @@ mod tests {
     fn probes_always_cover_tasks() {
         // The late-binding liveness condition: probes ≥ tasks even in tiny
         // scopes.
-        let p = ProbePlanner::default();
-        let mut rng = SimRng::seed_from_u64(4);
         for (tasks, len) in [(100, 7), (3, 1), (64, 64), (1, 1)] {
-            let targets = p.targets(tasks, 0, len, &mut rng);
+            let targets = targets(&ProbePlanner::default(), tasks, 0, len, 4);
             assert!(
                 targets.len() >= tasks,
                 "{} probes for {tasks} tasks in scope {len}",
@@ -206,8 +189,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "probe scope is empty")]
     fn empty_scope_rejected() {
-        let p = ProbePlanner::default();
-        let mut rng = SimRng::seed_from_u64(5);
-        p.targets(1, 0, 0, &mut rng);
+        targets(&ProbePlanner::default(), 1, 0, 0, 5);
     }
 }

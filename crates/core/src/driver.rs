@@ -133,13 +133,7 @@ impl<'t> Driver<'t> {
             };
             self.dispatch(event);
         }
-        let report = protocol::report(
-            &mut [&mut self.core],
-            |_| 0,
-            &self.util,
-            &self.net.engine,
-            None,
-        );
+        let report = protocol::report(&[&self.core], |_| 0, &self.util, &self.net.engine, None);
         (report, self.core.into_estimates())
     }
 

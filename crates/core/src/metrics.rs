@@ -6,7 +6,15 @@
 //! and long jobs (§4.1 "Metrics"). Figure 5c adds the fraction of jobs for
 //! which Hawk is better than or equal to the baseline, and the average
 //! job runtime ratio.
+//!
+//! A run is recorded once, as its per-job [`JobResult`]s; everything else
+//! here is read off them. That includes the bounded-memory streaming
+//! summary ([`StreamingStats::from_results`]), which every harness — the
+//! simulator's two and the prototype's — derives from its results at
+//! report time. Only the live windows ([`LiveMetrics`]) keep sinks fed as
+//! jobs complete, because they report while the run is going.
 
+use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::live::LiveMetrics;
 use crate::protocol::EventCounts;
 use hawk_net::NetworkStats;
@@ -89,9 +97,9 @@ impl StreamingSummary {
     }
 }
 
-/// Streaming runtime percentiles for both true classes, always collected
-/// (the sinks are fixed-size and allocation-free on the record path).
-/// Excluded from the golden digests.
+/// Streaming runtime percentiles for both true classes, derived from a
+/// run's results by [`StreamingStats::from_results`]. Excluded from the
+/// golden digests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct StreamingStats {
     /// Jobs truly short (exact-estimate classification).
@@ -101,6 +109,32 @@ pub struct StreamingStats {
 }
 
 impl StreamingStats {
+    /// Folds every result's runtime, in microseconds, into one bounded
+    /// sink per true class. Jobs the admission `plan` shed never ran and
+    /// are left out; they are found by the plan's decision, not by a zero
+    /// runtime, which a zero-duration job on a zero-delay network has too.
+    /// A sink buckets a value by the value alone, so folding the results
+    /// after the run equals feeding the sinks at every completion, bit for
+    /// bit.
+    pub fn from_results(results: &[JobResult], plan: Option<&AdmissionPlan>) -> StreamingStats {
+        let mut short = StreamingQuantiles::new();
+        let mut long = StreamingQuantiles::new();
+        for result in results {
+            if plan.is_some_and(|plan| plan.decision(result.job) == AdmissionDecision::Shed) {
+                continue;
+            }
+            let sink = match result.true_class {
+                JobClass::Short => &mut short,
+                JobClass::Long => &mut long,
+            };
+            sink.record(result.runtime().as_micros());
+        }
+        StreamingStats {
+            short: StreamingSummary::from_sink(&short),
+            long: StreamingSummary::from_sink(&long),
+        }
+    }
+
     /// The summary for `class`.
     pub fn class(&self, class: JobClass) -> StreamingSummary {
         match class {
@@ -111,8 +145,8 @@ impl StreamingStats {
 }
 
 /// Admission-control outcome counters, derived once from the precomputed
-/// [`AdmissionPlan`](crate::AdmissionPlan) (so a job deferred across
-/// several gate windows still counts once). All-zero when no
+/// [`AdmissionPlan`] (so a job deferred across several gate windows still
+/// counts once). All-zero when no
 /// [`AdmissionPolicy`](crate::AdmissionPolicy) is configured. Unlike the
 /// proto fault counters, these *are* mapped across backends
 /// ([`ProtoReport::into_metrics`](../hawk_proto) keeps them), because the
@@ -200,8 +234,8 @@ pub struct MetricsReport {
     /// Epoch/merge counters when the run executed on the sharded driver;
     /// `None` single-stream. Not part of the golden digests.
     pub sharded: Option<ShardedStats>,
-    /// Streaming per-class runtime percentiles from the bounded-memory
-    /// sinks (always collected). Not part of the golden digests.
+    /// Streaming per-class runtime percentiles: a view of `results`
+    /// ([`StreamingStats::from_results`]). Not part of the golden digests.
     pub streaming: StreamingStats,
     /// Windowed live metrics, `Some` only when
     /// [`SimConfig::live_window`](crate::SimConfig) is set. Not part of

@@ -4,9 +4,9 @@
 //! → finish, plus §3.7 central placement and churn relocation. [`Core`]
 //! holds the node-local and scheduler-local state (cluster, per-job late
 //! binding, the centralized waiting-time scheduler, the three RNG
-//! streams, the topology, streaming sinks, recycled buffers) and every
-//! handler, written against the [`Transport`] seam: a handler's only
-//! outward effect is "emit event *e* to endpoint *p* after delay *d*".
+//! streams, the topology, recycled buffers) and every handler, written
+//! against the [`Transport`] seam: a handler's only outward effect is
+//! "emit event *e* to endpoint *p* after delay *d*".
 //! The harnesses know nothing about scheduling:
 //!
 //! * [`crate::Driver`] is a core plus a loopback transport (every send is
@@ -32,7 +32,6 @@ use std::sync::Arc;
 
 use hawk_cluster::{Cluster, QueueEntry, ServerAction, ServerId, TaskSpec, UtilizationTracker};
 use hawk_net::{Endpoint, NetworkStats, RackGeometry, Topology};
-use hawk_simcore::stats::StreamingQuantiles;
 use hawk_simcore::{BatchHandle, BatchPool, Engine, SimDuration, SimRng, SimTime};
 use hawk_workload::classify::{Cutoff, JobEstimates};
 use hawk_workload::scenario::NodeChange;
@@ -42,7 +41,7 @@ use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::centralized::CentralScheduler;
 use crate::config::{check_cell, CentralOverhead, Route, Scope, SimConfig};
 use crate::live::LiveRecorder;
-use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats, StreamingSummary};
+use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats};
 use crate::scheduler::{PlacementView, Scheduler, StealSpec};
 
 /// A simulation event: a message or timer of the protocol.
@@ -403,11 +402,6 @@ pub(crate) struct Core<'t> {
     /// Precomputed admission decisions; `None` admits everything (the
     /// classic, digest-pinned behavior).
     admission: Option<Arc<AdmissionPlan>>,
-    /// Cumulative streaming runtime sinks by true class, always on: the
-    /// record path is allocation-free and draws no RNG, and the derived
-    /// report fields are digest-excluded.
-    short_sink: StreamingQuantiles,
-    long_sink: StreamingQuantiles,
     /// Windowed live-metrics recorder, under [`SimConfig::live_window`].
     live: Option<LiveRecorder>,
     /// Jobs homed here that have not completed; the harness, which knows
@@ -490,8 +484,6 @@ impl<'t> Core<'t> {
             topology: sim.topology.build(sim.nodes),
             rack_geometry: sim.topology.rack_geometry(),
             admission: inputs.admission.clone(),
-            short_sink: StreamingQuantiles::new(),
-            long_sink: StreamingQuantiles::new(),
             live: sim.live_window.map(LiveRecorder::new),
             unfinished: 0,
             steals: 0,
@@ -619,8 +611,8 @@ impl<'t> Core<'t> {
                         live.on_shed();
                     }
                     // The job completes instantly at submission with zero
-                    // runtime and never schedules. Shed jobs are excluded
-                    // from the streaming sinks (the exact summary still
+                    // runtime and never schedules. The report's streaming
+                    // summary leaves shed jobs out (the exact summary still
                     // carries their zero runtime).
                     let run = &mut self.jobs[job.index()];
                     run.class = class;
@@ -650,7 +642,8 @@ impl<'t> Core<'t> {
             Route::Distributed(scope) => {
                 let (start, len) = scope_range(&self.cluster, scope);
                 let view = PlacementView::new(&self.cluster, start, len);
-                self.scheduler.probe_targets_into(
+                self.probe_buf.clear();
+                self.scheduler.probe_targets(
                     &view,
                     spec.num_tasks(),
                     &mut self.probe_rng,
@@ -929,17 +922,11 @@ impl<'t> Core<'t> {
             let now = net.now();
             run.completion = Some(now);
             self.unfinished -= 1;
-            // Streaming runtime sinks, keyed by *true* class like the
-            // exact per-class summaries (digest-excluded, RNG-free).
-            let spec = self.trace.job(job);
-            let true_class = self.cutoff.classify(spec.mean_task_duration());
-            let micros = (now - spec.submission).as_micros();
-            match true_class {
-                JobClass::Short => self.short_sink.record(micros),
-                JobClass::Long => self.long_sink.record(micros),
-            }
             if let Some(live) = &mut self.live {
-                live.on_completion(true_class, micros);
+                // Keyed by *true* class, like the per-class summaries.
+                let spec = self.trace.job(job);
+                let true_class = self.cutoff.classify(spec.mean_task_duration());
+                live.on_completion(true_class, (now - spec.submission).as_micros());
             }
         }
     }
@@ -1199,26 +1186,17 @@ fn random_probe_target(
 
 /// Assembles the report of a finished run from its cores: per-job results
 /// from each job's home core (`home_of`), counters summed, live windows
-/// merged, and the other cores' streaming sinks folded into the first
-/// (exact — the merged histogram is bit-identical to one global sink fed
-/// the same runtimes — and allocation-free). Utilization and the engine
-/// come from the harness, which owns sampling and the event list.
+/// merged, and the streaming summary derived from the results.
+/// Utilization and the engine come from the harness, which owns sampling
+/// and the event list.
 pub(crate) fn report<E: Copy>(
-    cores: &mut [&mut Core<'_>],
+    cores: &[&Core<'_>],
     home_of: impl Fn(JobId) -> usize,
     util: &UtilizationTracker,
     engine: &Engine<E>,
     sharded: Option<ShardedStats>,
 ) -> MetricsReport {
-    let (first, rest) = cores
-        .split_first_mut()
-        .expect("a run has at least one core");
-    for core in rest.iter() {
-        first.short_sink.merge(&core.short_sink);
-        first.long_sink.merge(&core.long_sink);
-    }
-    let cores = &*cores;
-    let first = &*cores[0];
+    let first = cores[0];
 
     let mut makespan = SimTime::ZERO;
     // Sized once from the trace; the per-job completion check compiles
@@ -1258,11 +1236,11 @@ pub(crate) fn report<E: Copy>(
     }
     let recorders: Vec<&LiveRecorder> = cores.iter().filter_map(|c| c.live.as_ref()).collect();
     let sum = |counter: fn(&Core<'_>) -> u64| cores.iter().map(|c| counter(c)).sum();
+    let admission = first.admission.as_deref();
 
     MetricsReport {
         scheduler: first.scheduler.name(),
         nodes: first.cluster.len(),
-        results,
         median_utilization: util.median().unwrap_or(0.0),
         max_utilization: util.max().unwrap_or(0.0),
         utilization_samples: util.samples().to_vec(),
@@ -1280,20 +1258,14 @@ pub(crate) fn report<E: Copy>(
         abandons: sum(|c| c.abandons),
         network,
         sharded,
-        streaming: StreamingStats {
-            short: StreamingSummary::from_sink(&first.short_sink),
-            long: StreamingSummary::from_sink(&first.long_sink),
-        },
+        streaming: StreamingStats::from_results(&results, admission),
         live: match recorders.as_slice() {
             [] => None,
             [solo] => Some(solo.report()),
             shards => Some(LiveRecorder::merge(shards)),
         },
-        admission: first
-            .admission
-            .as_deref()
-            .map(AdmissionPlan::stats)
-            .unwrap_or_default(),
+        admission: admission.map(AdmissionPlan::stats).unwrap_or_default(),
+        results,
     }
 }
 

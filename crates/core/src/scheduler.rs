@@ -311,33 +311,19 @@ pub trait Scheduler: Send + Sync {
     /// scheduler or by per-job distributed probing, over which scope.
     fn route(&self, class: JobClass) -> Route;
 
-    /// Probe targets for one distributed job of `tasks` tasks. Called only
-    /// for classes routed [`Route::Distributed`]; must return at least
-    /// `tasks` targets so late binding can launch every task.
+    /// Probe targets for one distributed job of `tasks` tasks, pushed onto
+    /// `out`, which the caller hands over empty and reuses from job to job
+    /// (so a policy that only pushes keeps job arrivals off the
+    /// allocator). Called only for classes routed [`Route::Distributed`];
+    /// must push at least `tasks` targets so late binding can launch every
+    /// task.
     fn probe_targets(
         &self,
         view: &PlacementView<'_>,
         tasks: usize,
         rng: &mut SimRng,
-    ) -> Vec<ServerId>;
-
-    /// Allocation-free variant of [`Scheduler::probe_targets`]: the driver
-    /// calls this once per distributed job arrival with a reused buffer
-    /// (`out` is cleared first).
-    ///
-    /// The default delegates to [`Scheduler::probe_targets`], so custom
-    /// policies stay correct without extra work; the built-in policies
-    /// override it to keep job arrivals off the allocator.
-    fn probe_targets_into(
-        &self,
-        view: &PlacementView<'_>,
-        tasks: usize,
-        rng: &mut SimRng,
         out: &mut Vec<ServerId>,
-    ) {
-        out.clear();
-        out.append(&mut self.probe_targets(view, tasks, rng));
-    }
+    );
 
     /// Work-stealing capability (§3.6); `None` disables stealing.
     fn steal(&self) -> Option<StealSpec> {
@@ -523,15 +509,6 @@ impl Scheduler for Hawk {
         view: &PlacementView<'_>,
         tasks: usize,
         rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        self.probing.targets_in_view(view, tasks, rng)
-    }
-
-    fn probe_targets_into(
-        &self,
-        view: &PlacementView<'_>,
-        tasks: usize,
-        rng: &mut SimRng,
         out: &mut Vec<ServerId>,
     ) {
         self.probing.targets_in_view_into(view, tasks, rng, out);
@@ -598,15 +575,6 @@ impl Scheduler for Sparrow {
         view: &PlacementView<'_>,
         tasks: usize,
         rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        self.probing.targets_in_view(view, tasks, rng)
-    }
-
-    fn probe_targets_into(
-        &self,
-        view: &PlacementView<'_>,
-        tasks: usize,
-        rng: &mut SimRng,
         out: &mut Vec<ServerId>,
     ) {
         self.probing.targets_in_view_into(view, tasks, rng, out);
@@ -639,7 +607,8 @@ impl Scheduler for Centralized {
         _view: &PlacementView<'_>,
         _tasks: usize,
         _rng: &mut SimRng,
-    ) -> Vec<ServerId> {
+        _out: &mut Vec<ServerId>,
+    ) {
         unreachable!("the centralized baseline routes no class through probing")
     }
 }
@@ -686,15 +655,6 @@ impl Scheduler for SplitCluster {
     }
 
     fn probe_targets(
-        &self,
-        view: &PlacementView<'_>,
-        tasks: usize,
-        rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        self.probing.targets_in_view(view, tasks, rng)
-    }
-
-    fn probe_targets_into(
         &self,
         view: &PlacementView<'_>,
         tasks: usize,

@@ -436,9 +436,9 @@ impl<'t> ShardedDriver<'t> {
             epochs,
             merge_envelopes: self.net.cross_core_sends,
         };
-        let mut cores: Vec<&mut Core<'t>> = self.cores.iter_mut().collect();
+        let cores: Vec<&Core<'t>> = self.cores.iter().collect();
         let report = protocol::report(
-            &mut cores,
+            &cores,
             |job| self.net.homes[job.index()] as usize,
             &self.util,
             &self.net.engine,

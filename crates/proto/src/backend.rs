@@ -96,12 +96,6 @@ impl ProtoBackend {
         }
     }
 
-    /// Same backend with a different distributed-scheduler count.
-    pub fn dist_schedulers(mut self, count: usize) -> Self {
-        self.dist_schedulers = count;
-        self
-    }
-
     /// Same backend with fault injection (virtual-clock mode only). A
     /// lossy spec must also carry timeouts — see
     /// [`FaultSpec::hardened`].

@@ -3,8 +3,7 @@
 //! A [`FaultSpec`] makes message *delivery* a policy: the virtual router
 //! commits every send through one seam ([`crate::virt`]'s `commit`),
 //! where the spec may drop it, deliver it twice, defer it by a reorder
-//! jitter or a delay spike, or sever it entirely during a scripted
-//! partition window. Every probabilistic knob draws from its own
+//! jitter, or sever it entirely during a scripted partition window. Every probabilistic knob draws from its own
 //! dedicated [`SimRng`] stream, split from `seed ^ FAULT_SALT` in a
 //! frozen order, so a faulty run replays **byte-identically** per seed —
 //! the same contract the fault-free router has always had, extended to
@@ -56,16 +55,6 @@ impl PartitionWindow {
         }
         self.island.contains(&src_host) != self.island.contains(&dst_host)
     }
-}
-
-/// A probabilistic latency spike: with `probability`, a delivered message
-/// is deferred by `extra` on top of its topology delay.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelaySpike {
-    /// Per-message spike probability.
-    pub probability: f64,
-    /// Extra delay charged when the spike fires.
-    pub extra: SimDuration,
 }
 
 /// Timeout and retry knobs of the hardened daemon protocol.
@@ -121,8 +110,6 @@ pub struct FaultSpec {
     /// Uniform extra delay in `[0, reorder_jitter)` per delivered message
     /// — enough to break per-pair FIFO and reorder the protocol.
     pub reorder_jitter: SimDuration,
-    /// Probabilistic latency spikes.
-    pub delay_spike: Option<DelaySpike>,
     /// Scripted partition windows (checked in order; any severing window
     /// drops the message).
     pub partitions: Vec<PartitionWindow>,
@@ -139,7 +126,6 @@ impl FaultSpec {
             drop: 0.0,
             duplicate: 0.0,
             reorder_jitter: SimDuration::ZERO,
-            delay_spike: None,
             partitions: Vec::new(),
             timeouts: None,
         }
@@ -153,7 +139,6 @@ impl FaultSpec {
             drop: 0.01,
             duplicate: 0.005,
             reorder_jitter: SimDuration::from_millis(2),
-            delay_spike: None,
             partitions: Vec::new(),
             timeouts: Some(TimeoutSpec::default()),
         }
@@ -182,12 +167,6 @@ impl FaultSpec {
         self
     }
 
-    /// Sets a probabilistic delay spike.
-    pub fn delay_spike(mut self, probability: f64, extra: SimDuration) -> Self {
-        self.delay_spike = Some(DelaySpike { probability, extra });
-        self
-    }
-
     /// Adds a scripted partition window islanding `island` during
     /// `[from, until)`.
     pub fn partition(mut self, from: SimTime, until: SimTime, island: Vec<u32>) -> Self {
@@ -212,7 +191,6 @@ impl FaultSpec {
         self.drop > 0.0
             || self.duplicate > 0.0
             || self.reorder_jitter > SimDuration::ZERO
-            || self.delay_spike.is_some()
             || !self.partitions.is_empty()
     }
 
@@ -232,17 +210,16 @@ impl Default for FaultSpec {
 /// Runtime state of the fault seam: the spec, one dedicated RNG stream
 /// per probabilistic knob, and the injection counters the report surfaces.
 ///
-/// Stream split order is **frozen**: drop, jitter, spike, duplicate.
-/// Append new streams after these four; never reorder — byte-identical
-/// replay of faulty runs depends on it (the same append-only rule the
-/// daemon streams follow in `runtime::build_cluster`).
+/// Stream split order is **frozen**: drop, jitter, a retired third lane,
+/// duplicate. Append new streams after these four; never reorder —
+/// byte-identical replay of faulty runs depends on it (the same
+/// append-only rule the daemon streams follow in `runtime::build_cluster`).
 pub(crate) struct FaultLanes {
     spec: FaultSpec,
     /// Host count for [`Endpoint::host`] partition membership.
     hosts: usize,
     drop_rng: SimRng,
     jitter_rng: SimRng,
-    spike_rng: SimRng,
     dup_rng: SimRng,
     pub(crate) drops: u64,
     pub(crate) dups: u64,
@@ -254,14 +231,15 @@ impl FaultLanes {
         // Frozen stream order — see the struct docs.
         let drop_rng = root.split();
         let jitter_rng = root.split();
-        let spike_rng = root.split();
+        // The retired delay-spike lane: still split, so the duplicate
+        // lane keeps the stream every pinned faulty run was drawn from.
+        root.split();
         let dup_rng = root.split();
         FaultLanes {
             spec,
             hosts,
             drop_rng,
             jitter_rng,
-            spike_rng,
             dup_rng,
             drops: 0,
             dups: 0,
@@ -287,7 +265,7 @@ impl FaultLanes {
 
     /// Decides one delivered-or-dropped outcome: `None` drops the
     /// message, `Some(extra)` delivers it `extra` later than its
-    /// topology delay. Draw order per message: drop, jitter, spike.
+    /// topology delay. Draw order per message: drop, then jitter.
     pub(crate) fn deliver(&mut self) -> Option<SimDuration> {
         if self.spec.drop > 0.0 && self.drop_rng.chance(self.spec.drop) {
             self.drops += 1;
@@ -296,20 +274,15 @@ impl FaultLanes {
         Some(self.perturb())
     }
 
-    /// Draws the delivery perturbation (jitter + spike) for one message —
-    /// also used for the duplicate copy, which gets its own draws.
+    /// Draws the delivery perturbation (the reorder jitter) for one
+    /// message — also used for the duplicate copy, which gets its own
+    /// draw.
     pub(crate) fn perturb(&mut self) -> SimDuration {
-        let mut extra = SimDuration::ZERO;
-        if self.spec.reorder_jitter > SimDuration::ZERO {
-            let bound = self.spec.reorder_jitter.as_micros();
-            extra += SimDuration::from_micros(self.jitter_rng.gen_range(0, bound));
+        if self.spec.reorder_jitter == SimDuration::ZERO {
+            return SimDuration::ZERO;
         }
-        if let Some(spike) = self.spec.delay_spike {
-            if self.spike_rng.chance(spike.probability) {
-                extra += spike.extra;
-            }
-        }
-        extra
+        let bound = self.spec.reorder_jitter.as_micros();
+        SimDuration::from_micros(self.jitter_rng.gen_range(0, bound))
     }
 
     /// Draws whether a delivered message is also duplicated.
@@ -339,7 +312,7 @@ mod tests {
 
     #[test]
     fn lanes_replay_byte_identically_per_seed() {
-        let spec = FaultSpec::chaos().delay_spike(0.1, SimDuration::from_millis(5));
+        let spec = FaultSpec::chaos();
         let outcomes = |seed: u64| {
             let mut lanes = FaultLanes::new(spec.clone(), seed, 10);
             let seq: Vec<Option<SimDuration>> = (0..200).map(|_| lanes.deliver()).collect();

@@ -12,7 +12,7 @@
 //!   [`hawk_cluster::Server`] state machine (same FIFO queue, same late
 //!   binding, same packed stat word, same Figure 3 steal scan);
 //! * **distributed schedulers** place probes by calling
-//!   [`Scheduler::probe_targets_into`](hawk_core::Scheduler::probe_targets_into)
+//!   [`Scheduler::probe_targets`](hawk_core::Scheduler::probe_targets)
 //!   over a membership-only shadow cluster;
 //! * the **centralized scheduler** wraps the simulator's
 //!   [`hawk_core::CentralScheduler`] (§3.7 waiting-time algorithm);
@@ -29,8 +29,12 @@
 //! threads exchanging channel messages on the wall clock (the paper's
 //! deployment model — noisy, non-deterministic, §4.10), and a
 //! single-threaded **virtual-clock** router whose runs are byte-identical
-//! per seed. The virtual mode is what lets `tests/backend_conformance.rs`
-//! hold the prototype and the simulator side by side on the same trace.
+//! per seed. They share the run around the daemons too: both walk one
+//! feed of submissions and dynamics events, record each job's submission
+//! and completion on their own clock, and hand that to one
+//! [`ProtoReport`] constructor. The virtual mode is what lets
+//! `tests/backend_conformance.rs` hold the prototype and the simulator
+//! side by side on the same trace.
 //!
 //! [`ProtoBackend`] packages all of this as a
 //! [`Backend`](hawk_core::Backend).
@@ -77,7 +81,7 @@ mod virt;
 mod worker;
 
 pub use backend::ProtoBackend;
-pub use fault::{DelaySpike, FaultSpec, PartitionWindow, TimeoutSpec};
+pub use fault::{FaultSpec, PartitionWindow, TimeoutSpec};
 pub use msg::{CentralMsg, DistMsg, WorkerMsg};
-pub use report::{Deliveries, MsgKind, ProtoJobResult, ProtoReport};
+pub use report::{Deliveries, MsgKind, ProtoReport};
 pub use runtime::{run_prototype, ExecutionMode, ProtoConfig};

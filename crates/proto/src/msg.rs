@@ -124,15 +124,12 @@ impl WorkerMsg {
 /// Messages delivered to a distributed scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DistMsg {
-    /// A job to schedule by batch probing (§3.5). Probe targets come from
-    /// [`Scheduler::probe_targets_into`](hawk_core::Scheduler::probe_targets_into).
+    /// A job to schedule by batch probing (§3.5); its tasks are read from
+    /// the trace the daemon borrows. Probe targets come from
+    /// [`Scheduler::probe_targets`](hawk_core::Scheduler::probe_targets).
     Submit {
         /// The job.
         job: JobId,
-        /// Per-task durations.
-        tasks: Vec<SimDuration>,
-        /// Job-level estimated task runtime.
-        estimate: SimDuration,
         /// The job's scheduled class.
         class: JobClass,
     },
@@ -205,14 +202,11 @@ impl DistMsg {
 /// Messages delivered to the centralized scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CentralMsg {
-    /// A job to place with the §3.7 waiting-time algorithm.
+    /// A job to place with the §3.7 waiting-time algorithm; its tasks are
+    /// read from the trace the daemon borrows.
     Submit {
         /// The job.
         job: JobId,
-        /// Per-task durations.
-        tasks: Vec<SimDuration>,
-        /// Job-level estimated task runtime.
-        estimate: SimDuration,
         /// The job's scheduled class.
         class: JobClass,
     },

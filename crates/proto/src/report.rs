@@ -1,34 +1,25 @@
 //! Prototype run results, in the simulator's metric conventions.
 //!
-//! [`ProtoReport`] holds what a prototype run measured and analyses none
-//! of it: [`ProtoReport::into_metrics`] converts the run into a
-//! [`MetricsReport`], whose percentiles, summaries and utilization figures
-//! are the simulator's own code, so a prototype number and a simulator
-//! number are computed by one code path and are directly comparable.
+//! Both execution modes record a run the same way and hand it over once:
+//! each job's submission and completion on the run's own clock
+//! ([`Outcomes`]), every daemon's counters folded into one
+//! [`DaemonStats`], and the utilization samples. [`ProtoReport::new`] is
+//! the one place that turns that into a [`ProtoReport`]: the outcomes
+//! become the simulator's [`JobResult`]s, and the streaming summary is
+//! derived from them ([`StreamingStats::from_results`]), as it is for a
+//! simulator run. The report analyses nothing else:
+//! [`ProtoReport::into_metrics`] hands the results to a [`MetricsReport`],
+//! whose percentiles, summaries and utilization figures are the
+//! simulator's own code, so a prototype number and a simulator number are
+//! computed by one code path and are directly comparable.
 
-use std::time::Duration;
-
-use hawk_core::{AdmissionStats, JobResult, MetricsReport, StreamingStats};
+use hawk_core::{
+    AdmissionDecision, AdmissionPlan, AdmissionStats, JobResult, MetricsReport, StreamingStats,
+};
 use hawk_net::NetworkStats;
 use hawk_simcore::stats::median;
 use hawk_simcore::SimTime;
-use hawk_workload::{JobClass, JobId};
-
-/// One job's outcome in a prototype run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProtoJobResult {
-    /// The job.
-    pub job: JobId,
-    /// Class under the configured cutoff (exact estimates).
-    pub class: JobClass,
-    /// Number of tasks.
-    pub num_tasks: usize,
-    /// When the job was submitted, relative to run start (wall clock in
-    /// the threaded runtime, virtual clock in the deterministic one).
-    pub submit_offset: Duration,
-    /// Runtime: completion − submission.
-    pub runtime: Duration,
-}
+use hawk_workload::{JobClass, JobId, Trace};
 
 /// Declares [`MsgKind`], its table order and its labels from one list.
 macro_rules! msg_kinds {
@@ -124,11 +115,117 @@ impl Deliveries {
     }
 }
 
+/// Every daemon's counters: one record for workers and both scheduler
+/// kinds, each bumping the fields that apply to it, summed into the report
+/// by [`DaemonStats::absorb`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DaemonStats {
+    /// Successful steals (workers).
+    pub steals: u64,
+    /// Steal attempts (workers).
+    pub steal_attempts: u64,
+    /// Queue entries re-placed or re-probed off failed workers
+    /// (schedulers).
+    pub migrations: u64,
+    /// Reservations abandoned at node failure (distributed schedulers).
+    pub abandons: u64,
+    /// Messages handled, and a worker's task-finish alarms, by kind.
+    pub deliveries: Deliveries,
+    /// Hardened protocol: timers that fired after the wait they covered
+    /// had resolved, or for a job already complete.
+    pub stale_timers: u64,
+    /// Hardened protocol: retransmissions (bind requests, grants) and
+    /// timer-driven fresh probes.
+    pub retries: u64,
+    /// Hardened protocol: retry budgets exhausted, and chain fires that
+    /// found overdue handed-out work.
+    pub timeouts_fired: u64,
+    /// Hardened protocol: tasks relaunched under a bumped attempt
+    /// (schedulers).
+    pub relaunched: u64,
+}
+
+impl DaemonStats {
+    /// Adds `other`'s counters to these.
+    pub(crate) fn absorb(&mut self, other: &DaemonStats) {
+        self.steals += other.steals;
+        self.steal_attempts += other.steal_attempts;
+        self.migrations += other.migrations;
+        self.abandons += other.abandons;
+        self.deliveries.absorb(&other.deliveries);
+        self.stale_timers += other.stale_timers;
+        self.retries += other.retries;
+        self.timeouts_fired += other.timeouts_fired;
+        self.relaunched += other.relaunched;
+    }
+}
+
+/// Each job's submission and completion on the run's own clock: virtual
+/// time, or wall time since the run started.
+#[derive(Default)]
+pub(crate) struct Outcomes {
+    /// `(submission, completion)` by job id.
+    times: Vec<(SimTime, Option<SimTime>)>,
+    /// Jobs not complete yet.
+    open: usize,
+}
+
+impl Outcomes {
+    /// Every job submitted at its trace time. A job the plan sheds never
+    /// runs: it completes there too, with zero runtime.
+    pub(crate) fn new(trace: &Trace, plan: Option<&AdmissionPlan>) -> Self {
+        let times: Vec<(SimTime, Option<SimTime>)> = trace
+            .jobs()
+            .iter()
+            .map(|job| {
+                let shed = plan.is_some_and(|p| p.decision(job.id) == AdmissionDecision::Shed);
+                (job.submission, shed.then_some(job.submission))
+            })
+            .collect();
+        let open = times.iter().filter(|(_, done)| done.is_none()).count();
+        Outcomes { times, open }
+    }
+
+    /// Moves `job`'s submission to `at`, when it was handed over.
+    pub(crate) fn submit(&mut self, job: JobId, at: SimTime) {
+        self.times[job.index()].0 = at;
+    }
+
+    /// Records `job`'s completion at `at` (never before its submission).
+    pub(crate) fn complete(&mut self, job: JobId, at: SimTime) {
+        let (submission, completion) = &mut self.times[job.index()];
+        debug_assert!(completion.is_none(), "double completion of {job}");
+        *completion = Some(at.max(*submission));
+        self.open -= 1;
+    }
+
+    /// Jobs not complete yet.
+    pub(crate) fn open(&self) -> usize {
+        self.open
+    }
+}
+
+/// What one execution mode measured around the daemons.
+pub(crate) struct Measured {
+    pub outcomes: Outcomes,
+    pub utilization_samples: Vec<f64>,
+    pub stats: DaemonStats,
+    pub network: NetworkStats,
+    pub drops: u64,
+    pub dups: u64,
+}
+
 /// Everything measured in one prototype run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtoReport {
-    /// Per-job outcomes, indexed by job id.
-    pub jobs: Vec<ProtoJobResult>,
+    /// Per-job outcomes, indexed by job id, in the simulator's
+    /// conventions: microseconds on the run's clock (virtual time, or wall
+    /// time since the run started), and the class each job was scheduled
+    /// under as both the true and the scheduled class (the prototype runs
+    /// exact estimates). A deferred job is submitted at its trace time, so
+    /// its runtime includes the deferral wait; a shed job completes at its
+    /// submission.
+    pub results: Vec<JobResult>,
     /// Periodic utilization samples (fraction of workers executing).
     pub utilization_samples: Vec<f64>,
     /// Successful steal operations (entries moved > 0).
@@ -174,52 +271,79 @@ pub struct ProtoReport {
     /// steal epoch had moved on, the grant was acked, or the job was
     /// complete. Excluded from digests.
     pub stale_timers: u64,
-    /// Streaming per-class runtime quantiles folded from the bounded
-    /// sinks both runtimes feed at job completion — the prototype's half
-    /// of the serving-mode conformance check. Shed jobs are excluded,
-    /// mirroring the simulator's sinks. Mapped into
-    /// [`MetricsReport::streaming`] by [`Self::into_metrics`].
+    /// Streaming per-class runtime quantiles, derived from `results` by
+    /// [`StreamingStats::from_results`] as a simulator run's are (shed
+    /// jobs left out). Mapped into [`MetricsReport::streaming`] by
+    /// [`Self::into_metrics`].
     pub streaming: StreamingStats,
     /// Admission-control outcome counters from the shared
-    /// [`AdmissionPlan`](hawk_core::AdmissionPlan). Unlike the fault
-    /// counters these *are* mapped into [`MetricsReport::admission`]:
-    /// the plan is a pure function of the trace and config, so both
-    /// backends must report byte-identical counts per seed.
+    /// [`AdmissionPlan`]. Unlike the fault counters these *are* mapped
+    /// into [`MetricsReport::admission`]: the plan is a pure function of
+    /// the trace and config, so both backends must report byte-identical
+    /// counts per seed.
     pub admission: AdmissionStats,
 }
 
 impl ProtoReport {
-    /// Converts the run into a [`MetricsReport`]: submissions and
-    /// completions become microsecond [`SimTime`]s on the run-relative
-    /// clock, counters map one-to-one (`messages` → `events`), and the
-    /// class recorded at submission becomes both the true and the
-    /// scheduled class (the prototype runs exact estimates). The result
-    /// plugs straight into [`hawk_core::compare`] and the digest
-    /// machinery of the determinism suites.
-    pub fn into_metrics(self, scheduler: String, nodes: usize) -> MetricsReport {
-        let mut makespan = SimTime::ZERO;
-        let results: Vec<JobResult> = self
-            .jobs
+    /// Assembles the report of a run of `trace`, whose jobs were scheduled
+    /// under `classes`, from what its execution mode measured.
+    pub(crate) fn new(
+        trace: &Trace,
+        classes: &[JobClass],
+        run: Measured,
+        plan: Option<&AdmissionPlan>,
+    ) -> ProtoReport {
+        let results: Vec<JobResult> = trace
+            .jobs()
             .iter()
-            .map(|j| {
-                let submission = SimTime::from_micros(j.submit_offset.as_micros() as u64);
-                let completion =
-                    SimTime::from_micros((j.submit_offset + j.runtime).as_micros() as u64);
-                makespan = makespan.max(completion);
-                JobResult {
-                    job: j.job,
-                    true_class: j.class,
-                    scheduled_class: j.class,
-                    submission,
-                    completion,
-                    num_tasks: j.num_tasks,
-                }
+            .zip(run.outcomes.times)
+            .zip(classes)
+            .map(|((job, (submission, completion)), &class)| JobResult {
+                job: job.id,
+                true_class: class,
+                scheduled_class: class,
+                submission,
+                completion: completion.expect("every job completed"),
+                num_tasks: job.num_tasks(),
             })
             .collect();
+        ProtoReport {
+            streaming: StreamingStats::from_results(&results, plan),
+            results,
+            utilization_samples: run.utilization_samples,
+            steals: run.stats.steals,
+            steal_attempts: run.stats.steal_attempts,
+            migrations: run.stats.migrations,
+            abandons: run.stats.abandons,
+            messages: run.stats.deliveries.messages(),
+            network: run.network,
+            drops: run.drops,
+            dups: run.dups,
+            retries: run.stats.retries,
+            timeouts_fired: run.stats.timeouts_fired,
+            relaunched: run.stats.relaunched,
+            deliveries: run.stats.deliveries,
+            stale_timers: run.stats.stale_timers,
+            admission: plan.map(AdmissionPlan::stats).unwrap_or_default(),
+        }
+    }
+
+    /// Converts the run into a [`MetricsReport`]: the results carry over
+    /// as they are, counters map one-to-one (`messages` → `events`), and
+    /// the makespan is the last completion. The result plugs straight
+    /// into [`hawk_core::compare`] and the digest machinery of the
+    /// determinism suites.
+    pub fn into_metrics(self, scheduler: String, nodes: usize) -> MetricsReport {
+        let makespan = self
+            .results
+            .iter()
+            .map(|r| r.completion)
+            .max()
+            .unwrap_or(SimTime::ZERO);
         MetricsReport {
             scheduler,
             nodes,
-            results,
+            results: self.results,
             median_utilization: median(&self.utilization_samples).unwrap_or(0.0),
             max_utilization: self.utilization_samples.iter().copied().fold(0.0, f64::max),
             utilization_samples: self.utilization_samples,
@@ -251,19 +375,20 @@ impl ProtoReport {
 mod tests {
     use super::*;
 
-    fn result(job: u32, class: JobClass, millis: u64) -> ProtoJobResult {
-        ProtoJobResult {
+    fn result(job: u32, class: JobClass, millis: u64) -> JobResult {
+        JobResult {
             job: JobId(job),
-            class,
+            true_class: class,
+            scheduled_class: class,
+            submission: SimTime::ZERO,
+            completion: SimTime::from_micros(millis * 1_000),
             num_tasks: 1,
-            submit_offset: Duration::ZERO,
-            runtime: Duration::from_millis(millis),
         }
     }
 
-    fn report(jobs: Vec<ProtoJobResult>) -> ProtoReport {
+    fn report(results: Vec<JobResult>) -> ProtoReport {
         ProtoReport {
-            jobs,
+            results,
             utilization_samples: vec![0.2, 0.8, 0.5],
             steals: 3,
             steal_attempts: 7,
@@ -317,33 +442,20 @@ mod tests {
 
     /// A prototype run read through [`ProtoReport::into_metrics`] gives
     /// the same percentiles and summary as a simulator report of the same
-    /// runtimes: the millisecond-to-`SimTime` conversion loses nothing.
+    /// results: the conversion hands them over untouched.
     #[test]
     fn percentile_convention_matches_metrics_report() {
         let millis = [130u64, 20, 510, 90, 250, 40, 730, 610, 170, 380];
-        let proto = report(
-            millis
-                .iter()
-                .enumerate()
-                .map(|(i, &ms)| result(i as u32, JobClass::Short, ms))
-                .collect(),
-        )
-        .into_metrics("hawk".into(), 1);
+        let results: Vec<JobResult> = millis
+            .iter()
+            .enumerate()
+            .map(|(i, &ms)| result(i as u32, JobClass::Short, ms))
+            .collect();
+        let proto = report(results.clone()).into_metrics("hawk".into(), 1);
         let metrics = MetricsReport {
             scheduler: "pin".into(),
             nodes: 1,
-            results: millis
-                .iter()
-                .enumerate()
-                .map(|(i, &ms)| JobResult {
-                    job: JobId(i as u32),
-                    true_class: JobClass::Short,
-                    scheduled_class: JobClass::Short,
-                    submission: SimTime::ZERO,
-                    completion: SimTime::from_micros(ms * 1_000),
-                    num_tasks: 1,
-                })
-                .collect(),
+            results,
             median_utilization: 0.0,
             max_utilization: 0.0,
             utilization_samples: vec![],
@@ -380,8 +492,8 @@ mod tests {
 
     #[test]
     fn into_metrics_preserves_runtimes_and_counters() {
-        let mut r0 = result(0, JobClass::Short, 100);
-        r0.submit_offset = Duration::from_millis(50);
+        let mut r0 = result(0, JobClass::Short, 150);
+        r0.submission = SimTime::from_micros(50_000);
         let mut proto = report(vec![r0, result(1, JobClass::Long, 2_000)]);
         proto.admission = AdmissionStats {
             sheds_short: 0,

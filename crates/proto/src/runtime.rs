@@ -1,25 +1,40 @@
-//! Cluster bring-up, trace feeding and result collection for both
-//! execution modes.
+//! Cluster bring-up and the run shape both execution modes share, plus
+//! the real-time runtime.
 //!
 //! [`run_prototype`] builds the daemon set — one [`Worker`] per node,
 //! `dist_schedulers` [`DistScheduler`]s, and a [`CentralDaemon`] iff the
-//! policy routes any class centrally — and executes it under the
-//! configured [`ExecutionMode`]:
+//! policy routes any class centrally — and runs it in one shape, whichever
+//! [`ExecutionMode`] it is in:
+//!
+//! * **one feed** ([`feed`]): every job submission and scripted dynamics
+//!   event as `(time, item)`, in firing order, shaped by the admission
+//!   plan (a shed job is never fed, a deferred one is fed at its admitted
+//!   window);
+//! * **one outcome record** ([`Outcomes`]): each job's submission and
+//!   completion on the run's own clock;
+//! * **one report** ([`ProtoReport::new`]), from the outcomes, the
+//!   daemons' counters and the utilization samples.
+//!
+//! The modes differ only in how they walk the feed and keep time:
 //!
 //! * [`ExecutionMode::RealTime`] — every daemon is an OS thread with an
-//!   mpsc mailbox; task execution is a real-time deadline (the thread
-//!   stays responsive to probes, bind replies and steal requests while
-//!   "executing", exactly like a Sparrow node monitor hosting a sleep
-//!   task, §4.10). Results carry real messaging noise and are *not*
+//!   mpsc mailbox, scoped to the run so the daemons can borrow the trace;
+//!   task execution is a real-time deadline (the thread stays responsive
+//!   to probes, bind replies and steal requests while "executing",
+//!   exactly like a Sparrow node monitor hosting a sleep task, §4.10).
+//!   The calling thread runs one loop that waits for whichever comes
+//!   first: the next feed item, the next utilization sample or a
+//!   completion. Results carry real messaging noise and are *not*
 //!   bit-deterministic.
 //! * [`ExecutionMode::Virtual`] — the same daemons run single-threaded
-//!   under a deterministic router: messages are delivered in
-//!   `(virtual time, sequence)` order after a delay charged by the
-//!   configured network [`TopologySpec`] (constant under the paper
-//!   default, placement- and load-dependent on a fat tree), and
-//!   "sleeping" advances a virtual clock. Two runs with the same seed are
-//!   byte-identical, which is what lets `tests/backend_conformance.rs`
-//!   cross-check the prototype against the simulator.
+//!   under a deterministic router ([`crate::virt`]) that walks the feed
+//!   with a cursor: messages are delivered in `(virtual time, sequence)`
+//!   order after a delay charged by the configured network
+//!   [`TopologySpec`] (constant under the paper default, placement- and
+//!   load-dependent on a fat tree), and "sleeping" advances a virtual
+//!   clock. Two runs with the same seed are byte-identical, which is what
+//!   lets `tests/backend_conformance.rs` cross-check the prototype against
+//!   the simulator.
 //!
 //! # RNG streams
 //!
@@ -31,19 +46,15 @@
 //! depends on it (the same rule PR 4 established for the driver's
 //! `scenario_rng`).
 
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use hawk_cluster::Partition;
-use hawk_core::{
-    check_cell, AdmissionDecision, AdmissionPlan, AdmissionPolicy, Route, Scheduler,
-    StreamingStats, StreamingSummary,
-};
+use hawk_core::{check_cell, AdmissionDecision, AdmissionPlan, AdmissionPolicy, Route, Scheduler};
 use hawk_net::{NetworkStats, TopologySpec};
-use hawk_simcore::stats::StreamingQuantiles;
 use hawk_simcore::{SimDuration, SimRng, SimTime};
 use hawk_workload::classify::Cutoff;
 use hawk_workload::scenario::{DynamicsScript, NodeChange, SpeedSpec};
@@ -51,10 +62,10 @@ use hawk_workload::{JobClass, JobId, Trace};
 
 use crate::fault::FaultSpec;
 use crate::msg::{CentralMsg, DistMsg, Net, WorkerMsg};
-use crate::report::{Deliveries, ProtoJobResult, ProtoReport};
-use crate::scheduler::{CentralDaemon, DistScheduler, SchedStats};
+use crate::report::{DaemonStats, Measured, Outcomes, ProtoReport};
+use crate::scheduler::{CentralDaemon, DistScheduler};
 use crate::virt::run_virtual;
-use crate::worker::{Worker, WorkerStats};
+use crate::worker::Worker;
 
 /// How the prototype cluster executes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,142 +145,97 @@ impl Default for ProtoConfig {
     }
 }
 
-/// The full daemon set of one prototype cluster, plus the per-job state
-/// the runtimes feed from.
-pub(crate) struct ClusterSetup {
+/// The full daemon set of one prototype cluster.
+pub(crate) struct ClusterSetup<'t> {
     pub workers: Vec<Worker>,
-    pub dists: Vec<DistScheduler>,
-    pub central: Option<CentralDaemon>,
-    /// Scheduled class per job (exact estimates under the cutoff).
-    pub classes: Vec<JobClass>,
-    /// Whether each job routes centrally.
-    pub central_route: Vec<bool>,
+    pub dists: Vec<DistScheduler<'t>>,
+    pub central: Option<CentralDaemon<'t>>,
 }
 
-/// Report-counter totals folded from every daemon's stats — one
-/// implementation for both runtimes, so a counter added to
-/// [`WorkerStats`]/[`SchedStats`] cannot be folded in one mode and
-/// silently report zero in the other.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FoldedStats {
-    pub steals: u64,
-    pub steal_attempts: u64,
-    pub migrations: u64,
-    pub abandons: u64,
-    pub deliveries: Deliveries,
-    pub stale_timers: u64,
-    pub retries: u64,
-    pub timeouts_fired: u64,
-    pub relaunched: u64,
+/// Where each job is submitted: the class it is scheduled under (exact
+/// estimates under the cutoff), and the daemon the policy routes that
+/// class to.
+pub(crate) struct Routes {
+    /// Each job's class, by job id.
+    classes: Vec<JobClass>,
+    scheduler: Arc<dyn Scheduler>,
+    dists: usize,
 }
 
-pub(crate) fn fold_stats(
-    workers: impl IntoIterator<Item = WorkerStats>,
-    scheds: impl IntoIterator<Item = SchedStats>,
-) -> FoldedStats {
-    let mut folded = FoldedStats::default();
-    for stats in workers {
-        folded.steals += stats.steals;
-        folded.steal_attempts += stats.steal_attempts;
-        folded.deliveries.absorb(&stats.deliveries);
-        folded.stale_timers += stats.stale_timers;
-        folded.retries += stats.retries;
-        folded.timeouts_fired += stats.timeouts_fired;
-    }
-    for stats in scheds {
-        folded.migrations += stats.migrations;
-        folded.abandons += stats.abandons;
-        folded.deliveries.absorb(&stats.deliveries);
-        folded.stale_timers += stats.stale_timers;
-        folded.retries += stats.retries;
-        folded.timeouts_fired += stats.timeouts_fired;
-        folded.relaunched += stats.relaunched;
-    }
-    folded
-}
-
-/// Folds the per-job runtimes into the bounded streaming sinks, per true
-/// class (the prototype's exact estimates make scheduled == true class).
-/// Shed jobs never ran, so — like the simulator's sinks — they are
-/// excluded; admitted and deferred jobs record completion − submission,
-/// deferral wait included.
-pub(crate) fn fold_streaming(
-    jobs: &[ProtoJobResult],
-    plan: Option<&AdmissionPlan>,
-) -> StreamingStats {
-    let mut short = StreamingQuantiles::new();
-    let mut long = StreamingQuantiles::new();
-    for j in jobs {
-        if let Some(plan) = plan {
-            if plan.decision(j.job) == AdmissionDecision::Shed {
-                continue;
-            }
-        }
-        let micros = j.runtime.as_micros() as u64;
-        match j.class {
-            JobClass::Short => short.record(micros),
-            JobClass::Long => long.record(micros),
-        }
-    }
-    StreamingStats {
-        short: StreamingSummary::from_sink(&short),
-        long: StreamingSummary::from_sink(&long),
-    }
-}
-
-/// One item of the merged feed timeline (submissions × dynamics).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FeedItem {
-    Submit(u32),
-    Node(NodeChange),
-}
-
-/// A routed job submission — built by [`submission_for`], the single
-/// definition both runtimes feed from (so the owner mapping and the
-/// submit payload cannot drift between modes).
+/// A routed job submission.
 pub(crate) enum Submission {
     Central(CentralMsg),
     Dist(usize, DistMsg),
 }
 
-/// Builds trace job `index`'s submission message, routed per the
-/// policy's class tables.
-pub(crate) fn submission_for(
-    trace: &Trace,
-    index: u32,
-    classes: &[JobClass],
-    central_route: &[bool],
-    dist_count: usize,
-) -> Submission {
-    let job = trace.job(JobId(index));
-    let i = index as usize;
-    if central_route[i] {
-        Submission::Central(CentralMsg::Submit {
-            job: job.id,
-            tasks: job.tasks.clone(),
-            estimate: job.mean_task_duration(),
-            class: classes[i],
-        })
-    } else {
-        Submission::Dist(
-            i % dist_count,
-            DistMsg::Submit {
-                job: job.id,
-                tasks: job.tasks.clone(),
-                estimate: job.mean_task_duration(),
-                class: classes[i],
-            },
-        )
+impl Routes {
+    fn new(trace: &Trace, scheduler: &Arc<dyn Scheduler>, cfg: &ProtoConfig) -> Self {
+        Routes {
+            classes: trace
+                .jobs()
+                .iter()
+                .map(|job| cfg.cutoff.classify(job.mean_task_duration()))
+                .collect(),
+            scheduler: Arc::clone(scheduler),
+            dists: cfg.dist_schedulers,
+        }
+    }
+
+    /// Job `index`'s submission: to the central daemon, or to its
+    /// distributed scheduler (`index % dist_schedulers`, the owner every
+    /// per-job message uses).
+    pub(crate) fn submission(&self, index: u32) -> Submission {
+        let (job, class) = (JobId(index), self.classes[index as usize]);
+        match self.scheduler.route(class) {
+            Route::Central(_) => Submission::Central(CentralMsg::Submit { job, class }),
+            Route::Distributed(_) => {
+                Submission::Dist(index as usize % self.dists, DistMsg::Submit { job, class })
+            }
+        }
     }
 }
 
-/// Builds the daemons and the per-job routing tables shared by both
-/// runtimes.
-pub(crate) fn build_cluster(
+/// One item of a run's feed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FeedItem {
+    /// Trace job `index` is handed to its scheduler daemon.
+    Submit(u32),
+    /// A scripted dynamics event, fanned out to every daemon.
+    Node(NodeChange),
+}
+
+/// A run's feed: every job submission and scripted dynamics event as
+/// `(time, item)`, in firing order — submissions in trace order, then the
+/// script, stably sorted by time. The admission `plan` shapes it: a shed
+/// job is never fed, and a deferred job is fed at its admitted window.
+fn feed(
     trace: &Trace,
+    dynamics: &DynamicsScript,
+    plan: Option<&AdmissionPlan>,
+) -> Vec<(SimTime, FeedItem)> {
+    let submissions = trace.jobs().iter().filter_map(|job| {
+        let at = match plan.map(|p| p.decision(job.id)) {
+            Some(AdmissionDecision::Shed) => return None,
+            Some(AdmissionDecision::Defer { until }) => until,
+            Some(AdmissionDecision::Admit) | None => job.submission,
+        };
+        Some((at, FeedItem::Submit(job.id.0)))
+    });
+    let script = dynamics
+        .events()
+        .iter()
+        .map(|ev| (ev.at, FeedItem::Node(ev.change)));
+    let mut feed: Vec<(SimTime, FeedItem)> = submissions.chain(script).collect();
+    feed.sort_by_key(|&(at, _)| at);
+    feed
+}
+
+/// Builds the daemons, which borrow `trace` for its task durations.
+fn build_cluster<'t>(
+    trace: &'t Trace,
     scheduler: &Arc<dyn Scheduler>,
     cfg: &ProtoConfig,
-) -> ClusterSetup {
+) -> ClusterSetup<'t> {
     assert!(
         cfg.workers > 0 && cfg.dist_schedulers > 0,
         "prototype needs at least one worker and one distributed scheduler"
@@ -307,9 +273,10 @@ pub(crate) fn build_cluster(
             )
         })
         .collect();
-    let dists: Vec<DistScheduler> = (0..cfg.dist_schedulers)
+    let dists: Vec<DistScheduler<'t>> = (0..cfg.dist_schedulers)
         .map(|i| {
             DistScheduler::new(
+                trace,
                 i,
                 cfg.dist_schedulers,
                 Arc::clone(scheduler),
@@ -319,45 +286,12 @@ pub(crate) fn build_cluster(
             )
         })
         .collect();
-
-    let central = central_scope.map(|len| CentralDaemon::new(len, hardened));
-
-    let classes: Vec<JobClass> = trace
-        .jobs()
-        .iter()
-        .map(|job| cfg.cutoff.classify(job.mean_task_duration()))
-        .collect();
-    let central_route = classes
-        .iter()
-        .map(|&class| matches!(scheduler.route(class), Route::Central(_)))
-        .collect();
-
+    let central = central_scope.map(|len| CentralDaemon::new(trace, len, hardened));
     ClusterSetup {
         workers,
         dists,
         central,
-        classes,
-        central_route,
     }
-}
-
-/// The merged, time-sorted feed timeline: job submissions and scripted
-/// dynamics events, stable within equal timestamps (submissions keep
-/// trace order, dynamics keep script order).
-pub(crate) fn feed_timeline(trace: &Trace, dynamics: &DynamicsScript) -> Vec<(SimTime, FeedItem)> {
-    let mut timeline: Vec<(SimTime, FeedItem)> = trace
-        .jobs()
-        .iter()
-        .map(|job| (job.submission, FeedItem::Submit(job.id.0)))
-        .chain(
-            dynamics
-                .events()
-                .iter()
-                .map(|ev| (ev.at, FeedItem::Node(ev.change))),
-        )
-        .collect();
-    timeline.sort_by_key(|&(at, _)| at);
-    timeline
 }
 
 /// Runs `trace` under `scheduler` on a freshly built prototype cluster
@@ -369,13 +303,13 @@ pub(crate) fn feed_timeline(trace: &Trace, dynamics: &DynamicsScript) -> Vec<(Si
 ///
 /// # Panics
 ///
-/// Panics if the cluster stops making progress (no completion for 60
-/// wall-clock seconds in real-time mode; an empty or sample-only event
-/// queue in virtual mode), which indicates a protocol-liveness bug. Also
-/// panics on a cell [`check_cell`] refuses, and on configuration the
-/// prototype cannot run (no worker or no distributed scheduler, fault
-/// injection outside the virtual mode, a lossy [`FaultSpec`] without
-/// timeouts).
+/// Panics if the cluster stops making progress (in real-time mode, 60
+/// wall-clock seconds after the feed ran out without a completion; in
+/// virtual mode, an empty or sample-only event queue), which indicates a
+/// protocol-liveness bug. Also panics on a cell [`check_cell`] refuses,
+/// and on configuration the prototype cannot run (no worker or no
+/// distributed scheduler, fault injection outside the virtual mode, a
+/// lossy [`FaultSpec`] without timeouts).
 pub fn run_prototype(
     trace: &Trace,
     scheduler: Arc<dyn Scheduler>,
@@ -392,30 +326,88 @@ pub fn run_prototype(
         "a lossy FaultSpec can strand work forever; enable timeouts (FaultSpec::hardened)"
     );
     let setup = build_cluster(trace, &scheduler, cfg);
+    let routes = Routes::new(trace, &scheduler, cfg);
     // One plan for both runtimes, computed exactly as the simulation
     // drivers compute it — same pure inputs, same decisions per job.
     let plan = cfg.admission.map(|policy| {
         AdmissionPlan::compute(trace, cfg.workers, cfg.cutoff, &cfg.dynamics, policy)
     });
-    match cfg.mode {
-        ExecutionMode::Virtual { topology } => {
-            run_virtual(trace, setup, cfg, topology.build(cfg.workers), plan)
+    let feed = feed(trace, &cfg.dynamics, plan.as_ref());
+    let outcomes = Outcomes::new(trace, plan.as_ref());
+    let run = match cfg.mode {
+        ExecutionMode::Virtual { topology } => run_virtual(
+            setup,
+            &routes,
+            &feed,
+            outcomes,
+            cfg,
+            topology.build(cfg.workers),
+        ),
+        ExecutionMode::RealTime => {
+            run_threaded(setup, &routes, &feed, outcomes, plan.as_ref(), cfg)
         }
-        ExecutionMode::RealTime => run_threaded(trace, setup, cfg, plan),
-    }
+    };
+    ProtoReport::new(trace, &routes.classes, run, plan.as_ref())
 }
 
-/// Shared routing table handed to every thread of the real-time runtime.
-#[derive(Clone)]
-pub(crate) struct RoutingTable {
-    workers: Arc<Vec<Sender<WorkerMsg>>>,
-    dscheds: Arc<Vec<Sender<DistMsg>>>,
+/// Channels and gauges every thread of the real-time runtime shares.
+struct RoutingTable {
+    workers: Vec<Sender<WorkerMsg>>,
+    dscheds: Vec<Sender<DistMsg>>,
     central: Option<Sender<CentralMsg>>,
     done: Sender<(JobId, Instant)>,
-    running: Arc<AtomicI64>,
+    running: AtomicI64,
     /// Usable capacity: in-service workers + down workers draining a
     /// running task (the simulator's utilization denominator).
-    capacity: Arc<AtomicI64>,
+    capacity: AtomicI64,
+}
+
+impl RoutingTable {
+    fn send_central(&self, msg: CentralMsg) {
+        let central = self.central.as_ref().expect("policy has no central route");
+        let _ = central.send(msg);
+    }
+
+    /// Hands one feed item over: a submission to its scheduler daemon, a
+    /// dynamics event to every daemon.
+    fn feed(&self, routes: &Routes, item: FeedItem) {
+        match item {
+            FeedItem::Submit(index) => match routes.submission(index) {
+                Submission::Central(msg) => self.send_central(msg),
+                Submission::Dist(sched, msg) => {
+                    let _ = self.dscheds[sched].send(msg);
+                }
+            },
+            FeedItem::Node(change) => {
+                let (NodeChange::Down(server) | NodeChange::Up(server)) = change;
+                let _ = self.workers[server as usize].send(WorkerMsg::Node(change));
+                for tx in &self.dscheds {
+                    let _ = tx.send(DistMsg::Node(change));
+                }
+                if let Some(central) = &self.central {
+                    let _ = central.send(CentralMsg::Node(change));
+                }
+            }
+        }
+    }
+
+    /// The fraction of usable capacity executing a task right now.
+    fn utilization(&self) -> f64 {
+        let usable = self.capacity.load(Ordering::Relaxed).max(1) as f64;
+        self.running.load(Ordering::Relaxed).max(0) as f64 / usable
+    }
+
+    fn shutdown(&self) {
+        for tx in &self.workers {
+            let _ = tx.send(WorkerMsg::Shutdown);
+        }
+        for tx in &self.dscheds {
+            let _ = tx.send(DistMsg::Shutdown);
+        }
+        if let Some(central) = &self.central {
+            let _ = central.send(CentralMsg::Shutdown);
+        }
+    }
 }
 
 /// [`Net`] over mpsc channels and the wall clock. `deadline` is the
@@ -434,12 +426,7 @@ impl Net for ThreadNet<'_> {
         let _ = self.topo.dscheds[to].send(msg);
     }
     fn send_central(&mut self, msg: CentralMsg) {
-        let central = self
-            .topo
-            .central
-            .as_ref()
-            .expect("policy has no central route");
-        let _ = central.send(msg);
+        self.topo.send_central(msg);
     }
     fn schedule_finish(&mut self, _worker: usize, occupancy: SimDuration) {
         debug_assert!(self.deadline.is_none(), "slot already has a deadline");
@@ -458,50 +445,37 @@ impl Net for ThreadNet<'_> {
 
 /// The worker thread body: service messages and execution deadlines until
 /// shutdown; returns the worker's counters.
-fn worker_thread(
-    mut worker: Worker,
-    rx: Receiver<WorkerMsg>,
-    topo: RoutingTable,
-) -> crate::worker::WorkerStats {
+fn worker_thread(mut worker: Worker, rx: Receiver<WorkerMsg>, topo: &RoutingTable) -> DaemonStats {
     let mut deadline: Option<Instant> = None;
     loop {
-        if let Some(d) = deadline {
-            let now = Instant::now();
-            if now >= d {
-                deadline = None;
-                let mut net = ThreadNet {
-                    topo: &topo,
-                    deadline: &mut deadline,
-                };
-                worker.on_task_finish(&mut net);
-                continue;
-            }
-            match rx.recv_timeout(d - now) {
-                Ok(msg) => {
-                    let mut net = ThreadNet {
-                        topo: &topo,
+        let msg = match deadline {
+            Some(due) => {
+                let now = Instant::now();
+                if now >= due {
+                    deadline = None;
+                    worker.on_task_finish(&mut ThreadNet {
+                        topo,
                         deadline: &mut deadline,
-                    };
-                    if worker.handle(msg, &mut net) {
-                        break;
-                    }
+                    });
+                    continue;
                 }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
+                match rx.recv_timeout(due - now) {
+                    Ok(msg) => msg,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
             }
-        } else {
-            match rx.recv() {
-                Ok(msg) => {
-                    let mut net = ThreadNet {
-                        topo: &topo,
-                        deadline: &mut deadline,
-                    };
-                    if worker.handle(msg, &mut net) {
-                        break;
-                    }
-                }
+            None => match rx.recv() {
+                Ok(msg) => msg,
                 Err(_) => break,
-            }
+            },
+        };
+        let mut net = ThreadNet {
+            topo,
+            deadline: &mut deadline,
+        };
+        if worker.handle(msg, &mut net) {
+            break;
         }
     }
     worker.stats
@@ -511,13 +485,13 @@ fn worker_thread(
 /// daemons via the `handle` closure).
 fn sched_thread<M>(
     rx: Receiver<M>,
-    topo: RoutingTable,
+    topo: &RoutingTable,
     mut handle: impl FnMut(M, &mut ThreadNet<'_>) -> bool,
 ) {
     let mut deadline = None;
     while let Ok(msg) = rx.recv() {
         let mut net = ThreadNet {
-            topo: &topo,
+            topo,
             deadline: &mut deadline,
         };
         if handle(msg, &mut net) {
@@ -526,287 +500,138 @@ fn sched_thread<M>(
     }
 }
 
-fn run_threaded(
-    trace: &Trace,
-    setup: ClusterSetup,
-    cfg: &ProtoConfig,
-    plan: Option<AdmissionPlan>,
-) -> ProtoReport {
-    let ClusterSetup {
-        workers,
-        dists,
-        central,
-        classes,
-        central_route,
-    } = setup;
+/// How long the real-time runtime waits for a completion once the feed
+/// has run out before it calls the cluster wedged.
+const LIVENESS: Duration = Duration::from_secs(60);
 
+fn run_threaded(
+    setup: ClusterSetup<'_>,
+    routes: &Routes,
+    feed: &[(SimTime, FeedItem)],
+    mut outcomes: Outcomes,
+    plan: Option<&AdmissionPlan>,
+    cfg: &ProtoConfig,
+) -> Measured {
     // Channels first, so every thread starts with the full routing table.
     let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) =
         (0..cfg.workers).map(|_| channel::<WorkerMsg>()).unzip();
     let (dsched_txs, dsched_rxs): (Vec<_>, Vec<_>) = (0..cfg.dist_schedulers)
         .map(|_| channel::<DistMsg>())
         .unzip();
-    let central_channel = central.as_ref().map(|_| channel::<CentralMsg>());
+    let (central_tx, central_rx) = match setup.central {
+        Some(_) => {
+            let (tx, rx) = channel::<CentralMsg>();
+            (Some(tx), Some(rx))
+        }
+        None => (None, None),
+    };
     let (done_tx, done_rx) = channel::<(JobId, Instant)>();
-
     let topo = RoutingTable {
-        workers: Arc::new(worker_txs),
-        dscheds: Arc::new(dsched_txs),
-        central: central_channel.as_ref().map(|(tx, _)| tx.clone()),
+        workers: worker_txs,
+        dscheds: dsched_txs,
+        central: central_tx,
         done: done_tx,
-        running: Arc::new(AtomicI64::new(0)),
-        capacity: Arc::new(AtomicI64::new(cfg.workers as i64)),
+        running: AtomicI64::new(0),
+        capacity: AtomicI64::new(cfg.workers as i64),
     };
 
-    let mut worker_handles = Vec::new();
-    for (worker, rx) in workers.into_iter().zip(worker_rxs) {
-        let topo = topo.clone();
-        worker_handles.push(thread::spawn(move || worker_thread(worker, rx, topo)));
-    }
-    let mut dist_handles = Vec::new();
-    for (mut dist, rx) in dists.into_iter().zip(dsched_rxs) {
-        let topo = topo.clone();
-        dist_handles.push(thread::spawn(move || {
-            sched_thread(rx, topo, |msg, net| dist.handle(msg, net));
-            dist.stats
-        }));
-    }
-    let central_handle = central.map(|mut daemon| {
-        let (_, rx) = central_channel.expect("central daemon has a channel");
-        let topo = topo.clone();
-        thread::spawn(move || {
-            sched_thread(rx, topo, |msg, net| daemon.handle(msg, net));
-            daemon.stats
-        })
-    });
+    thread::scope(|scope| {
+        let topo = &topo;
+        let mut daemons: Vec<_> = setup
+            .workers
+            .into_iter()
+            .zip(worker_rxs)
+            .map(|(worker, rx)| scope.spawn(move || worker_thread(worker, rx, topo)))
+            .collect();
+        for (mut dist, rx) in setup.dists.into_iter().zip(dsched_rxs) {
+            daemons.push(scope.spawn(move || {
+                sched_thread(rx, topo, |msg, net| dist.handle(msg, net));
+                dist.stats
+            }));
+        }
+        if let (Some(mut central), Some(rx)) = (setup.central, central_rx) {
+            daemons.push(scope.spawn(move || {
+                sched_thread(rx, topo, |msg, net| central.handle(msg, net));
+                central.stats
+            }));
+        }
 
-    // Utilization sampler.
-    let samples = Arc::new(Mutex::new(Vec::new()));
-    let stop = Arc::new(AtomicBool::new(false));
-    let sampler = {
-        let samples = Arc::clone(&samples);
-        let stop = Arc::clone(&stop);
-        let running = Arc::clone(&topo.running);
-        let capacity = Arc::clone(&topo.capacity);
+        // The one loop: hand each feed item over as it falls due, sample
+        // utilization every interval, and record completions as they
+        // arrive, sleeping until whichever of the three comes first. The
+        // feed stops early once every job is done: a dynamics script
+        // outlasting the workload must not keep the run alive.
+        let start = Instant::now();
+        let due = |at: SimTime| start + Duration::from_micros(at.as_micros());
+        let clock = |at: Instant| {
+            SimTime::from_micros(at.saturating_duration_since(start).as_micros() as u64)
+        };
         let interval = Duration::from_micros(cfg.util_interval.as_micros());
-        thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                thread::sleep(interval);
-                let usable = capacity.load(Ordering::Relaxed).max(1) as f64;
-                let u = running.load(Ordering::Relaxed).max(0) as f64 / usable;
-                samples.lock().expect("sampler lock").push(u);
-            }
-        })
-    };
-
-    // Feed the merged submission/dynamics timeline on the wall clock,
-    // draining completions as they arrive so the feeder can stop early:
-    // a dynamics script outlasting the workload must not keep the run
-    // alive after every job has finished (remaining node events are
-    // moot by then).
-    // The admission plan reshapes the feed: shed jobs are recorded as
-    // zero-runtime completions at their submission offset and never reach
-    // a scheduler daemon; deferred jobs are fed at the plan's retry
-    // window but keep their original submission instant, so the reported
-    // runtime includes the deferral wait (matching the simulator).
-    let timeline = match &plan {
-        None => feed_timeline(trace, &cfg.dynamics),
-        Some(plan) => {
-            let mut timeline: Vec<(SimTime, FeedItem)> = Vec::new();
-            for job in trace.jobs() {
-                match plan.decision(job.id) {
-                    AdmissionDecision::Admit => {
-                        timeline.push((job.submission, FeedItem::Submit(job.id.0)));
-                    }
-                    AdmissionDecision::Defer { until } => {
-                        timeline.push((until, FeedItem::Submit(job.id.0)));
-                    }
-                    AdmissionDecision::Shed => {}
-                }
-            }
-            timeline.extend(
-                cfg.dynamics
-                    .events()
-                    .iter()
-                    .map(|ev| (ev.at, FeedItem::Node(ev.change))),
-            );
-            timeline.sort_by_key(|&(at, _)| at);
-            timeline
-        }
-    };
-
-    let start = Instant::now();
-    let mut submit_instants = vec![start; trace.len()];
-    let mut completions = vec![None; trace.len()];
-    let mut received = 0usize;
-    if let Some(plan) = &plan {
-        for job in trace.jobs() {
-            if plan.decision(job.id) == AdmissionDecision::Shed {
-                let at = start + Duration::from_micros(job.submission.as_micros());
-                submit_instants[job.id.index()] = at;
-                completions[job.id.index()] = Some(at);
-                received += 1;
-            }
-        }
-    }
-    let drain_done = |completions: &mut Vec<Option<Instant>>, received: &mut usize| {
-        while let Ok((job, at)) = done_rx.try_recv() {
-            completions[job.index()] = Some(at);
-            *received += 1;
-        }
-    };
-    'feed: for (at, item) in timeline {
-        let target = start + Duration::from_micros(at.as_micros());
-        // Sleep in bounded slices, polling completions between them, so
-        // long quiet spans in the timeline notice an early drain.
-        loop {
-            drain_done(&mut completions, &mut received);
-            if received == trace.len() {
-                break 'feed;
-            }
+        let mut items = feed.iter().peekable();
+        let mut next_sample = start + interval;
+        // The last feed item or completion: with the feed run out, a
+        // `LIVENESS` span without a completion is a wedged cluster.
+        let mut progress = start;
+        let mut samples = Vec::new();
+        while outcomes.open() > 0 {
             let now = Instant::now();
-            if target <= now {
-                break;
-            }
-            thread::sleep((target - now).min(Duration::from_millis(100)));
-        }
-        match item {
-            FeedItem::Submit(index) => {
-                let deferred = plan.as_ref().is_some_and(|p| {
-                    matches!(p.decision(JobId(index)), AdmissionDecision::Defer { .. })
-                });
-                submit_instants[index as usize] = if deferred {
-                    // Measure from the original submission, not the
-                    // deferred feed: the deferral wait is part of the
-                    // job's observed latency.
-                    start + Duration::from_micros(trace.job(JobId(index)).submission.as_micros())
-                } else {
-                    Instant::now()
-                };
-                match submission_for(trace, index, &classes, &central_route, cfg.dist_schedulers) {
-                    Submission::Central(msg) => {
-                        let central = topo.central.as_ref().expect("central route spawned daemon");
-                        let _ = central.send(msg);
-                    }
-                    Submission::Dist(sched, msg) => {
-                        let _ = topo.dscheds[sched].send(msg);
+            while let Some(&(_, item)) = items.next_if(|&&(at, _)| due(at) <= now) {
+                if let FeedItem::Submit(index) = item {
+                    // A deferred job keeps its trace submission: the
+                    // deferral wait is part of its latency.
+                    let job = JobId(index);
+                    if plan.is_none_or(|p| p.decision(job) == AdmissionDecision::Admit) {
+                        outcomes.submit(job, clock(now));
                     }
                 }
+                topo.feed(routes, item);
+                progress = now;
             }
-            FeedItem::Node(change) => {
-                let server = match change {
-                    NodeChange::Down(s) | NodeChange::Up(s) => s as usize,
-                };
-                let _ = topo.workers[server].send(WorkerMsg::Node(change));
-                for tx in topo.dscheds.iter() {
-                    let _ = tx.send(DistMsg::Node(change));
+            if now >= next_sample {
+                samples.push(topo.utilization());
+                next_sample = now + interval;
+            }
+            let wake = match items.peek() {
+                Some(&&(at, _)) => due(at).min(next_sample),
+                None if now >= progress + LIVENESS => {
+                    let wedged = format!(
+                        "prototype made no progress for {}s: {} unfinished jobs, \
+                         {} tasks running, usable capacity {}",
+                        LIVENESS.as_secs(),
+                        outcomes.open(),
+                        topo.running.load(Ordering::Relaxed),
+                        topo.capacity.load(Ordering::Relaxed),
+                    );
+                    // The scope joins every daemon before the panic
+                    // leaves it.
+                    topo.shutdown();
+                    panic!("{wedged}");
                 }
-                if let Some(central) = &topo.central {
-                    let _ = central.send(CentralMsg::Node(change));
-                }
+                None => (progress + LIVENESS).min(next_sample),
+            };
+            if let Ok((job, at)) = done_rx.recv_timeout(wake.saturating_duration_since(now)) {
+                outcomes.complete(job, clock(at));
+                progress = Instant::now();
             }
         }
-    }
 
-    // Collect the remaining completions under a liveness deadline: a
-    // lost message would otherwise wedge this loop (and CI) forever.
-    // Four consecutive quiet intervals with work still outstanding is a
-    // protocol-liveness bug — fail fast with the diagnostic gauges.
-    let quiet_interval = Duration::from_secs(15);
-    const MAX_QUIET: u32 = 4;
-    let mut quiet = 0u32;
-    while received < trace.len() {
-        match done_rx.recv_timeout(quiet_interval) {
-            Ok((job, at)) => {
-                quiet = 0;
-                completions[job.index()] = Some(at);
-                received += 1;
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                quiet += 1;
-                assert!(
-                    quiet < MAX_QUIET,
-                    "prototype made no progress for {}s: {}/{} jobs complete, \
-                     {} tasks running, usable capacity {}",
-                    quiet_interval.as_secs() * u64::from(quiet),
-                    received,
-                    trace.len(),
-                    topo.running.load(Ordering::Relaxed),
-                    topo.capacity.load(Ordering::Relaxed),
-                );
-            }
-            Err(RecvTimeoutError::Disconnected) => panic!(
-                "completion channel closed with {received}/{} jobs complete",
-                trace.len()
-            ),
+        topo.shutdown();
+        let mut stats = DaemonStats::default();
+        for daemon in daemons {
+            stats.absorb(&daemon.join().expect("daemon thread"));
         }
-    }
-
-    // Tear down and fold the counters.
-    stop.store(true, Ordering::Relaxed);
-    for tx in topo.workers.iter() {
-        let _ = tx.send(WorkerMsg::Shutdown);
-    }
-    for tx in topo.dscheds.iter() {
-        let _ = tx.send(DistMsg::Shutdown);
-    }
-    if let Some(central) = &topo.central {
-        let _ = central.send(CentralMsg::Shutdown);
-    }
-    let worker_stats: Vec<WorkerStats> = worker_handles
-        .into_iter()
-        .map(|handle| handle.join().expect("worker thread"))
-        .collect();
-    let mut sched_stats: Vec<SchedStats> = dist_handles
-        .into_iter()
-        .map(|handle| handle.join().expect("dist scheduler thread"))
-        .collect();
-    if let Some(handle) = central_handle {
-        sched_stats.push(handle.join().expect("central scheduler thread"));
-    }
-    let totals = fold_stats(worker_stats, sched_stats);
-    let _ = sampler.join();
-
-    let jobs: Vec<ProtoJobResult> = trace
-        .jobs()
-        .iter()
-        .map(|job| {
-            let i = job.id.index();
-            let done = completions[i].expect("all jobs completed");
-            ProtoJobResult {
-                job: job.id,
-                class: classes[i],
-                num_tasks: job.num_tasks(),
-                submit_offset: submit_instants[i] - start,
-                runtime: done.saturating_duration_since(submit_instants[i]),
-            }
-        })
-        .collect();
-    let utilization_samples = samples.lock().expect("sampler lock").clone();
-    let streaming = fold_streaming(&jobs, plan.as_ref());
-    ProtoReport {
-        jobs,
-        utilization_samples,
-        steals: totals.steals,
-        steal_attempts: totals.steal_attempts,
-        migrations: totals.migrations,
-        abandons: totals.abandons,
-        messages: totals.deliveries.messages(),
-        // The threaded runtime rides the machine's real network (in-process
-        // channels): there is no modelled topology to classify links.
-        network: NetworkStats::default(),
-        // Fault injection is virtual-only; these stay zero here (the
-        // run_prototype mode assert enforces it).
-        drops: 0,
-        dups: 0,
-        retries: totals.retries,
-        timeouts_fired: totals.timeouts_fired,
-        relaunched: totals.relaunched,
-        deliveries: totals.deliveries,
-        stale_timers: totals.stale_timers,
-        streaming,
-        admission: plan.as_ref().map(|p| p.stats()).unwrap_or_default(),
-    }
+        Measured {
+            outcomes,
+            utilization_samples: samples,
+            stats,
+            // The threaded runtime rides the machine's real network
+            // (in-process channels): there is no modelled topology to
+            // classify links, and fault injection is virtual-only.
+            network: NetworkStats::default(),
+            drops: 0,
+            dups: 0,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -864,11 +689,11 @@ mod tests {
         ]);
         for mode in [virtual_mode(), ExecutionMode::RealTime] {
             let report = run_prototype(&trace, hawk(), &fast_cfg(mode));
-            assert_eq!(report.jobs.len(), 4);
-            assert_eq!(report.jobs[0].class, JobClass::Long);
-            assert_eq!(report.jobs[1].class, JobClass::Short);
-            for j in &report.jobs {
-                assert!(j.runtime >= Duration::from_millis(1), "{mode:?}");
+            assert_eq!(report.results.len(), 4);
+            assert_eq!(report.results[0].true_class, JobClass::Long);
+            assert_eq!(report.results[1].true_class, JobClass::Short);
+            for r in &report.results {
+                assert!(r.runtime() >= SimDuration::from_millis(1), "{mode:?}");
             }
         }
     }
@@ -878,7 +703,7 @@ mod tests {
         let trace = fast_trace(vec![(0, vec![60, 60]), (2, vec![3, 3, 3, 3])]);
         for mode in [virtual_mode(), ExecutionMode::RealTime] {
             let report = run_prototype(&trace, Arc::new(Sparrow::new()), &fast_cfg(mode));
-            assert_eq!(report.jobs.len(), 2, "{mode:?}");
+            assert_eq!(report.results.len(), 2, "{mode:?}");
         }
     }
 
@@ -903,7 +728,10 @@ mod tests {
                 ..cfg
             },
         );
-        assert_ne!(a.jobs, c.jobs, "a different seed must actually perturb");
+        assert_ne!(
+            a.results, c.results,
+            "a different seed must actually perturb"
+        );
     }
 
     #[test]
@@ -916,8 +744,8 @@ mod tests {
         // paper's deployment does.
         let trace = fast_trace(vec![(0, vec![100])]);
         let report = run_prototype(&trace, hawk(), &fast_cfg(virtual_mode()));
-        let rt = report.jobs[0].runtime;
-        assert_eq!(rt, Duration::from_micros(100_000 + 1_000));
+        let rt = report.results[0].runtime();
+        assert_eq!(rt, SimDuration::from_micros(100_000 + 1_000));
     }
 
     #[test]
@@ -925,9 +753,9 @@ mod tests {
         // The same check on the wall clock, with generous slack.
         let trace = fast_trace(vec![(0, vec![100])]);
         let report = run_prototype(&trace, hawk(), &fast_cfg(ExecutionMode::RealTime));
-        let rt = report.jobs[0].runtime;
-        assert!(rt >= Duration::from_millis(100), "runtime {rt:?}");
-        assert!(rt < Duration::from_millis(500), "runtime {rt:?}");
+        let rt = report.results[0].runtime();
+        assert!(rt >= SimDuration::from_millis(100), "runtime {rt:?}");
+        assert!(rt < SimDuration::from_millis(500), "runtime {rt:?}");
     }
 
     #[test]
@@ -946,9 +774,9 @@ mod tests {
         let steal = run_prototype(&trace, hawk(), &cfg);
         let no_steal = run_prototype(&trace, Arc::new(Hawk::new(0.25).without_stealing()), &cfg);
         let worst_short = |r: &ProtoReport| {
-            r.jobs[1..]
+            r.results[1..]
                 .iter()
-                .map(|j| j.runtime.as_secs_f64())
+                .map(|j| j.runtime().as_secs_f64())
                 .fold(0.0f64, f64::max)
         };
         let blocked = worst_short(&no_steal);
@@ -982,9 +810,9 @@ mod tests {
     fn report_is_indexed_by_job_id() {
         let trace = fast_trace(vec![(0, vec![10]), (1, vec![10]), (2, vec![10])]);
         let report = run_prototype(&trace, hawk(), &fast_cfg(virtual_mode()));
-        for (i, j) in report.jobs.iter().enumerate() {
-            assert_eq!(j.job, JobId(i as u32));
-            assert_eq!(j.num_tasks, 1);
+        for (i, r) in report.results.iter().enumerate() {
+            assert_eq!(r.job, JobId(i as u32));
+            assert_eq!(r.num_tasks, 1);
         }
     }
 
@@ -996,8 +824,8 @@ mod tests {
             Arc::new(Sparrow::new()),
             &fast_cfg(ExecutionMode::RealTime),
         );
-        let gap = report.jobs[1].submit_offset - report.jobs[0].submit_offset;
-        assert!(gap >= Duration::from_millis(145), "gap {gap:?}");
+        let gap = report.results[1].submission - report.results[0].submission;
+        assert!(gap >= SimDuration::from_millis(145), "gap {gap:?}");
     }
 
     #[test]
@@ -1019,7 +847,7 @@ mod tests {
                 ..fast_cfg(mode)
             };
             let report = run_prototype(&trace, hawk(), &cfg);
-            assert_eq!(report.jobs.len(), 3, "{mode:?}");
+            assert_eq!(report.results.len(), 3, "{mode:?}");
         }
     }
 
@@ -1037,8 +865,8 @@ mod tests {
         // Probe (0.5) + bind round trip (1.0) + doubled occupancy +
         // completion report (0.5).
         assert_eq!(
-            report.jobs[0].runtime,
-            Duration::from_micros(200_000 + 2_000)
+            report.results[0].runtime(),
+            SimDuration::from_micros(200_000 + 2_000)
         );
     }
 
@@ -1065,7 +893,7 @@ mod tests {
             ..fast_cfg(virtual_mode())
         };
         let report = run_prototype(&trace, hawk(), &cfg);
-        assert_eq!(report.jobs.len(), 1);
+        assert_eq!(report.results.len(), 1);
         assert!(report.utilization_samples.len() > 150_000);
     }
 
@@ -1089,7 +917,7 @@ mod tests {
         };
         let started = Instant::now();
         let report = run_prototype(&trace, hawk(), &cfg);
-        assert_eq!(report.jobs.len(), 2);
+        assert_eq!(report.results.len(), 2);
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "feeder slept out a {:?} dynamics script after the drain",
@@ -1141,7 +969,8 @@ mod tests {
                 _view: &hawk_core::PlacementView<'_>,
                 _tasks: usize,
                 _rng: &mut SimRng,
-            ) -> Vec<hawk_cluster::ServerId> {
+                _out: &mut Vec<hawk_cluster::ServerId>,
+            ) {
                 unreachable!("fully central policy")
             }
         }
@@ -1189,7 +1018,7 @@ mod tests {
             ..fast_cfg(virtual_mode())
         };
         let a = run_prototype(&trace, hawk(), &cfg);
-        assert_eq!(a.jobs.len(), 5, "every job must complete under faults");
+        assert_eq!(a.results.len(), 5, "every job must complete under faults");
         assert!(a.drops > 0, "the lossy spec must actually drop messages");
         assert!(
             a.retries + a.timeouts_fired + a.relaunched > 0,
@@ -1212,8 +1041,8 @@ mod tests {
             },
         );
         assert_ne!(
-            (a.drops, a.dups, &a.jobs),
-            (c.drops, c.dups, &c.jobs),
+            (a.drops, a.dups, &a.results),
+            (c.drops, c.dups, &c.results),
             "a different seed must perturb the fault pattern"
         );
     }
@@ -1241,7 +1070,7 @@ mod tests {
             ..fast_cfg(virtual_mode())
         };
         let a = run_prototype(&trace, hawk(), &cfg);
-        assert_eq!(a.jobs.len(), 4, "churn plus faults must not strand jobs");
+        assert_eq!(a.results.len(), 4, "churn plus faults must not strand jobs");
         let b = run_prototype(&trace, hawk(), &cfg);
         assert_eq!(a, b, "churn plus faults must replay byte-identically");
     }
@@ -1298,7 +1127,7 @@ mod tests {
                 ..fast_cfg(mode)
             };
             let report = run_prototype(&trace, hawk(), &cfg);
-            assert_eq!(report.jobs.len(), 5, "{mode:?}");
+            assert_eq!(report.results.len(), 5, "{mode:?}");
             assert!(report.admission.sheds() > 0, "{mode:?}");
             assert_eq!(report.admission.sheds_short, 0, "{mode:?}");
             reports.push(report);
@@ -1308,9 +1137,9 @@ mod tests {
         // A shed long job reports zero runtime and is excluded from the
         // streaming sinks; admitted jobs still land there.
         let shed_longs = reports[0]
-            .jobs
+            .results
             .iter()
-            .filter(|j| j.class == JobClass::Long && j.runtime == Duration::ZERO)
+            .filter(|r| r.true_class == JobClass::Long && r.runtime() == SimDuration::ZERO)
             .count() as u64;
         assert_eq!(shed_longs, reports[0].admission.sheds_long);
         assert_eq!(

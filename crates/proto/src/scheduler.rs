@@ -5,7 +5,7 @@
 //!
 //! * A [`DistScheduler`] owns the jobs submitted to it (each job
 //!   conceptually has its own scheduler, §3.5) and places probes by
-//!   calling [`Scheduler::probe_targets_into`] over a [`PlacementView`] of
+//!   calling [`Scheduler::probe_targets`] over a [`PlacementView`] of
 //!   its **shadow cluster** — a membership-only
 //!   [`hawk_cluster::Cluster`] mirror kept current by scenario dynamics
 //!   notifications. On a static cluster the shadow is the identity; under
@@ -18,6 +18,10 @@
 //!   scheduler: it wraps [`hawk_core::CentralScheduler`] — the identical
 //!   placement, completion, failure-penalty and migration bookkeeping —
 //!   and adds only per-job completion counting and message plumbing.
+//!
+//! A submission names its job and class only: both daemons borrow the run's
+//! [`Trace`] and read a job's task durations from it, so no daemon holds a
+//! copy of them.
 //!
 //! # The hardened protocol
 //!
@@ -51,16 +55,16 @@ use hawk_cluster::{Cluster, QueueEntry, ServerId, TaskSpec};
 use hawk_core::{CentralScheduler, PlacementView, Route, Scheduler, Scope};
 use hawk_simcore::{SimDuration, SimRng, SimTime};
 use hawk_workload::scenario::NodeChange;
-use hawk_workload::{JobClass, JobId};
+use hawk_workload::{JobClass, JobId, Trace};
 
 use crate::fault::TimeoutSpec;
 use crate::msg::{CentralMsg, DistMsg, Net, WorkerMsg};
-use crate::report::Deliveries;
+use crate::report::DaemonStats;
 
 impl TimeoutSpec {
     /// How long a handed-out task may stay unconfirmed before the per-job
     /// chain presumes it lost: four times its duration (covers slow
-    /// servers, queue noise and delay spikes) plus the chain base,
+    /// servers, queue noise and network jitter) plus the chain base,
     /// doubled per prior attempt so spurious relaunches of merely-slow
     /// tasks decay geometrically.
     pub(crate) fn launch_deadline(&self, duration: SimDuration, attempt: u32) -> SimDuration {
@@ -135,8 +139,9 @@ impl HardJob {
 }
 
 /// Per-job late-binding state held by a distributed scheduler.
-struct DistJob {
-    tasks: Vec<SimDuration>,
+struct DistJob<'t> {
+    /// The job's task durations, in the trace.
+    tasks: &'t [SimDuration],
     estimate: SimDuration,
     class: JobClass,
     next_task: usize,
@@ -145,7 +150,7 @@ struct DistJob {
     hard: Option<HardJob>,
 }
 
-impl DistJob {
+impl DistJob<'_> {
     /// True while the job still has a task no worker holds — the
     /// condition under which a displaced probe is worth replacing.
     fn has_unlaunched(&self, full_scan: bool) -> bool {
@@ -156,27 +161,10 @@ impl DistJob {
     }
 }
 
-/// Counters a scheduler daemon folds into the
-/// [`ProtoReport`](crate::ProtoReport).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SchedStats {
-    pub migrations: u64,
-    pub abandons: u64,
-    /// Messages handled, by kind.
-    pub deliveries: Deliveries,
-    /// Hardened protocol: chain fires for a job already complete.
-    pub stale_timers: u64,
-    /// Hardened protocol: timer-driven fresh probes sent.
-    pub retries: u64,
-    /// Hardened protocol: chain fires that found overdue handed-out work.
-    pub timeouts_fired: u64,
-    /// Hardened protocol: tasks relaunched under a bumped attempt.
-    pub relaunched: u64,
-}
-
 /// A distributed scheduler daemon: Sparrow batch probing with late
 /// binding (§3.5), probe placement via the shared [`Scheduler`] trait.
-pub(crate) struct DistScheduler {
+pub(crate) struct DistScheduler<'t> {
+    trace: &'t Trace,
     /// This daemon's index — the address its self-timers route back to.
     index: usize,
     scheduler: Arc<dyn Scheduler>,
@@ -185,22 +173,23 @@ pub(crate) struct DistScheduler {
     /// Job `j`'s state, at `j / stride`: jobs are dealt to the
     /// distributed schedulers round-robin by id, so this scheduler's jobs
     /// are `stride` apart and the table is dense.
-    jobs: Vec<Option<DistJob>>,
+    jobs: Vec<Option<DistJob<'t>>>,
     /// The number of distributed schedulers.
     stride: usize,
     rng: SimRng,
     timeouts: Option<TimeoutSpec>,
     probe_buf: Vec<ServerId>,
     drain_scratch: Vec<QueueEntry>,
-    pub(crate) stats: SchedStats,
+    pub(crate) stats: DaemonStats,
     /// Answer every bookkeeping question by the full scan the cursor and
     /// the count replaced — the differential tests' reference.
     #[cfg(test)]
     full_scan: bool,
 }
 
-impl DistScheduler {
+impl<'t> DistScheduler<'t> {
     pub(crate) fn new(
+        trace: &'t Trace,
         index: usize,
         stride: usize,
         scheduler: Arc<dyn Scheduler>,
@@ -210,6 +199,7 @@ impl DistScheduler {
     ) -> Self {
         let shadow = Cluster::new(workers, scheduler.short_partition_fraction());
         DistScheduler {
+            trace,
             index,
             scheduler,
             shadow,
@@ -219,7 +209,7 @@ impl DistScheduler {
             timeouts,
             probe_buf: Vec::new(),
             drain_scratch: Vec::new(),
-            stats: SchedStats::default(),
+            stats: DaemonStats::default(),
             #[cfg(test)]
             full_scan: false,
         }
@@ -232,7 +222,7 @@ impl DistScheduler {
         false
     }
 
-    fn job_mut(&mut self, job: JobId) -> Option<&mut DistJob> {
+    fn job_mut(&mut self, job: JobId) -> Option<&mut DistJob<'t>> {
         self.jobs.get_mut(job.index() / self.stride)?.as_mut()
     }
 
@@ -279,12 +269,7 @@ impl DistScheduler {
     pub(crate) fn handle(&mut self, msg: DistMsg, net: &mut impl Net) -> bool {
         self.stats.deliveries.record(msg.kind());
         match msg {
-            DistMsg::Submit {
-                job,
-                tasks,
-                estimate,
-                class,
-            } => self.submit(job, tasks, estimate, class, net),
+            DistMsg::Submit { job, class } => self.submit(job, class, net),
             DistMsg::TaskRequest { job, worker } => self.bind(job, worker, net),
             DistMsg::TaskDone { job, task } => self.complete(job, task, net),
             DistMsg::ReProbe { job, class } => self.reprobe(job, class, net),
@@ -314,15 +299,9 @@ impl DistScheduler {
         false
     }
 
-    fn submit(
-        &mut self,
-        job: JobId,
-        tasks: Vec<SimDuration>,
-        estimate: SimDuration,
-        class: JobClass,
-        net: &mut impl Net,
-    ) {
-        let t = tasks.len();
+    fn submit(&mut self, job: JobId, class: JobClass, net: &mut impl Net) {
+        let spec = self.trace.job(job);
+        let t = spec.num_tasks();
         let hard = self.timeouts.map(|to| HardJob {
             state: vec![TaskState::Unlaunched; t],
             attempts: vec![0; t],
@@ -335,8 +314,8 @@ impl DistScheduler {
             self.jobs.resize_with(slot + 1, || None);
         }
         self.jobs[slot] = Some(DistJob {
-            tasks,
-            estimate,
+            tasks: &spec.tasks,
+            estimate: spec.mean_task_duration(),
             class,
             next_task: 0,
             remaining: t,
@@ -347,8 +326,9 @@ impl DistScheduler {
         let (start, len) = self.probe_scope(class);
         let view = PlacementView::new(&self.shadow, start, len);
         let mut probes = std::mem::take(&mut self.probe_buf);
+        probes.clear();
         self.scheduler
-            .probe_targets_into(&view, t, &mut self.rng, &mut probes);
+            .probe_targets(&view, t, &mut self.rng, &mut probes);
         for &server in &probes {
             net.send_worker(
                 server.index(),
@@ -558,11 +538,12 @@ impl CentralTask {
 
 /// Per-job state at the centralized daemon. Fault-free runs use only
 /// `remaining`; the rest powers the hardened relaunch chain.
-struct CentralJob {
+struct CentralJob<'t> {
     remaining: usize,
     estimate: SimDuration,
     class: JobClass,
-    durations: Vec<SimDuration>,
+    /// The job's task durations, in the trace.
+    durations: &'t [SimDuration],
     /// Empty unless hardened.
     state: Vec<CentralTask>,
     interval: SimDuration,
@@ -575,7 +556,7 @@ struct CentralJob {
     next_overdue: SimTime,
 }
 
-impl CentralJob {
+impl CentralJob<'_> {
     /// The outstanding task the chain would presume lost first — the most
     /// overdue once its deadline has passed — with that deadline; the
     /// lowest index on ties.
@@ -589,28 +570,30 @@ impl CentralJob {
 
 /// The centralized scheduler daemon: the shared §3.7 waiting-time
 /// algorithm ([`hawk_core::CentralScheduler`]) behind a mailbox.
-pub(crate) struct CentralDaemon {
+pub(crate) struct CentralDaemon<'t> {
+    trace: &'t Trace,
     inner: CentralScheduler,
     /// Job state by [`JobId`]. Only centrally-routed jobs have an entry,
     /// so the table holds a pointer per trace job and a box per entry.
-    jobs: Vec<Option<Box<CentralJob>>>,
+    jobs: Vec<Option<Box<CentralJob<'t>>>>,
     timeouts: Option<TimeoutSpec>,
     place_buf: Vec<ServerId>,
-    pub(crate) stats: SchedStats,
+    pub(crate) stats: DaemonStats,
     /// Scan on every chain fire, whatever the bound says — the
     /// differential tests' reference.
     #[cfg(test)]
     full_scan: bool,
 }
 
-impl CentralDaemon {
-    pub(crate) fn new(scope: usize, timeouts: Option<TimeoutSpec>) -> Self {
+impl<'t> CentralDaemon<'t> {
+    pub(crate) fn new(trace: &'t Trace, scope: usize, timeouts: Option<TimeoutSpec>) -> Self {
         CentralDaemon {
+            trace,
             inner: CentralScheduler::new(scope),
             jobs: Vec::new(),
             timeouts,
             place_buf: Vec::new(),
-            stats: SchedStats::default(),
+            stats: DaemonStats::default(),
             #[cfg(test)]
             full_scan: false,
         }
@@ -627,12 +610,7 @@ impl CentralDaemon {
     pub(crate) fn handle(&mut self, msg: CentralMsg, net: &mut impl Net) -> bool {
         self.stats.deliveries.record(msg.kind());
         match msg {
-            CentralMsg::Submit {
-                job,
-                tasks,
-                estimate,
-                class,
-            } => self.submit(job, tasks, estimate, class, net),
+            CentralMsg::Submit { job, class } => self.submit(job, class, net),
             CentralMsg::TaskDone {
                 job,
                 worker,
@@ -655,15 +633,10 @@ impl CentralDaemon {
         false
     }
 
-    fn submit(
-        &mut self,
-        job: JobId,
-        tasks: Vec<SimDuration>,
-        estimate: SimDuration,
-        class: JobClass,
-        net: &mut impl Net,
-    ) {
-        let t = tasks.len();
+    fn submit(&mut self, job: JobId, class: JobClass, net: &mut impl Net) {
+        let spec = self.trace.job(job);
+        let tasks = spec.tasks.as_slice();
+        let (t, estimate) = (tasks.len(), spec.mean_task_duration());
         let mut placement = std::mem::take(&mut self.place_buf);
         self.inner.assign_job_into(t, estimate, &mut placement);
         let state: Vec<CentralTask> = if self.timeouts.is_some() {
@@ -872,6 +845,7 @@ impl CentralDaemon {
 mod tests {
     use super::*;
     use hawk_core::scheduler::{Hawk, Sparrow};
+    use hawk_workload::Job;
 
     #[derive(Default)]
     struct RecordingNet {
@@ -905,24 +879,64 @@ mod tests {
         }
     }
 
-    fn dist(scheduler: Arc<dyn Scheduler>, workers: usize, seed: u64) -> DistScheduler {
-        DistScheduler::new(0, 1, scheduler, workers, SimRng::seed_from_u64(seed), None)
+    /// A trace of one job per entry of `jobs`, each given by its task
+    /// durations in seconds, all submitted at zero.
+    fn trace_of(jobs: &[&[u64]]) -> Trace {
+        let jobs = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, tasks)| Job {
+                id: JobId(i as u32),
+                submission: SimTime::ZERO,
+                tasks: tasks.iter().map(|&s| SimDuration::from_secs(s)).collect(),
+                generated_class: None,
+            })
+            .collect();
+        Trace::new(jobs).unwrap()
     }
 
-    fn submit(job: u32, tasks: usize, secs: u64, class: JobClass) -> DistMsg {
+    /// `jobs` jobs of `tasks` tasks of `secs` seconds each.
+    fn uniform_trace(jobs: usize, tasks: usize, secs: u64) -> Trace {
+        trace_of(&vec![vec![secs; tasks].as_slice(); jobs])
+    }
+
+    fn dist(
+        trace: &Trace,
+        scheduler: Arc<dyn Scheduler>,
+        workers: usize,
+        seed: u64,
+    ) -> DistScheduler<'_> {
+        DistScheduler::new(
+            trace,
+            0,
+            1,
+            scheduler,
+            workers,
+            SimRng::seed_from_u64(seed),
+            None,
+        )
+    }
+
+    fn submit(job: u32, class: JobClass) -> DistMsg {
         DistMsg::Submit {
             job: JobId(job),
-            tasks: vec![SimDuration::from_secs(secs); tasks],
-            estimate: SimDuration::from_secs(secs),
             class,
+        }
+    }
+
+    fn central_submit(job: u32) -> CentralMsg {
+        CentralMsg::Submit {
+            job: JobId(job),
+            class: JobClass::Long,
         }
     }
 
     #[test]
     fn submit_sends_probe_ratio_times_tasks_probes() {
-        let mut sched = dist(Arc::new(Sparrow::new()), 50, 3);
+        let trace = uniform_trace(2, 4, 10);
+        let mut sched = dist(&trace, Arc::new(Sparrow::new()), 50, 3);
         let mut net = RecordingNet::default();
-        sched.handle(submit(1, 4, 10, JobClass::Short), &mut net);
+        sched.handle(submit(1, JobClass::Short), &mut net);
         assert_eq!(net.worker_msgs.len(), 8, "2t probes");
         let mut targets: Vec<usize> = net.worker_msgs.iter().map(|(to, _)| *to).collect();
         targets.sort_unstable();
@@ -935,10 +949,11 @@ mod tests {
     fn hawk_short_probes_cover_the_whole_cluster() {
         // Hawk shorts probe Scope::Whole — including the reserved
         // partition — which is what makes stealing able to rescue them.
-        let mut sched = dist(Arc::new(Hawk::new(0.5)), 10, 1);
+        let trace = uniform_trace(20, 2, 1);
+        let mut sched = dist(&trace, Arc::new(Hawk::new(0.5)), 10, 1);
         let mut net = RecordingNet::default();
         for j in 0..20 {
-            sched.handle(submit(j, 2, 1, JobClass::Short), &mut net);
+            sched.handle(submit(j, JobClass::Short), &mut net);
         }
         assert!(
             net.worker_msgs.iter().any(|(to, _)| *to >= 5),
@@ -948,9 +963,10 @@ mod tests {
 
     #[test]
     fn late_binding_hands_out_tasks_then_cancels() {
-        let mut sched = dist(Arc::new(Sparrow::new()), 10, 5);
+        let trace = uniform_trace(2, 1, 7);
+        let mut sched = dist(&trace, Arc::new(Sparrow::new()), 10, 5);
         let mut net = RecordingNet::default();
-        sched.handle(submit(1, 1, 7, JobClass::Short), &mut net);
+        sched.handle(submit(1, JobClass::Short), &mut net);
         net.worker_msgs.clear();
         sched.handle(
             DistMsg::TaskRequest {
@@ -995,13 +1011,14 @@ mod tests {
 
     #[test]
     fn shadow_cluster_keeps_probes_off_failed_servers() {
-        let mut sched = dist(Arc::new(Sparrow::new()), 4, 9);
+        let trace = uniform_trace(40, 2, 1);
+        let mut sched = dist(&trace, Arc::new(Sparrow::new()), 4, 9);
         let mut net = RecordingNet::default();
         for s in [0u32, 1] {
             sched.handle(DistMsg::Node(NodeChange::Down(s)), &mut net);
         }
         for j in 0..10 {
-            sched.handle(submit(j, 2, 1, JobClass::Short), &mut net);
+            sched.handle(submit(j, JobClass::Short), &mut net);
         }
         assert!(
             net.worker_msgs.iter().all(|(to, _)| *to >= 2),
@@ -1011,7 +1028,7 @@ mod tests {
         sched.handle(DistMsg::Node(NodeChange::Up(0)), &mut net);
         net.worker_msgs.clear();
         for j in 10..40 {
-            sched.handle(submit(j, 2, 1, JobClass::Short), &mut net);
+            sched.handle(submit(j, JobClass::Short), &mut net);
         }
         assert!(net.worker_msgs.iter().any(|(to, _)| *to == 0));
         assert!(net.worker_msgs.iter().all(|(to, _)| *to != 1));
@@ -1019,9 +1036,10 @@ mod tests {
 
     #[test]
     fn reprobe_migrates_live_jobs_and_abandons_drained_ones() {
-        let mut sched = dist(Arc::new(Sparrow::new()), 8, 2);
+        let trace = uniform_trace(2, 1, 5);
+        let mut sched = dist(&trace, Arc::new(Sparrow::new()), 8, 2);
         let mut net = RecordingNet::default();
-        sched.handle(submit(1, 1, 5, JobClass::Short), &mut net);
+        sched.handle(submit(1, JobClass::Short), &mut net);
         net.worker_msgs.clear();
         // Unlaunched task left: re-probe.
         sched.handle(
@@ -1055,17 +1073,10 @@ mod tests {
 
     #[test]
     fn central_daemon_places_like_the_shared_scheduler() {
-        let mut daemon = CentralDaemon::new(4, None);
+        let trace = uniform_trace(2, 4, 100);
+        let mut daemon = CentralDaemon::new(&trace, 4, None);
         let mut net = RecordingNet::default();
-        daemon.handle(
-            CentralMsg::Submit {
-                job: JobId(1),
-                tasks: vec![SimDuration::from_secs(100); 4],
-                estimate: SimDuration::from_secs(100),
-                class: JobClass::Long,
-            },
-            &mut net,
-        );
+        daemon.handle(central_submit(1), &mut net);
         // Waiting-time balancing: one task per server.
         let mut targets: Vec<usize> = net.worker_msgs.iter().map(|(to, _)| *to).collect();
         targets.sort_unstable();
@@ -1087,17 +1098,10 @@ mod tests {
 
     #[test]
     fn central_daemon_relocates_off_failed_workers() {
-        let mut daemon = CentralDaemon::new(2, None);
+        let trace = uniform_trace(2, 1, 50);
+        let mut daemon = CentralDaemon::new(&trace, 2, None);
         let mut net = RecordingNet::default();
-        daemon.handle(
-            CentralMsg::Submit {
-                job: JobId(1),
-                tasks: vec![SimDuration::from_secs(50)],
-                estimate: SimDuration::from_secs(50),
-                class: JobClass::Long,
-            },
-            &mut net,
-        );
+        daemon.handle(central_submit(1), &mut net);
         let placed_on = net.worker_msgs[0].0;
         daemon.handle(
             CentralMsg::Node(NodeChange::Down(placed_on as u32)),
@@ -1138,7 +1142,9 @@ mod tests {
 
     #[test]
     fn hardened_submit_arms_the_job_chain_and_dedups_completions() {
+        let trace = uniform_trace(2, 2, 5);
         let mut sched = DistScheduler::new(
+            &trace,
             3,
             1,
             Arc::new(Sparrow::new()),
@@ -1147,7 +1153,7 @@ mod tests {
             Some(hardened_spec()),
         );
         let mut net = RecordingNet::default();
-        sched.handle(submit(1, 2, 5, JobClass::Short), &mut net);
+        sched.handle(submit(1, JobClass::Short), &mut net);
         assert_eq!(
             net.dist_timers,
             vec![(
@@ -1198,7 +1204,9 @@ mod tests {
 
     #[test]
     fn hardened_chain_relaunches_overdue_tasks_under_a_new_attempt() {
+        let trace = uniform_trace(2, 1, 5);
         let mut sched = DistScheduler::new(
+            &trace,
             0,
             1,
             Arc::new(Sparrow::new()),
@@ -1207,7 +1215,7 @@ mod tests {
             Some(hardened_spec()),
         );
         let mut net = RecordingNet::default();
-        sched.handle(submit(1, 1, 5, JobClass::Short), &mut net);
+        sched.handle(submit(1, JobClass::Short), &mut net);
         sched.handle(
             DistMsg::TaskRequest {
                 job: JobId(1),
@@ -1262,17 +1270,10 @@ mod tests {
 
     #[test]
     fn hardened_central_relaunches_and_charges_the_current_worker() {
-        let mut daemon = CentralDaemon::new(4, Some(hardened_spec()));
+        let trace = uniform_trace(3, 1, 5);
+        let mut daemon = CentralDaemon::new(&trace, 4, Some(hardened_spec()));
         let mut net = RecordingNet::default();
-        daemon.handle(
-            CentralMsg::Submit {
-                job: JobId(2),
-                tasks: vec![SimDuration::from_secs(5)],
-                estimate: SimDuration::from_secs(5),
-                class: JobClass::Long,
-            },
-            &mut net,
-        );
+        daemon.handle(central_submit(2), &mut net);
         assert_eq!(net.central_timers.len(), 1);
         let first = net.worker_msgs[0].0;
         // Past the deadline — expected wait (5 s, the task's own charge)
@@ -1338,18 +1339,6 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs(s)
     }
 
-    fn central_submit(job: u32, task_secs: &[u64], estimate_secs: u64) -> CentralMsg {
-        CentralMsg::Submit {
-            job: JobId(job),
-            tasks: task_secs
-                .iter()
-                .map(|&s| SimDuration::from_secs(s))
-                .collect(),
-            estimate: SimDuration::from_secs(estimate_secs),
-            class: JobClass::Long,
-        }
-    }
-
     /// The last `Assign` of `(job, task)`: where the daemon believes the
     /// task is, and the spec a relocation would carry back.
     fn last_assign(net: &RecordingNet, job: u32, task: u32) -> (usize, TaskSpec) {
@@ -1365,7 +1354,7 @@ mod tests {
             .expect("task was assigned")
     }
 
-    fn bound(daemon: &CentralDaemon, job: u32) -> SimTime {
+    fn bound(daemon: &CentralDaemon<'_>, job: u32) -> SimTime {
         daemon.jobs[job as usize]
             .as_ref()
             .expect("known job")
@@ -1377,11 +1366,12 @@ mod tests {
         // Two workers, each hours deep in long work; a 5 s task queues
         // behind one of them, so its loss deadline — and with it the
         // job's chain bound — sits hours ahead.
-        let mut daemon = CentralDaemon::new(2, Some(hardened_spec()));
+        let trace = trace_of(&[&[1], &[10_000], &[10_000], &[5]]);
+        let mut daemon = CentralDaemon::new(&trace, 2, Some(hardened_spec()));
         let mut net = RecordingNet::default();
-        daemon.handle(central_submit(1, &[10_000], 10_000), &mut net);
-        daemon.handle(central_submit(2, &[10_000], 10_000), &mut net);
-        daemon.handle(central_submit(3, &[5], 5), &mut net);
+        for job in 1..=3 {
+            daemon.handle(central_submit(job), &mut net);
+        }
         let (queued_on, spec) = last_assign(&net, 3, 0);
         net.now = secs(10);
         daemon.handle(CentralMsg::JobTimeout { job: JobId(3) }, &mut net);
@@ -1439,18 +1429,20 @@ mod tests {
 
     #[test]
     fn completions_only_ever_leave_the_chain_bound_too_low() {
-        // A 5 s and a 10,000 s task, each on an idle worker, charged the
-        // job-level 5,000 s estimate.
-        let mut daemon = CentralDaemon::new(2, Some(hardened_spec()));
+        // A 10 s and a 9,990 s task, each on an idle worker, charged the
+        // job-level 5,000 s estimate (their mean).
+        let trace = trace_of(&[&[1], &[10, 9_990]]);
+        let mut daemon = CentralDaemon::new(&trace, 2, Some(hardened_spec()));
         let mut net = RecordingNet::default();
-        daemon.handle(central_submit(1, &[5, 10_000], 5_000), &mut net);
+        daemon.handle(central_submit(1), &mut net);
         net.now = secs(10);
         daemon.handle(CentralMsg::JobTimeout { job: JobId(1) }, &mut net);
-        // The short task's deadline: 5,000 s expected wait + 30 s.
-        assert_eq!(bound(&daemon, 1), secs(5_030));
+        // The short task's deadline: 5,000 s expected wait + 4 x 10 s +
+        // the 10 s chain base.
+        assert_eq!(bound(&daemon, 1), secs(5_050));
 
         // The short task completes. The bound now undershoots — the long
-        // task cannot be overdue before 45,010 s — and is left alone.
+        // task cannot be overdue before 44,970 s — and is left alone.
         net.now = secs(100);
         daemon.handle(
             CentralMsg::TaskDone {
@@ -1461,19 +1453,21 @@ mod tests {
             },
             &mut net,
         );
-        assert_eq!(bound(&daemon, 1), secs(5_030));
+        assert_eq!(bound(&daemon, 1), secs(5_050));
 
         // The fire that reaches the stale bound pays one scan, finds
         // nothing, and moves the bound up to what is still outstanding.
-        net.now = secs(5_030);
+        net.now = secs(5_050);
         daemon.handle(CentralMsg::JobTimeout { job: JobId(1) }, &mut net);
         assert_eq!(daemon.stats.relaunched, 0);
-        assert_eq!(bound(&daemon, 1), secs(5_000 + 4 * 10_000 + 10));
+        assert_eq!(bound(&daemon, 1), secs(5_000 + 4 * 9_990 + 10));
     }
 
     #[test]
     fn bind_hands_out_the_lowest_unlaunched_task_after_a_relaunch() {
+        let trace = trace_of(&[&[1], &[1, 100, 1]]);
         let mut sched = DistScheduler::new(
+            &trace,
             0,
             1,
             Arc::new(Sparrow::new()),
@@ -1482,15 +1476,7 @@ mod tests {
             Some(hardened_spec()),
         );
         let mut net = RecordingNet::default();
-        sched.handle(
-            DistMsg::Submit {
-                job: JobId(1),
-                tasks: [1, 100, 1].map(SimDuration::from_secs).to_vec(),
-                estimate: SimDuration::from_secs(34),
-                class: JobClass::Short,
-            },
-            &mut net,
-        );
+        sched.handle(submit(1, JobClass::Short), &mut net);
         let bind = |sched: &mut DistScheduler, net: &mut RecordingNet| {
             net.worker_msgs.clear();
             sched.handle(
@@ -1528,6 +1514,17 @@ mod tests {
     /// base, and hours.
     const STEP_SECS: [u64; 6] = [0, 1, 9, 40, 700, 45_000];
 
+    /// The trace a differential script submits: one job per submitting op
+    /// (`op < 2`), in script order, with the task durations `tasks` picks.
+    fn script_trace(script: &[(u8, usize, usize)], tasks: impl Fn(usize) -> Vec<u64>) -> Trace {
+        let jobs: Vec<Vec<u64>> = script
+            .iter()
+            .filter(|&&(op, _, _)| op < 2)
+            .map(|&(_, pick, _)| tasks(pick))
+            .collect();
+        trace_of(&jobs.iter().map(Vec::as_slice).collect::<Vec<_>>())
+    }
+
     proptest::proptest! {
         /// The chain bound against the scan it skips: a hardened
         /// centralized daemon and its full-scan twin, fed one random
@@ -1539,8 +1536,11 @@ mod tests {
         fn central_chain_bound_matches_the_full_scan(
             script in proptest::collection::vec((0u8..9, 0usize..64, 0usize..6), 1..120),
         ) {
-            let mut fast = CentralDaemon::new(3, Some(hardened_spec()));
-            let mut reference = CentralDaemon::new(3, Some(hardened_spec()));
+            let trace = script_trace(&script, |pick| {
+                (0..1 + pick % 4).map(|i| TASK_SECS[(pick / 4 + i) % 4]).collect()
+            });
+            let mut fast = CentralDaemon::new(&trace, 3, Some(hardened_spec()));
+            let mut reference = CentralDaemon::new(&trace, 3, Some(hardened_spec()));
             reference.full_scan = true;
             let mut fast_net = RecordingNet::default();
             let mut reference_net = RecordingNet::default();
@@ -1552,11 +1552,8 @@ mod tests {
                 reference_net.now = now;
                 let msg = match op {
                     0 | 1 => {
-                        let tasks: Vec<u64> = (0..1 + pick % 4)
-                            .map(|i| TASK_SECS[(pick / 4 + i) % 4])
-                            .collect();
-                        jobs.push(tasks.len());
-                        central_submit(jobs.len() as u32 - 1, &tasks, tasks[0])
+                        jobs.push(trace.job(JobId(jobs.len() as u32)).num_tasks());
+                        central_submit(jobs.len() as u32 - 1)
                     }
                     _ if jobs.is_empty() => continue,
                     2 | 3 => {
@@ -1621,7 +1618,11 @@ mod tests {
         fn dist_cursor_and_count_match_the_full_scan(
             script in proptest::collection::vec((0u8..10, 0usize..64, 0usize..6), 1..160),
         ) {
+            let trace = script_trace(&script, |pick| {
+                (0..1 + pick % 5).map(|i| TASK_SECS[(pick / 5 + i) % 3]).collect()
+            });
             let build = || DistScheduler::new(
+                &trace,
                 0,
                 1,
                 Arc::new(Sparrow::new()),
@@ -1642,16 +1643,8 @@ mod tests {
                 let job = JobId((pick % jobs.len().max(1)) as u32);
                 let msg = match op {
                     0 | 1 => {
-                        let tasks: Vec<SimDuration> = (0..1 + pick % 5)
-                            .map(|i| SimDuration::from_secs(TASK_SECS[(pick / 5 + i) % 3]))
-                            .collect();
-                        jobs.push(tasks.len());
-                        DistMsg::Submit {
-                            job: JobId(jobs.len() as u32 - 1),
-                            estimate: tasks[0],
-                            tasks,
-                            class: JobClass::Short,
-                        }
+                        jobs.push(trace.job(JobId(jobs.len() as u32)).num_tasks());
+                        submit(jobs.len() as u32 - 1, JobClass::Short)
                     }
                     _ if jobs.is_empty() => continue,
                     2..=4 => DistMsg::TaskRequest { job, worker: pick % 16 },

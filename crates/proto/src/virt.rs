@@ -10,6 +10,14 @@
 //! prototype usable as a reproducible [`Backend`](hawk_core::Backend)
 //! next to the simulator.
 //!
+//! The run's feed (`runtime::feed`) is walked with a cursor, by the rule
+//! the simulator's drivers stream trace arrivals with: one item is pending,
+//! and the next is scheduled with [`Engine::schedule_first_at`], ahead of
+//! every delivery pending at its time, as the current one is dispatched.
+//! That is where a router that loaded the whole feed before anything else
+//! would have it, so the cursor moves no delivery; it only keeps the event
+//! list sized by the messages in flight instead of the trace.
+//!
 //! The router's future event list *is* the simulator's: a
 //! [`hawk_simcore::Engine`] (the timing wheel of `hawk_simcore::queue`)
 //! with the same contract — deliveries pop in firing-time order, FIFO
@@ -38,16 +46,12 @@ use hawk_cluster::ServerId;
 use hawk_net::{Endpoint, Topology};
 use hawk_simcore::{Engine, SimDuration, SimTime};
 use hawk_workload::scenario::NodeChange;
-use hawk_workload::{JobId, Trace};
-
-use hawk_core::{AdmissionDecision, AdmissionPlan};
+use hawk_workload::JobId;
 
 use crate::fault::FaultLanes;
 use crate::msg::{CentralMsg, DistMsg, Net, WorkerMsg};
-use crate::report::{ProtoJobResult, ProtoReport};
-use crate::runtime::{
-    fold_stats, fold_streaming, submission_for, ClusterSetup, ProtoConfig, Submission,
-};
+use crate::report::{DaemonStats, Measured, Outcomes};
+use crate::runtime::{ClusterSetup, FeedItem, ProtoConfig, Routes, Submission};
 
 /// A routed delivery. `Clone` exists solely for the duplicate fault.
 #[derive(Debug, Clone)]
@@ -57,18 +61,17 @@ enum Dest {
     Central(CentralMsg),
     /// Worker `i`'s running task completes.
     Finish(usize),
-    /// Job `i` of the trace arrives at its scheduler.
-    Submit(u32),
-    /// A scripted dynamics event fires (fans out to every daemon).
-    Node(NodeChange),
+    /// The feed item under the cursor fires.
+    Feed,
     /// Periodic utilization snapshot.
     UtilSample,
 }
 
 /// [`Net`] over the router: sends enqueue deliveries at `now + delay`,
-/// timers at `now + occupancy`, completions are recorded on the virtual
-/// clock. The delay of each send is charged by the topology from the
-/// daemon currently executing (`src`) to the recipient.
+/// timers at `now + occupancy`, completions are recorded in the run's
+/// [`Outcomes`] on the virtual clock. The delay of each send is charged
+/// by the topology from the daemon currently executing (`src`) to the
+/// recipient.
 struct VirtualNet {
     /// Clock and future event list. An event is the handle of its
     /// delivery's slot in `parked`; the engine breaks ties FIFO.
@@ -82,8 +85,7 @@ struct VirtualNet {
     /// handler are charged from the right place.
     src: Endpoint,
     running: i64,
-    completions: Vec<Option<SimTime>>,
-    completed: usize,
+    outcomes: Outcomes,
     /// Queued deliveries other than the self-perpetuating `UtilSample` —
     /// the liveness signal: when this hits zero with jobs unfinished,
     /// nothing can ever complete them.
@@ -96,20 +98,22 @@ struct VirtualNet {
 }
 
 impl VirtualNet {
-    fn new(topology: Box<dyn Topology>, faults: FaultLanes, jobs: usize, workers: usize) -> Self {
+    fn new(
+        topology: Box<dyn Topology>,
+        faults: FaultLanes,
+        workers: usize,
+        outcomes: Outcomes,
+    ) -> Self {
         VirtualNet {
-            // Every submission is queued before the first pop; in-flight
-            // protocol traffic comes on top of that.
-            engine: Engine::with_capacity(jobs * 2),
-            parked: Vec::with_capacity(jobs * 2),
+            engine: Engine::new(),
+            parked: Vec::new(),
             free: Vec::new(),
             topology,
             // Overwritten before every handler dispatch; Central is a safe
             // placeholder for the pre-loop seeding (which sends nothing).
             src: Endpoint::Central,
             running: 0,
-            completions: vec![None; jobs],
-            completed: 0,
+            outcomes,
             pending_work: 0,
             capacity: workers as i64,
             faults,
@@ -117,10 +121,22 @@ impl VirtualNet {
     }
 
     fn push_at(&mut self, at: SimTime, dest: Dest) {
+        let handle = self.park(dest);
+        self.engine.schedule_at(at, handle);
+    }
+
+    /// Like [`Self::push_at`], ahead of every delivery pending at `at`.
+    fn push_first_at(&mut self, at: SimTime, dest: Dest) {
+        let handle = self.park(dest);
+        self.engine.schedule_first_at(at, handle);
+    }
+
+    /// Parks `dest` in a free slot and returns the slot's handle.
+    fn park(&mut self, dest: Dest) -> u32 {
         if !matches!(dest, Dest::UtilSample) {
             self.pending_work += 1;
         }
-        let handle = match self.free.pop() {
+        match self.free.pop() {
             Some(handle) => {
                 self.parked[handle as usize] = Some(dest);
                 handle
@@ -129,8 +145,7 @@ impl VirtualNet {
                 self.parked.push(Some(dest));
                 (self.parked.len() - 1) as u32
             }
-        };
-        self.engine.schedule_at(at, handle);
+        }
     }
 
     /// Removes the earliest delivery and advances the clock to it.
@@ -173,10 +188,10 @@ impl VirtualNet {
     /// historical router: one topology charge, one enqueue, zero RNG
     /// draws. Otherwise, per message and in frozen draw order: a
     /// partition check (scripted, no draw) severs the route before any
-    /// charge; a delivered message draws drop, then jitter, then spike;
-    /// a delivered message may then duplicate, and the copy — a real
-    /// second message on the wire — gets its own topology charge and
-    /// jitter/spike draws but can neither drop nor duplicate itself.
+    /// charge; a delivered message draws drop, then jitter; a delivered
+    /// message may then duplicate, and the copy — a real second message on
+    /// the wire — gets its own topology charge and jitter draw but can
+    /// neither drop nor duplicate itself.
     fn commit(&mut self, dst: Endpoint, dest: Dest) {
         if !self.faults.active() {
             let at = self.now() + self.charge(dst, &dest);
@@ -221,9 +236,8 @@ impl Net for VirtualNet {
         self.push_at(at, Dest::Finish(worker));
     }
     fn job_done(&mut self, job: JobId) {
-        debug_assert!(self.completions[job.index()].is_none(), "double completion");
-        self.completions[job.index()] = Some(self.now());
-        self.completed += 1;
+        let now = self.now();
+        self.outcomes.complete(job, now);
     }
     fn add_running(&mut self, delta: i64) {
         self.running += delta;
@@ -252,49 +266,28 @@ impl Net for VirtualNet {
 }
 
 pub(crate) fn run_virtual(
-    trace: &Trace,
-    mut setup: ClusterSetup,
+    mut setup: ClusterSetup<'_>,
+    routes: &Routes,
+    feed: &[(SimTime, FeedItem)],
+    outcomes: Outcomes,
     cfg: &ProtoConfig,
     topology: Box<dyn Topology>,
-    plan: Option<AdmissionPlan>,
-) -> ProtoReport {
-    let mut net = VirtualNet::new(
-        topology,
-        FaultLanes::new(cfg.faults.clone(), cfg.seed, cfg.workers),
-        trace.len(),
-        cfg.workers,
-    );
-
-    // Seed the timeline: submissions, scripted dynamics, sampling. The
-    // admission plan applies here, before any message exists: shed jobs
-    // become zero-runtime completions at their submission time and never
-    // enter the router; deferred jobs are seeded at the plan's retry
-    // window but keep their trace submission as the latency origin.
-    for job in trace.jobs() {
-        match plan.as_ref().map(|p| p.decision(job.id)) {
-            Some(AdmissionDecision::Shed) => {
-                net.completions[job.id.index()] = Some(job.submission);
-                net.completed += 1;
-            }
-            Some(AdmissionDecision::Defer { until }) => {
-                net.push_at(until, Dest::Submit(job.id.0));
-            }
-            Some(AdmissionDecision::Admit) | None => {
-                net.push_at(job.submission, Dest::Submit(job.id.0));
-            }
-        }
-    }
-    for ev in cfg.dynamics.events() {
-        net.push_at(ev.at, Dest::Node(ev.change));
+) -> Measured {
+    let faults = FaultLanes::new(cfg.faults.clone(), cfg.seed, cfg.workers);
+    let mut net = VirtualNet::new(topology, faults, cfg.workers, outcomes);
+    // The feed's cursor: the item `Dest::Feed` fires next.
+    let mut cursor = 0;
+    if let Some(&(at, _)) = feed.first() {
+        net.push_at(at, Dest::Feed);
     }
     net.push_at(SimTime::ZERO + cfg.util_interval, Dest::UtilSample);
 
     let mut samples = Vec::new();
-    while net.completed < trace.len() {
+    while net.outcomes.open() > 0 {
         let Some(dest) = net.pop() else {
             panic!(
                 "virtual prototype drained its event queue with {} unfinished jobs",
-                trace.len() - net.completed
+                net.outcomes.open()
             );
         };
         match dest {
@@ -302,129 +295,102 @@ pub(crate) fn run_virtual(
                 // The sampler perpetuates itself, so it must not mask a
                 // wedged cluster: with no other delivery queued, nothing
                 // can ever finish the remaining jobs (the virtual
-                // analogue of the threaded 60 s watchdog).
+                // analogue of the threaded liveness deadline).
                 assert!(
                     net.pending_work > 0,
                     "virtual prototype is wedged: only sampler events \
                      queued with {} unfinished jobs",
-                    trace.len() - net.completed
+                    net.outcomes.open()
                 );
                 samples.push(net.running.max(0) as f64 / net.capacity.max(1) as f64);
                 let next = net.now() + cfg.util_interval;
                 net.push_at(next, Dest::UtilSample);
-                continue;
             }
-            Dest::Worker(i, msg) => {
-                net.src = Endpoint::Server(ServerId(i as u32));
-                setup.workers[i].handle(msg, &mut net);
-            }
-            Dest::Dist(i, msg) => {
-                net.src = Endpoint::Scheduler(i as u32);
-                setup.dists[i].handle(msg, &mut net);
-            }
-            Dest::Central(msg) => {
-                net.src = Endpoint::Central;
-                let central = setup
-                    .central
-                    .as_mut()
-                    .expect("central message without a central daemon");
-                central.handle(msg, &mut net);
-            }
-            Dest::Finish(i) => {
-                net.src = Endpoint::Server(ServerId(i as u32));
-                setup.workers[i].on_task_finish(&mut net);
-            }
-            Dest::Submit(index) => {
-                // A submission is handled in place by its owning scheduler
-                // daemon: sends made while processing it (probes, central
-                // assignments) originate there.
-                let dist_count = setup.dists.len();
-                match submission_for(
-                    trace,
-                    index,
-                    &setup.classes,
-                    &setup.central_route,
-                    dist_count,
-                ) {
-                    Submission::Central(msg) => {
-                        net.src = Endpoint::Central;
-                        let central = setup
-                            .central
-                            .as_mut()
-                            .expect("central route spawned a central daemon");
-                        central.handle(msg, &mut net);
+            Dest::Feed => {
+                let (_, item) = feed[cursor];
+                cursor += 1;
+                if let Some(&(at, _)) = feed.get(cursor) {
+                    net.push_first_at(at, Dest::Feed);
+                }
+                match item {
+                    // A submission is handled in place by its owning
+                    // scheduler daemon: sends made while processing it
+                    // (probes, central assignments) originate there.
+                    FeedItem::Submit(index) => {
+                        let dest = match routes.submission(index) {
+                            Submission::Central(msg) => Dest::Central(msg),
+                            Submission::Dist(sched, msg) => Dest::Dist(sched, msg),
+                        };
+                        deliver(&mut setup, &mut net, dest);
                     }
-                    Submission::Dist(sched, msg) => {
-                        net.src = Endpoint::Scheduler(sched as u32);
-                        setup.dists[sched].handle(msg, &mut net);
+                    // Fan the membership change out to every daemon, like
+                    // the threaded runtime does. Each notification is
+                    // processed at its recipient, so follow-up traffic
+                    // (migrations, re-probes) originates from the daemon
+                    // reacting to it.
+                    FeedItem::Node(change) => {
+                        let (NodeChange::Down(server) | NodeChange::Up(server)) = change;
+                        let worker = Dest::Worker(server as usize, WorkerMsg::Node(change));
+                        deliver(&mut setup, &mut net, worker);
+                        for i in 0..setup.dists.len() {
+                            deliver(&mut setup, &mut net, Dest::Dist(i, DistMsg::Node(change)));
+                        }
+                        if setup.central.is_some() {
+                            deliver(
+                                &mut setup,
+                                &mut net,
+                                Dest::Central(CentralMsg::Node(change)),
+                            );
+                        }
                     }
                 }
             }
-            Dest::Node(change) => {
-                // Fan the membership change out to every daemon, like the
-                // threaded feeder does. Each notification is processed at
-                // its recipient, so follow-up traffic (migrations,
-                // re-probes) originates from the daemon reacting to it.
-                let server = match change {
-                    NodeChange::Down(s) | NodeChange::Up(s) => s as usize,
-                };
-                net.src = Endpoint::Server(ServerId(server as u32));
-                setup.workers[server].handle(WorkerMsg::Node(change), &mut net);
-                for (i, dist) in setup.dists.iter_mut().enumerate() {
-                    net.src = Endpoint::Scheduler(i as u32);
-                    dist.handle(DistMsg::Node(change), &mut net);
-                }
-                if let Some(central) = &mut setup.central {
-                    net.src = Endpoint::Central;
-                    central.handle(CentralMsg::Node(change), &mut net);
-                }
-            }
+            dest => deliver(&mut setup, &mut net, dest),
         }
     }
 
-    let totals = fold_stats(
-        setup.workers.iter().map(|w| w.stats),
-        setup
-            .dists
-            .iter()
-            .map(|d| d.stats)
-            .chain(setup.central.as_ref().map(|c| c.stats)),
-    );
-
-    let jobs: Vec<ProtoJobResult> = trace
-        .jobs()
-        .iter()
-        .map(|job| {
-            let i = job.id.index();
-            let done = net.completions[i].expect("all jobs completed");
-            ProtoJobResult {
-                job: job.id,
-                class: setup.classes[i],
-                num_tasks: job.num_tasks(),
-                submit_offset: std::time::Duration::from_micros(job.submission.as_micros()),
-                runtime: std::time::Duration::from_micros((done - job.submission).as_micros()),
-            }
-        })
-        .collect();
-    let streaming = fold_streaming(&jobs, plan.as_ref());
-    ProtoReport {
-        jobs,
+    let mut stats = DaemonStats::default();
+    let daemons = (setup.workers.iter().map(|w| &w.stats))
+        .chain(setup.dists.iter().map(|d| &d.stats))
+        .chain(setup.central.as_ref().map(|c| &c.stats));
+    for daemon in daemons {
+        stats.absorb(daemon);
+    }
+    Measured {
+        outcomes: net.outcomes,
         utilization_samples: samples,
-        steals: totals.steals,
-        steal_attempts: totals.steal_attempts,
-        migrations: totals.migrations,
-        abandons: totals.abandons,
-        messages: totals.deliveries.messages(),
+        stats,
         network: net.topology.stats(),
         drops: net.faults.drops,
         dups: net.faults.dups,
-        retries: totals.retries,
-        timeouts_fired: totals.timeouts_fired,
-        relaunched: totals.relaunched,
-        deliveries: totals.deliveries,
-        stale_timers: totals.stale_timers,
-        streaming,
-        admission: plan.as_ref().map(|p| p.stats()).unwrap_or_default(),
+    }
+}
+
+/// Runs the handler `dest` is for at its recipient, which is where every
+/// send the handler makes originates.
+fn deliver(setup: &mut ClusterSetup<'_>, net: &mut VirtualNet, dest: Dest) {
+    match dest {
+        Dest::Worker(i, msg) => {
+            net.src = Endpoint::Server(ServerId(i as u32));
+            setup.workers[i].handle(msg, net);
+        }
+        Dest::Dist(i, msg) => {
+            net.src = Endpoint::Scheduler(i as u32);
+            setup.dists[i].handle(msg, net);
+        }
+        Dest::Central(msg) => {
+            net.src = Endpoint::Central;
+            let central = setup
+                .central
+                .as_mut()
+                .expect("central message without a central daemon");
+            central.handle(msg, net);
+        }
+        Dest::Finish(i) => {
+            net.src = Endpoint::Server(ServerId(i as u32));
+            setup.workers[i].on_task_finish(net);
+        }
+        Dest::Feed | Dest::UtilSample => unreachable!("the run loop handles {dest:?}"),
     }
 }
 
@@ -441,8 +407,8 @@ mod tests {
         let mut net = VirtualNet::new(
             TopologySpec::paper_default().build(WORKERS),
             FaultLanes::new(faults, 1, WORKERS),
-            0,
             WORKERS,
+            Outcomes::default(),
         );
         net.src = Endpoint::Server(ServerId(0));
         net

@@ -65,7 +65,7 @@ use hawk_workload::{JobClass, JobId};
 
 use crate::fault::TimeoutSpec;
 use crate::msg::{CentralMsg, DistMsg, Net, WorkerMsg};
-use crate::report::{Deliveries, MsgKind};
+use crate::report::{DaemonStats, MsgKind};
 
 /// The steal attempt state machine: the victims of the attempt in flight,
 /// in contact order, and how many have been contacted. The buffer outlives
@@ -84,23 +84,6 @@ struct PendingGrant {
     thief: usize,
     entries: Arc<[QueueEntry]>,
     retries: u32,
-}
-
-/// Per-worker counters folded into the [`ProtoReport`](crate::ProtoReport).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct WorkerStats {
-    pub steals: u64,
-    pub steal_attempts: u64,
-    /// Messages handled and task-finish alarms, by kind.
-    pub deliveries: Deliveries,
-    /// Hardened protocol: bind, steal and retransmit timers that fired
-    /// after the wait they covered had resolved.
-    pub stale_timers: u64,
-    /// Hardened protocol: retransmissions sent (bind requests, grants).
-    pub retries: u64,
-    /// Hardened protocol: retry budgets exhausted (bind resolved locally,
-    /// grant relocated).
-    pub timeouts_fired: u64,
 }
 
 /// The worker daemon state machine. See the module docs.
@@ -150,7 +133,7 @@ pub(crate) struct Worker {
     /// The payload of every refused steal.
     no_loot: Arc<[QueueEntry]>,
     drain_buf: Vec<QueueEntry>,
-    pub(crate) stats: WorkerStats,
+    pub(crate) stats: DaemonStats,
 }
 
 impl Worker {
@@ -198,7 +181,7 @@ impl Worker {
             steal_out: Vec::new(),
             no_loot: Arc::new([]),
             drain_buf: Vec::new(),
-            stats: WorkerStats::default(),
+            stats: DaemonStats::default(),
         }
     }
 

@@ -43,30 +43,29 @@ impl Scheduler for PowerOfD {
         view: &PlacementView<'_>,
         tasks: usize,
         rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        (0..tasks)
-            .map(|_| {
-                // The cluster's depth-histogram index answers "what is the
-                // shallowest queue anywhere in scope?" in O(1); once a
-                // sample hits that floor no further sample can beat it, so
-                // the remaining d-1 probes of this task are skipped.
-                let floor = view.min_queue_depth().unwrap_or(0);
-                let mut best = view.random_server(rng);
-                let mut best_depth = view.queue_depth(best);
-                for _ in 1..self.d {
-                    if best_depth <= floor {
-                        break;
-                    }
-                    let candidate = view.random_server(rng);
-                    let depth = view.queue_depth(candidate);
-                    if depth < best_depth {
-                        best = candidate;
-                        best_depth = depth;
-                    }
+        out: &mut Vec<ServerId>,
+    ) {
+        out.extend((0..tasks).map(|_| {
+            // The cluster's depth-histogram index answers "what is the
+            // shallowest queue anywhere in scope?" in O(1); once a
+            // sample hits that floor no further sample can beat it, so
+            // the remaining d-1 probes of this task are skipped.
+            let floor = view.min_queue_depth().unwrap_or(0);
+            let mut best = view.random_server(rng);
+            let mut best_depth = view.queue_depth(best);
+            for _ in 1..self.d {
+                if best_depth <= floor {
+                    break;
                 }
-                best
-            })
-            .collect()
+                let candidate = view.random_server(rng);
+                let depth = view.queue_depth(candidate);
+                if depth < best_depth {
+                    best = candidate;
+                    best_depth = depth;
+                }
+            }
+            best
+        }));
     }
 }
 

@@ -300,8 +300,8 @@ fn fault_axis_preserves_the_papers_claims() {
 
     // Losses and duplicates actually happened and the recovery machinery
     // engaged — yet every job completed.
-    assert_eq!(hawk.jobs.len(), JOBS, "faulty Hawk lost jobs");
-    assert_eq!(sparrow.jobs.len(), JOBS, "faulty Sparrow lost jobs");
+    assert_eq!(hawk.results.len(), JOBS, "faulty Hawk lost jobs");
+    assert_eq!(sparrow.results.len(), JOBS, "faulty Sparrow lost jobs");
     assert!(
         hawk.drops > 0 && hawk.dups > 0,
         "the fault cell was not hostile: {} drops, {} dups",
@@ -411,7 +411,7 @@ fn hardened_chaos_cell_replays_the_pinned_delivery_sequence() {
                     ..SimConfig::default()
                 });
             let report = run_prototype(&trace, Arc::new(Hawk::new(0.17)), &cfg);
-            assert_eq!(report.jobs.len(), JOBS);
+            assert_eq!(report.results.len(), JOBS);
             proto_pin(&report)
         });
         if std::env::var_os("HAWK_PRINT_DIGESTS").is_some() {
@@ -604,7 +604,13 @@ fn every_harness_refuses_an_illegal_cell_with_the_same_message() {
                 JobClass::Short => Route::Central(Scope::Whole),
             }
         }
-        fn probe_targets(&self, _: &PlacementView<'_>, _: usize, _: &mut SimRng) -> Vec<ServerId> {
+        fn probe_targets(
+            &self,
+            _: &PlacementView<'_>,
+            _: usize,
+            _: &mut SimRng,
+            _: &mut Vec<ServerId>,
+        ) {
             unreachable!("no class is probed")
         }
     }

@@ -95,8 +95,9 @@ impl Scheduler for BlindSingleProbe {
         view: &PlacementView<'_>,
         tasks: usize,
         rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        (0..tasks).map(|_| view.random_server(rng)).collect()
+        out: &mut Vec<ServerId>,
+    ) {
+        out.extend((0..tasks).map(|_| view.random_server(rng)));
     }
 }
 

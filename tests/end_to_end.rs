@@ -185,8 +185,8 @@ fn prototype_and_simulator_agree_on_an_idle_cluster() {
     // Pair per-job runtimes; the prototype should track the simulator
     // within messaging overhead for the majority of jobs.
     let mut close = 0;
-    for (p, s) in proto.jobs.iter().zip(&sim.results) {
-        let diff = (p.runtime.as_secs_f64() - s.runtime().as_secs_f64()).abs();
+    for (p, s) in proto.results.iter().zip(&sim.results) {
+        let diff = (p.runtime().as_secs_f64() - s.runtime().as_secs_f64()).abs();
         if diff < 0.15 {
             close += 1;
         }

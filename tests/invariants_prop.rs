@@ -10,14 +10,22 @@
 //! same cell (the suite's first prototype leg). A sixth puts a generated
 //! `AdmissionPolicy` on the cell, so arrivals are deferred and re-fire and
 //! jobs are shed, and holds arrivals = completions + sheds on `Driver`, 2,
-//! 3 and 5 cores and the `hawk-proto` virtual run.
+//! 3 and 5 cores and the `hawk-proto` virtual run — and, against the
+//! `AdmissionPlan` computed from the same inputs, that every harness
+//! submits each job at its trace time, completes a deferred one no sooner
+//! than its admitted window allows, and leaves exactly the shed jobs out
+//! of its streaming summary.
 //!
 //! Mutations against the sixth (each checked by hand). Fail it: the
 //! harnesses' streamed-arrival test (`protocol::Arrivals::stream`) taking
 //! an admission-deferred re-fire for the streamed arrival, so the job after
 //! the re-fired one arrives a second time; a shed counted as a completion
 //! (`Core::on_job_arrival` running a shed job like an admitted one, so no
-//! result has zero runtime).
+//! result has zero runtime); the prototype's feed handing a deferred job
+//! over at its trace time instead of its window (`runtime::feed`); its
+//! outcome record taking the window as a deferred job's submission
+//! (`Outcomes::new`); and the streaming fold counting shed jobs
+//! (`StreamingStats::from_results`).
 //!
 //! Mutations of `Core::try_steal` against the fifth (each checked by
 //! hand). Fail it: the remote victims of an attempt dropped instead of
@@ -50,7 +58,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use hawk::core::AdmissionPolicy;
+use hawk::core::{AdmissionDecision, AdmissionPlan, AdmissionPolicy};
 use hawk::prelude::*;
 
 /// Strategy: a small random trace (jobs with random arrival gaps and task
@@ -299,9 +307,13 @@ proptest! {
     /// and 5 cores, and a fault-free `hawk-proto` virtual run — under an
     /// admission policy that defers and sheds: every job either completes
     /// once, no sooner than its longest task allows, or is shed with a
-    /// zero runtime, and the shed ones are exactly the plan's. On the
-    /// simulator harnesses every job's arrival fires once, and once more
-    /// if it was deferred.
+    /// zero runtime, and the shed ones are exactly the plan's. Against
+    /// the plan computed from the same inputs, every result is submitted
+    /// at its trace submission, a deferred job completes no sooner than
+    /// its admitted window plus its longest task, and the streaming
+    /// summary counts every job but the shed ones. On the simulator
+    /// harnesses every job's arrival fires once, and once more if it was
+    /// deferred.
     #[test]
     fn every_arrival_completes_once_or_is_shed(
         trace in arb_trace(),
@@ -325,18 +337,38 @@ proptest! {
             .seed(seed)
             .admission(admission)
             .trace(&trace);
+        let plan = AdmissionPlan::compute(
+            &trace,
+            nodes,
+            SimConfig::default().cutoff,
+            &DynamicsScript::none(),
+            admission,
+        );
         let balances = |report: &MetricsReport| {
             prop_assert_eq!(report.results.len(), trace.len());
             let mut sheds = 0;
             for (job, result) in trace.jobs().iter().zip(&report.results) {
                 prop_assert_eq!(result.job, job.id);
+                prop_assert_eq!(result.submission, job.submission);
                 if result.runtime() == SimDuration::ZERO {
                     sheds += 1;
                 } else {
                     prop_assert!(result.runtime() >= job.critical_task(), "{:?}", result);
                 }
+                if let AdmissionDecision::Defer { until } = plan.decision(job.id) {
+                    prop_assert!(
+                        result.completion >= until + job.critical_task(),
+                        "deferred to {}: {:?}",
+                        until,
+                        result
+                    );
+                }
             }
             prop_assert_eq!(sheds, report.admission.sheds());
+            prop_assert_eq!(
+                report.streaming.short.jobs + report.streaming.long.jobs,
+                trace.len() as u64 - plan.stats().sheds()
+            );
         };
         for shards in [1usize, 2, 3, 5] {
             let report = cell.clone().shards(shards).run();

@@ -229,18 +229,10 @@ impl Scheduler for ThreadRecorder {
         view: &PlacementView<'_>,
         tasks: usize,
         rng: &mut SimRng,
-    ) -> Vec<ServerId> {
-        self.inner.probe_targets(view, tasks, rng)
-    }
-    fn probe_targets_into(
-        &self,
-        view: &PlacementView<'_>,
-        tasks: usize,
-        rng: &mut SimRng,
         out: &mut Vec<ServerId>,
     ) {
         self.note();
-        self.inner.probe_targets_into(view, tasks, rng, out);
+        self.inner.probe_targets(view, tasks, rng, out);
     }
     fn steal(&self) -> Option<StealSpec> {
         self.inner.steal()
@@ -258,7 +250,7 @@ impl Scheduler for ThreadRecorder {
 
 /// The sharded harness runs every core on the thread that called it: a
 /// policy recording `thread::current().id()` in `route`,
-/// `probe_targets_into` and `victims` over a whole 4-shard run
+/// `probe_targets` and `victims` over a whole 4-shard run
 /// sees the caller and nobody else. Fails on any version that hands a
 /// core to a spawned thread (the worker pool of two versions ago spawned
 /// even its single worker).

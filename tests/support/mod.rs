@@ -96,8 +96,8 @@ pub struct ProtoPin {
 /// Reduces a prototype report to its [`ProtoPin`].
 pub fn proto_pin(report: &ProtoReport) -> ProtoPin {
     let mut h = Fnv::new();
-    for j in &report.jobs {
-        h.u64(j.runtime.as_micros() as u64);
+    for r in &report.results {
+        h.u64(r.runtime().as_micros());
     }
     ProtoPin {
         runtimes: h.finish(),
