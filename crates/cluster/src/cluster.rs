@@ -1,13 +1,12 @@
-//! The cluster: a server table with partition map, incremental indexes and
-//! utilization tracking.
+//! The cluster: a server table with partition map, the steal-candidate
+//! index and utilization tracking.
 //!
-//! Beyond the per-server state machines, [`Cluster`] maintains incremental
-//! indexes (see [`crate::index`]) updated on every enqueue/dequeue/steal:
-//! a free-server list, per-partition queue-depth histograms, and a bitmap
-//! of steal candidates. They give the scheduling hot paths O(1)
-//! answers — idle-server lookup, queue-depth reads for power-of-d
-//! placement, steal-victim eligibility — where the same questions used to
-//! require touching per-server state.
+//! Beyond the per-server state machines, [`Cluster`] keeps the one
+//! aggregate a scheduling decision reads: the bitmap of steal candidates
+//! (see [`crate::index`]), flipped on the enqueues, binds, finishes and
+//! steals that change a server's §3.6 victim eligibility. Per-server reads
+//! — queue depth for power-of-d placement, long-work — are one load of the
+//! server's stat word.
 
 use std::ops::Range;
 
@@ -15,23 +14,19 @@ use hawk_simcore::stats::{median, percentile};
 use hawk_simcore::SimDuration;
 
 use crate::entry::{QueueEntry, TaskSpec};
-use crate::index::{BitSet, DepthHistogram};
+use crate::index::BitSet;
 use crate::partition::Partition;
 use crate::server::{QueueSlab, Server, ServerAction, ServerId};
 use crate::steal;
 use crate::steal::StealScratch;
 
-/// Index-relevant summary of one server's state, packed into one word and
-/// diffed around every mutation to keep the cluster indexes current.
+/// Index-relevant summary of one server's state, packed into one word.
 ///
 /// Layout: bit 0 = holds-long, bit 1 = down, bit 2 = steal candidate
 /// (holds long work and has a short entry queued), bits 3.. = queue depth
-/// (queue length plus one if the slot is occupied). A live server is
-/// completely idle exactly when its depth is zero (a free server's queue
-/// is empty by invariant), so no separate "free" bit is needed and the
-/// whole diff is one XOR. Down servers are members of *no* index — the
-/// down bit gates all index maintenance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// (queue length plus one if the slot is occupied). Down servers are
+/// members of *no* index — the down bit gates index maintenance.
+#[derive(Debug, Clone, Copy)]
 struct ServerStat(u32);
 
 impl ServerStat {
@@ -70,8 +65,8 @@ impl ServerStat {
 /// A simulated cluster of single-slot FIFO servers.
 ///
 /// Wraps the per-server state machines and keeps the running-server count
-/// and the scheduling indexes current, so utilization snapshots, idle
-/// lookup, queue-depth reads and steal-victim eligibility are all O(1).
+/// and the steal-candidate index current, so utilization snapshots,
+/// queue-depth reads and steal-victim eligibility are all O(1).
 ///
 /// # Examples
 ///
@@ -93,7 +88,6 @@ impl ServerStat {
 /// assert_eq!(action, Some(ServerAction::StartTask(spec)));
 /// assert_eq!(cluster.running_count(), 1);
 /// assert!((cluster.utilization() - 0.25).abs() < 1e-12);
-/// assert_eq!(cluster.free_count(), 3);
 /// assert_eq!(cluster.queue_depth(ServerId(0)), 1);
 /// assert!(cluster.holds_long_work(ServerId(0)));
 /// ```
@@ -105,13 +99,12 @@ impl ServerStat {
 /// a shard's slice for [`Cluster::ranged`] — and accepts work only there.
 /// Every other id is known by membership alone: **an in-service server
 /// outside the owned range reads as idle at depth 0**. That one sentinel
-/// answers [`Cluster::is_free`], [`Cluster::queue_depth`],
-/// [`Cluster::holds_long_work`], [`Cluster::is_steal_candidate`], the
-/// free counts and the depth histograms, while the down bitmap,
+/// answers [`Cluster::queue_depth`], [`Cluster::holds_long_work`] and
+/// [`Cluster::is_steal_candidate`], while the down bitmap,
 /// [`Cluster::live_ids`] and the live counts cover every id exactly
 /// ([`Cluster::fail_server`] / [`Cluster::revive_server`] take any id), so
 /// placement views and victim filters see correct membership everywhere.
-/// The cost per non-owned server is three bitmap bits and a live-id word
+/// The cost per non-owned server is two bitmap bits and a live-id word
 /// instead of a `Server` and a list.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -130,19 +123,11 @@ pub struct Cluster {
     /// Servers out of service, over the whole id space. Empty in every
     /// static scenario.
     down: BitSet,
-    /// Completely idle servers (one bit per server: cache-resident).
-    free: BitSet,
-    /// Idle servers inside the general partition.
-    free_general: usize,
     /// Servers a steal scan can find something on: holding long work (slot
     /// or queue) *and* a queued short entry — §3.6 steal-victim
     /// eligibility, packed so a check is one L1 load. A clear bit is
     /// exact; a set bit still needs the scan.
     steal_candidates: BitSet,
-    /// Queue-depth buckets for the general partition.
-    depth_general: DepthHistogram,
-    /// Queue-depth buckets for the reserved short partition.
-    depth_short: DepthHistogram,
     /// Down servers still executing their draining task. Utilization
     /// counts them as usable capacity until the slot empties.
     down_running: usize,
@@ -203,10 +188,6 @@ impl Cluster {
                 server.set_speed(speed);
             }
         }
-        let mut free = BitSet::new(total);
-        for id in 0..total {
-            free.set(id, true);
-        }
         Cluster {
             own_start: owned.start,
             queues: QueueSlab::new(servers.len()),
@@ -215,15 +196,7 @@ impl Cluster {
             partition,
             running: 0,
             down: BitSet::new(total),
-            free,
-            free_general: partition.general_count(),
             steal_candidates: BitSet::new(total),
-            depth_general: DepthHistogram::new(partition.general_count()),
-            depth_short: if partition.short_count() > 0 {
-                DepthHistogram::new(partition.short_count())
-            } else {
-                DepthHistogram::empty()
-            },
             down_running: 0,
             live_ids: (0..total as u32).collect(),
             live_general: partition.general_count(),
@@ -258,10 +231,8 @@ impl Cluster {
     }
 
     /// Applies `mutate` to one server (handing it the shared queue arena),
-    /// diffing its indexed state before and after so every index stays
-    /// current. All mutation paths funnel through here. The fast path —
-    /// the mutation left depth, long-work and candidate state unchanged —
-    /// is a single XOR.
+    /// flipping its steal-candidate bit if the mutation changed it. All
+    /// mutation paths funnel through here.
     fn update<R>(
         &mut self,
         id: ServerId,
@@ -272,39 +243,16 @@ impl Cluster {
         let before = ServerStat::of(server);
         let result = mutate(server, &mut self.queues);
         let after = ServerStat::of(server);
-        if before != after && !before.is_down() {
+        if before.is_candidate() != after.is_candidate() && !before.is_down() {
             // Down servers are members of no index; their residual
             // transitions (the draining slot finishing or binding) need no
             // maintenance. The down bit itself never flips inside a
             // mutation — only fail_server/revive_server move it, with
             // explicit index surgery.
             debug_assert!(!after.is_down(), "down bit flipped inside update");
-            self.apply_delta(id, before, after);
+            self.steal_candidates.set(id.index(), after.is_candidate());
         }
         result
-    }
-
-    /// Index maintenance for one observed state change. Branchless where
-    /// the condition is data-dependent (idle and steal-candidate
-    /// transitions follow the workload, so branches here would mispredict
-    /// constantly on the per-event hot path).
-    fn apply_delta(&mut self, id: ServerId, before: ServerStat, after: ServerStat) {
-        let idx = id.index();
-        let in_general = self.partition.in_general(id);
-        let (from, to) = (before.depth() as usize, after.depth() as usize);
-        let histogram = if in_general {
-            &mut self.depth_general
-        } else {
-            &mut self.depth_short
-        };
-        histogram.shift(from, to);
-        // A server is idle exactly when its depth is zero.
-        let now_free = to == 0;
-        self.free.set(idx, now_free);
-        let free_delta = now_free as isize - (from == 0) as isize;
-        self.free_general =
-            (self.free_general as isize + free_delta * in_general as isize) as usize;
-        self.steal_candidates.set(idx, after.is_candidate());
     }
 
     /// Number of servers (the whole id space, owned or not).
@@ -390,25 +338,11 @@ impl Cluster {
         (spec, action)
     }
 
-    /// Attempts to steal from `victim` (§3.6), appending its eligible
-    /// group to `out` in queue order (nothing appended when none is
-    /// eligible). Allocation-free once `out` has warmed up.
-    pub fn steal_from_into(&mut self, victim: ServerId, out: &mut Vec<QueueEntry>) {
-        self.update(victim, |s, q| steal::steal_from_into(s, q, out));
-    }
-
-    /// Attempts to steal from `victim` (§3.6): removes and returns its
-    /// eligible group, empty when there is none.
-    pub fn steal_from(&mut self, victim: ServerId) -> Vec<QueueEntry> {
-        let mut out = Vec::new();
-        self.steal_from_into(victim, &mut out);
-        out
-    }
-
-    /// Like [`Cluster::steal_from_into`], with an explicit granularity
-    /// policy (the `ablation_steal_granularity` bench compares them). The
-    /// scan's working space is a buffer recycled inside the cluster, so
-    /// repeated attempts allocate nothing.
+    /// Attempts to steal from `victim` (§3.6) at `granularity`, appending
+    /// what the scan takes to `out` in queue order (nothing appended when
+    /// no group is eligible). The scan's working space is a buffer
+    /// recycled inside the cluster, so once `out` has warmed up repeated
+    /// attempts allocate nothing.
     pub fn steal_from_with_into(
         &mut self,
         victim: ServerId,
@@ -421,23 +355,6 @@ impl Cluster {
             steal::steal_from_with_into(s, q, granularity, rng, &mut scratch, out)
         });
         self.steal_scratch = scratch;
-    }
-
-    /// Like [`Cluster::steal_from`], with an explicit granularity policy.
-    pub fn steal_from_with(
-        &mut self,
-        victim: ServerId,
-        granularity: steal::StealGranularity,
-        rng: &mut hawk_simcore::SimRng,
-    ) -> Vec<QueueEntry> {
-        let mut out = Vec::new();
-        self.steal_from_with_into(victim, granularity, rng, &mut out);
-        out
-    }
-
-    /// True if `victim` currently has a non-empty eligible steal group.
-    pub fn has_stealable(&self, victim: ServerId) -> bool {
-        steal::eligible_group(self.server(victim), &self.queues).is_some()
     }
 
     /// Hands stolen entries to `thief` by draining `entries` (left empty,
@@ -456,27 +373,16 @@ impl Cluster {
         action
     }
 
-    /// Hands stolen entries to `thief` (owned-`Vec` convenience over
-    /// [`Cluster::give_stolen_drain`]).
-    pub fn give_stolen(
-        &mut self,
-        thief: ServerId,
-        entries: Vec<QueueEntry>,
-    ) -> Option<ServerAction> {
-        let mut entries = entries;
-        self.give_stolen_drain(thief, &mut entries)
-    }
-
     // --- Server lifecycle (scenario dynamics). ---
 
     /// Takes `id` out of service: its queue is drained into `drained` (in
     /// queue order; `drained` is not cleared) for the caller to migrate or
-    /// abandon, and the server leaves every index — placement views,
-    /// free/candidate bitmaps and depth histograms see only live servers
-    /// from here on. A task already executing (or a probe mid-bind)
-    /// finishes on its own; the server goes fully dark when its slot
-    /// empties. A server outside the owned range has nothing to drain and
-    /// leaves the indexes as the idle sentinel it was counted as.
+    /// abandon, and the server leaves every index — placement views and
+    /// the candidate bitmap see only live servers from here on. A task
+    /// already executing (or a probe mid-bind) finishes on its own; the
+    /// server goes fully dark when its slot empties. A server outside the
+    /// owned range has nothing to drain and leaves the indexes as the idle
+    /// sentinel it was counted as.
     ///
     /// Returns `false` (and drains nothing) if the server was already
     /// down. Allocation-free once `drained` has warmed up.
@@ -486,21 +392,19 @@ impl Cluster {
         }
         let slot = self.slot_of(id);
         if slot < self.servers.len() {
-            // Drain through `update` so the depth/long indexes watch the
+            // Drain through `update` so the candidate bitmap watches the
             // queue empty while the server is still a live index member.
             self.update(id, |s, q| s.drain_queue_into(q, drained));
             self.down_running += usize::from(self.servers[slot].is_running());
             self.servers[slot].set_down(true);
         }
-        // Remove the server's remaining contributions (an occupied slot
-        // still counts one depth) from every index.
+        // Remove the server from the candidate bitmap and the live map.
         self.set_membership(id, false);
         true
     }
 
     /// Returns `id` to service, idle (or still finishing its draining
-    /// slot) and empty-queued: it rejoins the free/candidate bitmaps and
-    /// the depth histograms and becomes visible to placement again.
+    /// slot) and empty-queued: it becomes visible to placement again.
     ///
     /// Returns `false` if the server was not down.
     pub fn revive_server(&mut self, id: ServerId) -> bool {
@@ -516,33 +420,13 @@ impl Cluster {
         true
     }
 
-    /// Adds (`live`) or removes server `id`, at its current depth, to or
-    /// from every index, the down bitmap and the live-id map — the one
-    /// place liveness changes.
+    /// Adds (`live`) or removes server `id` to or from the candidate
+    /// bitmap, the down bitmap and the live-id map — the one place
+    /// liveness changes.
     fn set_membership(&mut self, id: ServerId, live: bool) {
         let idx = id.index();
-        let stat = self.stat(id);
-        let in_general = self.partition.in_general(id);
-        let histogram = if in_general {
-            &mut self.depth_general
-        } else {
-            &mut self.depth_short
-        };
-        let depth = stat.depth() as usize;
-        if live {
-            histogram.add(depth);
-        } else {
-            histogram.remove(depth);
-        }
-        if depth == 0 {
-            self.free.set(idx, live);
-            if in_general && live {
-                self.free_general += 1;
-            } else if in_general {
-                self.free_general -= 1;
-            }
-        }
-        self.steal_candidates.set(idx, live && stat.is_candidate());
+        self.steal_candidates
+            .set(idx, live && self.stat(id).is_candidate());
         self.down.set(idx, !live);
         self.rebuild_live();
     }
@@ -601,7 +485,7 @@ impl Cluster {
         &self.live_ids
     }
 
-    // --- Index queries: O(1) reads maintained incrementally. ---
+    // --- Index queries: O(1) reads. ---
 
     /// Pending work at `server`: queued entries plus one if the execution
     /// slot is occupied. Load-aware placement (power-of-d choices) ranks
@@ -609,31 +493,6 @@ impl Cluster {
     /// sentinel, outside the owned range).
     pub fn queue_depth(&self, server: ServerId) -> usize {
         self.stat(server).depth() as usize
-    }
-
-    /// Number of completely idle servers.
-    pub fn free_count(&self) -> usize {
-        self.free.count()
-    }
-
-    /// Number of completely idle servers in the general partition.
-    pub fn free_count_general(&self) -> usize {
-        self.free_general
-    }
-
-    /// Number of completely idle servers in the reserved short partition.
-    pub fn free_count_short(&self) -> usize {
-        self.free.count() - self.free_general
-    }
-
-    /// True if `server` is completely idle.
-    pub fn is_free(&self, server: ServerId) -> bool {
-        self.free.contains(server.index())
-    }
-
-    /// The idle servers, in increasing id order.
-    pub fn free_servers(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.free.iter_ones().map(|id| ServerId(id as u32))
     }
 
     /// True if the in-service `server` holds long work — a long task in
@@ -659,21 +518,10 @@ impl Cluster {
         self.steal_candidates.count()
     }
 
-    /// Queue-depth histogram of the general partition.
-    pub fn depth_histogram_general(&self) -> &DepthHistogram {
-        &self.depth_general
-    }
-
-    /// Queue-depth histogram of the reserved short partition (empty when no
-    /// partition is reserved).
-    pub fn depth_histogram_short(&self) -> &DepthHistogram {
-        &self.depth_short
-    }
-
     /// Checks every owned server's invariants plus the running count, the
-    /// queue arena, and every incremental index against a from-scratch
-    /// recomputation over the whole id space — owned servers from their
-    /// state machines, the rest as the idle sentinel.
+    /// queue arena, and the candidate and liveness indexes against a
+    /// from-scratch recomputation over the whole id space — owned servers
+    /// from their state machines, the rest as the idle sentinel.
     pub fn check_invariants(&self) -> bool {
         let well_placed =
             |(i, s): (usize, &Server)| s.id().0 == self.own_start + i as u32 && s.list() == i;
@@ -686,12 +534,7 @@ impl Cluster {
         {
             return false;
         }
-        // The from-scratch histograms count live servers only; down
-        // servers must be absent from every index.
-        let mut expect_general = DepthHistogram::empty();
-        let mut expect_short = DepthHistogram::empty();
         let mut running = 0;
-        let mut free_general = 0;
         let mut candidates = 0;
         let mut down_count = 0;
         let mut down_running = 0;
@@ -700,7 +543,6 @@ impl Cluster {
         for id in (0..self.len() as u32).map(ServerId) {
             let server = self.servers.get(self.slot_of(id));
             let stat = self.stat(id);
-            let in_general = self.partition.in_general(id);
             let is_running = server.is_some_and(Server::is_running);
             running += usize::from(is_running);
             let down = self.down.contains(id.index());
@@ -710,7 +552,6 @@ impl Cluster {
             if down {
                 // A down server was drained and sits in no index.
                 if server.is_some_and(|s| s.queue_len() != 0)
-                    || self.free.contains(id.index())
                     || self.steal_candidates.contains(id.index())
                 {
                     return false;
@@ -720,12 +561,7 @@ impl Cluster {
                 continue;
             }
             live_ids.push(id.0);
-            live_general += usize::from(in_general);
-            let is_free = stat.depth() == 0;
-            if is_free != self.free.contains(id.index()) {
-                return false;
-            }
-            free_general += usize::from(is_free && in_general);
+            live_general += usize::from(self.partition.in_general(id));
             if server
                 .is_some_and(|s| stat.depth() as usize != s.queue_len() + usize::from(!s.is_free()))
             {
@@ -742,25 +578,13 @@ impl Cluster {
                 return false;
             }
             candidates += usize::from(candidate);
-            if in_general {
-                expect_general.add(stat.depth() as usize);
-            } else {
-                expect_short.add(stat.depth() as usize);
-            }
         }
         running == self.running
-            && free_general == self.free_general
             && candidates == self.steal_candidates.count()
             && down_count == self.down.count()
             && down_running == self.down_running
             && live_ids == self.live_ids
             && live_general == self.live_general
-            && expect_general.total() == self.depth_general.total()
-            && expect_short.total() == self.depth_short.total()
-            && (0..=DepthHistogram::MAX_TRACKED).all(|d| {
-                expect_general.count_at(d) == self.depth_general.count_at(d)
-                    && expect_short.count_at(d) == self.depth_short.count_at(d)
-            })
     }
 }
 
@@ -907,14 +731,19 @@ mod tests {
                 class: JobClass::Short,
             },
         );
-        assert!(c.has_stealable(ServerId(0)));
+        let stealable = |c: &Cluster| steal::eligible_group(c.server(ServerId(0)), c.queues());
+        assert!(stealable(&c).is_some());
 
-        let stolen = c.steal_from(ServerId(0));
+        let mut stolen = Vec::new();
+        let granularity = steal::StealGranularity::FirstBlockedGroup;
+        let mut rng = hawk_simcore::SimRng::seed_from_u64(1);
+        c.steal_from_with_into(ServerId(0), granularity, &mut rng, &mut stolen);
         assert_eq!(stolen.len(), 2);
-        assert!(!c.has_stealable(ServerId(0)));
+        assert!(stealable(&c).is_none());
 
         // Idle server 3 (short partition) receives them and starts binding.
-        let action = c.give_stolen(ServerId(3), stolen);
+        let action = c.give_stolen_drain(ServerId(3), &mut stolen);
+        assert!(stolen.is_empty());
         assert_eq!(action, Some(ServerAction::RequestBind { job: JobId(1) }));
         assert_eq!(c.server(ServerId(3)).queue_len(), 1);
         assert!(c.check_invariants());
@@ -965,7 +794,7 @@ mod tests {
         assert_eq!(c.live_count_general(), 2);
         assert_eq!(c.live_ids(), &[1, 2, 3]);
         assert!(!c.holds_long_work(ServerId(0)));
-        assert!(!c.is_free(ServerId(0)));
+        assert!(!c.is_steal_candidate(ServerId(0)));
         assert_eq!(c.running_count(), 1, "draining slot still executes");
         assert!(c.check_invariants());
 
@@ -977,14 +806,14 @@ mod tests {
         let (done, action) = c.on_task_finish(ServerId(0));
         assert_eq!(done.job, JobId(0));
         assert_eq!(action, ServerAction::BecameIdle);
-        assert!(!c.is_free(ServerId(0)), "down servers are never free");
+        assert!(c.is_down(ServerId(0)), "the server stays dark");
         assert_eq!(c.running_count(), 0);
         assert!(c.check_invariants());
 
         // Revival restores full index membership.
         assert!(c.revive_server(ServerId(0)));
         assert!(!c.revive_server(ServerId(0)));
-        assert!(c.is_free(ServerId(0)));
+        assert_eq!(c.queue_depth(ServerId(0)), 0);
         assert_eq!(c.live_count(), 4);
         assert_eq!(c.live_ids(), &[0, 1, 2, 3]);
         assert_eq!(c.down_count(), 0);
@@ -998,16 +827,15 @@ mod tests {
         let mut drained = Vec::new();
         c.fail_server(ServerId(0), &mut drained);
         assert!(drained.is_empty());
-        // Revived while the old task still runs: visible, depth 1, not
-        // free, long-holding again.
+        // Revived while the old task still runs: visible, depth 1,
+        // long-holding again.
         assert!(c.revive_server(ServerId(0)));
-        assert!(!c.is_free(ServerId(0)));
         assert_eq!(c.queue_depth(ServerId(0)), 1);
         assert!(c.holds_long_work(ServerId(0)));
         assert!(c.check_invariants());
         let (_, action) = c.on_task_finish(ServerId(0));
         assert_eq!(action, ServerAction::BecameIdle);
-        assert!(c.is_free(ServerId(0)));
+        assert_eq!(c.queue_depth(ServerId(0)), 0);
         assert!(c.check_invariants());
     }
 
@@ -1066,11 +894,11 @@ mod tests {
         c.fail_server(ServerId(3), &mut drained);
         assert_eq!(c.live_count_short(), 1);
         assert_eq!(c.live_count_general(), 2);
-        assert_eq!(c.free_count_short(), 1);
-        assert_eq!(c.depth_histogram_short().total(), 1);
+        assert_eq!(c.live_ids(), &[0, 1, 2]);
         assert!(c.check_invariants());
         c.revive_server(ServerId(3));
-        assert_eq!(c.depth_histogram_short().total(), 2);
+        assert_eq!(c.live_count_short(), 2);
+        assert_eq!(c.live_ids(), &[0, 1, 2, 3]);
         assert!(c.check_invariants());
     }
 

@@ -34,14 +34,14 @@
 //! assert_eq!(cluster.partition().general_count(), 8);
 //!
 //! // A probe landing on an idle server immediately asks for a task
-//! // (late binding, §3.5); the indexes keep O(1) aggregate queries.
+//! // (late binding, §3.5); its depth is one load of its stat word.
 //! let action = cluster.enqueue(
 //!     ServerId(3),
 //!     QueueEntry::Probe { job: JobId(7), class: JobClass::Short },
 //! );
 //! assert_eq!(action, Some(ServerAction::RequestBind { job: JobId(7) }));
-//! assert_eq!(cluster.free_count(), 9);
 //! assert_eq!(cluster.queue_depth(ServerId(3)), 1);
+//! assert_eq!(cluster.steal_candidate_count(), 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,7 +57,6 @@ pub mod steal;
 
 pub use cluster::{Cluster, UtilizationTracker};
 pub use entry::{QueueEntry, TaskSpec};
-pub use index::DepthHistogram;
 pub use network::NetworkModel;
 pub use partition::Partition;
 pub use server::{QueueSlab, Server, ServerAction, ServerId, Slot};

@@ -14,7 +14,7 @@ use std::ops::Range;
 use proptest::prelude::*;
 
 use hawk_cluster::steal::StealGranularity;
-use hawk_cluster::{Cluster, DepthHistogram, QueueEntry, ServerId, TaskSpec};
+use hawk_cluster::{Cluster, QueueEntry, ServerId, TaskSpec};
 use hawk_simcore::{SimDuration, SimRng};
 use hawk_workload::{JobClass, JobId};
 
@@ -89,10 +89,11 @@ fn apply_op(
                 StealGranularity::RandomBlockedEntry,
                 StealGranularity::AllBlockedShorts,
             ][flavor as usize % 3];
-            let stolen = cluster.steal_from_with(id, granularity, rng);
+            let mut stolen = Vec::new();
+            cluster.steal_from_with_into(id, granularity, rng, &mut stolen);
             let thief = own(rng.index(owned.len()) as u32);
             if !stolen.is_empty() && !cluster.is_down(thief) {
-                cluster.give_stolen(thief, stolen);
+                cluster.give_stolen_drain(thief, &mut stolen);
             }
         }
     }
@@ -102,12 +103,6 @@ fn apply_op(
 /// one comparable value.
 fn reads(cluster: &Cluster) -> impl PartialEq + std::fmt::Debug {
     let ids = || (0..cluster.len() as u32).map(ServerId);
-    let histogram = |h: &DepthHistogram| {
-        let counts: Vec<usize> = (0..=DepthHistogram::MAX_TRACKED)
-            .map(|d| h.count_at(d))
-            .collect();
-        (counts, h.total(), h.min_depth(), h.count_at_most(1))
-    };
     (
         (
             cluster.len(),
@@ -119,24 +114,15 @@ fn reads(cluster: &Cluster) -> impl PartialEq + std::fmt::Debug {
             cluster.down_count(),
         ),
         (
-            cluster.free_count(),
-            cluster.free_count_general(),
-            cluster.free_count_short(),
-            cluster.free_servers().collect::<Vec<_>>(),
             cluster.steal_candidate_count(),
-        ),
-        (
             cluster.running_count(),
             cluster.down_running_count(),
             cluster.utilization().to_bits(),
         ),
-        histogram(cluster.depth_histogram_general()),
-        histogram(cluster.depth_histogram_short()),
         ids()
             .map(|id| {
                 (
                     cluster.is_down(id),
-                    cluster.is_free(id),
                     cluster.queue_depth(id),
                     cluster.holds_long_work(id),
                     cluster.is_steal_candidate(id),

@@ -39,7 +39,7 @@ use hawk_workload::{JobClass, JobId, Trace};
 
 use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::centralized::CentralScheduler;
-use crate::config::{check_cell, CentralOverhead, Route, Scope, SimConfig};
+use crate::config::{check_cell, CentralOverhead, Route, SimConfig};
 use crate::live::LiveRecorder;
 use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats};
 use crate::scheduler::{PlacementView, Scheduler, StealSpec};
@@ -640,8 +640,7 @@ impl<'t> Core<'t> {
                 }
             }
             Route::Distributed(scope) => {
-                let (start, len) = scope_range(&self.cluster, scope);
-                let view = PlacementView::new(&self.cluster, start, len);
+                let view = PlacementView::new(&self.cluster, scope);
                 self.probe_buf.clear();
                 self.scheduler.probe_targets(
                     &view,
@@ -1157,16 +1156,6 @@ fn deciding_scheduler(entry: &QueueEntry) -> Endpoint {
     }
 }
 
-/// The server-id range `[start, start + len)` a placement scope covers.
-fn scope_range(cluster: &Cluster, scope: Scope) -> (u32, usize) {
-    let p = cluster.partition();
-    match scope {
-        Scope::Whole => (0, p.total()),
-        Scope::General => (0, p.general_count()),
-        Scope::ShortReserved => (p.general_count() as u32, p.short_count()),
-    }
-}
-
 /// A uniformly random live server of the scope `class` probes. A free
 /// function so callers can lend one of the core's RNG streams alongside
 /// its cluster.
@@ -1180,8 +1169,7 @@ fn random_probe_target(
         Route::Distributed(scope) => scope,
         Route::Central(_) => unreachable!("probes imply a distributed route"),
     };
-    let (start, len) = scope_range(cluster, scope);
-    PlacementView::new(cluster, start, len).random_server(rng)
+    PlacementView::new(cluster, scope).random_server(rng)
 }
 
 /// Assembles the report of a finished run from its cores: per-job results

@@ -28,104 +28,54 @@ use crate::distributed::ProbePlanner;
 use crate::steal_policy::{StealPolicy, VictimDraw};
 
 /// Read-only view of the cluster handed to [`Scheduler::probe_targets`]:
-/// the probe scope (a contiguous server range chosen by the job's
-/// [`Route`]) plus queue-state accessors for load-aware policies.
+/// the live servers of the job's probe [`Scope`] plus the per-server queue
+/// depth load-aware policies rank them by.
 ///
 /// The view exposes only **live** servers: under scenario dynamics, failed
-/// servers vanish from [`PlacementView::scope_len`],
-/// [`PlacementView::server_in_scope`] and every aggregate query, so
-/// existing [`Scheduler`] implementations place correctly on a churning
-/// cluster without modification. On a static cluster the mapping is the
-/// identity and costs nothing.
+/// servers vanish from [`PlacementView::scope_len`] and
+/// [`PlacementView::server_in_scope`], so existing [`Scheduler`]
+/// implementations place correctly on a churning cluster without
+/// modification. On a static cluster the mapping is the identity and
+/// costs nothing.
 ///
-/// All aggregate queries ([`PlacementView::queue_depth`],
-/// [`PlacementView::idle_count`], [`PlacementView::min_queue_depth`], …)
-/// are backed by the cluster's incremental indexes, so a power-of-d
-/// placement pass costs O(d) regardless of the scope size.
+/// [`PlacementView::queue_depth`] is one load of the server's stat word,
+/// so a power-of-d placement pass costs O(d) regardless of the scope size.
 pub struct PlacementView<'a> {
     cluster: &'a Cluster,
-    scope_start: u32,
-    /// Static size of the scope's id range.
-    range_len: usize,
     /// Live servers in scope — what [`PlacementView::scope_len`] reports.
     live_len: usize,
-    /// Rank offset of this scope inside the cluster's sorted live-id map
-    /// (0 for whole/general scopes, the live general count for the short
-    /// partition).
+    /// Rank of the scope's first server inside the cluster's sorted
+    /// live-id map (0 for whole/general scopes, the live general count for
+    /// the short partition). The partitions are contiguous id ranges, so
+    /// on a static cluster it is also the scope's first id.
     live_offset: usize,
-    scope_kind: ScopeKind,
-}
-
-/// Which index population a view's scope maps onto.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScopeKind {
-    Whole,
-    General,
-    ShortReserved,
-    /// A range matching no partition boundary (only constructible by
-    /// callers outside the driver); aggregate queries fall back to an
-    /// O(scope) walk, per-server reads stay O(1).
-    Custom,
 }
 
 impl<'a> PlacementView<'a> {
-    /// Builds a view over the id range `[start, start+len)`, exposing its
-    /// live servers.
+    /// Builds a view over the live servers of `scope`.
     ///
     /// # Panics
     ///
-    /// Panics if the range is empty or — under scenario dynamics — every
-    /// server in it is down (placement needs at least one live target;
-    /// dynamics scripts must keep each scope they starve of capacity
-    /// partially alive).
-    pub fn new(cluster: &'a Cluster, scope_start: u32, scope_len: usize) -> Self {
-        assert!(scope_len > 0, "probe scope is empty");
-        let partition = cluster.partition();
-        let scope_kind = if scope_start == 0 && scope_len == partition.total() {
-            ScopeKind::Whole
-        } else if scope_start == 0 && scope_len == partition.general_count() {
-            ScopeKind::General
-        } else if scope_start as usize == partition.general_count()
-            && scope_len == partition.short_count()
-        {
-            ScopeKind::ShortReserved
-        } else {
-            ScopeKind::Custom
-        };
-        let (live_len, live_offset) = if cluster.down_count() == 0 {
-            (scope_len, 0)
-        } else {
-            match scope_kind {
-                ScopeKind::Whole => (cluster.live_count(), 0),
-                ScopeKind::General => (cluster.live_count_general(), 0),
-                ScopeKind::ShortReserved => {
-                    (cluster.live_count_short(), cluster.live_count_general())
-                }
-                ScopeKind::Custom => {
-                    let live = (0..scope_len)
-                        .filter(|&i| !cluster.is_down(ServerId(scope_start + i as u32)))
-                        .count();
-                    (live, 0)
-                }
-            }
+    /// Panics if the scope has no live server: it is empty (a short
+    /// partition the cluster does not reserve) or — under scenario
+    /// dynamics — every server in it is down (placement needs at least one
+    /// live target; dynamics scripts must keep each scope they starve of
+    /// capacity partially alive).
+    pub fn new(cluster: &'a Cluster, scope: Scope) -> Self {
+        let (live_len, live_offset) = match scope {
+            Scope::Whole => (cluster.live_count(), 0),
+            Scope::General => (cluster.live_count_general(), 0),
+            Scope::ShortReserved => (cluster.live_count_short(), cluster.live_count_general()),
         };
         assert!(live_len > 0, "probe scope has no live servers");
         PlacementView {
             cluster,
-            scope_start,
-            range_len: scope_len,
             live_len,
             live_offset,
-            scope_kind,
         }
     }
 
-    /// First server id in the scope's range.
-    pub fn scope_start(&self) -> u32 {
-        self.scope_start
-    }
-
-    /// Number of **live** servers in scope (equals the range size on a
+    /// Number of **live** servers in scope (equals the scope's size on a
     /// static cluster).
     pub fn scope_len(&self) -> usize {
         self.live_len
@@ -136,26 +86,11 @@ impl<'a> PlacementView<'a> {
     /// map under dynamics.
     pub fn server_in_scope(&self, i: usize) -> ServerId {
         debug_assert!(i < self.live_len);
+        let rank = self.live_offset + i;
         if self.cluster.down_count() == 0 {
-            return ServerId(self.scope_start + i as u32);
+            return ServerId(rank as u32);
         }
-        match self.scope_kind {
-            ScopeKind::Custom => {
-                // Rare caller-constructed ranges: walk to the i-th live id.
-                let mut remaining = i;
-                for offset in 0..self.range_len {
-                    let id = ServerId(self.scope_start + offset as u32);
-                    if !self.cluster.is_down(id) {
-                        if remaining == 0 {
-                            return id;
-                        }
-                        remaining -= 1;
-                    }
-                }
-                unreachable!("rank {i} exceeds the live population")
-            }
-            _ => ServerId(self.cluster.live_ids()[self.live_offset + i]),
-        }
+        ServerId(self.cluster.live_ids()[rank])
     }
 
     /// A uniformly random live server of the scope.
@@ -165,79 +100,9 @@ impl<'a> PlacementView<'a> {
 
     /// Pending work at `server`: queued entries plus one if the execution
     /// slot is occupied. Load-aware policies (e.g. power-of-d choices)
-    /// rank candidates by this. Served from the cluster's depth cache:
-    /// one word read.
+    /// rank candidates by this. One load of the server's stat word.
     pub fn queue_depth(&self, server: ServerId) -> usize {
         self.cluster.queue_depth(server)
-    }
-
-    /// Number of completely idle live servers in scope (free-list index;
-    /// O(1) for the driver's scopes; down servers are never free).
-    pub fn idle_count(&self) -> usize {
-        match self.scope_kind {
-            ScopeKind::Whole => self.cluster.free_count(),
-            ScopeKind::General => self.cluster.free_count_general(),
-            ScopeKind::ShortReserved => self.cluster.free_count_short(),
-            ScopeKind::Custom => self
-                .custom_range()
-                .filter(|&id| self.cluster.is_free(id))
-                .count(),
-        }
-    }
-
-    /// The live servers of a caller-constructed (non-partition) range.
-    fn custom_range(&self) -> impl Iterator<Item = ServerId> + '_ {
-        (0..self.range_len)
-            .map(|i| ServerId(self.scope_start + i as u32))
-            .filter(|&id| !self.cluster.is_down(id))
-    }
-
-    /// True if at least one server in scope is completely idle.
-    pub fn has_idle(&self) -> bool {
-        self.idle_count() > 0
-    }
-
-    /// The smallest queue depth of any server in scope (depth-histogram
-    /// index; O(1) for the driver's scopes). `None` only for an empty
-    /// custom scope — the driver's scopes are never empty.
-    pub fn min_queue_depth(&self) -> Option<usize> {
-        let general = self.cluster.depth_histogram_general();
-        let short = self.cluster.depth_histogram_short();
-        match self.scope_kind {
-            ScopeKind::Whole => match (general.min_depth(), short.min_depth()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-            ScopeKind::General => general.min_depth(),
-            ScopeKind::ShortReserved => short.min_depth(),
-            ScopeKind::Custom => self.custom_range().map(|id| self.queue_depth(id)).min(),
-        }
-    }
-
-    /// Number of servers in scope at queue depth ≤ `depth` (depths beyond
-    /// [`hawk_cluster::DepthHistogram::MAX_TRACKED`] pool together).
-    pub fn count_with_depth_at_most(&self, depth: usize) -> usize {
-        let general = self.cluster.depth_histogram_general();
-        let short = self.cluster.depth_histogram_short();
-        match self.scope_kind {
-            ScopeKind::Whole => general.count_at_most(depth) + short.count_at_most(depth),
-            ScopeKind::General => general.count_at_most(depth),
-            ScopeKind::ShortReserved => short.count_at_most(depth),
-            ScopeKind::Custom => self
-                .custom_range()
-                .filter(|&id| self.queue_depth(id) <= depth)
-                .count(),
-        }
-    }
-
-    /// True if `server` holds long work (bitmap index: one L1 load).
-    pub fn holds_long_work(&self, server: ServerId) -> bool {
-        self.cluster.holds_long_work(server)
-    }
-
-    /// Direct read access to a server's state.
-    pub fn server(&self, server: ServerId) -> &Server {
-        self.cluster.server(server)
     }
 }
 

@@ -67,11 +67,6 @@ impl RackGeometry {
     pub fn rack_of(&self, host: usize) -> usize {
         host / self.hosts_per_rack.max(1)
     }
-
-    /// The pod a rack sits in.
-    pub fn pod_of_rack(&self, rack: usize) -> usize {
-        rack / self.racks_per_pod.max(1)
-    }
 }
 
 use hawk_cluster::{NetworkModel, ServerId};

@@ -97,8 +97,8 @@ impl ProtoBackend {
     }
 
     /// Same backend with fault injection (virtual-clock mode only). A
-    /// lossy spec must also carry timeouts — see
-    /// [`FaultSpec::hardened`].
+    /// spec that injects runs the daemons hardened, with its
+    /// [`FaultSpec::timeouts`].
     pub fn faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
         self

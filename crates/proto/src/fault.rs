@@ -13,10 +13,10 @@
 //! takes the exact pre-fault code path, which is what keeps the pinned
 //! golden digests valid.
 //!
-//! Lossy specs (a nonzero drop rate or any partition window) require the
-//! hardened daemon protocol — [`TimeoutSpec`] — because a lost message
-//! with no retry timer is a permanently wedged cluster; the runtime
-//! rejects the combination at startup instead of panicking mid-run.
+//! Hardening follows injection: a spec that injects anything runs the
+//! hardened daemon protocol with its [`TimeoutSpec`] knobs, because a lost
+//! message with no retry timer is a permanently wedged cluster, and a spec
+//! that injects nothing runs the daemons unhardened.
 
 use hawk_net::Endpoint;
 use hawk_simcore::{SimDuration, SimRng, SimTime};
@@ -59,10 +59,11 @@ impl PartitionWindow {
 
 /// Timeout and retry knobs of the hardened daemon protocol.
 ///
-/// `None` on [`FaultSpec::timeouts`] disables the hardening entirely: the
-/// daemons arm no timers, send no acks and draw no extra randomness —
-/// which is what keeps [`FaultSpec::none()`] runs byte-identical to the
-/// historical router. `Some` turns on:
+/// The daemons use them only when the [`FaultSpec`] injects: a spec that
+/// injects nothing leaves the hardening off entirely — the daemons arm no
+/// timers, send no acks and draw no extra randomness — which is what keeps
+/// [`FaultSpec::none()`] runs byte-identical to the historical router.
+/// Hardening turns on:
 ///
 /// * a per-job timer chain at the owning scheduler (base interval
 ///   `probe`, exponential backoff capped at 8×) that re-probes a fresh
@@ -113,9 +114,9 @@ pub struct FaultSpec {
     /// Scripted partition windows (checked in order; any severing window
     /// drops the message).
     pub partitions: Vec<PartitionWindow>,
-    /// Hardened-protocol knobs; `None` leaves the daemons exactly as they
-    /// are fault-free. Required whenever the spec is lossy.
-    pub timeouts: Option<TimeoutSpec>,
+    /// Hardened-protocol knobs, used whenever the spec injects (see
+    /// [`TimeoutSpec`]).
+    pub timeouts: TimeoutSpec,
 }
 
 impl FaultSpec {
@@ -127,7 +128,7 @@ impl FaultSpec {
             duplicate: 0.0,
             reorder_jitter: SimDuration::ZERO,
             partitions: Vec::new(),
-            timeouts: None,
+            timeouts: TimeoutSpec::default(),
         }
     }
 
@@ -140,7 +141,7 @@ impl FaultSpec {
             duplicate: 0.005,
             reorder_jitter: SimDuration::from_millis(2),
             partitions: Vec::new(),
-            timeouts: Some(TimeoutSpec::default()),
+            timeouts: TimeoutSpec::default(),
         }
     }
 
@@ -179,25 +180,19 @@ impl FaultSpec {
         self
     }
 
-    /// Enables the hardened daemon protocol with `spec`'s knobs.
+    /// Sets the hardened daemon protocol's knobs.
     pub fn hardened(mut self, spec: TimeoutSpec) -> Self {
-        self.timeouts = Some(spec);
+        self.timeouts = spec;
         self
     }
 
-    /// True if any injection knob is active (the router must route sends
-    /// through the fault lanes).
+    /// True if any injection knob is active: the router routes sends
+    /// through the fault lanes and the daemons run hardened.
     pub fn injects(&self) -> bool {
         self.drop > 0.0
             || self.duplicate > 0.0
             || self.reorder_jitter > SimDuration::ZERO
             || !self.partitions.is_empty()
-    }
-
-    /// True if messages can be lost outright (drops or partitions) — the
-    /// configurations that require [`Self::timeouts`].
-    pub fn lossy(&self) -> bool {
-        self.drop > 0.0 || !self.partitions.is_empty()
     }
 }
 
@@ -304,7 +299,6 @@ mod tests {
     fn none_is_inert() {
         let spec = FaultSpec::none();
         assert!(!spec.injects());
-        assert!(!spec.lossy());
         assert_eq!(spec, FaultSpec::default());
         let lanes = FaultLanes::new(spec, 7, 10);
         assert!(!lanes.active());

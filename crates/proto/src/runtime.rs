@@ -115,9 +115,8 @@ pub struct ProtoConfig {
     pub speeds: SpeedSpec,
     /// Network fault injection ([`ExecutionMode::Virtual`] only).
     /// [`FaultSpec::none()`] — the default — takes the pre-fault code
-    /// path and is byte-identical to historical runs; a lossy spec must
-    /// also enable timeouts ([`FaultSpec::hardened`]) or liveness cannot
-    /// be guaranteed.
+    /// path and is byte-identical to historical runs; a spec that injects
+    /// runs the daemons hardened with its timeouts.
     pub faults: FaultSpec,
     /// Overload admission control. `None` — the default — admits every
     /// job and is byte-identical to a config without the field. `Some`
@@ -251,7 +250,7 @@ fn build_cluster<'t>(
     // (The fault lanes split from `seed ^ FAULT_SALT`, a separate root,
     // so enabling faults never shifts these streams.)
     let mut root = SimRng::seed_from_u64(cfg.seed);
-    let hardened = cfg.faults.timeouts;
+    let hardened = cfg.faults.injects().then_some(cfg.faults.timeouts);
     // Rack geometry exists only when a modelled fabric does: real-time
     // mode has no topology, so placement-aware policies fall back to the
     // paper's uniform victim draw there.
@@ -308,8 +307,7 @@ fn build_cluster<'t>(
 /// virtual mode, an empty or sample-only event queue), which indicates a
 /// protocol-liveness bug. Also panics on a cell [`check_cell`] refuses,
 /// and on configuration the prototype cannot run (no worker or no
-/// distributed scheduler, fault injection outside the virtual mode, a
-/// lossy [`FaultSpec`] without timeouts).
+/// distributed scheduler, fault injection outside the virtual mode).
 pub fn run_prototype(
     trace: &Trace,
     scheduler: Arc<dyn Scheduler>,
@@ -317,14 +315,10 @@ pub fn run_prototype(
 ) -> ProtoReport {
     if cfg.mode == ExecutionMode::RealTime {
         assert!(
-            !cfg.faults.injects() && cfg.faults.timeouts.is_none(),
+            !cfg.faults.injects(),
             "fault injection and hardened timers require the virtual-clock mode"
         );
     }
-    assert!(
-        !cfg.faults.lossy() || cfg.faults.timeouts.is_some(),
-        "a lossy FaultSpec can strand work forever; enable timeouts (FaultSpec::hardened)"
-    );
     let setup = build_cluster(trace, &scheduler, cfg);
     let routes = Routes::new(trace, &scheduler, cfg);
     // One plan for both runtimes, computed exactly as the simulation
@@ -1073,17 +1067,6 @@ mod tests {
         assert_eq!(a.results.len(), 4, "churn plus faults must not strand jobs");
         let b = run_prototype(&trace, hawk(), &cfg);
         assert_eq!(a, b, "churn plus faults must replay byte-identically");
-    }
-
-    #[test]
-    #[should_panic(expected = "strand work forever")]
-    fn lossy_spec_without_timeouts_is_rejected() {
-        let trace = fast_trace(vec![(0, vec![5])]);
-        let cfg = ProtoConfig {
-            faults: FaultSpec::none().drop_probability(0.01),
-            ..fast_cfg(virtual_mode())
-        };
-        let _ = run_prototype(&trace, hawk(), &cfg);
     }
 
     #[test]

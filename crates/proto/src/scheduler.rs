@@ -226,25 +226,15 @@ impl<'t> DistScheduler<'t> {
         self.jobs.get_mut(job.index() / self.stride)?.as_mut()
     }
 
-    /// The contiguous id range of `scope` on the shadow partition.
-    fn scope_range(&self, scope: Scope) -> (u32, usize) {
-        let p = self.shadow.partition();
-        match scope {
-            Scope::Whole => (0, p.total()),
-            Scope::General => (0, p.general_count()),
-            Scope::ShortReserved => (p.general_count() as u32, p.short_count()),
-        }
-    }
-
     /// The scope `class` probes over under this policy.
     ///
     /// # Panics
     ///
     /// Panics if the policy routes `class` centrally — such jobs are never
     /// submitted to a distributed scheduler.
-    fn probe_scope(&self, class: JobClass) -> (u32, usize) {
+    fn probe_scope(&self, class: JobClass) -> Scope {
         match self.scheduler.route(class) {
-            Route::Distributed(scope) => self.scope_range(scope),
+            Route::Distributed(scope) => scope,
             Route::Central(_) => unreachable!("probes imply a distributed route"),
         }
     }
@@ -252,8 +242,7 @@ impl<'t> DistScheduler<'t> {
     /// Sends one fresh zero-bounce probe for `job` to a random live server
     /// of its scope.
     fn send_fresh_probe(&mut self, job: JobId, class: JobClass, net: &mut impl Net) {
-        let (start, len) = self.probe_scope(class);
-        let view = PlacementView::new(&self.shadow, start, len);
+        let view = PlacementView::new(&self.shadow, self.probe_scope(class));
         let target = view.random_server(&mut self.rng);
         net.send_worker(
             target.index(),
@@ -280,8 +269,7 @@ impl<'t> DistScheduler<'t> {
             } => {
                 // Forward the bounced probe to a fresh random live server
                 // of its scope, preserving the hop count.
-                let (start, len) = self.probe_scope(class);
-                let view = PlacementView::new(&self.shadow, start, len);
+                let view = PlacementView::new(&self.shadow, self.probe_scope(class));
                 let target = view.random_server(&mut self.rng);
                 net.send_worker(
                     target.index(),
@@ -323,8 +311,7 @@ impl<'t> DistScheduler<'t> {
         });
         // Probe placement is the policy's own hook — the same call the
         // simulation driver makes on a job arrival.
-        let (start, len) = self.probe_scope(class);
-        let view = PlacementView::new(&self.shadow, start, len);
+        let view = PlacementView::new(&self.shadow, self.probe_scope(class));
         let mut probes = std::mem::take(&mut self.probe_buf);
         probes.clear();
         self.scheduler

@@ -31,7 +31,7 @@
 //! Per-task durations are Gaussian around the job mean (σ = 0.5·mean,
 //! positive-truncated). Submissions are Poisson.
 
-use hawk_simcore::{SimDuration, SimRng, SimTime};
+use hawk_simcore::{SimDuration, SimRng};
 use serde::{Deserialize, Serialize};
 
 use crate::arrivals::PoissonArrivals;
@@ -70,13 +70,6 @@ pub struct GoogleTraceConfig {
 }
 
 impl GoogleTraceConfig {
-    /// A paper-scale configuration: inter-arrival calibrated so that a
-    /// 15,000-node cluster sees ≈90 % offered load, matching the "highly
-    /// loaded but not overloaded" sweet spot of Figure 5.
-    pub fn paper_scale(jobs: usize) -> Self {
-        Self::with_scale(1, jobs)
-    }
-
     /// A `scale`× scaled-down configuration: run the paper's experiments on
     /// clusters `scale`× smaller by slowing arrivals `scale`×, preserving
     /// offered load at every point of the sweep.
@@ -195,14 +188,6 @@ pub(crate) fn draw_task_durations(
 /// [`EXPECTED_TASK_SECONDS_PER_JOB`] task-seconds per job.
 pub fn interarrival_for_load(nodes: usize, load: f64) -> SimDuration {
     SimDuration::from_secs_f64(EXPECTED_TASK_SECONDS_PER_JOB / (load * nodes as f64))
-}
-
-/// Returns time zero for completeness of the public API surface.
-///
-/// The generator starts its Poisson process at [`SimTime::ZERO`]; exposed so
-/// downstream code does not hard-code the convention.
-pub fn trace_start() -> SimTime {
-    SimTime::ZERO
 }
 
 #[cfg(test)]

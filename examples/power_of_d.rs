@@ -46,17 +46,12 @@ impl Scheduler for PowerOfD {
         out: &mut Vec<ServerId>,
     ) {
         out.extend((0..tasks).map(|_| {
-            // The cluster's depth-histogram index answers "what is the
-            // shallowest queue anywhere in scope?" in O(1); once a
-            // sample hits that floor no further sample can beat it, so
-            // the remaining d-1 probes of this task are skipped.
-            let floor = view.min_queue_depth().unwrap_or(0);
+            // Textbook power-of-d: draw all `d` samples and keep the
+            // shallowest. Each depth is one load of the sampled server's
+            // stat word, so a task costs O(d) whatever the scope size.
             let mut best = view.random_server(rng);
             let mut best_depth = view.queue_depth(best);
             for _ in 1..self.d {
-                if best_depth <= floor {
-                    break;
-                }
                 let candidate = view.random_server(rng);
                 let depth = view.queue_depth(candidate);
                 if depth < best_depth {

@@ -137,9 +137,12 @@ fn main() {
         "  server 0 queue before steal: [{}]",
         describe(cluster.server(ServerId(0)), cluster.queues())
     );
-    let loot = cluster.steal_from(ServerId(0));
+    let mut loot = Vec::new();
+    let granularity = StealGranularity::FirstBlockedGroup;
+    let mut rng = SimRng::seed_from_u64(1);
+    cluster.steal_from_with_into(ServerId(0), granularity, &mut rng, &mut loot);
     println!("  idle server 3 steals {} entries", loot.len());
-    cluster.give_stolen(ServerId(3), loot);
+    cluster.give_stolen_drain(ServerId(3), &mut loot);
     println!(
         "  server 0 queue after:  [{}]   server 3 queue: [{}] (+1 probe binding)",
         describe(cluster.server(ServerId(0)), cluster.queues()),

@@ -7,7 +7,10 @@
 //! static cell on all four shard counts and compares the per-kind event
 //! counts across the harnesses, and a fifth holds steal accounting on all
 //! four shard counts *and* on a fault-free `hawk-proto` virtual run of the
-//! same cell (the suite's first prototype leg). A sixth puts a generated
+//! same cell (the suite's first prototype leg). The first of the three
+//! also runs its cell on `hawk-proto`'s virtual router, under 0–3
+//! generated down/up windows (the suite's only churn), and holds every
+//! utilization sample in [0, 1] in both runs. A sixth puts a generated
 //! `AdmissionPolicy` on the cell, so arrivals are deferred and re-fire and
 //! jobs are shed, and holds arrivals = completions + sheds on `Driver`, 2,
 //! 3 and 5 cores and the `hawk-proto` virtual run — and, against the
@@ -15,6 +18,10 @@
 //! submits each job at its trace time, completes a deferred one no sooner
 //! than its admitted window allows, and leaves exactly the shed jobs out
 //! of its streaming summary.
+//!
+//! A mutation that fails the first (checked by hand): utilization's usable
+//! capacity leaving out the down servers still draining a task
+//! (`Cluster::utilization`), so a sample reads above 1.
 //!
 //! Mutations against the sixth (each checked by hand). Fail it: the
 //! harnesses' streamed-arrival test (`protocol::Arrivals::stream`) taking
@@ -48,10 +55,12 @@
 //! `Core::on_entry_arrive`); in release the run stays live and
 //! deterministic — the misjudged server is stolen from by request, like a
 //! remote one — and only the pinned 4-shard digest in `sharded_golden.rs`
-//! moves. One that does *not* fail them, because these cells are static:
-//! one core left out when `ShardedDriver::new` seeds the dynamics script,
-//! which `shard::tests::a_down_server_runs_nothing_whichever_core_owns_it`
-//! catches (the core that missed its own server's `NodeDown` runs tasks
+//! moves. One that does *not* fail them, not even the first, whose cells
+//! now churn: one core left out when `ShardedDriver::new` seeds the
+//! dynamics script. Every job still completes and every sample stays in
+//! range; only the first property's 48 cases take seconds instead of
+//! milliseconds. `shard::tests::a_down_server_runs_nothing_whichever_core_owns_it`
+//! catches it (the core that missed its own server's `NodeDown` runs tasks
 //! there).
 
 use std::sync::Arc;
@@ -136,9 +145,13 @@ fn arb_scheduler() -> impl Strategy<Value = Arc<dyn Scheduler>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Liveness and sanity: every job completes, no job finishes before
-    /// its submission plus its longest task, and the makespan covers the
-    /// serial bound.
+    /// Liveness and sanity under churn, in every harness — the drawn
+    /// shard count and a `hawk-proto` virtual run of the same cell: every
+    /// job completes, no job finishes before its submission plus its
+    /// longest task, the makespan covers the serial bound, and every
+    /// utilization sample lies in [0, 1] (running servers never exceed
+    /// the usable capacity). The cell takes 0–3 down/up windows over
+    /// general-partition servers other than server 0, so no scope empties.
     #[test]
     fn every_job_completes_with_sane_runtimes(
         trace in arb_trace(),
@@ -147,31 +160,52 @@ proptest! {
         seed in 0u64..1_000,
         cutoff_secs in 50u64..2_500,
         shards in arb_shards(),
+        windows in proptest::collection::vec((0u32..40, 0u64..5_000, 1u64..3_000), 0..4),
     ) {
-        let report = Experiment::builder()
+        let general = Partition::new(nodes, scheduler.short_partition_fraction()).general_count();
+        let mut dynamics = DynamicsScript::none();
+        if general > 1 {
+            for (pick, from, downtime) in windows {
+                let server = 1 + pick % (general as u32 - 1);
+                dynamics = dynamics
+                    .down_at(SimTime::from_secs(from), server)
+                    .up_at(SimTime::from_secs(from + downtime), server);
+            }
+        }
+        let cell = Experiment::builder()
             .nodes(nodes)
-            .shards(shards)
             .scheduler_shared(scheduler)
             .cutoff(Cutoff::from_secs(cutoff_secs))
             .seed(seed)
-            .trace(&trace)
-            .run();
-        prop_assert_eq!(report.results.len(), trace.len());
-        for (job, result) in trace.jobs().iter().zip(&report.results) {
-            prop_assert_eq!(result.job, job.id);
-            prop_assert!(result.completion >= result.submission);
-            // A job can never beat its longest task.
-            let runtime = result.runtime().as_secs_f64();
-            let critical = job.critical_task().as_secs_f64();
+            .dynamics(dynamics)
+            .trace(&trace);
+        let sane = |report: &MetricsReport, harness: &str| {
+            prop_assert_eq!(report.results.len(), trace.len(), "{}", harness);
+            for (job, result) in trace.jobs().iter().zip(&report.results) {
+                prop_assert_eq!(result.job, job.id);
+                prop_assert!(result.completion >= result.submission);
+                // A job can never beat its longest task.
+                let runtime = result.runtime().as_secs_f64();
+                let critical = job.critical_task().as_secs_f64();
+                prop_assert!(
+                    runtime + 1e-9 >= critical,
+                    "{}: job {} ran {runtime}s < critical task {critical}s",
+                    harness,
+                    job.id
+                );
+            }
+            // Work conservation: nodes × makespan ≥ total task-seconds.
+            let capacity = report.makespan.as_secs_f64() * nodes as f64;
+            prop_assert!(capacity + 1e-6 >= trace.total_task_seconds().as_secs_f64());
             prop_assert!(
-                runtime + 1e-9 >= critical,
-                "job {} ran {runtime}s < critical task {critical}s",
-                job.id
+                report.utilization_samples.iter().all(|u| (0.0..=1.0).contains(u)),
+                "{}: utilization outside [0, 1]: {:?}",
+                harness,
+                report.utilization_samples
             );
-        }
-        // Work conservation: nodes × makespan ≥ total task-seconds.
-        let capacity = report.makespan.as_secs_f64() * nodes as f64;
-        prop_assert!(capacity + 1e-6 >= trace.total_task_seconds().as_secs_f64());
+        };
+        sane(&cell.clone().shards(shards).run(), &format!("{shards} shards"));
+        sane(&cell.build().run_on(&ProtoBackend::deterministic()), "proto");
     }
 
     /// Bit-level determinism for arbitrary configurations.
