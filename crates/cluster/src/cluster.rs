@@ -16,7 +16,8 @@ use hawk_simcore::SimDuration;
 use crate::entry::{QueueEntry, TaskSpec};
 use crate::index::BitSet;
 use crate::partition::Partition;
-use crate::server::{QueueSlab, Server, ServerAction, ServerId};
+use crate::queue::QueueSlab;
+use crate::server::{Server, ServerAction, ServerId};
 use crate::steal;
 use crate::steal::StealScratch;
 
@@ -203,13 +204,18 @@ impl Cluster {
         }
     }
 
-    /// Raises the floor of the shared queue arena to `nodes` entries. No
-    /// driver needs to: the arena grows on demand (by doubling, at new
-    /// peaks of the queued population only — [`hawk_simcore::EntrySlab`]'s
-    /// growth contract), and a floor per server is 40 bytes per server a
-    /// sparse cell never uses. For embedders that know their peak.
+    /// Raises the floors of the shared queue arenas: room for `entries`
+    /// queued entries (12 bytes each) and `tasks` queued tasks (32 bytes
+    /// each) before the first on-demand growth. Past them the arenas grow
+    /// by doubling, at new peaks only ([`hawk_simcore::EntrySlab`]'s
+    /// growth contract).
+    pub fn reserve_queues(&mut self, entries: usize, tasks: usize) {
+        self.queues.reserve(entries, tasks);
+    }
+
+    /// [`Cluster::reserve_queues`] for entries alone.
     pub fn reserve_queue_nodes(&mut self, nodes: usize) {
-        self.queues.reserve_nodes(nodes);
+        self.reserve_queues(nodes, 0);
     }
 
     /// `servers` index of `id`: in bounds exactly for the owned range, so
@@ -571,8 +577,8 @@ impl Cluster {
             // than from the mirrors the stat word is built from.
             let candidate = server.is_some_and(|s| {
                 let holds_long =
-                    s.slot().holds_long() || s.queue(&self.queues).any(QueueEntry::is_long);
-                holds_long && s.queue(&self.queues).any(QueueEntry::is_short)
+                    s.slot().holds_long() || s.queue(&self.queues).any(|e| e.is_long());
+                holds_long && s.queue(&self.queues).any(|e| e.is_short())
             });
             if candidate != self.steal_candidates.contains(id.index()) {
                 return false;

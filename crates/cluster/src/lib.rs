@@ -52,6 +52,7 @@ mod entry;
 pub mod index;
 mod network;
 mod partition;
+mod queue;
 mod server;
 pub mod steal;
 
@@ -59,5 +60,6 @@ pub use cluster::{Cluster, UtilizationTracker};
 pub use entry::{QueueEntry, TaskSpec};
 pub use network::NetworkModel;
 pub use partition::Partition;
-pub use server::{QueueSlab, Server, ServerAction, ServerId, Slot};
+pub use queue::QueueSlab;
+pub use server::{Server, ServerAction, ServerId, Slot};
 pub use steal::StealGranularity;

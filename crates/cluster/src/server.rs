@@ -17,11 +17,17 @@
 //! Queue entries do not live inside the server: every queue in a cluster
 //! is an intrusive list in one shared [`QueueSlab`] arena (list `i` backs
 //! server `i`), so 15k–50k queues share contiguous storage instead of
-//! 15k–50k scattered heap objects, and entry nodes are recycled through
-//! the slab's free list — the steady-state event loop allocates nothing.
-//! Every queue-touching method therefore takes the slab as a parameter;
-//! the server keeps only O(1) mirrors (queue length, queued-long count,
-//! the packed stat word) that it maintains incrementally.
+//! 15k–50k scattered heap objects. A list node is one 8-byte word and its
+//! 4-byte link, 12 bytes: a probe is `(job, class)` in the word itself, and
+//! a task is its job, a class bit and a 30-bit handle into the slab's side
+//! arena of [`TaskSpec`]s, because under late binding (§3.5) most queued
+//! entries are probes. Both arenas recycle what is freed (the nodes through
+//! the slab's free list, the task slots through a free chain threaded
+//! through the slots) and grow only at a new peak of what they hold, by
+//! doubling — the steady-state event loop allocates nothing. Every
+//! queue-touching method therefore takes the slab as a parameter; the
+//! server keeps only O(1) mirrors (queue length, queued-long count, the
+//! packed stat word) that it maintains incrementally.
 
 use std::fmt;
 
@@ -30,10 +36,7 @@ use hawk_workload::{JobClass, JobId};
 use serde::{Deserialize, Serialize};
 
 use crate::entry::{QueueEntry, TaskSpec};
-
-/// The shared queue arena: one intrusive FIFO list per server, backed by
-/// a single slab of [`QueueEntry`] nodes (see [`hawk_simcore::EntrySlab`]).
-pub type QueueSlab = hawk_simcore::EntrySlab<QueueEntry>;
+use crate::queue::QueueSlab;
 
 /// Identifies a server within a cluster (dense, `0..cluster.len()`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -293,9 +296,7 @@ impl Server {
     /// resetting the length/long mirrors. The slot is untouched: a running
     /// task finishes on its own. Used when the server leaves service.
     pub fn drain_queue_into(&mut self, queues: &mut QueueSlab, out: &mut Vec<QueueEntry>) {
-        while let Some(entry) = queues.pop_front(self.list()) {
-            out.push(entry);
-        }
+        queues.drain_into(self.list(), out);
         self.queue_len = 0;
         self.queued_long = 0;
         self.recompute_stat();
@@ -312,7 +313,7 @@ impl Server {
     }
 
     /// Read-only view of the queue, head first.
-    pub fn queue<'s>(&self, queues: &'s QueueSlab) -> impl Iterator<Item = &'s QueueEntry> {
+    pub fn queue<'s>(&self, queues: &'s QueueSlab) -> impl Iterator<Item = QueueEntry> + 's {
         queues.iter(self.list())
     }
 

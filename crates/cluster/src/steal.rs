@@ -20,14 +20,16 @@
 //! task from many jobs (§3.6).
 //!
 //! Queues live in the cluster's shared [`QueueSlab`], so the scan walks
-//! slab node indices and the removal unlinks the discovered run in place —
-//! no position re-walk, no intermediate `Vec`. The `_into` variants write
+//! slab node indices, reading only each node's class bit, and the removal
+//! unlinks the discovered run in place — no position re-walk, no
+//! intermediate `Vec`. The `_into` variants write
 //! the stolen group into a caller-recycled batch buffer; together with the
 //! slab's free-list recycling the whole steal pipeline is allocation-free
 //! in steady state.
 
 use crate::entry::QueueEntry;
-use crate::server::{QueueSlab, Server};
+use crate::queue::QueueSlab;
+use crate::server::Server;
 
 /// The eligible steal group discovered by a scan, identified by slab node
 /// indices: the run `[start, …]` of `len` nodes whose predecessor in the
@@ -56,8 +58,7 @@ fn eligible_run(victim: &Server, queues: &QueueSlab) -> Option<(Run, usize)> {
     let mut cur = queues.head(victim.list());
     let mut pos = 0usize;
     while let Some(node) = cur {
-        let entry = queues.value(node);
-        if entry.is_long() {
+        if queues.is_long(node) {
             if run.is_some() {
                 break; // end of the first short run after a long task
             }
@@ -150,7 +151,7 @@ fn blocked_short_nodes_into(victim: &Server, queues: &QueueSlab, scratch: &mut S
     let mut last: Option<u32> = None;
     let mut cur = queues.head(victim.list());
     while let Some(node) = cur {
-        if queues.value(node).is_long() {
+        if queues.is_long(node) {
             seen_long = true;
         } else if seen_long {
             scratch.push((last, node));
@@ -195,7 +196,7 @@ pub fn steal_from_with_into(
             let mut cur = queues.head(victim.list());
             while let Some(node) = cur {
                 let next = queues.next(node);
-                if queues.value(node).is_long() {
+                if queues.is_long(node) {
                     seen_long = true;
                     last = Some(node);
                 } else if seen_long {

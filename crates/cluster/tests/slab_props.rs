@@ -1,14 +1,17 @@
-//! Property tests for the slab-backed queues: [`QueueSlab`]'s per-server
-//! intrusive lists must behave exactly like independent `VecDeque`s under
-//! arbitrary interleavings of pushes, pops, steal-style mid-queue drains,
-//! single-entry unlinks and the two list-to-list relinks the timing wheel
-//! cascades with — and the arena must recycle nodes (no growth once the
-//! live population has peaked).
+//! Differential tests of the slab-backed queues. [`QueueSlab`] keeps every
+//! server's queue as a list of 8-byte words in one node arena, with the
+//! specs of queued tasks in a side arena; it must read exactly like one
+//! `VecDeque<QueueEntry>` per list under any interleaving of pushes, pops,
+//! single-entry unlinks, run unlinks and whole-list drains, with probes and
+//! tasks of random estimates and attempts mixed in. After every operation
+//! every list equals its model, the task arena's live slots are exactly
+//! the queued tasks, the slab's own invariant check holds, and the node
+//! arena holds no more nodes than the peak of queued entries.
 //!
-//! The model is the literal pre-slab representation (one `VecDeque` per
-//! server), so these tests pin the storage swap's behavioral equivalence
-//! the same way `index_props.rs` pins the incremental indexes against
-//! brute force.
+//! `ranged_props.rs` is the template: two implementations, one generated
+//! op sequence, every read compared after each op. The list-to-list
+//! relinks the timing wheel cascades with belong to `EntrySlab` and are
+//! modelled in `hawk-simcore`'s `tests/props.rs`.
 
 use std::collections::VecDeque;
 
@@ -19,70 +22,77 @@ use hawk_cluster::{QueueEntry, QueueSlab, Server, ServerId, TaskSpec};
 use hawk_simcore::{SimDuration, SimRng};
 use hawk_workload::{JobClass, JobId};
 
-fn entry(long: bool, id: u32) -> QueueEntry {
-    if long {
-        QueueEntry::Task(TaskSpec {
-            job: JobId(id),
-            duration: SimDuration::from_secs(1_000),
-            estimate: SimDuration::from_secs(1_000),
-            class: JobClass::Long,
-            task: 0,
-            attempt: 0,
-        })
+/// The entry of job `id` that `draw` picks: bit 0 the class, bit 1 a probe
+/// or a task, the higher bits a task's index, duration, estimate and
+/// attempt (one attempt in four is `u32::MAX`).
+fn entry(draw: u64, id: u32) -> QueueEntry {
+    let class = if draw & 1 == 0 {
+        JobClass::Short
     } else {
-        QueueEntry::Probe {
+        JobClass::Long
+    };
+    if draw & 2 == 0 {
+        return QueueEntry::Probe {
             job: JobId(id),
-            class: JobClass::Short,
-        }
+            class,
+        };
     }
+    QueueEntry::Task(TaskSpec {
+        job: JobId(id),
+        duration: SimDuration::from_micros(draw >> 34),
+        estimate: SimDuration::from_micros(draw >> 4 & 0x3fff_ffff),
+        class,
+        task: (draw >> 8) as u32 & 0xffff,
+        attempt: if draw >> 2 & 3 == 3 {
+            u32::MAX
+        } else {
+            (draw >> 24) as u32 & 7
+        },
+    })
 }
 
-/// Raw slab vs `VecDeque` model: push/pop/mid-queue drains on several
-/// lists at once.
+/// One generated operation on one of the lists.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Push {
         list: u8,
-        long: bool,
+        draw: u64,
     },
     PopFront {
         list: u8,
     },
-    /// Remove `count` entries starting at `start` (clamped to the list).
-    DrainRun {
-        list: u8,
-        start: u8,
-        count: u8,
-    },
-    /// Remove the single entry at `pos` (clamped).
+    /// Unlink the entry at `pos` (clamped), by `unlink_after`.
     UnlinkOne {
         list: u8,
         pos: u8,
     },
-    /// Relink the head of `src` (if any) onto the tail of `dst`.
-    MoveHead {
-        src: u8,
-        dst: u8,
+    /// Unlink `count` entries from `start` (clamped), by `unlink_run_into`.
+    UnlinkRun {
+        list: u8,
+        start: u8,
+        count: u8,
     },
-    /// Append all of `src` to `dst`.
-    Splice {
-        src: u8,
-        dst: u8,
+    /// Empty the list, by `drain_into`.
+    Drain {
+        list: u8,
     },
 }
 
+const LISTS: usize = 4;
+
 fn arb_op() -> impl Strategy<Value = Op> {
+    let push = || (0u8..4, any::<u64>()).prop_map(|(list, draw)| Op::Push { list, draw });
     prop_oneof![
-        (0u8..4, any::<bool>()).prop_map(|(list, long)| Op::Push { list, long }),
+        push(),
+        push(),
         (0u8..4).prop_map(|list| Op::PopFront { list }),
-        (0u8..4, 0u8..12, 0u8..6).prop_map(|(list, start, count)| Op::DrainRun {
+        (0u8..4, 0u8..12).prop_map(|(list, pos)| Op::UnlinkOne { list, pos }),
+        (0u8..4, 0u8..12, 0u8..6).prop_map(|(list, start, count)| Op::UnlinkRun {
             list,
             start,
             count
         }),
-        (0u8..4, 0u8..12).prop_map(|(list, pos)| Op::UnlinkOne { list, pos }),
-        (0u8..4, 0u8..4).prop_map(|(src, dst)| Op::MoveHead { src, dst }),
-        (0u8..4, 0u8..4).prop_map(|(src, dst)| Op::Splice { src, dst }),
+        (0u8..4).prop_map(|list| Op::Drain { list }),
     ]
 }
 
@@ -97,95 +107,78 @@ fn node_at(slab: &QueueSlab, list: usize, pos: usize) -> (Option<u32>, u32) {
     (prev, cur)
 }
 
-/// Drains `count` entries of `list` starting at position `start` via the
-/// slab's run-unlink, mirroring `VecDeque::drain(start..start + count)`.
-fn slab_drain(slab: &mut QueueSlab, list: usize, start: usize, count: usize) -> Vec<QueueEntry> {
-    let mut out = Vec::new();
-    if count > 0 {
-        let (prev, node) = node_at(slab, list, start);
-        slab.unlink_run_into(list, prev, node, count, &mut out);
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every list's contents match its `VecDeque` model after every op,
-    /// and the arena never holds more nodes than the peak live population.
+    /// Every list reads like its `VecDeque` model after every op, the task
+    /// arena holds exactly the queued tasks, and the node arena never
+    /// holds more nodes than the peak live population.
     #[test]
     fn slab_lists_match_vecdeque_model(ops in proptest::collection::vec(arb_op(), 1..200)) {
-        const LISTS: usize = 4;
-        let mut slab: QueueSlab = QueueSlab::new(LISTS);
+        let mut slab = QueueSlab::new(LISTS);
         let mut model: Vec<VecDeque<QueueEntry>> = vec![VecDeque::new(); LISTS];
         let mut next_id = 0u32;
         let mut peak_live = 0usize;
 
         for op in ops {
             match op {
-                Op::Push { list, long } => {
-                    let list = list as usize % LISTS;
-                    let e = entry(long, next_id);
+                Op::Push { list, draw } => {
+                    let e = entry(draw, next_id);
                     next_id += 1;
-                    slab.push_back(list, e);
-                    model[list].push_back(e);
+                    slab.push_back(list as usize, e);
+                    model[list as usize].push_back(e);
                 }
                 Op::PopFront { list } => {
-                    let list = list as usize % LISTS;
+                    let list = list as usize;
                     prop_assert_eq!(slab.pop_front(list), model[list].pop_front());
                 }
-                Op::DrainRun { list, start, count } => {
-                    let list = list as usize % LISTS;
+                Op::UnlinkOne { list, pos } => {
+                    let list = list as usize;
+                    if model[list].is_empty() {
+                        continue;
+                    }
+                    let pos = (pos as usize).min(model[list].len() - 1);
+                    let (prev, node) = node_at(&slab, list, pos);
+                    let got = slab.unlink_after(list, prev, node);
+                    prop_assert_eq!(Some(got), model[list].remove(pos));
+                }
+                Op::UnlinkRun { list, start, count } => {
+                    let list = list as usize;
                     let len = model[list].len();
                     let start = (start as usize).min(len);
                     let count = (count as usize).min(len - start);
-                    let expect: Vec<QueueEntry> =
-                        model[list].drain(start..start + count).collect();
-                    let got = slab_drain(&mut slab, list, start, count);
+                    let expect: Vec<QueueEntry> = model[list].drain(start..start + count).collect();
+                    let mut got = Vec::new();
+                    if count > 0 {
+                        let (prev, node) = node_at(&slab, list, start);
+                        slab.unlink_run_into(list, prev, node, count, &mut got);
+                    }
                     prop_assert_eq!(got, expect);
                 }
-                Op::UnlinkOne { list, pos } => {
-                    let list = list as usize % LISTS;
-                    let len = model[list].len();
-                    if len == 0 {
-                        continue;
-                    }
-                    let pos = (pos as usize).min(len - 1);
-                    let expect = model[list].remove(pos).expect("pos in range");
-                    let (prev, node) = node_at(&slab, list, pos);
-                    let got = slab.unlink_after(list, prev, node);
-                    prop_assert_eq!(got, expect);
-                }
-                Op::MoveHead { src, dst } => {
-                    let (src, dst) = (src as usize % LISTS, dst as usize % LISTS);
-                    // Same list: a rotation, in the model as in the slab.
-                    if let Some(e) = model[src].pop_front() {
-                        model[dst].push_back(e);
-                        slab.move_head_to_tail(src, dst);
-                    }
-                }
-                Op::Splice { src, dst } => {
-                    let (src, dst) = (src as usize % LISTS, dst as usize % LISTS);
-                    if src != dst {
-                        let moved = std::mem::take(&mut model[src]);
-                        model[dst].extend(moved);
-                    }
-                    slab.splice(src, dst);
+                Op::Drain { list } => {
+                    let list = list as usize;
+                    let mut got = Vec::new();
+                    slab.drain_into(list, &mut got);
+                    prop_assert!(got.iter().eq(model[list].drain(..).collect::<Vec<_>>().iter()));
                 }
             }
             let live: usize = model.iter().map(VecDeque::len).sum();
             peak_live = peak_live.max(live);
             prop_assert!(slab.check_invariants(), "slab invariants broken");
-            // Free-list recycling: the arena only ever holds peak-live
-            // nodes; churn below the peak allocates nothing new.
             prop_assert!(
                 slab.allocated_nodes() <= peak_live,
-                "arena grew past the live peak: {} > {peak_live}",
+                "node arena grew past the live peak: {} > {peak_live}",
                 slab.allocated_nodes()
             );
+            let queued_tasks = model
+                .iter()
+                .flatten()
+                .filter(|e| matches!(e, QueueEntry::Task(_)))
+                .count();
+            prop_assert_eq!(slab.live_tasks(), queued_tasks);
             for (i, m) in model.iter().enumerate() {
                 prop_assert_eq!(slab.len(i), m.len());
-                prop_assert!(slab.iter(i).eq(m.iter()), "list {i} diverged");
+                prop_assert!(slab.iter(i).eq(m.iter().copied()), "list {i} diverged");
             }
         }
     }
@@ -193,13 +186,13 @@ proptest! {
     /// FIFO order survives arbitrary interleaving across lists: per list,
     /// entries pop in push order.
     #[test]
-    fn fifo_order_per_list(pushes in proptest::collection::vec((0u8..3, any::<bool>()), 1..100)) {
-        const LISTS: usize = 3;
-        let mut slab: QueueSlab = QueueSlab::new(LISTS);
-        let mut pushed: Vec<Vec<u32>> = vec![Vec::new(); LISTS];
-        for (i, &(list, long)) in pushes.iter().enumerate() {
-            let list = list as usize % LISTS;
-            slab.push_back(list, entry(long, i as u32));
+    fn fifo_order_per_list(pushes in proptest::collection::vec((0u8..3, any::<u64>()), 1..100)) {
+        const FIFO_LISTS: usize = 3;
+        let mut slab = QueueSlab::new(FIFO_LISTS);
+        let mut pushed: Vec<Vec<u32>> = vec![Vec::new(); FIFO_LISTS];
+        for (i, &(list, draw)) in pushes.iter().enumerate() {
+            let list = list as usize % FIFO_LISTS;
+            slab.push_back(list, entry(draw, i as u32));
             pushed[list].push(i as u32);
         }
         for (list, expect) in pushed.iter().enumerate() {
@@ -210,15 +203,16 @@ proptest! {
             prop_assert_eq!(&got, expect);
         }
         prop_assert!(slab.check_invariants());
+        prop_assert_eq!(slab.live_tasks(), 0);
     }
 
-    /// The steal pipeline on slab queues matches the steal pipeline's own
-    /// server-level contract under churn: stolen entries are always short,
-    /// the server's mirrors stay exact, and recycled buffers accumulate
-    /// groups without cross-contamination.
+    /// The steal pipeline on slab queues keeps the server-level contract
+    /// under churn: stolen entries are always short, the server's mirrors
+    /// stay exact, and recycled buffers accumulate groups without
+    /// cross-contamination.
     #[test]
     fn steal_under_churn_keeps_mirrors_exact(
-        layout in proptest::collection::vec(any::<bool>(), 1..24),
+        layout in proptest::collection::vec(any::<u64>(), 1..24),
         granularity_pick in 0u8..3,
         seed in 0u64..1_000,
     ) {
@@ -230,10 +224,10 @@ proptest! {
         let mut rng = SimRng::seed_from_u64(seed);
         let mut queues = QueueSlab::new(1);
         let mut server = Server::new(ServerId(0));
-        // Occupy the slot, then queue the layout.
-        server.enqueue(&mut queues, entry(true, 9_999));
-        for (i, &long) in layout.iter().enumerate() {
-            server.enqueue(&mut queues, entry(long, i as u32));
+        // Occupy the slot with a long task, then queue the layout.
+        server.enqueue(&mut queues, entry(0b11, 9_999));
+        for (i, &draw) in layout.iter().enumerate() {
+            server.enqueue(&mut queues, entry(draw, i as u32));
         }
         let before_len = server.queue_len();
         let mut scratch = StealScratch::new();

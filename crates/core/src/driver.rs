@@ -73,12 +73,13 @@ impl<'t> Driver<'t> {
     ) -> Self {
         let mut inputs = RunInputs::new(trace, &*scheduler, sim);
         let mut core = Core::new(trace, scheduler, sim, &mut inputs, 0..sim.nodes as u32);
-        // No capacity here is sized by the trace: the queue arena starts
-        // empty and the event arena with room for what is seeded — the
-        // script, this harness's own one or two periodic timers and the one
-        // pending arrival — and both grow on demand, by doubling, at new
-        // peaks of their live population only (`EntrySlab`'s growth
-        // contract; `tests/alloc_regression.rs` is the judge).
+        // No capacity here is sized by the trace: the queue arenas start
+        // from the core's constant floor and the event arena with room for
+        // what is seeded — the script, this harness's own one or two
+        // periodic timers and the one pending arrival — and all grow on
+        // demand, by doubling, at new peaks of their live population only
+        // (`EntrySlab`'s growth contract; `tests/alloc_regression.rs` is the
+        // judge).
         let timers = 1 + usize::from(sim.live_window.is_some());
         let mut engine = Engine::with_capacity(sim.dynamics.events().len() + timers + 1);
         for (at, event) in protocol::seed_events(sim) {

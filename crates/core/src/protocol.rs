@@ -48,9 +48,13 @@ use crate::scheduler::{PlacementView, Scheduler, StealSpec};
 ///
 /// `Copy`: stolen groups wait in the transport's batch pool while in
 /// flight, so every variant is a few plain words — which also lets the timing
-/// wheel store events in its recycled slab arena (the size is pinned by
-/// a unit test). The single-stream [`crate::Driver`] never emits the
-/// last four variants; they carry what it does by direct state access.
+/// wheel store events in its recycled slab arena. No variant carries a
+/// [`TaskSpec`]: a task travels as `(job, task index)`, with the job's
+/// class where the receiving core may not be the job's home, and the core
+/// that enqueues or launches it builds the spec from the trace and the
+/// run's estimates (24 bytes an event, pinned by a unit test). The
+/// single-stream [`crate::Driver`] never emits the last four variants;
+/// they carry what it does by direct state access.
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// A job was submitted (at its trace submission time, or at its
@@ -72,8 +76,12 @@ pub enum Event {
     TaskArrive {
         /// Destination server.
         server: ServerId,
-        /// The task.
-        spec: TaskSpec,
+        /// The task's job.
+        job: JobId,
+        /// The task's index within its job.
+        task: u32,
+        /// The job's scheduled class.
+        class: JobClass,
     },
     /// A server's task request reached the job's scheduler.
     BindRequest {
@@ -86,8 +94,13 @@ pub enum Event {
     BindResponse {
         /// Destination server.
         server: ServerId,
-        /// `Some` launches the task, `None` cancels the reservation.
-        task: Option<TaskSpec>,
+        /// The job the reservation was for.
+        job: JobId,
+        /// The job's scheduled class.
+        class: JobClass,
+        /// `Some(index)` launches that task of `job`, `None` cancels the
+        /// reservation.
+        task: Option<u32>,
     },
     /// The running task on a server completed.
     TaskFinish {
@@ -154,12 +167,14 @@ pub enum Event {
     },
     /// A queue entry drained off a failed server asks its deciding
     /// scheduler (central for tasks, the job's scheduler for probes) for
-    /// a new home.
+    /// a new home. Either is the job's home, which knows its class.
     Relocate {
         /// The failed server.
         from: ServerId,
-        /// The stranded entry.
-        entry: QueueEntry,
+        /// The stranded entry's job.
+        job: JobId,
+        /// The stranded task's index within its job, `None` for a probe.
+        task: Option<u32>,
     },
 }
 
@@ -215,6 +230,12 @@ impl Event {
 
 /// Sentinel padding for [`Event::StealRequest::rest`].
 const NO_VICTIM: u32 = u32::MAX;
+
+/// What a core's queue arenas hold before their first on-demand growth:
+/// 4,096 queued entries and 1,024 queued tasks, 80 KiB. A constant, not
+/// sized by the trace; it moves a run's first doublings of both arenas
+/// out of the event loop, where each would be one more allocation.
+const QUEUE_FLOOR: (usize, usize) = (4_096, 1_024);
 
 /// What a handler may do to the outside world. Statically dispatched:
 /// the only implementors are the single-stream loopback, the sharded
@@ -449,7 +470,8 @@ impl<'t> Core<'t> {
             .filter(|_| hosts_central)
             .map(CentralScheduler::new);
         let fraction = scheduler.short_partition_fraction();
-        let cluster = Cluster::ranged(sim.nodes, fraction, owned, inputs.speeds.as_deref());
+        let mut cluster = Cluster::ranged(sim.nodes, fraction, owned, inputs.speeds.as_deref());
+        cluster.reserve_queues(QUEUE_FLOOR.0, QUEUE_FLOOR.1);
 
         let jobs = trace
             .jobs()
@@ -530,11 +552,23 @@ impl<'t> Core<'t> {
                 class,
                 bounces,
             } => self.on_probe(net, server, job, class, bounces),
-            Event::TaskArrive { server, spec } => {
+            Event::TaskArrive {
+                server,
+                job,
+                task,
+                class,
+            } => {
+                let spec = self.task_spec(job, task, class);
                 self.on_entry_arrive(net, server, QueueEntry::Task(spec))
             }
             Event::BindRequest { server, job } => self.on_bind_request(net, server, job),
-            Event::BindResponse { server, task } => {
+            Event::BindResponse {
+                server,
+                job,
+                class,
+                task,
+            } => {
+                let task = task.map(|task| self.task_spec(job, task, class));
                 let action = self.cluster.on_bind_response(server, task);
                 self.on_action(net, server, action);
             }
@@ -554,8 +588,8 @@ impl<'t> Core<'t> {
                     .on_task_complete(server, estimate);
                 self.on_task_done(net, job);
             }
-            Event::Relocate { from, entry } => {
-                self.replace(net, from, deciding_scheduler(&entry), entry)
+            Event::Relocate { from, job, task } => {
+                self.replace(net, from, deciding_scheduler(job, task), job, task)
             }
             Event::CentralPlace(job) => self.place_centrally(net, job),
             Event::NodeDown(server) => self.on_node_down(net, server),
@@ -736,18 +770,30 @@ impl<'t> Core<'t> {
             .expect("central route requires a central scheduler");
         central.assign_job_into(spec.num_tasks(), estimate, &mut self.place_buf);
         let now = net.now();
-        for (i, &server) in self.place_buf.iter().enumerate() {
-            let task = TaskSpec {
-                job,
-                duration: spec.tasks[i],
-                estimate,
-                class,
-                task: i as u32,
-                attempt: 0,
-            };
+        for (task, &server) in (0..).zip(&self.place_buf) {
             let dst = Endpoint::Server(server);
             let delay = self.topology.delay(now, Endpoint::Central, dst);
-            net.send(delay, dst, Event::TaskArrive { server, spec: task });
+            let arrive = Event::TaskArrive {
+                server,
+                job,
+                task,
+                class,
+            };
+            net.send(delay, dst, arrive);
+        }
+    }
+
+    /// The spec of `job`'s task `task` under `class`, built where the task
+    /// is enqueued or launched: its duration from the trace, the job's
+    /// estimate, the first attempt (the simulator never relaunches).
+    fn task_spec(&self, job: JobId, task: u32, class: JobClass) -> TaskSpec {
+        TaskSpec {
+            job,
+            duration: self.trace.job(job).tasks[task as usize],
+            estimate: self.estimates.estimate(job),
+            class,
+            task,
+            attempt: 0,
         }
     }
 
@@ -781,18 +827,24 @@ impl<'t> Core<'t> {
     /// across a wire the decision belongs to the entry's scheduler, so it
     /// detours there first (one hop in, one hop out).
     fn relocate<T: Transport>(&mut self, net: &mut T, from: ServerId, entry: QueueEntry) {
+        let (job, task) = match entry {
+            QueueEntry::Task(spec) => (spec.job, Some(spec.task)),
+            QueueEntry::Probe { job, .. } => (job, None),
+        };
         if !T::REMOTE_SCHEDULERS {
-            return self.replace(net, from, Endpoint::Server(from), entry);
+            return self.replace(net, from, Endpoint::Server(from), job, task);
         }
-        let decider = deciding_scheduler(&entry);
+        let decider = deciding_scheduler(job, task);
         let delay = self
             .topology
             .delay(net.now(), Endpoint::Server(from), decider);
-        net.send(delay, decider, Event::Relocate { from, entry });
+        net.send(delay, decider, Event::Relocate { from, job, task });
     }
 
-    /// The deciding scheduler's half of a relocation: migrates the entry
-    /// to a live server with a message from `src`, or abandons it.
+    /// The deciding scheduler's half of a relocation: migrates `job`'s
+    /// entry — task `task`, or a probe when `None` — to a live server with
+    /// a message from `src`, or abandons it. The decider is the job's home,
+    /// so the job's class is its own to read.
     ///
     /// * **Tasks** carry real committed work: they move to the live server
     ///   the centralized scheduler would pick next, with the waiting-time
@@ -806,10 +858,13 @@ impl<'t> Core<'t> {
         net: &mut T,
         from: ServerId,
         src: Endpoint,
-        entry: QueueEntry,
+        job: JobId,
+        task: Option<u32>,
     ) {
-        match entry {
-            QueueEntry::Task(spec) => {
+        let class = self.jobs[job.index()].class;
+        match task {
+            Some(task) => {
+                let estimate = self.estimates.estimate(job);
                 let central = self
                     .central
                     .as_mut()
@@ -825,20 +880,19 @@ impl<'t> Core<'t> {
                     "central scope has no live servers to migrate a task to \
                      (the dynamics script took down the entire scope)"
                 );
-                central.reassign(from, target, spec.estimate);
+                central.reassign(from, target, estimate);
                 self.migrations += 1;
                 let dst = Endpoint::Server(target);
                 let delay = self.topology.delay(net.now(), src, dst);
-                net.send(
-                    delay,
-                    dst,
-                    Event::TaskArrive {
-                        server: target,
-                        spec,
-                    },
-                );
+                let arrive = Event::TaskArrive {
+                    server: target,
+                    job,
+                    task,
+                    class,
+                };
+                net.send(delay, dst, arrive);
             }
-            QueueEntry::Probe { job, class } => {
+            None => {
                 let launched = self.jobs[job.index()].next_task as usize;
                 if launched >= self.trace.job(job).num_tasks() {
                     self.abandons += 1;
@@ -863,24 +917,21 @@ impl<'t> Core<'t> {
         let delay = self
             .topology
             .delay(net.now(), Endpoint::Scheduler(job.0), dst);
-        let estimate = self.estimates.estimate(job);
-        let spec = self.trace.job(job);
+        let num_tasks = self.trace.job(job).num_tasks();
         let run = &mut self.jobs[job.index()];
-        let task = if (run.next_task as usize) < spec.num_tasks() {
-            let idx = run.next_task as usize;
+        let task = if (run.next_task as usize) < num_tasks {
             run.next_task += 1;
-            Some(TaskSpec {
-                job,
-                duration: spec.tasks[idx],
-                estimate,
-                class: run.class,
-                task: idx as u32,
-                attempt: 0,
-            })
+            Some(run.next_task - 1)
         } else {
             None // all tasks given out: cancel (§3.5)
         };
-        net.send(delay, dst, Event::BindResponse { server, task });
+        let response = Event::BindResponse {
+            server,
+            job,
+            class: run.class,
+            task,
+        };
+        net.send(delay, dst, response);
     }
 
     fn on_task_finish<T: Transport>(&mut self, net: &mut T, server: ServerId) {
@@ -1147,12 +1198,12 @@ impl<'t> Core<'t> {
     }
 }
 
-/// The scheduler that decides where a stranded queue entry goes next:
-/// central for directly-placed tasks, the job's own for probes.
-fn deciding_scheduler(entry: &QueueEntry) -> Endpoint {
-    match entry {
-        QueueEntry::Task(_) => Endpoint::Central,
-        QueueEntry::Probe { job, .. } => Endpoint::Scheduler(job.0),
+/// The scheduler that decides where a stranded queue entry of `job` goes
+/// next: central for a directly-placed task, the job's own for a probe.
+fn deciding_scheduler(job: JobId, task: Option<u32>) -> Endpoint {
+    match task {
+        Some(_) => Endpoint::Central,
+        None => Endpoint::Scheduler(job.0),
     }
 }
 
@@ -1360,11 +1411,13 @@ mod tests {
         class: JobClass::Short,
     };
 
-    /// The merged enum must not grow the timing-wheel arena: 40 bytes was
-    /// `max(size_of::<Event>(), size_of::<SEvent>())` before the merge.
+    /// No variant carries a task spec, so an event is at most 24 bytes and
+    /// a pending one 40 in the wheel's arena (`shard.rs` pins the sharded
+    /// engine's, whose events carry their core).
     #[test]
-    fn event_stays_within_the_pre_merge_size() {
-        assert!(std::mem::size_of::<Event>() <= 40);
+    fn event_and_its_wheel_node_stay_within_their_pins() {
+        assert!(std::mem::size_of::<Event>() <= 24);
+        assert_eq!(hawk_simcore::EventQueue::<Event>::NODE_BYTES, 40);
     }
 
     /// `Event::kind` and `Event::KINDS` are two hand-kept lists: every
@@ -1374,14 +1427,6 @@ mod tests {
     fn event_kinds_label_their_own_variants() {
         let server = ServerId(0);
         let job = JobId(0);
-        let spec = TaskSpec {
-            job,
-            duration: SimDuration::from_secs(1),
-            estimate: SimDuration::from_secs(1),
-            class: JobClass::Short,
-            task: 0,
-            attempt: 0,
-        };
         let class = JobClass::Short;
         let entry = QueueEntry::Probe { job, class };
         let mut pool = BatchPool::new();
@@ -1394,9 +1439,19 @@ mod tests {
                 class,
                 bounces: 0,
             },
-            Event::TaskArrive { server, spec },
+            Event::TaskArrive {
+                server,
+                job,
+                task: 0,
+                class,
+            },
             Event::BindRequest { server, job },
-            Event::BindResponse { server, task: None },
+            Event::BindResponse {
+                server,
+                job,
+                class,
+                task: None,
+            },
             Event::TaskFinish { server },
             Event::StolenArrive { server, batch },
             Event::CentralPlace(job),
@@ -1411,7 +1466,8 @@ mod tests {
             Event::CentralTaskDone { job, server },
             Event::Relocate {
                 from: server,
-                entry,
+                job,
+                task: None,
             },
         ];
         for (slot, event) in events.iter().enumerate() {
@@ -1447,7 +1503,9 @@ mod tests {
                     Endpoint::Server(ServerId(2)),
                     Event::BindResponse {
                         server: ServerId(2),
-                        task: Some(TaskSpec { task: 0, .. }),
+                        job: JobId(0),
+                        task: Some(0),
+                        ..
                     },
                 ),
                 (
@@ -1456,6 +1514,7 @@ mod tests {
                     Event::BindResponse {
                         server: ServerId(3),
                         task: None,
+                        ..
                     },
                 ),
             ]
@@ -1487,7 +1546,8 @@ mod tests {
                 Endpoint::Scheduler(0),
                 Event::Relocate {
                     from: ServerId(1),
-                    entry: QueueEntry::Probe { job: JobId(0), .. },
+                    job: JobId(0),
+                    task: None,
                 },
             )]
         ));

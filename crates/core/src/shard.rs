@@ -468,7 +468,16 @@ fn distributed_home(map: &ShardMap, job: JobId) -> usize {
 mod tests {
     use super::*;
     use crate::scheduler::{Centralized, Hawk, Sparrow, SplitCluster};
+    use hawk_simcore::EventQueue;
     use hawk_workload::Job;
+
+    /// The core an event is filed under costs it 4 bytes, and a pending
+    /// one 48 in the wheel's arena.
+    #[test]
+    fn a_routed_event_and_its_wheel_node_stay_within_their_pins() {
+        assert!(std::mem::size_of::<Routed>() <= 28);
+        assert_eq!(EventQueue::<Routed>::NODE_BYTES, 48);
+    }
 
     #[test]
     fn shard_map_ranges_partition_every_cluster() {

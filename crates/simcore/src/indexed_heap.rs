@@ -116,42 +116,54 @@ impl IndexedMinHeap {
         self.heap[a] < self.heap[b]
     }
 
-    fn swap_slots(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a].1 as usize] = a as u32;
-        self.pos[self.heap[b].1 as usize] = b as u32;
+    /// Puts `entry` in heap slot `slot` and points its id there.
+    fn place(&mut self, slot: usize, entry: (u64, u32)) {
+        self.heap[slot] = entry;
+        self.pos[entry.1 as usize] = slot as u32;
     }
 
+    // Both sifts move a hole instead of swapping: the entry being sifted is
+    // held aside, each level writes one heap slot and one `pos` word, and
+    // the entry lands once at the end. `(key, id)` is a total order, so each
+    // level compares what a swap would have and the final layout is the
+    // same.
+
     fn sift_up(&mut self, mut slot: usize) {
+        let moving = self.heap[slot];
         while slot > 0 {
             let parent = (slot - 1) / 2;
-            if self.less(slot, parent) {
-                self.swap_slots(slot, parent);
-                slot = parent;
-            } else {
+            let above = self.heap[parent];
+            if moving >= above {
                 break;
             }
+            self.place(slot, above);
+            slot = parent;
         }
+        self.place(slot, moving);
     }
 
     fn sift_down(&mut self, mut slot: usize) {
+        let moving = self.heap[slot];
         let n = self.heap.len();
         loop {
             let l = 2 * slot + 1;
-            let r = l + 1;
-            let mut smallest = slot;
-            if l < n && self.less(l, smallest) {
-                smallest = l;
-            }
-            if r < n && self.less(r, smallest) {
-                smallest = r;
-            }
-            if smallest == slot {
+            if l >= n {
                 break;
             }
-            self.swap_slots(slot, smallest);
-            slot = smallest;
+            let r = l + 1;
+            let child = if r < n && self.heap[r] < self.heap[l] {
+                r
+            } else {
+                l
+            };
+            let below = self.heap[child];
+            if below >= moving {
+                break;
+            }
+            self.place(slot, below);
+            slot = child;
         }
+        self.place(slot, moving);
     }
 
     /// Verifies the heap invariant; used by tests and debug assertions.

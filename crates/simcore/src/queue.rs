@@ -210,6 +210,10 @@ fn level_for(t: u64, cursor: u64) -> usize {
 }
 
 impl<E: Copy> EventQueue<E> {
+    /// Bytes a pending event takes in the wheel's arena: its firing time,
+    /// the event and the bucket link ([`EntrySlab::NODE_BYTES`]).
+    pub const NODE_BYTES: usize = EntrySlab::<Entry<E>>::NODE_BYTES;
+
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {

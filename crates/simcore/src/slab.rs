@@ -17,8 +17,9 @@
 //! that high-water mark and [`EntrySlab::growths`] counts the doublings,
 //! so both halves are measurable. Both users — the per-server queues of
 //! `hawk-cluster` and the buckets of the timing wheel
-//! ([`crate::EventQueue`]) — start from what exists at construction (no
-//! queued entry; the events a driver seeds, via
+//! ([`crate::EventQueue`]) — start from what exists at construction (a
+//! constant floor of queued entries per protocol core; the events a driver
+//! seeds, via
 //! [`EntrySlab::reserve_nodes`]: its dynamics script, its timers and the
 //! one trace arrival it keeps pending), never from the length of the trace
 //! they are about to replay, and are held to the contract by
@@ -36,7 +37,7 @@
 //!   nodes *between* lists without copying a value or visiting the free
 //!   list, [`EntrySlab::move_head_to_tail`] and [`EntrySlab::splice`]
 //!   (the timing wheel cascades with them);
-//!   [`EntrySlab::unlink_run_into`] is O(run length). No operation walks
+//!   [`EntrySlab::unlink_run`] is O(run length). No operation walks
 //!   a list except the iterators.
 //! * **No allocation below the peak** — the growth contract above.
 //! * **FIFO order** — per list, values come out of `pop_front`/iteration
@@ -103,6 +104,10 @@ pub struct EntrySlab<T> {
 }
 
 impl<T: Copy> EntrySlab<T> {
+    /// Bytes one node takes in the arena: the value and its 4-byte link,
+    /// padded to the value's alignment.
+    pub const NODE_BYTES: usize = std::mem::size_of::<Node<T>>();
+
     /// Creates a slab with `lists` empty lists and no nodes.
     pub fn new(lists: usize) -> Self {
         Self::with_node_capacity(lists, 0)
@@ -328,20 +333,20 @@ impl<T: Copy> EntrySlab<T> {
     }
 
     /// Unlinks the run of `count` consecutive nodes starting at `start`
-    /// (predecessor `prev`, `None` when `start` is the head), appending
-    /// their values to `out` in list order. O(count).
+    /// (predecessor `prev`, `None` when `start` is the head), handing
+    /// their values to `each` in list order. O(count).
     ///
     /// # Panics
     ///
     /// Panics (in debug builds via link checks, in release by index
     /// errors) if the run walks off the end of the list.
-    pub fn unlink_run_into(
+    pub fn unlink_run(
         &mut self,
         list: usize,
         prev: Option<u32>,
         start: u32,
         count: usize,
-        out: &mut Vec<T>,
+        mut each: impl FnMut(T),
     ) {
         if count == 0 {
             return;
@@ -352,11 +357,11 @@ impl<T: Copy> EntrySlab<T> {
         let mut after = NIL;
         for taken in 0..count {
             let node = &self.nodes[cur as usize];
-            out.push(node.value);
+            each(node.value);
             after = node.next;
             self.free_node(cur);
             if taken + 1 < count {
-                debug_assert!(after != NIL, "unlink_run_into: run past the tail");
+                debug_assert!(after != NIL, "unlink_run: run past the tail");
                 cur = after;
             }
         }
@@ -495,7 +500,7 @@ mod tests {
         let n0 = s.head(0).unwrap();
         let n1 = s.next(n0).unwrap();
         let mut out = Vec::new();
-        s.unlink_run_into(0, Some(n0), n1, 3, &mut out);
+        s.unlink_run(0, Some(n0), n1, 3, |v| out.push(v));
         assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![0, 4, 5]);
         assert_eq!(s.len(0), 3);
@@ -504,7 +509,7 @@ mod tests {
         let h = s.head(0).unwrap();
         let m = s.next(h).unwrap();
         out.clear();
-        s.unlink_run_into(0, Some(h), m, 2, &mut out);
+        s.unlink_run(0, Some(h), m, 2, |v| out.push(v));
         assert_eq!(out, vec![4, 5]);
         s.push_back(0, 7);
         assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![0, 7]);
@@ -519,7 +524,7 @@ mod tests {
         }
         let h = s.head(1).unwrap();
         let mut out = Vec::new();
-        s.unlink_run_into(1, None, h, 4, &mut out);
+        s.unlink_run(1, None, h, 4, |v| out.push(v));
         assert_eq!(out, vec![0, 1, 2, 3]);
         assert!(s.is_empty(1));
         assert_eq!(s.head(1), None);
@@ -599,9 +604,7 @@ mod tests {
         let mut s: EntrySlab<u32> = EntrySlab::new(1);
         s.push_back(0, 1);
         let h = s.head(0).unwrap();
-        let mut out = Vec::new();
-        s.unlink_run_into(0, None, h, 0, &mut out);
-        assert!(out.is_empty());
+        s.unlink_run(0, None, h, 0, |_| panic!("a zero-count run took a value"));
         assert_eq!(s.len(0), 1);
     }
 

@@ -2,8 +2,17 @@
 
 use proptest::prelude::*;
 
+use std::collections::VecDeque;
+
 use hawk_simcore::stats::{cdf, cdf_at, percentile};
-use hawk_simcore::{Engine, EventQueue, IndexedMinHeap, SimDuration, SimRng, SimTime};
+use hawk_simcore::{Engine, EntrySlab, EventQueue, IndexedMinHeap, SimDuration, SimRng, SimTime};
+
+/// One step on an [`EntrySlab`] of four lists: a push, a pop, or one of
+/// the two relinks the timing wheel cascades with (the head of `src` onto
+/// the tail of `dst`; all of `src` onto `dst`).
+fn slab_ops() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
+    proptest::collection::vec((0u8..4, 0u8..4, 0u8..4), 1..200)
+}
 
 /// One step of a generated queue workload.
 #[derive(Debug, Clone)]
@@ -134,6 +143,44 @@ proptest! {
         }
         prop_assert!(m.queue.pop().is_none());
         prop_assert_eq!(m.queue.len(), 0);
+    }
+
+    /// The slab's lists read like one `VecDeque` each under pushes, pops
+    /// and both relinks (a relink onto its own list rotates it, a splice
+    /// onto itself is a no-op), and relinking never allocates a node.
+    #[test]
+    fn entry_slab_relinks_match_vecdeque_model(ops in slab_ops()) {
+        let mut slab: EntrySlab<u32> = EntrySlab::new(4);
+        let mut model: Vec<VecDeque<u32>> = vec![VecDeque::new(); 4];
+        for (next, (kind, src, dst)) in (0u32..).zip(ops) {
+            let (src, dst) = (src as usize, dst as usize);
+            match kind {
+                0 => {
+                    slab.push_back(src, next);
+                    model[src].push_back(next);
+                }
+                1 => prop_assert_eq!(slab.pop_front(src), model[src].pop_front()),
+                2 => {
+                    if let Some(v) = model[src].pop_front() {
+                        model[dst].push_back(v);
+                        slab.move_head_to_tail(src, dst);
+                    }
+                }
+                _ => {
+                    if src != dst {
+                        let moved = std::mem::take(&mut model[src]);
+                        model[dst].extend(moved);
+                    }
+                    slab.splice(src, dst);
+                }
+            }
+            prop_assert!(slab.check_invariants());
+            for (list, m) in model.iter().enumerate() {
+                prop_assert!(slab.iter(list).eq(m.iter()), "list {list} diverged");
+            }
+            let live: usize = model.iter().map(VecDeque::len).sum();
+            prop_assert_eq!(slab.allocated_nodes(), live + slab.free_nodes());
+        }
     }
 
     /// The engine clock is monotone non-decreasing across any schedule of

@@ -22,8 +22,10 @@
 //!   growth-free (a doubling may land anywhere). There the *whole* event
 //!   loop, first event to last (construction excluded), may allocate at
 //!   most `2·⌈log2(events)⌉` times — 36 over ≈ 180k events, of which the
-//!   five cells spend 25 to 30 — which a per-event or per-thousand-events
-//!   allocation cannot hide under.
+//!   five cells spend 21 to 26 (a core reserves its queue arenas' floor at
+//!   construction; the task arena's doublings past it are in the count) —
+//!   which a per-event or per-thousand-events allocation cannot hide
+//!   under.
 //!
 //! And the footprint those allocations add up to is pinned: the peak live
 //! heap of a whole Hawk run on the steady cell, construction to report,
@@ -340,15 +342,17 @@ fn hardened_chaos_prototype_stays_within_its_allocation_budget() {
 }
 
 /// Peak live heap of the run below, as measured: the cluster, the wheel
-/// (2,012 pending events at most), the per-job tables, the report — and
-/// 160 KB of queue arena.
-const HAWK_STEADY_PEAK_BYTES: usize = 729_404;
+/// (2,012 pending events at most, 40 B a node), the per-job tables, the
+/// report — and the queue arenas, 12-byte entry nodes and the specs of
+/// queued tasks, from the floor a core reserves.
+const HAWK_STEADY_PEAK_BYTES: usize = 647_292;
 
 /// Peak heap follows the live state: a whole Hawk run on the steady cell,
 /// construction to report, peaks within 5 % of the measured figure.
 /// Loading every one of the trace's 1,500 arrivals into the event list at
-/// the start, as the drivers did before they streamed them, peaks at
-/// 782,940 B (+7.3 %, 2,501 pending events) and fails the pin. Sizing the
+/// the start, as the drivers did before they streamed them, peaked at
+/// 782,940 B against the 729,404 B pin of the day (+7.3 %, 2,501 pending
+/// events) and failed it. Sizing the
 /// queue arena by the trace — the `tasks*3 + jobs` entries, 3.7 MB, this
 /// run's driver used to reserve up front — peaked at 4,311,900 B. (The
 /// steady cell because its live state is small. On the overloaded one a

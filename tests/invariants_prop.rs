@@ -19,9 +19,20 @@
 //! than its admitted window allows, and leaves exactly the shed jobs out
 //! of its streaming summary.
 //!
+//! A seventh holds every task to exactly one launch under the first
+//! property's churn: `events_by_kind[task_finish]` equals the trace's task
+//! count on `Driver` and on 2, 3 and 5 cores, and so does the `TaskFinish`
+//! count in the deliveries of a fault-free `hawk-proto` virtual run.
+//!
 //! A mutation that fails the first (checked by hand): utilization's usable
 //! capacity leaving out the down servers still draining a task
 //! (`Cluster::utilization`), so a sample reads above 1.
+//!
+//! A mutation that fails the seventh (checked by hand): the queues' task
+//! arena recycling a slot before its entry leaves the queue
+//! (`QueueSlab::push_back` freeing the slot it has just filled, so the
+//! next queued task takes it over). It fails at the first case, when a
+//! queued task reaches the head of its queue and reads a freed slot.
 //!
 //! Mutations against the sixth (each checked by hand). Fail it: the
 //! harnesses' streamed-arrival test (`protocol::Arrivals::stream`) taking
@@ -69,6 +80,7 @@ use proptest::prelude::*;
 
 use hawk::core::{AdmissionDecision, AdmissionPlan, AdmissionPolicy};
 use hawk::prelude::*;
+use hawk::proto::MsgKind;
 
 /// Strategy: a small random trace (jobs with random arrival gaps and task
 /// durations), kept small enough that a case simulates in milliseconds.
@@ -124,6 +136,28 @@ fn arb_shards() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(2), Just(3), Just(5)]
 }
 
+/// Strategy: 0–3 down/up windows, each `(server pick, down at, downtime)`
+/// in seconds.
+fn arb_windows() -> impl Strategy<Value = Vec<(u32, u64, u64)>> {
+    proptest::collection::vec((0u32..40, 0u64..5_000, 1u64..3_000), 0..4)
+}
+
+/// `windows` as a dynamics script over general-partition servers other
+/// than server 0, so no scope empties.
+fn churn(scheduler: &dyn Scheduler, nodes: usize, windows: Vec<(u32, u64, u64)>) -> DynamicsScript {
+    let general = Partition::new(nodes, scheduler.short_partition_fraction()).general_count();
+    let mut dynamics = DynamicsScript::none();
+    if general > 1 {
+        for (pick, from, downtime) in windows {
+            let server = 1 + pick % (general as u32 - 1);
+            dynamics = dynamics
+                .down_at(SimTime::from_secs(from), server)
+                .up_at(SimTime::from_secs(from + downtime), server);
+        }
+    }
+    dynamics
+}
+
 fn arc<S: Scheduler + 'static>(s: S) -> Arc<dyn Scheduler> {
     Arc::new(s)
 }
@@ -160,24 +194,14 @@ proptest! {
         seed in 0u64..1_000,
         cutoff_secs in 50u64..2_500,
         shards in arb_shards(),
-        windows in proptest::collection::vec((0u32..40, 0u64..5_000, 1u64..3_000), 0..4),
+        windows in arb_windows(),
     ) {
-        let general = Partition::new(nodes, scheduler.short_partition_fraction()).general_count();
-        let mut dynamics = DynamicsScript::none();
-        if general > 1 {
-            for (pick, from, downtime) in windows {
-                let server = 1 + pick % (general as u32 - 1);
-                dynamics = dynamics
-                    .down_at(SimTime::from_secs(from), server)
-                    .up_at(SimTime::from_secs(from + downtime), server);
-            }
-        }
         let cell = Experiment::builder()
             .nodes(nodes)
+            .dynamics(churn(&*scheduler, nodes, windows))
             .scheduler_shared(scheduler)
             .cutoff(Cutoff::from_secs(cutoff_secs))
             .seed(seed)
-            .dynamics(dynamics)
             .trace(&trace);
         let sane = |report: &MetricsReport, harness: &str| {
             prop_assert_eq!(report.results.len(), trace.len(), "{}", harness);
@@ -206,6 +230,38 @@ proptest! {
         };
         sane(&cell.clone().shards(shards).run(), &format!("{shards} shards"));
         sane(&cell.build().run_on(&ProtoBackend::deterministic()), "proto");
+    }
+
+    /// Every task launches exactly once, in every harness, under the first
+    /// property's churn: each of the trace's tasks finishes once —
+    /// `events_by_kind[task_finish]` is the trace's task count on `Driver`
+    /// and on 2, 3 and 5 cores, and so is the `TaskFinish` count in the
+    /// deliveries of a fault-free `hawk-proto` virtual run. A relocated
+    /// entry, a stolen group and a bind that races a failure all resolve
+    /// to one launch.
+    #[test]
+    fn every_task_launches_exactly_once(
+        trace in arb_trace(),
+        scheduler in arb_scheduler(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        windows in arb_windows(),
+    ) {
+        let cell = Experiment::builder()
+            .nodes(nodes)
+            .dynamics(churn(&*scheduler, nodes, windows))
+            .scheduler_shared(scheduler)
+            .seed(seed)
+            .trace(&trace);
+        let tasks = trace.total_tasks();
+        for shards in [1usize, 2, 3, 5] {
+            let report = cell.clone().shards(shards).run();
+            prop_assert_eq!(report.events_by_kind[kind("task_finish")], tasks, "{} shards", shards);
+        }
+        let cell = cell.build();
+        let cfg = ProtoBackend::deterministic().config_for(cell.sim());
+        let proto = run_prototype(cell.trace(), Arc::clone(cell.scheduler()), &cfg);
+        prop_assert_eq!(proto.deliveries[MsgKind::TaskFinish], tasks, "proto");
     }
 
     /// Bit-level determinism for arbitrary configurations.
