@@ -5,7 +5,7 @@
 //! interactive benches cannot drift apart.
 
 use hawk_cluster::steal::eligible_group;
-use hawk_cluster::{QueueEntry, QueueSlab, Server, ServerId, TaskSpec};
+use hawk_cluster::{QueueEntry, QueueSlab, Server, TaskSpec};
 use hawk_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use hawk_workload::{JobClass, JobId};
 
@@ -108,20 +108,20 @@ pub fn steal_scan_cases() -> Vec<Case> {
     for len in [8usize, 64, 512] {
         let mut rng = SimRng::seed_from_u64(7);
         let mut q = QueueSlab::new(1);
-        let mut s = Server::new(ServerId(0));
-        s.enqueue(&mut q, entry(true, 0)); // occupies the slot (a long task)
+        let mut s = Server::default();
+        s.enqueue(&mut q, 0, entry(true, 0)); // occupies the slot (a long task)
         for i in 0..len {
-            s.enqueue(&mut q, entry(rng.chance(0.3), i as u32 + 1));
+            s.enqueue(&mut q, 0, entry(rng.chance(0.3), i as u32 + 1));
         }
         cases.push(scan_case(format!("mixed_queue/{len}"), q, s));
 
         let mut q = QueueSlab::new(1);
-        let mut s = Server::new(ServerId(0));
-        s.enqueue(&mut q, entry(false, 0));
+        let mut s = Server::default();
+        s.enqueue(&mut q, 0, entry(false, 0));
         // Bind the probe so the slot is Running(short).
-        s.on_bind_response(&mut q, Some(task(0, 1, JobClass::Short)));
+        s.on_bind_response(&mut q, 0, Some(task(0, 1, JobClass::Short)));
         for i in 0..len {
-            s.enqueue(&mut q, entry(false, i as u32 + 1));
+            s.enqueue(&mut q, 0, entry(false, i as u32 + 1));
         }
         cases.push(scan_case(format!("all_short_fast_path/{len}"), q, s));
     }
@@ -134,7 +134,8 @@ fn scan_case(name: String, queues: QueueSlab, victim: Server) -> Case {
         name,
         elements: 1,
         run: Box::new(move || {
-            eligible_group(std::hint::black_box(&victim), &queues).map_or(0, |(_, len)| len as u64)
+            eligible_group(std::hint::black_box(&victim), &queues, 0)
+                .map_or(0, |(_, len)| len as u64)
         }),
     }
 }

@@ -12,56 +12,15 @@ use std::ops::Range;
 
 use hawk_simcore::stats::{median, percentile};
 use hawk_simcore::SimDuration;
+use hawk_workload::scenario::check_speed;
 
 use crate::entry::{QueueEntry, TaskSpec};
 use crate::index::BitSet;
 use crate::partition::Partition;
 use crate::queue::QueueSlab;
-use crate::server::{Server, ServerAction, ServerId};
+use crate::server::{scale_duration, RunningTask, Server, ServerAction, ServerId, Stat};
 use crate::steal;
 use crate::steal::StealScratch;
-
-/// Index-relevant summary of one server's state, packed into one word.
-///
-/// Layout: bit 0 = holds-long, bit 1 = down, bit 2 = steal candidate
-/// (holds long work and has a short entry queued), bits 3.. = queue depth
-/// (queue length plus one if the slot is occupied). Down servers are
-/// members of *no* index — the down bit gates index maintenance.
-#[derive(Debug, Clone, Copy)]
-struct ServerStat(u32);
-
-impl ServerStat {
-    /// The sentinel every in-service server outside the owned range reads
-    /// as: idle, depth 0, no long work (see [`Cluster`], "Owned range").
-    const IDLE: ServerStat = ServerStat(0);
-
-    #[inline]
-    fn of(server: &Server) -> Self {
-        // The server maintains the packed word incrementally inside its own
-        // transitions, so observing it is a single load.
-        ServerStat(server.stat_word())
-    }
-
-    #[inline]
-    fn depth(self) -> u32 {
-        self.0 >> 3
-    }
-
-    #[inline]
-    fn holds_long(self) -> bool {
-        self.0 & 1 != 0
-    }
-
-    #[inline]
-    fn is_candidate(self) -> bool {
-        self.0 & 4 != 0
-    }
-
-    #[inline]
-    fn is_down(self) -> bool {
-        self.0 & 2 != 0
-    }
-}
 
 /// A simulated cluster of single-slot FIFO servers.
 ///
@@ -98,15 +57,17 @@ impl ServerStat {
 /// A cluster stores [`Server`] state machines and queue lists for one
 /// contiguous *owned* id range — the whole id space for [`Cluster::new`],
 /// a shard's slice for [`Cluster::ranged`] — and accepts work only there.
-/// Every other id is known by membership alone: **an in-service server
-/// outside the owned range reads as idle at depth 0**. That one sentinel
-/// answers [`Cluster::queue_depth`], [`Cluster::holds_long_work`] and
-/// [`Cluster::is_steal_candidate`], while the down bitmap,
-/// [`Cluster::live_ids`] and the live counts cover every id exactly
-/// ([`Cluster::fail_server`] / [`Cluster::revive_server`] take any id), so
-/// placement views and victim filters see correct membership everywhere.
-/// The cost per non-owned server is two bitmap bits and a live-id word
-/// instead of a `Server` and a list.
+/// Owned server `own_start + i` is `servers[i]`, and its queue is list `i`
+/// of the shared [`QueueSlab`]: the index is the server's id and list, so
+/// a `Server` stores neither. Every other id is known by membership
+/// alone: **an in-service server outside the owned range reads as idle at
+/// depth 0**. That one sentinel answers [`Cluster::queue_depth`],
+/// [`Cluster::holds_long_work`] and [`Cluster::is_steal_candidate`], while
+/// the down bitmap, [`Cluster::live_ids`] and the live counts cover every
+/// id exactly ([`Cluster::fail_server`] / [`Cluster::revive_server`] take
+/// any id), so placement views and victim filters see correct membership
+/// everywhere. The cost per non-owned server is two bitmap bits and a
+/// live-id word instead of a 20-byte `Server` and a list.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     /// First owned id: `servers[i]` is server `own_start + i`.
@@ -115,8 +76,12 @@ pub struct Cluster {
     servers: Vec<Server>,
     /// The shared queue arena: one intrusive FIFO list per owned server
     /// (list `i` backs `servers[i]`). All queue storage lives here (see
-    /// [`QueueSlab`]); servers keep only O(1) mirrors.
+    /// [`QueueSlab`]).
     queues: QueueSlab,
+    /// Execution-speed factors of the owned range (`speeds[i]` is
+    /// `servers[i]`'s), read only at launch by [`Cluster::occupancy`].
+    /// Empty when every owned server runs at speed 1.0.
+    speeds: Vec<f64>,
     /// Reused working space for the granularity-driven steal scans.
     steal_scratch: StealScratch,
     partition: Partition,
@@ -150,11 +115,12 @@ impl Cluster {
     }
 
     /// Creates a cluster with per-server execution-speed factors
-    /// (`speeds[i]` is server `i`'s factor; see [`Server::speed`]).
+    /// (`speeds[i]` is server `i`'s factor; see [`Cluster::occupancy`]).
     ///
     /// # Panics
     ///
-    /// Panics if `speeds.len() != total` or any factor is non-positive.
+    /// Panics if `speeds.len() != total` or any factor is not finite and
+    /// positive.
     pub fn with_speeds(total: usize, short_fraction: f64, speeds: &[f64]) -> Self {
         Self::ranged(total, short_fraction, 0..total as u32, Some(speeds))
     }
@@ -167,7 +133,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `owned` reaches past `total`, `speeds.len() != total` or
-    /// any owned factor is non-positive.
+    /// any owned factor is not finite and positive.
     pub fn ranged(
         total: usize,
         short_fraction: f64,
@@ -179,20 +145,20 @@ impl Cluster {
             owned.start <= owned.end && owned.end as usize <= total,
             "owned range {owned:?} outside 0..{total}"
         );
-        let mut servers: Vec<Server> = owned
-            .clone()
-            .map(|id| Server::in_list(ServerId(id), id - owned.start))
-            .collect();
+        let mut own_speeds = Vec::new();
         if let Some(speeds) = speeds {
             assert_eq!(speeds.len(), total, "one speed factor per server");
-            for (server, &speed) in servers.iter_mut().zip(&speeds[owned.start as usize..]) {
-                server.set_speed(speed);
+            own_speeds = speeds[owned.start as usize..owned.end as usize].to_vec();
+            own_speeds.iter().copied().for_each(check_speed);
+            if own_speeds.iter().all(|&speed| speed == 1.0) {
+                own_speeds = Vec::new();
             }
         }
         Cluster {
             own_start: owned.start,
-            queues: QueueSlab::new(servers.len()),
-            servers,
+            queues: QueueSlab::new(owned.len()),
+            servers: vec![Server::default(); owned.len()],
+            speeds: own_speeds,
             steal_scratch: StealScratch::new(),
             partition,
             running: 0,
@@ -230,25 +196,25 @@ impl Cluster {
     /// sentinel (which a *down* non-owned server also reads as; liveness
     /// is the down bitmap's to answer).
     #[inline]
-    fn stat(&self, id: ServerId) -> ServerStat {
+    fn stat(&self, id: ServerId) -> Stat {
         self.servers
             .get(self.slot_of(id))
-            .map_or(ServerStat::IDLE, ServerStat::of)
+            .map_or(Stat::IDLE, Server::stat)
     }
 
-    /// Applies `mutate` to one server (handing it the shared queue arena),
-    /// flipping its steal-candidate bit if the mutation changed it. All
-    /// mutation paths funnel through here.
+    /// Applies `mutate` to one server (handing it the shared queue arena
+    /// and its list), flipping its steal-candidate bit if the mutation
+    /// changed it. All mutation paths funnel through here.
     fn update<R>(
         &mut self,
         id: ServerId,
-        mutate: impl FnOnce(&mut Server, &mut QueueSlab) -> R,
+        mutate: impl FnOnce(&mut Server, &mut QueueSlab, usize) -> R,
     ) -> R {
         let slot = self.slot_of(id);
         let server = &mut self.servers[slot];
-        let before = ServerStat::of(server);
-        let result = mutate(server, &mut self.queues);
-        let after = ServerStat::of(server);
+        let before = server.stat();
+        let result = mutate(server, &mut self.queues, slot);
+        let after = server.stat();
         if before.is_candidate() != after.is_candidate() && !before.is_down() {
             // Down servers are members of no index; their residual
             // transitions (the draining slot finishing or binding) need no
@@ -285,10 +251,22 @@ impl Cluster {
         &self.servers[self.slot_of(id)]
     }
 
-    /// Read access to the shared queue arena (a server's queue is list
-    /// [`Server::list`]; pair with [`Server::queue`] to walk one queue).
+    /// Read access to the shared queue arena (see the type docs, "Owned
+    /// range", for which list backs which server).
     pub fn queues(&self) -> &QueueSlab {
         &self.queues
+    }
+
+    /// The queue of the owned server `id`, head first.
+    pub fn queue(&self, id: ServerId) -> impl Iterator<Item = QueueEntry> + '_ {
+        self.queues.iter(self.slot_of(id))
+    }
+
+    /// How long a task of nominal duration `duration` occupies the owned
+    /// server `id`'s slot: [`scale_duration`] by its speed factor.
+    pub fn occupancy(&self, id: ServerId, duration: SimDuration) -> SimDuration {
+        let speed = self.speeds.get(self.slot_of(id)).copied().unwrap_or(1.0);
+        scale_duration(duration, speed)
     }
 
     /// Number of servers currently executing a task.
@@ -309,7 +287,7 @@ impl Cluster {
 
     /// Enqueues an entry on `id`, updating the running count and indexes.
     pub fn enqueue(&mut self, id: ServerId, entry: QueueEntry) -> Option<ServerAction> {
-        let action = self.update(id, |s, q| s.enqueue(q, entry));
+        let action = self.update(id, |s, q, list| s.enqueue(q, list, entry));
         if let Some(ServerAction::StartTask(_)) = action {
             self.running += 1;
         }
@@ -318,7 +296,7 @@ impl Cluster {
 
     /// Delivers a bind response to `id`.
     pub fn on_bind_response(&mut self, id: ServerId, task: Option<TaskSpec>) -> ServerAction {
-        let action = self.update(id, |s, q| s.on_bind_response(q, task));
+        let action = self.update(id, |s, q, list| s.on_bind_response(q, list, task));
         if let ServerAction::StartTask(_) = action {
             self.running += 1;
             if self.down.contains(id.index()) {
@@ -330,9 +308,10 @@ impl Cluster {
         action
     }
 
-    /// Completes the running task on `id`.
-    pub fn on_task_finish(&mut self, id: ServerId) -> (TaskSpec, ServerAction) {
-        let (spec, action) = self.update(id, |s, q| s.on_task_finish(q));
+    /// Completes the running task on `id`, returning what its slot held
+    /// of the task and the follow-up action.
+    pub fn on_task_finish(&mut self, id: ServerId) -> (RunningTask, ServerAction) {
+        let (task, action) = self.update(id, |s, q, list| s.on_task_finish(q, list));
         self.running -= 1;
         if self.down.contains(id.index()) {
             // A draining server's slot emptied: its capacity is gone.
@@ -341,7 +320,7 @@ impl Cluster {
         if let ServerAction::StartTask(_) = action {
             self.running += 1;
         }
-        (spec, action)
+        (task, action)
     }
 
     /// Attempts to steal from `victim` (§3.6) at `granularity`, appending
@@ -357,8 +336,8 @@ impl Cluster {
         out: &mut Vec<QueueEntry>,
     ) {
         let mut scratch = std::mem::take(&mut self.steal_scratch);
-        self.update(victim, |s, q| {
-            steal::steal_from_with_into(s, q, granularity, rng, &mut scratch, out)
+        self.update(victim, |s, q, list| {
+            steal::steal_from_with_into(s, q, list, granularity, rng, &mut scratch, out)
         });
         self.steal_scratch = scratch;
     }
@@ -372,7 +351,9 @@ impl Cluster {
         thief: ServerId,
         entries: &mut Vec<QueueEntry>,
     ) -> Option<ServerAction> {
-        let action = self.update(thief, |s, q| s.enqueue_all(q, entries.drain(..)));
+        let action = self.update(thief, |s, q, list| {
+            s.enqueue_all(q, list, entries.drain(..))
+        });
         if let Some(ServerAction::StartTask(_)) = action {
             self.running += 1;
         }
@@ -400,7 +381,7 @@ impl Cluster {
         if slot < self.servers.len() {
             // Drain through `update` so the candidate bitmap watches the
             // queue empty while the server is still a live index member.
-            self.update(id, |s, q| s.drain_queue_into(q, drained));
+            self.update(id, |s, q, list| s.drain_queue_into(q, list, drained));
             self.down_running += usize::from(self.servers[slot].is_running());
             self.servers[slot].set_down(true);
         }
@@ -527,70 +508,71 @@ impl Cluster {
     /// Checks every owned server's invariants plus the running count, the
     /// queue arena, and the candidate and liveness indexes against a
     /// from-scratch recomputation over the whole id space — owned servers
-    /// from their state machines, the rest as the idle sentinel.
-    pub fn check_invariants(&self) -> bool {
-        let well_placed =
-            |(i, s): (usize, &Server)| s.id().0 == self.own_start + i as u32 && s.list() == i;
-        if !self.servers.iter().enumerate().all(well_placed)
-            || !self
-                .servers
-                .iter()
-                .all(|s| s.check_invariants(&self.queues))
-            || !self.queues.check_invariants()
-        {
-            return false;
+    /// from their state machines, the rest as the idle sentinel. The error
+    /// names the server and the field that disagrees.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if !self.queues.check_invariants() {
+            return Err("queue arena: slab invariants broken".into());
         }
         let mut running = 0;
         let mut candidates = 0;
-        let mut down_count = 0;
         let mut down_running = 0;
         let mut live_ids = Vec::with_capacity(self.len());
         let mut live_general = 0;
         for id in (0..self.len() as u32).map(ServerId) {
-            let server = self.servers.get(self.slot_of(id));
-            let stat = self.stat(id);
+            let slot = self.slot_of(id);
+            let server = self.servers.get(slot);
+            if let Some(server) = server {
+                server
+                    .check_invariants(&self.queues, slot)
+                    .map_err(|e| format!("{id}: {e}"))?;
+            }
             let is_running = server.is_some_and(Server::is_running);
             running += usize::from(is_running);
             let down = self.down.contains(id.index());
-            if server.is_some_and(|s| s.is_down() != down || stat.is_down() != down) {
-                return false;
+            if server.is_some_and(|s| s.is_down() != down) {
+                return Err(format!(
+                    "{id}: down bit disagrees with the down map ({down})"
+                ));
             }
             if down {
                 // A down server was drained and sits in no index.
-                if server.is_some_and(|s| s.queue_len() != 0)
-                    || self.steal_candidates.contains(id.index())
-                {
-                    return false;
+                if server.is_some_and(|s| s.queue_len() != 0) {
+                    return Err(format!("{id}: down with a non-empty queue"));
                 }
-                down_count += 1;
+                if self.steal_candidates.contains(id.index()) {
+                    return Err(format!("{id}: down but a steal candidate"));
+                }
                 down_running += usize::from(is_running);
                 continue;
             }
             live_ids.push(id.0);
             live_general += usize::from(self.partition.in_general(id));
-            if server
-                .is_some_and(|s| stat.depth() as usize != s.queue_len() + usize::from(!s.is_free()))
-            {
-                return false;
-            }
             // The candidate index, recomputed from the queue itself rather
-            // than from the mirrors the stat word is built from.
+            // than from the counts the stat word is built from.
             let candidate = server.is_some_and(|s| {
-                let holds_long =
-                    s.slot().holds_long() || s.queue(&self.queues).any(|e| e.is_long());
-                holds_long && s.queue(&self.queues).any(|e| e.is_short())
+                let holds_long = s.slot().holds_long() || self.queue(id).any(|e| e.is_long());
+                holds_long && self.queue(id).any(|e| e.is_short())
             });
             if candidate != self.steal_candidates.contains(id.index()) {
-                return false;
+                return Err(format!("{id}: candidate bit is not {candidate}"));
             }
             candidates += usize::from(candidate);
         }
-        running == self.running
-            && candidates == self.steal_candidates.count()
-            && down_count == self.down.count()
-            && down_running == self.down_running
-            && live_ids == self.live_ids
-            && live_general == self.live_general
+        let counts = [
+            ("running count", running, self.running),
+            ("candidate count", candidates, self.steal_candidates.count()),
+            ("down count", self.len() - live_ids.len(), self.down.count()),
+            ("down running count", down_running, self.down_running),
+            ("live general count", live_general, self.live_general),
+        ];
+        if let Some((name, want, kept)) = counts.into_iter().find(|&(_, want, kept)| want != kept) {
+            return Err(format!("{name}: {kept} kept, {want} recomputed"));
+        }
+        if live_ids != self.live_ids {
+            return Err("live map: differs from the down map".into());
+        }
+        Ok(())
     }
 }
 
@@ -695,7 +677,7 @@ mod tests {
         let (_, action) = c.on_task_finish(ServerId(0));
         assert_eq!(action, ServerAction::BecameIdle);
         assert_eq!(c.running_count(), 1);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
     }
 
     #[test]
@@ -712,7 +694,7 @@ mod tests {
         assert_eq!(c.running_count(), 0, "awaiting bind is not running");
         c.on_bind_response(ServerId(0), Some(spec(5, 100, JobClass::Short)));
         assert_eq!(c.running_count(), 1);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
     }
 
     #[test]
@@ -737,7 +719,7 @@ mod tests {
                 class: JobClass::Short,
             },
         );
-        let stealable = |c: &Cluster| steal::eligible_group(c.server(ServerId(0)), c.queues());
+        let stealable = |c: &Cluster| steal::eligible_group(c.server(ServerId(0)), c.queues(), 0);
         assert!(stealable(&c).is_some());
 
         let mut stolen = Vec::new();
@@ -752,7 +734,7 @@ mod tests {
         assert!(stolen.is_empty());
         assert_eq!(action, Some(ServerAction::RequestBind { job: JobId(1) }));
         assert_eq!(c.server(ServerId(3)).queue_len(), 1);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
     }
 
     #[test]
@@ -802,7 +784,7 @@ mod tests {
         assert!(!c.holds_long_work(ServerId(0)));
         assert!(!c.is_steal_candidate(ServerId(0)));
         assert_eq!(c.running_count(), 1, "draining slot still executes");
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
 
         // Double-fail is a no-op.
         assert!(!c.fail_server(ServerId(0), &mut drained));
@@ -814,7 +796,7 @@ mod tests {
         assert_eq!(action, ServerAction::BecameIdle);
         assert!(c.is_down(ServerId(0)), "the server stays dark");
         assert_eq!(c.running_count(), 0);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
 
         // Revival restores full index membership.
         assert!(c.revive_server(ServerId(0)));
@@ -823,7 +805,7 @@ mod tests {
         assert_eq!(c.live_count(), 4);
         assert_eq!(c.live_ids(), &[0, 1, 2, 3]);
         assert_eq!(c.down_count(), 0);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
     }
 
     #[test]
@@ -838,11 +820,11 @@ mod tests {
         assert!(c.revive_server(ServerId(0)));
         assert_eq!(c.queue_depth(ServerId(0)), 1);
         assert!(c.holds_long_work(ServerId(0)));
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
         let (_, action) = c.on_task_finish(ServerId(0));
         assert_eq!(action, ServerAction::BecameIdle);
         assert_eq!(c.queue_depth(ServerId(0)), 0);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
     }
 
     #[test]
@@ -862,18 +844,18 @@ mod tests {
         // usable capacity, so utilization stays 2/2.
         c.fail_server(ServerId(1), &mut drained);
         assert!((c.utilization() - 1.0).abs() < 1e-12);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
 
         // The draining slot empties: 1 running / 1 usable.
         c.on_task_finish(ServerId(1));
         assert!((c.utilization() - 1.0).abs() < 1e-12);
         assert_eq!(c.running_count(), 1);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
 
         // Revival restores the denominator: 1 running / 2 usable.
         c.revive_server(ServerId(2));
         assert!((c.utilization() - 0.5).abs() < 1e-12);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
     }
 
     #[test]
@@ -881,16 +863,18 @@ mod tests {
         let speeds = [1.0, 0.5, 2.0];
         let c = Cluster::with_speeds(3, 0.0, &speeds);
         let d = SimDuration::from_secs(100);
-        assert_eq!(c.server(ServerId(0)).scale_duration(d), d);
-        assert_eq!(
-            c.server(ServerId(1)).scale_duration(d),
-            SimDuration::from_secs(200)
-        );
-        assert_eq!(
-            c.server(ServerId(2)).scale_duration(d),
-            SimDuration::from_secs(50)
-        );
-        assert!(c.check_invariants());
+        assert_eq!(c.occupancy(ServerId(0), d), d);
+        assert_eq!(c.occupancy(ServerId(1), d), SimDuration::from_secs(200));
+        assert_eq!(c.occupancy(ServerId(2), d), SimDuration::from_secs(50));
+        // A homogeneous profile stores no speeds at all.
+        assert!(Cluster::with_speeds(3, 0.0, &[1.0; 3]).speeds.is_empty());
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "speed factor inf must be finite and positive")]
+    fn an_infinite_speed_factor_is_refused() {
+        Cluster::with_speeds(2, 0.0, &[1.0, f64::INFINITY]);
     }
 
     #[test]
@@ -901,11 +885,11 @@ mod tests {
         assert_eq!(c.live_count_short(), 1);
         assert_eq!(c.live_count_general(), 2);
         assert_eq!(c.live_ids(), &[0, 1, 2]);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
         c.revive_server(ServerId(3));
         assert_eq!(c.live_count_short(), 2);
         assert_eq!(c.live_ids(), &[0, 1, 2, 3]);
-        assert!(c.check_invariants());
+        c.check_invariants().unwrap();
     }
 
     #[test]

@@ -61,5 +61,5 @@ pub use entry::{QueueEntry, TaskSpec};
 pub use network::NetworkModel;
 pub use partition::Partition;
 pub use queue::QueueSlab;
-pub use server::{Server, ServerAction, ServerId, Slot};
+pub use server::{scale_duration, RunningTask, Server, ServerAction, ServerId, Slot, Stat};
 pub use steal::StealGranularity;

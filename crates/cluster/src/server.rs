@@ -12,22 +12,37 @@
 //! Methods return a [`ServerAction`] that the simulation driver converts
 //! into events (task-finish timers, bind-request messages, steal attempts).
 //!
+//! # What a server stores
+//!
+//! Only what nothing else holds: its slot (the running task as `(job,
+//! task, class)`, 12 bytes), its queued-long count and its stat word — 20
+//! bytes. Its id and its queue's list are its index in whatever owns it
+//! (the slot in `Cluster`'s table, 0 in a prototype worker), so the caller
+//! that owns the queue storage names the list; its queue length is the
+//! stat word's depth minus the occupied slot; whether it is down is a bit
+//! of the stat word; its speed factor is read only at launch and lives
+//! with the owner ([`scale_duration`]).
+//!
 //! # Queue storage
 //!
 //! Queue entries do not live inside the server: every queue in a cluster
-//! is an intrusive list in one shared [`QueueSlab`] arena (list `i` backs
-//! server `i`), so 15k–50k queues share contiguous storage instead of
-//! 15k–50k scattered heap objects. A list node is one 8-byte word and its
-//! 4-byte link, 12 bytes: a probe is `(job, class)` in the word itself, and
-//! a task is its job, a class bit and a 30-bit handle into the slab's side
-//! arena of [`TaskSpec`]s, because under late binding (§3.5) most queued
-//! entries are probes. Both arenas recycle what is freed (the nodes through
-//! the slab's free list, the task slots through a free chain threaded
-//! through the slots) and grow only at a new peak of what they hold, by
-//! doubling — the steady-state event loop allocates nothing. Every
-//! queue-touching method therefore takes the slab as a parameter; the
-//! server keeps only O(1) mirrors (queue length, queued-long count, the
-//! packed stat word) that it maintains incrementally.
+//! is an intrusive list in one shared [`QueueSlab`] arena, so 15k–50k
+//! queues share contiguous storage instead of 15k–50k scattered heap
+//! objects. A list node is one 8-byte word and its 4-byte link, 12 bytes:
+//! a probe is `(job, class)` in the word itself, and a task is its job, a
+//! class bit and a 30-bit handle into the slab's side arena of
+//! [`TaskSpec`]s, because under late binding (§3.5) most queued entries
+//! are probes. Both arenas recycle what is freed (the nodes through the
+//! slab's free list, the task slots through a free chain threaded through
+//! the slots) and grow only at a new peak of what they hold, by doubling —
+//! the steady-state event loop allocates nothing. Every queue-touching
+//! method therefore takes the slab and the server's list as parameters.
+//!
+//! # The stat word
+//!
+//! [`Stat`] packs what the cluster's index and its O(1) reads need into
+//! one word, recomputed by every transition; this module is the one place
+//! that knows its bit layout.
 
 use std::fmt;
 
@@ -55,10 +70,46 @@ impl fmt::Display for ServerId {
     }
 }
 
-/// The execution-slot state.
+/// How long a task of nominal duration `duration` occupies a slot of
+/// relative speed `speed` (1.0 = nominal): `duration / speed`. Exactly
+/// `duration` at speed 1.0, so homogeneous runs are bit-identical to the
+/// pre-speed engine.
+pub fn scale_duration(duration: SimDuration, speed: f64) -> SimDuration {
+    if speed == 1.0 {
+        duration
+    } else {
+        SimDuration::from_secs_f64(duration.as_secs_f64() / speed)
+    }
+}
+
+/// What the slot keeps of a launched task: who it is and its class. Its
+/// duration went into the finish timer at launch, and its estimate and
+/// attempt are the scheduler's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunningTask {
+    /// The owning job.
+    pub job: JobId,
+    /// Index of the task within its job.
+    pub task: u32,
+    /// The job's scheduling class under the active cutoff.
+    pub class: JobClass,
+}
+
+impl From<TaskSpec> for RunningTask {
+    fn from(spec: TaskSpec) -> Self {
+        RunningTask {
+            job: spec.job,
+            task: spec.task,
+            class: spec.class,
+        }
+    }
+}
+
+/// The execution-slot state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Slot {
     /// Idle; the queue is empty.
+    #[default]
     Free,
     /// Blocked on a bind round trip for a probe of `job`.
     AwaitingBind {
@@ -68,7 +119,7 @@ pub enum Slot {
         class: JobClass,
     },
     /// Executing a bound task.
-    Running(TaskSpec),
+    Running(RunningTask),
 }
 
 impl Slot {
@@ -78,10 +129,54 @@ impl Slot {
     /// all key on this.
     pub fn holds_long(&self) -> bool {
         match self {
-            Slot::Running(spec) => spec.class.is_long(),
+            Slot::Running(task) => task.class.is_long(),
             Slot::AwaitingBind { class, .. } => class.is_long(),
             Slot::Free => false,
         }
+    }
+}
+
+/// A server's packed index summary: bit 0 = holds long work (slot or
+/// queue), bit 1 = down, bit 2 = steal candidate (holds long work *and*
+/// has a short entry queued), bits 3.. = queue depth (queue length plus
+/// one if the slot is occupied). Reading any of it is one load; the
+/// cluster diffs the candidate bit around each mutation to keep its index
+/// current. Outside the owned range of a ranged cluster every in-service
+/// server reads as the all-zero word. Only this module decodes the bits;
+/// elsewhere a `Stat` can only be compared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Stat(u32);
+
+impl Stat {
+    /// Idle, in service, depth 0, no long work.
+    pub(crate) const IDLE: Stat = Stat(0);
+
+    fn of(slot: Slot, queue_len: usize, queued_long: u32, down: bool) -> Stat {
+        let occupied = u32::from(slot != Slot::Free);
+        let holds_long = slot.holds_long() || queued_long > 0;
+        let has_short = queue_len > queued_long as usize;
+        Stat(
+            (queue_len as u32 + occupied) << 3
+                | u32::from(holds_long && has_short) << 2
+                | u32::from(down) << 1
+                | u32::from(holds_long),
+        )
+    }
+
+    pub(crate) fn depth(self) -> u32 {
+        self.0 >> 3
+    }
+
+    pub(crate) fn holds_long(self) -> bool {
+        self.0 & 1 != 0
+    }
+
+    pub(crate) fn is_down(self) -> bool {
+        self.0 & 2 != 0
+    }
+
+    pub(crate) fn is_candidate(self) -> bool {
+        self.0 & 4 != 0
     }
 }
 
@@ -102,87 +197,46 @@ pub enum ServerAction {
     BecameIdle,
 }
 
-/// A single-slot, FIFO-queued worker whose queue lives in a shared
-/// [`QueueSlab`] (list [`Server::list`]).
+/// A single-slot, FIFO-queued worker whose queue is one list of a shared
+/// [`QueueSlab`], named by the caller on every queue-touching call.
 ///
 /// # Examples
 ///
 /// ```
-/// use hawk_cluster::{QueueEntry, QueueSlab, Server, ServerAction, ServerId};
+/// use hawk_cluster::{QueueEntry, QueueSlab, Server, ServerAction};
 /// use hawk_workload::{JobClass, JobId};
 ///
 /// let mut queues = QueueSlab::new(1);
-/// let mut s = Server::new(ServerId(0));
+/// let mut s = Server::default();
 /// let action = s.enqueue(
 ///     &mut queues,
+///     0,
 ///     QueueEntry::Probe { job: JobId(1), class: JobClass::Short },
 /// );
 /// // The probe hit the head of an idle queue: the server asks for a task.
 /// assert_eq!(action, Some(ServerAction::RequestBind { job: JobId(1) }));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Server {
-    id: ServerId,
-    /// The slab list backing this server's queue (see [`Server::in_list`]).
-    list: u32,
     slot: Slot,
-    /// Queue length mirror (the slab is the storage; this keeps
-    /// depth reads a single load with no slab reference).
-    queue_len: u32,
     /// Number of long entries currently queued; lets the steal scan skip
     /// ineligible victims in O(1).
     queued_long: u32,
-    /// Packed index summary, maintained incrementally by every transition:
-    /// bit 0 = holds-long-work, bit 1 = down (out of service), bit 2 =
-    /// steal candidate (holds long work *and* has a short entry queued),
-    /// bits 3.. = queue depth (queue length plus one if the slot is
-    /// occupied). The cluster diffs this single word around each mutation
-    /// to keep its indexes current, so the per-event bookkeeping is two
-    /// loads and an XOR instead of a state recompute.
-    stat: u32,
-    /// Relative execution speed (1.0 = nominal): a task of duration `d`
-    /// occupies this server's slot for `d / speed`. Heterogeneous-cluster
-    /// scenarios set it once at construction.
-    speed: f64,
-    /// True while the server is out of service (scenario node-down): it
-    /// accepts no new work, its queue has been drained, and any running
-    /// task finishes before the server goes fully dark.
-    down: bool,
+    /// The packed index summary (see [`Stat`]), recomputed by every
+    /// transition. Its depth and down bit are the only copies of the
+    /// queue length and the server's liveness.
+    stat: Stat,
 }
 
 impl Server {
-    /// Creates an idle server at nominal speed. Its queue is list
-    /// `id.index()` of the cluster's [`QueueSlab`].
-    pub fn new(id: ServerId) -> Self {
-        Self::in_list(id, id.0)
+    /// Recomputes the stat word from the slot, the queued-long count,
+    /// `queue_len` queued entries and the down bit it already holds.
+    fn restat(&mut self, queue_len: usize) {
+        self.stat = Stat::of(self.slot, queue_len, self.queued_long, self.is_down());
     }
 
-    /// Like [`Server::new`], with the queue in list `list` of the slab: a
-    /// cluster that stores a sub-range of the id space numbers its lists
-    /// from zero.
-    pub fn in_list(id: ServerId, list: u32) -> Self {
-        Server {
-            id,
-            list,
-            slot: Slot::Free,
-            queue_len: 0,
-            queued_long: 0,
-            stat: 0,
-            speed: 1.0,
-            down: false,
-        }
-    }
-
-    /// The slab list backing this server's queue.
-    #[inline]
-    pub fn list(&self) -> usize {
-        self.list as usize
-    }
-
-    /// The packed index summary: bit 0 = holds-long-work, bit 1 = down,
-    /// bit 2 = steal candidate, bits 3.. = queue depth. Kept current by
-    /// every transition.
-    pub fn stat_word(&self) -> u32 {
+    /// The packed index summary, kept current by every transition.
+    pub fn stat(&self) -> Stat {
         self.stat
     }
 
@@ -192,34 +246,7 @@ impl Server {
     /// needs the scan, since the short entries may all sit ahead of the
     /// first long one. One load of the stat word.
     pub fn is_steal_candidate(&self) -> bool {
-        self.stat & 4 != 0
-    }
-
-    /// True when the queue holds a short entry (queue length exceeds the
-    /// queued-long count).
-    fn has_queued_short(&self) -> bool {
-        self.queue_len > self.queued_long
-    }
-
-    /// The stat word recomputed from scratch (the invariant checker
-    /// compares it against the incrementally maintained copy).
-    fn computed_stat(&self) -> u32 {
-        let occupied = u32::from(!matches!(self.slot, Slot::Free));
-        let depth = self.queue_len + occupied;
-        let holds_long = self.slot.holds_long() || self.queued_long > 0;
-        depth << 3
-            | u32::from(holds_long && self.has_queued_short()) << 2
-            | u32::from(self.down) << 1
-            | u32::from(holds_long)
-    }
-
-    fn recompute_stat(&mut self) {
-        self.stat = self.computed_stat();
-    }
-
-    /// The server's id.
-    pub fn id(&self) -> ServerId {
-        self.id
+        self.stat.is_candidate()
     }
 
     /// The current slot state.
@@ -243,68 +270,46 @@ impl Server {
         matches!(self.slot, Slot::Free)
     }
 
-    /// True while the server is out of service (scenario node-down).
+    /// True while the server is out of service (scenario node-down): it
+    /// accepts no new work, its queue has been drained, and any running
+    /// task finishes before the server goes fully dark. The stat word's
+    /// down bit.
     pub fn is_down(&self) -> bool {
-        self.down
+        self.stat.is_down()
     }
 
-    /// The server's relative execution speed (1.0 = nominal).
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
-
-    /// Sets the execution-speed factor (heterogeneous-cluster scenarios
-    /// configure this once, before the run starts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speed` is not positive.
-    pub fn set_speed(&mut self, speed: f64) {
-        assert!(speed > 0.0, "{}: speed factor must be positive", self.id);
-        self.speed = speed;
-    }
-
-    /// How long a task of nominal duration `duration` occupies this
-    /// server's slot: `duration / speed`. Exactly `duration` at nominal
-    /// speed, so homogeneous runs are bit-identical to the pre-speed
-    /// engine.
-    pub fn scale_duration(&self, duration: SimDuration) -> SimDuration {
-        if self.speed == 1.0 {
-            duration
-        } else {
-            SimDuration::from_secs_f64(duration.as_secs_f64() / self.speed)
-        }
-    }
-
-    /// Marks the server down or up, keeping the stat word current. Queue
-    /// and slot state are untouched — inside a [`Cluster`],
-    /// [`Cluster::fail_server`] (which drains the queue first) and
-    /// [`Cluster::revive_server`] are the real lifecycle entry points.
-    /// Standalone embeddings (the real-time prototype's node daemons own a
-    /// bare `Server` each) call this directly, pairing a down transition
-    /// with [`Server::drain_queue_into`].
+    /// Marks the server down or up. Queue and slot state are untouched —
+    /// inside a [`Cluster`], [`Cluster::fail_server`] (which drains the
+    /// queue first) and [`Cluster::revive_server`] are the real lifecycle
+    /// entry points. Standalone embeddings (the prototype's node daemons
+    /// own a bare `Server` each) call this directly, pairing a down
+    /// transition with [`Server::drain_queue_into`].
     ///
     /// [`Cluster`]: crate::Cluster
     /// [`Cluster::fail_server`]: crate::Cluster::fail_server
     /// [`Cluster::revive_server`]: crate::Cluster::revive_server
     pub fn set_down(&mut self, down: bool) {
-        self.down = down;
-        self.recompute_stat();
+        self.stat = Stat::of(self.slot, self.queue_len(), self.queued_long, down);
     }
 
-    /// Empties the queue into `out` (queue order, `out` not cleared),
-    /// resetting the length/long mirrors. The slot is untouched: a running
-    /// task finishes on its own. Used when the server leaves service.
-    pub fn drain_queue_into(&mut self, queues: &mut QueueSlab, out: &mut Vec<QueueEntry>) {
-        queues.drain_into(self.list(), out);
-        self.queue_len = 0;
+    /// Empties the queue (list `list` of `queues`) into `out` (queue
+    /// order, `out` not cleared). The slot is untouched: a running task
+    /// finishes on its own. Used when the server leaves service.
+    pub fn drain_queue_into(
+        &mut self,
+        queues: &mut QueueSlab,
+        list: usize,
+        out: &mut Vec<QueueEntry>,
+    ) {
+        queues.drain_into(list, out);
         self.queued_long = 0;
-        self.recompute_stat();
+        self.restat(0);
     }
 
-    /// Queue length (excluding the slot).
+    /// Queue length (excluding the slot): the stat word's depth minus the
+    /// occupied slot.
     pub fn queue_len(&self) -> usize {
-        self.queue_len as usize
+        self.stat.depth() as usize - usize::from(!self.is_free())
     }
 
     /// Number of long entries in the queue.
@@ -312,33 +317,28 @@ impl Server {
         self.queued_long as usize
     }
 
-    /// Read-only view of the queue, head first.
-    pub fn queue<'s>(&self, queues: &'s QueueSlab) -> impl Iterator<Item = QueueEntry> + 's {
-        queues.iter(self.list())
-    }
-
-    /// Appends an entry to the queue tail (§3.1: "when a new task is
-    /// scheduled on a server that is already running a task, the task is
-    /// added to the end of the queue").
+    /// Appends an entry to the tail of the queue, list `list` of `queues`
+    /// (§3.1: "when a new task is scheduled on a server that is already
+    /// running a task, the task is added to the end of the queue").
     ///
     /// Returns the follow-up action if the server was idle and immediately
     /// started processing the entry, `None` otherwise.
-    pub fn enqueue(&mut self, queues: &mut QueueSlab, entry: QueueEntry) -> Option<ServerAction> {
-        if entry.is_long() {
-            self.queued_long += 1;
-            self.stat |= 1;
-        }
-        queues.push_back(self.list(), entry);
-        self.queue_len += 1;
-        // Depth lives in bits 3..: it grew by one.
-        self.stat += 8;
-        // An enqueue can only turn the candidate bit on: a long entry
-        // raises both sides of `queue_len > queued_long`, a short one only
-        // the left.
-        self.stat |= u32::from(self.stat & 1 != 0 && self.has_queued_short()) << 2;
+    pub fn enqueue(
+        &mut self,
+        queues: &mut QueueSlab,
+        list: usize,
+        entry: QueueEntry,
+    ) -> Option<ServerAction> {
+        // The one check, for every harness, that nothing is placed on a
+        // server out of service: both the cluster and the prototype worker
+        // enqueue through here.
+        debug_assert!(!self.is_down(), "enqueue on a down server");
+        self.queued_long += u32::from(entry.is_long());
+        queues.push_back(list, entry);
         if self.is_free() {
-            Some(self.advance(queues))
+            Some(self.advance(queues, list))
         } else {
+            self.restat(queues.len(list));
             None
         }
     }
@@ -348,11 +348,12 @@ impl Server {
     pub fn enqueue_all(
         &mut self,
         queues: &mut QueueSlab,
+        list: usize,
         entries: impl IntoIterator<Item = QueueEntry>,
     ) -> Option<ServerAction> {
         let mut first_action = None;
         for entry in entries {
-            let action = self.enqueue(queues, entry);
+            let action = self.enqueue(queues, list, entry);
             if first_action.is_none() {
                 first_action = action;
             }
@@ -361,30 +362,24 @@ impl Server {
     }
 
     /// Pops and processes the next queue entry.
-    fn advance(&mut self, queues: &mut QueueSlab) -> ServerAction {
-        let action = match queues.pop_front(self.list()) {
+    fn advance(&mut self, queues: &mut QueueSlab, list: usize) -> ServerAction {
+        let action = match queues.pop_front(list) {
             None => {
                 self.slot = Slot::Free;
                 ServerAction::BecameIdle
             }
             Some(QueueEntry::Task(spec)) => {
-                self.queue_len -= 1;
-                if spec.class.is_long() {
-                    self.queued_long -= 1;
-                }
-                self.slot = Slot::Running(spec);
+                self.queued_long -= u32::from(spec.class.is_long());
+                self.slot = Slot::Running(spec.into());
                 ServerAction::StartTask(spec)
             }
             Some(QueueEntry::Probe { job, class }) => {
-                self.queue_len -= 1;
-                if class.is_long() {
-                    self.queued_long -= 1;
-                }
+                self.queued_long -= u32::from(class.is_long());
                 self.slot = Slot::AwaitingBind { job, class };
                 ServerAction::RequestBind { job }
             }
         };
-        self.recompute_stat();
+        self.restat(queues.len(list));
         action
     }
 
@@ -399,103 +394,78 @@ impl Server {
     pub fn on_bind_response(
         &mut self,
         queues: &mut QueueSlab,
+        list: usize,
         task: Option<TaskSpec>,
     ) -> ServerAction {
         assert!(
             self.is_awaiting_bind(),
-            "{} got a bind response while {:?}",
-            self.id,
+            "got a bind response while {:?}",
             self.slot
         );
         match task {
             Some(spec) => {
-                self.slot = Slot::Running(spec);
-                self.recompute_stat();
+                self.slot = Slot::Running(spec.into());
+                self.restat(self.queue_len());
                 ServerAction::StartTask(spec)
             }
-            None => {
-                self.slot = Slot::Free;
-                self.advance(queues)
-            }
+            None => self.advance(queues, list),
         }
     }
 
-    /// Completes the running task, returning its spec and the follow-up
-    /// action for the freed slot.
+    /// Completes the running task, returning what the slot held of it and
+    /// the follow-up action for the freed slot.
     ///
     /// # Panics
     ///
     /// Panics if no task is running.
-    pub fn on_task_finish(&mut self, queues: &mut QueueSlab) -> (TaskSpec, ServerAction) {
-        let Slot::Running(spec) = self.slot else {
-            panic!("{} finished a task while {:?}", self.id, self.slot);
+    pub fn on_task_finish(
+        &mut self,
+        queues: &mut QueueSlab,
+        list: usize,
+    ) -> (RunningTask, ServerAction) {
+        let Slot::Running(task) = self.slot else {
+            panic!("finished a task while {:?}", self.slot);
         };
-        self.slot = Slot::Free;
-        (spec, self.advance(queues))
+        (task, self.advance(queues, list))
     }
 
-    /// Unlinks the `count`-node run starting at slab node `start` (whose
-    /// predecessor is `prev`; `None` at the head), appending the removed
-    /// entries to `out` in queue order. Used by the steal scan, which
-    /// discovers the run's node indices during its walk.
-    pub(crate) fn unlink_run_into(
-        &mut self,
-        queues: &mut QueueSlab,
-        prev: Option<u32>,
-        start: u32,
-        count: usize,
-        out: &mut Vec<QueueEntry>,
-    ) {
-        let before = out.len();
-        queues.unlink_run_into(self.list(), prev, start, count, out);
-        self.note_removed(&out[before..]);
-    }
-
-    /// Unlinks the single slab node `node` (predecessor `prev`), appending
-    /// its entry to `out`.
-    pub(crate) fn unlink_one_into(
-        &mut self,
-        queues: &mut QueueSlab,
-        prev: Option<u32>,
-        node: u32,
-        out: &mut Vec<QueueEntry>,
-    ) {
-        let entry = queues.unlink_after(self.list(), prev, node);
-        self.note_removed(std::slice::from_ref(&entry));
-        out.push(entry);
-    }
-
-    /// Fixes the length/long-count mirrors after `removed` entries left the
-    /// queue.
-    fn note_removed(&mut self, removed: &[QueueEntry]) {
-        self.queue_len -= removed.len() as u32;
+    /// Fixes the long count and the stat word after the steal scan
+    /// unlinked `removed` from the queue, list `list` of `queues`.
+    pub(crate) fn note_removed(&mut self, queues: &QueueSlab, list: usize, removed: &[QueueEntry]) {
         self.queued_long -= removed.iter().filter(|e| e.is_long()).count() as u32;
-        self.recompute_stat();
+        self.restat(queues.len(list));
     }
 
-    /// Checks internal invariants against the backing slab; used by tests
-    /// and property tests.
-    pub fn check_invariants(&self, queues: &QueueSlab) -> bool {
-        if queues.len(self.list()) != self.queue_len as usize {
-            return false;
+    /// Checks the server's invariants against its queue, list `list` of
+    /// `queues`; used by tests and property tests. The error names the
+    /// field that disagrees.
+    pub fn check_invariants(&self, queues: &QueueSlab, list: usize) -> Result<(), String> {
+        let queued = queues.len(list);
+        let long = queues.iter(list).filter(QueueEntry::is_long).count();
+        let recomputed = Stat::of(self.slot, queued, long as u32, self.is_down());
+        let fields = [
+            (
+                "depth",
+                self.stat.depth() as usize,
+                queued + usize::from(!self.is_free()),
+            ),
+            ("long count", self.queued_long(), long),
+            ("stat word", self.stat.0 as usize, recomputed.0 as usize),
+        ];
+        if let Some((field, kept, want)) = fields.into_iter().find(|&(_, kept, want)| kept != want)
+        {
+            return Err(format!("{field}: {kept} kept, {want} from list {list}"));
         }
-        let long_count = self.queue(queues).filter(|e| e.is_long()).count();
-        if long_count != self.queued_long() {
-            return false;
+        if self.is_free() && queued != 0 {
+            return Err(format!("free slot: {queued} entries in list {list}"));
         }
-        // The incrementally maintained stat word matches a recompute.
-        if self.stat != self.computed_stat() {
-            return false;
-        }
-        // A free server must have an empty queue.
-        !self.is_free() || self.queue_len == 0
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hawk_simcore::SimDuration;
 
     fn task(job: u32, class: JobClass) -> TaskSpec {
         TaskSpec {
@@ -509,44 +479,44 @@ mod tests {
     }
 
     fn setup() -> (QueueSlab, Server) {
-        (QueueSlab::new(1), Server::new(ServerId(0)))
+        (QueueSlab::new(1), Server::default())
     }
 
     #[test]
     fn idle_server_starts_task_immediately() {
         let (mut q, mut s) = setup();
         let spec = task(1, JobClass::Long);
-        let action = s.enqueue(&mut q, QueueEntry::Task(spec));
+        let action = s.enqueue(&mut q, 0, QueueEntry::Task(spec));
         assert_eq!(action, Some(ServerAction::StartTask(spec)));
         assert!(s.is_running());
         assert_eq!(s.queue_len(), 0);
-        assert!(s.check_invariants(&q));
+        s.check_invariants(&q, 0).unwrap();
     }
 
     #[test]
     fn busy_server_queues_fifo() {
         let (mut q, mut s) = setup();
-        s.enqueue(&mut q, QueueEntry::Task(task(1, JobClass::Long)));
+        s.enqueue(&mut q, 0, QueueEntry::Task(task(1, JobClass::Long)));
         assert_eq!(
-            s.enqueue(&mut q, QueueEntry::Task(task(2, JobClass::Short))),
+            s.enqueue(&mut q, 0, QueueEntry::Task(task(2, JobClass::Short))),
             None
         );
         assert_eq!(
-            s.enqueue(&mut q, QueueEntry::Task(task(3, JobClass::Short))),
+            s.enqueue(&mut q, 0, QueueEntry::Task(task(3, JobClass::Short))),
             None
         );
         assert_eq!(s.queue_len(), 2);
 
-        let (done, action) = s.on_task_finish(&mut q);
+        let (done, action) = s.on_task_finish(&mut q, 0);
         assert_eq!(done.job, JobId(1));
         assert_eq!(action, ServerAction::StartTask(task(2, JobClass::Short)));
-        let (done, action) = s.on_task_finish(&mut q);
+        let (done, action) = s.on_task_finish(&mut q, 0);
         assert_eq!(done.job, JobId(2));
         assert_eq!(action, ServerAction::StartTask(task(3, JobClass::Short)));
-        let (_, action) = s.on_task_finish(&mut q);
+        let (_, action) = s.on_task_finish(&mut q, 0);
         assert_eq!(action, ServerAction::BecameIdle);
         assert!(s.is_free());
-        assert!(s.check_invariants(&q));
+        s.check_invariants(&q, 0).unwrap();
     }
 
     #[test]
@@ -554,6 +524,7 @@ mod tests {
         let (mut q, mut s) = setup();
         let action = s.enqueue(
             &mut q,
+            0,
             QueueEntry::Probe {
                 job: JobId(9),
                 class: JobClass::Short,
@@ -563,15 +534,15 @@ mod tests {
         assert!(s.is_awaiting_bind());
         // While awaiting, new entries just queue.
         assert_eq!(
-            s.enqueue(&mut q, QueueEntry::Task(task(2, JobClass::Long))),
+            s.enqueue(&mut q, 0, QueueEntry::Task(task(2, JobClass::Long))),
             None
         );
 
         let spec = task(9, JobClass::Short);
-        let action = s.on_bind_response(&mut q, Some(spec));
+        let action = s.on_bind_response(&mut q, 0, Some(spec));
         assert_eq!(action, ServerAction::StartTask(spec));
         assert!(s.is_running());
-        assert!(s.check_invariants(&q));
+        s.check_invariants(&q, 0).unwrap();
     }
 
     #[test]
@@ -579,16 +550,17 @@ mod tests {
         let (mut q, mut s) = setup();
         s.enqueue(
             &mut q,
+            0,
             QueueEntry::Probe {
                 job: JobId(1),
                 class: JobClass::Short,
             },
         );
         let next = task(2, JobClass::Long);
-        s.enqueue(&mut q, QueueEntry::Task(next));
-        let action = s.on_bind_response(&mut q, None);
+        s.enqueue(&mut q, 0, QueueEntry::Task(next));
+        let action = s.on_bind_response(&mut q, 0, None);
         assert_eq!(action, ServerAction::StartTask(next));
-        assert!(s.check_invariants(&q));
+        s.check_invariants(&q, 0).unwrap();
     }
 
     #[test]
@@ -596,22 +568,27 @@ mod tests {
         let (mut q, mut s) = setup();
         s.enqueue(
             &mut q,
+            0,
             QueueEntry::Probe {
                 job: JobId(1),
                 class: JobClass::Short,
             },
         );
-        assert_eq!(s.on_bind_response(&mut q, None), ServerAction::BecameIdle);
+        assert_eq!(
+            s.on_bind_response(&mut q, 0, None),
+            ServerAction::BecameIdle
+        );
         assert!(s.is_free());
     }
 
     #[test]
     fn queued_long_counter_tracks() {
         let (mut q, mut s) = setup();
-        s.enqueue(&mut q, QueueEntry::Task(task(1, JobClass::Short)));
-        s.enqueue(&mut q, QueueEntry::Task(task(2, JobClass::Long)));
+        s.enqueue(&mut q, 0, QueueEntry::Task(task(1, JobClass::Short)));
+        s.enqueue(&mut q, 0, QueueEntry::Task(task(2, JobClass::Long)));
         s.enqueue(
             &mut q,
+            0,
             QueueEntry::Probe {
                 job: JobId(3),
                 class: JobClass::Long,
@@ -619,29 +596,30 @@ mod tests {
         );
         s.enqueue(
             &mut q,
+            0,
             QueueEntry::Probe {
                 job: JobId(4),
                 class: JobClass::Short,
             },
         );
         assert_eq!(s.queued_long(), 2);
-        s.on_task_finish(&mut q); // starts the long task
+        s.on_task_finish(&mut q, 0); // starts the long task
         assert_eq!(s.queued_long(), 1);
-        assert!(s.check_invariants(&q));
+        s.check_invariants(&q, 0).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "bind response")]
     fn bind_response_without_request_panics() {
         let (mut q, mut s) = setup();
-        s.on_bind_response(&mut q, None);
+        s.on_bind_response(&mut q, 0, None);
     }
 
     #[test]
     #[should_panic(expected = "finished a task")]
     fn finish_without_running_panics() {
         let (mut q, mut s) = setup();
-        s.on_task_finish(&mut q);
+        s.on_task_finish(&mut q, 0);
     }
 
     #[test]
@@ -657,7 +635,7 @@ mod tests {
                 class: JobClass::Short,
             },
         ];
-        let action = s.enqueue_all(&mut q, entries);
+        let action = s.enqueue_all(&mut q, 0, entries);
         assert_eq!(action, Some(ServerAction::RequestBind { job: JobId(1) }));
         assert_eq!(s.queue_len(), 1);
     }
@@ -666,17 +644,61 @@ mod tests {
     fn queues_share_one_arena() {
         // Two servers interleave through one slab; entries never cross.
         let mut q = QueueSlab::new(2);
-        let mut a = Server::new(ServerId(0));
-        let mut b = Server::new(ServerId(1));
-        a.enqueue(&mut q, QueueEntry::Task(task(1, JobClass::Long)));
-        b.enqueue(&mut q, QueueEntry::Task(task(2, JobClass::Long)));
-        a.enqueue(&mut q, QueueEntry::Task(task(3, JobClass::Short)));
-        b.enqueue(&mut q, QueueEntry::Task(task(4, JobClass::Short)));
-        assert_eq!(a.queue(&q).map(|e| e.job().0).collect::<Vec<_>>(), [3]);
-        assert_eq!(b.queue(&q).map(|e| e.job().0).collect::<Vec<_>>(), [4]);
-        let (done, _) = a.on_task_finish(&mut q);
+        let (mut a, mut b) = (Server::default(), Server::default());
+        a.enqueue(&mut q, 0, QueueEntry::Task(task(1, JobClass::Long)));
+        b.enqueue(&mut q, 1, QueueEntry::Task(task(2, JobClass::Long)));
+        a.enqueue(&mut q, 0, QueueEntry::Task(task(3, JobClass::Short)));
+        b.enqueue(&mut q, 1, QueueEntry::Task(task(4, JobClass::Short)));
+        assert_eq!(q.iter(0).map(|e| e.job().0).collect::<Vec<_>>(), [3]);
+        assert_eq!(q.iter(1).map(|e| e.job().0).collect::<Vec<_>>(), [4]);
+        let (done, _) = a.on_task_finish(&mut q, 0);
         assert_eq!(done.job, JobId(1));
-        assert!(a.check_invariants(&q) && b.check_invariants(&q));
+        a.check_invariants(&q, 0).unwrap();
+        b.check_invariants(&q, 1).unwrap();
         assert!(q.check_invariants());
+    }
+
+    #[test]
+    fn a_server_is_its_slot_long_count_and_stat_word() {
+        assert!(
+            std::mem::size_of::<Slot>() <= 12,
+            "{}",
+            std::mem::size_of::<Slot>()
+        );
+        assert!(
+            std::mem::size_of::<Server>() <= 24,
+            "{}",
+            std::mem::size_of::<Server>()
+        );
+    }
+
+    #[test]
+    fn queue_length_and_liveness_are_read_from_the_stat_word() {
+        let (mut q, mut s) = setup();
+        s.enqueue(&mut q, 0, QueueEntry::Task(task(1, JobClass::Long)));
+        s.enqueue(&mut q, 0, QueueEntry::Task(task(2, JobClass::Short)));
+        assert_eq!((s.queue_len(), s.stat().depth()), (1, 2));
+        let mut drained = Vec::new();
+        s.drain_queue_into(&mut q, 0, &mut drained);
+        s.set_down(true);
+        assert!(s.is_down() && s.stat().is_down());
+        assert_eq!((s.queue_len(), s.stat().depth()), (0, 1));
+        let (done, action) = s.on_task_finish(&mut q, 0);
+        assert_eq!((done.job, done.class), (JobId(1), JobClass::Long));
+        assert_eq!(action, ServerAction::BecameIdle);
+        assert!(
+            s.is_down(),
+            "finishing the draining task keeps the server down"
+        );
+        s.check_invariants(&q, 0).unwrap();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "enqueue on a down server")]
+    fn enqueue_on_a_down_server_panics_in_debug() {
+        let (mut q, mut s) = setup();
+        s.set_down(true);
+        s.enqueue(&mut q, 0, QueueEntry::Task(task(1, JobClass::Short)));
     }
 }

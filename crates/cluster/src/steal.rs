@@ -44,7 +44,7 @@ struct Run {
 /// Walks the victim's queue once, returning the eligible run (by slab node
 /// index) and its starting queue position, or `None` when nothing is
 /// eligible.
-fn eligible_run(victim: &Server, queues: &QueueSlab) -> Option<(Run, usize)> {
+fn eligible_run(victim: &Server, queues: &QueueSlab, list: usize) -> Option<(Run, usize)> {
     let slot_is_long = victim.slot().holds_long();
     // Fast path: no long task anywhere on this server.
     if !slot_is_long && victim.queued_long() == 0 {
@@ -55,7 +55,7 @@ fn eligible_run(victim: &Server, queues: &QueueSlab) -> Option<(Run, usize)> {
     let mut run: Option<(Run, usize)> = None;
     let mut len = 0usize;
     let mut last: Option<u32> = None;
-    let mut cur = queues.head(victim.list());
+    let mut cur = queues.head(list);
     let mut pos = 0usize;
     while let Some(node) = cur {
         if queues.is_long(node) {
@@ -89,23 +89,30 @@ fn eligible_run(victim: &Server, queues: &QueueSlab) -> Option<(Run, usize)> {
 ///
 /// Returns `None` when nothing is eligible. Does not modify the victim;
 /// [`steal_from`] performs the removal.
-pub fn eligible_group(victim: &Server, queues: &QueueSlab) -> Option<(usize, usize)> {
-    eligible_run(victim, queues).map(|(run, pos)| (pos, run.len))
+pub fn eligible_group(victim: &Server, queues: &QueueSlab, list: usize) -> Option<(usize, usize)> {
+    eligible_run(victim, queues, list).map(|(run, pos)| (pos, run.len))
 }
 
 /// Removes the eligible group from `victim`, appending it to `out` in
 /// queue order (`out` is *not* cleared; nothing is appended when no group
 /// is eligible). Allocation-free once `out` has warmed up.
-pub fn steal_from_into(victim: &mut Server, queues: &mut QueueSlab, out: &mut Vec<QueueEntry>) {
-    if let Some((run, _)) = eligible_run(victim, queues) {
-        victim.unlink_run_into(queues, run.prev, run.start, run.len, out);
+pub fn steal_from_into(
+    victim: &mut Server,
+    queues: &mut QueueSlab,
+    list: usize,
+    out: &mut Vec<QueueEntry>,
+) {
+    if let Some((run, _)) = eligible_run(victim, queues, list) {
+        let before = out.len();
+        queues.unlink_run_into(list, run.prev, run.start, run.len, out);
+        victim.note_removed(queues, list, &out[before..]);
     }
 }
 
 /// Removes and returns the eligible group from `victim` (empty if none).
-pub fn steal_from(victim: &mut Server, queues: &mut QueueSlab) -> Vec<QueueEntry> {
+pub fn steal_from(victim: &mut Server, queues: &mut QueueSlab, list: usize) -> Vec<QueueEntry> {
     let mut out = Vec::new();
-    steal_from_into(victim, queues, &mut out);
+    steal_from_into(victim, queues, list, &mut out);
     out
 }
 
@@ -141,7 +148,12 @@ pub type StealScratch = Vec<(Option<u32>, u32)>;
 /// the first long element of the (slot, queue) sequence; empty when
 /// nothing is blocked. The recorded predecessors stay valid as long as at
 /// most one of the listed nodes is removed.
-fn blocked_short_nodes_into(victim: &Server, queues: &QueueSlab, scratch: &mut StealScratch) {
+fn blocked_short_nodes_into(
+    victim: &Server,
+    queues: &QueueSlab,
+    list: usize,
+    scratch: &mut StealScratch,
+) {
     scratch.clear();
     let slot_is_long = victim.slot().holds_long();
     if !slot_is_long && victim.queued_long() == 0 {
@@ -149,7 +161,7 @@ fn blocked_short_nodes_into(victim: &Server, queues: &QueueSlab, scratch: &mut S
     }
     let mut seen_long = slot_is_long;
     let mut last: Option<u32> = None;
-    let mut cur = queues.head(victim.list());
+    let mut cur = queues.head(list);
     while let Some(node) = cur {
         if queues.is_long(node) {
             seen_long = true;
@@ -161,6 +173,19 @@ fn blocked_short_nodes_into(victim: &Server, queues: &QueueSlab, scratch: &mut S
     }
 }
 
+/// Unlinks the single node `node` (predecessor `prev`) from `victim`'s
+/// queue, appending its entry to `out`.
+fn unlink_one_into(
+    victim: &mut Server,
+    queues: &mut QueueSlab,
+    list: usize,
+    (prev, node): (Option<u32>, u32),
+    out: &mut Vec<QueueEntry>,
+) {
+    out.push(queues.unlink_after(list, prev, node));
+    victim.note_removed(queues, list, &out[out.len() - 1..]);
+}
+
 /// Removes entries from `victim` according to `granularity`, appending
 /// them to `out` in queue order (`out` is not cleared). `scratch` is
 /// reusable working space; `rng` is drawn from only by
@@ -169,20 +194,21 @@ fn blocked_short_nodes_into(victim: &Server, queues: &QueueSlab, scratch: &mut S
 pub fn steal_from_with_into(
     victim: &mut Server,
     queues: &mut QueueSlab,
+    list: usize,
     granularity: StealGranularity,
     rng: &mut hawk_simcore::SimRng,
     scratch: &mut StealScratch,
     out: &mut Vec<QueueEntry>,
 ) {
     match granularity {
-        StealGranularity::FirstBlockedGroup => steal_from_into(victim, queues, out),
+        StealGranularity::FirstBlockedGroup => steal_from_into(victim, queues, list, out),
         StealGranularity::RandomBlockedEntry => {
-            blocked_short_nodes_into(victim, queues, scratch);
+            blocked_short_nodes_into(victim, queues, list, scratch);
             if scratch.is_empty() {
                 return;
             }
             let (prev, node) = scratch[rng.index(scratch.len())];
-            victim.unlink_one_into(queues, prev, node, out);
+            unlink_one_into(victim, queues, list, (prev, node), out);
         }
         StealGranularity::AllBlockedShorts => {
             // One pass: unlink every short behind the first long element as
@@ -193,14 +219,14 @@ pub fn steal_from_with_into(
             }
             let mut seen_long = slot_is_long;
             let mut last: Option<u32> = None;
-            let mut cur = queues.head(victim.list());
+            let mut cur = queues.head(list);
             while let Some(node) = cur {
                 let next = queues.next(node);
                 if queues.is_long(node) {
                     seen_long = true;
                     last = Some(node);
                 } else if seen_long {
-                    victim.unlink_one_into(queues, last, node, out);
+                    unlink_one_into(victim, queues, list, (last, node), out);
                     // `last` is unchanged: the removed node's predecessor
                     // now precedes its successor.
                 } else {
@@ -219,12 +245,21 @@ pub fn steal_from_with_into(
 pub fn steal_from_with(
     victim: &mut Server,
     queues: &mut QueueSlab,
+    list: usize,
     granularity: StealGranularity,
     rng: &mut hawk_simcore::SimRng,
 ) -> Vec<QueueEntry> {
     let mut out = Vec::new();
     let mut scratch = StealScratch::new();
-    steal_from_with_into(victim, queues, granularity, rng, &mut scratch, &mut out);
+    steal_from_with_into(
+        victim,
+        queues,
+        list,
+        granularity,
+        rng,
+        &mut scratch,
+        &mut out,
+    );
     out
 }
 
@@ -232,7 +267,6 @@ pub fn steal_from_with(
 mod tests {
     use super::*;
     use crate::entry::TaskSpec;
-    use crate::server::ServerId;
     use hawk_simcore::SimDuration;
     use hawk_workload::{JobClass, JobId};
 
@@ -264,8 +298,8 @@ mod tests {
     /// Builds a server executing `first` with `rest` queued behind it.
     fn server_with(first: QueueEntry, rest: &[QueueEntry]) -> (QueueSlab, Server) {
         let mut q = QueueSlab::new(1);
-        let mut s = Server::new(ServerId(0));
-        s.enqueue(&mut q, first);
+        let mut s = Server::default();
+        s.enqueue(&mut q, 0, first);
         // A probe head leaves the server awaiting bind; bind it so the
         // server is Running for the Figure 3 "executing" cases.
         if s.is_awaiting_bind() {
@@ -275,6 +309,7 @@ mod tests {
             };
             s.on_bind_response(
                 &mut q,
+                0,
                 Some(TaskSpec {
                     job: first.job(),
                     duration: SimDuration::from_secs(10),
@@ -286,7 +321,7 @@ mod tests {
             );
         }
         for &e in rest {
-            s.enqueue(&mut q, e);
+            s.enqueue(&mut q, 0, e);
         }
         (q, s)
     }
@@ -310,10 +345,10 @@ mod tests {
                 short_probe(6),
             ],
         );
-        let stolen = steal_from(&mut s, &mut q);
+        let stolen = steal_from(&mut s, &mut q, 0);
         assert_eq!(jobs(&stolen), vec![3, 4]);
         assert_eq!(s.queue_len(), 4);
-        assert!(s.check_invariants(&q));
+        s.check_invariants(&q, 0).unwrap();
     }
 
     #[test]
@@ -324,17 +359,17 @@ mod tests {
             long_task(0),
             &[short_probe(1), short_probe(2), long_task(3), short_probe(4)],
         );
-        let stolen = steal_from(&mut s, &mut q);
+        let stolen = steal_from(&mut s, &mut q, 0);
         assert_eq!(jobs(&stolen), vec![1, 2]);
         assert_eq!(s.queue_len(), 2);
-        assert!(s.check_invariants(&q));
+        s.check_invariants(&q, 0).unwrap();
     }
 
     #[test]
     fn no_long_anywhere_nothing_stolen() {
         let (mut q, mut s) = server_with(short_probe(0), &[short_probe(1), short_probe(2)]);
-        assert_eq!(eligible_group(&s, &q), None);
-        assert!(steal_from(&mut s, &mut q).is_empty());
+        assert_eq!(eligible_group(&s, &q, 0), None);
+        assert!(steal_from(&mut s, &mut q, 0).is_empty());
         assert_eq!(s.queue_len(), 2);
     }
 
@@ -345,8 +380,8 @@ mod tests {
             short_probe(0),
             &[short_probe(1), short_probe(2), long_task(3)],
         );
-        assert_eq!(eligible_group(&s, &q), None);
-        assert!(steal_from(&mut s, &mut q).is_empty());
+        assert_eq!(eligible_group(&s, &q, 0), None);
+        assert!(steal_from(&mut s, &mut q, 0).is_empty());
     }
 
     #[test]
@@ -357,7 +392,7 @@ mod tests {
             long_task(0),
             &[long_task(1), short_probe(2), short_probe(3), long_task(4)],
         );
-        let stolen = steal_from(&mut s, &mut q);
+        let stolen = steal_from(&mut s, &mut q, 0);
         assert_eq!(jobs(&stolen), vec![2, 3]);
     }
 
@@ -366,24 +401,24 @@ mod tests {
         // Hawk-w/o-centralized ablation: a long probe is mid-bind; the
         // queued shorts behind it are eligible.
         let mut q = QueueSlab::new(1);
-        let mut s = Server::new(ServerId(0));
-        s.enqueue(&mut q, long_probe(0));
+        let mut s = Server::default();
+        s.enqueue(&mut q, 0, long_probe(0));
         assert!(s.is_awaiting_bind());
-        s.enqueue(&mut q, short_probe(1));
-        s.enqueue(&mut q, short_probe(2));
-        let stolen = steal_from(&mut s, &mut q);
+        s.enqueue(&mut q, 0, short_probe(1));
+        s.enqueue(&mut q, 0, short_probe(2));
+        let stolen = steal_from(&mut s, &mut q, 0);
         assert_eq!(jobs(&stolen), vec![1, 2]);
     }
 
     #[test]
     fn awaiting_bind_on_short_probe_is_a_short_slot() {
         let mut q = QueueSlab::new(1);
-        let mut s = Server::new(ServerId(0));
-        s.enqueue(&mut q, short_probe(0));
-        s.enqueue(&mut q, short_probe(1));
-        s.enqueue(&mut q, long_task(2));
-        s.enqueue(&mut q, short_probe(3));
-        let stolen = steal_from(&mut s, &mut q);
+        let mut s = Server::default();
+        s.enqueue(&mut q, 0, short_probe(0));
+        s.enqueue(&mut q, 0, short_probe(1));
+        s.enqueue(&mut q, 0, long_task(2));
+        s.enqueue(&mut q, 0, short_probe(3));
+        let stolen = steal_from(&mut s, &mut q, 0);
         assert_eq!(jobs(&stolen), vec![3]);
     }
 
@@ -393,7 +428,7 @@ mod tests {
             long_task(0),
             &[short_probe(1), short_probe(2), short_probe(3)],
         );
-        let stolen = steal_from(&mut s, &mut q);
+        let stolen = steal_from(&mut s, &mut q, 0);
         assert_eq!(jobs(&stolen), vec![1, 2, 3]);
         assert_eq!(s.queue_len(), 0);
     }
@@ -401,16 +436,16 @@ mod tests {
     #[test]
     fn empty_queue_nothing_stolen() {
         let (mut q, mut s) = server_with(long_task(0), &[]);
-        assert_eq!(eligible_group(&s, &q), None);
-        assert!(steal_from(&mut s, &mut q).is_empty());
+        assert_eq!(eligible_group(&s, &q, 0), None);
+        assert!(steal_from(&mut s, &mut q, 0).is_empty());
     }
 
     #[test]
     fn idle_server_nothing_stolen() {
         let mut q = QueueSlab::new(1);
-        let mut s = Server::new(ServerId(0));
-        assert_eq!(eligible_group(&s, &q), None);
-        assert!(steal_from(&mut s, &mut q).is_empty());
+        let mut s = Server::default();
+        assert_eq!(eligible_group(&s, &q, 0), None);
+        assert!(steal_from(&mut s, &mut q, 0).is_empty());
     }
 
     #[test]
@@ -419,7 +454,7 @@ mod tests {
             long_task(0),
             &[short_probe(5), short_probe(3), short_probe(9)],
         );
-        let stolen = steal_from(&mut s, &mut q);
+        let stolen = steal_from(&mut s, &mut q, 0);
         assert_eq!(jobs(&stolen), vec![5, 3, 9]);
     }
 
@@ -427,9 +462,9 @@ mod tests {
     fn steal_into_appends_without_clearing() {
         let (mut q, mut s) = server_with(long_task(0), &[short_probe(1), short_probe(2)]);
         let mut out = vec![short_probe(99)];
-        steal_from_into(&mut s, &mut q, &mut out);
+        steal_from_into(&mut s, &mut q, 0, &mut out);
         assert_eq!(jobs(&out), vec![99, 1, 2]);
-        assert!(s.check_invariants(&q));
+        s.check_invariants(&q, 0).unwrap();
     }
 
     #[test]
@@ -449,10 +484,16 @@ mod tests {
             ],
         );
         let mut rng = SimRng::seed_from_u64(1);
-        let stolen = steal_from_with(&mut s, &mut q, StealGranularity::AllBlockedShorts, &mut rng);
+        let stolen = steal_from_with(
+            &mut s,
+            &mut q,
+            0,
+            StealGranularity::AllBlockedShorts,
+            &mut rng,
+        );
         assert_eq!(jobs(&stolen), vec![3, 4, 6]);
         assert_eq!(s.queue_len(), 3); // S1, L2, L5 remain
-        assert!(s.check_invariants(&q));
+        s.check_invariants(&q, 0).unwrap();
     }
 
     #[test]
@@ -468,6 +509,7 @@ mod tests {
             let stolen = steal_from_with(
                 &mut s,
                 &mut q,
+                0,
                 StealGranularity::RandomBlockedEntry,
                 &mut rng,
             );
@@ -475,7 +517,7 @@ mod tests {
             let id = stolen[0].job().0;
             assert!([1, 2, 4].contains(&id), "stole ineligible entry {id}");
             seen.insert(id);
-            assert!(s.check_invariants(&q));
+            s.check_invariants(&q, 0).unwrap();
         }
         // All three blocked entries are reachable.
         assert_eq!(seen.len(), 3);
@@ -491,7 +533,7 @@ mod tests {
             StealGranularity::AllBlockedShorts,
         ] {
             let (mut q, mut s) = server_with(short_probe(0), &[short_probe(1)]);
-            assert!(steal_from_with(&mut s, &mut q, granularity, &mut rng).is_empty());
+            assert!(steal_from_with(&mut s, &mut q, 0, granularity, &mut rng).is_empty());
             assert_eq!(s.queue_len(), 1);
         }
     }
@@ -509,10 +551,11 @@ mod tests {
         let (mut qa, mut a) = build();
         let (mut qb, mut b) = build();
         assert_eq!(
-            steal_from(&mut a, &mut qa),
+            steal_from(&mut a, &mut qa, 0),
             steal_from_with(
                 &mut b,
                 &mut qb,
+                0,
                 StealGranularity::FirstBlockedGroup,
                 &mut rng
             )

@@ -90,7 +90,7 @@ fn apply_op(cluster: &mut Cluster, op: (u8, u8, u8, u8), job: &mut u32, rng: &mu
 
 /// True if `victim` currently has a non-empty eligible steal group.
 fn has_stealable(cluster: &Cluster, victim: ServerId) -> bool {
-    steal::eligible_group(cluster.server(victim), cluster.queues()).is_some()
+    steal::eligible_group(cluster.server(victim), cluster.queues(), victim.index()).is_some()
 }
 
 /// The property the steal path leans on: a clear candidate bit is exact.
@@ -114,8 +114,8 @@ fn brute_force(cluster: &Cluster) -> (Vec<usize>, Vec<bool>, Vec<bool>) {
         let server = cluster.server(id);
         let live = !server.is_down();
         let depth = server.queue_len() + usize::from(!server.is_free());
-        let queued_long = server.queue(cluster.queues()).any(|e| e.is_long());
-        let queued_short = server.queue(cluster.queues()).any(|e| e.is_short());
+        let queued_long = cluster.queue(id).any(|e| e.is_long());
+        let queued_short = cluster.queue(id).any(|e| e.is_short());
         let holds_long = queued_long
             || matches!(
                 server.slot(),
@@ -150,7 +150,7 @@ proptest! {
         let mut job = 0u32;
         for op in ops {
             apply_op(&mut cluster, op, &mut job, &mut rng);
-            prop_assert!(cluster.check_invariants(), "index drift after an op");
+            prop_assert_eq!(cluster.check_invariants(), Ok(()), "index drift after an op");
             prop_assert!(candidate_index_never_hides_a_group(&cluster));
         }
         let (depths, longs, candidates) = brute_force(&cluster);

@@ -14,7 +14,7 @@ use std::ops::Range;
 use proptest::prelude::*;
 
 use hawk_cluster::steal::StealGranularity;
-use hawk_cluster::{Cluster, QueueEntry, ServerId, TaskSpec};
+use hawk_cluster::{scale_duration, Cluster, QueueEntry, ServerId, TaskSpec};
 use hawk_simcore::{SimDuration, SimRng};
 use hawk_workload::{JobClass, JobId};
 
@@ -153,17 +153,17 @@ proptest! {
         for (job, op) in ops.into_iter().enumerate() {
             apply_op(&mut ranged, &owned, op, job as u32, &mut rngs.0);
             apply_op(&mut full, &owned, op, job as u32, &mut rngs.1);
-            prop_assert!(ranged.check_invariants(), "ranged index drift after {op:?}");
-            prop_assert!(full.check_invariants(), "full index drift after {op:?}");
+            prop_assert_eq!(ranged.check_invariants(), Ok(()), "ranged, after {:?}", op);
+            prop_assert_eq!(full.check_invariants(), Ok(()), "full, after {:?}", op);
             prop_assert_eq!(reads(&ranged), reads(&full), "after {:?}", op);
         }
         // The stored state is the same state, under the same global ids.
         for id in owned.clone().map(ServerId) {
             let (a, b) = (ranged.server(id), full.server(id));
-            prop_assert_eq!((a.id(), a.slot(), a.stat_word()), (b.id(), b.slot(), b.stat_word()));
+            prop_assert_eq!((a.slot(), a.stat()), (b.slot(), b.stat()));
             prop_assert_eq!(
-                a.queue(ranged.queues()).collect::<Vec<_>>(),
-                b.queue(full.queues()).collect::<Vec<_>>()
+                ranged.queue(id).collect::<Vec<_>>(),
+                full.queue(id).collect::<Vec<_>>()
             );
         }
     }
@@ -174,10 +174,12 @@ proptest! {
 fn ranged_cluster_takes_its_slice_of_the_speed_vector() {
     let speeds: Vec<f64> = (1..=10).map(f64::from).collect();
     let cluster = Cluster::ranged(10, 0.2, 4..7, Some(&speeds));
+    let d = SimDuration::from_secs(600);
     for id in 4..7 {
-        assert_eq!(cluster.server(ServerId(id)).speed(), f64::from(id + 1));
+        let occupancy = scale_duration(d, f64::from(id + 1));
+        assert_eq!(cluster.occupancy(ServerId(id), d), occupancy);
     }
-    assert!(cluster.check_invariants());
+    cluster.check_invariants().unwrap();
 }
 
 /// There is no state to hand out for a server outside the owned range.

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use hawk_cluster::{QueueEntry, QueueSlab, Server, ServerAction, ServerId, TaskSpec};
+use hawk_cluster::{QueueEntry, QueueSlab, Server, ServerAction, TaskSpec};
 use hawk_simcore::SimDuration;
 use hawk_workload::{JobClass, JobId};
 
@@ -68,7 +68,7 @@ proptest! {
     #[test]
     fn server_state_machine_is_sound(ops in proptest::collection::vec(arb_op(), 1..120)) {
         let mut queues = QueueSlab::new(1);
-        let mut server = Server::new(ServerId(0));
+        let mut server = Server::default();
         let mut next_id = 0u32;
         let mut processed = 0usize;
         let mut enqueued = 0usize;
@@ -80,7 +80,7 @@ proptest! {
                     let e = entry(long, next_id, probe);
                     next_id += 1;
                     enqueued += 1;
-                    let action = server.enqueue(&mut queues, e);
+                    let action = server.enqueue(&mut queues, 0, e);
                     // An idle server must react; a busy one must not.
                     match action {
                         Some(ServerAction::StartTask(_)) => prop_assert!(server.is_running()),
@@ -93,7 +93,7 @@ proptest! {
                 }
                 Op::Finish => {
                     if server.is_running() {
-                        let (_, action) = server.on_task_finish(&mut queues);
+                        let (_, action) = server.on_task_finish(&mut queues, 0);
                         processed += 1;
                         if let ServerAction::StartTask(_) = action {
                             prop_assert!(server.is_running());
@@ -111,7 +111,7 @@ proptest! {
                             attempt: 0,
                         });
                         let was_cancel = task.is_none();
-                        let action = server.on_bind_response(&mut queues, task);
+                        let action = server.on_bind_response(&mut queues, 0, task);
                         if was_cancel {
                             processed += 1; // the probe is consumed
                             let _ = action;
@@ -121,24 +121,24 @@ proptest! {
                     }
                 }
                 Op::Steal => {
-                    let loot = hawk_cluster::steal::steal_from(&mut server, &mut queues);
+                    let loot = hawk_cluster::steal::steal_from(&mut server, &mut queues, 0);
                     stolen_total += loot.len();
                     for e in &loot {
                         prop_assert!(e.is_short(), "stole a long entry");
                     }
                 }
             }
-            prop_assert!(server.check_invariants(&queues));
+            prop_assert_eq!(server.check_invariants(&queues, 0), Ok(()));
             // The steal-candidate bit is kept incrementally (an enqueue
             // ORs it in, everything else recomputes): hold it to the queue
             // itself, and to the scan it stands in for — a clear bit must
             // mean the scan finds nothing.
             let holds_long =
-                server.slot().holds_long() || server.queue(&queues).any(|e| e.is_long());
-            let candidate = holds_long && server.queue(&queues).any(|e| e.is_short());
+                server.slot().holds_long() || queues.iter(0).any(|e| e.is_long());
+            let candidate = holds_long && queues.iter(0).any(|e| e.is_short());
             prop_assert_eq!(server.is_steal_candidate(), candidate);
             prop_assert!(
-                candidate || hawk_cluster::steal::eligible_group(&server, &queues).is_none()
+                candidate || hawk_cluster::steal::eligible_group(&server, &queues, 0).is_none()
             );
         }
 
@@ -160,15 +160,15 @@ proptest! {
     #[test]
     fn tasks_execute_in_fifo_order(longs in proptest::collection::vec(any::<bool>(), 1..60)) {
         let mut queues = QueueSlab::new(1);
-        let mut server = Server::new(ServerId(0));
+        let mut server = Server::default();
         let mut order = Vec::new();
         for (i, &long) in longs.iter().enumerate() {
-            if let Some(ServerAction::StartTask(t)) = server.enqueue(&mut queues, entry(long, i as u32, false)) {
+            if let Some(ServerAction::StartTask(t)) = server.enqueue(&mut queues, 0, entry(long, i as u32, false)) {
                 order.push(t.job.0);
             }
         }
         while server.is_running() {
-            let (done, action) = server.on_task_finish(&mut queues);
+            let (done, action) = server.on_task_finish(&mut queues, 0);
             let _ = done;
             if let ServerAction::StartTask(t) = action {
                 order.push(t.job.0);

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 
 use hawk_cluster::steal::{steal_from_with_into, StealGranularity, StealScratch};
-use hawk_cluster::{QueueEntry, QueueSlab, Server, ServerId, TaskSpec};
+use hawk_cluster::{QueueEntry, QueueSlab, Server, TaskSpec};
 use hawk_simcore::{SimDuration, SimRng};
 use hawk_workload::{JobClass, JobId};
 
@@ -223,11 +223,11 @@ proptest! {
         ][granularity_pick as usize];
         let mut rng = SimRng::seed_from_u64(seed);
         let mut queues = QueueSlab::new(1);
-        let mut server = Server::new(ServerId(0));
+        let mut server = Server::default();
         // Occupy the slot with a long task, then queue the layout.
-        server.enqueue(&mut queues, entry(0b11, 9_999));
+        server.enqueue(&mut queues, 0, entry(0b11, 9_999));
         for (i, &draw) in layout.iter().enumerate() {
-            server.enqueue(&mut queues, entry(draw, i as u32));
+            server.enqueue(&mut queues, 0, entry(draw, i as u32));
         }
         let before_len = server.queue_len();
         let mut scratch = StealScratch::new();
@@ -235,6 +235,7 @@ proptest! {
         steal_from_with_into(
             &mut server,
             &mut queues,
+            0,
             granularity,
             &mut rng,
             &mut scratch,
@@ -242,10 +243,10 @@ proptest! {
         );
         prop_assert!(out.iter().all(|e| e.is_short()), "stole a long entry");
         prop_assert_eq!(server.queue_len() + out.len(), before_len);
-        prop_assert!(server.check_invariants(&queues));
+        prop_assert_eq!(server.check_invariants(&queues, 0), Ok(()));
         prop_assert!(queues.check_invariants());
         // Surviving entries keep their relative order.
-        let survivors: Vec<u32> = server.queue(&queues).map(|e| e.job().0).collect();
+        let survivors: Vec<u32> = queues.iter(0).map(|e| e.job().0).collect();
         let stolen_ids: Vec<u32> = out.iter().map(|e| e.job().0).collect();
         for w in survivors.windows(2) {
             prop_assert!(w[0] < w[1], "queue order perturbed: {survivors:?}");

@@ -936,9 +936,9 @@ impl<'t> Core<'t> {
 
     fn on_task_finish<T: Transport>(&mut self, net: &mut T, server: ServerId) {
         debug_assert!(net.owns(server));
-        let (spec, action) = self.cluster.on_task_finish(server);
-        let job = spec.job;
-        let central = matches!(self.scheduler.route(spec.class), Route::Central(_));
+        let (task, action) = self.cluster.on_task_finish(server);
+        let job = task.job;
+        let central = matches!(self.scheduler.route(task.class), Route::Central(_));
         if T::REMOTE_SCHEDULERS {
             // Completion is measured where the job's scheduler lives: one
             // network delay after the slot freed. A central job's message
@@ -957,7 +957,7 @@ impl<'t> Core<'t> {
                 self.central
                     .as_mut()
                     .expect("central bookkeeping for a centrally-routed job")
-                    .on_task_complete(server, spec.estimate);
+                    .on_task_complete(server, self.estimates.estimate(job));
             }
             self.on_task_done(net, job);
         }
@@ -987,7 +987,7 @@ impl<'t> Core<'t> {
                 // Heterogeneous scenarios: slot occupancy is the nominal
                 // duration scaled by the server's speed factor (identity
                 // at speed 1.0).
-                let occupancy = self.cluster.server(server).scale_duration(spec.duration);
+                let occupancy = self.cluster.occupancy(server, spec.duration);
                 net.send(
                     occupancy,
                     Endpoint::Server(server),

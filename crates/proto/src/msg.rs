@@ -216,8 +216,6 @@ pub enum CentralMsg {
         job: JobId,
         /// The worker that ran it.
         worker: usize,
-        /// The estimate charged at assignment.
-        estimate: SimDuration,
         /// The finished task's index within the job — the hardened
         /// protocol's completion-dedup key (ignored fault-free).
         task: u32,

@@ -598,12 +598,7 @@ impl<'t> CentralDaemon<'t> {
         self.stats.deliveries.record(msg.kind());
         match msg {
             CentralMsg::Submit { job, class } => self.submit(job, class, net),
-            CentralMsg::TaskDone {
-                job,
-                worker,
-                estimate,
-                task,
-            } => self.complete(job, worker, estimate, task, net),
+            CentralMsg::TaskDone { job, worker, task } => self.complete(job, worker, task, net),
             CentralMsg::Relocate { from, spec } => self.relocate(from, spec, net),
             CentralMsg::JobTimeout { job } => self.on_job_timeout(job, net),
             CentralMsg::Node(change) => match change {
@@ -679,14 +674,9 @@ impl<'t> CentralDaemon<'t> {
         }
     }
 
-    fn complete(
-        &mut self,
-        job: JobId,
-        worker: usize,
-        estimate: SimDuration,
-        task: u32,
-        net: &mut impl Net,
-    ) {
+    /// Records a completion, releasing the job's estimate (the one charged
+    /// at assignment) from the §3.7 bookkeeping.
+    fn complete(&mut self, job: JobId, worker: usize, task: u32, net: &mut impl Net) {
         if self.timeouts.is_some() {
             // Idempotent: dedup by task index. The waiting-time charge is
             // released from the *currently charged* worker (a relaunch
@@ -700,7 +690,7 @@ impl<'t> CentralDaemon<'t> {
                 CentralTask::Outstanding { worker, .. } => worker,
             };
             self.inner
-                .on_task_complete(ServerId(charged as u32), estimate);
+                .on_task_complete(ServerId(charged as u32), state.estimate);
             state.state[task as usize] = CentralTask::Done;
             state.remaining -= 1;
             if state.remaining == 0 {
@@ -710,10 +700,10 @@ impl<'t> CentralDaemon<'t> {
             }
             return;
         }
-        self.inner
-            .on_task_complete(ServerId(worker as u32), estimate);
         let slot = &mut self.jobs[job.index()];
         let state = slot.as_mut().expect("completion for known job");
+        self.inner
+            .on_task_complete(ServerId(worker as u32), state.estimate);
         state.remaining -= 1;
         if state.remaining == 0 {
             *slot = None;
@@ -1074,7 +1064,6 @@ mod tests {
                 CentralMsg::TaskDone {
                     job: JobId(1),
                     worker: w,
-                    estimate: SimDuration::from_secs(100),
                     task: w as u32,
                 },
                 &mut net,
@@ -1283,7 +1272,6 @@ mod tests {
             CentralMsg::TaskDone {
                 job: JobId(2),
                 worker: first,
-                estimate: SimDuration::from_secs(5),
                 task: 0,
             },
             &mut net,
@@ -1292,7 +1280,6 @@ mod tests {
             CentralMsg::TaskDone {
                 job: JobId(2),
                 worker: second,
-                estimate: SimDuration::from_secs(5),
                 task: 0,
             },
             &mut net,
@@ -1376,7 +1363,6 @@ mod tests {
             CentralMsg::TaskDone {
                 job: JobId(drained),
                 worker: other,
-                estimate: SimDuration::from_secs(10_000),
                 task: 0,
             },
             &mut net,
@@ -1435,7 +1421,6 @@ mod tests {
             CentralMsg::TaskDone {
                 job: JobId(1),
                 worker: last_assign(&net, 1, 0).0,
-                estimate: SimDuration::from_secs(5_000),
                 task: 0,
             },
             &mut net,
@@ -1546,11 +1531,10 @@ mod tests {
                     2 | 3 => {
                         let job = pick % jobs.len();
                         let task = (pick / jobs.len()) % jobs[job];
-                        let (worker, spec) = last_assign(&fast_net, job as u32, task as u32);
+                        let (worker, _) = last_assign(&fast_net, job as u32, task as u32);
                         CentralMsg::TaskDone {
                             job: JobId(job as u32),
                             worker,
-                            estimate: spec.estimate,
                             task: task as u32,
                         }
                     }

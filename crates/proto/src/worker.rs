@@ -3,11 +3,15 @@
 //! One daemon per cluster node. Since the prototype became a backend for
 //! the shared policies, the worker is not a reimplementation of the
 //! simulator's server — it *embeds* one: each worker owns a real
-//! [`hawk_cluster::Server`] plus its private [`QueueSlab`], so the FIFO
-//! queue, the late-binding slot states, the packed stat word and the
-//! Figure 3 steal scan ([`hawk_cluster::steal`]) are byte-for-byte the
-//! same code both backends run. Policy decisions route through the shared
-//! [`Scheduler`] trait:
+//! [`hawk_cluster::Server`] plus its private [`QueueSlab`] (the server's
+//! queue is the slab's list 0), so the FIFO queue, the late-binding slot
+//! states, the packed stat word and the Figure 3 steal scan
+//! ([`hawk_cluster::steal`]) are byte-for-byte the same code both backends
+//! run. Whether the worker is down is the embedded server's stat-word bit
+//! (the worker keeps no copy), so the server's own check that nothing is
+//! enqueued on a down server covers the prototype too. The worker keeps
+//! its speed factor, which the server does not store. Policy decisions
+//! route through the shared [`Scheduler`] trait:
 //!
 //! * steal victims come from [`Scheduler::victims`] over the
 //!   real [`Partition`] (§3.6);
@@ -55,8 +59,8 @@ use std::sync::Arc;
 
 use hawk_cluster::steal::{steal_from_with_into, StealScratch};
 use hawk_cluster::{
-    Partition, QueueEntry, QueueSlab, Server, ServerAction, ServerId, Slot, StealGranularity,
-    TaskSpec,
+    scale_duration, Partition, QueueEntry, QueueSlab, Server, ServerAction, ServerId, Slot,
+    StealGranularity, TaskSpec,
 };
 use hawk_core::{RackGeometry, Route, Scheduler, StealSpec};
 use hawk_simcore::SimRng;
@@ -89,10 +93,13 @@ struct PendingGrant {
 /// The worker daemon state machine. See the module docs.
 pub(crate) struct Worker {
     index: usize,
-    /// The *simulator's* server state machine, embedded.
+    /// The *simulator's* server state machine, embedded; its stat word
+    /// says whether this worker is down.
     server: Server,
-    /// Private queue arena backing `server` (list `index`).
+    /// Private queue arena backing `server` (list 0).
     queues: QueueSlab,
+    /// Relative execution speed (1.0 = nominal), read at launch.
+    speed: f64,
     scheduler: Arc<dyn Scheduler>,
     partition: Partition,
     /// Rack geometry of the modelled fabric, when one exists (virtual
@@ -103,8 +110,6 @@ pub(crate) struct Worker {
     steal: StealAttempt,
     dist_count: usize,
     rng: SimRng,
-    /// True while out of service (scenario node-down).
-    down: bool,
     /// Whether this worker currently counts toward usable capacity:
     /// in service, or down but still draining a running task — the
     /// simulator's utilization denominator (`Cluster::utilization`).
@@ -148,17 +153,16 @@ impl Worker {
         rng: SimRng,
         hardened: Option<TimeoutSpec>,
     ) -> Self {
-        // The embedded server's id is *local*: it only selects the slab
-        // list, and this worker owns a single-list slab — so per-worker
-        // queue storage is O(live entries), not O(worker index). The
-        // worker's cluster-wide identity (`index`) is passed explicitly
-        // wherever policy code needs it (steal-victim picks, messages).
-        let mut server = Server::new(ServerId(0));
-        server.set_speed(speed);
+        // The embedded server's queue is list 0 of a single-list slab, so
+        // per-worker queue storage is O(live entries), not O(worker
+        // index). The worker's cluster-wide identity (`index`) is passed
+        // explicitly wherever policy code needs it (steal-victim picks,
+        // messages).
         Worker {
             index,
-            server,
+            server: Server::default(),
             queues: QueueSlab::new(1),
+            speed,
             steal_spec: scheduler.steal(),
             scheduler,
             partition,
@@ -166,7 +170,6 @@ impl Worker {
             steal: StealAttempt::default(),
             dist_count,
             rng,
-            down: false,
             counts_as_capacity: true,
             hardened,
             bind_epoch: 0,
@@ -196,7 +199,7 @@ impl Worker {
     /// Called after every transition that can change it: down, up, a bind
     /// starting a task on a down worker, a draining task finishing.
     fn sync_capacity(&mut self, net: &mut impl Net) {
-        let counts = !self.down || self.server.is_running();
+        let counts = !self.server.is_down() || self.server.is_running();
         if counts != self.counts_as_capacity {
             self.counts_as_capacity = counts;
             net.add_capacity(if counts { 1 } else { -1 });
@@ -213,7 +216,7 @@ impl Worker {
                 bounces,
             } => self.on_probe(job, class, bounces, net),
             WorkerMsg::Assign(spec) => {
-                if self.down {
+                if self.server.is_down() {
                     // Arrived in flight while we failed: relocate like a
                     // drained entry.
                     self.relocate(QueueEntry::Task(spec), net);
@@ -227,7 +230,7 @@ impl Worker {
                 }
                 let action = self
                     .server
-                    .enqueue(&mut self.queues, QueueEntry::Task(spec));
+                    .enqueue(&mut self.queues, 0, QueueEntry::Task(spec));
                 if let Some(action) = action {
                     self.on_action(action, net);
                 }
@@ -259,7 +262,6 @@ impl Worker {
             WorkerMsg::StealRetransmit { nonce } => self.on_steal_retransmit(nonce, net),
             WorkerMsg::Node(NodeChange::Down(_)) => self.on_down(net),
             WorkerMsg::Node(NodeChange::Up(_)) => {
-                self.down = false;
                 self.server.set_down(false);
                 self.sync_capacity(net);
             }
@@ -269,7 +271,7 @@ impl Worker {
     }
 
     fn on_probe(&mut self, job: JobId, class: JobClass, bounces: u8, net: &mut impl Net) {
-        if self.down {
+        if self.server.is_down() {
             net.send_dist(self.owner(job), DistMsg::ReProbe { job, class });
             return;
         }
@@ -289,7 +291,7 @@ impl Worker {
         }
         let action = self
             .server
-            .enqueue(&mut self.queues, QueueEntry::Probe { job, class });
+            .enqueue(&mut self.queues, 0, QueueEntry::Probe { job, class });
         if let Some(action) = action {
             self.on_action(action, net);
         }
@@ -322,7 +324,7 @@ impl Worker {
         // unconditionally. A down worker may still be awaiting a bind:
         // the response resolves normally and a bound task drains in
         // place, exactly like the simulator's draining slots.
-        let action = self.server.on_bind_response(&mut self.queues, task);
+        let action = self.server.on_bind_response(&mut self.queues, 0, task);
         self.on_action(action, net);
         self.sync_capacity(net);
     }
@@ -332,7 +334,7 @@ impl Worker {
     fn resolve_bind(&mut self, task: Option<TaskSpec>, net: &mut impl Net) {
         self.bind_epoch += 1;
         self.bind_retries = 0;
-        let action = self.server.on_bind_response(&mut self.queues, task);
+        let action = self.server.on_bind_response(&mut self.queues, 0, task);
         self.on_action(action, net);
         self.sync_capacity(net);
     }
@@ -376,6 +378,7 @@ impl Worker {
         steal_from_with_into(
             &mut self.server,
             &mut self.queues,
+            0,
             granularity,
             &mut self.rng,
             &mut self.steal_scratch,
@@ -454,7 +457,7 @@ impl Worker {
         }
         self.steal.in_flight = false;
         self.stats.steals += 1;
-        if self.down {
+        if self.server.is_down() {
             // Thief failed mid-steal: relocate the loot.
             for &entry in entries.iter() {
                 self.relocate(entry, net);
@@ -470,7 +473,7 @@ impl Worker {
         }
         let action = self
             .server
-            .enqueue_all(&mut self.queues, entries.iter().copied());
+            .enqueue_all(&mut self.queues, 0, entries.iter().copied());
         if let Some(action) = action {
             self.on_action(action, net);
         }
@@ -516,7 +519,7 @@ impl Worker {
         match action {
             ServerAction::StartTask(spec) => {
                 net.add_running(1);
-                let occupancy = self.server.scale_duration(spec.duration);
+                let occupancy = scale_duration(spec.duration, self.speed);
                 net.schedule_finish(self.index, occupancy);
             }
             ServerAction::RequestBind { job } => {
@@ -547,24 +550,20 @@ impl Worker {
     pub(crate) fn on_task_finish(&mut self, net: &mut impl Net) {
         self.stats.deliveries.record(MsgKind::TaskFinish);
         net.add_running(-1);
-        let (spec, action) = self.server.on_task_finish(&mut self.queues);
+        let (done, action) = self.server.on_task_finish(&mut self.queues, 0);
         // Completion reporting follows the policy's routing: the class
         // determines which scheduler owns the bookkeeping, exactly as in
         // the driver's `JobRun::central` flag.
-        match self.scheduler.route(spec.class) {
+        let (job, task) = (done.job, done.task);
+        match self.scheduler.route(done.class) {
             Route::Central(_) => net.send_central(CentralMsg::TaskDone {
-                job: spec.job,
+                job,
                 worker: self.index,
-                estimate: spec.estimate,
-                task: spec.task,
+                task,
             }),
-            Route::Distributed(_) => net.send_dist(
-                self.owner(spec.job),
-                DistMsg::TaskDone {
-                    job: spec.job,
-                    task: spec.task,
-                },
-            ),
+            Route::Distributed(_) => {
+                net.send_dist(self.owner(job), DistMsg::TaskDone { job, task })
+            }
         }
         self.on_action(action, net);
         self.sync_capacity(net);
@@ -576,7 +575,7 @@ impl Worker {
     /// simulation driver pulls from, drained up front because the
     /// contacts are spread over messages.
     fn begin_steal(&mut self, net: &mut impl Net) {
-        if self.steal_spec.is_none() || self.down || self.steal.in_flight {
+        if self.steal_spec.is_none() || self.server.is_down() || self.steal.in_flight {
             return;
         }
         let thief = ServerId(self.index as u32);
@@ -632,14 +631,14 @@ impl Worker {
     /// `relocate`). A running task finishes on its own; a pending bind
     /// resolves normally and drains in place.
     fn on_down(&mut self, net: &mut impl Net) {
-        if self.down {
+        if self.server.is_down() {
             return; // duplicate script entry
         }
-        self.down = true;
         self.steal.in_flight = false;
         debug_assert!(self.drain_buf.is_empty(), "stale drain buffer");
         let mut drained = std::mem::take(&mut self.drain_buf);
-        self.server.drain_queue_into(&mut self.queues, &mut drained);
+        self.server
+            .drain_queue_into(&mut self.queues, 0, &mut drained);
         self.server.set_down(true);
         for entry in drained.drain(..) {
             if self.hardened.is_some() {
@@ -994,6 +993,22 @@ mod tests {
             0,
             "the probe must not queue on a down worker"
         );
+    }
+
+    #[test]
+    fn assign_for_down_worker_is_relocated_once() {
+        // A central task in flight while its worker failed goes back to
+        // the central scheduler; it never queues on the down worker.
+        let mut w = hawk_worker(3);
+        let mut net = RecordingNet::default();
+        w.handle(WorkerMsg::Node(NodeChange::Down(3)), &mut net);
+        let spec = task(8, JobClass::Long, 10);
+        w.handle(WorkerMsg::Assign(spec), &mut net);
+        assert!(matches!(
+            net.central_msgs[..],
+            [CentralMsg::Relocate { from: 3, spec: s }] if s == spec
+        ));
+        assert_eq!((w.server.queue_len(), net.running), (0, 0));
     }
 
     #[test]

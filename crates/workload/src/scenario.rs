@@ -387,12 +387,25 @@ pub enum SpeedSpec {
     TwoTier {
         /// Fraction of servers in the slow tier, in `[0, 1]`.
         slow_fraction: f64,
-        /// Speed factor of the slow tier; must be positive.
+        /// Speed factor of the slow tier; must be finite and positive.
         slow_speed: f64,
     },
     /// Explicit per-server factors; the length must equal the cluster
     /// size.
     PerServer(Vec<f64>),
+}
+
+/// Refuses an execution-speed factor that is not finite and positive: an
+/// infinite one would run every task in zero time.
+///
+/// # Panics
+///
+/// Panics on such a factor, naming it.
+pub fn check_speed(speed: f64) {
+    assert!(
+        speed.is_finite() && speed > 0.0,
+        "speed factor {speed} must be finite and positive"
+    );
 }
 
 impl SpeedSpec {
@@ -401,8 +414,8 @@ impl SpeedSpec {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive speed, a fraction outside `[0, 1]`, or a
-    /// `PerServer` length mismatch.
+    /// Panics on a speed that is not finite and positive, a fraction
+    /// outside `[0, 1]`, or a `PerServer` length mismatch.
     pub fn resolve(&self, nodes: usize) -> Option<Vec<f64>> {
         match self {
             SpeedSpec::Uniform => None,
@@ -414,7 +427,7 @@ impl SpeedSpec {
                     (0.0..=1.0).contains(slow_fraction),
                     "slow fraction {slow_fraction} outside [0, 1]"
                 );
-                assert!(*slow_speed > 0.0, "speed factors must be positive");
+                check_speed(*slow_speed);
                 let slow = (nodes as f64 * slow_fraction).round() as usize;
                 // Bresenham spread: server i is slow iff the cumulative
                 // quota crosses an integer at i — deterministic and even.
@@ -438,10 +451,7 @@ impl SpeedSpec {
                     nodes,
                     "per-server speed profile length mismatch"
                 );
-                assert!(
-                    speeds.iter().all(|&s| s > 0.0),
-                    "speed factors must be positive"
-                );
+                speeds.iter().copied().for_each(check_speed);
                 Some(speeds.clone())
             }
         }
@@ -786,6 +796,22 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn per_server_length_must_match() {
         SpeedSpec::PerServer(vec![1.0; 3]).resolve(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "speed factor inf must be finite and positive")]
+    fn two_tier_refuses_an_infinite_speed() {
+        SpeedSpec::TwoTier {
+            slow_fraction: 0.5,
+            slow_speed: f64::INFINITY,
+        }
+        .resolve(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "speed factor inf must be finite and positive")]
+    fn per_server_refuses_an_infinite_speed() {
+        SpeedSpec::PerServer(vec![1.0, f64::INFINITY]).resolve(2);
     }
 
     #[test]

@@ -43,9 +43,8 @@ fn short_probe(job: u32) -> QueueEntry {
     }
 }
 
-fn describe(server: &Server, queues: &QueueSlab) -> String {
-    server
-        .queue(queues)
+fn describe(queue: impl Iterator<Item = QueueEntry>) -> String {
+    queue
         .map(|e| match e {
             QueueEntry::Probe { job, .. } => format!("S{}", job.0),
             QueueEntry::Task(t) if t.class.is_long() => format!("L{}", t.job.0),
@@ -55,7 +54,7 @@ fn describe(server: &Server, queues: &QueueSlab) -> String {
         .join(" ")
 }
 
-fn show_case(title: &str, server: &Server, queues: &QueueSlab) {
+fn show_case(title: &str, server: &Server, queues: &QueueSlab, list: usize) {
     let running = match server.slot() {
         Slot::Running(t) if t.class.is_long() => format!("L{}", t.job.0),
         Slot::Running(t) => format!("S{}", t.job.0),
@@ -64,12 +63,12 @@ fn show_case(title: &str, server: &Server, queues: &QueueSlab) {
     println!("{title}");
     println!(
         "  executing: [{running}]   queue: [{}]",
-        describe(server, queues)
+        describe(queues.iter(list))
     );
-    match eligible_group(server, queues) {
+    match eligible_group(server, queues, list) {
         Some((start, len)) => {
-            let victims: Vec<String> = server
-                .queue(queues)
+            let victims: Vec<String> = queues
+                .iter(list)
                 .skip(start)
                 .take(len)
                 .map(|e| format!("S{}", e.job().0))
@@ -94,8 +93,8 @@ fn main() {
 
     // Case a: the victim is executing a SHORT task. The first consecutive
     // group of short entries after the first long entry is stolen.
-    let mut a = Server::new(ServerId(0));
-    a.enqueue(&mut queues, short_task(100, 50));
+    let mut a = Server::default();
+    a.enqueue(&mut queues, 0, short_task(100, 50));
     for e in [
         short_probe(1),
         long_task(2),
@@ -104,27 +103,32 @@ fn main() {
         long_task(5),
         short_probe(6),
     ] {
-        a.enqueue(&mut queues, e);
+        a.enqueue(&mut queues, 0, e);
     }
-    show_case("case a) executing a short task:", &a, &queues);
+    show_case("case a) executing a short task:", &a, &queues, 0);
 
     // Case b: the victim is executing a LONG task. Even though it has made
     // progress, it will still delay everything queued; the head shorts are
     // stolen.
-    let mut b = Server::new(ServerId(1));
-    b.enqueue(&mut queues, long_task(200));
+    let mut b = Server::default();
+    b.enqueue(&mut queues, 1, long_task(200));
     for e in [short_probe(1), short_probe(2), long_task(3), short_probe(4)] {
-        b.enqueue(&mut queues, e);
+        b.enqueue(&mut queues, 1, e);
     }
-    show_case("case b) executing a long task:", &b, &queues);
+    show_case("case b) executing a long task:", &b, &queues, 1);
 
     // No long task anywhere: nothing to rescue from.
-    let mut c = Server::new(ServerId(2));
-    c.enqueue(&mut queues, short_task(300, 10));
+    let mut c = Server::default();
+    c.enqueue(&mut queues, 2, short_task(300, 10));
     for e in [short_probe(1), short_probe(2)] {
-        c.enqueue(&mut queues, e);
+        c.enqueue(&mut queues, 2, e);
     }
-    show_case("all-short server (no head-of-line blocking):", &c, &queues);
+    show_case(
+        "all-short server (no head-of-line blocking):",
+        &c,
+        &queues,
+        2,
+    );
 
     // End-to-end: a cluster where stealing moves the group to an idle
     // server and the short job escapes a 20,000 s wait.
@@ -135,7 +139,7 @@ fn main() {
     cluster.enqueue(ServerId(0), short_probe(11));
     println!(
         "  server 0 queue before steal: [{}]",
-        describe(cluster.server(ServerId(0)), cluster.queues())
+        describe(cluster.queue(ServerId(0)))
     );
     let mut loot = Vec::new();
     let granularity = StealGranularity::FirstBlockedGroup;
@@ -145,7 +149,7 @@ fn main() {
     cluster.give_stolen_drain(ServerId(3), &mut loot);
     println!(
         "  server 0 queue after:  [{}]   server 3 queue: [{}] (+1 probe binding)",
-        describe(cluster.server(ServerId(0)), cluster.queues()),
-        describe(cluster.server(ServerId(3)), cluster.queues()),
+        describe(cluster.queue(ServerId(0))),
+        describe(cluster.queue(ServerId(3))),
     );
 }
