@@ -75,6 +75,19 @@ impl PartitionWindow {
 /// * steal request/ack/transfer (`steal`): a thief acks every non-empty
 ///   grant; the victim retransmits an unacked grant up to `retries`
 ///   times and then relocates the entries, so stolen work is never lost.
+///
+/// Every record the hardening keeps lives only as long as the work it
+/// guards. A scheduler frees a job's state when the job completes, and
+/// answers a late message for it as it would for any finished job. A
+/// worker dedups the launches it holds, and remembers one it finished —
+/// as a thief remembers a grant it banked — for the horizon H: the
+/// longest hardened wait, `max(probe, (retries + 1)·bind,
+/// (retries + 1)·steal)`, past which no retransmission or relocation of
+/// that work is still under way.
+///
+/// Every interval must be positive: a zero one re-arms its timer at the
+/// instant it fired, and the virtual clock never moves again. A run
+/// refuses such a spec before it starts, in either execution mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeoutSpec {
     /// Base interval of the per-job scheduler timer chain.
@@ -86,6 +99,27 @@ pub struct TimeoutSpec {
     pub steal: SimDuration,
     /// Bounded retransmits per hop (bind requests, steal grants).
     pub retries: u32,
+}
+
+impl TimeoutSpec {
+    /// The horizon H a finished launch or a banked grant is remembered
+    /// for (see the type docs).
+    pub(crate) fn horizon(&self) -> SimDuration {
+        let waits = self.bind.max(self.steal) * (u64::from(self.retries) + 1);
+        waits.max(self.probe)
+    }
+
+    /// Panics, naming the field, unless every interval is positive.
+    pub(crate) fn check(&self) {
+        let intervals = [
+            ("probe", self.probe),
+            ("bind", self.bind),
+            ("steal", self.steal),
+        ];
+        if let Some((field, _)) = intervals.iter().find(|(_, d)| d.is_zero()) {
+            panic!("TimeoutSpec::{field} is zero: its timer would re-arm at once, forever");
+        }
+    }
 }
 
 impl Default for TimeoutSpec {

@@ -240,6 +240,7 @@ fn build_cluster<'t>(
         "prototype needs at least one worker and one distributed scheduler"
     );
     let central_scope = check_cell(&**scheduler, cfg.workers, &cfg.dynamics, cfg.util_interval);
+    cfg.faults.timeouts.check();
     let partition = Partition::new(cfg.workers, scheduler.short_partition_fraction());
     let speeds = cfg
         .speeds
@@ -307,7 +308,8 @@ fn build_cluster<'t>(
 /// virtual mode, an empty or sample-only event queue), which indicates a
 /// protocol-liveness bug. Also panics on a cell [`check_cell`] refuses,
 /// and on configuration the prototype cannot run (no worker or no
-/// distributed scheduler, fault injection outside the virtual mode).
+/// distributed scheduler, fault injection outside the virtual mode, a
+/// zero [`TimeoutSpec`](crate::TimeoutSpec) interval).
 pub fn run_prototype(
     trace: &Trace,
     scheduler: Arc<dyn Scheduler>,
@@ -631,6 +633,7 @@ fn run_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::TimeoutSpec;
     use hawk_core::scheduler::{Hawk, Sparrow};
     use hawk_workload::Job;
 
@@ -1078,6 +1081,45 @@ mod tests {
             ..fast_cfg(ExecutionMode::RealTime)
         };
         let _ = run_prototype(&trace, hawk(), &cfg);
+    }
+
+    /// `faults` with one hardened interval zeroed in place: a field-built
+    /// spec, which no builder method saw.
+    fn zeroed(mut faults: FaultSpec, field: fn(&mut TimeoutSpec) -> &mut SimDuration) -> FaultSpec {
+        *field(&mut faults.timeouts) = SimDuration::ZERO;
+        faults
+    }
+
+    #[test]
+    #[should_panic(expected = "TimeoutSpec::probe is zero")]
+    fn a_zero_probe_interval_is_refused_before_the_run() {
+        let cfg = ProtoConfig {
+            faults: zeroed(chaos_faults(), |to| &mut to.probe),
+            ..fast_cfg(virtual_mode())
+        };
+        let _ = run_prototype(&fast_trace(vec![(0, vec![5])]), hawk(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "TimeoutSpec::bind is zero")]
+    fn a_zero_bind_interval_is_refused_before_the_run() {
+        let cfg = ProtoConfig {
+            faults: zeroed(chaos_faults(), |to| &mut to.bind),
+            ..fast_cfg(virtual_mode())
+        };
+        let _ = run_prototype(&fast_trace(vec![(0, vec![5])]), hawk(), &cfg);
+    }
+
+    /// The real-time mode passes through the same check: it refuses the
+    /// spec before a thread starts.
+    #[test]
+    #[should_panic(expected = "TimeoutSpec::steal is zero")]
+    fn a_zero_steal_interval_is_refused_before_the_run() {
+        let cfg = ProtoConfig {
+            faults: zeroed(FaultSpec::none(), |to| &mut to.steal),
+            ..fast_cfg(ExecutionMode::RealTime)
+        };
+        let _ = run_prototype(&fast_trace(vec![(0, vec![5])]), hawk(), &cfg);
     }
 
     #[test]

@@ -48,6 +48,13 @@
 //! they replace survive as the `#[cfg(test)]` reference the differential
 //! tests run them against. Job state lives in dense tables indexed by the
 //! trace's dense [`JobId`]s.
+//!
+//! A job's state is freed when the job completes, in both modes, so what a
+//! daemon holds is sized by the jobs in flight, not by the run's length.
+//! Every handler treats an unknown job exactly as a finished one: a bind
+//! is answered with a cancel, a displaced probe is abandoned, a late
+//! completion or relocation does nothing, and a chain fire counts as a
+//! stale timer.
 
 use std::sync::Arc;
 
@@ -172,8 +179,9 @@ pub(crate) struct DistScheduler<'t> {
     shadow: Cluster,
     /// Job `j`'s state, at `j / stride`: jobs are dealt to the
     /// distributed schedulers round-robin by id, so this scheduler's jobs
-    /// are `stride` apart and the table is dense.
-    jobs: Vec<Option<DistJob<'t>>>,
+    /// are `stride` apart and the table is dense. A slot is a pointer,
+    /// and a box while the job is in flight.
+    jobs: Vec<Option<Box<DistJob<'t>>>>,
     /// The number of distributed schedulers.
     stride: usize,
     rng: SimRng,
@@ -223,7 +231,7 @@ impl<'t> DistScheduler<'t> {
     }
 
     fn job_mut(&mut self, job: JobId) -> Option<&mut DistJob<'t>> {
-        self.jobs.get_mut(job.index() / self.stride)?.as_mut()
+        self.jobs.get_mut(job.index() / self.stride)?.as_deref_mut()
     }
 
     /// The scope `class` probes over under this policy.
@@ -239,9 +247,9 @@ impl<'t> DistScheduler<'t> {
         }
     }
 
-    /// Sends one fresh zero-bounce probe for `job` to a random live server
-    /// of its scope.
-    fn send_fresh_probe(&mut self, job: JobId, class: JobClass, net: &mut impl Net) {
+    /// Sends a probe for `job` that has bounced `bounces` times to a
+    /// random live server of its scope.
+    fn send_probe(&mut self, job: JobId, class: JobClass, bounces: u8, net: &mut impl Net) {
         let view = PlacementView::new(&self.shadow, self.probe_scope(class));
         let target = view.random_server(&mut self.rng);
         net.send_worker(
@@ -249,7 +257,7 @@ impl<'t> DistScheduler<'t> {
             WorkerMsg::Probe {
                 job,
                 class,
-                bounces: 0,
+                bounces,
             },
         );
     }
@@ -262,24 +270,12 @@ impl<'t> DistScheduler<'t> {
             DistMsg::TaskRequest { job, worker } => self.bind(job, worker, net),
             DistMsg::TaskDone { job, task } => self.complete(job, task, net),
             DistMsg::ReProbe { job, class } => self.reprobe(job, class, net),
+            // Forward a bounced probe, preserving the hop count.
             DistMsg::Bounce {
                 job,
                 class,
                 bounces,
-            } => {
-                // Forward the bounced probe to a fresh random live server
-                // of its scope, preserving the hop count.
-                let view = PlacementView::new(&self.shadow, self.probe_scope(class));
-                let target = view.random_server(&mut self.rng);
-                net.send_worker(
-                    target.index(),
-                    WorkerMsg::Probe {
-                        job,
-                        class,
-                        bounces,
-                    },
-                );
-            }
+            } => self.send_probe(job, class, bounces, net),
             DistMsg::JobTimeout { job } => self.on_job_timeout(job, net),
             DistMsg::Node(change) => self.on_node(change),
             DistMsg::Shutdown => return true,
@@ -301,14 +297,14 @@ impl<'t> DistScheduler<'t> {
         if slot >= self.jobs.len() {
             self.jobs.resize_with(slot + 1, || None);
         }
-        self.jobs[slot] = Some(DistJob {
+        self.jobs[slot] = Some(Box::new(DistJob {
             tasks: &spec.tasks,
             estimate: spec.mean_task_duration(),
             class,
             next_task: 0,
             remaining: t,
             hard,
-        });
+        }));
         // Probe placement is the policy's own hook — the same call the
         // simulation driver makes on a job arrival.
         let view = PlacementView::new(&self.shadow, self.probe_scope(class));
@@ -335,7 +331,7 @@ impl<'t> DistScheduler<'t> {
     fn bind(&mut self, job: JobId, worker: usize, net: &mut impl Net) {
         let full_scan = self.full_scan();
         let reply = match self.job_mut(job) {
-            Some(state) if state.remaining > 0 => {
+            Some(state) => {
                 let (estimate, class) = (state.estimate, state.class);
                 match &mut state.hard {
                     None if state.next_task < state.tasks.len() => {
@@ -370,19 +366,23 @@ impl<'t> DistScheduler<'t> {
                     None => None,
                 }
             }
-            // Unknown job, or known and fully complete: cancel.
-            _ => None,
+            // A finished job: cancel.
+            None => None,
         };
         net.send_worker(worker, WorkerMsg::BindReply { job, task: reply });
     }
 
+    /// Records a completion. The job's slot is freed with its last task,
+    /// so a late report of a finished job finds nothing and does nothing.
     fn complete(&mut self, job: JobId, task: u32, net: &mut impl Net) {
-        let state = self.job_mut(job).expect("completion for known job");
+        let Some(state) = self.job_mut(job) else {
+            return;
+        };
         if let Some(hard) = &mut state.hard {
             // Idempotent completion: dedup by task index, first report
             // wins — network dups and doubly-executed relaunches fall
             // through silently.
-            if state.remaining == 0 || hard.state[task as usize] == TaskState::Done {
+            if hard.state[task as usize] == TaskState::Done {
                 return;
             }
             // A relaunch-pending task can still be finished by the attempt
@@ -391,18 +391,11 @@ impl<'t> DistScheduler<'t> {
                 hard.unlaunched -= 1;
             }
             hard.state[task as usize] = TaskState::Done;
-            state.remaining -= 1;
-            if state.remaining == 0 {
-                net.job_done(job);
-            }
-            return;
         }
         state.remaining -= 1;
         if state.remaining == 0 {
+            self.jobs[job.index() / self.stride] = None;
             net.job_done(job);
-            // Keep the entry so late probes still get cancels; mark
-            // drained.
-            state.next_task = state.tasks.len();
         }
     }
 
@@ -420,7 +413,7 @@ impl<'t> DistScheduler<'t> {
             return;
         }
         self.stats.migrations += 1;
-        self.send_fresh_probe(job, class, net);
+        self.send_probe(job, class, 0, net);
     }
 
     /// The per-job chain fires: relaunch overdue handed-out tasks,
@@ -430,7 +423,8 @@ impl<'t> DistScheduler<'t> {
         let Some(to) = self.timeouts else { return };
         let now = net.now();
         let full_scan = self.full_scan();
-        let Some(state) = self.job_mut(job).filter(|state| state.remaining > 0) else {
+        let Some(state) = self.job_mut(job) else {
+            // The job finished.
             self.stats.stale_timers += 1;
             return;
         };
@@ -462,7 +456,7 @@ impl<'t> DistScheduler<'t> {
             // relaunch above: keep one fresh reservation trickling in
             // until every task is handed out.
             self.stats.retries += 1;
-            self.send_fresh_probe(job, class, net);
+            self.send_probe(job, class, 0, net);
         }
         net.self_timer_dist(self.index, interval, DistMsg::JobTimeout { job });
     }
@@ -560,8 +554,9 @@ impl CentralJob<'_> {
 pub(crate) struct CentralDaemon<'t> {
     trace: &'t Trace,
     inner: CentralScheduler,
-    /// Job state by [`JobId`]. Only centrally-routed jobs have an entry,
-    /// so the table holds a pointer per trace job and a box per entry.
+    /// Job state by [`JobId`]. Only centrally-routed jobs in flight have
+    /// an entry, so the table holds a pointer per trace job and a box per
+    /// entry.
     jobs: Vec<Option<Box<CentralJob<'t>>>>,
     timeouts: Option<TimeoutSpec>,
     place_buf: Vec<ServerId>,
@@ -675,83 +670,71 @@ impl<'t> CentralDaemon<'t> {
     }
 
     /// Records a completion, releasing the job's estimate (the one charged
-    /// at assignment) from the §3.7 bookkeeping.
+    /// at assignment) from the §3.7 bookkeeping. The job's slot is freed
+    /// with its last task, so a late report of a finished job finds
+    /// nothing and does nothing.
     fn complete(&mut self, job: JobId, worker: usize, task: u32, net: &mut impl Net) {
-        if self.timeouts.is_some() {
-            // Idempotent: dedup by task index. The waiting-time charge is
-            // released from the *currently charged* worker (a relaunch
-            // may have moved it off the reporting one), so the §3.7
-            // bookkeeping never leaks.
-            let state = self.jobs[job.index()]
-                .as_mut()
-                .expect("completion for known job");
-            let charged = match state.state[task as usize] {
-                CentralTask::Done => return,
-                CentralTask::Outstanding { worker, .. } => worker,
-            };
-            self.inner
-                .on_task_complete(ServerId(charged as u32), state.estimate);
-            state.state[task as usize] = CentralTask::Done;
-            state.remaining -= 1;
-            if state.remaining == 0 {
-                // Keep the entry: late duplicates must keep resolving as
-                // no-ops, not panics.
-                net.job_done(job);
-            }
+        let Some(state) = self.jobs.get_mut(job.index()).and_then(Option::as_mut) else {
             return;
+        };
+        let mut charged = worker;
+        if let Some(task) = state.state.get_mut(task as usize) {
+            // Hardened, idempotent: dedup by task index. The waiting-time
+            // charge is released from the *currently charged* worker (a
+            // relaunch may have moved it off the reporting one), so the
+            // §3.7 bookkeeping never leaks.
+            let CentralTask::Outstanding { worker, .. } = *task else {
+                return;
+            };
+            charged = worker;
+            *task = CentralTask::Done;
         }
-        let slot = &mut self.jobs[job.index()];
-        let state = slot.as_mut().expect("completion for known job");
         self.inner
-            .on_task_complete(ServerId(worker as u32), state.estimate);
+            .on_task_complete(ServerId(charged as u32), state.estimate);
         state.remaining -= 1;
         if state.remaining == 0 {
-            *slot = None;
+            self.jobs[job.index()] = None;
             net.job_done(job);
         }
     }
 
+    /// The driver's task-migration policy: a displaced task moves to the
+    /// live server the §3.7 queue would pick next, bookkeeping following
+    /// the task.
     fn relocate(&mut self, from: usize, spec: TaskSpec, net: &mut impl Net) {
-        if let Some(to) = self.timeouts {
-            // A stale relocation (the chain already relaunched this task,
-            // or it completed) must not double-place it.
-            let Some(state) = self.jobs.get_mut(spec.job.index()).and_then(Option::as_mut) else {
-                return;
-            };
-            match state.state[spec.task as usize] {
-                CentralTask::Outstanding {
-                    worker, attempt, ..
-                } if worker == from && attempt == spec.attempt => {
-                    let target = self.inner.least_loaded();
-                    self.inner
-                        .reassign(ServerId(from as u32), target, spec.estimate);
-                    self.stats.migrations += 1;
-                    let moved = CentralTask::Outstanding {
-                        worker: target.index(),
-                        since: net.now(),
-                        attempt: spec.attempt,
-                        expected: self.inner.estimated_wait(target),
-                    };
-                    // The move restarts the task's clock on a server with
-                    // a different backlog: its deadline can now fall
-                    // before everything the bound was computed from.
-                    let at = moved
-                        .overdue_at(state.durations[spec.task as usize], &to)
-                        .expect("outstanding tasks have a deadline");
-                    state.next_overdue = state.next_overdue.min(at);
-                    state.state[spec.task as usize] = moved;
-                    net.send_worker(target.index(), WorkerMsg::Assign(spec));
-                }
-                _ => {}
-            }
-            return;
-        }
-        // The driver's task-migration policy: the live server the §3.7
-        // queue would pick next, bookkeeping following the task.
+        let task = spec.task as usize;
+        let state = self.jobs.get_mut(spec.job.index()).and_then(Option::as_mut);
+        // Hardened: a stale relocation (the chain already relaunched this
+        // task, or it completed) must not double-place it.
+        let current = |task: &CentralTask| {
+            matches!(*task, CentralTask::Outstanding { worker, attempt, .. }
+                if worker == from && attempt == spec.attempt)
+        };
+        let hard = match (self.timeouts, state) {
+            (None, _) => None,
+            (Some(to), Some(state)) if current(&state.state[task]) => Some((to, state)),
+            _ => return,
+        };
         let target = self.inner.least_loaded();
         self.inner
             .reassign(ServerId(from as u32), target, spec.estimate);
         self.stats.migrations += 1;
+        if let Some((to, state)) = hard {
+            let moved = CentralTask::Outstanding {
+                worker: target.index(),
+                since: net.now(),
+                attempt: spec.attempt,
+                expected: self.inner.estimated_wait(target),
+            };
+            // The move restarts the task's clock on a server with a
+            // different backlog: its deadline can now fall before
+            // everything the bound was computed from.
+            let at = moved
+                .overdue_at(state.durations[task], &to)
+                .expect("outstanding tasks have a deadline");
+            state.next_overdue = state.next_overdue.min(at);
+            state.state[task] = moved;
+        }
         net.send_worker(target.index(), WorkerMsg::Assign(spec));
     }
 
@@ -764,12 +747,8 @@ impl<'t> CentralDaemon<'t> {
         let Some(to) = self.timeouts else { return };
         let now = net.now();
         let full_scan = self.full_scan();
-        let Some(state) = self
-            .jobs
-            .get_mut(job.index())
-            .and_then(Option::as_mut)
-            .filter(|state| state.remaining > 0)
-        else {
+        let Some(state) = self.jobs.get_mut(job.index()).and_then(Option::as_mut) else {
+            // The job finished.
             self.stats.stale_timers += 1;
             return;
         };
@@ -1307,6 +1286,148 @@ mod tests {
         );
     }
 
+    // --- Late messages after a job's state is freed ---
+
+    /// The counters a late message could move, in one comparable tuple.
+    fn counters(stats: &DaemonStats) -> (u64, u64, u64, u64, u64, u64) {
+        (
+            stats.migrations,
+            stats.abandons,
+            stats.stale_timers,
+            stats.retries,
+            stats.timeouts_fired,
+            stats.relaunched,
+        )
+    }
+
+    #[test]
+    fn late_messages_for_a_finished_distributed_job_act_as_before() {
+        // Each reply and counter below is what the kept state produced:
+        // a finished job cancelled binds, abandoned displaced probes,
+        // dropped duplicate reports and counted its chain fires stale.
+        let trace = uniform_trace(2, 1, 5);
+        for timeouts in [None, Some(hardened_spec())] {
+            let mut sched = DistScheduler::new(
+                &trace,
+                0,
+                1,
+                Arc::new(Sparrow::new()),
+                8,
+                SimRng::seed_from_u64(3),
+                timeouts,
+            );
+            let mut net = RecordingNet::default();
+            sched.handle(submit(1, JobClass::Short), &mut net);
+            let (job, worker) = (JobId(1), 2);
+            sched.handle(DistMsg::TaskRequest { job, worker }, &mut net);
+            sched.handle(DistMsg::TaskDone { job, task: 0 }, &mut net);
+            assert_eq!(net.done, vec![job]);
+            assert!(sched.jobs[1].is_none(), "the finished job's slot is freed");
+            net.worker_msgs.clear();
+            let (before, timers) = (counters(&sched.stats), net.dist_timers.len());
+
+            // A duplicate completion: nothing.
+            sched.handle(DistMsg::TaskDone { job, task: 0 }, &mut net);
+            assert_eq!(net.done, vec![job]);
+            assert!(net.worker_msgs.is_empty());
+            assert_eq!(counters(&sched.stats), before);
+            // A bind: a cancel.
+            sched.handle(DistMsg::TaskRequest { job, worker: 4 }, &mut net);
+            assert_eq!(
+                net.worker_msgs,
+                vec![(4, WorkerMsg::BindReply { job, task: None })]
+            );
+            // A displaced probe: abandoned.
+            net.worker_msgs.clear();
+            let class = JobClass::Short;
+            sched.handle(DistMsg::ReProbe { job, class }, &mut net);
+            assert!(net.worker_msgs.is_empty());
+            assert_eq!(sched.stats.abandons, before.1 + 1);
+            // A bounced probe never read the job's state: it is forwarded.
+            let bounces = 1;
+            sched.handle(
+                DistMsg::Bounce {
+                    job,
+                    class,
+                    bounces,
+                },
+                &mut net,
+            );
+            assert!(matches!(
+                net.worker_msgs[..],
+                [(
+                    _,
+                    WorkerMsg::Probe {
+                        job: JobId(1),
+                        bounces: 1,
+                        ..
+                    }
+                )]
+            ));
+            // A chain fire: stale when hardened, not re-armed.
+            sched.handle(DistMsg::JobTimeout { job }, &mut net);
+            let stale = u64::from(timeouts.is_some());
+            assert_eq!(sched.stats.stale_timers, before.2 + stale);
+            assert_eq!(net.dist_timers.len(), timers);
+            let (migrations, _, _, retries, fired, relaunched) = counters(&sched.stats);
+            assert_eq!(
+                (migrations, retries, fired, relaunched),
+                (before.0, before.3, before.4, before.5)
+            );
+        }
+    }
+
+    #[test]
+    fn late_messages_for_a_finished_central_job_act_as_before() {
+        let trace = uniform_trace(3, 1, 5);
+        for timeouts in [None, Some(hardened_spec())] {
+            let mut daemon = CentralDaemon::new(&trace, 4, timeouts);
+            let mut net = RecordingNet::default();
+            daemon.handle(central_submit(1), &mut net);
+            let (worker, spec) = last_assign(&net, 1, 0);
+            let job = JobId(1);
+            let done = CentralMsg::TaskDone {
+                job,
+                worker,
+                task: 0,
+            };
+            daemon.handle(done.clone(), &mut net);
+            assert_eq!(net.done, vec![job]);
+            assert!(daemon.jobs[1].is_none(), "the finished job's slot is freed");
+            net.worker_msgs.clear();
+            let (before, timers) = (counters(&daemon.stats), net.central_timers.len());
+            let wait = daemon.inner.estimated_wait(ServerId(worker as u32));
+
+            // A duplicate completion: nothing — in particular no second
+            // release of the worker's §3.7 charge.
+            daemon.handle(done, &mut net);
+            assert_eq!(net.done, vec![job]);
+            assert_eq!(daemon.inner.estimated_wait(ServerId(worker as u32)), wait);
+            // A chain fire: stale when hardened, not re-armed.
+            daemon.handle(CentralMsg::JobTimeout { job }, &mut net);
+            let stale = u64::from(timeouts.is_some());
+            assert_eq!(daemon.stats.stale_timers, before.2 + stale);
+            assert_eq!(net.central_timers.len(), timers);
+            assert!(net.worker_msgs.is_empty());
+            let (migrations, abandons, _, retries, fired, relaunched) = counters(&daemon.stats);
+            assert_eq!(
+                (migrations, abandons, retries, fired, relaunched),
+                (before.0, before.1, before.3, before.4, before.5)
+            );
+            // A relocation of the finished task: ignored when hardened. A
+            // fault-free relocation never read the job's state and cannot
+            // outlive its task.
+            if timeouts.is_some() {
+                daemon.handle(CentralMsg::Relocate { from: worker, spec }, &mut net);
+                assert!(
+                    net.worker_msgs.is_empty(),
+                    "a stale relocate re-placed a task"
+                );
+                assert_eq!(daemon.stats.migrations, before.0);
+            }
+        }
+    }
+
     // --- O(1) bookkeeping: chain bound, cursor, count ---
 
     fn secs(s: u64) -> SimTime {
@@ -1549,9 +1670,10 @@ mod tests {
                     _ => {
                         // A chain fire: wherever the clock stands, or —
                         // where a wrong bound shows — on the job's bound
-                        // and one tick short of it.
+                        // and one tick short of it. A finished job's state
+                        // is freed: its fire lands where the clock stands.
                         let job = pick % jobs.len();
-                        let at = fast.jobs[job].as_ref().expect("submitted").next_overdue;
+                        let at = fast.jobs[job].as_ref().map_or(now, |state| state.next_overdue);
                         let at = match op {
                             5 | 6 => now,
                             7 => at,

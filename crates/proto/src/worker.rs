@@ -50,11 +50,26 @@
 //!   `(job, task, attempt)` key, so duplicated or relaunched-then-found
 //!   deliveries never double-run on the same worker.
 //!
+//! Each record lives only as long as the work it guards, plus the horizon
+//! H of [`TimeoutSpec::horizon`], the longest hardened wait:
+//!
+//! * a buffered grant, until the thief acks it or the victim relocates
+//!   its entries;
+//! * a grant key, for H after the thief first saw the grant — every
+//!   retransmission of it is sent within `retries · steal` of the first;
+//! * a launch key, while the task is queued or running here, and for H
+//!   after it finished. The queue is the record of queued tasks (each
+//!   queued spec carries its attempt) and the worker keeps the running
+//!   task's attempt, so only finished launches need a record of their own.
+//!
+//! So the records are sized by the work in flight, not by the run's
+//! length: the two expiring lists hold what was noted within H and stop
+//! allocating once they have held their busiest horizon.
+//!
 //! Without a `TimeoutSpec` every one of these paths is compiled around:
 //! the fault-free message sequence is byte-identical to the historical
 //! one.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use hawk_cluster::steal::{steal_from_with_into, StealScratch};
@@ -63,7 +78,7 @@ use hawk_cluster::{
     StealGranularity, TaskSpec,
 };
 use hawk_core::{RackGeometry, Route, Scheduler, StealSpec};
-use hawk_simcore::SimRng;
+use hawk_simcore::{SimDuration, SimRng, SimTime};
 use hawk_workload::scenario::NodeChange;
 use hawk_workload::{JobClass, JobId};
 
@@ -85,9 +100,41 @@ struct StealAttempt {
 /// A non-empty steal grant awaiting the thief's ack (hardened protocol).
 /// `entries` is the allocation the grant itself carries.
 struct PendingGrant {
+    nonce: u64,
     thief: usize,
     entries: Arc<[QueueEntry]>,
     retries: u32,
+}
+
+/// Keys remembered for `horizon` after they were noted, oldest first (see
+/// the module docs). A short expiring list: it holds what was noted within
+/// the horizon and reuses its buffer.
+struct Recent<K> {
+    horizon: SimDuration,
+    keys: Vec<(SimTime, K)>,
+}
+
+impl<K: PartialEq> Recent<K> {
+    fn new(horizon: SimDuration) -> Self {
+        let keys = Vec::new();
+        Recent { horizon, keys }
+    }
+
+    /// Forgets what was noted more than the horizon before `now`, then
+    /// looks `key` up.
+    fn contains(&mut self, now: SimTime, key: &K) -> bool {
+        self.keys.retain(|&(at, _)| now - at <= self.horizon);
+        self.keys.iter().any(|(_, k)| k == key)
+    }
+
+    /// Notes `key` at `now`; `false` if it was remembered already.
+    fn insert(&mut self, now: SimTime, key: K) -> bool {
+        let fresh = !self.contains(now, &key);
+        if fresh {
+            self.keys.push((now, key));
+        }
+        fresh
+    }
 }
 
 /// The worker daemon state machine. See the module docs.
@@ -125,12 +172,15 @@ pub(crate) struct Worker {
     /// Next transfer nonce handed to a non-empty steal grant (0 is the
     /// unhardened marker and never allocated).
     next_nonce: u64,
-    /// Victim side: grants sent but not yet acked, by nonce.
-    pending_grants: HashMap<u64, PendingGrant>,
-    /// Thief side: grants already banked, so retransmits are not re-run.
-    seen_grants: HashSet<(usize, u64)>,
-    /// Launch-idempotency keys of tasks this worker accepted.
-    launched: HashSet<(JobId, u32, u32)>,
+    /// Victim side: grants sent but not yet acked.
+    pending_grants: Vec<PendingGrant>,
+    /// Thief side: `(victim, nonce)` of the grants banked within H, so
+    /// retransmits are not re-run.
+    seen_grants: Recent<(usize, u64)>,
+    /// `(job, task, attempt)` of the tasks finished here within H.
+    finished: Recent<(JobId, u32, u32)>,
+    /// The running task's attempt (the slot keeps its job and index).
+    running_attempt: u32,
     victim_scratch: Vec<usize>,
     steal_scratch: StealScratch,
     /// The steal scan's output buffer; a reply copies out of it.
@@ -158,6 +208,7 @@ impl Worker {
         // index). The worker's cluster-wide identity (`index`) is passed
         // explicitly wherever policy code needs it (steal-victim picks,
         // messages).
+        let horizon = hardened.map_or(SimDuration::ZERO, |to| to.horizon());
         Worker {
             index,
             server: Server::default(),
@@ -176,9 +227,10 @@ impl Worker {
             bind_retries: 0,
             steal_epoch: 0,
             next_nonce: 1,
-            pending_grants: HashMap::new(),
-            seen_grants: HashSet::new(),
-            launched: HashSet::new(),
+            pending_grants: Vec::new(),
+            seen_grants: Recent::new(horizon),
+            finished: Recent::new(horizon),
+            running_attempt: 0,
             victim_scratch: Vec::new(),
             steal_scratch: StealScratch::new(),
             steal_out: Vec::new(),
@@ -206,6 +258,17 @@ impl Worker {
         }
     }
 
+    /// True if the launch `spec` names is queued or running here, or
+    /// finished here within H: a delivery of it is a duplicate.
+    fn holds_launch(&mut self, spec: &TaskSpec, now: SimTime) -> bool {
+        let key = (spec.job, spec.task, spec.attempt);
+        let queued = |e| matches!(e, QueueEntry::Task(q) if (q.job, q.task, q.attempt) == key);
+        let running = (self.server.slot(), self.running_attempt);
+        matches!(running, (Slot::Running(t), a) if (t.job, t.task, a) == key)
+            || self.queues.iter(0).any(queued)
+            || self.finished.contains(now, &key)
+    }
+
     /// Handles one message; returns `true` on shutdown.
     pub(crate) fn handle(&mut self, msg: WorkerMsg, net: &mut impl Net) -> bool {
         self.stats.deliveries.record(msg.kind());
@@ -222,9 +285,7 @@ impl Worker {
                     self.relocate(QueueEntry::Task(spec), net);
                     return false;
                 }
-                if self.hardened.is_some()
-                    && !self.launched.insert((spec.job, spec.task, spec.attempt))
-                {
+                if self.hardened.is_some() && self.holds_launch(&spec, net.now()) {
                     // Duplicate delivery of a task we already accepted.
                     return false;
                 }
@@ -245,7 +306,7 @@ impl Worker {
             WorkerMsg::StealAck { nonce } => {
                 // The grant arrived; release the retransmit buffer. A
                 // duplicated ack finds nothing and falls through.
-                self.pending_grants.remove(&nonce);
+                self.pending_grants.retain(|g| g.nonce != nonce);
             }
             WorkerMsg::BindTimeout { epoch } => self.on_bind_timeout(epoch, net),
             WorkerMsg::StealTimeout { epoch } => {
@@ -309,7 +370,7 @@ impl Worker {
                 return;
             }
             if let Some(spec) = &task {
-                if !self.launched.insert((spec.job, spec.task, spec.attempt)) {
+                if self.holds_launch(spec, net.now()) {
                     // The same launch already ran here (duplicated reply
                     // answering a retransmitted request): resolve the
                     // wait as a cancel instead of double-running.
@@ -395,14 +456,8 @@ impl Worker {
         self.steal_out.clear();
         match self.hardened {
             Some(to) if !entries.is_empty() => {
-                // The loot leaves this queue for good — release its
-                // launch-dedup keys so a relocation round trip can bring
-                // a task back here.
-                for entry in entries.iter() {
-                    if let QueueEntry::Task(spec) = entry {
-                        self.launched.remove(&(spec.job, spec.task, spec.attempt));
-                    }
-                }
+                // The loot leaves this queue, and with it its launch keys,
+                // so a relocation round trip can bring a task back here.
                 let nonce = self.next_nonce;
                 self.next_nonce += 1;
                 net.send_worker(
@@ -413,14 +468,12 @@ impl Worker {
                         entries: Arc::clone(&entries),
                     },
                 );
-                self.pending_grants.insert(
+                self.pending_grants.push(PendingGrant {
                     nonce,
-                    PendingGrant {
-                        thief,
-                        entries,
-                        retries: 0,
-                    },
-                );
+                    thief,
+                    entries,
+                    retries: 0,
+                });
                 net.self_timer_worker(self.index, to.steal, WorkerMsg::StealRetransmit { nonce });
             }
             _ => {
@@ -451,7 +504,7 @@ impl Worker {
             // Always ack — the victim retransmits until we do — and bank
             // each grant exactly once.
             net.send_worker(from, WorkerMsg::StealAck { nonce });
-            if !self.seen_grants.insert((from, nonce)) {
+            if !self.seen_grants.insert(net.now(), (from, nonce)) {
                 return;
             }
         }
@@ -464,13 +517,6 @@ impl Worker {
             }
             return;
         }
-        if self.hardened.is_some() {
-            for entry in entries.iter() {
-                if let QueueEntry::Task(spec) = entry {
-                    self.launched.insert((spec.job, spec.task, spec.attempt));
-                }
-            }
-        }
         let action = self
             .server
             .enqueue_all(&mut self.queues, 0, entries.iter().copied());
@@ -481,11 +527,12 @@ impl Worker {
 
     fn on_steal_retransmit(&mut self, nonce: u64, net: &mut impl Net) {
         let Some(to) = self.hardened else { return };
-        let Some(grant) = self.pending_grants.get_mut(&nonce) else {
+        let Some(i) = self.pending_grants.iter().position(|g| g.nonce == nonce) else {
             // Acked in the meantime.
             self.stats.stale_timers += 1;
             return;
         };
+        let grant = &mut self.pending_grants[i];
         if grant.retries < to.retries {
             grant.retries += 1;
             self.stats.retries += 1;
@@ -503,10 +550,7 @@ impl Worker {
             // The thief is unreachable: hand the entries back to their
             // schedulers so stolen work is never lost.
             self.stats.timeouts_fired += 1;
-            let grant = self
-                .pending_grants
-                .remove(&nonce)
-                .expect("pending grant present");
+            let grant = self.pending_grants.swap_remove(i);
             for &entry in grant.entries.iter() {
                 self.relocate(entry, net);
             }
@@ -518,6 +562,7 @@ impl Worker {
     fn on_action(&mut self, action: ServerAction, net: &mut impl Net) {
         match action {
             ServerAction::StartTask(spec) => {
+                self.running_attempt = spec.attempt;
                 net.add_running(1);
                 let occupancy = scale_duration(spec.duration, self.speed);
                 net.schedule_finish(self.index, occupancy);
@@ -551,10 +596,14 @@ impl Worker {
         self.stats.deliveries.record(MsgKind::TaskFinish);
         net.add_running(-1);
         let (done, action) = self.server.on_task_finish(&mut self.queues, 0);
+        let (job, task) = (done.job, done.task);
+        if self.hardened.is_some() {
+            self.finished
+                .insert(net.now(), (job, task, self.running_attempt));
+        }
         // Completion reporting follows the policy's routing: the class
         // determines which scheduler owns the bookkeeping, exactly as in
         // the driver's `JobRun::central` flag.
-        let (job, task) = (done.job, done.task);
         match self.scheduler.route(done.class) {
             Route::Central(_) => net.send_central(CentralMsg::TaskDone {
                 job,
@@ -641,11 +690,6 @@ impl Worker {
             .drain_queue_into(&mut self.queues, 0, &mut drained);
         self.server.set_down(true);
         for entry in drained.drain(..) {
-            if self.hardened.is_some() {
-                if let QueueEntry::Task(spec) = &entry {
-                    self.launched.remove(&(spec.job, spec.task, spec.attempt));
-                }
-            }
             self.relocate(entry, net);
         }
         self.drain_buf = drained;
@@ -686,6 +730,7 @@ mod tests {
     /// A recording Net for unit-testing the state machine in isolation.
     #[derive(Default)]
     struct RecordingNet {
+        now: SimTime,
         worker_msgs: Vec<(usize, WorkerMsg)>,
         dist_msgs: Vec<(usize, DistMsg)>,
         central_msgs: Vec<CentralMsg>,
@@ -719,7 +764,7 @@ mod tests {
             self.capacity += delta;
         }
         fn now(&self) -> SimTime {
-            SimTime::ZERO
+            self.now
         }
         fn self_timer_worker(&mut self, to: usize, after: SimDuration, msg: WorkerMsg) {
             self.timers.push((to, after, msg));
@@ -1232,5 +1277,159 @@ mod tests {
             .filter(|(_, m)| matches!(m, DistMsg::TaskRequest { .. }))
             .count();
         assert_eq!(binds, 1, "the probe binds once, not per retransmit");
+    }
+
+    // --- Record lifetimes: the horizon H ---
+
+    /// H of `hardened_worker`: its 30 s chain base outlasts three 1 s
+    /// bind or steal waits.
+    const H: SimDuration = SimDuration::from_secs(30);
+
+    fn at(secs: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(secs)
+    }
+
+    #[test]
+    fn the_horizon_is_the_longest_hardened_wait() {
+        let to = |probe, bind, steal, retries| TimeoutSpec {
+            probe: SimDuration::from_secs(probe),
+            bind: SimDuration::from_secs(bind),
+            steal: SimDuration::from_secs(steal),
+            retries,
+        };
+        assert_eq!(to(30, 1, 1, 2).horizon(), H);
+        assert_eq!(to(30, 10, 2, 3).horizon(), SimDuration::from_secs(40));
+        assert_eq!(to(30, 2, 9, 3).horizon(), SimDuration::from_secs(36));
+        assert_eq!(to(5, 1, 1, 0).horizon(), SimDuration::from_secs(5));
+        assert_eq!(hardened_worker(0).finished.horizon, H);
+    }
+
+    #[test]
+    fn a_duplicate_assign_inside_the_horizon_is_dropped() {
+        let mut w = hardened_worker(0);
+        let mut net = RecordingNet::default();
+        let spec = task(1, JobClass::Long, 10);
+        w.handle(WorkerMsg::Assign(spec), &mut net);
+        // Running: a duplicate is dropped.
+        w.handle(WorkerMsg::Assign(spec), &mut net);
+        assert_eq!(net.finishes.len(), 1);
+        assert_eq!(w.server.queue_len(), 0);
+        net.now = at(10);
+        w.on_task_finish(&mut net);
+        // Finished, within H of the finish: still dropped.
+        net.now = at(10) + H;
+        w.handle(WorkerMsg::Assign(spec), &mut net);
+        assert_eq!(net.finishes.len(), 1, "a duplicate inside H must not run");
+        assert_eq!(w.server.queue_len(), 0);
+        // Past H the record is gone, and with it the memory of the launch.
+        net.now = at(11) + H;
+        w.handle(WorkerMsg::Assign(spec), &mut net);
+        assert_eq!(net.finishes.len(), 2, "the record outlived its horizon");
+        assert!(w.finished.keys.is_empty());
+    }
+
+    #[test]
+    fn a_duplicate_assign_of_a_queued_task_is_dropped() {
+        // The queue is the record of a queued launch: its spec carries
+        // the attempt.
+        let mut w = hardened_worker(0);
+        let mut net = RecordingNet::default();
+        w.handle(WorkerMsg::Assign(task(1, JobClass::Long, 10)), &mut net);
+        let mut queued = task(2, JobClass::Long, 10);
+        queued.task = 3;
+        w.handle(WorkerMsg::Assign(queued), &mut net);
+        w.handle(WorkerMsg::Assign(queued), &mut net);
+        assert_eq!(w.server.queue_len(), 1);
+        // Another task of the same job, or another attempt, is not a
+        // duplicate.
+        let mut sibling = queued;
+        sibling.task = 4;
+        let mut relaunch = queued;
+        relaunch.attempt = 1;
+        w.handle(WorkerMsg::Assign(sibling), &mut net);
+        w.handle(WorkerMsg::Assign(relaunch), &mut net);
+        assert_eq!(w.server.queue_len(), 3);
+    }
+
+    #[test]
+    fn a_duplicate_bind_reply_inside_the_horizon_resolves_as_a_cancel() {
+        let mut w = hardened_worker(0);
+        let mut net = RecordingNet::default();
+        let probe = WorkerMsg::Probe {
+            job: JobId(3),
+            class: JobClass::Short,
+            bounces: 0,
+        };
+        let reply = WorkerMsg::BindReply {
+            job: JobId(3),
+            task: Some(task(3, JobClass::Short, 5)),
+        };
+        w.handle(probe.clone(), &mut net);
+        w.handle(reply.clone(), &mut net);
+        assert_eq!(net.finishes.len(), 1);
+        net.now = at(5);
+        w.on_task_finish(&mut net);
+        // A second probe of the job waits for a bind; the duplicated
+        // reply of the first arrives inside H and must not re-run it.
+        net.now = at(20);
+        w.handle(probe, &mut net);
+        assert!(w.server.is_awaiting_bind());
+        w.handle(reply, &mut net);
+        assert_eq!(net.finishes.len(), 1, "a duplicate inside H must not run");
+        assert!(!w.server.is_awaiting_bind(), "resolved as a cancel");
+    }
+
+    #[test]
+    fn a_grant_retransmitted_inside_the_horizon_is_acked_not_rebanked() {
+        let mut thief = hardened_worker(9);
+        let mut net = RecordingNet::default();
+        let grant = WorkerMsg::StealReply {
+            from: 1,
+            nonce: 42,
+            entries: Arc::new([QueueEntry::Probe {
+                job: JobId(2),
+                class: JobClass::Short,
+            }]),
+        };
+        // The first delivery, then the last retransmission the victim
+        // can send (after `retries` steal intervals), delayed to the edge
+        // of the horizon.
+        thief.handle(grant.clone(), &mut net);
+        net.now = SimTime::ZERO + H;
+        thief.handle(grant.clone(), &mut net);
+        let acks = net
+            .worker_msgs
+            .iter()
+            .filter(|(to, m)| *to == 1 && matches!(m, WorkerMsg::StealAck { nonce: 42 }))
+            .count();
+        assert_eq!(acks, 2, "every delivery is acked");
+        assert_eq!(thief.stats.steals, 1, "the grant is banked exactly once");
+        // The key is dropped H after the grant was first seen.
+        net.now = at(1) + H;
+        thief.handle(grant, &mut net);
+        assert_eq!(thief.seen_grants.keys.len(), 1, "only the new sighting");
+    }
+
+    #[test]
+    fn the_records_stop_growing_in_steady_state() {
+        // One task a second for an hour, every grant acked: what the
+        // worker remembers is what it saw within H, and its buffers stop
+        // growing once they have held one horizon's worth.
+        let mut w = hardened_worker(0);
+        let mut net = RecordingNet::default();
+        let mut capacity = 0;
+        for i in 0..3_600u32 {
+            net.now = at(u64::from(i));
+            let mut spec = task(i, JobClass::Long, 1);
+            spec.task = i;
+            w.handle(WorkerMsg::Assign(spec), &mut net);
+            w.on_task_finish(&mut net);
+            if i == 600 {
+                capacity = w.finished.keys.capacity();
+            }
+        }
+        assert!(w.finished.keys.len() <= 31, "{}", w.finished.keys.len());
+        assert_eq!(w.finished.keys.capacity(), capacity, "grew after warm-up");
+        assert!(w.pending_grants.is_empty() && w.seen_grants.keys.is_empty());
     }
 }

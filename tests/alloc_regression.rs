@@ -40,7 +40,10 @@
 //! The prototype's daemons own their messages, so its guard is a budget
 //! rather than a zero: a whole hardened chaos run — construction and
 //! report included — may allocate at most [`PROTO_ALLOCS_PER_DELIVERY`]
-//! times per delivery.
+//! times per delivery. Its footprint is pinned like the simulator's: the
+//! run's peak live heap stays within 5 % of its measured figure and
+//! within 2x of the same cell fault-free, which hardened records kept for
+//! the whole run exceed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -48,6 +51,7 @@ use std::sync::Arc;
 
 use hawk::core::scheduler::{Hawk, Scheduler, Sparrow};
 use hawk::core::{Driver, FatTreeParams, SimConfig, TopologySpec};
+use hawk::proto::{run_prototype, FaultSpec, ProtoBackend, ProtoConfig};
 use hawk::simcore::{SimDuration, SimTime};
 use hawk::workload::google::{GoogleTraceConfig, GOOGLE_SHORT_PARTITION};
 use hawk::workload::scenario::{DynamicsScript, SpeedSpec};
@@ -302,29 +306,41 @@ fn hawk_contended_fat_tree_steady_state_allocates_nothing() {
 /// vector per steal attempt, a scan buffer and a clone per grant).
 const PROTO_ALLOCS_PER_DELIVERY: f64 = 0.0371;
 
-/// The third harness: every daemon of a 300-worker prototype cluster on
-/// the virtual router, under 1 % drops, duplicates, reorder jitter and a
-/// 1,000 s partition, from construction to report.
-#[test]
-fn hardened_chaos_prototype_stays_within_its_allocation_budget() {
-    use hawk::proto::{run_prototype, FaultSpec, ProtoBackend};
-
+/// The prototype's cell: the trace of a 300-worker cluster, and its
+/// configuration under `faults`.
+fn proto_cell(faults: FaultSpec) -> (Trace, ProtoConfig) {
     let trace: Trace = GoogleTraceConfig::with_scale(50, 1_500).generate(0xA110C);
-    let faults = FaultSpec::chaos().partition(
-        SimTime::from_secs(100),
-        SimTime::from_secs(1_100),
-        (40..50).collect(),
-    );
     let cfg = ProtoBackend::deterministic()
         .faults(faults)
         .config_for(&SimConfig {
             nodes: 300,
             ..SimConfig::default()
         });
-    let scheduler: Arc<dyn Scheduler> = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION));
+    (trace, cfg)
+}
+
+/// 1 % drops, duplicates, reorder jitter and a 1,000 s partition.
+fn chaos() -> FaultSpec {
+    FaultSpec::chaos().partition(
+        SimTime::from_secs(100),
+        SimTime::from_secs(1_100),
+        (40..50).collect(),
+    )
+}
+
+fn hawk() -> Arc<dyn Scheduler> {
+    Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION))
+}
+
+/// The third harness: every daemon of a 300-worker prototype cluster on
+/// the virtual router, under 1 % drops, duplicates, reorder jitter and a
+/// 1,000 s partition, from construction to report.
+#[test]
+fn hardened_chaos_prototype_stays_within_its_allocation_budget() {
+    let (trace, cfg) = proto_cell(chaos());
 
     let before = allocations();
-    let report = run_prototype(&trace, scheduler, &cfg);
+    let report = run_prototype(&trace, hawk(), &cfg);
     let allocated = allocations() - before;
 
     assert_eq!(report.results.len(), trace.len());
@@ -371,5 +387,40 @@ fn hawk_whole_run_peak_heap_follows_the_live_state() {
         peak <= bound,
         "peak live heap {peak} B over the bound {bound} B (measured \
          {HAWK_STEADY_PEAK_BYTES} B + 5 %)"
+    );
+}
+
+/// Peak live heap of the hardened chaos run below, as measured (the same
+/// cell fault-free peaks at 921,376 B): the daemons, the router, the
+/// report, and the hardened records of the work in flight.
+const HARDENED_CHAOS_PEAK_BYTES: usize = 1_288_960;
+
+/// The hardened prototype's records live only as long as the work they
+/// guard, so its whole-run peak heap follows the live state: the chaos
+/// run, construction to report, peaks within 5 % of its measured figure
+/// and within 2x of the same cell fault-free (1.40x). Before the records
+/// were freed with their work — every job's per-task state kept after it
+/// completed, at its distributed and at the central scheduler, and each
+/// worker's launch keys and banked grant keys kept for the whole run in
+/// SipHash tables — the chaos run peaked at 3,326,728 B and the
+/// fault-free one at 1,223,096 B (2.72x): over both bounds.
+#[test]
+fn hardened_chaos_prototype_peak_heap_follows_the_live_state() {
+    let (trace, cfg) = proto_cell(chaos());
+    let (report, peak) = peak_bytes_of(|| run_prototype(&trace, hawk(), &cfg));
+    assert_eq!(report.results.len(), trace.len());
+    let (trace, clean_cfg) = proto_cell(FaultSpec::none());
+    let (clean_report, clean) = peak_bytes_of(|| run_prototype(&trace, hawk(), &clean_cfg));
+    assert_eq!(clean_report.results.len(), trace.len());
+    eprintln!("hardened chaos peak {peak} B, fault-free {clean} B");
+    let bound = HARDENED_CHAOS_PEAK_BYTES + HARDENED_CHAOS_PEAK_BYTES * 5 / 100;
+    assert!(
+        peak <= bound,
+        "peak live heap {peak} B over the bound {bound} B (measured \
+         {HARDENED_CHAOS_PEAK_BYTES} B + 5 %)"
+    );
+    assert!(
+        peak <= 2 * clean,
+        "peak live heap {peak} B over twice the fault-free run's {clean} B"
     );
 }

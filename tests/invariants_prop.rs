@@ -24,6 +24,21 @@
 //! count on `Driver` and on 2, 3 and 5 cores, and so does the `TaskFinish`
 //! count in the deliveries of a fault-free `hawk-proto` virtual run.
 //!
+//! An eighth runs the cell on the *hardened* `hawk-proto` virtual router
+//! under a fault script that eventually heals (ROADMAP 6(2)): drop and
+//! duplicate probability 0–5 %, reorder jitter 0–5 ms and 0–2 partition
+//! windows that close before the last arrival. Every job completes exactly
+//! once, no sooner than its submission, no utilization sample exceeds 1,
+//! and a second run is byte-identical. Mutations that fail it (each checked
+//! by hand): a distributed scheduler's per-job chain not re-armed after a
+//! fire, or the central daemon's (a lost probe or task strands its job and
+//! the router runs dry); and a late `TaskDone` of a finished job panicking
+//! at either scheduler instead of doing nothing (duplicates reach a freed
+//! job slot). One that does not: a victim whose grant went unacked
+//! dropping the entries instead of relocating them — the per-job chains
+//! re-probe and relaunch what was lost, so every job still completes;
+//! `worker::tests::hardened_steal_grant_gives_up_and_relocates` catches it.
+//!
 //! Nothing enqueues on a down server: `Server::enqueue` debug-asserts that
 //! its server is up, and `Cluster` and the prototype `Worker` both enqueue
 //! through it, so every churned case checks it in every harness under
@@ -94,7 +109,7 @@ use proptest::prelude::*;
 
 use hawk::core::{AdmissionDecision, AdmissionPlan, AdmissionPolicy};
 use hawk::prelude::*;
-use hawk::proto::MsgKind;
+use hawk::proto::{FaultSpec, MsgKind};
 
 /// Strategy: a small random trace (jobs with random arrival gaps and task
 /// durations), kept small enough that a case simulates in milliseconds.
@@ -190,6 +205,53 @@ fn arb_scheduler() -> impl Strategy<Value = Arc<dyn Scheduler>> {
     ]
 }
 
+/// A fault script's drawn parameters: drop and duplicate probabilities,
+/// reorder jitter in µs, and partition windows `(first host, hosts, from,
+/// length)` with `from` and `length` in thousandths of the trace's span.
+type FaultDraw = (f64, f64, u64, Vec<(u32, u32, u64, u64)>);
+
+/// Strategy: a fault script that eventually heals — drop and duplicate
+/// probability 0–5 %, reorder jitter 0–5 ms, 0–2 partition windows.
+fn arb_faults() -> impl Strategy<Value = FaultDraw> {
+    let window = (0u32..40, 1u32..4, 0u64..1_000, 1u64..1_000);
+    (
+        0.0f64..0.05,
+        0.0f64..0.05,
+        0u64..5_000,
+        proptest::collection::vec(window, 0..3),
+    )
+}
+
+/// `draw` as a [`FaultSpec`] over `nodes` hosts whose every partition
+/// window closes before `trace`'s last arrival: each islands a run of
+/// hosts, wrapping around the host range.
+fn healing_faults(trace: &Trace, nodes: usize, draw: FaultDraw) -> FaultSpec {
+    let (drop, duplicate, jitter, windows) = draw;
+    let mut faults = FaultSpec::none()
+        .drop_probability(drop)
+        .duplicate_probability(duplicate)
+        .reorder_jitter(SimDuration::from_micros(jitter));
+    let last = trace
+        .jobs()
+        .last()
+        .expect("non-empty")
+        .submission
+        .as_micros();
+    for (first, hosts, from, length) in windows {
+        let from = last * from / 1_000;
+        let until = (from + (last * length / 1_000).max(1)).min(last);
+        if from < until {
+            let island = (first..first + hosts).map(|h| h % nodes as u32).collect();
+            faults = faults.partition(
+                SimTime::from_micros(from),
+                SimTime::from_micros(until),
+                island,
+            );
+        }
+    }
+    faults
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -244,6 +306,46 @@ proptest! {
         };
         sane(&cell.clone().shards(shards).run(), &format!("{shards} shards"));
         sane(&cell.build().run_on(&ProtoBackend::deterministic()), "proto");
+    }
+
+    /// Liveness under a fault script that eventually heals, on the
+    /// hardened `hawk-proto` virtual router (ROADMAP 6(2)): with drops,
+    /// duplicates and reorder jitter throughout and partition windows that
+    /// close before the last arrival, every job completes exactly once
+    /// and no sooner than it was submitted, no utilization sample exceeds
+    /// 1, and a second run of the cell is byte-identical.
+    #[test]
+    fn every_job_completes_under_faults_that_heal(
+        trace in arb_trace(),
+        scheduler in arb_scheduler(),
+        // Five nodes and up: every drawn split reserves a short server.
+        nodes in 5usize..40,
+        seed in 0u64..1_000,
+        cutoff_secs in 50u64..2_500,
+        draw in arb_faults(),
+    ) {
+        let faults = healing_faults(&trace, nodes, draw);
+        let cell = Experiment::builder()
+            .nodes(nodes)
+            .scheduler_shared(scheduler)
+            .cutoff(Cutoff::from_secs(cutoff_secs))
+            .seed(seed)
+            .trace(&trace)
+            .build();
+        let cfg = ProtoBackend::deterministic().faults(faults).config_for(cell.sim());
+        let run = || run_prototype(cell.trace(), Arc::clone(cell.scheduler()), &cfg);
+        let report = run();
+        prop_assert_eq!(report.results.len(), trace.len());
+        for (job, result) in trace.jobs().iter().zip(&report.results) {
+            prop_assert_eq!(result.job, job.id);
+            prop_assert!(result.completion >= result.submission);
+        }
+        prop_assert!(
+            report.utilization_samples.iter().all(|&u| u <= 1.0),
+            "utilization above 1: {:?}",
+            report.utilization_samples
+        );
+        prop_assert_eq!(format!("{report:?}"), format!("{:?}", run()));
     }
 
     /// Every task launches exactly once, in every harness, under the first
