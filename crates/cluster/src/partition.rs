@@ -10,7 +10,6 @@
 //! `[general_count, total)` the short partition; contiguity makes uniform
 //! sampling within either side O(1).
 
-use hawk_simcore::SimRng;
 use serde::{Deserialize, Serialize};
 
 use crate::server::ServerId;
@@ -77,24 +76,6 @@ impl Partition {
         server.0 >= self.general && server.0 < self.total
     }
 
-    /// Samples one general-partition server uniformly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the general partition is empty.
-    pub fn random_general(&self, rng: &mut SimRng) -> ServerId {
-        assert!(self.general > 0, "general partition is empty");
-        ServerId(rng.gen_range(0, self.general as u64) as u32)
-    }
-
-    /// Samples `count` distinct general-partition servers.
-    pub fn sample_general(&self, count: usize, rng: &mut SimRng) -> Vec<ServerId> {
-        rng.sample_distinct(self.general as usize, count.min(self.general as usize))
-            .into_iter()
-            .map(|i| ServerId(i as u32))
-            .collect()
-    }
-
     /// All servers, as an id range helper.
     pub fn all(&self) -> impl Iterator<Item = ServerId> {
         (0..self.total).map(ServerId)
@@ -154,27 +135,6 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn bad_fraction_rejected() {
         Partition::new(10, 1.5);
-    }
-
-    #[test]
-    fn random_general_in_bounds() {
-        let p = Partition::new(100, 0.2);
-        let mut rng = SimRng::seed_from_u64(1);
-        for _ in 0..1000 {
-            let s = p.random_general(&mut rng);
-            assert!(p.in_general(s));
-        }
-    }
-
-    #[test]
-    fn sample_general_distinct_and_capped() {
-        let p = Partition::new(50, 0.2); // 40 general
-        let mut rng = SimRng::seed_from_u64(2);
-        let sampled = p.sample_general(100, &mut rng);
-        assert_eq!(sampled.len(), 40, "capped at general size");
-        let set: std::collections::HashSet<_> = sampled.iter().collect();
-        assert_eq!(set.len(), 40);
-        assert!(sampled.iter().all(|&s| p.in_general(s)));
     }
 
     #[test]

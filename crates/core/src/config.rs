@@ -122,10 +122,11 @@ pub struct SimConfig {
     /// [`AdmissionPlan`](crate::AdmissionPlan) in every backend.
     pub admission: Option<AdmissionPolicy>,
     /// Live-metrics window length. `None` (the default) disables windowed
-    /// sampling — no extra events, no recorder — keeping runs
-    /// byte-identical to the classic digests; `Some(W)` fills
-    /// [`MetricsReport::live`](crate::MetricsReport) with the last
-    /// [`LIVE_RING`](crate::LIVE_RING) closed `W`-long windows.
+    /// sampling — no extra events — keeping runs byte-identical to the
+    /// classic digests; `Some(W)` (positive: [`check_cell`]) samples every
+    /// `W` and fills [`MetricsReport::live`](crate::MetricsReport) with the
+    /// last [`LIVE_RING`](crate::LIVE_RING) closed `W`-long windows. The
+    /// simulator only: the prototype backend refuses it.
     pub live_window: Option<SimDuration>,
 }
 
@@ -158,23 +159,25 @@ impl SimConfig {
 }
 
 /// Checks that `scheduler` can run on a cell of `nodes` servers that
-/// replays `dynamics` and samples utilization every `util_interval`, and
-/// returns the size of the central scheduler's scope (servers `0..len`),
-/// or `None` when no route is central. Every harness calls it once,
-/// before it builds anything.
+/// replays `dynamics`, samples utilization every `util_interval` and
+/// closes a live window every `live_window`, if set, and returns the size
+/// of the central scheduler's scope (servers `0..len`), or `None` when no
+/// route is central. Every harness calls it once, before it builds
+/// anything.
 ///
 /// # Panics
 ///
 /// Panics when the dynamics script touches a server outside the cluster,
-/// `util_interval` is zero (a sampler would re-arm at the same instant
-/// forever), a route targets the short partition but none is reserved,
-/// the two central routes name different scopes or the short partition,
-/// or the central scope is empty.
+/// `util_interval` or `live_window` is zero (a sampler would re-arm at the
+/// same instant forever), a route targets the short partition but none is
+/// reserved, the two central routes name different scopes or the short
+/// partition, or the central scope is empty.
 pub fn check_cell(
     scheduler: &dyn Scheduler,
     nodes: usize,
     dynamics: &DynamicsScript,
     util_interval: SimDuration,
+    live_window: Option<SimDuration>,
 ) -> Option<usize> {
     if let Some(max) = dynamics.max_server() {
         assert!(
@@ -183,6 +186,10 @@ pub fn check_cell(
         );
     }
     assert!(!util_interval.is_zero(), "util_interval must be positive");
+    assert!(
+        live_window != Some(SimDuration::ZERO),
+        "live_window must be positive"
+    );
     let partition = Partition::new(nodes, scheduler.short_partition_fraction());
     let routes = [JobClass::Long, JobClass::Short].map(|class| scheduler.route(class));
     for route in routes {
@@ -226,7 +233,7 @@ mod tests {
     /// 100-server cell.
     fn central_scope(scheduler: &dyn Scheduler) -> Option<usize> {
         let interval = SimDuration::from_secs(100);
-        check_cell(scheduler, 100, &DynamicsScript::none(), interval)
+        check_cell(scheduler, 100, &DynamicsScript::none(), interval, None)
     }
 
     #[test]

@@ -17,6 +17,7 @@ use hawk_workload::classify::JobEstimates;
 use hawk_workload::Trace;
 
 use crate::config::SimConfig;
+use crate::live::LiveSamples;
 use crate::metrics::MetricsReport;
 use crate::protocol::{self, Arrivals, Core, Event, RunInputs, Transport};
 use crate::scheduler::Scheduler;
@@ -55,8 +56,7 @@ pub struct Driver<'t> {
     net: Loopback,
     arrivals: Arrivals<'t>,
     util: UtilizationTracker,
-    util_interval: SimDuration,
-    live_window: Option<SimDuration>,
+    live: Option<LiveSamples>,
 }
 
 impl<'t> Driver<'t> {
@@ -101,8 +101,7 @@ impl<'t> Driver<'t> {
             },
             arrivals,
             util: UtilizationTracker::new(sim.util_interval),
-            util_interval: sim.util_interval,
-            live_window: sim.live_window,
+            live: sim.live_window.map(LiveSamples::new),
         }
     }
 
@@ -134,7 +133,8 @@ impl<'t> Driver<'t> {
             };
             self.dispatch(event);
         }
-        let report = protocol::report(&[&self.core], |_| 0, &self.util, &self.net.engine, None);
+        let (util, live) = (&self.util, self.live.as_ref());
+        let report = protocol::report(&[&self.core], |_| 0, util, live, &self.net.engine, None);
         (report, self.core.into_estimates())
     }
 
@@ -167,12 +167,13 @@ impl<'t> Driver<'t> {
         match event {
             Event::UtilSample => {
                 self.util.record(self.core.cluster.utilization());
-                self.net.engine.schedule(self.util_interval, event);
+                self.net.engine.schedule(self.util.interval(), event);
             }
             Event::LiveSample => {
-                let window = self.live_window.expect("LiveSample implies a live window");
-                self.core.close_live_windows(self.net.engine.now());
-                self.net.engine.schedule(window, event);
+                let live = self.live.as_mut().expect("no live window");
+                let core = &self.core;
+                live.close(core.cluster.utilization(), core.steals, core.steal_attempts);
+                self.net.engine.schedule(live.window, event);
             }
             Event::JobArrival(job) => {
                 let engine = &mut self.net.engine;

@@ -106,14 +106,6 @@ impl Experiment {
         &self.sim
     }
 
-    /// This cell with a different seed (cheap: trace and scheduler are
-    /// shared).
-    pub fn with_seed(&self, seed: u64) -> Experiment {
-        let mut cell = self.clone();
-        cell.sim.seed = seed;
-        cell
-    }
-
     /// Runs the cell to completion on the calling thread. Deterministic:
     /// the same cell produces bit-identical reports.
     ///
@@ -386,10 +378,9 @@ mod tests {
         let base = Experiment::builder()
             .nodes(128)
             .scheduler(Sparrow::new())
-            .trace(small_motivation())
-            .build();
-        let a = base.run();
-        let b = base.with_seed(base.sim().seed + 1).run();
+            .trace(small_motivation());
+        let a = base.clone().seed(1).build().run();
+        let b = base.seed(2).build().run();
         // Probe placement differs, so at least one runtime should differ.
         assert_ne!(a.results, b.results);
     }

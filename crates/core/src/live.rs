@@ -4,26 +4,35 @@
 //!
 //! Time is cut into tumbling windows `[i·W, (i+1)·W)` aligned at the
 //! simulation origin, where `W` is
-//! [`SimConfig::live_window`](crate::SimConfig). The recorder keeps the
+//! [`SimConfig::live_window`](crate::SimConfig). The report keeps the
 //! last [`LIVE_RING`] *fully closed* windows — the trailing partial
 //! window is dropped, a live gauge never reports a half-filled bucket.
-//! All window state (including the per-class streaming histograms
-//! snapshotted into the ring) is allocated once at construction; the
-//! record and close paths are allocation-free, which the zero-alloc
-//! regression test enforces.
 //!
-//! Both simulator harnesses close windows from a dedicated
-//! self-rescheduling sampling event (the sharded one closes every core's
-//! recorder on it and merges them at report time). Attribution of events
-//! landing on the boundary microsecond follows event order and may differ
-//! between the two; live metrics are deterministic per harness but are
-//! not part of any cross-harness bit-equality contract (and not part of
-//! the golden digests).
+//! A window is a view of the run's results, derived once at report time
+//! like the run's streaming summary: a job is offered — and, by the
+//! admission plan's decision, shed or deferred — in the window holding
+//! its trace submission, and completes in the window holding its
+//! completion; shed jobs complete nothing. Windows are half-open by
+//! timestamp in every harness, so an event on a boundary microsecond
+//! belongs to the window it opens. The derivation holds two streaming
+//! sinks at a time, reset per window.
+//!
+//! What the results cannot tell is sampled: the cluster's occupancy at a
+//! window's close and the steals during it. Both simulator harnesses own
+//! a self-rescheduling `LiveSample` timer that, at every close, writes
+//! the whole-cluster utilization (the formula of the 100 s utilization
+//! snapshots) and the steal counters summed over cores into a fixed ring
+//! (`LiveSamples`); that write allocates nothing, which the zero-alloc
+//! regression test enforces. Live metrics are not part of the golden
+//! digests.
 
 use hawk_simcore::stats::StreamingQuantiles;
 use hawk_simcore::{SimDuration, SimTime};
 use hawk_workload::JobClass;
 use serde::Serialize;
+
+use crate::admission::{AdmissionDecision, AdmissionPlan};
+use crate::metrics::JobResult;
 
 /// Number of fully closed windows retained by the live-metrics ring.
 pub const LIVE_RING: usize = 16;
@@ -60,14 +69,15 @@ impl WindowClassStats {
 pub struct LiveWindow {
     /// Window index: the window covers `[index·W, (index+1)·W)`.
     pub index: u64,
-    /// Jobs offered (first arrival firing) in the window, including jobs
-    /// later deferred or shed.
+    /// Jobs offered in the window — their trace submission falls in it —
+    /// including jobs deferred or shed.
     pub arrivals: u64,
-    /// Jobs shed by admission control in the window.
+    /// Jobs offered in the window that admission control shed.
     pub sheds: u64,
-    /// Jobs whose arrival admission control postponed out of this window.
+    /// Jobs offered in the window that admission control deferred to a
+    /// later one.
     pub deferrals: u64,
-    /// Jobs completed in the window (both classes).
+    /// Jobs completed in the window (both classes; shed jobs never are).
     pub completions: u64,
     /// Offered-minus-resolved jobs at window close
     /// (`arrivals − completions − sheds`, cumulatively): the queue-growth
@@ -99,11 +109,6 @@ pub struct LiveMetrics {
 }
 
 impl LiveMetrics {
-    /// Start time of `w`.
-    pub fn start_of(&self, w: &LiveWindow) -> SimTime {
-        SimTime::from_micros(w.index * self.window.as_micros())
-    }
-
     /// Offered arrivals per second in `w`.
     pub fn arrival_rate(&self, w: &LiveWindow) -> f64 {
         w.arrivals as f64 / self.window.as_secs_f64()
@@ -115,344 +120,232 @@ impl LiveMetrics {
     }
 }
 
-/// One closed window held in the ring, with its histogram snapshots kept
-/// so shards can be merged exactly at report time.
-#[derive(Debug, Clone)]
-struct ClosedWindow {
-    index: u64,
-    arrivals: u64,
-    sheds: u64,
-    deferrals: u64,
-    backlog: u64,
+/// What a harness samples at one window close: the occupancy then, and
+/// the steals and steal attempts since the previous close.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sample {
     occupancy: f64,
     steals: u64,
     steal_attempts: u64,
-    short: StreamingQuantiles,
-    long: StreamingQuantiles,
 }
 
-/// Accumulates live metrics for one driver (or one shard). Everything is
-/// pre-allocated; `on_*` and `close_up_to` never allocate.
+/// A harness's samples of its last [`LIVE_RING`] window closes, in a
+/// fixed ring: [`LiveSamples::close`] never allocates.
 #[derive(Debug, Clone)]
-pub(crate) struct LiveRecorder {
-    window: SimDuration,
-    /// End of the currently open window.
-    next_close: SimTime,
-    /// Index of the currently open window.
-    index: u64,
-    /// Fully closed windows, written round-robin at `index % LIVE_RING`.
-    ring: Vec<ClosedWindow>,
+pub(crate) struct LiveSamples {
+    /// The window length, which is also the sampling timer's period.
+    pub(crate) window: SimDuration,
+    /// Window `i`'s sample, at `i % LIVE_RING`.
+    ring: [Sample; LIVE_RING],
+    /// Windows closed so far.
     closed: u64,
-    // Open-window accumulators.
-    arrivals: u64,
-    sheds: u64,
-    deferrals: u64,
-    steals_at_open: u64,
-    attempts_at_open: u64,
-    short: StreamingQuantiles,
-    long: StreamingQuantiles,
-    // Cumulative counters for the backlog gauge.
-    total_arrivals: u64,
-    total_sheds: u64,
-    total_completions: u64,
+    /// Cumulative steal counters at the last close.
+    steals: u64,
+    steal_attempts: u64,
 }
 
-impl LiveRecorder {
-    pub(crate) fn new(window: SimDuration) -> LiveRecorder {
-        assert!(!window.is_zero(), "live window must be positive");
-        LiveRecorder {
+impl LiveSamples {
+    /// Samples for windows of length `window` (positive: `check_cell`).
+    pub(crate) fn new(window: SimDuration) -> LiveSamples {
+        LiveSamples {
             window,
-            next_close: SimTime::ZERO + window,
-            index: 0,
-            ring: (0..LIVE_RING)
-                .map(|_| ClosedWindow {
-                    index: 0,
-                    arrivals: 0,
-                    sheds: 0,
-                    deferrals: 0,
-                    backlog: 0,
-                    occupancy: 0.0,
-                    steals: 0,
-                    steal_attempts: 0,
-                    short: StreamingQuantiles::new(),
-                    long: StreamingQuantiles::new(),
-                })
-                .collect(),
+            ring: [Sample::default(); LIVE_RING],
             closed: 0,
-            arrivals: 0,
-            sheds: 0,
-            deferrals: 0,
-            steals_at_open: 0,
-            attempts_at_open: 0,
-            short: StreamingQuantiles::new(),
-            long: StreamingQuantiles::new(),
-            total_arrivals: 0,
-            total_sheds: 0,
-            total_completions: 0,
+            steals: 0,
+            steal_attempts: 0,
         }
     }
 
-    /// A job's first arrival firing (offered load; deferred re-firings
-    /// are not counted again).
-    pub(crate) fn on_arrival(&mut self) {
-        self.arrivals += 1;
-        self.total_arrivals += 1;
+    /// Closes the next window with the cluster's `occupancy` now and the
+    /// run's cumulative `steals` and `steal_attempts`.
+    pub(crate) fn close(&mut self, occupancy: f64, steals: u64, steal_attempts: u64) {
+        self.ring[(self.closed % LIVE_RING as u64) as usize] = Sample {
+            occupancy,
+            steals: steals - self.steals,
+            steal_attempts: steal_attempts - self.steal_attempts,
+        };
+        self.closed += 1;
+        self.steals = steals;
+        self.steal_attempts = steal_attempts;
     }
 
-    /// A job shed by admission control.
-    pub(crate) fn on_shed(&mut self) {
-        self.sheds += 1;
-        self.total_sheds += 1;
-    }
-
-    /// A job deferred out of the current window by admission control.
-    pub(crate) fn on_deferral(&mut self) {
-        self.deferrals += 1;
-    }
-
-    /// A job completed with the given true class and runtime.
-    pub(crate) fn on_completion(&mut self, class: JobClass, runtime_micros: u64) {
-        match class {
-            JobClass::Short => self.short.record(runtime_micros),
-            JobClass::Long => self.long.record(runtime_micros),
-        }
-        self.total_completions += 1;
-    }
-
-    /// Closes every window whose end is ≤ `limit`. `occupancy` /
-    /// `steals` / `steal_attempts` are the caller's *current* cluster
-    /// utilization and cumulative steal counters; when several idle
-    /// windows close at once the first absorbs the whole steal delta.
-    pub(crate) fn close_up_to(
-        &mut self,
-        limit: SimTime,
-        occupancy: f64,
-        steals: u64,
-        steal_attempts: u64,
-    ) {
-        while self.next_close <= limit {
-            let slot = &mut self.ring[(self.index % LIVE_RING as u64) as usize];
-            slot.index = self.index;
-            slot.arrivals = self.arrivals;
-            slot.sheds = self.sheds;
-            slot.deferrals = self.deferrals;
-            slot.backlog = self.total_arrivals - self.total_sheds - self.total_completions;
-            slot.occupancy = occupancy;
-            slot.steals = steals - self.steals_at_open;
-            slot.steal_attempts = steal_attempts - self.attempts_at_open;
-            slot.short.copy_from(&self.short);
-            slot.long.copy_from(&self.long);
-            self.closed += 1;
-            self.index += 1;
-            self.next_close += self.window;
-            self.arrivals = 0;
-            self.sheds = 0;
-            self.deferrals = 0;
-            self.steals_at_open = steals;
-            self.attempts_at_open = steal_attempts;
-            self.short.reset();
-            self.long.reset();
-        }
-    }
-
-    /// Closed windows in chronological order (oldest retained first).
-    fn closed_slots(&self) -> impl Iterator<Item = &ClosedWindow> {
-        let kept = self.closed.min(LIVE_RING as u64);
-        let first = self.closed - kept;
-        (first..self.closed).map(move |i| &self.ring[(i % LIVE_RING as u64) as usize])
-    }
-
-    /// The single-driver report.
-    pub(crate) fn report(&self) -> LiveMetrics {
+    /// The retained windows of a finished run, read off its `results`
+    /// and the admission `plan` it ran under (module docs).
+    pub(crate) fn report(
+        &self,
+        results: &[JobResult],
+        plan: Option<&AdmissionPlan>,
+    ) -> LiveMetrics {
+        let decision = |job| plan.map_or(AdmissionDecision::Admit, |plan| plan.decision(job));
+        let w = self.window.as_micros();
+        let first = self.closed.saturating_sub(LIVE_RING as u64);
+        // Offered but not resolved before the first retained window: a
+        // shed job resolves at its submission, which is its completion.
+        let before = |at: SimTime| at.as_micros() < first * w;
+        let mut backlog = results
+            .iter()
+            .filter(|r| before(r.submission) && !before(r.completion))
+            .count() as u64;
+        let (mut short, mut long) = (StreamingQuantiles::new(), StreamingQuantiles::new());
+        let windows = (first..self.closed)
+            .map(|index| {
+                let (start, end) = (index * w, (index + 1) * w);
+                let within = |micros: u64| (start..end).contains(&micros);
+                let sample = self.ring[(index % LIVE_RING as u64) as usize];
+                let mut window = LiveWindow {
+                    index,
+                    occupancy: sample.occupancy,
+                    steals: sample.steals,
+                    steal_attempts: sample.steal_attempts,
+                    ..LiveWindow::default()
+                };
+                short.reset();
+                long.reset();
+                for r in results {
+                    let fate = decision(r.job);
+                    if within(r.submission.as_micros()) {
+                        window.arrivals += 1;
+                        match fate {
+                            AdmissionDecision::Admit => {}
+                            AdmissionDecision::Defer { .. } => window.deferrals += 1,
+                            AdmissionDecision::Shed => window.sheds += 1,
+                        }
+                    }
+                    if within(r.completion.as_micros()) && fate != AdmissionDecision::Shed {
+                        let sink = match r.true_class {
+                            JobClass::Short => &mut short,
+                            JobClass::Long => &mut long,
+                        };
+                        sink.record(r.runtime().as_micros());
+                    }
+                }
+                window.completions = short.count() + long.count();
+                backlog = backlog + window.arrivals - window.sheds - window.completions;
+                window.backlog = backlog;
+                window.short = WindowClassStats::from_sink(&short);
+                window.long = WindowClassStats::from_sink(&long);
+                window
+            })
+            .collect();
         LiveMetrics {
             window: self.window,
-            windows: self
-                .closed_slots()
-                .map(|slot| finish_window(slot, &slot.short, &slot.long))
-                .collect(),
+            windows,
         }
-    }
-
-    /// Merges per-shard recorders into one report: counters sum, shard
-    /// occupancies sum (each shard reports only its owned servers'
-    /// share), and the per-window histograms merge exactly. Only window
-    /// indexes closed by *every* shard are reported.
-    pub(crate) fn merge(recorders: &[&LiveRecorder]) -> LiveMetrics {
-        let window = recorders
-            .first()
-            .map(|r| r.window)
-            .unwrap_or(SimDuration::from_secs(1));
-        // Common fully-closed range across shards.
-        let end = recorders.iter().map(|r| r.closed).min().unwrap_or(0);
-        let start = recorders
-            .iter()
-            .map(|r| r.closed - r.closed.min(LIVE_RING as u64))
-            .max()
-            .unwrap_or(0);
-        let mut short = StreamingQuantiles::new();
-        let mut long = StreamingQuantiles::new();
-        let mut windows = Vec::new();
-        for index in start..end {
-            let mut merged = ClosedWindow {
-                index,
-                arrivals: 0,
-                sheds: 0,
-                deferrals: 0,
-                backlog: 0,
-                occupancy: 0.0,
-                steals: 0,
-                steal_attempts: 0,
-                short: StreamingQuantiles::new(),
-                long: StreamingQuantiles::new(),
-            };
-            short.reset();
-            long.reset();
-            for r in recorders {
-                let slot = &r.ring[(index % LIVE_RING as u64) as usize];
-                debug_assert_eq!(slot.index, index, "shard ring out of phase");
-                merged.arrivals += slot.arrivals;
-                merged.sheds += slot.sheds;
-                merged.deferrals += slot.deferrals;
-                merged.backlog += slot.backlog;
-                merged.occupancy += slot.occupancy;
-                merged.steals += slot.steals;
-                merged.steal_attempts += slot.steal_attempts;
-                short.merge(&slot.short);
-                long.merge(&slot.long);
-            }
-            windows.push(finish_window(&merged, &short, &long));
-        }
-        LiveMetrics { window, windows }
-    }
-}
-
-fn finish_window(
-    slot: &ClosedWindow,
-    short: &StreamingQuantiles,
-    long: &StreamingQuantiles,
-) -> LiveWindow {
-    LiveWindow {
-        index: slot.index,
-        arrivals: slot.arrivals,
-        sheds: slot.sheds,
-        deferrals: slot.deferrals,
-        completions: short.count() + long.count(),
-        backlog: slot.backlog,
-        occupancy: slot.occupancy,
-        steals: slot.steals,
-        steal_attempts: slot.steal_attempts,
-        short: WindowClassStats::from_sink(short),
-        long: WindowClassStats::from_sink(long),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::AdmissionPolicy;
+    use hawk_workload::classify::Cutoff;
+    use hawk_workload::scenario::DynamicsScript;
+    use hawk_workload::{Job, JobId, Trace};
 
-    fn close(r: &mut LiveRecorder, limit_secs: u64) {
-        r.close_up_to(SimTime::from_secs(limit_secs), 0.5, 0, 0);
+    fn result(job: u32, class: JobClass, submitted_ms: u64, completed_ms: u64) -> JobResult {
+        JobResult {
+            job: JobId(job),
+            true_class: class,
+            scheduled_class: class,
+            submission: SimTime::from_micros(submitted_ms * 1_000),
+            completion: SimTime::from_micros(completed_ms * 1_000),
+            num_tasks: 1,
+        }
     }
 
     #[test]
     fn windows_close_on_schedule_and_drop_the_partial_tail() {
-        let mut r = LiveRecorder::new(SimDuration::from_secs(10));
-        r.on_arrival();
-        r.on_completion(JobClass::Short, 2_000_000);
-        close(&mut r, 10); // closes window 0 exactly at its boundary
-        r.on_arrival(); // lands in window 1, which never closes
-        let live = r.report();
+        let mut samples = LiveSamples::new(SimDuration::from_secs(10));
+        samples.close(0.5, 0, 0);
+        let results = [
+            result(0, JobClass::Short, 0, 2_000),
+            // On the boundary: offered in window 1, which never closed.
+            result(1, JobClass::Short, 10_000, 15_000),
+        ];
+        let live = samples.report(&results, None);
         assert_eq!(live.windows.len(), 1);
         let w = &live.windows[0];
         assert_eq!(w.index, 0);
         assert_eq!(w.arrivals, 1);
         assert_eq!(w.completions, 1);
         assert_eq!(w.short.completions, 1);
+        assert_eq!(w.short.p50.map(f64::round), Some(2.0));
         assert_eq!(w.backlog, 0);
+        assert_eq!(w.occupancy, 0.5);
         assert!((live.arrival_rate(w) - 0.1).abs() < 1e-12);
-        assert_eq!(live.start_of(w), SimTime::ZERO);
     }
 
     #[test]
     fn backlog_counts_unresolved_offers() {
-        let mut r = LiveRecorder::new(SimDuration::from_secs(1));
-        for _ in 0..5 {
-            r.on_arrival();
-        }
-        r.on_shed();
-        r.on_completion(JobClass::Long, 500_000);
-        close(&mut r, 1);
-        let live = r.report();
-        assert_eq!(live.windows[0].backlog, 3); // 5 offered − 1 shed − 1 done
-        assert_eq!(live.windows[0].sheds, 1);
+        // Five jobs at 0.1 s on 3 nodes with a 3 node-second budget per
+        // 1 s gate window: long job 0 fits, long jobs 1 and 2 wait; at
+        // 1 s job 1 fits and job 2, out of waits, is shed. Shorts 3 and
+        // 4 are protected.
+        let jobs = (0..5)
+            .map(|id| Job {
+                id: JobId(id),
+                submission: SimTime::from_micros(100_000),
+                tasks: vec![SimDuration::from_millis(if id < 3 { 2_000 } else { 500 })],
+                generated_class: None,
+            })
+            .collect();
+        let policy = AdmissionPolicy {
+            window: SimDuration::from_secs(1),
+            headroom: 1.0,
+            max_defer_windows: 1,
+            protect_short: true,
+        };
+        let cutoff = Cutoff(SimDuration::from_secs(1));
+        let trace = Trace::new(jobs).unwrap();
+        let plan = AdmissionPlan::compute(&trace, 3, cutoff, &DynamicsScript::none(), policy);
+        let results = [
+            result(0, JobClass::Long, 100, 2_100),
+            result(1, JobClass::Long, 100, 3_100),
+            result(2, JobClass::Long, 100, 100), // shed
+            result(3, JobClass::Short, 100, 600),
+            result(4, JobClass::Short, 100, 15_000),
+        ];
+        let mut samples = LiveSamples::new(SimDuration::from_secs(10));
+        samples.close(0.0, 0, 0);
+        let w = samples.report(&results, Some(&plan)).windows[0];
+        assert_eq!(w.backlog, 1); // 5 offered − 1 shed − 3 done
+        assert_eq!((w.sheds, w.deferrals), (1, 1));
+        assert_eq!((w.short.completions, w.long.completions), (1, 2));
     }
 
     #[test]
     fn ring_keeps_only_the_last_windows() {
-        let mut r = LiveRecorder::new(SimDuration::from_secs(1));
-        for t in 0..LIVE_RING as u64 + 5 {
-            r.on_arrival();
-            close(&mut r, t + 1);
+        let mut samples = LiveSamples::new(SimDuration::from_secs(1));
+        let windows = LIVE_RING as u64 + 5;
+        // One offer a window; job 0 completes as the first retained
+        // window opens, so in it, and the rest after the run.
+        let results: Vec<JobResult> = (0..windows)
+            .map(|t| {
+                let completed = if t == 0 { 5_000 } else { 100_000 };
+                result(t as u32, JobClass::Short, t * 1_000, completed)
+            })
+            .collect();
+        for _ in 0..windows {
+            samples.close(0.0, 0, 0);
         }
-        let live = r.report();
+        let live = samples.report(&results, None);
         assert_eq!(live.windows.len(), LIVE_RING);
-        assert_eq!(live.windows.first().unwrap().index, 5);
-        assert_eq!(live.windows.last().unwrap().index, LIVE_RING as u64 + 5 - 1);
-    }
-
-    #[test]
-    fn merge_sums_shards_and_matches_global_histograms() {
-        let mut a = LiveRecorder::new(SimDuration::from_secs(1));
-        let mut b = LiveRecorder::new(SimDuration::from_secs(1));
-        let mut global = LiveRecorder::new(SimDuration::from_secs(1));
-        for (i, micros) in [1_000u64, 2_000, 3_000, 500_000, 700_000]
-            .iter()
-            .enumerate()
-        {
-            let (half, class) = if i % 2 == 0 {
-                (&mut a, JobClass::Short)
-            } else {
-                (&mut b, JobClass::Long)
-            };
-            half.on_arrival();
-            half.on_completion(class, *micros);
-            global.on_arrival();
-            global.on_completion(class, *micros);
-        }
-        a.close_up_to(SimTime::from_secs(1), 0.25, 2, 4);
-        b.close_up_to(SimTime::from_secs(1), 0.5, 1, 1);
-        global.close_up_to(SimTime::from_secs(1), 0.75, 3, 5);
-        let merged = LiveRecorder::merge(&[&a, &b]);
-        let solo = global.report();
-        assert_eq!(merged.windows.len(), 1);
-        let (m, g) = (&merged.windows[0], &solo.windows[0]);
-        assert_eq!(m.arrivals, g.arrivals);
-        assert_eq!(m.completions, g.completions);
-        assert_eq!(m.short, g.short); // histogram merge is exact
-        assert_eq!(m.long, g.long);
-        assert!((m.occupancy - 0.75).abs() < 1e-12);
-        assert_eq!(m.steals, 3);
-        assert_eq!(m.steal_attempts, 5);
-    }
-
-    #[test]
-    fn merge_reports_only_windows_closed_by_every_shard() {
-        let mut a = LiveRecorder::new(SimDuration::from_secs(1));
-        let mut b = LiveRecorder::new(SimDuration::from_secs(1));
-        close(&mut a, 3); // windows 0..3 closed
-        close(&mut b, 2); // windows 0..2 closed
-        let merged = LiveRecorder::merge(&[&a, &b]);
-        assert_eq!(merged.windows.len(), 2);
+        let (first, last) = (live.windows[0], live.windows[LIVE_RING - 1]);
+        assert_eq!((first.index, last.index), (5, windows - 1));
+        // Jobs 0–5 were offered by the first retained window's close.
+        assert_eq!(first.completions, 1);
+        assert_eq!((first.backlog, last.backlog), (5, windows - 1));
     }
 
     #[test]
     fn steal_deltas_are_per_window() {
-        let mut r = LiveRecorder::new(SimDuration::from_secs(1));
-        r.close_up_to(SimTime::from_secs(1), 0.0, 10, 20);
-        r.close_up_to(SimTime::from_secs(2), 0.0, 15, 26);
-        let live = r.report();
+        let mut samples = LiveSamples::new(SimDuration::from_secs(1));
+        samples.close(0.0, 10, 20);
+        samples.close(0.0, 15, 26);
+        let live = samples.report(&[], None);
         assert_eq!(live.windows[0].steals, 10);
         assert_eq!(live.windows[1].steals, 5);
         assert_eq!(live.windows[1].steal_attempts, 6);
+        assert_eq!(live.steal_rate(&live.windows[1]), 5.0);
     }
 }

@@ -11,8 +11,9 @@
 //! here is read off them. That includes the bounded-memory streaming
 //! summary ([`StreamingStats::from_results`]), which every harness — the
 //! simulator's two and the prototype's — derives from its results at
-//! report time. Only the live windows ([`LiveMetrics`]) keep sinks fed as
-//! jobs complete, because they report while the run is going.
+//! report time, and the simulator's live windows ([`LiveMetrics`]), which
+//! add only what the results cannot tell: occupancy and steals sampled at
+//! each window close.
 
 use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::live::LiveMetrics;

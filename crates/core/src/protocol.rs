@@ -40,7 +40,7 @@ use hawk_workload::{JobClass, JobId, Trace};
 use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::centralized::CentralScheduler;
 use crate::config::{check_cell, CentralOverhead, Route, SimConfig};
-use crate::live::LiveRecorder;
+use crate::live::LiveSamples;
 use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats};
 use crate::scheduler::{PlacementView, Scheduler, StealSpec};
 
@@ -134,8 +134,8 @@ pub enum Event {
     /// Periodic utilization snapshot: the harness's own timer, never
     /// dispatched to a core.
     UtilSample,
-    /// Periodic live-metrics window close (the harness's own timer, only
-    /// under [`SimConfig::live_window`]).
+    /// Periodic live-metrics window close: the harness's own timer, only
+    /// under [`SimConfig::live_window`], never dispatched to a core.
     LiveSample,
     /// A thief asks the owner of a remote `victim` for one steal scan.
     /// When the scan fails, the victim's owner forwards the request to
@@ -300,7 +300,13 @@ impl RunInputs {
     ///
     /// Panics on a cell [`check_cell`] refuses.
     pub(crate) fn new(trace: &Trace, scheduler: &dyn Scheduler, sim: &SimConfig) -> Self {
-        let central_scope = check_cell(scheduler, sim.nodes, &sim.dynamics, sim.util_interval);
+        let central_scope = check_cell(
+            scheduler,
+            sim.nodes,
+            &sim.dynamics,
+            sim.util_interval,
+            sim.live_window,
+        );
         let mut rng_root = SimRng::seed_from_u64(sim.seed);
         let mut estimate_rng = rng_root.split();
         let estimates = match sim.misestimate {
@@ -423,13 +429,11 @@ pub(crate) struct Core<'t> {
     /// Precomputed admission decisions; `None` admits everything (the
     /// classic, digest-pinned behavior).
     admission: Option<Arc<AdmissionPlan>>,
-    /// Windowed live-metrics recorder, under [`SimConfig::live_window`].
-    live: Option<LiveRecorder>,
     /// Jobs homed here that have not completed; the harness, which knows
     /// the homing rule, counts them in when it seeds their arrivals.
     pub(crate) unfinished: usize,
-    steals: u64,
-    steal_attempts: u64,
+    pub(crate) steals: u64,
+    pub(crate) steal_attempts: u64,
     /// Victim queues actually walked (candidates that passed the index).
     steal_scans: u64,
     /// Events dispatched, by [`Event::kind`].
@@ -506,7 +510,6 @@ impl<'t> Core<'t> {
             topology: sim.topology.build(sim.nodes),
             rack_geometry: sim.topology.rack_geometry(),
             admission: inputs.admission.clone(),
-            live: sim.live_window.map(LiveRecorder::new),
             unfinished: 0,
             steals: 0,
             steal_attempts: 0,
@@ -526,19 +529,6 @@ impl<'t> Core<'t> {
     /// another core of the run is still alive.
     pub(crate) fn into_estimates(self) -> JobEstimates {
         Arc::try_unwrap(self.estimates).unwrap_or_else(|shared| (*shared).clone())
-    }
-
-    /// Closes every live-metrics window ending at or before `limit` with
-    /// the current cluster state (a no-op without a live window).
-    pub(crate) fn close_live_windows(&mut self, limit: SimTime) {
-        if let Some(live) = &mut self.live {
-            live.close_up_to(
-                limit,
-                self.cluster.utilization(),
-                self.steals,
-                self.steal_attempts,
-            );
-        }
     }
 
     /// Handles one event.
@@ -617,20 +607,10 @@ impl<'t> Core<'t> {
         // to the classic digests.
         if let Some(plan) = &self.admission {
             match plan.decision(job) {
-                AdmissionDecision::Admit => {
-                    if let Some(live) = &mut self.live {
-                        live.on_arrival();
-                    }
-                }
                 AdmissionDecision::Defer { until } if now < until => {
-                    // First firing: count the offer once, replay the
-                    // arrival at its admitted window. The job's estimates
-                    // were drawn at construction, so postponing perturbs
-                    // no RNG stream.
-                    if let Some(live) = &mut self.live {
-                        live.on_arrival();
-                        live.on_deferral();
-                    }
+                    // First firing: replay the arrival at its admitted
+                    // window. The job's estimates were drawn at
+                    // construction, so postponing perturbs no RNG stream.
                     let home = match self.scheduler.route(class) {
                         Route::Central(_) => Endpoint::Central,
                         Route::Distributed(_) => Endpoint::Scheduler(job.0),
@@ -638,25 +618,20 @@ impl<'t> Core<'t> {
                     net.send(until - now, home, Event::JobArrival(job));
                     return;
                 }
-                AdmissionDecision::Defer { .. } => {} // re-fired: admit now
                 AdmissionDecision::Shed => {
-                    if let Some(live) = &mut self.live {
-                        live.on_arrival();
-                        live.on_shed();
-                    }
                     // The job completes instantly at submission with zero
                     // runtime and never schedules. The report's streaming
-                    // summary leaves shed jobs out (the exact summary still
-                    // carries their zero runtime).
+                    // summary and live windows leave shed jobs out (the
+                    // exact summary still carries their zero runtime).
                     let run = &mut self.jobs[job.index()];
                     run.class = class;
                     run.completion = Some(now);
                     self.unfinished -= 1;
                     return;
                 }
+                // Admitted, or a deferred job re-fired at its window.
+                AdmissionDecision::Admit | AdmissionDecision::Defer { .. } => {}
             }
-        } else if let Some(live) = &mut self.live {
-            live.on_arrival();
         }
         let spec = self.trace.job(job);
         self.jobs[job.index()].class = class;
@@ -969,15 +944,8 @@ impl<'t> Core<'t> {
         let run = &mut self.jobs[job.index()];
         run.remaining -= 1;
         if run.remaining == 0 {
-            let now = net.now();
-            run.completion = Some(now);
+            run.completion = Some(net.now());
             self.unfinished -= 1;
-            if let Some(live) = &mut self.live {
-                // Keyed by *true* class, like the per-class summaries.
-                let spec = self.trace.job(job);
-                let true_class = self.cutoff.classify(spec.mean_task_duration());
-                live.on_completion(true_class, (now - spec.submission).as_micros());
-            }
         }
     }
 
@@ -1224,14 +1192,15 @@ fn random_probe_target(
 }
 
 /// Assembles the report of a finished run from its cores: per-job results
-/// from each job's home core (`home_of`), counters summed, live windows
-/// merged, and the streaming summary derived from the results.
-/// Utilization and the engine come from the harness, which owns sampling
-/// and the event list.
+/// from each job's home core (`home_of`), counters summed, and the
+/// streaming summary and live windows derived from the results.
+/// Utilization, the live samples and the engine come from the harness,
+/// which owns sampling and the event list.
 pub(crate) fn report<E: Copy>(
     cores: &[&Core<'_>],
     home_of: impl Fn(JobId) -> usize,
     util: &UtilizationTracker,
+    live: Option<&LiveSamples>,
     engine: &Engine<E>,
     sharded: Option<ShardedStats>,
 ) -> MetricsReport {
@@ -1273,7 +1242,6 @@ pub(crate) fn report<E: Copy>(
             *total += count;
         }
     }
-    let recorders: Vec<&LiveRecorder> = cores.iter().filter_map(|c| c.live.as_ref()).collect();
     let sum = |counter: fn(&Core<'_>) -> u64| cores.iter().map(|c| counter(c)).sum();
     let admission = first.admission.as_deref();
 
@@ -1298,11 +1266,7 @@ pub(crate) fn report<E: Copy>(
         network,
         sharded,
         streaming: StreamingStats::from_results(&results, admission),
-        live: match recorders.as_slice() {
-            [] => None,
-            [solo] => Some(solo.report()),
-            shards => Some(LiveRecorder::merge(shards)),
-        },
+        live: live.map(|samples| samples.report(&results, admission)),
         admission: admission.map(AdmissionPlan::stats).unwrap_or_default(),
         results,
     }

@@ -30,8 +30,9 @@
 //!
 //! Sampling is the harness's, exactly as in [`Driver`]: a `UtilSample`
 //! timer every `util_interval` records the cores' summed running count
-//! over the cluster's usable capacity, a `LiveSample` timer closes every
-//! core's live window, and neither reaches a core.
+//! over the cluster's usable capacity, a `LiveSample` timer records that
+//! same whole-cluster utilization and the cores' summed steal counters
+//! at every live-window close, and neither reaches a core.
 //!
 //! # Owned-range clusters
 //!
@@ -103,6 +104,7 @@ use hawk_workload::classify::JobEstimates;
 use hawk_workload::{JobId, Trace};
 
 use crate::config::{Route, SimConfig};
+use crate::live::LiveSamples;
 use crate::metrics::{MetricsReport, ShardedStats};
 use crate::protocol::{self, Arrivals, Core, Event, RunInputs, Transport};
 use crate::scheduler::Scheduler;
@@ -268,8 +270,7 @@ pub struct ShardedDriver<'t> {
     net: Router,
     arrivals: Arrivals<'t>,
     util: UtilizationTracker,
-    util_interval: SimDuration,
-    live_window: Option<SimDuration>,
+    live: Option<LiveSamples>,
 }
 
 impl<'t> ShardedDriver<'t> {
@@ -346,8 +347,7 @@ impl<'t> ShardedDriver<'t> {
             },
             arrivals,
             util: UtilizationTracker::new(sim.util_interval),
-            util_interval: sim.util_interval,
-            live_window: sim.live_window,
+            live: sim.live_window.map(LiveSamples::new),
         }
     }
 
@@ -387,32 +387,25 @@ impl<'t> ShardedDriver<'t> {
         let mut unfinished: usize = self.cores.iter().map(|core| core.unfinished).sum();
         let mut epochs = 0;
         while unfinished > 0 {
-            let Some((now, Routed { core, event })) = self.net.engine.pop() else {
+            let Some((_, Routed { core, event })) = self.net.engine.pop() else {
                 panic!("event queue drained with {unfinished} unfinished jobs");
             };
             match event {
                 Event::UtilSample => {
-                    // Every core replays the whole script, so any one of
-                    // them knows the cluster's in-service count; running
-                    // and draining servers are counted where they are owned.
-                    let clusters = || self.cores.iter().map(|core| &core.cluster);
-                    let running: usize = clusters().map(|c| c.running_count()).sum();
-                    let draining: usize = clusters().map(|c| c.down_running_count()).sum();
-                    let usable = self.cores[0].cluster.live_count() + draining;
-                    self.util.record(running as f64 / usable.max(1) as f64);
-                    self.net
-                        .engine
-                        .schedule(self.util_interval, Routed { core, event });
+                    self.util.record(utilization(&self.cores));
+                    let interval = self.util.interval();
+                    self.net.engine.schedule(interval, Routed { core, event });
                 }
                 Event::LiveSample => {
-                    // A core's cluster only ever runs owned tasks, so its
-                    // utilization is its *share* of the whole-cluster
-                    // occupancy; `LiveRecorder::merge` sums the shares.
-                    let window = self.live_window.expect("LiveSample implies a live window");
-                    for core in &mut self.cores {
-                        core.close_live_windows(now);
-                    }
-                    self.net.engine.schedule(window, Routed { core, event });
+                    let (steals, attempts) = self
+                        .cores
+                        .iter()
+                        .fold((0, 0), |(s, a), c| (s + c.steals, a + c.steal_attempts));
+                    let live = self.live.as_mut().expect("no live window");
+                    live.close(utilization(&self.cores), steals, attempts);
+                    self.net
+                        .engine
+                        .schedule(live.window, Routed { core, event });
                 }
                 event => {
                     if let Event::JobArrival(job) = event {
@@ -441,6 +434,7 @@ impl<'t> ShardedDriver<'t> {
             &cores,
             |job| self.net.homes[job.index()] as usize,
             &self.util,
+            self.live.as_ref(),
             &self.net.engine,
             Some(stats),
         );
@@ -448,6 +442,18 @@ impl<'t> ShardedDriver<'t> {
         let last = self.cores.into_iter().last().expect("at least one shard");
         (report, last.into_estimates())
     }
+}
+
+/// The whole cluster's utilization, [`hawk_cluster::Cluster::utilization`]
+/// over every core: every core replays the whole script, so any one of
+/// them knows the in-service count; running and draining servers are
+/// counted where they are owned.
+fn utilization(cores: &[Core<'_>]) -> f64 {
+    let clusters = || cores.iter().map(|core| &core.cluster);
+    let running: usize = clusters().map(|c| c.running_count()).sum();
+    let draining: usize = clusters().map(|c| c.down_running_count()).sum();
+    let usable = cores[0].cluster.live_count() + draining;
+    running as f64 / usable.max(1) as f64
 }
 
 /// Home shard of a *distributed* job. Under a rack-aligned map the home

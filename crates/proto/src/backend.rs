@@ -105,10 +105,19 @@ impl ProtoBackend {
     }
 
     /// The [`ProtoConfig`] a given [`SimConfig`] maps to.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sim` sets `misestimate` or `live_window`: the
+    /// prototype runs exact estimates and reports no live windows.
     pub fn config_for(&self, sim: &SimConfig) -> ProtoConfig {
         assert!(
             sim.misestimate.is_none(),
             "the prototype backend runs exact estimates; drop `.misestimate(..)`"
+        );
+        assert!(
+            sim.live_window.is_none(),
+            "the prototype backend reports no live windows; drop `.live_window(..)`"
         );
         ProtoConfig {
             workers: sim.nodes,

@@ -239,7 +239,13 @@ fn build_cluster<'t>(
         cfg.workers > 0 && cfg.dist_schedulers > 0,
         "prototype needs at least one worker and one distributed scheduler"
     );
-    let central_scope = check_cell(&**scheduler, cfg.workers, &cfg.dynamics, cfg.util_interval);
+    let central_scope = check_cell(
+        &**scheduler,
+        cfg.workers,
+        &cfg.dynamics,
+        cfg.util_interval,
+        None,
+    );
     cfg.faults.timeouts.check();
     let partition = Partition::new(cfg.workers, scheduler.short_partition_fraction());
     let speeds = cfg

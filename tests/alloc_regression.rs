@@ -256,11 +256,12 @@ fn hawk_churn_steady_state_event_loop_allocates_nothing() {
     );
 }
 
-/// The serving-mode stack at full tilt: always-on streaming sinks fed at
-/// every job completion, 1 s windowed live sampling (thousands of window
-/// closes — histogram snapshot, reset and reuse — land inside the
-/// measured window), and the admission gate consulted on every arrival.
-/// All of it must run on state pre-allocated at construction.
+/// The serving-mode stack at full tilt: 1 s windowed live sampling
+/// (thousands of window closes land inside the measured window, each one
+/// write of occupancy and steal counters into the harness's fixed ring —
+/// the windows themselves are derived from the results at report time),
+/// and the admission gate consulted on every arrival. All of it must run
+/// on state pre-allocated at construction.
 #[test]
 fn hawk_serving_mode_steady_state_allocates_nothing() {
     use hawk::core::AdmissionPolicy;
@@ -269,8 +270,8 @@ fn hawk_serving_mode_steady_state_allocates_nothing() {
         "hawk-serving",
         |sim| SimConfig {
             live_window: Some(SimDuration::from_secs(1)),
-            // A budget that never binds: the gate (plan lookup + live
-            // counters) runs on every arrival without reshaping the run.
+            // A budget that never binds: the gate (a plan lookup) runs on
+            // every arrival without reshaping the run.
             admission: Some(AdmissionPolicy {
                 headroom: 1e18,
                 ..AdmissionPolicy::default()

@@ -579,7 +579,10 @@ fn proto_backend_honours_scenario_dynamics_and_speeds() {
 /// Illegal cells, refused alike in every harness: one table of the cell
 /// rules `hawk_core::check_cell` enforces, each broken cell run through
 /// the single-stream `Driver`, a 2-shard `ShardedDriver` and the virtual
-/// prototype. All three must panic at construction with the same message.
+/// prototype. All three must panic at construction with the same message,
+/// except that the prototype, which reports no live windows, refuses any
+/// cell that sets `live_window` — a zero one included — with its own
+/// message, naming the field, before `check_cell` runs.
 #[test]
 fn every_harness_refuses_an_illegal_cell_with_the_same_message() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -628,49 +631,76 @@ fn every_harness_refuses_an_illegal_cell_with_the_same_message() {
             .trace(&trace)
             .scheduler(Sparrow::new())
     };
-    let rules: [(&str, ExperimentBuilder); 5] = [
+    let no_live = "the prototype backend reports no live windows; drop `.live_window(..)`";
+    // Each rule, its broken cell, and the prototype's message when it is
+    // not the simulator's.
+    let rules: [(&str, ExperimentBuilder, Option<&str>); 6] = [
         (
             "dynamics script touches server 9",
             cell().dynamics(DynamicsScript::none().down_at(SimTime::from_secs(1), 9)),
+            None,
         ),
         (
             "route targets the short partition but none is reserved",
             cell().scheduler(SplitCluster::new(0.0)),
+            None,
         ),
         (
             "central routes must share a scope",
             cell().scheduler(TwoCentralScopes),
+            None,
         ),
         (
             "centralized route over an empty scope",
             cell().scheduler(Hawk::new(1.0)),
+            None,
         ),
-        ("util_interval", cell().util_interval(SimDuration::ZERO)),
+        (
+            "util_interval",
+            cell().util_interval(SimDuration::ZERO),
+            None,
+        ),
+        (
+            "live_window must be positive",
+            cell().live_window(SimDuration::ZERO),
+            Some(no_live),
+        ),
     ];
     let proto = ProtoBackend::deterministic();
-    let harnesses: [(&str, usize, &dyn Backend); 3] = [
+    type Harness<'a> = (&'a str, usize, &'a dyn Backend);
+    let harnesses: [Harness; 3] = [
         ("driver", 1, &SimBackend),
         ("sharded", 2, &SimBackend),
         ("proto", 1, &proto),
     ];
-    for (rule, builder) in rules {
-        let messages = harnesses.map(|(harness, shards, backend)| {
-            let cell = builder.clone().shards(shards).build();
-            let payload = catch_unwind(AssertUnwindSafe(|| cell.run_on(backend)))
-                .expect_err(&format!("{harness} ran a cell breaking `{rule}`"));
-            match payload.downcast::<String>() {
-                Ok(message) => *message,
-                Err(payload) => payload
-                    .downcast_ref::<&str>()
-                    .map_or_else(String::new, |message| message.to_string()),
-            }
-        });
+    // What a harness panics with on `builder`'s cell, which breaks `rule`.
+    let refusal = |(harness, shards, backend): Harness, rule: &str, builder: &ExperimentBuilder| {
+        let cell = builder.clone().shards(shards).build();
+        let payload = catch_unwind(AssertUnwindSafe(|| cell.run_on(backend)))
+            .expect_err(&format!("{harness} ran a cell breaking `{rule}`"));
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |message| message.to_string()),
+        }
+    };
+    for (rule, builder, proto_message) in rules {
+        let messages = harnesses.map(|harness| refusal(harness, rule, &builder));
         assert!(
             messages[0].contains(rule),
             "driver refused `{rule}` with {:?}",
             messages[0]
         );
         assert_eq!(messages[1], messages[0], "sharded vs driver on `{rule}`");
-        assert_eq!(messages[2], messages[0], "proto vs driver on `{rule}`");
+        assert_eq!(
+            messages[2],
+            proto_message.unwrap_or(&messages[0]),
+            "proto vs driver on `{rule}`"
+        );
     }
+    // A positive live window runs in the simulator and not on the prototype.
+    let live = cell().live_window(SimDuration::from_secs(1));
+    assert!(live.clone().build().run().live.is_some());
+    assert_eq!(refusal(harnesses[2], "live_window", &live), no_live);
 }
