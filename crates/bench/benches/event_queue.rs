@@ -2,8 +2,9 @@
 //!
 //! The simulator's hot loop is dominated by event-queue pushes and pops;
 //! a paper-scale Figure 5 sweep processes hundreds of millions of events.
-//! The cases live in `hawk_bench::micro`, which `perf_baseline` also times
-//! into `BENCH_perf.json`.
+//! The cases live in `hawk_bench::micro`; hawkbench's per-layer
+//! `simcore.engine_ns_per_event` times the engine at each workload's
+//! population of pending events.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 

@@ -3,8 +3,8 @@
 //! Every idle transition in Hawk triggers up to `cap` victim scans, so the
 //! scan must be cheap both when it succeeds and (especially) when the
 //! fast-path rejects an ineligible victim. The cases live in
-//! `hawk_bench::micro`, which `perf_baseline` also times into
-//! `BENCH_perf.json`.
+//! `hawk_bench::micro`; hawkbench's per-layer `cluster.steal_scan_ns`
+//! times the same scan on each workload's cluster.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

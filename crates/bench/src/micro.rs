@@ -1,8 +1,9 @@
-//! The cases of the `event_queue` and `steal_scan` micro-benches, written
-//! once: `benches/event_queue.rs` and `benches/steal_scan.rs` time them
-//! through criterion, and `perf_baseline` times the same closures into the
-//! `micro_cells` rows of `BENCH_perf.json`, so the ledger and the
-//! interactive benches cannot drift apart.
+//! The cases of the `event_queue` and `steal_scan` micro-benches:
+//! `benches/event_queue.rs` and `benches/steal_scan.rs` time them through
+//! criterion (`cargo bench -p hawk-bench --bench event_queue`). The
+//! repository benchmark measures the same two costs at each workload's own
+//! population, as hawkbench's per-layer `simcore.engine_ns_per_event` and
+//! `cluster.steal_scan_ns`.
 
 use hawk_cluster::steal::eligible_group;
 use hawk_cluster::{QueueEntry, QueueSlab, Server, TaskSpec};
@@ -13,8 +14,6 @@ use hawk_workload::{JobClass, JobId};
 /// returns a value derived from all of it (an optimization barrier for the
 /// caller to `black_box`).
 pub struct Case {
-    /// The criterion group (`event_queue`, `steal_scan`).
-    pub bench: &'static str,
     /// `function/parameter`, as criterion prints it.
     pub name: String,
     /// Units of work per `run` call: the per-unit cost is the call's time
@@ -37,7 +36,6 @@ pub fn event_queue_cases() -> Vec<Case> {
             .map(|_| SimTime::from_micros(rng.gen_range(0, 1_000_000_000)))
             .collect();
         cases.push(Case {
-            bench: "event_queue",
             name: format!("push_then_drain/{n}"),
             elements: n as u64,
             run: Box::new(move || {
@@ -55,7 +53,6 @@ pub fn event_queue_cases() -> Vec<Case> {
         });
         let mut rng = SimRng::seed_from_u64(2);
         cases.push(Case {
-            bench: "event_queue",
             name: format!("steady_state/{n}"),
             elements: n as u64,
             run: Box::new(move || {
@@ -130,7 +127,6 @@ pub fn steal_scan_cases() -> Vec<Case> {
 
 fn scan_case(name: String, queues: QueueSlab, victim: Server) -> Case {
     Case {
-        bench: "steal_scan",
         name,
         elements: 1,
         run: Box::new(move || {

@@ -210,17 +210,6 @@ pub struct MetricsReport {
     /// ([`Event::KINDS`](crate::Event::KINDS) labels the slots). Not part
     /// of the golden digests.
     pub events_by_kind: EventCounts,
-    /// Most queue entries ever live at once — the high-water mark the
-    /// queue arena grew to, summed over the run's cores. Like the three
-    /// fields after it, memory observability: not part of the golden
-    /// digests.
-    pub queue_nodes_high_water: u64,
-    /// On-demand growths (doublings) of the queue arenas.
-    pub queue_arena_growths: u64,
-    /// Most events ever pending at once, summed over the run's engines.
-    pub pending_events_high_water: u64,
-    /// On-demand growths of the engines' event arenas.
-    pub event_arena_growths: u64,
     /// Queue entries migrated off failed servers under scenario dynamics
     /// (tasks re-placed, live probes re-probed). Zero on static clusters.
     pub migrations: u64,
@@ -415,10 +404,6 @@ mod tests {
             steal_attempts: 0,
             steal_scans: 0,
             events_by_kind: Default::default(),
-            queue_nodes_high_water: 0,
-            queue_arena_growths: 0,
-            pending_events_high_water: 0,
-            event_arena_growths: 0,
             migrations: 0,
             abandons: 0,
             network: NetworkStats::default(),

@@ -1257,10 +1257,6 @@ pub(crate) fn report<E: Copy>(
         steal_attempts: sum(|c| c.steal_attempts),
         steal_scans: sum(|c| c.steal_scans),
         events_by_kind,
-        queue_nodes_high_water: sum(|c| c.cluster.queues().allocated_nodes() as u64),
-        queue_arena_growths: sum(|c| u64::from(c.cluster.queues().growths())),
-        pending_events_high_water: engine.pending_high_water() as u64,
-        event_arena_growths: u64::from(engine.arena_growths()),
         migrations: sum(|c| c.migrations),
         abandons: sum(|c| c.abandons),
         network,

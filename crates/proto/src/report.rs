@@ -352,14 +352,9 @@ impl ProtoReport {
             steals: self.steals,
             steal_attempts: self.steal_attempts,
             // The daemons run their own protocol copy and keep none of
-            // these counters (their per-kind view is `deliveries`, and
-            // each owns its queue: there is no shared arena to report).
+            // these counters (their per-kind view is `deliveries`).
             steal_scans: 0,
             events_by_kind: Default::default(),
-            queue_nodes_high_water: 0,
-            queue_arena_growths: 0,
-            pending_events_high_water: 0,
-            event_arena_growths: 0,
             migrations: self.migrations,
             abandons: self.abandons,
             network: self.network,
@@ -465,10 +460,6 @@ mod tests {
             steal_attempts: 0,
             steal_scans: 0,
             events_by_kind: Default::default(),
-            queue_nodes_high_water: 0,
-            queue_arena_growths: 0,
-            pending_events_high_water: 0,
-            event_arena_growths: 0,
             migrations: 0,
             abandons: 0,
             network: NetworkStats::default(),

@@ -128,17 +128,6 @@ impl<E: Copy> Engine<E> {
     pub fn processed(&self) -> u64 {
         self.processed
     }
-
-    /// The most events ever pending at once ([`EventQueue::high_water`]).
-    pub fn pending_high_water(&self) -> usize {
-        self.queue.high_water()
-    }
-
-    /// On-demand growths of the event arena
-    /// ([`EventQueue::arena_growths`]).
-    pub fn arena_growths(&self) -> u32 {
-        self.queue.arena_growths()
-    }
 }
 
 impl<E: Copy> Default for Engine<E> {

@@ -409,17 +409,6 @@ impl<E: Copy> EventQueue<E> {
         self.len
     }
 
-    /// The most events ever pending in the wheel at once (its arena's
-    /// [`EntrySlab::allocated_nodes`]).
-    pub fn high_water(&self) -> usize {
-        self.wheel.allocated_nodes()
-    }
-
-    /// On-demand growths of the bucket arena ([`EntrySlab::growths`]).
-    pub fn arena_growths(&self) -> u32 {
-        self.wheel.growths()
-    }
-
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0

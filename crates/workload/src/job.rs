@@ -344,7 +344,10 @@ mod json {
             let key = p.string()?;
             p.expect(':')?;
             match key.as_str() {
-                "id" => id = Some(p.number()? as u32),
+                "id" => {
+                    let n = p.number()?;
+                    id = Some(u32::try_from(n).map_err(|_| format!("job id {n} over u32::MAX"))?);
+                }
                 "submission" => submission = Some(SimTime::from_micros(p.number()?)),
                 "tasks" => {
                     let mut v = Vec::new();
@@ -626,6 +629,11 @@ mod tests {
         assert!(Trace::from_json_lines("{\"id\":0").is_err());
         assert!(Trace::from_json_lines("not json").is_err());
         assert!(Trace::from_json_lines("{\"id\":0,\"submission\":0,\"tasks\":[x]}").is_err());
+        // One past `u32::MAX` is refused, not truncated to `JobId(0)`.
+        let oversized =
+            "{\"id\":4294967296,\"submission\":0,\"tasks\":[1],\"generated_class\":null}";
+        let err = Trace::from_json_lines(oversized).unwrap_err().to_string();
+        assert!(err.starts_with("trace line 1: job id 4294967296"), "{err}");
     }
 
     #[test]

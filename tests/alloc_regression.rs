@@ -31,7 +31,11 @@
 //! heap of a whole Hawk run on the steady cell, construction to report,
 //! stays within 5 % of its measured figure — a queue arena sized by the
 //! trace's task count instead of the live state is 5.9x that, and an event
-//! list holding every trace arrival from the start is 7 % over it.
+//! list holding every trace arrival from the start is 7 % over it. The
+//! memory model is pinned the same way at 100,000 nodes, on one stream
+//! and on 8 shards, where per-server state is most of the peak: padding
+//! `Server` by 8 B (checked by hand) adds 0.8 MB to each run and fails
+//! both pins.
 //!
 //! The tests are fully deterministic (fixed seeds, single thread), so the
 //! asserted numbers are stable, not flaky-by-luck. Runs in debug and
@@ -50,7 +54,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use hawk::core::scheduler::{Hawk, Scheduler, Sparrow};
-use hawk::core::{Driver, FatTreeParams, SimConfig, TopologySpec};
+use hawk::core::{Driver, FatTreeParams, ShardedDriver, SimConfig, TopologySpec, DEFAULT_SEED};
 use hawk::proto::{run_prototype, FaultSpec, ProtoBackend, ProtoConfig};
 use hawk::simcore::{SimDuration, SimTime};
 use hawk::workload::google::{GoogleTraceConfig, GOOGLE_SHORT_PARTITION};
@@ -424,4 +428,67 @@ fn hardened_chaos_prototype_peak_heap_follows_the_live_state() {
         peak <= 2 * clean,
         "peak live heap {peak} B over twice the fault-free run's {clean} B"
     );
+}
+
+/// Cluster size of the memory-model cells: twice the paper's largest
+/// cluster, where per-server state outweighs the run's live work.
+const MEMORY_NODES: usize = 100_000;
+
+/// Peak live heap of the memory-model run on the single-stream `Driver`,
+/// as measured.
+const MEMORY_PEAK_BYTES: usize = 7_003_088;
+
+/// Peak live heap of the same run on 8 shards, as measured.
+const MEMORY_SHARDED_PEAK_BYTES: usize = 11_927_892;
+
+/// Runs Hawk on the Google-like trace at ~90 % load on [`MEMORY_NODES`]
+/// servers (2,000 jobs, the 15,000-node anchor's mean inter-arrival
+/// scaled by the size ratio), construction to report, on `shards` cores,
+/// and checks its peak live heap against `measured` + 5 %.
+fn memory_model_cell(shards: usize, measured: usize) {
+    let anchor = GoogleTraceConfig::with_scale(1, 2_000);
+    let ratio = 15_000.0 / MEMORY_NODES as f64;
+    let trace = GoogleTraceConfig {
+        mean_interarrival: SimDuration::from_secs_f64(
+            anchor.mean_interarrival.as_secs_f64() * ratio,
+        ),
+        ..anchor
+    }
+    .generate(DEFAULT_SEED);
+    let sim = SimConfig {
+        nodes: MEMORY_NODES,
+        shards,
+        ..SimConfig::default()
+    };
+    let (report, peak) = peak_bytes_of(|| {
+        if shards == 1 {
+            Driver::with_scheduler(&trace, hawk(), &sim).run()
+        } else {
+            ShardedDriver::new(&trace, hawk(), &sim).run()
+        }
+    });
+    assert_eq!(report.results.len(), trace.len());
+    eprintln!("{MEMORY_NODES} nodes, {shards} shard(s): peak {peak} B");
+    let bound = measured + measured * 5 / 100;
+    assert!(
+        peak <= bound,
+        "{shards} shard(s): peak live heap {peak} B over the bound {bound} B \
+         (measured {measured} B + 5 %)"
+    );
+}
+
+/// The memory model (docs/ARCHITECTURE.md) on one stream: at 100,000
+/// nodes the peak is mostly per-server state, so this pins what is
+/// O(nodes). Padding `Server` by 8 B (20 → 28 B) adds 0.8 MB, over the
+/// 0.35 MB margin.
+#[test]
+fn memory_model_peak_heap_at_100k_nodes() {
+    memory_model_cell(1, MEMORY_PEAK_BYTES);
+}
+
+/// The same cell on 8 shards pins what is O(nodes x shards) on top.
+/// Padding `Server` by 8 B fails it as well (+0.8 MB over a 0.6 MB margin).
+#[test]
+fn memory_model_peak_heap_at_100k_nodes_on_8_shards() {
+    memory_model_cell(8, MEMORY_SHARDED_PEAK_BYTES);
 }

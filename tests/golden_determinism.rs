@@ -115,10 +115,6 @@ fn digest_function_is_stable() {
         steal_attempts: 4,
         steal_scans: 2,
         events_by_kind: [3; hawk_core::Event::KINDS.len()],
-        queue_nodes_high_water: 5,
-        queue_arena_growths: 1,
-        pending_events_high_water: 6,
-        event_arena_growths: 2,
         migrations: 0,
         abandons: 0,
         network: hawk_core::NetworkStats::default(),

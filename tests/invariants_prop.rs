@@ -71,15 +71,17 @@
 //! Nothing enqueues on a down server: `Server::enqueue` debug-asserts that
 //! its server is up, and `Cluster` and the prototype `Worker` both enqueue
 //! through it, so every churned case checks it in every harness under
-//! tier-1's debug profile. No generated case reaches it, though (checked
-//! by hand): removing the prototype worker's down check on
-//! `WorkerMsg::Assign`, or `Core::on_entry_arrive`'s, leaves every
-//! property here green, because an entry must be in flight to a server
-//! when that server fails. `worker::tests::assign_for_down_worker_is_relocated_once`
-//! fails the first mutation; `shard::tests::churn_under_sharding_keeps_every_job_completing`
-//! and `protocol::tests::probe_on_a_down_server_emits_exactly_one_relocation`
-//! fail the second. The assert cannot catch a core that missed its own
-//! `NodeDown` (that server's stat word never goes down); only
+//! tier-1's debug profile. For a case to reach it, an entry must be in
+//! flight to a server when that server fails, so half of the generated
+//! windows go down less than one network hop after a job's submission
+//! (`DownAt::InFlight`). Mutations that fail it (each checked by hand):
+//! removing `Core::on_entry_arrive`'s down check fails the four churned
+//! properties (the first, seventh, ninth and tenth) through the assert;
+//! removing the prototype worker's down check on `WorkerMsg::Assign`
+//! fails the first and the seventh, whose prototype legs it reaches. With
+//! the same draws mapped to whole seconds instead, neither fails. The
+//! assert cannot catch a core that missed its own `NodeDown` (that
+//! server's stat word never goes down); only
 //! `shard::tests::a_down_server_runs_nothing_whichever_core_owns_it` does.
 //!
 //! A mutation that fails the first (checked by hand): utilization's usable
@@ -194,23 +196,50 @@ fn arb_shards() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(2), Just(3), Just(5)]
 }
 
-/// Strategy: 0–3 down/up windows, each `(server pick, down at, downtime)`
-/// in seconds.
-fn arb_windows() -> impl Strategy<Value = Vec<(u32, u64, u64)>> {
-    proptest::collection::vec((0u32..40, 0u64..5_000, 1u64..3_000), 0..4)
+/// When a drawn window takes its server down: at a whole second, or
+/// `micros` after the submission of the trace's `job`-th job (modulo its
+/// length). The second kind stays under one network hop (the default
+/// network's 500 µs), so a probe or central assignment sent at that
+/// submission is in flight to the server when it fails.
+#[derive(Clone, Copy, Debug)]
+enum DownAt {
+    Secs(u64),
+    InFlight { job: usize, micros: u64 },
+}
+
+/// Strategy: 0–3 down/up windows, each `(server pick, down at, downtime
+/// in seconds)`.
+fn arb_windows() -> impl Strategy<Value = Vec<(u32, DownAt, u64)>> {
+    let down_at = prop_oneof![
+        (0u64..5_000).prop_map(DownAt::Secs),
+        (0usize..25, 0u64..500).prop_map(|(job, micros)| DownAt::InFlight { job, micros }),
+    ];
+    proptest::collection::vec((0u32..40, down_at, 1u64..3_000), 0..4)
 }
 
 /// `windows` as a dynamics script over general-partition servers other
 /// than server 0, so no scope empties.
-fn churn(scheduler: &dyn Scheduler, nodes: usize, windows: Vec<(u32, u64, u64)>) -> DynamicsScript {
+fn churn(
+    scheduler: &dyn Scheduler,
+    trace: &Trace,
+    nodes: usize,
+    windows: Vec<(u32, DownAt, u64)>,
+) -> DynamicsScript {
     let general = Partition::new(nodes, scheduler.short_partition_fraction()).general_count();
     let mut dynamics = DynamicsScript::none();
     if general > 1 {
-        for (pick, from, downtime) in windows {
+        for (pick, down_at, downtime) in windows {
             let server = 1 + pick % (general as u32 - 1);
+            let from = match down_at {
+                DownAt::Secs(secs) => SimTime::from_secs(secs),
+                DownAt::InFlight { job, micros } => {
+                    let submission = trace.jobs()[job % trace.len()].submission;
+                    SimTime::from_micros(submission.as_micros() + micros)
+                }
+            };
             dynamics = dynamics
-                .down_at(SimTime::from_secs(from), server)
-                .up_at(SimTime::from_secs(from + downtime), server);
+                .down_at(from, server)
+                .up_at(from + SimDuration::from_secs(downtime), server);
         }
     }
     dynamics
@@ -307,7 +336,8 @@ proptest! {
     /// longest task, the makespan covers the serial bound, and every
     /// utilization sample lies in [0, 1] (running servers never exceed
     /// the usable capacity). The cell takes 0–3 down/up windows over
-    /// general-partition servers other than server 0, so no scope empties.
+    /// general-partition servers other than server 0, so no scope empties,
+    /// some of them aimed at entries in flight (`DownAt::InFlight`).
     #[test]
     fn every_job_completes_with_sane_runtimes(
         trace in arb_trace(),
@@ -320,7 +350,7 @@ proptest! {
     ) {
         let cell = Experiment::builder()
             .nodes(nodes)
-            .dynamics(churn(&*scheduler, nodes, windows))
+            .dynamics(churn(&*scheduler, &trace, nodes, windows))
             .scheduler_shared(scheduler)
             .cutoff(Cutoff::from_secs(cutoff_secs))
             .seed(seed)
@@ -411,7 +441,7 @@ proptest! {
     ) {
         let cell = Experiment::builder()
             .nodes(nodes)
-            .dynamics(churn(&*scheduler, nodes, windows))
+            .dynamics(churn(&*scheduler, &trace, nodes, windows))
             .scheduler_shared(scheduler)
             .seed(seed)
             .trace(&trace);
@@ -657,7 +687,7 @@ proptest! {
         live_secs in 20u64..2_000,
         admission in arb_admission(),
     ) {
-        let dynamics = churn(&*scheduler, nodes, windows);
+        let dynamics = churn(&*scheduler, &trace, nodes, windows);
         let mut cell = Experiment::builder()
             .nodes(nodes)
             .dynamics(dynamics.clone())
@@ -760,7 +790,7 @@ proptest! {
         let interval = SimDuration::from_secs(interval_secs);
         let cell = Experiment::builder()
             .nodes(nodes)
-            .dynamics(churn(&*scheduler, nodes, windows))
+            .dynamics(churn(&*scheduler, &trace, nodes, windows))
             .scheduler_shared(scheduler)
             .seed(seed)
             .util_interval(interval)
