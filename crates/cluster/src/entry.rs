@@ -1,7 +1,7 @@
 //! Queue entries: probes and directly-placed tasks.
 
 use hawk_simcore::SimDuration;
-use hawk_workload::{JobClass, JobId};
+use hawk_workload::{Job, JobClass, JobId};
 use serde::{Deserialize, Serialize};
 
 /// A concrete task bound to a server: what runs in the execution slot.
@@ -24,6 +24,22 @@ pub struct TaskSpec {
     /// Launch attempt: 0 for the first launch, bumped each time the
     /// hardened protocol relaunches a task presumed lost.
     pub attempt: u32,
+}
+
+impl TaskSpec {
+    /// The first attempt of `job`'s task `task`, scheduled as `class` under
+    /// the job-level `estimate`; its duration is read off the job. A
+    /// relaunch writes `TaskSpec { attempt, ..TaskSpec::of(..) }`.
+    pub fn of(job: &Job, task: u32, estimate: SimDuration, class: JobClass) -> Self {
+        TaskSpec {
+            job: job.id,
+            duration: job.tasks[task as usize],
+            estimate,
+            class,
+            task,
+            attempt: 0,
+        }
+    }
 }
 
 /// One entry in a server's FIFO queue.

@@ -95,37 +95,60 @@ impl CentralScheduler {
     /// Marks `server` out of service: a large penalty is added to its key
     /// so the waiting-time queue places nothing there while any live
     /// server remains. Its real accumulated work is preserved underneath
-    /// the penalty.
+    /// the penalty. A server outside the scope, or already down, is left
+    /// alone, so a repeated script entry changes nothing.
     pub fn fail(&mut self, server: ServerId) {
-        self.work.add(server.index(), Self::DOWN_PENALTY);
+        if server.index() < self.scope() && !self.is_down(server) {
+            self.work.add(server.index(), Self::DOWN_PENALTY);
+        }
     }
 
     /// Returns `server` to service, removing the [`CentralScheduler::fail`]
     /// penalty; its pre-failure accumulated work (minus anything migrated
-    /// away via [`CentralScheduler::reassign`]) is intact.
+    /// away via [`CentralScheduler::migrate`]) is intact. A server outside
+    /// the scope, or not down, is left alone.
     pub fn revive(&mut self, server: ServerId) {
-        self.work.sub(server.index(), Self::DOWN_PENALTY);
+        if server.index() < self.scope() && self.is_down(server) {
+            self.work.sub(server.index(), Self::DOWN_PENALTY);
+        }
     }
 
-    /// The server with the smallest estimated waiting time — where the
-    /// §3.7 algorithm would place the next task. Used to migrate tasks off
-    /// a failed server deterministically.
-    pub fn least_loaded(&self) -> ServerId {
-        ServerId(self.work.min_id() as u32)
-    }
-
-    /// Moves one task's estimated work from `from` to `to` (a migration
-    /// off a failed server): the bookkeeping follows the task so later
-    /// completions on `to` balance out.
-    pub fn reassign(&mut self, from: ServerId, to: ServerId, estimate: SimDuration) {
+    /// Moves one task off `from` (a failed server, or a presumed-lost
+    /// launch) to the server the §3.7 algorithm would place it on next,
+    /// and returns that server. The task's estimated work follows it, so a
+    /// later completion there balances out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every server in scope is down: the task would move from
+    /// one down server to the next forever.
+    pub fn migrate(&mut self, from: ServerId, estimate: SimDuration) -> ServerId {
+        let to = ServerId(self.work.min_id() as u32);
+        // The fail() penalty dwarfs any real work sum, so the minimum key
+        // is a down server only when the whole scope is down.
+        assert!(
+            !self.is_down(to),
+            "central scope has no live servers to migrate a task to \
+             (the dynamics script took down the entire scope)"
+        );
         self.work.sub(from.index(), estimate.as_micros());
         self.work.add(to.index(), estimate.as_micros());
+        to
     }
 
     /// Key penalty for out-of-service servers: far above any plausible sum
     /// of task estimates, far below overflow territory even stacked with
     /// real work.
     const DOWN_PENALTY: u64 = 1 << 60;
+
+    /// Whether `server` is out of service, read off its key: only the
+    /// [`CentralScheduler::fail`] penalty puts a key this high. The test is
+    /// against half the penalty because a policy that steals centrally
+    /// placed tasks can release a task's estimate from a down thief that
+    /// was never charged for it; that must not make the thief read as live.
+    fn is_down(&self, server: ServerId) -> bool {
+        self.work.key_of(server.index()) >= Self::DOWN_PENALTY / 2
+    }
 
     /// The current estimated waiting time of `server`.
     pub fn estimated_wait(&self, server: ServerId) -> SimDuration {
@@ -220,18 +243,41 @@ mod tests {
     }
 
     #[test]
-    fn reassign_moves_work_between_servers() {
+    fn migrate_moves_work_to_the_least_loaded_live_server() {
         let mut s = CentralScheduler::new(2);
         s.assign_job(1, SimDuration::from_secs(100)); // lands on server 0
         s.fail(ServerId(0));
-        assert_eq!(s.least_loaded(), ServerId(1));
-        s.reassign(ServerId(0), ServerId(1), SimDuration::from_secs(100));
+        assert_eq!(
+            s.migrate(ServerId(0), SimDuration::from_secs(100)),
+            ServerId(1)
+        );
         s.revive(ServerId(0));
         assert_eq!(s.estimated_wait(ServerId(0)), SimDuration::ZERO);
         assert_eq!(s.estimated_wait(ServerId(1)), SimDuration::from_secs(100));
         // The migrated task's completion balances on the new server.
         s.on_task_complete(ServerId(1), SimDuration::from_secs(100));
         assert_eq!(s.estimated_wait(ServerId(1)), SimDuration::ZERO);
+    }
+
+    /// Membership changes are transitions: a repeated `fail`, a `revive`
+    /// of a live server and either for a server beyond the scope leave
+    /// every key as it was.
+    #[test]
+    fn redundant_and_out_of_scope_membership_changes_are_no_ops() {
+        let mut s = CentralScheduler::new(2);
+        s.assign_job(2, SimDuration::from_secs(100)); // one task each
+        s.revive(ServerId(1));
+        s.fail(ServerId(5));
+        s.revive(ServerId(5));
+        assert_eq!(s.estimated_wait(ServerId(1)), SimDuration::from_secs(100));
+        s.fail(ServerId(1));
+        s.fail(ServerId(1));
+        s.revive(ServerId(1));
+        assert_eq!(s.estimated_wait(ServerId(1)), SimDuration::from_secs(100));
+        assert_eq!(
+            s.assign_job(2, SimDuration::from_secs(1)),
+            vec![ServerId(0), ServerId(1)]
+        );
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! Everything *policy* — routing, probe placement, steal capability and
 //! victim choice, probe bouncing — is delegated to the [`Scheduler`]
 //! trait; adding a scheduling policy touches neither the core nor a
-//! harness.
+//! harness. A decision the prototype's daemons take too is one function
+//! that both call: central membership and task migration
+//! ([`CentralScheduler`]), the probe scope of a class
+//! ([`PlacementView::for_probes`]) and a task's spec ([`TaskSpec::of`]).
 //!
 //! Every message asks the [`Topology`] for its delay exactly once, in
 //! event order, so contended topologies (per-link FIFO queueing) stay
@@ -548,7 +551,12 @@ impl<'t> Core<'t> {
                 task,
                 class,
             } => {
-                let spec = self.task_spec(job, task, class);
+                let spec = TaskSpec::of(
+                    self.trace.job(job),
+                    task,
+                    self.estimates.estimate(job),
+                    class,
+                );
                 self.on_entry_arrive(net, server, QueueEntry::Task(spec))
             }
             Event::BindRequest { server, job } => self.on_bind_request(net, server, job),
@@ -558,7 +566,9 @@ impl<'t> Core<'t> {
                 class,
                 task,
             } => {
-                let task = task.map(|task| self.task_spec(job, task, class));
+                let estimate = self.estimates.estimate(job);
+                let task =
+                    task.map(|task| TaskSpec::of(self.trace.job(job), task, estimate, class));
                 let action = self.cluster.on_bind_response(server, task);
                 self.on_action(net, server, action);
             }
@@ -584,12 +594,9 @@ impl<'t> Core<'t> {
             Event::CentralPlace(job) => self.place_centrally(net, job),
             Event::NodeDown(server) => self.on_node_down(net, server),
             Event::NodeUp(server) => {
-                if self.cluster.revive_server(server) {
-                    if let Some(central) = &mut self.central {
-                        if server.index() < central.scope() {
-                            central.revive(server);
-                        }
-                    }
+                self.cluster.revive_server(server);
+                if let Some(central) = &mut self.central {
+                    central.revive(server);
                 }
             }
             Event::UtilSample | Event::LiveSample => {
@@ -684,8 +691,8 @@ impl<'t> Core<'t> {
         {
             // Long-aware probe avoidance (extension): retry on a fresh
             // random server at the cost of one network hop.
-            let retry =
-                random_probe_target(&*self.scheduler, &self.cluster, class, &mut self.probe_rng);
+            let retry = PlacementView::for_probes(&self.cluster, &*self.scheduler, class)
+                .random_server(&mut self.probe_rng);
             self.send_probe(
                 net,
                 Endpoint::Server(server),
@@ -758,20 +765,6 @@ impl<'t> Core<'t> {
         }
     }
 
-    /// The spec of `job`'s task `task` under `class`, built where the task
-    /// is enqueued or launched: its duration from the trace, the job's
-    /// estimate, the first attempt (the simulator never relaunches).
-    fn task_spec(&self, job: JobId, task: u32, class: JobClass) -> TaskSpec {
-        TaskSpec {
-            job,
-            duration: self.trace.job(job).tasks[task as usize],
-            estimate: self.estimates.estimate(job),
-            class,
-            task,
-            attempt: 0,
-        }
-    }
-
     /// Takes `server` out of service (§ scenario dynamics): the cluster
     /// drains its queue, the central scheduler stops placing there, and
     /// every drained entry is migrated to a live server or abandoned.
@@ -787,9 +780,7 @@ impl<'t> Core<'t> {
             "a non-owned server held queue entries"
         );
         if let Some(central) = &mut self.central {
-            if server.index() < central.scope() {
-                central.fail(server);
-            }
+            central.fail(server);
         }
         for entry in drained.drain(..) {
             self.relocate(net, server, entry);
@@ -839,23 +830,11 @@ impl<'t> Core<'t> {
         let class = self.jobs[job.index()].class;
         match task {
             Some(task) => {
-                let estimate = self.estimates.estimate(job);
-                let central = self
+                let target = self
                     .central
                     .as_mut()
-                    .expect("directly-placed tasks imply a central scheduler");
-                let target = central.least_loaded();
-                // The fail() penalty dwarfs any real work sum, so the
-                // minimum key is a down server only when the whole scope
-                // is down — in which case relocation would ping-pong
-                // forever. Fail loudly, like the probe path's
-                // "no live servers" guard.
-                assert!(
-                    !self.cluster.is_down(target),
-                    "central scope has no live servers to migrate a task to \
-                     (the dynamics script took down the entire scope)"
-                );
-                central.reassign(from, target, estimate);
+                    .expect("directly-placed tasks imply a central scheduler")
+                    .migrate(from, self.estimates.estimate(job));
                 self.migrations += 1;
                 let dst = Endpoint::Server(target);
                 let delay = self.topology.delay(net.now(), src, dst);
@@ -874,12 +853,8 @@ impl<'t> Core<'t> {
                     return;
                 }
                 self.migrations += 1;
-                let target = random_probe_target(
-                    &*self.scheduler,
-                    &self.cluster,
-                    class,
-                    &mut self.scenario_rng,
-                );
+                let target = PlacementView::for_probes(&self.cluster, &*self.scheduler, class)
+                    .random_server(&mut self.scenario_rng);
                 self.send_probe(net, src, target, job, class, 0);
             }
         }
@@ -1173,22 +1148,6 @@ fn deciding_scheduler(job: JobId, task: Option<u32>) -> Endpoint {
         Some(_) => Endpoint::Central,
         None => Endpoint::Scheduler(job.0),
     }
-}
-
-/// A uniformly random live server of the scope `class` probes. A free
-/// function so callers can lend one of the core's RNG streams alongside
-/// its cluster.
-fn random_probe_target(
-    scheduler: &dyn Scheduler,
-    cluster: &Cluster,
-    class: JobClass,
-    rng: &mut SimRng,
-) -> ServerId {
-    let scope = match scheduler.route(class) {
-        Route::Distributed(scope) => scope,
-        Route::Central(_) => unreachable!("probes imply a distributed route"),
-    };
-    PlacementView::new(cluster, scope).random_server(rng)
 }
 
 /// Assembles the report of a finished run from its cores: per-job results

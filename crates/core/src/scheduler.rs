@@ -75,6 +75,20 @@ impl<'a> PlacementView<'a> {
         }
     }
 
+    /// Builds the view a probe of `class` is placed over: the live servers
+    /// of the scope `scheduler` routes the class to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scheduler` routes `class` centrally (no job of that class
+    /// sends probes), or where [`PlacementView::new`] does.
+    pub fn for_probes(cluster: &'a Cluster, scheduler: &dyn Scheduler, class: JobClass) -> Self {
+        match scheduler.route(class) {
+            Route::Distributed(scope) => Self::new(cluster, scope),
+            Route::Central(_) => unreachable!("probes imply a distributed route"),
+        }
+    }
+
     /// Number of **live** servers in scope (equals the scope's size on a
     /// static cluster).
     pub fn scope_len(&self) -> usize {

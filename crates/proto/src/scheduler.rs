@@ -1,23 +1,26 @@
 //! Distributed and centralized scheduler daemons.
 //!
-//! Both daemons delegate every *policy* decision to the shared
-//! abstractions from `hawk-core`:
+//! Both daemons keep messages, timers and hardening, and take every
+//! protocol decision from `hawk-core` or `hawk-cluster`, the functions
+//! the simulator's `Core` calls:
 //!
 //! * A [`DistScheduler`] owns the jobs submitted to it (each job
 //!   conceptually has its own scheduler, §3.5) and places probes by
-//!   calling [`Scheduler::probe_targets`] over a [`PlacementView`] of
-//!   its **shadow cluster** — a membership-only
-//!   [`hawk_cluster::Cluster`] mirror kept current by scenario dynamics
-//!   notifications. On a static cluster the shadow is the identity; under
-//!   churn it is exactly the live-server view the simulator's driver
-//!   exposes, so failed servers are never probed. (Queue depths in the
-//!   shadow are zero: a real distributed scheduler has no global queue
-//!   state — load-aware policies see a uniform view, which is the honest
-//!   distributed-systems answer.)
-//! * The [`CentralDaemon`] *is* the simulator's §3.7 waiting-time
-//!   scheduler: it wraps [`hawk_core::CentralScheduler`] — the identical
-//!   placement, completion, failure-penalty and migration bookkeeping —
-//!   and adds only per-job completion counting and message plumbing.
+//!   calling [`Scheduler::probe_targets`] over
+//!   [`PlacementView::for_probes`] of its **shadow cluster** — a
+//!   membership-only [`hawk_cluster::Cluster`] kept current by scenario
+//!   dynamics notifications. On a static cluster the shadow is the
+//!   identity; under churn it holds the same live servers as the
+//!   simulator's cluster, so failed servers are never probed. (Queue
+//!   depths in the shadow are zero: a real distributed scheduler has no
+//!   global queue state — load-aware policies see a uniform view, which
+//!   is the honest distributed-systems answer.)
+//! * The [`CentralDaemon`] wraps [`hawk_core::CentralScheduler`], the
+//!   simulator's §3.7 waiting-time scheduler: placement, completion,
+//!   membership ([`CentralScheduler::fail`] / [`CentralScheduler::revive`])
+//!   and migration ([`CentralScheduler::migrate`]) are its calls. The
+//!   daemon adds only per-job completion counting and message plumbing.
+//! * Both build a task's spec with [`TaskSpec::of`].
 //!
 //! A submission names its job and class only: both daemons borrow the run's
 //! [`Trace`] and read a job's task durations from it, so no daemon holds a
@@ -59,10 +62,10 @@
 use std::sync::Arc;
 
 use hawk_cluster::{Cluster, QueueEntry, ServerId, TaskSpec};
-use hawk_core::{CentralScheduler, PlacementView, Route, Scheduler, Scope};
+use hawk_core::{CentralScheduler, PlacementView, Scheduler};
 use hawk_simcore::{SimDuration, SimRng, SimTime};
 use hawk_workload::scenario::NodeChange;
-use hawk_workload::{JobClass, JobId, Trace};
+use hawk_workload::{Job, JobClass, JobId, Trace};
 
 use crate::fault::TimeoutSpec;
 use crate::msg::{CentralMsg, DistMsg, Net, WorkerMsg};
@@ -147,8 +150,8 @@ impl HardJob {
 
 /// Per-job late-binding state held by a distributed scheduler.
 struct DistJob<'t> {
-    /// The job's task durations, in the trace.
-    tasks: &'t [SimDuration],
+    /// The job, in the trace.
+    job: &'t Job,
     estimate: SimDuration,
     class: JobClass,
     next_task: usize,
@@ -163,7 +166,7 @@ impl DistJob<'_> {
     fn has_unlaunched(&self, full_scan: bool) -> bool {
         match &self.hard {
             Some(hard) => hard.has_unlaunched(full_scan),
-            None => self.next_task < self.tasks.len(),
+            None => self.next_task < self.job.num_tasks(),
         }
     }
 }
@@ -175,7 +178,7 @@ pub(crate) struct DistScheduler<'t> {
     /// This daemon's index — the address its self-timers route back to.
     index: usize,
     scheduler: Arc<dyn Scheduler>,
-    /// Membership-only mirror of the cluster (see module docs).
+    /// Membership-only copy of the cluster (see module docs).
     shadow: Cluster,
     /// Job `j`'s state, at `j / stride`: jobs are dealt to the
     /// distributed schedulers round-robin by id, so this scheduler's jobs
@@ -234,24 +237,11 @@ impl<'t> DistScheduler<'t> {
         self.jobs.get_mut(job.index() / self.stride)?.as_deref_mut()
     }
 
-    /// The scope `class` probes over under this policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy routes `class` centrally — such jobs are never
-    /// submitted to a distributed scheduler.
-    fn probe_scope(&self, class: JobClass) -> Scope {
-        match self.scheduler.route(class) {
-            Route::Distributed(scope) => scope,
-            Route::Central(_) => unreachable!("probes imply a distributed route"),
-        }
-    }
-
     /// Sends a probe for `job` that has bounced `bounces` times to a
     /// random live server of its scope.
     fn send_probe(&mut self, job: JobId, class: JobClass, bounces: u8, net: &mut impl Net) {
-        let view = PlacementView::new(&self.shadow, self.probe_scope(class));
-        let target = view.random_server(&mut self.rng);
+        let target = PlacementView::for_probes(&self.shadow, &*self.scheduler, class)
+            .random_server(&mut self.rng);
         net.send_worker(
             target.index(),
             WorkerMsg::Probe {
@@ -298,7 +288,7 @@ impl<'t> DistScheduler<'t> {
             self.jobs.resize_with(slot + 1, || None);
         }
         self.jobs[slot] = Some(Box::new(DistJob {
-            tasks: &spec.tasks,
+            job: spec,
             estimate: spec.mean_task_duration(),
             class,
             next_task: 0,
@@ -307,7 +297,7 @@ impl<'t> DistScheduler<'t> {
         }));
         // Probe placement is the policy's own hook — the same call the
         // simulation driver makes on a job arrival.
-        let view = PlacementView::new(&self.shadow, self.probe_scope(class));
+        let view = PlacementView::for_probes(&self.shadow, &*self.scheduler, class);
         let mut probes = std::mem::take(&mut self.probe_buf);
         probes.clear();
         self.scheduler
@@ -334,17 +324,10 @@ impl<'t> DistScheduler<'t> {
             Some(state) => {
                 let (estimate, class) = (state.estimate, state.class);
                 match &mut state.hard {
-                    None if state.next_task < state.tasks.len() => {
-                        let idx = state.next_task;
+                    None if state.next_task < state.job.num_tasks() => {
+                        let idx = state.next_task as u32;
                         state.next_task += 1;
-                        Some(TaskSpec {
-                            job,
-                            duration: state.tasks[idx],
-                            estimate,
-                            class,
-                            task: idx as u32,
-                            attempt: 0,
-                        })
+                        Some(TaskSpec::of(state.job, idx, estimate, class))
                     }
                     // Hardened: hand out the first task no worker holds —
                     // relaunched tasks re-enter here under a bumped
@@ -354,12 +337,8 @@ impl<'t> DistScheduler<'t> {
                         hard.first_unlaunched = idx + 1;
                         hard.unlaunched -= 1;
                         TaskSpec {
-                            job,
-                            duration: state.tasks[idx],
-                            estimate,
-                            class,
-                            task: idx as u32,
                             attempt: hard.attempts[idx],
+                            ..TaskSpec::of(state.job, idx as u32, estimate, class)
                         }
                     }),
                     // All tasks given out: cancel (§3.5).
@@ -401,8 +380,7 @@ impl<'t> DistScheduler<'t> {
 
     /// A displaced probe: re-probe a random live server if the job still
     /// has unlaunched tasks (it may be needed for liveness), abandon it
-    /// otherwise — a bind would only have produced a cancel. Mirrors the
-    /// driver's `relocate`.
+    /// otherwise — a bind would only have produced a cancel.
     fn reprobe(&mut self, job: JobId, class: JobClass, net: &mut impl Net) {
         let full_scan = self.full_scan();
         let alive = self
@@ -432,7 +410,7 @@ impl<'t> DistScheduler<'t> {
         let mut relaunched = 0u64;
         for (i, s) in hard.state.iter_mut().enumerate() {
             if let TaskState::Outstanding { since } = *s {
-                if now - since >= to.launch_deadline(state.tasks[i], hard.attempts[i]) {
+                if now - since >= to.launch_deadline(state.job.tasks[i], hard.attempts[i]) {
                     // Presumed lost (the bind reply, the worker, or its
                     // completion report): back in play, next attempt.
                     *s = TaskState::Unlaunched;
@@ -523,8 +501,8 @@ struct CentralJob<'t> {
     remaining: usize,
     estimate: SimDuration,
     class: JobClass,
-    /// The job's task durations, in the trace.
-    durations: &'t [SimDuration],
+    /// The job, in the trace.
+    job: &'t Job,
     /// Empty unless hardened.
     state: Vec<CentralTask>,
     interval: SimDuration,
@@ -543,7 +521,7 @@ impl CentralJob<'_> {
     /// lowest index on ties.
     fn earliest_deadline(&self, to: &TimeoutSpec) -> Option<(SimTime, usize)> {
         let deadline = |(i, task): (usize, &CentralTask)| {
-            task.overdue_at(self.durations[i], to).map(|at| (at, i))
+            task.overdue_at(self.job.tasks[i], to).map(|at| (at, i))
         };
         self.state.iter().enumerate().filter_map(deadline).min()
     }
@@ -596,15 +574,8 @@ impl<'t> CentralDaemon<'t> {
             CentralMsg::TaskDone { job, worker, task } => self.complete(job, worker, task, net),
             CentralMsg::Relocate { from, spec } => self.relocate(from, spec, net),
             CentralMsg::JobTimeout { job } => self.on_job_timeout(job, net),
-            CentralMsg::Node(change) => match change {
-                NodeChange::Down(server) if (server as usize) < self.inner.scope() => {
-                    self.inner.fail(ServerId(server));
-                }
-                NodeChange::Up(server) if (server as usize) < self.inner.scope() => {
-                    self.inner.revive(ServerId(server));
-                }
-                _ => {}
-            },
+            CentralMsg::Node(NodeChange::Down(server)) => self.inner.fail(ServerId(server)),
+            CentralMsg::Node(NodeChange::Up(server)) => self.inner.revive(ServerId(server)),
             CentralMsg::Shutdown => return true,
         }
         false
@@ -612,8 +583,7 @@ impl<'t> CentralDaemon<'t> {
 
     fn submit(&mut self, job: JobId, class: JobClass, net: &mut impl Net) {
         let spec = self.trace.job(job);
-        let tasks = spec.tasks.as_slice();
-        let (t, estimate) = (tasks.len(), spec.mean_task_duration());
+        let (t, estimate) = (spec.num_tasks(), spec.mean_task_duration());
         let mut placement = std::mem::take(&mut self.place_buf);
         self.inner.assign_job_into(t, estimate, &mut placement);
         let state: Vec<CentralTask> = if self.timeouts.is_some() {
@@ -633,18 +603,9 @@ impl<'t> CentralDaemon<'t> {
         } else {
             Vec::new()
         };
-        for (i, &server) in placement.iter().enumerate() {
-            net.send_worker(
-                server.index(),
-                WorkerMsg::Assign(TaskSpec {
-                    job,
-                    duration: tasks[i],
-                    estimate,
-                    class,
-                    task: i as u32,
-                    attempt: 0,
-                }),
-            );
+        for (task, &server) in (0..).zip(&placement) {
+            let assign = WorkerMsg::Assign(TaskSpec::of(spec, task, estimate, class));
+            net.send_worker(server.index(), assign);
         }
         self.place_buf = placement;
         let interval = self
@@ -658,7 +619,7 @@ impl<'t> CentralDaemon<'t> {
             remaining: t,
             estimate,
             class,
-            durations: tasks,
+            job: spec,
             state,
             interval,
             // Deliberately low: the first chain fire scans and sets it.
@@ -698,9 +659,9 @@ impl<'t> CentralDaemon<'t> {
         }
     }
 
-    /// The driver's task-migration policy: a displaced task moves to the
-    /// live server the §3.7 queue would pick next, bookkeeping following
-    /// the task.
+    /// A displaced task moves where [`CentralScheduler::migrate`] puts it:
+    /// the live server the §3.7 queue would pick next, bookkeeping
+    /// following the task.
     fn relocate(&mut self, from: usize, spec: TaskSpec, net: &mut impl Net) {
         let task = spec.task as usize;
         let state = self.jobs.get_mut(spec.job.index()).and_then(Option::as_mut);
@@ -715,9 +676,7 @@ impl<'t> CentralDaemon<'t> {
             (Some(to), Some(state)) if current(&state.state[task]) => Some((to, state)),
             _ => return,
         };
-        let target = self.inner.least_loaded();
-        self.inner
-            .reassign(ServerId(from as u32), target, spec.estimate);
+        let target = self.inner.migrate(ServerId(from as u32), spec.estimate);
         self.stats.migrations += 1;
         if let Some((to, state)) = hard {
             let moved = CentralTask::Outstanding {
@@ -730,7 +689,7 @@ impl<'t> CentralDaemon<'t> {
             // different backlog: its deadline can now fall before
             // everything the bound was computed from.
             let at = moved
-                .overdue_at(state.durations[task], &to)
+                .overdue_at(state.job.tasks[task], &to)
                 .expect("outstanding tasks have a deadline");
             state.next_overdue = state.next_overdue.min(at);
             state.state[task] = moved;
@@ -763,9 +722,9 @@ impl<'t> CentralDaemon<'t> {
                 else {
                     unreachable!("only outstanding tasks have a deadline");
                 };
-                let target = self.inner.least_loaded();
-                self.inner
-                    .reassign(ServerId(old_worker as u32), target, state.estimate);
+                let target = self
+                    .inner
+                    .migrate(ServerId(old_worker as u32), state.estimate);
                 let attempt = attempt + 1;
                 state.state[i] = CentralTask::Outstanding {
                     worker: target.index(),
@@ -775,17 +734,9 @@ impl<'t> CentralDaemon<'t> {
                 };
                 self.stats.relaunched += 1;
                 self.stats.timeouts_fired += 1;
-                net.send_worker(
-                    target.index(),
-                    WorkerMsg::Assign(TaskSpec {
-                        job,
-                        duration: state.durations[i],
-                        estimate: state.estimate,
-                        class: state.class,
-                        task: i as u32,
-                        attempt,
-                    }),
-                );
+                let spec = TaskSpec::of(state.job, i as u32, state.estimate, state.class);
+                let assign = WorkerMsg::Assign(TaskSpec { attempt, ..spec });
+                net.send_worker(target.index(), assign);
                 // The relaunch installed a deadline of its own.
                 earliest = state.earliest_deadline(&to);
             }
@@ -1082,6 +1033,37 @@ mod tests {
         assert_ne!(*target, placed_on, "relocation must pick a live server");
         assert!(matches!(msg, WorkerMsg::Assign(_)));
         assert_eq!(daemon.stats.migrations, 1);
+    }
+
+    /// A repeated down is one transition: after `Down(1)`, `Down(1)`,
+    /// `Up(1)` worker 1 is back in the §3.7 queue, and a 2-task job spreads
+    /// over both workers.
+    #[test]
+    fn central_daemon_ignores_a_repeated_down() {
+        let trace = uniform_trace(2, 2, 100);
+        let mut daemon = CentralDaemon::new(&trace, 2, None);
+        let mut net = RecordingNet::default();
+        for change in [NodeChange::Down(1), NodeChange::Down(1), NodeChange::Up(1)] {
+            daemon.handle(CentralMsg::Node(change), &mut net);
+        }
+        daemon.handle(central_submit(1), &mut net);
+        let mut targets: Vec<usize> = net.worker_msgs.iter().map(|(to, _)| *to).collect();
+        targets.sort_unstable();
+        assert_eq!(targets, vec![0, 1]);
+    }
+
+    /// An up with no down before it leaves the worker's charged work alone.
+    #[test]
+    fn central_daemon_ignores_an_up_without_a_down() {
+        let trace = uniform_trace(2, 2, 100);
+        let mut daemon = CentralDaemon::new(&trace, 2, None);
+        let mut net = RecordingNet::default();
+        daemon.handle(central_submit(1), &mut net);
+        daemon.handle(CentralMsg::Node(NodeChange::Up(1)), &mut net);
+        assert_eq!(
+            daemon.inner.estimated_wait(ServerId(1)),
+            SimDuration::from_secs(100)
+        );
     }
 
     // --- Hardened-protocol units ---

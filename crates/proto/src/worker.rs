@@ -602,8 +602,7 @@ impl Worker {
                 .insert(net.now(), (job, task, self.running_attempt));
         }
         // Completion reporting follows the policy's routing: the class
-        // determines which scheduler owns the bookkeeping, exactly as in
-        // the driver's `JobRun::central` flag.
+        // determines which scheduler owns the bookkeeping.
         match self.scheduler.route(done.class) {
             Route::Central(_) => net.send_central(CentralMsg::TaskDone {
                 job,
@@ -675,10 +674,10 @@ impl Worker {
         }
     }
 
-    /// Scenario node-down: stop accepting work, drain the queue and
-    /// relocate every entry (mirrors `Cluster::fail_server` + the driver's
-    /// `relocate`). A running task finishes on its own; a pending bind
-    /// resolves normally and drains in place.
+    /// Scenario node-down: stop accepting work, drain the queue and hand
+    /// every entry to the scheduler that decides where it goes next. A
+    /// repeated down changes nothing. A running task finishes on its own;
+    /// a pending bind resolves normally and drains in place.
     fn on_down(&mut self, net: &mut impl Net) {
         if self.server.is_down() {
             return; // duplicate script entry

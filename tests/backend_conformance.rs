@@ -21,7 +21,8 @@
 //! 4. the prototype's virtual mode is byte-deterministic: two consecutive
 //!    seeded runs produce identical reports, digest and all;
 //! 5. an illegal cell is refused alike: the simulator's two harnesses and
-//!    the prototype panic with the same message.
+//!    the prototype panic with the same message, and so is a dynamics
+//!    script that takes down the whole central scope.
 
 // The shared digest helpers also carry the golden constants used by the
 // determinism suites; this binary only needs the digest function (the
@@ -703,4 +704,55 @@ fn every_harness_refuses_an_illegal_cell_with_the_same_message() {
     let live = cell().live_window(SimDuration::from_secs(1));
     assert!(live.clone().build().run().live.is_some());
     assert_eq!(refusal(harnesses[2], "live_window", &live), no_live);
+}
+
+/// A dynamics script that takes down every server of the central scope is
+/// refused the same way by every harness: the first task that has to move
+/// finds no live server to go to, and `CentralScheduler::migrate` panics
+/// with one message in the `Driver`, a 2-shard `ShardedDriver` and the
+/// virtual prototype (which would otherwise hand the task from one down
+/// worker to the other forever).
+#[test]
+fn every_harness_refuses_a_whole_scope_outage_with_the_same_message() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use hawk_core::scheduler::Centralized;
+    use hawk_simcore::{SimDuration, SimTime};
+    use hawk_workload::scenario::DynamicsScript;
+    use hawk_workload::{Job, JobId};
+
+    let trace = Trace::new(vec![Job {
+        id: JobId(0),
+        submission: SimTime::from_secs(2),
+        tasks: vec![SimDuration::from_secs(10); 2],
+        generated_class: None,
+    }])
+    .unwrap();
+    let dynamics = DynamicsScript::none()
+        .down_at(SimTime::from_secs(1), 0)
+        .down_at(SimTime::from_secs(1), 1);
+    let proto = ProtoBackend::deterministic();
+    let harnesses: [(&str, usize, &dyn Backend); 3] = [
+        ("driver", 1, &SimBackend),
+        ("sharded", 2, &SimBackend),
+        ("proto", 1, &proto),
+    ];
+    for (harness, shards, backend) in harnesses {
+        let cell = Experiment::builder()
+            .nodes(2)
+            .trace(&trace)
+            .scheduler(Centralized::new())
+            .dynamics(dynamics.clone())
+            .shards(shards)
+            .build();
+        let payload = catch_unwind(AssertUnwindSafe(|| cell.run_on(backend)))
+            .expect_err(&format!("{harness} ran a cell with its whole scope down"));
+        let message = payload
+            .downcast_ref::<&str>()
+            .map_or_else(String::new, |message| message.to_string());
+        assert!(
+            message.contains("central scope has no live servers to migrate a task to"),
+            "{harness} refused with {message:?}"
+        );
+    }
 }

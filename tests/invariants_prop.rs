@@ -141,6 +141,7 @@ use proptest::prelude::*;
 use hawk::core::{AdmissionDecision, AdmissionPlan, AdmissionPolicy};
 use hawk::prelude::*;
 use hawk::proto::{FaultSpec, MsgKind};
+use hawk::workload::scenario::NodeChange;
 
 /// Strategy: a small random trace (jobs with random arrival gaps and task
 /// durations), kept small enough that a case simulates in milliseconds.
@@ -809,6 +810,95 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// ROADMAP 8(1), an identity: redundant lifecycle entries are no-ops.
+    /// A membership change is a transition, so a `down` of a server that
+    /// is already down and an `up` of a server that is already up change
+    /// nothing. The first property's churn script gets, beside each drawn
+    /// entry, a copy of it (an `up` copied is an up with no down before
+    /// it), and 0–2 ups of server 0, which no window touches. Every job's
+    /// result must be byte-identical to the clean script's, on `Driver` and
+    /// on a fault-free `hawk-proto` virtual run. A mutation that fails it
+    /// (checked by hand): `CentralScheduler::fail` without its already-down
+    /// guard, which is what the prototype's central daemon called before
+    /// the guard moved into it. A repeated down then stacks a second
+    /// penalty that the up does not remove, so the daemon never places on
+    /// that server again.
+    #[test]
+    fn redundant_lifecycle_entries_are_no_ops(
+        trace in arb_trace(),
+        scheduler in arb_scheduler(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        windows in arb_windows(),
+        copies in proptest::collection::vec(any::<bool>(), 6..7),
+        ups in proptest::collection::vec(0u64..5_000, 0..3),
+    ) {
+        let clean = churn(&*scheduler, &trace, nodes, windows);
+        let mut noisy = DynamicsScript::none();
+        for (i, event) in clean.events().iter().enumerate() {
+            let copies = 1 + usize::from(copies[i % copies.len()]);
+            for _ in 0..copies {
+                noisy = match event.change {
+                    NodeChange::Down(server) => noisy.down_at(event.at, server),
+                    NodeChange::Up(server) => noisy.up_at(event.at, server),
+                };
+            }
+        }
+        for secs in ups {
+            noisy = noisy.up_at(SimTime::from_secs(secs), 0);
+        }
+        let cell = |dynamics: DynamicsScript| {
+            Experiment::builder()
+                .nodes(nodes)
+                .dynamics(dynamics)
+                .scheduler_shared(Arc::clone(&scheduler))
+                .seed(seed)
+                .trace(&trace)
+                .build()
+        };
+        let (clean, noisy) = (cell(clean), cell(noisy));
+        prop_assert_eq!(clean.run().results, noisy.run().results, "Driver");
+        let proto = ProtoBackend::deterministic();
+        prop_assert_eq!(clean.run_on(&proto).results, noisy.run_on(&proto).results, "proto");
+    }
+
+    /// ROADMAP 8(1), an identity: the ablation algebra. Hawk with stealing,
+    /// the short partition and central placement all taken away is Sparrow,
+    /// so its results are byte-identical to `Sparrow::new()`'s, on `Driver`
+    /// and on a fault-free `hawk-proto` virtual run, under the first
+    /// property's churn. A mutation that fails it (checked by hand):
+    /// `Hawk::without_partition` keeping the reserved fraction, so long
+    /// probes stay off the short partition that Sparrow's reach.
+    #[test]
+    fn hawk_without_its_three_components_is_sparrow(
+        trace in arb_trace(),
+        fraction in 0.05f64..0.5,
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        cutoff_secs in 50u64..2_500,
+        windows in arb_windows(),
+    ) {
+        let ablated = Hawk::new(fraction)
+            .without_stealing()
+            .without_partition()
+            .without_centralized();
+        let dynamics = churn(&Sparrow::new(), &trace, nodes, windows);
+        let cell = |scheduler: Arc<dyn Scheduler>| {
+            Experiment::builder()
+                .nodes(nodes)
+                .dynamics(dynamics.clone())
+                .scheduler_shared(scheduler)
+                .cutoff(Cutoff::from_secs(cutoff_secs))
+                .seed(seed)
+                .trace(&trace)
+                .build()
+        };
+        let (hawk, sparrow) = (cell(arc(ablated)), cell(arc(Sparrow::new())));
+        prop_assert_eq!(hawk.run().results, sparrow.run().results, "Driver");
+        let proto = ProtoBackend::deterministic();
+        prop_assert_eq!(hawk.run_on(&proto).results, sparrow.run_on(&proto).results, "proto");
     }
 
     /// Misestimation never breaks liveness and never changes true classes.
