@@ -51,13 +51,10 @@ impl NetworkModel {
     }
 
     /// A full request/response round trip (the late-binding cost a server
-    /// pays when a probe reaches its queue head).
-    ///
-    /// This is the constant-delay projection of the topology seam's
-    /// default round trip — `Topology::round_trip(a, b)` is defined as
-    /// `delay(a, b) + delay(b, a)`, which for the `Constant` topology
-    /// collapses to exactly `2 × delay` regardless of endpoints (pinned
-    /// by the `hawk-net` crate's tests).
+    /// pays when a probe reaches its queue head): two one-way delays. The
+    /// single-stream simulator sends a bind response this long after its
+    /// request leaves on a `TopologySpec::Constant` cell without
+    /// dynamics.
     pub fn round_trip(&self) -> SimDuration {
         self.delay + self.delay
     }

@@ -7,13 +7,27 @@
 //! a task. Otherwise, a cancel is sent."
 //!
 //! The per-job late-binding state (which tasks are still unlaunched) lives
-//! in the driver; this module computes probe *placements*: how many probes
-//! and which servers, uniformly at random within the route's scope.
+//! with each harness's job record; this module holds the rule that answers
+//! a task request ([`late_bind`]) and computes probe *placements*: how many
+//! probes and which servers, uniformly at random within the route's scope.
 
 use hawk_cluster::ServerId;
 use hawk_simcore::SimRng;
 
 use crate::scheduler::PlacementView;
+
+/// Late binding's answer to one task request (§3.5): the job's next
+/// unlaunched task, advancing `next_task`, or `None` — a cancel — once all
+/// `num_tasks` are given out. Tasks go out in index order. The simulator's
+/// `Core` and the prototype's fault-free distributed scheduler both answer
+/// with it.
+pub fn late_bind(next_task: &mut u32, num_tasks: usize) -> Option<u32> {
+    let task = *next_task;
+    ((task as usize) < num_tasks).then(|| {
+        *next_task += 1;
+        task
+    })
+}
 
 /// Plans probe counts and targets for one distributed scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -123,6 +137,15 @@ mod tests {
             &mut out,
         );
         out
+    }
+
+    #[test]
+    fn late_bind_hands_out_tasks_in_order_then_cancels() {
+        let mut next = 0;
+        assert_eq!(late_bind(&mut next, 2), Some(0));
+        assert_eq!(late_bind(&mut next, 2), Some(1));
+        assert_eq!(late_bind(&mut next, 2), None);
+        assert_eq!(next, 2, "a cancel moves nothing");
     }
 
     #[test]

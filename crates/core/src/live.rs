@@ -108,18 +108,6 @@ pub struct LiveMetrics {
     pub windows: Vec<LiveWindow>,
 }
 
-impl LiveMetrics {
-    /// Offered arrivals per second in `w`.
-    pub fn arrival_rate(&self, w: &LiveWindow) -> f64 {
-        w.arrivals as f64 / self.window.as_secs_f64()
-    }
-
-    /// Successful steals per second in `w`.
-    pub fn steal_rate(&self, w: &LiveWindow) -> f64 {
-        w.steals as f64 / self.window.as_secs_f64()
-    }
-}
-
 /// What a harness samples at one window close: the occupancy then, and
 /// the steals and steal attempts since the previous close.
 #[derive(Debug, Clone, Copy, Default)]
@@ -272,7 +260,6 @@ mod tests {
         assert_eq!(w.short.p50.map(f64::round), Some(2.0));
         assert_eq!(w.backlog, 0);
         assert_eq!(w.occupancy, 0.5);
-        assert!((live.arrival_rate(w) - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -346,6 +333,5 @@ mod tests {
         assert_eq!(live.windows[0].steals, 10);
         assert_eq!(live.windows[1].steals, 5);
         assert_eq!(live.windows[1].steal_attempts, 6);
-        assert_eq!(live.steal_rate(&live.windows[1]), 5.0);
     }
 }

@@ -208,7 +208,9 @@ pub struct MetricsReport {
     pub steal_scans: u64,
     /// Events the protocol core dispatched, by kind
     /// ([`Event::KINDS`](crate::Event::KINDS) labels the slots). Not part
-    /// of the golden digests.
+    /// of the golden digests. `bind_request` is zero on a single-stream
+    /// run of a flat static cell, whose bind round trip is the one
+    /// `bind_response` event.
     pub events_by_kind: EventCounts,
     /// Queue entries migrated off failed servers under scenario dynamics
     /// (tasks re-placed, live probes re-probed). Zero on static clusters.

@@ -21,12 +21,18 @@
 //! harness. A decision the prototype's daemons take too is one function
 //! that both call: central membership and task migration
 //! ([`CentralScheduler`]), the probe scope of a class
-//! ([`PlacementView::for_probes`]) and a task's spec ([`TaskSpec::of`]).
+//! ([`PlacementView::for_probes`]), a task's spec ([`TaskSpec::of`]) and
+//! late binding's next task ([`late_bind`]).
 //!
 //! Every message asks the [`Topology`] for its delay exactly once, in
 //! event order, so contended topologies (per-link FIFO queueing) stay
-//! deterministic. Where shared memory and message passing inherently
-//! differ, the transport decides at compile time
+//! deterministic. The one exception is a bind round trip on a flat static
+//! cell with every scheduler in reach: the scheduler's answer is decided
+//! as the request leaves, and the response is sent at
+//! [`NetworkModel::round_trip`](hawk_cluster::NetworkModel::round_trip),
+//! with no [`Event::BindRequest`] in between (`Core::on_action` says why
+//! the answer is the same). Where shared memory and message passing
+//! inherently differ, the transport decides at compile time
 //! ([`Transport::REMOTE_SCHEDULERS`], [`Transport::owns`]); there is no
 //! runtime flag.
 
@@ -34,7 +40,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use hawk_cluster::{Cluster, QueueEntry, ServerAction, ServerId, TaskSpec, UtilizationTracker};
-use hawk_net::{Endpoint, NetworkStats, RackGeometry, Topology};
+use hawk_net::{Endpoint, NetworkStats, RackGeometry, Topology, TopologySpec};
 use hawk_simcore::{BatchHandle, BatchPool, Engine, SimDuration, SimRng, SimTime};
 use hawk_workload::classify::{Cutoff, JobEstimates};
 use hawk_workload::scenario::NodeChange;
@@ -43,6 +49,7 @@ use hawk_workload::{JobClass, JobId, Trace};
 use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::centralized::CentralScheduler;
 use crate::config::{check_cell, CentralOverhead, Route, SimConfig};
+use crate::distributed::late_bind;
 use crate::live::LiveSamples;
 use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats};
 use crate::scheduler::{PlacementView, Scheduler, StealSpec};
@@ -86,7 +93,11 @@ pub enum Event {
         /// The job's scheduled class.
         class: JobClass,
     },
-    /// A server's task request reached the job's scheduler.
+    /// A server's task request reached the job's scheduler. Never
+    /// dispatched by the single-stream [`crate::Driver`] on a
+    /// [`TopologySpec::Constant`] cell without dynamics, where the answer
+    /// is decided as the request leaves and the [`Event::BindResponse`] is
+    /// sent a round trip later.
     BindRequest {
         /// Requesting server.
         server: ServerId,
@@ -245,11 +256,13 @@ const QUEUE_FLOOR: (usize, usize) = (4_096, 1_024);
 /// router and the unit tests' recording fake.
 pub(crate) trait Transport {
     /// Whether a job's scheduler may sit across the wire from the servers
-    /// running its tasks. Decides the two things shared memory and
+    /// running its tasks. Decides the three things shared memory and
     /// message passing inherently do differently: completion bookkeeping
     /// (direct state access vs. a `TaskDone`/`CentralTaskDone` message
-    /// to the home scheduler) and relocation off a failed server
-    /// (point-to-point vs. a detour through the deciding scheduler).
+    /// to the home scheduler), relocation off a failed server
+    /// (point-to-point vs. a detour through the deciding scheduler) and,
+    /// on a flat static cell, a bind (decided as the request leaves vs. a
+    /// `BindRequest` message).
     const REMOTE_SCHEDULERS: bool;
 
     /// The current simulated time.
@@ -429,6 +442,10 @@ pub(crate) struct Core<'t> {
     /// Rack geometry for fabric-aware victim picking; `None` under
     /// placement-blind topologies.
     rack_geometry: Option<RackGeometry>,
+    /// The bind round trip, on a [`TopologySpec::Constant`] cell with an
+    /// empty dynamics script: with every scheduler in reach, a bind is
+    /// then decided as its request leaves (`Core::on_action`).
+    bind_round_trip: Option<SimDuration>,
     /// Precomputed admission decisions; `None` admits everything (the
     /// classic, digest-pinned behavior).
     admission: Option<Arc<AdmissionPlan>>,
@@ -512,6 +529,12 @@ impl<'t> Core<'t> {
             central_ready: SimTime::ZERO,
             topology: sim.topology.build(sim.nodes),
             rack_geometry: sim.topology.rack_geometry(),
+            bind_round_trip: match sim.topology {
+                TopologySpec::Constant(model) if sim.dynamics.is_empty() => {
+                    Some(model.round_trip())
+                }
+                _ => None,
+            },
             admission: inputs.admission.clone(),
             unfinished: 0,
             steals: 0,
@@ -867,21 +890,21 @@ impl<'t> Core<'t> {
         let delay = self
             .topology
             .delay(net.now(), Endpoint::Scheduler(job.0), dst);
+        let response = self.bind(server, job);
+        net.send(delay, dst, response);
+    }
+
+    /// The job's scheduler answers `server`'s task request: its next task,
+    /// or a cancel once all are given out.
+    fn bind(&mut self, server: ServerId, job: JobId) -> Event {
         let num_tasks = self.trace.job(job).num_tasks();
         let run = &mut self.jobs[job.index()];
-        let task = if (run.next_task as usize) < num_tasks {
-            run.next_task += 1;
-            Some(run.next_task - 1)
-        } else {
-            None // all tasks given out: cancel (§3.5)
-        };
-        let response = Event::BindResponse {
+        Event::BindResponse {
             server,
             job,
             class: run.class,
-            task,
-        };
-        net.send(delay, dst, response);
+            task: late_bind(&mut run.next_task, num_tasks),
+        }
     }
 
     fn on_task_finish<T: Transport>(&mut self, net: &mut T, server: ServerId) {
@@ -937,13 +960,23 @@ impl<'t> Core<'t> {
                     Event::TaskFinish { server },
                 );
             }
-            ServerAction::RequestBind { job } => {
-                let scheduler = Endpoint::Scheduler(job.0);
-                let delay = self
-                    .topology
-                    .delay(net.now(), Endpoint::Server(server), scheduler);
-                net.send(delay, scheduler, Event::BindRequest { server, job });
-            }
+            // Decided as the request leaves: with one constant delay the
+            // requests reach a job's scheduler in the order they are sent,
+            // and only `replace` reads `next_task` in between, which needs
+            // a dynamics script.
+            ServerAction::RequestBind { job } => match self.bind_round_trip {
+                Some(round_trip) if !T::REMOTE_SCHEDULERS => {
+                    let response = self.bind(server, job);
+                    net.send(round_trip, Endpoint::Server(server), response);
+                }
+                _ => {
+                    let scheduler = Endpoint::Scheduler(job.0);
+                    let delay = self
+                        .topology
+                        .delay(net.now(), Endpoint::Server(server), scheduler);
+                    net.send(delay, scheduler, Event::BindRequest { server, job });
+                }
+            },
             ServerAction::BecameIdle => self.try_steal(net, server),
         }
     }

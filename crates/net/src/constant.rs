@@ -79,22 +79,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_matches_network_model() {
-        // Satellite contract: `NetworkModel::round_trip` and the trait's
-        // default round trip are the same seam.
-        let model = NetworkModel::paper_default();
-        let mut t = Constant::new(model);
-        assert_eq!(
-            t.round_trip(
-                SimTime::ZERO,
-                Endpoint::Central,
-                Endpoint::Server(ServerId(1))
-            ),
-            model.round_trip()
-        );
-    }
-
-    #[test]
     fn steal_transfer_is_models_and_uncounted() {
         let model = NetworkModel {
             delay: SimDuration::from_micros(500),

@@ -27,9 +27,10 @@
 //! Both simulation backends (the discrete-event driver in `hawk-core` and
 //! the prototype's virtual-clock router in `hawk-proto`) route every
 //! message delay through this trait, so sim↔proto conformance extends to
-//! topologies. Experiments select a model with [`TopologySpec`], which is
-//! plain config data (`Copy`, serializable) and builds the boxed model at
-//! run start.
+//! topologies. (The single-stream driver prices a bind round trip on a
+//! static [`Constant`] cell as one [`NetworkModel::round_trip`] instead.)
+//! Experiments select a model with [`TopologySpec`], which is plain config
+//! data (`Copy`, serializable) and builds the boxed model at run start.
 //!
 //! Determinism rules: a topology's delay may depend only on its own
 //! construction parameters, the query arguments, and the order of previous
@@ -165,15 +166,6 @@ pub trait Topology: Send + std::fmt::Debug {
 
     /// Counters accumulated so far.
     fn stats(&self) -> NetworkStats;
-
-    /// A full request/response round trip between two endpoints: two
-    /// one-way messages, each individually committed to the fabric.
-    ///
-    /// [`NetworkModel::round_trip`] is the constant-delay projection of
-    /// this default.
-    fn round_trip(&mut self, now: SimTime, a: Endpoint, b: Endpoint) -> SimDuration {
-        self.delay(now, a, b) + self.delay(now, b, a)
-    }
 }
 
 /// Serializable topology selector: plain config data that builds a boxed

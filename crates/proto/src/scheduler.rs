@@ -62,7 +62,7 @@
 use std::sync::Arc;
 
 use hawk_cluster::{Cluster, QueueEntry, ServerId, TaskSpec};
-use hawk_core::{CentralScheduler, PlacementView, Scheduler};
+use hawk_core::{late_bind, CentralScheduler, PlacementView, Scheduler};
 use hawk_simcore::{SimDuration, SimRng, SimTime};
 use hawk_workload::scenario::NodeChange;
 use hawk_workload::{Job, JobClass, JobId, Trace};
@@ -154,7 +154,8 @@ struct DistJob<'t> {
     job: &'t Job,
     estimate: SimDuration,
     class: JobClass,
-    next_task: usize,
+    /// Late binding's cursor, advanced by [`late_bind`].
+    next_task: u32,
     remaining: usize,
     /// `Some` iff the hardened protocol is on.
     hard: Option<HardJob>,
@@ -166,7 +167,7 @@ impl DistJob<'_> {
     fn has_unlaunched(&self, full_scan: bool) -> bool {
         match &self.hard {
             Some(hard) => hard.has_unlaunched(full_scan),
-            None => self.next_task < self.job.num_tasks(),
+            None => (self.next_task as usize) < self.job.num_tasks(),
         }
     }
 }
@@ -324,11 +325,10 @@ impl<'t> DistScheduler<'t> {
             Some(state) => {
                 let (estimate, class) = (state.estimate, state.class);
                 match &mut state.hard {
-                    None if state.next_task < state.job.num_tasks() => {
-                        let idx = state.next_task as u32;
-                        state.next_task += 1;
-                        Some(TaskSpec::of(state.job, idx, estimate, class))
-                    }
+                    // Fault-free: the next task in order, then a cancel
+                    // (§3.5).
+                    None => late_bind(&mut state.next_task, state.job.num_tasks())
+                        .map(|idx| TaskSpec::of(state.job, idx, estimate, class)),
                     // Hardened: hand out the first task no worker holds —
                     // relaunched tasks re-enter here under a bumped
                     // attempt.
@@ -341,8 +341,6 @@ impl<'t> DistScheduler<'t> {
                             ..TaskSpec::of(state.job, idx as u32, estimate, class)
                         }
                     }),
-                    // All tasks given out: cancel (§3.5).
-                    None => None,
                 }
             }
             // A finished job: cancel.

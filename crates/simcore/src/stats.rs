@@ -262,12 +262,6 @@ impl StreamingQuantiles {
         self.count = 0;
     }
 
-    /// Overwrites `self` with `other`'s counts without allocating.
-    pub fn copy_from(&mut self, other: &StreamingQuantiles) {
-        self.buckets.copy_from_slice(&other.buckets);
-        self.count = other.count;
-    }
-
     /// Representative of the sample at sorted position `rank` (0-based).
     fn value_at(&self, rank: u64) -> f64 {
         let mut cumulative = 0u64;
@@ -520,17 +514,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_quantiles_reset_and_copy_reuse_allocation() {
+    fn streaming_quantiles_reset_empties_the_sink() {
         let mut sink = StreamingQuantiles::new();
         sink.record(12_345);
-        let mut snapshot = StreamingQuantiles::new();
-        snapshot.copy_from(&sink);
-        assert_eq!(snapshot.count(), 1);
-        assert_eq!(snapshot.quantile(50.0), sink.quantile(50.0));
+        assert_eq!(sink.count(), 1);
         sink.reset();
         assert!(sink.is_empty());
         assert_eq!(sink.quantile(50.0), None);
-        assert_eq!(snapshot.count(), 1, "copy survives the source reset");
     }
 
     #[test]

@@ -166,6 +166,25 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// `trace` with every submission mapped by `at` and every task duration
+/// by `duration`.
+fn retimed(
+    trace: &Trace,
+    at: impl Fn(SimTime) -> SimTime,
+    duration: impl Fn(SimDuration) -> SimDuration,
+) -> Trace {
+    let jobs = trace
+        .jobs()
+        .iter()
+        .map(|job| Job {
+            submission: at(job.submission),
+            tasks: job.tasks.iter().map(|&d| duration(d)).collect(),
+            ..job.clone()
+        })
+        .collect();
+    Trace::new(jobs).expect("retimed jobs are valid")
+}
+
 /// A run stops at its last completion, which `ShardedDriver` sees one
 /// message later than `Driver`: whatever is in flight then is counted by
 /// one and not the other. A one-task job submitted after every queue has
@@ -484,9 +503,12 @@ proptest! {
     /// Cross-harness event accounting on static cells (no churn, no probe
     /// bounce): a probe binds or is cancelled exactly once and a task
     /// arrives and finishes exactly once wherever its endpoints are
-    /// hosted, so the six protocol event kinds count the same on
-    /// `Driver` and on 2, 3 and 5 cores; and what `ShardedDriver` adds —
-    /// steal requests and completion messages — never occurs on `Driver`.
+    /// hosted, so five protocol event kinds count the same on `Driver` and
+    /// on 2, 3 and 5 cores. The sixth, `bind_request`, is one per
+    /// `bind_response` on every sharded run and never occurs on `Driver`,
+    /// which on a flat static cell decides a bind as its request leaves.
+    /// What `ShardedDriver` adds — steal requests and completion messages
+    /// — never occurs on `Driver` either.
     #[test]
     fn protocol_event_counts_agree_across_harnesses(
         trace in arb_trace(),
@@ -501,16 +523,21 @@ proptest! {
             .trace(with_quiet_last_job(&trace));
         let counts = |shards: usize| cell.clone().shards(shards).run().events_by_kind;
         let single = counts(1);
-        for added in ["steal_request", "task_done", "central_task_done"] {
+        for added in ["bind_request", "steal_request", "task_done", "central_task_done"] {
             prop_assert_eq!(single[kind(added)], 0, "{} on Driver", added);
         }
         for shards in [2, 3, 5] {
             let sharded = counts(shards);
+            prop_assert_eq!(
+                sharded[kind("bind_request")],
+                sharded[kind("bind_response")],
+                "{} shards",
+                shards
+            );
             for shared in [
                 "job_arrival",
                 "probe_arrive",
                 "task_arrive",
-                "bind_request",
                 "bind_response",
                 "task_finish",
             ] {
@@ -899,6 +926,137 @@ proptest! {
         prop_assert_eq!(hawk.run().results, sparrow.run().results, "Driver");
         let proto = ProtoBackend::deterministic();
         prop_assert_eq!(hawk.run_on(&proto).results, sparrow.run_on(&proto).results, "proto");
+    }
+
+    /// ROADMAP 8(1), an identity: a down/up window that closes before the
+    /// first arrival is no window. The trace starts `lead` seconds late and
+    /// 1–3 windows over any servers open and close within the lead;
+    /// results, steals and steal attempts must be byte-identical to the
+    /// same cell without them, on `Driver` and on a fault-free `hawk-proto`
+    /// virtual run. On `Driver` this compares the two bind paths: a cell
+    /// with a dynamics script sends each bind request as an event, and one
+    /// without decides the bind as the request leaves and sends the
+    /// response a round trip later. The two agree because requests reach a
+    /// job's scheduler in the order they were sent, and because the paths
+    /// order a response differently only against a message sent while its
+    /// request is in flight and landing on the response's microsecond. With
+    /// whole-second submissions and durations, such a message must leave an
+    /// even number of one-way delays past a second; every send of the
+    /// `arb_scheduler` policies leaves an odd number past one, except a
+    /// job's probes and placements at its whole-second arrival, which no
+    /// chain of these traces' few hundred binds reaches. `arb_scheduler` has
+    /// no probe-bouncing policy because a bounced probe is re-sent where it
+    /// lands, an even number of delays past a second, onto the bind
+    /// responses' grid (`repro ext_probe_avoidance` moved with the
+    /// one-event bind). A mutation that fails it (checked by hand): the
+    /// one-event path sending its response after one one-way delay instead
+    /// of the round trip.
+    #[test]
+    fn a_window_closed_before_the_first_arrival_is_no_window(
+        trace in arb_trace(),
+        scheduler in arb_scheduler(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        lead_secs in 1u64..100,
+        windows in proptest::collection::vec((0u32..40, 0u64..1_000, 1u64..1_000), 1..4),
+    ) {
+        let lead = SimDuration::from_secs(lead_secs);
+        let trace = retimed(&trace, |at| at + lead, |d| d);
+        // Each window opens and closes within the lead: `from` and its
+        // length are thousandths of the lead and of what is left of it.
+        let mut dynamics = DynamicsScript::none();
+        for (pick, from, length) in windows {
+            let server = pick % nodes as u32;
+            let from = lead.as_micros() * from / 1_000;
+            let until = from + ((lead.as_micros() - from) * length / 1_000).max(1);
+            dynamics = dynamics
+                .down_at(SimTime::from_micros(from), server)
+                .up_at(SimTime::from_micros(until), server);
+        }
+        let cell = |dynamics: DynamicsScript| {
+            Experiment::builder()
+                .nodes(nodes)
+                .dynamics(dynamics)
+                .scheduler_shared(Arc::clone(&scheduler))
+                .seed(seed)
+                .trace(&trace)
+                .build()
+        };
+        let (calm, windowed) = (cell(DynamicsScript::none()), cell(dynamics));
+        let outcome = |r: MetricsReport| (r.results, r.steals, r.steal_attempts);
+        prop_assert_eq!(outcome(calm.run()), outcome(windowed.run()), "Driver");
+        let proto = ProtoBackend::deterministic();
+        prop_assert_eq!(
+            outcome(calm.run_on(&proto)),
+            outcome(windowed.run_on(&proto)),
+            "proto"
+        );
+    }
+
+    /// ROADMAP 8(1), an identity: time scaling. Multiplying every
+    /// submission and task duration, the network's one-way and
+    /// steal-transfer delays, the cutoff and `util_interval` by k ∈ {2, 3}
+    /// keeps every ordering, tie and class, so every completion is exactly
+    /// k times as late, with the same steals and steal attempts, on
+    /// `Driver` (which takes the one-event bind) and on a fault-free
+    /// `hawk-proto` virtual run. A mutation that fails it (checked by
+    /// hand): the one-event bind path sending its response at the paper's
+    /// fixed 1 ms round trip instead of the cell's own.
+    #[test]
+    fn scaling_every_time_by_k_scales_every_completion_by_k(
+        trace in arb_trace(),
+        scheduler in arb_scheduler(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        cutoff_secs in 50u64..2_500,
+        one_way_micros in 1u64..2_000,
+        transfer_micros in prop_oneof![Just(0u64), 1u64..2_000],
+        util_secs in 20u64..500,
+    ) {
+        let cell = |k: u64| {
+            let network = NetworkModel {
+                delay: SimDuration::from_micros(one_way_micros * k),
+                steal_transfer_delay: SimDuration::from_micros(transfer_micros * k),
+            };
+            let scaled = retimed(
+                &trace,
+                |at| SimTime::from_micros(at.as_micros() * k),
+                |d| SimDuration::from_micros(d.as_micros() * k),
+            );
+            Experiment::builder()
+                .nodes(nodes)
+                .topology(TopologySpec::Constant(network))
+                .scheduler_shared(Arc::clone(&scheduler))
+                .cutoff(Cutoff::from_secs(cutoff_secs * k))
+                .util_interval(SimDuration::from_secs(util_secs * k))
+                .seed(seed)
+                .trace(scaled)
+                .build()
+        };
+        let proto = ProtoBackend::deterministic();
+        let (base, base_proto) = (cell(1).run(), cell(1).run_on(&proto));
+        let outcome = |r: MetricsReport| (r.results, r.steals, r.steal_attempts);
+        for k in [2u64, 3] {
+            let scaled_by_k = |report: &MetricsReport| {
+                let results: Vec<JobResult> = report
+                    .results
+                    .iter()
+                    .map(|r| JobResult {
+                        submission: SimTime::from_micros(r.submission.as_micros() * k),
+                        completion: SimTime::from_micros(r.completion.as_micros() * k),
+                        ..*r
+                    })
+                    .collect();
+                (results, report.steals, report.steal_attempts)
+            };
+            prop_assert_eq!(outcome(cell(k).run()), scaled_by_k(&base), "Driver, k = {}", k);
+            prop_assert_eq!(
+                outcome(cell(k).run_on(&proto)),
+                scaled_by_k(&base_proto),
+                "proto, k = {}",
+                k
+            );
+        }
     }
 
     /// Misestimation never breaks liveness and never changes true classes.

@@ -35,13 +35,22 @@ pub const GOLDEN_JOBS: usize = 400;
 /// made up front, so every stealing cell's stream moved — this pin and the
 /// four Hawk pins and four [`ProtoPin`]s below with it, under unwidened
 /// bands (`scripts/repin.sh`). The three non-stealing pins did not move.
-pub const HAWK_DIGEST: u64 = 0x25ca3a853ecd5bb2;
-/// Pinned digest: Sparrow on the golden cell.
-pub const SPARROW_DIGEST: u64 = 0x01255b27da1012a9;
+/// Re-pinned again, from `0x25ca3a853ecd5bb2`, when a bind round trip
+/// became one event on a flat static cell: only `events` moved (the
+/// digest without it is equal before and after), like
+/// [`SPARROW_DIGEST`], [`SPLIT_CLUSTER_DIGEST`] and
+/// [`SATURATION_ADMISSION_HAWK_DIGEST`].
+pub const HAWK_DIGEST: u64 = 0x3fd8b5a7b1fc7ba4;
+/// Pinned digest: Sparrow on the golden cell (re-pinned, from
+/// `0x01255b27da1012a9`, with [`HAWK_DIGEST`] for the one-event bind:
+/// only `events` moved).
+pub const SPARROW_DIGEST: u64 = 0xe0288dabfa5268b8;
 /// Pinned digest: the centralized baseline on the golden cell.
 pub const CENTRALIZED_DIGEST: u64 = 0x9048234f476f81f5;
-/// Pinned digest: the split-cluster baseline on the golden cell.
-pub const SPLIT_CLUSTER_DIGEST: u64 = 0x74d8c6fdcb839842;
+/// Pinned digest: the split-cluster baseline on the golden cell
+/// (re-pinned, from `0x74d8c6fdcb839842`, with [`HAWK_DIGEST`] for the
+/// one-event bind: only `events` moved).
+pub const SPLIT_CLUSTER_DIGEST: u64 = 0xf3c7fefa3efcd664;
 
 /// Pinned digest of [`churn_scenario`] under Hawk (re-pinned, from
 /// `0x4f3fa286a0bcca5a`, with [`HAWK_DIGEST`] for the lazy victim draw;
@@ -72,8 +81,9 @@ pub const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = 0xaf4c8dd98af0e58e;
 /// `0x3b19acf4efb8442e`, with [`HAWK_DIGEST`] for the lazy victim draw;
 /// any later drift in the saturation arrival process, the admission
 /// plan's window accounting or the shed/deferral semantics fails against
-/// it).
-pub const SATURATION_ADMISSION_HAWK_DIGEST: u64 = 0x42cfc0170548fdbc;
+/// it). Re-pinned again, from `0x42cfc0170548fdbc`, with [`HAWK_DIGEST`]
+/// for the one-event bind: only `events` moved.
+pub const SATURATION_ADMISSION_HAWK_DIGEST: u64 = 0xba019be5c686d8ae;
 
 /// What a prototype run is pinned by: a hash of every job's runtime plus
 /// the protocol counters — `messages` and the hardened-protocol counters
