@@ -98,10 +98,11 @@ pub struct Cluster {
     /// counts them as usable capacity until the slot empties.
     down_running: usize,
     /// Sorted ids of the in-service servers; the identity sequence while
-    /// `down_count == 0`. Rebuilt on each (rare) lifecycle event so rank →
-    /// live-server lookups stay O(1) on the placement hot path. Because
-    /// ids are sorted and the partitions are contiguous id ranges, the
-    /// first `live_general` entries are the live general partition.
+    /// `down_count == 0`. Each lifecycle event inserts or removes one id at
+    /// its binary-searched rank, so rank → live-server lookups stay O(1) on
+    /// the placement hot path. Because ids are sorted and the partitions
+    /// are contiguous id ranges, the first `live_general` entries are the
+    /// live general partition.
     live_ids: Vec<u32>,
     /// Number of in-service servers in the general partition.
     live_general: usize,
@@ -409,25 +410,22 @@ impl Cluster {
 
     /// Adds (`live`) or removes server `id` to or from the candidate
     /// bitmap, the down bitmap and the live-id map — the one place
-    /// liveness changes.
+    /// liveness changes, and only on a real transition. The live-id map
+    /// starts full, so an insert never outgrows its capacity.
     fn set_membership(&mut self, id: ServerId, live: bool) {
         let idx = id.index();
         self.steal_candidates
             .set(idx, live && self.stat(id).is_candidate());
         self.down.set(idx, !live);
-        self.rebuild_live();
-    }
-
-    /// Rebuilds the sorted live-id map after a lifecycle event. O(n), but
-    /// lifecycle events are rare (scripted churn, not per-event traffic)
-    /// and the buffer's capacity is retained, so rebuilds allocate
-    /// nothing.
-    fn rebuild_live(&mut self) {
-        self.live_ids.clear();
-        self.live_general = 0;
-        for id in (0..self.len() as u32).filter(|&id| !self.down.contains(id as usize)) {
-            self.live_ids.push(id);
-            self.live_general += usize::from(self.partition.in_general(ServerId(id)));
+        let rank = self.live_ids.partition_point(|&other| other < id.0);
+        let general = usize::from(self.partition.in_general(id));
+        if live {
+            self.live_ids.insert(rank, id.0);
+            self.live_general += general;
+        } else {
+            debug_assert_eq!(self.live_ids.get(rank), Some(&id.0));
+            self.live_ids.remove(rank);
+            self.live_general -= general;
         }
     }
 
@@ -890,6 +888,45 @@ mod tests {
         assert_eq!(c.live_count_short(), 2);
         assert_eq!(c.live_ids(), &[0, 1, 2, 3]);
         c.check_invariants().unwrap();
+    }
+
+    /// Random fail / revive sequences, repeated transitions included, on
+    /// a full and an owned-range cluster: after every step the live-id map
+    /// and the live counts that `set_membership` keeps in place match the
+    /// from-scratch recomputation of `check_invariants`.
+    #[test]
+    fn random_churn_keeps_the_live_map_exact() {
+        use hawk_simcore::SimRng;
+        let mut rng = SimRng::seed_from_u64(7);
+        for owned in [0..40, 10..25] {
+            let mut c = Cluster::ranged(40, 0.3, owned.clone(), None);
+            for id in owned.clone().step_by(3).map(ServerId) {
+                c.enqueue(id, QueueEntry::Task(spec(0, 100, JobClass::Long)));
+                c.enqueue(
+                    id,
+                    QueueEntry::Probe {
+                        job: JobId(1),
+                        class: JobClass::Short,
+                    },
+                );
+            }
+            let mut drained = Vec::new();
+            for step in 0..2_000 {
+                let id = ServerId(rng.index(40) as u32);
+                let was_down = c.is_down(id);
+                let changed = if rng.chance(0.5) {
+                    c.fail_server(id, &mut drained)
+                } else {
+                    c.revive_server(id)
+                };
+                assert_eq!(changed, was_down != c.is_down(id), "step {step}: {id}");
+                drained.clear();
+                if let Err(e) = c.check_invariants() {
+                    panic!("owned {owned:?}, step {step}: {e}");
+                }
+            }
+            assert!(c.down_count() > 0 && c.live_count() > 0);
+        }
     }
 
     #[test]

@@ -133,9 +133,11 @@ impl<'t> Driver<'t> {
             };
             self.dispatch(event);
         }
+        // The event list goes before the report allocates its results.
+        let events = self.net.engine.processed();
+        drop(self.net);
         let (util, live) = (&self.util, self.live.as_ref());
-        let report = protocol::report(&[&self.core], |_| 0, util, live, &self.net.engine, None);
-        (report, self.core.into_estimates())
+        protocol::report(vec![self.core], |_| 0, util, live, events, None)
     }
 
     /// Processes up to `max` pending events and returns how many ran

@@ -283,17 +283,21 @@ pub(crate) trait Transport {
 
 /// Per-job dynamic state (the job's "distributed scheduler" plus
 /// completion bookkeeping); authoritative only in the job's home core.
+/// 16 bytes, pinned by a unit test. The class the policy scheduled the
+/// job as is not stored: every core reads it off the run's shared
+/// estimates (`JobEstimates::class`).
 #[derive(Debug, Clone, Copy)]
 struct JobRun {
-    /// Class the policy scheduled this job as.
-    class: JobClass,
     /// Next unlaunched task index (late binding hands tasks out in order).
     next_task: u32,
     /// Tasks not yet finished.
     remaining: u32,
-    /// Completion time, once all tasks finished.
-    completion: Option<SimTime>,
+    /// Completion time once all tasks finished, [`UNFINISHED`] until then.
+    completion: SimTime,
 }
+
+/// [`JobRun::completion`] of a job that has not completed.
+const UNFINISHED: SimTime = SimTime::MAX;
 
 /// What every core of one run shares, computed once: the estimates and
 /// admission plan are pure functions of the experiment inputs, so cores
@@ -501,18 +505,23 @@ impl<'t> Core<'t> {
             .jobs()
             .iter()
             .map(|j| JobRun {
-                class: JobClass::Short, // finalized at arrival
                 next_task: 0,
                 remaining: j.num_tasks() as u32,
-                completion: None,
+                completion: UNFINISHED,
             })
             .collect();
 
         // Buffers are pre-sized from the trace so the steady-state loop
         // starts warm: a failing server's queue holds at most a few
         // batches of probes/tasks, and churn windows must stay off the
-        // allocator.
+        // allocator. Only `on_node_down` drains a queue, so a cell without
+        // a dynamics script gets no drain buffer.
         let max_tasks = inputs.max_tasks;
+        let drain = if sim.dynamics.is_empty() {
+            0
+        } else {
+            4 * max_tasks + 64
+        };
         Core {
             trace,
             steal_spec: scheduler.steal(),
@@ -543,18 +552,12 @@ impl<'t> Core<'t> {
             events_by_kind: [0; Event::KINDS.len()],
             migrations: 0,
             abandons: 0,
-            drain_buf: Vec::with_capacity(4 * max_tasks + 64),
+            drain_buf: Vec::with_capacity(drain),
             victim_scratch: Vec::new(),
             steal_buf: Vec::with_capacity(64),
             probe_buf: Vec::with_capacity(4 * max_tasks + 8),
             place_buf: Vec::with_capacity(max_tasks),
         }
-    }
-
-    /// Hands the run's estimates back to the caller; a clone only if
-    /// another core of the run is still alive.
-    pub(crate) fn into_estimates(self) -> JobEstimates {
-        Arc::try_unwrap(self.estimates).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Handles one event.
@@ -653,9 +656,7 @@ impl<'t> Core<'t> {
                     // runtime and never schedules. The report's streaming
                     // summary and live windows leave shed jobs out (the
                     // exact summary still carries their zero runtime).
-                    let run = &mut self.jobs[job.index()];
-                    run.class = class;
-                    run.completion = Some(now);
+                    self.jobs[job.index()].completion = now;
                     self.unfinished -= 1;
                     return;
                 }
@@ -664,7 +665,6 @@ impl<'t> Core<'t> {
             }
         }
         let spec = self.trace.job(job);
-        self.jobs[job.index()].class = class;
         match self.scheduler.route(class) {
             Route::Central(_) => {
                 if self.central_overhead.is_free() {
@@ -767,7 +767,7 @@ impl<'t> Core<'t> {
     /// Runs the §3.7 placement for `job` and sends its tasks out.
     fn place_centrally<T: Transport>(&mut self, net: &mut T, job: JobId) {
         let spec = self.trace.job(job);
-        let class = self.jobs[job.index()].class;
+        let class = self.estimates.class(job, self.cutoff);
         let estimate = self.estimates.estimate(job);
         let central = self
             .central
@@ -850,7 +850,7 @@ impl<'t> Core<'t> {
         job: JobId,
         task: Option<u32>,
     ) {
-        let class = self.jobs[job.index()].class;
+        let class = self.estimates.class(job, self.cutoff);
         match task {
             Some(task) => {
                 let target = self
@@ -898,12 +898,11 @@ impl<'t> Core<'t> {
     /// or a cancel once all are given out.
     fn bind(&mut self, server: ServerId, job: JobId) -> Event {
         let num_tasks = self.trace.job(job).num_tasks();
-        let run = &mut self.jobs[job.index()];
         Event::BindResponse {
             server,
             job,
-            class: run.class,
-            task: late_bind(&mut run.next_task, num_tasks),
+            class: self.estimates.class(job, self.cutoff),
+            task: late_bind(&mut self.jobs[job.index()].next_task, num_tasks),
         }
     }
 
@@ -942,7 +941,7 @@ impl<'t> Core<'t> {
         let run = &mut self.jobs[job.index()];
         run.remaining -= 1;
         if run.remaining == 0 {
-            run.completion = Some(net.now());
+            run.completion = net.now();
             self.unfinished -= 1;
         }
     }
@@ -1183,44 +1182,30 @@ fn deciding_scheduler(job: JobId, task: Option<u32>) -> Endpoint {
     }
 }
 
-/// Assembles the report of a finished run from its cores: per-job results
-/// from each job's home core (`home_of`), counters summed, and the
-/// streaming summary and live windows derived from the results.
-/// Utilization, the live samples and the engine come from the harness,
-/// which owns sampling and the event list.
-pub(crate) fn report<E: Copy>(
-    cores: &[&Core<'_>],
+/// Assembles the report of a finished run from its cores, and hands the
+/// run's estimates back: per-job results from each job's home core
+/// (`home_of`), counters summed, and the streaming summary and live
+/// windows derived from the results. Utilization, the live samples and
+/// the event count come from the harness, which owns sampling and has
+/// already freed its event list.
+///
+/// The cores go by value: every counter is read first, then each core is
+/// dropped but for its job table, so the results are allocated after the
+/// cluster's queues, the central scheduler and the recycled buffers are
+/// freed.
+pub(crate) fn report(
+    cores: Vec<Core<'_>>,
     home_of: impl Fn(JobId) -> usize,
     util: &UtilizationTracker,
     live: Option<&LiveSamples>,
-    engine: &Engine<E>,
+    events: u64,
     sharded: Option<ShardedStats>,
-) -> MetricsReport {
-    let first = cores[0];
-
-    let mut makespan = SimTime::ZERO;
-    // Sized once from the trace; the per-job completion check compiles
-    // to a branch to a cold panic path instead of an `expect` in the
-    // hot map.
-    let mut results: Vec<JobResult> = Vec::with_capacity(first.trace.len());
-    for job in first.trace.jobs() {
-        let run = &cores[home_of(job.id)].jobs[job.id.index()];
-        let Some(completion) = run.completion else {
-            unreachable!("job {} unfinished at report time", job.id);
-        };
-        makespan = makespan.max(completion);
-        results.push(JobResult {
-            job: job.id,
-            true_class: first.cutoff.classify(job.mean_task_duration()),
-            scheduled_class: run.class,
-            submission: job.submission,
-            completion,
-            num_tasks: job.num_tasks(),
-        });
-    }
-
+) -> (MetricsReport, JobEstimates) {
+    let first = &cores[0];
+    let (trace, cutoff, estimates) = (first.trace, first.cutoff, Arc::clone(&first.estimates));
+    let admission = first.admission.clone();
     let mut network = NetworkStats::default();
-    for core in cores {
+    for core in &cores {
         let stats = core.topology.stats();
         network.rack_local_msgs += stats.rack_local_msgs;
         network.cross_rack_msgs += stats.cross_rack_msgs;
@@ -1228,23 +1213,17 @@ pub(crate) fn report<E: Copy>(
         network.rack_local_steals += stats.rack_local_steals;
         network.steal_transfers += stats.steal_transfers;
     }
-    let mut events_by_kind = [0; Event::KINDS.len()];
-    for core in cores {
-        for (total, count) in events_by_kind.iter_mut().zip(core.events_by_kind) {
-            *total += count;
-        }
-    }
-    let sum = |counter: fn(&Core<'_>) -> u64| cores.iter().map(|c| counter(c)).sum();
-    let admission = first.admission.as_deref();
-
-    MetricsReport {
+    let events_by_kind =
+        std::array::from_fn(|kind| cores.iter().map(|c| c.events_by_kind[kind]).sum());
+    let sum = |counter: fn(&Core<'_>) -> u64| cores.iter().map(counter).sum();
+    let mut report = MetricsReport {
         scheduler: first.scheduler.name(),
         nodes: first.cluster.len(),
         median_utilization: util.median().unwrap_or(0.0),
         max_utilization: util.max().unwrap_or(0.0),
         utilization_samples: util.samples().to_vec(),
-        makespan,
-        events: engine.processed(),
+        makespan: SimTime::ZERO,
+        events,
         steals: sum(|c| c.steals),
         steal_attempts: sum(|c| c.steal_attempts),
         steal_scans: sum(|c| c.steal_scans),
@@ -1253,11 +1232,41 @@ pub(crate) fn report<E: Copy>(
         abandons: sum(|c| c.abandons),
         network,
         sharded,
-        streaming: StreamingStats::from_results(&results, admission),
-        live: live.map(|samples| samples.report(&results, admission)),
-        admission: admission.map(AdmissionPlan::stats).unwrap_or_default(),
-        results,
+        streaming: StreamingStats::default(),
+        live: None,
+        admission: admission
+            .as_deref()
+            .map(AdmissionPlan::stats)
+            .unwrap_or_default(),
+        results: Vec::new(),
+    };
+    let tables: Vec<Vec<JobRun>> = cores.into_iter().map(|core| core.jobs).collect();
+    let estimates = Arc::try_unwrap(estimates).unwrap_or_else(|shared| (*shared).clone());
+
+    // Sized once from the trace; the per-job completion check compiles
+    // to a branch to a cold panic path instead of an `expect` in the
+    // hot map.
+    let mut results: Vec<JobResult> = Vec::with_capacity(trace.len());
+    for job in trace.jobs() {
+        let completion = tables[home_of(job.id)][job.id.index()].completion;
+        if completion == UNFINISHED {
+            unreachable!("job {} unfinished at report time", job.id);
+        }
+        report.makespan = report.makespan.max(completion);
+        results.push(JobResult {
+            job: job.id,
+            true_class: cutoff.classify(job.mean_task_duration()),
+            scheduled_class: estimates.class(job.id, cutoff),
+            submission: job.submission,
+            completion,
+            num_tasks: job.num_tasks(),
+        });
     }
+    let admission = admission.as_deref();
+    report.streaming = StreamingStats::from_results(&results, admission);
+    report.live = live.map(|samples| samples.report(&results, admission));
+    report.results = results;
+    (report, estimates)
 }
 
 #[cfg(test)]
@@ -1370,6 +1379,14 @@ mod tests {
     fn event_and_its_wheel_node_stay_within_their_pins() {
         assert!(std::mem::size_of::<Event>() <= 24);
         assert_eq!(hawk_simcore::EventQueue::<Event>::NODE_BYTES, 40);
+    }
+
+    /// A job's record holds its late-binding cursor, its countdown and its
+    /// completion, and nothing the estimates already know: 16 bytes a job
+    /// on every core, and the largest table a finished run still holds.
+    #[test]
+    fn a_job_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<JobRun>(), 16);
     }
 
     /// `Event::kind` and `Event::KINDS` are two hand-kept lists: every

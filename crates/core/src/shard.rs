@@ -429,18 +429,13 @@ impl<'t> ShardedDriver<'t> {
             epochs,
             merge_envelopes: self.net.cross_core_sends,
         };
-        let cores: Vec<&Core<'t>> = self.cores.iter().collect();
-        let report = protocol::report(
-            &cores,
-            |job| self.net.homes[job.index()] as usize,
-            &self.util,
-            self.live.as_ref(),
-            &self.net.engine,
-            Some(stats),
-        );
-        // Every core shares the estimates; the last one standing owns them.
-        let last = self.cores.into_iter().last().expect("at least one shard");
-        (report, last.into_estimates())
+        // The event list and the stolen-group pool go before the report
+        // allocates its results; the homes outlive them.
+        let events = self.net.engine.processed();
+        drop((self.net.engine, self.net.stolen));
+        let home = |job: JobId| self.net.homes[job.index()] as usize;
+        let (util, live) = (&self.util, self.live.as_ref());
+        protocol::report(self.cores, home, util, live, events, Some(stats))
     }
 }
 

@@ -29,9 +29,10 @@
 //!
 //! And the footprint those allocations add up to is pinned: the peak live
 //! heap of a whole Hawk run on the steady cell, construction to report,
-//! stays within 5 % of its measured figure — a queue arena sized by the
-//! trace's task count instead of the live state is 5.9x that, and an event
-//! list holding every trace arrival from the start is 7 % over it. The
+//! stays within 5 % of its measured figure — against the pin of the day, a
+//! queue arena sized by the trace's task count instead of the live state
+//! was 5.9x that, and an event list holding every trace arrival from the
+//! start 7 % over it. The
 //! memory model is pinned the same way at 100,000 nodes, on one stream
 //! and on 8 shards, where per-server state is most of the peak: padding
 //! `Server` by 8 B (checked by hand) adds 0.8 MB to each run and fails
@@ -362,11 +363,15 @@ fn hardened_chaos_prototype_stays_within_its_allocation_budget() {
     );
 }
 
-/// Peak live heap of the run below, as measured: the cluster, the wheel
-/// (2,012 pending events at most, 40 B a node), the per-job tables, the
-/// report — and the queue arenas, 12-byte entry nodes and the specs of
-/// queued tasks, from the floor a core reserves.
-const HAWK_STEADY_PEAK_BYTES: usize = 647_292;
+/// Peak live heap of the run below, as measured: its working set at the
+/// end of the event loop — the cluster, the wheel (2,012 pending events at
+/// most, 40 B a node), the 16-byte job records and the estimates, and the
+/// queue arenas, 12-byte entry nodes and the specs of queued tasks, from
+/// the floor a core reserves. The report allocates its results after the
+/// wheel, the queues and the central heap are freed, so it adds nothing: a
+/// report that allocated them beside the finished run, with 32-byte job
+/// records, peaked at 647,292 B and would fail the pin.
+const HAWK_STEADY_PEAK_BYTES: usize = 345_064;
 
 /// Peak heap follows the live state: a whole Hawk run on the steady cell,
 /// construction to report, peaks within 5 % of the measured figure.
@@ -435,11 +440,14 @@ fn hardened_chaos_prototype_peak_heap_follows_the_live_state() {
 const MEMORY_NODES: usize = 100_000;
 
 /// Peak live heap of the memory-model run on the single-stream `Driver`,
-/// as measured.
-const MEMORY_PEAK_BYTES: usize = 7_003_088;
+/// as measured: its working set at the end of the event loop, per-server
+/// state first; the report's results come after it is freed.
+const MEMORY_PEAK_BYTES: usize = 6_767_108;
 
-/// Peak live heap of the same run on 8 shards, as measured.
-const MEMORY_SHARDED_PEAK_BYTES: usize = 11_927_892;
+/// Peak live heap of the same run on 8 shards, as measured: the same, plus
+/// each shard's membership of the servers it does not own and its own
+/// 16-byte job table.
+const MEMORY_SHARDED_PEAK_BYTES: usize = 11_017_288;
 
 /// Runs Hawk on the Google-like trace at ~90 % load on [`MEMORY_NODES`]
 /// servers (2,000 jobs, the 15,000-node anchor's mean inter-arrival
@@ -480,14 +488,14 @@ fn memory_model_cell(shards: usize, measured: usize) {
 /// The memory model (docs/ARCHITECTURE.md) on one stream: at 100,000
 /// nodes the peak is mostly per-server state, so this pins what is
 /// O(nodes). Padding `Server` by 8 B (20 → 28 B) adds 0.8 MB, over the
-/// 0.35 MB margin.
+/// 0.34 MB margin.
 #[test]
 fn memory_model_peak_heap_at_100k_nodes() {
     memory_model_cell(1, MEMORY_PEAK_BYTES);
 }
 
 /// The same cell on 8 shards pins what is O(nodes x shards) on top.
-/// Padding `Server` by 8 B fails it as well (+0.8 MB over a 0.6 MB margin).
+/// Padding `Server` by 8 B fails it as well (+0.8 MB over a 0.55 MB margin).
 #[test]
 fn memory_model_peak_heap_at_100k_nodes_on_8_shards() {
     memory_model_cell(8, MEMORY_SHARDED_PEAK_BYTES);

@@ -998,10 +998,14 @@ proptest! {
     /// steal-transfer delays, the cutoff and `util_interval` by k ∈ {2, 3}
     /// keeps every ordering, tie and class, so every completion is exactly
     /// k times as late, with the same steals and steal attempts, on
-    /// `Driver` (which takes the one-event bind) and on a fault-free
-    /// `hawk-proto` virtual run. A mutation that fails it (checked by
-    /// hand): the one-event bind path sending its response at the paper's
-    /// fixed 1 ms round trip instead of the cell's own.
+    /// `Driver` and on a fault-free `hawk-proto` virtual run. Each case
+    /// runs twice: static, where `Driver` takes the one-event bind, and
+    /// under 0–3 generated down/up windows whose times are multiplied by k
+    /// too, where it takes the two-event bind and drains failed servers'
+    /// queues. Mutations that fail it (each checked by hand): the one-event
+    /// bind path sending its response at the paper's fixed 1 ms round trip
+    /// instead of the cell's own; a task drained off a failed server
+    /// migrating a fixed 1 ms instead of one hop (`Core::replace`).
     #[test]
     fn scaling_every_time_by_k_scales_every_completion_by_k(
         trace in arb_trace(),
@@ -1012,8 +1016,23 @@ proptest! {
         one_way_micros in 1u64..2_000,
         transfer_micros in prop_oneof![Just(0u64), 1u64..2_000],
         util_secs in 20u64..500,
+        windows in arb_windows(),
+        churned in any::<bool>(),
     ) {
+        let script = if churned {
+            churn(&*scheduler, &trace, nodes, windows)
+        } else {
+            DynamicsScript::none()
+        };
         let cell = |k: u64| {
+            let mut dynamics = DynamicsScript::none();
+            for scripted in script.events() {
+                let at = SimTime::from_micros(scripted.at.as_micros() * k);
+                dynamics = match scripted.change {
+                    NodeChange::Down(server) => dynamics.down_at(at, server),
+                    NodeChange::Up(server) => dynamics.up_at(at, server),
+                };
+            }
             let network = NetworkModel {
                 delay: SimDuration::from_micros(one_way_micros * k),
                 steal_transfer_delay: SimDuration::from_micros(transfer_micros * k),
@@ -1029,6 +1048,7 @@ proptest! {
                 .scheduler_shared(Arc::clone(&scheduler))
                 .cutoff(Cutoff::from_secs(cutoff_secs * k))
                 .util_interval(SimDuration::from_secs(util_secs * k))
+                .dynamics(dynamics)
                 .seed(seed)
                 .trace(scaled)
                 .build()
@@ -1082,6 +1102,40 @@ proptest! {
         for (a, b) in exact.results.iter().zip(&fuzzy.results) {
             prop_assert_eq!(a.true_class, b.true_class);
         }
+    }
+
+    /// ROADMAP 8(1), an identity: a misestimation range of [1, 1] is no
+    /// misestimation. Every factor drawn is 1 and the estimate stream is
+    /// split off the root either way, so every result — the scheduled
+    /// class, which the report reads off the run's estimates, included —
+    /// and the steal counts are byte-identical, under churn, on `Driver`
+    /// and on 2, 3 and 5 cores. There is no prototype leg: `ProtoBackend`
+    /// refuses any misestimation range. A mutation that fails it (checked
+    /// by hand): `RunInputs::new` splitting the estimate stream off the
+    /// root only when a range is set, which moves every core's streams.
+    #[test]
+    fn an_exact_misestimation_range_is_no_misestimation(
+        trace in arb_trace(),
+        scheduler in arb_scheduler(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        shards in arb_shards(),
+        windows in arb_windows(),
+    ) {
+        let base = Experiment::builder()
+            .nodes(nodes)
+            .shards(shards)
+            .dynamics(churn(&*scheduler, &trace, nodes, windows))
+            .scheduler_shared(Arc::clone(&scheduler))
+            .seed(seed)
+            .trace(trace);
+        let outcome = |r: MetricsReport| (r.results, r.steals, r.steal_attempts);
+        prop_assert_eq!(
+            outcome(base.clone().run()),
+            outcome(base.misestimate(MisestimateRange::exact()).run()),
+            "{} shard(s)",
+            shards
+        );
     }
 }
 
