@@ -71,19 +71,9 @@ impl Partition {
         server.0 < self.general
     }
 
-    /// True if `server` is reserved for short tasks.
-    pub fn in_short_reserved(&self, server: ServerId) -> bool {
-        server.0 >= self.general && server.0 < self.total
-    }
-
     /// All servers, as an id range helper.
     pub fn all(&self) -> impl Iterator<Item = ServerId> {
         (0..self.total).map(ServerId)
-    }
-
-    /// The general-partition servers.
-    pub fn general_servers(&self) -> impl Iterator<Item = ServerId> {
-        (0..self.general).map(ServerId)
     }
 }
 
@@ -99,8 +89,8 @@ mod tests {
         assert_eq!(p.general_count(), 12_450);
         assert!(p.in_general(ServerId(0)));
         assert!(p.in_general(ServerId(12_449)));
-        assert!(p.in_short_reserved(ServerId(12_450)));
-        assert!(p.in_short_reserved(ServerId(14_999)));
+        assert!(!p.in_general(ServerId(12_450)));
+        assert!(!p.in_general(ServerId(14_999)));
     }
 
     #[test]
@@ -141,7 +131,6 @@ mod tests {
     fn iterators_cover_partitions() {
         let p = Partition::new(10, 0.3);
         assert_eq!(p.all().count(), 10);
-        assert_eq!(p.general_servers().count(), 7);
-        assert!(p.general_servers().all(|s| p.in_general(s)));
+        assert_eq!(p.all().filter(|&s| p.in_general(s)).count(), 7);
     }
 }

@@ -35,7 +35,7 @@ use hawk_net::TopologySpec;
 use hawk_simcore::SimDuration;
 use hawk_workload::classify::{Cutoff, JobEstimates, MisestimateRange};
 use hawk_workload::scenario::{DynamicsScript, ScenarioSpec, SpeedSpec};
-use hawk_workload::{Trace, TraceSource};
+use hawk_workload::Trace;
 
 use crate::config::{CentralOverhead, SimConfig};
 use crate::driver::Driver;
@@ -178,12 +178,6 @@ impl ExperimentBuilder {
     /// Sets the trace.
     pub fn trace(mut self, trace: impl IntoTrace) -> Self {
         self.trace = Some(trace.into_trace());
-        self
-    }
-
-    /// Generates the trace from a [`TraceSource`] with `trace_seed`.
-    pub fn trace_from(mut self, source: &impl TraceSource, trace_seed: u64) -> Self {
-        self.trace = Some(Arc::new(source.generate_trace(trace_seed)));
         self
     }
 
@@ -420,23 +414,6 @@ mod tests {
             p90 < 1.0,
             "Hawk should beat Sparrow for short jobs under load: p90 ratio {p90}"
         );
-    }
-
-    #[test]
-    fn trace_from_source_generates() {
-        let source = MotivationConfig {
-            jobs: 10,
-            short_tasks: 2,
-            long_tasks: 4,
-            ..Default::default()
-        };
-        let cell = Experiment::builder()
-            .trace_from(&source, 5)
-            .nodes(16)
-            .scheduler(Sparrow::new())
-            .build();
-        assert_eq!(cell.trace().len(), 10);
-        assert_eq!(cell.run().results.len(), 10);
     }
 
     #[test]

@@ -342,18 +342,12 @@ impl RunInputs {
                 policy,
             ))
         });
-        let max_tasks = trace
-            .jobs()
-            .iter()
-            .map(|j| j.num_tasks())
-            .max()
-            .unwrap_or(0);
         RunInputs {
             estimates: Arc::new(estimates),
             admission,
             speeds: sim.speeds.resolve(sim.nodes),
             central_scope,
-            max_tasks,
+            max_tasks: trace.max_tasks_per_job(),
             rng_root,
         }
     }

@@ -12,7 +12,7 @@ use hawk_core::{Backend, MetricsReport, Scheduler, SimConfig};
 use hawk_workload::Trace;
 
 use crate::fault::FaultSpec;
-use crate::runtime::{run_prototype, ExecutionMode, ProtoConfig};
+use crate::runtime::{run_prototype, ExecutionMode, ProtoConfig, PAPER_DIST_SCHEDULERS};
 
 /// Runs experiment cells on the prototype cluster.
 ///
@@ -63,8 +63,6 @@ use crate::runtime::{run_prototype, ExecutionMode, ProtoConfig};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProtoBackend {
-    /// Number of distributed scheduler daemons (paper: 10).
-    pub dist_schedulers: usize,
     /// `true` runs live threads on the wall clock; `false` runs the
     /// deterministic virtual-clock router.
     pub real_time: bool,
@@ -79,7 +77,6 @@ impl ProtoBackend {
     /// with the paper's 10 distributed schedulers.
     pub fn deterministic() -> Self {
         ProtoBackend {
-            dist_schedulers: 10,
             real_time: false,
             faults: FaultSpec::none(),
         }
@@ -90,15 +87,14 @@ impl ProtoBackend {
     /// first (see `hawk_workload::sample`).
     pub fn real_time() -> Self {
         ProtoBackend {
-            dist_schedulers: 10,
             real_time: true,
             faults: FaultSpec::none(),
         }
     }
 
     /// Same backend with fault injection (virtual-clock mode only). A
-    /// spec that injects runs the daemons hardened, with its
-    /// [`FaultSpec::timeouts`].
+    /// spec that injects runs the daemons hardened, on the protocol's
+    /// default timeouts.
     pub fn faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
         self
@@ -121,7 +117,7 @@ impl ProtoBackend {
         );
         ProtoConfig {
             workers: sim.nodes,
-            dist_schedulers: self.dist_schedulers,
+            dist_schedulers: PAPER_DIST_SCHEDULERS,
             cutoff: sim.cutoff,
             util_interval: sim.util_interval,
             seed: sim.seed,

@@ -14,9 +14,9 @@
 //! golden digests valid.
 //!
 //! Hardening follows injection: a spec that injects anything runs the
-//! hardened daemon protocol with its [`TimeoutSpec`] knobs, because a lost
-//! message with no retry timer is a permanently wedged cluster, and a spec
-//! that injects nothing runs the daemons unhardened.
+//! hardened daemon protocol on the default [`TimeoutSpec`] timers, because
+//! a lost message with no retry timer is a permanently wedged cluster, and
+//! a spec that injects nothing runs the daemons unhardened.
 
 use hawk_net::Endpoint;
 use hawk_simcore::{SimDuration, SimRng, SimTime};
@@ -57,7 +57,8 @@ impl PartitionWindow {
     }
 }
 
-/// Timeout and retry knobs of the hardened daemon protocol.
+/// Timeout and retry settings of the hardened daemon protocol. A run uses
+/// [`TimeoutSpec::default()`]; only this crate's unit tests build others.
 ///
 /// The daemons use them only when the [`FaultSpec`] injects: a spec that
 /// injects nothing leaves the hardening off entirely — the daemons arm no
@@ -84,21 +85,17 @@ impl PartitionWindow {
 /// longest hardened wait, `max(probe, (retries + 1)·bind,
 /// (retries + 1)·steal)`, past which no retransmission or relocation of
 /// that work is still under way.
-///
-/// Every interval must be positive: a zero one re-arms its timer at the
-/// instant it fired, and the virtual clock never moves again. A run
-/// refuses such a spec before it starts, in either execution mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeoutSpec {
+pub(crate) struct TimeoutSpec {
     /// Base interval of the per-job scheduler timer chain.
-    pub probe: SimDuration,
+    pub(crate) probe: SimDuration,
     /// Worker-side bind-reply timeout.
-    pub bind: SimDuration,
+    pub(crate) bind: SimDuration,
     /// Steal round-trip timeout (thief) and grant retransmit interval
     /// (victim).
-    pub steal: SimDuration,
+    pub(crate) steal: SimDuration,
     /// Bounded retransmits per hop (bind requests, steal grants).
-    pub retries: u32,
+    pub(crate) retries: u32,
 }
 
 impl TimeoutSpec {
@@ -107,18 +104,6 @@ impl TimeoutSpec {
     pub(crate) fn horizon(&self) -> SimDuration {
         let waits = self.bind.max(self.steal) * (u64::from(self.retries) + 1);
         waits.max(self.probe)
-    }
-
-    /// Panics, naming the field, unless every interval is positive.
-    pub(crate) fn check(&self) {
-        let intervals = [
-            ("probe", self.probe),
-            ("bind", self.bind),
-            ("steal", self.steal),
-        ];
-        if let Some((field, _)) = intervals.iter().find(|(_, d)| d.is_zero()) {
-            panic!("TimeoutSpec::{field} is zero: its timer would re-arm at once, forever");
-        }
     }
 }
 
@@ -148,9 +133,6 @@ pub struct FaultSpec {
     /// Scripted partition windows (checked in order; any severing window
     /// drops the message).
     pub partitions: Vec<PartitionWindow>,
-    /// Hardened-protocol knobs, used whenever the spec injects (see
-    /// [`TimeoutSpec`]).
-    pub timeouts: TimeoutSpec,
 }
 
 impl FaultSpec {
@@ -162,7 +144,6 @@ impl FaultSpec {
             duplicate: 0.0,
             reorder_jitter: SimDuration::ZERO,
             partitions: Vec::new(),
-            timeouts: TimeoutSpec::default(),
         }
     }
 
@@ -175,7 +156,6 @@ impl FaultSpec {
             duplicate: 0.005,
             reorder_jitter: SimDuration::from_millis(2),
             partitions: Vec::new(),
-            timeouts: TimeoutSpec::default(),
         }
     }
 
@@ -211,12 +191,6 @@ impl FaultSpec {
             until,
             island,
         });
-        self
-    }
-
-    /// Sets the hardened daemon protocol's knobs.
-    pub fn hardened(mut self, spec: TimeoutSpec) -> Self {
-        self.timeouts = spec;
         self
     }
 

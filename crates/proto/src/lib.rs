@@ -81,7 +81,7 @@ mod virt;
 mod worker;
 
 pub use backend::ProtoBackend;
-pub use fault::{FaultSpec, PartitionWindow, TimeoutSpec};
+pub use fault::{FaultSpec, PartitionWindow};
 pub use msg::{CentralMsg, DistMsg, WorkerMsg};
 pub use report::{Deliveries, MsgKind, ProtoReport};
 pub use runtime::{run_prototype, ExecutionMode, ProtoConfig};

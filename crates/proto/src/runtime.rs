@@ -60,7 +60,7 @@ use hawk_workload::classify::Cutoff;
 use hawk_workload::scenario::{DynamicsScript, NodeChange, SpeedSpec};
 use hawk_workload::{JobClass, JobId, Trace};
 
-use crate::fault::FaultSpec;
+use crate::fault::{FaultSpec, TimeoutSpec};
 use crate::msg::{CentralMsg, DistMsg, Net, WorkerMsg};
 use crate::report::{DaemonStats, Measured, Outcomes, ProtoReport};
 use crate::scheduler::{CentralDaemon, DistScheduler};
@@ -89,6 +89,9 @@ pub enum ExecutionMode {
     },
 }
 
+/// Distributed scheduler daemons in the paper's prototype (§4.1).
+pub(crate) const PAPER_DIST_SCHEDULERS: usize = 10;
+
 /// Prototype cluster configuration (paper defaults: 100 nodes, 10
 /// distributed schedulers, 1 centralized scheduler, §4.1).
 ///
@@ -116,7 +119,7 @@ pub struct ProtoConfig {
     /// Network fault injection ([`ExecutionMode::Virtual`] only).
     /// [`FaultSpec::none()`] — the default — takes the pre-fault code
     /// path and is byte-identical to historical runs; a spec that injects
-    /// runs the daemons hardened with its timeouts.
+    /// runs the daemons hardened, on the protocol's default timeouts.
     pub faults: FaultSpec,
     /// Overload admission control. `None` — the default — admits every
     /// job and is byte-identical to a config without the field. `Some`
@@ -130,7 +133,7 @@ impl Default for ProtoConfig {
     fn default() -> Self {
         ProtoConfig {
             workers: 100,
-            dist_schedulers: 10,
+            dist_schedulers: PAPER_DIST_SCHEDULERS,
             // The Google cutoff under the paper's 1000× time scale-down.
             cutoff: Cutoff(SimDuration::from_micros(1_129_000)),
             util_interval: SimDuration::from_millis(50),
@@ -246,7 +249,6 @@ fn build_cluster<'t>(
         cfg.util_interval,
         None,
     );
-    cfg.faults.timeouts.check();
     let partition = Partition::new(cfg.workers, scheduler.short_partition_fraction());
     let speeds = cfg
         .speeds
@@ -257,7 +259,7 @@ fn build_cluster<'t>(
     // (The fault lanes split from `seed ^ FAULT_SALT`, a separate root,
     // so enabling faults never shifts these streams.)
     let mut root = SimRng::seed_from_u64(cfg.seed);
-    let hardened = cfg.faults.injects().then_some(cfg.faults.timeouts);
+    let hardened = cfg.faults.injects().then(TimeoutSpec::default);
     // Rack geometry exists only when a modelled fabric does: real-time
     // mode has no topology, so placement-aware policies fall back to the
     // paper's uniform victim draw there.
@@ -314,8 +316,7 @@ fn build_cluster<'t>(
 /// virtual mode, an empty or sample-only event queue), which indicates a
 /// protocol-liveness bug. Also panics on a cell [`check_cell`] refuses,
 /// and on configuration the prototype cannot run (no worker or no
-/// distributed scheduler, fault injection outside the virtual mode, a
-/// zero [`TimeoutSpec`](crate::TimeoutSpec) interval).
+/// distributed scheduler, fault injection outside the virtual mode).
 pub fn run_prototype(
     trace: &Trace,
     scheduler: Arc<dyn Scheduler>,
@@ -639,7 +640,6 @@ fn run_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::TimeoutSpec;
     use hawk_core::scheduler::{Hawk, Sparrow};
     use hawk_workload::Job;
 
@@ -996,9 +996,8 @@ mod tests {
 
     /// A deliberately hostile network: 5 % drops, duplicates, 2 ms
     /// reorder jitter, plus a scripted partition that islands workers
-    /// {0, 1} for 100 ms mid-run. `chaos()` carries the default
-    /// [`TimeoutSpec`](crate::fault::TimeoutSpec), so the hardened
-    /// protocol is armed.
+    /// {0, 1} for 100 ms mid-run. `chaos()` injects, so the hardened
+    /// protocol is armed on the default timers.
     fn chaos_faults() -> FaultSpec {
         FaultSpec::chaos().drop_probability(0.05).partition(
             SimTime::from_micros(20_000),
@@ -1087,45 +1086,6 @@ mod tests {
             ..fast_cfg(ExecutionMode::RealTime)
         };
         let _ = run_prototype(&trace, hawk(), &cfg);
-    }
-
-    /// `faults` with one hardened interval zeroed in place: a field-built
-    /// spec, which no builder method saw.
-    fn zeroed(mut faults: FaultSpec, field: fn(&mut TimeoutSpec) -> &mut SimDuration) -> FaultSpec {
-        *field(&mut faults.timeouts) = SimDuration::ZERO;
-        faults
-    }
-
-    #[test]
-    #[should_panic(expected = "TimeoutSpec::probe is zero")]
-    fn a_zero_probe_interval_is_refused_before_the_run() {
-        let cfg = ProtoConfig {
-            faults: zeroed(chaos_faults(), |to| &mut to.probe),
-            ..fast_cfg(virtual_mode())
-        };
-        let _ = run_prototype(&fast_trace(vec![(0, vec![5])]), hawk(), &cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "TimeoutSpec::bind is zero")]
-    fn a_zero_bind_interval_is_refused_before_the_run() {
-        let cfg = ProtoConfig {
-            faults: zeroed(chaos_faults(), |to| &mut to.bind),
-            ..fast_cfg(virtual_mode())
-        };
-        let _ = run_prototype(&fast_trace(vec![(0, vec![5])]), hawk(), &cfg);
-    }
-
-    /// The real-time mode passes through the same check: it refuses the
-    /// spec before a thread starts.
-    #[test]
-    #[should_panic(expected = "TimeoutSpec::steal is zero")]
-    fn a_zero_steal_interval_is_refused_before_the_run() {
-        let cfg = ProtoConfig {
-            faults: zeroed(FaultSpec::none(), |to| &mut to.steal),
-            ..fast_cfg(ExecutionMode::RealTime)
-        };
-        let _ = run_prototype(&fast_trace(vec![(0, vec![5])]), hawk(), &cfg);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   allocation backs every server queue of a simulated cluster.
 //! * [`BatchPool`] — recycled batch buffers addressed by `Copy` handles,
 //!   so events can carry value batches without owning a `Vec`.
-//! * [`stats`] — percentile, CDF and summary statistics used by the
-//!   evaluation harness.
+//! * [`stats`] — percentile, streaming-quantile and summary statistics
+//!   used by the evaluation harness.
 //!
 //! The simulation model follows the Sparrow simulator that the Hawk paper
 //! augments (§4.1): single-threaded, event-driven, with a constant network

@@ -1,9 +1,10 @@
 //! Summary statistics for the evaluation harness.
 //!
 //! The paper reports 50th/90th percentile job runtimes, medians of
-//! utilization snapshots, CDFs (Figures 1 and 4) and averages. These helpers
-//! implement those reductions with a fixed, documented percentile method so
-//! results are reproducible.
+//! utilization snapshots and averages. These helpers implement those
+//! reductions with a fixed, documented percentile method so results are
+//! reproducible; a CDF row (Figures 1 and 4) sorts its own series and reads
+//! it with [`percentile_of_sorted`].
 
 use serde::{Deserialize, Serialize};
 
@@ -63,63 +64,6 @@ pub fn mean(values: &[f64]) -> Option<f64> {
     } else {
         Some(values.iter().sum::<f64>() / values.len() as f64)
     }
-}
-
-/// One point of an empirical CDF: `fraction` of values are `<= value`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CdfPoint {
-    /// The sample value.
-    pub value: f64,
-    /// Cumulative fraction in `(0, 1]`.
-    pub fraction: f64,
-}
-
-/// Builds the empirical CDF of `values` as ascending points.
-///
-/// Duplicate values are merged into a single point carrying the highest
-/// cumulative fraction, which is how the paper's CDF plots render.
-///
-/// # Examples
-///
-/// ```
-/// use hawk_simcore::stats::cdf;
-///
-/// let points = cdf(&[3.0, 1.0, 3.0, 2.0]);
-/// assert_eq!(points.len(), 3);
-/// assert_eq!(points[0].value, 1.0);
-/// assert!((points[0].fraction - 0.25).abs() < 1e-12);
-/// assert_eq!(points[2].value, 3.0);
-/// assert!((points[2].fraction - 1.0).abs() < 1e-12);
-/// ```
-pub fn cdf(values: &[f64]) -> Vec<CdfPoint> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("cdf: NaN in input"));
-    let n = sorted.len() as f64;
-    let mut out: Vec<CdfPoint> = Vec::new();
-    for (i, &v) in sorted.iter().enumerate() {
-        let fraction = (i + 1) as f64 / n;
-        match out.last_mut() {
-            Some(last) if last.value == v => last.fraction = fraction,
-            _ => out.push(CdfPoint { value: v, fraction }),
-        }
-    }
-    out
-}
-
-/// Evaluates an empirical CDF at `x`: the fraction of samples `<= x`.
-pub fn cdf_at(points: &[CdfPoint], x: f64) -> f64 {
-    let mut frac = 0.0;
-    for p in points {
-        if p.value <= x {
-            frac = p.fraction;
-        } else {
-            break;
-        }
-    }
-    frac
 }
 
 /// Significant mantissa bits kept by [`StreamingQuantiles`]: bucket
@@ -402,34 +346,6 @@ mod tests {
         assert_eq!(mean(&[]), None);
     }
 
-    #[test]
-    fn cdf_monotone_and_ends_at_one() {
-        let v = vec![5.0, 1.0, 1.0, 3.0, 5.0, 5.0];
-        let points = cdf(&v);
-        assert_eq!(points.len(), 3);
-        for w in points.windows(2) {
-            assert!(w[0].value < w[1].value);
-            assert!(w[0].fraction < w[1].fraction);
-        }
-        assert!((points.last().unwrap().fraction - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_at_steps() {
-        let points = cdf(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(cdf_at(&points, 0.5), 0.0);
-        assert!((cdf_at(&points, 2.0) - 0.5).abs() < 1e-12);
-        assert!((cdf_at(&points, 2.5) - 0.5).abs() < 1e-12);
-        assert!((cdf_at(&points, 10.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_empty() {
-        assert!(cdf(&[]).is_empty());
-        assert_eq!(cdf_at(&[], 1.0), 0.0);
-    }
-
-    /// Exact quantile over the sorted stream, for error checks.
     fn exact(values: &mut [u64], p: f64) -> f64 {
         values.sort_unstable();
         let sorted: Vec<f64> = values.iter().map(|&v| v as f64).collect();

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use std::collections::VecDeque;
 
-use hawk_simcore::stats::{cdf, cdf_at, percentile};
+use hawk_simcore::stats::percentile;
 use hawk_simcore::{Engine, EntrySlab, EventQueue, IndexedMinHeap, SimDuration, SimRng, SimTime};
 
 /// One step on an [`EntrySlab`] of four lists: a push, a pop, or one of
@@ -280,25 +280,6 @@ proptest! {
         let set: std::collections::HashSet<_> = s.iter().collect();
         prop_assert_eq!(set.len(), k);
         prop_assert!(s.iter().all(|&i| i < n));
-    }
-
-    /// The empirical CDF is a valid distribution function.
-    #[test]
-    fn cdf_is_monotone_distribution(
-        values in proptest::collection::vec(-1e6f64..1e6, 1..200),
-    ) {
-        let points = cdf(&values);
-        prop_assert!(!points.is_empty());
-        for w in points.windows(2) {
-            prop_assert!(w[0].value < w[1].value);
-            prop_assert!(w[0].fraction < w[1].fraction);
-        }
-        let last = points.last().unwrap();
-        prop_assert!((last.fraction - 1.0).abs() < 1e-9);
-        // Evaluating at any sample returns its cumulative fraction > 0.
-        for &v in values.iter().take(10) {
-            prop_assert!(cdf_at(&points, v) > 0.0);
-        }
     }
 
     /// The median lies between the 25th and 75th percentiles.

@@ -183,13 +183,6 @@ pub(crate) fn draw_task_durations(
         .collect()
 }
 
-/// Chooses a mean inter-arrival time that offers `load` utilization on a
-/// cluster of `nodes` servers for a trace averaging
-/// [`EXPECTED_TASK_SECONDS_PER_JOB`] task-seconds per job.
-pub fn interarrival_for_load(nodes: usize, load: f64) -> SimDuration {
-    SimDuration::from_secs_f64(EXPECTED_TASK_SECONDS_PER_JOB / (load * nodes as f64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,13 +283,6 @@ mod tests {
         let span = t.span().as_secs_f64();
         let load = ts / (span * 1_500.0);
         assert!((0.7..=1.1).contains(&load), "offered load at anchor {load}");
-    }
-
-    #[test]
-    fn interarrival_for_load_inverse_to_nodes() {
-        let a = interarrival_for_load(15_000, 0.9);
-        let b = interarrival_for_load(30_000, 0.9);
-        assert!((a.as_secs_f64() / b.as_secs_f64() - 2.0).abs() < 1e-9);
     }
 
     #[test]

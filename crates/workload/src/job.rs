@@ -189,15 +189,6 @@ impl Trace {
         Ok(Trace { jobs })
     }
 
-    /// Builds a trace from unordered jobs by sorting and re-numbering them.
-    pub fn from_unordered(mut jobs: Vec<Job>) -> Result<Self, TraceError> {
-        jobs.sort_by_key(|j| j.submission);
-        for (i, job) in jobs.iter_mut().enumerate() {
-            job.id = JobId(i as u32);
-        }
-        Trace::new(jobs)
-    }
-
     /// Number of jobs.
     pub fn len(&self) -> usize {
         self.jobs.len()
@@ -575,13 +566,6 @@ mod tests {
     fn trace_new_rejects_non_dense_ids() {
         let err = Trace::new(vec![job(5, 0, &[1])]).unwrap_err();
         assert_eq!(err, TraceError::NonDenseIds { at: 0 });
-    }
-
-    #[test]
-    fn from_unordered_sorts_and_renumbers() {
-        let t = Trace::from_unordered(vec![job(9, 10, &[1]), job(3, 5, &[2])]).unwrap();
-        assert_eq!(t.job(JobId(0)).submission, SimTime::from_secs(5));
-        assert_eq!(t.job(JobId(1)).submission, SimTime::from_secs(10));
     }
 
     #[test]

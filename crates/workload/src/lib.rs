@@ -23,7 +23,7 @@
 //!   declarative cluster story.
 //! * [`classify`] — estimated task runtime, the short/long cutoff, and the
 //!   misestimation model of §4.8.
-//! * [`stats`] — the Table 1 / Table 2 / Figure 4 workload statistics.
+//! * [`stats`] — the Table 1 / Table 2 workload statistics.
 //!
 //! # Examples
 //!
@@ -58,8 +58,6 @@ pub mod kmeans;
 pub mod motivation;
 pub mod sample;
 pub mod scenario;
-mod source;
 pub mod stats;
 
 pub use job::{Job, JobClass, JobId, Trace, TraceError};
-pub use source::TraceSource;

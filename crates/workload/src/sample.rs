@@ -52,7 +52,7 @@ impl PrototypeSampleConfig {
     /// Generates the scaled sample deterministically from `seed`.
     ///
     /// Submission times are placeholders (jobs 1 ms apart); callers rewrite
-    /// them per load level with [`arrivals_for_multiplier`].
+    /// them per load level with [`arrivals_for_load_multiplier`].
     pub fn generate(&self, seed: u64) -> Trace {
         let mut rng = SimRng::seed_from_u64(seed);
         // Over-generate and split by provenance to hit the exact class mix.
@@ -120,14 +120,6 @@ impl PrototypeSampleConfig {
             Cutoff::GOOGLE_DEFAULT.0.as_micros() / self.duration_divisor,
         ))
     }
-}
-
-/// Rewrites the sample's arrivals for one Figure 16/17 load level: Poisson
-/// with mean inter-arrival = `multiplier` × the sample's mean task runtime.
-pub fn arrivals_for_multiplier(trace: &Trace, multiplier: f64, rng: &mut SimRng) -> Trace {
-    let mean_task = trace.mean_task_runtime().as_secs_f64();
-    let mean = SimDuration::from_secs_f64(multiplier * mean_task);
-    with_poisson_arrivals(trace, mean, rng)
 }
 
 /// Rewrites the sample's arrivals so that `multiplier = 1` saturates a
@@ -221,26 +213,6 @@ mod tests {
         assert_eq!(
             cfg.cutoff().0.as_micros(),
             Cutoff::GOOGLE_DEFAULT.0.as_micros() / 1_000
-        );
-    }
-
-    #[test]
-    fn arrivals_rewrite_tracks_multiplier() {
-        let cfg = PrototypeSampleConfig {
-            short_jobs: 300,
-            long_jobs: 30,
-            ..Default::default()
-        };
-        let t = cfg.generate(4);
-        let mut rng = SimRng::seed_from_u64(5);
-        let slow = arrivals_for_multiplier(&t, 2.25, &mut rng);
-        let fast = arrivals_for_multiplier(&t, 1.0, &mut rng);
-        let slow_span = slow.span().as_secs_f64();
-        let fast_span = fast.span().as_secs_f64();
-        let ratio = slow_span / fast_span;
-        assert!(
-            (1.8..=2.8).contains(&ratio),
-            "span ratio {ratio} for 2.25× vs 1× arrivals"
         );
     }
 

@@ -9,9 +9,10 @@
 //!   jobs are drawn from (the Google 2011 calibration or the paper's
 //!   k-means-derived Cloudera/Facebook/Yahoo heavy-tail mixes);
 //! * an **arrival process** ([`ArrivalSpec`] / [`ArrivalProcess`]) — how
-//!   submissions are spaced: the family's own arrivals, Poisson (§2.3),
-//!   bursty (Markov-modulated), or a trace-replay process that reuses
-//!   recorded gaps at an optional stretch;
+//!   submissions are spaced: the family's own arrivals or a saturation
+//!   ramp (a trace is rewritten to Poisson (§2.3) or bursty arrivals with
+//!   [`with_poisson_arrivals`](crate::arrivals::with_poisson_arrivals) /
+//!   [`with_bursty_arrivals`](crate::arrivals::with_bursty_arrivals));
 //! * a **dynamics script** ([`DynamicsScript`]) — timed node-down/node-up
 //!   events the driver replays against the cluster (rolling maintenance,
 //!   correlated failures, capacity loss);
@@ -27,17 +28,16 @@
 use hawk_simcore::{SimDuration, SimRng, SimTime};
 use serde::Serialize;
 
-use crate::arrivals::{with_bursty_arrivals, BurstyArrivals, PoissonArrivals, SaturationArrivals};
+use crate::arrivals::{BurstyArrivals, PoissonArrivals, SaturationArrivals};
 use crate::google::GoogleTraceConfig;
 use crate::job::Trace;
 use crate::kmeans::KmeansTraceConfig;
-use crate::source::TraceSource;
 
 /// An arrival process: a deterministic, seedable stream of non-decreasing
 /// submission times.
 ///
 /// Unifies [`PoissonArrivals`], [`BurstyArrivals`] and
-/// [`TraceReplayArrivals`] behind one interface so trace shaping
+/// [`SaturationArrivals`] behind one interface so trace shaping
 /// ([`retime`]) and scenario descriptions are process-agnostic.
 pub trait ArrivalProcess {
     /// Draws the next submission time (non-decreasing across calls).
@@ -80,89 +80,6 @@ pub fn retime(trace: &Trace, process: &mut impl ArrivalProcess, rng: &mut SimRng
         job.submission = process.next_arrival(rng);
     }
     Trace::new(jobs).expect("arrival processes are monotone")
-}
-
-/// An arrival process that replays a recorded submission sequence: the
-/// first draw is the sequence's first submission time, every later draw
-/// adds the next recorded inter-arrival gap (cycling when it runs out),
-/// with an optional stretch factor on the gaps (stretch 2.0 halves the
-/// offered load; 0.5 doubles it; 1.0 reproduces the recorded submissions
-/// bit-exactly).
-///
-/// Replay keeps the *shape* of a real submission sequence — diurnal waves,
-/// bursts, lulls — which no memoryless process reproduces. The RNG
-/// argument of [`ArrivalProcess::next_arrival`] is unused.
-#[derive(Debug, Clone)]
-pub struct TraceReplayArrivals {
-    start: SimTime,
-    gaps: Vec<SimDuration>,
-    stretch: f64,
-    next: usize,
-    now: SimTime,
-    started: bool,
-}
-
-impl TraceReplayArrivals {
-    /// Records the first submission time and the inter-arrival gaps of
-    /// `trace`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace has fewer than two jobs (no gap to replay).
-    pub fn from_trace(trace: &Trace) -> Self {
-        assert!(
-            trace.len() >= 2,
-            "trace replay needs at least two jobs to derive gaps"
-        );
-        let gaps = trace
-            .jobs()
-            .windows(2)
-            .map(|w| w[1].submission - w[0].submission)
-            .collect();
-        TraceReplayArrivals {
-            start: trace.jobs()[0].submission,
-            gaps,
-            stretch: 1.0,
-            next: 0,
-            now: SimTime::ZERO,
-            started: false,
-        }
-    }
-
-    /// Scales every replayed gap by `stretch` (the starting submission is
-    /// an offset, not a gap, and is not scaled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stretch` is not positive.
-    pub fn with_stretch(mut self, stretch: f64) -> Self {
-        assert!(stretch > 0.0, "stretch must be positive");
-        self.stretch = stretch;
-        self
-    }
-}
-
-impl ArrivalProcess for TraceReplayArrivals {
-    fn next_arrival(&mut self, _rng: &mut SimRng) -> SimTime {
-        if !self.started {
-            // The first draw lands exactly on the recorded first
-            // submission, so gap i of the replay is gap i of the record —
-            // stretch 1.0 is a true identity.
-            self.started = true;
-            self.now = self.start;
-            return self.now;
-        }
-        let gap = self.gaps[self.next];
-        self.next = (self.next + 1) % self.gaps.len();
-        // Stretch 1.0 reproduces the recorded gaps bit-exactly (no
-        // float round trip).
-        self.now += if self.stretch == 1.0 {
-            gap
-        } else {
-            SimDuration::from_secs_f64(gap.as_secs_f64() * self.stretch)
-        };
-        self.now
-    }
 }
 
 /// The synthetic workload families of §4.1, one constructor each.
@@ -220,28 +137,6 @@ impl TraceFamily {
 pub enum ArrivalSpec {
     /// Keep the family's own generated submissions.
     AsGenerated,
-    /// Rewrite submissions with a fresh Poisson process (§2.3's model).
-    Poisson {
-        /// Mean inter-arrival time.
-        mean: SimDuration,
-    },
-    /// Rewrite submissions with a bursty (Markov-modulated Poisson)
-    /// process whose average rate matches the family's (only the variance
-    /// grows; stresses statically-sized partitions, §4.6).
-    Bursty {
-        /// How much faster jobs arrive inside a burst (≥ 1).
-        burst_factor: f64,
-        /// Expected jobs submitted per calm state run.
-        mean_calm_run: f64,
-        /// Expected jobs submitted per burst state run.
-        mean_burst_run: f64,
-    },
-    /// Replay the family's own inter-arrival gaps scaled by `stretch`
-    /// (stretch < 1 raises offered load, > 1 lowers it, 1.0 is identity).
-    Replay {
-        /// Gap multiplier; must be positive.
-        stretch: f64,
-    },
     /// Rewrite submissions with a saturation ramp: Poisson arrivals whose
     /// rate steps `overload`× past the calm rate for the middle third of
     /// the jobs and back — drives a cell past 100 % usable capacity and
@@ -485,7 +380,7 @@ impl SpeedSpec {
 /// // A Google-like workload on a heterogeneous cluster with one rolling
 /// // maintenance wave.
 /// let scenario = ScenarioSpec::new(TraceFamily::Google { scale: 10 }, 500)
-///     .arrivals(ArrivalSpec::Replay { stretch: 1.0 })
+///     .arrivals(ArrivalSpec::Saturation { mean: SimDuration::from_secs(20), overload: 2.0 })
 ///     .speeds(SpeedSpec::TwoTier { slow_fraction: 0.25, slow_speed: 0.5 })
 ///     .dynamics(DynamicsScript::rolling(
 ///         &[0, 1, 2],
@@ -496,7 +391,7 @@ impl SpeedSpec {
 ///     ));
 /// let trace = scenario.trace(42);
 /// assert_eq!(trace.len(), 500);
-/// assert_eq!(scenario.dynamics_ref().events().len(), 12);
+/// assert_eq!(scenario.dynamics.events().len(), 12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioSpec {
@@ -543,11 +438,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// The dynamics script.
-    pub fn dynamics_ref(&self) -> &DynamicsScript {
-        &self.dynamics
-    }
-
     /// Generates the scenario's trace deterministically from `seed`: the
     /// family's trace, retimed per the arrival spec. The retime RNG is
     /// derived from `seed` (salted) so arrival shaping never perturbs the
@@ -556,23 +446,6 @@ impl ScenarioSpec {
         let base = self.family.generate(self.jobs, seed);
         match self.arrivals {
             ArrivalSpec::AsGenerated => base,
-            ArrivalSpec::Poisson { mean } => {
-                let mut rng = SimRng::seed_from_u64(seed ^ RETIME_SALT);
-                retime(&base, &mut PoissonArrivals::new(mean), &mut rng)
-            }
-            ArrivalSpec::Bursty {
-                burst_factor,
-                mean_calm_run,
-                mean_burst_run,
-            } => {
-                let mut rng = SimRng::seed_from_u64(seed ^ RETIME_SALT);
-                with_bursty_arrivals(&base, burst_factor, mean_calm_run, mean_burst_run, &mut rng)
-            }
-            ArrivalSpec::Replay { stretch } => {
-                let mut rng = SimRng::seed_from_u64(seed ^ RETIME_SALT);
-                let mut replay = TraceReplayArrivals::from_trace(&base).with_stretch(stretch);
-                retime(&base, &mut replay, &mut rng)
-            }
             ArrivalSpec::Saturation { mean, overload } => {
                 let mut rng = SimRng::seed_from_u64(seed ^ RETIME_SALT);
                 let mut ramp = SaturationArrivals::new(mean, overload, base.len());
@@ -586,11 +459,6 @@ impl ScenarioSpec {
         let mut label = self.family.label();
         match self.arrivals {
             ArrivalSpec::AsGenerated => {}
-            ArrivalSpec::Poisson { .. } => label.push_str("+poisson"),
-            ArrivalSpec::Bursty { .. } => label.push_str("+bursty"),
-            ArrivalSpec::Replay { stretch } => {
-                label.push_str(&format!("+replay{stretch}"));
-            }
             ArrivalSpec::Saturation { .. } => label.push_str("+saturation"),
         }
         if !self.dynamics.is_empty() {
@@ -603,16 +471,6 @@ impl ScenarioSpec {
     }
 }
 
-impl TraceSource for ScenarioSpec {
-    fn label(&self) -> String {
-        ScenarioSpec::label(self)
-    }
-
-    fn generate_trace(&self, seed: u64) -> Trace {
-        self.trace(seed)
-    }
-}
-
 /// Salt for the retime RNG stream so arrival shaping is independent of the
 /// family's generation draws (arbitrary constant, frozen).
 const RETIME_SALT: u64 = 0x5CE4_A210_7E71_4E00;
@@ -620,47 +478,6 @@ const RETIME_SALT: u64 = 0x5CE4_A210_7E71_4E00;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn replay_with_unit_stretch_reproduces_submissions_exactly() {
-        let trace = TraceFamily::Google { scale: 10 }.generate(100, 3);
-        let mut replay = TraceReplayArrivals::from_trace(&trace);
-        let mut rng = SimRng::seed_from_u64(0);
-        for job in trace.jobs() {
-            assert_eq!(replay.next_arrival(&mut rng), job.submission);
-        }
-    }
-
-    #[test]
-    fn replay_identity_scenario_equals_as_generated() {
-        // The Replay { stretch: 1.0 } spec is a true identity: same trace,
-        // bit for bit, as AsGenerated.
-        let base = ScenarioSpec::new(TraceFamily::Google { scale: 10 }, 80);
-        let replayed = base.clone().arrivals(ArrivalSpec::Replay { stretch: 1.0 });
-        assert_eq!(base.trace(7), replayed.trace(7));
-    }
-
-    #[test]
-    fn replay_cycles_and_stretches() {
-        let trace = TraceFamily::Google { scale: 10 }.generate(10, 9);
-        let mut replay = TraceReplayArrivals::from_trace(&trace).with_stretch(2.0);
-        let mut rng = SimRng::seed_from_u64(0);
-        // More draws than recorded gaps: the process must keep going and
-        // stay monotone.
-        let mut last = SimTime::ZERO;
-        for _ in 0..50 {
-            let t = replay.next_arrival(&mut rng);
-            assert!(t >= last);
-            last = t;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two jobs")]
-    fn replay_rejects_tiny_traces() {
-        let trace = TraceFamily::Google { scale: 10 }.generate(1, 1);
-        TraceReplayArrivals::from_trace(&trace);
-    }
 
     #[test]
     fn retime_preserves_everything_but_submissions() {
@@ -689,15 +506,6 @@ mod tests {
     fn scenario_trace_is_deterministic_per_arrival_spec() {
         for arrivals in [
             ArrivalSpec::AsGenerated,
-            ArrivalSpec::Poisson {
-                mean: SimDuration::from_secs(30),
-            },
-            ArrivalSpec::Bursty {
-                burst_factor: 8.0,
-                mean_calm_run: 40.0,
-                mean_burst_run: 10.0,
-            },
-            ArrivalSpec::Replay { stretch: 0.5 },
             ArrivalSpec::Saturation {
                 mean: SimDuration::from_secs(20),
                 overload: 4.0,
@@ -817,29 +625,19 @@ mod tests {
     #[test]
     fn scenario_labels_compose() {
         let spec = ScenarioSpec::new(TraceFamily::Yahoo, 10)
-            .arrivals(ArrivalSpec::Bursty {
-                burst_factor: 4.0,
-                mean_calm_run: 10.0,
-                mean_burst_run: 5.0,
+            .arrivals(ArrivalSpec::Saturation {
+                mean: SimDuration::from_secs(20),
+                overload: 4.0,
             })
             .speeds(SpeedSpec::TwoTier {
                 slow_fraction: 0.2,
                 slow_speed: 0.5,
             })
             .dynamics(DynamicsScript::none().down_at(SimTime::from_secs(1), 0));
-        assert_eq!(spec.label(), "yahoo-2011+bursty+churn+hetero");
-        assert_eq!(TraceSource::label(&spec), spec.label());
-        let saturated =
-            ScenarioSpec::new(TraceFamily::Yahoo, 10).arrivals(ArrivalSpec::Saturation {
-                mean: SimDuration::from_secs(20),
-                overload: 4.0,
-            });
-        assert_eq!(saturated.label(), "yahoo-2011+saturation");
-    }
-
-    #[test]
-    fn scenario_sources_traces() {
-        let spec = ScenarioSpec::new(TraceFamily::ClouderaB, 12);
-        assert_eq!(spec.generate_trace(4), spec.trace(4));
+        assert_eq!(spec.label(), "yahoo-2011+saturation+churn+hetero");
+        assert_eq!(
+            ScenarioSpec::new(TraceFamily::Yahoo, 10).label(),
+            "yahoo-2011"
+        );
     }
 }

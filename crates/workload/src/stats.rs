@@ -1,12 +1,11 @@
-//! Workload statistics: Table 1, Table 2 and the Figure 4 CDFs.
+//! Workload statistics: Table 1 and Table 2.
 //!
 //! Table 1 reports, per workload, the fraction of long jobs and the share
 //! of task-seconds they consume. §2.1 additionally reports the long jobs'
-//! share of tasks and the ratio of mean task durations. Figure 4 plots CDFs
-//! of per-job mean task duration and task count, separately for long and
-//! short jobs.
+//! share of tasks and the ratio of mean task durations. (Figure 4's CDFs of
+//! per-job mean task duration and task count are drawn by the `fig04` row,
+//! which sorts its own series.)
 
-use hawk_simcore::stats::{cdf, CdfPoint};
 use serde::{Deserialize, Serialize};
 
 use crate::classify::Cutoff;
@@ -116,35 +115,6 @@ impl WorkloadStats {
     }
 }
 
-/// The Figure 4 CDFs for one job class of one trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ClassCdfs {
-    /// CDF of per-job mean task duration, in seconds (Figures 4a/4b).
-    pub task_duration: Vec<CdfPoint>,
-    /// CDF of the number of tasks per job (Figures 4c/4d).
-    pub tasks_per_job: Vec<CdfPoint>,
-}
-
-/// Computes the Figure 4 CDFs for `class`, classifying by provenance when
-/// available, else by `cutoff`.
-pub fn class_cdfs(trace: &Trace, class: JobClass, cutoff: Cutoff) -> ClassCdfs {
-    let mut durations = Vec::new();
-    let mut counts = Vec::new();
-    for job in trace.jobs() {
-        let c = job
-            .generated_class
-            .unwrap_or_else(|| cutoff.classify(job.mean_task_duration()));
-        if c == class {
-            durations.push(job.mean_task_duration().as_secs_f64());
-            counts.push(job.num_tasks() as f64);
-        }
-    }
-    ClassCdfs {
-        task_duration: cdf(&durations),
-        tasks_per_job: cdf(&counts),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,23 +179,5 @@ mod tests {
         let s = WorkloadStats::by_cutoff(&all_long, Cutoff::from_secs(1));
         assert_eq!(s.long_jobs, 1);
         assert_eq!(s.mean_duration_ratio, 0.0);
-    }
-
-    #[test]
-    fn class_cdfs_filter_by_class() {
-        let t = Trace::new(vec![
-            mk_job(0, 1000, 10, None),
-            mk_job(1, 100, 5, None),
-            mk_job(2, 200, 7, None),
-        ])
-        .unwrap();
-        let cutoff = Cutoff::from_secs(500);
-        let short = class_cdfs(&t, JobClass::Short, cutoff);
-        assert_eq!(short.task_duration.len(), 2);
-        assert_eq!(short.tasks_per_job.len(), 2);
-        let long = class_cdfs(&t, JobClass::Long, cutoff);
-        assert_eq!(long.task_duration.len(), 1);
-        assert_eq!(long.task_duration[0].value, 1000.0);
-        assert_eq!(long.tasks_per_job[0].value, 10.0);
     }
 }

@@ -13,9 +13,8 @@
 //!
 //! * [`simcore`] — deterministic discrete-event simulation substrate
 //!   (clock, event queue, RNG, indexed heap, statistics).
-//! * [`workload`] — the trace model, the [`TraceSource`](workload::TraceSource)
-//!   trait, and synthetic generators for every workload in the paper's
-//!   evaluation (Google 2011, Cloudera-b/c/d, Facebook 2010, Yahoo 2011,
+//! * [`workload`] — the trace model and synthetic generators for every
+//!   workload in the paper's evaluation (Google 2011, Cloudera-b/c/d, Facebook 2010, Yahoo 2011,
 //!   and the §2.3 motivating scenario).
 //! * [`cluster`] — the simulated cluster: single-slot FIFO servers, late
 //!   binding, partitions, and the Figure 3 steal scan.
@@ -91,5 +90,5 @@ pub mod prelude {
     pub use hawk_workload::scenario::{
         ArrivalProcess, ArrivalSpec, DynamicsScript, ScenarioSpec, SpeedSpec, TraceFamily,
     };
-    pub use hawk_workload::{Job, JobClass, JobId, Trace, TraceSource};
+    pub use hawk_workload::{Job, JobClass, JobId, Trace};
 }

@@ -269,18 +269,40 @@ fn arc<S: Scheduler + 'static>(s: S) -> Arc<dyn Scheduler> {
     Arc::new(s)
 }
 
-/// Strategy: any of the scheduling policies, as trait objects.
-fn arb_scheduler() -> impl Strategy<Value = Arc<dyn Scheduler>> {
-    prop_oneof![
-        (0.05f64..0.5).prop_map(|f| arc(Hawk::new(f))),
-        Just(arc(Sparrow::new())),
-        Just(arc(Centralized::new())),
-        (0.1f64..0.5).prop_map(|f| arc(SplitCluster::new(f))),
-        (0.05f64..0.5).prop_map(|f| arc(Hawk::new(f).without_centralized())),
-        Just(arc(Hawk::new(0.17).without_partition())),
-        (0.05f64..0.5).prop_map(|f| arc(Hawk::new(f).without_stealing())),
-        (1usize..30).prop_map(|cap| arc(Hawk::new(0.2).steal_cap(cap))),
+type SchedulerArm = Box<dyn Strategy<Value = Arc<dyn Scheduler>>>;
+
+/// Every policy arm but probe bouncing. Each is legal on any cell of two
+/// nodes or more: `SplitCluster` routes its short jobs to the short
+/// partition, so its fraction starts at 0.25, which rounds to one reserved
+/// server of two.
+fn scheduler_arms() -> Vec<SchedulerArm> {
+    use proptest::strategy::boxed;
+    vec![
+        boxed((0.05f64..0.5).prop_map(|f| arc(Hawk::new(f)))),
+        boxed(Just(arc(Sparrow::new()))),
+        boxed(Just(arc(Centralized::new()))),
+        boxed((0.25f64..0.5).prop_map(|f| arc(SplitCluster::new(f)))),
+        boxed((0.05f64..0.5).prop_map(|f| arc(Hawk::new(f).without_centralized()))),
+        boxed(Just(arc(Hawk::new(0.17).without_partition()))),
+        boxed((0.05f64..0.5).prop_map(|f| arc(Hawk::new(f).without_stealing()))),
+        boxed((1usize..30).prop_map(|cap| arc(Hawk::new(0.2).steal_cap(cap)))),
     ]
+}
+
+/// Strategy: any of the scheduling policies, as trait objects, probe
+/// bouncing (`Hawk::probe_avoidance`) included.
+fn arb_scheduler() -> impl Strategy<Value = Arc<dyn Scheduler>> {
+    let mut arms = scheduler_arms();
+    arms.push(proptest::strategy::boxed(
+        (1u8..4).prop_map(|limit| arc(Hawk::new(0.2).probe_avoidance(limit))),
+    ));
+    proptest::strategy::Union::new(arms)
+}
+
+/// Strategy: any policy that never bounces a probe. A bounced probe is
+/// re-sent from where it lands, which no other policy does.
+fn arb_unbounced_scheduler() -> impl Strategy<Value = Arc<dyn Scheduler>> {
+    proptest::strategy::Union::new(scheduler_arms())
 }
 
 /// Strategy: no admission control, a gate that never binds, or one
@@ -508,11 +530,13 @@ proptest! {
     /// `bind_response` on every sharded run and never occurs on `Driver`,
     /// which on a flat static cell decides a bind as its request leaves.
     /// What `ShardedDriver` adds — steal requests and completion messages
-    /// — never occurs on `Driver` either.
+    /// — never occurs on `Driver` either. No bouncing policy: a bounce's
+    /// retry server comes from the landing core's probe stream, so the
+    /// harnesses retry elsewhere and count different bounces.
     #[test]
     fn protocol_event_counts_agree_across_harnesses(
         trace in arb_trace(),
-        scheduler in arb_scheduler(),
+        scheduler in arb_unbounced_scheduler(),
         nodes in 2usize..40,
         seed in 0u64..1_000,
     ) {
@@ -944,8 +968,8 @@ proptest! {
     /// even number of one-way delays past a second; every send of the
     /// `arb_scheduler` policies leaves an odd number past one, except a
     /// job's probes and placements at its whole-second arrival, which no
-    /// chain of these traces' few hundred binds reaches. `arb_scheduler` has
-    /// no probe-bouncing policy because a bounced probe is re-sent where it
+    /// chain of these traces' few hundred binds reaches. It draws no
+    /// probe-bouncing policy because a bounced probe is re-sent where it
     /// lands, an even number of delays past a second, onto the bind
     /// responses' grid (`repro ext_probe_avoidance` moved with the
     /// one-event bind). A mutation that fails it (checked by hand): the
@@ -954,7 +978,7 @@ proptest! {
     #[test]
     fn a_window_closed_before_the_first_arrival_is_no_window(
         trace in arb_trace(),
-        scheduler in arb_scheduler(),
+        scheduler in arb_unbounced_scheduler(),
         nodes in 2usize..40,
         seed in 0u64..1_000,
         lead_secs in 1u64..100,
@@ -991,6 +1015,62 @@ proptest! {
             outcome(windowed.run_on(&proto)),
             "proto"
         );
+    }
+
+    /// ROADMAP 8(1), an identity: a flat fat tree is the constant network.
+    /// With every link class at the paper's 500 µs and no transmission
+    /// time, `FatTree` and `FatTreeContended` charge each message what
+    /// `TopologySpec::paper_default()` charges, whatever the drawn rack and
+    /// pod sizes, so results, steals and steal attempts must be
+    /// byte-identical to it, on `Driver` and on a fault-free `hawk-proto`
+    /// virtual run. On `Driver` this also pits the fat trees' two-event
+    /// bind against the constant network's one-event bind, which the
+    /// whole-second traces keep from tying (see the window identity above).
+    /// No bouncing policy, for the window identity's reason. A mutation
+    /// that fails it (checked by hand): `Geometry::propagation` charging a
+    /// same-host message 0 instead of `rack_local`.
+    #[test]
+    fn a_flat_fat_tree_is_the_constant_network(
+        trace in arb_trace(),
+        scheduler in arb_unbounced_scheduler(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        hosts_per_rack in 1usize..8,
+        racks_per_pod in 1usize..4,
+    ) {
+        let hop = SimDuration::from_micros(500);
+        let flat = FatTreeParams {
+            hosts_per_rack,
+            racks_per_pod,
+            rack_local: hop,
+            cross_rack: hop,
+            cross_pod: hop,
+            msg_tx: SimDuration::ZERO,
+            ..FatTreeParams::default()
+        };
+        let cell = |topology: TopologySpec| {
+            Experiment::builder()
+                .nodes(nodes)
+                .topology(topology)
+                .scheduler_shared(Arc::clone(&scheduler))
+                .seed(seed)
+                .trace(&trace)
+                .build()
+        };
+        let outcome = |r: MetricsReport| (r.results, r.steals, r.steal_attempts);
+        let proto = ProtoBackend::deterministic();
+        let constant = cell(TopologySpec::paper_default());
+        let (base, base_proto) = (outcome(constant.run()), outcome(constant.run_on(&proto)));
+        for topology in [TopologySpec::FatTree(flat), TopologySpec::FatTreeContended(flat)] {
+            let fat = cell(topology);
+            prop_assert_eq!(outcome(fat.run()), base.clone(), "Driver, {:?}", topology);
+            prop_assert_eq!(
+                outcome(fat.run_on(&proto)),
+                base_proto.clone(),
+                "proto, {:?}",
+                topology
+            );
+        }
     }
 
     /// ROADMAP 8(1), an identity: time scaling. Multiplying every
@@ -1263,5 +1343,25 @@ proptest! {
             .collect();
         let spread = waits.iter().max().unwrap() - waits.iter().min().unwrap();
         prop_assert!(spread <= est.as_micros());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// The generators draw only legal cells: every `arb_scheduler` policy
+    /// passes `check_cell` on every node count a property draws (2 and up).
+    #[test]
+    fn every_drawn_scheduler_fits_every_drawn_cell(
+        scheduler in arb_scheduler(),
+        nodes in 2usize..40,
+    ) {
+        hawk::core::check_cell(
+            &*scheduler,
+            nodes,
+            &DynamicsScript::none(),
+            SimConfig::default().util_interval,
+            None,
+        );
     }
 }
