@@ -7,14 +7,66 @@
 //! a task. Otherwise, a cancel is sent."
 //!
 //! The per-job late-binding state (which tasks are still unlaunched) lives
-//! with each harness's job record; this module holds the rule that answers
-//! a task request ([`late_bind`]) and computes probe *placements*: how many
-//! probes and which servers, uniformly at random within the route's scope.
+//! with each harness's job record; this module holds the rules the
+//! simulator's `Core` and the prototype's daemons both apply to it — how an
+//! entry lands on a server ([`land`]), what becomes of a displaced probe
+//! ([`displaced_probe`]) and the answer to a task request ([`late_bind`]) —
+//! and computes probe *placements*: how many probes and which servers,
+//! uniformly at random within the route's scope.
 
-use hawk_cluster::ServerId;
+use hawk_cluster::{Cluster, QueueEntry, Server, ServerId};
 use hawk_simcore::SimRng;
+use hawk_workload::{JobClass, JobId};
 
-use crate::scheduler::PlacementView;
+use crate::scheduler::{PlacementView, Scheduler};
+
+/// What a queue entry that reached a server does there ([`land`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Landing {
+    /// The server is down: the entry is displaced, like one drained off
+    /// its queue, and its deciding scheduler re-places it.
+    Displaced,
+    /// The policy steers the probe away (long-aware probe avoidance): it
+    /// retries on a random server of its scope, one bounce more.
+    Bounce {
+        /// The probe's job.
+        job: JobId,
+        /// The job's scheduled class.
+        class: JobClass,
+    },
+    /// The entry joins the server's queue.
+    Queue,
+}
+
+/// How `entry` — a probe that has bounced `bounces` times, or a
+/// directly-placed task — lands on `server`: displaced if the server is
+/// down, bounced if `scheduler` steers the probe away
+/// ([`Scheduler::bounce_probe`]), queued otherwise. The simulator's `Core`
+/// and the prototype's worker both land every arrival with it.
+pub fn land(server: &Server, scheduler: &dyn Scheduler, entry: QueueEntry, bounces: u8) -> Landing {
+    match entry {
+        _ if server.is_down() => Landing::Displaced,
+        QueueEntry::Probe { job, class } if scheduler.bounce_probe(server, class, bounces) => {
+            Landing::Bounce { job, class }
+        }
+        _ => Landing::Queue,
+    }
+}
+
+/// Where a probe displaced from its server goes: while its job still has
+/// an `unlaunched` task, to a random live server of its class's probe scope
+/// in `cluster` (it may be needed for liveness); otherwise nowhere — it is
+/// abandoned, since a bind would only produce a cancel. The simulator's
+/// `Core` and the prototype's distributed scheduler both decide with it.
+pub fn displaced_probe(
+    unlaunched: bool,
+    cluster: &Cluster,
+    scheduler: &dyn Scheduler,
+    class: JobClass,
+    rng: &mut SimRng,
+) -> Option<ServerId> {
+    unlaunched.then(|| PlacementView::for_probes(cluster, scheduler, class).random_server(rng))
+}
 
 /// Late binding's answer to one task request (§3.5): the job's next
 /// unlaunched task, advancing `next_task`, or `None` — a cancel — once all

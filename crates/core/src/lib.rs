@@ -86,7 +86,7 @@ pub use admission::{AdmissionDecision, AdmissionPlan, AdmissionPolicy};
 pub use backend::{Backend, SimBackend};
 pub use centralized::CentralScheduler;
 pub use config::{check_cell, CentralOverhead, Route, Scope, SimConfig, DEFAULT_SEED};
-pub use distributed::{late_bind, ProbePlanner};
+pub use distributed::{displaced_probe, land, late_bind, Landing, ProbePlanner};
 pub use driver::Driver;
 pub use experiment::{Experiment, ExperimentBuilder, IntoTrace};
 pub use live::{LiveMetrics, LiveWindow, WindowClassStats, LIVE_RING};

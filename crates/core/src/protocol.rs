@@ -21,8 +21,10 @@
 //! harness. A decision the prototype's daemons take too is one function
 //! that both call: central membership and task migration
 //! ([`CentralScheduler`]), the probe scope of a class
-//! ([`PlacementView::for_probes`]), a task's spec ([`TaskSpec::of`]) and
-//! late binding's next task ([`late_bind`]).
+//! ([`PlacementView::for_probes`]), a task's spec ([`TaskSpec::of`]), how
+//! an entry lands on a server ([`land`]), a displaced probe's new server
+//! ([`displaced_probe`]), late binding's next task ([`late_bind`]) and a
+//! thief's next victim ([`crate::VictimDraw::next`]).
 //!
 //! Every message asks the [`Topology`] for its delay exactly once, in
 //! event order, so contended topologies (per-link FIFO queueing) stay
@@ -49,7 +51,7 @@ use hawk_workload::{JobClass, JobId, Trace};
 use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::centralized::CentralScheduler;
 use crate::config::{check_cell, CentralOverhead, Route, SimConfig};
-use crate::distributed::late_bind;
+use crate::distributed::{displaced_probe, land, late_bind, Landing};
 use crate::live::LiveSamples;
 use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats};
 use crate::scheduler::{PlacementView, Scheduler, StealSpec};
@@ -564,7 +566,7 @@ impl<'t> Core<'t> {
                 job,
                 class,
                 bounces,
-            } => self.on_probe(net, server, job, class, bounces),
+            } => self.on_arrive(net, server, QueueEntry::Probe { job, class }, bounces),
             Event::TaskArrive {
                 server,
                 job,
@@ -577,7 +579,7 @@ impl<'t> Core<'t> {
                     self.estimates.estimate(job),
                     class,
                 );
-                self.on_entry_arrive(net, server, QueueEntry::Task(spec))
+                self.on_arrive(net, server, QueueEntry::Task(spec), 0)
             }
             Event::BindRequest { server, job } => self.on_bind_request(net, server, job),
             Event::BindResponse {
@@ -693,45 +695,38 @@ impl<'t> Core<'t> {
         }
     }
 
-    fn on_probe<T: Transport>(
+    /// A probe that has bounced `bounces` times, or a directly-placed
+    /// task, reached `server`: it lands as [`land`] decides. A displaced
+    /// entry (the server failed while the message was in flight) is
+    /// relocated like a drained one; a bounced probe retries on a fresh
+    /// random server at the cost of one network hop.
+    fn on_arrive<T: Transport>(
         &mut self,
         net: &mut T,
         server: ServerId,
-        job: JobId,
-        class: JobClass,
+        entry: QueueEntry,
         bounces: u8,
     ) {
-        if !self.cluster.is_down(server)
-            && self
-                .scheduler
-                .bounce_probe(self.cluster.server(server), class, bounces)
-        {
-            // Long-aware probe avoidance (extension): retry on a fresh
-            // random server at the cost of one network hop.
-            let retry = PlacementView::for_probes(&self.cluster, &*self.scheduler, class)
-                .random_server(&mut self.probe_rng);
-            self.send_probe(
-                net,
-                Endpoint::Server(server),
-                retry,
-                job,
-                class,
-                bounces + 1,
-            );
-            return;
-        }
-        self.on_entry_arrive(net, server, QueueEntry::Probe { job, class });
-    }
-
-    /// A probe or directly-placed task reached `server`'s queue — or, if
-    /// the server failed while the message was in flight, is treated like
-    /// a drained queue entry.
-    fn on_entry_arrive<T: Transport>(&mut self, net: &mut T, server: ServerId, entry: QueueEntry) {
         debug_assert!(net.owns(server));
-        if self.cluster.is_down(server) {
-            self.relocate(net, server, entry);
-        } else if let Some(action) = self.cluster.enqueue(server, entry) {
-            self.on_action(net, server, action);
+        let landing = land(
+            self.cluster.server(server),
+            &*self.scheduler,
+            entry,
+            bounces,
+        );
+        match landing {
+            Landing::Displaced => self.relocate(net, server, entry),
+            Landing::Bounce { job, class } => {
+                let retry = PlacementView::for_probes(&self.cluster, &*self.scheduler, class)
+                    .random_server(&mut self.probe_rng);
+                let src = Endpoint::Server(server);
+                self.send_probe(net, src, retry, job, class, bounces + 1);
+            }
+            Landing::Queue => {
+                if let Some(action) = self.cluster.enqueue(server, entry) {
+                    self.on_action(net, server, action);
+                }
+            }
         }
     }
 
@@ -832,10 +827,9 @@ impl<'t> Core<'t> {
     /// * **Tasks** carry real committed work: they move to the live server
     ///   the centralized scheduler would pick next, with the waiting-time
     ///   bookkeeping following the task.
-    /// * **Probes** are late-binding reservations. If the job still has
-    ///   unlaunched tasks the probe re-probes a random live server of its
-    ///   route's scope (it may be needed for liveness); otherwise it is
-    ///   abandoned — binding it would only have produced a cancel.
+    /// * **Probes** are late-binding reservations: [`displaced_probe`]
+    ///   re-probes a random live server of the route's scope while the job
+    ///   has unlaunched tasks, and abandons the probe otherwise.
     fn replace<T: Transport>(
         &mut self,
         net: &mut T,
@@ -864,15 +858,16 @@ impl<'t> Core<'t> {
                 net.send(delay, dst, arrive);
             }
             None => {
-                let launched = self.jobs[job.index()].next_task as usize;
-                if launched >= self.trace.job(job).num_tasks() {
-                    self.abandons += 1;
-                    return;
+                let unlaunched =
+                    (self.jobs[job.index()].next_task as usize) < self.trace.job(job).num_tasks();
+                let rng = &mut self.scenario_rng;
+                match displaced_probe(unlaunched, &self.cluster, &*self.scheduler, class, rng) {
+                    Some(target) => {
+                        self.migrations += 1;
+                        self.send_probe(net, src, target, job, class, 0);
+                    }
+                    None => self.abandons += 1,
                 }
-                self.migrations += 1;
-                let target = PlacementView::for_probes(&self.cluster, &*self.scheduler, class)
-                    .random_server(&mut self.scenario_rng);
-                self.send_probe(net, src, target, job, class, 0);
             }
         }
     }
@@ -1596,11 +1591,11 @@ mod tests {
 
         let (long, short) = (QueueEntry::Task(LONG_TASK), SHORT_PROBE);
         for &victim in &picked {
-            core.on_entry_arrive(&mut net, victim, long);
-            core.on_entry_arrive(&mut net, victim, long);
+            core.on_arrive(&mut net, victim, long, 0);
+            core.on_arrive(&mut net, victim, long, 0);
         }
-        core.on_entry_arrive(&mut net, bystander, long);
-        core.on_entry_arrive(&mut net, bystander, short);
+        core.on_arrive(&mut net, bystander, long, 0);
+        core.on_arrive(&mut net, bystander, short, 0);
         assert!(picked
             .iter()
             .all(|&v| core.cluster.holds_long_work(v) && !core.cluster.is_steal_candidate(v)));
@@ -1617,7 +1612,7 @@ mod tests {
 
         // A short entry behind the long work flips the bit, and the next
         // thief to pick that victim walks its queue.
-        core.on_entry_arrive(&mut net, picked[0], short);
+        core.on_arrive(&mut net, picked[0], short, 0);
         assert!(core.cluster.is_steal_candidate(picked[0]));
         while core.steals == 0 {
             core.on_action(&mut net, thief, ServerAction::BecameIdle);
@@ -1643,8 +1638,8 @@ mod tests {
         let general = core.cluster.partition().general_count();
         assert_eq!(general, 16);
         for victim in (0..general as u32).map(ServerId) {
-            core.on_entry_arrive(&mut net, victim, long);
-            core.on_entry_arrive(&mut net, victim, short);
+            core.on_arrive(&mut net, victim, long, 0);
+            core.on_arrive(&mut net, victim, short, 0);
         }
         let mut one_draw = core.steal_rng.clone();
         one_draw.index(general);
@@ -1666,8 +1661,8 @@ mod tests {
         let mut core = core_for(&trace, Hawk::new(0.2), 20);
         let mut net = RecordingTransport::<true>::owning(0..10);
         let (long, blocked) = (LONG_TASK, SHORT_PROBE);
-        core.on_entry_arrive(&mut net, ServerId(0), QueueEntry::Task(long));
-        core.on_entry_arrive(&mut net, ServerId(0), blocked);
+        core.on_arrive(&mut net, ServerId(0), QueueEntry::Task(long), 0);
+        core.on_arrive(&mut net, ServerId(0), blocked, 0);
         net.sent.clear();
 
         let request = |victim| Event::StealRequest {

@@ -39,9 +39,12 @@
 //! # RNG streams
 //!
 //! All randomness derives from `ProtoConfig::seed` by stream splitting,
-//! in a frozen order: one stream per worker (steal-victim draws), in
-//! worker-index order, then one per distributed scheduler (probe draws),
-//! in scheduler-index order. Adding streams later must append to this
+//! in a frozen order: one stream per worker, in worker-index order, then
+//! one per distributed scheduler (probe draws), in scheduler-index order.
+//! A worker's stream serves its steal-victim draws, one as each victim is
+//! contacted (the simulator's `Core::try_steal` draws the same way), and
+//! the draws of the steal scans it answers as a victim, so the two
+//! interleave in message order. Adding streams later must append to this
 //! order, never reorder it — the virtual mode's byte-identical replay
 //! depends on it (the same rule PR 4 established for the driver's
 //! `scenario_rng`).

@@ -20,7 +20,9 @@
 //!   membership ([`CentralScheduler::fail`] / [`CentralScheduler::revive`])
 //!   and migration ([`CentralScheduler::migrate`]) are its calls. The
 //!   daemon adds only per-job completion counting and message plumbing.
-//! * Both build a task's spec with [`TaskSpec::of`].
+//! * Both build a task's spec with [`TaskSpec::of`], and a
+//!   [`DistScheduler`] re-places a displaced probe with
+//!   [`displaced_probe`].
 //!
 //! A submission names its job and class only: both daemons borrow the run's
 //! [`Trace`] and read a job's task durations from it, so no daemon holds a
@@ -62,7 +64,7 @@
 use std::sync::Arc;
 
 use hawk_cluster::{Cluster, QueueEntry, ServerId, TaskSpec};
-use hawk_core::{late_bind, CentralScheduler, PlacementView, Scheduler};
+use hawk_core::{displaced_probe, late_bind, CentralScheduler, PlacementView, Scheduler};
 use hawk_simcore::{SimDuration, SimRng, SimTime};
 use hawk_workload::scenario::NodeChange;
 use hawk_workload::{Job, JobClass, JobId, Trace};
@@ -376,20 +378,26 @@ impl<'t> DistScheduler<'t> {
         }
     }
 
-    /// A displaced probe: re-probe a random live server if the job still
-    /// has unlaunched tasks (it may be needed for liveness), abandon it
-    /// otherwise — a bind would only have produced a cancel.
+    /// A displaced probe: re-probed or abandoned as [`displaced_probe`]
+    /// decides, with a finished job's probe abandoned.
     fn reprobe(&mut self, job: JobId, class: JobClass, net: &mut impl Net) {
         let full_scan = self.full_scan();
-        let alive = self
+        let unlaunched = self
             .job_mut(job)
             .is_some_and(|state| state.has_unlaunched(full_scan));
-        if !alive {
+        let rng = &mut self.rng;
+        let Some(target) = displaced_probe(unlaunched, &self.shadow, &*self.scheduler, class, rng)
+        else {
             self.stats.abandons += 1;
             return;
-        }
+        };
         self.stats.migrations += 1;
-        self.send_probe(job, class, 0, net);
+        let probe = WorkerMsg::Probe {
+            job,
+            class,
+            bounces: 0,
+        };
+        net.send_worker(target.index(), probe);
     }
 
     /// The per-job chain fires: relaunch overdue handed-out tasks,

@@ -24,10 +24,17 @@
 //! machine runs on an OS thread (wall clock, mpsc channels) and inside
 //! the deterministic virtual-clock router.
 //!
+//! Every arrival — a probe or a directly-placed task — lands as
+//! [`hawk_core::land`] decides, the function the simulator's `Core` lands
+//! its arrivals with.
+//!
 //! Stealing is a non-blocking state machine, as in the paper's prototype:
 //! an idle worker contacts one victim at a time and keeps servicing
-//! messages; an empty reply advances to the next victim, a non-empty one
-//! enqueues the loot.
+//! messages; an empty reply from the victim contacted last advances to the
+//! next victim, a non-empty one enqueues the loot. The worker draws each
+//! victim from the policy's [`hawk_core::VictimDraw`] as it contacts it,
+//! as the simulator's `Core` does, so an attempt that succeeds at its
+//! first victim has drawn one.
 //!
 //! # The hardened protocol
 //!
@@ -41,7 +48,9 @@
 //!   was actually handed out. Replies are matched to the wait by job and
 //!   discarded when stale.
 //! * **Steals** — each `StealRequest` arms an epoch-tagged timer that
-//!   advances to the next victim on silence. A non-empty grant carries a
+//!   advances to the next victim on silence; an empty reply from any but
+//!   the victim contacted last (a late or duplicated one) is ignored, so
+//!   one request at most is in flight. A non-empty grant carries a
 //!   transfer nonce: the victim buffers it and retransmits until the
 //!   thief acks, then gives up and relocates the entries through the
 //!   schedulers — stolen work is never lost in flight. The thief dedups
@@ -77,24 +86,21 @@ use hawk_cluster::{
     scale_duration, Partition, QueueEntry, QueueSlab, Server, ServerAction, ServerId, Slot,
     StealGranularity, TaskSpec,
 };
-use hawk_core::{RackGeometry, Route, Scheduler, StealSpec};
+use hawk_core::{land, Landing, RackGeometry, Route, Scheduler, StealSpec, VictimDraw};
 use hawk_simcore::{SimDuration, SimRng, SimTime};
 use hawk_workload::scenario::NodeChange;
-use hawk_workload::{JobClass, JobId};
+use hawk_workload::JobId;
 
 use crate::fault::TimeoutSpec;
 use crate::msg::{CentralMsg, DistMsg, Net, WorkerMsg};
 use crate::report::{DaemonStats, MsgKind};
 
-/// The steal attempt state machine: the victims of the attempt in flight,
-/// in contact order, and how many have been contacted. The buffer outlives
-/// the attempt, so picking victims allocates only while it grows.
-#[derive(Default)]
+/// The steal attempt in flight: the rest of its victim draw, and the
+/// victim contacted last — the one whose empty reply advances it.
+#[derive(Clone, Copy)]
 struct StealAttempt {
-    victims: Vec<ServerId>,
-    next: usize,
-    /// False between attempts.
-    in_flight: bool,
+    draw: VictimDraw,
+    victim: usize,
 }
 
 /// A non-empty steal grant awaiting the thief's ack (hardened protocol).
@@ -154,7 +160,8 @@ pub(crate) struct Worker {
     /// their steal-victim picks exactly as the simulation driver does.
     rack_geometry: Option<RackGeometry>,
     steal_spec: Option<StealSpec>,
-    steal: StealAttempt,
+    /// `None` between attempts.
+    steal: Option<StealAttempt>,
     dist_count: usize,
     rng: SimRng,
     /// Whether this worker currently counts toward usable capacity:
@@ -218,7 +225,7 @@ impl Worker {
             scheduler,
             partition,
             rack_geometry,
-            steal: StealAttempt::default(),
+            steal: None,
             dist_count,
             rng,
             counts_as_capacity: true,
@@ -277,25 +284,8 @@ impl Worker {
                 job,
                 class,
                 bounces,
-            } => self.on_probe(job, class, bounces, net),
-            WorkerMsg::Assign(spec) => {
-                if self.server.is_down() {
-                    // Arrived in flight while we failed: relocate like a
-                    // drained entry.
-                    self.relocate(QueueEntry::Task(spec), net);
-                    return false;
-                }
-                if self.hardened.is_some() && self.holds_launch(&spec, net.now()) {
-                    // Duplicate delivery of a task we already accepted.
-                    return false;
-                }
-                let action = self
-                    .server
-                    .enqueue(&mut self.queues, 0, QueueEntry::Task(spec));
-                if let Some(action) = action {
-                    self.on_action(action, net);
-                }
-            }
+            } => self.on_arrive(QueueEntry::Probe { job, class }, bounces, net),
+            WorkerMsg::Assign(spec) => self.on_arrive(QueueEntry::Task(spec), 0, net),
             WorkerMsg::BindReply { job, task } => self.on_bind_reply(job, task, net),
             WorkerMsg::StealRequest { thief } => self.on_steal_request(thief, net),
             WorkerMsg::StealReply {
@@ -314,10 +304,11 @@ impl Worker {
                 // the attempt resolved); live fires advance to the next
                 // victim — the silent one keeps its entries, nothing to
                 // recover.
-                if self.hardened.is_some() && epoch == self.steal_epoch && self.steal.in_flight {
-                    self.continue_steal(net);
-                } else {
-                    self.stats.stale_timers += 1;
+                match self.steal {
+                    Some(attempt) if self.hardened.is_some() && epoch == self.steal_epoch => {
+                        self.contact_next(attempt.draw, net)
+                    }
+                    _ => self.stats.stale_timers += 1,
                 }
             }
             WorkerMsg::StealRetransmit { nonce } => self.on_steal_retransmit(nonce, net),
@@ -331,30 +322,34 @@ impl Worker {
         false
     }
 
-    fn on_probe(&mut self, job: JobId, class: JobClass, bounces: u8, net: &mut impl Net) {
-        if self.server.is_down() {
-            net.send_dist(self.owner(job), DistMsg::ReProbe { job, class });
-            return;
-        }
-        if self.scheduler.bounce_probe(&self.server, class, bounces) {
-            // Long-aware probe avoidance: ask the owning scheduler to
-            // retry elsewhere (it holds the live membership view). Costs
-            // one extra hop relative to the simulator's direct re-probe.
-            net.send_dist(
+    /// A probe that has bounced `bounces` times, or a directly-placed
+    /// task, reached this worker: it lands as [`land`] decides. A
+    /// displaced entry (it arrived in flight while we failed) is relocated
+    /// like a drained one; a bounced probe asks its owning scheduler to
+    /// retry elsewhere (it holds the live membership view), one extra hop
+    /// relative to the simulator's direct re-probe.
+    fn on_arrive(&mut self, entry: QueueEntry, bounces: u8, net: &mut impl Net) {
+        match land(&self.server, &*self.scheduler, entry, bounces) {
+            Landing::Displaced => self.relocate(entry, net),
+            Landing::Bounce { job, class } => net.send_dist(
                 self.owner(job),
                 DistMsg::Bounce {
                     job,
                     class,
                     bounces: bounces + 1,
                 },
-            );
-            return;
-        }
-        let action = self
-            .server
-            .enqueue(&mut self.queues, 0, QueueEntry::Probe { job, class });
-        if let Some(action) = action {
-            self.on_action(action, net);
+            ),
+            Landing::Queue => {
+                if let QueueEntry::Task(spec) = &entry {
+                    if self.hardened.is_some() && self.holds_launch(spec, net.now()) {
+                        // Duplicate delivery of a task we already accepted.
+                        return;
+                    }
+                }
+                if let Some(action) = self.server.enqueue(&mut self.queues, 0, entry) {
+                    self.on_action(action, net);
+                }
+            }
         }
     }
 
@@ -497,7 +492,12 @@ impl Worker {
         net: &mut impl Net,
     ) {
         if entries.is_empty() {
-            self.continue_steal(net);
+            // Only the victim contacted last moves the attempt on: an
+            // empty reply that outlived its steal timer, or a duplicate,
+            // would start a second contact.
+            if let Some(attempt) = self.steal.filter(|a| a.victim == from) {
+                self.contact_next(attempt.draw, net);
+            }
             return;
         }
         if self.hardened.is_some() && nonce != 0 {
@@ -508,7 +508,7 @@ impl Worker {
                 return;
             }
         }
-        self.steal.in_flight = false;
+        self.steal = None;
         self.stats.steals += 1;
         if self.server.is_down() {
             // Thief failed mid-steal: relocate the loot.
@@ -620,45 +620,31 @@ impl Worker {
     /// Begins a steal attempt if the policy steals, we are live and no
     /// attempt is in flight (§3.6). Victims come from the policy's
     /// [`Scheduler::victims`] over the real partition — the draw the
-    /// simulation driver pulls from, drained up front because the
-    /// contacts are spread over messages.
+    /// simulation driver pulls from, one victim as each is contacted.
     fn begin_steal(&mut self, net: &mut impl Net) {
-        if self.steal_spec.is_none() || self.server.is_down() || self.steal.in_flight {
+        if self.steal_spec.is_none() || self.server.is_down() || self.steal.is_some() {
             return;
         }
         let thief = ServerId(self.index as u32);
-        let Some(victims) = self
+        let Some(draw) = self
             .scheduler
             .victims(&self.partition, thief, self.rack_geometry)
         else {
             return;
         };
         self.stats.steal_attempts += 1;
-        victims.drain_into(
-            &mut self.rng,
-            &mut self.victim_scratch,
-            &mut self.steal.victims,
-        );
-        if self.steal.victims.is_empty() {
-            return;
-        }
-        self.steal.next = 0;
-        self.steal.in_flight = true;
-        self.continue_steal(net);
+        self.contact_next(draw, net);
     }
 
-    /// Contacts the next victim of the in-flight attempt, if any.
-    fn continue_steal(&mut self, net: &mut impl Net) {
-        let attempt = &mut self.steal;
-        if !attempt.in_flight {
+    /// Contacts the next victim of an attempt's `draw`, drawn now, or ends
+    /// the attempt when the draw is spent.
+    fn contact_next(&mut self, mut draw: VictimDraw, net: &mut impl Net) {
+        let Some(victim) = draw.next(&mut self.rng, &mut self.victim_scratch) else {
+            self.steal = None;
             return;
-        }
-        if attempt.next >= attempt.victims.len() {
-            attempt.in_flight = false;
-            return;
-        }
-        let victim = attempt.victims[attempt.next].index();
-        attempt.next += 1;
+        };
+        let victim = victim.index();
+        self.steal = Some(StealAttempt { draw, victim });
         net.send_worker(victim, WorkerMsg::StealRequest { thief: self.index });
         if let Some(to) = self.hardened {
             // A lost request or reply must not end the attempt: time out
@@ -682,7 +668,7 @@ impl Worker {
         if self.server.is_down() {
             return; // duplicate script entry
         }
-        self.steal.in_flight = false;
+        self.steal = None;
         debug_assert!(self.drain_buf.is_empty(), "stale drain buffer");
         let mut drained = std::mem::take(&mut self.drain_buf);
         self.server
@@ -724,7 +710,7 @@ mod tests {
     use hawk_cluster::TaskSpec;
     use hawk_core::scheduler::Hawk;
     use hawk_simcore::{SimDuration, SimTime};
-    use hawk_workload::JobId;
+    use hawk_workload::{JobClass, JobId};
 
     /// A recording Net for unit-testing the state machine in isolation.
     #[derive(Default)]
@@ -874,35 +860,98 @@ mod tests {
         ));
     }
 
+    /// The victims `net` has sent steal requests to, in order.
+    fn steal_requests(net: &RecordingNet) -> Vec<usize> {
+        net.worker_msgs
+            .iter()
+            .filter(|(_, m)| matches!(m, WorkerMsg::StealRequest { .. }))
+            .map(|&(to, _)| to)
+            .collect()
+    }
+
+    fn empty_reply(from: usize) -> WorkerMsg {
+        WorkerMsg::StealReply {
+            from,
+            nonce: 0,
+            entries: Arc::new([]),
+        }
+    }
+
+    /// Makes `w` idle: a long task runs and finishes with an empty queue.
+    fn go_idle(w: &mut Worker, net: &mut RecordingNet) {
+        w.handle(WorkerMsg::Assign(task(1, JobClass::Long, 5)), net);
+        w.on_task_finish(net);
+    }
+
     #[test]
     fn idle_transition_contacts_one_victim_at_a_time() {
         let mut w = hawk_worker(9); // short-partition worker of the 10-node cell
         let mut net = RecordingNet::default();
-        // A long task runs and finishes with an empty queue → idle → steal.
-        w.handle(WorkerMsg::Assign(task(1, JobClass::Long, 5)), &mut net);
-        w.on_task_finish(&mut net);
-        let requests: Vec<_> = net
-            .worker_msgs
-            .iter()
-            .filter(|(_, m)| matches!(m, WorkerMsg::StealRequest { .. }))
-            .collect();
+        go_idle(&mut w, &mut net);
+        let requests = steal_requests(&net);
         assert_eq!(requests.len(), 1, "contacts exactly one victim at a time");
         assert_eq!(w.stats.steal_attempts, 1);
-        // An empty reply advances to the next victim.
+        // An empty reply from that victim advances to the next one.
+        w.handle(empty_reply(requests[0]), &mut net);
+        assert_eq!(steal_requests(&net).len(), 2);
+    }
+
+    /// Only the victim contacted last moves an attempt on: the timed-out
+    /// victim's late empty reply, and a duplicate of the current victim's
+    /// once it has been acted on, start no second contact. Fails on a
+    /// worker that advances on any empty reply (three requests in flight
+    /// after the late reply, four after the duplicate).
+    #[test]
+    fn a_late_or_duplicated_empty_reply_starts_no_second_contact() {
+        let mut w = hardened_worker(9);
+        let mut net = RecordingNet::default();
+        go_idle(&mut w, &mut net);
+        let first = steal_requests(&net)[0];
         w.handle(
-            WorkerMsg::StealReply {
-                from: 1,
-                nonce: 0,
-                entries: Arc::new([]),
+            WorkerMsg::StealTimeout {
+                epoch: w.steal_epoch,
             },
             &mut net,
         );
-        let requests = net
-            .worker_msgs
-            .iter()
-            .filter(|(_, m)| matches!(m, WorkerMsg::StealRequest { .. }))
-            .count();
-        assert_eq!(requests, 2);
+        let second = steal_requests(&net)[1];
+        w.handle(empty_reply(first), &mut net);
+        assert_eq!(steal_requests(&net), [first, second], "late reply");
+        w.handle(empty_reply(second), &mut net);
+        let third = steal_requests(&net)[2];
+        w.handle(empty_reply(second), &mut net);
+        assert_eq!(steal_requests(&net), [first, second, third], "duplicate");
+    }
+
+    /// A worker draws each victim as it contacts it, from the policy's
+    /// `VictimDraw`: after the first victim's non-empty reply its stream
+    /// has moved by exactly one draw. Fails on a worker that drains the
+    /// whole cap before its first contact.
+    #[test]
+    fn a_worker_draws_only_the_victims_it_contacts() {
+        let mut w = hawk_worker(9);
+        let mut net = RecordingNet::default();
+        let mut one_draw = w.rng.clone();
+        let victim = Hawk::new(0.2)
+            .victims(&w.partition, ServerId(9), None)
+            .expect("hawk steals")
+            .next(&mut one_draw, &mut Vec::new())
+            .expect("a general server to rob");
+        go_idle(&mut w, &mut net);
+        assert_eq!(steal_requests(&net), [victim.index()]);
+        let loot = QueueEntry::Probe {
+            job: JobId(2),
+            class: JobClass::Short,
+        };
+        w.handle(
+            WorkerMsg::StealReply {
+                from: victim.index(),
+                nonce: 0,
+                entries: Arc::new([loot]),
+            },
+            &mut net,
+        );
+        assert_eq!(w.stats.steals, 1);
+        assert_eq!(w.rng.next_u64(), one_draw.next_u64());
     }
 
     #[test]

@@ -74,12 +74,14 @@
 //! tier-1's debug profile. For a case to reach it, an entry must be in
 //! flight to a server when that server fails, so half of the generated
 //! windows go down less than one network hop after a job's submission
-//! (`DownAt::InFlight`). Mutations that fail it (each checked by hand):
-//! removing `Core::on_entry_arrive`'s down check fails the four churned
-//! properties (the first, seventh, ninth and tenth) through the assert;
-//! removing the prototype worker's down check on `WorkerMsg::Assign`
-//! fails the first and the seventh, whose prototype legs it reaches. With
-//! the same draws mapped to whole seconds instead, neither fails. The
+//! (`DownAt::InFlight`). A mutation that fails it (checked by hand):
+//! removing the down check of `hawk_core::land`, which `Core::on_arrive`
+//! and the prototype worker's `on_arrive` both land every arrival with,
+//! fails all ten churned properties through the assert. When the check
+//! had a copy on each side, removing `Core`'s failed the first, seventh,
+//! ninth and tenth, removing the worker's (on `WorkerMsg::Assign`) the
+//! first and seventh, and with the same draws mapped to whole seconds
+//! instead neither failed. The
 //! assert cannot catch a core that missed its own `NodeDown` (that
 //! server's stat word never goes down); only
 //! `shard::tests::a_down_server_runs_nothing_whichever_core_owns_it` does.
@@ -123,7 +125,7 @@
 //! reached a core without the central scheduler). `Router::owns` one
 //! server short at the upper range boundary fails them under debug
 //! assertions (tier-1's profile: `debug_assert!(net.owns(server))` in
-//! `Core::on_entry_arrive`); in release the run stays live and
+//! `Core::on_arrive`); in release the run stays live and
 //! deterministic — the misjudged server is stolen from by request, like a
 //! remote one — and only the pinned 4-shard digest in `sharded_golden.rs`
 //! moves. One that does *not* fail them, not even the first, whose cells
@@ -1155,6 +1157,102 @@ proptest! {
                 scaled_by_k(&base_proto),
                 "proto, k = {}",
                 k
+            );
+        }
+    }
+
+    /// ROADMAP 8(1), an identity: probe avoidance on a trace with no long
+    /// job is plain Hawk. A probe bounces only off a server holding long
+    /// work, and with the cutoff above every task no job is long, so no
+    /// server ever holds any: every probe lands as plain Hawk's does, and
+    /// results, steals and steal attempts are byte-identical, on `Driver`
+    /// and on a fault-free `hawk-proto` virtual run, under the first
+    /// property's churn. It guards `hawk_core::land`, the one function both
+    /// harnesses land an arrival with. A mutation that fails it (checked by
+    /// hand): `Hawk::bounce_probe` without its `holds_long_work` term, so a
+    /// short probe bounces off any server until the limit.
+    #[test]
+    fn probe_avoidance_without_long_jobs_is_plain_hawk(
+        trace in arb_trace(),
+        fraction in 0.05f64..0.5,
+        limit in 1u8..4,
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        windows in arb_windows(),
+    ) {
+        let plain = Hawk::new(fraction);
+        let dynamics = churn(&plain, &trace, nodes, windows);
+        // `arb_trace`'s tasks are shorter than 3,000 s, and so is every mean.
+        let cell = |scheduler: Arc<dyn Scheduler>| {
+            Experiment::builder()
+                .nodes(nodes)
+                .dynamics(dynamics.clone())
+                .scheduler_shared(scheduler)
+                .cutoff(Cutoff::from_secs(3_000))
+                .seed(seed)
+                .trace(&trace)
+                .build()
+        };
+        let avoiding = cell(arc(plain.probe_avoidance(limit)));
+        let plain = cell(arc(plain));
+        let outcome = |r: MetricsReport| (r.results, r.steals, r.steal_attempts);
+        prop_assert_eq!(outcome(avoiding.run()), outcome(plain.run()), "Driver");
+        let proto = ProtoBackend::deterministic();
+        prop_assert_eq!(
+            outcome(avoiding.run_on(&proto)),
+            outcome(plain.run_on(&proto)),
+            "proto"
+        );
+    }
+
+    /// ROADMAP 8(1), an identity: a speed profile that slows no server is
+    /// the uniform one. `SpeedSpec::TwoTier` with no slow servers,
+    /// `TwoTier` whose slow tier runs at 1.0 and `PerServer` at 1.0
+    /// everywhere each give results, steals and steal attempts
+    /// byte-identical to `Uniform`'s, on `Driver` and on a fault-free
+    /// `hawk-proto` virtual run, under the first property's churn.
+    /// `scenario_golden` checks the same profiles on one static `Driver`
+    /// cell. A mutation that fails it (checked by hand):
+    /// `SpeedSpec::resolve` marking server `i` slow when its cumulative
+    /// quota does not fall (`after >= before`), so a zero fraction slows
+    /// every server.
+    #[test]
+    fn a_speed_profile_that_slows_nothing_is_uniform(
+        trace in arb_trace(),
+        scheduler in arb_scheduler(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        windows in arb_windows(),
+        slow_speed in 0.25f64..4.0,
+        slow_fraction in 0.0f64..1.0,
+    ) {
+        let dynamics = churn(&*scheduler, &trace, nodes, windows);
+        let cell = |speeds: SpeedSpec| {
+            Experiment::builder()
+                .nodes(nodes)
+                .dynamics(dynamics.clone())
+                .speeds(speeds)
+                .scheduler_shared(Arc::clone(&scheduler))
+                .seed(seed)
+                .trace(&trace)
+                .build()
+        };
+        let outcome = |r: MetricsReport| (r.results, r.steals, r.steal_attempts);
+        let proto = ProtoBackend::deterministic();
+        let uniform = cell(SpeedSpec::Uniform);
+        let (base, base_proto) = (outcome(uniform.run()), outcome(uniform.run_on(&proto)));
+        for speeds in [
+            SpeedSpec::TwoTier { slow_fraction: 0.0, slow_speed },
+            SpeedSpec::TwoTier { slow_fraction, slow_speed: 1.0 },
+            SpeedSpec::PerServer(vec![1.0; nodes]),
+        ] {
+            let profiled = cell(speeds.clone());
+            prop_assert_eq!(outcome(profiled.run()), base.clone(), "Driver, {:?}", speeds);
+            prop_assert_eq!(
+                outcome(profiled.run_on(&proto)),
+                base_proto.clone(),
+                "proto, {:?}",
+                speeds
             );
         }
     }

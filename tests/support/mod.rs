@@ -167,45 +167,51 @@ pub fn print_proto_pins(name: &str, pins: &[ProtoPin]) {
 /// job chains stopped rescanning (084a675); re-pinned with [`HAWK_DIGEST`]
 /// when a worker's contact list became a drain of the lazy victim draw
 /// (ten draws from the worker's stream instead of nineteen; messages were
-/// 154,660 / 154,879, steals 1,463 / 1,454). The router decides how fast a
-/// delivery is found, never which one is next — any drift in delivery
-/// order, chain firing or a fault-lane draw fails against these.
+/// 154,660 / 154,879, steals 1,463 / 1,454). Re-pinned again when the
+/// worker came to draw each victim as it contacts it, interleaving its
+/// victim draws with the scans it answers, and to ignore an empty steal
+/// reply from any but the victim contacted last (messages were 156,754 /
+/// 153,876, steals 1,455 / 1,453); the prototype's conformance bands held
+/// over ten seeds on both sides. The router decides how fast a delivery is
+/// found, never which one is next — any drift in delivery order, chain
+/// firing or a fault-lane draw fails against these.
 pub const HARDENED_CHAOS_PINS: [ProtoPin; 2] = [
     ProtoPin {
-        runtimes: 0x7db2325da4e82540,
-        messages: 156_754,
-        steals: 1_455,
-        steal_attempts: 2_028,
-        drops: 982,
-        dups: 509,
-        retries: 9_961,
-        timeouts_fired: 404,
-        relaunched: 409,
-        migrations: 46,
+        runtimes: 0x3c25c66fca778ce9,
+        messages: 155_964,
+        steals: 1_432,
+        steal_attempts: 2_017,
+        drops: 978,
+        dups: 507,
+        retries: 9_950,
+        timeouts_fired: 384,
+        relaunched: 389,
+        migrations: 49,
     },
     ProtoPin {
-        runtimes: 0x9414a43a41c9a5da,
-        messages: 153_876,
-        steals: 1_453,
-        steal_attempts: 1_984,
-        drops: 1_017,
-        dups: 462,
-        retries: 9_890,
-        timeouts_fired: 359,
-        relaunched: 362,
-        migrations: 44,
+        runtimes: 0x32079cc0d2c02d6a,
+        messages: 155_115,
+        steals: 1_456,
+        steal_attempts: 2_007,
+        drops: 1_022,
+        dups: 466,
+        retries: 9_928,
+        timeouts_fired: 393,
+        relaunched: 396,
+        migrations: 45,
     },
 ];
 
 /// The same cell on a clean network ([`hawk_proto::FaultSpec::none`]): the
-/// unhardened code path, same capture and re-pin (messages were 66,530 /
-/// 66,456, steals 1,417 / 1,392).
+/// unhardened code path, same capture and re-pins (messages were 66,530 /
+/// 66,456, steals 1,417 / 1,392; then 66,812 / 66,690, steals 1,429 /
+/// 1,418).
 pub const CLEAN_PROTO_PINS: [ProtoPin; 2] = [
     ProtoPin {
-        runtimes: 0x666efead1790403d,
-        messages: 66_812,
-        steals: 1_429,
-        steal_attempts: 1_952,
+        runtimes: 0x7cdd4cdb03500fc4,
+        messages: 66_865,
+        steals: 1_446,
+        steal_attempts: 1_967,
         drops: 0,
         dups: 0,
         retries: 0,
@@ -214,16 +220,16 @@ pub const CLEAN_PROTO_PINS: [ProtoPin; 2] = [
         migrations: 46,
     },
     ProtoPin {
-        runtimes: 0x994faba6337dae93,
-        messages: 66_690,
-        steals: 1_418,
-        steal_attempts: 1_939,
+        runtimes: 0x9530c06e575b8cbc,
+        messages: 66_266,
+        steals: 1_390,
+        steal_attempts: 1_906,
         drops: 0,
         dups: 0,
         retries: 0,
         timeouts_fired: 0,
         relaunched: 0,
-        migrations: 42,
+        migrations: 46,
     },
 ];
 
