@@ -3,8 +3,7 @@
 //! `repro all [flags]` runs every row in this process into
 //! `results/<row>.tsv`, so `repro all --quick` smoke-runs the whole
 //! evaluation and `repro all --full-trace` reproduces the paper's full
-//! configuration (a pinned row runs its frozen cell whatever `--jobs` /
-//! `--seed` say). No arguments, `--help`, an unknown row or a flag the row
+//! configuration. No arguments, `--help`, an unknown row or a flag the row
 //! does not take print the row list and exit 2.
 
 use std::fs;
@@ -19,9 +18,6 @@ fn usage() -> ! {
     eprintln!("rows:");
     for row in ROWS {
         eprintln!("  {:<28}{}", row.name, row.about);
-        if row.pinned {
-            eprintln!("      pinned cell: takes no --jobs / --seed");
-        }
         for (flag, help) in row.extra {
             eprintln!("      {flag}: {help}");
         }
@@ -35,7 +31,7 @@ fn main() -> std::io::Result<()> {
         usage()
     };
     if name == "all" {
-        let Some((opts, _)) = parse_args_with(rest, &[], false) else {
+        let Some((opts, _)) = parse_args_with(rest, &[]) else {
             usage()
         };
         let out_dir = Path::new("results");
@@ -50,7 +46,7 @@ fn main() -> std::io::Result<()> {
         let Some(row) = ROWS.iter().find(|row| row.name == name) else {
             usage()
         };
-        let Some((opts, flags)) = parse_args_with(rest, row.extra, row.pinned) else {
+        let Some((opts, flags)) = parse_args_with(rest, row.extra) else {
             usage()
         };
         print!("{}", (row.run)(&opts, &flags));

@@ -114,14 +114,12 @@ pub struct Row {
     /// Runs live threads on the wall clock: slow and not reproducible
     /// byte for byte.
     pub wall_clock: bool,
-    /// Runs one frozen cell: `--jobs` / `--seed` are usage errors.
-    pub pinned: bool,
     /// The study: shared options and the extra flags present, to its table.
     pub run: fn(&HarnessOpts, &[String]) -> Table,
 }
 
 impl Row {
-    /// A deterministic, unpinned row without extra flags.
+    /// A deterministic row without extra flags.
     pub const fn new(
         name: &'static str,
         about: &'static str,
@@ -132,7 +130,6 @@ impl Row {
             about,
             extra: &[],
             wall_clock: false,
-            pinned: false,
             run,
         }
     }
@@ -141,7 +138,7 @@ impl Row {
 /// What a [`Row`] produces; its `Display` is the TSV `repro` prints.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Table {
-    /// The header line (empty for a smoke that only asserts).
+    /// The header line (empty in an empty table).
     pub columns: Vec<&'static str>,
     /// Preformatted cells, one `Vec` per line.
     pub rows: Vec<Vec<String>>,
@@ -182,12 +179,10 @@ impl Display for Table {
 /// Parses a row's arguments (everything after `repro <row>`) under the
 /// shared convention plus the row's `extra` boolean flags; returns the
 /// options and the extras present. `None` is a usage error: `--help`, an
-/// undeclared flag, a missing or non-numeric `--jobs` / `--seed` value,
-/// or either of those two on a `pinned` row.
+/// undeclared flag, or a missing or non-numeric `--jobs` / `--seed` value.
 pub fn parse_args_with(
     args: &[String],
     extra: &[(&str, &str)],
-    pinned: bool,
 ) -> Option<(HarnessOpts, Vec<String>)> {
     let mut opts = HarnessOpts::default();
     let mut flags = Vec::new();
@@ -196,8 +191,8 @@ pub fn parse_args_with(
         match arg.as_str() {
             "--quick" => opts.mode = RunMode::Quick,
             "--full-trace" | "--paper-scale" => opts.mode = RunMode::FullTrace,
-            "--jobs" if !pinned => opts.jobs = Some(args.next()?.parse().ok()?),
-            "--seed" if !pinned => opts.seed = args.next()?.parse().ok()?,
+            "--jobs" => opts.jobs = Some(args.next()?.parse().ok()?),
+            "--seed" => opts.seed = args.next()?.parse().ok()?,
             other if extra.iter().any(|(flag, _)| *flag == other) => flags.push(other.to_string()),
             _ => return None,
         }
@@ -406,30 +401,28 @@ mod tests {
     #[test]
     fn parser_reads_shared_flags_and_declared_extras() {
         let extra = [("--smoke", "help")];
-        let (opts, flags) =
-            parse_args_with(&argv("--quick --jobs 400 --seed 7 --smoke"), &extra, false)
-                .expect("valid argv");
+        let (opts, flags) = parse_args_with(&argv("--quick --jobs 400 --seed 7 --smoke"), &extra)
+            .expect("valid argv");
         assert_eq!(
             (opts.mode, opts.jobs, opts.seed),
             (RunMode::Quick, Some(400), 7)
         );
         assert_eq!(flags, ["--smoke"]);
         for alias in ["--full-trace", "--paper-scale"] {
-            let (opts, _) = parse_args_with(&argv(alias), &[], false).expect("valid argv");
+            let (opts, _) = parse_args_with(&argv(alias), &[]).expect("valid argv");
             assert_eq!(opts.mode, RunMode::FullTrace);
         }
-        let (opts, flags) = parse_args_with(&[], &extra, false).expect("no flags is valid");
+        let (opts, flags) = parse_args_with(&[], &extra).expect("no flags is valid");
         assert_eq!((opts.jobs, opts.seed), (None, hawk_core::DEFAULT_SEED));
         assert!(flags.is_empty());
     }
 
     /// One argv contract for every row: a missing or non-numeric `--jobs`
-    /// / `--seed`, `--help` and an undeclared flag are usage errors; a
-    /// pinned row also rejects a well-formed `--jobs` / `--seed`.
+    /// / `--seed`, `--help` and an undeclared flag are usage errors.
     #[test]
     fn parser_rejects_bad_argv_on_every_row() {
         for row in ROWS {
-            let parse = |line: &str| parse_args_with(&argv(line), row.extra, row.pinned);
+            let parse = |line: &str| parse_args_with(&argv(line), row.extra);
             for bad in [
                 "--jobs",
                 "--jobs abc",
@@ -443,13 +436,13 @@ mod tests {
                 assert!(parse(bad).is_none(), "{} accepted `{bad}`", row.name);
             }
             assert!(parse("--quick").is_some());
-            assert_eq!(parse("--jobs 5").is_none(), row.pinned, "{}", row.name);
-            assert_eq!(parse("--seed 5").is_none(), row.pinned, "{}", row.name);
+            assert!(parse("--jobs 5").is_some(), "{}", row.name);
+            assert!(parse("--seed 5").is_some(), "{}", row.name);
             for (flag, _) in row.extra {
                 assert!(parse(flag).is_some(), "{} rejected its {flag}", row.name);
             }
         }
-        assert!(parse_args_with(&argv("--smoke"), &[], false).is_none());
+        assert!(parse_args_with(&argv("--smoke"), &[]).is_none());
     }
 
     #[test]

@@ -22,7 +22,7 @@ macro_rules! rows {
 
         /// Every study, in paper order: tables and figures first, then the
         /// backend-conformance and topology studies, the beyond-paper
-        /// ablations and the two asserting smokes.
+        /// ablations and the chaos sweep.
         pub const ROWS: &[Row] = &[$(Row {
             $($($field: $value,)+)?
             ..Row::new(stringify!($name), $about, $name::run)
@@ -66,9 +66,6 @@ rows! {
             "one moderate fault cell run twice: assert 100% completion and \
              a deterministic digest",
         )]
-    },
-    saturation_smoke: "admission control under a saturating burst (asserts; no TSV)" {
-        pinned: true
     },
 }
 

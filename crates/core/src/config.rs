@@ -8,6 +8,8 @@
 //! cell: the [`Driver`](crate::Driver), the
 //! [`ShardedDriver`](crate::ShardedDriver) and `hawk-proto`'s runtimes all
 //! call it, so they refuse the same cells with the same message.
+//! [`SimConfig::admission`] is the one field only the simulator honours:
+//! the prototype backend refuses it.
 
 use crate::admission::AdmissionPolicy;
 use crate::scheduler::Scheduler;
@@ -119,15 +121,9 @@ pub struct SimConfig {
     /// seam entirely — no plan is computed, no arrival is deferred or
     /// shed, and runs are byte-identical to every pinned golden digest.
     /// `Some` applies the precomputed
-    /// [`AdmissionPlan`](crate::AdmissionPlan) in every backend.
+    /// [`AdmissionPlan`](crate::AdmissionPlan). The simulator only: the
+    /// prototype backend refuses it.
     pub admission: Option<AdmissionPolicy>,
-    /// Live-metrics window length. `None` (the default) disables windowed
-    /// sampling — no extra events — keeping runs byte-identical to the
-    /// classic digests; `Some(W)` (positive: [`check_cell`]) samples every
-    /// `W` and fills [`MetricsReport::live`](crate::MetricsReport) with the
-    /// last [`LIVE_RING`](crate::LIVE_RING) closed `W`-long windows. The
-    /// simulator only: the prototype backend refuses it.
-    pub live_window: Option<SimDuration>,
 }
 
 impl Default for SimConfig {
@@ -144,7 +140,6 @@ impl Default for SimConfig {
             seed: DEFAULT_SEED,
             shards: 1,
             admission: None,
-            live_window: None,
         }
     }
 }
@@ -159,8 +154,8 @@ impl SimConfig {
 }
 
 /// Checks that `scheduler` can run on a cell of `nodes` servers that
-/// replays `dynamics`, samples utilization every `util_interval` and
-/// closes a live window every `live_window`, if set, and returns the size
+/// replays `dynamics` and samples utilization every `util_interval`, and
+/// returns the size
 /// of the central scheduler's scope (servers `0..len`), or `None` when no
 /// route is central. Every harness calls it once, before it builds
 /// anything.
@@ -168,8 +163,8 @@ impl SimConfig {
 /// # Panics
 ///
 /// Panics when the dynamics script touches a server outside the cluster,
-/// `util_interval` or `live_window` is zero (a sampler would re-arm at the
-/// same instant forever), a route targets the short partition but none is
+/// `util_interval` is zero (the sampler would re-arm at the same instant
+/// forever), a route targets the short partition but none is
 /// reserved, the two central routes name different scopes or the short
 /// partition, or the central scope is empty.
 pub fn check_cell(
@@ -177,7 +172,6 @@ pub fn check_cell(
     nodes: usize,
     dynamics: &DynamicsScript,
     util_interval: SimDuration,
-    live_window: Option<SimDuration>,
 ) -> Option<usize> {
     if let Some(max) = dynamics.max_server() {
         assert!(
@@ -186,10 +180,6 @@ pub fn check_cell(
         );
     }
     assert!(!util_interval.is_zero(), "util_interval must be positive");
-    assert!(
-        live_window != Some(SimDuration::ZERO),
-        "live_window must be positive"
-    );
     let partition = Partition::new(nodes, scheduler.short_partition_fraction());
     let routes = [JobClass::Long, JobClass::Short].map(|class| scheduler.route(class));
     for route in routes {
@@ -233,7 +223,7 @@ mod tests {
     /// 100-server cell.
     fn central_scope(scheduler: &dyn Scheduler) -> Option<usize> {
         let interval = SimDuration::from_secs(100);
-        check_cell(scheduler, 100, &DynamicsScript::none(), interval, None)
+        check_cell(scheduler, 100, &DynamicsScript::none(), interval)
     }
 
     #[test]

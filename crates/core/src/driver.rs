@@ -5,7 +5,7 @@
 //! single-stream: the loopback transport (every send is
 //! `engine.schedule` — all endpoints are local, so bookkeeping is direct
 //! state access and relocation is point-to-point), the eager
-//! `UtilSample` / `LiveSample` events, the streamed arrivals
+//! `UtilSample` events, the streamed arrivals
 //! ([`protocol::Arrivals`]) and the stepping interface.
 
 use std::sync::Arc;
@@ -17,7 +17,6 @@ use hawk_workload::classify::JobEstimates;
 use hawk_workload::Trace;
 
 use crate::config::SimConfig;
-use crate::live::LiveSamples;
 use crate::metrics::MetricsReport;
 use crate::protocol::{self, Arrivals, Core, Event, RunInputs, Transport};
 use crate::scheduler::Scheduler;
@@ -56,7 +55,6 @@ pub struct Driver<'t> {
     net: Loopback,
     arrivals: Arrivals<'t>,
     util: UtilizationTracker,
-    live: Option<LiveSamples>,
 }
 
 impl<'t> Driver<'t> {
@@ -75,13 +73,12 @@ impl<'t> Driver<'t> {
         let mut core = Core::new(trace, scheduler, sim, &mut inputs, 0..sim.nodes as u32);
         // No capacity here is sized by the trace: the queue arenas start
         // from the core's constant floor and the event arena with room for
-        // what is seeded — the script, this harness's own one or two
-        // periodic timers and the one pending arrival — and all grow on
+        // what is seeded — the script, this harness's own utilization
+        // timer and the one pending arrival — and all grow on
         // demand, by doubling, at new peaks of their live population only
         // (`EntrySlab`'s growth contract; `tests/alloc_regression.rs` is the
         // judge).
-        let timers = 1 + usize::from(sim.live_window.is_some());
-        let mut engine = Engine::with_capacity(sim.dynamics.events().len() + timers + 1);
+        let mut engine = Engine::with_capacity(sim.dynamics.events().len() + 2);
         for (at, event) in protocol::seed_events(sim) {
             engine.schedule_at(at, event);
         }
@@ -89,9 +86,6 @@ impl<'t> Driver<'t> {
         arrivals.stream(None, &mut engine, Event::JobArrival);
         core.unfinished = trace.len();
         engine.schedule(sim.util_interval, Event::UtilSample);
-        if let Some(window) = sim.live_window {
-            engine.schedule(window, Event::LiveSample);
-        }
 
         Driver {
             core,
@@ -101,7 +95,6 @@ impl<'t> Driver<'t> {
             },
             arrivals,
             util: UtilizationTracker::new(sim.util_interval),
-            live: sim.live_window.map(LiveSamples::new),
         }
     }
 
@@ -136,8 +129,7 @@ impl<'t> Driver<'t> {
         // The event list goes before the report allocates its results.
         let events = self.net.engine.processed();
         drop(self.net);
-        let (util, live) = (&self.util, self.live.as_ref());
-        protocol::report(vec![self.core], |_| 0, util, live, events, None)
+        protocol::report(vec![self.core], |_| 0, &self.util, events, None)
     }
 
     /// Processes up to `max` pending events and returns how many ran
@@ -170,12 +162,6 @@ impl<'t> Driver<'t> {
             Event::UtilSample => {
                 self.util.record(self.core.cluster.utilization());
                 self.net.engine.schedule(self.util.interval(), event);
-            }
-            Event::LiveSample => {
-                let live = self.live.as_mut().expect("no live window");
-                let core = &self.core;
-                live.close(core.cluster.utilization(), core.steals, core.steal_attempts);
-                self.net.engine.schedule(live.window, event);
             }
             Event::JobArrival(job) => {
                 let engine = &mut self.net.engine;

@@ -264,16 +264,16 @@ impl ExperimentBuilder {
     /// precomputed [`AdmissionPlan`](crate::AdmissionPlan) (defer/shed
     /// when offered work exceeds usable capacity). The `None` default
     /// admits everything and stays byte-identical to the classic digests.
+    /// The simulator only: the prototype backend refuses it.
     pub fn admission(mut self, policy: crate::AdmissionPolicy) -> Self {
         self.sim.admission = Some(policy);
         self
     }
 
-    /// Enables windowed live metrics with the given window length; the
-    /// report's [`MetricsReport::live`](crate::MetricsReport) carries the
-    /// last [`LIVE_RING`](crate::LIVE_RING) closed windows.
-    pub fn live_window(mut self, window: SimDuration) -> Self {
-        self.sim.live_window = Some(window);
+    /// Does nothing: live windows are gone. Kept only because the frozen
+    /// benchmark (`hawkbench/workloads.rs`) calls it.
+    #[doc(hidden)]
+    pub fn live_window(self, _window: SimDuration) -> Self {
         self
     }
 

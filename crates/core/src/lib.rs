@@ -32,6 +32,11 @@
 //! [`compare`] computes the paper's normalized metrics from two
 //! [`MetricsReport`]s.
 //!
+//! Beyond the paper, the simulator harnesses can gate arrivals under
+//! overload with an [`AdmissionPolicy`] (defer, then shed). Admission
+//! control is simulator-only: the prototype backend refuses a cell that
+//! sets it.
+//!
 //! # Quick start
 //!
 //! ```
@@ -74,7 +79,6 @@ mod config;
 mod distributed;
 mod driver;
 mod experiment;
-pub mod live;
 pub mod metrics;
 mod protocol;
 pub mod scheduler;
@@ -89,7 +93,6 @@ pub use config::{check_cell, CentralOverhead, Route, Scope, SimConfig, DEFAULT_S
 pub use distributed::{displaced_probe, land, late_bind, Landing, ProbePlanner};
 pub use driver::Driver;
 pub use experiment::{Experiment, ExperimentBuilder, IntoTrace};
-pub use live::{LiveMetrics, LiveWindow, WindowClassStats, LIVE_RING};
 pub use metrics::{
     compare, AdmissionStats, ClassSummary, Comparison, JobResult, MetricsReport, ShardedStats,
     StreamingStats, StreamingSummary,

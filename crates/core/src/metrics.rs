@@ -11,12 +11,9 @@
 //! here is read off them. That includes the bounded-memory streaming
 //! summary ([`StreamingStats::from_results`]), which every harness — the
 //! simulator's two and the prototype's — derives from its results at
-//! report time, and the simulator's live windows ([`LiveMetrics`]), which
-//! add only what the results cannot tell: occupancy and steals sampled at
-//! each window close.
+//! report time.
 
 use crate::admission::{AdmissionDecision, AdmissionPlan};
-use crate::live::LiveMetrics;
 use crate::protocol::EventCounts;
 use hawk_net::NetworkStats;
 use hawk_simcore::stats::{mean, percentile, percentile_of_sorted, StreamingQuantiles};
@@ -148,11 +145,9 @@ impl StreamingStats {
 /// Admission-control outcome counters, derived once from the precomputed
 /// [`AdmissionPlan`] (so a job deferred across several gate windows still
 /// counts once). All-zero when no
-/// [`AdmissionPolicy`](crate::AdmissionPolicy) is configured. Unlike the
-/// proto fault counters, these *are* mapped across backends
-/// ([`ProtoReport::into_metrics`](../hawk_proto) keeps them), because the
-/// plan is a pure function of the trace and both backends must agree
-/// exactly. Excluded from the golden digests.
+/// [`AdmissionPolicy`](crate::AdmissionPolicy) is configured, and always
+/// on the prototype, which has no admission control. Excluded from the
+/// golden digests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct AdmissionStats {
     /// Truly-short jobs shed (rejected outright, runtime recorded as 0).
@@ -229,12 +224,9 @@ pub struct MetricsReport {
     /// Streaming per-class runtime percentiles: a view of `results`
     /// ([`StreamingStats::from_results`]). Not part of the golden digests.
     pub streaming: StreamingStats,
-    /// Windowed live metrics, `Some` only when
-    /// [`SimConfig::live_window`](crate::SimConfig) is set. Not part of
-    /// the golden digests.
-    pub live: Option<LiveMetrics>,
     /// Admission-control shed/deferral counters; all-zero without an
-    /// [`AdmissionPolicy`](crate::AdmissionPolicy). Not part of the golden
+    /// [`AdmissionPolicy`](crate::AdmissionPolicy), and always on the
+    /// prototype, which has no admission control. Not part of the golden
     /// digests.
     pub admission: AdmissionStats,
 }
@@ -411,7 +403,6 @@ mod tests {
             network: NetworkStats::default(),
             sharded: None,
             streaming: StreamingStats::default(),
-            live: None,
             admission: AdmissionStats::default(),
         }
     }

@@ -52,7 +52,6 @@ use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::centralized::CentralScheduler;
 use crate::config::{check_cell, CentralOverhead, Route, SimConfig};
 use crate::distributed::{displaced_probe, land, late_bind, Landing};
-use crate::live::LiveSamples;
 use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats};
 use crate::scheduler::{PlacementView, Scheduler, StealSpec};
 
@@ -150,9 +149,6 @@ pub enum Event {
     /// Periodic utilization snapshot: the harness's own timer, never
     /// dispatched to a core.
     UtilSample,
-    /// Periodic live-metrics window close: the harness's own timer, only
-    /// under [`SimConfig::live_window`], never dispatched to a core.
-    LiveSample,
     /// A thief asks the owner of a remote `victim` for one steal scan.
     /// When the scan fails, the victim's owner forwards the request to
     /// `rest[0]`, so one idle transition can try several remote victims
@@ -237,9 +233,7 @@ impl Event {
             Event::TaskDone { .. } => 11,
             Event::CentralTaskDone { .. } => 12,
             Event::Relocate { .. } => 13,
-            Event::UtilSample | Event::LiveSample => {
-                unreachable!("sampling belongs to the harness")
-            }
+            Event::UtilSample => unreachable!("sampling belongs to the harness"),
         }
     }
 }
@@ -322,13 +316,7 @@ impl RunInputs {
     ///
     /// Panics on a cell [`check_cell`] refuses.
     pub(crate) fn new(trace: &Trace, scheduler: &dyn Scheduler, sim: &SimConfig) -> Self {
-        let central_scope = check_cell(
-            scheduler,
-            sim.nodes,
-            &sim.dynamics,
-            sim.util_interval,
-            sim.live_window,
-        );
+        let central_scope = check_cell(scheduler, sim.nodes, &sim.dynamics, sim.util_interval);
         let mut rng_root = SimRng::seed_from_u64(sim.seed);
         let mut estimate_rng = rng_root.split();
         let estimates = match sim.misestimate {
@@ -621,9 +609,7 @@ impl<'t> Core<'t> {
                     central.revive(server);
                 }
             }
-            Event::UtilSample | Event::LiveSample => {
-                unreachable!("sampling belongs to the harness")
-            }
+            Event::UtilSample => unreachable!("sampling belongs to the harness"),
         }
     }
 
@@ -650,8 +636,8 @@ impl<'t> Core<'t> {
                 AdmissionDecision::Shed => {
                     // The job completes instantly at submission with zero
                     // runtime and never schedules. The report's streaming
-                    // summary and live windows leave shed jobs out (the
-                    // exact summary still carries their zero runtime).
+                    // summary leaves shed jobs out (the exact summary
+                    // still carries their zero runtime).
                     self.jobs[job.index()].completion = now;
                     self.unfinished -= 1;
                     return;
@@ -1173,10 +1159,9 @@ fn deciding_scheduler(job: JobId, task: Option<u32>) -> Endpoint {
 
 /// Assembles the report of a finished run from its cores, and hands the
 /// run's estimates back: per-job results from each job's home core
-/// (`home_of`), counters summed, and the streaming summary and live
-/// windows derived from the results. Utilization, the live samples and
-/// the event count come from the harness, which owns sampling and has
-/// already freed its event list.
+/// (`home_of`), counters summed, and the streaming summary derived from
+/// the results. Utilization and the event count come from the harness,
+/// which owns sampling and has already freed its event list.
 ///
 /// The cores go by value: every counter is read first, then each core is
 /// dropped but for its job table, so the results are allocated after the
@@ -1186,7 +1171,6 @@ pub(crate) fn report(
     cores: Vec<Core<'_>>,
     home_of: impl Fn(JobId) -> usize,
     util: &UtilizationTracker,
-    live: Option<&LiveSamples>,
     events: u64,
     sharded: Option<ShardedStats>,
 ) -> (MetricsReport, JobEstimates) {
@@ -1222,7 +1206,6 @@ pub(crate) fn report(
         network,
         sharded,
         streaming: StreamingStats::default(),
-        live: None,
         admission: admission
             .as_deref()
             .map(AdmissionPlan::stats)
@@ -1251,9 +1234,7 @@ pub(crate) fn report(
             num_tasks: job.num_tasks(),
         });
     }
-    let admission = admission.as_deref();
-    report.streaming = StreamingStats::from_results(&results, admission);
-    report.live = live.map(|samples| samples.report(&results, admission));
+    report.streaming = StreamingStats::from_results(&results, admission.as_deref());
     report.results = results;
     (report, estimates)
 }

@@ -30,9 +30,7 @@
 //!
 //! Sampling is the harness's, exactly as in [`Driver`]: a `UtilSample`
 //! timer every `util_interval` records the cores' summed running count
-//! over the cluster's usable capacity, a `LiveSample` timer records that
-//! same whole-cluster utilization and the cores' summed steal counters
-//! at every live-window close, and neither reaches a core.
+//! over the cluster's usable capacity, and never reaches a core.
 //!
 //! # Owned-range clusters
 //!
@@ -104,7 +102,6 @@ use hawk_workload::classify::JobEstimates;
 use hawk_workload::{JobId, Trace};
 
 use crate::config::{Route, SimConfig};
-use crate::live::LiveSamples;
 use crate::metrics::{MetricsReport, ShardedStats};
 use crate::protocol::{self, Arrivals, Core, Event, RunInputs, Transport};
 use crate::scheduler::Scheduler;
@@ -270,7 +267,6 @@ pub struct ShardedDriver<'t> {
     net: Router,
     arrivals: Arrivals<'t>,
     util: UtilizationTracker,
-    live: Option<LiveSamples>,
 }
 
 impl<'t> ShardedDriver<'t> {
@@ -315,11 +311,10 @@ impl<'t> ShardedDriver<'t> {
             cores[home as usize].unfinished += 1;
         }
         // The event arena starts with room for what is seeded — the script
-        // once per core, this harness's one or two timers, the one pending
+        // once per core, this harness's utilization timer, the one pending
         // arrival — and grows on demand, like `Driver`'s.
-        let timers = 1 + usize::from(sim.live_window.is_some());
         let script = cores.len() * sim.dynamics.events().len();
-        let mut engine = Engine::with_capacity(script + timers + 1);
+        let mut engine = Engine::with_capacity(script + 2);
         for (at, event) in protocol::seed_events(sim) {
             // Every core keeps the whole cluster's membership.
             for core in 0..cores.len() as u32 {
@@ -328,11 +323,11 @@ impl<'t> ShardedDriver<'t> {
         }
         let mut arrivals = Arrivals::new(trace);
         arrivals.stream(None, &mut engine, arrival(&homes));
-        let timer = |event| Routed { core: 0, event };
-        engine.schedule(sim.util_interval, timer(Event::UtilSample));
-        if let Some(window) = sim.live_window {
-            engine.schedule(window, timer(Event::LiveSample));
-        }
+        let timer = Routed {
+            core: 0,
+            event: Event::UtilSample,
+        };
+        engine.schedule(sim.util_interval, timer);
 
         ShardedDriver {
             cores,
@@ -347,7 +342,6 @@ impl<'t> ShardedDriver<'t> {
             },
             arrivals,
             util: UtilizationTracker::new(sim.util_interval),
-            live: sim.live_window.map(LiveSamples::new),
         }
     }
 
@@ -396,17 +390,6 @@ impl<'t> ShardedDriver<'t> {
                     let interval = self.util.interval();
                     self.net.engine.schedule(interval, Routed { core, event });
                 }
-                Event::LiveSample => {
-                    let (steals, attempts) = self
-                        .cores
-                        .iter()
-                        .fold((0, 0), |(s, a), c| (s + c.steals, a + c.steal_attempts));
-                    let live = self.live.as_mut().expect("no live window");
-                    live.close(utilization(&self.cores), steals, attempts);
-                    self.net
-                        .engine
-                        .schedule(live.window, Routed { core, event });
-                }
                 event => {
                     if let Event::JobArrival(job) = event {
                         let Router { engine, homes, .. } = &mut self.net;
@@ -434,8 +417,7 @@ impl<'t> ShardedDriver<'t> {
         let events = self.net.engine.processed();
         drop((self.net.engine, self.net.stolen));
         let home = |job: JobId| self.net.homes[job.index()] as usize;
-        let (util, live) = (&self.util, self.live.as_ref());
-        protocol::report(self.cores, home, util, live, events, Some(stats))
+        protocol::report(self.cores, home, &self.util, events, Some(stats))
     }
 }
 

@@ -17,8 +17,8 @@ use crate::runtime::{run_prototype, ExecutionMode, ProtoConfig, PAPER_DIST_SCHED
 /// Runs experiment cells on the prototype cluster.
 ///
 /// [`SimConfig`] maps onto the prototype as follows: `nodes` → worker
-/// daemons, `cutoff`/`seed`/`util_interval`/`dynamics`/`speeds`/
-/// `admission` carry over directly, and [`SimConfig::topology`] becomes
+/// daemons, `cutoff`/`seed`/`util_interval`/`dynamics`/`speeds` carry
+/// over directly, and [`SimConfig::topology`] becomes
 /// the virtual router's message-delay model (ignored in real-time mode,
 /// where messaging latency is whatever the machine provides). The cell is
 /// checked by the simulator's own [`check_cell`](hawk_core::check_cell),
@@ -28,6 +28,7 @@ use crate::runtime::{run_prototype, ExecutionMode, ProtoConfig, PAPER_DIST_SCHED
 ///
 /// * `misestimate` must be `None` — the prototype runs exact estimates
 ///   (panics otherwise rather than silently diverging);
+/// * `admission` must be `None` — admission control is simulator-only;
 /// * `central_overhead` is ignored: the central daemon is a real thread
 ///   (or a real mailbox) whose processing cost is whatever it actually
 ///   costs.
@@ -104,16 +105,16 @@ impl ProtoBackend {
     ///
     /// # Panics
     ///
-    /// Panics when `sim` sets `misestimate` or `live_window`: the
-    /// prototype runs exact estimates and reports no live windows.
+    /// Panics when `sim` sets `misestimate` or `admission`: the
+    /// prototype runs exact estimates and admits every job.
     pub fn config_for(&self, sim: &SimConfig) -> ProtoConfig {
         assert!(
             sim.misestimate.is_none(),
             "the prototype backend runs exact estimates; drop `.misestimate(..)`"
         );
         assert!(
-            sim.live_window.is_none(),
-            "the prototype backend reports no live windows; drop `.live_window(..)`"
+            sim.admission.is_none(),
+            "admission control is simulator-only; drop `.admission(..)`"
         );
         ProtoConfig {
             workers: sim.nodes,
@@ -131,7 +132,6 @@ impl ProtoBackend {
             dynamics: sim.dynamics.clone(),
             speeds: sim.speeds.clone(),
             faults: self.faults.clone(),
-            admission: sim.admission,
         }
     }
 }

@@ -34,7 +34,9 @@
 //! and completion on their own clock, and hand that to one
 //! [`ProtoReport`] constructor. The virtual mode is what lets
 //! `tests/backend_conformance.rs` hold the prototype and the simulator
-//! side by side on the same trace.
+//! side by side on the same trace. Every job is submitted at its trace
+//! time: admission control is simulator-only, and [`ProtoBackend`]
+//! refuses a cell that sets it.
 //!
 //! [`ProtoBackend`] packages all of this as a
 //! [`Backend`](hawk_core::Backend).

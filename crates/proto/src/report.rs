@@ -13,9 +13,7 @@
 //! simulator's own code, so a prototype number and a simulator number are
 //! computed by one code path and are directly comparable.
 
-use hawk_core::{
-    AdmissionDecision, AdmissionPlan, AdmissionStats, JobResult, MetricsReport, StreamingStats,
-};
+use hawk_core::{AdmissionStats, JobResult, MetricsReport, StreamingStats};
 use hawk_net::NetworkStats;
 use hawk_simcore::stats::median;
 use hawk_simcore::SimTime;
@@ -171,19 +169,16 @@ pub(crate) struct Outcomes {
 }
 
 impl Outcomes {
-    /// Every job submitted at its trace time. A job the plan sheds never
-    /// runs: it completes there too, with zero runtime.
-    pub(crate) fn new(trace: &Trace, plan: Option<&AdmissionPlan>) -> Self {
-        let times: Vec<(SimTime, Option<SimTime>)> = trace
-            .jobs()
-            .iter()
-            .map(|job| {
-                let shed = plan.is_some_and(|p| p.decision(job.id) == AdmissionDecision::Shed);
-                (job.submission, shed.then_some(job.submission))
-            })
-            .collect();
-        let open = times.iter().filter(|(_, done)| done.is_none()).count();
-        Outcomes { times, open }
+    /// Every job submitted at its trace time, none complete.
+    pub(crate) fn new(trace: &Trace) -> Self {
+        Outcomes {
+            times: trace
+                .jobs()
+                .iter()
+                .map(|job| (job.submission, None))
+                .collect(),
+            open: trace.len(),
+        }
     }
 
     /// Moves `job`'s submission to `at`, when it was handed over.
@@ -222,9 +217,7 @@ pub struct ProtoReport {
     /// conventions: microseconds on the run's clock (virtual time, or wall
     /// time since the run started), and the class each job was scheduled
     /// under as both the true and the scheduled class (the prototype runs
-    /// exact estimates). A deferred job is submitted at its trace time, so
-    /// its runtime includes the deferral wait; a shed job completes at its
-    /// submission.
+    /// exact estimates).
     pub results: Vec<JobResult>,
     /// Periodic utilization samples (fraction of workers executing).
     pub utilization_samples: Vec<f64>,
@@ -272,27 +265,15 @@ pub struct ProtoReport {
     /// complete. Excluded from digests.
     pub stale_timers: u64,
     /// Streaming per-class runtime quantiles, derived from `results` by
-    /// [`StreamingStats::from_results`] as a simulator run's are (shed
-    /// jobs left out). Mapped into [`MetricsReport::streaming`] by
-    /// [`Self::into_metrics`].
+    /// [`StreamingStats::from_results`] as a simulator run's are. Mapped
+    /// into [`MetricsReport::streaming`] by [`Self::into_metrics`].
     pub streaming: StreamingStats,
-    /// Admission-control outcome counters from the shared
-    /// [`AdmissionPlan`]. Unlike the fault counters these *are* mapped
-    /// into [`MetricsReport::admission`]: the plan is a pure function of
-    /// the trace and config, so both backends must report byte-identical
-    /// counts per seed.
-    pub admission: AdmissionStats,
 }
 
 impl ProtoReport {
     /// Assembles the report of a run of `trace`, whose jobs were scheduled
     /// under `classes`, from what its execution mode measured.
-    pub(crate) fn new(
-        trace: &Trace,
-        classes: &[JobClass],
-        run: Measured,
-        plan: Option<&AdmissionPlan>,
-    ) -> ProtoReport {
+    pub(crate) fn new(trace: &Trace, classes: &[JobClass], run: Measured) -> ProtoReport {
         let results: Vec<JobResult> = trace
             .jobs()
             .iter()
@@ -308,7 +289,7 @@ impl ProtoReport {
             })
             .collect();
         ProtoReport {
-            streaming: StreamingStats::from_results(&results, plan),
+            streaming: StreamingStats::from_results(&results, None),
             results,
             utilization_samples: run.utilization_samples,
             steals: run.stats.steals,
@@ -324,15 +305,15 @@ impl ProtoReport {
             relaunched: run.stats.relaunched,
             deliveries: run.stats.deliveries,
             stale_timers: run.stats.stale_timers,
-            admission: plan.map(AdmissionPlan::stats).unwrap_or_default(),
         }
     }
 
     /// Converts the run into a [`MetricsReport`]: the results carry over
     /// as they are, counters map one-to-one (`messages` → `events`), and
-    /// the makespan is the last completion. The result plugs straight
-    /// into [`hawk_core::compare`] and the digest machinery of the
-    /// determinism suites.
+    /// the makespan is the last completion. Admission control is
+    /// simulator-only, so the admission counters are zero. The result
+    /// plugs straight into [`hawk_core::compare`] and the digest machinery
+    /// of the determinism suites.
     pub fn into_metrics(self, scheduler: String, nodes: usize) -> MetricsReport {
         let makespan = self
             .results
@@ -360,8 +341,7 @@ impl ProtoReport {
             network: self.network,
             sharded: None,
             streaming: self.streaming,
-            live: None,
-            admission: self.admission,
+            admission: AdmissionStats::default(),
         }
     }
 }
@@ -399,7 +379,6 @@ mod tests {
             deliveries: Deliveries::default(),
             stale_timers: 0,
             streaming: StreamingStats::default(),
-            admission: AdmissionStats::default(),
         }
     }
 
@@ -465,7 +444,6 @@ mod tests {
             network: NetworkStats::default(),
             sharded: None,
             streaming: StreamingStats::default(),
-            live: None,
             admission: AdmissionStats::default(),
         };
         for p in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
@@ -485,14 +463,7 @@ mod tests {
     fn into_metrics_preserves_runtimes_and_counters() {
         let mut r0 = result(0, JobClass::Short, 150);
         r0.submission = SimTime::from_micros(50_000);
-        let mut proto = report(vec![r0, result(1, JobClass::Long, 2_000)]);
-        proto.admission = AdmissionStats {
-            sheds_short: 0,
-            sheds_long: 2,
-            deferrals_short: 0,
-            deferrals_long: 5,
-        };
-        let m = proto.clone().into_metrics("hawk".into(), 8);
+        let m = report(vec![r0, result(1, JobClass::Long, 2_000)]).into_metrics("hawk".into(), 8);
         assert_eq!(m.scheduler, "hawk");
         assert_eq!(m.nodes, 8);
         assert_eq!(m.results.len(), 2);
@@ -502,11 +473,7 @@ mod tests {
         assert_eq!(m.steals, 3);
         assert_eq!(m.steal_attempts, 7);
         assert_eq!(m.events, 100);
-        // Admission counters map through — unlike the fault counters,
-        // which digests deliberately never see.
-        assert_eq!(m.admission, proto.admission);
-        assert_eq!(m.admission.sheds(), 2);
-        assert_eq!(m.admission.deferrals(), 5);
+        assert_eq!(m.admission, AdmissionStats::default());
         assert_eq!(m.runtime_percentile(JobClass::Short, 90.0), Some(0.1));
         assert_eq!(m.median_utilization, 0.5);
         assert_eq!(m.max_utilization, 0.8);

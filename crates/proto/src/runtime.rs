@@ -7,9 +7,7 @@
 //! [`ExecutionMode`] it is in:
 //!
 //! * **one feed** ([`feed`]): every job submission and scripted dynamics
-//!   event as `(time, item)`, in firing order, shaped by the admission
-//!   plan (a shed job is never fed, a deferred one is fed at its admitted
-//!   window);
+//!   event as `(time, item)`, in firing order;
 //! * **one outcome record** ([`Outcomes`]): each job's submission and
 //!   completion on the run's own clock;
 //! * **one report** ([`ProtoReport::new`]), from the outcomes, the
@@ -56,7 +54,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use hawk_cluster::Partition;
-use hawk_core::{check_cell, AdmissionDecision, AdmissionPlan, AdmissionPolicy, Route, Scheduler};
+use hawk_core::{check_cell, Route, Scheduler};
 use hawk_net::{NetworkStats, TopologySpec};
 use hawk_simcore::{SimDuration, SimRng, SimTime};
 use hawk_workload::classify::Cutoff;
@@ -124,12 +122,6 @@ pub struct ProtoConfig {
     /// path and is byte-identical to historical runs; a spec that injects
     /// runs the daemons hardened, on the protocol's default timeouts.
     pub faults: FaultSpec,
-    /// Overload admission control. `None` — the default — admits every
-    /// job and is byte-identical to a config without the field. `Some`
-    /// derives the same [`AdmissionPlan`] the simulator computes (a pure
-    /// function of trace, workers, cutoff and dynamics), so shed and
-    /// deferral counts agree exactly across backends per seed.
-    pub admission: Option<AdmissionPolicy>,
 }
 
 impl Default for ProtoConfig {
@@ -145,7 +137,6 @@ impl Default for ProtoConfig {
             dynamics: DynamicsScript::none(),
             speeds: SpeedSpec::Uniform,
             faults: FaultSpec::none(),
-            admission: None,
         }
     }
 }
@@ -211,21 +202,12 @@ pub(crate) enum FeedItem {
 
 /// A run's feed: every job submission and scripted dynamics event as
 /// `(time, item)`, in firing order — submissions in trace order, then the
-/// script, stably sorted by time. The admission `plan` shapes it: a shed
-/// job is never fed, and a deferred job is fed at its admitted window.
-fn feed(
-    trace: &Trace,
-    dynamics: &DynamicsScript,
-    plan: Option<&AdmissionPlan>,
-) -> Vec<(SimTime, FeedItem)> {
-    let submissions = trace.jobs().iter().filter_map(|job| {
-        let at = match plan.map(|p| p.decision(job.id)) {
-            Some(AdmissionDecision::Shed) => return None,
-            Some(AdmissionDecision::Defer { until }) => until,
-            Some(AdmissionDecision::Admit) | None => job.submission,
-        };
-        Some((at, FeedItem::Submit(job.id.0)))
-    });
+/// script, stably sorted by time.
+fn feed(trace: &Trace, dynamics: &DynamicsScript) -> Vec<(SimTime, FeedItem)> {
+    let submissions = trace
+        .jobs()
+        .iter()
+        .map(|job| (job.submission, FeedItem::Submit(job.id.0)));
     let script = dynamics
         .events()
         .iter()
@@ -245,13 +227,7 @@ fn build_cluster<'t>(
         cfg.workers > 0 && cfg.dist_schedulers > 0,
         "prototype needs at least one worker and one distributed scheduler"
     );
-    let central_scope = check_cell(
-        &**scheduler,
-        cfg.workers,
-        &cfg.dynamics,
-        cfg.util_interval,
-        None,
-    );
+    let central_scope = check_cell(&**scheduler, cfg.workers, &cfg.dynamics, cfg.util_interval);
     let partition = Partition::new(cfg.workers, scheduler.short_partition_fraction());
     let speeds = cfg
         .speeds
@@ -333,13 +309,8 @@ pub fn run_prototype(
     }
     let setup = build_cluster(trace, &scheduler, cfg);
     let routes = Routes::new(trace, &scheduler, cfg);
-    // One plan for both runtimes, computed exactly as the simulation
-    // drivers compute it — same pure inputs, same decisions per job.
-    let plan = cfg.admission.map(|policy| {
-        AdmissionPlan::compute(trace, cfg.workers, cfg.cutoff, &cfg.dynamics, policy)
-    });
-    let feed = feed(trace, &cfg.dynamics, plan.as_ref());
-    let outcomes = Outcomes::new(trace, plan.as_ref());
+    let feed = feed(trace, &cfg.dynamics);
+    let outcomes = Outcomes::new(trace);
     let run = match cfg.mode {
         ExecutionMode::Virtual { topology } => run_virtual(
             setup,
@@ -349,11 +320,9 @@ pub fn run_prototype(
             cfg,
             topology.build(cfg.workers),
         ),
-        ExecutionMode::RealTime => {
-            run_threaded(setup, &routes, &feed, outcomes, plan.as_ref(), cfg)
-        }
+        ExecutionMode::RealTime => run_threaded(setup, &routes, &feed, outcomes, cfg),
     };
-    ProtoReport::new(trace, &routes.classes, run, plan.as_ref())
+    ProtoReport::new(trace, &routes.classes, run)
 }
 
 /// Channels and gauges every thread of the real-time runtime shares.
@@ -515,7 +484,6 @@ fn run_threaded(
     routes: &Routes,
     feed: &[(SimTime, FeedItem)],
     mut outcomes: Outcomes,
-    plan: Option<&AdmissionPlan>,
     cfg: &ProtoConfig,
 ) -> Measured {
     // Channels first, so every thread starts with the full routing table.
@@ -583,12 +551,7 @@ fn run_threaded(
             let now = Instant::now();
             while let Some(&(_, item)) = items.next_if(|&&(at, _)| due(at) <= now) {
                 if let FeedItem::Submit(index) = item {
-                    // A deferred job keeps its trace submission: the
-                    // deferral wait is part of its latency.
-                    let job = JobId(index);
-                    if plan.is_none_or(|p| p.decision(job) == AdmissionDecision::Admit) {
-                        outcomes.submit(job, clock(now));
-                    }
+                    outcomes.submit(JobId(index), clock(now));
                 }
                 topo.feed(routes, item);
                 progress = now;
@@ -1089,58 +1052,6 @@ mod tests {
             ..fast_cfg(ExecutionMode::RealTime)
         };
         let _ = run_prototype(&trace, hawk(), &cfg);
-    }
-
-    #[test]
-    fn admission_sheds_overload_in_both_modes() {
-        // One worker, a 10 ms gate window with no headroom to spare: a
-        // burst of 200 ms long jobs at t=0 blows the per-window budget
-        // (10 ms of node-seconds), so most of the burst defers and then
-        // sheds, while the short job rides the protected lane. Shed and
-        // deferral counts come from the shared pure plan, so both modes
-        // must agree exactly; shed jobs must report zero runtime.
-        let trace = fast_trace(vec![
-            (0, vec![200]),
-            (0, vec![200]),
-            (0, vec![200]),
-            (0, vec![200]),
-            (1, vec![2]), // short: protected, always admitted
-        ]);
-        let policy = AdmissionPolicy {
-            window: SimDuration::from_millis(10),
-            headroom: 1.0,
-            max_defer_windows: 2,
-            protect_short: true,
-        };
-        let mut reports = Vec::new();
-        for mode in [virtual_mode(), ExecutionMode::RealTime] {
-            let cfg = ProtoConfig {
-                workers: 1,
-                dist_schedulers: 1,
-                admission: Some(policy),
-                ..fast_cfg(mode)
-            };
-            let report = run_prototype(&trace, hawk(), &cfg);
-            assert_eq!(report.results.len(), 5, "{mode:?}");
-            assert!(report.admission.sheds() > 0, "{mode:?}");
-            assert_eq!(report.admission.sheds_short, 0, "{mode:?}");
-            reports.push(report);
-        }
-        // Exact cross-mode counter parity: the plan is mode-independent.
-        assert_eq!(reports[0].admission, reports[1].admission);
-        // A shed long job reports zero runtime and is excluded from the
-        // streaming sinks; admitted jobs still land there.
-        let shed_longs = reports[0]
-            .results
-            .iter()
-            .filter(|r| r.true_class == JobClass::Long && r.runtime() == SimDuration::ZERO)
-            .count() as u64;
-        assert_eq!(shed_longs, reports[0].admission.sheds_long);
-        assert_eq!(
-            reports[0].streaming.long.jobs + reports[0].admission.sheds_long,
-            4
-        );
-        assert_eq!(reports[0].streaming.short.jobs, 1);
     }
 
     #[test]

@@ -31,10 +31,10 @@
 //! Stealing is a non-blocking state machine, as in the paper's prototype:
 //! an idle worker contacts one victim at a time and keeps servicing
 //! messages; an empty reply from the victim contacted last advances to the
-//! next victim, a non-empty one enqueues the loot. The worker draws each
-//! victim from the policy's [`hawk_core::VictimDraw`] as it contacts it,
-//! as the simulator's `Core` does, so an attempt that succeeds at its
-//! first victim has drawn one.
+//! next victim, a non-empty one enqueues the loot and ends the attempt.
+//! The worker draws each victim from the policy's
+//! [`hawk_core::VictimDraw`] as it contacts it, as the simulator's `Core`
+//! does, so an attempt that succeeds at its first victim has drawn one.
 //!
 //! # The hardened protocol
 //!
@@ -54,7 +54,10 @@
 //!   transfer nonce: the victim buffers it and retransmits until the
 //!   thief acks, then gives up and relocates the entries through the
 //!   schedulers — stolen work is never lost in flight. The thief dedups
-//!   grants by `(victim, nonce)` and always acks.
+//!   grants by `(victim, nonce)` and always acks. It banks only a grant
+//!   from the victim contacted last, so an attempt takes one group at
+//!   most, as the simulator's does; any other grant — a timed-out
+//!   victim's late one — is relocated as a down thief's is.
 //! * **Launch idempotency** — accepted assignments are deduped by the
 //!   `(job, task, attempt)` key, so duplicated or relaunched-then-found
 //!   deliveries never double-run on the same worker.
@@ -508,15 +511,17 @@ impl Worker {
                 return;
             }
         }
-        self.steal = None;
-        self.stats.steals += 1;
-        if self.server.is_down() {
-            // Thief failed mid-steal: relocate the loot.
+        if self.steal.is_none_or(|a| a.victim != from) {
+            // Not the grant of the attempt in flight: a timed-out victim's
+            // late one, or one that reached a thief gone down. Relocate
+            // the loot; the attempt, if any, goes on.
             for &entry in entries.iter() {
                 self.relocate(entry, net);
             }
             return;
         }
+        self.steal = None;
+        self.stats.steals += 1;
         let action = self
             .server
             .enqueue_all(&mut self.queues, 0, entries.iter().copied());
@@ -1297,7 +1302,10 @@ mod tests {
     fn hardened_thief_dedups_grants_and_always_acks() {
         let mut thief = hardened_worker(9);
         let mut net = RecordingNet::default();
-        // Make the thief idle so the loot starts immediately.
+        // An idle thief, so the loot starts immediately, and the grant
+        // from the victim it contacted.
+        go_idle(&mut thief, &mut net);
+        let victim = steal_requests(&net)[0];
         let entries: Arc<[QueueEntry]> = Arc::new([QueueEntry::Probe {
             job: JobId(2),
             class: JobClass::Short,
@@ -1305,7 +1313,7 @@ mod tests {
         for _ in 0..2 {
             thief.handle(
                 WorkerMsg::StealReply {
-                    from: 1,
+                    from: victim,
                     nonce: 42,
                     entries: entries.clone(),
                 },
@@ -1315,7 +1323,7 @@ mod tests {
         let acks = net
             .worker_msgs
             .iter()
-            .filter(|(to, m)| *to == 1 && matches!(m, WorkerMsg::StealAck { nonce: 42 }))
+            .filter(|(to, m)| *to == victim && matches!(m, WorkerMsg::StealAck { nonce: 42 }))
             .count();
         assert_eq!(acks, 2, "every delivery is acked");
         assert_eq!(thief.stats.steals, 1, "the grant is banked exactly once");
@@ -1325,6 +1333,56 @@ mod tests {
             .filter(|(_, m)| matches!(m, DistMsg::TaskRequest { .. }))
             .count();
         assert_eq!(binds, 1, "the probe binds once, not per retransmit");
+    }
+
+    /// A grant from a victim other than the one contacted last — the
+    /// timed-out first victim's late one — is acked and relocated, not
+    /// banked, and the attempt goes on with the second victim. Fails on a
+    /// thief that banks every grant (one steal, the attempt ended, the
+    /// probe bound here instead of re-probed).
+    #[test]
+    fn a_late_grant_from_a_timed_out_victim_is_relocated_not_banked() {
+        let mut w = hardened_worker(9);
+        let mut net = RecordingNet::default();
+        go_idle(&mut w, &mut net);
+        let first = steal_requests(&net)[0];
+        w.handle(
+            WorkerMsg::StealTimeout {
+                epoch: w.steal_epoch,
+            },
+            &mut net,
+        );
+        let second = steal_requests(&net)[1];
+        net.dist_msgs.clear();
+        w.handle(
+            WorkerMsg::StealReply {
+                from: first,
+                nonce: 7,
+                entries: Arc::new([QueueEntry::Probe {
+                    job: JobId(2),
+                    class: JobClass::Short,
+                }]),
+            },
+            &mut net,
+        );
+        assert!(net
+            .worker_msgs
+            .iter()
+            .any(|(to, m)| *to == first && matches!(m, WorkerMsg::StealAck { nonce: 7 })));
+        assert_eq!(
+            net.dist_msgs,
+            vec![(
+                0,
+                DistMsg::ReProbe {
+                    job: JobId(2),
+                    class: JobClass::Short
+                }
+            )],
+            "the late loot returns to its scheduler"
+        );
+        assert_eq!(w.stats.steals, 0);
+        assert_eq!(w.steal.map(|a| a.victim), Some(second), "still in flight");
+        assert_eq!(w.server.queue_len(), 0);
     }
 
     // --- Record lifetimes: the horizon H ---
@@ -1431,8 +1489,10 @@ mod tests {
     fn a_grant_retransmitted_inside_the_horizon_is_acked_not_rebanked() {
         let mut thief = hardened_worker(9);
         let mut net = RecordingNet::default();
+        go_idle(&mut thief, &mut net);
+        let victim = steal_requests(&net)[0];
         let grant = WorkerMsg::StealReply {
-            from: 1,
+            from: victim,
             nonce: 42,
             entries: Arc::new([QueueEntry::Probe {
                 job: JobId(2),
@@ -1448,7 +1508,7 @@ mod tests {
         let acks = net
             .worker_msgs
             .iter()
-            .filter(|(to, m)| *to == 1 && matches!(m, WorkerMsg::StealAck { nonce: 42 }))
+            .filter(|(to, m)| *to == victim && matches!(m, WorkerMsg::StealAck { nonce: 42 }))
             .count();
         assert_eq!(acks, 2, "every delivery is acked");
         assert_eq!(thief.stats.steals, 1, "the grant is banked exactly once");

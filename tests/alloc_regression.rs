@@ -261,12 +261,8 @@ fn hawk_churn_steady_state_event_loop_allocates_nothing() {
     );
 }
 
-/// The serving-mode stack at full tilt: 1 s windowed live sampling
-/// (thousands of window closes land inside the measured window, each one
-/// write of occupancy and steal counters into the harness's fixed ring —
-/// the windows themselves are derived from the results at report time),
-/// and the admission gate consulted on every arrival. All of it must run
-/// on state pre-allocated at construction.
+/// The serving-mode stack: the admission gate consulted on every
+/// arrival. It must run on state pre-allocated at construction.
 #[test]
 fn hawk_serving_mode_steady_state_allocates_nothing() {
     use hawk::core::AdmissionPolicy;
@@ -274,7 +270,6 @@ fn hawk_serving_mode_steady_state_allocates_nothing() {
         Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION)),
         "hawk-serving",
         |sim| SimConfig {
-            live_window: Some(SimDuration::from_secs(1)),
             // A budget that never binds: the gate (a plan lookup) runs on
             // every arrival without reshaping the run.
             admission: Some(AdmissionPolicy {

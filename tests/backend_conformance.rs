@@ -425,86 +425,6 @@ fn hardened_chaos_cell_replays_the_pinned_delivery_sequence() {
     }
 }
 
-/// The serving axis of the §4.4 cross-check: the pinned saturation
-/// scenario (bursty overload plateau) under admission control, run
-/// through both backends.
-///
-/// The admission plan is computed from pure pre-run inputs (trace,
-/// capacity, cutoff, dynamics, policy), so the two backends must agree
-/// on the shed/deferral counters **exactly**, not within a band — any
-/// divergence means one backend's gate drifted from the shared plan.
-/// The streaming percentiles over admitted jobs then get the usual
-/// quantitative conformance band.
-#[test]
-fn saturation_axis_sheds_exactly_and_streams_within_band() {
-    use hawk_workload::google::GOOGLE_SHORT_PARTITION;
-    use support::{saturation_policy, saturation_scenario, GOLDEN_JOBS, GOLDEN_NODES};
-
-    let trace = Arc::new(saturation_scenario().trace(TRACE_SEED));
-    let build = || {
-        Experiment::builder()
-            .nodes(GOLDEN_NODES)
-            .trace(&trace)
-            .seed(SIM_SEED)
-            .admission(saturation_policy())
-            .scheduler(Hawk::new(GOOGLE_SHORT_PARTITION))
-            .build()
-    };
-    let sim = build().run_on(&SimBackend);
-    let proto = build().run_on(&ProtoBackend::deterministic());
-
-    // Exact counter parity, and the cell genuinely overloaded: longs
-    // were both deferred and shed, shorts were never shed (protected).
-    assert_eq!(
-        sim.admission, proto.admission,
-        "backends disagree on admission counters"
-    );
-    assert!(sim.admission.sheds() > 0, "the saturation cell never shed");
-    assert!(
-        sim.admission.deferrals() > 0,
-        "the saturation cell never deferred"
-    );
-    assert_eq!(sim.admission.sheds_short, 0, "protected shorts were shed");
-
-    // Every job is accounted for in both reports; shed jobs appear as
-    // zero-runtime results (completion == submission) in equal numbers.
-    for (name, report) in [("sim", &sim), ("proto", &proto)] {
-        assert_eq!(report.results.len(), GOLDEN_JOBS, "{name} lost jobs");
-        let zero_runtime = report
-            .results
-            .iter()
-            .filter(|r| r.completion == r.submission)
-            .count() as u64;
-        assert_eq!(
-            zero_runtime,
-            report.admission.sheds(),
-            "{name}: shed bookkeeping does not match zero-runtime results"
-        );
-        let streamed = report.streaming.short.jobs + report.streaming.long.jobs;
-        assert_eq!(
-            streamed + report.admission.sheds(),
-            GOLDEN_JOBS as u64,
-            "{name}: streaming sinks saw the wrong admitted population"
-        );
-    }
-
-    // Streaming p90s over the admitted jobs track across backends within
-    // the standard conformance band.
-    for (class, s, pr) in [
-        ("short", sim.streaming.short.p90, proto.streaming.short.p90),
-        ("long", sim.streaming.long.p90, proto.streaming.long.p90),
-    ] {
-        let s = s.expect("sim streamed no jobs of class");
-        let pr = pr.expect("proto streamed no jobs of class");
-        let ratio = pr / s;
-        assert!(
-            (0.7..=1.3).contains(&ratio),
-            "{class} streaming p90: proto {pr:.2}s vs sim {s:.2}s \
-             (ratio {ratio:.3}) outside the conformance band"
-        );
-    }
-}
-
 #[test]
 fn virtual_prototype_is_byte_deterministic() {
     let trace = Arc::new(conformance_scenario().trace(TRACE_SEED));
@@ -580,17 +500,17 @@ fn proto_backend_honours_scenario_dynamics_and_speeds() {
 /// Illegal cells, refused alike in every harness: one table of the cell
 /// rules `hawk_core::check_cell` enforces, each broken cell run through
 /// the single-stream `Driver`, a 2-shard `ShardedDriver` and the virtual
-/// prototype. All three must panic at construction with the same message,
-/// except that the prototype, which reports no live windows, refuses any
-/// cell that sets `live_window` — a zero one included — with its own
-/// message, naming the field, before `check_cell` runs.
+/// prototype. All three must panic at construction with the same message.
+/// Admission control is simulator-only: a cell that sets it runs in the
+/// simulator, and the prototype refuses it with its own message, naming
+/// the field.
 #[test]
 fn every_harness_refuses_an_illegal_cell_with_the_same_message() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use hawk_cluster::ServerId;
     use hawk_core::scheduler::SplitCluster;
-    use hawk_core::{ExperimentBuilder, PlacementView, Route, Scope};
+    use hawk_core::{AdmissionPolicy, ExperimentBuilder, PlacementView, Route, Scope};
     use hawk_simcore::{SimDuration, SimRng, SimTime};
     use hawk_workload::scenario::DynamicsScript;
     use hawk_workload::{Job, JobId};
@@ -632,40 +552,25 @@ fn every_harness_refuses_an_illegal_cell_with_the_same_message() {
             .trace(&trace)
             .scheduler(Sparrow::new())
     };
-    let no_live = "the prototype backend reports no live windows; drop `.live_window(..)`";
-    // Each rule, its broken cell, and the prototype's message when it is
-    // not the simulator's.
-    let rules: [(&str, ExperimentBuilder, Option<&str>); 6] = [
+    // Each rule and its broken cell.
+    let rules: [(&str, ExperimentBuilder); 5] = [
         (
             "dynamics script touches server 9",
             cell().dynamics(DynamicsScript::none().down_at(SimTime::from_secs(1), 9)),
-            None,
         ),
         (
             "route targets the short partition but none is reserved",
             cell().scheduler(SplitCluster::new(0.0)),
-            None,
         ),
         (
             "central routes must share a scope",
             cell().scheduler(TwoCentralScopes),
-            None,
         ),
         (
             "centralized route over an empty scope",
             cell().scheduler(Hawk::new(1.0)),
-            None,
         ),
-        (
-            "util_interval",
-            cell().util_interval(SimDuration::ZERO),
-            None,
-        ),
-        (
-            "live_window must be positive",
-            cell().live_window(SimDuration::ZERO),
-            Some(no_live),
-        ),
+        ("util_interval", cell().util_interval(SimDuration::ZERO)),
     ];
     let proto = ProtoBackend::deterministic();
     type Harness<'a> = (&'a str, usize, &'a dyn Backend);
@@ -686,7 +591,7 @@ fn every_harness_refuses_an_illegal_cell_with_the_same_message() {
                 .map_or_else(String::new, |message| message.to_string()),
         }
     };
-    for (rule, builder, proto_message) in rules {
+    for (rule, builder) in rules {
         let messages = harnesses.map(|harness| refusal(harness, rule, &builder));
         assert!(
             messages[0].contains(rule),
@@ -694,16 +599,14 @@ fn every_harness_refuses_an_illegal_cell_with_the_same_message() {
             messages[0]
         );
         assert_eq!(messages[1], messages[0], "sharded vs driver on `{rule}`");
-        assert_eq!(
-            messages[2],
-            proto_message.unwrap_or(&messages[0]),
-            "proto vs driver on `{rule}`"
-        );
+        assert_eq!(messages[2], messages[0], "proto vs driver on `{rule}`");
     }
-    // A positive live window runs in the simulator and not on the prototype.
-    let live = cell().live_window(SimDuration::from_secs(1));
-    assert!(live.clone().build().run().live.is_some());
-    assert_eq!(refusal(harnesses[2], "live_window", &live), no_live);
+    let gated = cell().admission(AdmissionPolicy::default());
+    assert_eq!(gated.clone().build().run().results.len(), trace.len());
+    assert_eq!(
+        refusal(harnesses[2], "admission", &gated),
+        "admission control is simulator-only; drop `.admission(..)`"
+    );
 }
 
 /// A dynamics script that takes down every server of the central scope is

@@ -120,7 +120,6 @@ fn digest_function_is_stable() {
         network: hawk_core::NetworkStats::default(),
         sharded: None,
         streaming: hawk_core::StreamingStats::default(),
-        live: None,
         admission: hawk_core::AdmissionStats::default(),
     };
     assert_eq!(digest_report(&report), 5542435923394299797);

@@ -13,7 +13,7 @@
 //! utilization sample in [0, 1] in both runs. A sixth puts a generated
 //! `AdmissionPolicy` on the cell, so arrivals are deferred and re-fire and
 //! jobs are shed, and holds arrivals = completions + sheds on `Driver`, 2,
-//! 3 and 5 cores and the `hawk-proto` virtual run — and, against the
+//! 3 and 5 cores (admission control is simulator-only) — and, against the
 //! `AdmissionPlan` computed from the same inputs, that every harness
 //! submits each job at its trace time, completes a deferred one no sooner
 //! than its admitted window allows, and leaves exactly the shed jobs out
@@ -39,35 +39,6 @@
 //! re-probe and relaunch what was lost, so every job still completes;
 //! `worker::tests::hardened_steal_grant_gives_up_and_relocates` catches it.
 //!
-//! A ninth holds live windows to be a view of the results (ROADMAP 6) on
-//! `Driver` and 2, 3 and 5 cores, under churn, with admission off, never
-//! binding or binding: setting `live_window` moves no result, steal count
-//! or per-kind event count and adds one `LiveSample` pop per window
-//! closed, and every retained window's counts and backlog equal a recount
-//! of the results and the admission plan by the half-open rule. The
-//! traces' whole-second submissions put offers on window boundaries.
-//! Mutations of `LiveSamples::report` that fail it (each checked by hand):
-//! windows closed on the right, `(i·W, (i+1)·W]` (first case, `Driver`,
-//! window 0: 3 offers against a recount of 2); a deferred job's re-fire
-//! counted as a second offer in the window it is admitted to; a shed job
-//! counted as a completion (the backlog underflows). One that does not: the
-//! backlog before the first retained window taking a completion on that
-//! window's opening microsecond as resolved before it — no generated
-//! case resolves a job there; `live::tests::ring_keeps_only_the_last_windows`
-//! catches it.
-//!
-//! A tenth holds each live window's occupancy to the utilization sample
-//! taken at the same instant (`live_window == util_interval`), under
-//! churn, on `Driver` and 2, 3 and 5 cores. It failed before the windows
-//! were derived from the results, when each core divided its own running
-//! count by the cluster's in-service count plus only its own draining
-//! servers and the report summed the shares: first at 2 shards, window 30,
-//! 0.30000000000000004 against 0.3 (the shares' sum rounds), and, read to
-//! within 1e-9, at 2 shards, window 9 of a 13-node cell, 1.0454545454545454
-//! against 1.0 (each share's denominator left out the servers draining on\n//! the other cores).
-//! A mutation that fails it (checked by hand): the sharded harness
-//! sampling core 0's `Cluster::utilization` instead of the whole cluster's.
-//!
 //! Nothing enqueues on a down server: `Server::enqueue` debug-asserts that
 //! its server is up, and `Cluster` and the prototype `Worker` both enqueue
 //! through it, so every churned case checks it in every harness under
@@ -77,12 +48,11 @@
 //! (`DownAt::InFlight`). A mutation that fails it (checked by hand):
 //! removing the down check of `hawk_core::land`, which `Core::on_arrive`
 //! and the prototype worker's `on_arrive` both land every arrival with,
-//! fails all ten churned properties through the assert. When the check
-//! had a copy on each side, removing `Core`'s failed the first, seventh,
-//! ninth and tenth, removing the worker's (on `WorkerMsg::Assign`) the
-//! first and seventh, and with the same draws mapped to whole seconds
-//! instead neither failed. The
-//! assert cannot catch a core that missed its own `NodeDown` (that
+//! fails every churned property through the assert. When the check had a
+//! copy on each side, removing `Core`'s failed the first and seventh,
+//! removing the worker's (on `WorkerMsg::Assign`) the first and seventh,
+//! and with the same draws mapped to whole seconds instead neither
+//! failed. The assert cannot catch a core that missed its own `NodeDown` (that
 //! server's stat word never goes down); only
 //! `shard::tests::a_down_server_runs_nothing_whichever_core_owns_it` does.
 //!
@@ -101,10 +71,7 @@
 //! an admission-deferred re-fire for the streamed arrival, so the job after
 //! the re-fired one arrives a second time; a shed counted as a completion
 //! (`Core::on_job_arrival` running a shed job like an admitted one, so no
-//! result has zero runtime); the prototype's feed handing a deferred job
-//! over at its trace time instead of its window (`runtime::feed`); its
-//! outcome record taking the window as a deferred job's submission
-//! (`Outcomes::new`); and the streaming fold counting shed jobs
+//! result has zero runtime); and the streaming fold counting shed jobs
 //! (`StreamingStats::from_results`).
 //!
 //! Mutations of `Core::try_steal` against the fifth (each checked by
@@ -307,23 +274,6 @@ fn arb_unbounced_scheduler() -> impl Strategy<Value = Arc<dyn Scheduler>> {
     proptest::strategy::Union::new(scheduler_arms())
 }
 
-/// Strategy: no admission control, a gate that never binds, or one
-/// that defers and sheds.
-fn arb_admission() -> impl Strategy<Value = Option<AdmissionPolicy>> {
-    let policy = |window_secs, headroom, max_defer_windows, protect_short| AdmissionPolicy {
-        window: SimDuration::from_secs(window_secs),
-        headroom,
-        max_defer_windows,
-        protect_short,
-    };
-    prop_oneof![
-        Just(None),
-        Just(Some(policy(100, 1e9, 4, false))),
-        (10u64..2_000, 0.05f64..1.0, 0u32..4, any::<bool>())
-            .prop_map(move |(w, h, d, p)| Some(policy(w, h, d, p))),
-    ]
-}
-
 /// A fault script's drawn parameters: drop and duplicate probabilities,
 /// reorder jitter in µs, and partition windows `(first host, hosts, from,
 /// length)` with `from` and `length` in thousandths of the trace's span.
@@ -433,7 +383,8 @@ proptest! {
     /// duplicates and reorder jitter throughout and partition windows that
     /// close before the last arrival, every job completes exactly once
     /// and no sooner than it was submitted, no utilization sample exceeds
-    /// 1, and a second run of the cell is byte-identical.
+    /// 1, a thief banks one grant per steal attempt at most, and a second
+    /// run of the cell is byte-identical.
     #[test]
     fn every_job_completes_under_faults_that_heal(
         trace in arb_trace(),
@@ -464,6 +415,12 @@ proptest! {
             report.utilization_samples.iter().all(|&u| u <= 1.0),
             "utilization above 1: {:?}",
             report.utilization_samples
+        );
+        prop_assert!(
+            report.steals <= report.steal_attempts,
+            "{} steals over {} attempts",
+            report.steals,
+            report.steal_attempts
         );
         prop_assert_eq!(format!("{report:?}"), format!("{:?}", run()));
     }
@@ -639,17 +596,16 @@ proptest! {
         prop_assert!(cap > 0 || proto.steal_attempts == 0);
     }
 
-    /// Arrivals = completions + sheds, in every harness — `Driver`, 2, 3
-    /// and 5 cores, and a fault-free `hawk-proto` virtual run — under an
-    /// admission policy that defers and sheds: every job either completes
-    /// once, no sooner than its longest task allows, or is shed with a
-    /// zero runtime, and the shed ones are exactly the plan's. Against
-    /// the plan computed from the same inputs, every result is submitted
-    /// at its trace submission, a deferred job completes no sooner than
-    /// its admitted window plus its longest task, and the streaming
-    /// summary counts every job but the shed ones. On the simulator
-    /// harnesses every job's arrival fires once, and once more if it was
-    /// deferred.
+    /// Arrivals = completions + sheds, in every simulator harness —
+    /// `Driver` and 2, 3 and 5 cores (admission control is simulator-only)
+    /// — under an admission policy that defers and sheds: every job
+    /// either completes once, no sooner than its longest task allows, or
+    /// is shed with a zero runtime, and the shed ones are exactly the
+    /// plan's. Against the plan computed from the same inputs, every
+    /// result is submitted at its trace submission, a deferred job
+    /// completes no sooner than its admitted window plus its longest task,
+    /// and the streaming summary counts every job but the shed ones. Every
+    /// job's arrival fires once, and once more if it was deferred.
     #[test]
     fn every_arrival_completes_once_or_is_shed(
         trace in arb_trace(),
@@ -715,153 +671,6 @@ proptest! {
                 "{} shards",
                 shards
             );
-        }
-        balances(&cell.build().run_on(&ProtoBackend::deterministic()));
-    }
-
-    /// Live windows are a view of the results, in both simulator
-    /// harnesses — `Driver` and 2, 3 and 5 cores — under churn, with
-    /// admission off, never binding or binding. Setting `live_window`
-    /// moves no result, steal count or per-kind event count, and adds one
-    /// event per window closed (its `LiveSample` pop). In every retained
-    /// window the completions are the two classes', the backlog follows
-    /// from the previous one, and arrivals, sheds, deferrals and
-    /// completions — and the backlog — equal a recount of the results and
-    /// the plan by the half-open rule: an offer, shed or deferral at the
-    /// job's submission, a completion at its completion, shed jobs none.
-    /// One shard is `Driver`, byte for byte.
-    #[test]
-    fn live_windows_are_a_view_of_the_results(
-        trace in arb_trace(),
-        scheduler in arb_scheduler(),
-        // Five nodes and up: every drawn split reserves a short server.
-        nodes in 5usize..40,
-        seed in 0u64..1_000,
-        windows in arb_windows(),
-        live_secs in 20u64..2_000,
-        admission in arb_admission(),
-    ) {
-        let dynamics = churn(&*scheduler, &trace, nodes, windows);
-        let mut cell = Experiment::builder()
-            .nodes(nodes)
-            .dynamics(dynamics.clone())
-            .scheduler_shared(scheduler)
-            .seed(seed)
-            .trace(&trace);
-        if let Some(policy) = admission {
-            cell = cell.admission(policy);
-        }
-        let plan = admission.map(|policy| {
-            AdmissionPlan::compute(&trace, nodes, SimConfig::default().cutoff, &dynamics, policy)
-        });
-        let decision = |job: JobId| {
-            plan.as_ref().map_or(AdmissionDecision::Admit, |plan| plan.decision(job))
-        };
-        let window = SimDuration::from_secs(live_secs);
-        for shards in [1usize, 2, 3, 5] {
-            let dark = cell.clone().shards(shards).run();
-            let lit = cell.clone().shards(shards).live_window(window).run();
-            prop_assert!(dark.live.is_none());
-            let live = lit.live.as_ref().expect("live_window was set");
-            prop_assert_eq!(live.window, window);
-            prop_assert_eq!(&lit.results, &dark.results, "{} shards", shards);
-            prop_assert_eq!(
-                (lit.steals, lit.steal_attempts, lit.events_by_kind),
-                (dark.steals, dark.steal_attempts, dark.events_by_kind),
-                "{} shards",
-                shards
-            );
-            let closed = live.windows.last().map_or(0, |w| w.index + 1);
-            prop_assert_eq!(lit.events, dark.events + closed, "{} shards", shards);
-            prop_assert!(live.windows.len() <= hawk::core::LIVE_RING);
-            for (i, w) in live.windows.iter().enumerate() {
-                prop_assert_eq!(w.index, closed - (live.windows.len() - i) as u64);
-                prop_assert_eq!(w.completions, w.short.completions + w.long.completions);
-                if i > 0 {
-                    let before = live.windows[i - 1].backlog;
-                    prop_assert_eq!(
-                        w.backlog + w.sheds + w.completions,
-                        before + w.arrivals,
-                        "{} shards, window {}",
-                        shards,
-                        w.index
-                    );
-                }
-                let within = |t: SimTime| t.as_micros() / window.as_micros() == w.index;
-                let offered = || lit.results.iter().filter(|r| within(r.submission));
-                let decided = |wanted: fn(AdmissionDecision) -> bool| {
-                    offered().filter(|r| wanted(decision(r.job))).count() as u64
-                };
-                let completions = lit
-                    .results
-                    .iter()
-                    .filter(|r| within(r.completion) && decision(r.job) != AdmissionDecision::Shed)
-                    .count() as u64;
-                // Offered by the close, less resolved by it: a shed job
-                // resolves at its submission, which is its completion.
-                let close = (w.index + 1) * window.as_micros();
-                let by_close = |at: fn(&JobResult) -> SimTime| {
-                    lit.results.iter().filter(|r| at(r).as_micros() < close).count() as u64
-                };
-                prop_assert_eq!(
-                    (w.arrivals, w.sheds, w.deferrals, w.completions, w.backlog),
-                    (
-                        offered().count() as u64,
-                        decided(|d| d == AdmissionDecision::Shed),
-                        decided(|d| matches!(d, AdmissionDecision::Defer { .. })),
-                        completions,
-                        by_close(|r| r.submission) - by_close(|r| r.completion),
-                    ),
-                    "{} shards, window {}",
-                    shards,
-                    w.index
-                );
-            }
-        }
-        let lit = cell.live_window(window).build();
-        let driver = hawk::core::Driver::with_scheduler(lit.trace(), Arc::clone(lit.scheduler()), lit.sim());
-        prop_assert_eq!(format!("{:?}", lit.run()), format!("{:?}", driver.run()));
-    }
-
-    /// A live window's occupancy is the whole cluster's utilization at its
-    /// close, in every simulator harness: with `live_window` equal to
-    /// `util_interval`, window `i` closes at the instant utilization
-    /// sample `i` is taken, under generated down/up windows, on `Driver`
-    /// and on 2, 3 and 5 cores. Before live windows were derived from the
-    /// results, each core divided its own running count by the cluster's
-    /// in-service count plus its *own* draining servers and the sharded
-    /// report summed those shares: under churn the sum over-counts.
-    #[test]
-    fn sharded_live_occupancy_is_the_whole_cluster_utilization(
-        trace in arb_trace(),
-        scheduler in arb_scheduler(),
-        // Five nodes and up: every drawn split reserves a short server.
-        nodes in 5usize..40,
-        seed in 0u64..1_000,
-        windows in arb_windows(),
-        interval_secs in 20u64..500,
-    ) {
-        let interval = SimDuration::from_secs(interval_secs);
-        let cell = Experiment::builder()
-            .nodes(nodes)
-            .dynamics(churn(&*scheduler, &trace, nodes, windows))
-            .scheduler_shared(scheduler)
-            .seed(seed)
-            .util_interval(interval)
-            .live_window(interval)
-            .trace(&trace);
-        for shards in [1usize, 2, 3, 5] {
-            let report = cell.clone().shards(shards).run();
-            let live = report.live.as_ref().expect("live_window was set");
-            for w in &live.windows {
-                prop_assert_eq!(
-                    w.occupancy,
-                    report.utilization_samples[w.index as usize],
-                    "{} shards, window {}",
-                    shards,
-                    w.index
-                );
-            }
         }
     }
 
@@ -1205,6 +1014,46 @@ proptest! {
         );
     }
 
+    /// ROADMAP 7(1), an identity: with every job long, Hawk without a
+    /// short partition is the fully centralized scheduler. The cutoff sits
+    /// below every task, so every job goes to the central scheduler, whose
+    /// scope with nothing reserved is the whole cluster, and no probe is
+    /// ever queued for an idle server to steal. Results are byte-identical
+    /// to `Centralized`'s, on `Driver` and on a fault-free `hawk-proto`
+    /// virtual run, under the first property's churn. Only results are
+    /// compared: Hawk's idle servers still make steal attempts, which find
+    /// nothing. A mutation that fails it (checked by hand): `Hawk::new(0.17)`
+    /// in place of `Hawk::new(0.0)`, which confines long jobs to the
+    /// general partition.
+    #[test]
+    fn hawk_on_long_jobs_without_a_short_partition_is_centralized(
+        trace in arb_trace(),
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        windows in arb_windows(),
+    ) {
+        let dynamics = churn(&Centralized::new(), &trace, nodes, windows);
+        let cell = |scheduler: Arc<dyn Scheduler>| {
+            Experiment::builder()
+                .nodes(nodes)
+                .dynamics(dynamics.clone())
+                .scheduler_shared(scheduler)
+                .cutoff(Cutoff(SimDuration::ZERO))
+                .seed(seed)
+                .trace(&trace)
+                .build()
+        };
+        let hawk = cell(arc(Hawk::new(0.0)));
+        let centralized = cell(arc(Centralized::new()));
+        prop_assert_eq!(hawk.run().results, centralized.run().results, "Driver");
+        let proto = ProtoBackend::deterministic();
+        prop_assert_eq!(
+            hawk.run_on(&proto).results,
+            centralized.run_on(&proto).results,
+            "proto"
+        );
+    }
+
     /// ROADMAP 8(1), an identity: a speed profile that slows no server is
     /// the uniform one. `SpeedSpec::TwoTier` with no slow servers,
     /// `TwoTier` whose slow tier runs at 1.0 and `PerServer` at 1.0
@@ -1459,7 +1308,6 @@ proptest! {
             nodes,
             &DynamicsScript::none(),
             SimConfig::default().util_interval,
-            None,
         );
     }
 }

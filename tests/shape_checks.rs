@@ -156,3 +156,24 @@ fn central_latency_shape_decision_cost_hits_centralized_not_hawk() {
         "Hawk shorts bypass the central queue: hawk {hawk_hit} vs central {central_hit}"
     );
 }
+
+/// ROADMAP 9's first decision: probe avoidance earns its place. Eagle-style
+/// bouncing (`Hawk::probe_avoidance(4)`) steers short probes off servers
+/// holding long work, so it must lower short-job latency against plain
+/// Hawk at both the median and the 90th percentile, at every one of ten
+/// simulator seeds. The ratios read 0.80–0.84 (p50) and 0.84–0.93 (p90)
+/// over those seeds, so the 1.0 line sits outside their spread.
+#[test]
+fn probe_avoidance_shape_bouncing_lowers_short_latency() {
+    for seed in 1..=10 {
+        let base = loaded_cell().seed(seed);
+        let plain = run(&base, Hawk::new(GOOGLE_SHORT_PARTITION));
+        let avoiding = run(&base, Hawk::new(GOOGLE_SHORT_PARTITION).probe_avoidance(4));
+        let short = compare(&avoiding, &plain, JobClass::Short);
+        let (p50, p90) = (short.p50_ratio.unwrap(), short.p90_ratio.unwrap());
+        assert!(
+            p50 < 1.0 && p90 < 1.0,
+            "seed {seed}: probe avoidance over plain Hawk, short p50 {p50:.3}, p90 {p90:.3}"
+        );
+    }
+}

@@ -172,33 +172,37 @@ pub fn print_proto_pins(name: &str, pins: &[ProtoPin]) {
 /// victim draws with the scans it answers, and to ignore an empty steal
 /// reply from any but the victim contacted last (messages were 156,754 /
 /// 153,876, steals 1,455 / 1,453); the prototype's conformance bands held
-/// over ten seeds on both sides. The router decides how fast a delivery is
+/// over ten seeds on both sides. Re-pinned again when a hardened thief
+/// came to bank only the grant of the victim it contacted last and to
+/// relocate any other (messages were 155,964 / 155,115, steals 1,432 /
+/// 1,456); the fault-axis bands held over ten seeds on both sides. The
+/// router decides how fast a delivery is
 /// found, never which one is next — any drift in delivery order, chain
 /// firing or a fault-lane draw fails against these.
 pub const HARDENED_CHAOS_PINS: [ProtoPin; 2] = [
     ProtoPin {
-        runtimes: 0x3c25c66fca778ce9,
-        messages: 155_964,
-        steals: 1_432,
-        steal_attempts: 2_017,
+        runtimes: 0xab496947a217c80b,
+        messages: 155_663,
+        steals: 1_434,
+        steal_attempts: 2_019,
         drops: 978,
         dups: 507,
-        retries: 9_950,
-        timeouts_fired: 384,
-        relaunched: 389,
-        migrations: 49,
+        retries: 9_800,
+        timeouts_fired: 357,
+        relaunched: 360,
+        migrations: 90,
     },
     ProtoPin {
-        runtimes: 0x32079cc0d2c02d6a,
-        messages: 155_115,
-        steals: 1_456,
-        steal_attempts: 2_007,
-        drops: 1_022,
-        dups: 466,
-        retries: 9_928,
-        timeouts_fired: 393,
-        relaunched: 396,
-        migrations: 45,
+        runtimes: 0xc12e6ad87dc90c4d,
+        messages: 154_250,
+        steals: 1_413,
+        steal_attempts: 1_971,
+        drops: 1_018,
+        dups: 462,
+        retries: 9_947,
+        timeouts_fired: 408,
+        relaunched: 413,
+        migrations: 65,
     },
 ];
 
