@@ -2,7 +2,7 @@
 //! utilities they share.
 //!
 //! Every entry of [`ROWS`] regenerates one table or figure of the Hawk
-//! paper (or one beyond-paper ablation / conformance smoke) as a
+//! paper (or the §4.8 topology study or the probe-avoidance extension) as a
 //! [`Table`]; the `repro` binary prints it as TSV on stdout (commentary
 //! goes to stderr) — `repro fig05 --quick`, or `repro all` for every row
 //! into `results/<row>.tsv`. All rows share one CLI convention:
@@ -13,7 +13,7 @@
 //! * `--full-trace` (alias `--paper-scale`) — the full published job count
 //!   (506,460 jobs for the Google trace; minutes to tens of minutes);
 //! * `--jobs N` / `--seed S` — explicit overrides;
-//! * per-row extras a [`Row`] declares (`--smoke`, `--faults`).
+//! * per-row extras a [`Row`] declares (`--smoke`).
 //!
 //! Truncating the job count shortens the simulated horizon but preserves
 //! the arrival rate, and therefore the offered load at every sweep point —
@@ -101,8 +101,8 @@ impl HarnessOpts {
     }
 }
 
-/// One study of the evaluation: a paper table or figure, a beyond-paper
-/// ablation, or a conformance smoke.
+/// One study of the evaluation: a paper table or figure, the §4.8
+/// topology study, or the probe-avoidance extension.
 #[derive(Debug, Clone, Copy)]
 pub struct Row {
     /// What `repro <name>` selects and `results/<name>.tsv` is called.
@@ -220,12 +220,6 @@ pub fn google_setup(opts: &HarnessOpts) -> (Arc<Trace>, Vec<usize>) {
     (Arc::new(trace), GoogleTraceConfig::scaled_node_sweep(scale))
 }
 
-/// The Google-trace cluster size the sensitivity studies fix (15,000 nodes
-/// in the paper; scaled in quick mode).
-pub fn google_sensitivity_nodes(opts: &HarnessOpts) -> usize {
-    15_000 / opts.cluster_scale() as usize
-}
-
 /// Hawk as the paper configures it for the Google trace: the 17 % short
 /// partition its task-seconds rule gives (§3.4).
 pub fn google_hawk() -> Hawk {
@@ -233,10 +227,11 @@ pub fn google_hawk() -> Hawk {
 }
 
 /// The cell the sensitivity studies fix — [`base`] with the Google trace
-/// and [`google_sensitivity_nodes`] set — plus that node count.
+/// at 15,000 nodes (the paper's size; scaled in quick mode) — plus that
+/// node count.
 pub fn google_cell(opts: &HarnessOpts) -> (ExperimentBuilder, usize) {
     let (trace, _) = google_setup(opts);
-    let nodes = google_sensitivity_nodes(opts);
+    let nodes = 15_000 / opts.cluster_scale() as usize;
     (base(opts).nodes(nodes).trace(trace), nodes)
 }
 
@@ -261,7 +256,7 @@ pub fn fmt<T: Display>(x: T) -> String {
 
 /// The base experiment description for a harness run: the paper's
 /// defaults with the run's seed. Rows refine it with `.cutoff(..)`,
-/// `.central_overhead(..)` etc. before fanning out cells.
+/// `.topology(..)` etc. before fanning out cells.
 pub fn base(opts: &HarnessOpts) -> ExperimentBuilder {
     Experiment::builder().seed(opts.seed)
 }

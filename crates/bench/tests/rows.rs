@@ -3,16 +3,14 @@
 //! extra flags — once with all of them.
 //!
 //! Checked per run: a non-empty header, every line at the header's
-//! arity, no `NaN` / `inf` cell, and a second run byte-equal outside the
-//! `wall_ms` column (`proto_vs_sim` and `chaos_sweep` print one). `fig16_17` runs live threads on the wall
-//! clock (`Row::wall_clock`) and is skipped.
+//! arity, no `NaN` / `inf` cell, and a byte-equal second run. `fig16_17`
+//! runs live threads on the wall clock (`Row::wall_clock`) and is skipped.
 //!
 //! Mutations this fails on (each tried): dropping the last cell from
 //! `table1`'s second `push` (the line is off the header: `Table::push`
 //! panics); dividing `fig14`'s sums by zero (an `inf` cell); seeding
-//! `ablation_burstiness`'s arrival RNG from the clock instead of
-//! `opts.seed` (the second run differs). A smoke row's own `assert!`
-//! going false at this scale fails it too.
+//! `fig06`'s trace generation from the clock instead of `opts.seed` (the
+//! second run differs).
 
 use hawk_bench::{HarnessOpts, Row, RunMode, Table, ROWS};
 
@@ -26,13 +24,7 @@ fn run(row: &Row, flags: &[String]) -> Table {
         jobs: Some(JOBS),
         ..HarnessOpts::default()
     };
-    let mut table = (row.run)(&opts, flags);
-    if let Some(wall) = table.columns.iter().position(|c| *c == "wall_ms") {
-        for line in &mut table.rows {
-            line[wall].clear();
-        }
-    }
-    table
+    (row.run)(&opts, flags)
 }
 
 #[test]

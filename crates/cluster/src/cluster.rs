@@ -20,7 +20,6 @@ use crate::partition::Partition;
 use crate::queue::QueueSlab;
 use crate::server::{scale_duration, RunningTask, Server, ServerAction, ServerId, Stat};
 use crate::steal;
-use crate::steal::StealScratch;
 
 /// A simulated cluster of single-slot FIFO servers.
 ///
@@ -82,8 +81,6 @@ pub struct Cluster {
     /// `servers[i]`'s), read only at launch by [`Cluster::occupancy`].
     /// Empty when every owned server runs at speed 1.0.
     speeds: Vec<f64>,
-    /// Reused working space for the granularity-driven steal scans.
-    steal_scratch: StealScratch,
     partition: Partition,
     running: usize,
     /// Servers out of service, over the whole id space. Empty in every
@@ -160,7 +157,6 @@ impl Cluster {
             queues: QueueSlab::new(owned.len()),
             servers: vec![Server::default(); owned.len()],
             speeds: own_speeds,
-            steal_scratch: StealScratch::new(),
             partition,
             running: 0,
             down: BitSet::new(total),
@@ -324,23 +320,26 @@ impl Cluster {
         (task, action)
     }
 
-    /// Attempts to steal from `victim` (§3.6) at `granularity`, appending
-    /// what the scan takes to `out` in queue order (nothing appended when
-    /// no group is eligible). The scan's working space is a buffer
-    /// recycled inside the cluster, so once `out` has warmed up repeated
-    /// attempts allocate nothing.
+    /// Attempts to steal from `victim` (§3.6), appending the first blocked
+    /// group (Figure 3) to `out` in queue order (nothing appended when no
+    /// group is eligible). Once `out` has warmed up, repeated attempts
+    /// allocate nothing.
+    pub fn steal_into(&mut self, victim: ServerId, out: &mut Vec<QueueEntry>) {
+        self.update(victim, |s, q, list| steal::steal_from_into(s, q, list, out));
+    }
+
+    /// [`Cluster::steal_into`]; the paper's granularity is the only one,
+    /// and the scan draws nothing from `rng`. Kept only because the frozen
+    /// benchmark (`hawkbench/layers.rs`) calls it.
+    #[doc(hidden)]
     pub fn steal_from_with_into(
         &mut self,
         victim: ServerId,
-        granularity: steal::StealGranularity,
-        rng: &mut hawk_simcore::SimRng,
+        _: steal::StealGranularity,
+        _: &mut hawk_simcore::SimRng,
         out: &mut Vec<QueueEntry>,
     ) {
-        let mut scratch = std::mem::take(&mut self.steal_scratch);
-        self.update(victim, |s, q, list| {
-            steal::steal_from_with_into(s, q, list, granularity, rng, &mut scratch, out)
-        });
-        self.steal_scratch = scratch;
+        self.steal_into(victim, out)
     }
 
     /// Hands stolen entries to `thief` by draining `entries` (left empty,
@@ -490,9 +489,9 @@ impl Cluster {
 
     /// True if a steal scan of the in-service `server` can find anything:
     /// it holds long work and has a short entry queued — the §3.6
-    /// steal-victim eligibility signal. `false` is exact for every
-    /// granularity (see [`Server::is_steal_candidate`]); `true` still needs
-    /// the scan. One bitmap load.
+    /// steal-victim eligibility signal. `false` is exact (see
+    /// [`Server::is_steal_candidate`]); `true` still needs the scan. One
+    /// bitmap load.
     pub fn is_steal_candidate(&self, server: ServerId) -> bool {
         self.steal_candidates.contains(server.index())
     }
@@ -721,9 +720,7 @@ mod tests {
         assert!(stealable(&c).is_some());
 
         let mut stolen = Vec::new();
-        let granularity = steal::StealGranularity::FirstBlockedGroup;
-        let mut rng = hawk_simcore::SimRng::seed_from_u64(1);
-        c.steal_from_with_into(ServerId(0), granularity, &mut rng, &mut stolen);
+        c.steal_into(ServerId(0), &mut stolen);
         assert_eq!(stolen.len(), 2);
         assert!(stealable(&c).is_none());
 

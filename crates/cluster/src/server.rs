@@ -242,7 +242,7 @@ impl Server {
 
     /// True when a steal scan of this server can find anything: it holds
     /// long work and has a short entry queued. A `false` is exact (nothing
-    /// is blocked behind a long task, at any granularity); a `true` still
+    /// is blocked behind a long task); a `true` still
     /// needs the scan, since the short entries may all sit ahead of the
     /// first long one. One load of the stat word.
     pub fn is_steal_candidate(&self) -> bool {

@@ -116,151 +116,17 @@ pub fn steal_from(victim: &mut Server, queues: &mut QueueSlab, list: usize) -> V
     out
 }
 
-/// What an idle thief takes from a victim's queue.
-///
-/// §3.6 argues for [`StealGranularity::FirstBlockedGroup`]: stealing a
-/// limited, head-adjacent group focuses on a few jobs so their *job*
-/// runtimes actually improve. The alternatives exist to test that design
-/// rationale (see the `ablation_steal_granularity` bench):
-///
-/// * [`StealGranularity::RandomBlockedEntry`] is the strawman the paper
-///   rejects — "if short tasks were stolen from random positions in server
-///   queues that would likely end up focusing on too many jobs at the same
-///   time while failing to improve most";
-/// * [`StealGranularity::AllBlockedShorts`] is maximally aggressive and
-///   trades steal-message efficiency for queue churn.
+/// What an idle thief takes from a victim's queue: the paper's one
+/// policy (§3.6). Stealing a limited, head-adjacent group focuses on a few
+/// jobs so their *job* runtimes actually improve, where stealing from
+/// random queue positions "would likely end up focusing on too many jobs
+/// at the same time while failing to improve most". hawk-core's
+/// `StealSpec` names it; every scan is [`steal_from_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum StealGranularity {
-    /// The paper's policy: the first consecutive group of short entries
-    /// after the first long element (Figure 3).
+    /// The first consecutive group of short entries after the first long
+    /// element (Figure 3).
     FirstBlockedGroup,
-    /// One uniformly random short entry positioned behind a long element.
-    RandomBlockedEntry,
-    /// Every short entry positioned behind the first long element.
-    AllBlockedShorts,
-}
-
-/// Scratch buffer for the blocked-entry scan: `(predecessor, node)` pairs,
-/// reused across steal attempts so the scan never allocates.
-pub type StealScratch = Vec<(Option<u32>, u32)>;
-
-/// Fills `scratch` with `(prev, node)` for every short entry located after
-/// the first long element of the (slot, queue) sequence; empty when
-/// nothing is blocked. The recorded predecessors stay valid as long as at
-/// most one of the listed nodes is removed.
-fn blocked_short_nodes_into(
-    victim: &Server,
-    queues: &QueueSlab,
-    list: usize,
-    scratch: &mut StealScratch,
-) {
-    scratch.clear();
-    let slot_is_long = victim.slot().holds_long();
-    if !slot_is_long && victim.queued_long() == 0 {
-        return;
-    }
-    let mut seen_long = slot_is_long;
-    let mut last: Option<u32> = None;
-    let mut cur = queues.head(list);
-    while let Some(node) = cur {
-        if queues.is_long(node) {
-            seen_long = true;
-        } else if seen_long {
-            scratch.push((last, node));
-        }
-        last = Some(node);
-        cur = queues.next(node);
-    }
-}
-
-/// Unlinks the single node `node` (predecessor `prev`) from `victim`'s
-/// queue, appending its entry to `out`.
-fn unlink_one_into(
-    victim: &mut Server,
-    queues: &mut QueueSlab,
-    list: usize,
-    (prev, node): (Option<u32>, u32),
-    out: &mut Vec<QueueEntry>,
-) {
-    out.push(queues.unlink_after(list, prev, node));
-    victim.note_removed(queues, list, &out[out.len() - 1..]);
-}
-
-/// Removes entries from `victim` according to `granularity`, appending
-/// them to `out` in queue order (`out` is not cleared). `scratch` is
-/// reusable working space; `rng` is drawn from only by
-/// [`StealGranularity::RandomBlockedEntry`], exactly as often as the
-/// pre-slab implementation drew, so seeded runs are bit-identical.
-pub fn steal_from_with_into(
-    victim: &mut Server,
-    queues: &mut QueueSlab,
-    list: usize,
-    granularity: StealGranularity,
-    rng: &mut hawk_simcore::SimRng,
-    scratch: &mut StealScratch,
-    out: &mut Vec<QueueEntry>,
-) {
-    match granularity {
-        StealGranularity::FirstBlockedGroup => steal_from_into(victim, queues, list, out),
-        StealGranularity::RandomBlockedEntry => {
-            blocked_short_nodes_into(victim, queues, list, scratch);
-            if scratch.is_empty() {
-                return;
-            }
-            let (prev, node) = scratch[rng.index(scratch.len())];
-            unlink_one_into(victim, queues, list, (prev, node), out);
-        }
-        StealGranularity::AllBlockedShorts => {
-            // One pass: unlink every short behind the first long element as
-            // the walk encounters it, preserving queue order in `out`.
-            let slot_is_long = victim.slot().holds_long();
-            if !slot_is_long && victim.queued_long() == 0 {
-                return;
-            }
-            let mut seen_long = slot_is_long;
-            let mut last: Option<u32> = None;
-            let mut cur = queues.head(list);
-            while let Some(node) = cur {
-                let next = queues.next(node);
-                if queues.is_long(node) {
-                    seen_long = true;
-                    last = Some(node);
-                } else if seen_long {
-                    unlink_one_into(victim, queues, list, (last, node), out);
-                    // `last` is unchanged: the removed node's predecessor
-                    // now precedes its successor.
-                } else {
-                    last = Some(node);
-                }
-                cur = next;
-            }
-        }
-    }
-}
-
-/// Removes entries from `victim` according to `granularity`.
-///
-/// Allocating wrapper over [`steal_from_with_into`]; the driver's hot path
-/// uses the `_into` variant with recycled buffers.
-pub fn steal_from_with(
-    victim: &mut Server,
-    queues: &mut QueueSlab,
-    list: usize,
-    granularity: StealGranularity,
-    rng: &mut hawk_simcore::SimRng,
-) -> Vec<QueueEntry> {
-    let mut out = Vec::new();
-    let mut scratch = StealScratch::new();
-    steal_from_with_into(
-        victim,
-        queues,
-        list,
-        granularity,
-        rng,
-        &mut scratch,
-        &mut out,
-    );
-    out
 }
 
 #[cfg(test)]
@@ -465,100 +331,5 @@ mod tests {
         steal_from_into(&mut s, &mut q, 0, &mut out);
         assert_eq!(jobs(&out), vec![99, 1, 2]);
         s.check_invariants(&q, 0).unwrap();
-    }
-
-    #[test]
-    fn all_blocked_shorts_takes_everything_behind_the_long() {
-        use hawk_simcore::SimRng;
-        // Executing S; queue = [S, L, S, S, L, S]: all three shorts after
-        // the first long are blocked.
-        let (mut q, mut s) = server_with(
-            short_probe(0),
-            &[
-                short_probe(1),
-                long_task(2),
-                short_probe(3),
-                short_probe(4),
-                long_task(5),
-                short_probe(6),
-            ],
-        );
-        let mut rng = SimRng::seed_from_u64(1);
-        let stolen = steal_from_with(
-            &mut s,
-            &mut q,
-            0,
-            StealGranularity::AllBlockedShorts,
-            &mut rng,
-        );
-        assert_eq!(jobs(&stolen), vec![3, 4, 6]);
-        assert_eq!(s.queue_len(), 3); // S1, L2, L5 remain
-        s.check_invariants(&q, 0).unwrap();
-    }
-
-    #[test]
-    fn random_blocked_entry_takes_exactly_one_eligible() {
-        use hawk_simcore::SimRng;
-        let mut rng = SimRng::seed_from_u64(2);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..100 {
-            let (mut q, mut s) = server_with(
-                long_task(0),
-                &[short_probe(1), short_probe(2), long_task(3), short_probe(4)],
-            );
-            let stolen = steal_from_with(
-                &mut s,
-                &mut q,
-                0,
-                StealGranularity::RandomBlockedEntry,
-                &mut rng,
-            );
-            assert_eq!(stolen.len(), 1);
-            let id = stolen[0].job().0;
-            assert!([1, 2, 4].contains(&id), "stole ineligible entry {id}");
-            seen.insert(id);
-            s.check_invariants(&q, 0).unwrap();
-        }
-        // All three blocked entries are reachable.
-        assert_eq!(seen.len(), 3);
-    }
-
-    #[test]
-    fn granularities_agree_on_empty_eligibility() {
-        use hawk_simcore::SimRng;
-        let mut rng = SimRng::seed_from_u64(3);
-        for granularity in [
-            StealGranularity::FirstBlockedGroup,
-            StealGranularity::RandomBlockedEntry,
-            StealGranularity::AllBlockedShorts,
-        ] {
-            let (mut q, mut s) = server_with(short_probe(0), &[short_probe(1)]);
-            assert!(steal_from_with(&mut s, &mut q, 0, granularity, &mut rng).is_empty());
-            assert_eq!(s.queue_len(), 1);
-        }
-    }
-
-    #[test]
-    fn first_group_via_steal_from_with_matches_steal_from() {
-        use hawk_simcore::SimRng;
-        let build = || {
-            server_with(
-                long_task(0),
-                &[short_probe(1), short_probe(2), long_task(3), short_probe(4)],
-            )
-        };
-        let mut rng = SimRng::seed_from_u64(4);
-        let (mut qa, mut a) = build();
-        let (mut qb, mut b) = build();
-        assert_eq!(
-            steal_from(&mut a, &mut qa, 0),
-            steal_from_with(
-                &mut b,
-                &mut qb,
-                0,
-                StealGranularity::FirstBlockedGroup,
-                &mut rng
-            )
-        );
     }
 }

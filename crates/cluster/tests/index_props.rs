@@ -1,7 +1,7 @@
 //! Property tests for the cluster's incremental indexes.
 //!
-//! Random legal operation sequences (enqueues, binds, finishes, steals at
-//! every granularity, server failures and revivals) must leave every
+//! Random legal operation sequences (enqueues, binds, finishes, steals,
+//! server failures and revivals) must leave every
 //! index — steal-candidate bitmap, liveness, running count — exactly
 //! equal to a from-scratch recomputation, and the O(1) query surface must
 //! agree with the brute-force answers. The candidate bitmap in particular may never say
@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use hawk_cluster::steal::{self, StealGranularity};
+use hawk_cluster::steal;
 use hawk_cluster::{Cluster, QueueEntry, ServerId, TaskSpec};
 use hawk_simcore::{SimDuration, SimRng};
 use hawk_workload::{JobClass, JobId};
@@ -63,15 +63,10 @@ fn apply_op(cluster: &mut Cluster, op: (u8, u8, u8, u8), job: &mut u32, rng: &mu
             }
         }
         3 => {
-            let granularity = [
-                StealGranularity::FirstBlockedGroup,
-                StealGranularity::RandomBlockedEntry,
-                StealGranularity::AllBlockedShorts,
-            ][flavor as usize % 3];
             let eligible = has_stealable(cluster, id);
             let mut stolen = Vec::new();
-            cluster.steal_from_with_into(id, granularity, rng, &mut stolen);
-            assert_eq!(eligible, !stolen.is_empty(), "{granularity:?}");
+            cluster.steal_into(id, &mut stolen);
+            assert_eq!(eligible, !stolen.is_empty());
             // Hand the group to some other live server, like the driver
             // does (thieves are idle, hence in service).
             let thief = ServerId(rng.index(nodes) as u32);

@@ -5,15 +5,14 @@
 //! depth 0. That sentinel must be indistinguishable, through every public
 //! read, from what a sharded core used to hold instead: a full-size
 //! cluster that only ever enqueues on the same range. The same generated
-//! op sequence — enqueue, bind, cancel, finish, steal at each granularity
-//! on owned ids; `fail_server` / `revive_server` on any id — drives both,
-//! and after every op every read agrees and both pass `check_invariants`.
+//! op sequence — enqueue, bind, cancel, finish, steal on owned ids;
+//! `fail_server` / `revive_server` on any id — drives both, and after
+//! every op every read agrees and both pass `check_invariants`.
 
 use std::ops::Range;
 
 use proptest::prelude::*;
 
-use hawk_cluster::steal::StealGranularity;
 use hawk_cluster::{scale_duration, Cluster, QueueEntry, ServerId, TaskSpec};
 use hawk_simcore::{SimDuration, SimRng};
 use hawk_workload::{JobClass, JobId};
@@ -84,13 +83,8 @@ fn apply_op(
             }
         }
         _ => {
-            let granularity = [
-                StealGranularity::FirstBlockedGroup,
-                StealGranularity::RandomBlockedEntry,
-                StealGranularity::AllBlockedShorts,
-            ][flavor as usize % 3];
             let mut stolen = Vec::new();
-            cluster.steal_from_with_into(id, granularity, rng, &mut stolen);
+            cluster.steal_into(id, &mut stolen);
             let thief = own(rng.index(owned.len()) as u32);
             if !stolen.is_empty() && !cluster.is_down(thief) {
                 cluster.give_stolen_drain(thief, &mut stolen);

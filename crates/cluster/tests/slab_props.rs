@@ -17,9 +17,9 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use hawk_cluster::steal::{steal_from_with_into, StealGranularity, StealScratch};
+use hawk_cluster::steal::steal_from_into;
 use hawk_cluster::{QueueEntry, QueueSlab, Server, TaskSpec};
-use hawk_simcore::{SimDuration, SimRng};
+use hawk_simcore::SimDuration;
 use hawk_workload::{JobClass, JobId};
 
 /// The entry of job `id` that `draw` picks: bit 0 the class, bit 1 a probe
@@ -213,15 +213,7 @@ proptest! {
     #[test]
     fn steal_under_churn_keeps_mirrors_exact(
         layout in proptest::collection::vec(any::<u64>(), 1..24),
-        granularity_pick in 0u8..3,
-        seed in 0u64..1_000,
     ) {
-        let granularity = [
-            StealGranularity::FirstBlockedGroup,
-            StealGranularity::RandomBlockedEntry,
-            StealGranularity::AllBlockedShorts,
-        ][granularity_pick as usize];
-        let mut rng = SimRng::seed_from_u64(seed);
         let mut queues = QueueSlab::new(1);
         let mut server = Server::default();
         // Occupy the slot with a long task, then queue the layout.
@@ -230,17 +222,8 @@ proptest! {
             server.enqueue(&mut queues, 0, entry(draw, i as u32));
         }
         let before_len = server.queue_len();
-        let mut scratch = StealScratch::new();
         let mut out = Vec::new();
-        steal_from_with_into(
-            &mut server,
-            &mut queues,
-            0,
-            granularity,
-            &mut rng,
-            &mut scratch,
-            &mut out,
-        );
+        steal_from_into(&mut server, &mut queues, 0, &mut out);
         prop_assert!(out.iter().all(|e| e.is_short()), "stole a long entry");
         prop_assert_eq!(server.queue_len() + out.len(), before_len);
         prop_assert_eq!(server.check_invariants(&queues, 0), Ok(()));

@@ -43,42 +43,6 @@ pub enum Route {
     Distributed(Scope),
 }
 
-/// Processing cost of the centralized scheduler.
-///
-/// The paper's §1 motivation — "the very large number of scheduling
-/// decisions … can overwhelm centralized schedulers" — is not modeled in
-/// its simulator ("the scheduling decisions … do not incur additional
-/// costs", §4.1). This extension makes the cost explicit: the central
-/// scheduler processes jobs serially, spending `per_job + per_task·t`
-/// before a job's placements go out; a backlog delays later jobs. With
-/// both costs zero (the default) the behaviour is exactly the paper's.
-/// See the `ablation_central_latency` bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CentralOverhead {
-    /// Fixed per-job decision cost.
-    pub per_job: SimDuration,
-    /// Additional cost per task placed.
-    pub per_task: SimDuration,
-}
-
-impl CentralOverhead {
-    /// The paper's model: free decisions.
-    pub const FREE: CentralOverhead = CentralOverhead {
-        per_job: SimDuration::ZERO,
-        per_task: SimDuration::ZERO,
-    };
-
-    /// Total processing time for a job with `tasks` tasks.
-    pub fn cost(&self, tasks: usize) -> SimDuration {
-        self.per_job + self.per_task * tasks as u64
-    }
-
-    /// True when decisions are free (no serialization modeled).
-    pub fn is_free(&self) -> bool {
-        self.per_job.is_zero() && self.per_task.is_zero()
-    }
-}
-
 /// The policy-independent parameters of one simulation run: cluster size,
 /// classification/estimation settings, network topology and seed — everything
 /// an experiment cell needs besides the scheduler and the trace.
@@ -95,9 +59,6 @@ pub struct SimConfig {
     /// (§4.1); a fat tree (optionally contended) makes delays depend on
     /// where the two endpoints sit.
     pub topology: TopologySpec,
-    /// Centralized-scheduler decision cost (default: free, as in the
-    /// paper's simulator).
-    pub central_overhead: CentralOverhead,
     /// Utilization sampling interval (paper: 100 s).
     pub util_interval: SimDuration,
     /// Scripted cluster dynamics (node down/up events) the driver replays;
@@ -133,7 +94,6 @@ impl Default for SimConfig {
             cutoff: Cutoff::GOOGLE_DEFAULT,
             misestimate: None,
             topology: TopologySpec::paper_default(),
-            central_overhead: CentralOverhead::FREE,
             util_interval: SimDuration::from_secs(100),
             dynamics: DynamicsScript::none(),
             speeds: SpeedSpec::Uniform,
@@ -250,22 +210,5 @@ mod tests {
         // Shorts probe only the reserved partition, so the central scope
         // of the long jobs stops where it starts.
         assert_eq!(central_scope(&SplitCluster::new(0.17)), Some(83));
-    }
-
-    #[test]
-    fn central_overhead_cost_model() {
-        let free = CentralOverhead::FREE;
-        assert!(free.is_free());
-        assert_eq!(free.cost(1_000), SimDuration::ZERO);
-
-        let o = CentralOverhead {
-            per_job: SimDuration::from_millis(2),
-            per_task: SimDuration::from_micros(50),
-        };
-        assert!(!o.is_free());
-        assert_eq!(
-            o.cost(100),
-            SimDuration::from_millis(2) + SimDuration::from_micros(5_000)
-        );
     }
 }

@@ -81,26 +81,17 @@ pub fn late_bind(next_task: &mut u32, num_tasks: usize) -> Option<u32> {
     })
 }
 
-/// Plans probe counts and targets for one distributed scheduler.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbePlanner {
-    /// Probes per task (paper: 2).
-    pub probe_ratio: f64,
-}
+/// Plans probe counts and targets for one distributed scheduler, at the
+/// paper's probe ratio: two probes per task (§3.5, §4.1). Outside this
+/// crate it is built with `ProbePlanner::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct ProbePlanner;
 
 impl ProbePlanner {
-    /// Creates a planner with the given probe ratio.
-    pub fn new(probe_ratio: f64) -> Self {
-        assert!(
-            probe_ratio >= 1.0,
-            "probe ratio below 1 cannot bind all tasks"
-        );
-        ProbePlanner { probe_ratio }
-    }
-
-    /// Number of probes for a job with `tasks` tasks: `⌈ratio·t⌉`.
+    /// Number of probes for a job with `tasks` tasks: `2t`.
     pub fn probes_for(&self, tasks: usize) -> usize {
-        (self.probe_ratio * tasks as f64).ceil() as usize
+        2 * tasks
     }
 
     /// Picks probe targets within the contiguous server range
@@ -167,13 +158,6 @@ impl ProbePlanner {
     }
 }
 
-impl Default for ProbePlanner {
-    /// The paper's probe ratio of 2.
-    fn default() -> Self {
-        ProbePlanner::new(2.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,20 +186,14 @@ mod tests {
 
     #[test]
     fn probe_count_is_twice_tasks() {
-        let p = ProbePlanner::default();
+        let p = ProbePlanner;
         assert_eq!(p.probes_for(100), 200);
         assert_eq!(p.probes_for(1), 2);
     }
 
     #[test]
-    fn fractional_ratio_rounds_up() {
-        let p = ProbePlanner::new(1.5);
-        assert_eq!(p.probes_for(3), 5);
-    }
-
-    #[test]
     fn targets_distinct_when_room() {
-        let targets = targets(&ProbePlanner::default(), 10, 0, 1_000, 1);
+        let targets = targets(&ProbePlanner, 10, 0, 1_000, 1);
         assert_eq!(targets.len(), 20);
         let set: HashSet<_> = targets.iter().collect();
         assert_eq!(set.len(), 20, "targets must be distinct");
@@ -224,14 +202,14 @@ mod tests {
 
     #[test]
     fn targets_respect_range_offset() {
-        let targets = targets(&ProbePlanner::default(), 5, 500, 100, 2);
+        let targets = targets(&ProbePlanner, 5, 500, 100, 2);
         assert!(targets.iter().all(|s| (500..600).contains(&s.0)));
     }
 
     #[test]
     fn oversubscribed_range_tops_up_with_repeats() {
         // 2t = 50 probes into 20 servers: every server gets 2, 10 get 3.
-        let targets = targets(&ProbePlanner::default(), 25, 0, 20, 3);
+        let targets = targets(&ProbePlanner, 25, 0, 20, 3);
         assert_eq!(targets.len(), 50);
         let mut counts = [0usize; 20];
         for t in &targets {
@@ -246,7 +224,7 @@ mod tests {
         // The late-binding liveness condition: probes ≥ tasks even in tiny
         // scopes.
         for (tasks, len) in [(100, 7), (3, 1), (64, 64), (1, 1)] {
-            let targets = targets(&ProbePlanner::default(), tasks, 0, len, 4);
+            let targets = targets(&ProbePlanner, tasks, 0, len, 4);
             assert!(
                 targets.len() >= tasks,
                 "{} probes for {tasks} tasks in scope {len}",
@@ -256,14 +234,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "probe ratio below 1")]
-    fn ratio_below_one_rejected() {
-        ProbePlanner::new(0.5);
-    }
-
-    #[test]
     #[should_panic(expected = "probe scope is empty")]
     fn empty_scope_rejected() {
-        targets(&ProbePlanner::default(), 1, 0, 0, 5);
+        targets(&ProbePlanner, 1, 0, 0, 5);
     }
 }

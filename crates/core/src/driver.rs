@@ -421,16 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_ratio_one_still_binds_every_task() {
-        // Exactly t probes: no slack, every probe must bind (no cancels
-        // for a lone job) and the job completes.
-        let trace = tiny_trace(vec![(0, vec![10; 6])]);
-        let report = run(&trace, Sparrow::new().probe_ratio(1.0), 12);
-        assert_eq!(report.results.len(), 1);
-        assert!(report.results[0].runtime().as_secs_f64() < 11.0);
-    }
-
-    #[test]
     fn more_tasks_than_cluster_completes_in_waves() {
         // 10 tasks of 10 s on 2 nodes: ≥ 5 serial waves.
         let trace = tiny_trace(vec![(0, vec![10; 10])]);
@@ -527,51 +517,6 @@ mod tests {
         let trace = tiny_trace(vec![(0, vec![3_000; 8]), (1, vec![10, 10])]);
         let report = run(&trace, Hawk::new(0.0).probe_avoidance(3), 4);
         assert_eq!(report.results.len(), 2);
-    }
-
-    #[test]
-    fn central_overhead_serializes_placements() {
-        use crate::config::CentralOverhead;
-        // Two simultaneous long jobs, 1 s of decision cost each: the
-        // second job's placement waits behind the first, so its runtime
-        // grows by one extra second of queueing at the scheduler.
-        let trace = tiny_trace(vec![(0, vec![2_000]), (0, vec![2_000])]);
-        let overhead = CentralOverhead {
-            per_job: SimDuration::from_secs(1),
-            per_task: SimDuration::ZERO,
-        };
-        let sim = SimConfig {
-            nodes: 4,
-            central_overhead: overhead,
-            ..SimConfig::default()
-        };
-        let report = Driver::with_scheduler(&trace, Arc::new(Centralized::new()), &sim).run();
-        let r0 = report.results[0].runtime().as_secs_f64();
-        let r1 = report.results[1].runtime().as_secs_f64();
-        assert!((r0 - 2001.0005).abs() < 1e-9, "job 0 runtime {r0}");
-        assert!((r1 - 2002.0005).abs() < 1e-9, "job 1 runtime {r1}");
-    }
-
-    #[test]
-    fn free_central_overhead_matches_paper_model() {
-        use crate::config::CentralOverhead;
-        let trace = tiny_trace(vec![(0, vec![2_000, 2_000]), (1, vec![1_500])]);
-        let base = SimConfig {
-            nodes: 4,
-            ..SimConfig::default()
-        };
-        let hawk: Arc<dyn Scheduler> = Arc::new(Hawk::new(0.25));
-        let paper = Driver::with_scheduler(&trace, hawk.clone(), &base).run();
-        let explicit_free = Driver::with_scheduler(
-            &trace,
-            hawk,
-            &SimConfig {
-                central_overhead: CentralOverhead::FREE,
-                ..base
-            },
-        )
-        .run();
-        assert_eq!(paper.results, explicit_free.results);
     }
 
     #[test]
@@ -746,35 +691,20 @@ mod tests {
     }
 
     #[test]
-    fn steal_granularities_all_complete_and_differ_in_steals() {
-        use hawk_cluster::StealGranularity;
+    fn stealing_rescues_shorts_blocked_behind_long_tasks() {
         // A loaded scenario with plenty of blocked shorts.
         let mut jobs = vec![(0, vec![5_000u64; 8])];
         for i in 0..6 {
             jobs.push((1 + i, vec![20u64; 4]));
         }
         let trace = tiny_trace(jobs);
-        let mut steals = Vec::new();
-        for granularity in [
-            StealGranularity::FirstBlockedGroup,
-            StealGranularity::RandomBlockedEntry,
-            StealGranularity::AllBlockedShorts,
-        ] {
-            let report = run(&trace, Hawk::new(0.2).steal_granularity(granularity), 10);
-            assert_eq!(report.results.len(), trace.len());
-            // Short jobs must still be rescued under every policy.
-            let worst_short = report.results[1..]
-                .iter()
-                .map(|r| r.runtime().as_secs_f64())
-                .fold(0.0f64, f64::max);
-            assert!(
-                worst_short < 1_000.0,
-                "{granularity:?} left shorts blocked: {worst_short}"
-            );
-            steals.push(report.steals);
-        }
-        // Random-single steals at finer granularity, so it needs at least
-        // as many successful steals as the group policy.
-        assert!(steals[1] >= steals[0]);
+        let report = run(&trace, Hawk::new(0.2), 10);
+        assert_eq!(report.results.len(), trace.len());
+        let worst_short = report.results[1..]
+            .iter()
+            .map(|r| r.runtime().as_secs_f64())
+            .fold(0.0f64, f64::max);
+        assert!(worst_short < 1_000.0, "shorts left blocked: {worst_short}");
+        assert!(report.steals > 0);
     }
 }

@@ -37,7 +37,7 @@ use hawk_workload::classify::{Cutoff, JobEstimates, MisestimateRange};
 use hawk_workload::scenario::{DynamicsScript, ScenarioSpec, SpeedSpec};
 use hawk_workload::Trace;
 
-use crate::config::{CentralOverhead, SimConfig};
+use crate::config::SimConfig;
 use crate::driver::Driver;
 use crate::metrics::MetricsReport;
 use crate::scheduler::Scheduler;
@@ -230,13 +230,6 @@ impl ExperimentBuilder {
     /// is [`TopologySpec::paper_default`], the paper's flat 0.5 ms network.
     pub fn topology(mut self, topology: TopologySpec) -> Self {
         self.sim.topology = topology;
-        self
-    }
-
-    /// Sets the centralized-scheduler decision cost (default: free, as in
-    /// the paper's simulator).
-    pub fn central_overhead(mut self, overhead: CentralOverhead) -> Self {
-        self.sim.central_overhead = overhead;
         self
     }
 

@@ -89,7 +89,7 @@ mod sweep;
 pub use admission::{AdmissionDecision, AdmissionPlan, AdmissionPolicy};
 pub use backend::{Backend, SimBackend};
 pub use centralized::CentralScheduler;
-pub use config::{check_cell, CentralOverhead, Route, Scope, SimConfig, DEFAULT_SEED};
+pub use config::{check_cell, Route, Scope, SimConfig, DEFAULT_SEED};
 pub use distributed::{displaced_probe, land, late_bind, Landing, ProbePlanner};
 pub use driver::Driver;
 pub use experiment::{Experiment, ExperimentBuilder, IntoTrace};

@@ -50,7 +50,7 @@ use hawk_workload::{JobClass, JobId, Trace};
 
 use crate::admission::{AdmissionDecision, AdmissionPlan};
 use crate::centralized::CentralScheduler;
-use crate::config::{check_cell, CentralOverhead, Route, SimConfig};
+use crate::config::{check_cell, Route, SimConfig};
 use crate::distributed::{displaced_probe, land, late_bind, Landing};
 use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats};
 use crate::scheduler::{PlacementView, Scheduler, StealSpec};
@@ -136,10 +136,6 @@ pub enum Event {
         /// against the transport's pool on delivery.
         batch: BatchHandle,
     },
-    /// The centralized scheduler finished processing a job and emits its
-    /// placements (only with a non-zero [`CentralOverhead`]; decisions are
-    /// free by default, as in the paper).
-    CentralPlace(JobId),
     /// A scripted scenario event: the server leaves service. Its queue is
     /// drained and migrated (or abandoned, for reservations whose job has
     /// no unlaunched tasks left); a running task finishes on its own.
@@ -199,7 +195,7 @@ impl Event {
     /// enum's). A harness's two sampling timers never reach a core and
     /// have no slot, so the counts sum to [`MetricsReport::events`] less
     /// the samples taken.
-    pub const KINDS: [&'static str; 14] = [
+    pub const KINDS: [&'static str; 13] = [
         "job_arrival",
         "probe_arrive",
         "task_arrive",
@@ -207,7 +203,6 @@ impl Event {
         "bind_response",
         "task_finish",
         "stolen_arrive",
-        "central_place",
         "node_down",
         "node_up",
         "steal_request",
@@ -226,13 +221,12 @@ impl Event {
             Event::BindResponse { .. } => 4,
             Event::TaskFinish { .. } => 5,
             Event::StolenArrive { .. } => 6,
-            Event::CentralPlace(_) => 7,
-            Event::NodeDown(_) => 8,
-            Event::NodeUp(_) => 9,
-            Event::StealRequest { .. } => 10,
-            Event::TaskDone { .. } => 11,
-            Event::CentralTaskDone { .. } => 12,
-            Event::Relocate { .. } => 13,
+            Event::NodeDown(_) => 7,
+            Event::NodeUp(_) => 8,
+            Event::StealRequest { .. } => 9,
+            Event::TaskDone { .. } => 10,
+            Event::CentralTaskDone { .. } => 11,
+            Event::Relocate { .. } => 12,
             Event::UtilSample => unreachable!("sampling belongs to the harness"),
         }
     }
@@ -420,10 +414,6 @@ pub(crate) struct Core<'t> {
     /// existed — the golden digests pin this.
     scenario_rng: SimRng,
     cutoff: Cutoff,
-    central_overhead: CentralOverhead,
-    /// Time at which the centralized scheduler's serial processing queue
-    /// drains (only advances under a non-free [`CentralOverhead`]).
-    central_ready: SimTime,
     /// Prices every message and steal transfer this core sends; contended
     /// models keep their link state here.
     topology: Box<dyn Topology>,
@@ -518,8 +508,6 @@ impl<'t> Core<'t> {
             steal_rng,
             scenario_rng,
             cutoff: sim.cutoff,
-            central_overhead: sim.central_overhead,
-            central_ready: SimTime::ZERO,
             topology: sim.topology.build(sim.nodes),
             rack_geometry: sim.topology.rack_geometry(),
             bind_round_trip: match sim.topology {
@@ -601,7 +589,6 @@ impl<'t> Core<'t> {
             Event::Relocate { from, job, task } => {
                 self.replace(net, from, deciding_scheduler(job, task), job, task)
             }
-            Event::CentralPlace(job) => self.place_centrally(net, job),
             Event::NodeDown(server) => self.on_node_down(net, server),
             Event::NodeUp(server) => {
                 self.cluster.revive_server(server);
@@ -648,18 +635,7 @@ impl<'t> Core<'t> {
         }
         let spec = self.trace.job(job);
         match self.scheduler.route(class) {
-            Route::Central(_) => {
-                if self.central_overhead.is_free() {
-                    self.place_centrally(net, job);
-                } else {
-                    // The central scheduler processes jobs serially: this
-                    // job waits for the backlog, then pays its own cost.
-                    let ready =
-                        self.central_ready.max(now) + self.central_overhead.cost(spec.num_tasks());
-                    self.central_ready = ready;
-                    net.send(ready - now, Endpoint::Central, Event::CentralPlace(job));
-                }
-            }
+            Route::Central(_) => self.place_centrally(net, job),
             Route::Distributed(scope) => {
                 let view = PlacementView::new(&self.cluster, scope);
                 self.probe_buf.clear();
@@ -960,21 +936,19 @@ impl<'t> Core<'t> {
     /// eligible group.
     ///
     /// `steal_rng` advances by what is contacted: one bounded draw per
-    /// victim ([`crate::VictimDraw::next`]), whatever a scan draws at its
-    /// granularity in between, and nothing after the first non-empty
-    /// scan. The steal-candidate index rules a drawn victim out without a
-    /// scan (no long work, or no short entry queued ⇒ nothing is blocked
-    /// behind a long task) and without a draw of its own.
+    /// victim ([`crate::VictimDraw::next`]) and nothing after the first
+    /// non-empty scan. The steal-candidate index rules a drawn victim out
+    /// without a scan (no long work, or no short entry queued ⇒ nothing is
+    /// blocked behind a long task) and without a draw of its own.
     ///
     /// Owned victims are scanned synchronously in draw order. If none
     /// yields a group, the victims this core does not own (up to four, in
     /// draw order) are chained into one asynchronous
     /// [`Event::StealRequest`] that each failed hop forwards onward.
     fn try_steal<T: Transport>(&mut self, net: &mut T, thief: ServerId) {
-        let Some(spec) = self.steal_spec else { return };
-        if self.cluster.is_down(thief) {
-            // A draining server's slot emptied: it goes dark instead of
-            // stealing new work.
+        if self.steal_spec.is_none() || self.cluster.is_down(thief) {
+            // No stealing policy, or a draining server's slot emptied: it
+            // goes dark instead of stealing new work.
             return;
         }
         let partition = self.cluster.partition();
@@ -1007,12 +981,7 @@ impl<'t> Core<'t> {
                 continue;
             }
             self.steal_scans += 1;
-            self.cluster.steal_from_with_into(
-                victim,
-                spec.granularity,
-                &mut self.steal_rng,
-                &mut self.steal_buf,
-            );
+            self.cluster.steal_into(victim, &mut self.steal_buf);
             if !self.steal_buf.is_empty() {
                 robbed = Some(victim);
                 break;
@@ -1089,17 +1058,14 @@ impl<'t> Core<'t> {
         rest: [u32; 3],
     ) {
         debug_assert!(net.owns(victim));
-        let Some(spec) = self.steal_spec else { return };
+        if self.steal_spec.is_none() {
+            return;
+        }
         debug_assert!(self.steal_buf.is_empty(), "stale steal batch");
         // Down servers sit in no index, so one bit answers both questions.
         if self.cluster.is_steal_candidate(victim) {
             self.steal_scans += 1;
-            self.cluster.steal_from_with_into(
-                victim,
-                spec.granularity,
-                &mut self.steal_rng,
-                &mut self.steal_buf,
-            );
+            self.cluster.steal_into(victim, &mut self.steal_buf);
         }
         if self.steal_buf.is_empty() {
             if rest[0] != NO_VICTIM {
@@ -1393,7 +1359,6 @@ mod tests {
             },
             Event::TaskFinish { server },
             Event::StolenArrive { server, batch },
-            Event::CentralPlace(job),
             Event::NodeDown(server),
             Event::NodeUp(server),
             Event::StealRequest {
@@ -1547,19 +1512,15 @@ mod tests {
     }
 
     /// The steal-candidate index in `try_steal`: a picked victim that holds
-    /// long work but has only long entries queued cannot yield a group at
-    /// any granularity, so it is ruled out by its bit — no queue walk
-    /// (`steal_scans` stays 0) and no draw from `steal_rng` beyond the one
-    /// that drew it: ten victims, ten draws. A bystander keeps the cluster-wide
+    /// long work but has only long entries queued cannot yield a group, so
+    /// it is ruled out by its bit — no queue walk (`steal_scans` stays 0)
+    /// and no draw from `steal_rng` beyond the one that drew it: ten
+    /// victims, ten draws. A bystander keeps the cluster-wide
     /// candidate count above zero, so it is the per-victim bit that skips.
     #[test]
     fn long_only_victims_are_skipped_without_a_scan_or_an_rng_draw() {
-        use hawk_cluster::StealGranularity;
-
         let trace = one_job_trace(vec![10]);
-        // The one granularity whose scan draws from the RNG when it finds
-        // something: a skipped draw would show.
-        let scheduler = Hawk::new(0.2).steal_granularity(StealGranularity::RandomBlockedEntry);
+        let scheduler = Hawk::new(0.2);
         let thief = ServerId(19);
         let mut core = core_for(&trace, scheduler, 20);
         let mut net = RecordingTransport::<false>::owning(0..20);

@@ -126,8 +126,9 @@ impl<'a> PlacementView<'a> {
 pub struct StealSpec {
     /// Maximum victims contacted per attempt (paper default: 10).
     pub cap: usize,
-    /// What a successful steal takes from the victim (paper: the first
-    /// blocked group, Figure 3).
+    /// What a successful steal takes from the victim: the first blocked
+    /// group (Figure 3), the only granularity. Kept as a field only
+    /// because the frozen benchmark (`hawkbench/layers.rs`) reads it.
     pub granularity: StealGranularity,
 }
 
@@ -140,18 +141,10 @@ impl StealSpec {
         }
     }
 
-    /// Same granularity, different cap (min 1).
+    /// A different cap (min 1).
     pub fn with_cap(self, cap: usize) -> Self {
         StealSpec {
             cap: cap.max(1),
-            ..self
-        }
-    }
-
-    /// Same cap, different granularity.
-    pub fn with_granularity(self, granularity: StealGranularity) -> Self {
-        StealSpec {
-            granularity,
             ..self
         }
     }
@@ -257,7 +250,6 @@ pub trait Scheduler: Send + Sync {
 #[derive(Debug, Clone, Copy)]
 pub struct Hawk {
     short_partition: f64,
-    probing: ProbePlanner,
     steal: Option<StealSpec>,
     centralized_longs: bool,
     bounce_limit: u8,
@@ -269,7 +261,6 @@ impl Hawk {
     pub fn new(short_partition_fraction: f64) -> Self {
         Hawk {
             short_partition: short_partition_fraction,
-            probing: ProbePlanner::default(),
             steal: Some(StealSpec::paper_default()),
             centralized_longs: true,
             bounce_limit: 0,
@@ -277,23 +268,10 @@ impl Hawk {
         }
     }
 
-    /// Sets the probes-per-task ratio (paper: 2).
-    pub fn probe_ratio(mut self, ratio: f64) -> Self {
-        self.probing = ProbePlanner::new(ratio);
-        self
-    }
-
     /// Sets the steal-attempt cap (Figure 15; min 1), enabling stealing if
     /// it was disabled.
     pub fn steal_cap(mut self, cap: usize) -> Self {
         self.steal = Some(self.steal.unwrap_or_default().with_cap(cap));
-        self
-    }
-
-    /// Sets the steal granularity (the §3.6 design-choice ablation),
-    /// enabling stealing if it was disabled.
-    pub fn steal_granularity(mut self, granularity: StealGranularity) -> Self {
-        self.steal = Some(self.steal.unwrap_or_default().with_granularity(granularity));
         self
     }
 
@@ -343,7 +321,7 @@ impl Scheduler for Hawk {
     /// disabled components get a `-wout-…` suffix (a zero partition
     /// fraction counts as disabled, so `Hawk::new(0.0)` reports as
     /// `hawk-wout-partition`), but variants that only tune a number
-    /// (steal cap, probe ratio, partition size) all share a name. When
+    /// (steal cap, partition size, bounce limit) all share a name. When
     /// sweeping such variants, pair results by grid order or
     /// [`SweepResults::find`](crate::SweepResults::find), not by name.
     fn name(&self) -> String {
@@ -354,15 +332,9 @@ impl Scheduler for Hawk {
         if self.short_partition == 0.0 {
             name.push_str("-wout-partition");
         }
-        match self.steal {
-            None => name.push_str("-wout-stealing"),
-            Some(spec) => match spec.granularity {
-                StealGranularity::FirstBlockedGroup => {}
-                StealGranularity::RandomBlockedEntry => name.push_str("-steal-random-entry"),
-                StealGranularity::AllBlockedShorts => name.push_str("-steal-all-shorts"),
-            },
-        }
-        if self.steal.is_some() && self.rack_first {
+        if self.steal.is_none() {
+            name.push_str("-wout-stealing");
+        } else if self.rack_first {
             name.push_str("-steal-rack-first");
         }
         if self.bounce_limit > 0 {
@@ -390,7 +362,7 @@ impl Scheduler for Hawk {
         rng: &mut SimRng,
         out: &mut Vec<ServerId>,
     ) {
-        self.probing.targets_in_view_into(view, tasks, rng, out);
+        ProbePlanner.targets_in_view_into(view, tasks, rng, out);
     }
 
     fn steal(&self) -> Option<StealSpec> {
@@ -414,29 +386,13 @@ impl Scheduler for Hawk {
 
 /// The Sparrow baseline \[14\]: everything distributed over the whole
 /// cluster with batch probing and late binding; no partition, no stealing.
-#[derive(Debug, Clone, Copy)]
-pub struct Sparrow {
-    probing: ProbePlanner,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sparrow;
 
 impl Sparrow {
     /// Sparrow at the paper's probe ratio of 2.
     pub fn new() -> Self {
-        Sparrow {
-            probing: ProbePlanner::default(),
-        }
-    }
-
-    /// Sets the probes-per-task ratio.
-    pub fn probe_ratio(mut self, ratio: f64) -> Self {
-        self.probing = ProbePlanner::new(ratio);
-        self
-    }
-}
-
-impl Default for Sparrow {
-    fn default() -> Self {
-        Self::new()
+        Sparrow
     }
 }
 
@@ -456,7 +412,7 @@ impl Scheduler for Sparrow {
         rng: &mut SimRng,
         out: &mut Vec<ServerId>,
     ) {
-        self.probing.targets_in_view_into(view, tasks, rng, out);
+        ProbePlanner.targets_in_view_into(view, tasks, rng, out);
     }
 }
 
@@ -498,7 +454,6 @@ impl Scheduler for Centralized {
 #[derive(Debug, Clone, Copy)]
 pub struct SplitCluster {
     short_partition: f64,
-    probing: ProbePlanner,
 }
 
 impl SplitCluster {
@@ -506,14 +461,7 @@ impl SplitCluster {
     pub fn new(short_partition_fraction: f64) -> Self {
         SplitCluster {
             short_partition: short_partition_fraction,
-            probing: ProbePlanner::default(),
         }
-    }
-
-    /// Sets the probes-per-task ratio.
-    pub fn probe_ratio(mut self, ratio: f64) -> Self {
-        self.probing = ProbePlanner::new(ratio);
-        self
     }
 }
 
@@ -540,7 +488,7 @@ impl Scheduler for SplitCluster {
         rng: &mut SimRng,
         out: &mut Vec<ServerId>,
     ) {
-        self.probing.targets_in_view_into(view, tasks, rng, out);
+        ProbePlanner.targets_in_view_into(view, tasks, rng, out);
     }
 }
 
@@ -585,18 +533,6 @@ mod tests {
 
     #[test]
     fn hawk_variant_names_match_legacy_configs() {
-        assert_eq!(
-            Hawk::new(0.2)
-                .steal_granularity(StealGranularity::RandomBlockedEntry)
-                .name(),
-            "hawk-steal-random-entry"
-        );
-        assert_eq!(
-            Hawk::new(0.2)
-                .steal_granularity(StealGranularity::AllBlockedShorts)
-                .name(),
-            "hawk-steal-all-shorts"
-        );
         assert_eq!(
             Hawk::new(0.2).probe_avoidance(3).name(),
             "hawk-probe-avoidance"

@@ -23,15 +23,11 @@ use crate::runtime::{run_prototype, ExecutionMode, ProtoConfig, PAPER_DIST_SCHED
 /// where messaging latency is whatever the machine provides). The cell is
 /// checked by the simulator's own [`check_cell`](hawk_core::check_cell),
 /// and the run is summarised by the simulator's own [`MetricsReport`]
-/// code. Fields the execution model cannot honour are rejected or
-/// ignored:
+/// code. Fields the execution model cannot honour are rejected:
 ///
 /// * `misestimate` must be `None` — the prototype runs exact estimates
 ///   (panics otherwise rather than silently diverging);
-/// * `admission` must be `None` — admission control is simulator-only;
-/// * `central_overhead` is ignored: the central daemon is a real thread
-///   (or a real mailbox) whose processing cost is whatever it actually
-///   costs.
+/// * `admission` must be `None` — admission control is simulator-only.
 ///
 /// # Examples
 ///

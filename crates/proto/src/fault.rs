@@ -149,7 +149,7 @@ impl FaultSpec {
 
     /// A moderate chaos cell: 1 % drops, 0.5 % duplicates, 2 ms reorder
     /// jitter, and the default hardened protocol. The conformance fault
-    /// axis and the `chaos_sweep --smoke` leg both build on this.
+    /// axis and the repository benchmark's `proto_chaos_1k` build on it.
     pub fn chaos() -> Self {
         FaultSpec {
             drop: 0.01,

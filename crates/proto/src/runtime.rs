@@ -96,7 +96,7 @@ pub(crate) const PAPER_DIST_SCHEDULERS: usize = 10;
 /// Prototype cluster configuration (paper defaults: 100 nodes, 10
 /// distributed schedulers, 1 centralized scheduler, §4.1).
 ///
-/// The *policy* — routing, partition fraction, probe ratio, steal spec —
+/// The *policy* — routing, partition fraction, probe placement, steal spec —
 /// is no longer configured here: it comes from the `Arc<dyn Scheduler>`
 /// passed to [`run_prototype`], the same value the simulator runs.
 #[derive(Debug, Clone)]

@@ -15,7 +15,7 @@
 //!
 //! * steal victims come from [`Scheduler::victims`] over the
 //!   real [`Partition`] (§3.6);
-//! * steal granularity comes from [`Scheduler::steal`];
+//! * whether an idle worker steals comes from [`Scheduler::steal`];
 //! * probe bouncing asks [`Scheduler::bounce_probe`] against the worker's
 //!   own [`Server`] state (the Eagle-style avoidance extension).
 //!
@@ -84,10 +84,10 @@
 
 use std::sync::Arc;
 
-use hawk_cluster::steal::{steal_from_with_into, StealScratch};
+use hawk_cluster::steal::steal_from_into;
 use hawk_cluster::{
     scale_duration, Partition, QueueEntry, QueueSlab, Server, ServerAction, ServerId, Slot,
-    StealGranularity, TaskSpec,
+    TaskSpec,
 };
 use hawk_core::{land, Landing, RackGeometry, Route, Scheduler, StealSpec, VictimDraw};
 use hawk_simcore::{SimDuration, SimRng, SimTime};
@@ -192,7 +192,6 @@ pub(crate) struct Worker {
     /// The running task's attempt (the slot keeps its job and index).
     running_attempt: u32,
     victim_scratch: Vec<usize>,
-    steal_scratch: StealScratch,
     /// The steal scan's output buffer; a reply copies out of it.
     steal_out: Vec<QueueEntry>,
     /// The payload of every refused steal.
@@ -242,7 +241,6 @@ impl Worker {
             finished: Recent::new(horizon),
             running_attempt: 0,
             victim_scratch: Vec::new(),
-            steal_scratch: StealScratch::new(),
             steal_out: Vec::new(),
             no_loot: Arc::new([]),
             drain_buf: Vec::new(),
@@ -429,20 +427,8 @@ impl Worker {
     }
 
     fn on_steal_request(&mut self, thief: usize, net: &mut impl Net) {
-        let granularity = self
-            .steal_spec
-            .map(|s| s.granularity)
-            .unwrap_or(StealGranularity::FirstBlockedGroup);
         debug_assert!(self.steal_out.is_empty(), "stale steal batch");
-        steal_from_with_into(
-            &mut self.server,
-            &mut self.queues,
-            0,
-            granularity,
-            &mut self.rng,
-            &mut self.steal_scratch,
-            &mut self.steal_out,
-        );
+        steal_from_into(&mut self.server, &mut self.queues, 0, &mut self.steal_out);
         // Entries must never be dropped: the reply carries them even when
         // the thief may have failed (the thief's handler relocates them
         // in that case).

@@ -81,113 +81,6 @@ pub fn with_poisson_arrivals(trace: &Trace, mean: SimDuration, rng: &mut SimRng)
     crate::scenario::retime(trace, &mut PoissonArrivals::new(mean), rng)
 }
 
-/// A bursty (two-state Markov-modulated Poisson) arrival process.
-///
-/// The paper's simulator uses plain Poisson arrivals, but real cluster
-/// traces are bursty — retries, cron fan-outs and diurnal waves submit
-/// clumps of jobs. Burstiness is what stresses a statically-sized short
-/// partition (§4.6's split cluster) and what Hawk's spill-over into the
-/// general partition absorbs. This extension alternates between a *calm*
-/// state with mean gap `calm_mean` and a *burst* state with mean gap
-/// `calm_mean / burst_factor`, with geometrically distributed state
-/// lengths. See the `ablation_burstiness` bench.
-#[derive(Debug, Clone)]
-pub struct BurstyArrivals {
-    calm_mean: SimDuration,
-    burst_factor: f64,
-    /// Probability that the next job stays in the current state.
-    stay_calm: f64,
-    stay_burst: f64,
-    in_burst: bool,
-    now: SimTime,
-}
-
-impl BurstyArrivals {
-    /// Creates a bursty process.
-    ///
-    /// * `calm_mean` — mean inter-arrival in the calm state;
-    /// * `burst_factor` — how much faster jobs arrive inside a burst
-    ///   (≥ 1; a factor of 1 degenerates to Poisson);
-    /// * `mean_calm_run` / `mean_burst_run` — expected number of
-    ///   consecutive jobs submitted in each state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero mean, a factor below 1, or zero run lengths.
-    pub fn new(
-        calm_mean: SimDuration,
-        burst_factor: f64,
-        mean_calm_run: f64,
-        mean_burst_run: f64,
-    ) -> Self {
-        assert!(!calm_mean.is_zero(), "calm mean must be positive");
-        assert!(burst_factor >= 1.0, "burst factor must be >= 1");
-        assert!(
-            mean_calm_run >= 1.0 && mean_burst_run >= 1.0,
-            "state runs must average at least one job"
-        );
-        BurstyArrivals {
-            calm_mean,
-            burst_factor,
-            stay_calm: 1.0 - 1.0 / mean_calm_run,
-            stay_burst: 1.0 - 1.0 / mean_burst_run,
-            in_burst: false,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// True if the process is currently inside a burst.
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
-    }
-
-    /// Draws the next arrival time.
-    pub fn next_arrival(&mut self, rng: &mut SimRng) -> SimTime {
-        let stay = if self.in_burst {
-            self.stay_burst
-        } else {
-            self.stay_calm
-        };
-        if !rng.chance(stay) {
-            self.in_burst = !self.in_burst;
-        }
-        let mean = if self.in_burst {
-            self.calm_mean.as_secs_f64() / self.burst_factor
-        } else {
-            self.calm_mean.as_secs_f64()
-        };
-        self.now += SimDuration::from_secs_f64(rng.exponential(mean));
-        self.now
-    }
-}
-
-/// Rewrites a trace's submissions with a bursty process whose *average*
-/// rate matches the trace's original rate, so overall offered load is
-/// unchanged and only the arrival variance grows.
-pub fn with_bursty_arrivals(
-    trace: &Trace,
-    burst_factor: f64,
-    mean_calm_run: f64,
-    mean_burst_run: f64,
-    rng: &mut SimRng,
-) -> Trace {
-    assert!(trace.len() > 1, "need at least two jobs to derive a rate");
-    let original_mean = trace.span().as_secs_f64() / (trace.len() - 1) as f64;
-    // Fraction of jobs submitted inside bursts, from the stationary
-    // distribution of the two-state chain.
-    let burst_share = mean_burst_run / (mean_calm_run + mean_burst_run);
-    // Solve for the calm mean so the blended mean matches the original:
-    // blended = calm·(1-s) + (calm/f)·s.
-    let calm = original_mean / ((1.0 - burst_share) + burst_share / burst_factor);
-    let mut process = BurstyArrivals::new(
-        SimDuration::from_secs_f64(calm),
-        burst_factor,
-        mean_calm_run,
-        mean_burst_run,
-    );
-    crate::scenario::retime(trace, &mut process, rng)
-}
-
 /// A saturation ramp: Poisson arrivals whose rate steps past the
 /// cluster's capacity and back.
 ///
@@ -285,88 +178,6 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_mean_rejected() {
         PoissonArrivals::new(SimDuration::ZERO);
-    }
-
-    #[test]
-    fn bursty_arrivals_are_monotone() {
-        let mut rng = SimRng::seed_from_u64(1);
-        let mut p = BurstyArrivals::new(SimDuration::from_secs(10), 8.0, 50.0, 10.0);
-        let mut last = SimTime::ZERO;
-        for _ in 0..2_000 {
-            let t = p.next_arrival(&mut rng);
-            assert!(t >= last);
-            last = t;
-        }
-    }
-
-    #[test]
-    fn bursty_rate_matches_original_on_average() {
-        let jobs: Vec<Job> = (0..4_000)
-            .map(|i| Job {
-                id: JobId(i),
-                submission: SimTime::from_secs(i as u64 * 20),
-                tasks: vec![SimDuration::from_secs(1)],
-                generated_class: None,
-            })
-            .collect();
-        let trace = Trace::new(jobs).unwrap();
-        let mut rng = SimRng::seed_from_u64(5);
-        let bursty = with_bursty_arrivals(&trace, 10.0, 60.0, 15.0, &mut rng);
-        let original_rate = trace.len() as f64 / trace.span().as_secs_f64();
-        let bursty_rate = bursty.len() as f64 / bursty.span().as_secs_f64();
-        let ratio = bursty_rate / original_rate;
-        assert!(
-            (0.85..=1.15).contains(&ratio),
-            "average rate drifted: ratio {ratio}"
-        );
-    }
-
-    #[test]
-    fn bursty_gaps_have_higher_variance_than_poisson() {
-        let mut rng = SimRng::seed_from_u64(9);
-        let mean = SimDuration::from_secs(10);
-        let gaps = |times: &[SimTime]| -> Vec<f64> {
-            times
-                .windows(2)
-                .map(|w| (w[1] - w[0]).as_secs_f64())
-                .collect()
-        };
-        let cv2 = |g: &[f64]| {
-            let m = g.iter().sum::<f64>() / g.len() as f64;
-            let v = g.iter().map(|x| (x - m).powi(2)).sum::<f64>() / g.len() as f64;
-            v / (m * m)
-        };
-        let poisson_times = PoissonArrivals::new(mean).take(5_000, &mut rng);
-        let mut bursty = BurstyArrivals::new(mean, 20.0, 80.0, 20.0);
-        let bursty_times: Vec<SimTime> =
-            (0..5_000).map(|_| bursty.next_arrival(&mut rng)).collect();
-        let poisson_cv2 = cv2(&gaps(&poisson_times));
-        let bursty_cv2 = cv2(&gaps(&bursty_times));
-        // Poisson gaps have CV² ≈ 1; the burst mixture must be clearly
-        // over-dispersed.
-        assert!(
-            (0.8..=1.2).contains(&poisson_cv2),
-            "poisson CV² {poisson_cv2}"
-        );
-        assert!(
-            bursty_cv2 > 1.5,
-            "bursty CV² {bursty_cv2} not over-dispersed"
-        );
-    }
-
-    #[test]
-    fn burst_factor_one_degenerates_to_poisson_rate() {
-        let mut rng = SimRng::seed_from_u64(11);
-        let mut p = BurstyArrivals::new(SimDuration::from_secs(10), 1.0, 10.0, 10.0);
-        let times: Vec<SimTime> = (0..20_000).map(|_| p.next_arrival(&mut rng)).collect();
-        let mean_gap = times.last().unwrap().as_secs_f64() / times.len() as f64;
-        assert!((mean_gap - 10.0).abs() < 0.5, "mean gap {mean_gap}");
-    }
-
-    #[test]
-    #[should_panic(expected = "burst factor")]
-    fn bursty_rejects_sub_one_factor() {
-        BurstyArrivals::new(SimDuration::from_secs(10), 0.5, 10.0, 10.0);
     }
 
     #[test]

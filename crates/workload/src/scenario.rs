@@ -10,9 +10,8 @@
 //!   k-means-derived Cloudera/Facebook/Yahoo heavy-tail mixes);
 //! * an **arrival process** ([`ArrivalSpec`] / [`ArrivalProcess`]) — how
 //!   submissions are spaced: the family's own arrivals or a saturation
-//!   ramp (a trace is rewritten to Poisson (§2.3) or bursty arrivals with
-//!   [`with_poisson_arrivals`](crate::arrivals::with_poisson_arrivals) /
-//!   [`with_bursty_arrivals`](crate::arrivals::with_bursty_arrivals));
+//!   ramp (a trace is rewritten to Poisson arrivals (§2.3) with
+//!   [`with_poisson_arrivals`](crate::arrivals::with_poisson_arrivals));
 //! * a **dynamics script** ([`DynamicsScript`]) — timed node-down/node-up
 //!   events the driver replays against the cluster (rolling maintenance,
 //!   correlated failures, capacity loss);
@@ -28,7 +27,7 @@
 use hawk_simcore::{SimDuration, SimRng, SimTime};
 use serde::Serialize;
 
-use crate::arrivals::{BurstyArrivals, PoissonArrivals, SaturationArrivals};
+use crate::arrivals::{PoissonArrivals, SaturationArrivals};
 use crate::google::GoogleTraceConfig;
 use crate::job::Trace;
 use crate::kmeans::KmeansTraceConfig;
@@ -36,9 +35,9 @@ use crate::kmeans::KmeansTraceConfig;
 /// An arrival process: a deterministic, seedable stream of non-decreasing
 /// submission times.
 ///
-/// Unifies [`PoissonArrivals`], [`BurstyArrivals`] and
-/// [`SaturationArrivals`] behind one interface so trace shaping
-/// ([`retime`]) and scenario descriptions are process-agnostic.
+/// Unifies [`PoissonArrivals`] and [`SaturationArrivals`] behind one
+/// interface so trace shaping ([`retime`]) and scenario descriptions are
+/// process-agnostic.
 pub trait ArrivalProcess {
     /// Draws the next submission time (non-decreasing across calls).
     fn next_arrival(&mut self, rng: &mut SimRng) -> SimTime;
@@ -53,12 +52,6 @@ pub trait ArrivalProcess {
 impl ArrivalProcess for PoissonArrivals {
     fn next_arrival(&mut self, rng: &mut SimRng) -> SimTime {
         PoissonArrivals::next_arrival(self, rng)
-    }
-}
-
-impl ArrivalProcess for BurstyArrivals {
-    fn next_arrival(&mut self, rng: &mut SimRng) -> SimTime {
-        BurstyArrivals::next_arrival(self, rng)
     }
 }
 

@@ -142,9 +142,7 @@ fn main() {
         describe(cluster.queue(ServerId(0)))
     );
     let mut loot = Vec::new();
-    let granularity = StealGranularity::FirstBlockedGroup;
-    let mut rng = SimRng::seed_from_u64(1);
-    cluster.steal_from_with_into(ServerId(0), granularity, &mut rng, &mut loot);
+    cluster.steal_into(ServerId(0), &mut loot);
     println!("  idle server 3 steals {} entries", loot.len());
     cluster.give_stolen_drain(ServerId(3), &mut loot);
     println!(

@@ -74,14 +74,12 @@ pub use hawk_workload as workload;
 
 /// Commonly used items, importable in one line.
 pub mod prelude {
-    pub use hawk_cluster::{
-        Cluster, NetworkModel, Partition, QueueEntry, ServerId, StealGranularity, TaskSpec,
-    };
+    pub use hawk_cluster::{Cluster, NetworkModel, Partition, QueueEntry, ServerId, TaskSpec};
     pub use hawk_core::scheduler::{Centralized, Hawk, Sparrow, SplitCluster};
     pub use hawk_core::{
-        compare, Backend, CentralOverhead, CentralScheduler, Comparison, Experiment,
-        ExperimentBuilder, JobResult, MetricsReport, PlacementView, Scheduler, SimBackend,
-        SimConfig, StealSpec, Sweep, SweepResults,
+        compare, Backend, CentralScheduler, Comparison, Experiment, ExperimentBuilder, JobResult,
+        MetricsReport, PlacementView, Scheduler, SimBackend, SimConfig, StealSpec, Sweep,
+        SweepResults,
     };
     pub use hawk_net::{Endpoint, FatTreeParams, NetworkStats, Topology, TopologySpec};
     pub use hawk_proto::{run_prototype, ExecutionMode, ProtoBackend, ProtoConfig, ProtoReport};

@@ -1014,6 +1014,52 @@ proptest! {
         );
     }
 
+    /// ROADMAP 7(1), an identity: stealing without long jobs is no
+    /// stealing. A victim's queue holds a stealable group only behind long
+    /// work (Figure 3), and with the cutoff above every task no job is
+    /// long, so no steal attempt finds anything: `steals` is 0, and results
+    /// are byte-identical to `Hawk::without_stealing`'s, on `Driver` and on
+    /// a fault-free `hawk-proto` virtual run, under the first property's
+    /// churn. Only results are compared: Hawk's idle servers still make
+    /// steal attempts, and the prototype's are messages. A mutation that
+    /// fails it (checked by hand): `steal::eligible_run` without its
+    /// long-work conditions (no early return, and a walk that starts as if
+    /// it had seen a long entry), so a victim gives up its first run of
+    /// queued shorts. It fails on the prototype leg, whose victim scans its
+    /// own queue on every request; the `Driver` leg fails only if the
+    /// steal-candidate bit ignores long work too.
+    #[test]
+    fn stealing_without_long_jobs_is_no_stealing(
+        trace in arb_trace(),
+        fraction in 0.05f64..0.5,
+        nodes in 2usize..40,
+        seed in 0u64..1_000,
+        windows in arb_windows(),
+    ) {
+        let hawk = Hawk::new(fraction);
+        let dynamics = churn(&hawk, &trace, nodes, windows);
+        // `arb_trace`'s tasks are shorter than 3,000 s, and so is every mean.
+        let cell = |scheduler: Arc<dyn Scheduler>| {
+            Experiment::builder()
+                .nodes(nodes)
+                .dynamics(dynamics.clone())
+                .scheduler_shared(scheduler)
+                .cutoff(Cutoff::from_secs(3_000))
+                .seed(seed)
+                .trace(&trace)
+                .build()
+        };
+        let (stealing, idle) = (cell(arc(hawk)), cell(arc(hawk.without_stealing())));
+        let proto = ProtoBackend::deterministic();
+        for (harness, with, without) in [
+            ("Driver", stealing.run(), idle.run()),
+            ("proto", stealing.run_on(&proto), idle.run_on(&proto)),
+        ] {
+            prop_assert_eq!(with.steals, 0, "{}", harness);
+            prop_assert_eq!(with.results, without.results, "{}", harness);
+        }
+    }
+
     /// ROADMAP 7(1), an identity: with every job long, Hawk without a
     /// short partition is the fully centralized scheduler. The cutoff sits
     /// below every task, so every job goes to the central scheduler, whose

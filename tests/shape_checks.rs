@@ -102,61 +102,6 @@ fn fig15_shape_higher_steal_cap_helps() {
     assert!(cap10.steals >= cap1.steals);
 }
 
-#[test]
-fn steal_granularity_shape_paper_policy_beats_random_single() {
-    // §3.6's rationale: the paper's group steal should not lose to the
-    // random-single-entry strawman on short-job p50.
-    let base = loaded_cell();
-    let paper = run(&base, Hawk::new(GOOGLE_SHORT_PARTITION));
-    let random = run(
-        &base,
-        Hawk::new(GOOGLE_SHORT_PARTITION).steal_granularity(StealGranularity::RandomBlockedEntry),
-    );
-    let cmp = compare(&random, &paper, JobClass::Short);
-    assert!(
-        cmp.p50_ratio.unwrap() > 0.85,
-        "random-entry stealing unexpectedly dominant: {:?}",
-        cmp.p50_ratio
-    );
-}
-
-#[test]
-fn central_latency_shape_decision_cost_hits_centralized_not_hawk() {
-    let base = loaded_cell();
-    // At 100× scale jobs arrive every ≈146 s, so the decision pipeline
-    // saturates near 7 s per task (≈20 tasks/job). The centralized
-    // baseline schedules every task of every job serially; Hawk's central
-    // component only sees the ~10 % long jobs and stays far from
-    // saturation.
-    let costly = base.clone().central_overhead(CentralOverhead {
-        per_job: SimDuration::from_secs(10),
-        per_task: SimDuration::from_secs(7),
-    });
-    let central_free = run(&base, Centralized::new());
-    let central_costly = run(&costly, Centralized::new());
-    let hawk_costly = run(&costly, Hawk::new(GOOGLE_SHORT_PARTITION));
-    let hawk_free = run(&base, Hawk::new(GOOGLE_SHORT_PARTITION));
-
-    let central_hit = central_costly
-        .runtime_percentile(JobClass::Short, 50.0)
-        .unwrap()
-        / central_free
-            .runtime_percentile(JobClass::Short, 50.0)
-            .unwrap();
-    let hawk_hit = hawk_costly
-        .runtime_percentile(JobClass::Short, 50.0)
-        .unwrap()
-        / hawk_free.runtime_percentile(JobClass::Short, 50.0).unwrap();
-    assert!(
-        central_hit > 1.5,
-        "decision cost should back up the centralized scheduler: {central_hit}"
-    );
-    assert!(
-        hawk_hit < central_hit,
-        "Hawk shorts bypass the central queue: hawk {hawk_hit} vs central {central_hit}"
-    );
-}
-
 /// ROADMAP 9's first decision: probe avoidance earns its place. Eagle-style
 /// bouncing (`Hawk::probe_avoidance(4)`) steers short probes off servers
 /// holding long work, so it must lower short-job latency against plain
