@@ -49,15 +49,6 @@ impl NetworkModel {
     pub fn one_way(&self) -> SimDuration {
         self.delay
     }
-
-    /// A full request/response round trip (the late-binding cost a server
-    /// pays when a probe reaches its queue head): two one-way delays. The
-    /// single-stream simulator sends a bind response this long after its
-    /// request leaves on a `TopologySpec::Constant` cell without
-    /// dynamics.
-    pub fn round_trip(&self) -> SimDuration {
-        self.delay + self.delay
-    }
 }
 
 impl Default for NetworkModel {
@@ -74,7 +65,6 @@ mod tests {
     fn paper_default_is_half_millisecond() {
         let n = NetworkModel::paper_default();
         assert_eq!(n.one_way(), SimDuration::from_micros(500));
-        assert_eq!(n.round_trip(), SimDuration::from_millis(1));
         assert_eq!(n.steal_transfer_delay, SimDuration::ZERO);
     }
 
@@ -82,7 +72,6 @@ mod tests {
     fn zero_network() {
         let n = NetworkModel::zero();
         assert_eq!(n.one_way(), SimDuration::ZERO);
-        assert_eq!(n.round_trip(), SimDuration::ZERO);
     }
 
     #[test]

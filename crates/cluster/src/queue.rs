@@ -278,14 +278,6 @@ impl QueueSlab {
             .map(|&word| unpack(word, |slot| self.tasks.get(slot)))
     }
 
-    /// Unlinks and returns the entry of `node`, whose predecessor in `list`
-    /// is `prev` (`None` at the head). O(1); see
-    /// [`EntrySlab::unlink_after`].
-    pub fn unlink_after(&mut self, list: usize, prev: Option<u32>, node: u32) -> QueueEntry {
-        let word = self.nodes.unlink_after(list, prev, node);
-        unpack(word, |slot| self.tasks.take(slot))
-    }
-
     /// Unlinks the run of `count` nodes starting at `start` (predecessor
     /// `prev`), appending their entries to `out` in list order. O(count).
     pub fn unlink_run_into(

@@ -429,10 +429,11 @@ impl Server {
         (task, self.advance(queues, list))
     }
 
-    /// Fixes the long count and the stat word after the steal scan
-    /// unlinked `removed` from the queue, list `list` of `queues`.
+    /// Fixes the stat word after the steal scan unlinked `removed` from
+    /// the queue, list `list` of `queues`. The scan takes a run of short
+    /// entries only, so the long count stands.
     pub(crate) fn note_removed(&mut self, queues: &QueueSlab, list: usize, removed: &[QueueEntry]) {
-        self.queued_long -= removed.iter().filter(|e| e.is_long()).count() as u32;
+        debug_assert!(!removed.iter().any(QueueEntry::is_long));
         self.restat(queues.len(list));
     }
 

@@ -2,7 +2,7 @@
 //! server's queue as a list of 8-byte words in one node arena, with the
 //! specs of queued tasks in a side arena; it must read exactly like one
 //! `VecDeque<QueueEntry>` per list under any interleaving of pushes, pops,
-//! single-entry unlinks, run unlinks and whole-list drains, with probes and
+//! run unlinks and whole-list drains, with probes and
 //! tasks of random estimates and attempts mixed in. After every operation
 //! every list equals its model, the task arena's live slots are exactly
 //! the queued tasks, the slab's own invariant check holds, and the node
@@ -61,11 +61,6 @@ enum Op {
     PopFront {
         list: u8,
     },
-    /// Unlink the entry at `pos` (clamped), by `unlink_after`.
-    UnlinkOne {
-        list: u8,
-        pos: u8,
-    },
     /// Unlink `count` entries from `start` (clamped), by `unlink_run_into`.
     UnlinkRun {
         list: u8,
@@ -86,7 +81,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         push(),
         push(),
         (0u8..4).prop_map(|list| Op::PopFront { list }),
-        (0u8..4, 0u8..12).prop_map(|(list, pos)| Op::UnlinkOne { list, pos }),
         (0u8..4, 0u8..12, 0u8..6).prop_map(|(list, start, count)| Op::UnlinkRun {
             list,
             start,
@@ -131,16 +125,6 @@ proptest! {
                 Op::PopFront { list } => {
                     let list = list as usize;
                     prop_assert_eq!(slab.pop_front(list), model[list].pop_front());
-                }
-                Op::UnlinkOne { list, pos } => {
-                    let list = list as usize;
-                    if model[list].is_empty() {
-                        continue;
-                    }
-                    let pos = (pos as usize).min(model[list].len() - 1);
-                    let (prev, node) = node_at(&slab, list, pos);
-                    let got = slab.unlink_after(list, prev, node);
-                    prop_assert_eq!(Some(got), model[list].remove(pos));
                 }
                 Op::UnlinkRun { list, start, count } => {
                     let list = list as usize;

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use hawk_cluster::{QueueEntry, ServerId, UtilizationTracker};
-use hawk_net::Endpoint;
+use hawk_net::{Endpoint, TopologySpec};
 use hawk_simcore::{BatchPool, Engine, SimDuration, SimTime};
 use hawk_workload::classify::JobEstimates;
 use hawk_workload::Trace;
@@ -26,6 +26,9 @@ use crate::scheduler::Scheduler;
 struct Loopback {
     engine: Engine<Event>,
     stolen: BatchPool<QueueEntry>,
+    bursts: BatchPool<ServerId>,
+    /// The one-way delay of a [`TopologySpec::Constant`] cell.
+    constant_delay: Option<SimDuration>,
 }
 
 impl Transport for Loopback {
@@ -45,6 +48,14 @@ impl Transport for Loopback {
 
     fn stolen_pool(&mut self) -> &mut BatchPool<QueueEntry> {
         &mut self.stolen
+    }
+
+    fn constant_delay(&self) -> Option<SimDuration> {
+        self.constant_delay
+    }
+
+    fn burst_pool(&mut self) -> &mut BatchPool<ServerId> {
+        &mut self.bursts
     }
 }
 
@@ -92,6 +103,11 @@ impl<'t> Driver<'t> {
             net: Loopback {
                 engine,
                 stolen: BatchPool::new(),
+                bursts: BatchPool::new(),
+                constant_delay: match sim.topology {
+                    TopologySpec::Constant(model) => Some(model.one_way()),
+                    _ => None,
+                },
             },
             arrivals,
             util: UtilizationTracker::new(sim.util_interval),
@@ -373,8 +389,10 @@ mod tests {
     fn events_counted() {
         let trace = tiny_trace(vec![(0, vec![10, 10])]);
         let report = run(&trace, Sparrow::new(), 4);
-        // 1 arrival + 4 probes + binds + finishes + util samples.
-        assert!(report.events >= 10, "events {}", report.events);
+        // 1 arrival, 1 burst of 4 probes, 4 bind responses (2 tasks, 2
+        // cancels), 2 finishes, and the utilization samples.
+        let samples = report.utilization_samples.len() as u64;
+        assert_eq!(report.events, 8 + samples, "{:?}", report.events_by_kind);
     }
 
     #[test]

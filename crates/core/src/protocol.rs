@@ -28,21 +28,43 @@
 //!
 //! Every message asks the [`Topology`] for its delay exactly once, in
 //! event order, so contended topologies (per-link FIFO queueing) stay
-//! deterministic. The one exception is a bind round trip on a flat static
-//! cell with every scheduler in reach: the scheduler's answer is decided
-//! as the request leaves, and the response is sent at
-//! [`NetworkModel::round_trip`](hawk_cluster::NetworkModel::round_trip),
-//! with no [`Event::BindRequest`] in between (`Core::on_action` says why
-//! the answer is the same). Where shared memory and message passing
-//! inherently differ, the transport decides at compile time
-//! ([`Transport::REMOTE_SCHEDULERS`], [`Transport::owns`]); there is no
-//! runtime flag.
+//! deterministic. Two exceptions hold on the flat §4.1 network with every
+//! scheduler in reach, where every message costs the same one-way delay
+//! and asking for it changes nothing ([`Transport::constant_delay`]):
+//!
+//! * **A bind round trip is one event** on a static cell: the scheduler's
+//!   answer is decided as the request leaves, and the response is sent
+//!   two one-way delays later, with no [`Event::BindRequest`] in between
+//!   (`Core::on_action` says why the answer is the same).
+//! * **A job's probes, or its central placement, are one event**, with or
+//!   without a dynamics script: [`Event::ProbeBurst`] / [`Event::TaskBurst`]
+//!   carries the servers in send order, and its dispatch lands them one by
+//!   one through the per-message path (`Core::on_arrive`), task `i` on the
+//!   `i`-th server. That is exact, not approximate. Sent one message per
+//!   server, the probes would be pushed back to back at one firing time,
+//!   and events of one time pop in push order, so they would pop back to
+//!   back too, as one run, where the burst pops. Only two things could
+//!   cut into the run. An event pushed for that time is pushed before the
+//!   run (and pops ahead of it) or while the run is dispatched (and pops
+//!   behind it, as it pops behind the burst). An
+//!   [`Engine::schedule_first_at`] jumps everything pending at its time,
+//!   so it would cut the run only if called while the run is dispatched,
+//!   but arrival streaming ([`Arrivals`]), its one caller, calls it only
+//!   while an [`Event::JobArrival`] is dispatched. So every handler runs
+//!   in the same order at the same time, with the same RNG draws. A
+//!   displaced or bounced entry keeps its one-message path, and so does
+//!   every send where the delay depends on the endpoints (the fat trees)
+//!   or where a scheduler may sit across a wire ([`crate::ShardedDriver`]).
+//!
+//! Where shared memory and message passing inherently differ, the
+//! transport decides at compile time ([`Transport::REMOTE_SCHEDULERS`],
+//! [`Transport::owns`]); there is no runtime flag.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use hawk_cluster::{Cluster, QueueEntry, ServerAction, ServerId, TaskSpec, UtilizationTracker};
-use hawk_net::{Endpoint, NetworkStats, RackGeometry, Topology, TopologySpec};
+use hawk_net::{Endpoint, NetworkStats, RackGeometry, Topology};
 use hawk_simcore::{BatchHandle, BatchPool, Engine, SimDuration, SimRng, SimTime};
 use hawk_workload::classify::{Cutoff, JobEstimates};
 use hawk_workload::scenario::NodeChange;
@@ -53,7 +75,7 @@ use crate::centralized::CentralScheduler;
 use crate::config::{check_cell, Route, SimConfig};
 use crate::distributed::{displaced_probe, land, late_bind, Landing};
 use crate::metrics::{JobResult, MetricsReport, ShardedStats, StreamingStats};
-use crate::scheduler::{PlacementView, Scheduler, StealSpec};
+use crate::scheduler::{PlacementView, Scheduler};
 
 /// A simulation event: a message or timer of the protocol.
 ///
@@ -64,14 +86,21 @@ use crate::scheduler::{PlacementView, Scheduler, StealSpec};
 /// class where the receiving core may not be the job's home, and the core
 /// that enqueues or launches it builds the spec from the trace and the
 /// run's estimates (24 bytes an event, pinned by a unit test). The
-/// single-stream [`crate::Driver`] never emits the last four variants;
-/// they carry what it does by direct state access.
+/// single-stream [`crate::Driver`] never emits `StealRequest`, `TaskDone`,
+/// `CentralTaskDone` or `Relocate`; they carry what it does by direct
+/// state access. Only it emits the two bursts, on a
+/// [`TopologySpec::Constant`](hawk_net::TopologySpec::Constant) cell,
+/// where they carry what the sharded driver sends as one `ProbeArrive` or
+/// `TaskArrive` per server.
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// A job was submitted (at its trace submission time, or at its
     /// admitted window when admission control deferred it).
     JobArrival(JobId),
-    /// A probe message reached a server.
+    /// A probe message reached a server: a bounced or displaced probe, or
+    /// any probe off the constant network or across a wire (on the
+    /// constant network a job's first probes travel as one
+    /// [`Event::ProbeBurst`]).
     ProbeArrive {
         /// Destination server.
         server: ServerId,
@@ -83,7 +112,9 @@ pub enum Event {
         /// work (always 0 under the paper's configuration).
         bounces: u8,
     },
-    /// A centrally-placed (or relocated) task reached a server.
+    /// A relocated task reached a server, or a centrally-placed one off the
+    /// constant network or across a wire (on the constant network a
+    /// placement travels as one [`Event::TaskBurst`]).
     TaskArrive {
         /// Destination server.
         server: ServerId,
@@ -95,10 +126,10 @@ pub enum Event {
         class: JobClass,
     },
     /// A server's task request reached the job's scheduler. Never
-    /// dispatched by the single-stream [`crate::Driver`] on a
-    /// [`TopologySpec::Constant`] cell without dynamics, where the answer
-    /// is decided as the request leaves and the [`Event::BindResponse`] is
-    /// sent a round trip later.
+    /// dispatched by the single-stream [`crate::Driver`] on the constant
+    /// network without dynamics, where the answer is decided as the
+    /// request leaves and the [`Event::BindResponse`] is sent a round trip
+    /// later.
     BindRequest {
         /// Requesting server.
         server: ServerId,
@@ -184,6 +215,31 @@ pub enum Event {
         /// The stranded task's index within its job, `None` for a probe.
         task: Option<u32>,
     },
+    /// All of a job's probes reached their servers: on the constant
+    /// network they are sent together and arrive together, and land in
+    /// send order as if each were its own [`Event::ProbeArrive`] (the
+    /// module docs say why that is exact).
+    ProbeBurst {
+        /// The job the probes reserve for.
+        job: JobId,
+        /// The job's scheduled class.
+        class: JobClass,
+        /// The probes' servers in send order, redeemed against the
+        /// transport's burst pool on delivery.
+        batch: BatchHandle,
+    },
+    /// All tasks of a §3.7 central placement reached their servers, on
+    /// the constant network: the burst's `i`-th server receives task `i`,
+    /// in that order, as if each were its own [`Event::TaskArrive`].
+    TaskBurst {
+        /// The placed job.
+        job: JobId,
+        /// The job's scheduled class.
+        class: JobClass,
+        /// The tasks' servers in task order, redeemed against the
+        /// transport's burst pool on delivery.
+        batch: BatchHandle,
+    },
 }
 
 /// Events the protocol core dispatched, one slot per [`Event::KINDS`]
@@ -195,7 +251,7 @@ impl Event {
     /// enum's). A harness's two sampling timers never reach a core and
     /// have no slot, so the counts sum to [`MetricsReport::events`] less
     /// the samples taken.
-    pub const KINDS: [&'static str; 13] = [
+    pub const KINDS: [&'static str; 15] = [
         "job_arrival",
         "probe_arrive",
         "task_arrive",
@@ -209,6 +265,8 @@ impl Event {
         "task_done",
         "central_task_done",
         "relocate",
+        "probe_burst",
+        "task_burst",
     ];
 
     /// This event's slot in [`EventCounts`].
@@ -227,6 +285,8 @@ impl Event {
             Event::TaskDone { .. } => 10,
             Event::CentralTaskDone { .. } => 11,
             Event::Relocate { .. } => 12,
+            Event::ProbeBurst { .. } => 13,
+            Event::TaskBurst { .. } => 14,
             Event::UtilSample => unreachable!("sampling belongs to the harness"),
         }
     }
@@ -246,13 +306,13 @@ const QUEUE_FLOOR: (usize, usize) = (4_096, 1_024);
 /// router and the unit tests' recording fake.
 pub(crate) trait Transport {
     /// Whether a job's scheduler may sit across the wire from the servers
-    /// running its tasks. Decides the three things shared memory and
+    /// running its tasks. Decides the two things shared memory and
     /// message passing inherently do differently: completion bookkeeping
     /// (direct state access vs. a `TaskDone`/`CentralTaskDone` message
-    /// to the home scheduler), relocation off a failed server
-    /// (point-to-point vs. a detour through the deciding scheduler) and,
-    /// on a flat static cell, a bind (decided as the request leaves vs. a
-    /// `BindRequest` message).
+    /// to the home scheduler) and relocation off a failed server
+    /// (point-to-point vs. a detour through the deciding scheduler).
+    /// Where every scheduler is in reach the network may also be folded
+    /// ([`Transport::constant_delay`]).
     const REMOTE_SCHEDULERS: bool;
 
     /// The current simulated time.
@@ -266,9 +326,22 @@ pub(crate) trait Transport {
     fn owns(&self, server: ServerId) -> bool;
 
     /// Where a stolen group waits while its [`Event::StolenArrive`] is in
-    /// flight (the one message with a payload). One pool per transport, so
-    /// a handle put by the victim's core is redeemed by the thief's.
+    /// flight. One pool per transport, so a handle put by the victim's
+    /// core is redeemed by the thief's.
     fn stolen_pool(&mut self) -> &mut BatchPool<QueueEntry>;
+
+    /// The delay of every message, where every scheduler is in reach and
+    /// the network is the flat
+    /// [`TopologySpec::Constant`](hawk_net::TopologySpec::Constant) one
+    /// (the loopback on such a cell); `None` elsewhere. The core then
+    /// folds the messages it can decide exactly (the module docs list
+    /// them).
+    fn constant_delay(&self) -> Option<SimDuration>;
+
+    /// Where the servers of an [`Event::ProbeBurst`] or
+    /// [`Event::TaskBurst`] wait while it is in flight. Reached only with
+    /// a [`Transport::constant_delay`].
+    fn burst_pool(&mut self) -> &mut BatchPool<ServerId>;
 }
 
 /// Per-job dynamic state (the job's "distributed scheduler" plus
@@ -406,7 +479,8 @@ pub(crate) struct Core<'t> {
     jobs: Vec<JobRun>,
     /// The §3.7 scheduler, on the one core that hosts [`Endpoint::Central`].
     central: Option<CentralScheduler>,
-    steal_spec: Option<StealSpec>,
+    /// Whether the policy steals at all.
+    stealing: bool,
     probe_rng: SimRng,
     steal_rng: SimRng,
     /// Stream for scenario bookkeeping (migration re-probing); separate
@@ -420,10 +494,10 @@ pub(crate) struct Core<'t> {
     /// Rack geometry for fabric-aware victim picking; `None` under
     /// placement-blind topologies.
     rack_geometry: Option<RackGeometry>,
-    /// The bind round trip, on a [`TopologySpec::Constant`] cell with an
-    /// empty dynamics script: with every scheduler in reach, a bind is
-    /// then decided as its request leaves (`Core::on_action`).
-    bind_round_trip: Option<SimDuration>,
+    /// Whether the dynamics script is empty: with a
+    /// [`Transport::constant_delay`], a bind is then decided as its request
+    /// leaves (`Core::on_action`).
+    static_cell: bool,
     /// Precomputed admission decisions; `None` admits everything (the
     /// classic, digest-pinned behavior).
     admission: Option<Arc<AdmissionPlan>>,
@@ -498,7 +572,7 @@ impl<'t> Core<'t> {
         };
         Core {
             trace,
-            steal_spec: scheduler.steal(),
+            stealing: scheduler.steal().is_some(),
             scheduler,
             estimates: Arc::clone(&inputs.estimates),
             cluster,
@@ -510,12 +584,7 @@ impl<'t> Core<'t> {
             cutoff: sim.cutoff,
             topology: sim.topology.build(sim.nodes),
             rack_geometry: sim.topology.rack_geometry(),
-            bind_round_trip: match sim.topology {
-                TopologySpec::Constant(model) if sim.dynamics.is_empty() => {
-                    Some(model.round_trip())
-                }
-                _ => None,
-            },
+            static_cell: sim.dynamics.is_empty(),
             admission: inputs.admission.clone(),
             unfinished: 0,
             steals: 0,
@@ -549,13 +618,25 @@ impl<'t> Core<'t> {
                 task,
                 class,
             } => {
-                let spec = TaskSpec::of(
-                    self.trace.job(job),
-                    task,
-                    self.estimates.estimate(job),
-                    class,
-                );
-                self.on_arrive(net, server, QueueEntry::Task(spec), 0)
+                let entry = self.task_entry(job, task, class);
+                self.on_arrive(net, server, entry, 0)
+            }
+            Event::ProbeBurst { job, class, batch } => {
+                let mut targets = std::mem::take(&mut self.probe_buf);
+                net.burst_pool().take_swap(batch, &mut targets);
+                for &server in &targets {
+                    self.on_arrive(net, server, QueueEntry::Probe { job, class }, 0);
+                }
+                self.probe_buf = targets;
+            }
+            Event::TaskBurst { job, class, batch } => {
+                let mut targets = std::mem::take(&mut self.place_buf);
+                net.burst_pool().take_swap(batch, &mut targets);
+                for (task, &server) in (0..).zip(&targets) {
+                    let entry = self.task_entry(job, task, class);
+                    self.on_arrive(net, server, entry, 0);
+                }
+                self.place_buf = targets;
             }
             Event::BindRequest { server, job } => self.on_bind_request(net, server, job),
             Event::BindResponse {
@@ -645,6 +726,10 @@ impl<'t> Core<'t> {
                     &mut self.probe_rng,
                     &mut self.probe_buf,
                 );
+                let burst = |batch| Event::ProbeBurst { job, class, batch };
+                if send_burst(net, &mut self.probe_buf, burst) {
+                    return;
+                }
                 // The job's distributed scheduler is the probes' source
                 // endpoint; each probe is committed to the fabric
                 // individually, in target order.
@@ -725,6 +810,10 @@ impl<'t> Core<'t> {
             .as_mut()
             .expect("central route requires a central scheduler");
         central.assign_job_into(spec.num_tasks(), estimate, &mut self.place_buf);
+        let burst = |batch| Event::TaskBurst { job, class, batch };
+        if send_burst(net, &mut self.place_buf, burst) {
+            return;
+        }
         let now = net.now();
         for (task, &server) in (0..).zip(&self.place_buf) {
             let dst = Endpoint::Server(server);
@@ -857,6 +946,13 @@ impl<'t> Core<'t> {
         }
     }
 
+    /// Task `task` of `job` as it queues or launches: its spec, built from
+    /// the trace and the run's estimates.
+    fn task_entry(&self, job: JobId, task: u32, class: JobClass) -> QueueEntry {
+        let estimate = self.estimates.estimate(job);
+        QueueEntry::Task(TaskSpec::of(self.trace.job(job), task, estimate, class))
+    }
+
     fn on_task_finish<T: Transport>(&mut self, net: &mut T, server: ServerId) {
         debug_assert!(net.owns(server));
         let (task, action) = self.cluster.on_task_finish(server);
@@ -914,10 +1010,10 @@ impl<'t> Core<'t> {
             // requests reach a job's scheduler in the order they are sent,
             // and only `replace` reads `next_task` in between, which needs
             // a dynamics script.
-            ServerAction::RequestBind { job } => match self.bind_round_trip {
-                Some(round_trip) if !T::REMOTE_SCHEDULERS => {
+            ServerAction::RequestBind { job } => match net.constant_delay() {
+                Some(one_way) if self.static_cell => {
                     let response = self.bind(server, job);
-                    net.send(round_trip, Endpoint::Server(server), response);
+                    net.send(one_way + one_way, Endpoint::Server(server), response);
                 }
                 _ => {
                     let scheduler = Endpoint::Scheduler(job.0);
@@ -946,7 +1042,7 @@ impl<'t> Core<'t> {
     /// draw order) are chained into one asynchronous
     /// [`Event::StealRequest`] that each failed hop forwards onward.
     fn try_steal<T: Transport>(&mut self, net: &mut T, thief: ServerId) {
-        if self.steal_spec.is_none() || self.cluster.is_down(thief) {
+        if !self.stealing || self.cluster.is_down(thief) {
             // No stealing policy, or a draining server's slot emptied: it
             // goes dark instead of stealing new work.
             return;
@@ -1058,7 +1154,7 @@ impl<'t> Core<'t> {
         rest: [u32; 3],
     ) {
         debug_assert!(net.owns(victim));
-        if self.steal_spec.is_none() {
+        if !self.stealing {
             return;
         }
         debug_assert!(self.steal_buf.is_empty(), "stale steal batch");
@@ -1111,6 +1207,27 @@ impl<'t> Core<'t> {
         if let Some(action) = self.cluster.give_stolen_drain(server, &mut self.steal_buf) {
             self.on_action(net, server, action);
         }
+    }
+}
+
+/// Sends the servers in `targets` as one event, `burst` of their pooled
+/// handle, one way from now (leaving `targets` empty), when the transport
+/// has a [`Transport::constant_delay`]; otherwise sends nothing and
+/// returns `false`, for the caller to send one message per server. The
+/// burst is addressed to its first server.
+fn send_burst<T: Transport>(
+    net: &mut T,
+    targets: &mut Vec<ServerId>,
+    burst: impl FnOnce(BatchHandle) -> Event,
+) -> bool {
+    match net.constant_delay() {
+        Some(one_way) => {
+            let to = Endpoint::Server(targets[0]);
+            let batch = net.burst_pool().put_swap(targets);
+            net.send(one_way, to, burst(batch));
+            true
+        }
+        _ => false,
     }
 }
 
@@ -1208,7 +1325,7 @@ pub(crate) fn report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{Hawk, Sparrow};
+    use crate::scheduler::{Centralized, Hawk, Sparrow};
     use hawk_workload::Job;
 
     /// The core-side analogue of hawk-proto's `RecordingNet`: records
@@ -1221,6 +1338,7 @@ mod tests {
         owned: std::ops::Range<u32>,
         sent: Vec<(SimDuration, Endpoint, Event)>,
         stolen: BatchPool<QueueEntry>,
+        bursts: BatchPool<ServerId>,
     }
 
     impl<const REMOTE: bool> RecordingTransport<REMOTE> {
@@ -1230,6 +1348,7 @@ mod tests {
                 owned,
                 sent: Vec::new(),
                 stolen: BatchPool::new(),
+                bursts: BatchPool::new(),
             }
         }
     }
@@ -1251,6 +1370,14 @@ mod tests {
 
         fn stolen_pool(&mut self) -> &mut BatchPool<QueueEntry> {
             &mut self.stolen
+        }
+
+        fn constant_delay(&self) -> Option<SimDuration> {
+            (!REMOTE).then_some(ONE_WAY)
+        }
+
+        fn burst_pool(&mut self) -> &mut BatchPool<ServerId> {
+            &mut self.bursts
         }
     }
 
@@ -1373,6 +1500,8 @@ mod tests {
                 job,
                 task: None,
             },
+            Event::ProbeBurst { job, class, batch },
+            Event::TaskBurst { job, class, batch },
         ];
         for (slot, event) in events.iter().enumerate() {
             assert_eq!(event.kind(), slot, "{event:?}");
@@ -1383,6 +1512,54 @@ mod tests {
             assert!(format!("{event:?}").starts_with(&camel), "{event:?}");
         }
         assert_eq!(events.len(), Event::KINDS.len());
+    }
+
+    /// On the constant network a single-stream core sends a job's probes,
+    /// or its central placement, as one burst a one-way delay out, and a
+    /// core across a wire sends one message per server. Landing the burst
+    /// does what delivering the messages does, server by server in send
+    /// order, task `i` on the `i`-th server.
+    #[test]
+    fn a_burst_lands_what_its_messages_would() {
+        let trace = one_job_trace(vec![5_000, 5_000, 5_000]);
+        let core = |probing: bool| match probing {
+            true => core_for(&trace, Sparrow::new(), 8),
+            false => core_for(&trace, Centralized::new(), 8),
+        };
+        // The server each send after a landing is about, in send order.
+        let servers = |sent: &[(SimDuration, Endpoint, Event)]| -> Vec<ServerId> {
+            sent.iter()
+                .map(|&(_, _, event)| match event {
+                    Event::BindRequest { server, .. }
+                    | Event::BindResponse { server, .. }
+                    | Event::TaskFinish { server } => server,
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        };
+        for probing in [true, false] {
+            let (mut bursting, mut messaging) = (core(probing), core(probing));
+            let mut loopback = RecordingTransport::<false>::owning(0..8);
+            let mut wire = RecordingTransport::<true>::owning(0..8);
+            bursting.dispatch(&mut loopback, Event::JobArrival(JobId(0)));
+            messaging.dispatch(&mut wire, Event::JobArrival(JobId(0)));
+            let messages = std::mem::take(&mut wire.sent);
+            assert_eq!(messages.len(), if probing { 6 } else { 3 });
+            let [(ONE_WAY, to, burst)] = std::mem::take(&mut loopback.sent)[..] else {
+                panic!("not one burst: {:?}", loopback.sent);
+            };
+            assert_eq!(to, messages[0].1);
+            bursting.dispatch(&mut loopback, burst);
+            for (delay, _, message) in messages {
+                assert_eq!(delay, ONE_WAY);
+                messaging.dispatch(&mut wire, message);
+            }
+            assert_eq!(servers(&loopback.sent), servers(&wire.sent), "{burst:?}");
+            for server in (0..8).map(ServerId) {
+                let slot = |core: &Core<'_>| core.cluster.server(server).slot();
+                assert_eq!(slot(&bursting), slot(&messaging), "{server:?}");
+            }
+        }
     }
 
     #[test]

@@ -257,6 +257,14 @@ impl Transport for Router {
     fn stolen_pool(&mut self) -> &mut BatchPool<QueueEntry> {
         &mut self.stolen
     }
+
+    fn constant_delay(&self) -> Option<SimDuration> {
+        None
+    }
+
+    fn burst_pool(&mut self) -> &mut BatchPool<ServerId> {
+        unreachable!("a sharded run sends each probe and placed task alone")
+    }
 }
 
 /// The sharded driver. Construct with [`ShardedDriver::new`],

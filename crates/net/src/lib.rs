@@ -27,8 +27,9 @@
 //! Both simulation backends (the discrete-event driver in `hawk-core` and
 //! the prototype's virtual-clock router in `hawk-proto`) route every
 //! message delay through this trait, so sim↔proto conformance extends to
-//! topologies. (The single-stream driver prices a bind round trip on a
-//! static [`Constant`] cell as one [`NetworkModel::round_trip`] instead.)
+//! topologies. (On a [`Constant`] cell the single-stream driver prices a
+//! job's probes or central placement as one one-way delay, and on a
+//! static one a bind round trip as two, instead of asking per message.)
 //! Experiments select a model with [`TopologySpec`], which is plain config
 //! data (`Copy`, serializable) and builds the boxed model at run start.
 //!

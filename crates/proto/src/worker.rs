@@ -89,7 +89,7 @@ use hawk_cluster::{
     scale_duration, Partition, QueueEntry, QueueSlab, Server, ServerAction, ServerId, Slot,
     TaskSpec,
 };
-use hawk_core::{land, Landing, RackGeometry, Route, Scheduler, StealSpec, VictimDraw};
+use hawk_core::{land, Landing, RackGeometry, Route, Scheduler, VictimDraw};
 use hawk_simcore::{SimDuration, SimRng, SimTime};
 use hawk_workload::scenario::NodeChange;
 use hawk_workload::JobId;
@@ -162,7 +162,8 @@ pub(crate) struct Worker {
     /// mode over a fat-tree); lets placement-aware policies stratify
     /// their steal-victim picks exactly as the simulation driver does.
     rack_geometry: Option<RackGeometry>,
-    steal_spec: Option<StealSpec>,
+    /// Whether the policy steals at all.
+    stealing: bool,
     /// `None` between attempts.
     steal: Option<StealAttempt>,
     dist_count: usize,
@@ -223,7 +224,7 @@ impl Worker {
             server: Server::default(),
             queues: QueueSlab::new(1),
             speed,
-            steal_spec: scheduler.steal(),
+            stealing: scheduler.steal().is_some(),
             scheduler,
             partition,
             rack_geometry,
@@ -613,7 +614,7 @@ impl Worker {
     /// [`Scheduler::victims`] over the real partition — the draw the
     /// simulation driver pulls from, one victim as each is contacted.
     fn begin_steal(&mut self, net: &mut impl Net) {
-        if self.steal_spec.is_none() || self.server.is_down() || self.steal.is_some() {
+        if !self.stealing || self.server.is_down() || self.steal.is_some() {
             return;
         }
         let thief = ServerId(self.index as u32);

@@ -11,6 +11,10 @@
 //! The driving use case is the steal pipeline: `StolenArrive` events under
 //! a non-zero steal-transfer delay used to own a freshly allocated
 //! `Vec<QueueEntry>` per steal; with the pool they carry a 4-byte handle.
+//! The other is a job's probe burst or central placement, whose servers
+//! travel in one event: there the sender and the receiver are the same
+//! buffer, so [`BatchPool::put_swap`] and [`BatchPool::take_swap`] trade
+//! vectors with the slot instead of copying values.
 //!
 //! # Examples
 //!
@@ -54,20 +58,20 @@ impl<T> BatchPool<T> {
     /// Moves the contents of `src` into a recycled slot (leaving `src`
     /// empty with its capacity intact) and returns the slot's handle.
     pub fn put(&mut self, src: &mut Vec<T>) -> BatchHandle {
-        let idx = match self.free.pop() {
-            Some(idx) => idx,
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(Vec::new());
-                self.occupied.push(false);
-                idx
-            }
-        };
-        let slot = &mut self.slots[idx as usize];
-        debug_assert!(slot.is_empty(), "free slot holds stale values");
-        slot.append(src);
-        self.occupied[idx as usize] = true;
-        BatchHandle(idx)
+        let handle = self.claim();
+        self.slots[handle.0 as usize].append(src);
+        handle
+    }
+
+    /// Like [`BatchPool::put`], but swaps `src` with the slot's empty
+    /// vector instead of moving the values: `src` leaves empty with the
+    /// slot's capacity. For a sender that owns a buffer per kind of batch
+    /// and takes its batches back into the same buffer
+    /// ([`BatchPool::take_swap`]), so no value is copied either way.
+    pub fn put_swap(&mut self, src: &mut Vec<T>) -> BatchHandle {
+        let handle = self.claim();
+        std::mem::swap(&mut self.slots[handle.0 as usize], src);
+        handle
     }
 
     /// Drains the batch behind `handle` into `dst` (cleared first) and
@@ -77,12 +81,47 @@ impl<T> BatchPool<T> {
     ///
     /// Panics if `handle` was already taken (a double-delivery bug).
     pub fn take_into(&mut self, handle: BatchHandle, dst: &mut Vec<T>) {
+        dst.clear();
+        dst.append(self.release(handle));
+    }
+
+    /// Like [`BatchPool::take_into`], but swaps: `dst` leaves holding the
+    /// batch, and its old vector, cleared, becomes the free slot's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle` was already taken (a double-delivery bug).
+    pub fn take_swap(&mut self, handle: BatchHandle, dst: &mut Vec<T>) {
+        dst.clear();
+        std::mem::swap(dst, self.release(handle));
+    }
+
+    /// A free slot, marked occupied; a new one when none is free.
+    fn claim(&mut self) -> BatchHandle {
+        let idx = match self.free.pop() {
+            Some(idx) => idx,
+            None => {
+                let idx = self.slots.len() as u32;
+                self.slots.push(Vec::new());
+                self.occupied.push(false);
+                idx
+            }
+        };
+        debug_assert!(
+            self.slots[idx as usize].is_empty(),
+            "free slot holds stale values"
+        );
+        self.occupied[idx as usize] = true;
+        BatchHandle(idx)
+    }
+
+    /// Frees the slot behind `handle`, returning its vector.
+    fn release(&mut self, handle: BatchHandle) -> &mut Vec<T> {
         let idx = handle.0 as usize;
         assert!(self.occupied[idx], "batch {idx} taken twice");
         self.occupied[idx] = false;
-        dst.clear();
-        dst.append(&mut self.slots[idx]);
         self.free.push(handle.0);
+        &mut self.slots[idx]
     }
 
     /// Number of batches currently in flight.
@@ -131,6 +170,27 @@ mod tests {
             assert_eq!(out, vec![round, round + 1]);
         }
         assert_eq!(pool.slots.len(), 2);
+    }
+
+    #[test]
+    fn swapping_moves_buffers_not_values() {
+        let mut pool: BatchPool<u32> = BatchPool::new();
+        let mut buf = Vec::with_capacity(64);
+        buf.extend([1, 2, 3]);
+        let h = pool.put_swap(&mut buf);
+        assert!(buf.is_empty());
+        assert_eq!(buf.capacity(), 0, "src takes the slot's empty vector");
+        buf.push(7);
+        pool.take_swap(h, &mut buf);
+        assert_eq!(buf, vec![1, 2, 3]);
+        assert_eq!(buf.capacity(), 64, "the batch's own vector comes back");
+        assert_eq!(pool.in_flight(), 0);
+        // The vector `buf` held is now the free slot's, cleared.
+        let h = pool.put_swap(&mut buf);
+        assert!(buf.is_empty());
+        assert!((1..64).contains(&buf.capacity()), "{}", buf.capacity());
+        pool.take_swap(h, &mut buf);
+        assert_eq!(buf, vec![1, 2, 3]);
     }
 
     #[test]

@@ -30,9 +30,8 @@
 //!
 //! * **One list per owner** — list ids are dense (`0..num_lists`), fixed at
 //!   construction; in `hawk-cluster` list `i` is server `i`'s queue.
-//! * **O(1) push/pop/unlink/relink** — [`EntrySlab::push_back`],
-//!   [`EntrySlab::push_front`], [`EntrySlab::pop_front`] and
-//!   [`EntrySlab::unlink_after`] touch a
+//! * **O(1) push/pop/relink** — [`EntrySlab::push_back`],
+//!   [`EntrySlab::push_front`] and [`EntrySlab::pop_front`] touch a
 //!   constant number of nodes, and so do the two operations that move
 //!   nodes *between* lists without copying a value or visiting the free
 //!   list, [`EntrySlab::move_head_to_tail`] and [`EntrySlab::splice`]
@@ -301,37 +300,6 @@ impl<T: Copy> EntrySlab<T> {
         })
     }
 
-    /// Unlinks and returns the value of `node`, whose predecessor in
-    /// `list` is `prev` (`None` when `node` is the head). O(1).
-    ///
-    /// The caller supplies the predecessor (found during its scan) because
-    /// a singly-linked node cannot name it; passing the wrong predecessor
-    /// corrupts the list, so debug builds verify the link.
-    pub fn unlink_after(&mut self, list: usize, prev: Option<u32>, node: u32) -> T {
-        let next = self.nodes[node as usize].next;
-        let value = self.nodes[node as usize].value;
-        let ends = &mut self.lists[list];
-        match prev {
-            None => {
-                debug_assert_eq!(ends.head, node, "unlink_after: bad head predecessor");
-                ends.head = next;
-            }
-            Some(p) => {
-                debug_assert_eq!(
-                    self.nodes[p as usize].next, node,
-                    "unlink_after: bad predecessor"
-                );
-                self.nodes[p as usize].next = next;
-            }
-        }
-        if next == NIL {
-            self.lists[list].tail = prev.unwrap_or(NIL);
-        }
-        self.lists[list].len -= 1;
-        self.free_node(node);
-        value
-    }
-
     /// Unlinks the run of `count` consecutive nodes starting at `start`
     /// (predecessor `prev`, `None` when `start` is the head), handing
     /// their values to `each` in list order. O(count).
@@ -463,32 +431,6 @@ mod tests {
         }
         assert_eq!(s.allocated_nodes(), peak);
         assert!(s.check_invariants());
-    }
-
-    #[test]
-    fn unlink_after_head_middle_tail() {
-        let mut s: EntrySlab<u32> = EntrySlab::new(1);
-        for v in 0..5 {
-            s.push_back(0, v);
-        }
-        // Middle: value 2, predecessor node of value 1.
-        let n0 = s.head(0).unwrap();
-        let n1 = s.next(n0).unwrap();
-        let n2 = s.next(n1).unwrap();
-        assert_eq!(s.unlink_after(0, Some(n1), n2), 2);
-        // Head.
-        assert_eq!(s.unlink_after(0, None, n0), 0);
-        // Tail: list is now [1, 3, 4]; unlink 4.
-        let h = s.head(0).unwrap();
-        let m = s.next(h).unwrap();
-        let t = s.next(m).unwrap();
-        assert_eq!(s.unlink_after(0, Some(m), t), 4);
-        assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(s.len(0), 2);
-        assert!(s.check_invariants());
-        // Pushing appends after the surviving tail.
-        s.push_back(0, 9);
-        assert_eq!(s.iter(0).copied().collect::<Vec<_>>(), vec![1, 3, 9]);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn slab_churn_is_allocation_free_after_warm_up() {
             // Unlink the second entry (head successor), then pop the rest.
             let head = slab.head(list).expect("list is non-empty");
             if let Some(second) = slab.next(head) {
-                slab.unlink_after(list, Some(head), second);
+                slab.unlink_run(list, Some(head), second, 1, drop);
             }
             while slab.pop_front(list).is_some() {}
         }
@@ -155,7 +155,9 @@ fn slab_grows_geometrically_to_its_peak_and_never_below_it() {
 }
 
 /// The batch pool's put/take cycle allocates nothing once its slots have
-/// warmed to the peak batch size and in-flight count.
+/// warmed to the peak batch size and in-flight count, and nor does its
+/// swapping cycle, where the vectors themselves circulate between the
+/// sender's buffer and the slots.
 #[test]
 fn batch_pool_cycle_is_allocation_free_after_warm_up() {
     let mut pool: BatchPool<u64> = BatchPool::new();
@@ -184,5 +186,31 @@ fn batch_pool_cycle_is_allocation_free_after_warm_up() {
         allocations() - before,
         0,
         "batch pool allocated on the steady-state path"
+    );
+
+    // Two batches in flight again, by swapping: every vector in
+    // circulation (the buffer's and the two slots') has held a full batch
+    // once the warm-up rounds are over.
+    let mut swapping: BatchPool<u64> = BatchPool::new();
+    let mut cycle = |buf: &mut Vec<u64>, round: u64| {
+        buf.extend(round..round + 32);
+        let h1 = swapping.put_swap(buf);
+        buf.extend(round..round + 32);
+        let h2 = swapping.put_swap(buf);
+        swapping.take_swap(h1, buf);
+        swapping.take_swap(h2, buf);
+        buf.clear();
+    };
+    for round in 0..4 {
+        cycle(&mut buf, round);
+    }
+    let before = allocations();
+    for round in 0..10_000u64 {
+        cycle(&mut buf, round);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "swapping batch pool allocated on the steady-state path"
     );
 }

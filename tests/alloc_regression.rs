@@ -21,9 +21,10 @@
 //!   its queue population never plateaus, so no window of it is
 //!   growth-free (a doubling may land anywhere). There the *whole* event
 //!   loop, first event to last (construction excluded), may allocate at
-//!   most `2·⌈log2(events)⌉` times — 36 over ≈ 180k events, of which the
-//!   five cells spend 21 to 26 (a core reserves its queue arenas' floor at
-//!   construction; the task arena's doublings past it are in the count) —
+//!   most `2·⌈log2(events)⌉` times — 36 over 150k–243k events and 38 over
+//!   the contended fat tree's 335k, of which the five cells spend 25 to 31
+//!   (a core reserves its queue arenas' floor at construction; the task
+//!   arena's doublings past it are in the count) —
 //!   which a per-event or per-thousand-events allocation cannot hide
 //!   under.
 //!
@@ -129,9 +130,10 @@ fn peak_bytes_of<R>(run: impl FnOnce() -> R) -> (R, usize) {
 /// Events to run before measuring: long enough for every recycled buffer,
 /// slab arena, RNG scratch and timing-wheel bucket to reach its
 /// steady-state footprint. The populations still creep up afterwards —
-/// the queue arenas double once more between events 115,000 and 150,000
-/// in every scenario — but nothing allocates between 60,000 and 115,000.
-const WARMUP_EVENTS: u64 = 80_000;
+/// the contended fat tree's queue arena doubles once more at event
+/// 124,753, Sparrow's after 155,000 — but no scenario allocates between
+/// events 81,913 (the churn cell's last doubling before it) and 124,752.
+const WARMUP_EVENTS: u64 = 90_000;
 
 /// The measured window.
 const WINDOW_EVENTS: u64 = 10_000;
@@ -143,10 +145,18 @@ const STEADY_NODES: usize = 1_500;
 /// The 4.5x-overloaded cluster: queues grow for the whole run.
 const OVERLOADED_NODES: usize = 300;
 
-/// ~1,500 jobs ≈ 180k events on either cluster: the window sits mid-run,
-/// with arrivals, completions and steals all still active.
+/// 3,000 jobs, 150k events (Hawk) to 335k (the contended fat tree) on
+/// either cluster: the window sits mid-run, with arrivals, completions and
+/// steals all still active. (Half as many jobs made 125k–292k events
+/// while the single-stream driver sent each probe and central placement
+/// alone, but only 75k for Hawk since it sends each job's as one burst.)
 fn trace() -> Trace {
-    GoogleTraceConfig::with_scale(10, 1_500).generate(0xA110C)
+    trace_of(3_000)
+}
+
+/// The first `jobs` jobs of the scenarios' trace.
+fn trace_of(jobs: usize) -> Trace {
+    GoogleTraceConfig::with_scale(10, jobs).generate(0xA110C)
 }
 
 /// The policy-independent parameters both cells of a scenario share.
@@ -369,7 +379,8 @@ fn hardened_chaos_prototype_stays_within_its_allocation_budget() {
 const HAWK_STEADY_PEAK_BYTES: usize = 345_064;
 
 /// Peak heap follows the live state: a whole Hawk run on the steady cell,
-/// construction to report, peaks within 5 % of the measured figure.
+/// over the first 1,500 jobs of the scenarios' trace, construction to
+/// report, peaks within 5 % of the measured figure.
 /// Loading every one of the trace's 1,500 arrivals into the event list at
 /// the start, as the drivers did before they streamed them, peaked at
 /// 782,940 B against the 729,404 B pin of the day (+7.3 %, 2,501 pending
@@ -382,7 +393,7 @@ const HAWK_STEADY_PEAK_BYTES: usize = 345_064;
 /// within 1.4x of each other.)
 #[test]
 fn hawk_whole_run_peak_heap_follows_the_live_state() {
-    let trace = trace();
+    let trace = trace_of(1_500);
     let sim = sim_on(STEADY_NODES);
     let scheduler: Arc<dyn Scheduler> = Arc::new(Hawk::new(GOOGLE_SHORT_PARTITION));
     let (report, peak) = peak_bytes_of(|| Driver::with_scheduler(&trace, scheduler, &sim).run());

@@ -5,12 +5,14 @@
 //! per-job results included — into a single 64-bit digest, then compares it
 //! against a pinned constant.
 //!
-//! The pinned digests were produced by the pre-rework engine (binary-heap
-//! event queue, linear cluster scans, commit d65d7bf). The indexed-engine
-//! rework (timing-wheel event queue, incremental cluster indexes) is
-//! required to be *bit-identical* in behavior: any drift — a reordered
-//! tie-break, a skipped RNG draw, a changed placement — fails these tests
-//! loudly rather than silently shifting every figure.
+//! The first pinned digests were produced by the pre-rework engine
+//! (binary-heap event queue, linear cluster scans, commit d65d7bf), and
+//! the indexed-engine rework (timing-wheel event queue, incremental
+//! cluster indexes) was required to be *bit-identical* to them: any drift
+//! — a reordered tie-break, a skipped RNG draw, a changed placement —
+//! fails these tests loudly rather than silently shifting every figure.
+//! Each pin's later re-pins, and why, are in its doc comment in
+//! `support/mod.rs`.
 //!
 //! If a future PR changes scheduler behavior *on purpose*, re-pin the
 //! constants with `scripts/repin.sh` (it runs the band suites first, then

@@ -5,7 +5,7 @@
 //! `Driver` or `ShardedDriver` (and, with `nodes` starting at 2, shard
 //! counts above the node count, which must clamp), a fourth runs one
 //! static cell on all four shard counts and compares the per-kind event
-//! counts across the harnesses, and a fifth holds steal accounting on all
+//! counts and the probe and task totals across the harnesses, and a fifth holds steal accounting on all
 //! four shard counts *and* on a fault-free `hawk-proto` virtual run of the
 //! same cell (the suite's first prototype leg). The first of the three
 //! also runs its cell on `hawk-proto`'s virtual router, under 0–3
@@ -107,7 +107,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use hawk::core::{AdmissionDecision, AdmissionPlan, AdmissionPolicy};
+use hawk::core::{AdmissionDecision, AdmissionPlan, AdmissionPolicy, Route};
 use hawk::prelude::*;
 use hawk::proto::{FaultSpec, MsgKind};
 use hawk::workload::scenario::NodeChange;
@@ -484,14 +484,23 @@ proptest! {
     /// Cross-harness event accounting on static cells (no churn, no probe
     /// bounce): a probe binds or is cancelled exactly once and a task
     /// arrives and finishes exactly once wherever its endpoints are
-    /// hosted, so five protocol event kinds count the same on `Driver` and
-    /// on 2, 3 and 5 cores. The sixth, `bind_request`, is one per
-    /// `bind_response` on every sharded run and never occurs on `Driver`,
-    /// which on a flat static cell decides a bind as its request leaves.
-    /// What `ShardedDriver` adds — steal requests and completion messages
-    /// — never occurs on `Driver` either. No bouncing policy: a bounce's
-    /// retry server comes from the landing core's probe stream, so the
-    /// harnesses retry elsewhere and count different bounces.
+    /// hosted, so the probe and task totals are the trace's in every
+    /// harness — two probes per task of a job its scheduler routes to
+    /// probing (§3.5), one placement per task of a centrally routed one
+    /// (§3.7). On 2, 3 and 5 cores each probe is one `probe_arrive` and
+    /// each placed task one `task_arrive`, and `bind_request` is one per
+    /// `bind_response`. `Driver`, on the constant network, sends a job's
+    /// probes or its placement as one burst: it counts one `probe_burst` or
+    /// `task_burst` per arrival (a `task_burst` per central job), no
+    /// `probe_arrive` or `task_arrive`, and one `bind_response` per landed
+    /// probe; and on a flat static cell it decides a bind as its request
+    /// leaves, so no `bind_request` either. `job_arrival`, `bind_response`
+    /// and `task_finish` count the same in every harness. What
+    /// `ShardedDriver` adds — steal requests and completion messages —
+    /// never occurs on `Driver`, and the bursts never on `ShardedDriver`.
+    /// No bouncing policy: a bounce's retry server comes from the landing
+    /// core's probe stream, so the harnesses retry elsewhere and count
+    /// different bounces.
     #[test]
     fn protocol_event_counts_agree_across_harnesses(
         trace in arb_trace(),
@@ -501,29 +510,50 @@ proptest! {
     ) {
         let cell = Experiment::builder()
             .nodes(nodes)
-            .scheduler_shared(scheduler)
+            .scheduler_shared(Arc::clone(&scheduler))
             .seed(seed)
             .trace(with_quiet_last_job(&trace));
-        let counts = |shards: usize| cell.clone().shards(shards).run().events_by_kind;
-        let single = counts(1);
-        for added in ["bind_request", "steal_request", "task_done", "central_task_done"] {
-            prop_assert_eq!(single[kind(added)], 0, "{} on Driver", added);
+        let run = |shards: usize| cell.clone().shards(shards).run();
+        let report = run(1);
+        let (mut probes, mut placed, mut central_jobs) = (0, 0, 0);
+        for job in &report.results {
+            match scheduler.route(job.scheduled_class) {
+                Route::Central(_) => {
+                    placed += job.num_tasks as u64;
+                    central_jobs += 1;
+                }
+                Route::Distributed(_) => probes += 2 * job.num_tasks as u64,
+            }
         }
+        let single = report.events_by_kind;
+        for absent in [
+            "bind_request",
+            "steal_request",
+            "task_done",
+            "central_task_done",
+            "probe_arrive",
+            "task_arrive",
+        ] {
+            prop_assert_eq!(single[kind(absent)], 0, "{} on Driver", absent);
+        }
+        prop_assert_eq!(
+            single[kind("probe_burst")] + single[kind("task_burst")],
+            single[kind("job_arrival")]
+        );
+        prop_assert_eq!(single[kind("task_burst")], central_jobs);
+        prop_assert_eq!(single[kind("bind_response")], probes, "Driver");
         for shards in [2, 3, 5] {
-            let sharded = counts(shards);
-            prop_assert_eq!(
-                sharded[kind("bind_request")],
-                sharded[kind("bind_response")],
-                "{} shards",
-                shards
-            );
-            for shared in [
-                "job_arrival",
-                "probe_arrive",
-                "task_arrive",
-                "bind_response",
-                "task_finish",
+            let sharded = run(shards).events_by_kind;
+            for (counted, total) in [
+                ("probe_arrive", probes),
+                ("task_arrive", placed),
+                ("bind_request", probes),
+                ("probe_burst", 0),
+                ("task_burst", 0),
             ] {
+                prop_assert_eq!(sharded[kind(counted)], total, "{} at {} shards", counted, shards);
+            }
+            for shared in ["job_arrival", "bind_response", "task_finish"] {
                 prop_assert_eq!(
                     sharded[kind(shared)],
                     single[kind(shared)],
@@ -832,14 +862,24 @@ proptest! {
     /// With every link class at the paper's 500 µs and no transmission
     /// time, `FatTree` and `FatTreeContended` charge each message what
     /// `TopologySpec::paper_default()` charges, whatever the drawn rack and
-    /// pod sizes, so results, steals and steal attempts must be
-    /// byte-identical to it, on `Driver` and on a fault-free `hawk-proto`
-    /// virtual run. On `Driver` this also pits the fat trees' two-event
+    /// pod sizes, so results, steals, steal attempts and scans, the
+    /// utilization samples and the `bind_response` and `task_finish`
+    /// counts must be identical to it, on `Driver`, and results, steals
+    /// and steal attempts on a fault-free `hawk-proto` virtual run. Each
+    /// case runs twice: static, and under 0–3 generated down/up windows
+    /// (`arb_windows`), some aimed at entries in flight.
+    ///
+    /// On `Driver` this is the bursts' standing differential test: the
+    /// constant network lands a job's probes, or its central placement, as
+    /// one `ProbeBurst` or `TaskBurst`, and the fat trees send one message
+    /// per server. On a static cell it also pits the fat trees' two-event
     /// bind against the constant network's one-event bind, which the
     /// whole-second traces keep from tying (see the window identity above).
-    /// No bouncing policy, for the window identity's reason. A mutation
-    /// that fails it (checked by hand): `Geometry::propagation` charging a
-    /// same-host message 0 instead of `rack_local`.
+    /// No bouncing policy, for the window identity's reason. Mutations that
+    /// fail it (each checked by hand): `Geometry::propagation` charging a
+    /// same-host message 0 instead of `rack_local`; `Core::dispatch`
+    /// landing a burst's servers in reverse order; and a `TaskBurst`
+    /// numbering its tasks from 1.
     #[test]
     fn a_flat_fat_tree_is_the_constant_network(
         trace in arb_trace(),
@@ -848,6 +888,7 @@ proptest! {
         seed in 0u64..1_000,
         hosts_per_rack in 1usize..8,
         racks_per_pod in 1usize..4,
+        windows in arb_windows(),
     ) {
         let hop = SimDuration::from_micros(500);
         let flat = FatTreeParams {
@@ -859,28 +900,37 @@ proptest! {
             msg_tx: SimDuration::ZERO,
             ..FatTreeParams::default()
         };
-        let cell = |topology: TopologySpec| {
-            Experiment::builder()
-                .nodes(nodes)
-                .topology(topology)
-                .scheduler_shared(Arc::clone(&scheduler))
-                .seed(seed)
-                .trace(&trace)
-                .build()
-        };
-        let outcome = |r: MetricsReport| (r.results, r.steals, r.steal_attempts);
-        let proto = ProtoBackend::deterministic();
-        let constant = cell(TopologySpec::paper_default());
-        let (base, base_proto) = (outcome(constant.run()), outcome(constant.run_on(&proto)));
-        for topology in [TopologySpec::FatTree(flat), TopologySpec::FatTreeContended(flat)] {
-            let fat = cell(topology);
-            prop_assert_eq!(outcome(fat.run()), base.clone(), "Driver, {:?}", topology);
-            prop_assert_eq!(
-                outcome(fat.run_on(&proto)),
-                base_proto.clone(),
-                "proto, {:?}",
-                topology
-            );
+        let churned = churn(&*scheduler, &trace, nodes, windows);
+        for dynamics in [DynamicsScript::none(), churned] {
+            let cell = |topology: TopologySpec| {
+                Experiment::builder()
+                    .nodes(nodes)
+                    .topology(topology)
+                    .dynamics(dynamics.clone())
+                    .scheduler_shared(Arc::clone(&scheduler))
+                    .seed(seed)
+                    .trace(&trace)
+                    .build()
+            };
+            let outcome = |r: MetricsReport| {
+                let counts = [kind("bind_response"), kind("task_finish")].map(|k| r.events_by_kind[k]);
+                (r.results, r.steals, r.steal_attempts, r.steal_scans, r.utilization_samples, counts)
+            };
+            let proto_outcome = |r: MetricsReport| (r.results, r.steals, r.steal_attempts);
+            let proto = ProtoBackend::deterministic();
+            let constant = cell(TopologySpec::paper_default());
+            let base = outcome(constant.run());
+            let base_proto = proto_outcome(constant.run_on(&proto));
+            for topology in [TopologySpec::FatTree(flat), TopologySpec::FatTreeContended(flat)] {
+                let fat = cell(topology);
+                prop_assert_eq!(outcome(fat.run()), base.clone(), "Driver, {:?}", topology);
+                prop_assert_eq!(
+                    proto_outcome(fat.run_on(&proto)),
+                    base_proto.clone(),
+                    "proto, {:?}",
+                    topology
+                );
+            }
         }
     }
 

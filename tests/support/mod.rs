@@ -39,24 +39,34 @@ pub const GOLDEN_JOBS: usize = 400;
 /// became one event on a flat static cell: only `events` moved (the
 /// digest without it is equal before and after), like
 /// [`SPARROW_DIGEST`], [`SPLIT_CLUSTER_DIGEST`] and
-/// [`SATURATION_ADMISSION_HAWK_DIGEST`].
-pub const HAWK_DIGEST: u64 = 0x3fd8b5a7b1fc7ba4;
+/// [`SATURATION_ADMISSION_HAWK_DIGEST`]. Re-pinned again, from
+/// `0x3fd8b5a7b1fc7ba4`, when a job's probes and its central placement
+/// became one event each on the constant network: only `events` moved
+/// (the digest without it is equal before and after), like every pin of
+/// a constant-network `Driver` cell: the three below, [`CHURN_HETERO_HAWK_DIGEST`]
+/// and [`SATURATION_ADMISSION_HAWK_DIGEST`].
+pub const HAWK_DIGEST: u64 = 0xec38dfce5d0dff44;
 /// Pinned digest: Sparrow on the golden cell (re-pinned, from
-/// `0x01255b27da1012a9`, with [`HAWK_DIGEST`] for the one-event bind:
-/// only `events` moved).
-pub const SPARROW_DIGEST: u64 = 0xe0288dabfa5268b8;
-/// Pinned digest: the centralized baseline on the golden cell.
-pub const CENTRALIZED_DIGEST: u64 = 0x9048234f476f81f5;
+/// `0x01255b27da1012a9`, with [`HAWK_DIGEST`] for the one-event bind, and
+/// from `0xe0288dabfa5268b8` for the bursts: only `events` moved).
+pub const SPARROW_DIGEST: u64 = 0x934c51c29839202b;
+/// Pinned digest: the centralized baseline on the golden cell (re-pinned,
+/// from `0x9048234f476f81f5`, the pre-rework engine's, with
+/// [`HAWK_DIGEST`] for the bursts: only `events` moved).
+pub const CENTRALIZED_DIGEST: u64 = 0x1c9d44c4eda52efc;
 /// Pinned digest: the split-cluster baseline on the golden cell
 /// (re-pinned, from `0x74d8c6fdcb839842`, with [`HAWK_DIGEST`] for the
-/// one-event bind: only `events` moved).
-pub const SPLIT_CLUSTER_DIGEST: u64 = 0xf3c7fefa3efcd664;
+/// one-event bind, and from `0xf3c7fefa3efcd664` for the bursts: only
+/// `events` moved).
+pub const SPLIT_CLUSTER_DIGEST: u64 = 0xc248beb7b097d986;
 
 /// Pinned digest of [`churn_scenario`] under Hawk (re-pinned, from
 /// `0x4f3fa286a0bcca5a`, with [`HAWK_DIGEST`] for the lazy victim draw;
 /// any later drift in failure draining, migration targeting, revival or
-/// speed scaling fails against it).
-pub const CHURN_HETERO_HAWK_DIGEST: u64 = 0xd1728be003a40038;
+/// speed scaling fails against it; re-pinned again, from
+/// `0xd1728be003a40038`, with [`HAWK_DIGEST`] for the bursts: only
+/// `events` moved).
+pub const CHURN_HETERO_HAWK_DIGEST: u64 = 0x8f4c7e01f54cc1ce;
 
 /// Pinned digest of the golden Hawk cell on the default uncontended fat
 /// tree (re-pinned, from `0x416829b65ce3bf51`, with [`HAWK_DIGEST`] for
@@ -82,8 +92,9 @@ pub const RACK_ALIGNED_STEAL_HAWK_DIGEST: u64 = 0xaf4c8dd98af0e58e;
 /// any later drift in the saturation arrival process, the admission
 /// plan's window accounting or the shed/deferral semantics fails against
 /// it). Re-pinned again, from `0x42cfc0170548fdbc`, with [`HAWK_DIGEST`]
-/// for the one-event bind: only `events` moved.
-pub const SATURATION_ADMISSION_HAWK_DIGEST: u64 = 0xba019be5c686d8ae;
+/// for the one-event bind, and from `0xba019be5c686d8ae` for the bursts:
+/// only `events` moved.
+pub const SATURATION_ADMISSION_HAWK_DIGEST: u64 = 0xae9620da64d20a55;
 
 /// What a prototype run is pinned by: a hash of every job's runtime plus
 /// the protocol counters — `messages` and the hardened-protocol counters
